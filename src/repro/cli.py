@@ -118,6 +118,34 @@ def _add_sharding_args(cmd):
     )
 
 
+#: (flag, default) of the options only out-of-core mode reads.
+_OUT_OF_CORE_ONLY = (
+    ("--backend", "thread"),
+    ("--spool-dir", None),
+    ("--retries", 0),
+    ("--inject-faults", None),
+)
+
+
+def _out_of_core(parser, args):
+    """Did the command line select out-of-core (sharded) mode?
+
+    In-memory mode never reads the out-of-core-only options, so a
+    command line that sets one without enabling the mode is rejected
+    rather than run with the option silently dropped.
+    """
+    if (args.shard_rows is not None or args.memory_budget is not None
+            or args.resume is not None):
+        return True
+    for flag, default in _OUT_OF_CORE_ONLY:
+        if getattr(args, flag[2:].replace("-", "_")) != default:
+            parser.error(
+                f"{flag} only applies to out-of-core mode; enable it "
+                "with --shard-rows, --memory-budget or --resume"
+            )
+    return False
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="datasynth",
@@ -394,10 +422,8 @@ def _cmd_generate(args):
         raise SystemExit(
             "no scale given: add a DSL scale block or --scale TYPE=COUNT"
         )
-    sharded = (args.shard_rows is not None
-               or args.memory_budget is not None
-               or args.resume is not None)
-    if sharded:
+    chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
+    if args.out_of_core:
         from .core import ShardedExecutor
 
         executor = ShardedExecutor(
@@ -413,30 +439,20 @@ def _cmd_generate(args):
         )
         # Cap export chunks at the shard size so the sink stays within
         # the memory budget (bytes are identical for any chunk size).
-        sink = make_sink(
-            args.format,
-            args.out,
-            chunk_size=min(
-                args.chunk_size or DEFAULT_CHUNK_SIZE,
-                executor.shard_rows,
-            ),
-            compress=args.compress,
-        )
-        graph = executor.run(sink=sink)
-        summary = graph.summary()
-        if executor.spool_dir is None:
-            graph.cleanup()
+        chunk_size = min(chunk_size, executor.shard_rows)
+        run = executor.run
     else:
-        sink = make_sink(
-            args.format,
-            args.out,
-            chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
-            compress=args.compress,
-        )
-        graph = GraphGenerator(
+        run = GraphGenerator(
             schema, scale, seed=args.seed, workers=args.workers
-        ).generate(sink=sink)
-        summary = graph.summary()
+        ).generate
+    sink = make_sink(
+        args.format, args.out, chunk_size=chunk_size,
+        compress=args.compress,
+    )
+    graph = run(sink=sink)
+    summary = graph.summary()
+    if args.out_of_core and executor.spool_dir is None:
+        graph.cleanup()
     print(f"generated graph {graph_name!r}: {summary}")
     for path in sink.written:
         print(f"  wrote {path}")
@@ -775,7 +791,10 @@ def _cmd_serve(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "shard_rows"):  # generate, scenario run|validate
+        args.out_of_core = _out_of_core(parser, args)
     handlers = {
         "generate": _cmd_generate,
         "protocol": _cmd_protocol,

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .schema import SchemaError
+
 __all__ = ["DependencyError", "Task", "TaskGraph", "build_task_graph"]
 
 
@@ -192,8 +194,21 @@ def build_task_graph(schema, scale):
     Returns
     -------
     TaskGraph
+
+    Every front end plans through this function, so the scale spec is
+    validated here: a key naming no node or edge type is a
+    :class:`~repro.core.schema.SchemaError`, whichever engine runs.
     """
-    from .schema import Cardinality
+    from .tasks import is_correlated  # tasks imports this module
+
+    unknown = [
+        name
+        for name in scale
+        if name not in schema.node_types
+        and name not in schema.edge_types
+    ]
+    if unknown:
+        raise SchemaError(f"scale spec names unknown types: {unknown}")
 
     graph = TaskGraph()
 
@@ -204,12 +219,8 @@ def build_task_graph(schema, scale):
         if name in scale:
             count_source[name] = ("scale", None)
     for edge in schema.edge_types.values():
-        if edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-        ):
-            head = edge.head_type
-            if head not in count_source:
-                count_source[head] = ("structure", edge.name)
+        if edge.is_strict and edge.head_type not in count_source:
+            count_source[edge.head_type] = ("structure", edge.name)
     # An edge-count anchor sizes its tail type through get_num_nodes
     # ("use the result to size the graph structure and the number of
     # Persons").
@@ -270,9 +281,7 @@ def build_task_graph(schema, scale):
     streamed = {
         edge.name
         for edge in schema.edge_types.values()
-        if edge.correlation is not None
-        and edge.cardinality is Cardinality.MANY_TO_MANY
-        and edge.is_monopartite
+        if is_correlated(edge) and edge.is_monopartite
     }
     for name in streamed:
         graph.add(
@@ -316,16 +325,8 @@ def build_task_graph(schema, scale):
         for prop in edge.properties:
             deps = [f"match:{edge.name}"]
             for dep in prop.depends_on:
-                if dep.startswith("tail."):
-                    deps.append(
-                        f"property:{edge.tail_type}.{dep[len('tail.'):]}"
-                    )
-                elif dep.startswith("head."):
-                    deps.append(
-                        f"property:{edge.head_type}.{dep[len('head.'):]}"
-                    )
-                else:
-                    deps.append(f"property:{edge.name}.{dep}")
+                _, owner, name = edge.dependency_ref(dep)
+                deps.append(f"property:{owner}.{name}")
             graph.add(
                 Task(
                     f"property:{edge.name}.{prop.name}",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from .dependency import build_task_graph
 from .result import PropertyGraph
-from .schema import SchemaError
 from .tasks import apply_task, export_task_output
 
 __all__ = ["GraphGenerator"]
@@ -62,16 +61,7 @@ class GraphGenerator:
         self.workers = int(workers)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        unknown = [
-            name
-            for name in self.scale
-            if name not in schema.node_types
-            and name not in schema.edge_types
-        ]
-        if unknown:
-            raise SchemaError(
-                f"scale spec names unknown types: {unknown}"
-            )
+        self.plan()  # reject a bad scale spec at construction
 
     # -- planning ------------------------------------------------------------
 

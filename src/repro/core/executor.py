@@ -1,9 +1,11 @@
 """Shard-parallel execution of the task DAG (the distributed engine).
 
-:mod:`repro.core.parallel` demonstrates the paper's shared-nothing
-claim for a *single* property table; this module generalises it to the
-whole Figure-2 pipeline.  The :class:`ParallelExecutor` walks the task
-graph of :func:`~repro.core.dependency.build_task_graph` dynamically:
+:func:`~repro.core.tasks.property_shard_values` carries the paper's
+shared-nothing claim for a *single* property table (any worker
+regenerates any id range from the seed); this module generalises it to
+the whole Figure-2 pipeline.  The :class:`ParallelExecutor` walks the
+task graph of :func:`~repro.core.dependency.build_task_graph`
+dynamically:
 every task whose dependencies have finished is dispatched to a
 ``concurrent.futures`` pool, and large ``property`` / ``edge_property``
 tasks are additionally split into contiguous id-range *shards* that
@@ -40,17 +42,15 @@ import numpy as np
 
 from ..properties.registry import create_property_generator
 from .dependency import DependencyError, build_task_graph
-from .parallel import shard_ranges
+from .engine import GraphGenerator
 from .result import PropertyGraph
 from .tasks import (
-    apply_task,
-    edge_property_inputs,
     export_task_output,
     generate_structure,
     match_edge,
     match_inputs,
     match_prepare,
-    node_property_inputs,
+    property_inputs,
     property_shard_values,
     resolve_count,
     store_task_output,
@@ -63,7 +63,26 @@ __all__ = ["ParallelExecutor", "execute_parallel", "DEFAULT_SHARD_SIZE"]
 #: single kernel call (sharding overhead would dominate).
 DEFAULT_SHARD_SIZE = 65_536
 
-_BACKENDS = ("process", "thread", "serial")
+_BACKENDS = ("process", "thread")
+
+
+def shard_ranges(count, num_shards):
+    """Split ``range(count)`` into ``num_shards`` contiguous ranges.
+
+    Returns a list of ``(start, stop)``; shards differ in size by at
+    most one.  Empty shards are allowed when ``num_shards > count``.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    base = count // num_shards
+    extra = count % num_shards
+    ranges = []
+    start = 0
+    for shard in range(num_shards):
+        size = base + (1 if shard < extra else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges
 
 
 class ParallelExecutor:
@@ -74,7 +93,9 @@ class ParallelExecutor:
     schema, scale, seed:
         as for :class:`~repro.core.engine.GraphGenerator`.
     workers:
-        pool size; defaults to ``os.cpu_count()``.
+        pool size; defaults to ``os.cpu_count()``.  One worker *is*
+        the serial engine: the run is handed to
+        :class:`~repro.core.engine.GraphGenerator`.
     shard_size:
         target rows per property-table shard.  A table of ``n`` rows is
         split into ``min(workers, ceil(n / shard_size))`` shards.
@@ -82,8 +103,7 @@ class ParallelExecutor:
         ``"process"`` (default) uses a :class:`ProcessPoolExecutor` —
         real parallelism, requires picklable generator parameters.
         ``"thread"`` avoids pickling (useful for unpicklable schema
-        environments or fork-restricted hosts); ``"serial"`` runs the
-        shared task layer inline, for debugging schedulers.
+        environments or fork-restricted hosts).
     """
 
     def __init__(
@@ -125,22 +145,16 @@ class ParallelExecutor:
         the whole DAG — and the bytes equal a post-hoc export of the
         serial engine's graph, for any worker count.
         """
+        if self.workers == 1:
+            return GraphGenerator(
+                self.schema, self.scale, self.seed
+            ).generate(sink=sink)
         graph = build_task_graph(self.schema, self.scale)
         order = graph.topological_order()  # validates + cycle check
         result = PropertyGraph(self.schema, self.seed)
         structures = {}
         if sink is not None:
             sink.begin(result)
-        if self.backend == "serial" or self.workers == 1:
-            for task in order:
-                apply_task(
-                    task, self.schema, self.scale, self.seed,
-                    result, structures,
-                )
-                export_task_output(task, sink)
-            if sink is not None:
-                sink.finish()
-            return result
         pool = self._make_pool()
         try:
             self._run_pooled(
@@ -242,12 +256,9 @@ class ParallelExecutor:
                 )
                 return
             if task.kind in ("property", "edge_property"):
-                inputs = (
-                    node_property_inputs(self.schema, task, result)
-                    if task.kind == "property"
-                    else edge_property_inputs(self.schema, task, result)
+                spec, count, deps = property_inputs(
+                    self.schema, task, result
                 )
-                spec, count, deps = inputs
                 shards = self._plan_shards(count)
                 buffer = None
                 if len(shards) > 1:

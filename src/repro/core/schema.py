@@ -181,6 +181,14 @@ class EdgeType:
     def is_monopartite(self):
         return self.tail_type == self.head_type
 
+    @property
+    def is_strict(self):
+        """1→* / 1→1 cardinality: the structure's heads *define* the
+        head instances, so matching keeps them as they are."""
+        return self.cardinality in (
+            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
+        )
+
     def property_named(self, name):
         for prop in self.properties:
             if prop.name == name:
@@ -188,6 +196,22 @@ class EdgeType:
         raise SchemaError(
             f"edge type {self.name!r} has no property {name!r}"
         )
+
+    def dependency_ref(self, dep):
+        """Resolve one ``depends_on`` entry of an edge property.
+
+        Returns ``(side, owner, prop)``: ``tail.x`` / ``head.x`` name
+        property ``x`` of the endpoint node type (``side`` says which
+        endpoint column to gather through); anything else is a sibling
+        property of this edge type (``side`` is ``None``).  Either way
+        the referenced table is ``f"{owner}.{prop}"``.
+        """
+        side, dot, prop = dep.partition(".")
+        if dot and side == "tail":
+            return side, self.tail_type, prop
+        if dot and side == "head":
+            return side, self.head_type, prop
+        return None, self.name, dep
 
 
 class Schema:

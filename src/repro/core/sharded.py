@@ -16,9 +16,12 @@ any shard size and worker count, by construction rather than by luck:
   generation equals slices of single-shot generation;
 * chunkable structure generators (R-MAT raw, ER, SBM, 1→*) emit their
   ``run()`` output in chunks via the first-class
-  :class:`~repro.structure.base.EdgeChunkStream` protocol;
-* permutation matchings relabel chunk-by-chunk with the exact mappings
-  the serial :func:`~repro.core.tasks.match_edge` derives;
+  :class:`~repro.structure.base.EdgeChunkStream` protocol, held as a
+  :mod:`~repro.core.structures` handle (the serving layer pages the
+  same handles);
+* permutation matchings relabel chunk-by-chunk through
+  :func:`~repro.core.tasks.matching_maps`, the function the serial
+  :func:`~repro.core.tasks.match_edge` applies to the whole table;
 * genuinely global stages — sequential structure generators,
   correlated (SBM-Part) matching — materialise transiently, spill
   their result to the spool and free it;
@@ -52,19 +55,24 @@ from pathlib import Path
 import numpy as np
 
 from ..io.spool import TableSpool
-from ..prng import RandomStream, derive_seed
-from ..structure.registry import create_generator
-from ..tables import PropertyTable
 from . import faults as _faults
 from .checkpoint import CheckpointLedger, run_fingerprint
 from .dependency import DependencyError, build_task_graph
-from .matching import random_match
 from .procpool import BACKENDS, ShardPool, ShardedError
 from .result import PropertyGraph
-from .schema import Cardinality, SchemaError
+from .structures import (
+    StructureHandle,
+    emit_matched,
+    open_structure,
+    spill_maps,
+)
 from .tasks import (
+    correlated_tables,
     export_task_output,
+    is_correlated,
     match_edge,
+    matching_maps,
+    property_refs,
     property_shard_values,
     resolve_count,
     structure_inputs,
@@ -197,118 +205,8 @@ def _relabel_shard_part(spool, key, index, handle, lo, hi, tail_map,
     """One edge shard: chunk emission + relabel to spool (any worker)."""
     _faults.fire("match", index)
     _faults.fire("shard", index)
-    tails, heads = handle.read_chunk(lo, hi)
-    if tail_map is not None:
-        tails = tail_map[tails]
-    if head_map is not None:
-        heads = head_map[heads]
+    tails, heads = emit_matched(handle, lo, hi, tail_map, head_map)
     return spool.save_edge_part(index, key, tails, heads)
-
-
-# -- structure handles ---------------------------------------------------------
-
-
-class _StructureHandle:
-    """Metadata + chunk access for a pre-matching structure.
-
-    Quacks like an :class:`~repro.tables.EdgeTable` for the metadata
-    consumers (``resolve_count``, ``random_match``) without holding the
-    edge columns in memory.
-    """
-
-    def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
-                 directed):
-        self.name = name
-        self.num_edges = int(num_edges)
-        self.num_tail_nodes = int(num_tail_nodes)
-        self.num_head_nodes = int(num_head_nodes)
-        self.directed = bool(directed)
-
-    def __len__(self):
-        return self.num_edges
-
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"structure {self.name!r} is bipartite; use "
-                "num_tail_nodes / num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    def read_chunk(self, lo, hi):
-        raise NotImplementedError
-
-    def chunks(self):
-        raise NotImplementedError
-
-    def load(self):
-        raise NotImplementedError
-
-
-class _ChunkedStructure(_StructureHandle):
-    """Chunkable generator: edges re-emitted on demand, never resident.
-
-    Picklable (the chunk streams carry counter-based streams and spill
-    views, no closures), so worker processes re-emit chunks in place.
-    """
-
-    def __init__(self, stream):
-        super().__init__(
-            stream.name, stream.num_edges, stream.num_tail_nodes,
-            stream.num_head_nodes, stream.directed,
-        )
-        self._stream = stream
-
-    def read_chunk(self, lo, hi):
-        return self._stream.emit(lo, hi)
-
-    def chunks(self):
-        return self._stream.chunks()
-
-    def load(self):
-        return self._stream.to_edge_table()
-
-
-class _SpooledStructure(_StructureHandle):
-    """Sequential generator: edges spilled to scratch, memory-mapped."""
-
-    def __init__(self, spool, prefix, table):
-        super().__init__(
-            table.name, len(table), table.num_tail_nodes,
-            table.num_head_nodes, table.directed,
-        )
-        spill = spool.spiller(prefix)
-        self._tails = spill("tails", table.tails)
-        self._heads = spill("heads", table.heads)
-        self._chunk_edges = spool.shard_rows
-
-    def read_chunk(self, lo, hi):
-        return (
-            np.asarray(self._tails[lo:hi]),
-            np.asarray(self._heads[lo:hi]),
-        )
-
-    def chunks(self):
-        for lo in range(0, self.num_edges, self._chunk_edges):
-            hi = min(lo + self._chunk_edges, self.num_edges)
-            yield (lo, *self.read_chunk(lo, hi))
-
-    def load(self):
-        from ..tables import EdgeTable
-
-        return EdgeTable(
-            self.name,
-            np.asarray(self._tails),
-            np.asarray(self._heads),
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
 
 
 # -- result -------------------------------------------------------------------
@@ -524,8 +422,8 @@ class ShardedExecutor:
             result.node_counts[task.subject] = resolve_count(
                 self.schema, self.scale, task, structures
             )
-        elif task.kind == "property":
-            self._apply_node_property(task, result, spool, pool)
+        elif task.kind in ("property", "edge_property"):
+            self._apply_property(task, result, spool, pool)
         elif task.kind == "structure":
             self._apply_structure(task, result, structures, spool)
         elif task.kind == "match_prepare":
@@ -536,8 +434,6 @@ class ShardedExecutor:
             pass
         elif task.kind == "match":
             self._apply_match(task, result, structures, spool, pool)
-        elif task.kind == "edge_property":
-            self._apply_edge_property(task, result, spool, pool)
         else:  # pragma: no cover - guarded by build_task_graph
             raise DependencyError(f"unknown task kind {task.kind!r}")
 
@@ -576,65 +472,27 @@ class ShardedExecutor:
             ledger.ack_shard(key, "property", index, meta, role=role)
         ledger.finish_table(key, "property", role=role)
 
-    def _apply_node_property(self, task, result, spool, pool):
-        type_name, prop_name = task.subject.split(".", 1)
-        prop = self.schema.node_type(type_name).property_named(prop_name)
-        if prop.generator is None:
-            raise SchemaError(
-                f"{task.subject}: no property generator declared"
-            )
-        count = result.node_counts[type_name]
-        deps = [
-            ("range", result.node_properties[f"{type_name}.{dep}"])
-            for dep in prop.depends_on
-        ]
+    def _apply_property(self, task, result, spool, pool):
+        """A node or edge property table, shard by shard.  Dependencies
+        travel as descriptors over spooled tables (see ``_dep_slice``)."""
+        spec, owner, refs = property_refs(self.schema, task)
+        if task.kind == "property":
+            count, role = result.node_counts[owner], "node_property"
+            tables = result.node_properties
+            deps = [("range", tables[key]) for _, key in refs]
+        else:
+            table = result.edge_tables[owner]
+            count, role = len(table), "edge_property"
+            tables = result.edge_properties
+            deps = [
+                ("range", tables[key]) if side is None
+                else (side, result.node_properties[key], table)
+                for side, key in refs
+            ]
         self._run_property_shards(
-            task, prop.generator, count, deps, spool, pool,
-            role="node_property",
+            task, spec, count, deps, spool, pool, role=role
         )
-        result.node_properties[task.subject] = spool.finish_property(
-            task.subject
-        )
-
-    def _apply_edge_property(self, task, result, spool, pool):
-        edge_name, prop_name = task.subject.split(".", 1)
-        edge = self.schema.edge_type(edge_name)
-        prop = edge.property_named(prop_name)
-        if prop.generator is None:
-            raise SchemaError(
-                f"{task.subject}: no property generator declared"
-            )
-        table = result.edge_tables[edge_name]
-        deps = []
-        for dep in prop.depends_on:
-            if dep.startswith("tail."):
-                deps.append((
-                    "tail",
-                    result.node_properties[
-                        f"{edge.tail_type}.{dep[len('tail.'):]}"
-                    ],
-                    table,
-                ))
-            elif dep.startswith("head."):
-                deps.append((
-                    "head",
-                    result.node_properties[
-                        f"{edge.head_type}.{dep[len('head.'):]}"
-                    ],
-                    table,
-                ))
-            else:
-                deps.append((
-                    "range",
-                    result.edge_properties[f"{edge_name}.{dep}"],
-                ))
-        self._run_property_shards(
-            task, prop.generator, len(table), deps, spool, pool,
-            role="edge_property",
-        )
-        result.edge_properties[task.subject] = spool.finish_property(
-            task.subject
-        )
+        tables[task.subject] = spool.finish_property(task.subject)
 
     # -- structure and matching --------------------------------------------
 
@@ -659,41 +517,21 @@ class ShardedExecutor:
             # The matched edge table will be adopted whole from the
             # spool; a metadata-only handle keeps derived counts
             # resolvable without re-generating the structure.
-            meta = self._ledger.structure_meta(task.subject)
-            structures[task.subject] = _StructureHandle(
-                meta["name"], meta["num_edges"], meta["num_tail_nodes"],
-                meta["num_head_nodes"], meta["directed"],
+            structures[task.subject] = StructureHandle(
+                **self._ledger.structure_meta(task.subject)
             )
             return
         _faults.fire("structure", index)
-        spec, sg_seed, n = structure_inputs(
-            self.schema, self.scale, self.seed, task, result.node_counts
+        handle = open_structure(
+            *structure_inputs(
+                self.schema, self.scale, self.seed, task,
+                result.node_counts,
+            ),
+            spool.shard_rows,
+            spool.spiller(f"structure.{task.subject}"),
         )
-        generator = create_generator(
-            spec.name, seed=sg_seed, **spec.params
-        )
-        prefix = f"structure.{task.subject}"
-        if generator.chunkable(n):
-            stream = generator.run_chunked(
-                n, spool.shard_rows, spill=spool.spiller(prefix)
-            )
-            structures[task.subject] = _ChunkedStructure(stream)
-        else:
-            # Sequential generators are a documented global stage:
-            # materialise once, spill to scratch, free.
-            table = generator.run(n)
-            structures[task.subject] = _SpooledStructure(
-                spool, prefix, table
-            )
-            del table
-        handle = structures[task.subject]
-        self._ledger.record_structure(task.subject, {
-            "name": handle.name,
-            "num_edges": handle.num_edges,
-            "num_tail_nodes": handle.num_tail_nodes,
-            "num_head_nodes": handle.num_head_nodes,
-            "directed": handle.directed,
-        })
+        structures[task.subject] = handle
+        self._ledger.record_structure(task.subject, handle.metadata())
 
     def _restore_match(self, edge, result, spool):
         """Adopt a completed edge table from the spool (resume path):
@@ -704,10 +542,8 @@ class ShardedExecutor:
         entry = ledger.table(edge.name)
         for index, meta in enumerate(entry["shards"]):
             spool.record_edge_shard(edge.name, index, meta)
-        meta = entry["meta"]
         result.edge_tables[edge.name] = spool.finish_edge(
-            edge.name, meta["num_tail_nodes"], meta["num_head_nodes"],
-            meta["directed"], name=meta["name"],
+            edge.name, **entry["meta"]
         )
         result.match_results[edge.name] = None
 
@@ -720,37 +556,22 @@ class ShardedExecutor:
         handle = structures[edge.name]
         tail_count = result.node_counts[edge.tail_type]
         head_count = result.node_counts[edge.head_type]
-        corr = edge.correlation
-        strict = edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-        )
-        correlated = (
-            corr is not None
-            and not strict
-            and (edge.is_monopartite or corr.head_property is not None)
-        )
-        if correlated:
+        if is_correlated(edge):
             # SBM-Part matching walks the whole structure — the other
             # documented global stage.  Materialise, match with the
             # exact serial kernel, spill the final table, free.  As a
             # global stage it checkpoints all-or-nothing: a partial
             # ack prefix from a crashed run is discarded, not resumed.
             self._ledger.reset_table(edge.name)
-            structure = handle.load()
-            tail_key = f"{edge.tail_type}.{corr.tail_property}"
-            tail_pt = result.node_properties[
-                tail_key
-            ].to_property_table()
-            head_pt = None
-            if corr.head_property is not None:
-                head_pt = result.node_properties[
-                    f"{edge.head_type}.{corr.head_property}"
-                ].to_property_table()
             table, match = match_edge(
-                edge, self.seed, task.task_id, structure,
-                tail_count, head_count, tail_pt, head_pt, prep=None,
+                edge, self.seed, task.task_id, handle.to_edge_table(),
+                tail_count, head_count,
+                *correlated_tables(edge, lambda type_name, prop: (
+                    result.node_properties[
+                        f"{type_name}.{prop}"
+                    ].to_property_table()
+                )),
             )
-            del structure, tail_pt, head_pt
             for index, (_, tails, heads) in enumerate(
                 table.iter_chunks(spool.shard_rows)
             ):
@@ -759,90 +580,53 @@ class ShardedExecutor:
                 )
                 self._ledger.ack_shard(edge.name, "edge", index,
                                        shard_meta)
-            meta = (
-                table.num_tail_nodes, table.num_head_nodes,
-                table.directed,
-            )
-            table_name = table.name
+            n_tail, n_head = table.num_tail_nodes, table.num_head_nodes
             del table
         else:
-            meta = self._match_streaming(
-                task, edge, handle, tail_count, head_count, spool,
-                strict, pool,
+            n_tail, n_head = self._match_streaming(
+                task, edge, handle, tail_count, head_count, spool, pool,
             )
             match = None
-            table_name = handle.name
         spool.drop_scratch(f"structure.{edge.name}")
         spool.drop_scratch(f"match.{edge.name}")
-        # relabeled() preserves the structure table's name, so the
-        # spooled table carries it too — EdgeTable.__eq__ compares it.
+        # Relabelling preserves the structure's name and direction, so
+        # the spooled table carries them too — EdgeTable.__eq__
+        # compares the name.
+        meta = {
+            "num_tail_nodes": n_tail,
+            "num_head_nodes": n_head,
+            "directed": handle.directed,
+            "name": handle.name,
+        }
         result.edge_tables[edge.name] = spool.finish_edge(
-            edge.name, *meta, name=table_name
+            edge.name, **meta
         )
         result.match_results[edge.name] = match
-        self._ledger.finish_table(edge.name, "edge", meta={
-            "num_tail_nodes": meta[0],
-            "num_head_nodes": meta[1],
-            "directed": meta[2],
-            "name": table_name,
-        })
+        self._ledger.finish_table(edge.name, "edge", meta=meta)
 
     def _match_streaming(self, task, edge, handle, tail_count,
-                         head_count, spool, strict, pool):
+                         head_count, spool, pool):
         """Permutation matchings applied chunk-by-chunk.
 
-        Derives the exact mappings the serial ``match_edge`` builds —
-        same streams, same slices — then relabels each structure chunk
-        as it is re-emitted.  The mappings are the O(nodes) term of the
-        memory bound.  On the process backend the mappings are spilled
-        once and shipped to workers as paths, so relabelling runs in
-        the pool with the chunks re-emitted worker-side.
+        Relabels each structure chunk, as it is re-emitted, through the
+        maps the serial ``match_edge`` applies to the whole table
+        (:func:`~repro.core.tasks.matching_maps`).  The maps are the
+        O(nodes) term of the memory bound.  On the process backend they
+        are spilled once and shipped to workers as paths, so
+        relabelling runs in the pool with the chunks re-emitted
+        worker-side.
         """
-        stream = RandomStream(derive_seed(self.seed, task.task_id))
-        if strict:
-            if handle.num_tail_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {edge.name!r}: structure has more tails than "
-                    f"{edge.tail_type!r} instances"
-                )
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:handle.num_tail_nodes]
-            head_map = None  # identity: heads define the instances
-            n_tail = len(tail_map)
-            n_head = handle.num_head_nodes
-        elif not edge.is_monopartite:
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:handle.num_tail_nodes]
-            head_map = stream.substream("heads").permutation(
-                head_count
-            )[:handle.num_head_nodes]
-            n_tail, n_head = len(tail_map), len(head_map)
-        else:
-            if handle.num_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {edge.name!r}: structure has "
-                    f"{handle.num_nodes} nodes but {edge.tail_type!r} "
-                    f"has {tail_count} instances"
-                )
-            pt_ids = PropertyTable(
-                edge.name, np.arange(tail_count, dtype=np.int64)
-            )
-            mapping = random_match(
-                pt_ids, handle, seed=derive_seed(self.seed, task.task_id)
-            )
-            tail_map = head_map = mapping
-            n_tail = n_head = len(mapping)
+        tail_map, head_map = matching_maps(
+            edge, self.seed, task.task_id, handle, tail_count, head_count
+        )
+        n_tail = len(tail_map)
+        n_head = (
+            handle.num_head_nodes if head_map is None else len(head_map)
+        )
         if self.backend == "process" and handle.num_edges:
-            # Ship the O(nodes) mappings once, as spool paths.
-            spill = spool.spiller(f"match.{edge.name}")
-            shared = head_map is tail_map
-            tail_map = spill("tail_map", tail_map)
-            if shared:
-                head_map = tail_map
-            elif head_map is not None:
-                head_map = spill("head_map", head_map)
+            tail_map, head_map = spill_maps(
+                spool.spiller(f"match.{edge.name}"), tail_map, head_map
+            )
         ledger = self._ledger
         acked = ledger.verified_shards(edge.name)
         total = -(-handle.num_edges // spool.shard_rows)
@@ -862,7 +646,7 @@ class ShardedExecutor:
             index = skip + offset
             spool.record_edge_shard(edge.name, index, meta)
             ledger.ack_shard(edge.name, "edge", index, meta)
-        return n_tail, n_head, handle.directed
+        return n_tail, n_head
 
 
 def execute_sharded(schema, scale, seed=0, sink=None, **kwargs):

@@ -1,11 +1,12 @@
-"""Pure task implementations shared by the serial and parallel engines.
+"""Pure task implementations shared by every front end.
 
 The engine used to run each DAG task as a method mutating the result
 graph in place.  That coupling blocked shard-parallel execution, so the
 task bodies now live here in three functional layers:
 
 * **kernels** — pure functions of explicit, picklable inputs
-  (``property_shard_values``, ``generate_structure``, ``match_edge``).
+  (``property_shard_values``, ``generate_structure``,
+  ``matching_maps``, ``match_edge``).
   A kernel re-derives its random stream from ``(root seed, task id)``,
   so *any* process given the same inputs computes bit-identical output:
   the in-place contract of Section 4.1 that makes distributed
@@ -37,18 +38,21 @@ from .matching import (
     random_match,
     sbm_part_match,
 )
-from .schema import Cardinality, SchemaError
+from .schema import SchemaError
 
 __all__ = [
     "align_joint",
     "apply_task",
-    "edge_property_inputs",
+    "correlated_tables",
     "export_task_output",
     "generate_structure",
+    "is_correlated",
     "match_edge",
     "match_inputs",
     "match_prepare",
-    "node_property_inputs",
+    "matching_maps",
+    "property_inputs",
+    "property_refs",
     "property_shard_values",
     "property_values_at",
     "resolve_count",
@@ -145,6 +149,78 @@ def match_prepare(seed, edge_name, structure, counts_tables=None):
     )
 
 
+def is_correlated(edge):
+    """Does matching this edge type reproduce a property joint?
+
+    Correlated (SBM-Part) matching walks the whole structure — a global
+    stage every front end materialises for.  Everything else is a
+    permutation matching, described completely by
+    :func:`matching_maps`.  Strict-cardinality matching ignores
+    correlations, and a bipartite correlation needs both properties.
+    """
+    corr = edge.correlation
+    return (
+        corr is not None
+        and not edge.is_strict
+        and (edge.is_monopartite or corr.head_property is not None)
+    )
+
+
+def _check_structure_fits(edge, structure, tail_count):
+    """A structure cannot have more nodes than there are instances to
+    match them to."""
+    if edge.is_strict:
+        if structure.num_tail_nodes > tail_count:
+            raise SchemaError(
+                f"edge {edge.name!r}: structure has more tails than "
+                f"{edge.tail_type!r} instances"
+            )
+    elif edge.is_monopartite and structure.num_nodes > tail_count:
+        raise SchemaError(
+            f"edge {edge.name!r}: structure has {structure.num_nodes}"
+            f" nodes but {edge.tail_type!r} has {tail_count} instances"
+        )
+
+
+def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
+    """Node-id maps of an uncorrelated (permutation) matching.
+
+    The single derivation every front end relabels through: the serial
+    :func:`match_edge` applies the maps to the whole table, the sharded
+    executor to one structure chunk at a time, the serving layer to one
+    page.  ``structure`` only needs topology metadata
+    (``num_tail_nodes`` / ``num_head_nodes`` / ``num_nodes``), so a
+    :class:`~repro.core.structures.StructureHandle` works as well as
+    an :class:`~repro.tables.EdgeTable`.
+
+    Returns ``(tail_map, head_map)`` — structure node id -> final node
+    id per side.  ``head_map`` is ``None`` (identity) for
+    strict-cardinality edges, and the *same array* as ``tail_map`` for
+    monopartite edges.
+    """
+    _check_structure_fits(edge, structure, tail_count)
+    if edge.is_monopartite and not edge.is_strict:
+        pt_ids = PropertyTable(
+            edge.name, np.arange(tail_count, dtype=np.int64)
+        )
+        mapping = random_match(
+            pt_ids, structure, seed=derive_seed(seed, task_id)
+        )
+        return mapping, mapping
+    stream = RandomStream(derive_seed(seed, task_id))
+    # A permutation preserves the degree distribution.
+    tail_map = stream.substream("tails").permutation(
+        tail_count
+    )[:structure.num_tail_nodes]
+    if edge.is_strict:
+        # Heads keep identity: they *define* the head instances.
+        return tail_map, None
+    head_map = stream.substream("heads").permutation(
+        head_count
+    )[:structure.num_head_nodes]
+    return tail_map, head_map
+
+
 def match_edge(
     edge,
     seed,
@@ -183,36 +259,17 @@ def match_edge(
         the final edge table and the matcher diagnostics (``None`` for
         random/permutation matching).
     """
-    stream = RandomStream(derive_seed(seed, task_id))
-    corr = edge.correlation
-
-    if edge.cardinality in (
-        Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-    ):
-        # Strict-cardinality edges: tails are matched to tail-type
-        # ids (randomly — a permutation preserves the degree
-        # distribution), heads keep identity (they *define* the head
-        # instances).
-        if structure.num_tail_nodes > tail_count:
-            raise SchemaError(
-                f"edge {edge.name!r}: structure has more tails than "
-                f"{edge.tail_type!r} instances"
-            )
-        perm = stream.substream("tails").permutation(tail_count)
-        tail_map = perm[:structure.num_tail_nodes]
-        head_map = np.arange(structure.num_head_nodes, dtype=np.int64)
+    if not is_correlated(edge):
+        tail_map, head_map = matching_maps(
+            edge, seed, task_id, structure, tail_count, head_count
+        )
+        if head_map is None:
+            head_map = np.arange(structure.num_head_nodes, dtype=np.int64)
         return structure.relabeled(tail_map, head_map), None
 
+    stream = RandomStream(derive_seed(seed, task_id))
+    corr = edge.correlation
     if not edge.is_monopartite:
-        if corr is None or corr.head_property is None:
-            # Uncorrelated bipartite many-to-many: permute each side.
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:structure.num_tail_nodes]
-            head_map = stream.substream("heads").permutation(
-                head_count
-            )[:structure.num_head_nodes]
-            return structure.relabeled(tail_map, head_map), None
         match = bipartite_sbm_part_match(
             tail_pt,
             head_pt,
@@ -227,20 +284,7 @@ def match_edge(
         )
         return final, match
 
-    # Monopartite many-to-many.
-    if structure.num_nodes > tail_count:
-        raise SchemaError(
-            f"edge {edge.name!r}: structure has {structure.num_nodes}"
-            f" nodes but {edge.tail_type!r} has {tail_count} instances"
-        )
-    if corr is None:
-        pt_ids = PropertyTable(
-            edge.name, np.arange(tail_count, dtype=np.int64)
-        )
-        mapping = random_match(
-            pt_ids, structure, seed=derive_seed(seed, task_id)
-        )
-        return structure.relabeled(mapping), None
+    _check_structure_fits(edge, structure, tail_count)
     _, categories = tail_pt.codes()
     joint = align_joint(corr.joint, list(categories), corr.values)
     if prep is None:
@@ -342,51 +386,71 @@ def structure_inputs(schema, scale, seed, task, node_counts):
     return edge.structure, sg_seed, n
 
 
-def node_property_inputs(schema, task, result):
-    """-> ``(spec, count, dep_arrays)`` for a node property task."""
-    type_name, prop_name = task.subject.split(".", 1)
-    node_type = schema.node_type(type_name)
-    prop = node_type.property_named(prop_name)
+def property_refs(schema, task):
+    """Resolve a node- or edge-property task's declaration.
+
+    Returns ``(spec, owner, refs)``: the generator spec, the owning
+    type's name, and one ``(side, table_key)`` per dependency —
+    ``table_key`` names the ``"Type.prop"`` table depended on and
+    ``side`` is as in :meth:`~repro.core.schema.EdgeType.
+    dependency_ref` (always ``None`` for node properties).  How a
+    reference becomes a column is the caller's storage decision: RAM
+    arrays (:func:`property_inputs`), spooled-table descriptors (the
+    sharded executor).
+    """
+    owner, prop_name = task.subject.split(".", 1)
+    if task.kind == "property":
+        prop = schema.node_type(owner).property_named(prop_name)
+        refs = [(None, f"{owner}.{dep}") for dep in prop.depends_on]
+    else:
+        edge = schema.edge_type(owner)
+        prop = edge.property_named(prop_name)
+        refs = [
+            (side, f"{dep_owner}.{name}")
+            for side, dep_owner, name
+            in map(edge.dependency_ref, prop.depends_on)
+        ]
     if prop.generator is None:
         raise SchemaError(
             f"{task.subject}: no property generator declared"
         )
-    count = result.node_counts[type_name]
-    dep_arrays = [
-        result.node_property(type_name, dep).values
-        for dep in prop.depends_on
-    ]
-    return prop.generator, count, dep_arrays
+    return prop.generator, owner, refs
 
 
-def edge_property_inputs(schema, task, result):
-    """-> ``(spec, count, dep_arrays)`` for an edge property task.
+def property_inputs(schema, task, result):
+    """-> ``(spec, count, dep_arrays)`` for a node or edge property task.
 
     Endpoint-property dependencies (``tail.x`` / ``head.x``) are
     gathered through the final edge table so the per-edge dependency
     columns line up with edge ids.
     """
-    edge_name, prop_name = task.subject.split(".", 1)
-    edge = schema.edge_type(edge_name)
-    prop = edge.property_named(prop_name)
-    if prop.generator is None:
-        raise SchemaError(
-            f"{task.subject}: no property generator declared"
+    spec, owner, refs = property_refs(schema, task)
+    if task.kind == "property":
+        return spec, result.node_counts[owner], [
+            result.node_properties[key].values for _, key in refs
+        ]
+    table = result.edge_tables[owner]
+    return spec, len(table), [
+        result.edge_properties[key].values if side is None
+        else result.node_properties[key].gather(
+            table.tails if side == "tail" else table.heads
         )
-    table = result.edge_tables[edge_name]
-    dep_arrays = []
-    for dep in prop.depends_on:
-        if dep.startswith("tail."):
-            pt = result.node_property(edge.tail_type, dep[len("tail."):])
-            dep_arrays.append(pt.gather(table.tails))
-        elif dep.startswith("head."):
-            pt = result.node_property(edge.head_type, dep[len("head."):])
-            dep_arrays.append(pt.gather(table.heads))
-        else:
-            dep_arrays.append(
-                result.edge_property(edge_name, dep).values
-            )
-    return prop.generator, len(table), dep_arrays
+        for side, key in refs
+    ]
+
+
+def correlated_tables(edge, column):
+    """-> ``(tail_pt, head_pt)`` a correlated matching step reads.
+
+    ``column(type_name, prop_name)`` fetches one node property table
+    from wherever the caller keeps it (RAM, spool, recomputation);
+    ``head_pt`` is ``None`` for monopartite correlations.
+    """
+    corr = edge.correlation
+    tail_pt = column(edge.tail_type, corr.tail_property)
+    if corr.head_property is None:
+        return tail_pt, None
+    return tail_pt, column(edge.head_type, corr.head_property)
 
 
 def match_inputs(schema, task, result, structures):
@@ -394,21 +458,11 @@ def match_inputs(schema, task, result, structures):
     edge = schema.edge_type(task.subject)
     structure = structures[edge.name]
     tail_pt = head_pt = None
-    strict = edge.cardinality in (
-        Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-    )
-    # Strict-cardinality matching ignores correlations, so don't ship
-    # the property tables into the kernel (they'd be pickled for
-    # nothing on the process backend).
-    if edge.correlation is not None and not strict:
-        corr = edge.correlation
-        tail_pt = result.node_property(
-            edge.tail_type, corr.tail_property
-        )
-        if corr.head_property is not None:
-            head_pt = result.node_property(
-                edge.head_type, corr.head_property
-            )
+    # Uncorrelated matching (strict cardinality included) ignores the
+    # property tables, so don't ship them into the kernel (they'd be
+    # pickled for nothing on the process backend).
+    if is_correlated(edge):
+        tail_pt, head_pt = correlated_tables(edge, result.node_property)
     return {
         "edge": edge,
         "structure": structure,
@@ -480,8 +534,8 @@ def apply_task(task, schema, scale, seed, result, structures):
     """Run one task inline and integrate it — the serial engine's step."""
     if task.kind == "count":
         output = resolve_count(schema, scale, task, structures)
-    elif task.kind == "property":
-        spec, count, deps = node_property_inputs(schema, task, result)
+    elif task.kind in ("property", "edge_property"):
+        spec, count, deps = property_inputs(schema, task, result)
         output = property_shard_values(
             spec, task.task_id, seed, 0, count, deps
         )
@@ -499,11 +553,6 @@ def apply_task(task, schema, scale, seed, result, structures):
             seed=seed,
             task_id=task.task_id,
             **match_inputs(schema, task, result, structures),
-        )
-    elif task.kind == "edge_property":
-        spec, count, deps = edge_property_inputs(schema, task, result)
-        output = property_shard_values(
-            spec, task.task_id, seed, 0, count, deps
         )
     else:  # pragma: no cover - guarded by build_task_graph
         raise DependencyError(f"unknown task kind {task.kind!r}")

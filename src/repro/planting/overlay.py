@@ -390,14 +390,13 @@ def _appended_edge_property_values(schema, edge_name, prop,
     edge = schema.edge_type(edge_name)
     deps = []
     for dep in prop.depends_on:
-        if dep.startswith("tail."):
-            pt = node_properties[f"{edge.tail_type}.{dep[5:]}"]
-            deps.append(pt.gather(extra_tails))
-        elif dep.startswith("head."):
-            pt = node_properties[f"{edge.head_type}.{dep[5:]}"]
-            deps.append(pt.gather(extra_heads))
+        side, owner, name = edge.dependency_ref(dep)
+        if side is None:
+            deps.append(computed[name])
         else:
-            deps.append(computed[dep])
+            deps.append(node_properties[f"{owner}.{name}"].gather(
+                extra_tails if side == "tail" else extra_heads
+            ))
     ids = np.arange(
         base_m, base_m + extra_tails.size, dtype=np.int64
     )

@@ -507,12 +507,11 @@ def _graded_checks(spec, schema):
             if prop.generator is None \
                     or prop.generator.name != "after_dependency":
                 continue
-            tail_prop = head_prop = None
-            for dep in prop.depends_on:
-                if dep.startswith("tail."):
-                    tail_prop = dep[len("tail."):]
-                elif dep.startswith("head."):
-                    head_prop = dep[len("head."):]
+            refs = {
+                side: name for side, _, name
+                in map(edge.dependency_ref, prop.depends_on)
+            }
+            tail_prop, head_prop = refs.get("tail"), refs.get("head")
             if tail_prop or head_prop:
                 checks.append(GradedCheck(DateOrderingCheck(
                     edge.name, prop.name,

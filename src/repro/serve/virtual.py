@@ -11,19 +11,21 @@ stage it touches is a pure function of ``(seed, indices)``:
   :func:`~repro.core.tasks.property_values_at`, with intra-type
   dependencies resolved recursively on the queried ids only;
 * **edges** — random-access structure generators re-emit any edge page
-  through :meth:`~repro.structure.base.EdgeChunkStream.emit`, then the
-  exact permutation maps the serial ``match_edge`` derives relabel the
-  page.  The maps are the documented O(nodes) term; they are spilled
-  to a disk spool and memory-mapped, so query-time allocation stays
-  O(page + chunk);
+  through a :mod:`~repro.core.structures` handle, then the permutation
+  maps of :func:`~repro.core.tasks.matching_maps` — the function the
+  serial ``match_edge`` itself calls — relabel the page.  The maps are
+  the documented O(nodes) term; they are spilled to a disk spool and
+  memory-mapped, so query-time allocation stays O(page + chunk);
 * **edge properties** — the same PG kernel, with ``tail.x``/``head.x``
   dependencies gathered by *recomputing* the endpoint properties at
   the page's endpoint ids (random access again, no node table);
 * **neighbourhoods / edge-existence** — a bounded scan over the edge
   pages (O(m) compute, O(chunk) memory).
 
-Two configurations fall back to a documented **spooled** mode, exactly
-mirroring the sharded executor's concessions: sequential structure
+Two configurations fall back to a documented **spooled** mode — the
+same two global stages the sharded executor has, decided by the same
+code (:func:`~repro.core.structures.open_structure`,
+:func:`~repro.core.tasks.is_correlated`): sequential structure
 generators (the table is materialised once, spilled, and paged from
 disk) and correlated (SBM-Part) matching (the final table is computed
 once at first touch, spilled, and paged from disk).  The
@@ -51,127 +53,43 @@ from pathlib import Path
 import numpy as np
 
 from ..core.dependency import build_task_graph
-from ..core.schema import Cardinality, SchemaError
+from ..core.schema import SchemaError
+from ..core.structures import (
+    SpilledStructure,
+    emit_matched,
+    open_structure,
+    spill_maps,
+)
 from ..core.tasks import (
+    correlated_tables,
+    is_correlated,
     match_edge,
+    matching_maps,
     property_values_at,
     resolve_count,
     structure_inputs,
 )
 from ..io.spool import TableSpool
-from ..prng import RandomStream, derive_seed
-from ..structure.registry import create_generator
 from ..tables import PropertyTable
 
 __all__ = ["VirtualGraph"]
 
 
-class _StructureSource:
-    """Pre-matching edges, pageable via ``emit(lo, hi)``.
-
-    Carries the same metadata surface as an
-    :class:`~repro.tables.EdgeTable` so :func:`resolve_count` and the
-    matching-map derivation can consume it directly.
-    """
-
-    def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
-                 directed, random_access):
-        self.name = name
-        self.num_edges = int(num_edges)
-        self.num_tail_nodes = int(num_tail_nodes)
-        self.num_head_nodes = int(num_head_nodes)
-        self.directed = bool(directed)
-        self.random_access = bool(random_access)
-
-    def __len__(self):
-        return self.num_edges
-
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"structure {self.name!r} is bipartite; use "
-                "num_tail_nodes / num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    def emit(self, lo, hi):
-        raise NotImplementedError
-
-
-class _StreamSource(_StructureSource):
-    """Chunkable generator: pages re-derived from the seed on demand."""
-
-    def __init__(self, stream, random_access):
-        super().__init__(
-            stream.name, stream.num_edges, stream.num_tail_nodes,
-            stream.num_head_nodes, stream.directed, random_access,
-        )
-        self._stream = stream
-
-    def emit(self, lo, hi):
-        return self._stream.emit(lo, hi)
-
-    def to_edge_table(self):
-        return self._stream.to_edge_table()
-
-
-class _SpilledSource(_StructureSource):
-    """Materialised-once edges, spilled to the spool and memory-mapped."""
-
-    def __init__(self, spool, prefix, table):
-        super().__init__(
-            table.name, len(table), table.num_tail_nodes,
-            table.num_head_nodes, table.directed, random_access=False,
-        )
-        spill = spool.spiller(prefix)
-        self._tails = spill("tails", table.tails)
-        self._heads = spill("heads", table.heads)
-
-    def emit(self, lo, hi):
-        return (
-            np.asarray(self._tails[lo:hi]),
-            np.asarray(self._heads[lo:hi]),
-        )
-
-    def to_edge_table(self):
-        from ..tables import EdgeTable
-
-        return EdgeTable(
-            self.name,
-            np.asarray(self._tails),
-            np.asarray(self._heads),
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
-
-
 class _EdgeState:
-    """Final (post-matching) edge pages for one edge type."""
+    """Final (post-matching) edge pages for one edge type: a structure
+    handle plus the spilled matching maps it is relabelled through."""
 
-    def __init__(self, source, tail_map, head_map, mode, reason,
-                 directed):
+    def __init__(self, source, tail_map=None, head_map=None):
         self._source = source
         self._tail_map = tail_map
         self._head_map = head_map
-        self.mode = mode
-        self.reason = reason
-        self.directed = bool(directed)
-        self.num_edges = source.num_edges
+        self.directed = source.directed
 
     def emit(self, lo, hi):
         """Final ``(tails, heads)`` of edge ids ``[lo, hi)``."""
-        tails, heads = self._source.emit(lo, hi)
-        if self._tail_map is not None:
-            tails = np.asarray(self._tail_map[tails])
-        if self._head_map is not None:
-            heads = np.asarray(self._head_map[heads])
-        return tails, heads
+        return emit_matched(
+            self._source, lo, hi, self._tail_map, self._head_map
+        )
 
 
 class VirtualGraph:
@@ -204,7 +122,6 @@ class VirtualGraph:
         self.node_counts = {}
         self._sources = {}
         self._states = {}
-        self._correlated = {}
         self.plan = None
         try:
             self._resolve_topology()
@@ -248,37 +165,14 @@ class VirtualGraph:
                     self.schema, self.scale, task, self._sources
                 )
             elif task.kind == "structure":
-                self._sources[task.subject] = self._build_source(task)
-
-    def _build_source(self, task):
-        spec, sg_seed, n = structure_inputs(
-            self.schema, self.scale, self.seed, task, self.node_counts
-        )
-        generator = create_generator(
-            spec.name, seed=sg_seed, **spec.params
-        )
-        prefix = f"structure.{task.subject}"
-        edge = self.schema.edge_type(task.subject)
-        corr = edge.correlation
-        strict = edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-        )
-        self._correlated[task.subject] = (
-            corr is not None
-            and not strict
-            and (edge.is_monopartite or corr.head_property is not None)
-        )
-        if generator.chunkable(n):
-            stream = generator.run_chunked(
-                n, self.chunk_rows, spill=self._spool.spiller(prefix)
-            )
-            return _StreamSource(stream, generator.random_access(n))
-        # Sequential structure: the documented spooled concession —
-        # materialise once, park on disk, page from the mapping.
-        table = generator.run(n)
-        source = _SpilledSource(self._spool, prefix, table)
-        del table
-        return source
+                self._sources[task.subject] = open_structure(
+                    *structure_inputs(
+                        self.schema, self.scale, self.seed, task,
+                        self.node_counts,
+                    ),
+                    self.chunk_rows,
+                    self._spool.spiller(f"structure.{task.subject}"),
+                )
 
     # -- planting overlay --------------------------------------------------
 
@@ -349,61 +243,19 @@ class VirtualGraph:
         source = self._sources[name]
         tail_count = self.node_counts[edge.tail_type]
         head_count = self.node_counts[edge.head_type]
-        if self._correlated[name]:
+        if is_correlated(edge):
             return self._build_correlated_state(
                 edge, source, tail_count, head_count
             )
-        stream = RandomStream(derive_seed(self.seed, f"match:{name}"))
-        spill = self._spool.spiller(f"match.{name}")
-        strict = edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
+        tail_map, head_map = matching_maps(
+            edge, self.seed, f"match:{name}", source,
+            tail_count, head_count,
         )
-        if strict:
-            if source.num_tail_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {name!r}: structure has more tails than "
-                    f"{edge.tail_type!r} instances"
-                )
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:source.num_tail_nodes]
-            tail_map, head_map = spill("tail_map", tail_map), None
-        elif not edge.is_monopartite:
-            tail_map = spill("tail_map", stream.substream(
-                "tails"
-            ).permutation(tail_count)[:source.num_tail_nodes])
-            head_map = spill("head_map", stream.substream(
-                "heads"
-            ).permutation(head_count)[:source.num_head_nodes])
-        else:
-            if source.num_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {name!r}: structure has {source.num_nodes} "
-                    f"nodes but {edge.tail_type!r} has {tail_count} "
-                    "instances"
-                )
-            from ..core.matching import random_match
-
-            pt_ids = PropertyTable(
-                name, np.arange(tail_count, dtype=np.int64)
-            )
-            mapping = spill("node_map", random_match(
-                pt_ids, source, seed=derive_seed(self.seed, f"match:{name}")
-            ))
-            tail_map = head_map = mapping
-        if source.random_access:
-            mode, reason = "virtual", (
-                "seed-derived chunked emission relabeled through "
-                "spilled permutation maps"
-            )
-        else:
-            mode, reason = "spooled", (
-                "sequential structure generator; edges materialised "
-                "once and paged from the disk spool"
-            )
-        return _EdgeState(
-            source, tail_map, head_map, mode, reason, source.directed
-        )
+        # The maps are the O(nodes) term: always spilled here, so
+        # query-time allocation stays O(page + chunk).
+        return _EdgeState(source, *spill_maps(
+            self._spool.spiller(f"match.{name}"), tail_map, head_map
+        ))
 
     def _build_correlated_state(self, edge, source, tail_count,
                                 head_count):
@@ -413,33 +265,14 @@ class VirtualGraph:
         table, and pages it from disk; byte-identical to ``generate``
         because it *is* the serial kernel.
         """
-        corr = edge.correlation
-        structure = source.to_edge_table()
-        tail_pt = PropertyTable(
-            f"{edge.tail_type}.{corr.tail_property}",
-            self._node_column(edge.tail_type, corr.tail_property),
-        )
-        head_pt = None
-        if corr.head_property is not None:
-            head_pt = PropertyTable(
-                f"{edge.head_type}.{corr.head_property}",
-                self._node_column(edge.head_type, corr.head_property),
-            )
         table, _ = match_edge(
-            edge, self.seed, f"match:{edge.name}", structure,
-            tail_count, head_count, tail_pt, head_pt, prep=None,
+            edge, self.seed, f"match:{edge.name}",
+            source.to_edge_table(), tail_count, head_count,
+            *correlated_tables(edge, self._node_column),
         )
-        del structure, tail_pt, head_pt
-        final = _SpilledSource(
-            self._spool, f"final.{edge.name}", table
-        )
-        del table
-        return _EdgeState(
-            final, None, None, "spooled",
-            "correlated matching is a global stage; the matched table "
-            "is computed once and paged from the disk spool",
-            final.directed,
-        )
+        return _EdgeState(SpilledStructure(
+            self._spool.spiller(f"final.{edge.name}"), table
+        ))
 
     def _node_column(self, type_name, prop_name):
         """One whole node-property column (global stages only).
@@ -448,7 +281,10 @@ class VirtualGraph:
         generated properties, before any plant forced its attributes.
         """
         ids = np.arange(self.node_counts[type_name], dtype=np.int64)
-        return self._raw_node_properties_of(type_name, prop_name, ids)
+        return PropertyTable(
+            f"{type_name}.{prop_name}",
+            self._raw_node_properties_of(type_name, prop_name, ids),
+        )
 
     # -- node queries ------------------------------------------------------
 
@@ -594,18 +430,15 @@ class VirtualGraph:
             node_get = self._raw_node_properties_of
         deps = []
         for dep in prop.depends_on:
-            if dep.startswith("tail."):
-                deps.append(node_get(
-                    edge.tail_type, dep[len("tail."):], tails
-                ))
-            elif dep.startswith("head."):
-                deps.append(node_get(
-                    edge.head_type, dep[len("head."):], heads
+            side, owner, name = edge.dependency_ref(dep)
+            if side is None:
+                deps.append(self._edge_values(
+                    edge, edge.property_named(name), ids, tails, heads,
+                    cache, node_get,
                 ))
             else:
-                deps.append(self._edge_values(
-                    edge, edge.property_named(dep), ids, tails, heads,
-                    cache, node_get,
+                deps.append(node_get(
+                    owner, name, tails if side == "tail" else heads
                 ))
         values = property_values_at(
             prop.generator, f"property:{edge.name}.{prop.name}",
@@ -744,38 +577,38 @@ class VirtualGraph:
             self._edge_state(name)
         return self
 
+    def _access_mode(self, name):
+        """``(mode, reason)`` of one edge type — ``"virtual"`` pages
+        are re-derived from the seed, ``"spooled"`` pages are read from
+        a table computed once (the two documented global stages)."""
+        if is_correlated(self.schema.edge_type(name)):
+            return "spooled", (
+                "correlated matching is a global stage; the matched "
+                "table is computed once and paged from the disk spool"
+            )
+        if self._sources[name].random_access:
+            return "virtual", (
+                "seed-derived chunked emission relabeled through "
+                "spilled permutation maps"
+            )
+        return "spooled", (
+            "sequential structure generator; edges materialised once "
+            "and paged from the disk spool"
+        )
+
     def classification(self):
         """Access-mode report: which tables are virtual and why."""
         edges = {}
         for name, edge in self.schema.edge_types.items():
             source = self._sources[name]
-            if self._correlated[name]:
-                mode = "spooled"
-                reason = (
-                    "correlated matching is a global stage; the "
-                    "matched table is computed once and paged from "
-                    "the disk spool"
-                )
-            elif source.random_access:
-                mode = "virtual"
-                reason = (
-                    "seed-derived chunked emission relabeled through "
-                    "spilled permutation maps"
-                )
-            else:
-                mode = "spooled"
-                reason = (
-                    "sequential structure generator; edges "
-                    "materialised once and paged from the disk spool"
-                )
+            mode, reason = self._access_mode(name)
             entry = {
                 "count": self.edge_count(name),
                 "tail": edge.tail_type,
                 "head": edge.head_type,
                 "directed": source.directed,
                 "mode": mode,
-                "random_access": source.random_access
-                and not self._correlated[name],
+                "random_access": mode == "virtual",
                 "reason": reason,
                 "properties": self.edge_property_names(name),
             }

@@ -167,6 +167,61 @@ class TestGenerate:
             )
 
 
+class TestOutOfCoreOnlyFlags:
+    """--backend process / --spool-dir / --retries / --inject-faults are
+    only read in out-of-core mode; in-memory mode must refuse them
+    instead of silently dropping them."""
+
+    FLAGS = [
+        ["--backend", "process"],
+        ["--spool-dir", "spool"],
+        ["--retries", "2"],
+        ["--inject-faults", "property:0:crash"],
+    ]
+
+    @staticmethod
+    def _commands(tmp_path):
+        schema_path = tmp_path / "tiny.dsl"
+        schema_path.write_text(DSL)
+        out = ["--out", str(tmp_path / "out")]
+        return {
+            "generate": ["generate", str(schema_path)] + out,
+            "scenario run": [
+                "scenario", "run", "social_network",
+                "--scale", "Person=300", "--no-validate",
+            ] + out,
+            "scenario validate": [
+                "scenario", "validate", "social_network",
+                "--scale", "Person=300",
+            ],
+        }
+
+    @pytest.mark.parametrize("flag", FLAGS, ids=lambda f: f[0])
+    @pytest.mark.parametrize(
+        "command", ["generate", "scenario run", "scenario validate"]
+    )
+    def test_rejected_in_memory_mode(self, command, flag, tmp_path,
+                                     capsys):
+        argv = self._commands(tmp_path)[command] + flag
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]} only applies to out-of-core mode" in err
+        for enabler in ("--shard-rows", "--memory-budget", "--resume"):
+            assert enabler in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "scenario run"])
+    def test_accepted_in_out_of_core_mode(self, command, tmp_path):
+        argv = self._commands(tmp_path)[command] + [
+            "--shard-rows", "64", "--retries", "1",
+            "--spool-dir", str(tmp_path / "spool"),
+        ]
+        assert main(argv) == 0
+        assert (tmp_path / "spool" / "checkpoint.json").exists()
+
+
 class TestProtocol:
     def test_prints_cdf_table(self, capsys):
         code = main(

@@ -1,4 +1,5 @@
-"""Tests for the simulated shared-nothing execution (in-place claim)."""
+"""Tests for shared-nothing execution (the in-place claim): any worker
+regenerates any id range of a property table from the seed alone."""
 
 from __future__ import annotations
 
@@ -6,8 +7,22 @@ import numpy as np
 import pytest
 
 from repro.core import GeneratorSpec, GraphGenerator
-from repro.core.parallel import generate_property_sharded, shard_ranges
+from repro.core.executor import shard_ranges
+from repro.core.tasks import property_shard_values
 from repro.datasets import social_network_schema
+
+
+def sharded_values(spec, qualified_name, count, seed, num_shards,
+                   dependency_columns=()):
+    """One independent kernel call per shard (fresh generator and
+    stream each, as a remote worker would), concatenated in id order."""
+    return np.concatenate([
+        property_shard_values(
+            spec, f"property:{qualified_name}", seed, start, stop,
+            [col[start:stop] for col in dependency_columns],
+        )
+        for start, stop in shard_ranges(count, num_shards)
+    ])
 
 
 class TestShardRanges:
@@ -42,11 +57,11 @@ class TestInPlaceGeneration:
             "country"
         ).generator
         for num_shards in (1, 3, 7, 400):
-            sharded = generate_property_sharded(
+            sharded = sharded_values(
                 spec, "Person.country", 400, 77, num_shards
             )
             assert np.array_equal(
-                sharded.values,
+                sharded,
                 graph.node_property("Person", "country").values,
             )
 
@@ -62,12 +77,12 @@ class TestInPlaceGeneration:
         ).generator
         countries = graph.node_property("Person", "country").values
         sexes = graph.node_property("Person", "sex").values
-        sharded = generate_property_sharded(
+        sharded = sharded_values(
             spec, "Person.name", 300, 5, 6,
             dependency_columns=(countries, sexes),
         )
         assert np.array_equal(
-            sharded.values,
+            sharded,
             graph.node_property("Person", "name").values,
         )
 
@@ -81,7 +96,6 @@ class TestInPlaceGeneration:
             "creationDate"
         ).generator
         full = graph.node_property("Person", "creationDate").values
-        from repro.core.parallel import shard_ranges  # noqa: F401
         from repro.prng import RandomStream, derive_seed
         from repro.properties.registry import create_property_generator
 
@@ -99,22 +113,17 @@ class TestInPlaceGeneration:
         spec = GeneratorSpec(
             "uniform_int", {"low": 0, "high": 3}
         )
-        sharded = generate_property_sharded(
-            spec, "T.x", 0, 1, 4
-        )
-        assert len(sharded) == 0
+        assert len(sharded_values(spec, "T.x", 0, 1, 4)) == 0
 
     def test_empty_table_keeps_generator_dtype(self):
         """count == 0 must stay bit-identical to single-shot output:
-        the empty fallback takes the generator's dtype, not object."""
-        from repro.core.tasks import property_shard_values
-
+        empty shards carry the generator's dtype, not object."""
         for name, params, in (
             ("uniform_int", {"low": 0, "high": 3}),
             ("uniform_float", {"low": 0.0, "high": 1.0}),
         ):
             spec = GeneratorSpec(name, params)
-            sharded = generate_property_sharded(spec, "T.x", 0, 1, 4)
+            sharded = sharded_values(spec, "T.x", 0, 1, 4)
             single = property_shard_values(spec, "property:T.x", 1, 0, 0)
-            assert sharded.values.dtype == single.dtype
-            assert np.array_equal(sharded.values, single)
+            assert sharded.dtype == single.dtype
+            assert np.array_equal(sharded, single)

@@ -92,11 +92,10 @@ class TestBitIdentity:
         ).run()
         assert_graphs_identical(social_serial, graph)
 
-    def test_serial_backend(self, social_serial):
+    def test_one_worker_is_the_serial_engine(self, social_serial):
         schema = social_network_schema(num_countries=8)
         graph = ParallelExecutor(
-            schema, {"Person": 400}, seed=23,
-            workers=4, backend="serial",
+            schema, {"Person": 400}, seed=23, workers=1,
         ).run()
         assert_graphs_identical(social_serial, graph)
 
@@ -332,11 +331,12 @@ class TestExportDeterminismMatrix:
 
 
 class TestValidation:
-    def test_rejects_bad_backend(self):
+    @pytest.mark.parametrize("backend", ["mpi", "serial"])
+    def test_rejects_bad_backend(self, backend):
         with pytest.raises(ValueError, match="backend"):
             ParallelExecutor(
                 Schema(node_types=[NodeType("T")]), {"T": 1},
-                backend="mpi",
+                backend=backend,
             )
 
     def test_rejects_bad_workers(self):
