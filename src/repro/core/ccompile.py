@@ -16,11 +16,16 @@ Environment knobs (shared by every embedded kernel):
 ``REPRO_CKERNEL_CACHE``
     sets the shared-object cache directory (default: a per-user
     directory under the system temp dir).
+
+The cache holds code this process will ``dlopen``: it is created
+``0o700`` and refused (no kernel; callers fall back) when another user
+owns it or group/others may write to it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import getpass
 import hashlib
 import os
@@ -53,7 +58,8 @@ def compile_cached(source, prefix):
 
     The cache key is a hash of the source, so editing the embedded C
     transparently recompiles.  Returns ``None`` when no compiler is on
-    PATH; raises on compile errors (callers catch and fall back).
+    PATH or the cache directory is not private to this user; raises
+    on compile errors (callers catch and fall back).
     """
     compiler = (
         os.environ.get("CC")
@@ -65,23 +71,36 @@ def compile_cached(source, prefix):
         return None
     digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     cache = _cache_dir()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        return None
     so_path = cache / f"{prefix}-{digest}.so"
     if not so_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        src_path = cache / f"{prefix}-{digest}.c"
-        src_path.write_text(source)
-        fd, tmp_so = tempfile.mkstemp(
-            suffix=".so", prefix=f"{prefix}-", dir=cache
-        )
-        os.close(fd)
-        try:
-            subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC",
-                 "-o", tmp_so, str(src_path)],
-                check=True, capture_output=True, timeout=120,
-            )
-            os.replace(tmp_so, so_path)
-        finally:
-            if os.path.exists(tmp_so):
-                os.unlink(tmp_so)
+        # Workers forked onto a cold cache queue here; the first one
+        # compiles, the rest find the shared object.
+        with open(cache / f"{prefix}-{digest}.lock", "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            if not so_path.exists():
+                _compile(compiler, source, so_path)
     return ctypes.CDLL(str(so_path))
+
+
+def _compile(compiler, source, so_path):
+    """Build ``so_path`` beside its source, atomically (tmp + rename)."""
+    src_path = so_path.with_suffix(".c")
+    src_path.write_text(source)
+    fd, tmp_so = tempfile.mkstemp(
+        suffix=".so", prefix=so_path.stem, dir=so_path.parent
+    )
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, "-O2", "-shared", "-fPIC",
+             "-o", tmp_so, str(src_path)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp_so, so_path)
+    finally:
+        if os.path.exists(tmp_so):
+            os.unlink(tmp_so)

@@ -7,14 +7,17 @@ batch formatting of fixed-size id-range *chunks*: a chunk of
 of column-level operations, written, and released.  Peak memory on the
 export path is therefore O(chunk), not O(table).
 
-The implementation strategy is measured, not assumed (see
-``benchmarks/bench_streaming_io.py``): numpy handles dtype dispatch,
-datetime/bool conversion, non-finite masking and typed parsing, while
-value-to-text conversion and row assembly run as C-level batch string
-operations (``map``/``join`` over ``ndarray.tolist()`` scalars) —
-``np.char`` ufuncs allocate a fresh fixed-width unicode array per
-operation and benchmark ~3x *slower* than ``csv.writer``, whereas this
-hybrid is ~2x faster.
+The implementation strategy is measured, not assumed (``python3 -m
+bench``, ``chunks.format_s``): numpy handles dtype dispatch,
+datetime/bool conversion, non-finite masking and typed parsing; CSV
+and edge-list rows of integer and bool columns — and of stringified
+columns whose chunk needs no quoting — are assembled by the compiled
+loop of :mod:`repro.io._ckernel`.  Everything else (JSON/XML rows, a
+field needing quotes, no compiler, ``REPRO_NO_CKERNEL=1``) runs as
+C-level batch string operations (``map``/``join`` over
+``ndarray.tolist()`` scalars): ~10x slower than the kernel on integer
+columns but ~2x faster than ``csv.writer`` — where ``np.char`` ufuncs,
+allocating a fixed-width array per operation, are ~3x *slower* than it.
 
 Byte-identity is the contract: for every supported dtype the chunk
 formatters reproduce the legacy per-row output *exactly* —
@@ -36,6 +39,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+
+from . import _ckernel
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -273,36 +278,52 @@ def id_strings(start, stop):
     return list(map(str, range(start, stop)))
 
 
+def _join_rows(columns, sep, term):
+    """Rows from parallel string columns: the no-kernel path."""
+    return term.join(map(sep.join, zip(*columns))) + term
+
+
 def format_property_csv_chunk(start, values):
     """``id,value`` CSV lines (CRLF) for rows ``start..start+len-1``."""
-    vals = csv_quote_column(stringify_column(values))
-    if not vals:
+    values = np.asarray(values)
+    if not len(values):
         return ""
-    rows = map(",".join, zip(id_strings(start, start + len(vals)),
-                             vals))
-    return "\r\n".join(rows) + "\r\n"
+    text = _ckernel.format_rows(start, (values,), ",", "\r\n")
+    if text is None:
+        fields = stringify_column(values)
+        # QUOTE_MINIMAL's triggers: a chunk with none needs no quoting.
+        text = _ckernel.format_rows(
+            start, (fields,), ",", "\r\n", forbidden='",\r')
+    if text is None:
+        text = _join_rows(
+            (id_strings(start, start + len(fields)),
+             csv_quote_column(fields)), ",", "\r\n")
+    return text
 
 
 def format_edge_csv_chunk(start, tails, heads):
     """``id,tailId,headId`` CSV lines (CRLF) for one edge chunk."""
     if not len(tails):
         return ""
-    rows = map(",".join, zip(
-        id_strings(start, start + len(tails)),
-        map(str, tails.tolist()),
-        map(str, heads.tolist()),
-    ))
-    return "\r\n".join(rows) + "\r\n"
+    text = _ckernel.format_rows(start, (tails, heads), ",", "\r\n")
+    if text is None:
+        text = _join_rows(
+            (id_strings(start, start + len(tails)),
+             map(str, tails.tolist()), map(str, heads.tolist())),
+            ",", "\r\n")
+    return text
 
 
 def format_edgelist_chunk(tails, heads):
     """``tail head`` lines (LF) for one edge chunk."""
     if not len(tails):
         return ""
-    rows = map(" ".join, zip(
-        map(str, tails.tolist()), map(str, heads.tolist())
-    ))
-    return "\n".join(rows) + "\n"
+    text = _ckernel.format_rows(None, (tails, heads), " ", "\n")
+    if text is None:
+        text = _join_rows(
+            (map(str, tails.tolist()), map(str, heads.tolist())),
+            " ", "\n")
+    return text
 
 
 def record_template(keys, item="%s"):

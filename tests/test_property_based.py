@@ -572,6 +572,75 @@ class TestStreamingRoundTripProperties:
         assert back == table
 
 
+_KERNEL_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8,
+                  np.uint16, np.uint32, np.uint64, np.bool_]
+#: Chunk starts on both sides of a digit boundary of the id column.
+_KERNEL_STARTS = st.one_of(
+    st.sampled_from([0, 8, 9, 99, 99_998, 99_999, 10**15 - 3]),
+    st.integers(0, 2**62),
+)
+
+
+@st.composite
+def _integer_columns(draw):
+    """Two equal-length columns of one integer dtype, dtype extremes
+    over-represented, optionally seen through a strided view."""
+    dtype = draw(st.sampled_from(_KERNEL_DTYPES))
+    if dtype is np.bool_:
+        element = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        element = st.one_of(
+            st.sampled_from([info.min, info.max, 0]),
+            st.integers(int(info.min), int(info.max)),
+        )
+    step = draw(st.sampled_from([1, 2, 3, -1]))
+    size = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(2):
+        cells = draw(st.lists(
+            element, min_size=size * abs(step), max_size=size * abs(step)
+        ))
+        columns.append(np.array(cells, dtype=dtype)[::step][:size])
+    return columns
+
+
+class TestTextKernelProperties:
+    """The compiled row kernel and the Python assembly it replaces
+    produce the same text for every integer column."""
+
+    @common_settings
+    @given(columns=_integer_columns(), start=_KERNEL_STARTS)
+    def test_kernel_equals_python_path(self, columns, start):
+        from unittest import mock
+
+        from repro.io import _ckernel
+        from repro.io.chunks import (
+            format_edge_csv_chunk,
+            format_edgelist_chunk,
+            format_property_csv_chunk,
+        )
+
+        if _ckernel.load_text_ckernel() is None:
+            pytest.skip("no compiled text kernel on this host")
+        tails, heads = columns
+
+        def run():
+            return (
+                format_edge_csv_chunk(start, tails, heads),
+                format_edgelist_chunk(tails, heads),
+                format_property_csv_chunk(start, tails),
+            )
+
+        fast = run()
+        with mock.patch.object(
+                _ckernel, "load_text_ckernel", lambda: None):
+            assert run() == fast
+        assert fast[2] == "".join(
+            f"{start + i},{v}\r\n" for i, v in enumerate(tails.tolist())
+        )
+
+
 class TestSpoolShardProperties:
     """Spooled tables must round-trip every supported value dtype —
     ints, floats, bools, unicode, object strings, empty arrays — for

@@ -474,3 +474,330 @@ class TestSourceFallbacks:
         source = EdgelistSource(tmp_path)
         with pytest.raises(FileNotFoundError):
             source.read_edge_table("ghost")
+
+
+# -- the compiled text kernel (io/_ckernel.py) --------------------------------
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+#: Chunk starts straddling a digit boundary of the id column.
+BOUNDARY_STARTS = [0, 8, 9, 98, 99_998, 99_999, 10**12 - 2]
+
+
+def reference_rows(start, columns, sep, term):
+    """Per-row ``str()`` loop: what every fast path must reproduce."""
+    rows = []
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+        cells = [str(v) for v in row]
+        if start is not None:
+            cells.insert(0, str(start + i))
+        rows.append(sep.join(cells) + term)
+    return "".join(rows)
+
+
+def extremes(dtype, n=5):
+    if dtype is np.bool_:
+        return np.array([True, False, False, True, True][:n])
+    info = np.iinfo(dtype)
+    return np.array(
+        [info.min, info.max, 0, info.max // 3, info.min // 7][:n],
+        dtype=dtype,
+    )
+
+
+class TestTextKernel:
+    @pytest.mark.parametrize("dtype", INT_DTYPES + [np.bool_])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_property_chunk_every_integer_dtype(self, dtype, n):
+        from repro.io.chunks import format_property_csv_chunk
+
+        values = extremes(dtype, n)
+        for start in BOUNDARY_STARTS:
+            assert format_property_csv_chunk(start, values) == \
+                reference_rows(start, [values], ",", "\r\n")
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES)
+    def test_edge_chunks_every_integer_dtype(self, dtype):
+        from repro.io.chunks import (
+            format_edge_csv_chunk,
+            format_edgelist_chunk,
+        )
+
+        tails, heads = extremes(dtype), extremes(dtype)[::-1]
+        for start in BOUNDARY_STARTS:
+            assert format_edge_csv_chunk(start, tails, heads) == \
+                reference_rows(start, [tails, heads], ",", "\r\n")
+        assert format_edgelist_chunk(tails, heads) == \
+            reference_rows(None, [tails, heads], " ", "\n")
+        assert format_edge_csv_chunk(0, tails[:0], heads[:0]) == ""
+        assert format_edgelist_chunk(tails[:0], heads[:0]) == ""
+
+    def test_strided_byteswapped_and_memmap_columns(self, tmp_path):
+        from repro.io.chunks import format_edge_csv_chunk
+        from repro.io.spool import SpillView
+
+        base = np.arange(-50, 50, dtype=np.int64) * 10**15
+        np.save(tmp_path / "col.npy", base)
+        view = SpillView(tmp_path / "col.npy")
+        try:
+            for tails, heads in [
+                (base[::3], base[1::3][:len(base[::3])]),
+                (base[::-1], base),
+                (base.astype(">i8"), base.astype(np.int32)),
+                (view[10:60], view[40:90]),
+                (view[::2], view[1::2]),
+            ]:
+                assert format_edge_csv_chunk(99_990, tails, heads) == \
+                    reference_rows(99_990, [tails, heads], ",", "\r\n")
+        finally:
+            view.close()
+
+    def test_string_fields_take_the_kernel_only_when_unquoted(self):
+        from repro.io import _ckernel
+        from repro.io.chunks import format_property_csv_chunk
+
+        def legacy(start, values):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            for i, v in enumerate(values):
+                writer.writerow([start + i, "" if v is None else v])
+            return buf.getvalue()
+
+        plain = ["ab", "", "unicode éß中文", " x ", "tab\t", None, "z"]
+        for strings in (plain, TRICKY_STRINGS, ["new\nline"], [""]):
+            for dtype in (object, str):
+                if dtype is str and None in strings:
+                    continue
+                values = np.array(strings, dtype=dtype)
+                assert format_property_csv_chunk(9, values) == \
+                    legacy(9, strings)
+        if _ckernel.load_text_ckernel() is not None:
+            assert _ckernel.format_rows(
+                0, (["a", "b"],), ",", "\r\n", '",\r') == "0,a\r\n1,b\r\n"
+            for bad in ("a,b", 'a"', "a\r", "a\nb", "a\0"):
+                assert _ckernel.format_rows(
+                    0, (["x", bad],), ",", "\r\n", '",\r') is None
+
+    def test_float_datetime_and_sequence_values(self):
+        from repro.io.chunks import format_property_csv_chunk
+
+        floats = np.array([1.5, -0.0, np.nan, np.inf, 1e300])
+        days = np.array(["2020-01-01", "1970-12-31"],
+                        dtype="datetime64[D]")
+        for values in (floats, days, [3, 4, 5], (True, False)):
+            column = np.asarray(values)
+            expected = "".join(
+                f"{7 + i},{v}\r\n" for i, v in enumerate(column)
+            )
+            assert format_property_csv_chunk(7, values) == expected
+
+    def test_kernel_equals_python_path(self, monkeypatch):
+        from repro.io import _ckernel
+        from repro.io.chunks import (
+            format_edge_csv_chunk,
+            format_edgelist_chunk,
+            format_property_csv_chunk,
+        )
+
+        rng = np.random.default_rng(5)
+        tails = rng.integers(-2**63, 2**63 - 1, 4096, dtype=np.int64)
+        heads = rng.integers(0, 2**64 - 1, 4096, dtype=np.uint64)
+        names = np.array([f"name {i}" for i in range(4096)], dtype=object)
+
+        def run():
+            return (
+                format_edge_csv_chunk(99_000, tails, heads),
+                format_edgelist_chunk(tails, heads),
+                format_property_csv_chunk(99_000, heads),
+                format_property_csv_chunk(99_000, tails > 0),
+                format_property_csv_chunk(99_000, names),
+            )
+
+        if _ckernel.load_text_ckernel() is None:
+            pytest.skip("no compiled text kernel on this host")
+        fast = run()
+        monkeypatch.setattr(_ckernel, "load_text_ckernel", lambda: None)
+        assert run() == fast
+
+    def test_eight_threads_format_identical_text(self):
+        """The serve handler threads and the thread backend share one
+        loaded library; the loops keep no state between calls."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.io.chunks import (
+            format_edge_csv_chunk,
+            format_property_csv_chunk,
+        )
+
+        rng = np.random.default_rng(11)
+        tails = rng.integers(0, 10**9, 20_000)
+        heads = rng.integers(0, 10**9, 20_000)
+        names = np.array([f"n{i}" for i in range(20_000)], dtype=object)
+        expected = (
+            reference_rows(99_990, [tails, heads], ",", "\r\n"),
+            "".join(f"{5 + i},n{i}\r\n" for i in range(20_000)),
+        )
+
+        def job(_):
+            return (format_edge_csv_chunk(99_990, tails, heads),
+                    format_property_csv_chunk(5, names))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(job, range(32), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == expected for result in results)
+
+
+_GOLDEN_EXPORT = """
+import sys
+from pathlib import Path
+golden, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(golden))
+from regenerate import build_graph
+from repro.io import export_graph_csv, write_edgelist
+from repro.io._ckernel import load_text_ckernel
+graph = build_graph()
+export_graph_csv(graph, out, chunk_size=7)
+for name, table in graph.edge_tables.items():
+    write_edgelist(table, out / f"{name}.edges", chunk_size=7)
+print("kernel" if load_text_ckernel() is not None else "python")
+"""
+
+
+def _run_golden_export(tmp_path, **env):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    golden = Path(__file__).resolve().parent / "golden"
+    out = tmp_path / "out"
+    out.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_EXPORT, str(golden), str(out)],
+        env={**os.environ, **env}, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    fixtures = [
+        p for sub in ("csv", "edgelist")
+        for p in sorted((golden / sub).iterdir()) if p.is_file()
+    ]
+    assert len(fixtures) >= 12
+    for fixture in fixtures:
+        assert (out / fixture.name).read_bytes() == \
+            fixture.read_bytes(), fixture.name
+    return done.stdout.split()[-1]
+
+
+class TestKernelUnavailable:
+    """Golden bytes without the kernel: opted out, and no compiler."""
+
+    def test_golden_with_kernels_disabled(self, tmp_path):
+        assert _run_golden_export(
+            tmp_path, REPRO_NO_CKERNEL="1") == "python"
+
+    def test_golden_with_a_failing_compiler(self, tmp_path):
+        cache = tmp_path / "cold-cache"
+        assert _run_golden_export(
+            tmp_path, CC="/bin/false",
+            REPRO_CKERNEL_CACHE=str(cache)) == "python"
+        assert not list(cache.glob("*.so"))
+
+
+def _format_in_worker(seed):
+    from repro.io._ckernel import load_text_ckernel
+    from repro.io.chunks import format_edge_csv_chunk
+
+    column = np.arange(seed, seed + 100, dtype=np.int64)
+    return (load_text_ckernel() is not None,
+            format_edge_csv_chunk(seed, column, column))
+
+
+class TestKernelCache:
+    def test_forked_workers_compile_a_cold_cache_once(
+            self, tmp_path, monkeypatch):
+        import shutil
+
+        from repro.core.procpool import ShardPool
+        from repro.io import _ckernel
+
+        compiler = shutil.which("cc") or shutil.which("gcc")
+        if compiler is None or _ckernel.ckernels_disabled():
+            pytest.skip("no C compiler")
+        log = tmp_path / "cc.log"
+        wrapper = tmp_path / "cc-logged"
+        wrapper.write_text(
+            f'#!/bin/sh\necho run >> "{log}"\nexec "{compiler}" "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path / "cache"))
+        _ckernel.load_text_ckernel.cache_clear()
+        try:
+            with ShardPool(backend="process", workers=4) as pool:
+                results = list(pool.ordered_map(
+                    _format_in_worker, [(seed,) for seed in range(16)]
+                ))
+        finally:
+            _ckernel.load_text_ckernel.cache_clear()
+        for seed, (loaded, text) in enumerate(results):
+            column = np.arange(seed, seed + 100)
+            assert loaded
+            assert text == reference_rows(
+                seed, [column, column], ",", "\r\n")
+        assert log.read_text().split() == ["run"]
+
+    def test_cache_directory_is_created_private(self, tmp_path,
+                                                monkeypatch):
+        from repro.core.ccompile import compile_cached
+
+        cache = tmp_path / "nested" / "cache"
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(cache))
+        lib = compile_cached("int answer(void) { return 42; }", "t")
+        if lib is None:
+            pytest.skip("no C compiler")
+        assert lib.answer() == 42
+        assert cache.stat().st_mode & 0o077 == 0
+
+    @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
+    def test_writable_by_others_is_refused(self, tmp_path, monkeypatch,
+                                           mode):
+        from repro.core.ccompile import compile_cached
+        from repro.io import _ckernel
+        from repro.io.chunks import format_edge_csv_chunk
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(mode)
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(cache))
+        assert compile_cached("int f(void) { return 1; }", "t") is None
+        assert not list(cache.iterdir())
+        _ckernel.load_text_ckernel.cache_clear()
+        try:
+            assert _ckernel.load_text_ckernel() is None
+            column = np.arange(3)
+            assert format_edge_csv_chunk(0, column, column) == \
+                "0,0,0\r\n1,1,1\r\n2,2,2\r\n"
+        finally:
+            _ckernel.load_text_ckernel.cache_clear()
+
+    def test_foreign_owner_is_refused(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.core import ccompile
+
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o700)
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(cache))
+        monkeypatch.setattr(
+            ccompile.os, "getuid", lambda: os.stat(cache).st_uid + 1
+        )
+        assert ccompile.compile_cached(
+            "int f(void) { return 1; }", "t") is None
+        assert not list(cache.iterdir())
