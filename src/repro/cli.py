@@ -28,31 +28,20 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
-def _worker_count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be >= 1, got {value}"
-        )
-    return value
+def _int_at_least(minimum):
+    """argparse ``type``: an integer ``>= minimum`` (argparse itself
+    names the offending flag in the error it prints)."""
+    def integer(text):
+        value = int(text)  # ValueError -> "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+    return integer
 
 
-def _chunk_size(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--chunk-size must be >= 1, got {value}"
-        )
-    return value
-
-
-def _shard_rows(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--shard-rows must be >= 1, got {value}"
-        )
-    return value
+_positive_int = _int_at_least(1)
 
 
 def _memory_budget(text):
@@ -67,7 +56,7 @@ def _memory_budget(text):
 
 def _add_sharding_args(cmd):
     cmd.add_argument(
-        "--shard-rows", type=_shard_rows, default=None, metavar="N",
+        "--shard-rows", type=_positive_int, default=None, metavar="N",
         help="out-of-core mode: run the whole pipeline per N-row "
              "id-range shard with disk-spooled tables (byte-identical "
              "output, peak memory bounded by the shard size; see "
@@ -103,7 +92,7 @@ def _add_sharding_args(cmd):
              "(see docs/robustness.md)",
     )
     cmd.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_int_at_least(0), default=0, metavar="N",
         help="per-shard retry budget for out-of-core mode: a failed "
              "or killed worker shard is re-run (respawning the pool "
              "if it broke) with exponential backoff before the run "
@@ -169,7 +158,7 @@ def build_parser():
     )
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
-        "--workers", type=_worker_count, default=1, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N",
         help="process-pool size for shard-parallel generation "
              "(1 = serial; output is bit-identical for any N)",
     )
@@ -182,7 +171,7 @@ def build_parser():
         default="csv",
     )
     generate.add_argument(
-        "--chunk-size", type=_chunk_size, default=None, metavar="N",
+        "--chunk-size", type=_positive_int, default=None, metavar="N",
         help="rows per export chunk (streamed, memory-bounded export; "
              "default 65536 — output bytes are identical for any N)",
     )
@@ -234,7 +223,7 @@ def build_parser():
     )
     validate.add_argument("--persons", type=int, default=2_000)
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--workers", type=_worker_count, default=1, metavar="N")
+    validate.add_argument("--workers", type=_positive_int, default=1, metavar="N")
 
     analyze = sub.add_parser(
         "analyze",
@@ -252,7 +241,7 @@ def build_parser():
     )
     example.add_argument("--persons", type=int, default=10_000)
     example.add_argument("--seed", type=int, default=0)
-    example.add_argument("--workers", type=_worker_count, default=1, metavar="N")
+    example.add_argument("--workers", type=_positive_int, default=1, metavar="N")
     example.add_argument("--out", default=None)
 
     scenario = sub.add_parser(
@@ -296,7 +285,7 @@ def build_parser():
             help="override the recipe's seed",
         )
         cmd.add_argument(
-            "--workers", type=_worker_count, default=1, metavar="N",
+            "--workers", type=_positive_int, default=1, metavar="N",
             help="process-pool size (output is bit-identical for "
                  "any N)",
         )
@@ -325,7 +314,7 @@ def build_parser():
                 help="override the recipe's export formats",
             )
             cmd.add_argument(
-                "--chunk-size", type=_chunk_size, default=None,
+                "--chunk-size", type=_positive_int, default=None,
                 metavar="N",
             )
             cmd.add_argument("--compress", action="store_true")
@@ -376,7 +365,8 @@ def build_parser():
         help="listen port (0 binds an ephemeral port)",
     )
     serve.add_argument(
-        "--chunk-rows", type=int, default=65_536, metavar="N",
+        "--chunk-rows", type=_positive_int, default=65_536,
+        metavar="N",
         help="page/scan granularity — the memory unit of every query",
     )
     serve.add_argument(
@@ -399,11 +389,14 @@ def build_parser():
 def _parse_scale(entries):
     scale = {}
     for entry in entries:
-        if "=" not in entry:
-            raise SystemExit(
-                f"--scale expects TYPE=COUNT, got {entry!r}"
-            )
         key, _, count = entry.partition("=")
+        # isdecimal: digits only, so "", "abc" and "-5" all fail here
+        # instead of deep inside a structure generator.
+        if not key.strip() or not count.strip().isdecimal():
+            raise SystemExit(
+                "--scale expects TYPE=COUNT with a nonnegative "
+                f"integer COUNT, got {entry!r}"
+            )
         scale[key.strip()] = int(count)
     return scale
 
@@ -413,8 +406,13 @@ def _cmd_generate(args):
     from .core.dsl import load_schema
     from .io import DEFAULT_CHUNK_SIZE, make_sink
 
-    with open(args.schema) as handle:
-        source = handle.read()
+    try:
+        with open(args.schema) as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise SystemExit(
+            f"cannot read schema {args.schema!r}: {exc.strerror}"
+        ) from None
     schema, dsl_scale, graph_name = load_schema(source)
     scale = dict(dsl_scale)
     scale.update(_parse_scale(args.scale))

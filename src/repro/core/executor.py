@@ -45,6 +45,7 @@ from .dependency import DependencyError, build_task_graph
 from .engine import GraphGenerator
 from .result import PropertyGraph
 from .tasks import (
+    dep_slice,
     export_task_output,
     generate_structure,
     match_edge,
@@ -269,7 +270,7 @@ class ParallelExecutor:
                     else:
                         shard_buffers[task.task_id] = buffer
                 for index, (start, stop) in enumerate(shards):
-                    slices = [col[start:stop] for col in deps]
+                    slices = [dep_slice(dep, start, stop) for dep in deps]
                     future = pool.submit(
                         property_shard_values,
                         spec, task.task_id, self.seed,

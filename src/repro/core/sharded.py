@@ -13,7 +13,11 @@ Byte-identity.  Outputs are bit-identical to the in-memory path for
 any shard size and worker count, by construction rather than by luck:
 
 * property kernels are already range-pure (PR 1), so per-shard
-  generation equals slices of single-shot generation;
+  generation equals slices of single-shot generation; their
+  dependencies are the storage-agnostic descriptors of
+  :func:`~repro.core.tasks.property_inputs`, resolved per shard by
+  :func:`~repro.core.tasks.dep_slice` — the code the serial loop and
+  the DAG executor run, over spooled instead of resident tables;
 * chunkable structure generators (R-MAT raw, ER, SBM, 1→*) emit their
   ``run()`` output in chunks via the first-class
   :class:`~repro.structure.base.EdgeChunkStream` protocol, held as a
@@ -26,8 +30,10 @@ any shard size and worker count, by construction rather than by luck:
   correlated (SBM-Part) matching — materialise transiently, spill
   their result to the spool and free it;
 * sinks consume the spooled tables through the unchanged
-  ``begin``/``on_table``/``finish`` protocol in serial plan order, so
-  every format (gzip included) produces identical bytes.
+  ``begin``/``on_table``/``finish`` protocol in serial plan order and
+  the one ``read_range`` table protocol
+  (:mod:`repro.tables.ranged`), so every format (gzip included)
+  produces identical bytes.
 
 Concurrency.  Every per-shard unit — property kernel, structure chunk
 emission + relabel, export-chunk formatting — goes through one
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +75,12 @@ from .structures import (
 )
 from .tasks import (
     correlated_tables,
+    dep_slice,
     export_task_output,
     is_correlated,
     match_edge,
     matching_maps,
-    property_refs,
+    property_inputs,
     property_shard_values,
     resolve_count,
     structure_inputs,
@@ -168,26 +176,7 @@ def shard_rows_for_budget(budget_bytes):
 # -- per-shard jobs (module-level: picklable for the process backend) ---------
 
 
-def _dep_slice(dep, start, stop):
-    """Resolve one dependency descriptor to its shard-range slice.
-
-    Descriptors replace the closures the thread-only executor used:
-    ``("range", table)`` slices rows, ``("tail"/"head", pt, edges)``
-    gathers endpoint properties.  Spooled tables pickle as paths, so
-    the same descriptors work in worker processes.
-    """
-    kind = dep[0]
-    if kind == "range":
-        return dep[1].read_range(start, stop)
-    edges = dep[2]
-    ids = (
-        edges.tails_range(start, stop)
-        if kind == "tail" else edges.heads_range(start, stop)
-    )
-    return dep[1].gather(ids)
-
-
-def _property_shard_part(spool, key, index, spec, task_id, seed, bound,
+def _property_shard_part(spool, key, index, bound, spec, task_id, seed,
                          deps):
     """One property shard: kernel to spool part file (any worker)."""
     _faults.fire("property", index)
@@ -195,17 +184,17 @@ def _property_shard_part(spool, key, index, spec, task_id, seed, bound,
     start, stop = bound
     values = property_shard_values(
         spec, task_id, seed, start, stop,
-        [_dep_slice(dep, start, stop) for dep in deps],
+        [dep_slice(dep, start, stop) for dep in deps],
     )
     return spool.save_property_part(index, key, values)
 
 
-def _relabel_shard_part(spool, key, index, handle, lo, hi, tail_map,
+def _relabel_shard_part(spool, key, index, bound, handle, tail_map,
                         head_map):
     """One edge shard: chunk emission + relabel to spool (any worker)."""
     _faults.fire("match", index)
     _faults.fire("shard", index)
-    tails, heads = emit_matched(handle, lo, hi, tail_map, head_map)
+    tails, heads = emit_matched(handle, *bound, tail_map, head_map)
     return spool.save_edge_part(index, key, tails, heads)
 
 
@@ -437,62 +426,54 @@ class ShardedExecutor:
         else:  # pragma: no cover - guarded by build_task_graph
             raise DependencyError(f"unknown task kind {task.kind!r}")
 
-    # -- properties --------------------------------------------------------
+    # -- the per-shard loop, and properties --------------------------------
 
-    def _run_property_shards(self, task, spec, count, deps, spool, pool,
-                             role):
-        """Generate one property table shard-by-shard into the spool.
+    def _run_shards(self, key, kind, role, job, bounds, args, spool,
+                    pool):
+        """Fill one table's shards ``bounds`` in the spool.
 
         Shards flow through the pool's bounded in-flight window:
-        workers run the range-pure kernel and save part files, the
-        parent records the acked metadata in shard order — the kernels
-        are pure, so scheduling cannot change the output.
-
-        Each acked shard is checkpointed; on resume the ledger's
-        verified prefix is adopted from the spool instead of re-run.
+        workers run ``job(spool, key, index, bound, *args)`` — a pure
+        kernel that saves its part files — and the parent records the
+        acked metadata in shard order, so scheduling cannot change the
+        output.  Each acked shard is checkpointed; on resume the
+        ledger's verified prefix is adopted from the spool instead of
+        re-run.
         """
-        key = task.subject
         ledger = self._ledger
-        bounds = spool.shard_bounds(count)
+        record = (
+            partial(spool.record_property_shard, role=role)
+            if kind == "property" else spool.record_edge_shard
+        )
         acked = ledger.verified_shards(key)
         skip = min(len(acked), len(bounds))
         for index in range(skip):
-            spool.record_property_shard(key, index, acked[index],
-                                        role=role)
+            record(key, index, acked[index])
         jobs = (
-            (spool, key, index, spec, task.task_id, self.seed,
-             bounds[index], deps)
+            (spool, key, index, bounds[index], *args)
             for index in range(skip, len(bounds))
         )
-        for offset, meta in enumerate(
-            pool.ordered_map(_property_shard_part, jobs)
-        ):
-            index = skip + offset
-            spool.record_property_shard(key, index, meta, role=role)
-            ledger.ack_shard(key, "property", index, meta, role=role)
-        ledger.finish_table(key, "property", role=role)
+        for index, meta in enumerate(pool.ordered_map(job, jobs), skip):
+            record(key, index, meta)
+            ledger.ack_shard(key, kind, index, meta, role=role)
 
     def _apply_property(self, task, result, spool, pool):
         """A node or edge property table, shard by shard.  Dependencies
-        travel as descriptors over spooled tables (see ``_dep_slice``)."""
-        spec, owner, refs = property_refs(self.schema, task)
+        travel as descriptors over spooled tables (see
+        :func:`~repro.core.tasks.dep_slice`)."""
+        key = task.subject
+        spec, count, deps = property_inputs(self.schema, task, result)
         if task.kind == "property":
-            count, role = result.node_counts[owner], "node_property"
-            tables = result.node_properties
-            deps = [("range", tables[key]) for _, key in refs]
+            tables, role = result.node_properties, "node_property"
         else:
-            table = result.edge_tables[owner]
-            count, role = len(table), "edge_property"
-            tables = result.edge_properties
-            deps = [
-                ("range", tables[key]) if side is None
-                else (side, result.node_properties[key], table)
-                for side, key in refs
-            ]
-        self._run_property_shards(
-            task, spec, count, deps, spool, pool, role=role
+            tables, role = result.edge_properties, "edge_property"
+        self._run_shards(
+            key, "property", role, _property_shard_part,
+            spool.shard_bounds(count),
+            (spec, task.task_id, self.seed, deps), spool, pool,
         )
-        tables[task.subject] = spool.finish_property(task.subject)
+        self._ledger.finish_table(key, "property", role=role)
+        tables[key] = spool.finish_property(key)
 
     # -- structure and matching --------------------------------------------
 
@@ -627,25 +608,12 @@ class ShardedExecutor:
             tail_map, head_map = spill_maps(
                 spool.spiller(f"match.{edge.name}"), tail_map, head_map
             )
-        ledger = self._ledger
-        acked = ledger.verified_shards(edge.name)
-        total = -(-handle.num_edges // spool.shard_rows)
-        skip = min(len(acked), total)
-        for index in range(skip):
-            spool.record_edge_shard(edge.name, index, acked[index])
-        jobs = (
-            (spool, edge.name, index, handle,
-             index * spool.shard_rows,
-             min((index + 1) * spool.shard_rows, handle.num_edges),
-             tail_map, head_map)
-            for index in range(skip, total)
+        self._run_shards(
+            edge.name, "edge", None, _relabel_shard_part,
+            spool.shard_bounds(handle.num_edges)
+            if handle.num_edges else [],
+            (handle, tail_map, head_map), spool, pool,
         )
-        for offset, meta in enumerate(
-            pool.ordered_map(_relabel_shard_part, jobs)
-        ):
-            index = skip + offset
-            spool.record_edge_shard(edge.name, index, meta)
-            ledger.ack_shard(edge.name, "edge", index, meta)
         return n_tail, n_head
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "align_joint",
     "apply_task",
     "correlated_tables",
+    "dep_slice",
     "export_task_output",
     "generate_structure",
     "is_correlated",
@@ -393,10 +394,7 @@ def property_refs(schema, task):
     type's name, and one ``(side, table_key)`` per dependency —
     ``table_key`` names the ``"Type.prop"`` table depended on and
     ``side`` is as in :meth:`~repro.core.schema.EdgeType.
-    dependency_ref` (always ``None`` for node properties).  How a
-    reference becomes a column is the caller's storage decision: RAM
-    arrays (:func:`property_inputs`), spooled-table descriptors (the
-    sharded executor).
+    dependency_ref` (always ``None`` for node properties).
     """
     owner, prop_name = task.subject.split(".", 1)
     if task.kind == "property":
@@ -418,25 +416,39 @@ def property_refs(schema, task):
 
 
 def property_inputs(schema, task, result):
-    """-> ``(spec, count, dep_arrays)`` for a node or edge property task.
+    """-> ``(spec, count, deps)`` for a node or edge property task.
 
-    Endpoint-property dependencies (``tail.x`` / ``head.x``) are
-    gathered through the final edge table so the per-edge dependency
-    columns line up with edge ids.
+    ``deps`` are storage-agnostic descriptors over the tables of
+    ``result`` (resident, spooled, overlaid — anything answering the
+    table protocol), resolved per id range by :func:`dep_slice`:
+    ``("range", table)`` is a column of the same owner, ``("tail" |
+    "head", pt, edges)`` an endpoint property gathered through the
+    final edge table so it lines up with edge ids.  Tables pickle as
+    spool paths, so the descriptors travel to worker processes.
     """
     spec, owner, refs = property_refs(schema, task)
     if task.kind == "property":
         return spec, result.node_counts[owner], [
-            result.node_properties[key].values for _, key in refs
+            ("range", result.node_properties[key]) for _, key in refs
         ]
-    table = result.edge_tables[owner]
-    return spec, len(table), [
-        result.edge_properties[key].values if side is None
-        else result.node_properties[key].gather(
-            table.tails if side == "tail" else table.heads
-        )
+    edges = result.edge_tables[owner]
+    return spec, len(edges), [
+        ("range", result.edge_properties[key]) if side is None
+        else (side, result.node_properties[key], edges)
         for side, key in refs
     ]
+
+
+def dep_slice(dep, start, stop):
+    """The rows ``[start, stop)`` of one :func:`property_inputs`
+    dependency descriptor — the one place a dependency becomes a
+    column, for the serial loop (the whole range), the DAG executor's
+    shards and the sharded workers alike."""
+    kind = dep[0]
+    if kind == "range":
+        return dep[1].read_range(start, stop)
+    tails, heads = dep[2].read_range(start, stop)
+    return dep[1].gather(tails if kind == "tail" else heads)
 
 
 def correlated_tables(edge, column):
@@ -537,7 +549,8 @@ def apply_task(task, schema, scale, seed, result, structures):
     elif task.kind in ("property", "edge_property"):
         spec, count, deps = property_inputs(schema, task, result)
         output = property_shard_values(
-            spec, task.task_id, seed, 0, count, deps
+            spec, task.task_id, seed, 0, count,
+            [dep_slice(dep, 0, count) for dep in deps],
         )
     elif task.kind == "structure":
         spec, sg_seed, n = structure_inputs(

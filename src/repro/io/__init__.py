@@ -31,12 +31,7 @@ from .networkx_adapter import (
     property_graph_to_networkx,
     to_networkx,
 )
-from .spool import (
-    LazyColumn,
-    SpooledEdgeTable,
-    SpooledPropertyTable,
-    TableSpool,
-)
+from .spool import SpooledEdgeTable, SpooledPropertyTable, TableSpool
 from .streaming import (
     SINK_FORMATS,
     CsvSink,
@@ -66,7 +61,6 @@ __all__ = [
     "GraphmlSink",
     "JsonlSink",
     "JsonlSource",
-    "LazyColumn",
     "SpooledEdgeTable",
     "SpooledPropertyTable",
     "TableSpool",

@@ -7,6 +7,13 @@ batch formatting of fixed-size id-range *chunks*: a chunk of
 of column-level operations, written, and released.  Peak memory on the
 export path is therefore O(chunk), not O(table).
 
+:func:`write_chunks` is the one loop that does so for every CSV /
+JSONL / edge-list file: the format modules supply a per-chunk job that
+pages its rows through the table protocol
+(``table.read_range(lo, hi)``, :mod:`repro.tables.ranged`) and calls
+one of the ``format_*_chunk`` functions below, so any table class and
+any ordered parallel map (``pmap``) produce the same bytes.
+
 The implementation strategy is measured, not assumed (``python3 -m
 bench``, ``chunks.format_s``): numpy handles dtype dispatch,
 datetime/bool conversion, non-finite masking and typed parsing; CSV
@@ -35,20 +42,20 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
+from ..tables.ranged import chunk_bounds
 from . import _ckernel
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "chunk_ranges",
-    "edge_range",
     "id_strings",
-    "property_range",
     "open_text",
+    "write_chunks",
     "table_stem",
     "stringify_column",
     "csv_quote_column",
@@ -65,37 +72,6 @@ __all__ = [
 #: small enough to bound memory, large enough to amortise per-chunk
 #: overhead.
 DEFAULT_CHUNK_SIZE = 65_536
-
-
-def chunk_ranges(total, chunk_size):
-    """Yield contiguous ``(lo, hi)`` id ranges covering ``[0, total)``."""
-    chunk_size = int(chunk_size)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    for lo in range(0, int(total), chunk_size):
-        yield lo, min(lo + chunk_size, int(total))
-
-
-def property_range(table, start, stop):
-    """Value rows ``[start, stop)`` of an in-memory or spooled PT.
-
-    Spooled tables expose ``read_range``; in-memory tables slice their
-    value column.  Used by the parallel-format jobs, which receive the
-    table (picklable: spooled tables ship as spool paths) and read
-    their own chunk worker-side.
-    """
-    read = getattr(table, "read_range", None)
-    if read is not None:
-        return read(start, stop)
-    return table.values[start:stop]
-
-
-def edge_range(table, start, stop):
-    """``(tails, heads)`` rows ``[start, stop)`` of an ET, spool-aware."""
-    read = getattr(table, "read_range", None)
-    if read is not None:
-        return read(start, stop)
-    return table.tails[start:stop], table.heads[start:stop]
 
 
 # -- file handles -------------------------------------------------------------
@@ -160,6 +136,32 @@ def open_text(path, mode="r", compress=None):
         from ..core import faults
         handle = faults.wrap_export_handle(handle)
     return handle
+
+
+def write_chunks(path, compress, header, job, args, total, chunk_size,
+                 pmap=None):
+    """The chunk-writer loop under every CSV / JSONL / edge-list file.
+
+    Writes ``header``, then the text ``job(*args, lo, hi)`` returns for
+    each ``chunk_size`` id range of ``[0, total)``, in id order.
+    ``job`` is module-level and reads its own rows through the table
+    protocol (``table.read_range(lo, hi)``), so it runs in any worker:
+    ``pmap`` — an ordered parallel map such as the sharded executor's
+    pool — offloads the formatting while this loop appends the results
+    in chunk order, and the bytes cannot differ from the in-process
+    ``pmap=None`` run.
+    """
+    path = Path(path)
+    jobs = (
+        (*args, lo, hi)
+        for lo, hi in chunk_bounds(path.name, total, chunk_size)
+    )
+    texts = starmap(job, jobs) if pmap is None else pmap(job, jobs)
+    with open_text(path, "w", compress) as handle:
+        handle.write(header)
+        for text in texts:
+            handle.write(text)
+    return path
 
 
 # -- column -> string conversion ----------------------------------------------

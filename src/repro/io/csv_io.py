@@ -25,14 +25,12 @@ import numpy as np
 from ..tables import EdgeTable, PropertyTable
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
-    chunk_ranges,
-    edge_range,
     format_edge_csv_chunk,
     format_property_csv_chunk,
     open_text,
     parse_typed_column,
-    property_range,
     table_stem,
+    write_chunks,
 )
 
 __all__ = [
@@ -50,14 +48,13 @@ _ET_HEADER = ["id", "tailId", "headId"]
 def _property_chunk_job(table, start, stop):
     """Format one PT chunk (module-level: runs in any worker)."""
     return format_property_csv_chunk(
-        start, property_range(table, start, stop)
+        start, table.read_range(start, stop)
     )
 
 
 def _edge_chunk_job(table, start, stop):
     """Format one ET chunk (module-level: runs in any worker)."""
-    tails, heads = edge_range(table, start, stop)
-    return format_edge_csv_chunk(start, tails, heads)
+    return format_edge_csv_chunk(start, *table.read_range(start, stop))
 
 
 def write_property_table(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
@@ -66,42 +63,21 @@ def write_property_table(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
 
     ``pmap`` (an ordered parallel map, e.g. the sharded executor's
     worker pool) offloads per-chunk formatting — the dominant export
-    cost — while this writer appends the results in chunk order, so
-    the bytes are unchanged.
+    cost — see :func:`~repro.io.chunks.write_chunks`.
     """
-    path = Path(path)
-    with open_text(path, "w", compress) as handle:
-        handle.write("id,value\r\n")
-        if pmap is None:
-            for start, values in table.iter_chunks(chunk_size):
-                handle.write(format_property_csv_chunk(start, values))
-        else:
-            jobs = (
-                (table, lo, hi)
-                for lo, hi in chunk_ranges(len(table), chunk_size)
-            )
-            for text in pmap(_property_chunk_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, "id,value\r\n", _property_chunk_job, (table,),
+        len(table), chunk_size, pmap,
+    )
 
 
 def write_edge_table(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
                      compress=None, pmap=None):
     """Write an ET as ``id,tailId,headId`` CSV, chunk-streamed."""
-    path = Path(path)
-    with open_text(path, "w", compress) as handle:
-        handle.write("id,tailId,headId\r\n")
-        if pmap is None:
-            for start, tails, heads in table.iter_chunks(chunk_size):
-                handle.write(format_edge_csv_chunk(start, tails, heads))
-        else:
-            jobs = (
-                (table, lo, hi)
-                for lo, hi in chunk_ranges(len(table), chunk_size)
-            )
-            for text in pmap(_edge_chunk_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, "id,tailId,headId\r\n", _edge_chunk_job,
+        (table,), len(table), chunk_size, pmap,
+    )
 
 
 def _iter_csv_chunks(path, expected_header, chunk_size):

@@ -19,11 +19,10 @@ import numpy as np
 from ..tables import EdgeTable
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
-    chunk_ranges,
-    edge_range,
     format_edgelist_chunk,
     open_text,
     table_stem,
+    write_chunks,
 )
 
 __all__ = ["write_edgelist", "read_edgelist"]
@@ -31,8 +30,7 @@ __all__ = ["write_edgelist", "read_edgelist"]
 
 def _edgelist_chunk_job(table, lo, hi):
     """Format one edge-list chunk (module-level: runs in any worker)."""
-    tails, heads = edge_range(table, lo, hi)
-    return format_edgelist_chunk(tails, heads)
+    return format_edgelist_chunk(*table.read_range(lo, hi))
 
 
 def write_edgelist(table, path, comment=None,
@@ -41,28 +39,17 @@ def write_edgelist(table, path, comment=None,
     """Write ``tail head`` lines; optional leading ``#`` comment.
 
     ``pmap`` (an ordered parallel map) offloads per-chunk formatting
-    to workers; results are appended in chunk order, so the bytes are
-    unchanged.
+    to workers — see :func:`~repro.io.chunks.write_chunks`.
     """
-    path = Path(path)
-    with open_text(path, "w", compress) as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        if pmap is None:
-            for _start, tails, heads in table.iter_chunks(chunk_size):
-                handle.write(format_edgelist_chunk(tails, heads))
-        else:
-            jobs = (
-                (table, lo, hi)
-                for lo, hi in chunk_ranges(table.num_edges, chunk_size)
-            )
-            for text in pmap(_edgelist_chunk_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, f"# {comment}\n" if comment else "",
+        _edgelist_chunk_job, (table,), len(table), chunk_size, pmap,
+    )
 
 
 def read_edgelist(path, name=None, directed=False,
-                  chunk_size=DEFAULT_CHUNK_SIZE):
+                  chunk_size=DEFAULT_CHUNK_SIZE, num_tail_nodes=None,
+                  num_head_nodes=None):
     """Read an edge list (``#`` lines ignored), chunk by chunk."""
     path = Path(path)
     tail_parts, head_parts = [], []
@@ -93,5 +80,7 @@ def read_edgelist(path, name=None, directed=False,
         name or table_stem(path),
         np.concatenate(tail_parts) if tail_parts else empty,
         np.concatenate(head_parts) if head_parts else empty,
+        num_tail_nodes=num_tail_nodes,
+        num_head_nodes=num_head_nodes,
         directed=directed,
     )

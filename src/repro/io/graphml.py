@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..tables.ranged import chunk_bounds
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
-    chunk_ranges,
     id_strings,
     open_text,
     stringify_column,
@@ -102,7 +102,7 @@ def write_graphml(result, edge_name, path,
             "    </node>\n",
         )
         count = result.num_nodes(edge.tail_type)
-        for lo, hi in chunk_ranges(count, chunk_size):
+        for lo, hi in chunk_bounds(edge.tail_type, count, chunk_size):
             columns = [id_strings(lo, hi)]
             columns += _escaped_columns(lo, hi, node_props)
             handle.write(

@@ -24,14 +24,12 @@ import numpy as np
 from ..tables import EdgeTable, PropertyTable
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
-    chunk_ranges,
-    edge_range,
     format_json_records_chunk,
     id_strings,
     json_encode_column,
     open_text,
-    property_range,
     table_stem,
+    write_chunks,
 )
 
 __all__ = [
@@ -45,28 +43,19 @@ __all__ = [
 ]
 
 
-def _node_records_job(keys, columns, lo, hi):
-    """Format one node-record chunk (module-level: runs in any worker).
+def _records_job(keys, edges, tables, lo, hi):
+    """Format one record chunk (module-level: runs in any worker).
 
-    ``columns`` are value columns of the node type's PTs — spooled
-    columns pickle as spool paths and page their own ``[lo:hi]`` slice
-    worker-side.
+    A record is the id, the endpoints of ``edges`` (``None`` for node
+    and property-table records) and one value per property table;
+    every table pages its own ``[lo, hi)`` rows through ``read_range``
+    — spooled tables pickle as spool paths and read worker-side.
     """
+    columns = [table.read_range(lo, hi) for table in tables]
+    if edges is not None:
+        columns[:0] = edges.read_range(lo, hi)
     encoded = [id_strings(lo, hi)] + [
-        json_encode_column(col[lo:hi]) for col in columns
-    ]
-    return format_json_records_chunk(keys, encoded)
-
-
-def _edge_records_job(keys, table, columns, lo, hi):
-    """Format one edge-record chunk (module-level: runs in any worker)."""
-    tails, heads = edge_range(table, lo, hi)
-    encoded = [
-        id_strings(lo, lo + len(tails)),
-        json_encode_column(tails),
-        json_encode_column(heads),
-    ] + [
-        json_encode_column(col[lo:lo + len(tails)]) for col in columns
+        json_encode_column(column) for column in columns
     ]
     return format_json_records_chunk(keys, encoded)
 
@@ -77,72 +66,37 @@ def write_nodes_jsonl(graph, type_name, path,
     """Write all instances of a node type as JSON lines.
 
     ``pmap`` (an ordered parallel map) offloads per-chunk record
-    encoding to workers while this writer appends the results in chunk
-    order — same bytes, formatting cost off the parent.
+    encoding to workers — see :func:`~repro.io.chunks.write_chunks`.
     """
-    path = Path(path)
     prop_names = [
         p.name for p in graph.schema.node_type(type_name).properties
     ]
-    columns = [
-        graph.node_property(type_name, name).values
-        for name in prop_names
+    tables = [
+        graph.node_property(type_name, name) for name in prop_names
     ]
-    keys = ["id"] + prop_names
-    with open_text(path, "w", compress) as handle:
-        if pmap is None:
-            for lo, hi in chunk_ranges(graph.num_nodes(type_name),
-                                       chunk_size):
-                encoded = [id_strings(lo, hi)] + [
-                    json_encode_column(col[lo:hi]) for col in columns
-                ]
-                handle.write(format_json_records_chunk(keys, encoded))
-        else:
-            jobs = (
-                (keys, columns, lo, hi)
-                for lo, hi in chunk_ranges(
-                    graph.num_nodes(type_name), chunk_size
-                )
-            )
-            for text in pmap(_node_records_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, "", _records_job,
+        (["id"] + prop_names, None, tables),
+        graph.num_nodes(type_name), chunk_size, pmap,
+    )
 
 
 def write_edges_jsonl(graph, edge_name, path,
                       chunk_size=DEFAULT_CHUNK_SIZE, compress=None,
                       pmap=None):
     """Write all instances of an edge type as JSON lines."""
-    path = Path(path)
-    table = graph.edges(edge_name)
+    edges = graph.edges(edge_name)
     prop_names = [
         p.name for p in graph.schema.edge_type(edge_name).properties
     ]
-    columns = [
-        graph.edge_property(edge_name, name).values
-        for name in prop_names
+    tables = [
+        graph.edge_property(edge_name, name) for name in prop_names
     ]
-    keys = ["id", "tail", "head"] + prop_names
-    with open_text(path, "w", compress) as handle:
-        if pmap is None:
-            for lo, tails, heads in table.iter_chunks(chunk_size):
-                encoded = [
-                    id_strings(lo, lo + len(tails)),
-                    json_encode_column(tails),
-                    json_encode_column(heads),
-                ] + [
-                    json_encode_column(col[lo:lo + len(tails)])
-                    for col in columns
-                ]
-                handle.write(format_json_records_chunk(keys, encoded))
-        else:
-            jobs = (
-                (keys, table, columns, lo, hi)
-                for lo, hi in chunk_ranges(table.num_edges, chunk_size)
-            )
-            for text in pmap(_edge_records_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, "", _records_job,
+        (["id", "tail", "head"] + prop_names, edges, tables),
+        len(edges), chunk_size, pmap,
+    )
 
 
 def export_graph_jsonl(graph, directory, chunk_size=DEFAULT_CHUNK_SIZE,
@@ -157,27 +111,6 @@ def export_graph_jsonl(graph, directory, chunk_size=DEFAULT_CHUNK_SIZE,
 # -- table-oriented JSONL (null-preserving round trips) ----------------------
 
 
-def _property_table_job(table, lo, hi):
-    """Format one PT-record chunk (module-level: runs in any worker)."""
-    values = property_range(table, lo, hi)
-    encoded = [
-        id_strings(lo, lo + len(values)),
-        json_encode_column(values),
-    ]
-    return format_json_records_chunk(["id", "value"], encoded)
-
-
-def _edge_table_job(table, lo, hi):
-    """Format one ET-record chunk (module-level: runs in any worker)."""
-    tails, heads = edge_range(table, lo, hi)
-    encoded = [
-        id_strings(lo, lo + len(tails)),
-        json_encode_column(tails),
-        json_encode_column(heads),
-    ]
-    return format_json_records_chunk(["id", "tail", "head"], encoded)
-
-
 def write_property_table_jsonl(table, path,
                                chunk_size=DEFAULT_CHUNK_SIZE,
                                compress=None, pmap=None):
@@ -187,51 +120,20 @@ def write_property_table_jsonl(table, path,
     and preserves value types (bool, float — NaN included — and
     strings) without a sidecar dtype.
     """
-    path = Path(path)
-    with open_text(path, "w", compress) as handle:
-        if pmap is None:
-            for start, values in table.iter_chunks(chunk_size):
-                encoded = [
-                    id_strings(start, start + len(values)),
-                    json_encode_column(values),
-                ]
-                handle.write(
-                    format_json_records_chunk(["id", "value"], encoded)
-                )
-        else:
-            jobs = (
-                (table, lo, hi)
-                for lo, hi in chunk_ranges(len(table), chunk_size)
-            )
-            for text in pmap(_property_table_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, "", _records_job,
+        (["id", "value"], None, [table]), len(table), chunk_size, pmap,
+    )
 
 
 def write_edge_table_jsonl(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
                            compress=None, pmap=None):
     """Write an ET as ``{"id": i, "tail": t, "head": h}`` lines."""
-    path = Path(path)
-    with open_text(path, "w", compress) as handle:
-        if pmap is None:
-            for start, tails, heads in table.iter_chunks(chunk_size):
-                encoded = [
-                    id_strings(start, start + len(tails)),
-                    json_encode_column(tails),
-                    json_encode_column(heads),
-                ]
-                handle.write(
-                    format_json_records_chunk(["id", "tail", "head"],
-                                              encoded)
-                )
-        else:
-            jobs = (
-                (table, lo, hi)
-                for lo, hi in chunk_ranges(table.num_edges, chunk_size)
-            )
-            for text in pmap(_edge_table_job, jobs):
-                handle.write(text)
-    return path
+    return write_chunks(
+        path, compress, "", _records_job,
+        (["id", "tail", "head"], table, []), len(table), chunk_size,
+        pmap,
+    )
 
 
 def _iter_record_chunks(path, chunk_size):

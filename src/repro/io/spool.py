@@ -4,12 +4,13 @@ The sharded executor never holds a whole table in memory: every
 property / edge table lands in a :class:`TableSpool` as per-shard
 ``.npy`` part files, one shard directory per id-range
 ``[i*shard_rows, (i+1)*shard_rows)``.  :class:`SpooledPropertyTable`
-and :class:`SpooledEdgeTable` then expose the *exact* table interface
-the streaming exporters consume (``iter_chunks`` with global chunk
-starts, ``values`` with a real dtype, ``gather``), loading at most one
-shard plus one chunk at a time — which is how the sharded pipeline
-reuses the in-memory sinks unchanged and inherits their byte-identity
-guarantee.
+and :class:`SpooledEdgeTable` implement the table protocol of
+:mod:`repro.tables.ranged` over those part files — ``read_range``
+loading at most one shard plus one range at a time — and inherit
+``iter_chunks`` (global chunk starts, independent of shard geometry)
+and the lazy ``values`` column from it, which is how the sharded
+pipeline reuses the in-memory sinks unchanged and inherits their
+byte-identity guarantee.
 
 Each shard directory carries its own ``manifest.json``; the spool's
 root manifest is their
@@ -34,10 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..tables.ranged import EdgeRows, PropertyRows
 from .streaming import merge_shard_manifests
 
 __all__ = [
-    "LazyColumn",
     "SortedRuns",
     "SpillView",
     "SpooledEdgeTable",
@@ -571,12 +572,10 @@ class _SpooledBase:
             row = index * rows + local_hi
 
 
-class SpooledPropertyTable(_SpooledBase):
-    """Spool-backed twin of :class:`~repro.tables.PropertyTable`.
-
-    Implements the slice of the PT interface the exporters and the
-    executor touch; ``values`` is a :class:`LazyColumn`, never a whole
-    in-memory array.
+class SpooledPropertyTable(_SpooledBase, PropertyRows):
+    """Spool-backed :class:`~repro.tables.PropertyTable` twin: the
+    table protocol over per-shard part files, plus a streamed
+    ``gather``; ``values`` is never a whole in-memory array.
     """
 
     def __init__(self, name, spool, key, shards, dtype):
@@ -590,10 +589,6 @@ class SpooledPropertyTable(_SpooledBase):
             f"dtype={self.dtype}, shards={len(self._shards)})"
         )
 
-    @property
-    def values(self):
-        return LazyColumn(self)
-
     def _read_shard(self, index):
         return _load(
             self._spool._part_path(index, self._key), self.dtype.kind
@@ -601,12 +596,7 @@ class SpooledPropertyTable(_SpooledBase):
 
     def read_range(self, start, stop):
         """Rows ``[start, stop)`` as one array (bounded by the range)."""
-        start, stop = int(start), int(stop)
-        if not 0 <= start <= stop <= len(self):
-            raise IndexError(
-                f"PT {self.name!r}: range [{start}, {stop}) out of "
-                f"bounds [0, {len(self)})"
-            )
+        start, stop = self.check_range(start, stop)
         parts = [
             self._load_shard(index)[lo:hi]
             for index, lo, hi in self._ranges(start, stop)
@@ -616,23 +606,6 @@ class SpooledPropertyTable(_SpooledBase):
         if len(parts) == 1:
             return np.asarray(parts[0])
         return np.concatenate(parts)
-
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        """Same contract as ``PropertyTable.iter_chunks`` — global
-        chunk starts, chunk boundaries independent of shard geometry."""
-        chunk_size = int(chunk_size)
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        n = len(self)
-        start = int(start)
-        stop = n if stop is None else min(int(stop), n)
-        if not 0 <= start <= n:
-            raise IndexError(
-                f"PT {self.name!r}: start {start} out of range [0, {n}]"
-            )
-        for lo in range(start, stop, chunk_size):
-            hi = min(lo + chunk_size, stop)
-            yield lo, self.read_range(lo, hi)
 
     def gather(self, instance_ids):
         """Vectorised lookup, streamed shard by shard."""
@@ -652,50 +625,8 @@ class SpooledPropertyTable(_SpooledBase):
             out[mask] = values[ids[mask] - int(index) * rows]
         return out
 
-    def to_property_table(self):
-        """Materialise (global stages: correlated matching, validation)."""
-        from ..tables import PropertyTable
 
-        return PropertyTable(self.name, self.read_range(0, len(self)))
-
-
-class LazyColumn:
-    """Array-like view over a spooled property column.
-
-    Supports exactly what the chunked writers do with ``.values``:
-    ``len``, ``dtype``, slicing (returns a real ndarray), and
-    ``np.asarray`` for global consumers.
-    """
-
-    def __init__(self, table):
-        self._table = table
-        self.dtype = table.dtype
-
-    def __len__(self):
-        return len(self._table)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            start, stop, step = item.indices(len(self._table))
-            values = self._table.read_range(start, stop)
-            return values if step == 1 else values[::step]
-        index = int(item)
-        if index < 0:
-            index += len(self._table)
-        return self._table.read_range(index, index + 1)[0]
-
-    def __array__(self, dtype=None, copy=None):
-        values = self._table.read_range(0, len(self._table))
-        return values if dtype is None else values.astype(dtype)
-
-    def __iter__(self):
-        for _, chunk in self._table.iter_chunks(
-            self._table._spool.shard_rows
-        ):
-            yield from chunk
-
-
-class SpooledEdgeTable(_SpooledBase):
+class SpooledEdgeTable(_SpooledBase, EdgeRows):
     """Spool-backed twin of :class:`~repro.tables.EdgeTable`."""
 
     def __init__(self, name, spool, key, shards, num_tail_nodes,
@@ -713,23 +644,6 @@ class SpooledEdgeTable(_SpooledBase):
             f"shards={len(self._shards)})"
         )
 
-    @property
-    def num_edges(self):
-        return len(self)
-
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"ET {self.name!r} is bipartite; use num_tail_nodes / "
-                "num_head_nodes"
-            )
-        return self.num_tail_nodes
-
     def _read_shard(self, index):
         tails = _load(
             self._spool._part_path(index, self._key, "tails"), "i"
@@ -741,12 +655,7 @@ class SpooledEdgeTable(_SpooledBase):
 
     def read_range(self, start, stop):
         """``(tails, heads)`` of edge ids ``[start, stop)``."""
-        start, stop = int(start), int(stop)
-        if not 0 <= start <= stop <= len(self):
-            raise IndexError(
-                f"ET {self.name!r}: range [{start}, {stop}) out of "
-                f"bounds [0, {len(self)})"
-            )
+        start, stop = self.check_range(start, stop)
         tails_parts, heads_parts = [], []
         for index, lo, hi in self._ranges(start, stop):
             tails, heads = self._load_shard(index)
@@ -758,43 +667,6 @@ class SpooledEdgeTable(_SpooledBase):
         if len(tails_parts) == 1:
             return np.asarray(tails_parts[0]), np.asarray(heads_parts[0])
         return np.concatenate(tails_parts), np.concatenate(heads_parts)
-
-    def tails_range(self, start, stop):
-        return self.read_range(start, stop)[0]
-
-    def heads_range(self, start, stop):
-        return self.read_range(start, stop)[1]
-
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        """Same contract as ``EdgeTable.iter_chunks``."""
-        chunk_size = int(chunk_size)
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        m = len(self)
-        start = int(start)
-        stop = m if stop is None else min(int(stop), m)
-        if not 0 <= start <= m:
-            raise IndexError(
-                f"ET {self.name!r}: start {start} out of range [0, {m}]"
-            )
-        for lo in range(start, stop, chunk_size):
-            hi = min(lo + chunk_size, stop)
-            tails, heads = self.read_range(lo, hi)
-            yield lo, tails, heads
-
-    def to_edge_table(self):
-        """Materialise (global stages only)."""
-        from ..tables import EdgeTable
-
-        tails, heads = self.read_range(0, len(self))
-        return EdgeTable(
-            self.name,
-            tails,
-            heads,
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
 
 
 # -- external sort-merge (out-of-core dedup primitive) ----------------------

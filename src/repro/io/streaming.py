@@ -32,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..tables import EdgeTable
+from . import csv_io, edgelist, jsonl
 from .chunks import DEFAULT_CHUNK_SIZE
+from .graphml import write_graphml
 
 __all__ = [
     "GraphSink",
@@ -80,10 +81,11 @@ class GraphSink:
     compress:
         gzip every data file (deterministic headers; adds ``.gz``).
 
-    Subclasses implement :meth:`write_property_table` /
-    :meth:`write_edge_table` (table-oriented formats) or override
-    :meth:`on_table` / :meth:`finish` (record-oriented formats that
-    must join several tables per file).
+    A table-oriented format is its ``property_writer`` /
+    ``edge_writer`` (the module-level chunk writers; ``None`` = the
+    format does not carry that relation) plus a ``suffix``;
+    record-oriented formats that must join several tables per file
+    override :meth:`on_table` / :meth:`finish`.
 
     The engine-facing streaming protocol is ``begin(graph)`` once,
     ``on_table(kind, key)`` per completed task *in serial plan order*,
@@ -92,6 +94,8 @@ class GraphSink:
 
     format_name = None
     suffix = None
+    property_writer = None
+    edge_writer = None
 
     def __init__(self, directory, chunk_size=DEFAULT_CHUNK_SIZE,
                  compress=False):
@@ -127,17 +131,32 @@ class GraphSink:
         self.written.append(path)
         return path
 
-    # -- table-oriented writes (overridden per format) --------------------
+    # -- table-oriented writes ---------------------------------------------
+
+    def _write_table(self, relation, writer, table, name, entry):
+        if writer is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} does not export {relation} tables"
+            )
+        name = name or table.name
+        path = self.data_path(name)
+        writer(
+            table, path, chunk_size=self.chunk_size,
+            compress=self.compress, pmap=self.pmap,
+        )
+        return self._record(name, path, entry)
 
     def write_property_table(self, table, name=None,
                              role="property"):
-        raise NotImplementedError(
-            f"{type(self).__name__} does not export property tables"
+        return self._write_table(
+            "property", self.property_writer, table, name,
+            self._property_entry(table, role),
         )
 
     def write_edge_table(self, table, name=None):
-        raise NotImplementedError(
-            f"{type(self).__name__} does not export edge tables"
+        return self._write_table(
+            "edge", self.edge_writer, table, name,
+            self._edge_entry(table),
         )
 
     # -- streaming protocol ------------------------------------------------
@@ -150,23 +169,24 @@ class GraphSink:
         """One task finished: ``kind`` in ``count`` / ``node_property``
         / ``edge_table`` / ``edge_property``; ``key`` its subject.
 
-        Default behaviour writes each table as it lands, which is
-        correct for table-oriented formats.
+        Default behaviour writes each table the format has a writer
+        for as it lands, which is correct for table-oriented formats.
         """
-        if kind == "node_property":
-            self.write_property_table(
-                self.graph.node_properties[key], name=key,
-                role="node_property",
-            )
-        elif kind == "edge_property":
-            self.write_property_table(
-                self.graph.edge_properties[key], name=key,
-                role="edge_property",
-            )
-        elif kind == "edge_table":
-            self.write_edge_table(
-                self.graph.edge_tables[key], name=key
-            )
+        if kind == "edge_table":
+            if self.edge_writer is not None:
+                self.write_edge_table(
+                    self.graph.edge_tables[key], name=key
+                )
+        elif kind in ("node_property", "edge_property"):
+            if self.property_writer is not None:
+                tables = (
+                    self.graph.node_properties
+                    if kind == "node_property"
+                    else self.graph.edge_properties
+                )
+                self.write_property_table(
+                    tables[key], name=key, role=kind
+                )
 
     def finish(self):
         """Write the manifest; returns all written paths.
@@ -218,31 +238,8 @@ class CsvSink(GraphSink):
 
     format_name = "csv"
     suffix = ".csv"
-
-    def write_property_table(self, table, name=None,
-                             role="property"):
-        from .csv_io import write_property_table
-
-        name = name or table.name
-        path = self.data_path(name)
-        write_property_table(
-            table, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
-        return self._record(
-            name, path, self._property_entry(table, role)
-        )
-
-    def write_edge_table(self, table, name=None):
-        from .csv_io import write_edge_table
-
-        name = name or table.name
-        path = self.data_path(name)
-        write_edge_table(
-            table, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
-        return self._record(name, path, self._edge_entry(table))
+    property_writer = staticmethod(csv_io.write_property_table)
+    edge_writer = staticmethod(csv_io.write_edge_table)
 
 
 class EdgelistSink(GraphSink):
@@ -250,23 +247,7 @@ class EdgelistSink(GraphSink):
 
     format_name = "edgelist"
     suffix = ".edges"
-
-    def write_edge_table(self, table, name=None):
-        from .edgelist import write_edgelist
-
-        name = name or table.name
-        path = self.data_path(name)
-        write_edgelist(
-            table, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
-        return self._record(name, path, self._edge_entry(table))
-
-    def on_table(self, kind, key):
-        if kind == "edge_table":
-            self.write_edge_table(
-                self.graph.edge_tables[key], name=key
-            )
+    edge_writer = staticmethod(edgelist.write_edgelist)
 
 
 class JsonlSink(GraphSink):
@@ -277,43 +258,20 @@ class JsonlSink(GraphSink):
     Under the streaming protocol the sink tracks, per type, which
     tables are still outstanding and flushes each type the moment its
     last table lands — the earliest plan-order point at which the file
-    is writable at all.
+    is writable at all.  Table-oriented writes use the null-preserving
+    table layout.
     """
 
     format_name = "jsonl"
     suffix = ".jsonl"
+    property_writer = staticmethod(jsonl.write_property_table_jsonl)
+    edge_writer = staticmethod(jsonl.write_edge_table_jsonl)
 
     def __init__(self, directory, chunk_size=DEFAULT_CHUNK_SIZE,
                  compress=False):
         super().__init__(directory, chunk_size, compress)
         self._node_pending = None
         self._edge_pending = None
-
-    # Table-oriented writes use the null-preserving table layout.
-    def write_property_table(self, table, name=None,
-                             role="property"):
-        from .jsonl import write_property_table_jsonl
-
-        name = name or table.name
-        path = self.data_path(name)
-        write_property_table_jsonl(
-            table, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
-        return self._record(
-            name, path, self._property_entry(table, role)
-        )
-
-    def write_edge_table(self, table, name=None):
-        from .jsonl import write_edge_table_jsonl
-
-        name = name or table.name
-        path = self.data_path(name)
-        write_edge_table_jsonl(
-            table, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
-        return self._record(name, path, self._edge_entry(table))
 
     # -- record-oriented streaming ----------------------------------------
 
@@ -330,42 +288,24 @@ class JsonlSink(GraphSink):
             for name, edge_type in schema.edge_types.items()
         }
 
-    def _flush_node_type(self, type_name):
-        from .jsonl import write_nodes_jsonl
-
-        path = self.data_path(type_name)
-        write_nodes_jsonl(
-            self.graph, type_name, path,
-            chunk_size=self.chunk_size, compress=self.compress,
-            pmap=self.pmap,
+    def _flush_type(self, name, is_edge):
+        """Write one node or edge type's record file."""
+        graph = self.graph
+        if is_edge:
+            writer, rows = jsonl.write_edges_jsonl, graph.num_edges(name)
+            declared = graph.schema.edge_type(name)
+        else:
+            writer, rows = jsonl.write_nodes_jsonl, graph.num_nodes(name)
+            declared = graph.schema.node_type(name)
+        path = self.data_path(name)
+        writer(
+            graph, name, path, chunk_size=self.chunk_size,
+            compress=self.compress, pmap=self.pmap,
         )
-        properties = [
-            p.name
-            for p in self.graph.schema.node_type(type_name).properties
-        ]
-        return self._record(type_name, path, {
-            "kind": "node_records",
-            "rows": self.graph.num_nodes(type_name),
-            "properties": properties,
-        })
-
-    def _flush_edge_type(self, edge_name):
-        from .jsonl import write_edges_jsonl
-
-        path = self.data_path(edge_name)
-        write_edges_jsonl(
-            self.graph, edge_name, path,
-            chunk_size=self.chunk_size, compress=self.compress,
-            pmap=self.pmap,
-        )
-        properties = [
-            p.name
-            for p in self.graph.schema.edge_type(edge_name).properties
-        ]
-        return self._record(edge_name, path, {
-            "kind": "edge_records",
-            "rows": self.graph.num_edges(edge_name),
-            "properties": properties,
+        return self._record(name, path, {
+            "kind": "edge_records" if is_edge else "node_records",
+            "rows": rows,
+            "properties": [p.name for p in declared.properties],
         })
 
     def on_table(self, kind, key):
@@ -373,7 +313,7 @@ class JsonlSink(GraphSink):
             if key in self._node_pending and \
                     not self._node_pending[key]:
                 del self._node_pending[key]
-                self._flush_node_type(key)
+                self._flush_type(key, False)
             return
         if kind == "node_property":
             type_name = key.split(".", 1)[0]
@@ -383,7 +323,7 @@ class JsonlSink(GraphSink):
             pending.discard(key)
             if not pending and type_name in self.graph.node_counts:
                 del self._node_pending[type_name]
-                self._flush_node_type(type_name)
+                self._flush_type(type_name, False)
             return
         if kind in ("edge_table", "edge_property"):
             edge_name = key.split(".", 1)[0]
@@ -393,7 +333,7 @@ class JsonlSink(GraphSink):
             pending.discard(key)
             if not pending:
                 del self._edge_pending[edge_name]
-                self._flush_edge_type(edge_name)
+                self._flush_type(edge_name, True)
 
     def finish(self):
         # Flush anything not announced through the protocol; a type is
@@ -407,7 +347,7 @@ class JsonlSink(GraphSink):
                     for key in self._node_pending[type_name]
                 ):
                     del self._node_pending[type_name]
-                    self._flush_node_type(type_name)
+                    self._flush_type(type_name, False)
             for edge_name in list(self._edge_pending):
                 pending = self._edge_pending[edge_name]
                 if edge_name in self.graph.edge_tables and all(
@@ -415,7 +355,7 @@ class JsonlSink(GraphSink):
                     for key in pending if key != edge_name
                 ):
                     del self._edge_pending[edge_name]
-                    self._flush_edge_type(edge_name)
+                    self._flush_type(edge_name, True)
         return super().finish()
 
 
@@ -429,12 +369,7 @@ class GraphmlSink(GraphSink):
     format_name = "graphml"
     suffix = ".graphml"
 
-    def on_table(self, kind, key):
-        pass
-
     def finish(self):
-        from .graphml import write_graphml
-
         if self.graph is None:
             return super().finish()
         schema = self.graph.schema
@@ -467,6 +402,9 @@ class GraphSource:
     """
 
     format_name = None
+    suffix = None
+    property_reader = None
+    edge_reader = None
 
     def __init__(self, directory, chunk_size=DEFAULT_CHUNK_SIZE):
         self.directory = Path(directory)
@@ -491,16 +429,18 @@ class GraphSource:
             return None
         return self.manifest["tables"].get(name)
 
-    def _data_path(self, name, suffix):
+    def _data_path(self, name):
         entry = self._entry(name)
         if entry is not None:
             return self.directory / entry["file"]
-        for candidate in (f"{name}{suffix}", f"{name}{suffix}.gz"):
+        for candidate in (f"{name}{self.suffix}",
+                          f"{name}{self.suffix}.gz"):
             path = self.directory / candidate
             if path.exists():
                 return path
         raise FileNotFoundError(
-            f"{self.directory}: no {suffix} file for table {name!r}"
+            f"{self.directory}: no {self.suffix} file for table "
+            f"{name!r}"
         )
 
     # -- common reconstruction helpers ------------------------------------
@@ -530,10 +470,24 @@ class GraphSource:
         return list(self._entries("edge"))
 
     def read_property_table(self, name, dtype=None):
-        raise NotImplementedError
+        if self.property_reader is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} does not read property tables"
+            )
+        return self.property_reader(
+            self._data_path(name),
+            name=name,
+            dtype=self._property_dtype(name, dtype),
+            chunk_size=self.chunk_size,
+        )
 
     def read_edge_table(self, name):
-        raise NotImplementedError
+        return self.edge_reader(
+            self._data_path(name),
+            name=name,
+            chunk_size=self.chunk_size,
+            **self._edge_kwargs(name),
+        )
 
     def property_tables(self):
         """All property tables recorded in the manifest, by name."""
@@ -552,75 +506,22 @@ class GraphSource:
 
 class CsvSource(GraphSource):
     format_name = "csv"
-
-    def read_property_table(self, name, dtype=None):
-        from .csv_io import read_property_table
-
-        return read_property_table(
-            self._data_path(name, ".csv"),
-            name=name,
-            dtype=self._property_dtype(name, dtype),
-            chunk_size=self.chunk_size,
-        )
-
-    def read_edge_table(self, name):
-        from .csv_io import read_edge_table
-
-        return read_edge_table(
-            self._data_path(name, ".csv"),
-            name=name,
-            chunk_size=self.chunk_size,
-            **self._edge_kwargs(name),
-        )
+    suffix = ".csv"
+    property_reader = staticmethod(csv_io.read_property_table)
+    edge_reader = staticmethod(csv_io.read_edge_table)
 
 
 class JsonlSource(GraphSource):
     format_name = "jsonl"
-
-    def read_property_table(self, name, dtype=None):
-        from .jsonl import read_property_table_jsonl
-
-        return read_property_table_jsonl(
-            self._data_path(name, ".jsonl"),
-            name=name,
-            dtype=self._property_dtype(name, dtype),
-            chunk_size=self.chunk_size,
-        )
-
-    def read_edge_table(self, name):
-        from .jsonl import read_edge_table_jsonl
-
-        return read_edge_table_jsonl(
-            self._data_path(name, ".jsonl"),
-            name=name,
-            chunk_size=self.chunk_size,
-            **self._edge_kwargs(name),
-        )
+    suffix = ".jsonl"
+    property_reader = staticmethod(jsonl.read_property_table_jsonl)
+    edge_reader = staticmethod(jsonl.read_edge_table_jsonl)
 
 
 class EdgelistSource(GraphSource):
     format_name = "edgelist"
-
-    def read_edge_table(self, name):
-        from .edgelist import read_edgelist
-
-        kwargs = self._edge_kwargs(name)
-        table = read_edgelist(
-            self._data_path(name, ".edges"),
-            name=name,
-            directed=kwargs.get("directed", False),
-            chunk_size=self.chunk_size,
-        )
-        if not kwargs:
-            return table
-        return EdgeTable(
-            name,
-            table.tails,
-            table.heads,
-            num_tail_nodes=kwargs["num_tail_nodes"],
-            num_head_nodes=kwargs["num_head_nodes"],
-            directed=kwargs["directed"],
-        )
+    suffix = ".edges"
+    edge_reader = staticmethod(edgelist.read_edgelist)
 
 
 # -- shard-manifest merge ------------------------------------------------------

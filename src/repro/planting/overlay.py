@@ -10,13 +10,12 @@ is wrapped:
 * :class:`AppendedPropertyTable` — an edge-property column extended
   with the deterministic values of the appended edge ids.
 
-All three speak the exact table dialect the streaming exporters and
-the sharded export pool consume — ``read_range`` (the dispatch hook of
-:func:`repro.io.chunks.property_range` / ``edge_range``),
-``iter_chunks`` with global chunk starts, ``values`` / ``tails`` /
-``heads`` for whole-table consumers, ``gather`` — and they pickle
-(the overlay arrays are tiny; spooled bases already pickle as paths),
-so ``--backend process`` export formatting keeps working over planted
+All three implement the table protocol of :mod:`repro.tables.ranged`
+— ``read_range`` over their base's ``read_range`` — and inherit
+``iter_chunks`` / ``values`` / ``tails`` / ``heads`` from it, so they
+stack over resident and spooled bases alike.  They pickle (the overlay
+arrays are tiny; spooled bases already pickle as paths), so
+``--backend process`` export formatting keeps working over planted
 worlds.
 
 :class:`PlantedGraph` assembles the wrapped tables into a
@@ -29,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import PropertyGraph
-from ..io.chunks import edge_range, property_range
+from ..tables.ranged import SCAN_ROWS, EdgeRows, PropertyRows
 
 __all__ = [
     "AppendedPropertyTable",
@@ -40,53 +39,7 @@ __all__ = [
 ]
 
 
-def _iter_chunk_starts(name, length, chunk_size, start, stop):
-    chunk_size = int(chunk_size)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    start = int(start)
-    stop = length if stop is None else min(int(stop), length)
-    if not 0 <= start <= length:
-        raise IndexError(
-            f"{name!r}: start {start} out of range [0, {length}]"
-        )
-    for lo in range(start, stop, chunk_size):
-        yield lo, min(lo + chunk_size, stop)
-
-
-class _LazyValues:
-    """Array-like view over a table's ``read_range`` (the slice of the
-    column protocol the chunked writers actually use)."""
-
-    def __init__(self, table, dtype):
-        self._table = table
-        self.dtype = dtype
-
-    def __len__(self):
-        return len(self._table)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            start, stop, step = item.indices(len(self._table))
-            values = self._table.read_range(start, stop)
-            return values if step == 1 else values[::step]
-        index = int(item)
-        if index < 0:
-            index += len(self._table)
-        return self._table.read_range(index, index + 1)[0]
-
-    def __array__(self, dtype=None, copy=None):
-        values = self._table.read_range(0, len(self._table))
-        return values if dtype is None else values.astype(dtype)
-
-    def __iter__(self):
-        for lo, hi in _iter_chunk_starts(
-            "values", len(self._table), 65_536, 0, None
-        ):
-            yield from self._table.read_range(lo, hi)
-
-
-class OverlayEdgeTable:
+class OverlayEdgeTable(EdgeRows):
     """Base edge table + appended plant edges as ids ``[m, m+e)``."""
 
     def __init__(self, base, extra_tails, extra_heads):
@@ -113,38 +66,15 @@ class OverlayEdgeTable:
         return self._base
 
     @property
-    def num_edges(self):
-        return len(self)
-
-    @property
     def num_base_edges(self):
         return self._base_len
 
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"ET {self.name!r} is bipartite; use num_tail_nodes / "
-                "num_head_nodes"
-            )
-        return self.num_tail_nodes
-
     def read_range(self, start, stop):
-        start, stop = int(start), int(stop)
-        if not 0 <= start <= stop <= len(self):
-            raise IndexError(
-                f"ET {self.name!r}: range [{start}, {stop}) out of "
-                f"bounds [0, {len(self)})"
-            )
+        start, stop = self.check_range(start, stop)
         m = self._base_len
         parts_t, parts_h = [], []
         if start < m:
-            lo, hi = start, min(stop, m)
-            tails, heads = edge_range(self._base, lo, hi)
+            tails, heads = self._base.read_range(start, min(stop, m))
             parts_t.append(np.asarray(tails, dtype=np.int64))
             parts_h.append(np.asarray(heads, dtype=np.int64))
         if stop > m:
@@ -158,41 +88,14 @@ class OverlayEdgeTable:
             return parts_t[0], parts_h[0]
         return np.concatenate(parts_t), np.concatenate(parts_h)
 
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        for lo, hi in _iter_chunk_starts(
-            self.name, len(self), chunk_size, start, stop
-        ):
-            tails, heads = self.read_range(lo, hi)
-            yield lo, tails, heads
-
-    @property
-    def tails(self):
-        return self.read_range(0, len(self))[0]
-
-    @property
-    def heads(self):
-        return self.read_range(0, len(self))[1]
-
     def degrees(self):
         """Undirected degree vector (monopartite only)."""
         n = self.num_nodes
         counts = np.zeros(n, dtype=np.int64)
-        for _, tails, heads in self.iter_chunks(65_536):
+        for _, tails, heads in self.iter_chunks(SCAN_ROWS):
             counts += np.bincount(tails, minlength=n)
             counts += np.bincount(heads, minlength=n)
         return counts
-
-    def to_edge_table(self):
-        """Materialise into a plain :class:`~repro.tables.EdgeTable`."""
-        from ..tables import EdgeTable
-
-        tails, heads = self.read_range(0, len(self))
-        return EdgeTable(
-            self.name, tails, heads,
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
 
 
 def _base_dtype(table):
@@ -217,7 +120,7 @@ def apply_overrides(values, start, ids, override_values):
     return patched
 
 
-class OverlayPropertyTable:
+class OverlayPropertyTable(PropertyRows):
     """Base property column with sparse forced values patched in."""
 
     def __init__(self, base, ids, values):
@@ -243,24 +146,14 @@ class OverlayPropertyTable:
         return self._base
 
     def read_range(self, start, stop):
-        start, stop = int(start), int(stop)
-        values = np.asarray(property_range(self._base, start, stop))
+        start, stop = self.check_range(start, stop)
         patched = apply_overrides(
-            values, start, self._ids, self._values
+            np.asarray(self._base.read_range(start, stop)), start,
+            self._ids, self._values,
         )
         if patched.dtype != self.dtype:
             patched = patched.astype(self.dtype)
         return patched
-
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        for lo, hi in _iter_chunk_starts(
-            self.name, len(self), chunk_size, start, stop
-        ):
-            yield lo, self.read_range(lo, hi)
-
-    @property
-    def values(self):
-        return _LazyValues(self, self.dtype)
 
     def gather(self, instance_ids):
         wanted = np.asarray(instance_ids, dtype=np.int64)
@@ -285,13 +178,8 @@ class OverlayPropertyTable:
         categories, codes = np.unique(values, return_inverse=True)
         return codes.astype(np.int64), categories
 
-    def to_property_table(self):
-        from ..tables import PropertyTable
 
-        return PropertyTable(self.name, self.read_range(0, len(self)))
-
-
-class AppendedPropertyTable:
+class AppendedPropertyTable(PropertyRows):
     """Edge-property column extended over the appended edge ids."""
 
     def __init__(self, base, extra_values):
@@ -313,17 +201,12 @@ class AppendedPropertyTable:
         )
 
     def read_range(self, start, stop):
-        start, stop = int(start), int(stop)
-        if not 0 <= start <= stop <= len(self):
-            raise IndexError(
-                f"PT {self.name!r}: range [{start}, {stop}) out of "
-                f"bounds [0, {len(self)})"
-            )
+        start, stop = self.check_range(start, stop)
         m = self._base_len
         parts = []
         if start < m:
             parts.append(np.asarray(
-                property_range(self._base, start, min(stop, m))
+                self._base.read_range(start, min(stop, m))
             ))
         if stop > m:
             parts.append(self._extra[max(start, m) - m: stop - m])
@@ -337,16 +220,6 @@ class AppendedPropertyTable:
         if part.dtype != self.dtype:
             part = part.astype(self.dtype)
         return part
-
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        for lo, hi in _iter_chunk_starts(
-            self.name, len(self), chunk_size, start, stop
-        ):
-            yield lo, self.read_range(lo, hi)
-
-    @property
-    def values(self):
-        return _LazyValues(self, self.dtype)
 
     def gather(self, instance_ids):
         ids = np.asarray(instance_ids, dtype=np.int64)
@@ -364,11 +237,6 @@ class AppendedPropertyTable:
                 ids[~base_mask] - self._base_len
             ]
         return out
-
-    def to_property_table(self):
-        from ..tables import PropertyTable
-
-        return PropertyTable(self.name, self.read_range(0, len(self)))
 
 
 def _appended_edge_property_values(schema, edge_name, prop,

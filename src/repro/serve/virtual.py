@@ -56,6 +56,7 @@ from ..core.dependency import build_task_graph
 from ..core.schema import SchemaError
 from ..core.structures import (
     SpilledStructure,
+    StructureHandle,
     emit_matched,
     open_structure,
     spill_maps,
@@ -70,26 +71,32 @@ from ..core.tasks import (
     structure_inputs,
 )
 from ..io.spool import TableSpool
+from ..planting.overlay import OverlayEdgeTable
 from ..tables import PropertyTable
 
 __all__ = ["VirtualGraph"]
 
 
-class _EdgeState:
-    """Final (post-matching) edge pages for one edge type: a structure
-    handle plus the spilled matching maps it is relabelled through."""
+class _EdgeState(StructureHandle):
+    """Final (post-matching) edges of one edge type: a structure
+    handle relabelled through the spilled matching maps.  ``emit``
+    doubles as ``read_range``, which is all the plant overlay
+    (:class:`~repro.planting.overlay.OverlayEdgeTable`) asks of its
+    base table."""
 
     def __init__(self, source, tail_map=None, head_map=None):
+        super().__init__(**source.metadata())
         self._source = source
         self._tail_map = tail_map
         self._head_map = head_map
-        self.directed = source.directed
 
     def emit(self, lo, hi):
         """Final ``(tails, heads)`` of edge ids ``[lo, hi)``."""
         return emit_matched(
             self._source, lo, hi, self._tail_map, self._head_map
         )
+
+    read_range = emit
 
 
 class VirtualGraph:
@@ -228,13 +235,19 @@ class VirtualGraph:
     # -- matching state (lazy, thread-safe) --------------------------------
 
     def _edge_state(self, name):
+        """The final edge table of one type, exactly as the exporters
+        see it: the matched pages (``.base``) with the appended plant
+        block (maybe empty) laid over them."""
         state = self._states.get(name)
         if state is not None:
             return state
         with self._lock:
             state = self._states.get(name)
             if state is None:
-                state = self._build_edge_state(name)
+                state = OverlayEdgeTable(
+                    self._build_edge_state(name),
+                    *self._appended_edges(name),
+                )
                 self._states[name] = state
             return state
 
@@ -400,22 +413,7 @@ class VirtualGraph:
         edges, exactly like the exported overlay table.
         """
         lo, hi = self._check_edge_range(name, lo, hi)
-        m = self.base_edge_count(name)
-        parts_t, parts_h = [], []
-        if lo < m:
-            tails, heads = self._edge_state(name).emit(lo, min(hi, m))
-            parts_t.append(np.asarray(tails, dtype=np.int64))
-            parts_h.append(np.asarray(heads, dtype=np.int64))
-        if hi > m:
-            extra_tails, extra_heads = self._appended_edges(name)
-            parts_t.append(extra_tails[max(lo, m) - m: hi - m])
-            parts_h.append(extra_heads[max(lo, m) - m: hi - m])
-        if not parts_t:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        if len(parts_t) == 1:
-            return parts_t[0], parts_h[0]
-        return np.concatenate(parts_t), np.concatenate(parts_h)
+        return self._edge_state(name).read_range(lo, hi)
 
     def _edge_values(self, edge, prop, ids, tails, heads, cache,
                      node_get=None):
@@ -460,7 +458,9 @@ class VirtualGraph:
         pages = []
         if lo < m:
             b_hi = min(hi, m)
-            tails, heads = self._edge_state(edge.name).emit(lo, b_hi)
+            tails, heads = self._edge_state(edge.name).base.emit(
+                lo, b_hi
+            )
             ids = np.arange(lo, b_hi, dtype=np.int64)
             cache = {}
             pages.append((tails, heads, {

@@ -2,5 +2,13 @@
 
 from .edge_table import EdgeTable
 from .property_table import PropertyTable
+from .ranged import EdgeRows, PropertyRows, RangeColumn, chunk_bounds
 
-__all__ = ["EdgeTable", "PropertyTable"]
+__all__ = [
+    "EdgeRows",
+    "EdgeTable",
+    "PropertyRows",
+    "PropertyTable",
+    "RangeColumn",
+    "chunk_bounds",
+]

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ranged import EdgeRows
+
 __all__ = ["EdgeTable"]
 
 
-class EdgeTable:
+class EdgeTable(EdgeRows):
     """A columnar edge list with dense edge ids.
 
     Parameters
@@ -83,26 +85,6 @@ class EdgeTable:
         return len(self.tails)
 
     @property
-    def num_edges(self):
-        """Number of edges ``m``."""
-        return len(self.tails)
-
-    @property
-    def num_nodes(self):
-        """Node id-space size for monopartite tables."""
-        if self.is_bipartite:
-            raise ValueError(
-                f"ET {self.name!r} is bipartite; use num_tail_nodes / "
-                "num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    @property
-    def is_bipartite(self):
-        """True when tail and head id spaces differ in size."""
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
     def ids(self):
         """The implicit dense edge id column ``0..m-1``."""
         return np.arange(len(self), dtype=np.int64)
@@ -132,27 +114,11 @@ class EdgeTable:
         for i in range(len(self)):
             yield i, int(self.tails[i]), int(self.heads[i])
 
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        """Iterate ``(chunk_start, tails_view, heads_view)`` over
-        ``[start, stop)`` edge ids.
-
-        Chunks are zero-copy views of at most ``chunk_size`` edges, in
-        edge-id order — the unit the streaming exporters format and
-        write without materialising per-row tuples.
-        """
-        chunk_size = int(chunk_size)
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        m = len(self)
-        start = int(start)
-        stop = m if stop is None else min(int(stop), m)
-        if not 0 <= start <= m:
-            raise IndexError(
-                f"ET {self.name!r}: start {start} out of range [0, {m}]"
-            )
-        for lo in range(start, stop, chunk_size):
-            hi = min(lo + chunk_size, stop)
-            yield lo, self.tails[lo:hi], self.heads[lo:hi]
+    def read_range(self, start, stop):
+        """``(tails, heads)`` of edge ids ``[start, stop)`` as
+        zero-copy views."""
+        start, stop = self.check_range(start, stop)
+        return self.tails[start:stop], self.heads[start:stop]
 
     # -- degree and adjacency --------------------------------------------------
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ranged import PropertyRows
+
 __all__ = ["PropertyTable"]
 
 _SUPPORTED_KINDS = {"i", "u", "f", "b", "U", "O", "M"}
 
 
-class PropertyTable:
+class PropertyTable(PropertyRows):
     """A columnar ``[id, value]`` table with dense ids.
 
     Parameters
@@ -71,26 +73,10 @@ class PropertyTable:
         for i, v in enumerate(self.values):
             yield i, v
 
-    def iter_chunks(self, chunk_size, start=0, stop=None):
-        """Iterate ``(chunk_start, values_view)`` over ``[start, stop)``.
-
-        Chunks are zero-copy views of at most ``chunk_size`` rows, in id
-        order; the streaming exporters consume these so a table is never
-        re-materialised row by row.  An empty range yields nothing.
-        """
-        chunk_size = int(chunk_size)
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        n = len(self.values)
-        start = int(start)
-        stop = n if stop is None else min(int(stop), n)
-        if not 0 <= start <= n:
-            raise IndexError(
-                f"PT {self.name!r}: start {start} out of range [0, {n}]"
-            )
-        for lo in range(start, stop, chunk_size):
-            hi = min(lo + chunk_size, stop)
-            yield lo, self.values[lo:hi]
+    def read_range(self, start, stop):
+        """Value rows ``[start, stop)`` as a zero-copy view."""
+        start, stop = self.check_range(start, stop)
+        return self.values[start:stop]
 
     def value_of(self, instance_id):
         """Value of one instance (bounds-checked)."""

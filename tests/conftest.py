@@ -12,6 +12,24 @@ from repro.tables import EdgeTable, PropertyTable
 
 
 @pytest.fixture
+def registries():
+    """Snapshot the property- and structure-generator registries and
+    restore them afterwards, so a test can register throwaway
+    generators without leaking them into later test files."""
+    from repro.properties import registry as properties
+    from repro.structure import registry as structures
+
+    saved = [
+        (module._REGISTRY, dict(module._REGISTRY))
+        for module in (properties, structures)
+    ]
+    yield
+    for registry, snapshot in saved:
+        registry.clear()
+        registry.update(snapshot)
+
+
+@pytest.fixture
 def stream():
     """A fresh deterministic stream."""
     return RandomStream(12345, "tests")

@@ -167,6 +167,43 @@ class TestGenerate:
             )
 
 
+class TestBoundaryErrors:
+    """Bad input at the CLI boundary is an argparse-style error (a
+    message and a non-zero exit), never a traceback from deep inside
+    the library."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["serve", "social_network", "--chunk-rows", "0"],
+         "argument --chunk-rows: must be >= 1"),
+        (["generate", "{dsl}", "--out", "{out}", "--shard-rows", "64",
+          "--retries", "-1"],
+         "argument --retries: must be >= 0"),
+        (["generate", "{dsl}", "--out", "{out}", "--scale",
+          "Person=abc"], "TYPE=COUNT"),
+        (["generate", "{dsl}", "--out", "{out}", "--scale",
+          "Person=-5"], "TYPE=COUNT"),
+        (["generate", "{missing}", "--out", "{out}"],
+         "cannot read schema"),
+    ])
+    def test_rejected_with_message(self, argv, expected, tmp_path,
+                                   capsys):
+        schema_path = tmp_path / "tiny.dsl"
+        schema_path.write_text(DSL)
+        argv = [
+            arg.format(dsl=schema_path, missing=tmp_path / "no.dsl",
+                       out=tmp_path / "o")
+            for arg in argv
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code not in (0, None)
+        # argparse prints to stderr and exits 2; the command bodies
+        # exit with the message itself.
+        assert expected in (
+            capsys.readouterr().err + str(excinfo.value.code)
+        )
+
+
 class TestOutOfCoreOnlyFlags:
     """--backend process / --spool-dir / --retries / --inject-faults are
     only read in out-of-core mode; in-memory mode must refuse them

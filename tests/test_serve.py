@@ -644,7 +644,8 @@ class TestServeRobustness:
 
 
 class TestSequentialGenerators501:
-    def test_sequential_property_maps_to_501(self, tmp_path):
+    def test_sequential_property_maps_to_501(self, tmp_path,
+                                             registries):
         class SequentialPG(PropertyGenerator):
             name = "serve_test_sequential"
             access = "sequential"
@@ -655,10 +656,7 @@ class TestSequentialGenerators501:
             def run_many(self, ids, stream, *deps):
                 return np.zeros(len(ids), dtype=np.int64)
 
-        try:
-            register_property_generator(SequentialPG)
-        except ValueError:
-            pass  # already registered by a previous parametrisation
+        register_property_generator(SequentialPG)
         schema = Schema(node_types=[NodeType("T", properties=[
             PropertyDef(
                 "x", "long", GeneratorSpec("serve_test_sequential", {})

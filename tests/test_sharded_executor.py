@@ -285,10 +285,7 @@ class TestSpoolCleanupOnFailure:
             def run_many(self, ids, stream, *deps):
                 raise RuntimeError("injected stage failure")
 
-        try:
-            register_property_generator(ExplodingPG)
-        except ValueError:
-            pass  # registered by a previous test in this session
+        register_property_generator(ExplodingPG)
         return Schema(node_types=[
             NodeType("Person", properties=[
                 PropertyDef(
@@ -309,7 +306,7 @@ class TestSpoolCleanupOnFailure:
         tmp = Path(tempfile.gettempdir())
         return {p for p in tmp.glob("repro-spool-*")}
 
-    def test_owned_spool_removed_when_stage_raises(self):
+    def test_owned_spool_removed_when_stage_raises(self, registries):
         schema = self._failing_schema()
         before = self._temp_spools()
         with pytest.raises(RuntimeError, match="injected"):
@@ -321,7 +318,8 @@ class TestSpoolCleanupOnFailure:
             f"failed run leaked spool directories: {sorted(leaked)}"
         )
 
-    def test_explicit_spool_dir_preserved_on_failure(self, tmp_path):
+    def test_explicit_spool_dir_preserved_on_failure(self, tmp_path,
+                                                     registries):
         """Caller-owned directories are never deleted — they may hold
         shards worth inspecting after the failure."""
         schema = self._failing_schema()
@@ -418,10 +416,7 @@ class TestProcessBackend:
 
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        try:
-            register_property_generator(SigkillPG)
-        except ValueError:
-            pass  # registered by a previous test in this session
+        register_property_generator(SigkillPG)
         return Schema(node_types=[
             NodeType("Person", properties=[
                 PropertyDef(
@@ -431,7 +426,9 @@ class TestProcessBackend:
             ]),
         ])
 
-    def test_worker_death_raises_sharded_error_and_cleans_spool(self):
+    def test_worker_death_raises_sharded_error_and_cleans_spool(
+        self, registries
+    ):
         """SIGKILL mid-shard: a clean ShardedError, no leaked spool."""
         import tempfile
 

@@ -404,13 +404,13 @@ class TestStreamingProtocol:
         schema = social_network_schema(num_countries=6)
         sink = JsonlSink(tmp_path / "o")
         flushed = []
-        original = sink._flush_node_type
+        original = sink._flush_type
 
-        def spy(type_name):
+        def spy(type_name, is_edge):
             flushed.append(type_name)
-            return original(type_name)
+            return original(type_name, is_edge)
 
-        sink._flush_node_type = spy
+        sink._flush_type = spy
         GraphGenerator(schema, {"Person": 40}, seed=1).generate(
             sink=sink
         )
@@ -459,7 +459,85 @@ class TestStreamingProtocol:
         assert "creates.graphml" not in names
 
 
+class TestWriterLoop:
+    """``chunks.write_chunks`` writes the same bytes whether the chunk
+    jobs run in process (``pmap=None``) or through an ordered parallel
+    map, for spooled and overlaid tables alike."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        """A planted world over spooled tables: every lazy table
+        class, with shard geometry unrelated to the chunk size."""
+        from repro.scenarios import compile_scenario, run_scenario
+        from repro.scenarios.zoo import load_zoo
+
+        compiled = compile_scenario(
+            load_zoo("fraud_ring_social"), scale={"Person": 150}
+        )
+        graph, _, _ = run_scenario(
+            compiled, validate=False, shard_rows=64
+        )
+        yield graph
+        graph.cleanup()
+
+    @pytest.fixture(scope="class")
+    def pmaps(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core.procpool import ShardPool
+
+        def thread_map(fn, jobs):
+            with ThreadPoolExecutor(2) as executor:
+                yield from executor.map(lambda args: fn(*args), jobs)
+
+        with ShardPool("process", 2) as pool:
+            yield {"thread": thread_map, "process": pool.ordered_map}
+
+    def test_fixture_covers_every_lazy_table(self, planted):
+        tables = (
+            list(planted.node_properties.values())
+            + list(planted.edge_tables.values())
+            + list(planted.edge_properties.values())
+        )
+        assert {type(table).__name__ for table in tables} >= {
+            "SpooledPropertyTable", "OverlayPropertyTable",
+            "OverlayEdgeTable", "AppendedPropertyTable",
+        }
+        assert type(planted.edge_tables["knows"].base).__name__ == \
+            "SpooledEdgeTable"
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "edgelist"])
+    def test_pmap_does_not_change_bytes(self, planted, pmaps, fmt,
+                                        compress, tmp_path):
+        inline = export_graph(planted, make_sink(
+            fmt, tmp_path / "inline", chunk_size=37, compress=compress
+        ))
+        assert len(inline) > 1
+        for label, pmap in pmaps.items():
+            sink = make_sink(
+                fmt, tmp_path / label, chunk_size=37, compress=compress
+            )
+            sink.pmap = pmap
+            written = export_graph(planted, sink)
+            assert [p.name for p in written] == \
+                [p.name for p in inline]
+            for ours, theirs in zip(written, inline):
+                assert ours.read_bytes() == theirs.read_bytes(), \
+                    (label, ours.name)
+
+
 class TestSourceFallbacks:
+    def test_edgelist_source_uses_manifest_shape(self, tmp_path):
+        """The generic reader path hands the manifest's id-space sizes
+        to ``read_edgelist`` (isolated nodes survive the round trip)."""
+        table = EdgeTable("e", [0, 1], [1, 2], num_tail_nodes=9,
+                          directed=True)
+        sink = EdgelistSink(tmp_path)
+        sink.write_edge_table(table)
+        sink.finish()
+        assert EdgelistSource(tmp_path).read_edge_table("e") == table
+
     def test_csv_source_without_manifest(self, tmp_path):
         from repro.io import write_property_table
 

@@ -34,7 +34,7 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown structure generator"):
             create_generator("nope")
 
-    def test_register_custom(self):
+    def test_register_custom(self, registries):
         class Null(StructureGenerator):
             name = "null_test_sg"
 
