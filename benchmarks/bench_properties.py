@@ -95,7 +95,7 @@ def _forced_impl(impl):
 
     previous = os.environ.get("REPRO_PROP_IMPL")
     os.environ["REPRO_PROP_IMPL"] = impl
-    ck._LOADED, ck._KERNEL = False, None
+    ck._load.cache_clear()
     try:
         yield
     finally:
@@ -103,7 +103,7 @@ def _forced_impl(impl):
             os.environ.pop("REPRO_PROP_IMPL", None)
         else:
             os.environ["REPRO_PROP_IMPL"] = previous
-        ck._LOADED, ck._KERNEL = False, None
+        ck._load.cache_clear()
 
 
 def _timed(generator, ids, stream, deps):

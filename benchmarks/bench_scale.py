@@ -52,7 +52,7 @@ from repro.core.schema import (
     NodeType,
     Schema,
 )
-from repro.core.sharded import parse_memory_budget
+from repro.core import parse_memory_budget
 from repro.experiments.scale import profile_name
 from repro.io import make_sink
 from repro.stats import Zipf

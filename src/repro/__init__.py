@@ -31,12 +31,10 @@ from .core import (
     GeneratorSpec,
     GraphGenerator,
     NodeType,
-    ParallelExecutor,
     PropertyDef,
     PropertyGraph,
     Schema,
     SchemaError,
-    execute_parallel,
     sbm_part_match,
 )
 from .core.dsl import load_schema
@@ -56,7 +54,6 @@ __all__ = [
     "GraphGenerator",
     "JointDistribution",
     "NodeType",
-    "ParallelExecutor",
     "PropertyDef",
     "PropertyGraph",
     "PropertyTable",
@@ -66,7 +63,6 @@ __all__ = [
     "__version__",
     "compare_joints",
     "empirical_joint",
-    "execute_parallel",
     "load_schema",
     "sbm_part_match",
     "social_network_schema",

@@ -12,7 +12,7 @@ stream-export, and emit a graded validation report::
 ``datasynth generate schema.dsl --scale Person=10000 --out data/``
 parses a DSL schema, generates the graph, and streams it to disk as it
 is generated (chunked, memory-bounded export; see docs/io.md).  Add
-``--workers N`` to run the task DAG shard-parallel on a process pool,
+``--workers N`` to fill large property tables across a worker pool,
 ``--chunk-size N`` / ``--compress`` to tune the export — output bytes
 are identical for every combination.  A further subcommand runs the
 paper's evaluation protocol for quick inspection::
@@ -44,16 +44,6 @@ def _int_at_least(minimum):
 _positive_int = _int_at_least(1)
 
 
-def _memory_budget(text):
-    from .core import parse_memory_budget
-
-    try:
-        parse_memory_budget(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
-
-
 def _add_sharding_args(cmd):
     cmd.add_argument(
         "--shard-rows", type=_positive_int, default=None, metavar="N",
@@ -63,8 +53,7 @@ def _add_sharding_args(cmd):
              "docs/scaling.md)",
     )
     cmd.add_argument(
-        "--memory-budget", type=_memory_budget, default=None,
-        metavar="SIZE",
+        "--memory-budget", default=None, metavar="SIZE",
         help="out-of-core mode with the shard size derived from a "
              "memory budget, e.g. 512MB or 2G",
     )
@@ -107,32 +96,25 @@ def _add_sharding_args(cmd):
     )
 
 
-#: (flag, default) of the options only out-of-core mode reads.
-_OUT_OF_CORE_ONLY = (
-    ("--backend", "thread"),
-    ("--spool-dir", None),
-    ("--retries", 0),
-    ("--inject-faults", None),
-)
+def _run_options(parser, args):
+    """The command line's :class:`~repro.core.run.RunOptions`; an
+    inconsistent combination is an argparse error (exit 2) before
+    anything runs."""
+    from .core import RunOptions
 
-
-def _out_of_core(parser, args):
-    """Did the command line select out-of-core (sharded) mode?
-
-    In-memory mode never reads the out-of-core-only options, so a
-    command line that sets one without enabling the mode is rejected
-    rather than run with the option silently dropped.
-    """
-    if (args.shard_rows is not None or args.memory_budget is not None
-            or args.resume is not None):
-        return True
-    for flag, default in _OUT_OF_CORE_ONLY:
-        if getattr(args, flag[2:].replace("-", "_")) != default:
-            parser.error(
-                f"{flag} only applies to out-of-core mode; enable it "
-                "with --shard-rows, --memory-budget or --resume"
-            )
-    return False
+    try:
+        return RunOptions(
+            workers=args.workers,
+            backend=args.backend,
+            shard_rows=args.shard_rows,
+            memory_budget=args.memory_budget,
+            spool_dir=args.resume or args.spool_dir,
+            resume=args.resume is not None,
+            retries=args.retries,
+            faults=args.inject_faults,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def build_parser():
@@ -159,7 +141,7 @@ def build_parser():
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",
-        help="process-pool size for shard-parallel generation "
+        help="worker-pool size for shard-parallel generation "
              "(1 = serial; output is bit-identical for any N)",
     )
     generate.add_argument(
@@ -286,7 +268,7 @@ def build_parser():
         )
         cmd.add_argument(
             "--workers", type=_positive_int, default=1, metavar="N",
-            help="process-pool size (output is bit-identical for "
+            help="worker-pool size (output is bit-identical for "
                  "any N)",
         )
         cmd.add_argument(
@@ -402,9 +384,9 @@ def _parse_scale(entries):
 
 
 def _cmd_generate(args):
-    from .core import GraphGenerator
+    from .core import execute
     from .core.dsl import load_schema
-    from .io import DEFAULT_CHUNK_SIZE, make_sink
+    from .io import make_sink
 
     try:
         with open(args.schema) as handle:
@@ -420,36 +402,15 @@ def _cmd_generate(args):
         raise SystemExit(
             "no scale given: add a DSL scale block or --scale TYPE=COUNT"
         )
-    chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
-    if args.out_of_core:
-        from .core import ShardedExecutor
-
-        executor = ShardedExecutor(
-            schema, scale, seed=args.seed,
-            shard_rows=args.shard_rows,
-            memory_budget=args.memory_budget,
-            workers=args.workers,
-            backend=args.backend,
-            spool_dir=args.resume or args.spool_dir,
-            resume=args.resume is not None,
-            retries=args.retries,
-            faults=args.inject_faults,
-        )
-        # Cap export chunks at the shard size so the sink stays within
-        # the memory budget (bytes are identical for any chunk size).
-        chunk_size = min(chunk_size, executor.shard_rows)
-        run = executor.run
-    else:
-        run = GraphGenerator(
-            schema, scale, seed=args.seed, workers=args.workers
-        ).generate
+    options = args.run_options
     sink = make_sink(
-        args.format, args.out, chunk_size=chunk_size,
+        args.format, args.out,
+        chunk_size=options.export_chunk_size(args.chunk_size),
         compress=args.compress,
     )
-    graph = run(sink=sink)
+    graph = execute(schema, scale, args.seed, options, sink)
     summary = graph.summary()
-    if args.out_of_core and executor.spool_dir is None:
+    if options.out_of_core and options.spool_dir is None:
         graph.cleanup()
     print(f"generated graph {graph_name!r}: {summary}")
     for path in sink.written:
@@ -635,19 +596,12 @@ def _cmd_scenario_run(args, export=True):
     validate = not (export and args.no_validate)
     graph, report, written = run_scenario(
         compiled,
-        workers=args.workers,
         out_dir=out_dir,
         formats=formats,
         chunk_size=getattr(args, "chunk_size", None),
         compress=(getattr(args, "compress", False) or None),
         validate=validate,
-        shard_rows=args.shard_rows,
-        memory_budget=args.memory_budget,
-        backend=args.backend,
-        spool_dir=args.resume or args.spool_dir,
-        resume=args.resume is not None,
-        retries=args.retries,
-        faults=args.inject_faults,
+        **vars(args.run_options),
     )
     summary = graph.summary()
     plant_report = None
@@ -792,7 +746,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "shard_rows"):  # generate, scenario run|validate
-        args.out_of_core = _out_of_core(parser, args)
+        args.run_options = _run_options(parser, args)
     handlers = {
         "generate": _cmd_generate,
         "protocol": _cmd_protocol,

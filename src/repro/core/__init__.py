@@ -8,7 +8,6 @@ from .checkpoint import (
 )
 from .dependency import DependencyError, Task, TaskGraph, build_task_graph
 from .engine import GraphGenerator
-from .executor import ParallelExecutor, execute_parallel
 from .faults import FaultPlan, InjectedFault, parse_faults
 from .matching import (
     BipartiteMatchResult,
@@ -22,12 +21,12 @@ from .matching import (
     sbm_part_match,
 )
 from .result import PropertyGraph
+from .run import RunOptions, execute, parse_memory_budget
 from .sharded import (
     ShardedError,
     ShardedExecutor,
     ShardedResult,
     execute_sharded,
-    parse_memory_budget,
 )
 from .schema import (
     Cardinality,
@@ -53,9 +52,9 @@ __all__ = [
     "GraphGenerator",
     "InjectedFault",
     "NodeType",
-    "ParallelExecutor",
     "PropertyDef",
     "PropertyGraph",
+    "RunOptions",
     "SbmPartResult",
     "Schema",
     "SchemaError",
@@ -67,7 +66,7 @@ __all__ = [
     "bipartite_sbm_part_match",
     "build_task_graph",
     "edge_count_target",
-    "execute_parallel",
+    "execute",
     "execute_sharded",
     "greedy_label_match",
     "ldg_degree_match",

@@ -1,11 +1,12 @@
 """Shared compile-and-cache helper for optional C inner loops.
 
-Two subsystems embed a C hot loop and call it through ``ctypes``: the
-streaming-placement matcher (``core/matching/_ckernel.py``) and the
-attribute-generation kernels (``properties/_ckernel.py``).  Both follow
-the same zero-install contract — compile with the system ``cc`` on
-first use into a per-user cache, and fall back to numpy silently on
-any failure — so the machinery lives here once.
+Three subsystems embed a C hot loop and call it through ``ctypes``: the
+streaming-placement matcher (``core/matching/_ckernel.py``), the
+attribute-generation kernels (``properties/_ckernel.py``) and the export
+row formatter (``io/_ckernel.py``).  All follow the same zero-install
+contract — compile with the system ``cc`` on first use into a per-user
+cache, and fall back to numpy / Python silently on any failure — so the
+machinery lives here once.
 
 Environment knobs (shared by every embedded kernel):
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import fcntl
+import functools
 import getpass
 import hashlib
 import os
@@ -34,7 +36,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["compile_cached", "ckernels_disabled"]
+__all__ = ["compile_cached", "ckernels_disabled", "load_once"]
 
 
 def ckernels_disabled():
@@ -84,6 +86,28 @@ def compile_cached(source, prefix):
             if not so_path.exists():
                 _compile(compiler, source, so_path)
     return ctypes.CDLL(str(so_path))
+
+
+def load_once(source, prefix, wrap):
+    """The process-wide loader of one embedded kernel.
+
+    Returns a memoised zero-argument function.  Its first call
+    compiles ``source`` (:func:`compile_cached`) and answers
+    ``wrap(lib)``; it answers ``None`` — for good, so the fallback
+    path takes over silently — when compiled kernels are disabled, no
+    compiler or private cache directory is available, or anything
+    raises.  ``.cache_clear()`` forgets the attempt.
+    """
+    @functools.cache
+    def load():
+        if ckernels_disabled():
+            return None
+        try:
+            lib = compile_cached(source, prefix)
+            return None if lib is None else wrap(lib)
+        except Exception:
+            return None
+    return load
 
 
 def _compile(compiler, source, so_path):

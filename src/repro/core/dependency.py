@@ -96,18 +96,9 @@ class TaskGraph:
                     )
 
     def scheduling_state(self):
-        """Initial bookkeeping for an incremental scheduler.
-
-        Returns
-        -------
-        (indegree, dependents):
-            ``indegree`` maps task id -> number of unfinished
-            dependencies; ``dependents`` maps task id -> the ids that
-            wait on it.  A scheduler pops zero-indegree tasks, runs
-            them (in any order, possibly concurrently), and decrements
-            its dependents' counters on completion — the executor's
-            dynamic counterpart of :meth:`topological_order`.
-        """
+        """``(indegree, dependents)``: per task id, the number of
+        dependencies and the ids that wait on it — what
+        :meth:`topological_order` counts down."""
         self.validate_references()
         indegree = {tid: 0 for tid in self._tasks}
         dependents = {tid: [] for tid in self._tasks}

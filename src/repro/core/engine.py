@@ -9,17 +9,30 @@ The engine is deterministic: every task draws from a stream derived
 from ``(root seed, task id)``, so regenerating any single table requires
 only the seed and the schema — the distributed-generation story of the
 paper.  The task bodies themselves live in :mod:`repro.core.tasks` as
-pure functions; the serial path below and the shard-parallel
-:mod:`repro.core.executor` are two schedulers over the same
-implementations, which is why ``generate(workers=k)`` is bit-identical
-to ``generate()`` for every ``k`` (see DESIGN.md).
+pure functions and the plan is walked by :func:`~repro.core.tasks.walk`,
+the loop the out-of-core :mod:`repro.core.sharded` run shares; this
+module is the *resident* store under it, which is why
+``generate(workers=k)`` is bit-identical to ``generate()`` for every
+``k`` (see DESIGN.md).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..tables.ranged import chunk_bounds
+from . import run
 from .dependency import build_task_graph
+from .procpool import ShardPool
 from .result import PropertyGraph
-from .tasks import apply_task, export_task_output
+from .tasks import (
+    apply_task,
+    dep_slice,
+    property_inputs,
+    property_shard_values,
+    store_task_output,
+    walk,
+)
 
 __all__ = ["GraphGenerator"]
 
@@ -38,9 +51,8 @@ class GraphGenerator:
         root seed; all randomness derives from it.
     workers:
         default worker count for :meth:`generate`; ``1`` (the default)
-        runs the serial in-process path, ``> 1`` dispatches the task
-        DAG to a process pool via
-        :class:`~repro.core.executor.ParallelExecutor`.
+        runs every task as one kernel call, ``> 1`` fills property
+        tables longer than one shard across a thread pool.
 
     Examples
     --------
@@ -58,9 +70,7 @@ class GraphGenerator:
         self.schema = schema.validate()
         self.scale = dict(scale)
         self.seed = int(seed)
-        self.workers = int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        self.workers = run.RunOptions(workers=int(workers)).workers
         self.plan()  # reject a bad scale spec at construction
 
     # -- planning ------------------------------------------------------------
@@ -77,32 +87,52 @@ class GraphGenerator:
 
         ``workers`` overrides the constructor default for this call.
         Any worker count produces bit-identical output; ``workers > 1``
-        simply runs independent tasks (and id-range shards of large
-        property tables) concurrently.
+        only generates the id-range shards of large property tables
+        concurrently.
 
         ``sink`` streams the graph to disk *while it is generated*: a
         :class:`~repro.io.streaming.GraphSink` receives each completed
-        table in serial plan order and writes it in id-range chunks,
+        table in plan order and writes it in id-range chunks,
         producing bytes identical to exporting the finished graph (and
         identical for every worker count).
         """
-        workers = self.workers if workers is None else int(workers)
-        if workers > 1:
-            from .executor import ParallelExecutor
-
-            return ParallelExecutor(
-                self.schema, self.scale, self.seed, workers=workers
-            ).run(sink=sink)
+        if workers is None:
+            workers = self.workers
+        else:
+            workers = run.RunOptions(workers=int(workers)).workers
         result = PropertyGraph(self.schema, self.seed)
         structures = {}  # edge -> ET with structure ids (pre-matching)
-        if sink is not None:
-            sink.begin(result)
-        for task in self.plan():
+        # Threads, not processes: the tables are resident, so shards
+        # read their dependencies and land their values unpickled.
+        with ShardPool("thread", workers) as pool:
+            walk(
+                self.plan(),
+                lambda task: self._apply(task, result, structures, pool),
+                result, sink,
+            )
+        return result
+
+    def _apply(self, task, result, structures, pool):
+        """One task into resident tables: a single kernel call, or —
+        for a property table of several shards when there are workers
+        to share them — one call per shard through the pool."""
+        bounds = ()
+        if pool.workers > 1 and task.kind in ("property", "edge_property"):
+            spec, count, deps = property_inputs(self.schema, task, result)
+            bounds = list(
+                chunk_bounds(task.subject, count, run.DEFAULT_SHARD_ROWS)
+            )
+        if len(bounds) < 2:
             apply_task(
                 task, self.schema, self.scale, self.seed,
                 result, structures,
             )
-            export_task_output(task, sink)
-        if sink is not None:
-            sink.finish()
-        return result
+            return
+        parts = pool.ordered_map(property_shard_values, (
+            (spec, task.task_id, self.seed, lo, hi,
+             [dep_slice(dep, lo, hi) for dep in deps])
+            for lo, hi in bounds
+        ))
+        store_task_output(
+            task, result, structures, np.concatenate(list(parts))
+        )

@@ -34,7 +34,7 @@ import ctypes
 
 import numpy as np
 
-from ..ccompile import ckernels_disabled, compile_cached
+from ..ccompile import load_once
 
 __all__ = ["load_ckernel"]
 
@@ -395,26 +395,6 @@ class _CKernel:
         return assignment
 
 
-_LOADED = False
-_KERNEL = None
-
-
-def load_ckernel():
-    """The compiled kernel, or ``None`` when unavailable.
-
-    Compilation is attempted once per process; any failure (no
-    compiler, sandboxed subprocess, unwritable cache) permanently
-    falls back to ``None`` so the numpy path takes over silently.
-    """
-    global _LOADED, _KERNEL
-    if _LOADED:
-        return _KERNEL
-    _LOADED = True
-    if ckernels_disabled():
-        return None
-    try:
-        lib = compile_cached(_SOURCE, "matchkernel")
-        _KERNEL = _CKernel(lib) if lib is not None else None
-    except Exception:
-        _KERNEL = None
-    return _KERNEL
+#: ``load_ckernel()``: the compiled kernel, or ``None`` when
+#: unavailable (one attempt per process, silent numpy fallback).
+load_ckernel = load_once(_SOURCE, "matchkernel", _CKernel)

@@ -218,10 +218,8 @@ class MatchPrep:
 def prepare_match_stream(table, order=None, counts_tables=False):
     """Precompute the stream-order structures for ``table``.
 
-    This is the shardable "prepare" half of the matching stage: it is a
-    pure function of ``(table, order)`` and returns picklable arrays,
-    so the parallel executor can run it in a worker pool, overlapped
-    with structure generation of other edge types.
+    This is the "prepare" half of the matching stage: a pure function
+    of ``(table, order)`` that returns picklable arrays.
     """
     n = table.num_nodes
     if order is None:

@@ -1,7 +1,7 @@
-"""Persistent worker pools behind the sharded executor.
+"""The one worker pool under every batch run.
 
-The sharded executor schedules every per-shard unit of work — property
-kernels, chunked structure emission + relabel, export formatting —
+Every per-shard unit of work — property kernels in memory and out of
+core, chunked structure emission + relabel, export formatting — goes
 through one :class:`ShardPool`.  The pool abstracts the two backends:
 
 ``thread``

@@ -1,0 +1,214 @@
+"""How a batch run executes: :class:`RunOptions` and :func:`execute`.
+
+Every batch run is ``plan -> walk -> store``
+(:func:`~repro.core.tasks.walk`); the options here choose the store —
+resident tables (:class:`~repro.core.engine.GraphGenerator`) or spooled
+ones (:class:`~repro.core.sharded.ShardedExecutor`) — and the pool
+under it.  None of them changes an output byte.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+import numpy as np
+
+from .procpool import BACKENDS
+
+__all__ = [
+    "BYTES_PER_SHARD_ROW",
+    "DEFAULT_SHARD_ROWS",
+    "RunOptions",
+    "execute",
+    "parse_memory_budget",
+    "shard_rows_for_budget",
+]
+
+#: Id-range shard size (rows): the unit a property table is filled in
+#: across a pool, in memory and (unless the run says otherwise) out of
+#: core; smaller tables are one kernel call.
+DEFAULT_SHARD_ROWS = 65_536
+
+#: Conservative working-set estimate per shard row (bytes), covering a
+#: handful of concurrently-live columns (values + dependency slices +
+#: formatting buffers).  ``--memory-budget`` divides by this to pick
+#: ``shard_rows``; see docs/scaling.md for the derivation.
+BYTES_PER_SHARD_ROW = 512
+
+#: Floor for derived shard sizes — below this, per-shard overhead
+#: dominates and the budget estimate is meaningless anyway.
+MIN_SHARD_ROWS = 1_024
+
+_BUDGET_RE = re.compile(
+    r"^\s*(?P<number>\d+(?:\.\d+)?|\.\d+)\s*(?P<unit>[kmgt]i?b?|b)?\s*$",
+    re.IGNORECASE,
+)
+
+_BUDGET_UNITS = {
+    "b": 1,
+    "k": 1 << 10,
+    "m": 1 << 20,
+    "g": 1 << 30,
+    "t": 1 << 40,
+}
+
+#: Spelled out once so every parse error can list them (the CLI
+#: surfaces this message verbatim for ``--memory-budget``).
+_BUDGET_FORMS = (
+    "an integer byte count (e.g. 1048576) or a number — fractions "
+    "like '1.5' or '.5' included — with a binary-multiple suffix "
+    "KB/MB/GB/TB, K/M/G/T or KiB/MiB/GiB/TiB (e.g. '512MB', '1.5GB', "
+    "'0.5GiB')"
+)
+
+
+def parse_memory_budget(value):
+    """Parse a memory budget into bytes.
+
+    Accepts a plain integer (bytes) or a string with a binary-multiple
+    suffix: ``"512MB"``, ``"1G"``, ``"64KiB"`` — ``KB``/``KiB``/``K``
+    are all ``2**10`` here.  Fractional sizes work with any suffix
+    (``"1.5GB"``, ``".5GiB"``); a fractional *byte* count is rejected
+    rather than silently truncated.
+    """
+    if isinstance(value, (int, np.integer)):
+        budget = int(value)
+    else:
+        match = _BUDGET_RE.match(str(value))
+        if match is None:
+            raise ValueError(
+                f"cannot parse memory budget {value!r}; expected "
+                f"{_BUDGET_FORMS}"
+            )
+        number = float(match.group("number"))
+        unit = (match.group("unit") or "b").lower()
+        if unit == "b" and number != int(number):
+            raise ValueError(
+                f"memory budget {value!r} is a fractional byte "
+                f"count; add a unit suffix (expected {_BUDGET_FORMS})"
+            )
+        budget = int(number * _BUDGET_UNITS[unit[0]])
+    if budget <= 0:
+        raise ValueError(
+            f"memory budget must be positive, got {value!r}"
+        )
+    return budget
+
+
+def shard_rows_for_budget(budget_bytes):
+    """Shard size (rows) for a byte budget, via the documented
+    :data:`BYTES_PER_SHARD_ROW` working-set estimate."""
+    return max(MIN_SHARD_ROWS, int(budget_bytes) // BYTES_PER_SHARD_ROW)
+
+
+#: (field, CLI flag) of the options only an out-of-core run reads.
+_OUT_OF_CORE_ONLY = (
+    ("backend", "--backend"),
+    ("spool_dir", "--spool-dir"),
+    ("retries", "--retries"),
+    ("faults", "--inject-faults"),
+)
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The eight values a batch run is configured by.
+
+    ``shard_rows``, ``memory_budget`` (bytes or ``"512MB"``-style,
+    divided by :data:`BYTES_PER_SHARD_ROW`) or ``resume`` select the
+    out-of-core run; ``backend``, ``spool_dir``, ``retries`` and
+    ``faults`` only mean something there (see
+    :class:`~repro.core.sharded.ShardedExecutor`) and are refused
+    elsewhere rather than silently dropped.  ``workers`` applies to
+    both stores: threads over resident tables in memory, ``backend``
+    workers over the spool out of core.
+    """
+
+    workers: int = 1
+    backend: str = "thread"
+    shard_rows: int = None
+    memory_budget: object = None
+    spool_dir: object = None
+    resume: bool = False
+    retries: int = 0
+    faults: object = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
+        if self.shard_rows is not None and self.shard_rows < 1:
+            raise ValueError("shard_rows must be >= 1")
+        if self.memory_budget is not None:
+            parse_memory_budget(self.memory_budget)
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.resume and self.spool_dir is None:
+            raise ValueError(
+                "resume requires an explicit spool_dir (an owned "
+                "temporary spool is removed on failure, so there is "
+                "nothing to resume from)"
+            )
+        if self.out_of_core:
+            return
+        for name, flag in _OUT_OF_CORE_ONLY:
+            if getattr(self, name) != getattr(RunOptions, name):
+                raise ValueError(
+                    f"{flag} only applies to out-of-core mode; enable "
+                    "it with --shard-rows, --memory-budget or --resume"
+                )
+
+    @property
+    def out_of_core(self):
+        return (self.shard_rows is not None
+                or self.memory_budget is not None or bool(self.resume))
+
+    @property
+    def rows_per_shard(self):
+        """The shard size the run works in (``shard_rows`` wins over
+        ``memory_budget``)."""
+        if self.shard_rows is not None:
+            return int(self.shard_rows)
+        if self.memory_budget is not None:
+            return shard_rows_for_budget(
+                parse_memory_budget(self.memory_budget)
+            )
+        return DEFAULT_SHARD_ROWS
+
+    def export_chunk_size(self, requested=None):
+        """Rows per export chunk for this run's sinks.
+
+        Out of core, chunks must not exceed the shard size or a sink
+        would pull whole-table slices back into memory; chunk size
+        never changes output bytes.
+        """
+        from ..io import DEFAULT_CHUNK_SIZE
+
+        chunk_size = requested or DEFAULT_CHUNK_SIZE
+        if self.out_of_core:
+            return min(chunk_size, self.rows_per_shard)
+        return chunk_size
+
+
+def execute(schema, scale, seed, options, sink=None):
+    """Run one batch generation as ``options`` say; returns the graph
+    (a :class:`~repro.core.sharded.ShardedResult` out of core).
+
+    The one place a store is selected: the CLI and
+    :func:`~repro.scenarios.run_scenario` both come through here.
+    """
+    if options.out_of_core:
+        from .sharded import ShardedExecutor
+
+        return ShardedExecutor(
+            schema, scale, seed, **vars(options)
+        ).run(sink=sink)
+    from .engine import GraphGenerator
+
+    return GraphGenerator(
+        schema, scale, seed, workers=options.workers
+    ).generate(sink=sink)

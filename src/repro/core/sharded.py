@@ -1,9 +1,9 @@
 """Sharded executor: memory-bounded, out-of-core generation.
 
-The serial engine and the :class:`~repro.core.executor.ParallelExecutor`
-both materialise every table in RAM, so graph size is capped by memory
-even though export already streams.  This module runs the *same* task
-DAG with every table spooled to disk in id-range shards
+The in-memory engine materialises every table in RAM, so graph size is
+capped by memory even though export already streams.  This module walks
+the *same* plan (:func:`~repro.core.tasks.walk`) with every table
+spooled to disk in id-range shards
 (:class:`~repro.io.spool.TableSpool`): the full pipeline — structure
 chunk → match → properties → sink — touches at most a few
 ``shard_rows``-sized arrays at a time, which is what unlocks
@@ -16,8 +16,8 @@ any shard size and worker count, by construction rather than by luck:
   generation equals slices of single-shot generation; their
   dependencies are the storage-agnostic descriptors of
   :func:`~repro.core.tasks.property_inputs`, resolved per shard by
-  :func:`~repro.core.tasks.dep_slice` — the code the serial loop and
-  the DAG executor run, over spooled instead of resident tables;
+  :func:`~repro.core.tasks.dep_slice` — the code the in-memory
+  engine runs, over spooled instead of resident tables;
 * chunkable structure generators (R-MAT raw, ER, SBM, 1→*) emit their
   ``run()`` output in chunks via the first-class
   :class:`~repro.structure.base.EdgeChunkStream` protocol, held as a
@@ -54,19 +54,17 @@ documented O(nodes) matching-permutation term — pinned by
 
 from __future__ import annotations
 
-import re
 import tempfile
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from ..io.spool import TableSpool
 from . import faults as _faults
 from .checkpoint import CheckpointLedger, run_fingerprint
 from .dependency import DependencyError, build_task_graph
-from .procpool import BACKENDS, ShardPool, ShardedError
+from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
+from .run import RunOptions
 from .structures import (
     StructureHandle,
     emit_matched,
@@ -76,102 +74,23 @@ from .structures import (
 from .tasks import (
     correlated_tables,
     dep_slice,
-    export_task_output,
     is_correlated,
     match_edge,
+    matched_id_space,
     matching_maps,
     property_inputs,
     property_shard_values,
     resolve_count,
     structure_inputs,
+    walk,
 )
 
 __all__ = [
-    "BYTES_PER_SHARD_ROW",
-    "DEFAULT_SHARD_ROWS",
     "ShardedError",
     "ShardedExecutor",
     "ShardedResult",
     "execute_sharded",
-    "parse_memory_budget",
-    "shard_rows_for_budget",
 ]
-
-#: Default id-range shard size (rows) — matches the parallel executor's
-#: property shard size, so the two pipelines chunk work identically.
-DEFAULT_SHARD_ROWS = 65_536
-
-#: Conservative working-set estimate per shard row (bytes), covering a
-#: handful of concurrently-live columns (values + dependency slices +
-#: formatting buffers).  ``--memory-budget`` divides by this to pick
-#: ``shard_rows``; see docs/scaling.md for the derivation.
-BYTES_PER_SHARD_ROW = 512
-
-#: Floor for derived shard sizes — below this, per-shard overhead
-#: dominates and the budget estimate is meaningless anyway.
-MIN_SHARD_ROWS = 1_024
-
-_BUDGET_RE = re.compile(
-    r"^\s*(?P<number>\d+(?:\.\d+)?|\.\d+)\s*(?P<unit>[kmgt]i?b?|b)?\s*$",
-    re.IGNORECASE,
-)
-
-_BUDGET_UNITS = {
-    "b": 1,
-    "k": 1 << 10,
-    "m": 1 << 20,
-    "g": 1 << 30,
-    "t": 1 << 40,
-}
-
-#: Spelled out once so every parse error can list them (the CLI
-#: surfaces this message verbatim for ``--memory-budget``).
-_BUDGET_FORMS = (
-    "an integer byte count (e.g. 1048576) or a number — fractions "
-    "like '1.5' or '.5' included — with a binary-multiple suffix "
-    "KB/MB/GB/TB, K/M/G/T or KiB/MiB/GiB/TiB (e.g. '512MB', '1.5GB', "
-    "'0.5GiB')"
-)
-
-
-def parse_memory_budget(value):
-    """Parse a memory budget into bytes.
-
-    Accepts a plain integer (bytes) or a string with a binary-multiple
-    suffix: ``"512MB"``, ``"1G"``, ``"64KiB"`` — ``KB``/``KiB``/``K``
-    are all ``2**10`` here.  Fractional sizes work with any suffix
-    (``"1.5GB"``, ``".5GiB"``); a fractional *byte* count is rejected
-    rather than silently truncated.
-    """
-    if isinstance(value, (int, np.integer)):
-        budget = int(value)
-    else:
-        match = _BUDGET_RE.match(str(value))
-        if match is None:
-            raise ValueError(
-                f"cannot parse memory budget {value!r}; expected "
-                f"{_BUDGET_FORMS}"
-            )
-        number = float(match.group("number"))
-        unit = (match.group("unit") or "b").lower()
-        if unit == "b" and number != int(number):
-            raise ValueError(
-                f"memory budget {value!r} is a fractional byte "
-                f"count; add a unit suffix (expected {_BUDGET_FORMS})"
-            )
-        budget = int(number * _BUDGET_UNITS[unit[0]])
-    if budget <= 0:
-        raise ValueError(
-            f"memory budget must be positive, got {value!r}"
-        )
-    return budget
-
-
-def shard_rows_for_budget(budget_bytes):
-    """Shard size (rows) for a byte budget, via the documented
-    :data:`BYTES_PER_SHARD_ROW` working-set estimate."""
-    return max(MIN_SHARD_ROWS, int(budget_bytes) // BYTES_PER_SHARD_ROW)
-
 
 # -- per-shard jobs (module-level: picklable for the process backend) ---------
 
@@ -247,7 +166,8 @@ class ShardedExecutor:
         rows per shard — the pipeline's memory unit.
     memory_budget:
         alternative to ``shard_rows``: bytes (int or ``"512MB"``-style
-        string) divided by :data:`BYTES_PER_SHARD_ROW`.
+        string) divided by
+        :data:`~repro.core.run.BYTES_PER_SHARD_ROW`.
     workers:
         per-shard concurrency; the pool keeps a bounded in-flight
         window of ``workers + 1`` shards, so peak memory scales with
@@ -290,30 +210,17 @@ class ShardedExecutor:
         self.schema = schema.validate()
         self.scale = dict(scale)
         self.seed = int(seed)
-        if shard_rows is None and memory_budget is not None:
-            shard_rows = shard_rows_for_budget(
-                parse_memory_budget(memory_budget)
-            )
-        self.shard_rows = int(shard_rows or DEFAULT_SHARD_ROWS)
-        if self.shard_rows < 1:
-            raise ValueError("shard_rows must be >= 1")
-        self.workers = max(1, int(workers))
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
-        self.spool_dir = spool_dir
-        self.retries = max(0, int(retries))
+        # Naming this class *is* choosing the out-of-core run, so the
+        # options carry the resolved shard size whatever was passed.
+        self.shard_rows = RunOptions(
+            shard_rows=shard_rows, memory_budget=memory_budget
+        ).rows_per_shard
+        self.options = RunOptions(
+            workers=int(workers), backend=backend,
+            shard_rows=self.shard_rows, spool_dir=spool_dir,
+            resume=bool(resume), retries=int(retries), faults=faults,
+        )
         self.backoff = float(backoff)
-        self.resume = bool(resume)
-        if self.resume and spool_dir is None:
-            raise ValueError(
-                "resume requires an explicit spool_dir (an owned "
-                "temporary spool is removed on failure, so there is "
-                "nothing to resume from)"
-            )
-        self.faults = faults
         self._ledger = None
         self._stage_counters = None
 
@@ -321,13 +228,14 @@ class ShardedExecutor:
         """Execute all tasks; returns a :class:`ShardedResult`.
 
         ``sink`` streams the graph to disk during generation exactly as
-        with the in-memory engines: same serial plan order, same chunk
+        with the in-memory engine: same plan order, same chunk
         geometry, byte-identical files.
         """
+        options = self.options
         order = build_task_graph(
             self.schema, self.scale
         ).topological_order()
-        spool_dir = self.spool_dir
+        spool_dir = options.spool_dir
         owns_spool = spool_dir is None
         if owns_spool:
             spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
@@ -338,36 +246,33 @@ class ShardedExecutor:
             self.schema, self.scale, self.seed, self.shard_rows,
             self._sink_format(sink),
         )
-        if self.resume:
-            self._ledger = CheckpointLedger.load(
-                spool.directory, fingerprint
-            )
-        else:
-            self._ledger = CheckpointLedger.fresh(
-                spool.directory, fingerprint
-            )
+        open_ledger = (
+            CheckpointLedger.load if options.resume
+            else CheckpointLedger.fresh
+        )
+        self._ledger = open_ledger(spool.directory, fingerprint)
         self._stage_counters = {"count": 0, "structure": 0}
-        pool = ShardPool(self.backend, self.workers,
-                         retries=self.retries, backoff=self.backoff)
-        plan = _faults.as_plan(self.faults)
+        pool = ShardPool(options.backend, options.workers,
+                         retries=options.retries, backoff=self.backoff)
+        plan = _faults.as_plan(options.faults)
         previous_plan = _faults.install_plan(plan)
-        pmap_attached = False
+        # Export formatting dominates wall time; worker processes
+        # format the sinks' chunks too (results re-assembled in order,
+        # so bytes are unchanged).
+        pmap_attached = (
+            options.backend == "process" and hasattr(sink, "pmap")
+        )
         try:
             try:
-                if sink is not None:
-                    sink.begin(result)
-                    if self.backend == "process" and hasattr(sink, "pmap"):
-                        pmap_attached = True
-                        # Export formatting dominates wall time; route
-                        # the sinks' per-chunk formatting through the
-                        # same pool (results re-assembled in order, so
-                        # bytes are unchanged).
-                        sink.pmap = pool.ordered_map
-                for task in order:
-                    self._apply(task, result, structures, spool, pool)
-                    export_task_output(task, sink)
-                if sink is not None:
-                    sink.finish()
+                if pmap_attached:
+                    sink.pmap = pool.ordered_map
+                walk(
+                    order,
+                    lambda task: self._apply(
+                        task, result, structures, spool, pool
+                    ),
+                    result, sink,
+                )
                 spool.write_manifests()
             except BaseException:
                 # A stage raised mid-run: the spool holds half-written
@@ -382,7 +287,7 @@ class ShardedExecutor:
             if pmap_attached:
                 sink.pmap = None
             _faults.install_plan(previous_plan)
-            if plan is not None and plan is not self.faults:
+            if plan is not None and plan is not options.faults:
                 # as_plan() compiled this plan (string or env spec) and
                 # with it a private fired-state tempdir; a caller-built
                 # FaultPlan stays the caller's to clean up.
@@ -564,8 +469,11 @@ class ShardedExecutor:
             n_tail, n_head = table.num_tail_nodes, table.num_head_nodes
             del table
         else:
-            n_tail, n_head = self._match_streaming(
+            self._match_streaming(
                 task, edge, handle, tail_count, head_count, spool, pool,
+            )
+            n_tail, n_head = matched_id_space(
+                edge, handle, tail_count, head_count
             )
             match = None
         spool.drop_scratch(f"structure.{edge.name}")
@@ -600,11 +508,7 @@ class ShardedExecutor:
         tail_map, head_map = matching_maps(
             edge, self.seed, task.task_id, handle, tail_count, head_count
         )
-        n_tail = len(tail_map)
-        n_head = (
-            handle.num_head_nodes if head_map is None else len(head_map)
-        )
-        if self.backend == "process" and handle.num_edges:
+        if self.options.backend == "process" and handle.num_edges:
             tail_map, head_map = spill_maps(
                 spool.spiller(f"match.{edge.name}"), tail_map, head_map
             )
@@ -614,9 +518,8 @@ class ShardedExecutor:
             if handle.num_edges else [],
             (handle, tail_map, head_map), spool, pool,
         )
-        return n_tail, n_head
 
 
 def execute_sharded(schema, scale, seed=0, sink=None, **kwargs):
-    """One-call convenience mirroring ``execute_parallel``."""
+    """One-call form of :class:`ShardedExecutor`."""
     return ShardedExecutor(schema, scale, seed, **kwargs).run(sink=sink)

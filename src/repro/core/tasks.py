@@ -15,13 +15,13 @@ task bodies now live here in three functional layers:
   dependencies out of the partially-built :class:`PropertyGraph` in the
   coordinating process.
 * **integration** — ``apply_task``, which composes extraction, kernel
-  and result storage for the serial path; the parallel executor uses
-  the same extraction/kernel pieces but runs kernels in a worker pool.
+  and result storage for one task, and :func:`walk`, the one loop
+  every batch run drives its plan through (see DESIGN.md).
 
 Property kernels additionally accept an id *range*: generating rows
 ``[start, stop)`` with the full-table stream is bit-identical to the
-corresponding slice of single-shot generation, which is what lets the
-executor shard large property tables across workers (see DESIGN.md).
+corresponding slice of single-shot generation, which is what lets a
+run fill a large property table shard by shard across workers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from ..prng import RandomStream, derive_seed
 from ..properties.registry import create_property_generator
 from ..structure.registry import create_generator
-from ..tables import PropertyTable
+from ..tables import EdgeTable, PropertyTable
 from .dependency import DependencyError
 from .matching import (
     bipartite_sbm_part_match,
@@ -51,6 +51,7 @@ __all__ = [
     "match_edge",
     "match_inputs",
     "match_prepare",
+    "matched_id_space",
     "matching_maps",
     "property_inputs",
     "property_refs",
@@ -59,6 +60,7 @@ __all__ = [
     "resolve_count",
     "store_task_output",
     "structure_inputs",
+    "walk",
 ]
 
 #: structures-dict key prefix for match-prepare outputs (stream
@@ -69,9 +71,7 @@ _PREP_KEY = "__match_prep__:"
 # -- kernels (picklable inputs; safe to run in worker processes) -------------
 
 
-def property_shard_values(
-    spec, task_id, seed, start, stop, dep_slices=(), out=None
-):
+def property_shard_values(spec, task_id, seed, start, stop, dep_slices=()):
     """Values of the id range ``[start, stop)`` of one property table.
 
     ``dep_slices`` are the dependency columns *aligned with the range*
@@ -81,24 +81,12 @@ def property_shard_values(
     outputs is bit-identical to single-shot generation — including the
     dtype when the range is empty, which the generator's
     ``output_dtype`` governs via its empty ``run_many`` result.
-
-    ``out`` is an optional preallocated buffer view for the range
-    (shared-memory backends only): generators that declare
-    ``supports_out`` fill it in place, so the executor assembles a
-    sharded table without a concatenation copy.  Generators without
-    the flag — e.g. third-party PGs — transparently fall back to the
-    allocating path, with the result copied into ``out`` here.
     """
     generator = create_property_generator(spec.name, **spec.params)
     stream = RandomStream(derive_seed(seed, task_id))
     ids = np.arange(start, stop, dtype=np.int64)
     deps = [np.asarray(col) for col in dep_slices]
-    if out is None:
-        return generator.run_many(ids, stream, *deps)
-    if getattr(generator, "supports_out", False):
-        return generator.run_many(ids, stream, *deps, out=out)
-    out[:] = generator.run_many(ids, stream, *deps)
-    return out
+    return generator.run_many(ids, stream, *deps)
 
 
 def property_values_at(spec, task_id, seed, ids, dep_slices=()):
@@ -133,9 +121,8 @@ def match_prepare(seed, edge_name, structure, counts_tables=None):
     ``match:<edge>`` stream) and builds the streaming kernel's
     :class:`~repro.core.matching.kernel.MatchPrep` — CSR adjacency,
     arrival positions, cold-prefix length and (on the numpy path) the
-    later-neighbour counts tables.  Because it is pure and picklable,
-    the parallel executor runs it in a worker as soon as the structure
-    exists, overlapping it with the rest of the DAG.
+    later-neighbour counts tables.  It is its own plan task so the
+    matching step proper starts from a prepared stream.
     """
     from .matching.kernel import prepare_match_stream, resolve_impl
 
@@ -222,6 +209,21 @@ def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
     return tail_map, head_map
 
 
+def matched_id_space(edge, structure, tail_count, head_count):
+    """``(num_tail_nodes, num_head_nodes)`` a permutation-matched edge
+    table declares.
+
+    The maps of :func:`matching_maps` land anywhere in the endpoint
+    types' instance ranges, however few nodes the structure has, so
+    the id space is the instance counts — except for the heads of a
+    strict-cardinality edge, which keep their structure ids and
+    *define* the head instances.
+    """
+    if edge.is_strict:
+        return tail_count, structure.num_head_nodes
+    return tail_count, head_count
+
+
 def match_edge(
     edge,
     seed,
@@ -264,9 +266,18 @@ def match_edge(
         tail_map, head_map = matching_maps(
             edge, seed, task_id, structure, tail_count, head_count
         )
-        if head_map is None:
-            head_map = np.arange(structure.num_head_nodes, dtype=np.int64)
-        return structure.relabeled(tail_map, head_map), None
+        num_tail_nodes, num_head_nodes = matched_id_space(
+            edge, structure, tail_count, head_count
+        )
+        heads = structure.heads
+        return EdgeTable(
+            structure.name,
+            tail_map[structure.tails],
+            heads if head_map is None else head_map[heads],
+            num_tail_nodes=num_tail_nodes,
+            num_head_nodes=num_head_nodes,
+            directed=structure.directed,
+        ), None
 
     stream = RandomStream(derive_seed(seed, task_id))
     corr = edge.correlation
@@ -442,8 +453,8 @@ def property_inputs(schema, task, result):
 def dep_slice(dep, start, stop):
     """The rows ``[start, stop)`` of one :func:`property_inputs`
     dependency descriptor — the one place a dependency becomes a
-    column, for the serial loop (the whole range), the DAG executor's
-    shards and the sharded workers alike."""
+    column, for a single whole-table call and for every shard of a
+    pooled fill, resident or spooled."""
     kind = dep[0]
     if kind == "range":
         return dep[1].read_range(start, stop)
@@ -526,8 +537,8 @@ _EXPORT_EVENTS = {
 def export_task_output(task, sink):
     """Announce one completed task to a streaming export sink.
 
-    Both engines call this in *serial plan order* — each task only
-    after every plan-order predecessor has completed — which is the
+    :func:`walk` calls this in *plan order* — each task only after
+    every plan-order predecessor has completed — which is the
     ordering guarantee sinks rely on to flush record-oriented files at
     the earliest correct moment (see
     :class:`repro.io.streaming.GraphSink`).  The sink reads the task's
@@ -542,8 +553,27 @@ def export_task_output(task, sink):
         sink.on_table(event, task.subject)
 
 
+def walk(order, apply, result, sink=None):
+    """Drive one batch run: every task of ``order``, in plan order.
+
+    ``apply(task)`` runs the task and stores its output in ``result``
+    — resident tables for the in-memory engine, spooled ones out of
+    core — and the sink, when there is one, hears about each task as
+    soon as it is stored.  Storage is the only thing that varies
+    between batch runs; this loop is the only one there is.
+    """
+    if sink is not None:
+        sink.begin(result)
+    for task in order:
+        apply(task)
+        export_task_output(task, sink)
+    if sink is not None:
+        sink.finish()
+
+
 def apply_task(task, schema, scale, seed, result, structures):
-    """Run one task inline and integrate it — the serial engine's step."""
+    """Run one task inline, whole, and integrate it in resident
+    tables."""
     if task.kind == "count":
         output = resolve_count(schema, scale, task, structures)
     elif task.kind in ("property", "edge_property"):

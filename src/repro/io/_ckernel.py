@@ -14,11 +14,10 @@ around it, so handler threads and pool workers share one library.
 from __future__ import annotations
 
 import ctypes
-import functools
 
 import numpy as np
 
-from ..core.ccompile import ckernels_disabled, compile_cached
+from ..core.ccompile import ckernels_disabled, load_once  # noqa: F401
 
 __all__ = ["load_text_ckernel", "format_rows"]
 
@@ -91,29 +90,21 @@ _KIND = {"i": (0, np.int64), "u": (1, np.uint64), "b": (2, np.bool_)}
 _INT_WIDTH = {1: 5, 2: 6, 4: 11, 8: 20}
 
 
-@functools.cache
-def load_text_ckernel():
-    """The compiled library, or ``None`` when unavailable.
-
-    One compile attempt per process; any failure (no compiler,
-    refused cache directory, sandboxed subprocess) falls back to
-    ``None`` for good so the Python formatters take over silently.
-    """
-    if ckernels_disabled():
-        return None
-    try:
-        lib = compile_cached(_SOURCE, "textkernel")
-    except Exception:
-        return None
-    if lib is not None:
-        lib.format_rows.restype = ctypes.c_int64
-        lib.format_rows.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
-            ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_int32),
-            ctypes.c_char, ctypes.c_char_p, ctypes.c_void_p,
-        ]
+def _declared(lib):
+    lib.format_rows.restype = ctypes.c_int64
+    lib.format_rows.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
+        ctypes.POINTER(ctypes.c_void_p),
+        ctypes.POINTER(ctypes.c_int32),
+        ctypes.c_char, ctypes.c_char_p, ctypes.c_void_p,
+    ]
     return lib
+
+
+#: ``load_text_ckernel()``: the compiled library, or ``None`` when
+#: unavailable (one attempt per process; the Python formatters take
+#: over silently).
+load_text_ckernel = load_once(_SOURCE, "textkernel", _declared)
 
 
 def format_rows(start, columns, sep, term, forbidden=""):

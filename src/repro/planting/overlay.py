@@ -157,10 +157,7 @@ class OverlayPropertyTable(PropertyRows):
 
     def gather(self, instance_ids):
         wanted = np.asarray(instance_ids, dtype=np.int64)
-        if hasattr(self._base, "gather"):
-            out = np.asarray(self._base.gather(wanted))
-        else:
-            out = np.asarray(self._base.values)[wanted]
+        out = np.asarray(self._base.gather(wanted))
         pos = np.searchsorted(self._ids, wanted)
         pos = np.minimum(pos, self._ids.size - 1)
         hit = self._ids[pos] == wanted
@@ -226,12 +223,7 @@ class AppendedPropertyTable(PropertyRows):
         out = np.empty(ids.size, dtype=self.dtype)
         base_mask = ids < self._base_len
         if base_mask.any():
-            base_ids = ids[base_mask]
-            if hasattr(self._base, "gather"):
-                got = self._base.gather(base_ids)
-            else:
-                got = np.asarray(self._base.values)[base_ids]
-            out[base_mask] = got
+            out[base_mask] = self._base.gather(ids[base_mask])
         if (~base_mask).any():
             out[~base_mask] = self._extra[
                 ids[~base_mask] - self._base_len

@@ -37,7 +37,7 @@ import os
 
 import numpy as np
 
-from ..core.ccompile import ckernels_disabled, compile_cached
+from ..core.ccompile import load_once
 
 __all__ = ["load_property_ckernel", "resolve_impl"]
 
@@ -202,24 +202,8 @@ class _PropertyCKernel:
         return codes, offsets
 
 
-_LOADED = False
-_KERNEL = None
-
-
-def _load():
-    """One compile attempt per process; ``None`` on any failure."""
-    global _LOADED, _KERNEL
-    if not _LOADED:
-        _LOADED = True
-        if not ckernels_disabled():
-            try:
-                lib = compile_cached(_SOURCE, "propkernel")
-                _KERNEL = (
-                    _PropertyCKernel(lib) if lib is not None else None
-                )
-            except Exception:
-                _KERNEL = None
-    return _KERNEL
+#: One compile attempt per process; ``None`` on any failure.
+_load = load_once(_SOURCE, "propkernel", _PropertyCKernel)
 
 
 def load_property_ckernel():

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.engine import GraphGenerator
+from ..core.run import RunOptions, execute
 from ..core.schema import (
     Cardinality,
     CorrelationSpec,
@@ -627,9 +628,7 @@ def compile_scenario(spec, scale=None, seed=None):
 
 def run_scenario(compiled, workers=1, out_dir=None, formats=None,
                  chunk_size=None, compress=None, validate=True,
-                 shard_rows=None, memory_budget=None,
-                 backend="thread", spool_dir=None, resume=False,
-                 retries=0, faults=None):
+                 **run_options):
     """Generate, export, and grade a compiled scenario.
 
     Parameters
@@ -638,7 +637,7 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         a :class:`CompiledScenario` (or anything
         :func:`compile_scenario` accepts).
     workers:
-        process-pool size; output is bit-identical for any value.
+        pool size; output is bit-identical for any value.
     out_dir:
         export directory; ``None`` skips export.  The first format
         streams *during* generation, remaining formats export from the
@@ -647,29 +646,20 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         override the recipe's ``export`` block.
     validate:
         run the graded audit (returns ``None`` report when False).
-    shard_rows, memory_budget:
-        either one switches to the out-of-core
-        :class:`~repro.core.sharded.ShardedExecutor`: the whole
-        pipeline runs per id-range shard with disk-spooled tables, so
-        peak memory is bounded by the shard size instead of the graph
-        size (byte-identical output; see docs/scaling.md).  The graded
+    shard_rows, memory_budget, backend, spool_dir, resume, retries, faults:
+        the remaining :class:`~repro.core.run.RunOptions`.
+        ``shard_rows``, ``memory_budget`` or ``resume=True`` switch to
+        the out-of-core run: the whole pipeline runs per id-range shard
+        with disk-spooled tables, so peak memory is bounded by the
+        shard size instead of the graph size (byte-identical output;
+        see docs/scaling.md and docs/robustness.md).  The others only
+        apply there and raise ``ValueError`` elsewhere.  The graded
         audit materialises the graph, so pass ``validate=False`` for
         graphs that genuinely do not fit in memory.
-    backend:
-        sharded worker backend, ``"thread"`` (default) or
-        ``"process"`` — processes sidestep the GIL for CPU-bound
-        pipelines and also parallelise export formatting; output
-        bytes are identical either way.
-    spool_dir, resume, retries, faults:
-        fault-tolerance controls for sharded mode, passed through to
-        :class:`~repro.core.sharded.ShardedExecutor`: an explicit
-        spool (preserved on failure), checkpoint resume from it,
-        per-shard retry budget, and a deterministic fault plan (see
-        docs/robustness.md).  ``resume=True`` implies sharded mode.
 
     Returns ``(graph, report, written)`` — the generated
     :class:`~repro.core.result.PropertyGraph` (a
-    :class:`~repro.core.sharded.ShardedResult` in sharded mode), the
+    :class:`~repro.core.sharded.ShardedResult` out of core), the
     :class:`~repro.scenarios.report.GradedReport` (or ``None``), and
     the list of written export paths.
     """
@@ -677,36 +667,17 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
 
     from ..io import export_graph, make_sink
 
+    options = RunOptions(workers=workers, **run_options)
     if not isinstance(compiled, CompiledScenario):
         compiled = compile_scenario(compiled)
     spec = compiled.spec
     formats = list(formats or spec.export_formats or ["csv"])
-    chunk_size = (
+    chunk_size = options.export_chunk_size(
         spec.export_chunk_size if chunk_size is None else chunk_size
     )
     compress = (
         spec.export_compress if compress is None else compress
     )
-    sharded = (shard_rows is not None or memory_budget is not None
-               or resume)
-    executor = None
-    if sharded:
-        from ..core.sharded import ShardedExecutor
-
-        executor = ShardedExecutor(
-            compiled.schema, compiled.scale, seed=compiled.seed,
-            shard_rows=shard_rows, memory_budget=memory_budget,
-            workers=workers, backend=backend, spool_dir=spool_dir,
-            resume=resume, retries=retries, faults=faults,
-        )
-        # Export chunks must not exceed the shard size, or the sink
-        # would pull whole-table slices back into memory.  Chunk size
-        # never changes output bytes, so this keeps byte-identity.
-        from ..io import DEFAULT_CHUNK_SIZE
-
-        chunk_size = min(
-            chunk_size or DEFAULT_CHUNK_SIZE, executor.shard_rows
-        )
     plants = list(getattr(compiled, "plants", []) or [])
     written = []
     sink = None
@@ -722,10 +693,9 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
             formats[0], primary_dir,
             chunk_size=chunk_size, compress=compress,
         )
-    if sharded:
-        graph = executor.run(sink=sink)
-    else:
-        graph = compiled.generator(workers=workers).generate(sink=sink)
+    graph = execute(
+        compiled.schema, compiled.scale, compiled.seed, options, sink
+    )
     if plants:
         from ..planting import plan_plants, planted_graph
 
@@ -774,7 +744,8 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         # The audit computes whole-table statistics (joints, degree
         # histograms), so it needs in-memory tables.
         target = (
-            graph.materialize() if sharded or plants else graph
+            graph.materialize() if options.out_of_core or plants
+            else graph
         )
         report = run_graded(
             target, compiled.graded_checks,

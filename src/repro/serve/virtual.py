@@ -65,6 +65,7 @@ from ..core.tasks import (
     correlated_tables,
     is_correlated,
     match_edge,
+    matched_id_space,
     matching_maps,
     property_values_at,
     resolve_count,
@@ -84,8 +85,11 @@ class _EdgeState(StructureHandle):
     (:class:`~repro.planting.overlay.OverlayEdgeTable`) asks of its
     base table."""
 
-    def __init__(self, source, tail_map=None, head_map=None):
+    def __init__(self, source, tail_map=None, head_map=None,
+                 id_space=None):
         super().__init__(**source.metadata())
+        if id_space is not None:
+            self.num_tail_nodes, self.num_head_nodes = id_space
         self._source = source
         self._tail_map = tail_map
         self._head_map = head_map
@@ -268,7 +272,7 @@ class VirtualGraph:
         # query-time allocation stays O(page + chunk).
         return _EdgeState(source, *spill_maps(
             self._spool.spiller(f"match.{name}"), tail_map, head_map
-        ))
+        ), matched_id_space(edge, source, tail_count, head_count))
 
     def _build_correlated_state(self, edge, source, tail_count,
                                 head_count):

@@ -233,17 +233,38 @@ class TestOutOfCoreOnlyFlags:
             ],
         }
 
+    #: the same four options as ``run_scenario`` keyword arguments.
+    KWARGS = {
+        "--backend": {"backend": "process"},
+        "--spool-dir": {"spool_dir": "spool"},
+        "--retries": {"retries": 2},
+        "--inject-faults": {"faults": "property:0:crash"},
+    }
+
     @pytest.mark.parametrize("flag", FLAGS, ids=lambda f: f[0])
     @pytest.mark.parametrize(
-        "command", ["generate", "scenario run", "scenario validate"]
+        "command",
+        ["generate", "scenario run", "scenario validate", "library"],
     )
     def test_rejected_in_memory_mode(self, command, flag, tmp_path,
                                      capsys):
-        argv = self._commands(tmp_path)[command] + flag
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
+        """One refusal, one wording: argparse prints it for the CLI,
+        ``run_scenario`` raises it for library callers."""
+        if command == "library":
+            from repro.scenarios import run_scenario
+
+            with pytest.raises(ValueError) as excinfo:
+                run_scenario(
+                    "name: tiny\nnodes: {T: {}}\nscale: {T: 5}\n",
+                    out_dir=tmp_path / "out", **self.KWARGS[flag[0]],
+                )
+            err = str(excinfo.value)
+        else:
+            argv = self._commands(tmp_path)[command] + flag
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
         assert f"{flag[0]} only applies to out-of-core mode" in err
         for enabler in ("--shard-rows", "--memory-budget", "--resume"):
             assert enabler in err

@@ -4,12 +4,17 @@ regenerates any id range of a property table from the seed alone."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import GeneratorSpec, GraphGenerator
-from repro.core.executor import shard_ranges
 from repro.core.tasks import property_shard_values
 from repro.datasets import social_network_schema
+
+
+def shard_ranges(count, num_shards):
+    """``range(count)`` cut into ``num_shards`` contiguous ranges
+    (empty ones when ``num_shards > count``)."""
+    cuts = [count * i // num_shards for i in range(num_shards + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def sharded_values(spec, qualified_name, count, seed, num_shards,
@@ -23,25 +28,6 @@ def sharded_values(spec, qualified_name, count, seed, num_shards,
         )
         for start, stop in shard_ranges(count, num_shards)
     ])
-
-
-class TestShardRanges:
-    def test_covers_everything(self):
-        ranges = shard_ranges(10, 3)
-        assert ranges == [(0, 4), (4, 7), (7, 10)]
-
-    def test_single_shard(self):
-        assert shard_ranges(5, 1) == [(0, 5)]
-
-    def test_more_shards_than_items(self):
-        ranges = shard_ranges(2, 4)
-        sizes = [stop - start for start, stop in ranges]
-        assert sum(sizes) == 2
-        assert len(ranges) == 4
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            shard_ranges(10, 0)
 
 
 class TestInPlaceGeneration:

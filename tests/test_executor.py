@@ -1,8 +1,9 @@
-"""Tests for the shard-parallel DAG executor.
+"""Tests for ``workers=N`` over the in-memory engine.
 
 The acceptance bar: ``generate(workers=k)`` is bit-identical to the
 serial engine for every task kind — count, property, structure, match,
-edge_property — for ``k`` in {1, 2, 4}, across backends.  The
+edge_property — for ``k`` in {1, 2, 4}, with every property table cut
+into several shards (``DEFAULT_SHARD_ROWS`` patched small).  The
 determinism matrix at the bottom extends the contract to IO: streamed
 exports are byte-equal for every (workers, chunk_size, format)
 combination.
@@ -20,13 +21,17 @@ from repro.core import (
     GeneratorSpec,
     GraphGenerator,
     NodeType,
-    ParallelExecutor,
     PropertyDef,
+    RunOptions,
     Schema,
     SchemaError,
-    execute_parallel,
+    ShardedError,
+    execute,
+    run,
 )
 from repro.datasets import social_network_schema
+from repro.properties.base import PropertyGenerator
+from repro.properties.registry import register_property_generator
 
 
 def assert_graphs_identical(expected, actual):
@@ -62,6 +67,12 @@ def assert_graphs_identical(expected, actual):
                 assert np.array_equal(mine, getattr(other, attr)), key
 
 
+@pytest.fixture(autouse=True)
+def small_shards(monkeypatch):
+    """Several shards per table at test sizes."""
+    monkeypatch.setattr(run, "DEFAULT_SHARD_ROWS", 64)
+
+
 @pytest.fixture(scope="module")
 def social_serial():
     """Serial reference output exercising every task kind: scale and
@@ -78,26 +89,30 @@ class TestBitIdentity:
         self, social_serial, workers
     ):
         schema = social_network_schema(num_countries=8)
-        graph = ParallelExecutor(
-            schema, {"Person": 400}, seed=23,
-            workers=workers, shard_size=64,
-        ).run()
+        graph = execute(
+            schema, {"Person": 400}, 23, RunOptions(workers=workers)
+        )
         assert_graphs_identical(social_serial, graph)
 
-    def test_thread_backend(self, social_serial):
-        schema = social_network_schema(num_countries=8)
-        graph = ParallelExecutor(
-            schema, {"Person": 400}, seed=23,
-            workers=4, shard_size=64, backend="thread",
-        ).run()
-        assert_graphs_identical(social_serial, graph)
+    def test_tables_really_are_filled_in_shards(self, monkeypatch):
+        from repro.core import engine
 
-    def test_one_worker_is_the_serial_engine(self, social_serial):
-        schema = social_network_schema(num_countries=8)
-        graph = ParallelExecutor(
-            schema, {"Person": 400}, seed=23, workers=1,
-        ).run()
-        assert_graphs_identical(social_serial, graph)
+        calls = []
+        kernel = engine.property_shard_values
+        monkeypatch.setattr(
+            engine, "property_shard_values",
+            lambda *args: calls.append(args[3:5]) or kernel(*args),
+        )
+        schema = Schema(node_types=[NodeType("T", properties=[
+            PropertyDef("x", "long", GeneratorSpec(
+                "uniform_int", {"low": 0, "high": 9}
+            )),
+        ])])
+        GraphGenerator(schema, {"T": 150}, workers=2).generate()
+        assert calls == [(0, 64), (64, 128), (128, 150)]
+        del calls[:]
+        GraphGenerator(schema, {"T": 64}, workers=2).generate()
+        assert calls == []  # one shard: the single apply_task call
 
     def test_generator_workers_flag(self, social_serial):
         schema = social_network_schema(num_countries=8)
@@ -168,9 +183,9 @@ class TestBitIdentity:
         schema = Schema(node_types=[person, item], edge_types=[likes])
         scale = {"Person": 120, "Item": 120}
         serial = GraphGenerator(schema, scale, seed=4).generate()
-        parallel = execute_parallel(
-            schema, scale, seed=4, workers=workers, shard_size=32
-        )
+        parallel = GraphGenerator(
+            schema, scale, seed=4, workers=workers
+        ).generate()
         assert_graphs_identical(serial, parallel)
 
     def test_edge_count_anchor(self):
@@ -203,38 +218,11 @@ class TestBitIdentity:
             ],
         )
         serial = GraphGenerator(schema, {"e": 1000}, seed=6).generate()
-        parallel = execute_parallel(
-            schema, {"e": 1000}, seed=6, workers=2, shard_size=50
-        )
+        parallel = GraphGenerator(
+            schema, {"e": 1000}, seed=6, workers=2
+        ).generate()
         assert_graphs_identical(serial, parallel)
         assert parallel.num_edges("e") == 1000
-
-
-class TestSharding:
-    def test_plan_shards_respects_workers_and_size(self):
-        executor = ParallelExecutor(
-            Schema(node_types=[NodeType("T")]), {"T": 1},
-            workers=4, shard_size=100,
-        )
-        assert executor._plan_shards(0) == [(0, 0)]
-        assert executor._plan_shards(50) == [(0, 50)]
-        assert len(executor._plan_shards(250)) == 3
-        assert len(executor._plan_shards(100_000)) == 4  # capped by workers
-        ranges = executor._plan_shards(399)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 399
-
-    def test_shards_are_contiguous_and_nonempty(self):
-        executor = ParallelExecutor(
-            Schema(node_types=[NodeType("T")]), {"T": 1},
-            workers=8, shard_size=10,
-        )
-        for count in (1, 7, 79, 81):
-            ranges = executor._plan_shards(count)
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == count
-            for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-                assert start == stop
-            assert all(stop > start for start, stop in ranges)
 
 
 #: chunk sizes of the determinism matrix: a tiny chunk (many boundary
@@ -330,30 +318,32 @@ class TestExportDeterminismMatrix:
                 compressed_reference[path.name], path.name
 
 
+class _Exploding(PropertyGenerator):
+    name = "executor_test_exploding"
+
+    def parameter_names(self):
+        return set()
+
+    def run_many(self, ids, stream, *deps):
+        if len(ids) and ids[0] >= 64:
+            raise RuntimeError("kernel exploded")
+        return np.zeros(len(ids), dtype=np.int64)
+
+
 class TestValidation:
     @pytest.mark.parametrize("backend", ["mpi", "serial"])
     def test_rejects_bad_backend(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            ParallelExecutor(
-                Schema(node_types=[NodeType("T")]), {"T": 1},
-                backend=backend,
-            )
+            RunOptions(shard_rows=8, backend=backend)
 
     def test_rejects_bad_workers(self):
+        schema = Schema(node_types=[NodeType("T")])
         with pytest.raises(ValueError, match="workers"):
-            ParallelExecutor(
-                Schema(node_types=[NodeType("T")]), {"T": 1}, workers=0
-            )
+            GraphGenerator(schema, {"T": 1}, workers=0)
         with pytest.raises(ValueError, match="workers"):
-            GraphGenerator(
-                Schema(node_types=[NodeType("T")]), {"T": 1}, workers=0
-            )
-
-    def test_rejects_bad_shard_size(self):
-        with pytest.raises(ValueError, match="shard_size"):
-            ParallelExecutor(
-                Schema(node_types=[NodeType("T")]), {"T": 1}, shard_size=0
-            )
+            GraphGenerator(schema, {"T": 1}).generate(workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            RunOptions(workers=0)
 
     def test_schema_errors_propagate(self):
         schema = Schema(
@@ -362,4 +352,14 @@ class TestValidation:
             ],
         )
         with pytest.raises(SchemaError, match="no property generator"):
-            execute_parallel(schema, {"T": 5}, workers=2)
+            GraphGenerator(schema, {"T": 5}, workers=2).generate()
+
+    def test_kernel_failure_carries_the_worker_traceback(self, registries):
+        register_property_generator(_Exploding)
+        schema = Schema(node_types=[NodeType("T", properties=[
+            PropertyDef("x", "long", GeneratorSpec(_Exploding.name, {})),
+        ])])
+        with pytest.raises(ShardedError, match="exploded") as info:
+            GraphGenerator(schema, {"T": 200}, workers=2).generate()
+        assert info.value.shard == 1
+        assert "run_many" in info.value.worker_traceback

@@ -1,13 +1,17 @@
 """One behaviour under four front ends.
 
-The serial engine, the DAG-parallel executor, the out-of-core sharded
+The in-memory engine (one worker or several), the out-of-core sharded
 executor and the serving layer plan through ``build_task_graph``, hold
 structures through ``repro.core.structures`` and derive matching maps
-through ``tasks.matching_maps``.  These tests pin the shared pieces
-directly and check that every front end surfaces the same errors.
+through ``tasks.matching_maps``; the batch runs share one plan walk.
+These tests pin the shared pieces directly and check that every front
+end surfaces the same errors and the same bytes.
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +22,11 @@ from repro.core import (
     GeneratorSpec,
     GraphGenerator,
     NodeType,
-    ParallelExecutor,
+    PropertyGraph,
     Schema,
     SchemaError,
     ShardedExecutor,
+    run as run_module,
 )
 from repro.core.structures import (
     SpilledStructure,
@@ -37,32 +42,51 @@ from repro.core.tasks import (
     matching_maps,
 )
 from repro.datasets import social_network_schema
+from repro.io import export_graph, make_sink
 from repro.io.spool import TableSpool
 from repro.prng import derive_seed
+from repro.scenarios import compile_scenario, load_zoo, run_scenario
 from repro.serve import VirtualGraph
 from repro.stats import Zipf
 
 
-def _serial(schema, scale):
-    GraphGenerator(schema, scale, seed=1).generate()
+def _sink(out):
+    return None if out is None else make_sink("csv", out, chunk_size=32)
 
 
-def _dag(schema, scale):
-    ParallelExecutor(
-        schema, scale, seed=1, workers=2, backend="thread"
-    ).run()
+def _serial(schema, scale, out=None):
+    GraphGenerator(schema, scale, seed=1).generate(sink=_sink(out))
 
 
-def _sharded(schema, scale):
-    ShardedExecutor(schema, scale, seed=1, shard_rows=64).run().cleanup()
+def _pooled(schema, scale, out=None):
+    GraphGenerator(schema, scale, seed=1, workers=2).generate(
+        sink=_sink(out)
+    )
 
 
-def _served(schema, scale):
-    VirtualGraph(schema, scale, seed=1).warm().close()
+def _sharded(schema, scale, out=None):
+    ShardedExecutor(schema, scale, seed=1, shard_rows=64).run(
+        sink=_sink(out)
+    ).cleanup()
+
+
+def _served(schema, scale, out=None):
+    served = VirtualGraph(schema, scale, seed=1).warm()
+    try:
+        if out is not None:
+            # The tables a client pages through, exported as they are.
+            graph = PropertyGraph(schema, 1)
+            graph.node_counts.update(served.node_counts)
+            for name in schema.edge_types:
+                graph.edge_tables[name] = served._edge_state(name)
+            export_graph(graph, _sink(out))
+    finally:
+        served.close()
 
 
 FRONT_ENDS = {
-    "serial": _serial, "dag": _dag, "sharded": _sharded, "served": _served,
+    "serial": _serial, "pooled": _pooled, "sharded": _sharded,
+    "served": _served,
 }
 front_ends = pytest.mark.parametrize(
     "run", FRONT_ENDS.values(), ids=FRONT_ENDS.keys()
@@ -163,6 +187,38 @@ class TestMatchingSizeMismatch:
             run(mono_schema(), {"Person": 10, "knows": 5000})
 
 
+class TestFewerStructureNodesThanInstances:
+    """A permutation matching lands a small structure anywhere in the
+    endpoint types' id space, which is therefore what the matched
+    table declares (the serial engine used to declare the structure's
+    size and trip its own id-space check)."""
+
+    SCHEMA = Schema(
+        node_types=[NodeType("P")],
+        edge_types=[EdgeType(
+            "k", "P", "P",
+            structure=GeneratorSpec("erdos_renyi", {"p": 0.05}),
+        )],
+    )
+    SCALE = {"P": 200, "k": 100}
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fewer-nodes")
+        _serial(self.SCHEMA, self.SCALE, out)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files["k.csv"].count(b"\n") == 91  # header + 90 edges
+        assert b'"num_tail_nodes": 200' in files["manifest.json"]
+        return files
+
+    @front_ends
+    def test_same_bytes_everywhere(self, run, reference, tmp_path):
+        run(self.SCHEMA, self.SCALE, tmp_path)
+        assert {
+            p.name: p.read_bytes() for p in tmp_path.iterdir()
+        } == reference
+
+
 #: (schema, structure size, handle type) per permutation branch of
 #: ``matching_maps``; the last one is a sequential generator, held
 #: spilled instead of re-emitted.
@@ -224,3 +280,60 @@ class TestMatchingMapsContract:
         assert len(tail_map) == expected.num_tail_nodes
         assert (head_map is None) == edge.is_strict
         assert (head_map is tail_map) == (branch.startswith("mono"))
+
+
+class TestOneWalk:
+    def test_walk_is_the_only_sink_driver_in_core(self):
+        """Every batch run goes through ``tasks.walk``: nothing else
+        in ``repro.core`` begins or finishes a sink, and nothing else
+        announces a task to one."""
+        core = Path(run_module.__file__).parent
+        calls = {
+            (path.name, call)
+            for path in core.rglob("*.py")
+            for call in re.findall(
+                r"\b(sink\.begin|sink\.finish|export_task_output)\(",
+                path.read_text(),
+            )
+        }
+        assert calls == {
+            ("tasks.py", "sink.begin"), ("tasks.py", "sink.finish"),
+            ("tasks.py", "export_task_output"),
+        }
+        text = (core / "tasks.py").read_text()
+        assert text.count("sink.begin(") == text.count("sink.finish(") == 1
+        # its definition and its one call, in walk
+        assert text.count("export_task_output(") == 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_in_memory_workers_equal_sharded_backends(
+        self, workers, sharded_social, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(run_module, "DEFAULT_SHARD_ROWS", 97)
+        compiled = sharded_social["compiled"]
+        run_scenario(
+            compiled, workers=workers, out_dir=tmp_path,
+            formats=["csv"], validate=False,
+        )
+        produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for backend in ("thread", "process"):
+            assert produced == sharded_social[backend], backend
+
+
+@pytest.fixture(scope="module")
+def sharded_social(tmp_path_factory):
+    """The zoo's social network out of core at 97-row shards, once per
+    backend: ``{backend: {file name: bytes}}`` plus the recipe."""
+    compiled = compile_scenario(
+        load_zoo("social_network"), scale={"Person": 600}
+    )
+    exports = {"compiled": compiled}
+    for backend in ("thread", "process"):
+        out = tmp_path_factory.mktemp(f"sharded-{backend}")
+        graph, _, _ = run_scenario(
+            compiled, workers=2, out_dir=out, formats=["csv"],
+            validate=False, shard_rows=97, backend=backend,
+        )
+        graph.cleanup()
+        exports[backend] = {p.name: p.read_bytes() for p in out.iterdir()}
+    return exports

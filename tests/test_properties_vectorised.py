@@ -59,7 +59,7 @@ def property_impl(impl):
 
     previous = os.environ.get("REPRO_PROP_IMPL")
     os.environ["REPRO_PROP_IMPL"] = impl
-    ck._LOADED, ck._KERNEL = False, None
+    ck._load.cache_clear()
     try:
         yield
     finally:
@@ -67,7 +67,7 @@ def property_impl(impl):
             os.environ.pop("REPRO_PROP_IMPL", None)
         else:
             os.environ["REPRO_PROP_IMPL"] = previous
-        ck._LOADED, ck._KERNEL = False, None
+        ck._load.cache_clear()
 
 
 def c_kernel_available():
@@ -275,10 +275,10 @@ class TestImplSelection:
 
         with property_impl("c"):
             monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-            ck._LOADED, ck._KERNEL = False, None
+            ck._load.cache_clear()
             with pytest.raises(RuntimeError, match="no C kernel"):
                 ck.resolve_impl()
-            ck._LOADED, ck._KERNEL = False, None
+            ck._load.cache_clear()
 
 
 STOCHASTIC_PARAMS = {

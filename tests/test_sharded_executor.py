@@ -32,7 +32,7 @@ from repro.core.schema import (
     PropertyDef,
     Schema,
 )
-from repro.core.sharded import shard_rows_for_budget
+from repro.core.run import shard_rows_for_budget
 from repro.io import (
     TableSpool,
     export_graph,
