@@ -384,7 +384,7 @@ def _parse_scale(entries):
 
 
 def _cmd_generate(args):
-    from .core import execute
+    from .core import SchemaError, execute
     from .core.dsl import load_schema
     from .io import make_sink
 
@@ -408,7 +408,10 @@ def _cmd_generate(args):
         chunk_size=options.export_chunk_size(args.chunk_size),
         compress=args.compress,
     )
-    graph = execute(schema, scale, args.seed, options, sink)
+    try:
+        graph = execute(schema, scale, args.seed, options, sink)
+    except SchemaError as exc:
+        raise SystemExit(f"schema error: {exc}") from None
     summary = graph.summary()
     if options.out_of_core and options.spool_dir is None:
         graph.cleanup()
@@ -660,6 +663,7 @@ def _cmd_scenario_run(args, export=True):
 
 
 def _cmd_scenario(args):
+    from .core import SchemaError
     from .scenarios import ScenarioError
 
     handlers = {
@@ -670,11 +674,12 @@ def _cmd_scenario(args):
     }
     try:
         return handlers[args.scenario_command](args)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, SchemaError, OSError) as exc:
         raise SystemExit(f"scenario error: {exc}") from None
 
 
 def _cmd_serve(args):
+    from .core import SchemaError
     from .scenarios import ScenarioError, compile_scenario
     from .serve import (
         VirtualGraph,
@@ -687,14 +692,14 @@ def _cmd_serve(args):
         compiled = compile_scenario(
             spec, scale=_parse_scale(args.scale), seed=args.seed
         )
-    except (ScenarioError, OSError) as exc:
+        graph = VirtualGraph.from_scenario(
+            compiled, spool_dir=args.spool_dir,
+            chunk_rows=args.chunk_rows,
+        )
+    except (ScenarioError, SchemaError, OSError) as exc:
         raise SystemExit(f"scenario error: {exc}") from None
     import threading
 
-    graph = VirtualGraph.from_scenario(
-        compiled, spool_dir=args.spool_dir,
-        chunk_rows=args.chunk_rows,
-    )
     try:
         # Bind before warming so the chosen port is printed (and
         # /healthz answers) immediately; data routes serve 503 with

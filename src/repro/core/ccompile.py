@@ -1,9 +1,12 @@
 """Shared compile-and-cache helper for optional C inner loops.
 
-Three subsystems embed a C hot loop and call it through ``ctypes``: the
+Five units embed a C hot loop and call it through ``ctypes``: the
 streaming-placement matcher (``core/matching/_ckernel.py``), the
-attribute-generation kernels (``properties/_ckernel.py``) and the export
-row formatter (``io/_ckernel.py``).  All follow the same zero-install
+attribute-generation kernels (``properties/_ckernel.py``), the export
+row formatter (``io/_ckernel.py``), the stream permutation
+(``prng/_ckernel.py``) and the stub-pairing loops of the configuration
+model and LFR (``structure/_ckernel.py``, which includes the PRNG
+unit's C text).  All follow the same zero-install
 contract — compile with the system ``cc`` on first use into a per-user
 cache, and fall back to numpy / Python silently on any failure — so the
 machinery lives here once.

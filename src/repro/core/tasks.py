@@ -380,7 +380,9 @@ def structure_inputs(schema, scale, seed, task, node_counts):
     anchor is inverted through ``get_num_nodes`` ("use the result to
     size the graph structure and the number of Persons"); otherwise the
     tail type's instance count is used.  ``get_num_nodes`` is stateless,
-    so sizing here and generating in a worker stays bit-identical.
+    so sizing here and generating in a worker stays bit-identical.  A
+    size the generator cannot produce is a :class:`SchemaError` naming
+    the edge type, from every front end.
     """
     edge = schema.edge_type(task.subject)
     if edge.structure is None:
@@ -388,13 +390,16 @@ def structure_inputs(schema, scale, seed, task, node_counts):
             f"edge type {edge.name!r}: no structure generator declared"
         )
     sg_seed = derive_seed(seed, task.task_id)
+    generator = create_generator(
+        edge.structure.name, seed=sg_seed, **edge.structure.params
+    )
     if edge.name in scale:
-        generator = create_generator(
-            edge.structure.name, seed=sg_seed, **edge.structure.params
-        )
         n = generator.get_num_nodes(int(scale[edge.name]))
     else:
         n = node_counts[edge.tail_type]
+    problem = generator.node_count_problem(n)
+    if problem:
+        raise SchemaError(f"{edge.name}: {generator.name} {problem}")
     return edge.structure, sg_seed, n
 
 

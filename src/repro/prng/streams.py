@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._ckernel import load_prng_ckernel
 from .splitmix import GOLDEN_GAMMA, hash_string, mix64, splitmix64
 
 __all__ = ["RandomStream", "derive_seed"]
@@ -227,10 +228,18 @@ class RandomStream:
     def permutation(self, n):
         """Deterministic permutation of ``range(n)`` (Fisher-Yates).
 
-        This is the one operation that is inherently sequential; it is used
-        only for experiment set-up (random arrival order), never inside the
-        in-place generation path.
+        The one inherently sequential stream operation (swap ``pos``
+        reads what swap ``pos + 1`` wrote), and it is on every run's
+        path: the stub shuffles of ``lfr`` / ``configuration`` /
+        ``bipartite_configuration``, ``one_to_one``, the matching maps
+        and the match arrival orders all call it.  The loop runs
+        compiled when a C compiler is available
+        (:mod:`repro.prng._ckernel`); the Python loop below is the
+        fallback and the oracle the kernel is tested against.
         """
+        kernel = load_prng_ckernel()
+        if kernel is not None:
+            return kernel.permutation(self.seed, n)
         perm = np.arange(n, dtype=np.int64)
         # Vectorised draw of all swap targets first, then apply.
         idx = np.arange(n - 1, 0, -1, dtype=np.int64)

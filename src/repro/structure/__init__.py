@@ -4,6 +4,11 @@ Every generator referenced by the paper's Table 1 is implemented here
 from scratch on numpy edge arrays: RMAT, LFR, BTER, Darwini, plus the
 standard baselines (Erdős–Rényi, configuration model, Barabási–Albert,
 Watts–Strogatz, SBM) and the strict-cardinality operators of Section 5.
+
+``lfr`` and ``configuration`` run their stub-pairing loops compiled
+when a C compiler is available (``_ckernel.py``; same edges either
+way).  That makes them faster, not chunkable: both are still
+*sequential, whole-table* generators (docs/scaling.md).
 """
 
 from .attributed import AttributedResult, AttributedSbmGenerator

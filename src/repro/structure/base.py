@@ -378,6 +378,13 @@ class StructureGenerator:
     def _generate(self, n, stream):
         raise NotImplementedError
 
+    def node_count_problem(self, n):
+        """Why this configuration cannot generate ``n`` nodes — a
+        clause that reads after the generator's name — or ``None``.
+        The engines ask before generating so the error can name the
+        edge type (:func:`repro.core.tasks.structure_inputs`)."""
+        return None
+
     def expected_edges_for_nodes(self, n):
         """Expected edge count of ``run(n)``; used by the default
         :meth:`get_num_nodes`.  Override for generators with a known

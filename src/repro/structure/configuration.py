@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._ckernel import load_structure_ckernel
 from .base import StructureGenerator, edge_table_from_pairs, ensure_even_sum
 from ..stats import Empirical
 
@@ -66,8 +67,17 @@ def pair_stubs_with_repair(degrees, stream, rounds=3):
     (prescribed minus realised degree) is re-paired; accumulated edges
     are globally deduplicated.  Converges quickly: dense communities in
     LFR recover most of their prescribed degree in 2-3 rounds.
+
+    Runs compiled when a C compiler is available
+    (:mod:`repro.structure._ckernel`, same pairs in the same order);
+    the numpy rounds below are the fallback.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
+    kernel = load_structure_ckernel()
+    if kernel is not None:
+        pairs = kernel.pair_stubs_with_repair(degrees, stream.seed, rounds)
+        if pairs is not None:
+            return pairs
     n = degrees.size
     realised = np.zeros(n, dtype=np.int64)
     seen = None

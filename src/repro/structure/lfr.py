@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._ckernel import load_structure_ckernel
 from .base import StructureGenerator
 from .configuration import pair_stubs_with_repair
 from .degree_sequences import powerlaw_degree_sequence
@@ -112,6 +113,14 @@ class LFR(StructureGenerator):
         if p.get("max_degree", 50) < 1:
             raise ValueError("max_degree must be >= 1")
 
+    def node_count_problem(self, n):
+        # The degree power law is capped at n - 1 and no cut-off of a
+        # capped law has a mean above the cap.
+        avg_degree = self._params.get("avg_degree", 20)
+        if 0 < n <= avg_degree:
+            return f"needs more than avg_degree={avg_degree} nodes, got {n}"
+        return None
+
     # -- pipeline pieces -----------------------------------------------------
 
     def _community_sizes(self, n, stream):
@@ -123,15 +132,16 @@ class LFR(StructureGenerator):
             return np.array([n], dtype=np.int64)
         tau2 = self._params.get("tau2", 1.0)
         dist = PowerLaw(tau2, cmin, cmax)
-        sizes = []
-        total = 0
-        draw = 0
-        while total < n:
-            size = int(dist.sample_values(stream, np.int64(draw)))
-            sizes.append(size)
-            total += size
-            draw += 1
-        overshoot = total - n
+        # Draw i is a pure function of i and every size is >= cmin, so
+        # one batch of ceil(n / cmin) draws always reaches n; keep the
+        # prefix up to the first running total >= n.
+        drawn = dist.sample_values(
+            stream, np.arange(-(-n // cmin), dtype=np.int64)
+        )
+        totals = np.cumsum(drawn)
+        count = int(np.searchsorted(totals, n)) + 1
+        sizes = drawn[:count].tolist()
+        overshoot = int(totals[count - 1]) - n
         # Shave the overshoot off the last community; merge it into the
         # previous one if that pushes it below the minimum size.
         sizes[-1] -= overshoot
@@ -147,11 +157,23 @@ class LFR(StructureGenerator):
         size ``> d``.  Nodes are processed by decreasing internal degree;
         communities sorted by decreasing size, so the eligible set is a
         growing prefix.  Sampling within the prefix is proportional to
-        remaining capacity via a Fenwick tree (O(log C) per draw).
+        remaining capacity via a Fenwick tree (O(log C) per draw) —
+        compiled when a C compiler is available, the Python walk below
+        otherwise (and whenever the kernel declines: it raises the
+        exhaustion error).
         """
         n = internal_degrees.size
         order_c = np.argsort(-sizes, kind="stable")
         sorted_sizes = sizes[order_c]
+        order_n = np.argsort(-internal_degrees, kind="stable")
+        kernel = load_structure_ckernel()
+        if kernel is not None:
+            assignment = kernel.lfr_assign(
+                order_n, internal_degrees, sorted_sizes, order_c,
+                stream.seed,
+            )
+            if assignment is not None:
+                return assignment
         capacities = sorted_sizes.astype(np.int64).copy()
         num_c = sizes.size
 
@@ -184,7 +206,6 @@ class LFR(StructureGenerator):
                 bit >>= 1
             return pos  # 0-based community index in sorted order
 
-        order_n = np.argsort(-internal_degrees, kind="stable")
         assignment = np.empty(n, dtype=np.int64)
         opened = 0
         u = stream.uniform(np.arange(n, dtype=np.int64))
@@ -224,27 +245,14 @@ class LFR(StructureGenerator):
         internal = np.maximum(internal, 0)
         external = degrees - internal
 
-        pair_chunks = []
         # Per-community configuration model on internal stubs.
         comm_order = np.argsort(assignment, kind="stable")
         boundaries = np.searchsorted(
             assignment[comm_order], np.arange(sizes.size + 1)
         )
-        for c in range(sizes.size):
-            members = comm_order[boundaries[c]:boundaries[c + 1]]
-            if members.size < 2:
-                continue
-            local_deg = internal[members].copy()
-            if int(local_deg.sum()) % 2 == 1:
-                # Drop one stub from the largest-degree member.
-                top = int(np.argmax(local_deg))
-                if local_deg[top] > 0:
-                    local_deg[top] -= 1
-            local_pairs = pair_stubs_with_repair(
-                local_deg, stream.substream(f"intra{c}")
-            )
-            if local_pairs.size:
-                pair_chunks.append(members[local_pairs])
+        pair_chunks = self._wire_communities(
+            comm_order, boundaries, internal, stream
+        )
 
         # Global configuration model on external stubs.
         ext = external.copy()
@@ -268,6 +276,37 @@ class LFR(StructureGenerator):
         )
         return table.deduplicated()
 
+    @staticmethod
+    def _wire_communities(comm_order, boundaries, internal, stream):
+        """Internal pairs of every community, as a list of ``(m, 2)``
+        node-id chunks in community order: one compiled call over all
+        communities when the kernel loads, one
+        ``pair_stubs_with_repair`` per community otherwise."""
+        kernel = load_structure_ckernel()
+        if kernel is not None:
+            pairs = kernel.lfr_intra(
+                comm_order, boundaries, internal, stream.seed
+            )
+            if pairs is not None:
+                return [pairs]
+        pair_chunks = []
+        for c in range(boundaries.size - 1):
+            members = comm_order[boundaries[c]:boundaries[c + 1]]
+            if members.size < 2:
+                continue
+            local_deg = internal[members].copy()
+            if int(local_deg.sum()) % 2 == 1:
+                # Drop one stub from the largest-degree member.
+                top = int(np.argmax(local_deg))
+                if local_deg[top] > 0:
+                    local_deg[top] -= 1
+            local_pairs = pair_stubs_with_repair(
+                local_deg, stream.substream(f"intra{c}")
+            )
+            if local_pairs.size:
+                pair_chunks.append(members[local_pairs])
+        return pair_chunks
+
     # -- SG contract -----------------------------------------------------------
 
     def run_with_labels(self, n):
@@ -276,6 +315,9 @@ class LFR(StructureGenerator):
         if n == 0:
             empty = EdgeTable(self.name, [], [], num_tail_nodes=0)
             return LfrResult(empty, np.empty(0, dtype=np.int64))
+        problem = self.node_count_problem(n)
+        if problem:
+            raise ValueError(f"{self.name} {problem}")
         from ..prng import RandomStream
 
         stream = RandomStream(self.seed, f"sg.{self.name}")

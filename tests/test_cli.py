@@ -184,14 +184,29 @@ class TestBoundaryErrors:
           "Person=-5"], "TYPE=COUNT"),
         (["generate", "{missing}", "--out", "{out}"],
          "cannot read schema"),
+        (["generate", "{lfr}", "--out", "{out}", "--scale", "Person=12"],
+         "schema error: knows: lfr needs more than avg_degree=18 "
+         "nodes, got 12"),
+        (["scenario", "run", "social_network", "--scale", "Person=12",
+          "--out", "{out}"],
+         "scenario error: knows: lfr needs more than avg_degree=18 "
+         "nodes, got 12"),
+        (["serve", "social_network", "--scale", "Person=12",
+          "--port", "0"],
+         "scenario error: knows: lfr needs more than avg_degree=18 "
+         "nodes, got 12"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):
         schema_path = tmp_path / "tiny.dsl"
         schema_path.write_text(DSL)
+        lfr_path = tmp_path / "lfr.dsl"
+        lfr_path.write_text(DSL.replace(
+            "erdos_renyi_m(edges_per_node=3)", "lfr(avg_degree=18)"
+        ))
         argv = [
             arg.format(dsl=schema_path, missing=tmp_path / "no.dsl",
-                       out=tmp_path / "o")
+                       lfr=lfr_path, out=tmp_path / "o")
             for arg in argv
         ]
         with pytest.raises(SystemExit) as excinfo:

@@ -71,8 +71,9 @@ def _sharded(schema, scale, out=None):
 
 
 def _served(schema, scale, out=None):
-    served = VirtualGraph(schema, scale, seed=1).warm()
+    served = VirtualGraph(schema, scale, seed=1)
     try:
+        served.warm()
         if out is not None:
             # The tables a client pages through, exported as they are.
             graph = PropertyGraph(schema, 1)
@@ -185,6 +186,19 @@ class TestMatchingSizeMismatch:
                   "10 instances",
         ):
             run(mono_schema(), {"Person": 10, "knows": 5000})
+
+
+class TestGeneratorCannotMakeThatManyNodes:
+    @front_ends
+    def test_lfr_smaller_than_its_average_degree(self, run):
+        """The error names the edge type and the constraint, not the
+        degree sampler's internals."""
+        with pytest.raises(
+            SchemaError,
+            match="^knows: lfr needs more than avg_degree=18 nodes, "
+                  "got 12$",
+        ):
+            run(mono_schema("lfr", avg_degree=18), {"Person": 12})
 
 
 class TestFewerStructureNodesThanInstances:

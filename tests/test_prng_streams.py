@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.prng import RandomStream, derive_seed
+from repro.prng import RandomStream, derive_seed, streams
 
 
 class TestRandomStreamCore:
@@ -93,6 +93,14 @@ class TestSubstreams:
 
 
 class TestPermutation:
+    @pytest.fixture(autouse=True, params=["compiled", "python"])
+    def path(self, request, monkeypatch):
+        """Both bodies (the compiled one where a kernel loads)."""
+        if request.param == "python":
+            monkeypatch.setattr(
+                streams, "load_prng_ckernel", lambda: None
+            )
+
     def test_is_permutation(self, stream):
         perm = stream.permutation(500)
         assert np.array_equal(np.sort(perm), np.arange(500))
