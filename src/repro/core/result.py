@@ -140,6 +140,21 @@ class PropertyGraph:
             table.tails, table.heads, codes, k=int(codes.max()) + 1
         )
 
+    def materialize(self):
+        """A plain in-memory graph with every table resident —
+        spooled tables loaded, overlays resolved, virtual ones
+        computed (tables that already are resident are shared)."""
+        graph = PropertyGraph(self.schema, self.seed)
+        graph.node_counts.update(self.node_counts)
+        graph.match_results.update(self.match_results)
+        for key, table in self.node_properties.items():
+            graph.node_properties[key] = table.to_property_table()
+        for key, table in self.edge_tables.items():
+            graph.edge_tables[key] = table.to_edge_table()
+        for key, table in self.edge_properties.items():
+            graph.edge_properties[key] = table.to_property_table()
+        return graph
+
     def summary(self):
         """Counts per type — a quick shape check."""
         return {

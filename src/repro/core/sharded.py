@@ -20,8 +20,9 @@ any shard size and worker count, by construction rather than by luck:
   engine runs, over spooled instead of resident tables;
 * chunkable structure generators (R-MAT raw, ER, SBM, 1→*) emit their
   ``run()`` output in chunks via the first-class
-  :class:`~repro.structure.base.EdgeChunkStream` protocol, held as a
-  :mod:`~repro.core.structures` handle (the serving layer pages the
+  :class:`~repro.structure.base.EdgeChunkStream` protocol — an
+  :class:`~repro.tables.ranged.EdgeRows` like every stored table,
+  opened by :mod:`~repro.core.structures` (the serving layer pages the
   same handles);
 * permutation matchings relabel chunk-by-chunk through
   :func:`~repro.core.tasks.matching_maps`, the function the serial
@@ -66,16 +67,17 @@ from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
 from .run import RunOptions
 from .structures import (
+    MatchedEdges,
     StructureHandle,
-    emit_matched,
+    metadata,
     open_structure,
     spill_maps,
 )
 from .tasks import (
-    correlated_tables,
     dep_slice,
     is_correlated,
     match_edge,
+    match_inputs,
     matched_id_space,
     matching_maps,
     property_inputs,
@@ -108,13 +110,11 @@ def _property_shard_part(spool, key, index, bound, spec, task_id, seed,
     return spool.save_property_part(index, key, values)
 
 
-def _relabel_shard_part(spool, key, index, bound, handle, tail_map,
-                        head_map):
+def _relabel_shard_part(spool, key, index, bound, matched):
     """One edge shard: chunk emission + relabel to spool (any worker)."""
     _faults.fire("match", index)
     _faults.fire("shard", index)
-    tails, heads = emit_matched(handle, *bound, tail_map, head_map)
-    return spool.save_edge_part(index, key, tails, heads)
+    return spool.save_edge_part(index, key, *matched.read_range(*bound))
 
 
 # -- result -------------------------------------------------------------------
@@ -125,27 +125,15 @@ class ShardedResult(PropertyGraph):
 
     Tables are :class:`~repro.io.spool.SpooledPropertyTable` /
     :class:`~repro.io.spool.SpooledEdgeTable` — same streaming
-    interface, bounded memory.  :meth:`materialize` loads everything
-    into a plain :class:`PropertyGraph` for global consumers
-    (validation, joint diagnostics); :meth:`cleanup` removes the spool
-    directory once the result is no longer needed.
+    interface, bounded memory.  The inherited :meth:`materialize`
+    loads everything into a plain :class:`PropertyGraph` for global
+    consumers (validation, joint diagnostics); :meth:`cleanup` removes
+    the spool directory once the result is no longer needed.
     """
 
     def __init__(self, schema, seed, spool):
         super().__init__(schema, seed)
         self.spool = spool
-
-    def materialize(self):
-        graph = PropertyGraph(self.schema, self.seed)
-        graph.node_counts.update(self.node_counts)
-        for key, table in self.node_properties.items():
-            graph.node_properties[key] = table.to_property_table()
-        for key, table in self.edge_tables.items():
-            graph.edge_tables[key] = table.to_edge_table()
-        for key, table in self.edge_properties.items():
-            graph.edge_properties[key] = table.to_property_table()
-        graph.match_results.update(self.match_results)
-        return graph
 
     def cleanup(self):
         """Delete the spool directory (invalidates the tables)."""
@@ -417,7 +405,7 @@ class ShardedExecutor:
             spool.spiller(f"structure.{task.subject}"),
         )
         structures[task.subject] = handle
-        self._ledger.record_structure(task.subject, handle.metadata())
+        self._ledger.record_structure(task.subject, metadata(handle))
 
     def _restore_match(self, edge, result, spool):
         """Adopt a completed edge table from the spool (resume path):
@@ -450,13 +438,8 @@ class ShardedExecutor:
             # ack prefix from a crashed run is discarded, not resumed.
             self._ledger.reset_table(edge.name)
             table, match = match_edge(
-                edge, self.seed, task.task_id, handle.to_edge_table(),
-                tail_count, head_count,
-                *correlated_tables(edge, lambda type_name, prop: (
-                    result.node_properties[
-                        f"{type_name}.{prop}"
-                    ].to_property_table()
-                )),
+                seed=self.seed, task_id=task.task_id,
+                **match_inputs(self.schema, task, result, structures),
             )
             for index, (_, tails, heads) in enumerate(
                 table.iter_chunks(spool.shard_rows)
@@ -516,7 +499,7 @@ class ShardedExecutor:
             edge.name, "edge", None, _relabel_shard_part,
             spool.shard_bounds(handle.num_edges)
             if handle.num_edges else [],
-            (handle, tail_map, head_map), spool, pool,
+            (MatchedEdges(handle, tail_map, head_map),), spool, pool,
         )
 
 

@@ -3,23 +3,26 @@
 The out-of-core executor and the serving layer both need a generated
 structure's *metadata* (for derived counts and matching maps) and any
 *id range* of its edges on demand, but never the whole edge table in
-RAM.  This module is the one place that decides how a structure is
-held — :func:`open_structure` — and the one class hierarchy both front
-ends page it through:
+RAM.  A structure is therefore held as an
+:class:`~repro.tables.ranged.EdgeRows` — the row-range table protocol
+every stored table answers — and this module is the one place that
+decides which one, :func:`open_structure`:
 
-* chunkable generators re-emit any range from the seed
-  (:class:`StreamStructure`); nothing is stored;
+* chunkable generators re-emit any range from the seed: the
+  generator's own :class:`~repro.structure.base.EdgeChunkStream` is
+  the handle, nothing is stored;
 * sequential generators are the documented global stage: the table is
   materialised once, spilled to the spool and memory-mapped
   (:class:`SpilledStructure`);
 * a resumed run that adopts a finished edge table from the spool only
-  needs the recorded metadata (the plain :class:`StructureHandle`).
+  needs the recorded :func:`metadata` (the plain
+  :class:`StructureHandle`).
 
 Final edge ids are the structure's ids pushed through the matching maps
-of :func:`~repro.core.tasks.matching_maps`; :func:`emit_matched` is
-that relabel, shared by the sharded relabel workers and the served
-edge pages.  Handles and spilled maps pickle as spool paths, so worker
-processes page them in place.
+of :func:`~repro.core.tasks.matching_maps`; :class:`MatchedEdges` is
+that relabel as a table, read by the sharded relabel workers one shard
+at a time and by the served edge pages.  Handles and spilled maps
+pickle as spool paths, so worker processes page them in place.
 """
 
 from __future__ import annotations
@@ -27,26 +30,35 @@ from __future__ import annotations
 import numpy as np
 
 from ..structure.registry import create_generator
-from ..tables import EdgeTable
+from ..tables.ranged import EdgeRows
 
 __all__ = [
+    "MatchedEdges",
     "SpilledStructure",
-    "StreamStructure",
     "StructureHandle",
-    "emit_matched",
+    "metadata",
     "open_structure",
     "spill_maps",
 ]
 
 
-class StructureHandle:
-    """Topology metadata of a pre-matching structure.
+def metadata(structure):
+    """The topology metadata of a structure, as the checkpoint ledger
+    records it (``StructureHandle(**metadata(handle))`` round-trips)."""
+    return {
+        "name": structure.name,
+        "num_edges": len(structure),
+        "num_tail_nodes": structure.num_tail_nodes,
+        "num_head_nodes": structure.num_head_nodes,
+        "directed": structure.directed,
+    }
 
-    Quacks like an :class:`~repro.tables.EdgeTable` for the metadata
-    consumers (``resolve_count``, ``matching_maps``) without holding
-    the edge columns.  The base class carries metadata only; the
-    subclasses add edge access.
-    """
+
+class StructureHandle(EdgeRows):
+    """Topology metadata of a pre-matching structure, without its
+    edges (no ``read_range``): enough for the metadata consumers
+    (``resolve_count``, ``matching_maps``).  The subclass adds edge
+    access."""
 
     #: Can any edge range be re-derived from the seed alone?
     random_access = False
@@ -54,92 +66,60 @@ class StructureHandle:
     def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
                  directed):
         self.name = name
-        self.num_edges = int(num_edges)
+        self._num_edges = int(num_edges)
         self.num_tail_nodes = int(num_tail_nodes)
         self.num_head_nodes = int(num_head_nodes)
         self.directed = bool(directed)
 
     def __len__(self):
-        return self.num_edges
-
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"structure {self.name!r} is bipartite; use "
-                "num_tail_nodes / num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    def metadata(self):
-        """The constructor arguments, as the checkpoint ledger records
-        them (``StructureHandle(**handle.metadata())`` round-trips)."""
-        return {
-            "name": self.name,
-            "num_edges": self.num_edges,
-            "num_tail_nodes": self.num_tail_nodes,
-            "num_head_nodes": self.num_head_nodes,
-            "directed": self.directed,
-        }
-
-    def emit(self, lo, hi):
-        """Pre-matching ``(tails, heads)`` of edge ids ``[lo, hi)``."""
-        raise NotImplementedError
-
-    def to_edge_table(self):
-        """The whole structure as an :class:`~repro.tables.EdgeTable`
-        (global stages only)."""
-        raise NotImplementedError
-
-
-class StreamStructure(StructureHandle):
-    """Chunkable generator: ranges re-derived from the seed on demand."""
-
-    def __init__(self, stream, random_access):
-        super().__init__(
-            stream.name, stream.num_edges, stream.num_tail_nodes,
-            stream.num_head_nodes, stream.directed,
-        )
-        self._stream = stream
-        self.random_access = bool(random_access)
-
-    def emit(self, lo, hi):
-        return self._stream.emit(lo, hi)
-
-    def to_edge_table(self):
-        return self._stream.to_edge_table()
+        return self._num_edges
 
 
 class SpilledStructure(StructureHandle):
     """Materialised-once edges, spilled to the spool and memory-mapped."""
 
     def __init__(self, spill, table):
-        super().__init__(
-            table.name, len(table), table.num_tail_nodes,
-            table.num_head_nodes, table.directed,
-        )
+        super().__init__(**metadata(table))
         self._tails = spill("tails", table.tails)
         self._heads = spill("heads", table.heads)
 
-    def emit(self, lo, hi):
+    def read_range(self, start, stop):
+        start, stop = self.check_range(start, stop)
         return (
-            np.asarray(self._tails[lo:hi]),
-            np.asarray(self._heads[lo:hi]),
+            np.asarray(self._tails[start:stop]),
+            np.asarray(self._heads[start:stop]),
         )
 
-    def to_edge_table(self):
-        return EdgeTable(
-            self.name,
-            np.asarray(self._tails),
-            np.asarray(self._heads),
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
+
+class MatchedEdges(EdgeRows):
+    """Final edges of a permutation matching: a structure relabelled,
+    range by range, through its matching maps (``None`` = identity).
+
+    ``id_space`` is the ``(num_tail_nodes, num_head_nodes)`` the final
+    table declares (:func:`~repro.core.tasks.matched_id_space`); it
+    defaults to the structure's own.
+    """
+
+    def __init__(self, structure, tail_map, head_map, id_space=None):
+        self.name = structure.name
+        self.directed = structure.directed
+        self.num_tail_nodes, self.num_head_nodes = id_space or (
+            structure.num_tail_nodes, structure.num_head_nodes
         )
+        self._structure = structure
+        self._tail_map = tail_map
+        self._head_map = head_map
+
+    def __len__(self):
+        return len(self._structure)
+
+    def read_range(self, start, stop):
+        tails, heads = self._structure.read_range(start, stop)
+        if self._tail_map is not None:
+            tails = np.asarray(self._tail_map[tails])
+        if self._head_map is not None:
+            heads = np.asarray(self._head_map[heads])
+        return tails, heads
 
 
 def open_structure(spec, sg_seed, n, chunk_rows, spill):
@@ -152,7 +132,8 @@ def open_structure(spec, sg_seed, n, chunk_rows, spill):
     generator = create_generator(spec.name, seed=sg_seed, **spec.params)
     if generator.chunkable(n):
         stream = generator.run_chunked(n, chunk_rows, spill=spill)
-        return StreamStructure(stream, generator.random_access(n))
+        stream.random_access = generator.random_access(n)
+        return stream
     # Sequential generators are a documented global stage: materialise
     # once, spill to scratch, free.
     return SpilledStructure(spill, generator.run(n))
@@ -171,14 +152,3 @@ def spill_maps(spill, tail_map, head_map):
     elif head_map is not None:
         head_map = spill("head_map", head_map)
     return tail_map, head_map
-
-
-def emit_matched(structure, lo, hi, tail_map, head_map):
-    """Final ``(tails, heads)`` of edge ids ``[lo, hi)``: the structure
-    range relabelled through the matching maps (``None`` = identity)."""
-    tails, heads = structure.emit(lo, hi)
-    if tail_map is not None:
-        tails = np.asarray(tail_map[tails])
-    if head_map is not None:
-        heads = np.asarray(head_map[heads])
-    return tails, heads

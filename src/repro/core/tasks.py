@@ -43,7 +43,6 @@ from .schema import SchemaError
 __all__ = [
     "align_joint",
     "apply_task",
-    "correlated_tables",
     "dep_slice",
     "export_task_output",
     "generate_structure",
@@ -177,9 +176,10 @@ def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
     :func:`match_edge` applies the maps to the whole table, the sharded
     executor to one structure chunk at a time, the serving layer to one
     page.  ``structure`` only needs topology metadata
-    (``num_tail_nodes`` / ``num_head_nodes`` / ``num_nodes``), so a
-    :class:`~repro.core.structures.StructureHandle` works as well as
-    an :class:`~repro.tables.EdgeTable`.
+    (``num_tail_nodes`` / ``num_head_nodes`` / ``num_nodes``), so any
+    :class:`~repro.tables.ranged.EdgeRows` works — a chunk stream, a
+    metadata-only :class:`~repro.core.structures.StructureHandle` — as
+    well as an :class:`~repro.tables.EdgeTable`.
 
     Returns ``(tail_map, head_map)`` — structure node id -> final node
     id per side.  ``head_map`` is ``None`` (identity) for
@@ -467,22 +467,10 @@ def dep_slice(dep, start, stop):
     return dep[1].gather(tails if kind == "tail" else heads)
 
 
-def correlated_tables(edge, column):
-    """-> ``(tail_pt, head_pt)`` a correlated matching step reads.
-
-    ``column(type_name, prop_name)`` fetches one node property table
-    from wherever the caller keeps it (RAM, spool, recomputation);
-    ``head_pt`` is ``None`` for monopartite correlations.
-    """
-    corr = edge.correlation
-    tail_pt = column(edge.tail_type, corr.tail_property)
-    if corr.head_property is None:
-        return tail_pt, None
-    return tail_pt, column(edge.head_type, corr.head_property)
-
-
 def match_inputs(schema, task, result, structures):
-    """-> kwargs for :func:`match_edge` (minus seed/task_id)."""
+    """-> kwargs for :func:`match_edge` (minus seed/task_id).  A
+    correlated matching is a global stage whatever the store, so its
+    structure and property tables are handed over resident."""
     edge = schema.edge_type(task.subject)
     structure = structures[edge.name]
     tail_pt = head_pt = None
@@ -490,7 +478,15 @@ def match_inputs(schema, task, result, structures):
     # property tables, so don't ship them into the kernel (they'd be
     # pickled for nothing on the process backend).
     if is_correlated(edge):
-        tail_pt, head_pt = correlated_tables(edge, result.node_property)
+        corr = edge.correlation
+        structure = structure.to_edge_table()
+        tail_pt = result.node_property(
+            edge.tail_type, corr.tail_property
+        ).to_property_table()
+        if corr.head_property is not None:  # bipartite correlation
+            head_pt = result.node_property(
+                edge.head_type, corr.head_property
+            ).to_property_table()
     return {
         "edge": edge,
         "structure": structure,

@@ -61,14 +61,6 @@ class OverlayEdgeTable(EdgeRows):
             f"base={self._base_len}, extra={self._extra_tails.size})"
         )
 
-    @property
-    def base(self):
-        return self._base
-
-    @property
-    def num_base_edges(self):
-        return self._base_len
-
     def read_range(self, start, stop):
         start, stop = self.check_range(start, stop)
         m = self._base_len
@@ -98,13 +90,6 @@ class OverlayEdgeTable(EdgeRows):
         return counts
 
 
-def _base_dtype(table):
-    dtype = getattr(table, "dtype", None)
-    if dtype is not None:
-        return np.dtype(dtype)
-    return np.asarray(table.values).dtype
-
-
 def apply_overrides(values, start, ids, override_values):
     """Patch ``values`` (rows ``[start, start+len)``) with the sorted
     override ``(ids, override_values)`` pairs that fall inside it,
@@ -128,9 +113,7 @@ class OverlayPropertyTable(PropertyRows):
         self._ids = np.asarray(ids, dtype=np.int64)
         self._values = np.asarray(values)
         self.name = base.name
-        self.dtype = np.promote_types(
-            _base_dtype(base), self._values.dtype
-        )
+        self.dtype = np.promote_types(base.dtype, self._values.dtype)
 
     def __len__(self):
         return len(self._base)
@@ -140,10 +123,6 @@ class OverlayPropertyTable(PropertyRows):
             f"OverlayPropertyTable(name={self.name!r}, "
             f"n={len(self)}, overrides={self._ids.size})"
         )
-
-    @property
-    def base(self):
-        return self._base
 
     def read_range(self, start, stop):
         start, stop = self.check_range(start, stop)
@@ -183,9 +162,7 @@ class AppendedPropertyTable(PropertyRows):
         self._base = base
         self._extra = np.asarray(extra_values)
         self.name = base.name
-        self.dtype = np.promote_types(
-            _base_dtype(base), self._extra.dtype
-        )
+        self.dtype = np.promote_types(base.dtype, self._extra.dtype)
         self._base_len = len(base)
 
     def __len__(self):
@@ -277,8 +254,9 @@ class PlantedGraph(PropertyGraph):
     ``base``
         the unplanted graph (in-memory or sharded).
 
-    ``materialize()`` returns a plain in-memory ``PropertyGraph`` with
-    every overlay resolved; ``cleanup()`` forwards to a sharded base.
+    The inherited ``materialize()`` returns a plain in-memory
+    ``PropertyGraph`` with every overlay resolved; ``cleanup()``
+    forwards to a sharded base.
     """
 
     def __init__(self, base, plan):
@@ -319,31 +297,6 @@ class PlantedGraph(PropertyGraph):
                 self.edge_properties[key] = AppendedPropertyTable(
                     base.edge_properties[key], extra_values
                 )
-
-    def materialize(self):
-        """A plain in-memory graph with every overlay resolved."""
-        base = self.base
-        if hasattr(base, "materialize"):
-            base = base.materialize()
-        graph = PropertyGraph(self.schema, self.seed)
-        graph.node_counts = dict(self.node_counts)
-        graph.match_results = dict(self.match_results)
-        for key, table in self.node_properties.items():
-            if isinstance(table, OverlayPropertyTable):
-                graph.node_properties[key] = table.to_property_table()
-            else:
-                graph.node_properties[key] = base.node_properties[key]
-        for name, table in self.edge_tables.items():
-            if isinstance(table, OverlayEdgeTable):
-                graph.edge_tables[name] = table.to_edge_table()
-            else:
-                graph.edge_tables[name] = base.edge_tables[name]
-        for key, table in self.edge_properties.items():
-            if isinstance(table, AppendedPropertyTable):
-                graph.edge_properties[key] = table.to_property_table()
-            else:
-                graph.edge_properties[key] = base.edge_properties[key]
-        return graph
 
     def cleanup(self):
         if hasattr(self.base, "cleanup"):

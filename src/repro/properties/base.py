@@ -33,13 +33,6 @@ class PropertyGenerator:
     #: Name under which the generator is registered for the DSL.
     name = "abstract"
 
-    #: Whether ``run_many`` accepts a preallocated ``out=`` buffer of
-    #: ``output_dtype`` and fills it in place (the allocation-free
-    #: pipeline contract used by the executor's shard scheduler).
-    #: Third-party generators default to False, so the engine never
-    #: passes ``out=`` to a ``run_many`` that does not declare it.
-    supports_out = False
-
     #: First-class access classification (the property-side twin of the
     #: structure layer's ``emission`` flag; see docs/serving.md).
     #: ``"random"`` generators compute any id subset independently:
@@ -93,12 +86,6 @@ class PropertyGenerator:
             ``r``; implementations call ``stream.uniform(ids)`` etc.).
         dependency_arrays:
             one array per declared dependency, aligned with ``ids``.
-
-        Generators with ``supports_out = True`` additionally accept a
-        keyword-only ``out=`` array of ``output_dtype`` and length
-        ``ids.size``; when given they write values into it (and return
-        it) instead of allocating a fresh array, which lets the engine
-        assemble sharded tables without a concatenation copy.
         """
         raise NotImplementedError
 
@@ -142,18 +129,6 @@ class PropertyGenerator:
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         deps = [np.asarray(col) for col in dependency_arrays]
         return self.run_many(ids, stream, *deps)
-
-    def _out_buffer(self, n, out, dtype=None):
-        """Return ``out`` validated, or a fresh array of ``dtype``."""
-        if out is None:
-            return np.empty(
-                n, dtype=self.output_dtype() if dtype is None else dtype
-            )
-        if out.shape != (n,):
-            raise ValueError(
-                f"out buffer has shape {out.shape}, expected ({n},)"
-            )
-        return out
 
     # -- hooks -----------------------------------------------------------------
 

@@ -82,7 +82,6 @@ class CategoricalGenerator(PropertyGenerator):
     """
 
     name = "categorical"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -126,12 +125,12 @@ class CategoricalGenerator(PropertyGenerator):
         self._cache = (key, cdf, arr)
         return cdf, arr
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         if "values" not in self._params:
             raise ValueError("CategoricalGenerator needs 'values'")
         ids = np.asarray(ids, dtype=np.int64)
         cdf, values_arr = self._tables()
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         return _decode_into(values_arr, cdf, stream.uniform(ids), out)
 
     def output_dtype(self):
@@ -160,7 +159,6 @@ class ConditionalGenerator(PropertyGenerator):
     """
 
     name = "conditional"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -209,7 +207,7 @@ class ConditionalGenerator(PropertyGenerator):
             w = w / w.sum()
         return _value_array(values), np.cumsum(w)
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         if "table" not in self._params:
             raise ValueError("ConditionalGenerator needs 'table'")
         if not dependency_arrays:
@@ -218,7 +216,7 @@ class ConditionalGenerator(PropertyGenerator):
             )
         ids = np.asarray(ids, dtype=np.int64)
         u = stream.uniform(ids)
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         columns = [np.asarray(dep) for dep in dependency_arrays]
         # Factorise rows by dependency key, then all rows of a key
         # share one vectorised draw.  The whole pass runs in C:
@@ -270,7 +268,6 @@ class WeightedDictGenerator(PropertyGenerator):
     """
 
     name = "weighted_dict"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -299,11 +296,11 @@ class WeightedDictGenerator(PropertyGenerator):
         self._cache = (key, cdf, arr)
         return cdf, arr
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         values = self._params.get("values")
         if values is None:
             raise ValueError("WeightedDictGenerator needs 'values'")
         ids = np.asarray(ids, dtype=np.int64)
         cdf, values_arr = self._tables()
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         return _decode_into(values_arr, cdf, stream.uniform(ids), out)

@@ -34,7 +34,6 @@ class DateRangeGenerator(PropertyGenerator):
     """
 
     name = "date_range"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -49,7 +48,7 @@ class DateRangeGenerator(PropertyGenerator):
         if gran not in ("second", "day"):
             raise ValueError("granularity must be 'second' or 'day'")
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         start = self._params.get("start")
         end = self._params.get("end")
         if start is None or end is None:
@@ -59,10 +58,7 @@ class DateRangeGenerator(PropertyGenerator):
         if self._params.get("granularity", "second") == "day":
             np.floor_divide(values, _SECONDS_PER_DAY, out=values)
             np.multiply(values, _SECONDS_PER_DAY, out=values)
-        if out is None:
-            return values
-        out[:] = values
-        return out
+        return values
 
     def output_dtype(self):
         return np.dtype(np.int64)
@@ -79,7 +75,6 @@ class AfterDependencyGenerator(PropertyGenerator):
     """
 
     name = "after_dependency"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -96,7 +91,7 @@ class AfterDependencyGenerator(PropertyGenerator):
     def num_dependencies(self):
         return None  # one or more timestamp dependencies
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         if not dependency_arrays:
             raise ValueError(
                 "AfterDependencyGenerator needs at least one dependency"
@@ -104,7 +99,7 @@ class AfterDependencyGenerator(PropertyGenerator):
         ids = np.asarray(ids, dtype=np.int64)
         # One reduction buffer (doubling as the output) instead of a
         # fresh maximum per dependency.
-        acc = self._out_buffer(ids.size, out)
+        acc = np.empty(ids.size, dtype=self.output_dtype())
         acc[:] = np.asarray(dependency_arrays[0], dtype=np.int64)
         for dep in dependency_arrays[1:]:
             np.maximum(acc, np.asarray(dep, dtype=np.int64), out=acc)

@@ -78,7 +78,6 @@ class LookupGenerator(PropertyGenerator):
     """Map one dependency through a dict (with optional default)."""
 
     name = "lookup"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -92,14 +91,14 @@ class LookupGenerator(PropertyGenerator):
     def num_dependencies(self):
         return 1
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         mapping = self._params.get("mapping")
         if mapping is None:
             raise ValueError("LookupGenerator needs 'mapping'")
         if len(dependency_arrays) != 1:
             raise ValueError("LookupGenerator takes exactly one dependency")
         keys = np.asarray(dependency_arrays[0])
-        out = self._out_buffer(keys.size, out, dtype=object)
+        out = np.empty(keys.size, dtype=object)
         fallback = (
             self._params["default"] if "default" in self._params
             else _MISSING

@@ -28,13 +28,12 @@ class UuidGenerator(PropertyGenerator):
     """
 
     name = "uuid"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
         return {"time_ordered"}
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         ids = np.asarray(ids, dtype=np.int64)
         random_half = stream.raw(ids)
         if bool(self._params.get("time_ordered", False)):
@@ -42,7 +41,7 @@ class UuidGenerator(PropertyGenerator):
                     & np.uint64(2 ** 64 - 1)).tolist()
         else:
             high = stream.substream("high").raw(ids).tolist()
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         out[:] = [
             "%016x%016x" % pair
             for pair in zip(high, random_half.tolist())
@@ -54,16 +53,15 @@ class CompositeKeyGenerator(PropertyGenerator):
     """Keys of the form ``prefix-<id>`` (human-readable surrogate keys)."""
 
     name = "composite_key"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
         return {"prefix"}
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         prefix = str(self._params.get("prefix", "id"))
         ids = np.asarray(ids, dtype=np.int64)
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         stem = prefix + "-"
         out[:] = [stem + s for s in map(str, ids.tolist())]
         return out

@@ -45,8 +45,6 @@ __all__ = ["LEGACY_GENERATORS", "create_legacy_generator"]
 
 
 class LegacyTextGenerator(TextGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         vocab = self._params.get("vocabulary")
         if vocab is None:
@@ -79,8 +77,6 @@ class LegacyTextGenerator(TextGenerator):
 
 
 class LegacyTemplateGenerator(TemplateGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         template = self._params.get("template")
         if template is None:
@@ -95,8 +91,6 @@ class LegacyTemplateGenerator(TemplateGenerator):
 
 
 class LegacyCategoricalGenerator(CategoricalGenerator):
-    supports_out = False
-
     def _cdf(self):
         values = self._params["values"]
         weights = self._params.get("weights")
@@ -121,8 +115,6 @@ class LegacyCategoricalGenerator(CategoricalGenerator):
 
 
 class LegacyConditionalGenerator(ConditionalGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         if "table" not in self._params:
             raise ValueError("ConditionalGenerator needs 'table'")
@@ -153,8 +145,6 @@ class LegacyConditionalGenerator(ConditionalGenerator):
 
 
 class LegacyWeightedDictGenerator(WeightedDictGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         values = self._params.get("values")
         if values is None:
@@ -172,8 +162,6 @@ class LegacyWeightedDictGenerator(WeightedDictGenerator):
 
 
 class LegacyMultiValueGenerator(MultiValueGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         values = self._params.get("values")
         if values is None:
@@ -206,8 +194,6 @@ class LegacyMultiValueGenerator(MultiValueGenerator):
 
 
 class LegacyUuidGenerator(UuidGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         ids = np.asarray(ids, dtype=np.int64)
         random_half = stream.raw(ids)
@@ -223,8 +209,6 @@ class LegacyUuidGenerator(UuidGenerator):
 
 
 class LegacyCompositeKeyGenerator(CompositeKeyGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         prefix = str(self._params.get("prefix", "id"))
         ids = np.asarray(ids, dtype=np.int64)
@@ -235,8 +219,6 @@ class LegacyCompositeKeyGenerator(CompositeKeyGenerator):
 
 
 class LegacyFormulaGenerator(FormulaGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         fn = self._params.get("function")
         if fn is None:
@@ -252,8 +234,6 @@ class LegacyFormulaGenerator(FormulaGenerator):
 
 
 class LegacyLookupGenerator(LookupGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         mapping = self._params.get("mapping")
         if mapping is None:
@@ -275,8 +255,6 @@ class LegacyLookupGenerator(LookupGenerator):
 
 
 class LegacyDateRangeGenerator(DateRangeGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         start = self._params.get("start")
         end = self._params.get("end")
@@ -291,8 +269,6 @@ class LegacyDateRangeGenerator(DateRangeGenerator):
 
 
 class LegacyAfterDependencyGenerator(AfterDependencyGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         if not dependency_arrays:
             raise ValueError(
@@ -309,8 +285,6 @@ class LegacyAfterDependencyGenerator(AfterDependencyGenerator):
 
 
 class LegacyUniformIntGenerator(UniformIntGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         high = self._params.get("high")
         if high is None:
@@ -320,8 +294,6 @@ class LegacyUniformIntGenerator(UniformIntGenerator):
 
 
 class LegacyUniformFloatGenerator(UniformFloatGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         low = float(self._params.get("low", 0.0))
         high = float(self._params.get("high", 1.0))
@@ -330,8 +302,6 @@ class LegacyUniformFloatGenerator(UniformFloatGenerator):
 
 
 class LegacyNormalGenerator(NormalGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         values = stream.normal(
             np.asarray(ids, dtype=np.int64),
@@ -350,8 +320,6 @@ class LegacyNormalGenerator(NormalGenerator):
 
 
 class LegacyZipfIntGenerator(ZipfIntGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         k = self._params.get("k")
         if k is None:
@@ -368,8 +336,6 @@ class LegacyZipfIntGenerator(ZipfIntGenerator):
 
 
 class LegacySequenceGenerator(SequenceGenerator):
-    supports_out = False
-
     def run_many(self, ids, stream, *dependency_arrays):
         start = int(self._params.get("start", 0))
         step = int(self._params.get("step", 1))

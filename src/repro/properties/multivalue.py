@@ -179,7 +179,6 @@ class MultiValueGenerator(PropertyGenerator):
     """
 
     name = "multi_value"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -210,7 +209,7 @@ class MultiValueGenerator(PropertyGenerator):
         return ranks ** (-exponent) if exponent > 0 \
             else np.ones(universe)
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         values = self._params.get("values")
         if values is None:
             raise ValueError("MultiValueGenerator needs 'values'")
@@ -221,7 +220,7 @@ class MultiValueGenerator(PropertyGenerator):
         ids = np.asarray(ids, dtype=np.int64)
         sizes = stream.substream("size").randint(ids, lo, hi + 1)
         pick_stream = stream.substream("picks")
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         if ids.size == 0:
             return out
         seeds = pick_stream.indexed_substream_seeds(ids)

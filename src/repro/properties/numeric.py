@@ -1,9 +1,8 @@
 """Numeric property generators.
 
-Already vectorised pre-rewrite; the batched pass adds the
-allocation-free contract (``supports_out`` buffers, in-place ufuncs on
-the draw arrays) and caches the Zipf cdf across shard calls instead of
-rebuilding it per ``run_many``.
+Already vectorised pre-rewrite; the batched pass works in place on
+the freshly drawn arrays and caches the Zipf cdf across shard calls
+instead of rebuilding it per ``run_many``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class UniformIntGenerator(PropertyGenerator):
     """Uniform integers in ``[low, high)``."""
 
     name = "uniform_int"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -37,18 +35,14 @@ class UniformIntGenerator(PropertyGenerator):
         if high is not None and high <= low:
             raise ValueError("need low < high")
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         high = self._params.get("high")
         if high is None:
             raise ValueError("UniformIntGenerator needs 'high'")
         low = int(self._params.get("low", 0))
-        values = stream.randint(
+        return stream.randint(
             np.asarray(ids, dtype=np.int64), low, int(high)
         )
-        if out is None:
-            return values
-        out[:] = values
-        return out
 
     def output_dtype(self):
         return np.dtype(np.int64)
@@ -58,7 +52,6 @@ class UniformFloatGenerator(PropertyGenerator):
     """Uniform floats in ``[low, high)``."""
 
     name = "uniform_float"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -70,17 +63,14 @@ class UniformFloatGenerator(PropertyGenerator):
         if high <= low:
             raise ValueError("need low < high")
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         low = float(self._params.get("low", 0.0))
         high = float(self._params.get("high", 1.0))
         u = stream.uniform(np.asarray(ids, dtype=np.int64))
         # low + u * span, in place on the freshly drawn array.
         np.multiply(u, high - low, out=u)
         np.add(u, low, out=u)
-        if out is None:
-            return u
-        out[:] = u
-        return out
+        return u
 
     def output_dtype(self):
         return np.dtype(np.float64)
@@ -90,7 +80,6 @@ class NormalGenerator(PropertyGenerator):
     """Gaussian values, optionally clipped."""
 
     name = "normal"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -101,7 +90,7 @@ class NormalGenerator(PropertyGenerator):
         if std <= 0:
             raise ValueError("std must be positive")
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         values = stream.normal(
             np.asarray(ids, dtype=np.int64),
             float(self._params.get("mean", 0.0)),
@@ -116,10 +105,7 @@ class NormalGenerator(PropertyGenerator):
                 np.inf if hi is None else hi,
                 out=values,
             )
-        if out is None:
-            return values
-        out[:] = values
-        return out
+        return values
 
     def output_dtype(self):
         return np.dtype(np.float64)
@@ -129,7 +115,6 @@ class ZipfIntGenerator(PropertyGenerator):
     """Zipf-distributed ranks ``1..k`` (heavy-tailed counts)."""
 
     name = "zipf_int"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -156,7 +141,7 @@ class ZipfIntGenerator(PropertyGenerator):
         self._cache = ((k, exponent), cdf)
         return cdf
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         if self._params.get("k") is None:
             raise ValueError("ZipfIntGenerator needs 'k'")
         codes = np.searchsorted(
@@ -164,10 +149,7 @@ class ZipfIntGenerator(PropertyGenerator):
             stream.uniform(np.asarray(ids, dtype=np.int64)),
             side="right",
         )
-        if out is None:
-            return (codes + 1).astype(np.int64)
-        np.add(codes, 1, out=out)
-        return out
+        return (codes + 1).astype(np.int64)
 
     def output_dtype(self):
         return np.dtype(np.int64)
@@ -180,21 +162,15 @@ class SequenceGenerator(PropertyGenerator):
     """
 
     name = "sequence"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
         return {"start", "step"}
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         start = int(self._params.get("start", 0))
         step = int(self._params.get("step", 1))
-        ids = np.asarray(ids, dtype=np.int64)
-        if out is None:
-            return start + step * ids
-        np.multiply(ids, step, out=out)
-        np.add(out, start, out=out)
-        return out
+        return start + step * np.asarray(ids, dtype=np.int64)
 
     def output_dtype(self):
         return np.dtype(np.int64)

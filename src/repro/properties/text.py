@@ -38,7 +38,6 @@ class TextGenerator(PropertyGenerator):
     """
 
     name = "text"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -92,7 +91,7 @@ class TextGenerator(PropertyGenerator):
         """
         return np.searchsorted(cdf, flat_u, side="right")
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         vocab = self._params.get("vocabulary")
         if vocab is None:
             raise ValueError("TextGenerator needs 'vocabulary'")
@@ -114,7 +113,7 @@ class TextGenerator(PropertyGenerator):
             draws, offsets = word_stream.uniform_ragged(ids, lengths)
             codes = self._word_codes(draws, cdf)
         flat_words = words[codes].tolist()
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         bounds = offsets.tolist()
         join = " ".join
         out[:] = [
@@ -138,7 +137,6 @@ class TemplateGenerator(PropertyGenerator):
     """
 
     name = "template"
-    supports_out = True
     access = "random"
 
     def parameter_names(self):
@@ -153,13 +151,13 @@ class TemplateGenerator(PropertyGenerator):
     def num_dependencies(self):
         return None
 
-    def run_many(self, ids, stream, *dependency_arrays, out=None):
+    def run_many(self, ids, stream, *dependency_arrays):
         template = self._params.get("template")
         if template is None:
             raise ValueError("TemplateGenerator needs 'template'")
         ids = np.asarray(ids, dtype=np.int64)
         columns = [np.asarray(dep) for dep in dependency_arrays]
-        out = self._out_buffer(ids.size, out)
+        out = np.empty(ids.size, dtype=self.output_dtype())
         fmt = template.format
         ids_list = ids.tolist()
         # zip over the arrays (not .tolist()) keeps the numpy scalars

@@ -324,7 +324,6 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         dst = _int_param(params, "dst", None)
         if src is None or dst is None:
             raise _HTTPError(400, "'src' and 'dst' are required")
-        graph.edge_count(name)  # 404 on unknown edge types
         self._send_json({
             "edge_type": name,
             "src": src,
@@ -341,7 +340,6 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         direction = _str_param(
             params, "direction", "both", {"out", "in", "both"}
         )
-        graph.edge_count(name)  # 404 on unknown edge types
         neighbors = graph.neighbors_of(name, node_id, direction)
         lo, hi = self._page(params, neighbors.size)
         self._send_json({

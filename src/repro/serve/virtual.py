@@ -1,26 +1,33 @@
 """The virtual graph: random-access queries straight from a recipe.
 
-A :class:`VirtualGraph` holds *no* node or edge tables.  It resolves a
-schema + scale + seed into metadata (counts, matching maps, structure
-chunk streams) and answers point and page queries by recomputing
-exactly the rows a full :meth:`~repro.core.engine.GraphGenerator.
-generate` run would have produced — byte-identical, because every
-stage it touches is a pure function of ``(seed, indices)``:
+A :class:`VirtualGraph` is the third store under the one plan walk
+(DESIGN.md §3): where the in-memory engine fills a
+:class:`~repro.core.result.PropertyGraph` with resident tables and the
+sharded executor with spooled ones, serving drives the same plan
+through :func:`~repro.core.tasks.walk` and fills ``.graph`` with
+*virtual* tables (:mod:`repro.serve.tables`) — tables that hold no
+rows and answer ``read_range`` / ``gather`` by recomputing exactly the
+rows a full :meth:`~repro.core.engine.GraphGenerator.generate` run
+would have produced.  Byte-identical, because every stage is a pure
+function of ``(seed, indices)``:
 
 * **node properties** — the PG protocol's ``properties_of`` via
   :func:`~repro.core.tasks.property_values_at`, with intra-type
-  dependencies resolved recursively on the queried ids only;
+  dependencies gathered at the queried ids only;
 * **edges** — random-access structure generators re-emit any edge page
   through a :mod:`~repro.core.structures` handle, then the permutation
   maps of :func:`~repro.core.tasks.matching_maps` — the function the
-  serial ``match_edge`` itself calls — relabel the page.  The maps are
-  the documented O(nodes) term; they are spilled to a disk spool and
+  serial ``match_edge`` itself calls — relabel the page
+  (:class:`~repro.core.structures.MatchedEdges`).  The maps are the
+  documented O(nodes) term; they are spilled to a disk spool and
   memory-mapped, so query-time allocation stays O(page + chunk);
 * **edge properties** — the same PG kernel, with ``tail.x``/``head.x``
   dependencies gathered by *recomputing* the endpoint properties at
-  the page's endpoint ids (random access again, no node table);
-* **neighbourhoods / edge-existence** — a bounded scan over the edge
-  pages (O(m) compute, O(chunk) memory).
+  the page's endpoint ids (:func:`~repro.core.tasks.dep_slice`, the
+  sharded run's own);
+* **neighbourhoods / edge-existence** — the bounded page scan of
+  :class:`~repro.tables.ranged.EdgeRows` (O(m) compute, O(chunk)
+  memory).
 
 Two configurations fall back to a documented **spooled** mode — the
 same two global stages the sharded executor has, decided by the same
@@ -32,79 +39,60 @@ once at first touch, spilled, and paged from disk).  The
 :meth:`VirtualGraph.classification` report says which mode each edge
 type is in and why — that is the protocol flag surfaced to clients.
 
-Planted scenarios (a ``plants:`` block in the recipe) are served as a
-bounded overlay: the :func:`~repro.planting.plant.plan_plants` plan is
-a pure function of ``(plants, node counts, base edge counts, seed)``,
-so the serving layer computes the *same* plan the exporters do.
-Appended plant edges occupy the contiguous id range ``[m, m+e)`` after
-the generated block, forced node attributes patch the public
-node-property queries, and dependent edge properties over the
-appended ids are recomputed through the same random-access kernel —
-so ``neighbors_of`` / ``edge_exists`` see the injected patterns and
-every page matches the exported planted world byte for byte.
+Planted scenarios (a ``plants:`` block in the recipe) are served
+through the exporters' own overlay: the constructor feeds
+:func:`~repro.planting.plant.plan_plants` the node counts and base
+edge counts, as :func:`~repro.scenarios.compile.run_scenario` does,
+and wraps the virtual graph with
+:func:`~repro.planting.overlay.planted_graph` — so the appended edge
+block, the forced node attributes and the dependent edge properties
+over the appended ids are the exported planted world's, byte for byte,
+by being the same code.
 """
 
 from __future__ import annotations
 
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from ..core.dependency import build_task_graph
-from ..core.schema import SchemaError
+from ..core.result import PropertyGraph
 from ..core.structures import (
+    MatchedEdges,
     SpilledStructure,
-    StructureHandle,
-    emit_matched,
     open_structure,
     spill_maps,
 )
 from ..core.tasks import (
-    correlated_tables,
     is_correlated,
     match_edge,
+    match_inputs,
     matched_id_space,
     matching_maps,
-    property_values_at,
+    property_inputs,
     resolve_count,
     structure_inputs,
+    walk,
 )
 from ..io.spool import TableSpool
-from ..planting.overlay import OverlayEdgeTable
-from ..tables import PropertyTable
+from ..planting import plan_plants, planted_graph
+from .tables import DeferredEdges, PageMemo, VirtualPropertyTable
 
 __all__ = ["VirtualGraph"]
 
 
-class _EdgeState(StructureHandle):
-    """Final (post-matching) edges of one edge type: a structure
-    handle relabelled through the spilled matching maps.  ``emit``
-    doubles as ``read_range``, which is all the plant overlay
-    (:class:`~repro.planting.overlay.OverlayEdgeTable`) asks of its
-    base table."""
-
-    def __init__(self, source, tail_map=None, head_map=None,
-                 id_space=None):
-        super().__init__(**source.metadata())
-        if id_space is not None:
-            self.num_tail_nodes, self.num_head_nodes = id_space
-        self._source = source
-        self._tail_map = tail_map
-        self._head_map = head_map
-
-    def emit(self, lo, hi):
-        """Final ``(tails, heads)`` of edge ids ``[lo, hi)``."""
-        return emit_matched(
-            self._source, lo, hi, self._tail_map, self._head_map
-        )
-
-    read_range = emit
-
-
 class VirtualGraph:
     """Random-access façade over a compiled scenario (or raw schema).
+
+    The constructor resolves everything that is metadata — node
+    counts, structure handles (a sequential generator runs and spills
+    here), the plant plan — and lays the lazy tables of ``.graph``
+    over it; :meth:`warm` forces the one thing left, the matching
+    state of each edge type, which a query otherwise builds at first
+    touch.  Every query is a bounds check plus ``read_range`` /
+    ``gather`` on ``.graph``'s tables.
 
     Parameters
     ----------
@@ -115,6 +103,8 @@ class VirtualGraph:
         directory by default; :meth:`close` removes it when owned).
     chunk_rows:
         page/scan granularity — the memory unit of every query.
+    plants:
+        the recipe's plant declarations, overlaid as the exporters do.
     """
 
     def __init__(self, schema, scale, seed=0, spool_dir=None,
@@ -129,15 +119,33 @@ class VirtualGraph:
         if spool_dir is None:
             spool_dir = tempfile.mkdtemp(prefix="repro-serve-")
         self._spool = TableSpool(Path(spool_dir), self.chunk_rows)
-        self._lock = threading.RLock()
-        self.node_counts = {}
-        self._sources = {}
-        self._states = {}
+        self._memo = PageMemo()
+        self._structures = {}
+        self._base = PropertyGraph(self.schema, self.seed)
+        self.node_counts = self._base.node_counts
         self.plan = None
         try:
-            self._resolve_topology()
+            walk(
+                build_task_graph(
+                    self.schema, self.scale
+                ).topological_order(),
+                self._apply, self._base,
+            )
             if plants:
-                self._resolve_plants(plants)
+                self.plan = plan_plants(
+                    list(plants), self.node_counts,
+                    {
+                        name: len(table) for name, table
+                        in self._base.edge_tables.items()
+                    },
+                    self.seed,
+                )
+            #: the served world: the virtual tables, under the plant
+            #: overlay when the recipe declares plants.
+            self.graph = (
+                self._base if self.plan is None
+                else planted_graph(self._base, self.plan)
+            )
         except BaseException:
             self.close()
             raise
@@ -164,144 +172,84 @@ class VirtualGraph:
         if self._owns_spool:
             self._spool.cleanup()
 
-    # -- topology (counts + structure metadata, no matching yet) ----------
+    # -- the virtual store: one lazy table per task -------------------------
 
-    def _resolve_topology(self):
-        order = build_task_graph(
-            self.schema, self.scale
-        ).topological_order()
-        for task in order:
-            if task.kind == "count":
-                self.node_counts[task.subject] = resolve_count(
-                    self.schema, self.scale, task, self._sources
-                )
-            elif task.kind == "structure":
-                self._sources[task.subject] = open_structure(
-                    *structure_inputs(
-                        self.schema, self.scale, self.seed, task,
-                        self.node_counts,
-                    ),
-                    self.chunk_rows,
-                    self._spool.spiller(f"structure.{task.subject}"),
-                )
+    def _apply(self, task):
+        """Store one plan task's output in the base graph — the
+        ``apply`` of :func:`~repro.core.tasks.walk`.  Counts and
+        structure handles are resolved now; every table is lazy."""
+        graph, subject = self._base, task.subject
+        if task.kind == "count":
+            graph.node_counts[subject] = resolve_count(
+                self.schema, self.scale, task, self._structures
+            )
+        elif task.kind == "structure":
+            self._structures[subject] = open_structure(
+                *structure_inputs(
+                    self.schema, self.scale, self.seed, task,
+                    graph.node_counts,
+                ),
+                self.chunk_rows,
+                self._spool.spiller(f"structure.{subject}"),
+            )
+        elif task.kind in ("property", "edge_property"):
+            tables = (
+                graph.node_properties if task.kind == "property"
+                else graph.edge_properties
+            )
+            tables[subject] = VirtualPropertyTable(
+                subject, *property_inputs(self.schema, task, graph),
+                task.task_id, self.seed, self._memo,
+            )
+        elif task.kind == "match":
+            graph.edge_tables[subject] = self._deferred_match(task)
+        # match_prepare: skipped, as out of core — match_edge
+        # re-derives the arrival order bit-identically without it.
 
-    # -- planting overlay --------------------------------------------------
-
-    def _resolve_plants(self, plants):
-        """Compute the plant plan against the resolved topology.
-
-        Feeds :func:`~repro.planting.plant.plan_plants` exactly what
-        :func:`~repro.scenarios.compile.run_scenario` feeds it after
-        generation — node counts and *base* edge counts — so the plan
-        (node maps, appended edge block, forced attributes) is
-        identical to the exported one.
-        """
-        from ..planting import plan_plants
-
-        base_counts = {
-            name: source.num_edges
-            for name, source in self._sources.items()
-        }
-        self.plan = plan_plants(
-            list(plants), self.node_counts, base_counts, self.seed
-        )
-
-    def _appended_edges(self, name):
-        """``(tails, heads)`` of the appended plant block (maybe empty)."""
-        if self.plan is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        extra = self.plan.appended.get(name)
-        if extra is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return extra
-
-    def _apply_node_overrides(self, type_name, prop_name, ids, values):
-        """Patch forced plant attributes into a node-property page."""
-        if self.plan is None:
-            return values
-        override = self.plan.overrides.get(f"{type_name}.{prop_name}")
-        if override is None:
-            return values
-        ov_ids, ov_values = override
-        pos = np.searchsorted(ov_ids, ids)
-        pos = np.minimum(pos, ov_ids.size - 1)
-        hit = ov_ids[pos] == ids
-        if not hit.any():
-            return values
-        patched = values.astype(
-            np.promote_types(values.dtype, ov_values.dtype), copy=True
-        )
-        patched[hit] = ov_values[pos[hit]]
-        return patched
-
-    # -- matching state (lazy, thread-safe) --------------------------------
-
-    def _edge_state(self, name):
-        """The final edge table of one type, exactly as the exporters
-        see it: the matched pages (``.base``) with the appended plant
-        block (maybe empty) laid over them."""
-        state = self._states.get(name)
-        if state is not None:
-            return state
-        with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                state = OverlayEdgeTable(
-                    self._build_edge_state(name),
-                    *self._appended_edges(name),
-                )
-                self._states[name] = state
-            return state
-
-    def _build_edge_state(self, name):
-        edge = self.schema.edge_type(name)
-        source = self._sources[name]
+    def _deferred_match(self, task):
+        """The final edge table of one type, its matching deferred."""
+        edge = self.schema.edge_type(task.subject)
+        structure = self._structures[edge.name]
         tail_count = self.node_counts[edge.tail_type]
         head_count = self.node_counts[edge.head_type]
         if is_correlated(edge):
-            return self._build_correlated_state(
-                edge, source, tail_count, head_count
+            # The other global stage: the exact serial kernel, once,
+            # over the raw (pre-override) node columns; the final
+            # table is spilled and paged from disk.
+            def build():
+                table, _ = match_edge(
+                    seed=self.seed, task_id=task.task_id, **match_inputs(
+                        self.schema, task, self._base, self._structures
+                    ),
+                )
+                return SpilledStructure(
+                    self._spool.spiller(f"final.{edge.name}"), table
+                )
+
+            id_space = structure.num_tail_nodes, structure.num_head_nodes
+        else:
+            id_space = matched_id_space(
+                edge, structure, tail_count, head_count
             )
-        tail_map, head_map = matching_maps(
-            edge, self.seed, f"match:{name}", source,
-            tail_count, head_count,
-        )
-        # The maps are the O(nodes) term: always spilled here, so
-        # query-time allocation stays O(page + chunk).
-        return _EdgeState(source, *spill_maps(
-            self._spool.spiller(f"match.{name}"), tail_map, head_map
-        ), matched_id_space(edge, source, tail_count, head_count))
 
-    def _build_correlated_state(self, edge, source, tail_count,
-                                head_count):
-        """Correlated (SBM-Part) matching — the other global stage.
+            # The maps are the O(nodes) term: always spilled here, so
+            # query-time allocation stays O(page + chunk).
+            def build():
+                return MatchedEdges(structure, *spill_maps(
+                    self._spool.spiller(f"match.{edge.name}"),
+                    *matching_maps(
+                        edge, self.seed, task.task_id, structure,
+                        tail_count, head_count,
+                    ),
+                ), id_space)
+        return DeferredEdges(structure, id_space, build, self._memo)
 
-        Runs the exact serial matching kernel once, spills the final
-        table, and pages it from disk; byte-identical to ``generate``
-        because it *is* the serial kernel.
-        """
-        table, _ = match_edge(
-            edge, self.seed, f"match:{edge.name}",
-            source.to_edge_table(), tail_count, head_count,
-            *correlated_tables(edge, self._node_column),
-        )
-        return _EdgeState(SpilledStructure(
-            self._spool.spiller(f"final.{edge.name}"), table
-        ))
-
-    def _node_column(self, type_name, prop_name):
-        """One whole node-property column (global stages only).
-
-        Raw (pre-override) values: correlated matching ran against the
-        generated properties, before any plant forced its attributes.
-        """
-        ids = np.arange(self.node_counts[type_name], dtype=np.int64)
-        return PropertyTable(
-            f"{type_name}.{prop_name}",
-            self._raw_node_properties_of(type_name, prop_name, ids),
-        )
+    def warm(self):
+        """Build every edge type's matching state up front (server
+        start-up)."""
+        for table in self._base.edge_tables.values():
+            table.resolve()
+        return self
 
     # -- node queries ------------------------------------------------------
 
@@ -326,73 +274,32 @@ class VirtualGraph:
             )
         return ids
 
-    def _node_values(self, type_name, prop, ids, cache):
-        if prop.name in cache:
-            return cache[prop.name]
-        if prop.generator is None:
-            raise SchemaError(
-                f"{type_name}.{prop.name}: no property generator "
-                "declared"
-            )
-        node_type = self.schema.node_type(type_name)
-        deps = [
-            self._node_values(
-                type_name, node_type.property_named(dep), ids, cache
-            )
-            for dep in prop.depends_on
-        ]
-        values = property_values_at(
-            prop.generator, f"property:{type_name}.{prop.name}",
-            self.seed, ids, deps,
-        )
-        cache[prop.name] = values
-        return values
-
-    def _raw_node_properties_of(self, type_name, prop_name, ids):
-        """One property column as *generated* (no plant overrides)."""
-        node_type = self.schema.node_type(type_name)
-        prop = node_type.property_named(prop_name)
-        ids = self._check_node_ids(type_name, ids)
-        return self._node_values(type_name, prop, ids, {})
-
     def node_properties_of(self, type_name, prop_name, ids):
-        """One property column at arbitrary node ids (O(page)).
-
-        Plant-forced attributes are patched in, matching the exported
-        overlay columns.
-        """
+        """One property column at arbitrary node ids (O(page)), plant-
+        forced attributes included — the exported column's rows."""
         ids = self._check_node_ids(type_name, ids)
-        values = self._raw_node_properties_of(type_name, prop_name, ids)
-        return self._apply_node_overrides(
-            type_name, prop_name, ids, values
-        )
+        return self.graph.node_property(type_name, prop_name).gather(ids)
 
     def node_records(self, type_name, ids):
         """All property columns at the given ids, in schema order."""
-        node_type = self.schema.node_type(type_name)
         ids = self._check_node_ids(type_name, ids)
-        cache = {}
-        return {
-            prop.name: self._apply_node_overrides(
-                type_name, prop.name, ids,
-                self._node_values(type_name, prop, ids, cache),
-            )
-            for prop in node_type.properties
-        }
+        with self._memo.page(ids):
+            return {
+                name: self.graph.node_property(
+                    type_name, name
+                ).gather(ids)
+                for name in self.node_property_names(type_name)
+            }
 
     # -- edge queries ------------------------------------------------------
 
     def edge_count(self, name):
         """Total edges, including the appended plant block (if any)."""
-        return self.base_edge_count(name) + self._appended_edges(
-            name
-        )[0].size
+        return len(self.graph.edges(name))
 
     def base_edge_count(self, name):
         """Generated (pre-injection) edges only."""
-        if name not in self._sources:
-            raise KeyError(f"unknown edge type {name!r}")
-        return self._sources[name].num_edges
+        return len(self._base.edges(name))
 
     def edge_property_names(self, name):
         return [
@@ -400,111 +307,13 @@ class VirtualGraph:
             for prop in self.schema.edge_type(name).properties
         ]
 
-    def _check_edge_range(self, name, lo, hi):
-        count = self.edge_count(name)
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= count:
-            raise IndexError(
-                f"edge range [{lo}, {hi}) out of bounds "
-                f"[0, {count}) for {name!r}"
-            )
-        return lo, hi
-
     def edges_range(self, name, lo, hi):
         """Final ``(tails, heads)`` of edge ids ``[lo, hi)``.
 
         Ids past the generated block page into the appended plant
         edges, exactly like the exported overlay table.
         """
-        lo, hi = self._check_edge_range(name, lo, hi)
-        return self._edge_state(name).read_range(lo, hi)
-
-    def _edge_values(self, edge, prop, ids, tails, heads, cache,
-                     node_get=None):
-        if prop.name in cache:
-            return cache[prop.name]
-        if prop.generator is None:
-            raise SchemaError(
-                f"{edge.name}.{prop.name}: no property generator "
-                "declared"
-            )
-        if node_get is None:
-            node_get = self._raw_node_properties_of
-        deps = []
-        for dep in prop.depends_on:
-            side, owner, name = edge.dependency_ref(dep)
-            if side is None:
-                deps.append(self._edge_values(
-                    edge, edge.property_named(name), ids, tails, heads,
-                    cache, node_get,
-                ))
-            else:
-                deps.append(node_get(
-                    owner, name, tails if side == "tail" else heads
-                ))
-        values = property_values_at(
-            prop.generator, f"property:{edge.name}.{prop.name}",
-            self.seed, ids, deps,
-        )
-        cache[prop.name] = values
-        return values
-
-    def _edge_property_page(self, edge, props, lo, hi):
-        """Property columns (dict) for edge ids ``[lo, hi)``.
-
-        The generated segment recomputes endpoint dependencies from the
-        *raw* node columns (that is what base generation saw); the
-        appended segment gathers them through the overridden columns,
-        so forced plant attributes feed dependent edge properties —
-        mirroring the exported overlay tables in both halves.
-        """
-        m = self.base_edge_count(edge.name)
-        pages = []
-        if lo < m:
-            b_hi = min(hi, m)
-            tails, heads = self._edge_state(edge.name).base.emit(
-                lo, b_hi
-            )
-            ids = np.arange(lo, b_hi, dtype=np.int64)
-            cache = {}
-            pages.append((tails, heads, {
-                prop.name: self._edge_values(
-                    edge, prop, ids, tails, heads, cache
-                )
-                for prop in props
-            }))
-        if hi > m:
-            extra_tails, extra_heads = self._appended_edges(edge.name)
-            a_lo, a_hi = max(lo, m) - m, hi - m
-            tails = extra_tails[a_lo:a_hi]
-            heads = extra_heads[a_lo:a_hi]
-            ids = np.arange(m + a_lo, m + a_hi, dtype=np.int64)
-            cache = {}
-            pages.append((tails, heads, {
-                prop.name: self._edge_values(
-                    edge, prop, ids, tails, heads, cache,
-                    node_get=self.node_properties_of,
-                )
-                for prop in props
-            }))
-        if len(pages) == 1:
-            tails, heads, columns = pages[0]
-            return {"tail": tails, "head": heads, **columns}
-        if not pages:
-            empty = np.empty(0, dtype=np.int64)
-            out = {"tail": empty, "head": empty.copy()}
-            for prop in props:
-                out[prop.name] = np.empty(0)
-            return out
-        out = {
-            "tail": np.concatenate([p[0] for p in pages]),
-            "head": np.concatenate([p[1] for p in pages]),
-        }
-        for prop in props:
-            out[prop.name] = np.concatenate(
-                [p[2][prop.name] for p in pages]
-            )
-        return out
+        return self.graph.edges(name).read_range(lo, hi)
 
     def edge_properties_range(self, name, prop_name, lo, hi):
         """One edge-property column over edge ids ``[lo, hi)``.
@@ -512,74 +321,39 @@ class VirtualGraph:
         Endpoint dependencies (``tail.x`` / ``head.x``) are recomputed
         at the page's endpoint ids — random access end to end.
         """
-        edge = self.schema.edge_type(name)
-        prop = edge.property_named(prop_name)
-        lo, hi = self._check_edge_range(name, lo, hi)
-        return self._edge_property_page(edge, [prop], lo, hi)[
-            prop.name
-        ]
+        return self.graph.edge_property(name, prop_name).read_range(
+            lo, hi
+        )
 
     def edge_records(self, name, lo, hi):
         """Endpoints plus every property column for a page of edges."""
-        edge = self.schema.edge_type(name)
-        lo, hi = self._check_edge_range(name, lo, hi)
-        return self._edge_property_page(edge, edge.properties, lo, hi)
+        edges = self.graph.edges(name)
+        lo, hi = edges.check_range(lo, hi)
+        with self._memo.page((lo, hi)):
+            tails, heads = edges.read_range(lo, hi)
+            return {"tail": tails, "head": heads, **{
+                prop: self.graph.edge_property(name, prop).read_range(
+                    lo, hi
+                )
+                for prop in self.edge_property_names(name)
+            }}
 
     def neighbors_of(self, name, node_id, direction="both"):
-        """Neighbours of one (final) node id over edge type ``name``.
-
-        A bounded scan of the final edge pages in edge-id order —
-        O(m) compute, O(chunk) memory — with the same endpoint
-        convention as :meth:`repro.structure.base.StructureGenerator.
-        neighbors_of`.
-        """
-        if direction not in ("out", "in", "both"):
-            raise ValueError(
-                f"direction must be out/in/both, got {direction!r}"
-            )
-        node_id = int(node_id)
-        found = []
-        total = self.edge_count(name)
-        for lo in range(0, total, self.chunk_rows):
-            hi = min(lo + self.chunk_rows, total)
-            tails, heads = self.edges_range(name, lo, hi)
-            if direction in ("out", "both"):
-                found.append(heads[tails == node_id])
-            if direction in ("in", "both"):
-                mask = heads == node_id
-                if direction == "both":
-                    mask &= tails != heads
-                found.append(tails[mask])
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)
+        """Neighbours of one (final) node id over edge type ``name``:
+        :meth:`~repro.tables.ranged.EdgeRows.neighbors_of` on the final
+        edge pages, so injected plant edges are seen and a node id
+        outside the endpoint type's range is an ``IndexError``."""
+        return self.graph.edges(name).neighbors_of(
+            node_id, direction, self.chunk_rows
+        )
 
     def edge_exists(self, name, src, dst):
         """Does the final edge ``src -> dst`` exist (either orientation
-        for undirected edge types)?  Bounded scan with early exit.
-
-        Scans the appended plant block too, so injected template edges
-        are visible."""
-        src, dst = int(src), int(dst)
-        state = self._edge_state(name)
-        total = self.edge_count(name)
-        for lo in range(0, total, self.chunk_rows):
-            hi = min(lo + self.chunk_rows, total)
-            tails, heads = self.edges_range(name, lo, hi)
-            hit = (tails == src) & (heads == dst)
-            if not state.directed:
-                hit |= (tails == dst) & (heads == src)
-            if hit.any():
-                return True
-        return False
+        for undirected edge types)?  Scans the appended plant block
+        too, so injected template edges are visible."""
+        return self.graph.edges(name).edge_exists(src, dst, self.chunk_rows)
 
     # -- metadata ----------------------------------------------------------
-
-    def warm(self):
-        """Build every edge state up front (server start-up)."""
-        for name in self.schema.edge_types:
-            self._edge_state(name)
-        return self
 
     def _access_mode(self, name):
         """``(mode, reason)`` of one edge type — ``"virtual"`` pages
@@ -590,7 +364,7 @@ class VirtualGraph:
                 "correlated matching is a global stage; the matched "
                 "table is computed once and paged from the disk spool"
             )
-        if self._sources[name].random_access:
+        if self._structures[name].random_access:
             return "virtual", (
                 "seed-derived chunked emission relabeled through "
                 "spilled permutation maps"
@@ -604,24 +378,20 @@ class VirtualGraph:
         """Access-mode report: which tables are virtual and why."""
         edges = {}
         for name, edge in self.schema.edge_types.items():
-            source = self._sources[name]
             mode, reason = self._access_mode(name)
+            total, base = self.edge_count(name), self.base_edge_count(name)
             entry = {
-                "count": self.edge_count(name),
+                "count": total,
                 "tail": edge.tail_type,
                 "head": edge.head_type,
-                "directed": source.directed,
+                "directed": self._structures[name].directed,
                 "mode": mode,
                 "random_access": mode == "virtual",
                 "reason": reason,
                 "properties": self.edge_property_names(name),
             }
-            appended = self._appended_edges(name)[0].size
-            if appended:
-                entry["planted"] = {
-                    "start": source.num_edges,
-                    "count": int(appended),
-                }
+            if total > base:
+                entry["planted"] = {"start": base, "count": total - base}
             edges[name] = entry
         nodes = {
             name: {

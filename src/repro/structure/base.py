@@ -21,6 +21,7 @@ import numpy as np
 
 from ..prng import RandomStream
 from ..tables import EdgeTable
+from ..tables.ranged import EdgeRows
 
 __all__ = [
     "EdgeChunkStream",
@@ -57,105 +58,62 @@ class PackedCodeEmitter:
         return codes // self.divisor, codes % self.divisor
 
 
-class EdgeChunkStream:
+class EdgeChunkStream(EdgeRows):
     """Chunked structure emission: the out-of-core twin of ``run``.
 
     A chunkable generator's :meth:`StructureGenerator.run_chunked`
     returns one of these instead of a materialised
-    :class:`~repro.tables.EdgeTable`.  It carries the table's metadata
-    up front (``num_edges``, endpoint id-space sizes, orientation) and
-    emits the edge columns in bounded id-range chunks via
-    :meth:`chunks`; the concatenation of all chunks is bit-identical
-    to ``run(n)`` for the same seed and parameters, which is what lets
-    the sharded executor generate structure without ever holding the
-    whole edge list.
+    :class:`~repro.tables.EdgeTable`.  It is an edge table that is
+    never stored: it carries the metadata up front (length, endpoint
+    id-space sizes, orientation) and answers the table protocol of
+    :mod:`repro.tables.ranged` by re-deriving any id range from the
+    seed, so chunk iteration, materialisation and the neighbour scans
+    come from :class:`~repro.tables.ranged.EdgeRows`.  The
+    concatenation of all chunks is bit-identical to ``run(n)`` for the
+    same seed and parameters, which is what lets the sharded executor
+    generate structure without ever holding the whole edge list.
 
     ``emit(lo, hi)`` must be a pure function of the range — streams are
-    counter-based, so re-iterating the chunks is cheap and exact.
+    counter-based, so re-reading a range is cheap and exact.
     """
 
+    #: Can any range be re-derived from the seed alone, with no global
+    #: pass behind it?  :func:`repro.core.structures.open_structure`
+    #: records the generator's answer here.
+    random_access = False
+
     def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
-                 directed, chunk_edges, emit):
+                 directed, emit):
         self.name = str(name)
-        self.num_edges = int(num_edges)
+        self._num_edges = int(num_edges)
         self.num_tail_nodes = int(num_tail_nodes)
         self.num_head_nodes = int(num_head_nodes)
         self.directed = bool(directed)
-        self.chunk_edges = int(chunk_edges)
-        if self.chunk_edges < 1:
-            raise ValueError("chunk_edges must be >= 1")
         self._emit = emit
 
     def __len__(self):
-        return self.num_edges
+        return self._num_edges
 
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        """Node id-space size for monopartite streams."""
-        if self.is_bipartite:
-            raise ValueError(
-                f"chunk stream {self.name!r} is bipartite; use "
-                "num_tail_nodes / num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    def emit(self, lo, hi):
-        """``(tails, heads)`` of edge ids ``[lo, hi)`` as ``int64``.
+    def read_range(self, start, stop):
+        """``(tails, heads)`` of edge ids ``[start, stop)`` as ``int64``
+        — also for an empty range, so downstream spools inherit the
+        dtype from zero-edge tables.
 
         The random-access entry point: because emission is a pure
         function of the range, any page of edges can be produced
         without touching the rest — this is what the virtual-graph
         serving layer pages edge tables with (see docs/serving.md).
         """
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= self.num_edges:
-            raise IndexError(
-                f"chunk stream {self.name!r}: range [{lo}, {hi}) out "
-                f"of bounds [0, {self.num_edges})"
-            )
-        tails, heads = self._emit(lo, hi)
+        start, stop = self.check_range(start, stop)
+        tails, heads = self._emit(start, stop)
         tails = np.ascontiguousarray(tails, dtype=np.int64)
         heads = np.ascontiguousarray(heads, dtype=np.int64)
-        if len(tails) != hi - lo or len(heads) != hi - lo:
+        if len(tails) != stop - start or len(heads) != stop - start:
             raise ValueError(
-                f"chunk stream {self.name!r}: emit({lo}, {hi}) "
+                f"chunk stream {self.name!r}: emit({start}, {stop}) "
                 f"returned {len(tails)}/{len(heads)} rows"
             )
         return tails, heads
-
-    def chunks(self):
-        """Yield ``(chunk_start, tails, heads)`` in edge-id order.
-
-        Arrays are ``int64`` — also for empty streams, so downstream
-        spools inherit the correct dtype from zero-edge tables (the
-        same empty-shard contract the property pipeline guarantees).
-        """
-        for lo in range(0, self.num_edges, self.chunk_edges):
-            hi = min(lo + self.chunk_edges, self.num_edges)
-            tails, heads = self.emit(lo, hi)
-            yield lo, tails, heads
-
-    def to_edge_table(self):
-        """Materialise the stream (tests and global matching stages)."""
-        parts = list(self.chunks())
-        if parts:
-            tails = np.concatenate([t for _, t, _ in parts])
-            heads = np.concatenate([h for _, _, h in parts])
-        else:
-            tails = np.empty(0, dtype=np.int64)
-            heads = np.empty(0, dtype=np.int64)
-        return EdgeTable(
-            self.name,
-            tails,
-            heads,
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
 
 
 class StructureGenerator:
@@ -183,12 +141,13 @@ class StructureGenerator:
 
     #: First-class access classification (see docs/serving.md):
     #: ``"random"`` generators derive any edge page — and therefore
-    #: point queries such as :meth:`neighbors_of` / :meth:`edge_exists`
-    #: — purely from ``(seed, indices)`` via chunked emission, without
-    #: materialising the graph.  ``"sequential"`` generators can only
-    #: answer such queries from a materialised table.  Whether a
-    #: *given configuration* is random-access is answered by
-    #: :meth:`random_access`.
+    #: the ``neighbors_of`` / ``edge_exists`` scans of the
+    #: :meth:`run_chunked` stream — purely from ``(seed, indices)``,
+    #: without materialising the graph.  ``"sequential"`` generators
+    #: can only answer such queries from a materialised table.
+    #: Generators only classify; the scans live on the edge rows.
+    #: Whether a *given configuration* is random-access is answered
+    #: by :meth:`random_access`.
     access = "sequential"
 
     def __init__(self, seed=0, **params):
@@ -239,9 +198,11 @@ class StructureGenerator:
 
         Raises ``TypeError`` for sequential generators/configurations.
         """
-        n = int(n)
+        n, chunk_edges = int(n), int(chunk_edges)
         if n < 0:
             raise ValueError("n must be nonnegative")
+        if chunk_edges < 1:
+            raise ValueError("chunk_edges must be >= 1")
         if not self.chunkable(n):
             raise TypeError(
                 f"{type(self).__name__} ({self.name!r}) is sequential "
@@ -250,7 +211,7 @@ class StructureGenerator:
         stream = RandomStream(self.seed, f"sg.{self.name}")
         if spill is None:
             spill = lambda name, array: array  # noqa: E731
-        return self._generate_chunked(n, stream, int(chunk_edges), spill)
+        return self._generate_chunked(n, stream, chunk_edges, spill)
 
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         raise NotImplementedError(
@@ -266,79 +227,6 @@ class StructureGenerator:
         class-level :attr:`access` flag and :meth:`chunkable`.
         """
         return self.access == "random" and self.chunkable(n)
-
-    def neighbors_of(self, n, ids, chunk_edges=65_536, spill=None,
-                     direction="both"):
-        """Neighbour lists of ``ids`` in ``run(n)``, seed-derived.
-
-        Scans the chunked emission (bounded memory: one chunk of edges
-        at a time, per-stream global state parked via ``spill``) and
-        collects, in edge-id order, the opposite endpoint of every
-        incident edge.  The result agrees exactly with what a
-        materialised edge table would give:
-
-        * ``direction="out"`` — heads of edges whose tail is the node;
-        * ``direction="in"`` — tails of edges whose head is the node;
-        * ``direction="both"`` — out-matches then in-matches per chunk,
-          with self-loops contributing once.
-
-        Returns a dict ``{id: int64 array}`` covering every requested
-        id (empty arrays for isolated nodes).
-
-        Raises ``TypeError`` for configurations where
-        :meth:`random_access` is false.
-        """
-        if not self.random_access(n):
-            raise TypeError(
-                f"{type(self).__name__} ({self.name!r}) is not "
-                "random-access for this configuration; materialise "
-                "run() to query neighbourhoods"
-            )
-        if direction not in ("out", "in", "both"):
-            raise ValueError(
-                f"direction must be out/in/both, got {direction!r}"
-            )
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
-        collected = {int(i): [] for i in ids.tolist()}
-        stream = self.run_chunked(n, chunk_edges, spill=spill)
-        for _, tails, heads in stream.chunks():
-            if direction in ("out", "both"):
-                for pos in np.flatnonzero(np.isin(tails, ids)).tolist():
-                    collected[int(tails[pos])].append(int(heads[pos]))
-            if direction in ("in", "both"):
-                mask = np.isin(heads, ids)
-                if direction == "both":
-                    # Self-loops already matched on the tail side.
-                    mask &= tails != heads
-                for pos in np.flatnonzero(mask).tolist():
-                    collected[int(heads[pos])].append(int(tails[pos]))
-        return {
-            node: np.asarray(neigh, dtype=np.int64)
-            for node, neigh in collected.items()
-        }
-
-    def edge_exists(self, n, src, dst, chunk_edges=65_536, spill=None):
-        """Is there an edge between ``src`` and ``dst`` in ``run(n)``?
-
-        Derived from the seed by scanning chunked emission with early
-        exit; for undirected streams both orientations count.  Raises
-        ``TypeError`` for non-random-access configurations.
-        """
-        if not self.random_access(n):
-            raise TypeError(
-                f"{type(self).__name__} ({self.name!r}) is not "
-                "random-access for this configuration; materialise "
-                "run() to query edges"
-            )
-        src, dst = int(src), int(dst)
-        stream = self.run_chunked(n, chunk_edges, spill=spill)
-        for _, tails, heads in stream.chunks():
-            hit = (tails == src) & (heads == dst)
-            if not stream.directed:
-                hit |= (tails == dst) & (heads == src)
-            if hit.any():
-                return True
-        return False
 
     def get_num_nodes(self, num_edges):
         """Number of nodes so that ``run(n)`` yields ≈ ``num_edges`` edges.

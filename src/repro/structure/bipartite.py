@@ -170,8 +170,7 @@ class BipartiteConfiguration(StructureGenerator):
         )
         if total == 0:
             return EdgeChunkStream(
-                self.name, 0, n, head_nodes, True, chunk_edges,
-                empty_emit,
+                self.name, 0, n, head_nodes, True, empty_emit
             )
         head_base = int(head_deg.sum())
         tail_offsets = spill("tail_offsets", np.concatenate([
@@ -201,7 +200,7 @@ class BipartiteConfiguration(StructureGenerator):
             spill, "bipartite", blocks(), run_rows
         )
         return EdgeChunkStream(
-            self.name, m, n, head_nodes, True, chunk_edges,
+            self.name, m, n, head_nodes, True,
             PackedCodeEmitter(codes, head_nodes),
         )
 

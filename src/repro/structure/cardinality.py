@@ -106,7 +106,7 @@ class OneToManyGenerator(StructureGenerator):
         )
 
         return EdgeChunkStream(
-            self.name, m, n, m, True, chunk_edges, _OffsetEmitter(offsets)
+            self.name, m, n, m, True, _OffsetEmitter(offsets)
         )
 
     def expected_edges_for_nodes(self, n):

@@ -157,7 +157,7 @@ def _pair_code_chunk_stream(name, n, m, stream, chunk_edges, spill):
         max(int(chunk_edges), _MIN_RUN_ROWS),
     )
     return EdgeChunkStream(
-        name, m, n, n, False, chunk_edges, _CodeEmitter(codes)
+        name, m, n, n, False, _CodeEmitter(codes)
     )
 
 

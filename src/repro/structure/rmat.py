@@ -186,7 +186,7 @@ class RMat(StructureGenerator):
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         if n == 0:
             return EdgeChunkStream(
-                self.name, 0, 0, 0, False, chunk_edges, empty_emit
+                self.name, 0, 0, 0, False, empty_emit
             )
         scale = self._resolve_scale(n)
         edge_factor = self._params.get("edge_factor", _DEFAULT_EDGE_FACTOR)
@@ -198,7 +198,7 @@ class RMat(StructureGenerator):
                 n, m, emit, chunk_edges, spill
             )
         return EdgeChunkStream(
-            self.name, m, n, n, False, chunk_edges, emit
+            self.name, m, n, n, False, emit
         )
 
     def _simplify_chunked(self, n, m, emit, chunk_edges, spill):
@@ -228,8 +228,7 @@ class RMat(StructureGenerator):
             spill, "rmat", blocks(), run_rows
         )
         return EdgeChunkStream(
-            self.name, total, n, n, False, chunk_edges,
-            PackedCodeEmitter(codes, n),
+            self.name, total, n, n, False, PackedCodeEmitter(codes, n)
         )
 
     def expected_edges_for_nodes(self, n):

@@ -262,8 +262,7 @@ class StochasticBlockModel(StructureGenerator):
                     ))
                     total_m += chosen.size
         return EdgeChunkStream(
-            self.name, total_m, n, n, False, chunk_edges,
-            _BlockEmitter(blocks),
+            self.name, total_m, n, n, False, _BlockEmitter(blocks)
         )
 
     def expected_edges_for_nodes(self, n):

@@ -89,6 +89,10 @@ class EdgeTable(EdgeRows):
         """The implicit dense edge id column ``0..m-1``."""
         return np.arange(len(self), dtype=np.int64)
 
+    def to_edge_table(self):
+        """Already resident: itself."""
+        return self
+
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return (

@@ -64,6 +64,11 @@ class PropertyTable(PropertyRows):
     # -- relational view ---------------------------------------------------
 
     @property
+    def dtype(self):
+        """The value column's dtype (every PT, stored or not, has one)."""
+        return self.values.dtype
+
+    @property
     def ids(self):
         """The implicit dense id column ``0..n-1``."""
         return np.arange(len(self.values), dtype=np.int64)
@@ -77,6 +82,10 @@ class PropertyTable(PropertyRows):
         """Value rows ``[start, stop)`` as a zero-copy view."""
         start, stop = self.check_range(start, stop)
         return self.values[start:stop]
+
+    def to_property_table(self):
+        """Already resident: itself."""
+        return self
 
     def value_of(self, instance_id):
         """Value of one instance (bounds-checked)."""

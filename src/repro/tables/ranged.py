@@ -2,17 +2,20 @@
 
 Both relations of Section 4.1 have dense ids, so a table is fully
 described by its length and the rows of any id range.  Every storage
-backend — resident arrays, the disk spool, the planting overlays —
-implements just ``read_range(start, stop)`` (value rows for a PT,
-``(tails, heads)`` for an ET; bounds checked with :meth:`check_range`)
-and inherits the rest from :class:`PropertyRows` / :class:`EdgeRows`:
+backend — resident arrays, the disk spool, the planting overlays,
+recomputation from the seed — implements just ``read_range(start,
+stop)`` (value rows for a PT, ``(tails, heads)`` for an ET; bounds
+checked with :meth:`check_range`) and inherits the rest from
+:class:`PropertyRows` / :class:`EdgeRows`:
 chunk iteration, the lazy ``values`` / ``tails`` / ``heads`` columns,
-materialisation.  The chunk writers, the property-dependency slicer
-and the serving pages consume nothing else, so storage is the only
-thing a new backend has to decide.
+materialisation, the neighbour / existence scans.  The chunk writers,
+the property-dependency slicer and the serving pages consume nothing
+else, so storage is the only thing a new backend has to decide.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["EdgeRows", "PropertyRows", "RangeColumn", "chunk_bounds"]
 
@@ -63,7 +66,7 @@ class _Rows:
 
 class PropertyRows(_Rows):
     """The ``[id, value]`` relation over ``read_range(start, stop) ->
-    values``; lazy implementors also expose their ``dtype``."""
+    values``; implementors also expose the column's ``dtype``."""
 
     __slots__ = ()
     _kind = "PT"
@@ -135,6 +138,56 @@ class EdgeRows(_Rows):
     def heads(self):
         """The whole head column (whole-table consumers only)."""
         return self.read_range(0, len(self))[1]
+
+    def neighbors_of(self, node_id, direction="both",
+                     chunk_rows=SCAN_ROWS):
+        """Neighbours of one node, in edge-id order: a bounded scan of
+        the pages (O(m) compute, O(``chunk_rows``) memory).
+
+        ``"out"`` collects the heads of edges whose tail is the node,
+        ``"in"`` the tails of edges whose head is it, ``"both"`` the
+        out-matches then the in-matches of each page, a self-loop
+        counting once.  A node outside the id space it is looked up in
+        (tails for ``"out"``, heads for ``"in"``, either for
+        ``"both"``) is an ``IndexError``, raised before scanning; an
+        isolated node inside it has an empty neighbourhood.
+        """
+        if direction not in ("out", "in", "both"):
+            raise ValueError(
+                f"direction must be out/in/both, got {direction!r}"
+            )
+        node_id = int(node_id)
+        tail_space = 0 if direction == "in" else self.num_tail_nodes
+        head_space = 0 if direction == "out" else self.num_head_nodes
+        space = max(tail_space, head_space)
+        if not 0 <= node_id < space:
+            raise IndexError(
+                f"ET {self.name!r}: node id {node_id} out of range "
+                f"[0, {space}) for direction {direction!r}"
+            )
+        found = [np.empty(0, dtype=np.int64)]
+        for _, tails, heads in self.iter_chunks(chunk_rows):
+            if direction != "in":
+                found.append(heads[tails == node_id])
+            if direction != "out":
+                mask = heads == node_id
+                if direction == "both":
+                    mask &= tails != heads
+                found.append(tails[mask])
+        return np.concatenate(found)
+
+    def edge_exists(self, src, dst, chunk_rows=SCAN_ROWS):
+        """Is there an edge ``src -> dst`` (either orientation when
+        undirected)?  The same bounded scan, stopping at the first
+        hit."""
+        src, dst = int(src), int(dst)
+        for _, tails, heads in self.iter_chunks(chunk_rows):
+            hit = (tails == src) & (heads == dst)
+            if not self.directed:
+                hit |= (tails == dst) & (heads == src)
+            if hit.any():
+                return True
+        return False
 
     def to_edge_table(self):
         """Materialise into a resident :class:`~repro.tables.EdgeTable`

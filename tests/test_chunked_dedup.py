@@ -126,9 +126,9 @@ class TestChunkedEqualsSerial:
     spills by shrinking the run-size floor."""
 
     @staticmethod
-    def _materialise(stream):
+    def _materialise(stream, chunk_edges):
         tails, heads = [], []
-        for _lo, t, h in stream.chunks():
+        for _lo, t, h in stream.iter_chunks(chunk_edges):
             tails.append(t)
             heads.append(h)
         empty = np.empty(0, dtype=np.int64)
@@ -140,7 +140,7 @@ class TestChunkedEqualsSerial:
     def _assert_equivalent(self, generator, n, spill, chunk_edges=500):
         serial = generator.run(n)
         stream = generator.run_chunked(n, chunk_edges, spill=spill)
-        tails, heads = self._materialise(stream)
+        tails, heads = self._materialise(stream, chunk_edges)
         assert stream.num_edges == serial.num_edges
         np.testing.assert_array_equal(tails, serial.tails)
         np.testing.assert_array_equal(heads, serial.heads)

@@ -22,17 +22,16 @@ from repro.core import (
     GeneratorSpec,
     GraphGenerator,
     NodeType,
-    PropertyGraph,
     Schema,
     SchemaError,
     ShardedExecutor,
     run as run_module,
 )
 from repro.core.structures import (
+    MatchedEdges,
     SpilledStructure,
-    StreamStructure,
     StructureHandle,
-    emit_matched,
+    metadata,
     open_structure,
 )
 from repro.core.tasks import (
@@ -48,6 +47,7 @@ from repro.prng import derive_seed
 from repro.scenarios import compile_scenario, load_zoo, run_scenario
 from repro.serve import VirtualGraph
 from repro.stats import Zipf
+from repro.structure.base import EdgeChunkStream
 
 
 def _sink(out):
@@ -76,11 +76,7 @@ def _served(schema, scale, out=None):
         served.warm()
         if out is not None:
             # The tables a client pages through, exported as they are.
-            graph = PropertyGraph(schema, 1)
-            graph.node_counts.update(served.node_counts)
-            for name in schema.edge_types:
-                graph.edge_tables[name] = served._edge_state(name)
-            export_graph(graph, _sink(out))
+            export_graph(served.graph, _sink(out))
     finally:
         served.close()
 
@@ -237,9 +233,9 @@ class TestFewerStructureNodesThanInstances:
 #: ``matching_maps``; the last one is a sequential generator, held
 #: spilled instead of re-emitted.
 BRANCHES = {
-    "strict": (strict_schema, 60, StreamStructure),
-    "bipartite": (bipartite_schema, 90, StreamStructure),
-    "monopartite": (mono_schema, 80, StreamStructure),
+    "strict": (strict_schema, 60, EdgeChunkStream),
+    "bipartite": (bipartite_schema, 90, EdgeChunkStream),
+    "monopartite": (mono_schema, 80, EdgeChunkStream),
     "monopartite-sequential": (
         lambda: mono_schema("barabasi_albert", m=3),
         80, SpilledStructure,
@@ -248,7 +244,7 @@ BRANCHES = {
 
 
 class TestMatchingMapsContract:
-    """``matching_maps`` + ``emit`` relabel == the serial ``match_edge``."""
+    """``matching_maps`` + ``MatchedEdges`` == the serial ``match_edge``."""
 
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_chunked_relabel_equals_match_edge(self, branch, tmp_path):
@@ -271,16 +267,16 @@ class TestMatchingMapsContract:
                 spool.spiller(f"structure.{edge.name}"),
             )
             assert type(handle) is handle_type
-            assert handle.metadata() == StructureHandle(
-                **handle.metadata()
-            ).metadata()
+            assert metadata(handle) == metadata(
+                StructureHandle(**metadata(handle))
+            )
             assert handle.to_edge_table() == table
             tail_map, head_map = matching_maps(
                 edge, seed, task_id, handle, tail_count, head_count
             )
+            matched = MatchedEdges(handle, tail_map, head_map)
             pages = [
-                emit_matched(handle, lo, min(lo + 7, len(table)),
-                             tail_map, head_map)
+                matched.read_range(lo, min(lo + 7, len(table)))
                 for lo in range(0, len(table), 7)
             ]
         finally:
@@ -332,6 +328,26 @@ class TestOneWalk:
         produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         for backend in ("thread", "process"):
             assert produced == sharded_social[backend], backend
+
+
+    def test_served_graph_exports_the_same_files(
+        self, sharded_social, tmp_path
+    ):
+        """The virtual store is a ``PropertyGraph`` like the other
+        two: the exporter writes it, node- and edge-property files
+        included, byte for byte."""
+        served = VirtualGraph.from_scenario(
+            sharded_social["compiled"], chunk_rows=97
+        )
+        try:
+            export_graph(served.graph, make_sink("csv", tmp_path))
+        finally:
+            served.close()
+        produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert produced == sharded_social["thread"]
+        assert {"Person.country.csv", "knows.creationDate.csv"} <= set(
+            produced
+        )
 
 
 @pytest.fixture(scope="module")

@@ -88,15 +88,13 @@ CASE_SEEDS = [
 ]
 
 
-def run_case(case, seed, factory, out=None, id_range=None):
+def run_case(case, seed, factory, id_range=None):
     name, params, ids, stream, deps = golden.case_inputs(case, seed)
     generator = factory(name, **params)
     if id_range is not None:
         lo, hi = id_range
         ids = ids[lo:hi]
         deps = tuple(dep[lo:hi] for dep in deps)
-    if out is not None:
-        return generator.run_many(ids, stream, *deps, out=out)
     return generator.run_many(ids, stream, *deps)
 
 
@@ -120,21 +118,6 @@ class TestGoldenFixtures:
         fixture = FIXTURES["cases"][case]["seeds"][str(seed)]
         with property_impl(impl):
             values = run_case(case, seed, create_property_generator)
-        assert golden.encode_values(values) == fixture
-
-    @pytest.mark.parametrize("case,seed", CASE_SEEDS)
-    def test_out_buffer_matches_fixture(self, case, seed):
-        """The allocation-free out= path writes the same values."""
-        name, params, ids, _, _ = golden.case_inputs(case, seed)
-        generator = create_property_generator(name, **params)
-        if not generator.supports_out:
-            pytest.skip(f"{name} has no out= path")
-        fixture = FIXTURES["cases"][case]["seeds"][str(seed)]
-        buffer = np.empty(ids.size, dtype=generator.output_dtype())
-        values = run_case(
-            case, seed, create_property_generator, out=buffer
-        )
-        assert values is buffer
         assert golden.encode_values(values) == fixture
 
     @pytest.mark.parametrize(

@@ -7,10 +7,11 @@ Pins the serving-mode contract (docs/serving.md):
   chained to the **golden fixtures**, so the guarantee is byte-level
   against the frozen pre-rewrite values, for arbitrary scattered
   subsets;
-* random-access SGs answer ``neighbors_of`` / ``edge_exists`` in
-  exact agreement with their materialised edge table;
-* sequential generators refuse the random-access entry points with
-  ``TypeError`` (the serving layer maps this to 501);
+* the chunk stream of a random-access SG answers ``neighbors_of`` /
+  ``edge_exists`` (the :class:`~repro.tables.ranged.EdgeRows` scans)
+  in exact agreement with the materialised edge table;
+* sequential generators refuse chunked emission with ``TypeError``
+  (the serving layer maps this to 501);
 * empty id sets round-trip with the correct dtype.
 """
 
@@ -174,15 +175,16 @@ class TestStructureRandomAccess:
         simplified = create_generator("rmat", seed=5, edge_factor=4)
         assert simplified.access == "random"
         assert not simplified.random_access(64)
-        with pytest.raises(TypeError, match="random-access"):
-            simplified.neighbors_of(64, [0])
+        # Chunkable all the same: the dedup pass is spilled, not
+        # refused; it is the serving layer that reads the flag.
+        assert simplified.run_chunked(64, 19).num_edges > 0
 
     def test_sequential_generator_refuses(self):
         ba = create_generator("barabasi_albert", seed=5, m=2)
         assert ba.access == "sequential"
         assert not ba.random_access(64)
-        with pytest.raises(TypeError, match="random-access"):
-            ba.edge_exists(64, 0, 1)
+        with pytest.raises(TypeError, match="sequential"):
+            ba.run_chunked(64, 19)
 
     @pytest.mark.parametrize("name,params,n", RANDOM_ACCESS_SGS)
     @pytest.mark.parametrize("seed", [3, 11])
@@ -194,14 +196,22 @@ class TestStructureRandomAccess:
             int(table.tails[0]), int(table.heads[-1]),
             int(table.tails[len(table) // 2]),
         })
+        stream = generator.run_chunked(n, 19)
+        spaces = {
+            "out": table.num_tail_nodes, "in": table.num_head_nodes,
+            "both": max(table.num_tail_nodes, table.num_head_nodes),
+        }
         for direction in ("out", "in", "both"):
-            got = generator.neighbors_of(
-                n, probe, chunk_edges=17, direction=direction
-            )
-            assert sorted(got) == probe
             for node_id in probe:
+                if node_id >= spaces[direction]:
+                    # one_to_many: a head id past the last tail id.
+                    with pytest.raises(IndexError, match="out of range"):
+                        stream.neighbors_of(node_id, direction, 17)
+                    continue
+                got = stream.neighbors_of(node_id, direction, 17)
+                assert got.dtype == np.int64
                 assert (
-                    np.sort(got[node_id])
+                    np.sort(got)
                     == _neighbor_oracle(table, node_id, direction)
                 ).all(), (name, direction, node_id)
 
@@ -210,14 +220,15 @@ class TestStructureRandomAccess:
                                                     params, n):
         generator = create_generator(name, seed=7, **params)
         table = generator.run(n)
+        stream = generator.run_chunked(n, 19)
         pairs = set(zip(table.tails.tolist(), table.heads.tolist()))
         # Present edges, in stored orientation.
         for src, dst in list(pairs)[:5]:
-            assert generator.edge_exists(n, src, dst, chunk_edges=19)
+            assert stream.edge_exists(src, dst, 19)
         # Undirected tables accept the reversed orientation too.
         if not table.directed:
             src, dst = next(iter(pairs))
-            assert generator.edge_exists(n, dst, src, chunk_edges=19)
+            assert stream.edge_exists(dst, src, 19)
         # An absent pair.
         absent = None
         for src in range(table.num_tail_nodes):
@@ -230,36 +241,37 @@ class TestStructureRandomAccess:
             if absent:
                 break
         if absent is not None:
-            assert not generator.edge_exists(n, *absent, chunk_edges=19)
+            assert not stream.edge_exists(*absent, 19)
 
-    def test_neighbors_of_empty_ids(self):
-        generator = create_generator("erdos_renyi", seed=5, p=0.05)
-        result = generator.neighbors_of(32, [])
-        assert result == {}
-
-    def test_neighbors_of_isolated_node(self):
+    def test_neighbors_of_isolated_and_out_of_range_nodes(self):
+        """An isolated node inside the id space has an empty
+        neighbourhood; one outside it is refused before the scan."""
         generator = create_generator("one_to_many", seed=5,
                                      degree_distribution=_zipf())
         table = generator.run(40)
-        isolated = table.num_head_nodes - 1  # heads may exceed tails
-        got = generator.neighbors_of(40, [isolated], direction="out")
-        if isolated not in set(table.tails.tolist()):
-            assert got[isolated].size == 0
-            assert got[isolated].dtype == np.int64
+        stream = generator.run_chunked(40, 19)
+        childless = sorted(set(range(40)) - set(table.tails.tolist()))
+        assert childless  # Zipf(1.2, 8) without an offset draws zeros
+        got = stream.neighbors_of(childless[0], "out")
+        assert got.size == 0 and got.dtype == np.int64
+        with pytest.raises(IndexError, match=r"out of range \[0, 40\)"):
+            stream.neighbors_of(table.num_head_nodes + 40, "out")
 
-    def test_emit_is_public_and_validates(self):
+    def test_read_range_is_public_and_validates(self):
         generator = create_generator("erdos_renyi_m", seed=5, m=100)
         stream = generator.run_chunked(64, 16)
-        tails, heads = stream.emit(5, 25)
+        tails, heads = stream.read_range(5, 25)
         assert tails.shape == heads.shape == (20,)
         full = stream.to_edge_table()
         assert (tails == full.tails[5:25]).all()
         assert (heads == full.heads[5:25]).all()
-        lo, hi = stream.emit(3, 3)[0].size, stream.emit(3, 3)[1].size
-        assert (lo, hi) == (0, 0)
+        empty = stream.read_range(3, 3)
+        assert (empty[0].size, empty[1].size) == (0, 0)
         with pytest.raises(IndexError):
-            stream.emit(-1, 4)
+            stream.read_range(-1, 4)
         with pytest.raises(IndexError):
-            stream.emit(0, stream.num_edges + 1)
+            stream.read_range(0, stream.num_edges + 1)
         with pytest.raises(IndexError):
-            stream.emit(9, 3)
+            stream.read_range(9, 3)
+        with pytest.raises(ValueError, match="chunk_edges must be >= 1"):
+            generator.run_chunked(64, 0)

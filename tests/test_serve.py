@@ -5,9 +5,10 @@ Three pillars (docs/serving.md):
 * **serve-vs-generate equivalence** — every node property column,
   edge endpoint and edge property page served by a
   :class:`~repro.serve.VirtualGraph` equals the materialised output
-  of the serial engine, on three zoo recipes covering all three edge
-  modes (virtual, spooled-sequential, spooled-correlated) plus a
-  planted benchmark recipe (appended edge block, forced attributes);
+  of the serial engine, on zoo recipes covering all three edge modes
+  (virtual, spooled-sequential, spooled-correlated) plus two planted
+  benchmark recipes (appended edge block, forced attributes, edge
+  properties over the appended ids);
 * **byte-identity** — a served CSV page is the exact line range of a
   ``generate`` export file;
 * **planted worlds** — ``neighbors_of`` / ``edge_exists`` see every
@@ -43,6 +44,8 @@ SCALES = {
     "social_network": {"Person": 250},
     "web_graph_rmat": {"Page": 256},
     "c2_pattern_infra_telemetry": {"Host": 300},
+    # planted *and* carrying an edge property over the appended block
+    "fraud_ring_social": {"Person": 300},
 }
 
 
@@ -149,6 +152,53 @@ class TestServeMatchesGenerate:
             assert virtual.edge_exists(
                 edge_name, int(tails[k]), int(heads[k])
             )
+
+    def test_empty_pages_keep_the_column_dtype(self, scenario_pair):
+        """Every empty range is typed like the column — the
+        past-the-end page of the generated block (``m``) included,
+        planted or not."""
+        name, compiled, graph, virtual = scenario_pair
+        for edge_name in graph.edge_tables:
+            m = virtual.base_edge_count(edge_name)
+            for prop in virtual.edge_property_names(edge_name):
+                dtype = graph.edge_property(edge_name, prop).values.dtype
+                for at in (0, m, virtual.edge_count(edge_name)):
+                    column = virtual.edge_properties_range(
+                        edge_name, prop, at, at
+                    )
+                    record = virtual.edge_records(edge_name, at, at)
+                    for page in (column, record[prop]):
+                        assert page.shape == (0,)
+                        assert page.dtype == dtype, (edge_name, prop, at)
+                    assert record["tail"].dtype == np.int64
+
+    def test_neighbors_of_checks_the_endpoint_id_space(
+        self, scenario_pair
+    ):
+        """A node id outside the endpoint type's range is refused
+        before the scan; an isolated node inside it is just empty."""
+        name, compiled, graph, virtual = scenario_pair
+        for edge_name, table in graph.edge_tables.items():
+            edge = compiled.schema.edge_type(edge_name)
+            tail_n = virtual.node_count(edge.tail_type)
+            head_n = virtual.node_count(edge.head_type)
+            spaces = {
+                "out": tail_n, "in": head_n, "both": max(tail_n, head_n),
+            }
+            for direction, space in spaces.items():
+                for bad in (-5, space, 10**12):
+                    with pytest.raises(
+                        IndexError,
+                        match=rf"node id {bad} out of range "
+                              rf"\[0, {space}\)",
+                    ):
+                        virtual.neighbors_of(edge_name, bad, direction)
+            childless = np.setdiff1d(np.arange(tail_n), table.tails)
+            if childless.size:
+                got = virtual.neighbors_of(
+                    edge_name, int(childless[0]), "out"
+                )
+                assert got.size == 0 and got.dtype == np.int64
 
     def test_range_validation(self, scenario_pair):
         name, compiled, graph, virtual = scenario_pair
@@ -458,6 +508,25 @@ class TestHttpContract:
         )
         assert status == 400
 
+    def test_neighbors_of_unknown_node_is_404(self, http_server):
+        """Like ``/nodes/<Type>/<id>``: an id outside the endpoint
+        type is a 404 naming the range, an isolated one a 200."""
+        base, graph, virtual = http_server
+        for bad in (-5, 200, 10**12):
+            status, body, ctype = _get(base, f"/neighbors/knows/{bad}")
+            assert status == 404 and ctype == "application/json"
+            assert f"node id {bad} out of range [0, 200)" in (
+                json.loads(body)["error"]
+            )
+        childless = np.setdiff1d(
+            np.arange(200), graph.edge_tables["creates"].tails
+        )
+        status, body, _ = _get(
+            base, f"/neighbors/creates/{int(childless[0])}?direction=out"
+        )
+        assert status == 200
+        assert json.loads(body)["count"] == 0
+
     def test_concurrent_requests_are_byte_identical(self, http_server):
         base, graph, virtual = http_server
         paths = [
@@ -641,6 +710,67 @@ class TestServeRobustness:
             if p.name.startswith(("repro-serve-", "repro-spool-"))
         ]
         assert leaked == []
+
+
+class TestUnwarmedConcurrency:
+    def test_first_touch_from_many_threads(self):
+        """Queries on an un-warmed graph are safe from any number of
+        threads: each edge type's matching state is built once, and
+        the per-thread page memos never leak a column into another
+        thread's page."""
+        import sys
+
+        compiled = compile_scenario(
+            load_zoo("social_network"), scale={"Person": 200}
+        )
+        warmed = VirtualGraph.from_scenario(compiled, chunk_rows=64)
+        virtual = VirtualGraph.from_scenario(compiled, chunk_rows=64)
+
+        def page(graph, k):
+            ids = np.arange(k, k + 40, dtype=np.int64)
+            return (
+                graph.node_records("Person", ids),
+                graph.edge_records("knows", 3 * k, 3 * k + 50),
+                graph.edge_records("creates", k, k + 50),
+                graph.neighbors_of("knows", k),
+            )
+
+        def same(got, expected):
+            return all(
+                (g[key] == e[key]).all()
+                for g, e in zip(got[:3], expected[:3]) for key in e
+            ) and (got[3] == expected[3]).all()
+
+        results, built = {}, []
+
+        def work(k):
+            results[k] = [page(virtual, k + i) for i in range(5)]
+            built.append({
+                name: id(table.resolve())
+                for name, table in virtual._base.edge_tables.items()
+            })
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            warmed.warm()
+            threads = [
+                threading.Thread(target=work, args=(k,))
+                for k in range(0, 80, 10)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == 8 and all(b == built[0] for b in built)
+            for k, pages in results.items():
+                for i, got in enumerate(pages):
+                    assert same(got, page(warmed, k + i)), (k, i)
+        finally:
+            sys.setswitchinterval(interval)
+            warmed.close()
+            virtual.close()
 
 
 class TestSequentialGenerators501:

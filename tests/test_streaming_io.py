@@ -503,7 +503,7 @@ class TestWriterLoop:
             "SpooledPropertyTable", "OverlayPropertyTable",
             "OverlayEdgeTable", "AppendedPropertyTable",
         }
-        assert type(planted.edge_tables["knows"].base).__name__ == \
+        assert type(planted.base.edge_tables["knows"]).__name__ == \
             "SpooledEdgeTable"
 
     @pytest.mark.parametrize("compress", [False, True])

@@ -1,11 +1,12 @@
 """Conformance suite for the row-range table protocol.
 
-Every table implementation — resident, spooled, overlaid — answers
-``name`` + ``len`` + ``read_range(start, stop)`` and inherits the rest
-from :mod:`repro.tables.ranged`.  One parametrised suite runs against
-all seven classes and checks each derived member against the
-materialised column(s); a new storage backend passes by adding one
-entry to ``PROPERTY_CASES`` / ``EDGE_CASES``.
+Every table implementation — resident, spooled, overlaid, virtual;
+pre-matching structures and matched edges included — answers ``name``
++ ``len`` + ``read_range(start, stop)`` and inherits the rest from
+:mod:`repro.tables.ranged`.  One parametrised suite runs against all
+of them and checks each derived member against the materialised
+column(s); a new storage backend passes by adding one entry to
+``PROPERTY_CASES`` / ``EDGE_CASES``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,24 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import (
+    EdgeType,
+    GeneratorSpec,
+    GraphGenerator,
+    NodeType,
+    PropertyDef,
+    Schema,
+)
+from repro.core.structures import MatchedEdges, SpilledStructure
+from repro.core.tasks import property_inputs
 from repro.io.spool import TableSpool
 from repro.planting.overlay import (
     AppendedPropertyTable,
     OverlayEdgeTable,
     OverlayPropertyTable,
 )
+from repro.serve.tables import PageMemo, VirtualPropertyTable
+from repro.structure import create_generator
 from repro.tables import EdgeTable, PropertyTable
 
 ROWS = 23
@@ -72,7 +85,42 @@ def _appended(storage, tmp_path):
     return AppendedPropertyTable(base, VALUES[18:]), VALUES
 
 
+def _virtual(subject, tmp_path):
+    """A property of a generated 23-node, 23-edge graph, recomputed
+    from the seed over the resident graph's dependency tables: ``T.a``
+    has no dependency, ``T.b`` one on its owner's ``a``, ``e.w`` one on
+    the tail endpoint's ``a``."""
+    date = GeneratorSpec("date_range", {"start": 0, "end": 10**6})
+    after = GeneratorSpec("after_dependency", {})
+    schema = Schema(
+        node_types=[NodeType("T", properties=[
+            PropertyDef("a", "date", date),
+            PropertyDef("b", "date", after, depends_on=("a",)),
+        ])],
+        edge_types=[EdgeType(
+            "e", "T", "T",
+            structure=GeneratorSpec("erdos_renyi_m", {"m": ROWS}),
+            properties=[
+                PropertyDef("w", "date", after, depends_on=("tail.a",)),
+            ],
+        )],
+    )
+    generator = GraphGenerator(schema, {"T": ROWS}, seed=3)
+    graph = generator.generate()
+    (task,) = (t for t in generator.plan() if t.subject == subject
+               and t.kind.endswith("property"))
+    table = VirtualPropertyTable(
+        subject, *property_inputs(schema, task, graph), task.task_id,
+        3, PageMemo(),
+    )
+    stored = {**graph.node_properties, **graph.edge_properties}
+    return table, stored[subject].values
+
+
 PROPERTY_CASES = {
+    "VirtualPropertyTable/no-deps": (_virtual, "T.a"),
+    "VirtualPropertyTable/owner-dep": (_virtual, "T.b"),
+    "VirtualPropertyTable/tail-dep": (_virtual, "e.w"),
     "PropertyTable": (_resident, "ram"),
     "SpooledPropertyTable": (_resident, "spool"),
     "OverlayPropertyTable/ram": (_overridden, "ram"),
@@ -80,6 +128,9 @@ PROPERTY_CASES = {
     "AppendedPropertyTable/ram": (_appended, "ram"),
     "AppendedPropertyTable/spool": (_appended, "spool"),
 }
+
+
+EDGES = EdgeTable("e", TAILS, HEADS, 11, 11)
 
 
 def _edge_base(storage, tmp_path, stop=ROWS):
@@ -93,11 +144,46 @@ def _overlaid_edges(storage, tmp_path):
     return OverlayEdgeTable(base, TAILS[16:], HEADS[16:])
 
 
+def _chunk_stream(name, tmp_path):
+    """A chunkable generator's stream against its own ``run``."""
+    generator = create_generator(name, seed=5, m=ROWS)
+    return generator.run_chunked(11, CHUNK_SIZE), generator.run(11)
+
+
+def _spilled_structure(_, tmp_path):
+    spool = TableSpool(tmp_path / "spool-sg", SHARD_ROWS)
+    return SpilledStructure(spool.spiller("structure.e"), EDGES)
+
+
+def _matched_edges(maps, tmp_path):
+    """A structure whose relabel through ``maps`` is ``EDGES``: the
+    head map is ``None`` (identity), the tail map itself (shared) or a
+    second permutation."""
+    tail_map = (np.arange(11, dtype=np.int64) * 7 + 3) % 11
+    head_map = {
+        "identity": None, "shared": tail_map,
+        "two-map": (np.arange(11, dtype=np.int64) * 4 + 9) % 11,
+    }[maps]
+    structure = EdgeTable(
+        "e", np.argsort(tail_map)[TAILS],
+        HEADS if head_map is None else np.argsort(head_map)[HEADS],
+        11, 11,
+    )
+    return MatchedEdges(structure, tail_map, head_map)
+
+
+#: name -> (build, argument); ``build`` returns the table, or the
+#: table and the resident table it must equal (``EDGES`` otherwise).
 EDGE_CASES = {
     "EdgeTable": (_edge_base, "ram"),
     "SpooledEdgeTable": (_edge_base, "spool"),
     "OverlayEdgeTable/ram": (_overlaid_edges, "ram"),
     "OverlayEdgeTable/spool": (_overlaid_edges, "spool"),
+    "EdgeChunkStream": (_chunk_stream, "erdos_renyi_m"),
+    "SpilledStructure": (_spilled_structure, None),
+    "MatchedEdges/identity": (_matched_edges, "identity"),
+    "MatchedEdges/shared": (_matched_edges, "shared"),
+    "MatchedEdges/two-map": (_matched_edges, "two-map"),
 }
 
 
@@ -108,9 +194,10 @@ def property_case(request, tmp_path):
 
 
 @pytest.fixture(params=sorted(EDGE_CASES))
-def edge_table(request, tmp_path):
-    build, storage = EDGE_CASES[request.param]
-    return build(storage, tmp_path)
+def edge_case(request, tmp_path):
+    build, argument = EDGE_CASES[request.param]
+    built = build(argument, tmp_path)
+    return built if isinstance(built, tuple) else (built, EDGES)
 
 
 def _assert_bounds_checked(table):
@@ -174,41 +261,79 @@ class TestPropertyTables:
 
 
 class TestEdgeTables:
-    def test_read_range(self, edge_table):
-        assert len(edge_table) == edge_table.num_edges == ROWS
+    def test_read_range(self, edge_case):
+        table, expected = edge_case
+        assert len(table) == table.num_edges == ROWS
         for lo, hi in RANGES:
-            tails, heads = edge_table.read_range(lo, hi)
-            assert np.array_equal(tails, TAILS[lo:hi])
-            assert np.array_equal(heads, HEADS[lo:hi])
+            tails, heads = table.read_range(lo, hi)
+            assert np.array_equal(tails, expected.tails[lo:hi])
+            assert np.array_equal(heads, expected.heads[lo:hi])
 
-    def test_bounds(self, edge_table):
-        _assert_bounds_checked(edge_table)
+    def test_bounds(self, edge_case):
+        _assert_bounds_checked(edge_case[0])
 
     @pytest.mark.parametrize("start, stop", [(0, None), (4, 19)])
-    def test_iter_chunks(self, edge_table, start, stop):
-        chunks = list(edge_table.iter_chunks(CHUNK_SIZE, start, stop))
+    def test_iter_chunks(self, edge_case, start, stop):
+        table, expected = edge_case
+        chunks = list(table.iter_chunks(CHUNK_SIZE, start, stop))
         last = ROWS if stop is None else stop
         assert [lo for lo, _, _ in chunks] == list(
             range(start, last, CHUNK_SIZE)
         )
         assert np.array_equal(
-            np.concatenate([t for _, t, _ in chunks]), TAILS[start:last]
+            np.concatenate([t for _, t, _ in chunks]),
+            expected.tails[start:last],
         )
         assert np.array_equal(
-            np.concatenate([h for _, _, h in chunks]), HEADS[start:last]
+            np.concatenate([h for _, _, h in chunks]),
+            expected.heads[start:last],
         )
 
-    def test_columns_and_metadata(self, edge_table):
-        assert np.array_equal(edge_table.tails, TAILS)
-        assert np.array_equal(edge_table.heads, HEADS)
-        assert not edge_table.is_bipartite
-        assert edge_table.num_nodes == 11
-        assert edge_table.to_edge_table() == EdgeTable(
-            "e", TAILS, HEADS, 11, 11
-        )
+    def test_columns_and_metadata(self, edge_case):
+        table, expected = edge_case
+        assert np.array_equal(table.tails, expected.tails)
+        assert np.array_equal(table.heads, expected.heads)
+        assert not table.is_bipartite
+        assert table.num_nodes == 11
+        assert table.to_edge_table() == expected
 
-    def test_pickle_round_trip(self, edge_table):
-        clone = pickle.loads(pickle.dumps(edge_table))
+    def test_scans(self, edge_case):
+        """``neighbors_of`` / ``edge_exists`` against the resident
+        columns, scanned in chunks that divide nothing."""
+        table, expected = edge_case
+        tails, heads = expected.tails, expected.heads
+        node = int(tails[ROWS // 2])
+        assert np.array_equal(
+            table.neighbors_of(node, "out", CHUNK_SIZE),
+            heads[tails == node],
+        )
+        assert np.array_equal(
+            table.neighbors_of(node, "in", CHUNK_SIZE),
+            tails[heads == node],
+        )
+        both = table.neighbors_of(node, "both", CHUNK_SIZE)
+        assert sorted(both) == sorted(np.concatenate([
+            heads[tails == node],
+            tails[(heads == node) & (tails != heads)],
+        ]))
+        for bad in (-5, 11, 10**12):
+            with pytest.raises(
+                IndexError, match=rf"node id {bad} out of range \[0, 11\)"
+            ):
+                table.neighbors_of(bad, "both", CHUNK_SIZE)
+        with pytest.raises(ValueError, match="out/in/both"):
+            table.neighbors_of(node, "sideways")
+        src, dst = int(tails[-1]), int(heads[-1])
+        assert table.edge_exists(src, dst, CHUNK_SIZE)
+        assert table.edge_exists(dst, src, CHUNK_SIZE) == (
+            not table.directed
+            or bool(((tails == dst) & (heads == src)).any())
+        )
+        assert not table.edge_exists(-5, dst, CHUNK_SIZE)
+
+    def test_pickle_round_trip(self, edge_case):
+        table, expected = edge_case
+        clone = pickle.loads(pickle.dumps(table))
         tails, heads = clone.read_range(0, ROWS)
-        assert np.array_equal(tails, TAILS)
-        assert np.array_equal(heads, HEADS)
+        assert np.array_equal(tails, expected.tails)
+        assert np.array_equal(heads, expected.heads)

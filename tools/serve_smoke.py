@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""Serve-vs-generate byte-identity smoke: boot a live server over a
-zoo recipe, page every node-property and edge CSV route, and diff the
-reassembled bytes against a real ``export_graph_csv`` run of the same
-compiled scenario.
+"""Serve-vs-generate byte-identity smoke: export the virtual graph of
+a zoo recipe (``export_graph(VirtualGraph(...).graph, sink)``) and
+tree-diff it, whole files, against a real ``run_scenario`` export of
+the same compiled scenario; then boot a live server over it, page
+every node-property and edge CSV route, and diff the reassembled bytes
+against the same export.
 
 This is the CI ``serve-smoke`` job's correctness half (the throughput
 half is ``benchmarks/bench_serve.py``): a server that drifts from the
@@ -127,8 +129,8 @@ def main(argv=None):
                              "graceful-drain contract on teardown")
     args = parser.parse_args(argv)
 
-    from repro.io.csv_io import export_graph_csv
-    from repro.scenarios import compile_scenario
+    from repro.io import export_graph, make_sink
+    from repro.scenarios import compile_scenario, run_scenario
     from repro.scenarios.zoo import load_zoo
     from repro.serve import VirtualGraph, create_server
 
@@ -142,31 +144,52 @@ def main(argv=None):
     print(f"serve-smoke: scenario {args.scenario!r} "
           f"scale={compiled.scale} seed={compiled.seed}")
 
-    # The reference: a real serial generate + CSV export.  Planted
-    # recipes overlay the plan first — the server must match the
-    # *planted* export (appended edges, forced attributes).
-    graph = compiled.generator(workers=1).generate()
-    plants = list(getattr(compiled, "plants", []) or [])
-    if plants:
-        from repro.planting import plan_plants, planted_graph
-
-        plan = plan_plants(
-            plants, graph.node_counts,
-            {n: len(t) for n, t in graph.edge_tables.items()},
-            compiled.seed,
-        )
-        graph = planted_graph(graph, plan)
+    # The reference: a real serial run_scenario CSV export.  Planted
+    # recipes export the overlaid world — the server must match the
+    # *planted* files (appended edges, forced attributes).
     out_dir = Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
-    written = {p.stem: p for p in export_graph_csv(graph, out_dir)
-               if p.suffix == ".csv"}
+    graph, _, paths = run_scenario(
+        compiled, workers=1, out_dir=out_dir / "export",
+        formats=["csv"], chunk_size=4096, compress=False,
+        validate=False,
+    )
+    plants = list(getattr(compiled, "plants", []) or [])
+    plan = graph.plan if plants else None
+    written = {Path(p).stem: Path(p) for p in paths
+               if str(p).endswith(".csv")}
 
-    # The subject: a virtual graph served over loopback HTTP — either
-    # in-process, or as the real CLI subprocess (--boot cli).
-    virtual = server = stop_cli = None
+    # The subject, first as files: the virtual graph is a
+    # PropertyGraph of lazy tables, so the exporter writes it like any
+    # other — every file must equal the reference's.
+    failures = 0
+    virtual = VirtualGraph.from_scenario(compiled, chunk_rows=512)
+    sink = make_sink("csv", out_dir / "served", chunk_size=4096,
+                     compress=False)
+    if plan is not None:
+        sink.extra_manifest = {"planting": plan.to_dict()}
+    export_graph(virtual.graph, sink)
+    exported = {p.name: p.read_bytes()
+                for p in (out_dir / "export").iterdir()}
+    exported.pop("ground_truth.json", None)  # run_scenario's, not a sink's
+    served_files = {p.name: p.read_bytes()
+                    for p in (out_dir / "served").iterdir()}
+    differing = sorted(
+        name for name in exported.keys() | served_files.keys()
+        if exported.get(name) != served_files.get(name)
+    )
+    if not _check("export_graph(virtual.graph) == run_scenario export",
+                  not differing,
+                  f"{len(exported)} files" if not differing
+                  else f"differ: {differing}"):
+        failures += 1
+
+    # Then over loopback HTTP — in-process, or as the real CLI
+    # subprocess (--boot cli).
+    server = stop_cli = None
     if args.boot == "cli":
+        virtual.close()
         base, stop_cli = _boot_cli(args.scenario, args.scale)
     else:
-        virtual = VirtualGraph.from_scenario(compiled, chunk_rows=512)
         virtual.warm()
         server = create_server(virtual, port=0)
         threading.Thread(target=server.serve_forever,
@@ -174,7 +197,6 @@ def main(argv=None):
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
 
-    failures = 0
     try:
         meta = json.loads(_get(base, "/"))
         edges = meta["classification"]["edges"]
