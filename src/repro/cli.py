@@ -75,10 +75,10 @@ def _add_sharding_args(cmd):
     cmd.add_argument(
         "--resume", default=None, metavar="DIR",
         help="resume an interrupted out-of-core run from the "
-             "checkpoint.json ledger in DIR: the run fingerprint is "
-             "validated, verified shards are skipped, and the export "
-             "is re-emitted byte-identical to an uninterrupted run "
-             "(see docs/robustness.md)",
+             "checkpoint.jsonl catalog in DIR: package version and "
+             "run fingerprint are validated, verified shards are "
+             "skipped, and the export is re-emitted byte-identical to "
+             "an uninterrupted run (see docs/robustness.md)",
     )
     cmd.add_argument(
         "--retries", type=_int_at_least(0), default=0, metavar="N",

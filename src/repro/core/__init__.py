@@ -1,11 +1,6 @@
 """DataSynth core: schema, dependency analysis, matching, engine."""
 
-from .checkpoint import (
-    CheckpointError,
-    CheckpointLedger,
-    run_fingerprint,
-    schema_fingerprint,
-)
+from .checkpoint import CHECKPOINT_NAME, CheckpointError, run_fingerprint
 from .dependency import DependencyError, Task, TaskGraph, build_task_graph
 from .engine import GraphGenerator
 from .faults import FaultPlan, InjectedFault, parse_faults
@@ -41,9 +36,9 @@ from .schema import (
 
 __all__ = [
     "BipartiteMatchResult",
+    "CHECKPOINT_NAME",
     "Cardinality",
     "CheckpointError",
-    "CheckpointLedger",
     "CorrelationSpec",
     "DependencyError",
     "EdgeType",
@@ -74,7 +69,6 @@ __all__ = [
     "parse_memory_budget",
     "random_match",
     "run_fingerprint",
-    "schema_fingerprint",
     "sbm_part_assign",
     "sbm_part_match",
 ]

@@ -1,15 +1,17 @@
-"""Checkpoint ledger for resumable sharded runs.
+"""Run fingerprint for resumable sharded runs.
 
 Every sharded stage is a pure function of ``(schema, scale, seed,
 shard_rows)``, so a spool part that was fully written and acked is
-provably identical to what a re-run would produce.  The ledger makes
-that observation operational: :class:`ShardedExecutor` appends an ack
-(rows + per-file size/CRC32) to ``checkpoint.json`` inside the spool
-as each shard lands, and a ``--resume`` run
+provably identical to what a re-run would produce.  The spool's
+catalog (:mod:`repro.io.spool`, ``checkpoint.jsonl``) makes that
+observation operational: :class:`ShardedExecutor` appends an ack
+(rows + per-file size/CRC32) as each shard lands, and a ``--resume``
+run
 
-1. validates the *run fingerprint* — a SHA-256 over the canonicalised
-   schema, the scale mapping, the seed, ``shard_rows`` and the sink
-   format — refusing to mix spools across configurations,
+1. validates the package / catalog version and the *run fingerprint*
+   defined here — a SHA-256 over the canonicalised schema, the scale
+   mapping, the seed, ``shard_rows`` and the sink format — refusing to
+   mix spools across versions or configurations,
 2. re-verifies every acked part file on disk (size + CRC), truncating
    each table's usable prefix at the first mismatch (acks are recorded
    in shard order, so the verified prefix is exactly the resumable
@@ -18,10 +20,8 @@ as each shard lands, and a ``--resume`` run
    the spool, making the final export byte-identical to an
    uninterrupted run.
 
-The ledger is JSON, rewritten atomically (tmp + rename) on every ack;
-a crash between acks loses at most the in-flight shard.  Counts are
-never checkpointed — they are recomputed on resume (cheap, and the
-recomputation cross-checks the fingerprint's purity argument).
+Counts are never checkpointed — they are recomputed on resume (cheap,
+and the recomputation cross-checks the fingerprint's purity argument).
 """
 
 from __future__ import annotations
@@ -30,32 +30,16 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 
-from ..io.spool import verify_digest
+from ..io.spool import CHECKPOINT_NAME, CheckpointError
 
 __all__ = [
     "CHECKPOINT_NAME",
     "CheckpointError",
-    "CheckpointLedger",
     "run_fingerprint",
-    "schema_fingerprint",
 ]
-
-CHECKPOINT_NAME = "checkpoint.json"
-
-LEDGER_VERSION = 1
-
-
-class CheckpointError(RuntimeError):
-    """A resume request that cannot be honoured (corrupt ledger or a
-    fingerprint mismatch — the spool belongs to a different run)."""
-
-
-# -- fingerprinting -----------------------------------------------------------
 
 
 def _canonical(value):
@@ -98,13 +82,6 @@ def _canonical(value):
     return {"__opaque__": type(value).__name__}
 
 
-def schema_fingerprint(schema):
-    """Hex SHA-256 of the canonicalised schema."""
-    payload = json.dumps(_canonical(schema), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def run_fingerprint(schema, scale, seed, shard_rows, sink_format):
     """Hex SHA-256 identifying one resumable run configuration.
 
@@ -120,166 +97,3 @@ def run_fingerprint(schema, scale, seed, shard_rows, sink_format):
         "format": str(sink_format),
     }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-# -- the ledger ---------------------------------------------------------------
-
-
-class CheckpointLedger:
-    """Per-spool append-style record of completed shard work.
-
-    Tables hold ordered shard-ack lists plus a ``done`` seal with the
-    table's finishing metadata; structures hold the topology metadata
-    (node counts, directedness) needed to resolve derived counts
-    without re-generating a completed edge's structure.
-    """
-
-    def __init__(self, directory, fingerprint):
-        self.directory = Path(directory)
-        self.path = self.directory / CHECKPOINT_NAME
-        self.fingerprint = fingerprint
-        self._tables = {}
-        self._structures = {}
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def fresh(cls, directory, fingerprint):
-        """A new empty ledger (any stale checkpoint is overwritten)."""
-        ledger = cls(directory, fingerprint)
-        ledger.save()
-        return ledger
-
-    @classmethod
-    def load(cls, directory, fingerprint):
-        """Load and validate an existing ledger for a resume.
-
-        A missing checkpoint file degrades to a fresh ledger (the run
-        crashed before its first ack); a present-but-unreadable file
-        or a fingerprint mismatch raises :class:`CheckpointError`.
-        """
-        directory = Path(directory)
-        path = directory / CHECKPOINT_NAME
-        if not path.exists():
-            return cls.fresh(directory, fingerprint)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint ledger at {path}: {exc}"
-            ) from exc
-        if payload.get("version") != LEDGER_VERSION:
-            raise CheckpointError(
-                f"checkpoint ledger version {payload.get('version')!r} "
-                f"is not supported (expected {LEDGER_VERSION})"
-            )
-        recorded = payload.get("fingerprint")
-        if recorded != fingerprint:
-            raise CheckpointError(
-                "checkpoint fingerprint mismatch: the spool at "
-                f"{directory} was written by a different run "
-                "configuration (schema/scale/seed/shard_rows/format); "
-                "refusing to resume"
-            )
-        ledger = cls(directory, fingerprint)
-        ledger._tables = payload.get("tables", {})
-        ledger._structures = payload.get("structures", {})
-        return ledger
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self):
-        payload = {
-            "version": LEDGER_VERSION,
-            "fingerprint": self.fingerprint,
-            "tables": self._tables,
-            "structures": self._structures,
-        }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=1),
-            encoding="utf-8",
-        )
-        os.replace(tmp, self.path)
-
-    # -- recording ---------------------------------------------------------
-
-    def _entry(self, key, kind, role=None):
-        entry = self._tables.setdefault(
-            key, {"kind": kind, "role": role, "shards": [],
-                  "done": False, "meta": None}
-        )
-        return entry
-
-    def ack_shard(self, key, kind, index, meta, role=None):
-        """Record one completed shard (must arrive in shard order)."""
-        entry = self._entry(key, kind, role)
-        if index < len(entry["shards"]):
-            # A re-run over a verified prefix re-acks identical work.
-            return
-        if index != len(entry["shards"]):
-            raise CheckpointError(
-                f"table {key!r}: ack for shard {index} out of order "
-                f"(expected {len(entry['shards'])})"
-            )
-        entry["shards"].append(dict(meta))
-        self.save()
-
-    def finish_table(self, key, kind, meta=None, role=None):
-        """Seal a table as complete, with its finishing metadata."""
-        entry = self._entry(key, kind, role)
-        entry["done"] = True
-        if meta is not None:
-            entry["meta"] = dict(meta)
-        self.save()
-
-    def record_structure(self, name, meta):
-        """Record a generated structure's topology metadata so derived
-        counts resolve on resume without re-generating it."""
-        self._structures[name] = dict(meta)
-        self.save()
-
-    def reset_table(self, key):
-        """Drop a table's acks (all-or-nothing stages redo from zero)."""
-        if key in self._tables:
-            del self._tables[key]
-            self.save()
-
-    # -- querying ----------------------------------------------------------
-
-    def table(self, key):
-        return self._tables.get(key)
-
-    def table_done(self, key):
-        entry = self._tables.get(key)
-        return bool(entry and entry["done"])
-
-    def structure_meta(self, name):
-        return self._structures.get(name)
-
-    def verified_shards(self, key):
-        """The usable prefix of a table's acked shards.
-
-        Walks the acks in shard order re-checking each part file's
-        size and CRC against the spool; stops at the first miss (a
-        torn write from the crash) and truncates the ledger to the
-        verified prefix, so the executor resumes exactly there.
-        """
-        entry = self._tables.get(key)
-        if entry is None:
-            return []
-        shards = entry["shards"]
-        verified = 0
-        for meta in shards:
-            files = meta.get("files") or []
-            if not files:
-                break
-            if not all(verify_digest(self.directory, f) for f in files):
-                break
-            verified += 1
-        if verified != len(shards):
-            entry["shards"] = shards[:verified]
-            entry["done"] = False
-            self.save()
-        return entry["shards"]

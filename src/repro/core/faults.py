@@ -20,8 +20,10 @@ Spec grammar (comma- or whitespace-separated entries)::
 Sites map to pipeline stages: ``count`` / ``property`` / ``structure``
 / ``match`` / ``export`` fire at the matching stage (index = per-stage
 occurrence counter: shard index for worker stages, write counter for
-export), and the generic ``shard`` site fires for *any* pool-executed
-shard job by its submission index.
+export), ``ledger`` fires in the parent before each append to the
+spool's catalog (index = append counter of this run — the window
+between a part file landing and its ack), and the generic ``shard``
+site fires for *any* pool-executed shard job by its submission index.
 
 Every fault fires a bounded number of times (default once) and the
 fired-state lives in small append-only files under a state directory,
@@ -57,7 +59,9 @@ __all__ = [
 
 #: Stage boundaries that consult the plan.  ``shard`` is the generic
 #: site: it matches any pool-executed shard job by submission index.
-FAULT_SITES = ("count", "property", "structure", "match", "export", "shard")
+FAULT_SITES = (
+    "count", "property", "structure", "match", "export", "ledger", "shard",
+)
 
 FAULT_ACTIONS = ("crash", "kill", "slow", "ioerror")
 

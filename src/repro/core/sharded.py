@@ -56,12 +56,11 @@ documented O(nodes) matching-permutation term — pinned by
 from __future__ import annotations
 
 import tempfile
-from functools import partial
 from pathlib import Path
 
 from ..io.spool import TableSpool
 from . import faults as _faults
-from .checkpoint import CheckpointLedger, run_fingerprint
+from .checkpoint import run_fingerprint
 from .dependency import DependencyError, build_task_graph
 from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
@@ -179,11 +178,11 @@ class ShardedExecutor:
         pool when it broke — with exponential backoff; ``0`` keeps the
         fail-fast behaviour.
     resume:
-        continue a previous run from its ``checkpoint.json`` ledger in
-        ``spool_dir``: the run fingerprint is validated, acked shard
-        parts are re-verified (size + CRC) and skipped, and the sink
-        re-emits every table from the spool so the export is
-        byte-identical to an uninterrupted run.
+        continue a previous run from the ``checkpoint.jsonl`` catalog
+        in ``spool_dir``: package version and run fingerprint are
+        validated, acked shard parts are re-verified (size + CRC) and
+        skipped, and the sink re-emits every table from the spool so
+        the export is byte-identical to an uninterrupted run.
     faults:
         a :class:`~repro.core.faults.FaultPlan` (or spec string) to
         consult at stage boundaries; ``None`` falls back to the
@@ -209,7 +208,6 @@ class ShardedExecutor:
             resume=bool(resume), retries=int(retries), faults=faults,
         )
         self.backoff = float(backoff)
-        self._ledger = None
         self._stage_counters = None
 
     def run(self, sink=None):
@@ -230,15 +228,13 @@ class ShardedExecutor:
         spool = TableSpool(Path(spool_dir), self.shard_rows)
         result = ShardedResult(self.schema, self.seed, spool)
         structures = {}
-        fingerprint = run_fingerprint(
-            self.schema, self.scale, self.seed, self.shard_rows,
-            self._sink_format(sink),
+        spool.open_catalog(
+            run_fingerprint(
+                self.schema, self.scale, self.seed, self.shard_rows,
+                self._sink_format(sink),
+            ),
+            resume=options.resume,
         )
-        open_ledger = (
-            CheckpointLedger.load if options.resume
-            else CheckpointLedger.fresh
-        )
-        self._ledger = open_ledger(spool.directory, fingerprint)
         self._stage_counters = {"count": 0, "structure": 0}
         pool = ShardPool(options.backend, options.workers,
                          retries=options.retries, backoff=self.backoff)
@@ -261,7 +257,6 @@ class ShardedExecutor:
                     ),
                     result, sink,
                 )
-                spool.write_manifests()
             except BaseException:
                 # A stage raised mid-run: the spool holds half-written
                 # shards nobody can consume.  Remove it — unless the
@@ -280,7 +275,6 @@ class ShardedExecutor:
                 # with it a private fired-state tempdir; a caller-built
                 # FaultPlan stays the caller's to clean up.
                 plan.cleanup()
-            self._ledger = None
             self._stage_counters = None
         return result
 
@@ -321,34 +315,23 @@ class ShardedExecutor:
 
     # -- the per-shard loop, and properties --------------------------------
 
-    def _run_shards(self, key, kind, role, job, bounds, args, spool,
-                    pool):
+    def _run_shards(self, key, job, bounds, args, spool, pool):
         """Fill one table's shards ``bounds`` in the spool.
 
         Shards flow through the pool's bounded in-flight window:
         workers run ``job(spool, key, index, bound, *args)`` — a pure
-        kernel that saves its part files — and the parent records the
-        acked metadata in shard order, so scheduling cannot change the
-        output.  Each acked shard is checkpointed; on resume the
-        ledger's verified prefix is adopted from the spool instead of
-        re-run.
+        kernel that saves its part files — and the parent acks the
+        returned metadata into the spool's catalog in shard order, so
+        scheduling cannot change the output.  On resume the catalog's
+        verified prefix is already there and only the rest is run.
         """
-        ledger = self._ledger
-        record = (
-            partial(spool.record_property_shard, role=role)
-            if kind == "property" else spool.record_edge_shard
-        )
-        acked = ledger.verified_shards(key)
-        skip = min(len(acked), len(bounds))
-        for index in range(skip):
-            record(key, index, acked[index])
+        skip = spool.verified_prefix(key)
         jobs = (
             (spool, key, index, bounds[index], *args)
             for index in range(skip, len(bounds))
         )
         for index, meta in enumerate(pool.ordered_map(job, jobs), skip):
-            record(key, index, meta)
-            ledger.ack_shard(key, kind, index, meta, role=role)
+            spool.ack(key, index, meta)
 
     def _apply_property(self, task, result, spool, pool):
         """A node or edge property table, shard by shard.  Dependencies
@@ -356,44 +339,33 @@ class ShardedExecutor:
         :func:`~repro.core.tasks.dep_slice`)."""
         key = task.subject
         spec, count, deps = property_inputs(self.schema, task, result)
-        if task.kind == "property":
-            tables, role = result.node_properties, "node_property"
-        else:
-            tables, role = result.edge_properties, "edge_property"
         self._run_shards(
-            key, "property", role, _property_shard_part,
-            spool.shard_bounds(count),
+            key, _property_shard_part, spool.shard_bounds(count),
             (spec, task.task_id, self.seed, deps), spool, pool,
         )
-        self._ledger.finish_table(key, "property", role=role)
+        tables = (
+            result.node_properties if task.kind == "property"
+            else result.edge_properties
+        )
         tables[key] = spool.finish_property(key)
 
     # -- structure and matching --------------------------------------------
 
-    def _edge_restorable(self, edge_name):
-        """True when a completed edge table can be adopted from the
-        spool: its acks are sealed, every part file still verifies,
-        and the structure metadata needed by ``resolve_count`` was
-        recorded.  Verification happens *here*, at the structure task,
-        because a torn part discovered later would need the structure
-        this decision skips."""
-        ledger = self._ledger
-        if not ledger.table_done(edge_name):
-            return False
-        ledger.verified_shards(edge_name)  # truncates (and unseals) on a torn part
-        return (ledger.table_done(edge_name)
-                and ledger.structure_meta(edge_name) is not None)
-
     def _apply_structure(self, task, result, structures, spool):
         index = self._stage_counters["structure"]
         self._stage_counters["structure"] = index + 1
-        if self._edge_restorable(task.subject):
-            # The matched edge table will be adopted whole from the
-            # spool; a metadata-only handle keeps derived counts
-            # resolvable without re-generating the structure.
-            structures[task.subject] = StructureHandle(
-                **self._ledger.structure_meta(task.subject)
-            )
+        name = task.subject
+        # Resume: a completed edge table is adopted whole from the
+        # spool, so its structure is not re-generated — a metadata-only
+        # handle keeps derived counts resolvable.  Its parts are
+        # re-verified *here* (a torn one truncates and unseals the
+        # table): found at the match task, it would need the structure
+        # this skips.
+        if spool.sealed(name) is not None:
+            spool.verified_prefix(name)
+        meta = spool.structure_meta(name)
+        if spool.sealed(name) is not None and meta is not None:
+            structures[name] = StructureHandle(**meta)
             return
         _faults.fire("structure", index)
         handle = open_structure(
@@ -402,30 +374,23 @@ class ShardedExecutor:
                 result.node_counts,
             ),
             spool.shard_rows,
-            spool.spiller(f"structure.{task.subject}"),
+            spool.spiller(f"structure.{name}"),
         )
-        structures[task.subject] = handle
-        self._ledger.record_structure(task.subject, metadata(handle))
-
-    def _restore_match(self, edge, result, spool):
-        """Adopt a completed edge table from the spool (resume path):
-        re-record the verified acks, seal, and skip matching.  The
-        match-result diagnostic is not reconstructed — it describes
-        the matching *work*, which did not run."""
-        ledger = self._ledger
-        entry = ledger.table(edge.name)
-        for index, meta in enumerate(entry["shards"]):
-            spool.record_edge_shard(edge.name, index, meta)
-        result.edge_tables[edge.name] = spool.finish_edge(
-            edge.name, **entry["meta"]
-        )
-        result.match_results[edge.name] = None
+        structures[name] = handle
+        spool.record_structure(name, metadata(handle))
 
     def _apply_match(self, task, result, structures, spool, pool):
         edge = self.schema.edge_type(task.subject)
-        if self._ledger.table_done(edge.name):
-            # Verified by _edge_restorable at the structure task.
-            self._restore_match(edge, result, spool)
+        sealed = spool.sealed(edge.name)
+        if sealed is not None:
+            # Resume: adopt the completed table from the spool and skip
+            # matching (its parts verified at the structure task).  The
+            # match-result diagnostic is not reconstructed — it
+            # describes the matching *work*, which did not run.
+            result.edge_tables[edge.name] = spool.finish_edge(
+                edge.name, **sealed
+            )
+            result.match_results[edge.name] = None
             return
         handle = structures[edge.name]
         tail_count = result.node_counts[edge.tail_type]
@@ -436,7 +401,7 @@ class ShardedExecutor:
             # exact serial kernel, spill the final table, free.  As a
             # global stage it checkpoints all-or-nothing: a partial
             # ack prefix from a crashed run is discarded, not resumed.
-            self._ledger.reset_table(edge.name)
+            spool.reset(edge.name)
             table, match = match_edge(
                 seed=self.seed, task_id=task.task_id,
                 **match_inputs(self.schema, task, result, structures),
@@ -444,11 +409,7 @@ class ShardedExecutor:
             for index, (_, tails, heads) in enumerate(
                 table.iter_chunks(spool.shard_rows)
             ):
-                shard_meta = spool.write_edge_shard(
-                    edge.name, index, tails, heads
-                )
-                self._ledger.ack_shard(edge.name, "edge", index,
-                                       shard_meta)
+                spool.write_edge_shard(edge.name, index, tails, heads)
             n_tail, n_head = table.num_tail_nodes, table.num_head_nodes
             del table
         else:
@@ -464,17 +425,10 @@ class ShardedExecutor:
         # Relabelling preserves the structure's name and direction, so
         # the spooled table carries them too — EdgeTable.__eq__
         # compares the name.
-        meta = {
-            "num_tail_nodes": n_tail,
-            "num_head_nodes": n_head,
-            "directed": handle.directed,
-            "name": handle.name,
-        }
         result.edge_tables[edge.name] = spool.finish_edge(
-            edge.name, **meta
+            edge.name, n_tail, n_head, handle.directed, name=handle.name
         )
         result.match_results[edge.name] = match
-        self._ledger.finish_table(edge.name, "edge", meta=meta)
 
     def _match_streaming(self, task, edge, handle, tail_count,
                          head_count, spool, pool):
@@ -496,7 +450,7 @@ class ShardedExecutor:
                 spool.spiller(f"match.{edge.name}"), tail_map, head_map
             )
         self._run_shards(
-            edge.name, "edge", None, _relabel_shard_part,
+            edge.name, _relabel_shard_part,
             spool.shard_bounds(handle.num_edges)
             if handle.num_edges else [],
             (MatchedEdges(handle, tail_map, head_map),), spool, pool,

@@ -46,7 +46,6 @@ from .streaming import (
     export_graph,
     make_sink,
     make_source,
-    merge_shard_manifests,
 )
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "from_networkx",
     "make_sink",
     "make_source",
-    "merge_shard_manifests",
     "open_text",
     "property_graph_to_networkx",
     "read_edge_table",

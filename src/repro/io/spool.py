@@ -12,15 +12,23 @@ and the lazy ``values`` column from it, which is how the sharded
 pipeline reuses the in-memory sinks unchanged and inherits their
 byte-identity guarantee.
 
-Each shard directory carries its own ``manifest.json``; the spool's
-root manifest is their
-:func:`~repro.io.streaming.merge_shard_manifests` merge, making the
-spool a self-describing on-disk graph fragment store.
+The spool keeps exactly one *catalog* of what it holds: per table the
+acked shards (rows, dtype, per-file size + CRC32) and the seal with
+its finishing metadata, plus the topology metadata of each generated
+structure.  It lives once in memory and — after
+:meth:`TableSpool.open_catalog` — is persisted as the append-only
+JSON-lines file ``checkpoint.jsonl``: a header line (catalog format,
+package version, run fingerprint, ``shard_rows``) and then one line
+per ``ack`` / ``seal`` / ``structure`` / ``reset`` / ``truncate``
+event, one ``write`` each, so an ack costs O(1) bytes and a crash
+loses at most the in-flight shard.  ``--resume`` replays the file
+through the function that records live events, re-verifies each
+table's acked part files and continues after the verified prefix.
 
 The spool is also the IPC boundary of the process backend: spools,
 spooled tables and :class:`SpillView` handles pickle as *paths* (no
-data), so worker processes can write part files straight into the
-shard directories and the parent only records the acked metadata.
+data, no catalog), so worker processes can write part files straight
+into the shard directories and only the parent records the acks.
 :class:`SortedRuns` adds the out-of-core primitive for the remaining
 global stages: sorted spill runs with a vectorised k-way merge
 (optionally dropping duplicates), bounded by the run size.
@@ -29,16 +37,19 @@ global stages: sorted spill runs with a vectorised k-way merge
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from ..core import faults as _faults
 from ..tables.ranged import EdgeRows, PropertyRows
-from .streaming import merge_shard_manifests
 
 __all__ = [
+    "CHECKPOINT_NAME",
+    "CheckpointError",
     "SortedRuns",
     "SpillView",
     "SpooledEdgeTable",
@@ -50,10 +61,56 @@ __all__ = [
     "spill_create",
     "spill_seal",
     "verify_digest",
-    "SHARD_MANIFEST_NAME",
 ]
 
-SHARD_MANIFEST_NAME = "manifest.json"
+CHECKPOINT_NAME = "checkpoint.jsonl"
+
+#: Format of the catalog file; 1 was the whole-document
+#: ``checkpoint.json`` ledger, which this code refuses to resume.
+CATALOG_VERSION = 2
+
+#: Required fields (and JSON types) of the header line, of each event
+#: line, and of the per-file digests inside an ``ack``.
+_HEADER_FIELDS = {
+    "catalog": int, "repro": str, "fingerprint": str, "shard_rows": int,
+}
+_EVENT_FIELDS = {
+    "ack": {"table": str, "kind": str, "shard": int, "rows": int,
+            "files": list},
+    "seal": {"table": str, "meta": dict},
+    "structure": {"name": str, "meta": dict},
+    "reset": {"table": str},
+    "truncate": {"table": str, "shards": int},
+}
+_FILE_FIELDS = {"path": str, "bytes": int, "crc": int}
+
+
+class CheckpointError(RuntimeError):
+    """A resume request that cannot be honoured: a malformed catalog,
+    one written by another package / catalog version, or a fingerprint
+    mismatch — the spool belongs to a different run."""
+
+
+def _check_fields(record, fields):
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    for field, kind in fields.items():
+        if not isinstance(record.get(field), kind):
+            raise ValueError(f"field {field!r} must be {kind.__name__}")
+
+
+def _check_event(event):
+    """Validate one parsed catalog event line (``ValueError``)."""
+    _check_fields(event, {"event": str})
+    fields = _EVENT_FIELDS.get(event["event"])
+    if fields is None:
+        raise ValueError(f"unknown event {event['event']!r}")
+    _check_fields(event, fields)
+    if event["event"] == "ack":
+        if event["kind"] == "property":
+            _check_fields(event, {"dtype": str})
+        for digest in event["files"]:
+            _check_fields(digest, _FILE_FIELDS)
 
 
 def _dtype_token(dtype):
@@ -68,7 +125,7 @@ def _save(path, array):
 
 def _digest(root, path):
     """Size + CRC32 of one part file, keyed by its spool-relative path
-    — the integrity record the checkpoint ledger verifies on resume."""
+    — the integrity record the catalog re-verifies on resume."""
     crc = 0
     size = 0
     with open(path, "rb") as handle:
@@ -88,14 +145,10 @@ def _digest(root, path):
 def verify_digest(root, meta):
     """True when the part file named by a digest dict still matches
     its recorded size and CRC (missing/short/corrupt -> False)."""
-    root = Path(root)
-    path = root / meta["path"]
     try:
-        fresh = _digest(root, path)
+        return _digest(root, root / meta["path"]) == meta
     except OSError:
         return False
-    return (fresh["bytes"] == int(meta["bytes"])
-            and fresh["crc"] == int(meta["crc"]))
 
 
 def _load(path, dtype_kind):
@@ -227,25 +280,28 @@ class TableSpool:
         self.shard_rows = int(shard_rows)
         if self.shard_rows < 1:
             raise ValueError("shard_rows must be >= 1")
-        #: table key -> {"kind", "role", "shards": [per-shard entry]}
+        #: the catalog: table key -> {"shards": [ack events, in shard
+        #: order], "sealed": finishing metadata or None}, and
+        #: structure name -> topology metadata
         self._tables = {}
+        self._structures = {}
+        #: catalog file, once open_catalog() chose to persist it
+        self._catalog = None
+        self._appends = 0
         #: scratch path -> SpillView handed out (closed before cleanup)
         self._views = {}
 
     def __getstate__(self):
-        # Workers get a metadata-free clone: paths + geometry only.
-        # Table bookkeeping and view registries stay in the parent,
-        # which is the only process that records shards or cleans up.
+        # Workers get a catalog-free clone: paths + geometry only.
+        # The catalog, its file and the view registry stay in the
+        # parent, the only process that records shards or cleans up.
         return {
             "directory": str(self.directory),
             "shard_rows": self.shard_rows,
         }
 
     def __setstate__(self, state):
-        self.directory = Path(state["directory"])
-        self.shard_rows = state["shard_rows"]
-        self._tables = {}
-        self._views = {}
+        self.__init__(state["directory"], state["shard_rows"])
 
     # -- geometry ----------------------------------------------------------
 
@@ -263,60 +319,209 @@ class TableSpool:
             for lo in range(0, count, self.shard_rows)
         ]
 
-    def shard_dir(self, index):
-        return self.directory / "shards" / f"{index:05d}"
-
     def _part_path(self, index, key, column=None):
         stem = key if column is None else f"{key}.{column}"
-        return self.shard_dir(index) / f"{stem}.npy"
+        return self.directory / "shards" / f"{index:05d}" / f"{stem}.npy"
+
+    # -- the catalog -------------------------------------------------------
+
+    def open_catalog(self, fingerprint, resume=False):
+        """Persist the catalog to ``checkpoint.jsonl`` from here on.
+
+        A fresh run starts the file over with its header line.  With
+        ``resume`` an existing file is validated line by line and
+        replayed into memory first (:class:`CheckpointError` on a
+        malformed line, another package / catalog version or another
+        run fingerprint); no catalog at all degrades to a fresh run —
+        the earlier run crashed before its first ack.
+        """
+        # Imported here: repro/__init__ sets it after importing this module.
+        from .. import __version__
+        self._catalog = self.directory / CHECKPOINT_NAME
+        header = {
+            "catalog": CATALOG_VERSION, "repro": __version__,
+            "fingerprint": fingerprint, "shard_rows": self.shard_rows,
+        }
+        if resume and self._replay(header):
+            return
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._catalog.write_text(json.dumps(header) + "\n",
+                                 encoding="utf-8")
+
+    def _replay(self, expected):
+        """Load the catalog file; False when there is none to load.
+
+        Only a torn *final* line — no trailing newline, or cut-off
+        JSON: the one event a crash can leave half-written — is
+        tolerated; it is dropped from the file as well, so the next
+        append starts on a clean line.
+        """
+        path = self._catalog
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            if (self.directory / "checkpoint.json").exists():
+                raise CheckpointError(
+                    f"{self.directory} holds a catalog format 1 "
+                    f"checkpoint.json; this is repro {expected['repro']} "
+                    f"(catalog format {CATALOG_VERSION}): refusing to "
+                    "resume across versions"
+                ) from None
+            return False
+        except OSError as exc:
+            raise CheckpointError(
+                f"unreadable catalog {path}: {exc}"
+            ) from exc
+        lines = data.split(b"\n")[:-1]  # minus the unterminated tail
+        good = 0
+        for number, raw in enumerate(lines, 1):
+            try:
+                try:
+                    record = json.loads(raw)
+                except ValueError:
+                    if number == len(lines):
+                        break
+                    raise
+                if number == 1:
+                    self._check_header(record, expected)
+                else:
+                    _check_event(record)
+                    self._apply(record)
+            except (ValueError, KeyError) as exc:
+                raise CheckpointError(
+                    f"malformed catalog {path}, line {number}: {exc}"
+                ) from exc
+            good += len(raw) + 1
+        if good != len(data):
+            os.truncate(path, good)
+        return good > 0
+
+    def _check_header(self, header, expected):
+        _check_fields(header, _HEADER_FIELDS)
+        versions = "repro {repro} (catalog format {catalog})".format
+        if versions(**header) != versions(**expected):
+            raise CheckpointError(
+                f"the catalog at {self._catalog} was written by "
+                f"{versions(**header)}; this is {versions(**expected)}: "
+                "refusing to resume across versions"
+            )
+        if header != expected:
+            raise CheckpointError(
+                "checkpoint fingerprint mismatch: the spool at "
+                f"{self.directory} was written by a different run "
+                "configuration (schema/scale/seed/shard_rows/format); "
+                "refusing to resume"
+            )
+
+    def _apply(self, event):
+        """Fold one catalog event into the in-memory catalog.
+
+        Live recording and the resume replay both come through here,
+        so this is the one place that checks the ack order.
+        """
+        kind = event["event"]
+        if kind == "structure":
+            self._structures[event["name"]] = event["meta"]
+            return
+        key = event["table"]
+        if kind == "reset":
+            self._tables.pop(key, None)
+        elif kind == "ack":
+            shards = self._tables.setdefault(
+                key, {"shards": [], "sealed": None}
+            )["shards"]
+            if event["shard"] != len(shards):
+                raise ValueError(
+                    f"table {key!r}: shard {event['shard']} written out "
+                    f"of order (expected {len(shards)})"
+                )
+            shards.append(event)
+        elif kind == "seal":
+            self._tables[key]["sealed"] = event["meta"]
+        else:  # truncate
+            entry = self._tables[key]
+            del entry["shards"][event["shards"]:]
+            entry["sealed"] = None
+
+    def _log(self, event):
+        """Record one event: in memory, and as one appended line."""
+        if self._catalog is None:  # bare or worker-side: memory only
+            return self._apply(event)
+        _faults.fire("ledger", self._appends)
+        self._appends += 1
+        self._apply(event)
+        with open(self._catalog, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(event) + "\n")
+
+    def ack(self, key, index, meta):
+        """Record one landed shard from the metadata dict its
+        ``save_*_part`` call returned (shards ack in shard order)."""
+        self._log({"event": "ack", "table": key, "shard": index, **meta})
+
+    def reset(self, key):
+        """Drop a table's acks (all-or-nothing stages redo from zero)."""
+        if key in self._tables:
+            self._log({"event": "reset", "table": key})
+
+    def verified_prefix(self, key):
+        """How many leading acked shards of a table are still intact.
+
+        Re-checks each acked part file's size and CRC in shard order
+        and stops at the first miss (a torn write from the crash),
+        truncating — and unsealing — the table there, so a resumed run
+        continues exactly after the verified prefix.
+        """
+        shards = self._tables[key]["shards"] if key in self._tables else ()
+        for index, shard in enumerate(shards):
+            if not (shard["files"] and all(
+                verify_digest(self.directory, f) for f in shard["files"]
+            )):
+                self._log(
+                    {"event": "truncate", "table": key, "shards": index}
+                )
+                break  # the truncate cut ``shards`` in place
+        return len(shards)
+
+    def sealed(self, key):
+        """The finishing metadata of a sealed table, else ``None``."""
+        entry = self._tables.get(key)
+        return entry and entry["sealed"]
+
+    def _seal(self, key, meta):
+        if self._tables[key]["sealed"] != meta:
+            self._log({"event": "seal", "table": key, "meta": meta})
+
+    def record_structure(self, name, meta):
+        """Record a generated structure's topology metadata, so derived
+        counts resolve on resume without re-generating it."""
+        self._log({"event": "structure", "name": name, "meta": meta})
+
+    def structure_meta(self, name):
+        return self._structures.get(name)
 
     # -- writes ------------------------------------------------------------
 
-    def _entry_list(self, key, kind, **meta):
-        entry = self._tables.setdefault(
-            key, {"kind": kind, "shards": [], **meta}
-        )
-        if entry["kind"] != kind:
-            raise ValueError(
-                f"table {key!r} already spooled with kind "
-                f"{entry['kind']!r}"
-            )
-        return entry
-
     def save_property_part(self, index, key, values):
-        """Persist one shard's part *file* (any process; no metadata).
+        """Persist one shard's part *file* (any process; no catalog).
 
-        Workers call this and ack the returned metadata dict, which
-        the parent records in shard order via
-        :meth:`record_property_shard` — the spool files are the IPC
-        channel, the queue carries only this dict.
+        Workers call this and hand back the returned metadata dict,
+        which the parent records in shard order via :meth:`ack` — the
+        spool files are the IPC channel, the queue carries only this
+        dict.
         """
         values = np.asarray(values)
         path = self._part_path(index, key)
         _save(path, values)
         return {
+            "kind": "property",
             "rows": int(values.size),
             "dtype": _dtype_token(values.dtype),
             "files": [_digest(self.directory, path)],
         }
 
-    def record_property_shard(self, key, index, meta, role="property"):
-        """Record one acked property-shard part (in shard order)."""
-        entry = self._entry_list(key, "property", role=role)
-        if len(entry["shards"]) != index:
-            raise ValueError(
-                f"table {key!r}: shard {index} written out of order "
-                f"(expected {len(entry['shards'])})"
-            )
-        entry["shards"].append(
-            {"rows": int(meta["rows"]), "dtype": meta["dtype"]}
-        )
-
-    def write_property_shard(self, key, index, values, role="property"):
-        """Persist one id-range shard of a property column."""
-        meta = self.save_property_part(index, key, values)
-        self.record_property_shard(key, index, meta, role=role)
-        return meta
+    def write_property_shard(self, key, index, values):
+        """Persist and ack one id-range shard of a property column."""
+        self.ack(key, index, self.save_property_part(index, key, values))
 
     def save_edge_part(self, index, key, tails, heads):
         """Persist one edge shard's part files (any process)."""
@@ -331,6 +536,7 @@ class TableSpool:
         _save(tails_path, tails)
         _save(heads_path, heads)
         return {
+            "kind": "edge",
             "rows": int(tails.size),
             "files": [
                 _digest(self.directory, tails_path),
@@ -338,34 +544,18 @@ class TableSpool:
             ],
         }
 
-    def record_edge_shard(self, key, index, meta):
-        """Record one acked edge-shard part (in shard order)."""
-        entry = self._entry_list(key, "edge")
-        if len(entry["shards"]) != index:
-            raise ValueError(
-                f"table {key!r}: shard {index} written out of order "
-                f"(expected {len(entry['shards'])})"
-            )
-        entry["shards"].append({"rows": int(meta["rows"])})
-
     def write_edge_shard(self, key, index, tails, heads):
-        """Persist one id-range shard of an edge table's columns."""
-        meta = self.save_edge_part(index, key, tails, heads)
-        self.record_edge_shard(key, index, meta)
-        return meta
+        """Persist and ack one id-range shard of an edge table."""
+        self.ack(key, index, self.save_edge_part(index, key, tails, heads))
 
-    def finish_property(self, key, name=None):
+    def finish_property(self, key):
         """Seal a property table: a :class:`SpooledPropertyTable`."""
-        entry = self._tables[key]
-        shards = entry["shards"]
+        shards = self._tables[key]["shards"]
         dtype = next(
             (s["dtype"] for s in shards if s["rows"]), shards[0]["dtype"]
         )
-        return SpooledPropertyTable(
-            name or key, self, key, shards, np.dtype(
-                object if dtype == "object" else dtype
-            ),
-        )
+        self._seal(key, {})
+        return SpooledPropertyTable(key, self, key, shards, np.dtype(dtype))
 
     def finish_edge(self, key, num_tail_nodes, num_head_nodes, directed,
                     name=None):
@@ -374,20 +564,22 @@ class TableSpool:
         Zero-shard tables get one empty ``int64`` shard so the on-disk
         dtype matches what chunked structure emission guarantees.
         """
-        entry = self._tables.setdefault(key, {"kind": "edge", "shards": []})
-        if not entry["shards"]:
+        if not (key in self._tables and self._tables[key]["shards"]):
             self.write_edge_shard(
                 key, 0,
                 np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             )
-        entry.update(
-            num_tail_nodes=int(num_tail_nodes),
-            num_head_nodes=int(num_head_nodes),
-            directed=bool(directed),
-        )
+        meta = {
+            "num_tail_nodes": int(num_tail_nodes),
+            "num_head_nodes": int(num_head_nodes),
+            "directed": bool(directed),
+            "name": name or key,
+        }
+        self._seal(key, meta)
         return SpooledEdgeTable(
-            name or key, self, key, entry["shards"],
-            int(num_tail_nodes), int(num_head_nodes), bool(directed),
+            meta["name"], self, key, self._tables[key]["shards"],
+            meta["num_tail_nodes"], meta["num_head_nodes"],
+            meta["directed"],
         )
 
     # -- scratch (transient global state: pre-match structures, codes) ------
@@ -457,60 +649,6 @@ class TableSpool:
                 view.close()
             exact.unlink()
 
-    # -- manifests ---------------------------------------------------------
-
-    def shard_manifest(self, index):
-        """The manifest dict of one shard directory."""
-        tables = {}
-        for key, entry in self._tables.items():
-            shards = entry["shards"]
-            if index >= len(shards):
-                continue
-            shard = shards[index]
-            if entry["kind"] == "property":
-                tables[key] = {
-                    "kind": "property",
-                    "role": entry.get("role", "property"),
-                    "rows": shard["rows"],
-                    "dtype": shard["dtype"],
-                }
-            else:
-                tables[key] = {
-                    "kind": "edge",
-                    "rows": shard["rows"],
-                    "num_tail_nodes": entry["num_tail_nodes"],
-                    "num_head_nodes": entry["num_head_nodes"],
-                    "directed": entry["directed"],
-                }
-        return {"version": 1, "shard": index, "tables": tables}
-
-    def write_manifests(self):
-        """Write per-shard manifests and their merged root manifest."""
-        num_shards = max(
-            (len(e["shards"]) for e in self._tables.values()), default=0
-        )
-        manifests = []
-        for index in range(num_shards):
-            manifest = self.shard_manifest(index)
-            manifests.append(manifest)
-            shard_dir = self.shard_dir(index)
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            with open(
-                shard_dir / SHARD_MANIFEST_NAME, "w", encoding="utf-8"
-            ) as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        if not manifests:
-            return None
-        merged = merge_shard_manifests(manifests)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(
-            self.directory / SHARD_MANIFEST_NAME, "w", encoding="utf-8"
-        ) as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return merged
-
     def close_views(self):
         """Release every mmap handle this spool handed out.
 
@@ -533,8 +671,10 @@ class _SpooledBase:
     def __init__(self, spool, key, shards):
         self._spool = spool
         self._key = key
-        self._shards = shards
-        self._rows = sum(s["rows"] for s in shards)
+        # Rows per shard only: tables pickle to workers with every job,
+        # the catalog's digests stay in the parent.
+        self._shards = [s["rows"] for s in shards]
+        self._rows = sum(self._shards)
         # Single-slot cache stored as one tuple so concurrent readers
         # (worker waves) can never observe a torn index/payload pair.
         self._cache = None

@@ -49,7 +49,6 @@ __all__ = [
     "export_graph",
     "make_sink",
     "make_source",
-    "merge_shard_manifests",
     "SINK_FORMATS",
     "MANIFEST_NAME",
 ]
@@ -522,112 +521,6 @@ class EdgelistSource(GraphSource):
     format_name = "edgelist"
     suffix = ".edges"
     edge_reader = staticmethod(edgelist.read_edgelist)
-
-
-# -- shard-manifest merge ------------------------------------------------------
-
-
-def merge_shard_manifests(manifests):
-    """Merge per-shard spool manifests into one whole-graph manifest.
-
-    The sharded executor records every table shard-by-shard; each shard
-    directory carries a ``manifest.json`` with that shard's row counts.
-    This merge reconciles them into the global view:
-
-    * shard indices must be unique and contiguous from 0 (a gap means a
-      shard went missing);
-    * per table, ``rows`` is the sum over shards and the per-shard rows
-      must be id-contiguous (every shard present in at least one
-      manifest entry or absent everywhere after its last row);
-    * property dtypes of *non-empty* shards must agree; when every
-      shard of a table is empty the first shard's recorded dtype wins —
-      the generator-dtype contract of the empty-shard path;
-    * edge metadata (``num_tail_nodes`` / ``num_head_nodes`` /
-      ``directed``) describes the whole table and must be identical in
-      every shard.
-
-    Returns the merged manifest dict; raises ``ValueError`` on any
-    reconciliation failure.
-    """
-    manifests = list(manifests)
-    if not manifests:
-        raise ValueError("no shard manifests to merge")
-    ordered = sorted(manifests, key=lambda m: m.get("shard", 0))
-    indices = [m.get("shard", 0) for m in ordered]
-    if indices != list(range(len(ordered))):
-        raise ValueError(
-            f"shard manifests are not contiguous from 0: {indices}"
-        )
-    tables = {}
-    for manifest in ordered:
-        shard = manifest.get("shard", 0)
-        for key, entry in manifest.get("tables", {}).items():
-            merged = tables.get(key)
-            if merged is None:
-                merged = {
-                    "kind": entry["kind"],
-                    "rows": 0,
-                    "_last_shard": shard - 1,
-                }
-                if entry["kind"] == "property":
-                    merged["role"] = entry.get("role", "property")
-                    merged["_dtype_nonempty"] = None
-                    merged["_dtype_first"] = entry["dtype"]
-                else:
-                    for field in (
-                        "num_tail_nodes", "num_head_nodes", "directed"
-                    ):
-                        merged[field] = entry[field]
-                tables[key] = merged
-            if entry["kind"] != merged["kind"]:
-                raise ValueError(
-                    f"table {key!r}: kind changes across shards "
-                    f"({merged['kind']!r} vs {entry['kind']!r})"
-                )
-            if merged["rows"] and shard != merged["_last_shard"] + 1:
-                raise ValueError(
-                    f"table {key!r}: shard {shard} is not contiguous "
-                    f"with shard {merged['_last_shard']}"
-                )
-            merged["_last_shard"] = shard
-            rows = int(entry["rows"])
-            merged["rows"] += rows
-            if entry["kind"] == "property":
-                dtype = entry["dtype"]
-                if rows:
-                    if merged["_dtype_nonempty"] is None:
-                        merged["_dtype_nonempty"] = dtype
-                    elif merged["_dtype_nonempty"] != dtype:
-                        raise ValueError(
-                            f"table {key!r}: dtype mismatch across "
-                            "non-empty shards "
-                            f"({merged['_dtype_nonempty']!r} vs {dtype!r})"
-                        )
-            else:
-                for field in (
-                    "num_tail_nodes", "num_head_nodes", "directed"
-                ):
-                    if entry[field] != merged[field]:
-                        raise ValueError(
-                            f"table {key!r}: {field} differs across "
-                            f"shards ({merged[field]!r} vs "
-                            f"{entry[field]!r})"
-                        )
-    for merged in tables.values():
-        del merged["_last_shard"]
-        if merged["kind"] == "property":
-            # Non-empty shards decide the dtype; an all-empty table
-            # falls back to the first shard's recorded generator dtype.
-            merged["dtype"] = (
-                merged.pop("_dtype_nonempty")
-                or merged.pop("_dtype_first")
-            )
-            merged.pop("_dtype_first", None)
-    return {
-        "version": 1,
-        "shards": len(ordered),
-        "tables": tables,
-    }
 
 
 # -- whole-graph export and factories -----------------------------------------

@@ -4,15 +4,15 @@
 instance means a *ragged* number of draws per id.  The legacy
 implementation (frozen in :mod:`repro.properties.legacy`) built one
 ``indexed_substream`` object and ran one ``searchsorted`` per
-instance; the batched pipeline here computes every substream seed,
-every word draw and every vocabulary code in a handful of vectorised
+instance; the batched pipeline here computes the substream seeds, word
+draws and vocabulary codes of a block of ids in a handful of vectorised
 passes (:meth:`~repro.prng.RandomStream.uniform_ragged`), then
 assembles sentences with one flat codes→words fancy-index and C-level
-``join`` over list slices — the same map/join strategy
-:mod:`repro.io.chunks` measured fastest for string assembly.  With a
-system C compiler the draw+search inner loop additionally runs
-compiled (:mod:`repro.properties._ckernel`), falling back to numpy
-silently.
+``join`` over list slices — the map/join strategy :mod:`repro.io.chunks`
+measured fastest.  Blocks keep the flat word lists, several times the
+sentences they build, from stacking shard-sized across pool threads.
+With a system C compiler the draw+search inner loop runs compiled
+(:mod:`repro.properties._ckernel`), falling back to numpy silently.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import numpy as np
 from .base import PropertyGenerator
 
 __all__ = ["TextGenerator", "TemplateGenerator"]
+
+#: Ids per block of :meth:`TextGenerator.run_many` (never changes a byte).
+_BLOCK_ROWS = 8192
 
 
 class TextGenerator(PropertyGenerator):
@@ -99,27 +102,27 @@ class TextGenerator(PropertyGenerator):
         hi = int(self._params.get("max_words", 12))
         cdf, words = self._tables()
         ids = np.asarray(ids, dtype=np.int64)
-        lengths = stream.substream("len").randint(ids, lo, hi + 1)
+        out = np.empty(ids.size, dtype=self.output_dtype())
+        len_stream = stream.substream("len")
         word_stream = stream.substream("words")
         from ._ckernel import load_property_ckernel
 
         kernel = load_property_ckernel()
-        if kernel is not None:
-            seeds = word_stream.indexed_substream_seeds(ids)
-            codes, offsets = kernel.ragged_cdf_codes(
-                seeds, lengths, cdf
-            )
-        else:
-            draws, offsets = word_stream.uniform_ragged(ids, lengths)
-            codes = self._word_codes(draws, cdf)
-        flat_words = words[codes].tolist()
-        out = np.empty(ids.size, dtype=self.output_dtype())
-        bounds = offsets.tolist()
         join = " ".join
-        out[:] = [
-            join(flat_words[a:b])
-            for a, b in zip(bounds, bounds[1:])
-        ]
+        for start in range(0, ids.size, _BLOCK_ROWS):
+            block = ids[start:start + _BLOCK_ROWS]
+            lengths = len_stream.randint(block, lo, hi + 1)
+            if kernel is not None:
+                seeds = word_stream.indexed_substream_seeds(block)
+                codes, offsets = kernel.ragged_cdf_codes(seeds, lengths, cdf)
+            else:
+                draws, offsets = word_stream.uniform_ragged(block, lengths)
+                codes = self._word_codes(draws, cdf)
+            flat_words = words[codes].tolist()
+            bounds = offsets.tolist()
+            out[start:start + block.size] = [
+                join(flat_words[a:b]) for a, b in zip(bounds, bounds[1:])
+            ]
         return out
 
 

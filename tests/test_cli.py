@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import CHECKPOINT_NAME
 
 DSL = """
 graph tiny {
@@ -292,7 +293,7 @@ class TestOutOfCoreOnlyFlags:
             "--spool-dir", str(tmp_path / "spool"),
         ]
         assert main(argv) == 0
-        assert (tmp_path / "spool" / "checkpoint.json").exists()
+        assert (tmp_path / "spool" / CHECKPOINT_NAME).exists()
 
 
 class TestProtocol:

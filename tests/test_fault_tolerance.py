@@ -6,19 +6,22 @@ spool checkpoint must export exactly the bytes of an uninterrupted
 run.  These tests pin that claim with a deterministic fault-injection
 harness (``repro.core.faults``) across every pipeline stage, both
 pool backends, and both retry paths (in-run respawn and cross-run
-resume), plus the ledger/fingerprint and spec-grammar layers under it.
+resume), plus the catalog/fingerprint and spec-grammar layers under it.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.core import (
+    CHECKPOINT_NAME,
     CheckpointError,
-    CheckpointLedger,
     FaultPlan,
     InjectedFault,
     ShardedError,
@@ -34,7 +37,7 @@ from repro.core.schema import (
     PropertyDef,
     Schema,
 )
-from repro.io import make_sink
+from repro.io import TableSpool, make_sink
 
 SCALE = {"T": 200}
 SHARD_ROWS = 64  # 200 rows -> 4 property shards, several edge shards
@@ -95,13 +98,16 @@ def _assert_same_tree(got_dir, expected):
 
 # One fault per pipeline stage.  Indices picked so each actually fires
 # on the tiny schema (count/structure have one occurrence; property and
-# match have one per shard; export one per formatted chunk written).
+# match have one per shard; export one per formatted chunk written;
+# ledger one per catalog append — ``ledger:1`` is the second property
+# ack, after its part file landed and before the catalog knows).
 STAGE_FAULTS = {
     "count": "count:0:crash",
     "property": "property:1:crash",
     "structure": "structure:0:crash",
     "match": "match:1:crash",
     "export": "export:2:ioerror",
+    "ledger": "ledger:1:crash",
 }
 
 
@@ -120,7 +126,7 @@ class TestCrashMatrix:
         with pytest.raises((InjectedFault, OSError, ShardedError)):
             _run(out, spool, backend=backend, workers=workers,
                  faults=STAGE_FAULTS[stage])
-        assert (spool / "checkpoint.json").exists()
+        assert (spool / CHECKPOINT_NAME).exists()
         _run(out, spool, backend=backend, workers=workers, resume=True)
         _assert_same_tree(out, expected_csv)
 
@@ -232,13 +238,134 @@ class TestLedger:
         assert base != run_fingerprint(schema, {"T": 300}, 0, 64, "csv")
 
     def test_out_of_order_ack_rejected(self, tmp_path):
-        ledger = CheckpointLedger.fresh(tmp_path, "fp")
-        meta = {"rows": 1, "files": []}
-        ledger.ack_shard("k", "property", 0, meta)
-        with pytest.raises(CheckpointError):
-            ledger.ack_shard("k", "property", 2, meta)
-        # Idempotent re-ack of a recorded shard is fine (resume path).
-        ledger.ack_shard("k", "property", 0, meta)
+        """One function checks the ack order, live and on replay."""
+        spool = TableSpool(tmp_path, SHARD_ROWS)
+        spool.open_catalog("fp")
+        values = np.arange(4, dtype=np.int64)
+        spool.write_property_shard("k", 0, values)
+        with pytest.raises(ValueError, match="out of order"):
+            spool.write_property_shard("k", 2, values)
+        with pytest.raises(ValueError, match="out of order"):
+            spool.write_property_shard("k", 0, values)
+        catalog = tmp_path / CHECKPOINT_NAME
+        lines = catalog.read_text().splitlines(keepends=True)
+        assert len(lines) == 2  # header + the one accepted ack
+        catalog.write_text("".join(lines + lines[1:]))
+        with pytest.raises(CheckpointError, match="line 3.*out of order"):
+            TableSpool(tmp_path, SHARD_ROWS).open_catalog("fp", resume=True)
+
+    def test_worker_clone_is_catalog_free(self, tmp_path):
+        spool = TableSpool(tmp_path, SHARD_ROWS)
+        spool.open_catalog("fp")
+        spool.write_property_shard("k", 0, np.arange(4))
+        clone = pickle.loads(pickle.dumps(spool))
+        before = (tmp_path / CHECKPOINT_NAME).read_bytes()
+        clone.write_property_shard("other", 0, np.arange(4))
+        assert clone.verified_prefix("k") == 0
+        assert (tmp_path / CHECKPOINT_NAME).read_bytes() == before
+
+
+def _crashed_spool(tmp_path):
+    """A spool left behind by a crash, with its catalog's lines."""
+    out, spool = tmp_path / "out", tmp_path / "spool"
+    with pytest.raises(InjectedFault):
+        _run(out, spool, faults="match:1:crash")
+    catalog = spool / CHECKPOINT_NAME
+    return out, spool, catalog, catalog.read_text().splitlines()
+
+
+class TestCatalogFile:
+    """The loader behind ``--resume``: every line validated, a bad one
+    is a ``CheckpointError`` naming file and line, never a traceback."""
+
+    @pytest.mark.parametrize("tail", [
+        '{"event": "ack", "table": "e", "kin',  # cut-off JSON
+        '{"event": "ack", "table": "e", "kin\n',  # ... newline-terminated
+        '{"event": "reset", "table": "T.x"}',    # whole, but unterminated
+    ])
+    def test_torn_final_line_is_dropped(self, expected_csv, tmp_path,
+                                        tail):
+        out, spool, catalog, lines = _crashed_spool(tmp_path)
+        with open(catalog, "a", encoding="utf-8") as handle:
+            handle.write(tail)
+        _run(out, spool, resume=True)
+        _assert_same_tree(out, expected_csv)
+        resumed = catalog.read_text()
+        assert resumed.endswith("\n") and tail.strip() not in resumed
+        assert resumed.splitlines()[:len(lines)] == lines
+        for line in resumed.splitlines():
+            json.loads(line)
+
+    def test_torn_header_is_a_clean_run(self, expected_csv, tmp_path):
+        out, spool = tmp_path / "out", tmp_path / "spool"
+        spool.mkdir()
+        (spool / CHECKPOINT_NAME).write_text('{"catalog": 2, "rep')
+        _run(out, spool, resume=True)
+        _assert_same_tree(out, expected_csv)
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("not json at all", "Expecting value"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"event": "explode", "table": "T.x"}', "unknown event"),
+        ('{"event": "ack", "table": "T.x"}', "'kind' must be str"),
+        ('{"event": "ack", "table": "T.x", "kind": "property", '
+         '"shard": "0", "rows": 1, "files": []}', "'shard' must be int"),
+        ('{"event": "ack", "table": "T.x", "kind": "property", '
+         '"shard": 9, "rows": 1, "dtype": "<i8", "files": ["x"]}',
+         "not a JSON object"),
+        ('{"event": "seal", "table": "T.x", "meta": "done"}',
+         "'meta' must be dict"),
+        ('{"event": "seal", "table": "nope", "meta": {}}', "nope"),
+        ('{"event": "truncate", "table": "T.x"}', "'shards' must be int"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad,
+                                                reason):
+        out, spool, catalog, lines = _crashed_spool(tmp_path)
+        lines.insert(2, bad)
+        catalog.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError) as excinfo:
+            _run(out, spool, resume=True)
+        message = str(excinfo.value)
+        assert str(catalog) in message and "line 3" in message
+        assert reason in message
+
+    def test_malformed_header_is_refused(self, tmp_path):
+        out, spool, catalog, lines = _crashed_spool(tmp_path)
+        lines[0] = json.dumps({"catalog": 2, "repro": repro.__version__})
+        catalog.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="line 1.*fingerprint"):
+            _run(out, spool, resume=True)
+
+    @pytest.mark.parametrize("field, other", [
+        ("repro", "0.0.9"), ("catalog", 3),
+    ])
+    def test_other_version_is_refused_naming_both(self, tmp_path, field,
+                                                  other):
+        out, spool, catalog, lines = _crashed_spool(tmp_path)
+        header = json.loads(lines[0])
+        mine = f"repro {header['repro']} (catalog format {header['catalog']})"
+        header[field] = other
+        lines[0] = json.dumps(header)
+        catalog.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError) as excinfo:
+            _run(out, spool, resume=True)
+        message = str(excinfo.value)
+        assert mine in message
+        assert (f"repro {header['repro']} "
+                f"(catalog format {header['catalog']})") in message
+
+    def test_v1_ledger_is_refused_not_restarted(self, tmp_path):
+        out, spool = tmp_path / "out", tmp_path / "spool"
+        spool.mkdir()
+        (spool / "checkpoint.json").write_text(
+            '{"version": 1, "fingerprint": "x", "tables": {}}'
+        )
+        with pytest.raises(CheckpointError) as excinfo:
+            _run(out, spool, resume=True)
+        message = str(excinfo.value)
+        assert "catalog format 1" in message
+        assert f"repro {repro.__version__} (catalog format 2)" in message
+        assert not (spool / CHECKPOINT_NAME).exists()
 
 
 class TestFaultSpecs:

@@ -328,6 +328,32 @@ class TestVectorisedEqualsLegacy:
         )
         assert list(a) == list(b)
 
+    @pytest.mark.parametrize("impl", IMPLS)
+    @pytest.mark.parametrize("block", [1, 7, 50, 51])
+    def test_text_blocks_never_change_a_value(
+        self, impl, block, monkeypatch
+    ):
+        """``run_many`` works in blocks of ids to bound its word
+        lists; every other test here is shorter than one block."""
+        import repro.properties.text as text
+
+        monkeypatch.setattr(text, "_BLOCK_ROWS", block)
+        params = dict(
+            vocabulary=[f"w{i}" for i in range(30)],
+            min_words=1, max_words=9,
+        )
+        ids = np.arange(400, 500, 2, dtype=np.int64)[::-1]
+        stream = RandomStream(11, "block.text")
+        expected = create_legacy_generator("text", **params).run_many(
+            ids, stream
+        )
+        with property_impl(impl):
+            got = create_property_generator("text", **params).run_many(
+                ids, stream
+            )
+        assert got.dtype == expected.dtype
+        assert list(got) == list(expected)
+
     @given(
         seed=st.integers(0, 2**32),
         n=st.integers(0, 150),

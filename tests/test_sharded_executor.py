@@ -6,7 +6,7 @@ shard into the existing sinks writes exactly the bytes the in-memory
 ``export_graph`` writes.  These tests pin that claim on three zoo
 recipes (covering chunkable structures, sequential structures, strict
 cardinalities, and both correlated matching variants), plus the spool
-and manifest-merge layers underneath it.
+and its catalog underneath it.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from repro.core.schema import (
     Schema,
 )
 from repro.core.run import shard_rows_for_budget
+from repro.core import CHECKPOINT_NAME
 from repro.io import (
     TableSpool,
     export_graph,
     make_sink,
     make_source,
-    merge_shard_manifests,
 )
 from repro.scenarios import compile_scenario
 from repro.scenarios.zoo import load_zoo
@@ -569,22 +569,67 @@ class TestEmptyShardContract:
             assert graph.edge_tables[key] == table
         result.cleanup()
 
-    def test_empty_tables_recorded_in_manifest(self, tmp_path):
+    def test_empty_tables_recorded_in_catalog(self, tmp_path):
         schema = self._tiny_schema()
         result = ShardedExecutor(
             schema, {"Person": 0}, seed=3, shard_rows=8,
             spool_dir=tmp_path / "spool",
         ).run()
-        manifest = json.loads(
-            (tmp_path / "spool" / "manifest.json").read_text()
-        )
-        tables = manifest["tables"]
-        assert tables["Person.age"]["rows"] == 0
-        assert tables["Person.age"]["dtype"] == "<i8"
-        assert tables["Person.handle"]["dtype"] == "object"
-        assert tables["knows"]["rows"] == 0
-        assert tables["knows"]["kind"] == "edge"
+        events = _catalog_events(tmp_path / "spool")
+        acks = {e["table"]: e for e in events if e["event"] == "ack"}
+        assert acks["Person.age"]["rows"] == 0
+        assert acks["Person.age"]["dtype"] == "<i8"
+        assert acks["Person.handle"]["dtype"] == "object"
+        assert acks["knows"]["rows"] == 0
+        assert acks["knows"]["kind"] == "edge"
+        seals = {e["table"]: e for e in events if e["event"] == "seal"}
+        assert seals["knows"]["meta"]["num_tail_nodes"] == 0
+        assert set(seals) == set(acks)
         result.cleanup()
+
+    @pytest.mark.parametrize("shard_rows", [16, 4])
+    def test_catalog_is_one_line_per_event(self, tmp_path, shard_rows):
+        """Count-based scaling (no timers): the catalog is the header
+        plus exactly one line per event — never a rewritten document —
+        and an ack line does not grow with the number of acks."""
+        schema = self._tiny_schema()
+        spool_dir = tmp_path / "spool"
+        result = ShardedExecutor(
+            schema, {"Person": 300}, seed=3, shard_rows=shard_rows,
+            spool_dir=spool_dir,
+        ).run()
+        tables = [
+            *result.node_properties.values(),
+            *result.edge_tables.values(),
+            *result.edge_properties.values(),
+        ]
+        acks = sum(len(table._shards) for table in tables)
+        assert acks >= (100 if shard_rows == 4 else 25)
+        lines = (spool_dir / CHECKPOINT_NAME).read_text().splitlines()
+        events = _catalog_events(spool_dir)
+        assert len(lines) == 1 + len(events)
+        kinds = [e["event"] for e in events]
+        assert kinds.count("ack") == acks
+        assert kinds.count("seal") == len(tables)
+        assert kinds.count("structure") == len(result.edge_tables)
+        assert len(events) == acks + len(tables) + len(result.edge_tables)
+        # One property part or two edge parts of digest per line: the
+        # bound holds for 4x the acks (only the digit counts move).
+        assert max(len(line) for line in lines) < 300
+        # ... and the spool describes itself in that one file only.
+        assert [p.name for p in spool_dir.rglob("*.json*")] == [
+            CHECKPOINT_NAME
+        ]
+        result.cleanup()
+
+
+def _catalog_events(spool_dir):
+    header, *events = [
+        json.loads(line) for line in
+        (Path(spool_dir) / CHECKPOINT_NAME).read_text().splitlines()
+    ]
+    assert set(header) == {"catalog", "repro", "fingerprint", "shard_rows"}
+    return events
 
 
 def _zipf(alpha, k):
@@ -681,115 +726,3 @@ class TestTableSpool:
         assert np.array_equal(np.asarray(clone), array)
         clone.close()
         spool.cleanup()
-
-
-class TestMergeShardManifests:
-    @staticmethod
-    def _prop(rows, dtype="<i8", role="node_property"):
-        return {
-            "kind": "property", "role": role,
-            "rows": rows, "dtype": dtype,
-        }
-
-    @staticmethod
-    def _edge(rows, n_tail=5, n_head=5, directed=False):
-        return {
-            "kind": "edge", "rows": rows,
-            "num_tail_nodes": n_tail, "num_head_nodes": n_head,
-            "directed": directed,
-        }
-
-    def test_rows_summed_and_metadata_reconciled(self):
-        merged = merge_shard_manifests([
-            {"version": 1, "shard": 0, "tables": {
-                "T.x": self._prop(4), "e": self._edge(3),
-            }},
-            {"version": 1, "shard": 1, "tables": {
-                "T.x": self._prop(2), "e": self._edge(1),
-            }},
-        ])
-        assert merged["shards"] == 2
-        assert merged["tables"]["T.x"]["rows"] == 6
-        assert merged["tables"]["T.x"]["dtype"] == "<i8"
-        assert merged["tables"]["e"]["rows"] == 4
-        assert merged["tables"]["e"]["num_tail_nodes"] == 5
-
-    def test_single_shard_degenerate_case(self):
-        merged = merge_shard_manifests([
-            {"version": 1, "shard": 0,
-             "tables": {"T.x": self._prop(0, dtype="object")}},
-        ])
-        assert merged["shards"] == 1
-        assert merged["tables"]["T.x"]["rows"] == 0
-        assert merged["tables"]["T.x"]["dtype"] == "object"
-
-    def test_empty_shards_do_not_decide_dtype(self):
-        """dtype reconciliation: empty shards defer to non-empty ones."""
-        merged = merge_shard_manifests([
-            {"shard": 0, "tables": {"T.x": self._prop(0, "<f8")}},
-            {"shard": 1, "tables": {"T.x": self._prop(3, "object")}},
-        ])
-        assert merged["tables"]["T.x"]["dtype"] == "object"
-
-    def test_all_empty_falls_back_to_first_dtype(self):
-        merged = merge_shard_manifests([
-            {"shard": 0, "tables": {"T.x": self._prop(0, "<f8")}},
-            {"shard": 1, "tables": {"T.x": self._prop(0, "<i8")}},
-        ])
-        assert merged["tables"]["T.x"]["dtype"] == "<f8"
-
-    def test_dtype_conflict_between_nonempty_shards(self):
-        with pytest.raises(ValueError, match="dtype mismatch"):
-            merge_shard_manifests([
-                {"shard": 0, "tables": {"T.x": self._prop(2, "<i8")}},
-                {"shard": 1, "tables": {"T.x": self._prop(2, "<f8")}},
-            ])
-
-    def test_edge_shape_conflict(self):
-        with pytest.raises(ValueError, match="num_tail_nodes differs"):
-            merge_shard_manifests([
-                {"shard": 0, "tables": {"e": self._edge(2, n_tail=5)}},
-                {"shard": 1, "tables": {"e": self._edge(2, n_tail=6)}},
-            ])
-
-    def test_kind_conflict(self):
-        with pytest.raises(ValueError, match="kind changes"):
-            merge_shard_manifests([
-                {"shard": 0, "tables": {"x": self._prop(2)}},
-                {"shard": 1, "tables": {"x": self._edge(2)}},
-            ])
-
-    def test_missing_shard_rejected(self):
-        with pytest.raises(ValueError, match="not contiguous"):
-            merge_shard_manifests([
-                {"shard": 0, "tables": {}},
-                {"shard": 2, "tables": {}},
-            ])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="no shard manifests"):
-            merge_shard_manifests([])
-
-    def test_spool_writes_mergeable_manifests(self, tmp_path):
-        """End-to-end: per-shard manifests on disk merge to the root."""
-        spool = TableSpool(tmp_path, shard_rows=4)
-        values = np.arange(6, dtype=np.float64)
-        for index, (lo, hi) in enumerate(spool.shard_bounds(6)):
-            spool.write_property_shard("T.x", index, values[lo:hi])
-        spool.write_edge_shard(
-            "e", 0,
-            np.array([0, 1], dtype=np.int64),
-            np.array([1, 0], dtype=np.int64),
-        )
-        spool.finish_edge("e", 2, 2, False)
-        merged = spool.write_manifests()
-        on_disk = [
-            json.loads(
-                (spool.shard_dir(i) / "manifest.json").read_text()
-            )
-            for i in range(2)
-        ]
-        assert merge_shard_manifests(on_disk) == merged
-        root = json.loads((tmp_path / "manifest.json").read_text())
-        assert root == merged
-        assert root["tables"]["T.x"]["rows"] == 6

@@ -77,7 +77,7 @@ def main(argv=None):
 
     import numpy
 
-    from repro.core import ShardedError, ShardedExecutor
+    from repro.core import CHECKPOINT_NAME, ShardedError, ShardedExecutor
     from repro.io import make_sink
     from repro.scenarios import compile_scenario
     from repro.scenarios.zoo import load_zoo
@@ -131,7 +131,7 @@ def main(argv=None):
                 "worker SIGKILL aborts the run", False, "run survived?")
         failures += not _check(
             "crashed spool keeps its checkpoint",
-            (work / "chaos-spool" / "checkpoint.json").exists())
+            (work / "chaos-spool" / CHECKPOINT_NAME).exists())
 
         # ... then resume from the checkpoint and byte-diff.
         result, resume_wall = run(
