@@ -11,8 +11,8 @@ validation thresholds.  The layer has four parts:
 * :mod:`repro.scenarios.compile` — lowers a recipe onto the core
   :class:`~repro.core.schema.Schema` / engine objects and derives the
   graded audit;
-* :mod:`repro.scenarios.report` — pass/warn/fail per check, one
-  overall grade, text + JSON rendering;
+* :mod:`repro.scenarios.report` — the checks' pass/warn/fail grades
+  aggregated into one overall grade, text + JSON rendering;
 * :mod:`repro.scenarios.zoo` — the built-in recipe catalog.
 
 End-to-end::
@@ -27,13 +27,7 @@ End-to-end::
 """
 
 from .compile import CompiledScenario, compile_scenario, run_scenario
-from .report import (
-    Grade,
-    GradedCheck,
-    GradedReport,
-    GradedResult,
-    run_graded,
-)
+from .report import Grade, GradedReport, run_graded
 from .spec import (
     RECIPE_FIELDS,
     Field,
@@ -50,9 +44,7 @@ __all__ = [
     "CompiledScenario",
     "Field",
     "Grade",
-    "GradedCheck",
     "GradedReport",
-    "GradedResult",
     "RECIPE_FIELDS",
     "ScenarioError",
     "ScenarioSpec",

@@ -3,13 +3,13 @@
 The compiler turns a validated :class:`~repro.scenarios.spec.
 ScenarioSpec` into the exact objects the imperative API uses — a
 :class:`~repro.core.schema.Schema`, a scale dict, and a list of
-:class:`~repro.scenarios.report.GradedCheck` — so a recipe and a
-hand-built script drive *the same* engine:
+:class:`~repro.validation.Check` carrying the recipe's warn/fail
+bands — so a recipe and a hand-built script drive *the same* engine:
 
     recipe (YAML) ──compile_scenario──► CompiledScenario
         .schema  : core Schema (nodes, edges, correlations)
         .scale   : scale anchors (recipe ∪ overrides)
-        .checks(): graded validation derived from schema + thresholds
+        .graded_checks : the audit derived from schema + thresholds
     run_scenario(compiled, workers=N, out_dir=...) ──► (graph, report)
 
 ``$constructor`` values — the recipe-side escape hatch for live Python
@@ -47,16 +47,14 @@ from ..core.schema import (
     NodeType,
     PropertyDef,
     Schema,
+    SchemaError,
 )
 from ..validation import (
-    CardinalityCheck,
-    DateOrderingCheck,
     DegreeDistributionCheck,
-    JointDistributionCheck,
-    MarginalDistributionCheck,
     UniquenessCheck,
+    standard_checks,
 )
-from .report import GradedCheck, run_graded
+from .report import run_graded
 from .spec import ScenarioError, ScenarioSpec
 
 __all__ = [
@@ -475,10 +473,6 @@ class CompiledScenario:
     graded_checks: list = field(default_factory=list)
     plants: list = field(default_factory=list)
 
-    def checks(self):
-        """The graded validation checks (copy)."""
-        return list(self.graded_checks)
-
     def generator(self, workers=1):
         """A :class:`~repro.core.engine.GraphGenerator` for this
         scenario."""
@@ -488,83 +482,32 @@ class CompiledScenario:
 
 
 def _graded_checks(spec, schema):
-    """Derive the graded audit from the schema + recipe thresholds."""
-    checks = []
-    joint_warn = spec.threshold("joint_ks", "warn")
-    joint_fail = spec.threshold("joint_ks", "fail")
-    tv_warn = spec.threshold("marginal_tv", "warn")
-    tv_fail = spec.threshold("marginal_tv", "fail")
-
-    for edge in schema.edge_types.values():
-        if edge.cardinality is not Cardinality.MANY_TO_MANY:
-            checks.append(GradedCheck(CardinalityCheck(edge.name)))
-        if edge.correlation is not None \
-                and edge.correlation.head_property is None:
-            checks.append(GradedCheck(
-                JointDistributionCheck(edge.name, max_ks=joint_fail),
-                JointDistributionCheck(edge.name, max_ks=joint_warn),
-            ))
-        for prop in edge.properties:
-            if prop.generator is None \
-                    or prop.generator.name != "after_dependency":
-                continue
-            refs = {
-                side: name for side, _, name
-                in map(edge.dependency_ref, prop.depends_on)
-            }
-            tail_prop, head_prop = refs.get("tail"), refs.get("head")
-            if tail_prop or head_prop:
-                checks.append(GradedCheck(DateOrderingCheck(
-                    edge.name, prop.name,
-                    tail_property=tail_prop, head_property=head_prop,
-                )))
-
-    for node in schema.node_types.values():
-        for prop in node.properties:
-            if prop.generator is None \
-                    or prop.generator.name != "categorical":
-                continue
-            params = prop.generator.params
-            if "values" in params and params.get("weights") is not None:
-                checks.append(GradedCheck(
-                    MarginalDistributionCheck(
-                        node.name, prop.name, params["values"],
-                        params["weights"], tolerance=tv_fail,
-                    ),
-                    MarginalDistributionCheck(
-                        node.name, prop.name, params["values"],
-                        params["weights"], tolerance=tv_warn,
-                    ),
-                ))
-
-    degrees = spec.validation.get("degrees") or {}
-    for edge_name, bounds in degrees.items():
-        fail = DegreeDistributionCheck(
-            edge_name,
-            min_mean=bounds.get("min_mean"),
-            max_mean=bounds.get("max_mean"),
-            max_degree=bounds.get("max_degree"),
-        )
-        warn = None
-        if bounds.get("warn_min_mean") is not None \
-                or bounds.get("warn_max_mean") is not None:
-            warn = DegreeDistributionCheck(
-                edge_name,
-                min_mean=bounds.get("warn_min_mean"),
-                max_mean=bounds.get("warn_max_mean"),
-            )
-        checks.append(GradedCheck(fail, warn))
-
-    for column in spec.validation.get("unique") or []:
-        type_name, _, prop_name = str(column).partition(".")
-        if not prop_name:
-            raise ScenarioError(
-                f"validation.unique: expected 'Type.property', "
-                f"got {column!r}"
-            )
-        checks.append(GradedCheck(
-            UniquenessCheck(type_name, prop_name)
-        ))
+    """The audit: the schema's standard checks at the recipe's bands,
+    plus the recipe-declared degree and uniqueness checks (a dangling
+    reference fails here, not in the audit of a finished run)."""
+    checks = standard_checks(
+        schema,
+        joint_max_ks=spec.threshold("joint_ks", "fail"),
+        joint_warn_ks=spec.threshold("joint_ks", "warn"),
+        marginal_tolerance=spec.threshold("marginal_tv", "fail"),
+        marginal_warn_tolerance=spec.threshold("marginal_tv", "warn"),
+    )
+    try:
+        for edge_name, bounds in (
+            spec.validation.get("degrees") or {}
+        ).items():
+            path = f"validation.degrees.{edge_name}"
+            schema.edge_type(edge_name)
+            checks.append(DegreeDistributionCheck(edge_name, **bounds))
+        for index, column in enumerate(
+            spec.validation.get("unique") or []
+        ):
+            path = f"validation.unique[{index}]"
+            type_name, _, prop_name = column.partition(".")
+            schema.node_type(type_name).property_named(prop_name)
+            checks.append(UniquenessCheck(type_name, prop_name))
+    except SchemaError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     return checks
 
 
@@ -680,19 +623,20 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
     )
     plants = list(getattr(compiled, "plants", []) or [])
     written = []
+
+    def sink_for(fmt):
+        return make_sink(
+            fmt,
+            os.path.join(out_dir, fmt) if len(formats) > 1 else out_dir,
+            chunk_size=chunk_size, compress=compress,
+        )
+
     sink = None
     if out_dir is not None and not plants:
         # Plants append edges after the generated block, so planted
         # runs cannot stream the primary format mid-generation; they
         # export from the finished overlay graph below instead.
-        primary_dir = (
-            os.path.join(out_dir, formats[0])
-            if len(formats) > 1 else out_dir
-        )
-        sink = make_sink(
-            formats[0], primary_dir,
-            chunk_size=chunk_size, compress=compress,
-        )
+        sink = sink_for(formats[0])
     graph = execute(
         compiled.schema, compiled.scale, compiled.seed, options, sink
     )
@@ -720,35 +664,20 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
                 handle.write("\n")
             written.append(gt_path)
             extra_manifest = {"planting": plan.to_dict()}
-            for index, fmt in enumerate(formats):
-                fmt_dir = (
-                    os.path.join(out_dir, fmt)
-                    if len(formats) > 1 else out_dir
-                )
-                fmt_sink = make_sink(
-                    fmt, fmt_dir,
-                    chunk_size=chunk_size, compress=compress,
-                )
+            for fmt in formats:
+                fmt_sink = sink_for(fmt)
                 fmt_sink.extra_manifest = extra_manifest
                 written.extend(export_graph(graph, fmt_sink))
     if sink is not None:
         written.extend(sink.written)
         for extra in formats[1:]:
-            extra_sink = make_sink(
-                extra, os.path.join(out_dir, extra),
-                chunk_size=chunk_size, compress=compress,
-            )
-            written.extend(export_graph(graph, extra_sink))
+            written.extend(export_graph(graph, sink_for(extra)))
     report = None
     if validate:
         # The audit computes whole-table statistics (joints, degree
-        # histograms), so it needs in-memory tables.
-        target = (
-            graph.materialize() if options.out_of_core or plants
-            else graph
-        )
+        # histograms) over in-memory tables; resident ones are shared.
         report = run_graded(
-            target, compiled.graded_checks,
+            graph.materialize(), compiled.graded_checks,
             scenario=compiled.name, seed=compiled.seed,
             scale=compiled.scale,
         )

@@ -2,25 +2,21 @@
 
 Scenario fidelity should be *comparable* — across recipes, across
 seeds, across PRs — which a bare boolean cannot express.  Following the
-evidence-grading framing of GRASP (Khalifa et al., 2019), every check
-result here carries a grade:
+evidence-grading framing of GRASP (Khalifa et al., 2019), every
+:class:`~repro.validation.CheckResult` carries a
+:class:`~repro.validation.Grade` — ``PASS``, ``WARN`` or ``FAIL``.
 
-* ``PASS`` — the contract holds within the strict threshold;
-* ``WARN`` — the contract holds within the lenient (fail) threshold
-  but not the strict (warn) one: acceptable, degraded;
-* ``FAIL`` — the contract is violated.
-
-A :class:`GradedCheck` wraps two :class:`~repro.validation.Check`
-instances — one built at the *fail* threshold, one at the *warn*
-threshold — so the existing check classes are reused unchanged.  The
-aggregated :class:`GradedReport` maps the grade counts onto an overall
-letter grade and renders as text or JSON (the artifact CI uploads).
+The grading itself is the check's: one check, one measurement, one
+band (:mod:`repro.validation.checks`).  This module only aggregates —
+:func:`run_graded` runs each check once and the :class:`GradedReport`
+maps the grade counts onto an overall letter grade and renders as text
+or JSON (the artifact CI uploads).
 
 Examples
 --------
 >>> report = GradedReport("demo", seed=0, scale={"N": 10})
->>> report.add(GradedResult("a", Grade.PASS, "ok"))
->>> report.add(GradedResult("b", Grade.WARN, "close", metric=0.4))
+>>> report.add(CheckResult("a", Grade.PASS, "ok"))
+>>> report.add(CheckResult("b", Grade.WARN, "close", metric=0.4))
 >>> report.overall_grade
 'B'
 >>> report.passed
@@ -36,104 +32,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 
-__all__ = [
-    "Grade",
-    "GradedCheck",
-    "GradedReport",
-    "GradedResult",
-    "run_graded",
-]
+from ..validation import CheckResult, Grade
 
-
-class Grade(Enum):
-    """Per-check grade, ordered from best to worst."""
-
-    PASS = "pass"
-    WARN = "warn"
-    FAIL = "fail"
-
-    def __str__(self):
-        return self.value
-
-
-@dataclass
-class GradedResult:
-    """Outcome of one graded check."""
-
-    name: str
-    grade: Grade
-    detail: str = ""
-    metric: float | None = None
-
-    def __str__(self):
-        label = (
-            "pass" if self.grade is Grade.PASS
-            else self.grade.value.upper()
-        )
-        suffix = f" ({self.detail})" if self.detail else ""
-        return f"[{label}] {self.name}{suffix}"
-
-    def to_dict(self):
-        """JSON-ready dict (metric rounded for stable goldens).
-
-        >>> GradedResult("x", Grade.FAIL, "bad", 0.5).to_dict()
-        {'name': 'x', 'grade': 'fail', 'detail': 'bad', 'metric': 0.5}
-        """
-        metric = self.metric
-        if metric is not None:
-            metric = round(float(metric), 6)
-        return {
-            "name": self.name,
-            "grade": self.grade.value,
-            "detail": self.detail,
-            "metric": metric,
-        }
-
-
-class GradedCheck:
-    """A check graded against a strict and a lenient threshold.
-
-    Parameters
-    ----------
-    fail_check:
-        a :class:`~repro.validation.Check` built with the *lenient*
-        threshold; failing it grades ``FAIL``.
-    warn_check:
-        optional stricter instance of the same check; passing
-        ``fail_check`` but failing this grades ``WARN``.  Omit it for
-        binary contracts (cardinalities, orderings, uniqueness).
-
-    >>> from repro.validation import UniquenessCheck
-    >>> graded = GradedCheck(UniquenessCheck("Person", "handle"))
-    >>> graded.name
-    'unique[Person.handle]'
-    """
-
-    def __init__(self, fail_check, warn_check=None):
-        self.fail_check = fail_check
-        self.warn_check = warn_check
-        self.name = fail_check.name
-
-    def run(self, graph):
-        """Grade ``graph``; returns a :class:`GradedResult`."""
-        result = self.fail_check.run(graph)
-        if not result.passed:
-            return GradedResult(
-                self.name, Grade.FAIL, result.detail, result.metric
-            )
-        if self.warn_check is not None:
-            strict = self.warn_check.run(graph)
-            if not strict.passed:
-                return GradedResult(
-                    self.name, Grade.WARN, strict.detail,
-                    strict.metric if strict.metric is not None
-                    else result.metric,
-                )
-        return GradedResult(
-            self.name, Grade.PASS, result.detail, result.metric
-        )
+__all__ = ["Grade", "GradedReport", "run_graded"]
 
 
 @dataclass
@@ -154,7 +56,7 @@ class GradedReport:
     scenario: str
     seed: int = 0
     scale: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
+    results: list[CheckResult] = field(default_factory=list)
 
     def add(self, result):
         self.results.append(result)
@@ -163,11 +65,16 @@ class GradedReport:
         """Number of results with ``grade``.
 
         >>> r = GradedReport("s")
-        >>> r.add(GradedResult("a", Grade.PASS))
+        >>> r.add(CheckResult("a", True))
         >>> r.count(Grade.PASS), r.count(Grade.FAIL)
         (1, 0)
         """
         return sum(1 for r in self.results if r.grade is grade)
+
+    @property
+    def counts(self):
+        """Results per grade name, best grade first."""
+        return {grade.value: self.count(grade) for grade in Grade}
 
     @property
     def overall_grade(self):
@@ -192,13 +99,10 @@ class GradedReport:
             f"scenario {self.scenario!r} (seed {self.seed}"
             + (f", scale {scale}" if scale else "") + ")"
         ]
-        lines += [f"  {result}" for result in self.results]
-        lines.append(
-            f"grade {self.overall_grade}: "
-            f"{self.count(Grade.PASS)} pass, "
-            f"{self.count(Grade.WARN)} warn, "
-            f"{self.count(Grade.FAIL)} fail"
-        )
+        lines += [f"  {r.line(ok='pass')}" for r in self.results]
+        lines.append(f"grade {self.overall_grade}: " + ", ".join(
+            f"{count} {name}" for name, count in self.counts.items()
+        ))
         return "\n".join(lines)
 
     def to_dict(self):
@@ -209,28 +113,21 @@ class GradedReport:
             "scale": {k: int(v) for k, v in self.scale.items()},
             "grade": self.overall_grade,
             "passed": self.passed,
-            "counts": {
-                "pass": self.count(Grade.PASS),
-                "warn": self.count(Grade.WARN),
-                "fail": self.count(Grade.FAIL),
-            },
+            "counts": self.counts,
             "checks": [r.to_dict() for r in self.results],
         }
 
     def to_json(self, indent=2):
         """Serialise :meth:`to_dict` (stable key order)."""
-        return json.dumps(self.to_dict(), indent=indent,
-                          sort_keys=False) + "\n"
+        return json.dumps(self.to_dict(), indent=indent) + "\n"
 
 
 def run_graded(graph, graded_checks, scenario="", seed=None,
                scale=None):
-    """Run graded checks against ``graph``; returns the report."""
-    report = GradedReport(
+    """Run each check once against ``graph``; returns the report."""
+    return GradedReport(
         scenario=scenario,
         seed=graph.seed if seed is None else seed,
         scale=dict(scale or {}),
+        results=[check.run(graph) for check in graded_checks],
     )
-    for check in graded_checks:
-        report.add(check.run(graph))
-    return report

@@ -577,23 +577,22 @@ def _field_index():
 _BY_PATH, _CHILDREN = _field_index()
 
 
-def _match_segment(declared, actual):
-    return declared == actual or declared.startswith("<")
+def _candidates(segs):
+    """Registry paths a concrete path may mean (wildcards)."""
+    candidates = [()]
+    for actual in segs:
+        candidates = [
+            cand + (declared,)
+            for cand in candidates
+            for declared in _CHILDREN.get(cand, ())
+            if declared == actual or declared.startswith("<")
+        ]
+    return candidates
 
 
 def _lookup(segs):
     """Resolve a concrete path against the registry (wildcards)."""
-    candidates = [()]
-    for actual in segs:
-        nxt = []
-        for cand in candidates:
-            for declared in _CHILDREN.get(cand, ()):
-                if _match_segment(declared, actual):
-                    nxt.append(cand + (declared,))
-        candidates = nxt
-        if not candidates:
-            return None
-    for cand in candidates:
+    for cand in _candidates(segs):
         if cand in _BY_PATH:
             return _BY_PATH[cand]
     return None
@@ -601,16 +600,8 @@ def _lookup(segs):
 
 def _declared_children(segs):
     """Declared child key names at a concrete path (for errors)."""
-    candidates = [()]
-    for actual in segs:
-        nxt = []
-        for cand in candidates:
-            for declared in _CHILDREN.get(cand, ()):
-                if _match_segment(declared, actual):
-                    nxt.append(cand + (declared,))
-        candidates = nxt
     names = set()
-    for cand in candidates:
+    for cand in _candidates(segs):
         names.update(_CHILDREN.get(cand, ()))
     return names
 
@@ -715,6 +706,17 @@ def validate_recipe(recipe):
                     f"scale.{key}: expected a positive int, "
                     f"got {count!r}"
                 )
+    for group in ("joint_ks", "marginal_tv"):
+        warn, fail = (
+            _get(recipe, f"validation.{group}.{level}",
+                 _BY_PATH["validation", group, level].default)
+            for level in ("warn", "fail")
+        )
+        if all(map(_TYPE_CHECKS["float"], (warn, fail))) and warn > fail:
+            errors.append(
+                f"validation.{group}: warn threshold {warn} is looser "
+                f"than fail threshold {fail}, so it could never warn"
+            )
     if errors:
         raise ScenarioError(
             "invalid recipe: " + "; ".join(errors)
@@ -801,13 +803,10 @@ class ScenarioSpec:
         ... ).threshold("joint_ks", "fail")
         0.6
         """
-        override = _get(
-            self.validation, f"{group}.{level}", None
-        )
-        if override is not None:
-            return float(override)
-        field = _lookup(("validation", group, level))
-        return float(field.default)
+        return float(_get(
+            self.validation, f"{group}.{level}",
+            _BY_PATH["validation", group, level].default,
+        ))
 
 
 def load_recipe(path):

@@ -6,6 +6,7 @@ from .checks import (
     CheckResult,
     DateOrderingCheck,
     DegreeDistributionCheck,
+    Grade,
     JointDistributionCheck,
     MarginalDistributionCheck,
     UniquenessCheck,
@@ -20,6 +21,7 @@ __all__ = [
     "CheckResult",
     "DateOrderingCheck",
     "DegreeDistributionCheck",
+    "Grade",
     "JointDistributionCheck",
     "MarginalDistributionCheck",
     "UniquenessCheck",

@@ -3,16 +3,18 @@
 Benchmark datasets come with contracts: cardinalities must hold
 exactly, date orderings must never be violated, distributions must be
 within tolerance of their specification.  This module provides a small
-validator framework: each :class:`Check` inspects a
-:class:`~repro.core.result.PropertyGraph` and returns a
-:class:`CheckResult`; :func:`validate` runs a list of checks and
-aggregates a report.
+validator framework on one rule — **one check, one measurement, one
+band**: each :class:`Check` measures a
+:class:`~repro.core.result.PropertyGraph` once and grades that one
+metric against the thresholds it carries (a lenient *fail* bound, an
+optional stricter *warn* bound), returning a :class:`CheckResult` with
+a :class:`Grade`.  :func:`validate` runs a list of checks and
+aggregates a report; the scenario layer aggregates the same results
+into a letter grade (:mod:`repro.scenarios.report`).
 
 The built-in checks cover every contract the running example states,
 so ``validate(graph, standard_checks(schema))`` is a one-call
-post-generation audit.  (The scenario layer wraps these same classes
-into *graded* pass/warn/fail reports — see
-:mod:`repro.scenarios.report`.)
+post-generation audit.
 
 Examples
 --------
@@ -30,13 +32,19 @@ True
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
+
+from ..core.schema import Cardinality
+from ..stats import JointDistribution, compare_joints
 
 __all__ = [
     "Check",
     "CheckResult",
+    "Grade",
     "ValidationReport",
     "CardinalityCheck",
     "DateOrderingCheck",
@@ -48,31 +56,85 @@ __all__ = [
 ]
 
 
+class Grade(Enum):
+    """Per-check grade, ordered from best to worst.
+
+    * ``PASS`` — the contract holds within the strict threshold;
+    * ``WARN`` — it holds within the lenient (fail) threshold but not
+      the strict (warn) one: acceptable, degraded;
+    * ``FAIL`` — the contract is violated.
+
+    Binary contracts (cardinalities, orderings, uniqueness) have no
+    band and only pass or fail.
+    """
+
+    PASS = "pass"
+    WARN = "warn"
+    FAIL = "fail"
+
+    def __str__(self):
+        return self.value
+
+
 @dataclass
 class CheckResult:
-    """Outcome of one check.
+    """Outcome of one check: its grade and the one metric behind it.
 
+    ``grade`` is a :class:`Grade`; a binary contract may hand in a
+    plain bool (``True`` is ``PASS``, ``False`` is ``FAIL``).
     ``metric`` carries the measured quantity (violation count, total
-    variation, KS distance, mean degree, ...) so callers can grade or
-    trend results instead of only branching on ``passed``.
+    variation, KS distance, mean degree, ...) so callers can trend
+    results instead of only branching on ``passed``.
 
     >>> print(CheckResult("cardinality[creates]", True,
     ...                   "0 violations"))
     [ok] cardinality[creates] (0 violations)
-    >>> print(CheckResult("unique[Person.handle]", False,
-    ...                   "3 duplicate values", metric=3.0))
-    [FAIL] unique[Person.handle] (3 duplicate values)
+    >>> warned = CheckResult("joint[knows]", Grade.WARN,
+    ...                      "KS 0.4000 (threshold 0.35)", metric=0.4)
+    >>> print(warned, warned.passed)
+    [WARN] joint[knows] (KS 0.4000 (threshold 0.35)) True
     """
 
     name: str
-    passed: bool
+    grade: Grade
     detail: str = ""
     metric: float | None = None
 
-    def __str__(self):
-        status = "ok" if self.passed else "FAIL"
+    def __post_init__(self):
+        if not isinstance(self.grade, Grade):
+            self.grade = Grade.PASS if self.grade else Grade.FAIL
+
+    @property
+    def passed(self):
+        """True unless the grade is ``FAIL`` — a warning still passes."""
+        return self.grade is not Grade.FAIL
+
+    def line(self, ok="ok"):
+        """One report line; ``ok`` is the label of a ``PASS``."""
+        label = (
+            ok if self.grade is Grade.PASS
+            else self.grade.value.upper()
+        )
         suffix = f" ({self.detail})" if self.detail else ""
-        return f"[{status}] {self.name}{suffix}"
+        return f"[{label}] {self.name}{suffix}"
+
+    __str__ = line
+
+    def to_dict(self):
+        """JSON-ready dict (metric rounded for stable goldens).
+
+        >>> CheckResult("x", Grade.FAIL, "bad", 0.5).to_dict()
+        {'name': 'x', 'grade': 'fail', 'detail': 'bad', 'metric': 0.5}
+        """
+        metric = self.metric
+        if metric is not None:
+            metric = round(float(metric), 6)
+        return {
+            "name": self.name,
+            "grade": self.grade.value,
+            "detail": self.detail,
+            "metric": metric,
+        }
 
 
 @dataclass
@@ -114,9 +176,10 @@ class ValidationReport:
 class Check:
     """Base class: subclasses implement :meth:`run`.
 
-    A check is stateless and reusable: construct it once with its
-    target (edge/property names, thresholds) and run it against any
-    number of graphs.  Custom checks only need ``name`` and ``run``:
+    A check owns its measurement *and* its band: construct it once
+    with its target (edge/property names) and thresholds; each
+    :meth:`run` measures one graph once and grades that one metric.
+    Custom checks only need ``name`` and ``run``:
 
     >>> class NonEmpty(Check):
     ...     name = "non_empty[knows]"
@@ -130,6 +193,25 @@ class Check:
     def run(self, graph):
         """Return a :class:`CheckResult` for ``graph``."""
         raise NotImplementedError
+
+    def _violations(self, bad, what):
+        """Result of a binary contract: ``bad`` violations, zero passes."""
+        return CheckResult(
+            self.name, bad == 0, f"{bad} {what}", metric=float(bad)
+        )
+
+    def _banded(self, value, fail, warn, detail):
+        """Result of grading ``value`` against its upper bounds;
+        ``detail`` is formatted with the value and the bound that
+        decided the grade (the warn bound only for a ``WARN``)."""
+        grade, bound = Grade.PASS, fail
+        if not value <= fail:  # a NaN measurement fails
+            grade = Grade.FAIL
+        elif warn is not None and value > warn:
+            grade, bound = Grade.WARN, warn
+        return CheckResult(
+            self.name, grade, detail.format(value, bound), metric=value
+        )
 
 
 class CardinalityCheck(Check):
@@ -154,8 +236,6 @@ class CardinalityCheck(Check):
         self.name = f"cardinality[{edge_name}]"
 
     def run(self, graph):
-        from ..core.schema import Cardinality
-
         edge = graph.schema.edge_type(self.edge_name)
         table = graph.edges(self.edge_name)
         if edge.cardinality is Cardinality.MANY_TO_MANY:
@@ -165,24 +245,18 @@ class CardinalityCheck(Check):
         head_counts = np.bincount(
             table.heads, minlength=graph.num_nodes(edge.head_type)
         )
+        bad = int((head_counts != 1).sum())
         if edge.cardinality is Cardinality.ONE_TO_MANY:
-            bad = int((head_counts != 1).sum())
-            return CheckResult(
-                self.name,
-                bad == 0,
-                f"{bad} head nodes violate exactly-one-edge",
-                metric=float(bad),
+            return self._violations(
+                bad, "head nodes violate exactly-one-edge"
             )
         # ONE_TO_ONE
         tail_counts = np.bincount(
             table.tails, minlength=graph.num_nodes(edge.tail_type)
         )
-        bad = int((head_counts != 1).sum() + (tail_counts != 1).sum())
-        return CheckResult(
-            self.name,
-            bad == 0,
-            f"{bad} endpoint violations of the bijection",
-            metric=float(bad),
+        return self._violations(
+            bad + int((tail_counts != 1).sum()),
+            "endpoint violations of the bijection",
         )
 
 
@@ -221,31 +295,27 @@ class DateOrderingCheck(Check):
             self.edge_name, self.edge_property
         ).values
         bound = np.full(len(table), -np.inf)
-        if self.tail_property:
-            tail_dates = graph.node_property(
-                edge.tail_type, self.tail_property
-            ).values
-            bound = np.maximum(bound, tail_dates[table.tails])
-        if self.head_property:
-            head_dates = graph.node_property(
-                edge.head_type, self.head_property
-            ).values
-            bound = np.maximum(bound, head_dates[table.heads])
-        bad = int((values <= bound).sum())
-        return CheckResult(
-            self.name,
-            bad == 0,
-            f"{bad} edges violate the strict ordering",
-            metric=float(bad),
+        for prop, node_type, ids in (
+            (self.tail_property, edge.tail_type, table.tails),
+            (self.head_property, edge.head_type, table.heads),
+        ):
+            if prop:
+                dates = graph.node_property(node_type, prop).values
+                bound = np.maximum(bound, dates[ids])
+        return self._violations(
+            int((values <= bound).sum()),
+            "edges violate the strict ordering",
         )
 
 
 class MarginalDistributionCheck(Check):
     """Verify a property's value frequencies match a specification.
 
-    Compares the observed frequency vector against expected weights
-    with a total-variation tolerance.  Values outside the declared
-    domain fail outright.
+    Compares the observed frequency vector against expected weights:
+    a total variation above ``tolerance`` fails, one above the
+    optional stricter ``warn_tolerance`` warns.  Values outside the
+    declared domain fail outright; a column with no rows has nothing
+    to compare and passes.
 
     Examples
     --------
@@ -257,37 +327,36 @@ class MarginalDistributionCheck(Check):
     """
 
     def __init__(self, type_name, prop_name, values, weights,
-                 tolerance=0.05):
+                 tolerance=0.05, warn_tolerance=None):
         self.type_name = type_name
         self.prop_name = prop_name
         self.values = list(values)
         weights = np.asarray(weights, dtype=np.float64)
         self.weights = weights / weights.sum()
         self.tolerance = tolerance
+        self.warn_tolerance = warn_tolerance
         self.name = f"marginal[{type_name}.{prop_name}]"
 
     def run(self, graph):
         table = graph.node_property(self.type_name, self.prop_name)
+        if not len(table):
+            return CheckResult(self.name, True, "no rows", metric=0.0)
+        counts = Counter(table.values.tolist())
         observed = np.zeros(len(self.values))
         position = {v: i for i, v in enumerate(self.values)}
-        unknown = 0
-        for value in table.values:
-            if value in position:
-                observed[position[value]] += 1
-            else:
-                unknown += 1
-        if unknown:
+        for value, slot in position.items():
+            observed[slot] = counts.pop(value, 0)
+        if counts:
             return CheckResult(
                 self.name, False,
-                f"{unknown} values outside the declared domain",
+                f"{sum(counts.values())} values outside the declared "
+                "domain",
             )
-        observed = observed / observed.sum()
-        tv = 0.5 * float(np.abs(observed - self.weights).sum())
-        return CheckResult(
-            self.name,
-            tv <= self.tolerance,
-            f"total variation {tv:.4f} (tolerance {self.tolerance})",
-            metric=tv,
+        observed /= observed.sum()
+        return self._banded(
+            0.5 * float(np.abs(observed - self.weights).sum()),
+            self.tolerance, self.warn_tolerance,
+            "total variation {:.4f} (tolerance {})",
         )
 
 
@@ -295,23 +364,23 @@ class JointDistributionCheck(Check):
     """Verify the realised property-structure joint is close to the
     requested one (KS over the sorted pair CDFs).
 
-    Edge types without a match result (uncorrelated, random matching)
-    pass trivially.
+    A KS above ``max_ks`` fails, one above the optional stricter
+    ``warn_ks`` warns.  Edge types without a match result
+    (uncorrelated, random matching) pass trivially.
 
     Examples
     --------
-    >>> JointDistributionCheck("knows", max_ks=0.5).name
+    >>> JointDistributionCheck("knows", max_ks=0.5, warn_ks=0.3).name
     'joint[knows]'
     """
 
-    def __init__(self, edge_name, max_ks=0.5):
+    def __init__(self, edge_name, max_ks=0.5, warn_ks=None):
         self.edge_name = edge_name
         self.max_ks = max_ks
+        self.warn_ks = warn_ks
         self.name = f"joint[{edge_name}]"
 
     def run(self, graph):
-        from ..stats import JointDistribution, compare_joints
-
         match = graph.match_results.get(self.edge_name)
         if match is None:
             return CheckResult(
@@ -319,35 +388,37 @@ class JointDistributionCheck(Check):
             )
         requested = JointDistribution(match.target)
         observed = graph.observed_joint(self.edge_name)
-        ks = compare_joints(requested, observed).ks
-        return CheckResult(
-            self.name,
-            ks <= self.max_ks,
-            f"KS {ks:.4f} (threshold {self.max_ks})",
-            metric=ks,
+        return self._banded(
+            compare_joints(requested, observed).ks,
+            self.max_ks, self.warn_ks, "KS {:.4f} (threshold {})",
         )
 
 
 class DegreeDistributionCheck(Check):
     """Verify degree statistics of an edge type are in expected bands.
 
-    Any of ``min_mean`` / ``max_mean`` / ``max_degree`` may be None to
-    skip that bound; the result's ``metric`` is the observed mean
-    degree (out-degree for bipartite edge types).
+    ``min_mean`` / ``max_mean`` / ``max_degree`` are the fail bounds,
+    ``warn_min_mean`` / ``warn_max_mean`` a stricter band on the mean
+    that warns; any may be None to skip that bound.  The result's
+    ``metric`` is the observed mean degree (out-degree for bipartite
+    edge types).
 
     Examples
     --------
-    >>> DegreeDistributionCheck("knows", min_mean=5,
+    >>> DegreeDistributionCheck("knows", min_mean=5, warn_min_mean=8,
     ...                         max_degree=50).name
     'degrees[knows]'
     """
 
     def __init__(self, edge_name, min_mean=None, max_mean=None,
-                 max_degree=None):
+                 max_degree=None, warn_min_mean=None,
+                 warn_max_mean=None):
         self.edge_name = edge_name
         self.min_mean = min_mean
         self.max_mean = max_mean
         self.max_degree = max_degree
+        self.warn_min_mean = warn_min_mean
+        self.warn_max_mean = warn_max_mean
         self.name = f"degrees[{edge_name}]"
 
     def run(self, graph):
@@ -358,17 +429,25 @@ class DegreeDistributionCheck(Check):
         )
         mean = float(degrees.mean()) if degrees.size else 0.0
         peak = int(degrees.max()) if degrees.size else 0
-        problems = []
-        if self.min_mean is not None and mean < self.min_mean:
-            problems.append(f"mean {mean:.2f} < {self.min_mean}")
-        if self.max_mean is not None and mean > self.max_mean:
-            problems.append(f"mean {mean:.2f} > {self.max_mean}")
+
+        def outside(low, high):
+            problems = []
+            if low is not None and mean < low:
+                problems.append(f"mean {mean:.2f} < {low}")
+            if high is not None and mean > high:
+                problems.append(f"mean {mean:.2f} > {high}")
+            return problems
+
+        problems = outside(self.min_mean, self.max_mean)
         if self.max_degree is not None and peak > self.max_degree:
             problems.append(f"max {peak} > {self.max_degree}")
+        warnings = outside(self.warn_min_mean, self.warn_max_mean)
         return CheckResult(
             self.name,
-            not problems,
-            "; ".join(problems) or f"mean {mean:.2f}, max {peak}",
+            Grade.FAIL if problems
+            else Grade.WARN if warnings else Grade.PASS,
+            "; ".join(problems or warnings)
+            or f"mean {mean:.2f}, max {peak}",
             metric=mean,
         )
 
@@ -402,12 +481,8 @@ class UniquenessCheck(Check):
         values = graph.node_property(
             self.type_name, self.prop_name
         ).values
-        duplicates = len(values) - len(set(values))
-        return CheckResult(
-            self.name,
-            duplicates == 0,
-            f"{duplicates} duplicate values",
-            metric=float(duplicates),
+        return self._violations(
+            len(values) - len(set(values)), "duplicate values"
         )
 
 
@@ -422,7 +497,4 @@ def validate(graph, checks):
     >>> report.passed, len(report.results)
     (True, 0)
     """
-    report = ValidationReport()
-    for check in checks:
-        report.results.append(check.run(graph))
-    return report
+    return ValidationReport([check.run(graph) for check in checks])

@@ -7,10 +7,14 @@ audit a benchmark designer would want by default:
 * a date-ordering check per ``after_dependency`` edge property;
 * a marginal check per declared ``categorical`` property with weights;
 * a joint check per correlated edge type.
+
+The only schema→checks derivation: ``repro validate`` uses the
+defaults, the scenario compiler the recipe's warn/fail bands.
 """
 
 from __future__ import annotations
 
+from ..core.schema import Cardinality
 from .checks import (
     CardinalityCheck,
     DateOrderingCheck,
@@ -21,7 +25,8 @@ from .checks import (
 __all__ = ["standard_checks"]
 
 
-def standard_checks(schema, joint_max_ks=0.6, marginal_tolerance=0.05):
+def standard_checks(schema, joint_max_ks=0.6, marginal_tolerance=0.05,
+                    joint_warn_ks=None, marginal_warn_tolerance=None):
     """Derive the default audit from schema declarations.
 
     Parameters
@@ -31,9 +36,12 @@ def standard_checks(schema, joint_max_ks=0.6, marginal_tolerance=0.05):
         (cardinalities, ``after_dependency`` properties, weighted
         ``categorical`` properties, correlations) imply the checks.
     joint_max_ks, marginal_tolerance:
-        thresholds handed to the generated
+        fail thresholds handed to the generated
         :class:`~repro.validation.JointDistributionCheck` /
         :class:`~repro.validation.MarginalDistributionCheck`.
+    joint_warn_ks, marginal_warn_tolerance:
+        their optional stricter warn thresholds (``None``: no band,
+        the checks grade ``PASS`` or ``FAIL`` only).
 
     Examples
     --------
@@ -46,8 +54,6 @@ def standard_checks(schema, joint_max_ks=0.6, marginal_tolerance=0.05):
      'cardinality[creates]', 'date_ordering[creates.creationDate]',
      'marginal[Person.country]', 'marginal[Person.sex]']
     """
-    from ..core.schema import Cardinality
-
     checks = []
 
     for edge in schema.edge_types.values():
@@ -55,9 +61,9 @@ def standard_checks(schema, joint_max_ks=0.6, marginal_tolerance=0.05):
             checks.append(CardinalityCheck(edge.name))
         if edge.correlation is not None \
                 and edge.correlation.head_property is None:
-            checks.append(
-                JointDistributionCheck(edge.name, max_ks=joint_max_ks)
-            )
+            checks.append(JointDistributionCheck(
+                edge.name, max_ks=joint_max_ks, warn_ks=joint_warn_ks,
+            ))
         for prop in edge.properties:
             if prop.generator is None:
                 continue
@@ -93,6 +99,7 @@ def standard_checks(schema, joint_max_ks=0.6, marginal_tolerance=0.05):
                         params["values"],
                         params["weights"],
                         tolerance=marginal_tolerance,
+                        warn_tolerance=marginal_warn_tolerance,
                     )
                 )
     return checks

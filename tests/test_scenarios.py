@@ -18,9 +18,7 @@ import pytest
 from repro.cli import main
 from repro.scenarios import (
     Grade,
-    GradedCheck,
     GradedReport,
-    GradedResult,
     ScenarioError,
     ScenarioSpec,
     compile_scenario,
@@ -32,6 +30,7 @@ from repro.scenarios import (
     zoo_names,
 )
 from repro.scenarios.spec import RECIPE_FIELDS
+from repro.validation import CheckResult
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -195,6 +194,24 @@ class TestValidation:
                            match="seed: expected int"):
             validate_recipe(recipe)
 
+    @pytest.mark.parametrize("group", ["joint_ks", "marginal_tv"])
+    def test_inverted_band_rejected(self, group):
+        recipe = self._base()
+        recipe["validation"][group] = {"warn": 0.5, "fail": 0.1}
+        with pytest.raises(
+            ScenarioError,
+            match=rf"validation\.{group}: warn threshold 0\.5 is "
+                  r"looser than fail threshold 0\.1",
+        ):
+            validate_recipe(recipe)
+        # The registry default counts as the other end of the band.
+        recipe["validation"][group] = {"fail": 0.01}
+        with pytest.raises(ScenarioError,
+                           match=rf"validation\.{group}: warn"):
+            validate_recipe(recipe)
+        recipe["validation"][group] = {"warn": 0.1, "fail": 0.1}
+        validate_recipe(recipe)
+
 
 class TestCompiler:
     def test_unknown_property_generator(self):
@@ -258,6 +275,24 @@ scale: {U: 100, V: 50}
         recipe["edges"]["knows"]["correlation"]["property"] = "age"
         with pytest.raises(ScenarioError,
                            match="must be a 'categorical'"):
+            compile_scenario(recipe)
+
+    @pytest.mark.parametrize("validation, message", [
+        ({"unique": ["Person.nope"]},
+         r"validation\.unique\[0\]: node type 'Person' has no "
+         r"property 'nope'"),
+        ({"unique": ["Person.age", "Nope.x"]},
+         r"validation\.unique\[1\]: unknown node type 'Nope'"),
+        ({"unique": ["Person"]},
+         r"validation\.unique\[0\]: node type 'Person' has no "
+         r"property ''"),
+        ({"degrees": {"nope": {"min_mean": 1}}},
+         r"validation\.degrees\.nope: unknown edge type 'nope'"),
+    ])
+    def test_dangling_validation_reference(self, validation, message):
+        recipe = parse_recipe_text(TINY_RECIPE)
+        recipe["validation"] = validation
+        with pytest.raises(ScenarioError, match=message):
             compile_scenario(recipe)
 
     def test_no_scale_anchor(self):
@@ -343,7 +378,7 @@ class TestGrading:
     def _report(self, grades):
         report = GradedReport("g")
         for i, grade in enumerate(grades):
-            report.add(GradedResult(f"c{i}", grade))
+            report.add(CheckResult(f"c{i}", grade))
         return report
 
     def test_overall_grades(self):
@@ -363,29 +398,75 @@ class TestGrading:
         assert not self._report([Grade.FAIL]).passed
 
     def test_graded_check_warn_band(self):
-        class FakeCheck:
-            def __init__(self, passes, metric):
-                self.name = "fake"
-                self.passes = passes
-                self.metric = metric
+        """One recipe band reaches all three grades: the tiny graph's
+        mean degree is exactly 6."""
+        def grade(bounds):
+            recipe = parse_recipe_text(TINY_RECIPE)
+            recipe["validation"]["degrees"]["knows"] = bounds
+            _, report, _ = run_scenario(compile_scenario(recipe))
+            return report.results[-1]
 
-            def run(self, graph):
-                from repro.validation import CheckResult
+        warn = grade({"max_mean": 10, "warn_max_mean": 5})
+        assert warn.grade is Grade.WARN and warn.passed
+        assert warn.detail == "mean 6.00 > 5"
+        ok = grade({"max_mean": 10, "warn_max_mean": 7})
+        assert ok.grade is Grade.PASS
+        assert ok.detail.startswith("mean 6.00, max ")
+        bad = grade({"max_mean": 5.5, "warn_max_mean": 5})
+        assert bad.grade is Grade.FAIL and not bad.passed
+        assert bad.detail == "mean 6.00 > 5.5"
+        assert warn.metric == ok.metric == bad.metric == 6.0
 
-                return CheckResult(
-                    self.name, self.passes, "d", self.metric
-                )
+    def test_audit_measures_each_check_once(self, monkeypatch):
+        """Count-based: one ``run_graded`` computes the observed joint
+        once and reads each marginal column once (twice each when a
+        band was two checks)."""
+        from collections import Counter
 
-        warn = GradedCheck(FakeCheck(True, 0.4), FakeCheck(False, 0.4))
-        assert warn.run(None).grade is Grade.WARN
-        ok = GradedCheck(FakeCheck(True, 0.1), FakeCheck(True, 0.1))
-        assert ok.run(None).grade is Grade.PASS
-        bad = GradedCheck(FakeCheck(False, 0.9))
-        assert bad.run(None).grade is Grade.FAIL
+        from repro.core.result import PropertyGraph
+        from repro.scenarios import run_graded
+
+        compiled = compile_scenario(load_zoo("social_network"),
+                                    scale={"Person": 300})
+        graph, _, _ = run_scenario(compiled, validate=False)
+        calls = Counter()
+        observed_joint = PropertyGraph.observed_joint
+        node_property = PropertyGraph.node_property
+
+        def counted_joint(self, edge_name):
+            calls[f"joint:{edge_name}"] += 1
+            calls["inside_joint"] += 1
+            try:
+                return observed_joint(self, edge_name)
+            finally:
+                calls["inside_joint"] -= 1
+
+        def counted_read(self, type_name, prop_name):
+            if not calls["inside_joint"]:
+                calls[f"read:{type_name}.{prop_name}"] += 1
+            return node_property(self, type_name, prop_name)
+
+        monkeypatch.setattr(
+            PropertyGraph, "observed_joint", counted_joint)
+        monkeypatch.setattr(
+            PropertyGraph, "node_property", counted_read)
+        report = run_graded(graph, compiled.graded_checks)
+        banded = {
+            r.name: r for r in report.results
+            if r.name.startswith(("joint[", "marginal["))
+        }
+        assert sorted(banded) == [
+            "joint[knows]", "marginal[Person.country]",
+            "marginal[Person.sex]",
+        ]
+        assert all(r.metric is not None for r in banded.values())
+        assert calls["joint:knows"] == 1
+        assert calls["read:Person.country"] == 1
+        assert calls["read:Person.sex"] == 1
 
     def test_text_rendering(self):
         report = GradedReport("demo", seed=1, scale={"N": 5})
-        report.add(GradedResult("a", Grade.FAIL, "broken"))
+        report.add(CheckResult("a", Grade.FAIL, "broken"))
         text = str(report)
         assert "scenario 'demo'" in text
         assert "[FAIL] a (broken)" in text
@@ -525,6 +606,27 @@ class TestCli:
         with pytest.raises(SystemExit,
                            match="missing required key 'scale'"):
             main(["scenario", "run", str(bad)])
+
+    def test_dangling_validation_reference_is_clean(self, tmp_path):
+        """Fails at compile: one line, nothing generated or written."""
+        import subprocess
+        import sys
+
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TINY_RECIPE + "  unique: [Person.nope]\n")
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "scenario", "run",
+             str(bad), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            "scenario error: validation.unique[0]: node type 'Person' "
+            "has no property 'nope'\n"
+        )
+        assert not out.exists()
 
 
 class TestDocSync:

@@ -12,6 +12,7 @@ from repro.validation import (
     CheckResult,
     DateOrderingCheck,
     DegreeDistributionCheck,
+    Grade,
     JointDistributionCheck,
     MarginalDistributionCheck,
     UniquenessCheck,
@@ -143,6 +144,22 @@ class TestMarginalCheck:
         result = check.run(graph)
         assert not result.passed
         assert "outside the declared domain" in result.detail
+        assert result.metric is None
+
+    def test_empty_column_passes_without_nan(self, graph):
+        import copy
+
+        from repro.tables import PropertyTable
+
+        empty = copy.copy(graph)
+        empty.node_properties = {
+            "Person.sex": PropertyTable("Person.sex", np.array([], "U6"))
+        }
+        result = MarginalDistributionCheck(
+            "Person", "sex", ["female", "male"], [0.5, 0.5]
+        ).run(empty)
+        assert result.grade is Grade.PASS
+        assert result.metric == 0.0
 
 
 class TestJointCheck:
@@ -172,6 +189,66 @@ class TestDegreeCheck:
         result = check.run(graph)
         assert not result.passed
         assert "mean" in result.detail
+
+
+class TestWarnBand:
+    """Each thresholded check grades its one metric against both of
+    its bounds; the detail names the bound that decided the grade."""
+
+    @staticmethod
+    def _assert_band(graph, make, loose, tight, detail):
+        """``make(fail, warn)`` builds the check; the measured metric
+        lies between the ``tight`` and ``loose`` bounds."""
+        metric = make(loose, None).run(graph).metric
+        assert tight < metric < loose
+        for grade, fail, warn, named in (
+            (Grade.PASS, loose, loose, loose),
+            (Grade.WARN, loose, tight, tight),
+            (Grade.FAIL, tight, tight, tight),
+        ):
+            result = make(fail, warn).run(graph)
+            assert result.grade is grade
+            assert result.passed is (grade is not Grade.FAIL)
+            assert result.metric == metric
+            assert result.detail == detail.format(metric, named)
+
+    def test_joint(self, graph):
+        self._assert_band(
+            graph,
+            lambda fail, warn: JointDistributionCheck(
+                "knows", max_ks=fail, warn_ks=warn),
+            0.9, 0.01, "KS {:.4f} (threshold {})",
+        )
+
+    def test_marginal(self, graph):
+        self._assert_band(
+            graph,
+            lambda fail, warn: MarginalDistributionCheck(
+                "Person", "sex", ["female", "male"], [0.7, 0.3],
+                tolerance=fail, warn_tolerance=warn),
+            0.5, 0.1, "total variation {:.4f} (tolerance {})",
+        )
+
+    def test_degrees(self, graph):
+        mean = DegreeDistributionCheck("knows").run(graph).metric
+        low, high = mean - 1, mean + 1
+        warn = DegreeDistributionCheck(
+            "knows", max_mean=high, warn_max_mean=low).run(graph)
+        assert warn.grade is Grade.WARN and warn.passed
+        assert warn.metric == mean
+        assert warn.detail == f"mean {mean:.2f} > {low}"
+        ok = DegreeDistributionCheck(
+            "knows", max_mean=high, warn_max_mean=high).run(graph)
+        assert ok.grade is Grade.PASS
+        assert ok.detail.startswith(f"mean {mean:.2f}, max ")
+        bad = DegreeDistributionCheck(
+            "knows", min_mean=high, warn_max_mean=low).run(graph)
+        assert bad.grade is Grade.FAIL and not bad.passed
+        assert bad.detail == f"mean {mean:.2f} < {high}"
+
+    def test_no_warn_bound_never_warns(self, graph):
+        result = JointDistributionCheck("knows", max_ks=0.9).run(graph)
+        assert result.grade is Grade.PASS
 
 
 class TestUniquenessCheck:
