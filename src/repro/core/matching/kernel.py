@@ -37,6 +37,18 @@ only incremental work per placement:
   propagation for the whole prefix is a single ``bincount`` fold
   (legal because cold nodes never read counts).
 
+Stream preparation
+------------------
+:func:`prepare_match_stream` is linear in m.  The CSR adjacency comes
+from :meth:`~repro.tables.EdgeTable.adjacency_csr`, which orders the
+2m endpoints with :func:`~repro.tables.bucket_order` (a stable 16-bit
+LSD radix order: one pass for n <= 65 536) instead of an O(m log m)
+comparison sort; arrival positions are one scatter and the cold prefix
+one ``np.minimum.reduceat``.  Only the numpy path's later-neighbour
+tables (:func:`later_tables`) still sort, with ``np.unique``.  Around
+the placement, the PT-row mapping and the achieved mixing matrix are
+linear too (bucket orders and one ``np.bincount``).
+
 Tie handling
 ------------
 Scores grow like m² (edge-count-scale ``diff`` entries times degree
@@ -228,7 +240,7 @@ def prepare_match_stream(table, order=None, counts_tables=False):
         order = np.asarray(order, dtype=np.int64)
         if order.size != n:
             raise ValueError("order must enumerate all n nodes")
-    indptr, neighbors, _ = table.adjacency_csr()
+    indptr, neighbors = table.adjacency_csr()
     positions = np.empty(n, dtype=np.int64)
     positions[order] = np.arange(n, dtype=np.int64)
     prefix = cold_prefix_length(indptr, neighbors, order, positions)

@@ -68,7 +68,7 @@ def legacy_sbm_part_assign(
 
         tie_stream = RandomStream(0, "sbm-part.coldstart")
 
-    indptr, neighbors, _ = table.adjacency_csr()
+    indptr, neighbors = table.adjacency_csr()
     assignment = np.full(n, -1, dtype=np.int64)
     loads = np.zeros(k, dtype=np.int64)
     current = np.zeros((k, k), dtype=np.float64)
@@ -179,7 +179,7 @@ def legacy_ldg_partition(table, capacities, order=None, tie_stream=None):
         if order.size != n:
             raise ValueError("order must enumerate all n nodes")
 
-    indptr, neighbors, _ = table.adjacency_csr()
+    indptr, neighbors = table.adjacency_csr()
     assignment = np.full(n, -1, dtype=np.int64)
     loads = np.zeros(k, dtype=np.int64)
     caps = capacities.astype(np.float64)

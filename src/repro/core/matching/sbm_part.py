@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...tables import bucket_order
 from .kernel import sbm_part_stream
 from .targets import edge_count_target
 
@@ -155,23 +156,35 @@ def sbm_part_assign(
 def _mapping_from_assignment(assignment, codes):
     """Build ``f`` (structure node -> PT row) from group labels.
 
-    PT rows are bucketed by their value code; nodes of group ``g``
-    consume the rows of code ``g`` in ascending id order.
+    The nodes of group ``g``, in ascending id order, take the PT rows
+    of code ``g`` in ascending id order.  Both sides are grouped by one
+    stable :func:`~repro.tables.bucket_order` each, so the whole map is
+    O(n + rows); a group with more nodes than rows raises
+    ``RuntimeError`` naming the group of the lowest over-assigned node.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    k = int(codes.max()) + 1 if codes.size else 0
-    rows_by_code = [np.flatnonzero(codes == g) for g in range(k)]
-    cursors = np.zeros(k, dtype=np.int64)
+    assignment = np.asarray(assignment, dtype=np.int64)
+    k = max(
+        int(codes.max()) + 1 if codes.size else 0,
+        int(assignment.max()) + 1 if assignment.size else 0,
+    )
+    rows = bucket_order(codes, k)
+    row_counts = np.bincount(codes, minlength=k)
+    row_starts = np.cumsum(row_counts) - row_counts
+    nodes = bucket_order(assignment, k)
+    groups = assignment[nodes]
+    node_counts = np.bincount(assignment, minlength=k)
+    node_starts = np.cumsum(node_counts) - node_counts
+    # rank of each node among the nodes of its group
+    rank = np.arange(nodes.size) - node_starts[groups]
+    over = rank >= row_counts[groups]
+    if over.any():
+        v = int(nodes[over].min())
+        raise RuntimeError(
+            f"group {assignment[v]} over-assigned: no PT rows left"
+        )
     mapping = np.empty(assignment.size, dtype=np.int64)
-    for v, g in enumerate(assignment):
-        bucket = rows_by_code[g]
-        cursor = cursors[g]
-        if cursor >= bucket.size:
-            raise RuntimeError(
-                f"group {g} over-assigned: no PT rows left"
-            )
-        mapping[v] = bucket[cursor]
-        cursors[g] = cursor + 1
+    mapping[nodes] = rows[row_starts[groups] + rank]
     return mapping
 
 

@@ -23,7 +23,7 @@ __all__ = [
 def _neighbor_sets(table):
     """Sorted neighbour arrays per node (deduplicated, no self loops)."""
     n = table.num_nodes
-    indptr, neighbors, _ = table.adjacency_csr()
+    indptr, neighbors = table.adjacency_csr()
     sets = []
     for v in range(n):
         nbrs = neighbors[indptr[v]:indptr[v + 1]]

@@ -77,7 +77,7 @@ def bfs_distances(table, source):
     [0, 1, 2, -1]
     """
     n = table.num_nodes
-    indptr, neighbors, _ = table.adjacency_csr()
+    indptr, neighbors = table.adjacency_csr()
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)

@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..tables import csr_arrays
+
 __all__ = [
     "MatchResult",
     "TemplateQuery",
@@ -131,16 +133,12 @@ def _prune(candidates, t_tails, t_heads, tails, heads, n, directed):
 
 
 def _adjacency_csr(tails, heads, n, directed):
-    """Sorted neighbour lists (symmetrised when undirected)."""
+    """Neighbour lists in CSR form (symmetrised when undirected)."""
     if directed:
-        src, dst = tails, heads
-    else:
-        src = np.concatenate([tails, heads])
-        dst = np.concatenate([heads, tails])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    starts = np.searchsorted(src, np.arange(n + 1))
-    return starts, dst
+        return csr_arrays(tails, heads, n)
+    return csr_arrays(
+        np.concatenate([tails, heads]), np.concatenate([heads, tails]), n
+    )
 
 
 def _match_order(t_tails, t_heads, size, counts):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..stats.joint import label_pair_counts
+
 __all__ = ["edge_cut", "cut_fraction", "balance", "mixing_matrix"]
 
 
@@ -42,17 +44,9 @@ def mixing_matrix(table, assignment, k=None):
     Returns the symmetric ``(k, k)`` matrix where entry ``(i, j)``,
     ``i != j``, counts edges between groups i and j (appearing in both
     symmetric slots), and ``(i, i)`` counts intra-group edges once.
+    Groups outside ``[0, k)`` raise ``ValueError``.
     """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    if k is None:
-        k = int(assignment.max()) + 1 if assignment.size else 1
-    w = np.zeros((k, k), dtype=np.float64)
-    lt = assignment[table.tails]
-    lh = assignment[table.heads]
-    lo = np.minimum(lt, lh)
-    hi = np.maximum(lt, lh)
-    np.add.at(w, (lo, hi), 1.0)
-    # Mirror the strict upper triangle.
-    upper = np.triu(w, k=1)
-    w = w + upper.T
-    return w
+    counts = label_pair_counts(table.tails, table.heads, assignment, k)
+    w = counts + counts.T
+    np.fill_diagonal(w, counts.diagonal())
+    return w.astype(np.float64)

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["JointDistribution", "empirical_joint", "homophily_joint"]
+__all__ = [
+    "JointDistribution",
+    "empirical_joint",
+    "homophily_joint",
+    "label_pair_counts",
+]
 
 
 class JointDistribution:
@@ -157,9 +162,26 @@ def empirical_joint(tails, heads, labels, k=None):
     tails, heads:
         edge endpoint node-id arrays.
     labels:
-        ``(n,)`` integer category per node id.
+        ``(n,)`` integer category per node id, each in ``[0, k)``
+        (``ValueError`` otherwise).
     k:
         number of categories; inferred from ``labels`` when omitted.
+    """
+    counts = label_pair_counts(tails, heads, labels, k)
+    # Each edge contributed 2 to the matrix total; JointDistribution
+    # normalises, so the factor cancels.
+    return JointDistribution(counts + counts.T)
+
+
+def label_pair_counts(tails, heads, labels, k=None):
+    """``(k, k)`` int64 counts of ``(labels[tail], labels[head])`` pairs.
+
+    One ``np.bincount`` over the flattened pair codes.  Every label must
+    lie in ``[0, k)`` (``k`` defaults to ``labels.max() + 1``); anything
+    else is a ``ValueError`` naming the first bad label.
+
+    >>> label_pair_counts([0, 1], [1, 2], [0, 1, 1]).tolist()
+    [[0, 1], [0, 1]]
     """
     labels = np.asarray(labels, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)
@@ -168,14 +190,14 @@ def empirical_joint(tails, heads, labels, k=None):
         raise ValueError("tails and heads must have the same shape")
     if k is None:
         k = int(labels.max()) + 1 if labels.size else 1
-    lt = labels[tails]
-    lh = labels[heads]
-    counts = np.zeros((k, k), dtype=np.float64)
-    np.add.at(counts, (lt, lh), 1.0)
-    np.add.at(counts, (lh, lt), 1.0)
-    # Each edge contributed 2 to the matrix total; JointDistribution
-    # normalises, so the factor cancels.
-    return JointDistribution(counts)
+    bad = (labels < 0) | (labels >= k)
+    if bad.any():
+        raise ValueError(
+            f"label {int(labels[bad.argmax()])} is outside [0, k) "
+            f"for k = {k}"
+        )
+    pairs = labels[tails] * k + labels[heads]
+    return np.bincount(pairs, minlength=k * k).reshape(k, k)
 
 
 def homophily_joint(marginal, affinity):

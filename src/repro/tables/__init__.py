@@ -1,6 +1,6 @@
 """Columnar data model: Property Tables and Edge Tables (Section 4.1)."""
 
-from .edge_table import EdgeTable
+from .edge_table import EdgeTable, bucket_order, csr_arrays
 from .property_table import PropertyTable
 from .ranged import EdgeRows, PropertyRows, RangeColumn, chunk_bounds
 
@@ -10,5 +10,7 @@ __all__ = [
     "PropertyRows",
     "PropertyTable",
     "RangeColumn",
+    "bucket_order",
     "chunk_bounds",
+    "csr_arrays",
 ]

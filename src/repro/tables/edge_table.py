@@ -12,7 +12,42 @@ import numpy as np
 
 from .ranged import EdgeRows
 
-__all__ = ["EdgeTable"]
+__all__ = ["EdgeTable", "bucket_order", "csr_arrays"]
+
+def bucket_order(keys, num_buckets):
+    """Stable order of integer ``keys`` in ``[0, num_buckets)``.
+
+    Equal to ``np.argsort(keys, kind="stable")`` but linear in the
+    number of keys: an LSD radix sort over 16-bit digits, each digit
+    one stable argsort of a ``uint16`` array, which numpy radix-sorts.
+    That is one pass when ``num_buckets <= 65536`` and
+    ``ceil(log2(num_buckets) / 16)`` passes beyond.
+
+    >>> bucket_order(np.array([3, 1, 3, 0, 1]), 4).tolist()
+    [3, 1, 4, 0, 2]
+    """
+    # Digit d of a key is its d-th little-endian 16-bit word: a strided
+    # view, so no pass copies or shifts the int64 keys.
+    digits = np.ascontiguousarray(keys, dtype="<i8").view("<u2")
+    digits = digits.reshape(-1, 4)
+    order = np.argsort(digits[:, 0], kind="stable")
+    d = 1
+    while (num_buckets - 1) >> (16 * d) > 0:
+        order = order[np.argsort(digits[order, d], kind="stable")]
+        d += 1
+    return order
+
+
+def csr_arrays(src, dst, num_nodes):
+    """CSR ``(indptr, neighbors)`` of the pairs ``src[i] -> dst[i]``.
+
+    ``neighbors[indptr[v]:indptr[v + 1]]`` lists the ``dst`` of every
+    pair leaving ``v``, in input order; every ``src`` lies in
+    ``[0, num_nodes)``.
+    """
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr, dst[bucket_order(src, num_nodes)]
 
 
 class EdgeTable(EdgeRows):
@@ -150,26 +185,18 @@ class EdgeTable(EdgeRows):
         return deg.astype(np.int64)
 
     def adjacency_csr(self):
-        """Undirected adjacency in CSR form ``(indptr, neighbors, edge_ids)``.
+        """Undirected adjacency in CSR form ``(indptr, neighbors)``.
 
         Both endpoints index each edge, so every edge appears twice (once
-        per direction).  ``edge_ids`` maps each adjacency slot back to the
-        edge id, which the streaming matcher uses.
+        per direction).  A node's neighbours are listed as its tail-side
+        edges in edge-id order, then its head-side edges in edge-id
+        order.  Built in O(m) by :func:`csr_arrays`.
         """
-        n = self.num_nodes
-        m = len(self)
-        src = np.concatenate([self.tails, self.heads])
-        dst = np.concatenate([self.heads, self.tails])
-        eid = np.concatenate([self.ids, self.ids])
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = dst[order]
-        eid = eid[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        counts = np.bincount(src, minlength=n)
-        np.cumsum(counts, out=indptr[1:])
-        assert indptr[-1] == 2 * m
-        return indptr, dst, eid
+        return csr_arrays(
+            np.concatenate([self.tails, self.heads]),
+            np.concatenate([self.heads, self.tails]),
+            self.num_nodes,
+        )
 
     # -- transformations -------------------------------------------------------
 

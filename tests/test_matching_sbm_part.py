@@ -10,6 +10,7 @@ from repro.core.matching import (
     sbm_part_assign,
     sbm_part_match,
 )
+from repro.core.matching.sbm_part import _mapping_from_assignment
 from repro.partitioning import mixing_matrix
 from repro.prng import RandomStream
 from repro.stats import (
@@ -102,6 +103,60 @@ class TestSbmPartAssign:
         result = sbm_part_match(pt, joint, table)
         recomputed = mixing_matrix(table, result.assignment, k=2)
         assert np.allclose(result.achieved, recomputed)
+
+
+def _reference_mapping(assignment, codes):
+    """The per-node loop ``_mapping_from_assignment`` replaced."""
+    codes = np.asarray(codes, dtype=np.int64)
+    k = int(codes.max()) + 1 if codes.size else 0
+    rows_by_code = [np.flatnonzero(codes == g) for g in range(k)]
+    cursors = np.zeros(k, dtype=np.int64)
+    mapping = np.empty(assignment.size, dtype=np.int64)
+    for v, g in enumerate(assignment):
+        bucket = rows_by_code[g]
+        cursor = cursors[g]
+        if cursor >= bucket.size:
+            raise RuntimeError(
+                f"group {g} over-assigned: no PT rows left"
+            )
+        mapping[v] = bucket[cursor]
+        cursors[g] = cursor + 1
+    return mapping
+
+
+class TestMappingFromAssignment:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 70))
+        codes = rng.integers(0, k, int(rng.integers(1, 3000)))
+        # any assignment the rows can host: a shuffled prefix of the
+        # rows' own codes
+        n = int(rng.integers(0, codes.size + 1))
+        assignment = rng.permutation(codes)[:n]
+        got = _mapping_from_assignment(assignment, codes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_mapping(assignment, codes))
+
+    def test_over_assignment_message(self):
+        codes = np.array([0, 1, 1, 0, 2])
+        assignment = np.array([1, 2, 0, 1, 2, 1, 0])
+        with pytest.raises(RuntimeError) as reference:
+            _reference_mapping(assignment, codes)
+        with pytest.raises(RuntimeError) as got:
+            _mapping_from_assignment(assignment, codes)
+        assert str(got.value) == str(reference.value)
+        assert str(got.value) == "group 2 over-assigned: no PT rows left"
+
+    def test_group_without_rows_is_over_assigned(self):
+        with pytest.raises(RuntimeError, match="group 3 over-assigned"):
+            _mapping_from_assignment(np.array([0, 3]), np.array([0, 1]))
+
+    def test_empty(self):
+        got = _mapping_from_assignment(
+            np.zeros(0, dtype=np.int64), np.array([0, 1])
+        )
+        assert got.size == 0
 
 
 class TestSbmPartMatch:

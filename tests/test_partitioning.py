@@ -154,6 +154,37 @@ class TestMetrics:
         off = (w.sum() - diag) / 2
         assert diag + off == table.num_edges
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixing_matrix_equals_add_at_reference(self, seed):
+        """The bincount count is bitwise the former ``np.add.at``
+        fold over ``(min, max)`` label pairs, mirrored."""
+        rng = np.random.default_rng(seed)
+        n, m, k = 500, 4000, 7
+        table = EdgeTable(
+            "e", rng.integers(0, n, m), rng.integers(0, n, m),
+            num_tail_nodes=n,
+        )
+        labels = rng.integers(0, k, n)
+        lt, lh = labels[table.tails], labels[table.heads]
+        expected = np.zeros((k, k), dtype=np.float64)
+        np.add.at(
+            expected, (np.minimum(lt, lh), np.maximum(lt, lh)), 1.0
+        )
+        expected = expected + np.triu(expected, k=1).T
+        got = mixing_matrix(table, labels, k=k)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_mixing_matrix_rejects_negative_label(self):
+        table = EdgeTable("e", [0, 1], [1, 2], num_tail_nodes=3)
+        with pytest.raises(ValueError, match=r"label -1 .*k = 2"):
+            mixing_matrix(table, np.array([0, -1, 1]), k=2)
+
+    def test_mixing_matrix_rejects_label_beyond_k(self):
+        table = EdgeTable("e", [0, 1], [1, 2], num_tail_nodes=3)
+        with pytest.raises(ValueError, match=r"label 2 .*k = 2"):
+            mixing_matrix(table, np.array([0, 2, 1]), k=2)
+
 
 class TestArrivalOrder:
     def test_natural(self, path_table):

@@ -98,6 +98,31 @@ class TestEmpiricalJoint:
         with pytest.raises(ValueError):
             empirical_joint([0, 1], [1], [0, 0], k=1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_add_at_reference(self, seed):
+        """The bincount count is bitwise the former ``np.add.at``
+        fold (integer counts in float64 are exact)."""
+        rng = np.random.default_rng(seed)
+        n, m, k = 500, 4000, 7
+        tails = rng.integers(0, n, m)
+        heads = rng.integers(0, n, m)
+        labels = rng.integers(0, k, n)
+        counts = np.zeros((k, k), dtype=np.float64)
+        np.add.at(counts, (labels[tails], labels[heads]), 1.0)
+        np.add.at(counts, (labels[heads], labels[tails]), 1.0)
+        expected = JointDistribution(counts).matrix
+        got = empirical_joint(tails, heads, labels, k=k).matrix
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match=r"label -1 .*k = 2"):
+            empirical_joint([0, 1], [1, 2], [0, -1, 1], k=2)
+
+    def test_label_beyond_k_rejected(self):
+        with pytest.raises(ValueError, match=r"label 5 .*k = 3"):
+            empirical_joint([0, 1], [1, 2], [0, 5, 1], k=3)
+
 
 class TestHomophilyJoint:
     def test_affinity_zero_is_independence(self):

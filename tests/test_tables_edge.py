@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.tables import EdgeTable
+from repro.tables import EdgeTable, bucket_order
 
 
 class TestConstruction:
@@ -67,29 +69,106 @@ class TestDegrees:
         assert np.array_equal(table.in_degrees(), [0, 1, 2])
 
 
+def _argsort_csr(table):
+    """The CSR as built before the bucket order: one int64 stable
+    argsort over both endpoint columns."""
+    src = np.concatenate([table.tails, table.heads])
+    dst = np.concatenate([table.heads, table.tails])
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(table.num_nodes + 1))
+    return indptr, dst[order]
+
+
+@st.composite
+def _bucketed_keys(draw):
+    """Keys from a few distinct values (so ties are common) below a
+    bucket count that crosses the 16-bit digit boundaries."""
+    num_buckets = draw(
+        st.sampled_from([1, 2, 7, 65_536, 65_537, 2**20 + 3, 2**40])
+    )
+    pool = draw(st.lists(
+        st.integers(0, num_buckets - 1), min_size=1, max_size=6,
+    ))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=200))
+    return np.asarray(keys, dtype=np.int64), num_buckets
+
+
+class TestBucketOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_bucketed_keys())
+    @example(case=(np.zeros(0, dtype=np.int64), 0))
+    @example(case=(np.zeros(0, dtype=np.int64), 1))
+    @example(case=(np.zeros(1, dtype=np.int64), 1))
+    @example(case=(np.array([65_535, 0, 65_535, 1]), 65_536))
+    @example(case=(np.array([65_536, 1, 0, 65_536, 1]), 65_537))
+    @example(case=(np.array([2**20 + 2, 65_536, 3, 2**20 + 2]), 2**20 + 3))
+    def test_equals_stable_argsort(self, case):
+        keys, num_buckets = case
+        expected = np.argsort(keys, kind="stable")
+        got = bucket_order(keys, num_buckets)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("num_buckets", [65_536, 65_537, 2**20 + 3])
+    def test_many_keys(self, num_buckets):
+        keys = np.random.default_rng(num_buckets).integers(
+            0, num_buckets, 200_000
+        )
+        assert np.array_equal(
+            bucket_order(keys, num_buckets),
+            np.argsort(keys, kind="stable"),
+        )
+
+
 class TestAdjacency:
     def test_csr_shape(self, triangle_table):
-        indptr, neighbors, edge_ids = triangle_table.adjacency_csr()
+        indptr, neighbors = triangle_table.adjacency_csr()
+        assert indptr.size == triangle_table.num_nodes + 1
+        assert indptr[0] == 0
         assert indptr[-1] == 2 * len(triangle_table)
         assert neighbors.size == 2 * len(triangle_table)
-        assert edge_ids.size == neighbors.size
 
     def test_csr_neighbors_correct(self, path_table):
-        indptr, neighbors, _ = path_table.adjacency_csr()
+        indptr, neighbors = path_table.adjacency_csr()
         node1 = set(neighbors[indptr[1]:indptr[2]])
         assert node1 == {0, 2}
 
     def test_csr_edge_ids_map_back(self, path_table):
-        indptr, neighbors, edge_ids = path_table.adjacency_csr()
+        """Slot ``i`` of node ``v`` is its ``i``-th incident edge: the
+        tail-side edges in id order, then the head-side ones."""
+        indptr, neighbors = path_table.adjacency_csr()
+        tails, heads = path_table.tails, path_table.heads
         for v in range(path_table.num_nodes):
-            for slot in range(indptr[v], indptr[v + 1]):
-                eid = edge_ids[slot]
-                endpoints = {
-                    int(path_table.tails[eid]),
-                    int(path_table.heads[eid]),
-                }
+            edge_ids = np.concatenate(
+                [np.flatnonzero(tails == v), np.flatnonzero(heads == v)]
+            )
+            slots = range(indptr[v], indptr[v + 1])
+            assert len(slots) == edge_ids.size
+            for slot, eid in zip(slots, edge_ids):
+                endpoints = {int(tails[eid]), int(heads[eid])}
                 assert v in endpoints
                 assert int(neighbors[slot]) in endpoints
+
+    @pytest.mark.parametrize("n", [5, 65_536, 65_537, 2**20 + 3])
+    def test_csr_equals_argsort_reference(self, n):
+        rng = np.random.default_rng(n)
+        m = 100_000
+        table = EdgeTable(
+            "e", rng.integers(0, n, m), rng.integers(0, n, m),
+            num_tail_nodes=n,
+        )
+        indptr, neighbors = table.adjacency_csr()
+        ref_indptr, ref_neighbors = _argsort_csr(table)
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(neighbors, ref_neighbors)
+        assert indptr.dtype == neighbors.dtype == np.int64
+
+    def test_csr_empty(self):
+        indptr, neighbors = EdgeTable(
+            "e", [], [], num_tail_nodes=3
+        ).adjacency_csr()
+        assert indptr.tolist() == [0, 0, 0, 0]
+        assert neighbors.size == 0
 
 
 class TestTransformations:
