@@ -384,8 +384,8 @@ def _parse_scale(entries):
 
 
 def _cmd_generate(args):
-    from .core import SchemaError, execute
-    from .core.dsl import load_schema
+    from .core import CheckpointError, SchemaError, execute
+    from .core.dsl import DslError, load_schema
     from .io import make_sink
 
     try:
@@ -395,7 +395,10 @@ def _cmd_generate(args):
         raise SystemExit(
             f"cannot read schema {args.schema!r}: {exc.strerror}"
         ) from None
-    schema, dsl_scale, graph_name = load_schema(source)
+    try:
+        schema, dsl_scale, graph_name = load_schema(source)
+    except DslError as exc:
+        raise SystemExit(f"schema error: {exc}") from None
     scale = dict(dsl_scale)
     scale.update(_parse_scale(args.scale))
     if not scale:
@@ -412,6 +415,8 @@ def _cmd_generate(args):
         graph = execute(schema, scale, args.seed, options, sink)
     except SchemaError as exc:
         raise SystemExit(f"schema error: {exc}") from None
+    except CheckpointError as exc:
+        raise SystemExit(f"checkpoint error: {exc}") from None
     summary = graph.summary()
     if options.out_of_core and options.spool_dir is None:
         graph.cleanup()
@@ -663,7 +668,7 @@ def _cmd_scenario_run(args, export=True):
 
 
 def _cmd_scenario(args):
-    from .core import SchemaError
+    from .core import CheckpointError, SchemaError
     from .scenarios import ScenarioError
 
     handlers = {
@@ -676,6 +681,8 @@ def _cmd_scenario(args):
         return handlers[args.scenario_command](args)
     except (ScenarioError, SchemaError, OSError) as exc:
         raise SystemExit(f"scenario error: {exc}") from None
+    except CheckpointError as exc:
+        raise SystemExit(f"checkpoint error: {exc}") from None
 
 
 def _cmd_serve(args):

@@ -98,12 +98,10 @@ def bipartite_sbm_part_match(
 
     tail_mapping = _mapping_from_assignment(tail_assign, tail_codes)
     head_mapping = _mapping_from_assignment(head_assign, head_codes)
-    achieved = np.zeros((kt, kh), dtype=np.float64)
-    np.add.at(
-        achieved,
-        (tail_assign[table.tails], head_assign[table.heads]),
-        1.0,
-    )
+    achieved = np.bincount(
+        tail_assign[table.tails] * kh + head_assign[table.heads],
+        minlength=kt * kh,
+    ).reshape(kt, kh).astype(np.float64)
     return BipartiteMatchResult(
         tail_assignment=tail_assign,
         head_assignment=head_assign,

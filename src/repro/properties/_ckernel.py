@@ -4,12 +4,12 @@ After the batched rewrite, two property pipelines keep an irreducible
 per-draw loop even in numpy: weighted sampling *without replacement*
 (every pick renormalises the remaining weights the next pick reads)
 and the ragged word draws of :class:`~repro.properties.text.
-TextGenerator` (draw + binary search per word, where numpy pays one
-pass per round instead of one pass total).  When a system C compiler
-is present this module compiles both loops into a cached shared object
-(via :mod:`repro.core.ccompile` — the same zero-install contract as
-the matching kernel) and the generators call them through ``ctypes``;
-otherwise the pure-numpy pipelines take over silently.
+TextGenerator` (draw + search per word, then one Python ``join`` per
+sentence).  When a system C compiler is present this module compiles
+both loops into a cached shared object (via :mod:`repro.core.ccompile`
+— the same zero-install contract as the matching kernel) and the
+generators call them through ``ctypes``; otherwise the pure-numpy
+pipelines take over silently.
 
 Bit-exactness contract:
 
@@ -17,9 +17,14 @@ Bit-exactness contract:
   transliterated from :mod:`repro.prng.splitmix` — ``(mix64(state)
   >> 11) * 2**-53`` is exact in both languages, so draws are bitwise
   identical to ``RandomStream.uniform``;
-* ``ragged_cdf_codes`` binary-searches the caller's cdf with
-  ``numpy.searchsorted(side="right")`` semantics, so codes equal the
-  numpy path's for the same cdf;
+* ``ragged_text`` writes a block's sentences (UTF-8 words, encoded
+  with ``surrogatepass``, joined by ``' '`` and ended by ``'\\n'``) in
+  one pass.  Each word's search bisects only the guide bucket
+  ``guide[b]..guide[b + 1]``, ``b = floor(u * G)``, where ``guide =
+  searchsorted(cdf, arange(G + 1) / G, side="right")`` and ``G`` is a
+  power of two: ``u`` is a multiple of 2**-53, so ``u * G`` and
+  ``b / G`` are exact, ``b / G <= u < (b + 1) / G`` brackets the
+  answer, and codes equal ``numpy.searchsorted(cdf, u, side="right")``;
 * ``multivalue_picks`` replays the legacy sequential inverse-transform
   draws; remaining-weight totals use the same pairwise summation
   numpy's ``w.sum()`` performs (8-way unrolled blocks of 128, halving
@@ -43,6 +48,7 @@ __all__ = ["load_property_ckernel", "resolve_impl"]
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 static inline uint64_t mix64(uint64_t z)
 {
@@ -84,39 +90,44 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* searchsorted(cdf, u, side="right"): first index with cdf[i] > u. */
-static inline int64_t bisect_right(const double *cdf, int64_t v, double u)
-{
-    int64_t lo = 0, hi = v;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        if (cdf[mid] <= u) lo = mid + 1;
-        else hi = mid;
-    }
-    return lo;
-}
-
-/* Ragged categorical draws over one shared cdf: instance i consumes
-   lengths[i] uniforms from its substream (seeds[i]) and each is
-   inverse-transformed through cdf[0..v).  Codes land flat, segment i
-   at sum(lengths[:i]). */
-void ragged_cdf_codes(
-    int64_t n, int64_t v,
+/* Ragged sentences over one shared cdf: instance i draws lengths[i]
+   (>= 1) words from its substream (seeds[i]), word k being bytes
+   voff[k]..voff[k + 1] of vocab.  Returns how many whole sentences fit
+   in cap bytes of buf, and their byte count in *used. */
+int64_t ragged_text(
+    int64_t n, int64_t v, int64_t g,
     const uint64_t *seeds,
     const int64_t *lengths,
     const double *cdf,
-    int64_t *codes)
+    const int64_t *guide,     /* g + 1 */
+    const char *vocab,
+    const int64_t *voff,      /* v + 1 */
+    char *buf, int64_t cap,
+    int64_t *used)
 {
-    int64_t cursor = 0;
+    int64_t pos = 0;
     for (int64_t i = 0; i < n; ++i) {
-        uint64_t seed = seeds[i];
-        int64_t len = lengths[i];
-        for (int64_t j = 0; j < len; ++j) {
-            int64_t code = bisect_right(cdf, v, u01(seed, (uint64_t)j));
-            if (code >= v) code = v - 1;
-            codes[cursor++] = code;
+        int64_t start = pos;
+        for (int64_t j = 0; j < lengths[i]; ++j) {
+            double u = u01(seeds[i], (uint64_t)j);
+            int64_t b = (int64_t)(u * (double)g);
+            int64_t lo = guide[b], hi = guide[b + 1];
+            while (lo < hi) {
+                int64_t mid = (lo + hi) >> 1;
+                if (cdf[mid] <= u) lo = mid + 1;
+                else hi = mid;
+            }
+            if (lo >= v) lo = v - 1;
+            int64_t size = voff[lo + 1] - voff[lo];
+            if (pos + size + 1 > cap) { *used = start; return i; }
+            memcpy(buf + pos, vocab + voff[lo], (size_t)size);
+            pos += size;
+            buf[pos++] = ' ';
         }
+        buf[pos - 1] = '\n';
     }
+    *used = pos;
+    return n;
 }
 
 /* Weighted sampling without replacement, replaying the legacy
@@ -155,6 +166,7 @@ void multivalue_picks(
 _U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 
 class _PropertyCKernel:
@@ -162,10 +174,11 @@ class _PropertyCKernel:
 
     def __init__(self, lib):
         self._lib = lib
-        lib.ragged_cdf_codes.restype = None
-        lib.ragged_cdf_codes.argtypes = [
-            ctypes.c_int64, ctypes.c_int64,
-            _U64P, _I64P, _F64P, _I64P,
+        lib.ragged_text.restype = ctypes.c_int64
+        lib.ragged_text.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            _U64P, _I64P, _F64P, _I64P, ctypes.c_char_p, _I64P,
+            _U8P, ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
         ]
         lib.multivalue_picks.restype = None
         lib.multivalue_picks.argtypes = [
@@ -173,18 +186,21 @@ class _PropertyCKernel:
             _U64P, _I64P, _F64P, _F64P, _I64P,
         ]
 
-    def ragged_cdf_codes(self, seeds, lengths, cdf):
-        """Flat codes + offsets for per-instance cdf draws."""
+    def ragged_text(self, seeds, lengths, cdf, guide, blob, offsets, buf):
+        """Sentences (a list of str) for per-instance cdf word draws;
+        ``buf`` (uint8) must hold the longest possible sentence."""
         seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-        cdf = np.ascontiguousarray(cdf, dtype=np.float64)
-        offsets = np.zeros(seeds.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        codes = np.empty(int(offsets[-1]), dtype=np.int64)
-        self._lib.ragged_cdf_codes(
-            seeds.size, cdf.size, seeds, lengths, cdf, codes
-        )
-        return codes, offsets
+        sentences, done, used = [], 0, ctypes.c_int64()
+        while done < seeds.size:
+            done += self._lib.ragged_text(
+                seeds.size - done, cdf.size, guide.size - 1,
+                seeds[done:], lengths[done:], cdf, guide, blob, offsets,
+                buf, buf.size, ctypes.byref(used),
+            )
+            text = buf[:used.value - 1].data  # without the last '\n'
+            sentences += str(text, "utf-8", "surrogatepass").split("\n")
+        return sentences
 
     def multivalue_picks(self, seeds, sizes, weights):
         """Flat pick codes + offsets for weighted no-replacement sets."""

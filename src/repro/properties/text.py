@@ -8,11 +8,12 @@ instance; the batched pipeline here computes the substream seeds, word
 draws and vocabulary codes of a block of ids in a handful of vectorised
 passes (:meth:`~repro.prng.RandomStream.uniform_ragged`), then
 assembles sentences with one flat codes→words fancy-index and C-level
-``join`` over list slices — the map/join strategy :mod:`repro.io.chunks`
-measured fastest.  Blocks keep the flat word lists, several times the
-sentences they build, from stacking shard-sized across pool threads.
-With a system C compiler the draw+search inner loop runs compiled
-(:mod:`repro.properties._ckernel`), falling back to numpy silently.
+``join`` over list slices.  With a system C compiler one compiled pass
+(:mod:`repro.properties._ckernel`) draws, finds and writes a block's
+sentences as UTF-8 bytes, which one ``decode`` + ``split`` turns into
+strings; numpy remains the fallback.  Blocks keep the transients,
+several times the sentences they build, from stacking shard-sized
+across pool threads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ __all__ = ["TextGenerator", "TemplateGenerator"]
 
 #: Ids per block of :meth:`TextGenerator.run_many` (never changes a byte).
 _BLOCK_ROWS = 8192
+
+#: Compiled path's sentence-buffer bytes (or one longest sentence).
+_TEXT_BYTES = 1 << 20
 
 
 class TextGenerator(PropertyGenerator):
@@ -57,13 +61,15 @@ class TextGenerator(PropertyGenerator):
         self._cache = None
 
     def _tables(self):
-        """Cached ``(cdf, word_array)`` for the current parameters."""
+        """Cached ``(cdf, word_array, packed)`` for the current parameters;
+        ``packed`` is the compiled path's ``(guide, blob, offsets)``, or
+        ``None`` when a word contains the sentence-ending ``'\\n'``."""
         vocab = self._params["vocabulary"]
         exponent = float(self._params.get("zipf_exponent", 1.0))
         key = (id(vocab), len(vocab), exponent)
         cache = getattr(self, "_cache", None)
         if cache is not None and cache[0] == key:
-            return cache[1], cache[2]
+            return cache[1:]
         if exponent > 0:
             ranks = np.arange(1, len(vocab) + 1, dtype=np.float64)
             weights = ranks ** (-exponent)
@@ -80,8 +86,17 @@ class TextGenerator(PropertyGenerator):
         cdf[-1] = 1.0
         words = np.empty(len(vocab), dtype=object)
         words[:] = list(vocab)
-        self._cache = (key, cdf, words)
-        return cdf, words
+        packed = None
+        if not any("\n" in word for word in vocab):
+            buckets = min(1 << 16, 1 << (4 * len(vocab) - 1).bit_length())
+            guide = np.searchsorted(
+                cdf, np.arange(buckets + 1) / buckets, side="right"
+            )
+            encoded = [w.encode("utf-8", "surrogatepass") for w in vocab]
+            offsets = np.cumsum([0, *map(len, encoded)], dtype=np.int64)
+            packed = (guide, b"".join(encoded), offsets)
+        self._cache = (key, cdf, words, packed)
+        return cdf, words, packed
 
     def _word_codes(self, flat_u, cdf):
         """Vocabulary codes for flat uniform draws (regression surface).
@@ -100,25 +115,29 @@ class TextGenerator(PropertyGenerator):
             raise ValueError("TextGenerator needs 'vocabulary'")
         lo = int(self._params.get("min_words", 3))
         hi = int(self._params.get("max_words", 12))
-        cdf, words = self._tables()
+        cdf, words, packed = self._tables()
         ids = np.asarray(ids, dtype=np.int64)
         out = np.empty(ids.size, dtype=self.output_dtype())
         len_stream = stream.substream("len")
         word_stream = stream.substream("words")
         from ._ckernel import load_property_ckernel
 
-        kernel = load_property_ckernel()
+        kernel = load_property_ckernel() if packed is not None else None
+        if kernel is not None:
+            longest = hi * (int(np.diff(packed[2]).max()) + 1)
+            buf = np.empty(max(_TEXT_BYTES, longest), dtype=np.uint8)
         join = " ".join
         for start in range(0, ids.size, _BLOCK_ROWS):
             block = ids[start:start + _BLOCK_ROWS]
             lengths = len_stream.randint(block, lo, hi + 1)
             if kernel is not None:
                 seeds = word_stream.indexed_substream_seeds(block)
-                codes, offsets = kernel.ragged_cdf_codes(seeds, lengths, cdf)
-            else:
-                draws, offsets = word_stream.uniform_ragged(block, lengths)
-                codes = self._word_codes(draws, cdf)
-            flat_words = words[codes].tolist()
+                out[start:start + block.size] = kernel.ragged_text(
+                    seeds, lengths, cdf, *packed, buf
+                )
+                continue
+            draws, offsets = word_stream.uniform_ragged(block, lengths)
+            flat_words = words[self._word_codes(draws, cdf)].tolist()
             bounds = offsets.tolist()
             out[start:start + block.size] = [
                 join(flat_words[a:b]) for a, b in zip(bounds, bounds[1:])

@@ -219,6 +219,48 @@ class TestBoundaryErrors:
             capsys.readouterr().err + str(excinfo.value.code)
         )
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["generate", "{bad}", "--out", "{out}"],
+         "schema error: line 1, column 10: expected node, edge or scale"),
+        (["generate", "{dsl}", "--out", "{out}", "--resume", "{spool}"],
+         "checkpoint error: malformed catalog"),
+        (["scenario", "run", "social_network", "--scale", "Person=300",
+          "--out", "{out}", "--resume", "{spool}"],
+         "checkpoint error: malformed catalog"),
+    ])
+    def test_one_line_not_a_traceback(self, argv, expected, tmp_path):
+        """A DSL syntax error or a malformed --resume catalog exits 1
+        with one stderr line, as the interpreter prints it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        schema_path = tmp_path / "tiny.dsl"
+        schema_path.write_text(DSL)
+        (tmp_path / "bad.dsl").write_text("graph x {")
+        (tmp_path / "spool").mkdir()
+        (tmp_path / "spool" / CHECKPOINT_NAME).write_text(
+            '{"garbage": 1}\n'
+        )
+        argv = [
+            arg.format(dsl=schema_path, bad=tmp_path / "bad.dsl",
+                       spool=tmp_path / "spool", out=tmp_path / "o")
+            for arg in argv
+        ]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(expected)
+
 
 class TestOutOfCoreOnlyFlags:
     """--backend process / --spool-dir / --retries / --inject-faults are

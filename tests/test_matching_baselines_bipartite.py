@@ -186,6 +186,37 @@ class TestBipartiteSbmPart:
         )
         assert result.achieved.sum() == pytest.approx(table.num_edges)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_achieved_equals_add_at_reference(self, seed, monkeypatch):
+        """The bincount mixing matrix is bitwise the ``np.add.at`` one
+        for any assignment, including groups that receive no edge."""
+        import repro.core.matching.bipartite as bipartite
+
+        rng = np.random.default_rng(seed)
+        nt, nh, kt, kh = 60, 90, 4, 7
+        tail_values = rng.integers(0, kt, nt)
+        head_values = rng.integers(0, kh, nh)
+        table = EdgeTable(
+            "r", rng.integers(0, nt, 500), rng.integers(0, nh, 500),
+            num_tail_nodes=nt, num_head_nodes=nh, directed=True,
+        )
+        assign = (rng.permutation(tail_values), rng.permutation(head_values))
+        monkeypatch.setattr(
+            bipartite, "bipartite_stream", lambda *a, **k: assign
+        )
+        result = bipartite_sbm_part_match(
+            PropertyTable("t", tail_values),
+            PropertyTable("h", head_values),
+            np.ones((tail_values.max() + 1, head_values.max() + 1)),
+            table,
+        )
+        expected = np.zeros_like(result.target)
+        np.add.at(
+            expected, (assign[0][table.tails], assign[1][table.heads]), 1.0
+        )
+        assert result.achieved.dtype == expected.dtype
+        assert result.achieved.tobytes() == expected.tobytes()
+
     def test_shape_mismatch_raises(self):
         table, tail_values, head_values = self._bipartite_instance()
         with pytest.raises(ValueError, match="groups"):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.prng import RandomStream
@@ -137,21 +137,45 @@ class TestGoldenFixtures:
         assert encoded["values"] == fixture["values"][lo:hi]
 
 
+TEXT_VOCABS = {
+    "one": ["solo"],
+    "two": ["yes", "no"],
+    "social": [f"w{i}" for i in range(107)],
+    "wide": [f"w{i}" for i in range(70_000)],
+    "unicode": ["naïve", "日本語", "", "\ud800", "x\udfffy", "🙂", "a b"],
+    "newline": ["line\nbreak", "plain", "more"],
+}
+
+
 @pytest.mark.skipif(not HAS_CKERNEL, reason="no C compiler")
 class TestCKernelEquivalence:
     @given(
         seed=st.integers(0, 2**32),
-        n=st.integers(0, 300),
-        vocab_size=st.integers(1, 300),
-        exponent=st.floats(0.2, 2.5),
+        n=st.sampled_from([0, 1, 300, 8193]),
+        vocab=st.sampled_from(sorted(TEXT_VOCABS)),
+        exponent=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+        small_buffer=st.booleans(),
     )
+    @example(seed=1, n=8193, vocab="wide", exponent=0.0, small_buffer=True)
+    @example(seed=2, n=300, vocab="unicode", exponent=1.0, small_buffer=True)
+    @example(seed=3, n=300, vocab="newline", exponent=1.0, small_buffer=False)
+    @example(seed=4, n=300, vocab="one", exponent=0.0, small_buffer=False)
+    @example(seed=5, n=8193, vocab="two", exponent=2.5, small_buffer=False)
     @settings(max_examples=30, deadline=None)
-    def test_ragged_codes_match_numpy(
-        self, seed, n, vocab_size, exponent
+    def test_ragged_text_matches_numpy(
+        self, seed, n, vocab, exponent, small_buffer
     ):
-        vocab = [f"w{i}" for i in range(vocab_size)]
+        """Compiled sentence bytes == the numpy join, word for word.
+
+        Covers the ``linspace`` cdf (exponent 0), a vocabulary past
+        the 2**16 guide-bucket cap, multi-byte / empty / lone-surrogate
+        words, a ``'\\n'`` word (numpy path either way), a second
+        block, and a one-sentence buffer refilled row by row.
+        """
+        import repro.properties.text as text
+
         params = dict(
-            vocabulary=vocab, min_words=1, max_words=5,
+            vocabulary=TEXT_VOCABS[vocab], min_words=1, max_words=5,
             zipf_exponent=exponent,
         )
         ids = np.arange(n, dtype=np.int64)
@@ -159,10 +183,13 @@ class TestCKernelEquivalence:
             a = TextGenerator(**params).run_many(
                 ids, RandomStream(seed, "ck.text")
             )
-        with property_impl("c"):
+        with property_impl("c"), pytest.MonkeyPatch.context() as mp:
+            if small_buffer:
+                mp.setattr(text, "_TEXT_BYTES", 1)
             b = TextGenerator(**params).run_many(
                 ids, RandomStream(seed, "ck.text")
             )
+        assert a.dtype == b.dtype
         assert list(a) == list(b)
 
     @given(
@@ -486,7 +513,7 @@ class TestTextCdfBoundary:
             vocabulary=[f"w{i}" for i in range(1000)],
             zipf_exponent=1.0,
         )
-        cdf, _ = generator._tables()
+        cdf = generator._tables()[0]
         assert cdf[-1] == 1.0
         assert (np.diff(cdf) >= 0).all()
 
@@ -506,7 +533,7 @@ class TestTextCdfBoundary:
             vocabulary=[f"w{i}" for i in range(vocab_size)],
             zipf_exponent=exponent,
         )
-        cdf, _ = generator._tables()
+        cdf = generator._tables()[0]
         max_uniform = (2**53 - 1) / 2**53
         points = [0.0, max_uniform, np.nextafter(1.0, 0.0)]
         for c in cdf[:-1]:
@@ -516,14 +543,21 @@ class TestTextCdfBoundary:
         assert codes.max() < vocab_size
         assert codes.min() >= 0
 
-    def test_boundary_draw_end_to_end(self):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_boundary_draw_end_to_end(self, impl):
         """A draw one ulp below 1.0 lands on a valid word through the
-        public run_many path (stubbed word stream)."""
+        public run_many path (stubbed word stream).  The compiled path
+        draws its own uniforms, so the stub hands it the substream seed
+        whose first draw is that one: SplitMix64's finaliser inverted
+        at the all-ones 53-bit output."""
         vocab = ["head", "tail"]
         generator = TextGenerator(
             vocabulary=vocab, min_words=1, max_words=1,
             zipf_exponent=1.0,
         )
+        top = np.nextafter(1.0, 0.0)
+        boundary_seed = _seed_of_first_draw(((1 << 53) - 1) << 11)
+        assert RandomStream(boundary_seed).uniform(0) == top
 
         class BoundaryStream:
             def substream(self, name):
@@ -533,19 +567,34 @@ class TestTextCdfBoundary:
                 return np.ones(np.asarray(ids).size, dtype=np.int64)
 
             def indexed_substream_seeds(self, ids):
-                return np.zeros(np.asarray(ids).size, dtype=np.uint64)
+                return np.full(
+                    np.asarray(ids).size, boundary_seed, dtype=np.uint64
+                )
 
             def uniform_ragged(self, ids, lengths):
                 total = int(np.asarray(lengths).sum())
                 offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
                 np.cumsum(lengths, out=offsets[1:])
-                return (
-                    np.full(total, np.nextafter(1.0, 0.0)),
-                    offsets,
-                )
+                return np.full(total, top), offsets
 
-        with property_impl("numpy"):
+        with property_impl(impl):
             out = generator.run_many(
                 np.arange(3, dtype=np.int64), BoundaryStream()
             )
         assert list(out) == ["tail", "tail", "tail"]
+
+
+def _seed_of_first_draw(bits):
+    """The stream seed whose first SplitMix64 output is ``bits``."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, k):  # inverse of y ^ (y >> k)
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(bits, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
