@@ -12,6 +12,21 @@ registers:
 
 and then drives both from DSL text.
 
+A structure generator implements exactly one emission path:
+
+* a *sequential* generator, like ``GridGenerator`` below, overrides
+  ``_generate(n, stream)`` and returns the whole ``EdgeTable``; the
+  out-of-core executor materialises it once and spills it;
+* a *chunkable* generator sets ``emission = "chunkable"`` and
+  overrides ``_generate_chunked(n, stream, chunk_edges, spill)``
+  instead, returning a ``repro.structure.base.EdgeChunkStream`` whose
+  ``emit(lo, hi)`` derives the ``(tails, heads)`` of any edge-id range
+  as a pure function of the range (whole-table state, if any, goes
+  through ``spill(name, array)``).  ``run(n)`` is that stream
+  materialised, and the sharded executor and ``repro serve`` page it
+  without ever holding the whole table.  Add ``access = "random"``
+  when a range follows from the seed alone.
+
 Run:  python examples/custom_generators.py
 """
 

@@ -826,9 +826,10 @@ class SortedRuns:
     ``unique`` mode drops duplicate primaries, keeping the record with
     the smallest secondary — for ``(pair_code, edge_idx)`` records
     that is exactly ``np.unique(keys, return_index=True)``'s
-    first-occurrence rule, which is what lets R-MAT ``simplify`` and
-    the bipartite stub dedup replicate ``EdgeTable.deduplicated()``
-    bit for bit without a resident table.
+    first-occurrence rule.  This is the one dedup of R-MAT
+    ``simplify``, the bipartite stub pairing and the G(n, m) sampler,
+    in memory (identity spill, usually a single run) and out of core
+    alike.
     """
 
     def __init__(self, spill, prefix, run_rows, unique=False):
@@ -870,18 +871,7 @@ class SortedRuns:
         self._buf_primary = []
         self._buf_secondary = []
         self._buffered = 0
-        if secondary is None:
-            primary = (
-                np.unique(primary) if self.unique else np.sort(primary)
-            )
-        else:
-            order = np.lexsort((secondary, primary))
-            primary = primary[order]
-            secondary = secondary[order]
-            if self.unique:
-                _, first = np.unique(primary, return_index=True)
-                primary = primary[first]
-                secondary = secondary[first]
+        primary, secondary = _sort_block(primary, secondary, self.unique)
         tag = f"{self._prefix}.run{len(self._runs)}"
         self._runs.append((
             self._spill(f"{tag}.primary", primary),
@@ -965,7 +955,9 @@ def merge_sorted_runs(runs, block_rows, unique=False):
     strictly below the *cut* — the smallest last-loaded primary among
     runs with unloaded data — so each emitted block is final: no later
     record can sort before it, and (in ``unique`` mode) no duplicate
-    primary spans two emitted blocks.
+    primary spans two emitted blocks.  Runs are as
+    :meth:`SortedRuns.flush` spills them — in ``unique`` mode already
+    free of duplicates — so a single run is paged as it is.
     """
     block_rows = max(int(block_rows), 1)
     state = []  # [pos, primary_view, secondary_view, buf_p, buf_s]
@@ -976,6 +968,16 @@ def merge_sorted_runs(runs, block_rows, unique=False):
                 0, primary, secondary,
                 np.empty(0, spill_array(primary).dtype), None,
             ])
+    if len(state) == 1:
+        _, primary, secondary = state[0][:3]
+        for lo in range(0, len(primary), block_rows):
+            hi = lo + block_rows
+            yield (
+                _run_slice(primary, lo, hi),
+                None if secondary is None
+                else _run_slice(secondary, lo, hi),
+            )
+        return
 
     def load(entry, count):
         pos, primary, secondary = entry[0], entry[1], entry[2]
@@ -1023,14 +1025,39 @@ def merge_sorted_runs(runs, block_rows, unique=False):
             entry[3] = entry[3][count:]
             if has_secondary:
                 entry[4] = entry[4][count:]
-        if out_s is None:
-            out_p = np.unique(out_p) if unique else np.sort(out_p)
-        else:
-            order = np.lexsort((out_s, out_p))
-            out_p = out_p[order]
-            out_s = out_s[order]
-            if unique:
-                _, first = np.unique(out_p, return_index=True)
-                out_p = out_p[first]
-                out_s = out_s[first]
-        yield out_p, out_s
+        yield _sort_block(out_p, out_s, unique)
+
+
+def _run_slice(run, lo, hi):
+    """Rows ``[lo, hi)`` of one run: a copy when the run is memory
+    mapped (a caller may keep the block past :meth:`SortedRuns.cleanup`,
+    which closes the map), a view when it is in memory."""
+    if isinstance(run, SpillView):
+        return np.array(run[lo:hi])
+    return run[lo:hi]
+
+
+def _sort_block(primary, secondary, unique):
+    """Sort one block by ``(primary, secondary)``; ``unique`` then keeps
+    the first record of each primary — the smallest secondary, i.e.
+    ``np.unique(primary, return_index=True)``'s rule — by comparing
+    each sorted primary with its neighbour rather than sorting again."""
+    if secondary is None:
+        primary = np.sort(primary)
+    else:
+        # Distinct primaries fix the order alone; only ties need the
+        # stable two-key sort.
+        order = np.argsort(primary)
+        ranked = primary[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.lexsort((secondary, primary))
+            ranked = primary[order]
+        primary, secondary = ranked, secondary[order]
+    if unique and primary.size > 1:
+        keep = np.empty(primary.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(primary[1:], primary[:-1], out=keep[1:])
+        primary = primary[keep]
+        if secondary is not None:
+            secondary = secondary[keep]
+    return primary, secondary

@@ -162,11 +162,9 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
             self._route(parts, params)
         except _HTTPError as exc:
             self._send_error_json(exc.status, exc.message)
-        except (KeyError, LookupError) as exc:
+        except LookupError as exc:  # KeyError and IndexError: 404
             message = exc.args[0] if exc.args else str(exc)
             self._send_error_json(404, str(message))
-        except IndexError as exc:
-            self._send_error_json(404, str(exc))
         except TypeError as exc:
             # A sequential-only generator behind a random-access route.
             self._send_error_json(501, str(exc))
@@ -242,7 +240,7 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
     def _node_columns(self, graph, type_name, ids):
         columns = graph.node_records(type_name, ids)
         keys = ["id"] + list(columns)
-        encoded = [list(map(str, ids.tolist()))]
+        encoded = [list(map(str, np.asarray(ids).tolist()))]
         encoded += [
             json_encode_column(values) for values in columns.values()
         ]
@@ -257,20 +255,13 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         self._send(200, body, "application/x-ndjson")
 
     def _node_record(self, type_name, raw_id):
-        graph = self.server.graph
-        count = graph.node_count(type_name)
         try:
             node_id = int(raw_id)
         except ValueError:
             raise _HTTPError(400, f"node id must be an integer, got {raw_id!r}")
-        if not 0 <= node_id < count:
-            raise _HTTPError(
-                404,
-                f"node id {node_id} out of range [0, {count}) for "
-                f"{type_name!r}",
-            )
-        ids = np.array([node_id], dtype=np.int64)
-        keys, encoded = self._node_columns(graph, type_name, ids)
+        keys, encoded = self._node_columns(
+            self.server.graph, type_name, [node_id]
+        )
         body = format_json_records_chunk(keys, encoded)
         self._send(200, body.rstrip("\n") + "\n", "application/json")
 

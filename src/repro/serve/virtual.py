@@ -265,14 +265,16 @@ class VirtualGraph:
         ]
 
     def _check_node_ids(self, type_name, ids):
+        # Range-checked before the int64 cast, so an id past int64 is
+        # out of range like any other.
         count = self.node_count(type_name)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= count):
             raise IndexError(
                 f"node ids out of range [0, {count}) for "
                 f"{type_name!r}"
             )
-        return ids
+        return np.ascontiguousarray(ids, dtype=np.int64)
 
     def node_properties_of(self, type_name, prop_name, ids):
         """One property column at arbitrary node ids (O(page)), plant-

@@ -8,8 +8,9 @@ Watts–Strogatz, SBM) and the strict-cardinality operators of Section 5.
 Generators *classify* themselves (``emission``, ``access``); what a
 chunkable one hands back from ``run_chunked`` is an edge table that is
 never stored (:class:`~repro.structure.base.EdgeChunkStream`, an
-:class:`~repro.tables.ranged.EdgeRows`), and paging, materialising
-and the ``neighbors_of`` / ``edge_exists`` scans are the table's.
+:class:`~repro.tables.ranged.EdgeRows`), its ``run`` is that stream
+materialised, and paging, materialising and the ``neighbors_of`` /
+``edge_exists`` scans are the table's.
 
 ``lfr`` and ``configuration`` run their stub-pairing loops compiled
 when a C compiler is available (``_ckernel.py``; same edges either

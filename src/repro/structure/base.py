@@ -31,6 +31,11 @@ __all__ = [
     "ensure_even_sum",
 ]
 
+#: Edges per chunk when :meth:`StructureGenerator.run` materialises a
+#: chunkable configuration's stream — also the run size of its
+#: sort-merge dedups, so up to this many records dedup as one run.
+_RUN_ROWS = 1 << 20
+
 
 def empty_emit(lo, hi):
     """Emitter for zero-edge streams (module-level: picklable)."""
@@ -59,19 +64,20 @@ class PackedCodeEmitter:
 
 
 class EdgeChunkStream(EdgeRows):
-    """Chunked structure emission: the out-of-core twin of ``run``.
+    """Chunked structure emission: a chunkable generator's one output.
 
     A chunkable generator's :meth:`StructureGenerator.run_chunked`
-    returns one of these instead of a materialised
-    :class:`~repro.tables.EdgeTable`.  It is an edge table that is
-    never stored: it carries the metadata up front (length, endpoint
-    id-space sizes, orientation) and answers the table protocol of
+    returns one of these, and its ``run(n)`` is this stream
+    materialised.  It is an edge table that is never stored: it
+    carries the metadata up front (length, endpoint id-space sizes,
+    orientation) and answers the table protocol of
     :mod:`repro.tables.ranged` by re-deriving any id range from the
-    seed, so chunk iteration, materialisation and the neighbour scans
-    come from :class:`~repro.tables.ranged.EdgeRows`.  The
-    concatenation of all chunks is bit-identical to ``run(n)`` for the
-    same seed and parameters, which is what lets the sharded executor
-    generate structure without ever holding the whole edge list.
+    seed (or from state spilled once), so chunk iteration,
+    materialisation and the neighbour scans come from
+    :class:`~repro.tables.ranged.EdgeRows`.  The stream is the same
+    edge table for any ``chunk_edges`` and spill, which is what lets
+    the sharded executor generate structure without ever holding the
+    whole edge list.
 
     ``emit(lo, hi)`` must be a pure function of the range — streams are
     counter-based, so re-reading a range is cheap and exact.
@@ -119,9 +125,12 @@ class EdgeChunkStream(EdgeRows):
 class StructureGenerator:
     """Base class implementing the SG contract.
 
-    Subclasses override :meth:`_generate` (and usually
+    A subclass implements exactly one emission path: chunkable
+    generators (``emission = "chunkable"``) override
+    :meth:`_generate_chunked` and ``run`` materialises that stream;
+    sequential ones override :meth:`_generate`.  Most also override
     :meth:`expected_edges_for_nodes`, from which the default
-    :meth:`get_num_nodes` inversion derives).
+    :meth:`get_num_nodes` inversion derives.
 
     Parameters are passed either to the constructor or to
     :meth:`initialize`; the two are equivalent, the latter exists to
@@ -132,11 +141,12 @@ class StructureGenerator:
     name = "abstract"
 
     #: First-class emission classification (see docs/scaling.md):
-    #: ``"chunkable"`` generators can emit their edge table in bounded
-    #: id-range chunks bit-identical to ``run``; ``"sequential"``
-    #: generators need the whole graph in memory (iterative models such
-    #: as preferential attachment or forest fire).  Whether a *given
-    #: configuration* can chunk is answered by :meth:`chunkable`.
+    #: ``"chunkable"`` generators emit their edge table in bounded
+    #: id-range chunks, and ``run`` is those chunks joined;
+    #: ``"sequential"`` generators need the whole graph in memory
+    #: (iterative models such as preferential attachment or forest
+    #: fire).  Whether a *given configuration* can chunk is answered by
+    #: :meth:`chunkable`.
     emission = "sequential"
 
     #: First-class access classification (see docs/serving.md):
@@ -171,10 +181,17 @@ class StructureGenerator:
         self._validate_params()
 
     def run(self, n):
-        """Generate an :class:`EdgeTable` for a graph with ``n`` nodes."""
+        """Generate an :class:`EdgeTable` for a graph with ``n`` nodes.
+
+        A chunkable configuration materialises its :meth:`run_chunked`
+        stream (state kept in memory), so both entry points share one
+        emission path; a sequential one runs :meth:`_generate`.
+        """
         n = int(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
+        if self.chunkable(n):
+            return self.run_chunked(n, _RUN_ROWS).to_edge_table()
         stream = RandomStream(self.seed, f"sg.{self.name}")
         return self._generate(n, stream)
 
@@ -188,7 +205,8 @@ class StructureGenerator:
         return self.emission == "chunkable"
 
     def run_chunked(self, n, chunk_edges, spill=None):
-        """Chunked twin of :meth:`run`: an :class:`EdgeChunkStream`.
+        """The generator's edge table as an :class:`EdgeChunkStream`
+        paged ``chunk_edges`` at a time (:meth:`run` materialises it).
 
         ``spill`` is an optional callable ``spill(name, array) ->
         array-like`` used to park per-stream state that is genuinely

@@ -17,7 +17,6 @@ from .base import (
     empty_emit,
 )
 from ..io.spool import dedup_first_occurrence, spill_array
-from ..tables import EdgeTable
 
 __all__ = ["BipartiteConfiguration"]
 
@@ -93,8 +92,7 @@ class BipartiteConfiguration(StructureGenerator):
         }
 
     def _degree_layout(self, n, stream):
-        """Sample both degree sequences (the shared random prefix of
-        the serial and chunked paths)."""
+        """Sample both degree sequences."""
         tail_dist = self._params.get("tail_distribution")
         head_dist = self._params.get("head_distribution")
         if tail_dist is None or head_dist is None:
@@ -119,51 +117,17 @@ class BipartiteConfiguration(StructureGenerator):
         ) + h_off
         return tail_deg, total, head_nodes, head_deg
 
-    def _generate(self, n, stream):
-        tail_deg, total, head_nodes, head_deg = self._degree_layout(
-            n, stream
-        )
-        tail_stubs = np.repeat(np.arange(n, dtype=np.int64), tail_deg)
-        head_stubs = np.repeat(
-            np.arange(head_nodes, dtype=np.int64), head_deg
-        )
-        # Reconcile stub counts: tile the short side.
-        if head_stubs.size == 0 and total > 0:
-            head_stubs = np.zeros(total, dtype=np.int64)
-        if head_stubs.size < total:
-            reps = int(np.ceil(total / max(head_stubs.size, 1)))
-            head_stubs = np.tile(head_stubs, reps)[:total]
-        elif head_stubs.size > total:
-            head_stubs = head_stubs[:total]
-
-        if total:
-            perm = stream.substream("shuffle").permutation(total)
-            head_stubs = head_stubs[perm]
-        table = EdgeTable(
-            self.name,
-            tail_stubs,
-            head_stubs,
-            num_tail_nodes=n,
-            num_head_nodes=head_nodes,
-            directed=True,
-        )
-        # Erase duplicate (tail, head) pairs.
-        keys = table.tails * np.int64(head_nodes) + table.heads
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        return table.subsample(first)
-
     def _generate_chunked(self, n, stream, chunk_edges, spill):
-        """Chunked stub pairing: offsets + shuffle spilled, dedup out
-        of core.
+        """Stub pairing over spilled offsets + shuffle, deduplicated
+        through sorted runs.
 
-        Instead of materialising both stub arrays, the raw pairing is
-        re-derived per id-range chunk from the spilled degree-offset
-        prefix sums and the spilled stub shuffle (the O(total)
-        permutation is this generator's documented transient — drawn
-        once, parked on disk, paged thereafter), then the duplicate
-        erasure runs through spilled sorted runs exactly like the
-        serial ``np.unique`` first-occurrence pass.
+        Neither stub array is materialised: the raw pairing is
+        re-derived per id-range block from the degree-offset prefix
+        sums and the stub shuffle (the O(total) permutation is this
+        generator's documented transient — drawn once, spilled, paged
+        thereafter), and duplicate ``(tail, head)`` pairs are erased by
+        :func:`~repro.io.spool.dedup_first_occurrence`, keeping each
+        pair's first stub.
         """
         tail_deg, total, head_nodes, head_deg = self._degree_layout(
             n, stream

@@ -78,20 +78,6 @@ class OneToManyGenerator(StructureGenerator):
         offset = int(self._params.get("degree_offset", 0))
         return dist.sample(stream, np.arange(n, dtype=np.int64)) + offset
 
-    def _generate(self, n, stream):
-        degrees = self._tail_degrees(n, stream.substream("degrees"))
-        m = int(degrees.sum())
-        tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        heads = np.arange(m, dtype=np.int64)
-        return EdgeTable(
-            self.name,
-            tails,
-            heads,
-            num_tail_nodes=n,
-            num_head_nodes=m,
-            directed=True,
-        )
-
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         degrees = self._tail_degrees(n, stream.substream("degrees"))
         m = int(degrees.sum())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EdgeChunkStream, StructureGenerator, edge_table_from_pairs
+from .base import EdgeChunkStream, StructureGenerator
 from ..io.spool import SortedRuns, spill_array, spill_create, spill_seal
 
 __all__ = ["ErdosRenyi", "ErdosRenyiM"]
@@ -18,39 +18,6 @@ __all__ = ["ErdosRenyi", "ErdosRenyiM"]
 #: Floor for spill-run sizes in the out-of-core sampler — small
 #: ``chunk_edges`` settings must not explode into thousands of runs.
 _MIN_RUN_ROWS = 65_536
-
-
-def _sample_pair_codes(n, count, stream, name):
-    """Sample ``count`` distinct linear pair codes from ``n`` nodes.
-
-    Oversamples and deduplicates in rounds; with ``count`` well below the
-    total pair count this converges in one or two rounds.  The returned
-    order (sorted, or key-ranked after thinning) is the edge-id order of
-    the generated table, so chunked decoding of slices reproduces
-    single-shot generation exactly.
-    """
-    total_pairs = n * (n - 1) // 2
-    if count > total_pairs:
-        raise ValueError(
-            f"{name}: requested {count} edges but only {total_pairs} "
-            "distinct pairs exist"
-        )
-    chosen = np.empty(0, dtype=np.int64)
-    round_id = 0
-    while chosen.size < count:
-        need = count - chosen.size
-        draw = int(need * 1.3) + 16
-        sub = stream.substream(f"round{round_id}")
-        idx = np.arange(draw, dtype=np.int64)
-        codes = (sub.uniform(idx) * total_pairs).astype(np.int64)
-        chosen = np.unique(np.concatenate([chosen, codes]))
-        round_id += 1
-    if chosen.size > count:
-        # Keep a deterministic subset: ranked by a per-code random key.
-        key_stream = stream.substream("thin")
-        keys = key_stream.uniform(chosen)
-        chosen = chosen[np.argsort(keys, kind="stable")[:count]]
-    return chosen
 
 
 def _decode_pair_codes(chosen):
@@ -74,24 +41,16 @@ def _decode_pair_codes(chosen):
     return v, u
 
 
-def _sample_distinct_pairs(n, count, stream, name):
-    """Sample ``count`` distinct unordered non-loop pairs from ``n`` nodes."""
-    v, u = _decode_pair_codes(_sample_pair_codes(n, count, stream, name))
-    return np.stack([v, u], axis=1)
-
-
 def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
-    """Out-of-core twin of :func:`_sample_pair_codes`.
+    """Sample ``count`` distinct linear pair codes from ``n`` nodes.
 
-    Replays the exact same rounds — the draw sizes depend only on the
-    running *distinct* count, which the duplicate-dropping merge of
-    spilled sorted runs reproduces — but never holds more than one
-    ``run_rows`` block of codes resident.  The thinning step becomes a
-    second set of runs sorted by ``(random key, code)``: the uniform
-    key is an elementwise function of the code, and the serial
-    ``argsort(keys, kind="stable")`` tie-breaks by position in the
-    code-sorted array, i.e. by code — so the merged ``(key, code)``
-    order truncated at ``count`` is the serial result, bit for bit.
+    Oversamples in rounds until ``count`` distinct codes are drawn —
+    with ``count`` well below the pair total, one or two rounds — and
+    never holds more than one ``run_rows`` block of draws: the codes
+    accumulate in duplicate-dropping sorted runs.  When the last round
+    overshoots, a deterministic subset is kept, ranked by a per-code
+    uniform key (ties broken by code) through a second set of runs.
+    The resulting order is the edge-id order of the generated table.
     Returns a sealed spill view over the final code sequence.
     """
     total_pairs = n * (n - 1) // 2
@@ -193,11 +152,6 @@ class ErdosRenyi(StructureGenerator):
         m = int(round(mean + std * z))
         return max(0, min(m, total_pairs))
 
-    def _generate(self, n, stream):
-        m = self._draw_edge_count(n, stream)
-        pairs = _sample_distinct_pairs(n, m, stream.substream("pairs"), self.name)
-        return edge_table_from_pairs(self.name, pairs, n)
-
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         m = self._draw_edge_count(n, stream)
         return _pair_code_chunk_stream(
@@ -236,11 +190,6 @@ class ErdosRenyiM(StructureGenerator):
         if epn is None:
             raise ValueError("ErdosRenyiM needs 'm' or 'edges_per_node'")
         return int(n * epn)
-
-    def _generate(self, n, stream):
-        m = min(self._edge_count(n), n * (n - 1) // 2)
-        pairs = _sample_distinct_pairs(n, m, stream.substream("pairs"), self.name)
-        return edge_table_from_pairs(self.name, pairs, n)
 
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         m = min(self._edge_count(n), n * (n - 1) // 2)

@@ -22,7 +22,6 @@ from .base import (
     empty_emit,
 )
 from ..io.spool import dedup_first_occurrence
-from ..tables import EdgeTable
 
 __all__ = ["RMat"]
 
@@ -67,21 +66,16 @@ class RMat(StructureGenerator):
 
     Notes
     -----
-    ``run(n)`` requires ``n`` to be a power of two (pad or use
-    ``scale=`` semantics); use :meth:`run_scale` for the conventional
-    parameterisation.
+    ``run(n)`` requires ``n`` to be a power of two
+    (:meth:`node_count_problem`); use :meth:`run_scale` for the
+    conventional parameterisation.  Raw emission is a pure function of
+    the edge-id range; ``simplify`` adds a global dedup through sorted
+    runs, so both configurations chunk.
     """
 
     name = "rmat"
     emission = "chunkable"
     access = "random"
-
-    def chunkable(self, n):
-        # Raw (multigraph) emission is a pure function of the edge-id
-        # range; simplify=True adds a global deduplication pass, which
-        # the chunked path runs out of core through spilled sorted runs
-        # (see _generate_chunked) — so both configurations chunk.
-        return True
 
     def random_access(self, n):
         # simplify=True pages edges from the spilled dedup result, so
@@ -117,14 +111,16 @@ class RMat(StructureGenerator):
 
     # -- generation ------------------------------------------------------------
 
+    def node_count_problem(self, n):
+        if n == 0 or (n >= 2 and n & (n - 1) == 0):
+            return None
+        return f"needs a node count that is a power of two, got {n}"
+
     def _resolve_scale(self, n):
-        scale = int(np.ceil(np.log2(max(n, 2))))
-        if (1 << scale) != n:
-            raise ValueError(
-                f"RMat requires n to be a power of two, got {n}; "
-                "use run_scale(scale)"
-            )
-        return scale
+        problem = self.node_count_problem(n)
+        if problem:
+            raise ValueError(f"{self.name} {problem}; use run_scale(scale)")
+        return n.bit_length() - 1
 
     def _level_plan(self, scale, stream):
         """Per-level ``(stream, la, lb, lc, ld)`` — the whole random
@@ -166,23 +162,6 @@ class RMat(StructureGenerator):
             heads += right.astype(np.int64) * bit
         return tails, heads
 
-    def _generate(self, n, stream):
-        if n == 0:
-            return EdgeTable(self.name, [], [], num_tail_nodes=0)
-        scale = self._resolve_scale(n)
-        edge_factor = self._params.get("edge_factor", _DEFAULT_EDGE_FACTOR)
-        m = int(n * edge_factor)
-        plan = self._level_plan(scale, stream)
-        tails, heads = self._descend(
-            plan, scale, np.arange(m, dtype=np.int64)
-        )
-        table = EdgeTable(
-            self.name, tails, heads, num_tail_nodes=n, num_head_nodes=n
-        )
-        if self._params.get("simplify", True):
-            table = table.deduplicated()
-        return table
-
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         if n == 0:
             return EdgeChunkStream(
@@ -202,13 +181,13 @@ class RMat(StructureGenerator):
         )
 
     def _simplify_chunked(self, n, m, emit, chunk_edges, spill):
-        """Out-of-core twin of ``EdgeTable.deduplicated()``.
+        """The simple graph, with ``EdgeTable.deduplicated()``'s rule.
 
         Each edge-id block is descended, canonicalised to ``(min,
         max)`` with self loops dropped, and packed to ``lo * n + hi``
-        codes; :func:`~repro.io.spool.dedup_first_occurrence` then
-        reproduces the serial first-occurrence dedup through spilled
-        sorted runs, never holding the raw ``m``-edge multigraph.
+        codes; :func:`~repro.io.spool.dedup_first_occurrence` keeps the
+        first occurrence of each code through sorted runs, so the raw
+        ``m``-edge multigraph is never held whole.
         """
         run_rows = max(int(chunk_edges), _MIN_RUN_ROWS)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .base import EdgeChunkStream, StructureGenerator
 from ..io.spool import spill_array
-from ..tables import EdgeTable
 
 __all__ = ["StochasticBlockModel"]
 
@@ -26,8 +25,8 @@ class _BlockEmitter:
     """Picklable emitter over per-block (possibly spilled) edge codes.
 
     Holds ``(edge-id start, r0, c0, nc, intra, codes)`` per non-empty
-    block in ``run()``'s concatenation order; emission decodes the
-    slices of each block overlapping the requested edge-id range.
+    block in edge-id order; emission decodes the slices of each block
+    overlapping the requested edge-id range.
     """
 
     def __init__(self, blocks):
@@ -98,14 +97,18 @@ class StochasticBlockModel(StructureGenerator):
             if not np.allclose(p, p.T):
                 raise ValueError("probabilities must be symmetric")
 
+    def node_count_problem(self, n):
+        sizes = self._params.get("sizes")
+        if sizes is not None and int(np.sum(sizes)) != n:
+            return f"group sizes sum to {int(np.sum(sizes))}, expected n={n}"
+        return None
+
     def _group_sizes(self, n):
         if "sizes" in self._params:
-            sizes = np.asarray(self._params["sizes"], dtype=np.int64)
-            if int(sizes.sum()) != n:
-                raise ValueError(
-                    f"group sizes sum to {int(sizes.sum())}, expected n={n}"
-                )
-            return sizes
+            problem = self.node_count_problem(n)
+            if problem:
+                raise ValueError(f"{self.name} {problem}")
+            return np.asarray(self._params["sizes"], dtype=np.int64)
         fractions = self._params.get("fractions")
         if fractions is None:
             raise ValueError("SBM needs 'sizes' or 'fractions'")
@@ -129,8 +132,8 @@ class StochasticBlockModel(StructureGenerator):
         """Sample the linear edge codes of one block (no decoding).
 
         The code array is the block's only whole-size state, which is
-        what chunked emission spills; decoding a slice of it is
-        elementwise and therefore chunk-pure.
+        what emission spills; decoding a slice of it is elementwise and
+        therefore chunk-pure.
         """
         r0, r1 = rows
         c0, c1 = cols
@@ -181,16 +184,6 @@ class StochasticBlockModel(StructureGenerator):
         v = chosen % nc
         return r0 + u, c0 + v
 
-    def _sample_block(self, rows, cols, prob, stream, intra):
-        """Sample edges of one block (rows x cols id ranges)."""
-        chosen = self._sample_block_codes(rows, cols, prob, stream, intra)
-        if chosen.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        tails, heads = self._decode_block_codes(
-            chosen, rows[0], cols[0], cols[1] - cols[0], intra
-        )
-        return np.stack([tails, heads], axis=1)
-
     def _block_layout(self, n):
         probs = self._params.get("probabilities")
         if probs is None:
@@ -205,39 +198,11 @@ class StochasticBlockModel(StructureGenerator):
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         return probs, sizes, offsets
 
-    def _generate(self, n, stream):
-        probs, sizes, offsets = self._block_layout(n)
-        chunks = []
-        k = sizes.size
-        for i in range(k):
-            for j in range(i, k):
-                block_stream = stream.substream(f"block{i}.{j}")
-                pairs = self._sample_block(
-                    (offsets[i], offsets[i + 1]),
-                    (offsets[j], offsets[j + 1]),
-                    probs[i, j],
-                    block_stream,
-                    intra=(i == j),
-                )
-                if pairs.size:
-                    chunks.append(pairs)
-        if chunks:
-            pairs = np.concatenate(chunks, axis=0)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        return EdgeTable(
-            self.name,
-            pairs[:, 0],
-            pairs[:, 1],
-            num_tail_nodes=n,
-            num_head_nodes=n,
-        )
-
     def _generate_chunked(self, n, stream, chunk_edges, spill):
         probs, sizes, offsets = self._block_layout(n)
         k = sizes.size
         # (edge-id start, r0, c0, nc, intra, codes) per non-empty block,
-        # in the same (i, j), i <= j order run() concatenates them.
+        # blocks concatenated in (i, j), i <= j order.
         blocks = []
         total_m = 0
         for i in range(k):

@@ -1,12 +1,13 @@
 """Out-of-core sort-merge dedup: primitives and chunked equivalence.
 
 ``repro.io.spool.SortedRuns`` / ``dedup_first_occurrence`` are the
-machinery that lets the globally-deduplicating structure stages (R-MAT
-``simplify``, bipartite stub dedup, G(n, m) sampling) run in bounded
-memory.  The contract is exact: unique-mode merges must reproduce
-``np.unique``'s first-occurrence rule bit for bit, and every chunked
-generator must emit the same edge table its serial twin materialises —
-for any run size, including degenerate multi-run splits.
+one dedup of the globally-deduplicating structure stages (R-MAT
+``simplify``, bipartite stub dedup, G(n, m) sampling), in memory and
+in bounded memory alike.  The contract is exact: unique-mode merges
+must reproduce ``np.unique``'s first-occurrence rule bit for bit,
+whether the records fit one run or many, and a generator's stream must
+be the same edge table for any run size — ``run(n)``'s single run and
+degenerate multi-run splits included.
 """
 
 from __future__ import annotations
@@ -72,6 +73,48 @@ class TestSortedRuns:
         np.testing.assert_array_equal(got_s, secondary[first])
         runs.cleanup()
 
+    @pytest.mark.parametrize("unique", [False, True])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_single_run_is_paged_as_spilled(self, spill, paired, unique):
+        """``run_rows`` >= rows: one run, paged without a merge
+        re-sort, its duplicates dropped by the neighbour-difference
+        mask — tied primaries carry shuffled secondaries, so keeping
+        the smallest one is a real choice."""
+        rng = np.random.default_rng(2)
+        primary = rng.integers(0, 2_000, size=3_000)
+        secondary = rng.permutation(3_000)
+        runs = SortedRuns(spill, "one", 4_096, unique=unique)
+        for lo in range(0, 3_000, 700):
+            runs.push(
+                primary[lo:lo + 700],
+                secondary[lo:lo + 700] if paired else None,
+            )
+        blocks = list(runs.merge(block_rows=1_000))
+        assert len(runs) == 1 and len(blocks) > 1
+        got_p = np.concatenate([p for p, _ in blocks])
+        # np.unique's first occurrence in secondary order is the
+        # record with the smallest secondary.
+        by_secondary = np.argsort(secondary)
+        expect_p, first = np.unique(
+            primary[by_secondary], return_index=True
+        )
+        if unique:
+            np.testing.assert_array_equal(got_p, expect_p)
+        else:
+            np.testing.assert_array_equal(got_p, np.sort(primary))
+        if paired:
+            got_s = np.concatenate([s for _, s in blocks])
+            if unique:
+                np.testing.assert_array_equal(
+                    got_s, secondary[by_secondary][first]
+                )
+            else:
+                order = np.lexsort((secondary, primary))
+                np.testing.assert_array_equal(got_s, secondary[order])
+        else:
+            assert all(s is None for _, s in blocks)
+        runs.cleanup()
+
     def test_cleanup_unlinks_spilled_runs(self, tmp_path):
         spool = TableSpool(tmp_path / "spool", 1024)
         spill = spool.spiller("scratch")
@@ -120,10 +163,27 @@ class TestDedupFirstOccurrence:
             np.asarray(spill_array(final)), codes[first]
         )
 
+    def test_single_run_passes(self, spill):
+        """Both passes fit one run (the in-memory ``run(n)`` case): the
+        blocks land in by-code order and the result still follows
+        first occurrence by edge id."""
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 700, size=5_000)
+        edge_ids = np.arange(5_000, dtype=np.int64)
+        blocks = ((codes[lo:lo + 977], edge_ids[lo:lo + 977])
+                  for lo in range(0, 5_000, 977))
+        total, final = dedup_first_occurrence(spill, "one", blocks, 8_192)
+        _, first = np.unique(codes, return_index=True)
+        first.sort()
+        assert total == first.size
+        np.testing.assert_array_equal(
+            np.asarray(spill_array(final)), codes[first]
+        )
+
 
 class TestChunkedEqualsSerial:
-    """Chunked emission == serial table, forced through multi-run
-    spills by shrinking the run-size floor."""
+    """``run(n)`` — one run, in memory — equals a many-chunk stream
+    forced through multi-run spills by shrinking the run-size floor."""
 
     @staticmethod
     def _materialise(stream, chunk_edges):

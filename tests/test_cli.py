@@ -196,18 +196,40 @@ class TestBoundaryErrors:
           "--port", "0"],
          "scenario error: knows: lfr needs more than avg_degree=18 "
          "nodes, got 12"),
+        (["generate", "{rmat}", "--out", "{out}"],
+         "schema error: knows: rmat needs a node count that is a power "
+         "of two, got 50"),
+        (["generate", "{sbm}", "--out", "{out}"],
+         "schema error: knows: sbm group sizes sum to 20, expected n=50"),
+        (["scenario", "run", "web_graph_rmat", "--scale", "Page=1000",
+          "--out", "{out}"],
+         "scenario error: links: rmat needs a node count that is a power "
+         "of two, got 1000"),
+        (["scenario", "validate", "web_graph_rmat", "--scale",
+          "Page=1000"],
+         "scenario error: links: rmat needs a node count that is a power "
+         "of two, got 1000"),
+        (["serve", "web_graph_rmat", "--scale", "Page=1000", "--port", "0"],
+         "scenario error: links: rmat needs a node count that is a power "
+         "of two, got 1000"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
-        lfr_path = tmp_path / "lfr.dsl"
-        lfr_path.write_text(DSL.replace(
-            "erdos_renyi_m(edges_per_node=3)", "lfr(avg_degree=18)"
-        ))
+        paths = {}
+        for key, structure in [
+            ("dsl", "erdos_renyi_m(edges_per_node=3)"),
+            ("lfr", "lfr(avg_degree=18)"),
+            ("rmat", "rmat(edge_factor=4)"),
+            ("sbm", "sbm(sizes=[10, 10], "
+                    "probabilities=[[0.5, 0.1], [0.1, 0.5]])"),
+        ]:
+            paths[key] = tmp_path / f"{key}.dsl"
+            paths[key].write_text(DSL.replace(
+                "erdos_renyi_m(edges_per_node=3)", structure
+            ))
         argv = [
-            arg.format(dsl=schema_path, missing=tmp_path / "no.dsl",
-                       lfr=lfr_path, out=tmp_path / "o")
+            arg.format(missing=tmp_path / "no.dsl", out=tmp_path / "o",
+                       **paths)
             for arg in argv
         ]
         with pytest.raises(SystemExit) as excinfo:

@@ -196,6 +196,26 @@ class TestGeneratorCannotMakeThatManyNodes:
         ):
             run(mono_schema("lfr", avg_degree=18), {"Person": 12})
 
+    @front_ends
+    def test_rmat_node_count_not_a_power_of_two(self, run):
+        with pytest.raises(
+            SchemaError,
+            match="^knows: rmat needs a node count that is a power of "
+                  "two, got 12$",
+        ):
+            run(mono_schema("rmat", edge_factor=4), {"Person": 12})
+
+    @front_ends
+    def test_sbm_group_sizes_off_the_node_count(self, run):
+        with pytest.raises(
+            SchemaError,
+            match=r"^knows: sbm group sizes sum to 20, expected n=30$",
+        ):
+            run(mono_schema(
+                "sbm", sizes=[10, 10],
+                probabilities=[[0.5, 0.1], [0.1, 0.5]],
+            ), {"Person": 30})
+
 
 class TestFewerStructureNodesThanInstances:
     """A permutation matching lands a small structure anywhere in the

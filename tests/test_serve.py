@@ -434,9 +434,12 @@ class TestHttpContract:
         status, body, ctype = _get(base, "/nodes/Person/7")
         assert status == 200 and ctype == "application/json"
         assert json.loads(body)["id"] == 7
-        status, body, _ = _get(base, "/nodes/Person/200")
-        assert status == 404
-        assert "out of range" in json.loads(body)["error"]
+        for bad in (200, -1, 10**30):  # the last one is past int64
+            status, body, _ = _get(base, f"/nodes/Person/{bad}")
+            assert status == 404
+            assert json.loads(body)["error"] == (
+                "node ids out of range [0, 200) for 'Person'"
+            )
         status, _, _ = _get(base, "/nodes/Person/seven")
         assert status == 400
 

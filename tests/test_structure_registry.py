@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.structure import (
@@ -13,7 +14,7 @@ from repro.structure import (
     create_generator,
     register_generator,
 )
-from repro.structure.base import StructureGenerator
+from repro.structure.base import EdgeChunkStream, StructureGenerator
 
 
 class TestRegistry:
@@ -47,6 +48,29 @@ class TestRegistry:
             GeneratorInfo("null_test_sg", Null, Capability())
         )
         assert create_generator("null_test_sg").run(5).num_edges == 0
+
+    def test_chunkable_plugin_implements_only_its_stream(self, registries):
+        """A chunkable generator has one emission path: ``run(n)`` is
+        its chunk stream, materialised."""
+
+        class Ring(StructureGenerator):
+            name = "ring_test_sg"
+            emission = "chunkable"
+
+            def _generate_chunked(self, n, stream, chunk_edges, spill):
+                def emit(lo, hi):
+                    tails = np.arange(lo, hi, dtype=np.int64)
+                    return tails, (tails + 1) % n
+
+                return EdgeChunkStream(self.name, n, n, n, False, emit)
+
+        register_generator(
+            GeneratorInfo("ring_test_sg", Ring, Capability())
+        )
+        generator = create_generator("ring_test_sg", seed=3)
+        table = generator.run(10)
+        assert table == generator.run_chunked(10, 3).to_edge_table()
+        assert table.heads.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]
 
 
 class TestCapabilityMatrix:
