@@ -28,20 +28,38 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
-def _int_at_least(minimum):
-    """argparse ``type``: an integer ``>= minimum`` (argparse itself
-    names the offending flag in the error it prints)."""
+def _int_at_least(minimum, maximum=None):
+    """argparse ``type``: an integer ``>= minimum`` (and ``<= maximum``
+    when given; argparse itself names the offending flag in the error
+    it prints)."""
     def integer(text):
         value = int(text)  # ValueError -> "invalid integer value"
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}"
             )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {maximum}, got {value}"
+            )
         return value
     return integer
 
 
 _positive_int = _int_at_least(1)
+
+
+def _positive_seconds(text):
+    """argparse ``type``: a finite number of seconds ``> 0``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds > 0, got {text!r}"
+        )
+    return value
 
 
 def _add_sharding_args(cmd):
@@ -172,11 +190,11 @@ def build_parser():
     )
     protocol.add_argument(
         "--size",
-        type=int,
+        type=_positive_int,
         default=10_000,
         help="node count (lfr) or scale exponent (rmat)",
     )
-    protocol.add_argument("--k", type=int, default=16)
+    protocol.add_argument("--k", type=_positive_int, default=16)
     protocol.add_argument("--seed", type=int, default=0)
     protocol.add_argument(
         "--matcher",
@@ -184,7 +202,7 @@ def build_parser():
         default="sbm_part",
     )
     protocol.add_argument(
-        "--points", type=int, default=20,
+        "--points", type=_int_at_least(0), default=20,
         help="CDF sample points to print",
     )
 
@@ -203,7 +221,7 @@ def build_parser():
         "validate",
         help="generate the running example and audit its contracts",
     )
-    validate.add_argument("--persons", type=int, default=2_000)
+    validate.add_argument("--persons", type=_positive_int, default=2_000)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--workers", type=_positive_int, default=1, metavar="N")
 
@@ -221,7 +239,7 @@ def build_parser():
         "example",
         help="generate the running-example social network",
     )
-    example.add_argument("--persons", type=int, default=10_000)
+    example.add_argument("--persons", type=_positive_int, default=10_000)
     example.add_argument("--seed", type=int, default=0)
     example.add_argument("--workers", type=_positive_int, default=1, metavar="N")
     example.add_argument("--out", default=None)
@@ -343,7 +361,7 @@ def build_parser():
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8080,
+        "--port", type=_int_at_least(0, 65_535), default=8080,
         help="listen port (0 binds an ephemeral port)",
     )
     serve.add_argument(
@@ -357,7 +375,8 @@ def build_parser():
              "(default: a private temporary directory)",
     )
     serve.add_argument(
-        "--request-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--request-timeout", type=_positive_seconds, default=30.0,
+        metavar="SECONDS",
         help="per-connection socket timeout — a stalled client is "
              "disconnected instead of pinning a handler thread",
     )
@@ -429,10 +448,13 @@ def _cmd_generate(args):
 def _cmd_protocol(args):
     from .experiments import run_protocol
 
-    result = run_protocol(
-        args.kind, args.size, args.k,
-        seed=args.seed, matcher=args.matcher,
-    )
+    try:
+        result = run_protocol(
+            args.kind, args.size, args.k,
+            seed=args.seed, matcher=args.matcher,
+        )
+    except ValueError as exc:  # a graph or k the protocol cannot make
+        raise SystemExit(f"protocol error: {exc}") from None
     print(f"{result.label} matcher={args.matcher}")
     for key, value in result.row().items():
         print(f"  {key}: {value}")
@@ -443,16 +465,26 @@ def _cmd_protocol(args):
     return 0
 
 
-def _cmd_example(args):
-    from .core import GraphGenerator
+def _running_example(args, num_countries):
+    """The running-example social network at ``--persons``; a size the
+    schema cannot make is a one-line ``schema error:`` exit."""
+    from .core import GraphGenerator, SchemaError
     from .datasets import social_network_schema
+
+    schema = social_network_schema(num_countries=num_countries)
+    try:
+        return schema, GraphGenerator(
+            schema, {"Person": args.persons},
+            seed=args.seed, workers=args.workers,
+        ).generate()
+    except SchemaError as exc:
+        raise SystemExit(f"schema error: {exc}") from None
+
+
+def _cmd_example(args):
     from .io import export_graph_csv
 
-    schema = social_network_schema(num_countries=16)
-    graph = GraphGenerator(
-        schema, {"Person": args.persons},
-        seed=args.seed, workers=args.workers,
-    ).generate()
+    _, graph = _running_example(args, num_countries=16)
     print(f"running example: {graph.summary()}")
     match = graph.match_results.get("knows")
     if match is not None:
@@ -495,15 +527,9 @@ def _cmd_report(args):
 
 
 def _cmd_validate(args):
-    from .core import GraphGenerator
-    from .datasets import social_network_schema
     from .validation import standard_checks, validate
 
-    schema = social_network_schema(num_countries=12)
-    graph = GraphGenerator(
-        schema, {"Person": args.persons},
-        seed=args.seed, workers=args.workers,
-    ).generate()
+    schema, graph = _running_example(args, num_countries=12)
     report = validate(graph, standard_checks(schema))
     print(report)
     return 0 if report.passed else 1

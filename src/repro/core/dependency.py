@@ -23,6 +23,7 @@ reported as :class:`DependencyError` with the cycle spelled out.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .schema import SchemaError
@@ -187,7 +188,8 @@ def build_task_graph(schema, scale):
     TaskGraph
 
     Every front end plans through this function, so the scale spec is
-    validated here: a key naming no node or edge type is a
+    validated here: a key naming no node or edge type, or an anchor
+    that is not a non-negative integer, is a
     :class:`~repro.core.schema.SchemaError`, whichever engine runs.
     """
     from .tasks import is_correlated  # tasks imports this module
@@ -200,6 +202,16 @@ def build_task_graph(schema, scale):
     ]
     if unknown:
         raise SchemaError(f"scale spec names unknown types: {unknown}")
+    for name, value in scale.items():
+        # bool is an int subclass; 2.0 is integral, 2.5 and inf are not
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()
+        ) or value < 0:
+            raise SchemaError(
+                f"scale anchor {name!r} must be a non-negative integer, "
+                f"got {value!r}"
+            )
 
     graph = TaskGraph()
 

@@ -8,33 +8,52 @@ finally generates edge properties — exactly the pipeline of Figure 2.
 The engine is deterministic: every task draws from a stream derived
 from ``(root seed, task id)``, so regenerating any single table requires
 only the seed and the schema — the distributed-generation story of the
-paper.  The task bodies themselves live in :mod:`repro.core.tasks` as
-pure functions and the plan is walked by :func:`~repro.core.tasks.walk`,
-the loop the out-of-core :mod:`repro.core.sharded` run shares; this
-module is the *resident* store under it, which is why
-``generate(workers=k)`` is bit-identical to ``generate()`` for every
-``k`` (see DESIGN.md).
+paper.  What each task computes is decided by
+:func:`~repro.core.tasks.apply_task` and the plan is walked by
+:func:`~repro.core.tasks.walk`, as out of core; this module is only
+the *resident* store under them, which is why ``generate(workers=k)``
+is bit-identical to ``generate()`` for every ``k`` (see DESIGN.md).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..tables import PropertyTable
 from ..tables.ranged import chunk_bounds
 from . import run
 from .dependency import build_task_graph
 from .procpool import ShardPool
 from .result import PropertyGraph
 from .tasks import (
+    ResidentStore,
     apply_task,
     dep_slice,
-    property_inputs,
     property_shard_values,
-    store_task_output,
     walk,
 )
 
 __all__ = ["GraphGenerator"]
+
+
+class _PooledStore(ResidentStore):
+    """The resident store over a thread pool: a property table of
+    several shards, when there are workers to share them, is filled
+    one kernel call per shard and concatenated in range order."""
+
+    def __init__(self, pool):
+        self._pool = pool
+
+    def properties(self, name, spec, count, deps, task_id, seed):
+        bounds = list(chunk_bounds(name, count, run.DEFAULT_SHARD_ROWS))
+        if self._pool.workers < 2 or len(bounds) < 2:
+            return super().properties(name, spec, count, deps, task_id, seed)
+        parts = self._pool.ordered_map(property_shard_values, (
+            (spec, task_id, seed, lo, hi,
+             [dep_slice(dep, lo, hi) for dep in deps])
+            for lo, hi in bounds
+        ))
+        return PropertyTable(name, np.concatenate(list(parts)))
 
 
 class GraphGenerator:
@@ -105,34 +124,13 @@ class GraphGenerator:
         # Threads, not processes: the tables are resident, so shards
         # read their dependencies and land their values unpickled.
         with ShardPool("thread", workers) as pool:
+            store = _PooledStore(pool)
             walk(
                 self.plan(),
-                lambda task: self._apply(task, result, structures, pool),
+                lambda task: apply_task(
+                    task, self.schema, self.scale, self.seed,
+                    result, structures, store,
+                ),
                 result, sink,
             )
         return result
-
-    def _apply(self, task, result, structures, pool):
-        """One task into resident tables: a single kernel call, or —
-        for a property table of several shards when there are workers
-        to share them — one call per shard through the pool."""
-        bounds = ()
-        if pool.workers > 1 and task.kind in ("property", "edge_property"):
-            spec, count, deps = property_inputs(self.schema, task, result)
-            bounds = list(
-                chunk_bounds(task.subject, count, run.DEFAULT_SHARD_ROWS)
-            )
-        if len(bounds) < 2:
-            apply_task(
-                task, self.schema, self.scale, self.seed,
-                result, structures,
-            )
-            return
-        parts = pool.ordered_map(property_shard_values, (
-            (spec, task.task_id, self.seed, lo, hi,
-             [dep_slice(dep, lo, hi) for dep in deps])
-            for lo, hi in bounds
-        ))
-        store_task_output(
-            task, result, structures, np.concatenate(list(parts))
-        )

@@ -2,39 +2,27 @@
 
 The in-memory engine materialises every table in RAM, so graph size is
 capped by memory even though export already streams.  This module walks
-the *same* plan (:func:`~repro.core.tasks.walk`) with every table
-spooled to disk in id-range shards
-(:class:`~repro.io.spool.TableSpool`): the full pipeline — structure
-chunk → match → properties → sink — touches at most a few
-``shard_rows``-sized arrays at a time, which is what unlocks
-billion-edge generation on commodity boxes (ROADMAP item 1).
+the *same* plan (:func:`~repro.core.tasks.walk`) through the same task
+body (:func:`~repro.core.tasks.apply_task`) with every table spooled to
+disk in id-range shards (:class:`~repro.io.spool.TableSpool`): the
+full pipeline — structure chunk → match → properties → sink — touches
+at most a few ``shard_rows``-sized arrays at a time, which is what
+unlocks billion-edge generation on commodity boxes.
 
 Byte-identity.  Outputs are bit-identical to the in-memory path for
 any shard size and worker count, by construction rather than by luck:
-
-* property kernels are already range-pure (PR 1), so per-shard
-  generation equals slices of single-shot generation; their
-  dependencies are the storage-agnostic descriptors of
-  :func:`~repro.core.tasks.property_inputs`, resolved per shard by
-  :func:`~repro.core.tasks.dep_slice` — the code the in-memory
-  engine runs, over spooled instead of resident tables;
-* chunkable structure generators (R-MAT raw, ER, SBM, 1→*) emit their
-  ``run()`` output in chunks via the first-class
-  :class:`~repro.structure.base.EdgeChunkStream` protocol — an
-  :class:`~repro.tables.ranged.EdgeRows` like every stored table,
-  opened by :mod:`~repro.core.structures` (the serving layer pages the
-  same handles);
-* permutation matchings relabel chunk-by-chunk through
-  :func:`~repro.core.tasks.matching_maps`, the function the serial
-  :func:`~repro.core.tasks.match_edge` applies to the whole table;
-* genuinely global stages — sequential structure generators,
-  correlated (SBM-Part) matching — materialise transiently, spill
-  their result to the spool and free it;
-* sinks consume the spooled tables through the unchanged
-  ``begin``/``on_table``/``finish`` protocol in serial plan order and
-  the one ``read_range`` table protocol
-  (:mod:`repro.tables.ranged`), so every format (gzip included)
-  produces identical bytes.
+``apply_task`` decides what every task computes, and this module's
+store only decides how the rows are kept — every table is written
+shard by shard through the one ``read_range`` table protocol
+(:mod:`repro.tables.ranged`): range-pure property kernels, chunkable
+structures re-emitted from the seed
+(:class:`~repro.structure.base.EdgeChunkStream`), and the final edge
+rows of every matching.  The genuinely global stages — sequential
+structure generators, correlated (SBM-Part) matching — materialise
+transiently, spill their result to the spool and free it.  Sinks read
+the spooled tables through the unchanged ``begin``/``on_table``/
+``finish`` protocol in serial plan order, so every format (gzip
+included) produces identical bytes.
 
 Concurrency.  Every per-shard unit — property kernel, structure chunk
 emission + relabel, export-chunk formatting — goes through one
@@ -61,28 +49,16 @@ from pathlib import Path
 from ..io.spool import TableSpool
 from . import faults as _faults
 from .checkpoint import run_fingerprint
-from .dependency import DependencyError, build_task_graph
+from .dependency import build_task_graph
 from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
 from .run import RunOptions
-from .structures import (
-    MatchedEdges,
-    StructureHandle,
-    metadata,
-    open_structure,
-    spill_maps,
-)
+from .structures import StructureHandle, metadata
 from .tasks import (
+    Store,
+    apply_task,
     dep_slice,
-    is_correlated,
-    match_edge,
-    match_inputs,
-    matched_id_space,
-    matching_maps,
-    property_inputs,
     property_shard_values,
-    resolve_count,
-    structure_inputs,
     walk,
 )
 
@@ -109,11 +85,110 @@ def _property_shard_part(spool, key, index, bound, spec, task_id, seed,
     return spool.save_property_part(index, key, values)
 
 
-def _relabel_shard_part(spool, key, index, bound, matched):
-    """One edge shard: chunk emission + relabel to spool (any worker)."""
+def _edge_shard_part(spool, key, index, bound, rows):
+    """One final edge shard — chunk emission + relabel, or a page of
+    a correlated matching's table — to the spool (any worker)."""
     _faults.fire("match", index)
     _faults.fire("shard", index)
-    return spool.save_edge_part(index, key, *matched.read_range(*bound))
+    return spool.save_edge_part(index, key, *rows.read_range(*bound))
+
+
+# -- the store ----------------------------------------------------------------
+
+
+class _SpooledStore(Store):
+    """Every table as id-range shard files in a :class:`TableSpool`,
+    filled through the pool; acked shards and recorded structures are
+    adopted on resume."""
+
+    def __init__(self, spool, pool, process):
+        self.spool = spool
+        self.pool = pool
+        #: worker processes read the matching state from the spool
+        self._process = process
+        self._stages = {"count": 0, "structure": 0}
+
+    def fire(self, site):
+        # Counts are never checkpointed: recomputing them on resume is
+        # cheap and cross-checks the purity argument.
+        index = self._stages[site]
+        self._stages[site] = index + 1
+        _faults.fire(site, index)
+
+    def _run_shards(self, key, job, bounds, args):
+        """Fill one table's shards ``bounds`` in the spool.
+
+        Shards flow through the pool's bounded in-flight window:
+        workers run ``job(spool, key, index, bound, *args)`` — a pure
+        kernel that saves its part files — and the parent acks the
+        returned metadata into the spool's catalog in shard order, so
+        scheduling cannot change the output.  On resume the catalog's
+        verified prefix is already there and only the rest is run.
+        """
+        spool = self.spool
+        skip = spool.verified_prefix(key)
+        jobs = (
+            (spool, key, index, bounds[index], *args)
+            for index in range(skip, len(bounds))
+        )
+        for index, meta in enumerate(self.pool.ordered_map(job, jobs), skip):
+            spool.ack(key, index, meta)
+
+    def structure(self, name, open_handle):
+        spool = self.spool
+        # Resume: a completed edge table is adopted whole from the
+        # spool, so its structure is not re-generated — a metadata-only
+        # handle keeps derived counts resolvable.  Its parts are
+        # re-verified *here* (a torn one truncates and unseals the
+        # table): found at the match task, it would need the structure
+        # this skips.
+        if spool.sealed(name) is not None:
+            spool.verified_prefix(name)
+        meta = spool.structure_meta(name)
+        if spool.sealed(name) is not None and meta is not None:
+            return StructureHandle(**meta)
+        self.fire("structure")
+        handle = open_handle(
+            spool.shard_rows, spool.spiller(f"structure.{name}")
+        )
+        spool.record_structure(name, metadata(handle))
+        return handle
+
+    def properties(self, name, spec, count, deps, task_id, seed):
+        self._run_shards(
+            name, _property_shard_part, self.spool.shard_bounds(count),
+            (spec, task_id, seed, deps),
+        )
+        return self.spool.finish_property(name)
+
+    def edges(self, name, structure, id_space, build):
+        spool = self.spool
+        sealed = spool.sealed(name)
+        if sealed is not None:
+            # Resume: adopt the completed table from the spool and skip
+            # matching (its parts verified at the structure task).  The
+            # match-result diagnostic is not reconstructed — it
+            # describes the matching *work*, which did not run.
+            return spool.finish_edge(name, **sealed), None
+        # The matching state — permutation maps (the O(nodes) term of
+        # the memory bound) or a correlated matching's final table —
+        # is spilled once for worker processes, which re-emit and
+        # relabel their chunks from paths.
+        rows, match = build(
+            spool.spiller(f"match.{name}") if self._process else None
+        )
+        self._run_shards(
+            name, _edge_shard_part,
+            spool.shard_bounds(len(rows)) if len(rows) else [], (rows,),
+        )
+        spool.drop_scratch(f"structure.{name}")
+        spool.drop_scratch(f"match.{name}")
+        # Relabelling preserves the structure's name and direction, so
+        # the spooled table carries them too — EdgeTable.__eq__
+        # compares the name.
+        return spool.finish_edge(
+            name, *id_space, structure.directed, name=structure.name
+        ), match
 
 
 # -- result -------------------------------------------------------------------
@@ -208,7 +283,6 @@ class ShardedExecutor:
             resume=bool(resume), retries=int(retries), faults=faults,
         )
         self.backoff = float(backoff)
-        self._stage_counters = None
 
     def run(self, sink=None):
         """Execute all tasks; returns a :class:`ShardedResult`.
@@ -235,9 +309,9 @@ class ShardedExecutor:
             ),
             resume=options.resume,
         )
-        self._stage_counters = {"count": 0, "structure": 0}
         pool = ShardPool(options.backend, options.workers,
                          retries=options.retries, backoff=self.backoff)
+        store = _SpooledStore(spool, pool, options.backend == "process")
         plan = _faults.as_plan(options.faults)
         previous_plan = _faults.install_plan(plan)
         # Export formatting dominates wall time; worker processes
@@ -252,8 +326,9 @@ class ShardedExecutor:
                     sink.pmap = pool.ordered_map
                 walk(
                     order,
-                    lambda task: self._apply(
-                        task, result, structures, spool, pool
+                    lambda task: apply_task(
+                        task, self.schema, self.scale, self.seed,
+                        result, structures, store,
                     ),
                     result, sink,
                 )
@@ -275,7 +350,6 @@ class ShardedExecutor:
                 # with it a private fired-state tempdir; a caller-built
                 # FaultPlan stays the caller's to clean up.
                 plan.cleanup()
-            self._stage_counters = None
         return result
 
     @staticmethod
@@ -285,176 +359,6 @@ class ShardedExecutor:
         if sink is None:
             return "none"
         return getattr(sink, "format_name", None) or type(sink).__name__
-
-    # -- task dispatch -----------------------------------------------------
-
-    def _apply(self, task, result, structures, spool, pool):
-        if task.kind == "count":
-            # Counts are never checkpointed: recomputing them on
-            # resume is cheap and cross-checks the purity argument.
-            index = self._stage_counters["count"]
-            self._stage_counters["count"] = index + 1
-            _faults.fire("count", index)
-            result.node_counts[task.subject] = resolve_count(
-                self.schema, self.scale, task, structures
-            )
-        elif task.kind in ("property", "edge_property"):
-            self._apply_property(task, result, spool, pool)
-        elif task.kind == "structure":
-            self._apply_structure(task, result, structures, spool)
-        elif task.kind == "match_prepare":
-            # The CSR/arrival precomputation is a whole-structure
-            # object; skipping it keeps this path bounded, and
-            # match_edge re-derives the arrival order bit-identically
-            # when prep is None.
-            pass
-        elif task.kind == "match":
-            self._apply_match(task, result, structures, spool, pool)
-        else:  # pragma: no cover - guarded by build_task_graph
-            raise DependencyError(f"unknown task kind {task.kind!r}")
-
-    # -- the per-shard loop, and properties --------------------------------
-
-    def _run_shards(self, key, job, bounds, args, spool, pool):
-        """Fill one table's shards ``bounds`` in the spool.
-
-        Shards flow through the pool's bounded in-flight window:
-        workers run ``job(spool, key, index, bound, *args)`` — a pure
-        kernel that saves its part files — and the parent acks the
-        returned metadata into the spool's catalog in shard order, so
-        scheduling cannot change the output.  On resume the catalog's
-        verified prefix is already there and only the rest is run.
-        """
-        skip = spool.verified_prefix(key)
-        jobs = (
-            (spool, key, index, bounds[index], *args)
-            for index in range(skip, len(bounds))
-        )
-        for index, meta in enumerate(pool.ordered_map(job, jobs), skip):
-            spool.ack(key, index, meta)
-
-    def _apply_property(self, task, result, spool, pool):
-        """A node or edge property table, shard by shard.  Dependencies
-        travel as descriptors over spooled tables (see
-        :func:`~repro.core.tasks.dep_slice`)."""
-        key = task.subject
-        spec, count, deps = property_inputs(self.schema, task, result)
-        self._run_shards(
-            key, _property_shard_part, spool.shard_bounds(count),
-            (spec, task.task_id, self.seed, deps), spool, pool,
-        )
-        tables = (
-            result.node_properties if task.kind == "property"
-            else result.edge_properties
-        )
-        tables[key] = spool.finish_property(key)
-
-    # -- structure and matching --------------------------------------------
-
-    def _apply_structure(self, task, result, structures, spool):
-        index = self._stage_counters["structure"]
-        self._stage_counters["structure"] = index + 1
-        name = task.subject
-        # Resume: a completed edge table is adopted whole from the
-        # spool, so its structure is not re-generated — a metadata-only
-        # handle keeps derived counts resolvable.  Its parts are
-        # re-verified *here* (a torn one truncates and unseals the
-        # table): found at the match task, it would need the structure
-        # this skips.
-        if spool.sealed(name) is not None:
-            spool.verified_prefix(name)
-        meta = spool.structure_meta(name)
-        if spool.sealed(name) is not None and meta is not None:
-            structures[name] = StructureHandle(**meta)
-            return
-        _faults.fire("structure", index)
-        handle = open_structure(
-            *structure_inputs(
-                self.schema, self.scale, self.seed, task,
-                result.node_counts,
-            ),
-            spool.shard_rows,
-            spool.spiller(f"structure.{name}"),
-        )
-        structures[name] = handle
-        spool.record_structure(name, metadata(handle))
-
-    def _apply_match(self, task, result, structures, spool, pool):
-        edge = self.schema.edge_type(task.subject)
-        sealed = spool.sealed(edge.name)
-        if sealed is not None:
-            # Resume: adopt the completed table from the spool and skip
-            # matching (its parts verified at the structure task).  The
-            # match-result diagnostic is not reconstructed — it
-            # describes the matching *work*, which did not run.
-            result.edge_tables[edge.name] = spool.finish_edge(
-                edge.name, **sealed
-            )
-            result.match_results[edge.name] = None
-            return
-        handle = structures[edge.name]
-        tail_count = result.node_counts[edge.tail_type]
-        head_count = result.node_counts[edge.head_type]
-        if is_correlated(edge):
-            # SBM-Part matching walks the whole structure — the other
-            # documented global stage.  Materialise, match with the
-            # exact serial kernel, spill the final table, free.  As a
-            # global stage it checkpoints all-or-nothing: a partial
-            # ack prefix from a crashed run is discarded, not resumed.
-            spool.reset(edge.name)
-            table, match = match_edge(
-                seed=self.seed, task_id=task.task_id,
-                **match_inputs(self.schema, task, result, structures),
-            )
-            for index, (_, tails, heads) in enumerate(
-                table.iter_chunks(spool.shard_rows)
-            ):
-                spool.write_edge_shard(edge.name, index, tails, heads)
-            n_tail, n_head = table.num_tail_nodes, table.num_head_nodes
-            del table
-        else:
-            self._match_streaming(
-                task, edge, handle, tail_count, head_count, spool, pool,
-            )
-            n_tail, n_head = matched_id_space(
-                edge, handle, tail_count, head_count
-            )
-            match = None
-        spool.drop_scratch(f"structure.{edge.name}")
-        spool.drop_scratch(f"match.{edge.name}")
-        # Relabelling preserves the structure's name and direction, so
-        # the spooled table carries them too — EdgeTable.__eq__
-        # compares the name.
-        result.edge_tables[edge.name] = spool.finish_edge(
-            edge.name, n_tail, n_head, handle.directed, name=handle.name
-        )
-        result.match_results[edge.name] = match
-
-    def _match_streaming(self, task, edge, handle, tail_count,
-                         head_count, spool, pool):
-        """Permutation matchings applied chunk-by-chunk.
-
-        Relabels each structure chunk, as it is re-emitted, through the
-        maps the serial ``match_edge`` applies to the whole table
-        (:func:`~repro.core.tasks.matching_maps`).  The maps are the
-        O(nodes) term of the memory bound.  On the process backend they
-        are spilled once and shipped to workers as paths, so
-        relabelling runs in the pool with the chunks re-emitted
-        worker-side.
-        """
-        tail_map, head_map = matching_maps(
-            edge, self.seed, task.task_id, handle, tail_count, head_count
-        )
-        if self.options.backend == "process" and handle.num_edges:
-            tail_map, head_map = spill_maps(
-                spool.spiller(f"match.{edge.name}"), tail_map, head_map
-            )
-        self._run_shards(
-            edge.name, _relabel_shard_part,
-            spool.shard_bounds(handle.num_edges)
-            if handle.num_edges else [],
-            (MatchedEdges(handle, tail_map, head_map),), spool, pool,
-        )
 
 
 def execute_sharded(schema, scale, seed=0, sink=None, **kwargs):

@@ -1,12 +1,11 @@
-"""Structure handles: pre-matching edges without a resident table.
+"""Structure handles: pre-matching edges as edge rows.
 
-The out-of-core executor and the serving layer both need a generated
-structure's *metadata* (for derived counts and matching maps) and any
-*id range* of its edges on demand, but never the whole edge table in
-RAM.  A structure is therefore held as an
-:class:`~repro.tables.ranged.EdgeRows` — the row-range table protocol
-every stored table answers — and this module is the one place that
-decides which one, :func:`open_structure`:
+Every store needs a generated structure's *metadata* (for derived
+counts and matching maps) and its edges by *id range*; only the
+resident store ever wants the whole edge table in RAM.  A structure is
+therefore held as an :class:`~repro.tables.ranged.EdgeRows` — the
+row-range table protocol every stored table answers — and this module
+is the one place that decides which one, :func:`open_structure`:
 
 * chunkable generators re-emit any range from the seed: the
   generator's own :class:`~repro.structure.base.EdgeChunkStream` is
@@ -20,9 +19,10 @@ decides which one, :func:`open_structure`:
 
 Final edge ids are the structure's ids pushed through the matching maps
 of :func:`~repro.core.tasks.matching_maps`; :class:`MatchedEdges` is
-that relabel as a table, read by the sharded relabel workers one shard
-at a time and by the served edge pages.  Handles and spilled maps
-pickle as spool paths, so worker processes page them in place.
+that relabel as a table — materialised by the resident store, read one
+shard at a time by the spooled store's workers and one page at a time
+by the served edge pages.  Handles and spilled maps pickle as spool
+paths, so worker processes page them in place.
 """
 
 from __future__ import annotations
@@ -123,11 +123,13 @@ class MatchedEdges(EdgeRows):
 
 
 def open_structure(spec, sg_seed, n, chunk_rows, spill):
-    """Run a structure generator into a handle, never a resident table.
+    """Run a structure generator into a handle.
 
     ``spec, sg_seed, n`` are :func:`~repro.core.tasks.structure_inputs`'
     output; ``spill`` is a spool spiller namespaced for this structure
-    (per-stream global state and sequential tables land under it).
+    (per-stream global state and sequential tables land under it), or
+    ``None`` — the identity spill of the resident store, which keeps
+    both in memory.
     """
     generator = create_generator(spec.name, seed=sg_seed, **spec.params)
     if generator.chunkable(n):
@@ -135,8 +137,9 @@ def open_structure(spec, sg_seed, n, chunk_rows, spill):
         stream.random_access = generator.random_access(n)
         return stream
     # Sequential generators are a documented global stage: materialise
-    # once, spill to scratch, free.
-    return SpilledStructure(spill, generator.run(n))
+    # once, then (unless kept in memory) spill to scratch and free.
+    table = generator.run(n)
+    return table if spill is None else SpilledStructure(spill, table)
 
 
 def spill_maps(spill, tail_map, head_map):

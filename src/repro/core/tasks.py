@@ -1,12 +1,14 @@
-"""Pure task implementations shared by every front end.
+"""The one task body: what every task computes, whichever store runs it.
 
-The engine used to run each DAG task as a method mutating the result
-graph in place.  That coupling blocked shard-parallel execution, so the
-task bodies now live here in three functional layers:
+Three stores run a plan — resident arrays (:mod:`repro.core.engine`),
+a disk spool (:mod:`repro.core.sharded`) and virtual tables that hold
+no rows (:mod:`repro.serve.virtual`) — and they agree byte for byte
+because this module decides what each task computes; a store only
+keeps the rows (:class:`Store`).  Three functional layers:
 
 * **kernels** — pure functions of explicit, picklable inputs
-  (``property_shard_values``, ``generate_structure``,
-  ``matching_maps``, ``match_edge``).
+  (``property_shard_values``, ``matching_maps``, ``match_edge``;
+  structures run through :func:`~repro.core.structures.open_structure`).
   A kernel re-derives its random stream from ``(root seed, task id)``,
   so *any* process given the same inputs computes bit-identical output:
   the in-place contract of Section 4.1 that makes distributed
@@ -14,9 +16,10 @@ task bodies now live here in three functional layers:
 * **input extraction** — ``*_inputs`` helpers that read a task's
   dependencies out of the partially-built :class:`PropertyGraph` in the
   coordinating process.
-* **integration** — ``apply_task``, which composes extraction, kernel
-  and result storage for one task, and :func:`walk`, the one loop
-  every batch run drives its plan through (see DESIGN.md).
+* **integration** — :func:`apply_task`, the only dispatch on a task's
+  kind, which runs one task and hands its output to the store, and
+  :func:`walk`, the one loop every batch run drives its plan through
+  (see DESIGN.md).
 
 Property kernels additionally accept an id *range*: generating rows
 ``[start, stop)`` with the full-table stream is bit-identical to the
@@ -30,8 +33,9 @@ import numpy as np
 
 from ..prng import RandomStream, derive_seed
 from ..properties.registry import create_property_generator
+from ..structure.base import _RUN_ROWS
 from ..structure.registry import create_generator
-from ..tables import EdgeTable, PropertyTable
+from ..tables import PropertyTable
 from .dependency import DependencyError
 from .matching import (
     bipartite_sbm_part_match,
@@ -39,16 +43,23 @@ from .matching import (
     sbm_part_match,
 )
 from .schema import SchemaError
+from .structures import (
+    MatchedEdges,
+    SpilledStructure,
+    open_structure,
+    spill_maps,
+)
 
 __all__ = [
+    "ResidentStore",
+    "Store",
     "align_joint",
     "apply_task",
+    "correlated_tables",
     "dep_slice",
     "export_task_output",
-    "generate_structure",
     "is_correlated",
     "match_edge",
-    "match_inputs",
     "match_prepare",
     "matched_id_space",
     "matching_maps",
@@ -57,7 +68,6 @@ __all__ = [
     "property_shard_values",
     "property_values_at",
     "resolve_count",
-    "store_task_output",
     "structure_inputs",
     "walk",
 ]
@@ -104,12 +114,6 @@ def property_values_at(spec, task_id, seed, ids, dep_slices=()):
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     deps = [np.asarray(col) for col in dep_slices]
     return generator.properties_of(ids, stream, *deps)
-
-
-def generate_structure(spec, sg_seed, n):
-    """Run a structure generator: the pre-matching edge table."""
-    generator = create_generator(spec.name, seed=sg_seed, **spec.params)
-    return generator.run(n)
 
 
 def match_prepare(seed, edge_name, structure, counts_tables=None):
@@ -172,10 +176,11 @@ def _check_structure_fits(edge, structure, tail_count):
 def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
     """Node-id maps of an uncorrelated (permutation) matching.
 
-    The single derivation every front end relabels through: the serial
-    :func:`match_edge` applies the maps to the whole table, the sharded
-    executor to one structure chunk at a time, the serving layer to one
-    page.  ``structure`` only needs topology metadata
+    The single derivation every store relabels through, as
+    :class:`~repro.core.structures.MatchedEdges`: the resident store
+    materialises it, the spooled one reads it a shard at a time, the
+    virtual one a page at a time.  ``structure`` only needs topology
+    metadata
     (``num_tail_nodes`` / ``num_head_nodes`` / ``num_nodes``), so any
     :class:`~repro.tables.ranged.EdgeRows` works — a chunk stream, a
     metadata-only :class:`~repro.core.structures.StructureHandle` — as
@@ -210,37 +215,34 @@ def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
 
 
 def matched_id_space(edge, structure, tail_count, head_count):
-    """``(num_tail_nodes, num_head_nodes)`` a permutation-matched edge
-    table declares.
+    """``(num_tail_nodes, num_head_nodes)`` the matched edge table
+    declares.
 
-    The maps of :func:`matching_maps` land anywhere in the endpoint
-    types' instance ranges, however few nodes the structure has, so
-    the id space is the instance counts — except for the heads of a
-    strict-cardinality edge, which keep their structure ids and
-    *define* the head instances.
+    The maps of a permutation matching (:func:`matching_maps`) land
+    anywhere in the endpoint types' instance ranges, however few nodes
+    the structure has, so the id space is the instance counts — except
+    for the heads of a strict-cardinality edge, which keep their
+    structure ids and *define* the head instances.  A correlated
+    matching maps structure nodes one to one, so it keeps the
+    structure's own id space.
     """
+    if is_correlated(edge):
+        return structure.num_tail_nodes, structure.num_head_nodes
     if edge.is_strict:
         return tail_count, structure.num_head_nodes
     return tail_count, head_count
 
 
-def match_edge(
-    edge,
-    seed,
-    task_id,
-    structure,
-    tail_count,
-    head_count,
-    tail_pt=None,
-    head_pt=None,
-    prep=None,
-):
-    """Assign final node ids to a structure (the matching step).
+def match_edge(edge, seed, task_id, structure, tail_count, head_count,
+               tail_pt=None, head_pt=None, prep=None):
+    """Run a correlated (SBM-Part) matching over a whole structure.
 
     Parameters
     ----------
     edge:
-        the :class:`~repro.core.schema.EdgeType` being matched.
+        the :class:`~repro.core.schema.EdgeType` being matched
+        (``is_correlated(edge)``; permutation matchings are
+        :func:`matching_maps`).
     seed, task_id:
         root seed and ``"match:<edge>"`` — the stream derivation.
     structure:
@@ -249,8 +251,7 @@ def match_edge(
         instance counts of the endpoint types (the id spaces matched
         into).
     tail_pt, head_pt:
-        correlated property tables, when ``edge.correlation`` asks for
-        them.
+        the correlated property tables ``edge.correlation`` names.
     prep:
         optional :class:`~repro.core.matching.kernel.MatchPrep` built
         by :func:`match_prepare` (carries the arrival order, so it is
@@ -259,26 +260,8 @@ def match_edge(
     Returns
     -------
     (EdgeTable, match_result):
-        the final edge table and the matcher diagnostics (``None`` for
-        random/permutation matching).
+        the final edge table and the matcher diagnostics.
     """
-    if not is_correlated(edge):
-        tail_map, head_map = matching_maps(
-            edge, seed, task_id, structure, tail_count, head_count
-        )
-        num_tail_nodes, num_head_nodes = matched_id_space(
-            edge, structure, tail_count, head_count
-        )
-        heads = structure.heads
-        return EdgeTable(
-            structure.name,
-            tail_map[structure.tails],
-            heads if head_map is None else head_map[heads],
-            num_tail_nodes=num_tail_nodes,
-            num_head_nodes=num_head_nodes,
-            directed=structure.directed,
-        ), None
-
     stream = RandomStream(derive_seed(seed, task_id))
     corr = edge.correlation
     if not edge.is_monopartite:
@@ -374,7 +357,8 @@ def resolve_count(schema, scale, task, structures):
 
 
 def structure_inputs(schema, scale, seed, task, node_counts):
-    """-> ``(spec, sg_seed, n)`` for :func:`generate_structure`.
+    """-> ``(spec, sg_seed, n)`` for
+    :func:`~repro.core.structures.open_structure`.
 
     Resolves the ``n`` to call ``run`` with (Section 4.2): an edge-count
     anchor is inverted through ``get_num_nodes`` ("use the result to
@@ -467,62 +451,70 @@ def dep_slice(dep, start, stop):
     return dep[1].gather(tails if kind == "tail" else heads)
 
 
-def match_inputs(schema, task, result, structures):
-    """-> kwargs for :func:`match_edge` (minus seed/task_id).  A
-    correlated matching is a global stage whatever the store, so its
-    structure and property tables are handed over resident."""
-    edge = schema.edge_type(task.subject)
-    structure = structures[edge.name]
-    tail_pt = head_pt = None
-    # Uncorrelated matching (strict cardinality included) ignores the
-    # property tables, so don't ship them into the kernel (they'd be
-    # pickled for nothing on the process backend).
-    if is_correlated(edge):
-        corr = edge.correlation
-        structure = structure.to_edge_table()
-        tail_pt = result.node_property(
-            edge.tail_type, corr.tail_property
-        ).to_property_table()
-        if corr.head_property is not None:  # bipartite correlation
-            head_pt = result.node_property(
-                edge.head_type, corr.head_property
-            ).to_property_table()
-    return {
-        "edge": edge,
-        "structure": structure,
-        "tail_count": result.node_counts[edge.tail_type],
-        "head_count": result.node_counts[edge.head_type],
-        "tail_pt": tail_pt,
-        "head_pt": head_pt,
-        "prep": structures.get(_PREP_KEY + edge.name),
-    }
+def correlated_tables(edge, result):
+    """-> ``(tail_pt, head_pt)`` for :func:`match_edge`: the property
+    tables a correlated matching reproduces the joint of (``head_pt``
+    is ``None`` unless the correlation is bipartite).  The matching is
+    a global stage whatever the store, so they are handed over
+    resident."""
+    corr = edge.correlation
+    return tuple(
+        None if prop is None
+        else result.node_property(owner, prop).to_property_table()
+        for owner, prop in (
+            (edge.tail_type, corr.tail_property),
+            (edge.head_type, corr.head_property),
+        )
+    )
 
 
 # -- integration --------------------------------------------------------------
 
 
-def store_task_output(task, result, structures, output):
-    """Write one task's kernel output into the result graph."""
-    if task.kind == "count":
-        result.node_counts[task.subject] = output
-    elif task.kind == "property":
-        result.node_properties[task.subject] = PropertyTable(
-            task.subject, output
-        )
-    elif task.kind == "structure":
-        structures[task.subject] = output
-    elif task.kind == "match_prepare":
-        structures[_PREP_KEY + task.subject] = output
-    elif task.kind == "match":
-        table, match = output
-        result.edge_tables[task.subject] = table
-        result.match_results[task.subject] = match
-    elif task.kind == "edge_property":
-        result.edge_properties[task.subject] = PropertyTable(
-            task.subject, output
-        )
-    else:  # pragma: no cover - guarded by build_task_graph
-        raise DependencyError(f"unknown task kind {task.kind!r}")
+class Store:
+    """How a run keeps rows — all :func:`apply_task` leaves open.
+
+    * ``structure(name, open_handle)`` -> the handle to keep;
+      ``open_handle(chunk_rows, spill)`` runs
+      :func:`~repro.core.structures.open_structure`;
+    * ``properties(name, spec, count, deps, task_id, seed)`` -> a
+      property table over :func:`property_inputs`' output;
+    * ``edges(name, structure, id_space, build)`` -> ``(table,
+      diagnostics)`` of a matching: ``build(spill)`` returns the final
+      rows as one :class:`~repro.tables.ranged.EdgeRows` plus the
+      diagnostics, keeping the matching state through ``spill``
+      (``None``: in memory).
+
+    ``fire(site)`` marks a stage boundary for fault injection;
+    ``keeps_prep`` says whether :func:`match_prepare`'s output is kept
+    — a store that never holds a whole structure skips it, and
+    :func:`match_edge` re-derives the arrival order bit-identically.
+    """
+
+    keeps_prep = False
+
+    def fire(self, site):
+        """A stage boundary; only the spooled store injects faults."""
+
+
+class ResidentStore(Store):
+    """Every table an in-memory array, each filled by one kernel call
+    — the default store of :func:`apply_task`."""
+
+    keeps_prep = True
+
+    def structure(self, name, open_handle):
+        return open_handle(_RUN_ROWS, None).to_edge_table()
+
+    def properties(self, name, spec, count, deps, task_id, seed):
+        return PropertyTable(name, property_shard_values(
+            spec, task_id, seed, 0, count,
+            [dep_slice(dep, 0, count) for dep in deps],
+        ))
+
+    def edges(self, name, structure, id_space, build):
+        rows, match = build(None)
+        return rows.to_edge_table(), match
 
 
 #: task kind -> the sink event it maps to.  ``structure`` outputs are
@@ -558,10 +550,10 @@ def walk(order, apply, result, sink=None):
     """Drive one batch run: every task of ``order``, in plan order.
 
     ``apply(task)`` runs the task and stores its output in ``result``
-    — resident tables for the in-memory engine, spooled ones out of
-    core — and the sink, when there is one, hears about each task as
-    soon as it is stored.  Storage is the only thing that varies
-    between batch runs; this loop is the only one there is.
+    — :func:`apply_task` over the run's store — and the sink, when
+    there is one, hears about each task as soon as it is stored.
+    Storage is the only thing that varies between runs; this loop is
+    the only one there is.
     """
     if sink is not None:
         sink.begin(result)
@@ -572,32 +564,70 @@ def walk(order, apply, result, sink=None):
         sink.finish()
 
 
-def apply_task(task, schema, scale, seed, result, structures):
-    """Run one task inline, whole, and integrate it in resident
-    tables."""
-    if task.kind == "count":
-        output = resolve_count(schema, scale, task, structures)
-    elif task.kind in ("property", "edge_property"):
-        spec, count, deps = property_inputs(schema, task, result)
-        output = property_shard_values(
-            spec, task.task_id, seed, 0, count,
-            [dep_slice(dep, 0, count) for dep in deps],
+def apply_task(task, schema, scale, seed, result, structures, store=None):
+    """Run one task and keep its output in ``result`` — pre-matching
+    structures (and a kept match prep) in ``structures`` — through
+    ``store``, a :class:`ResidentStore` when ``None``.
+
+    This is the only dispatch on ``task.kind``: every store computes
+    each kind this way and decides only how the rows are kept.
+    """
+    store = store or ResidentStore()
+    kind, name = task.kind, task.subject
+    if kind == "count":
+        store.fire("count")
+        result.node_counts[name] = resolve_count(
+            schema, scale, task, structures
         )
-    elif task.kind == "structure":
-        spec, sg_seed, n = structure_inputs(
-            schema, scale, seed, task, result.node_counts
+    elif kind in ("property", "edge_property"):
+        tables = (
+            result.node_properties if kind == "property"
+            else result.edge_properties
         )
-        output = generate_structure(spec, sg_seed, n)
-    elif task.kind == "match_prepare":
-        output = match_prepare(
-            seed, task.subject, structures[task.subject]
+        tables[name] = store.properties(
+            name, *property_inputs(schema, task, result),
+            task.task_id, seed,
         )
-    elif task.kind == "match":
-        output = match_edge(
-            seed=seed,
-            task_id=task.task_id,
-            **match_inputs(schema, task, result, structures),
+    elif kind == "structure":
+        structures[name] = store.structure(
+            name, lambda chunk_rows, spill: open_structure(
+                *structure_inputs(
+                    schema, scale, seed, task, result.node_counts
+                ),
+                chunk_rows, spill,
+            ),
+        )
+    elif kind == "match_prepare":
+        if store.keeps_prep:
+            structures[_PREP_KEY + name] = match_prepare(
+                seed, name, structures[name]
+            )
+    elif kind == "match":
+        edge = schema.edge_type(name)
+        structure = structures[name]
+        counts = [result.node_counts[type_name]
+                  for type_name in (edge.tail_type, edge.head_type)]
+        id_space = matched_id_space(edge, structure, *counts)
+
+        def build(spill):
+            if is_correlated(edge):
+                table, match = match_edge(
+                    edge, seed, task.task_id, structure.to_edge_table(),
+                    *counts, *correlated_tables(edge, result),
+                    prep=structures.get(_PREP_KEY + name),
+                )
+                if spill is not None:
+                    table = SpilledStructure(spill, table)
+                return table, match
+            maps = matching_maps(
+                edge, seed, task.task_id, structure, *counts
+            )
+            if spill is not None:
+                maps = spill_maps(spill, *maps)
+            return MatchedEdges(structure, *maps, id_space), None
+
+        result.edge_tables[name], result.match_results[name] = (
+            store.edges(name, structure, id_space, build)
         )
     else:  # pragma: no cover - guarded by build_task_graph
-        raise DependencyError(f"unknown task kind {task.kind!r}")
-    store_task_output(task, result, structures, output)
+        raise DependencyError(f"unknown task kind {kind!r}")

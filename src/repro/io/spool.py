@@ -19,7 +19,7 @@ structure.  It lives once in memory and — after
 :meth:`TableSpool.open_catalog` — is persisted as the append-only
 JSON-lines file ``checkpoint.jsonl``: a header line (catalog format,
 package version, run fingerprint, ``shard_rows``) and then one line
-per ``ack`` / ``seal`` / ``structure`` / ``reset`` / ``truncate``
+per ``ack`` / ``seal`` / ``structure`` / ``truncate``
 event, one ``write`` each, so an ack costs O(1) bytes and a crash
 loses at most the in-flight shard.  ``--resume`` replays the file
 through the function that records live events, re-verifies each
@@ -79,7 +79,6 @@ _EVENT_FIELDS = {
             "files": list},
     "seal": {"table": str, "meta": dict},
     "structure": {"name": str, "meta": dict},
-    "reset": {"table": str},
     "truncate": {"table": str, "shards": int},
 }
 _FILE_FIELDS = {"path": str, "bytes": int, "crc": int}
@@ -424,9 +423,7 @@ class TableSpool:
             self._structures[event["name"]] = event["meta"]
             return
         key = event["table"]
-        if kind == "reset":
-            self._tables.pop(key, None)
-        elif kind == "ack":
+        if kind == "ack":
             shards = self._tables.setdefault(
                 key, {"shards": [], "sealed": None}
             )["shards"]
@@ -457,11 +454,6 @@ class TableSpool:
         """Record one landed shard from the metadata dict its
         ``save_*_part`` call returned (shards ack in shard order)."""
         self._log({"event": "ack", "table": key, "shard": index, **meta})
-
-    def reset(self, key):
-        """Drop a table's acks (all-or-nothing stages redo from zero)."""
-        if key in self._tables:
-            self._log({"event": "reset", "table": key})
 
     def verified_prefix(self, key):
         """How many leading acked shards of a table are still intact.
@@ -696,9 +688,6 @@ class _SpooledBase:
         arrays = self._read_shard(index)
         self._cache = (index, arrays)
         return arrays
-
-    def _shard_of(self, row):
-        return int(row) // self._spool.shard_rows
 
     def _ranges(self, start, stop):
         """Yield ``(shard_index, local_lo, local_hi)`` covering a range."""

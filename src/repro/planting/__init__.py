@@ -19,6 +19,7 @@ from .overlay import (
     OverlayEdgeTable,
     OverlayPropertyTable,
     PlantedGraph,
+    plant_world,
     planted_graph,
 )
 from .plant import (
@@ -49,5 +50,6 @@ __all__ = [
     "compile_plants",
     "make_template",
     "plan_plants",
+    "plant_world",
     "planted_graph",
 ]

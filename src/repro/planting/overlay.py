@@ -29,12 +29,14 @@ import numpy as np
 
 from ..core.result import PropertyGraph
 from ..tables.ranged import SCAN_ROWS, EdgeRows, PropertyRows
+from .plant import plan_plants
 
 __all__ = [
     "AppendedPropertyTable",
     "OverlayEdgeTable",
     "OverlayPropertyTable",
     "PlantedGraph",
+    "plant_world",
     "planted_graph",
 ]
 
@@ -308,3 +310,15 @@ def planted_graph(base, plan):
     if not plan.plants:
         return base
     return PlantedGraph(base, plan)
+
+
+def plant_world(base, plants, seed):
+    """``(planted graph, plan)``: ``plants`` planned over the generated
+    world ``base`` and laid over it — the one planting wiring of the
+    exporters and the serving layer."""
+    plan = plan_plants(
+        list(plants), base.node_counts,
+        {name: len(table) for name, table in base.edge_tables.items()},
+        seed,
+    )
+    return planted_graph(base, plan), plan

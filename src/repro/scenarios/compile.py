@@ -641,18 +641,9 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         compiled.schema, compiled.scale, compiled.seed, options, sink
     )
     if plants:
-        from ..planting import plan_plants, planted_graph
+        from ..planting import plant_world
 
-        plan = plan_plants(
-            plants,
-            graph.node_counts,
-            {
-                name: len(table)
-                for name, table in graph.edge_tables.items()
-            },
-            compiled.seed,
-        )
-        graph = planted_graph(graph, plan)
+        graph, plan = plant_world(graph, plants, compiled.seed)
         if out_dir is not None:
             import json
 

@@ -1,53 +1,47 @@
 """The virtual graph: random-access queries straight from a recipe.
 
-A :class:`VirtualGraph` is the third store under the one plan walk
-(DESIGN.md §3): where the in-memory engine fills a
-:class:`~repro.core.result.PropertyGraph` with resident tables and the
-sharded executor with spooled ones, serving drives the same plan
-through :func:`~repro.core.tasks.walk` and fills ``.graph`` with
-*virtual* tables (:mod:`repro.serve.tables`) — tables that hold no
-rows and answer ``read_range`` / ``gather`` by recomputing exactly the
-rows a full :meth:`~repro.core.engine.GraphGenerator.generate` run
-would have produced.  Byte-identical, because every stage is a pure
-function of ``(seed, indices)``:
+A :class:`VirtualGraph` is the third store under the one task body
+(DESIGN.md §3): where the in-memory engine keeps
+:func:`~repro.core.tasks.apply_task`'s output in resident tables and
+the sharded executor in spooled ones, serving drives the same plan
+through the same ``apply_task`` and keeps *virtual* tables
+(:mod:`repro.serve.tables`) in ``.graph`` — tables that hold no rows
+and answer ``read_range`` / ``gather`` by recomputing exactly the rows
+a full :meth:`~repro.core.engine.GraphGenerator.generate` run would
+have produced.  Byte-identical, because every stage is a pure function
+of ``(seed, indices)``:
 
 * **node properties** — the PG protocol's ``properties_of`` via
   :func:`~repro.core.tasks.property_values_at`, with intra-type
   dependencies gathered at the queried ids only;
 * **edges** — random-access structure generators re-emit any edge page
-  through a :mod:`~repro.core.structures` handle, then the permutation
-  maps of :func:`~repro.core.tasks.matching_maps` — the function the
-  serial ``match_edge`` itself calls — relabel the page
-  (:class:`~repro.core.structures.MatchedEdges`).  The maps are the
-  documented O(nodes) term; they are spilled to a disk spool and
-  memory-mapped, so query-time allocation stays O(page + chunk);
+  through a :mod:`~repro.core.structures` handle, relabelled by the
+  permutation maps every store uses
+  (:class:`~repro.core.structures.MatchedEdges`) — the O(nodes) term,
+  spilled and memory-mapped, so query-time allocation stays
+  O(page + chunk);
 * **edge properties** — the same PG kernel, with ``tail.x``/``head.x``
-  dependencies gathered by *recomputing* the endpoint properties at
-  the page's endpoint ids (:func:`~repro.core.tasks.dep_slice`, the
-  sharded run's own);
+  dependencies *recomputed* at the page's endpoint ids
+  (:func:`~repro.core.tasks.dep_slice`);
 * **neighbourhoods / edge-existence** — the bounded page scan of
   :class:`~repro.tables.ranged.EdgeRows` (O(m) compute, O(chunk)
   memory).
 
-Two configurations fall back to a documented **spooled** mode — the
-same two global stages the sharded executor has, decided by the same
-code (:func:`~repro.core.structures.open_structure`,
-:func:`~repro.core.tasks.is_correlated`): sequential structure
-generators (the table is materialised once, spilled, and paged from
-disk) and correlated (SBM-Part) matching (the final table is computed
-once at first touch, spilled, and paged from disk).  The
-:meth:`VirtualGraph.classification` report says which mode each edge
-type is in and why — that is the protocol flag surfaced to clients.
+The two global stages the sharded executor has fall back to a
+documented **spooled** mode, decided by the same code: a sequential
+structure generator's table is materialised once, and a correlated
+(SBM-Part) matching's final table computed once at first touch; both
+are spilled and paged from disk.  :meth:`VirtualGraph.classification`
+says which mode each edge type is in and why — the protocol flag
+surfaced to clients.
 
 Planted scenarios (a ``plants:`` block in the recipe) are served
-through the exporters' own overlay: the constructor feeds
-:func:`~repro.planting.plant.plan_plants` the node counts and base
-edge counts, as :func:`~repro.scenarios.compile.run_scenario` does,
-and wraps the virtual graph with
-:func:`~repro.planting.overlay.planted_graph` — so the appended edge
-block, the forced node attributes and the dependent edge properties
-over the appended ids are the exported planted world's, byte for byte,
-by being the same code.
+through the exporters' own overlay,
+:func:`~repro.planting.overlay.plant_world` — the call
+:func:`~repro.scenarios.compile.run_scenario` makes — so the appended
+edge block, the forced node attributes and the dependent edge
+properties over the appended ids are the exported planted world's,
+byte for byte, by being the same code.
 """
 
 from __future__ import annotations
@@ -59,28 +53,40 @@ import numpy as np
 
 from ..core.dependency import build_task_graph
 from ..core.result import PropertyGraph
-from ..core.structures import (
-    MatchedEdges,
-    SpilledStructure,
-    open_structure,
-    spill_maps,
-)
-from ..core.tasks import (
-    is_correlated,
-    match_edge,
-    match_inputs,
-    matched_id_space,
-    matching_maps,
-    property_inputs,
-    resolve_count,
-    structure_inputs,
-    walk,
-)
+from ..core.tasks import Store, apply_task, is_correlated, walk
 from ..io.spool import TableSpool
-from ..planting import plan_plants, planted_graph
+from ..planting import plant_world
 from .tables import DeferredEdges, PageMemo, VirtualPropertyTable
 
 __all__ = ["VirtualGraph"]
+
+
+class _VirtualStore(Store):
+    """Tables that hold no rows: structure handles are opened now,
+    every table is lazy, and ``match_prepare`` is skipped as out of
+    core."""
+
+    def __init__(self, spool, memo):
+        self._spool = spool
+        self._memo = memo
+
+    def structure(self, name, open_handle):
+        return open_handle(
+            self._spool.shard_rows, self._spool.spiller(f"structure.{name}")
+        )
+
+    def properties(self, name, spec, count, deps, task_id, seed):
+        return VirtualPropertyTable(
+            name, spec, count, deps, task_id, seed, self._memo
+        )
+
+    def edges(self, name, structure, id_space, build):
+        # The matching state is built at first touch, and always
+        # spilled, so query-time allocation stays O(page + chunk).
+        spill = self._spool.spiller(f"match.{name}")
+        return DeferredEdges(
+            structure, id_space, lambda: build(spill)[0], self._memo
+        ), None
 
 
 class VirtualGraph:
@@ -123,29 +129,25 @@ class VirtualGraph:
         self._structures = {}
         self._base = PropertyGraph(self.schema, self.seed)
         self.node_counts = self._base.node_counts
-        self.plan = None
+        store = _VirtualStore(self._spool, self._memo)
         try:
             walk(
                 build_task_graph(
                     self.schema, self.scale
                 ).topological_order(),
-                self._apply, self._base,
+                lambda task: apply_task(
+                    task, self.schema, self.scale, self.seed,
+                    self._base, self._structures, store,
+                ),
+                self._base,
             )
-            if plants:
-                self.plan = plan_plants(
-                    list(plants), self.node_counts,
-                    {
-                        name: len(table) for name, table
-                        in self._base.edge_tables.items()
-                    },
-                    self.seed,
-                )
             #: the served world: the virtual tables, under the plant
             #: overlay when the recipe declares plants.
-            self.graph = (
-                self._base if self.plan is None
-                else planted_graph(self._base, self.plan)
-            )
+            self.graph, self.plan = self._base, None
+            if plants:
+                self.graph, self.plan = plant_world(
+                    self._base, plants, self.seed
+                )
         except BaseException:
             self.close()
             raise
@@ -171,78 +173,6 @@ class VirtualGraph:
         self._spool.close_views()
         if self._owns_spool:
             self._spool.cleanup()
-
-    # -- the virtual store: one lazy table per task -------------------------
-
-    def _apply(self, task):
-        """Store one plan task's output in the base graph — the
-        ``apply`` of :func:`~repro.core.tasks.walk`.  Counts and
-        structure handles are resolved now; every table is lazy."""
-        graph, subject = self._base, task.subject
-        if task.kind == "count":
-            graph.node_counts[subject] = resolve_count(
-                self.schema, self.scale, task, self._structures
-            )
-        elif task.kind == "structure":
-            self._structures[subject] = open_structure(
-                *structure_inputs(
-                    self.schema, self.scale, self.seed, task,
-                    graph.node_counts,
-                ),
-                self.chunk_rows,
-                self._spool.spiller(f"structure.{subject}"),
-            )
-        elif task.kind in ("property", "edge_property"):
-            tables = (
-                graph.node_properties if task.kind == "property"
-                else graph.edge_properties
-            )
-            tables[subject] = VirtualPropertyTable(
-                subject, *property_inputs(self.schema, task, graph),
-                task.task_id, self.seed, self._memo,
-            )
-        elif task.kind == "match":
-            graph.edge_tables[subject] = self._deferred_match(task)
-        # match_prepare: skipped, as out of core — match_edge
-        # re-derives the arrival order bit-identically without it.
-
-    def _deferred_match(self, task):
-        """The final edge table of one type, its matching deferred."""
-        edge = self.schema.edge_type(task.subject)
-        structure = self._structures[edge.name]
-        tail_count = self.node_counts[edge.tail_type]
-        head_count = self.node_counts[edge.head_type]
-        if is_correlated(edge):
-            # The other global stage: the exact serial kernel, once,
-            # over the raw (pre-override) node columns; the final
-            # table is spilled and paged from disk.
-            def build():
-                table, _ = match_edge(
-                    seed=self.seed, task_id=task.task_id, **match_inputs(
-                        self.schema, task, self._base, self._structures
-                    ),
-                )
-                return SpilledStructure(
-                    self._spool.spiller(f"final.{edge.name}"), table
-                )
-
-            id_space = structure.num_tail_nodes, structure.num_head_nodes
-        else:
-            id_space = matched_id_space(
-                edge, structure, tail_count, head_count
-            )
-
-            # The maps are the O(nodes) term: always spilled here, so
-            # query-time allocation stays O(page + chunk).
-            def build():
-                return MatchedEdges(structure, *spill_maps(
-                    self._spool.spiller(f"match.{edge.name}"),
-                    *matching_maps(
-                        edge, self.seed, task.task_id, structure,
-                        tail_count, head_count,
-                    ),
-                ), id_space)
-        return DeferredEdges(structure, id_space, build, self._memo)
 
     def warm(self):
         """Build every edge type's matching state up front (server

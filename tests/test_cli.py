@@ -212,6 +212,21 @@ class TestBoundaryErrors:
         (["serve", "web_graph_rmat", "--scale", "Page=1000", "--port", "0"],
          "scenario error: links: rmat needs a node count that is a power "
          "of two, got 1000"),
+        (["example", "--persons", "5"],
+         "schema error: knows: lfr needs more than avg_degree=20 nodes, "
+         "got 5"),
+        (["validate", "--persons", "10"],
+         "schema error: knows: lfr needs more than avg_degree=20 nodes, "
+         "got 10"),
+        (["example", "--persons", "0"], "argument --persons: must be >= 1"),
+        (["protocol", "--k", "0"], "argument --k: must be >= 1"),
+        (["protocol", "--size", "-4"], "argument --size: must be >= 1"),
+        (["protocol", "--size", "5"],
+         "protocol error: lfr needs more than avg_degree=20 nodes, got 5"),
+        (["serve", "social_network", "--port", "99999"],
+         "argument --port: must be <= 65535, got 99999"),
+        (["serve", "social_network", "--request-timeout", "-1"],
+         "argument --request-timeout: must be a number of seconds > 0"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):

@@ -34,12 +34,7 @@ from repro.core.structures import (
     metadata,
     open_structure,
 )
-from repro.core.tasks import (
-    generate_structure,
-    is_correlated,
-    match_edge,
-    matching_maps,
-)
+from repro.core.tasks import is_correlated, matching_maps
 from repro.datasets import social_network_schema
 from repro.io import export_graph, make_sink
 from repro.io.spool import TableSpool
@@ -47,6 +42,7 @@ from repro.prng import derive_seed
 from repro.scenarios import compile_scenario, load_zoo, run_scenario
 from repro.serve import VirtualGraph
 from repro.stats import Zipf
+from repro.structure import create_generator
 from repro.structure.base import EdgeChunkStream
 
 
@@ -140,6 +136,27 @@ class TestScaleValidation:
             SchemaError, match=r"unknown types: \['Persn'\]"
         ):
             run(schema, {"Person": 50, "Persn": 3})
+
+    @pytest.mark.parametrize("value", [-5, 2.5, True, float("inf"), "7"])
+    @front_ends
+    def test_bad_anchor_rejected(self, run, value):
+        schema = social_network_schema(num_countries=8)
+        with pytest.raises(
+            SchemaError,
+            match="^scale anchor 'Person' must be a non-negative integer",
+        ):
+            run(schema, {"Person": value})
+
+    @pytest.mark.parametrize("value", [40.0, np.int64(40)])
+    @front_ends
+    def test_integral_anchor_accepted(self, run, value, tmp_path):
+        _serial(mono_schema(), {"Person": 40}, tmp_path / "int")
+        run(mono_schema(), {"Person": value}, tmp_path / "other")
+        assert {
+            p.name: p.read_bytes() for p in (tmp_path / "other").iterdir()
+        } == {
+            p.name: p.read_bytes() for p in (tmp_path / "int").iterdir()
+        }
 
 
 class TestMatchingSizeMismatch:
@@ -264,7 +281,8 @@ BRANCHES = {
 
 
 class TestMatchingMapsContract:
-    """``matching_maps`` + ``MatchedEdges`` == the serial ``match_edge``."""
+    """``matching_maps`` + ``MatchedEdges`` over a structure handle ==
+    the maps applied to the whole resident structure."""
 
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_chunked_relabel_equals_match_edge(self, branch, tmp_path):
@@ -273,12 +291,18 @@ class TestMatchingMapsContract:
         assert not is_correlated(edge)
         seed, task_id = 11, f"match:{edge.name}"
         sg_seed = derive_seed(seed, f"structure:{edge.name}")
-        table = generate_structure(edge.structure, sg_seed, n)
+        table = create_generator(
+            edge.structure.name, seed=sg_seed, **edge.structure.params
+        ).run(n)
         tail_count, head_count = n, table.num_head_nodes
-        expected, diagnostics = match_edge(
+        # The reference relabel, written out over the resident table.
+        tail_map, head_map = matching_maps(
             edge, seed, task_id, table, tail_count, head_count
         )
-        assert diagnostics is None
+        expected = (
+            tail_map[table.tails],
+            table.heads if head_map is None else head_map[table.heads],
+        )
 
         spool = TableSpool(tmp_path, 16)
         try:
@@ -302,12 +326,12 @@ class TestMatchingMapsContract:
         finally:
             spool.close_views()
         assert np.array_equal(
-            np.concatenate([p[0] for p in pages]), expected.tails
+            np.concatenate([p[0] for p in pages]), expected[0]
         )
         assert np.array_equal(
-            np.concatenate([p[1] for p in pages]), expected.heads
+            np.concatenate([p[1] for p in pages]), expected[1]
         )
-        assert len(tail_map) == expected.num_tail_nodes
+        assert len(tail_map) == tail_count
         assert (head_map is None) == edge.is_strict
         assert (head_map is tail_map) == (branch.startswith("mono"))
 
@@ -334,6 +358,16 @@ class TestOneWalk:
         assert text.count("sink.begin(") == text.count("sink.finish(") == 1
         # its definition and its one call, in walk
         assert text.count("export_task_output(") == 2
+
+    def test_task_kind_is_dispatched_only_in_tasks(self):
+        """What a task computes is decided once: no store looks at a
+        task's kind, so none can compute a kind its own way."""
+        src = Path(run_module.__file__).parents[1]
+        assert {
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if re.search(r"\btask\.kind\b", path.read_text())
+        } == {"core/tasks.py"}
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_in_memory_workers_equal_sharded_backends(
