@@ -11,57 +11,14 @@ LDG partition of the very same graph, so pure locality nearly replays
 the generating process.  LDG's failure mode appears when the requested
 joint differs from pure locality (weakly homophilous targets), which
 the unit test ``test_overfills_diagonal_versus_target`` pins down.
-
-This module also carries the **kernel acceptance benchmark**: SBM-Part
-on the n=100k, k=32 Erdős–Rényi instance frozen in
-``tests/golden/matching/matching_large.npz``, streamed through the
-legacy loop, the numpy kernel and (when a compiler is present) the C
-kernel.  Assignments must equal the golden fixture and the kernel must
-clear ≥10x over legacy.  Run with ``--json-out BENCH_matching.json``
-to refresh the committed perf baseline.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-import time
-import tracemalloc
-from pathlib import Path
-
-import numpy as np
 import pytest
 
-from repro.core.matching import (
-    available_impls,
-    sbm_part_assign,
-)
-from repro.core.matching.legacy import (
-    legacy_bipartite_assignments,
-    legacy_ldg_partition,
-    legacy_sbm_part_assign,
-)
 from repro.experiments import MATCHERS, fixed_k, lfr_sizes, run_protocol
-from repro.partitioning import ldg_partition
 from conftest import print_table
-
-GOLDEN_DIR = (
-    Path(__file__).resolve().parent.parent
-    / "tests" / "golden" / "matching"
-)
-
-
-def _regen():
-    name = "golden_matching_regenerate"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(
-        name, GOLDEN_DIR / "regenerate.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -103,170 +60,3 @@ def test_matcher_ablation(benchmark, results):
     benchmark.extra_info.update(
         {m: round(v, 4) for m, v in ks.items()}
     )
-
-
-# -- kernel acceptance: n=100k, k=32 ------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def acceptance_instance():
-    """The exact instance of the large golden fixture."""
-    regen = _regen()
-    table = regen._graph(
-        "erdos_renyi_m", 14, regen.LARGE_N, edges_per_node=8
-    )
-    sizes = np.full(
-        regen.LARGE_K, regen.LARGE_N // regen.LARGE_K, dtype=np.int64
-    )
-    target = regen._target(table, regen.LARGE_K, 0.6)
-    order = regen._order(table, 24)
-    golden = np.load(GOLDEN_DIR / "matching_large.npz")[
-        "sbm.er100k.k32"
-    ].astype(np.int64)
-    return table, sizes, target, order, golden
-
-
-def _timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return time.perf_counter() - start, result
-
-
-def test_kernel_throughput_100k(
-    benchmark, acceptance_instance, bench_recorder
-):
-    """≥10x SBM-Part matching at n=100k, k=32, golden-identical."""
-    table, sizes, target, order, golden = acceptance_instance
-    n = table.num_nodes
-
-    legacy_s, legacy_assignment = _timed(
-        legacy_sbm_part_assign, table, sizes, target, order=order
-    )
-
-    rows = []
-    for impl in available_impls():
-        elapsed, assignment = _timed(
-            sbm_part_assign, table, sizes, target, order=order,
-            impl=impl,
-        )
-        assert np.array_equal(assignment, golden), (
-            f"{impl} kernel diverged from the golden fixture"
-        )
-        tracemalloc.start()
-        sbm_part_assign(table, sizes, target, order=order, impl=impl)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        row = bench_recorder.record(
-            "matching",
-            f"sbm_part.er100k.k32.{impl}",
-            n=n,
-            k=int(sizes.size),
-            edges=int(table.num_edges),
-            rows_per_sec=round(n / elapsed, 1),
-            seconds=round(elapsed, 4),
-            speedup_vs_legacy=round(legacy_s / elapsed, 2),
-            legacy_rows_per_sec=round(n / legacy_s, 1),
-            tracemalloc_peak_mb=round(peak / 1e6, 2),
-        )
-        rows.append(row)
-    print_table(
-        "A1+ — streaming-placement kernel vs legacy "
-        "(SBM-Part, n=100k, k=32)",
-        rows,
-    )
-
-    # The acceptance bar: ≥10x with the compiled kernel; the portable
-    # numpy path must still clearly beat legacy.
-    by_impl = {row["name"].rsplit(".", 1)[-1]: row for row in rows}
-    if "c" in by_impl:
-        assert by_impl["c"]["speedup_vs_legacy"] >= 10.0, by_impl["c"]
-    assert by_impl["numpy"]["speedup_vs_legacy"] >= 1.5, (
-        by_impl["numpy"]
-    )
-
-    best_impl = available_impls()[0]
-    benchmark.extra_info.update(
-        {
-            "speedup": by_impl[best_impl]["speedup_vs_legacy"],
-            "rows_per_sec": by_impl[best_impl]["rows_per_sec"],
-        }
-    )
-    benchmark.pedantic(
-        lambda: sbm_part_assign(
-            table, sizes, target, order=order, impl=best_impl
-        ),
-        rounds=1, iterations=1,
-    )
-
-
-def test_ldg_kernel_throughput(acceptance_instance, bench_recorder):
-    """LDG rides the same kernel; measure it on the same graph."""
-    table, sizes, _, order, _ = acceptance_instance
-    n = table.num_nodes
-    legacy_s, legacy_labels = _timed(
-        legacy_ldg_partition, table, sizes, order=order
-    )
-    rows = []
-    for impl in available_impls():
-        elapsed, labels = _timed(
-            ldg_partition, table, sizes, order=order, impl=impl
-        )
-        assert np.array_equal(labels, legacy_labels), impl
-        rows.append(
-            bench_recorder.record(
-                "matching",
-                f"ldg.er100k.k32.{impl}",
-                n=n,
-                rows_per_sec=round(n / elapsed, 1),
-                seconds=round(elapsed, 4),
-                speedup_vs_legacy=round(legacy_s / elapsed, 2),
-                legacy_rows_per_sec=round(n / legacy_s, 1),
-            )
-        )
-    print_table("A1+ — LDG kernel vs legacy (n=100k, k=32)", rows)
-    for row in rows:
-        assert row["speedup_vs_legacy"] >= 1.2, row
-
-
-def test_bipartite_kernel_throughput(bench_recorder):
-    """Bipartite SBM-Part on the kernel vs the legacy loop."""
-    from repro.core.matching import bipartite_edge_count_target
-    from repro.core.matching.kernel import bipartite_stream
-    from repro.prng import RandomStream
-
-    rng = np.random.default_rng(7)
-    nt, nh, m = 15_000, 25_000, 160_000
-    kt, kh = 8, 6
-    from repro.tables import EdgeTable
-
-    table = EdgeTable(
-        "likes", rng.integers(0, nt, m), rng.integers(0, nh, m),
-        num_tail_nodes=nt, num_head_nodes=nh, directed=True,
-    )
-    tail_sizes = np.full(kt, nt // kt, dtype=np.int64)
-    head_sizes = np.full(kh, -(-nh // kh), dtype=np.int64)
-    joint = np.full((kt, kh), 1.0) + 4.0 * np.eye(kt, kh)
-    target = bipartite_edge_count_target(joint, m)
-    order = RandomStream(5, "bip.arr").permutation(nt + nh)
-
-    legacy_s, legacy_result = _timed(
-        legacy_bipartite_assignments,
-        table, tail_sizes, head_sizes, target, order=order,
-    )
-    elapsed, result = _timed(
-        bipartite_stream,
-        table, tail_sizes, head_sizes, target, order=order,
-    )
-    assert np.array_equal(legacy_result[0], result[0])
-    assert np.array_equal(legacy_result[1], result[1])
-    row = bench_recorder.record(
-        "matching",
-        "bipartite.nt15k_nh25k",
-        n=nt + nh,
-        rows_per_sec=round((nt + nh) / elapsed, 1),
-        seconds=round(elapsed, 4),
-        speedup_vs_legacy=round(legacy_s / elapsed, 2),
-        legacy_rows_per_sec=round((nt + nh) / legacy_s, 1),
-    )
-    print_table("A1+ — bipartite kernel vs legacy", [row])
-    assert row["speedup_vs_legacy"] >= 1.5, row

@@ -3,33 +3,25 @@
 The acceptance criterion for the sharded executor is that a graph far
 larger than the shard budget streams end-to-end — structure chunk,
 match, properties, sink — with peak traced allocation bounded by the
-budget, not the graph.  Two rows:
+budget, not the graph.  Three checks, each asserted in-test:
 
-* ``sharded_one_to_many_10m`` — the gated row.  A ~10M-edge
-  one-to-many graph generated with ``memory_budget="256MB"`` must keep
-  its tracemalloc peak under that budget.  Every stage of this
-  pipeline streams (offsets spilled to disk, heads derived per chunk),
-  so the bound is the real thing, not slack.
-* ``sharded_erdos_renyi_2m`` — context row for the G(n, m) sampling
-  stage, which now runs through spilled sorted runs
+* one-to-many under a budget — a ~10M-edge one-to-many graph
+  generated with ``memory_budget="256MB"`` must keep its tracemalloc
+  peak under that budget.  Every stage of this pipeline streams
+  (offsets spilled to disk, heads derived per chunk), so the bound is
+  the real thing, not slack.
+* the process backend — the same 10M-edge pipeline on
+  ``backend="process"`` with 4 workers, asserted byte-identical to the
+  serial run; on runners with >= 4 CPUs it must also clear 2x the
+  single-worker throughput.
+* the G(n, m) sampling stage, which runs through spilled sorted runs
   (``repro.io.spool.SortedRuns``): candidate codes are deduplicated
-  and thinned out of core, so the pinned per-edge constant covers
-  only the block-sized working set, not an O(m) transient.  The row
-  gates that constant so the stage cannot silently regress toward
-  full materialisation.
-* ``sharded_one_to_many_10m_p4`` — the process-backend row: the same
-  10M-edge pipeline on ``backend="process"`` with 4 workers, asserted
-  byte-identical to the serial run; on runners with >= 4 CPUs it must
-  also clear 2x the single-worker throughput.
+  and thinned out of core, so its peak stays at a pinned per-edge
+  constant (the block-sized working set, not an O(m) transient) and
+  cannot silently regress toward full materialisation.
 
-Refresh the committed baseline with::
-
-    pytest benchmarks/bench_scale.py -q -s --json-out BENCH_scale.json
-
-CI's scale-smoke job regenerates the file and fails on regression via
-two ``check_perf_regression.py`` passes: ``--gate-field
-tracemalloc_peak_mb --gate-direction lower-is-better`` for memory and
-``--gate-field rows_per_sec`` (higher-is-better) for throughput.
+CI's scale-smoke job runs this file (``pytest benchmarks/bench_scale.py
+-q -s``).
 
 Scale: "small" is the CI size (~10M edges); ``REPRO_SCALE=medium`` /
 ``paper`` raise to ~20M / ~50M.  A 1B-edge run uses the same recipe
@@ -143,7 +135,7 @@ def _run_sharded(schema, scale, budget, tmp_path, tag,
     }
 
 
-def test_one_to_many_budget_honoured(tmp_path, bench_recorder):
+def test_one_to_many_budget_honoured(tmp_path):
     """~10M edges, every stage streamed: peak stays under the budget."""
     persons = _PERSONS[profile_name()]
     stats = _run_sharded(
@@ -162,14 +154,6 @@ def test_one_to_many_budget_honoured(tmp_path, bench_recorder):
             "edges_per_sec": f"{stats['rows_per_sec']:,.0f}",
         }],
     )
-    bench_recorder.record(
-        "scale", "sharded_one_to_many_10m",
-        rows_per_sec=round(stats["rows_per_sec"], 1),
-        tracemalloc_peak_mb=round(stats["tracemalloc_peak_mb"], 2),
-        edges=stats["edges"],
-        budget_mb=budget_bytes // 2**20,
-        shard_rows=stats["shard_rows"],
-    )
     assert stats["edges"] >= 10_000_000
     assert stats["peak_bytes"] < budget_bytes, (
         f"peak {stats['peak_bytes']} exceeds the "
@@ -177,7 +161,7 @@ def test_one_to_many_budget_honoured(tmp_path, bench_recorder):
     )
 
 
-def test_process_backend_speedup_and_identity(tmp_path, bench_recorder):
+def test_process_backend_speedup_and_identity(tmp_path):
     """~10M edges on ``backend="process"``: same bytes, more cores.
 
     Byte-identity against the single-worker thread run is asserted
@@ -208,14 +192,6 @@ def test_process_backend_speedup_and_identity(tmp_path, bench_recorder):
             "budget_mb": budget_bytes // 2**20,
         }],
     )
-    bench_recorder.record(
-        "scale", "sharded_one_to_many_10m_p4",
-        rows_per_sec=round(stats["rows_per_sec"], 1),
-        tracemalloc_peak_mb=round(stats["tracemalloc_peak_mb"], 2),
-        edges=stats["edges"],
-        speedup_vs_serial=round(speedup, 2),
-        cpus=cpus,
-    )
     assert _tree_digests(tmp_path / "out-p4") == \
         _tree_digests(tmp_path / "out-ser"), (
             "process backend output diverged from the serial run"
@@ -231,7 +207,7 @@ def test_process_backend_speedup_and_identity(tmp_path, bench_recorder):
         )
 
 
-def test_erdos_renyi_global_stage_constant(tmp_path, bench_recorder):
+def test_erdos_renyi_global_stage_constant(tmp_path):
     """G(n, m): the sampling transient stays at its pinned constant."""
     scale = {"Person": _ERM_NODES}
     stats = _run_sharded(
@@ -246,13 +222,6 @@ def test_erdos_renyi_global_stage_constant(tmp_path, bench_recorder):
             "bytes_per_edge": f"{bytes_per_edge:.0f}",
             "limit": _ERM_BYTES_PER_EDGE_LIMIT,
         }],
-    )
-    bench_recorder.record(
-        "scale", "sharded_erdos_renyi_2m",
-        rows_per_sec=round(stats["rows_per_sec"], 1),
-        tracemalloc_peak_mb=round(stats["tracemalloc_peak_mb"], 2),
-        edges=stats["edges"],
-        bytes_per_edge=round(bytes_per_edge, 1),
     )
     assert bytes_per_edge < _ERM_BYTES_PER_EDGE_LIMIT, (
         "the G(n, m) dedup transient grew beyond its pinned "

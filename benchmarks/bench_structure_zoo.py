@@ -6,18 +6,9 @@ probability distribution") empirically: the same matching protocol on
 eight structurally different graphs of comparable size, from strongly
 clustered (LFR, Watts-Strogatz, Forest Fire) to hub-dominated (R-MAT,
 Kronecker, Barabási–Albert) to structureless (Erdős–Rényi).
-
-Also measures raw generator throughput (edges/sec + peak tracemalloc)
-for the zoo plus the two generators whose hot loops were rewritten
-(Barabási–Albert's rejection sampling, forest fire's burn frontier);
-run with ``--json-out BENCH_structure.json`` to refresh the committed
-perf baseline.
 """
 
 from __future__ import annotations
-
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,45 +106,3 @@ def test_structure_zoo(benchmark, rows):
     benchmark.extra_info.update(
         {row["structure"]: row["ks"] for row in rows}
     )
-
-
-#: Generator-throughput cases: the zoo at its quality-protocol size,
-#: plus the rewritten hot-loop generators at a size where the per-node
-#: Python cost dominates.
-THROUGHPUT_CASES = [
-    *((name, N, params) for name, params in ZOO.items()),
-    ("barabasi_albert", 20_000, {"m": 8}),
-    ("forest_fire", 20_000, {"p": 0.37}),
-]
-
-
-def test_structure_generator_throughput(bench_recorder):
-    """Edges/sec and peak memory per structure generator."""
-    rows = []
-    for name, n, params in THROUGHPUT_CASES:
-        generator = create_generator(
-            name, seed=derive_seed(1, f"thr.{name}"), **params
-        )
-        start = time.perf_counter()
-        graph = generator.run(n)
-        elapsed = time.perf_counter() - start
-        tracemalloc.start()
-        create_generator(
-            name, seed=derive_seed(1, f"thr.{name}"), **params
-        ).run(n)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        rows.append(
-            bench_recorder.record(
-                "structure",
-                f"{name}.n{n}",
-                n=n,
-                edges=int(graph.num_edges),
-                rows_per_sec=round(graph.num_edges / elapsed, 1),
-                seconds=round(elapsed, 4),
-                tracemalloc_peak_mb=round(peak / 1e6, 2),
-            )
-        )
-    print_table("A6+ — generator throughput (edges/sec)", rows)
-    for row in rows:
-        assert row["rows_per_sec"] > 0

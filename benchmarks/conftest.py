@@ -1,24 +1,10 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper benchmark suite.
 
-Every benchmark prints the table/figure rows it reproduces (run with
-``pytest benchmarks/ --benchmark-only -s`` to see them) and records the
-headline numbers in ``benchmark.extra_info`` so they survive into the
-pytest-benchmark JSON output.
-
-Perf-trajectory emission: pass ``--json-out PATH`` and every benchmark
-that calls the ``bench_recorder`` fixture lands its rows (rows/sec,
-speedup vs the frozen legacy loops, peak tracemalloc) in one JSON file.
-The committed baselines at the repository root are produced exactly
-this way::
-
-    pytest benchmarks/bench_ablation_matchers.py -q -s \
-        --json-out BENCH_matching.json
-    pytest benchmarks/bench_structure_zoo.py -q -s \
-        --json-out BENCH_structure.json
-
-CI's perf-smoke job regenerates the matching file and fails on a >2x
-regression against the committed baseline
-(``benchmarks/check_perf_regression.py``).
+Every benchmark prints the table/figure rows it reproduces (run one
+file with ``pytest benchmarks/bench_figure3_sizes.py -s`` to see them)
+and records the headline numbers in ``benchmark.extra_info`` so they
+survive into the pytest-benchmark JSON output.  Throughput is measured
+by ``python3 -m bench``, not here.
 
 Scale: benchmarks honour the ``REPRO_SCALE`` env profile ("small"
 default, "medium", "paper") — see ``repro.experiments.scale``.
@@ -26,120 +12,7 @@ default, "medium", "paper") — see ``repro.experiments.scale``.
 
 from __future__ import annotations
 
-import json
-import platform
-import resource
-import sys
-import time
-from pathlib import Path
-
 import pytest
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--json-out",
-        action="store",
-        default=None,
-        help=(
-            "write benchmark rows recorded via the bench_recorder "
-            "fixture to this JSON file"
-        ),
-    )
-
-
-class BenchRecorder:
-    """Collects benchmark rows for the --json-out emission."""
-
-    def __init__(self):
-        self.rows = []
-        self._mark = self._clock()
-
-    @staticmethod
-    def _clock():
-        """(wall, user-CPU, sys-CPU) including worker children.
-
-        ``RUSAGE_CHILDREN`` folds in reaped worker processes, so rows
-        produced by the sharded process backend account for the CPU
-        their pool actually burned, not just the parent's share.
-        """
-        own = resource.getrusage(resource.RUSAGE_SELF)
-        kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-        return (
-            time.perf_counter(),
-            own.ru_utime + kids.ru_utime,
-            own.ru_stime + kids.ru_stime,
-        )
-
-    def record(self, suite, name, **fields):
-        """Record one benchmark result row.
-
-        Conventional fields: ``rows_per_sec`` (nodes or edges per
-        second through the hot loop), ``speedup_vs_legacy`` (same
-        instance through the frozen legacy implementation) and
-        ``tracemalloc_peak_mb``.
-
-        Every row is additionally stamped with ``wall_s`` /
-        ``cpu_user_s`` / ``cpu_sys_s`` — deltas since the previous
-        ``record`` call (or recorder start), i.e. roughly the cost of
-        producing this row.  Explicit keyword values win over the
-        stamps.
-        """
-        wall, user, sys_cpu = self._clock()
-        row = {"suite": suite, "name": name}
-        row.update(fields)
-        row.setdefault("wall_s", round(wall - self._mark[0], 3))
-        row.setdefault("cpu_user_s", round(user - self._mark[1], 3))
-        row.setdefault("cpu_sys_s", round(sys_cpu - self._mark[2], 3))
-        self._mark = (wall, user, sys_cpu)
-        self.rows.append(row)
-        return row
-
-
-_RECORDER = BenchRecorder()
-
-
-@pytest.fixture(scope="session")
-def bench_recorder():
-    return _RECORDER
-
-
-def _git_sha():
-    """Short commit hash of HEAD, or "unknown" outside a checkout."""
-    import subprocess
-
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10,
-        )
-    except Exception:
-        return "unknown"
-    sha = result.stdout.strip()
-    return sha if result.returncode == 0 and sha else "unknown"
-
-
-def pytest_sessionfinish(session, exitstatus):
-    out = session.config.getoption("--json-out")
-    if not out or not _RECORDER.rows:
-        return
-    import numpy
-
-    from repro.experiments import profile_name
-
-    payload = {
-        "schema": "repro-bench/1",
-        "profile": profile_name(),
-        "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
-        "git_sha": _git_sha(),
-        "machine": platform.machine(),
-        "rows": _RECORDER.rows,
-    }
-    path = Path(out)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n[bench] wrote {len(_RECORDER.rows)} rows to {path}")
 
 
 def print_table(title, rows):

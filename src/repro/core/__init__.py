@@ -21,7 +21,6 @@ from .sharded import (
     ShardedError,
     ShardedExecutor,
     ShardedResult,
-    execute_sharded,
 )
 from .schema import (
     Cardinality,
@@ -62,7 +61,6 @@ __all__ = [
     "build_task_graph",
     "edge_count_target",
     "execute",
-    "execute_sharded",
     "greedy_label_match",
     "ldg_degree_match",
     "parse_faults",

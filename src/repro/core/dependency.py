@@ -11,9 +11,6 @@ conventions::
     count:<NodeType>              the instance count of a node type
     property:<Type>.<prop>        a node or edge property table
     structure:<EdgeType>          an edge table (pre-matching)
-    match_prepare:<EdgeType>      stream-order precomputation for a
-                                  correlated matching step (CSR, arrival
-                                  order, later-neighbour tables)
     match:<EdgeType>              the matching step of an edge type
 
 Cycles (e.g. a node type whose count depends on an edge whose size
@@ -192,8 +189,6 @@ def build_task_graph(schema, scale):
     that is not a non-negative integer, is a
     :class:`~repro.core.schema.SchemaError`, whichever engine runs.
     """
-    from .tasks import is_correlated  # tasks imports this module
-
     unknown = [
         name
         for name in scale
@@ -274,35 +269,11 @@ def build_task_graph(schema, scale):
             Task(f"structure:{edge.name}", "structure", edge.name, deps)
         )
 
-    # Match-prepare tasks: the shardable half of a correlated
-    # (streaming) matching step — CSR adjacency, the arrival
-    # permutation and the kernel's later-neighbour tables are pure
-    # functions of (seed, structure), so they run in a worker as soon
-    # as the structure lands, overlapped with other structure and
-    # property generation; the match task then streams over the
-    # prebuilt state.
-    streamed = {
-        edge.name
-        for edge in schema.edge_types.values()
-        if is_correlated(edge) and edge.is_monopartite
-    }
-    for name in streamed:
-        graph.add(
-            Task(
-                f"match_prepare:{name}",
-                "match_prepare",
-                name,
-                [f"structure:{name}"],
-            )
-        )
-
     # Match tasks: structure + the correlated property tables + head
     # count (to know the full id space being matched).
     for edge in schema.edge_types.values():
         deps = [f"structure:{edge.name}", f"count:{edge.tail_type}",
                 f"count:{edge.head_type}"]
-        if edge.name in streamed:
-            deps.append(f"match_prepare:{edge.name}")
         if edge.correlation is not None:
             corr = edge.correlation
             deps.append(

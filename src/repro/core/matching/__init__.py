@@ -2,8 +2,8 @@
 
 The streaming matchers all run on the shared placement kernel
 (:mod:`repro.core.matching.kernel`); the original per-node loops are
-preserved verbatim in :mod:`repro.core.matching.legacy` as equivalence
-and benchmark baselines.
+frozen verbatim in ``tests/legacy_matching.py`` as the equivalence
+reference.
 """
 
 from .baselines import greedy_label_match, ldg_degree_match

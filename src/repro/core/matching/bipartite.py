@@ -14,7 +14,7 @@ The interleaved loop runs on the shared streaming-placement kernel
 (:mod:`repro.core.matching.kernel`), which maintains
 ``current - target`` incrementally per touched row/column and reads
 placed-neighbour counts from per-side streaming counts matrices; the
-original loop is preserved in :mod:`repro.core.matching.legacy` and
+original loop is frozen in ``tests/legacy_matching.py`` and
 pinned byte-for-byte by ``tests/golden/matching/``.
 """
 

@@ -5,7 +5,7 @@ streaming-placement problem: nodes arrive in an order, each node scores
 the ``k`` groups from the counts of its already-placed neighbours plus
 some incremental global state, and the winner (after capacity masking
 and tie-breaking) receives the node.  The original implementations
-(preserved in :mod:`repro.core.matching.legacy`) re-derived everything
+(frozen in ``tests/legacy_matching.py``) re-derived everything
 from scratch per node — an O(k^2) ``diff = current - target`` plus a
 dozen fresh allocations — so the Python interpreter, not the hardware,
 set the throughput.  This module replaces that with a kernel that does
@@ -177,8 +177,7 @@ class MatchPrep:
     """Order-dependent precomputation for one monopartite stream.
 
     Everything here is a plain numpy array, so a :class:`MatchPrep` can
-    be built in a worker process (the executor's ``match_prepare``
-    task) and shipped to wherever the stream runs.
+    be built once and shipped to wherever the stream runs.
 
     Attributes
     ----------
@@ -196,8 +195,9 @@ class MatchPrep:
         deduplicated later-neighbour table: for node ``v`` the slice
         ``[lat_indptr[v], lat_indptr[v+1])`` lists the distinct
         neighbours of ``v`` arriving after it (``lat_cols``) with edge
-        multiplicities (``lat_mult``).  ``None`` unless built with
-        ``counts_tables=True`` (only the numpy path reads them).
+        multiplicities (``lat_mult``).  ``None`` until
+        :meth:`ensure_counts_tables` builds them (only the numpy path
+        reads them).
     """
 
     indptr: np.ndarray
@@ -227,7 +227,7 @@ class MatchPrep:
         return self
 
 
-def prepare_match_stream(table, order=None, counts_tables=False):
+def prepare_match_stream(table, order=None):
     """Precompute the stream-order structures for ``table``.
 
     This is the "prepare" half of the matching stage: a pure function
@@ -244,16 +244,13 @@ def prepare_match_stream(table, order=None, counts_tables=False):
     positions = np.empty(n, dtype=np.int64)
     positions[order] = np.arange(n, dtype=np.int64)
     prefix = cold_prefix_length(indptr, neighbors, order, positions)
-    prep = MatchPrep(
+    return MatchPrep(
         indptr=indptr,
         neighbors=neighbors,
         order=order,
         positions=positions,
         cold_prefix=prefix,
     )
-    if counts_tables:
-        prep.ensure_counts_tables()
-    return prep
 
 
 def cold_prefix_length(indptr, neighbors, order, positions):
@@ -515,9 +512,7 @@ def sbm_part_stream(
 
     impl = resolve_impl(impl)
     if prep is None:
-        prep = prepare_match_stream(
-            table, order, counts_tables=False
-        )
+        prep = prepare_match_stream(table, order)
     elif order is not None and not np.array_equal(
         np.asarray(order, dtype=np.int64), prep.order
     ):
@@ -743,7 +738,7 @@ def ldg_stream(
         )
     impl = resolve_impl(impl)
     if prep is None:
-        prep = prepare_match_stream(table, order, counts_tables=False)
+        prep = prepare_match_stream(table, order)
     elif order is not None and not np.array_equal(
         np.asarray(order, dtype=np.int64), prep.order
     ):

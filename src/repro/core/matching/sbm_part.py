@@ -39,7 +39,7 @@ The per-node loop itself lives in the shared streaming-placement
 kernel (:mod:`repro.core.matching.kernel`), which maintains
 ``current - target`` incrementally and scores candidates in O(k·deg)
 per node instead of the original O(k^2); the original loop is kept
-verbatim in :mod:`repro.core.matching.legacy` and the kernel's
+verbatim in ``tests/legacy_matching.py`` and the kernel's
 assignments are pinned byte-for-byte against it by
 ``tests/golden/matching/``.
 """
@@ -132,8 +132,9 @@ def sbm_part_assign(
     prep:
         optional precomputed
         :class:`~repro.core.matching.kernel.MatchPrep` for this
-        ``(table, order)`` pair (the executor's ``match_prepare`` task
-        builds one in a worker).
+        ``(table, order)`` pair, built once by
+        :func:`~repro.core.matching.kernel.prepare_match_stream` when
+        several matchings share one stream.
 
     Returns
     -------

@@ -9,11 +9,13 @@ under it.  None of them changes an output byte.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .faults import ENV_FAULTS, parse_faults
 from .procpool import BACKENDS
 
 __all__ = [
@@ -145,6 +147,8 @@ class RunOptions:
             raise ValueError("shard_rows must be >= 1")
         if self.memory_budget is not None:
             parse_memory_budget(self.memory_budget)
+        if isinstance(self.faults, str):
+            parse_faults(self.faults)
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.resume and self.spool_dir is None:
@@ -154,6 +158,11 @@ class RunOptions:
                 "nothing to resume from)"
             )
         if self.out_of_core:
+            if self.faults is None:  # the run will read the variable
+                try:
+                    parse_faults(os.environ.get(ENV_FAULTS))
+                except ValueError as exc:
+                    raise ValueError(f"{ENV_FAULTS}: {exc}") from None
             return
         for name, flag in _OUT_OF_CORE_ONLY:
             if getattr(self, name) != getattr(RunOptions, name):

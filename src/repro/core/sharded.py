@@ -38,7 +38,8 @@ removed.
 
 Peak traced allocation is bounded by ``C · shard_rows`` plus the
 documented O(nodes) matching-permutation term — pinned by
-``tests/test_sharded_memory.py`` and tracked in ``BENCH_scale.json``.
+``tests/test_sharded_memory.py`` and, at ~10M edges under a 256 MB
+budget, by ``benchmarks/bench_scale.py``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "ShardedError",
     "ShardedExecutor",
     "ShardedResult",
-    "execute_sharded",
 ]
 
 # -- per-shard jobs (module-level: picklable for the process backend) ---------
@@ -359,8 +359,3 @@ class ShardedExecutor:
         if sink is None:
             return "none"
         return getattr(sink, "format_name", None) or type(sink).__name__
-
-
-def execute_sharded(schema, scale, seed=0, sink=None, **kwargs):
-    """One-call form of :class:`ShardedExecutor`."""
-    return ShardedExecutor(schema, scale, seed, **kwargs).run(sink=sink)

@@ -60,7 +60,6 @@ __all__ = [
     "export_task_output",
     "is_correlated",
     "match_edge",
-    "match_prepare",
     "matched_id_space",
     "matching_maps",
     "property_inputs",
@@ -71,11 +70,6 @@ __all__ = [
     "structure_inputs",
     "walk",
 ]
-
-#: structures-dict key prefix for match-prepare outputs (stream
-#: precomputation is an intermediate, like pre-matching structures).
-_PREP_KEY = "__match_prep__:"
-
 
 # -- kernels (picklable inputs; safe to run in worker processes) -------------
 
@@ -114,30 +108,6 @@ def property_values_at(spec, task_id, seed, ids, dep_slices=()):
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     deps = [np.asarray(col) for col in dep_slices]
     return generator.properties_of(ids, stream, *deps)
-
-
-def match_prepare(seed, edge_name, structure, counts_tables=None):
-    """Stream-order precomputation for a correlated matching step.
-
-    A pure function of ``(seed, edge name, structure)``: re-derives the
-    arrival permutation exactly as :func:`match_edge` would (from the
-    ``match:<edge>`` stream) and builds the streaming kernel's
-    :class:`~repro.core.matching.kernel.MatchPrep` — CSR adjacency,
-    arrival positions, cold-prefix length and (on the numpy path) the
-    later-neighbour counts tables.  It is its own plan task so the
-    matching step proper starts from a prepared stream.
-    """
-    from .matching.kernel import prepare_match_stream, resolve_impl
-
-    stream = RandomStream(derive_seed(seed, f"match:{edge_name}"))
-    order = stream.substream("arrival").permutation(
-        structure.num_nodes
-    )
-    if counts_tables is None:
-        counts_tables = resolve_impl("auto") == "numpy"
-    return prepare_match_stream(
-        structure, order, counts_tables=counts_tables
-    )
 
 
 def is_correlated(edge):
@@ -234,7 +204,7 @@ def matched_id_space(edge, structure, tail_count, head_count):
 
 
 def match_edge(edge, seed, task_id, structure, tail_count, head_count,
-               tail_pt=None, head_pt=None, prep=None):
+               tail_pt=None, head_pt=None):
     """Run a correlated (SBM-Part) matching over a whole structure.
 
     Parameters
@@ -252,10 +222,6 @@ def match_edge(edge, seed, task_id, structure, tail_count, head_count,
         into).
     tail_pt, head_pt:
         the correlated property tables ``edge.correlation`` names.
-    prep:
-        optional :class:`~repro.core.matching.kernel.MatchPrep` built
-        by :func:`match_prepare` (carries the arrival order, so it is
-        bit-identical to computing it here).
 
     Returns
     -------
@@ -282,19 +248,14 @@ def match_edge(edge, seed, task_id, structure, tail_count, head_count,
     _check_structure_fits(edge, structure, tail_count)
     _, categories = tail_pt.codes()
     joint = align_joint(corr.joint, list(categories), corr.values)
-    if prep is None:
-        order = stream.substream("arrival").permutation(
-            structure.num_nodes
-        )
-    else:
-        order = prep.order  # same permutation, built by match_prepare
     match = sbm_part_match(
         tail_pt,
         joint,
         structure,
-        order=order,
+        order=stream.substream("arrival").permutation(
+            structure.num_nodes
+        ),
         tie_stream=stream.substream("ties"),
-        prep=prep,
     )
     return structure.relabeled(match.mapping), match
 
@@ -485,13 +446,8 @@ class Store:
       diagnostics, keeping the matching state through ``spill``
       (``None``: in memory).
 
-    ``fire(site)`` marks a stage boundary for fault injection;
-    ``keeps_prep`` says whether :func:`match_prepare`'s output is kept
-    — a store that never holds a whole structure skips it, and
-    :func:`match_edge` re-derives the arrival order bit-identically.
+    ``fire(site)`` marks a stage boundary for fault injection.
     """
-
-    keeps_prep = False
 
     def fire(self, site):
         """A stage boundary; only the spooled store injects faults."""
@@ -500,8 +456,6 @@ class Store:
 class ResidentStore(Store):
     """Every table an in-memory array, each filled by one kernel call
     — the default store of :func:`apply_task`."""
-
-    keeps_prep = True
 
     def structure(self, name, open_handle):
         return open_handle(_RUN_ROWS, None).to_edge_table()
@@ -566,8 +520,8 @@ def walk(order, apply, result, sink=None):
 
 def apply_task(task, schema, scale, seed, result, structures, store=None):
     """Run one task and keep its output in ``result`` — pre-matching
-    structures (and a kept match prep) in ``structures`` — through
-    ``store``, a :class:`ResidentStore` when ``None``.
+    structures in ``structures`` — through ``store``, a
+    :class:`ResidentStore` when ``None``.
 
     This is the only dispatch on ``task.kind``: every store computes
     each kind this way and decides only how the rows are kept.
@@ -597,11 +551,6 @@ def apply_task(task, schema, scale, seed, result, structures, store=None):
                 chunk_rows, spill,
             ),
         )
-    elif kind == "match_prepare":
-        if store.keeps_prep:
-            structures[_PREP_KEY + name] = match_prepare(
-                seed, name, structures[name]
-            )
     elif kind == "match":
         edge = schema.edge_type(name)
         structure = structures[name]
@@ -614,7 +563,6 @@ def apply_task(task, schema, scale, seed, result, structures, store=None):
                 table, match = match_edge(
                     edge, seed, task.task_id, structure.to_edge_table(),
                     *counts, *correlated_tables(edge, result),
-                    prep=structures.get(_PREP_KEY + name),
                 )
                 if spill is not None:
                     table = SpilledStructure(spill, table)

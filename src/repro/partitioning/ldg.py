@@ -16,7 +16,7 @@ The per-node loop runs on the shared streaming-placement kernel
 (:mod:`repro.core.matching.kernel`): neighbour counts come from the
 streaming counts matrix, buffers are preallocated, and a compiled C
 loop takes over when a system compiler is available.  The original
-loop is preserved in :mod:`repro.core.matching.legacy` and the kernel
+loop is frozen in ``tests/legacy_matching.py`` and the kernel
 is pinned byte-for-byte against it by ``tests/golden/matching/``.
 """
 

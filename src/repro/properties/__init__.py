@@ -9,7 +9,6 @@ from .categorical import (
 from .datetime_gen import AfterDependencyGenerator, DateRangeGenerator
 from .derived import FormulaGenerator, LookupGenerator
 from .identifier import CompositeKeyGenerator, UuidGenerator
-from .legacy import LEGACY_GENERATORS, create_legacy_generator
 from .multivalue import MultiValueGenerator
 from .numeric import (
     NormalGenerator,
@@ -33,7 +32,6 @@ __all__ = [
     "ConditionalGenerator",
     "DateRangeGenerator",
     "FormulaGenerator",
-    "LEGACY_GENERATORS",
     "LookupGenerator",
     "MultiValueGenerator",
     "NormalGenerator",
@@ -47,7 +45,6 @@ __all__ = [
     "WeightedDictGenerator",
     "ZipfIntGenerator",
     "available_property_generators",
-    "create_legacy_generator",
     "create_property_generator",
     "register_property_generator",
 ]

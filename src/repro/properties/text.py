@@ -2,7 +2,7 @@
 
 :class:`TextGenerator` is the heaviest builtin PG — a sentence per
 instance means a *ragged* number of draws per id.  The legacy
-implementation (frozen in :mod:`repro.properties.legacy`) built one
+implementation (frozen in ``tests/legacy_properties.py``) built one
 ``indexed_substream`` object and ran one ``searchsorted`` per
 instance; the batched pipeline here computes the substream seeds, word
 draws and vocabulary codes of a block of ids in a handful of vectorised

@@ -62,9 +62,8 @@ __all__ = ["VirtualGraph"]
 
 
 class _VirtualStore(Store):
-    """Tables that hold no rows: structure handles are opened now,
-    every table is lazy, and ``match_prepare`` is skipped as out of
-    core."""
+    """Tables that hold no rows: structure handles are opened now and
+    every table is lazy."""
 
     def __init__(self, spool, memo):
         self._spool = spool

@@ -14,7 +14,7 @@ asserts byte-identical output, the same pattern ``tests/golden/`` uses
 to pin exporter bytes.
 
 The fixtures were originally written by the pre-kernel per-node loops
-(the code now preserved verbatim in ``repro.core.matching.legacy``), so
+(the code now frozen verbatim in ``tests/legacy_matching.py``), so
 they certify that the kernel rewrite changed *nothing* about placement
 decisions.  Only rerun this script when a placement-behaviour change is
 *intended*; the fixture diff then documents exactly what changed.

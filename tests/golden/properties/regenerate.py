@@ -7,7 +7,7 @@ Run from the repository root::
 The fixtures pin the **values** every registered builtin property
 generator produced *before* the batched attribute-kernel rewrite: each
 case runs the frozen legacy generator
-(:mod:`repro.properties.legacy` — the pre-rewrite ``run_many`` bodies,
+(``tests/legacy_properties.py`` — the pre-rewrite ``run_many`` bodies,
 verbatim) over several seeds and stores the outputs as JSON.
 ``tests/test_properties_vectorised.py`` asserts that both the frozen
 legacy code and the vectorised kernels still reproduce these exact
@@ -27,6 +27,7 @@ diff then documents exactly what changed.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -202,14 +203,17 @@ def encode_values(array):
 
 
 def regenerate():
-    from repro.properties import create_legacy_generator
+    tests_dir = str(GOLDEN_DIR.parents[1])  # not on sys.path in a script
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    from legacy_properties import legacy_generator
 
     payload = {"n": N, "seeds": list(SEEDS), "cases": {}}
     for case in sorted(CASES):
         per_seed = {}
         for seed in SEEDS:
             name, params, ids, stream, deps = case_inputs(case, seed)
-            generator = create_legacy_generator(name, **params)
+            generator = legacy_generator(name, **params)
             per_seed[str(seed)] = encode_values(
                 generator.run_many(ids, stream, *deps)
             )

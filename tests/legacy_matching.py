@@ -3,14 +3,14 @@
 These are the original per-node Python loops of ``sbm_part_assign``,
 ``bipartite_sbm_part_match`` and ``ldg_partition``, preserved verbatim
 when the streaming-placement kernel (:mod:`repro.core.matching.kernel`)
-replaced them on the hot path.  They exist for two reasons:
+replaced them on the hot path.  They live beside the tests, their
+only users, for two reasons:
 
 * **equivalence proofs** — ``tests/test_matching_kernel.py`` streams
   randomised instances through both paths and asserts byte-identical
-  assignments, and ``tests/golden/matching/`` freezes the outputs these
-  loops produced on fixed seeds;
-* **benchmark baselines** — ``benchmarks/bench_ablation_matchers.py``
-  reports the kernel's speedup against exactly this code.
+  assignments;
+* **provenance** — ``tests/golden/matching/`` freezes the outputs these
+  loops produced on fixed seeds.
 
 Do not "fix" or optimise anything here; the entire value of the module
 is that it never changes.  Note the tie tolerance is the original
@@ -64,7 +64,7 @@ def legacy_sbm_part_assign(
         if order.size != n:
             raise ValueError("order must enumerate all n nodes")
     if tie_stream is None:
-        from ...prng import RandomStream
+        from repro.prng import RandomStream
 
         tie_stream = RandomStream(0, "sbm-part.coldstart")
 

@@ -2,18 +2,16 @@
 
 Every ``run_many`` body below is the per-row implementation that
 shipped before the batched attribute-kernel rewrite, copied verbatim.
-They define the value contract: the vectorised generators in the
-sibling modules must produce **identical values** for identical
+They define the value contract: the vectorised generators in
+``repro.properties`` must produce **identical values** for identical
 ``(ids, stream, deps)`` inputs, which ``tests/golden/properties/``
-pins against committed fixtures and
-``tests/test_properties_vectorised.py`` re-checks property-based.
+pins against committed fixtures (``regenerate.py`` writes them from
+this module) and ``tests/test_properties_vectorised.py`` re-checks
+property-based.
 
 These classes subclass the live generators, so parameters, validation
 and ``output_dtype`` stay shared — only the generation loop is frozen.
-They are kept importable (not dead code) because the benchmark suite
-(``benchmarks/bench_properties.py``) measures the vectorised kernels
-against them to produce the committed ``speedup_vs_legacy`` rows in
-``BENCH_properties.json``.
+The module lives beside the tests because they are its only users.
 
 Do not edit the loop bodies; regenerating the golden fixtures against
 edited legacy code would silently re-pin new semantics.
@@ -23,25 +21,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .categorical import (
+from repro.properties.categorical import (
     CategoricalGenerator,
     ConditionalGenerator,
     WeightedDictGenerator,
 )
-from .datetime_gen import AfterDependencyGenerator, DateRangeGenerator
-from .derived import FormulaGenerator, LookupGenerator
-from .identifier import CompositeKeyGenerator, UuidGenerator
-from .multivalue import MultiValueGenerator
-from .numeric import (
+from repro.properties.datetime_gen import (
+    AfterDependencyGenerator,
+    DateRangeGenerator,
+)
+from repro.properties.derived import FormulaGenerator, LookupGenerator
+from repro.properties.identifier import (
+    CompositeKeyGenerator,
+    UuidGenerator,
+)
+from repro.properties.multivalue import MultiValueGenerator
+from repro.properties.numeric import (
     NormalGenerator,
     SequenceGenerator,
     UniformFloatGenerator,
     UniformIntGenerator,
     ZipfIntGenerator,
 )
-from .text import TemplateGenerator, TextGenerator
+from repro.properties.text import TemplateGenerator, TextGenerator
 
-__all__ = ["LEGACY_GENERATORS", "create_legacy_generator"]
+__all__ = ["LEGACY_GENERATORS", "legacy_generator"]
 
 
 class LegacyTextGenerator(TextGenerator):
@@ -364,7 +368,7 @@ LEGACY_GENERATORS = {
 }
 
 
-def create_legacy_generator(name, **params):
+def legacy_generator(name, **params):
     """Instantiate the frozen pre-rewrite generator registered as ``name``."""
     if name not in LEGACY_GENERATORS:
         raise KeyError(

@@ -227,6 +227,12 @@ class TestBoundaryErrors:
          "argument --port: must be <= 65535, got 99999"),
         (["serve", "social_network", "--request-timeout", "-1"],
          "argument --request-timeout: must be a number of seconds > 0"),
+        (["scenario", "run", "social_network", "--scale", "Person=200",
+          "--out", "{out}", "--shard-rows", "64", "--inject-faults",
+          "bogus"], "bad fault spec 'bogus'"),
+        (["scenario", "run", "social_network", "--scale", "Person=200",
+          "--out", "{out}", "--shard-rows", "64", "--inject-faults",
+          "nope:1:crash"], "unknown fault site 'nope'"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):
@@ -255,6 +261,20 @@ class TestBoundaryErrors:
         assert expected in (
             capsys.readouterr().err + str(excinfo.value.code)
         )
+
+    def test_malformed_repro_faults_exits_before_writing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "bogus")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "run", "social_network", "--scale",
+                  "Person=200", "--out", str(out), "--shard-rows", "64"])
+        assert excinfo.value.code == 2
+        assert "REPRO_FAULTS: bad fault spec 'bogus'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, expected", [
         (["generate", "{bad}", "--out", "{out}"],

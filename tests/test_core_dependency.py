@@ -134,12 +134,8 @@ class TestBuildTaskGraph:
         graph = build_task_graph(schema, {"Person": 10})
         ids = {t.task_id for t in graph.tasks()}
         # 2 counts + 5 Person props + 2 Message props + 2 structures
-        # + 2 matches + 2 edge props = 15, plus the match_prepare
-        # task of the one correlated streaming edge (knows) = 16
-        assert len(ids) == 16
-        assert "match_prepare:knows" in ids
-        prepare = graph.task("match_prepare:knows")
-        assert prepare.depends_on == ("structure:knows",)
-        assert "match_prepare:knows" in graph.task(
-            "match:knows"
-        ).depends_on
+        # + 2 matches + 2 edge props = 15
+        assert len(ids) == 15
+        assert graph.task("match:knows").depends_on == (
+            "count:Person", "property:Person.country", "structure:knows",
+        )

@@ -345,6 +345,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers"):
             RunOptions(workers=0)
 
+    def test_rejects_malformed_fault_specs(self, monkeypatch):
+        with pytest.raises(ValueError, match="bad fault spec 'bogus'"):
+            RunOptions(shard_rows=8, faults="bogus")
+        monkeypatch.setenv("REPRO_FAULTS", "nope:1:crash")
+        with pytest.raises(ValueError, match="REPRO_FAULTS: unknown"):
+            RunOptions(shard_rows=8)
+        RunOptions()  # in memory the variable is never read
+
     def test_schema_errors_propagate(self):
         schema = Schema(
             node_types=[

@@ -1,8 +1,8 @@
 """Streaming-placement kernel: equivalence, goldens, tolerance, cold start.
 
 The contract under test: the kernel (every implementation) places
-nodes *identically* to the legacy per-node loops preserved in
-``repro.core.matching.legacy``, except where the relative tie band
+nodes *identically* to the legacy per-node loops frozen in
+``tests/legacy_matching.py``, except where the relative tie band
 intentionally fixes the legacy absolute-tolerance bug (pinned by the
 large golden fixture; see ``tests/golden/matching/regenerate.py``).
 """
@@ -30,16 +30,17 @@ from repro.core.matching.kernel import (
     cold_prefix_length,
     place_cold_stream,
 )
-from repro.core.matching.legacy import (
-    legacy_bipartite_assignments,
-    legacy_ldg_partition,
-    legacy_sbm_part_assign,
-)
 from repro.partitioning import ldg_partition
 from repro.prng import RandomStream
 from repro.stats import homophily_joint
 from repro.structure import create_generator
 from repro.tables import EdgeTable, PropertyTable
+
+from legacy_matching import (
+    legacy_bipartite_assignments,
+    legacy_ldg_partition,
+    legacy_sbm_part_assign,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "matching"
 
@@ -115,6 +116,12 @@ class TestGoldenFixtures:
         assert np.array_equal(
             golden["sbm.er100k.k32"], fresh["sbm.er100k.k32"]
         )
+
+    def test_large_case_numpy(self, monkeypatch):
+        """The same case through the numpy placement loop, which a
+        run with the compiled kernel loaded never takes."""
+        monkeypatch.setenv("REPRO_MATCH_IMPL", "numpy")
+        self.test_large_case()
 
     def test_structure_fixtures(self):
         """BA + forest-fire rewrites kept their exact edge streams."""
@@ -496,45 +503,6 @@ class TestKernelPlumbing:
             )
         with pytest.raises(ValueError, match="different arrival"):
             ldg_partition(table, sizes, order=other, prep=prep)
-
-    def test_match_prepare_task_is_bit_identical(self):
-        """match_edge with an executor-built prep equals the inline
-        path — the DAG split changes scheduling, not results."""
-        from repro.core.tasks import match_edge, match_prepare
-        from repro.core.schema import (
-            CorrelationSpec, EdgeType, GeneratorSpec,
-        )
-        from repro.stats import JointDistribution
-
-        n = 400
-        values = np.repeat([0, 1], [n // 2, n // 2])
-        pt = PropertyTable("Person.group", values)
-        structure = _graph(
-            "erdos_renyi_m", 9, n, edges_per_node=4
-        )
-        edge = EdgeType(
-            "knows", "Person", "Person",
-            structure=GeneratorSpec("erdos_renyi_m",
-                                    {"edges_per_node": 4}),
-            correlation=CorrelationSpec(
-                tail_property="group",
-                joint=JointDistribution([[0.4, 0.1], [0.1, 0.4]]),
-                values=(0, 1),
-            ),
-        )
-        table_a, match_a = match_edge(
-            edge, seed=7, task_id="match:knows",
-            structure=structure, tail_count=n, head_count=n,
-            tail_pt=pt,
-        )
-        prep = match_prepare(7, "knows", structure)
-        table_b, match_b = match_edge(
-            edge, seed=7, task_id="match:knows",
-            structure=structure, tail_count=n, head_count=n,
-            tail_pt=pt, prep=prep,
-        )
-        assert table_a == table_b
-        assert np.array_equal(match_a.assignment, match_b.assignment)
 
     def test_bipartite_matcher_unchanged_contract(self):
         """Public bipartite API still enforces capacities exactly."""

@@ -29,13 +29,13 @@ from hypothesis import strategies as st
 
 from repro.prng import RandomStream
 from repro.properties import (
-    LEGACY_GENERATORS,
     MultiValueGenerator,
     TextGenerator,
     available_property_generators,
-    create_legacy_generator,
     create_property_generator,
 )
+
+from legacy_properties import LEGACY_GENERATORS, legacy_generator
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "properties"
 
@@ -108,7 +108,7 @@ class TestGoldenFixtures:
     def test_legacy_matches_fixture(self, case, seed):
         """The frozen legacy code still produces the pinned values."""
         fixture = FIXTURES["cases"][case]["seeds"][str(seed)]
-        values = run_case(case, seed, create_legacy_generator)
+        values = run_case(case, seed, legacy_generator)
         assert golden.encode_values(values) == fixture
 
     @pytest.mark.parametrize("impl", IMPLS)
@@ -321,7 +321,7 @@ class TestVectorisedEqualsLegacy:
         params = STOCHASTIC_PARAMS[name](k)
         ids = np.arange(n, dtype=np.int64)
         stream = RandomStream(seed, f"hyp.{name}")
-        a = create_legacy_generator(name, **params).run_many(
+        a = legacy_generator(name, **params).run_many(
             ids, stream
         )
         b = create_property_generator(name, **params).run_many(
@@ -347,7 +347,7 @@ class TestVectorisedEqualsLegacy:
         )
         ids = np.arange(n, dtype=np.int64)
         stream = RandomStream(seed, "hyp.text")
-        a = create_legacy_generator("text", **params).run_many(
+        a = legacy_generator("text", **params).run_many(
             ids, stream
         )
         b = create_property_generator("text", **params).run_many(
@@ -371,7 +371,7 @@ class TestVectorisedEqualsLegacy:
         )
         ids = np.arange(400, 500, 2, dtype=np.int64)[::-1]
         stream = RandomStream(11, "block.text")
-        expected = create_legacy_generator("text", **params).run_many(
+        expected = legacy_generator("text", **params).run_many(
             ids, stream
         )
         with property_impl(impl):
@@ -395,7 +395,7 @@ class TestVectorisedEqualsLegacy:
         )
         ids = np.arange(n, dtype=np.int64)
         stream = RandomStream(seed, "hyp.mv")
-        a = create_legacy_generator("multi_value", **params).run_many(
+        a = legacy_generator("multi_value", **params).run_many(
             ids, stream
         )
         b = create_property_generator("multi_value", **params).run_many(
@@ -424,7 +424,7 @@ class TestVectorisedEqualsLegacy:
         dep[:] = [keys[i % len(keys)] for i in range(n)]
         ids = np.arange(n, dtype=np.int64)
         stream = RandomStream(seed, "hyp.cond")
-        a = create_legacy_generator("conditional", **params).run_many(
+        a = legacy_generator("conditional", **params).run_many(
             ids, stream, dep
         )
         b = create_property_generator("conditional", **params).run_many(

@@ -793,21 +793,19 @@ class TestShardedEquivalenceProperty:
         self, schema, seed, count, shard_rows, fmt,
         tmp_path_factory,
     ):
-        from repro.core import GraphGenerator, execute_sharded
+        from repro.core import GraphGenerator, ShardedExecutor
         from repro.io import export_graph, make_sink, make_source
 
         root = tmp_path_factory.mktemp("sharded_eq")
         scale = {"A": count}
         serial = GraphGenerator(schema, scale, seed=seed).generate()
         export_graph(serial, make_sink(fmt, root / "ref"))
-        execute_sharded(
+        ShardedExecutor(
             schema, scale, seed=seed,
-            sink=make_sink(
-                fmt, root / "out",
-                chunk_size=min(shard_rows, 1000),
-            ),
             shard_rows=shard_rows, spool_dir=root / "spool",
-        ).cleanup()
+        ).run(sink=make_sink(
+            fmt, root / "out", chunk_size=min(shard_rows, 1000),
+        )).cleanup()
         ref_files = sorted(p.name for p in (root / "ref").iterdir())
         out_files = sorted(p.name for p in (root / "out").iterdir())
         assert out_files == ref_files

@@ -21,7 +21,6 @@ from repro.core import (
     GraphGenerator,
     ShardedError,
     ShardedExecutor,
-    execute_sharded,
     parse_memory_budget,
 )
 from repro.core.schema import (
@@ -191,11 +190,10 @@ class TestShardedTables:
         """sharded run → sink → GraphSource reads the serial tables."""
         compiled = compiled_recipes["social_network"]
         out = tmp_path / "out"
-        execute_sharded(
+        ShardedExecutor(
             compiled.schema, compiled.scale, seed=compiled.seed,
-            sink=make_sink("csv", out), shard_rows=64,
-            spool_dir=tmp_path / "spool",
-        ).cleanup()
+            shard_rows=64, spool_dir=tmp_path / "spool",
+        ).run(sink=make_sink("csv", out)).cleanup()
         source = make_source("csv", out)
         serial = GraphGenerator(
             compiled.schema, compiled.scale, seed=compiled.seed

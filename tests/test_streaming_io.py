@@ -206,6 +206,33 @@ class TestByteIdentityAgainstStdlib:
         assert read_text(path) == legacy_csv_edge_bytes(table)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 10_000])
+    def test_property_jsonl_and_edgelist(self, tmp_path, chunk_size):
+        """The per-row ``json.dumps`` / f-string writers these
+        replaced, byte for byte."""
+        from repro.io import write_edgelist, write_property_table_jsonl
+
+        table = PropertyTable(
+            "t", np.arange(-5, 18, dtype=np.int64) * 10**11
+        )
+        path = write_property_table_jsonl(
+            table, tmp_path / "t.jsonl", chunk_size=chunk_size
+        )
+        assert read_text(path) == "".join(
+            json.dumps({"id": row_id, "value": int(value)}) + "\n"
+            for row_id, value in table.rows()
+        )
+        edges = EdgeTable(
+            "e", [0, 3, 1, 2], [1, 2, 0, 3], num_tail_nodes=4
+        )
+        path = write_edgelist(
+            edges, tmp_path / "e.edges", chunk_size=chunk_size
+        )
+        assert read_text(path) == "".join(
+            f"{int(tail)} {int(head)}\n"
+            for tail, head in zip(edges.tails, edges.heads)
+        )
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 10_000])
     def test_jsonl_records(self, graph, tmp_path, chunk_size):
         from repro.io import write_edges_jsonl, write_nodes_jsonl
 

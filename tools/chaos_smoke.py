@@ -4,7 +4,7 @@
 The CI ``chaos-smoke`` job's gate for docs/robustness.md: a zoo recipe
 is run three ways on the process backend —
 
-1. uninterrupted (the reference export and the throughput baseline),
+1. uninterrupted (the reference export and wall-clock time),
 2. with an injected ``shard:N:kill`` SIGKILL and no retries: the run
    must *fail*, leaving a resumable checkpoint in its spool, after
    which ``resume`` must complete and export byte-identical files,
@@ -12,14 +12,12 @@ is run three ways on the process backend —
    intervention, byte-identical files.
 
 Exits 1 on any surviving difference or on a chaos run that fails to
-fail / recover.  Writes a ``repro-bench/1`` JSON row recording clean
-throughput and the crash+resume wall-clock overhead so
-``benchmarks/check_perf_regression.py`` can gate it against the
-committed ``BENCH_scale.json`` baseline.
+fail / recover.  The clean and crash+resume wall-clock times are
+printed for the log; nothing gates on them.
 
 Usage::
 
-    PYTHONPATH=src python tools/chaos_smoke.py --out chaos_fresh.json
+    PYTHONPATH=src python tools/chaos_smoke.py
 
 Stdlib + numpy only, like every other CI tool here.
 """
@@ -27,10 +25,7 @@ Stdlib + numpy only, like every other CI tool here.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -52,16 +47,6 @@ def _check(label, ok, detail=""):
     return ok
 
 
-def _git_sha():
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except Exception:  # pragma: no cover - detached CI checkouts
-        return "unknown"
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--scenario", default="social_network")
@@ -71,11 +56,7 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--kill-shard", type=int, default=3,
                         help="shard occurrence the injected SIGKILL hits")
-    parser.add_argument("--out", default=None,
-                        help="write a repro-bench/1 JSON here")
     args = parser.parse_args(argv)
-
-    import numpy
 
     from repro.core import CHECKPOINT_NAME, ShardedError, ShardedExecutor
     from repro.io import make_sink
@@ -156,29 +137,6 @@ def main(argv=None):
         print(f"  crash+resume overhead: {overhead:.2f}x of clean "
               f"({crash_wall:.2f}s + {resume_wall:.2f}s "
               f"vs {clean_wall:.2f}s)")
-        if args.out:
-            payload = {
-                "schema": "repro-bench/1",
-                "git_sha": _git_sha(),
-                "machine": platform.machine(),
-                "numpy": numpy.__version__,
-                "profile": "chaos",
-                "python": platform.python_version(),
-                "rows": [{
-                    "suite": "chaos",
-                    "name": f"chaos_resume_{args.scenario}",
-                    "edges": edges,
-                    "wall_s": round(clean_wall, 3),
-                    "rows_per_sec": round(rows / clean_wall, 1),
-                    "resume_overhead_x": round(overhead, 2),
-                    "retry_wall_s": round(retry_wall, 3),
-                    "workers": args.workers,
-                    "shard_rows": args.shard_rows,
-                }],
-            }
-            Path(args.out).write_text(json.dumps(
-                payload, indent=1, sort_keys=True) + "\n")
-            print(f"  wrote {args.out}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -6,10 +6,11 @@ the same compiled scenario; then boot a live server over it, page
 every node-property and edge CSV route, and diff the reassembled bytes
 against the same export.
 
-This is the CI ``serve-smoke`` job's correctness half (the throughput
-half is ``benchmarks/bench_serve.py``): a server that drifts from the
+This is the CI ``serve-smoke`` job: a server that drifts from the
 export format by a single byte — header, CRLF, value encoding, page
-stitching — exits 1 here.  Also probes the non-CSV contracts: the
+stitching — exits 1 here.  Serving throughput is measured by the
+``serve_fresh`` and ``serve_keepalive`` workloads of ``python3 -m
+bench``.  Also probes the non-CSV contracts: the
 meta route's access classification, neighbourhood queries against the
 materialised edge tables, edge existence, and the empty-page rule for
 past-the-end offsets.
