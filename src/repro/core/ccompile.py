@@ -14,7 +14,9 @@ machinery lives here once.
 Environment knobs (shared by every embedded kernel):
 
 ``REPRO_NO_CKERNEL=1``
-    disables compiled kernels entirely.
+    the one switch to the numpy / Python twins of every kernel.  Each
+    loader reads it per call — set or cleared in a running process, it
+    holds from the next call; only the compile attempt is memoised.
 ``CC``
     overrides the compiler.
 ``REPRO_CKERNEL_CACHE``
@@ -94,22 +96,25 @@ def compile_cached(source, prefix):
 def load_once(source, prefix, wrap):
     """The process-wide loader of one embedded kernel.
 
-    Returns a memoised zero-argument function.  Its first call
-    compiles ``source`` (:func:`compile_cached`) and answers
-    ``wrap(lib)``; it answers ``None`` — for good, so the fallback
-    path takes over silently — when compiled kernels are disabled, no
-    compiler or private cache directory is available, or anything
-    raises.  ``.cache_clear()`` forgets the attempt.
+    Returns a zero-argument function answering ``None`` — the fallback
+    path takes over silently — while ``REPRO_NO_CKERNEL`` is set, and
+    otherwise ``wrap(lib)`` for ``source`` compiled by
+    :func:`compile_cached`.  The compile attempt is memoised, failure
+    included (no compiler, no private cache directory, anything
+    raising: ``None`` for good); ``.cache_clear()`` forgets it.
     """
     @functools.cache
-    def load():
-        if ckernels_disabled():
-            return None
+    def compiled():
         try:
             lib = compile_cached(source, prefix)
             return None if lib is None else wrap(lib)
         except Exception:
             return None
+
+    def load():
+        return None if ckernels_disabled() else compiled()
+
+    load.cache_clear = compiled.cache_clear
     return load
 
 

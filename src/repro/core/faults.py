@@ -22,7 +22,10 @@ Sites map to pipeline stages: ``count`` / ``property`` / ``structure``
 occurrence counter: shard index for worker stages, write counter for
 export), ``ledger`` fires in the parent before each append to the
 spool's catalog (index = append counter of this run — the window
-between a part file landing and its ack), and the generic ``shard``
+between a part file landing and its ack), ``spill`` before each
+scratch file a spool starts (index = spill counter of that spool: a
+sorted run of an external merge, a spilled structure or matching
+map), and the generic ``shard``
 site fires for *any* pool-executed shard job by its submission index.
 
 Every fault fires a bounded number of times (default once) and the
@@ -60,7 +63,8 @@ __all__ = [
 #: Stage boundaries that consult the plan.  ``shard`` is the generic
 #: site: it matches any pool-executed shard job by submission index.
 FAULT_SITES = (
-    "count", "property", "structure", "match", "export", "ledger", "shard",
+    "count", "property", "structure", "match", "export", "ledger", "spill",
+    "shard",
 )
 
 FAULT_ACTIONS = ("crash", "kill", "slow", "ioerror")

@@ -78,24 +78,24 @@ reproduces them byte-for-byte.
 
 Implementations
 ---------------
-``impl="numpy"`` is the portable path described above.  ``impl="c"``
-runs the same algorithm as a single compiled C loop (see
+The numpy path described above is the portable one.  The same
+algorithm also runs as a single compiled C loop (see
 :mod:`repro.core.matching._ckernel`) when a system C compiler is
 available — the kernel compiles it on first use and caches the shared
-object; there is nothing to install.  ``impl="auto"`` (every caller's
-default) picks C when available, else numpy; the compiled path covers
-the monopartite streams (SBM-Part, LDG) while
-:func:`bipartite_stream` always runs the numpy kernel.  Set
-``REPRO_MATCH_IMPL=numpy|c`` to force a path, or ``REPRO_NO_CKERNEL=1``
-to disable compilation entirely.
+object; there is nothing to install.  The monopartite streams
+(SBM-Part, LDG) take the C loop whenever it loads, and
+:func:`bipartite_stream` always runs numpy.  ``REPRO_NO_CKERNEL=1`` —
+the one switch of every compiled kernel, read per call — selects the
+numpy path.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._ckernel import load_ckernel
 
 __all__ = [
     "COUNTS_MATRIX_MAX_BYTES",
@@ -108,7 +108,6 @@ __all__ = [
     "later_tables",
     "place_cold_stream",
     "prepare_match_stream",
-    "resolve_impl",
     "sbm_part_stream",
     "tie_threshold",
 ]
@@ -137,36 +136,12 @@ def tie_threshold(best):
 
 
 def available_impls():
-    """Implementations usable in this environment ("numpy" always)."""
-    from ._ckernel import load_ckernel
-
+    """Implementations usable right now, the one the monopartite
+    streams take first ("numpy" always)."""
     impls = ["numpy"]
     if load_ckernel() is not None:
         impls.insert(0, "c")
     return impls
-
-
-def resolve_impl(impl):
-    """Resolve an ``impl`` argument to "numpy" or "c"."""
-    if impl in (None, "auto"):
-        impl = os.environ.get("REPRO_MATCH_IMPL", "auto")
-    if impl == "auto":
-        from ._ckernel import load_ckernel
-
-        return "c" if load_ckernel() is not None else "numpy"
-    if impl not in ("numpy", "c"):
-        raise ValueError(
-            f"unknown impl {impl!r}; expected 'auto', 'numpy' or 'c'"
-        )
-    if impl == "c":
-        from ._ckernel import load_ckernel
-
-        if load_ckernel() is None:
-            raise RuntimeError(
-                "impl='c' requested but no C kernel is available "
-                "(no compiler, or REPRO_NO_CKERNEL=1)"
-            )
-    return impl
 
 
 # -- stream preparation -------------------------------------------------------
@@ -251,6 +226,20 @@ def prepare_match_stream(table, order=None):
         positions=positions,
         cold_prefix=prefix,
     )
+
+
+def _stream_prep(table, order, prep):
+    """``prep``, checked against ``order`` — or built for it."""
+    if prep is None:
+        return prepare_match_stream(table, order)
+    if order is not None and not np.array_equal(
+        np.asarray(order, dtype=np.int64), prep.order
+    ):
+        raise ValueError(
+            "prep was built for a different arrival order; pass "
+            "either a matching order or no order at all"
+        )
+    return prep
 
 
 def cold_prefix_length(indptr, neighbors, order, positions):
@@ -475,7 +464,6 @@ def sbm_part_stream(
     tie_stream=None,
     cold_start="proportional",
     negative_gain="divide",
-    impl="auto",
     prep=None,
 ):
     """Streaming SBM-Part assignment (kernel entry point).
@@ -510,22 +498,11 @@ def sbm_part_stream(
 
         tie_stream = RandomStream(0, "sbm-part.coldstart")
 
-    impl = resolve_impl(impl)
-    if prep is None:
-        prep = prepare_match_stream(table, order)
-    elif order is not None and not np.array_equal(
-        np.asarray(order, dtype=np.int64), prep.order
-    ):
-        raise ValueError(
-            "prep was built for a different arrival order; pass "
-            "either a matching order or no order at all"
-        )
+    prep = _stream_prep(table, order, prep)
     uniforms = _draw_uniforms(tie_stream, n)
-
-    if impl == "c":
-        from ._ckernel import load_ckernel
-
-        return load_ckernel().sbm_part_stream(
+    kernel = load_ckernel()
+    if kernel is not None:
+        return kernel.sbm_part_stream(
             prep, group_sizes, target, uniforms,
             capacity_weighting, cold_start, negative_gain,
         )
@@ -722,8 +699,7 @@ def _sbm_stream_numpy(
 
 
 def ldg_stream(
-    table, capacities, order=None, tie_stream=None, impl="auto",
-    prep=None,
+    table, capacities, order=None, tie_stream=None, prep=None,
 ):
     """Streaming LDG partitioning (kernel entry point)."""
     capacities = np.asarray(capacities, dtype=np.int64)
@@ -736,23 +712,13 @@ def ldg_stream(
         raise ValueError(
             f"capacities sum to {int(capacities.sum())} < n = {n}"
         )
-    impl = resolve_impl(impl)
-    if prep is None:
-        prep = prepare_match_stream(table, order)
-    elif order is not None and not np.array_equal(
-        np.asarray(order, dtype=np.int64), prep.order
-    ):
-        raise ValueError(
-            "prep was built for a different arrival order; pass "
-            "either a matching order or no order at all"
-        )
+    prep = _stream_prep(table, order, prep)
     uniforms = (
         None if tie_stream is None else _draw_uniforms(tie_stream, n)
     )
-    if impl == "c":
-        from ._ckernel import load_ckernel
-
-        return load_ckernel().ldg_stream(prep, capacities, uniforms)
+    kernel = load_ckernel()
+    if kernel is not None:
+        return kernel.ldg_stream(prep, capacities, uniforms)
     return _ldg_stream_numpy(prep, capacities, uniforms)
 
 

@@ -94,7 +94,6 @@ def sbm_part_assign(
     tie_stream=None,
     cold_start="proportional",
     negative_gain="divide",
-    impl="auto",
     prep=None,
 ):
     """Core streaming assignment loop.
@@ -126,9 +125,6 @@ def sbm_part_assign(
         balancing of negative Frobenius gains: "divide" (default —
         keeps the balancing direction uniform) or "multiply" (literal
         application of the LDG factor); same ablation bench.
-    impl:
-        kernel implementation: "auto" (default — compiled C when a
-        system compiler is available, else numpy), "numpy" or "c".
     prep:
         optional precomputed
         :class:`~repro.core.matching.kernel.MatchPrep` for this
@@ -149,7 +145,6 @@ def sbm_part_assign(
         tie_stream=tie_stream,
         cold_start=cold_start,
         negative_gain=negative_gain,
-        impl=impl,
         prep=prep,
     )
 
@@ -198,7 +193,6 @@ def sbm_part_match(
     tie_stream=None,
     cold_start="proportional",
     negative_gain="divide",
-    impl="auto",
     prep=None,
 ):
     """Full matching: PT + joint + structure -> mapping ``f``.
@@ -236,7 +230,6 @@ def sbm_part_match(
         tie_stream=tie_stream,
         cold_start=cold_start,
         negative_gain=negative_gain,
-        impl=impl,
         prep=prep,
     )
     mapping = _mapping_from_assignment(assignment, codes)

@@ -339,7 +339,12 @@ def structure_inputs(schema, scale, seed, task, node_counts):
         edge.structure.name, seed=sg_seed, **edge.structure.params
     )
     if edge.name in scale:
-        n = generator.get_num_nodes(int(scale[edge.name]))
+        try:
+            n = generator.get_num_nodes(int(scale[edge.name]))
+        except ValueError as exc:  # an edge count it cannot reach
+            raise SchemaError(
+                f"{edge.name}: {generator.name} {exc}"
+            ) from None
     else:
         n = node_counts[edge.tail_type]
     problem = generator.node_count_problem(n)
@@ -559,6 +564,10 @@ def apply_task(task, schema, scale, seed, result, structures, store=None):
         id_space = matched_id_space(edge, structure, *counts)
 
         def build(spill):
+            if not len(structure):
+                # No edge to place, so no matching — what the virtual
+                # store does too, as it never builds an unread table.
+                return MatchedEdges(structure, None, None, id_space), None
             if is_correlated(edge):
                 table, match = match_edge(
                     edge, seed, task.task_id, structure.to_edge_table(),

@@ -18,8 +18,8 @@ its finishing metadata, plus the topology metadata of each generated
 structure.  It lives once in memory and — after
 :meth:`TableSpool.open_catalog` — is persisted as the append-only
 JSON-lines file ``checkpoint.jsonl``: a header line (catalog format,
-package version, run fingerprint, ``shard_rows``) and then one line
-per ``ack`` / ``seal`` / ``structure`` / ``truncate``
+package and numpy versions, run fingerprint, ``shard_rows``) and then
+one line per ``ack`` / ``seal`` / ``structure`` / ``truncate``
 event, one ``write`` each, so an ack costs O(1) bytes and a crash
 loses at most the in-flight shard.  ``--resume`` replays the file
 through the function that records live events, re-verifies each
@@ -73,6 +73,7 @@ CATALOG_VERSION = 2
 #: line, and of the per-file digests inside an ``ack``.
 _HEADER_FIELDS = {
     "catalog": int, "repro": str, "fingerprint": str, "shard_rows": int,
+    "numpy": str,
 }
 _EVENT_FIELDS = {
     "ack": {"table": str, "kind": str, "shard": int, "rows": int,
@@ -88,6 +89,12 @@ class CheckpointError(RuntimeError):
     """A resume request that cannot be honoured: a malformed catalog,
     one written by another package / catalog version, or a fingerprint
     mismatch — the spool belongs to a different run."""
+
+
+def _versions(header):
+    """What wrote a catalog, as its refusals name it."""
+    return (f"repro {header['repro']} with numpy {header['numpy']} "
+            f"(catalog format {header['catalog']})")
 
 
 def _check_fields(record, fields):
@@ -287,6 +294,7 @@ class TableSpool:
         #: catalog file, once open_catalog() chose to persist it
         self._catalog = None
         self._appends = 0
+        self._spills = 0
         #: scratch path -> SpillView handed out (closed before cleanup)
         self._views = {}
 
@@ -340,6 +348,7 @@ class TableSpool:
         header = {
             "catalog": CATALOG_VERSION, "repro": __version__,
             "fingerprint": fingerprint, "shard_rows": self.shard_rows,
+            "numpy": np.__version__,
         }
         if resume and self._replay(header):
             return
@@ -362,9 +371,8 @@ class TableSpool:
             if (self.directory / "checkpoint.json").exists():
                 raise CheckpointError(
                     f"{self.directory} holds a catalog format 1 "
-                    f"checkpoint.json; this is repro {expected['repro']} "
-                    f"(catalog format {CATALOG_VERSION}): refusing to "
-                    "resume across versions"
+                    f"checkpoint.json; this is {_versions(expected)}: "
+                    "refusing to resume across versions"
                 ) from None
             return False
         except OSError as exc:
@@ -397,11 +405,10 @@ class TableSpool:
 
     def _check_header(self, header, expected):
         _check_fields(header, _HEADER_FIELDS)
-        versions = "repro {repro} (catalog format {catalog})".format
-        if versions(**header) != versions(**expected):
+        if _versions(header) != _versions(expected):
             raise CheckpointError(
                 f"the catalog at {self._catalog} was written by "
-                f"{versions(**header)}; this is {versions(**expected)}: "
+                f"{_versions(header)}; this is {_versions(expected)}: "
                 "refusing to resume across versions"
             )
         if header != expected:
@@ -588,6 +595,7 @@ class TableSpool:
         RSS budget.  Every view is registered so :meth:`cleanup` can
         release its mmap handle before removing the directory.
         """
+        self._fire_spill()
         array = np.asarray(array)
         path = self.scratch_path(name)
         _save(path, array)
@@ -600,8 +608,13 @@ class TableSpool:
         self._views[view.path] = view
         return view
 
+    def _fire_spill(self):
+        _faults.fire("spill", self._spills)  # numbered like ``ledger``
+        self._spills += 1
+
     def create_spill(self, name, rows, dtype):
         """A writable scratch memmap for incremental fills."""
+        self._fire_spill()
         path = self.scratch_path(name)
         path.parent.mkdir(parents=True, exist_ok=True)
         return np.lib.format.open_memmap(

@@ -25,8 +25,7 @@ from __future__ import annotations
 __all__ = ["ldg_partition"]
 
 
-def ldg_partition(table, capacities, order=None, tie_stream=None,
-                  impl="auto", prep=None):
+def ldg_partition(table, capacities, order=None, tie_stream=None, prep=None):
     """Partition the nodes of ``table`` into groups of given capacities.
 
     Parameters
@@ -40,8 +39,6 @@ def ldg_partition(table, capacities, order=None, tie_stream=None,
     tie_stream:
         :class:`~repro.prng.RandomStream` used to break score ties;
         deterministic round-robin when omitted.
-    impl:
-        kernel implementation: "auto" (default), "numpy" or "c".
     prep:
         optional precomputed
         :class:`~repro.core.matching.kernel.MatchPrep` for this
@@ -54,6 +51,5 @@ def ldg_partition(table, capacities, order=None, tie_stream=None,
     from ..core.matching.kernel import ldg_stream
 
     return ldg_stream(
-        table, capacities, order=order, tie_stream=tie_stream,
-        impl=impl, prep=prep,
+        table, capacities, order=order, tie_stream=tie_stream, prep=prep,
     )

@@ -111,13 +111,15 @@ class _PrngCKernel:
 
 
 @functools.cache
-def load_prng_ckernel():
-    """The compiled permutation, or ``None`` when unavailable.
-
-    One compile attempt per process; ``.cache_clear()`` forgets it.
-    """
+def _loader():
     # core/__init__ imports this package, so the compile seam is
     # resolved at first use, not at import.
     from ..core.ccompile import load_once
 
-    return load_once(_SOURCE, "prngkernel", _PrngCKernel)()
+    return load_once(_SOURCE, "prngkernel", _PrngCKernel)
+
+
+def load_prng_ckernel():
+    """The compiled permutation, or ``None`` when unavailable or
+    ``REPRO_NO_CKERNEL`` is set (read per call, like every loader)."""
+    return _loader()()

@@ -31,14 +31,13 @@ Bit-exactness contract:
   recursion above), so the normalised cdf a draw is compared against
   carries the exact bits of the frozen legacy generator.
 
-Selection: ``REPRO_PROP_IMPL=auto|numpy|c`` (default ``auto`` — C when
-available); ``REPRO_NO_CKERNEL=1`` disables compilation globally.
+Selection: C whenever it loads; ``REPRO_NO_CKERNEL=1``, the switch
+every compiled kernel reads on every call, selects the numpy path.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 
 import numpy as np
 
@@ -218,43 +217,12 @@ class _PropertyCKernel:
         return codes, offsets
 
 
-#: One compile attempt per process; ``None`` on any failure.
-_load = load_once(_SOURCE, "propkernel", _PropertyCKernel)
+#: ``load_property_ckernel()``: the compiled attribute kernel, or
+#: ``None`` when unavailable or ``REPRO_NO_CKERNEL`` is set.
+load_property_ckernel = load_once(_SOURCE, "propkernel", _PropertyCKernel)
 
 
-def load_property_ckernel():
-    """The compiled attribute kernel, or ``None`` when unavailable.
-
-    Mirrors the matching kernel's loader: one compile attempt per
-    process, silent numpy fallback on any failure, ``None`` when
-    ``REPRO_NO_CKERNEL`` is set or ``REPRO_PROP_IMPL=numpy`` forces
-    the pure path — and a hard error when ``REPRO_PROP_IMPL=c``
-    demands a kernel that cannot load (via :func:`resolve_impl`).
-    """
-    return _load() if resolve_impl() == "c" else None
-
-
-def resolve_impl(requested=None):
-    """Resolve ``auto``/env selection to ``"numpy"`` or ``"c"``.
-
-    ``requested`` overrides ``REPRO_PROP_IMPL``; ``auto`` (default)
-    answers ``"c"`` only when a kernel actually loads.  Forcing
-    ``"c"`` when no kernel can load raises, exactly like the matching
-    kernel's ``impl="c"``.
-    """
-    choice = requested or os.environ.get("REPRO_PROP_IMPL", "auto")
-    if choice not in ("auto", "numpy", "c"):
-        raise ValueError(
-            f"unknown property impl {choice!r}; "
-            "expected auto, numpy or c"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if choice == "c":
-        if _load() is None:
-            raise RuntimeError(
-                "REPRO_PROP_IMPL=c requested but no C kernel is "
-                "available (no compiler, or REPRO_NO_CKERNEL=1)"
-            )
-        return "c"
-    return "c" if _load() is not None else "numpy"
+def resolve_impl():
+    """The path the attribute kernels take right now: ``"c"`` or
+    ``"numpy"``."""
+    return "numpy" if load_property_ckernel() is None else "c"

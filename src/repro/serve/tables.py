@@ -135,6 +135,10 @@ class VirtualPropertyTable(PropertyRows):
         )
 
 
+def _built(table):
+    return table
+
+
 class DeferredEdges(EdgeRows):
     """A matched edge table whose matching state is built on demand.
 
@@ -159,6 +163,11 @@ class DeferredEdges(EdgeRows):
 
     def __len__(self):
         return self._length
+
+    def __reduce__(self):
+        # A copy is the built table, whose matching state is spilled:
+        # it pickles as paths, like every table a worker receives.
+        return _built, (self.resolve(),)
 
     def resolve(self):
         """The built table (building it if nobody has)."""

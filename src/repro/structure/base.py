@@ -262,7 +262,9 @@ class StructureGenerator:
         while self.expected_edges_for_nodes(hi) < num_edges:
             hi *= 2
             if hi > 1 << 40:
-                raise ValueError("edge target not reachable")
+                raise ValueError(
+                    f"cannot reach {num_edges} edges at any node count"
+                )
         while lo < hi:
             mid = (lo + hi) // 2
             if self.expected_edges_for_nodes(mid) < num_edges:

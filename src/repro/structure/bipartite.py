@@ -91,6 +91,11 @@ class BipartiteConfiguration(StructureGenerator):
             "head_nodes",
         }
 
+    def node_count_problem(self, n):
+        if n and self._params.get("head_nodes") == 0:
+            return f"has head_nodes=0 to join {n} tails to"
+        return None
+
     def _degree_layout(self, n, stream):
         """Sample both degree sequences."""
         tail_dist = self._params.get("tail_distribution")

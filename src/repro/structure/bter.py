@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import StructureGenerator, edge_table_from_pairs
-from .degree_sequences import powerlaw_degree_sequence
+from .degree_sequences import degree_sequence_problem, sample_degrees
 from ..tables import EdgeTable
 
 __all__ = ["BTER", "chung_lu_pairs"]
@@ -117,26 +117,13 @@ class BTER(StructureGenerator):
     def parameter_names(self):
         return {"degrees", "avg_degree", "max_degree", "gamma", "ccd"}
 
-    def _degree_sequence(self, n, stream):
-        if "degrees" in self._params:
-            degrees = np.asarray(self._params["degrees"], dtype=np.int64)
-            if degrees.size != n:
-                raise ValueError(
-                    f"degree sequence length {degrees.size} != n {n}"
-                )
-            return degrees
-        return powerlaw_degree_sequence(
-            n,
-            self._params.get("gamma", 2.0),
-            self._params.get("avg_degree", 20),
-            self._params.get("max_degree", 50),
-            stream.substream("degrees"),
-        )
+    def node_count_problem(self, n):
+        return degree_sequence_problem(self._params, n)
 
     def _generate(self, n, stream):
         if n == 0:
             return EdgeTable(self.name, [], [], num_tail_nodes=0)
-        degrees = self._degree_sequence(n, stream)
+        degrees = sample_degrees(self._params, n, stream)
         max_degree = int(degrees.max()) if degrees.size else 0
         ccd = _resolve_ccd(
             self._params.get("ccd", self.default_ccd), max_degree

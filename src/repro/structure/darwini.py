@@ -28,7 +28,7 @@ import numpy as np
 
 from .base import StructureGenerator, edge_table_from_pairs
 from .bter import chung_lu_pairs
-from .degree_sequences import powerlaw_degree_sequence
+from .degree_sequences import degree_sequence_problem, sample_degrees
 from ..tables import EdgeTable
 
 __all__ = ["Darwini"]
@@ -73,26 +73,13 @@ class Darwini(StructureGenerator):
             "cc_bins",
         }
 
-    def _degree_sequence(self, n, stream):
-        if "degrees" in self._params:
-            degrees = np.asarray(self._params["degrees"], dtype=np.int64)
-            if degrees.size != n:
-                raise ValueError(
-                    f"degree sequence length {degrees.size} != n {n}"
-                )
-            return degrees
-        return powerlaw_degree_sequence(
-            n,
-            self._params.get("gamma", 2.0),
-            self._params.get("avg_degree", 20),
-            self._params.get("max_degree", 50),
-            stream.substream("degrees"),
-        )
+    def node_count_problem(self, n):
+        return degree_sequence_problem(self._params, n)
 
     def _generate(self, n, stream):
         if n == 0:
             return EdgeTable(self.name, [], [], num_tail_nodes=0)
-        degrees = self._degree_sequence(n, stream)
+        degrees = sample_degrees(self._params, n, stream)
         sampler = self._params.get("cc_sampler", self.default_cc_sampler)
         bins = int(self._params.get("cc_bins", 8))
         if bins < 1:

@@ -14,10 +14,43 @@ import numpy as np
 from ..stats import PowerLaw
 
 __all__ = [
+    "degree_sequence_problem",
     "powerlaw_degree_sequence",
+    "sample_degrees",
     "solve_powerlaw_xmin",
     "expected_mean",
 ]
+
+
+def degree_sequence_problem(params, n):
+    """``node_count_problem`` of the degree-sequence generators: a law
+    capped at ``n - 1`` has no cut-off with a mean above the cap."""
+    if "degrees" in params:
+        size = len(params["degrees"])
+        if size != n:
+            return f"has a degree sequence of {size} nodes, got {n}"
+        return None
+    avg_degree = params.get("avg_degree", 20)
+    if 0 < n <= avg_degree:
+        return f"needs more than avg_degree={avg_degree} nodes, got {n}"
+    return None
+
+
+def sample_degrees(params, n, stream):
+    """The degree sequence of BTER / Darwini ``params``: explicit
+    ``degrees``, or a power law (``gamma`` / ``avg_degree`` /
+    ``max_degree``, defaults 2 / 20 / 50)."""
+    if "degrees" in params:
+        degrees = np.asarray(params["degrees"], dtype=np.int64)
+        if degrees.size != n:
+            raise ValueError(
+                f"degree sequence length {degrees.size} != n {n}"
+            )
+        return degrees
+    return powerlaw_degree_sequence(
+        n, params.get("gamma", 2.0), params.get("avg_degree", 20),
+        params.get("max_degree", 50), stream.substream("degrees"),
+    )
 
 
 def expected_mean(gamma, xmin, xmax):

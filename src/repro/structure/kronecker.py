@@ -54,6 +54,15 @@ class KroneckerGenerator(StructureGenerator):
         if edge_factor <= 0:
             raise ValueError("edge_factor must be positive")
 
+    def node_count_problem(self, n):
+        side = len(self._params.get("initiator") or ())
+        size = 1
+        while 1 < side and size < n:
+            size *= side
+        if side and n and size != n:
+            return f"needs a node count that is a power of {side}, got {n}"
+        return None
+
     def _levels_for(self, n, side):
         levels = 0
         size = 1

@@ -38,7 +38,10 @@ import numpy as np
 from ._ckernel import load_structure_ckernel
 from .base import StructureGenerator
 from .configuration import pair_stubs_with_repair
-from .degree_sequences import powerlaw_degree_sequence
+from .degree_sequences import (
+    degree_sequence_problem,
+    powerlaw_degree_sequence,
+)
 from ..stats import PowerLaw
 from ..tables import EdgeTable
 
@@ -114,12 +117,7 @@ class LFR(StructureGenerator):
             raise ValueError("max_degree must be >= 1")
 
     def node_count_problem(self, n):
-        # The degree power law is capped at n - 1 and no cut-off of a
-        # capped law has a mean above the cap.
-        avg_degree = self._params.get("avg_degree", 20)
-        if 0 < n <= avg_degree:
-            return f"needs more than avg_degree={avg_degree} nodes, got {n}"
-        return None
+        return degree_sequence_problem(self._params, n)
 
     # -- pipeline pieces -----------------------------------------------------
 

@@ -3,10 +3,12 @@
 The robustness contract (docs/robustness.md) is byte-identity under
 failure: a run killed at *any* stage boundary and resumed from its
 spool checkpoint must export exactly the bytes of an uninterrupted
-run.  These tests pin that claim with a deterministic fault-injection
-harness (``repro.core.faults``) across every pipeline stage, both
-pool backends, and both retry paths (in-run respawn and cross-run
-resume), plus the catalog/fingerprint and spec-grammar layers under it.
+run.  The differential oracle (``tests/test_property_based.py``)
+resumes every schema it draws after a crash at a random fault site;
+these tests pin the deterministic fault-injection harness
+(``repro.core.faults``), both retry paths (in-run respawn and
+cross-run resume), interrupted sinks, and the catalog / fingerprint
+and spec-grammar layers under them.
 """
 
 from __future__ import annotations
@@ -96,39 +98,10 @@ def _assert_same_tree(got_dir, expected):
         assert got[key] == expected[key], key
 
 
-# One fault per pipeline stage.  Indices picked so each actually fires
-# on the tiny schema (count/structure have one occurrence; property and
-# match have one per shard; export one per formatted chunk written;
-# ledger one per catalog append — ``ledger:1`` is the second property
-# ack, after its part file landed and before the catalog knows).
-STAGE_FAULTS = {
-    "count": "count:0:crash",
-    "property": "property:1:crash",
-    "structure": "structure:0:crash",
-    "match": "match:1:crash",
-    "export": "export:2:ioerror",
-    "ledger": "ledger:1:crash",
-}
-
-
-class TestCrashMatrix:
-    """Acceptance matrix: crash at each stage x backend x workers,
-    then ``resume`` -> export byte-identical to an uninterrupted run."""
-
-    @pytest.mark.parametrize("stage", sorted(STAGE_FAULTS))
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 1), ("thread", 4), ("process", 1), ("process", 4),
-    ])
-    def test_crash_then_resume_is_byte_identical(
-        self, expected_csv, tmp_path, stage, backend, workers
-    ):
-        out, spool = tmp_path / "out", tmp_path / "spool"
-        with pytest.raises((InjectedFault, OSError, ShardedError)):
-            _run(out, spool, backend=backend, workers=workers,
-                 faults=STAGE_FAULTS[stage])
-        assert (spool / CHECKPOINT_NAME).exists()
-        _run(out, spool, backend=backend, workers=workers, resume=True)
-        _assert_same_tree(out, expected_csv)
+class TestResume:
+    """Crash-then-resume byte identity at every fault site is a leg of
+    the differential oracle (``tests/test_property_based.py``); these
+    are the resume entry conditions."""
 
     def test_resume_requires_explicit_spool(self):
         with pytest.raises(ValueError, match="resume requires"):
@@ -143,25 +116,6 @@ class TestCrashMatrix:
         out, spool = tmp_path / "out", tmp_path / "spool"
         _run(out, spool, resume=True)
         _assert_same_tree(out, expected_csv)
-
-
-class TestInterruptedSinks:
-    """A sink that died mid-file is fully rewritten on resume: the
-    truncated/partial export can never leak into the final bytes."""
-
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @pytest.mark.parametrize("compress", [None, "gzip"])
-    def test_export_ioerror_then_resume(self, tmp_path, fmt, compress):
-        clean = tmp_path / "clean"
-        _run(clean, tmp_path / "clean-spool", fmt=fmt, compress=compress)
-        out, spool = tmp_path / "out", tmp_path / "spool"
-        with pytest.raises(OSError):
-            _run(out, spool, fmt=fmt, compress=compress,
-                 faults="export:2:ioerror")
-        # The interrupted run must leave a truncated/short export tree.
-        assert _tree_bytes(out) != _tree_bytes(clean)
-        _run(out, spool, fmt=fmt, compress=compress, resume=True)
-        _assert_same_tree(out, _tree_bytes(clean))
 
 
 class TestRetries:
@@ -265,6 +219,11 @@ class TestLedger:
         assert (tmp_path / CHECKPOINT_NAME).read_bytes() == before
 
 
+def _versions(header):
+    return (f"repro {header['repro']} with numpy {header['numpy']} "
+            f"(catalog format {header['catalog']})")
+
+
 def _crashed_spool(tmp_path):
     """A spool left behind by a crash, with its catalog's lines."""
     out, spool = tmp_path / "out", tmp_path / "spool"
@@ -337,13 +296,13 @@ class TestCatalogFile:
             _run(out, spool, resume=True)
 
     @pytest.mark.parametrize("field, other", [
-        ("repro", "0.0.9"), ("catalog", 3),
+        ("repro", "0.0.9"), ("catalog", 3), ("numpy", "1.0.0"),
     ])
     def test_other_version_is_refused_naming_both(self, tmp_path, field,
                                                   other):
         out, spool, catalog, lines = _crashed_spool(tmp_path)
         header = json.loads(lines[0])
-        mine = f"repro {header['repro']} (catalog format {header['catalog']})"
+        mine = _versions(header)
         header[field] = other
         lines[0] = json.dumps(header)
         catalog.write_text("\n".join(lines) + "\n")
@@ -351,8 +310,7 @@ class TestCatalogFile:
             _run(out, spool, resume=True)
         message = str(excinfo.value)
         assert mine in message
-        assert (f"repro {header['repro']} "
-                f"(catalog format {header['catalog']})") in message
+        assert _versions(header) in message
 
     def test_v1_ledger_is_refused_not_restarted(self, tmp_path):
         out, spool = tmp_path / "out", tmp_path / "spool"
@@ -364,7 +322,10 @@ class TestCatalogFile:
             _run(out, spool, resume=True)
         message = str(excinfo.value)
         assert "catalog format 1" in message
-        assert f"repro {repro.__version__} (catalog format 2)" in message
+        assert _versions({
+            "repro": repro.__version__, "numpy": np.__version__,
+            "catalog": 2,
+        }) in message
         assert not (spool / CHECKPOINT_NAME).exists()
 
 

@@ -39,7 +39,6 @@ from repro.datasets import social_network_schema
 from repro.io import export_graph, make_sink
 from repro.io.spool import TableSpool
 from repro.prng import derive_seed
-from repro.scenarios import compile_scenario, load_zoo, run_scenario
 from repro.serve import VirtualGraph
 from repro.stats import Zipf
 from repro.structure import create_generator
@@ -368,56 +367,3 @@ class TestOneWalk:
             for path in src.rglob("*.py")
             if re.search(r"\btask\.kind\b", path.read_text())
         } == {"core/tasks.py"}
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_in_memory_workers_equal_sharded_backends(
-        self, workers, sharded_social, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(run_module, "DEFAULT_SHARD_ROWS", 97)
-        compiled = sharded_social["compiled"]
-        run_scenario(
-            compiled, workers=workers, out_dir=tmp_path,
-            formats=["csv"], validate=False,
-        )
-        produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        for backend in ("thread", "process"):
-            assert produced == sharded_social[backend], backend
-
-
-    def test_served_graph_exports_the_same_files(
-        self, sharded_social, tmp_path
-    ):
-        """The virtual store is a ``PropertyGraph`` like the other
-        two: the exporter writes it, node- and edge-property files
-        included, byte for byte."""
-        served = VirtualGraph.from_scenario(
-            sharded_social["compiled"], chunk_rows=97
-        )
-        try:
-            export_graph(served.graph, make_sink("csv", tmp_path))
-        finally:
-            served.close()
-        produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert produced == sharded_social["thread"]
-        assert {"Person.country.csv", "knows.creationDate.csv"} <= set(
-            produced
-        )
-
-
-@pytest.fixture(scope="module")
-def sharded_social(tmp_path_factory):
-    """The zoo's social network out of core at 97-row shards, once per
-    backend: ``{backend: {file name: bytes}}`` plus the recipe."""
-    compiled = compile_scenario(
-        load_zoo("social_network"), scale={"Person": 600}
-    )
-    exports = {"compiled": compiled}
-    for backend in ("thread", "process"):
-        out = tmp_path_factory.mktemp(f"sharded-{backend}")
-        graph, _, _ = run_scenario(
-            compiled, workers=2, out_dir=out, formats=["csv"],
-            validate=False, shard_rows=97, backend=backend,
-        )
-        graph.cleanup()
-        exports[backend] = {p.name: p.read_bytes() for p in out.iterdir()}
-    return exports

@@ -3,9 +3,10 @@
 ``tests/golden/`` holds the canonical exports of one small graph
 (written by the pre-streaming per-row exporters; see
 ``tests/golden/regenerate.py``).  Every format must keep producing
-exactly those bytes — for any chunk size — so formatting changes can
-never slip in silently.  An *intended* format change must rerun the
-regenerate script and commit the fixture diff.
+exactly those bytes — for any chunk size, with or without the compiled
+kernels — so formatting changes can never slip in silently.  An
+*intended* format change must rerun the regenerate script and commit
+the fixture diff.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ sys.path.insert(0, str(GOLDEN_DIR))
 from regenerate import build_graph  # noqa: E402
 
 
-@pytest.fixture(scope="module")
-def graph():
-    return build_graph()
+@pytest.fixture(scope="module", params=["compiled", "numpy"])
+def graph(request):
+    """The golden graph, generated and exported by the compiled kernels
+    (where they load) and by their numpy / Python twins: the one
+    in-process switch, held for every test of one parameter."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "numpy":
+            patch.setenv("REPRO_NO_CKERNEL", "1")
+        yield build_graph()
 
 
 def golden_files(subdir):

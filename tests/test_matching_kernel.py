@@ -65,6 +65,21 @@ REGEN = _load_regenerate()
 IMPLS = available_impls()
 
 
+def use_impl(monkeypatch, impl):
+    """Select the placement loop through the one kernel switch."""
+    if impl == "numpy":
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+
+
+@pytest.fixture(params=IMPLS)
+def impl(request, monkeypatch):
+    """Each available placement loop in turn."""
+    use_impl(monkeypatch, request.param)
+    return request.param
+
+
 def _graph(name, seed, n, **params):
     return create_generator(name, seed=seed, **params).run(n)
 
@@ -95,9 +110,7 @@ class TestGoldenFixtures:
     def small_golden(self):
         return np.load(GOLDEN_DIR / "matching_small.npz")
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_small_cases(self, small_golden, impl, monkeypatch):
-        monkeypatch.setenv("REPRO_MATCH_IMPL", impl)
+    def test_small_cases(self, small_golden, impl):
         fresh = REGEN.small_cases()
         assert set(fresh) == set(small_golden.files)
         for name in small_golden.files:
@@ -120,7 +133,7 @@ class TestGoldenFixtures:
     def test_large_case_numpy(self, monkeypatch):
         """The same case through the numpy placement loop, which a
         run with the compiled kernel loaded never takes."""
-        monkeypatch.setenv("REPRO_MATCH_IMPL", "numpy")
+        use_impl(monkeypatch, "numpy")
         self.test_large_case()
 
     def test_structure_fixtures(self):
@@ -135,7 +148,6 @@ class TestGoldenFixtures:
 
 
 class TestKernelMatchesLegacy:
-    @pytest.mark.parametrize("impl", IMPLS)
     @pytest.mark.parametrize("gname", ["lfr", "erdos_renyi_m",
                                        "forest_fire"])
     def test_sbm_streams_identical(self, impl, gname):
@@ -143,12 +155,9 @@ class TestKernelMatchesLegacy:
         expected = legacy_sbm_part_assign(
             table, sizes, target, order=order
         )
-        got = sbm_part_assign(
-            table, sizes, target, order=order, impl=impl
-        )
+        got = sbm_part_assign(table, sizes, target, order=order)
         assert np.array_equal(expected, got)
 
-    @pytest.mark.parametrize("impl", IMPLS)
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -164,19 +173,15 @@ class TestKernelMatchesLegacy:
         expected = legacy_sbm_part_assign(
             table, sizes, target, order=order, **kwargs
         )
-        got = sbm_part_assign(
-            table, sizes, target, order=order, impl=impl, **kwargs
-        )
+        got = sbm_part_assign(table, sizes, target, order=order, **kwargs)
         assert np.array_equal(expected, got)
 
-    @pytest.mark.parametrize("impl", IMPLS)
     def test_sbm_natural_order_identical(self, impl):
         table, sizes, target, _ = _instance(33)
         expected = legacy_sbm_part_assign(table, sizes, target)
-        got = sbm_part_assign(table, sizes, target, impl=impl)
+        got = sbm_part_assign(table, sizes, target)
         assert np.array_equal(expected, got)
 
-    @pytest.mark.parametrize("impl", IMPLS)
     def test_uneven_sizes_with_zero_groups(self, impl):
         table, _, _, order = _instance(34, k=8)
         n = table.num_nodes
@@ -188,12 +193,9 @@ class TestKernelMatchesLegacy:
         expected = legacy_sbm_part_assign(
             table, sizes, target, order=order
         )
-        got = sbm_part_assign(
-            table, sizes, target, order=order, impl=impl
-        )
+        got = sbm_part_assign(table, sizes, target, order=order)
         assert np.array_equal(expected, got)
 
-    @pytest.mark.parametrize("impl", IMPLS)
     def test_ldg_identical(self, impl):
         table, sizes, _, order = _instance(35)
         for tie_stream in (None, RandomStream(8, "ldg")):
@@ -201,8 +203,7 @@ class TestKernelMatchesLegacy:
                 table, sizes, order=order, tie_stream=tie_stream
             )
             got = ldg_partition(
-                table, sizes, order=order, tie_stream=tie_stream,
-                impl=impl,
+                table, sizes, order=order, tie_stream=tie_stream
             )
             assert np.array_equal(expected, got)
 
@@ -241,46 +242,17 @@ class TestKernelMatchesLegacy:
         provider bit-for-bit."""
         import repro.core.matching.kernel as kernel_mod
 
+        use_impl(monkeypatch, "numpy")
         table, sizes, target, order = _instance(36)
-        a = sbm_part_assign(
-            table, sizes, target, order=order, impl="numpy"
-        )
-        ldg_a = ldg_partition(table, sizes, order=order, impl="numpy")
+        a = sbm_part_assign(table, sizes, target, order=order)
+        ldg_a = ldg_partition(table, sizes, order=order)
         monkeypatch.setattr(
             kernel_mod, "COUNTS_MATRIX_MAX_BYTES", 0
         )
-        b = sbm_part_assign(
-            table, sizes, target, order=order, impl="numpy"
-        )
-        ldg_b = ldg_partition(table, sizes, order=order, impl="numpy")
+        b = sbm_part_assign(table, sizes, target, order=order)
+        ldg_b = ldg_partition(table, sizes, order=order)
         assert np.array_equal(a, b)
         assert np.array_equal(ldg_a, ldg_b)
-
-
-@pytest.mark.skipif(
-    "c" not in IMPLS, reason="no C compiler in this environment"
-)
-class TestCAndNumpyAgree:
-    """The two kernel implementations are interchangeable."""
-
-    def test_randomised_instances(self):
-        for seed in range(40, 46):
-            table, sizes, target, order = _instance(
-                seed, n=800, k=6, gname="erdos_renyi_m"
-            )
-            a = sbm_part_assign(
-                table, sizes, target, order=order, impl="numpy"
-            )
-            b = sbm_part_assign(
-                table, sizes, target, order=order, impl="c"
-            )
-            assert np.array_equal(a, b), seed
-
-    def test_ldg_agrees(self):
-        table, sizes, _, order = _instance(47)
-        a = ldg_partition(table, sizes, order=order, impl="numpy")
-        b = ldg_partition(table, sizes, order=order, impl="c")
-        assert np.array_equal(a, b)
 
 
 # -- tie tolerance ------------------------------------------------------------
@@ -415,7 +387,6 @@ class TestColdStart:
                 [0.5], "sideways",
             )
 
-    @pytest.mark.parametrize("impl", IMPLS)
     @pytest.mark.parametrize("mode", ["proportional", "greedy"])
     def test_edgeless_graph_is_all_cold(self, impl, mode):
         """On an edgeless graph every step takes the cold path, so the
@@ -431,7 +402,6 @@ class TestColdStart:
         )
         got = sbm_part_assign(
             table, sizes, target, order=order, cold_start=mode,
-            impl=impl,
         )
         assert np.array_equal(expected, got)
 
@@ -471,17 +441,15 @@ class TestKernelPlumbing:
     def test_available_impls_contains_numpy(self):
         assert "numpy" in available_impls()
 
-    def test_unknown_impl_rejected(self):
-        table, sizes, target, _ = _instance(50, n=60, k=3)
-        with pytest.raises(ValueError, match="impl"):
-            sbm_part_assign(table, sizes, target, impl="fortran")
-
-    def test_forced_numpy_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MATCH_IMPL", "numpy")
-        table, sizes, target, _ = _instance(51, n=60, k=3)
-        a = sbm_part_assign(table, sizes, target)
-        b = sbm_part_assign(table, sizes, target, impl="numpy")
-        assert np.array_equal(a, b)
+    def test_switch_is_read_per_call(self, monkeypatch):
+        """``REPRO_NO_CKERNEL`` set in a running process takes effect
+        at the next call, and clearing it brings the C loop back."""
+        use_impl(monkeypatch, "c")
+        loaded = available_impls()
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        assert available_impls() == ["numpy"]
+        monkeypatch.delenv("REPRO_NO_CKERNEL")
+        assert available_impls() == loaded
 
     def test_prep_reuse_matches_fresh(self):
         table, sizes, target, order = _instance(52, n=500, k=4)

@@ -10,19 +10,49 @@ These exercise the load-bearing contracts:
   preserves counts);
 * stub pairing — realised degrees never exceed prescriptions;
 * SBM-Part — capacities are hard constraints for arbitrary targets;
-* DSL tokenizer — never crashes with a non-DslError on arbitrary input.
+* DSL tokenizer — never crashes with a non-DslError on arbitrary input;
+* the differential oracle — any schema drawn from the generator
+  registries writes the same bytes down every execution path
+  (``TestDifferentialOracle``).
 """
 
 from __future__ import annotations
 
+import importlib.util
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import (
+    Cardinality,
+    CorrelationSpec,
+    EdgeType,
+    GeneratorSpec,
+    GraphGenerator,
+    InjectedFault,
+    NodeType,
+    PropertyDef,
+    Schema,
+    SchemaError,
+    ShardedError,
+    ShardedExecutor,
+    run as run_module,
+)
 from repro.core.dsl.errors import DslError
+from repro.core.faults import FAULT_SITES
 from repro.core.matching import sbm_part_assign
+from repro.datasets import social_network_schema
+from repro.io import export_graph, make_sink, make_source
+from repro.planting import PlantingError, compile_plants, plant_world
 from repro.prng import RandomStream, splitmix64
+from repro.properties import available_property_generators
+from repro.scenarios import compile_scenario, load_zoo
+from repro.serve import VirtualGraph
 from repro.stats import (
     Categorical,
     Geometric,
@@ -30,9 +60,21 @@ from repro.stats import (
     TruncatedGeometric,
     Zipf,
     empirical_joint,
+    homophily_joint,
 )
-from repro.structure import pair_stubs
+from repro.structure import available_generators, pair_stubs
 from repro.tables import EdgeTable
+
+from test_table_protocol import assert_edge_laws, assert_property_laws
+
+#: ``bench/oracle.py``'s tree digests, loaded from its file (the
+#: benchmark package is not installed with the library).
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracle",
+    Path(__file__).resolve().parents[1] / "bench" / "oracle.py",
+)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 common_settings = settings(
     max_examples=50,
@@ -332,31 +374,6 @@ class TestDslRobustness:
             parse(text)
         except DslError:
             pass
-
-
-class TestEngineDeterminismProperty:
-    @common_settings
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31),
-        persons=st.integers(min_value=60, max_value=120),
-    )
-    def test_generation_is_seed_deterministic(self, seed, persons):
-        """Two engine runs with identical inputs are table-identical."""
-        from repro.core import GraphGenerator
-        from repro.datasets import social_network_schema
-
-        schema = social_network_schema(num_countries=6)
-        a = GraphGenerator(
-            schema, {"Person": persons}, seed=seed
-        ).generate()
-        b = GraphGenerator(
-            schema, {"Person": persons}, seed=seed
-        ).generate()
-        assert a.edges("knows") == b.edges("knows")
-        assert np.array_equal(
-            a.node_property("Person", "country").values,
-            b.node_property("Person", "country").values,
-        )
 
 
 class TestCsvRoundTripProperty:
@@ -683,152 +700,611 @@ class TestSpoolShardProperties:
         spool.cleanup()
 
 
+# -- the differential oracle ------------------------------------------------
+#
+# One strategy draws a small schema from the structure and property
+# registries; one test runs every draw down every execution path and
+# holds each path's export to the serial run's bytes and each of its
+# tables to the table-protocol laws.
+
+
+def _formula(value):
+    """The ``formula`` PG's function (module level: the process
+    backend pickles it by reference)."""
+    return int(value) * 3 + 1
+
+
+def _categorical(draw, deps):
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = [f"c{j}" for j in range(k)]
+        weights = list(range(1, k + 1))
+        return "string", {"values": values, "weights": weights}, (
+            "cat", values)
+    values = [10 * j for j in range(k)]
+    return "long", {"values": values}, ("cat", values)
+
+
+def _conditional(draw, deps):
+    (_, keys), = deps
+    table = {key: ([f"{key}a", f"{key}b"], [2, 1]) for key in keys}
+    values = sorted(v for options, _ in table.values() for v in options)
+    return "string", {"table": table, "default": (["z"], None)}, (
+        "cat", values + ["z"])
+
+
+def _lookup(draw, deps):
+    (_, keys), = deps
+    mapping = {key: f"<{key}>" for key in keys[:-1]}  # last: default
+    return "string", {"mapping": mapping, "default": "?"}, (
+        "cat", sorted(mapping.values()) + ["?"])
+
+
+def _date_range(draw, deps):
+    params = {"start": 10**9, "end": 10**9 + draw(st.integers(1, 10**8))}
+    if draw(st.booleans()):
+        params["granularity"] = "day"
+    return "date", params, ("date", None)
+
+
+def _root(dtype, kind, **params):
+    """A palette entry with no dependencies and fixed parameters."""
+    return (), 0, lambda draw, deps: (dtype, params, (kind, None))
+
+
+#: A text vocabulary with the bytes exporters must quote or escape.
+_WORDS = ["alpha", "b,c", 'q"t', "naïve", "日本", "x\ny"]
+
+#: PG name -> (column kinds its dependencies are drawn from — none for
+#: a root —, how many at most, ``build(draw, dep_columns)`` returning
+#: ``(dtype, params, column)``).  A column is ``(kind, categories)``.
+_PROPERTY_PALETTE = {
+    "categorical": ((), 0, _categorical),
+    "conditional": (("cat",), 1, _conditional),
+    "lookup": (("cat",), 1, _lookup),
+    "weighted_dict": ((), 0, lambda draw, deps: (
+        "string", {"values": ["t0", "t1", "t2"], "exponent": 1.2},
+        ("cat", ["t0", "t1", "t2"]))),
+    "template": (("cat", "int", "float", "date", "text"), 2,
+                 lambda draw, deps: ("string", {"template": "".join(
+                     f"{{{j}}}," for j in range(len(deps))) + "#{id}"},
+                     ("text", None))),
+    "after_dependency": (("date",), 2, lambda draw, deps: (
+        "date", {"min_gap": 1, "max_gap": draw(st.integers(2, 10**6))},
+        ("date", None))),
+    "formula": (("int",), 1, lambda draw, deps: (
+        "long", {"function": _formula, "dtype": "int64"}, ("int", None))),
+    "date_range": ((), 0, _date_range),
+    "uniform_int": ((), 0, lambda draw, deps: (
+        "long", {"low": -5, "high": draw(st.integers(-4, 90))},
+        ("int", None))),
+    "zipf_int": ((), 0, lambda draw, deps: (
+        "long", {"k": draw(st.integers(1, 20)), "exponent": 1.3},
+        ("int", None))),
+    "sequence": ((), 0, lambda draw, deps: (
+        "long", {"start": 100, "step": draw(st.sampled_from([-3, 1, 7]))},
+        ("int", None))),
+    "uniform_float": _root("double", "float", low=-1.5, high=2.5),
+    "normal": _root("double", "float", mean=10.0, std=3.0),
+    "uuid": ((), 0, lambda draw, deps: (
+        "string", {"time_ordered": draw(st.booleans())}, ("text", None))),
+    "composite_key": _root("string", "text", prefix="k"),
+    "text": ((), 0, lambda draw, deps: (
+        "string", {"vocabulary": _WORDS, "min_words": 1, "max_words": 4,
+                   "zipf_exponent": draw(st.sampled_from([0.0, 1.1]))},
+        ("text", None))),
+    "multi_value": ((), 0, lambda draw, deps: (
+        "string", {"values": list("abcdef"), "min_size": 1,
+                   "max_size": 3, "exponent": 1.2}, ("set", None))),
+}
+
+
+def _properties(draw, prefix, inputs, most):
+    """Up to ``most`` properties drawn from the palette, each free to
+    depend on ``inputs`` (``{reference: column}`` — an edge type's
+    ``tail.x`` / ``head.x`` endpoint columns) and on the ones drawn
+    before it.  Returns the declarations and ``{name: column}``."""
+    columns, props, own = dict(inputs), [], {}
+    for j in range(draw(st.integers(0, most))):
+        pg = draw(st.sampled_from([
+            name for name, (kinds, _, _) in sorted(_PROPERTY_PALETTE.items())
+            if not kinds or any(c[0] in kinds for c in columns.values())
+        ]))
+        kinds, most_deps, build = _PROPERTY_PALETTE[pg]
+        deps = draw(st.lists(st.sampled_from(sorted(
+            ref for ref, c in columns.items() if c[0] in kinds
+        )), min_size=1, max_size=most_deps, unique=True)) if kinds else []
+        dtype, params, column = build(draw, [columns[d] for d in deps])
+        name = f"{prefix}{j}"
+        props.append(PropertyDef(
+            name, dtype, GeneratorSpec(pg, params), depends_on=deps,
+        ))
+        columns[name] = own[name] = column
+    return props, own
+
+
+#: SG name -> (endpoint shape, parameters or a draw of them): ``mono``
+#: edges join A to A, ``bipartite`` ones A to B many-to-many, ``strict``
+#: ones A to B one-to-many / one-to-one (B counted from the structure).
+_STRUCTURE_PALETTE = {
+    "erdos_renyi": ("mono", lambda draw: {
+        "p": draw(st.sampled_from([0.05, 0.2]))}),
+    "erdos_renyi_m": ("mono", lambda draw: {
+        "edges_per_node": draw(st.integers(1, 3))}),
+    "rmat": ("mono", lambda draw: {
+        "edge_factor": draw(st.integers(1, 3)),
+        "simplify": draw(st.booleans())}),
+    "sbm": ("mono", {"fractions": [0.5, 0.5],
+                     "probabilities": [[0.3, 0.05], [0.05, 0.3]]}),
+    "kronecker": ("mono", {"initiator": [[0.9, 0.5], [0.5, 0.2]],
+                           "edge_factor": 2}),
+    "lfr": ("mono", {"avg_degree": 4, "max_degree": 8, "mu": 0.2,
+                     "min_community": 4, "max_community": 12}),
+    "bter": ("mono", {"avg_degree": 3, "max_degree": 8}),
+    "darwini": ("mono", {"avg_degree": 3, "max_degree": 8}),
+    "empirical_degrees": ("mono", {"degrees": [1, 2, 2, 3, 5]}),
+    "configuration": ("mono", lambda draw: {
+        "distribution": Zipf(1.5, 6), "simplify": draw(st.booleans())}),
+    "forest_fire": ("mono", {"p": 0.3}),
+    "hyperbolic": ("mono", {"avg_degree": 3}),
+    "barabasi_albert": ("mono", lambda draw: {
+        "m": draw(st.integers(1, 3))}),
+    "watts_strogatz": ("mono", {"k": 2, "beta": 0.1}),
+    "cascade_forest": ("mono", {"num_cascades": 3, "depth_bias": 1.0}),
+    "attributed_sbm": ("mono", {
+        "joint": homophily_joint(np.full(2, 0.5), 0.7), "avg_degree": 3}),
+    "bipartite_configuration": ("bipartite", lambda draw: {
+        "tail_distribution": Zipf(1.2, 4),
+        "head_distribution": Zipf(1.2, 4),
+        "tail_offset": 1, "head_offset": 1,
+        "head_nodes": draw(st.sampled_from([0, 1, 24]))}),
+    "one_to_many": ("strict", lambda draw: {
+        "degree_distribution": Zipf(
+            draw(st.floats(min_value=0.5, max_value=2.0)),
+            draw(st.integers(1, 5)),
+        ),
+        "degree_offset": draw(st.integers(0, 1))}),
+    "one_to_one": ("strict", lambda draw: {
+        "shuffled": draw(st.booleans())}),
+}
+
+
+def _structure(draw, name):
+    params = _STRUCTURE_PALETTE[name][1]
+    return GeneratorSpec(name, params(draw) if callable(params) else params)
+
+
+def _categories(columns):
+    return sorted(name for name, (kind, _) in columns.items() if kind == "cat")
+
+
+def _correlation(draw, tail_columns, head_columns):
+    """A correlated matching over a categorical endpoint column (both
+    ends for a bipartite edge), or ``None``."""
+    tails = _categories(tail_columns)
+    heads = None if head_columns is None else _categories(head_columns)
+    if not tails or heads == [] or not draw(st.booleans()):
+        return None
+    tail = draw(st.sampled_from(tails))
+    values = tail_columns[tail][1]
+    if heads is None:
+        joint = homophily_joint(
+            np.full(len(values), 1 / len(values)),
+            draw(st.sampled_from([0.0, 0.8])),
+        )
+        return CorrelationSpec(tail, joint, values=tuple(values))
+    head = draw(st.sampled_from(heads))
+    joint = np.ones((len(values), len(head_columns[head][1])))
+    np.fill_diagonal(joint, 4.0)
+    return CorrelationSpec(
+        tail, joint / joint.sum(), head_property=head,
+        values=tuple(values), head_values=tuple(head_columns[head][1]),
+    )
+
+
+def _plants(draw, schema, a_columns, seed):
+    """A ``plants:`` block over edge type ``e``, compiled — or none."""
+    if not draw(st.booleans()):
+        return []
+    forced = _categories(a_columns)
+    name = draw(st.sampled_from(forced)) if forced else None
+    return compile_plants({"p": {
+        "edge": "e",
+        "template": {
+            "kind": draw(st.sampled_from(
+                ["ring", "star", "clique", "path", "tree"]
+            )),
+            "size": draw(st.integers(3, 4)),
+        },
+        "count": draw(st.integers(1, 2)),
+        "attributes": {name: a_columns[name][1][0]} if name else {},
+        "noise": {"rewire": draw(st.sampled_from([0.0, 0.3]))},
+    }}, schema, seed)
+
+
+@dataclass
+class Draw:
+    """One oracle input: what to generate, and how to run the legs."""
+
+    schema: Schema
+    scale: dict
+    seed: int = 0
+    plants: list = field(default_factory=list)
+    fmt: str = "csv"
+    compress: bool = False
+    chunk_size: int = 1000
+    shard_rows: int = 64
+    fault: str = "ledger:1:crash"
+    resume_backend: str = "thread"
+
+    def _repr_pretty_(self, printer, cycle):
+        # How hypothesis prints a falsifying draw: every declaration.
+        printer.text(repr({
+            **vars(self), "plants": [p.name for p in self.plants],
+            "schema": [*self.schema.node_types.values(),
+                       *self.schema.edge_types.values()],
+        }))
+
+
 @st.composite
 def _random_small_schema(draw):
-    """A random schema over the chunkable structure generators and
-    the full property-generator palette — the shapes the sharded
-    executor must reproduce bit-for-bit."""
-    from repro.core.schema import (
-        Cardinality,
-        EdgeType,
-        GeneratorSpec,
-        NodeType,
-        PropertyDef,
-        Schema,
+    """A random schema over the structure and property registries —
+    chunkable and sequential structures, dependency chains (``tail.x``
+    / ``head.x`` included), correlated matchings, plants, node or edge
+    scale anchors down to 0 and 1 — and a random way to run it."""
+    structure = draw(st.sampled_from(sorted(_STRUCTURE_PALETTE)))
+    shape = _STRUCTURE_PALETTE[structure][0]
+    a_props, a_columns = _properties(draw, "a", {}, 3)
+    schema = Schema(node_types=[NodeType("A", properties=a_props)])
+    b_columns = None
+    if shape != "mono":
+        b_props, b_columns = _properties(draw, "b", {}, 2)
+        schema.add_node_type(NodeType("B", properties=b_props))
+    inputs = {f"tail.{k}": c for k, c in a_columns.items()}
+    inputs.update({
+        f"head.{k}": c for k, c in (b_columns or a_columns).items()
+    })
+    schema.add_edge_type(EdgeType(
+        "e", "A", "A" if shape == "mono" else "B",
+        cardinality={
+            "one_to_many": Cardinality.ONE_TO_MANY,
+            "one_to_one": Cardinality.ONE_TO_ONE,
+        }.get(structure, Cardinality.MANY_TO_MANY),
+        structure=_structure(draw, structure),
+        properties=_properties(draw, "w", inputs, 2)[0],
+        correlation=_correlation(draw, a_columns, b_columns),
+        directed=shape != "mono" or draw(st.booleans()),
+    ))
+    if draw(st.booleans()):
+        # A second matching over A: two edge tables, one id space.
+        schema.add_edge_type(EdgeType(
+            "f", "A", "A",
+            structure=_structure(draw, draw(st.sampled_from(sorted(
+                name for name, (kind, _) in _STRUCTURE_PALETTE.items()
+                if kind == "mono"
+            )))),
+            properties=_properties(draw, "v", {
+                f"tail.{k}": c for k, c in a_columns.items()
+            }, 1)[0],
+        ))
+    scale = {draw(st.sampled_from(["A", "e"])): draw(
+        st.sampled_from([16, 40, 64, 40, 0, 1])
+    )}
+    if shape == "bipartite":  # many-to-many heads are counted by scale
+        scale["B"] = schema.edge_type("e").structure.params["head_nodes"]
+    seed = draw(st.integers(0, 2**31))
+    return Draw(
+        schema, scale, seed,
+        plants=_plants(draw, schema, a_columns, seed)
+        if shape == "mono" else [],
+        fmt=draw(st.sampled_from(["csv", "jsonl", "edgelist", "graphml"])),
+        compress=draw(st.booleans()),
+        chunk_size=draw(st.sampled_from([7, 1000])),
+        shard_rows=draw(st.sampled_from([5, 16, 1000])),
+        fault=f"{draw(st.sampled_from(FAULT_SITES))}:"
+              f"{draw(st.integers(0, 3))}:crash",
+        resume_backend=draw(st.sampled_from(["thread", "process"])),
     )
-    from repro.stats import Zipf
-
-    def random_property(name):
-        kind = draw(st.sampled_from(
-            ["uniform_int", "categorical_str", "categorical_int",
-             "composite_key", "date_range"]
-        ))
-        if kind == "uniform_int":
-            low = draw(st.integers(-100, 100))
-            return PropertyDef(name, "long", GeneratorSpec(
-                "uniform_int",
-                {"low": low, "high": low + draw(st.integers(1, 50))},
-            ))
-        if kind == "categorical_str":
-            k = draw(st.integers(1, 4))
-            return PropertyDef(name, "string", GeneratorSpec(
-                "categorical",
-                {"values": [f"v{j}" for j in range(k)],
-                 "weights": [j + 1 for j in range(k)]},
-            ))
-        if kind == "categorical_int":
-            k = draw(st.integers(1, 4))
-            return PropertyDef(name, "long", GeneratorSpec(
-                "categorical",
-                {"values": [10 * j for j in range(k)],
-                 "weights": [1] * k},
-            ))
-        if kind == "composite_key":
-            return PropertyDef(name, "string", GeneratorSpec(
-                "composite_key", {"prefix": name},
-            ))
-        return PropertyDef(name, "long", GeneratorSpec(
-            "date_range", {"start": 10**9, "end": 2 * 10**9},
-        ))
-
-    a_props = [
-        random_property(f"p{i}")
-        for i in range(draw(st.integers(0, 3)))
-    ]
-    one_to_many = draw(st.booleans())
-    mono = draw(st.booleans()) or not one_to_many
-    node_types = [NodeType("A", properties=a_props)]
-    if one_to_many:
-        node_types.append(NodeType("B", properties=[
-            random_property("q0"),
-        ]))
-    schema = Schema(node_types=node_types)
-    if mono:
-        edge_props = [
-            random_property(f"e{i}")
-            for i in range(draw(st.integers(0, 2)))
-        ]
-        schema.add_edge_type(EdgeType(
-            "knows", tail_type="A", head_type="A",
-            properties=edge_props,
-            structure=GeneratorSpec(
-                "erdos_renyi_m",
-                {"edges_per_node": draw(st.integers(1, 3))},
-            ),
-        ))
-    if one_to_many:
-        schema.add_edge_type(EdgeType(
-            "makes", tail_type="A", head_type="B",
-            cardinality=Cardinality.ONE_TO_MANY, directed=True,
-            structure=GeneratorSpec("one_to_many", {
-                "degree_distribution": Zipf(
-                    draw(st.floats(min_value=0.5, max_value=2.0)),
-                    draw(st.integers(1, 5)),
-                ),
-                "degree_offset": draw(st.integers(0, 1)),
-            }),
-        ))
-    return schema
 
 
-class TestShardedEquivalenceProperty:
-    """For ANY small schema, seed, shard size and export format, the
-    sharded executor → sink → GraphSource round-trip must reproduce
-    the serial engine's tables exactly — including the zero-node
-    degenerate graph."""
+# -- the legs: one context manager per execution path, yielding the
+# finished graph (planted as the exporters plant it) after its export
+# landed in ``out``.
+
+
+def _sink(case, out, chunk_size=None):
+    return make_sink(
+        case.fmt, out, chunk_size=chunk_size or case.chunk_size,
+        compress=case.compress,
+    )
+
+
+def _streaming_sink(case, out):
+    """Unplanted runs stream their export during generation; planted
+    ones export the overlay afterwards (plants append edges)."""
+    return None if case.plants else _sink(case, out)
+
+
+def _finish(case, graph, out):
+    if case.plants:
+        graph, _ = plant_world(graph, case.plants, case.seed)
+        export_graph(graph, _sink(case, out))
+    return graph
+
+
+@contextmanager
+def _in_memory(case, out, workers=1):
+    graph = GraphGenerator(
+        case.schema, case.scale, case.seed, workers=workers
+    ).generate(sink=_streaming_sink(case, out))
+    yield _finish(case, graph, out)
+
+
+@contextmanager
+def _numpy_kernels(case, out):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NO_CKERNEL", "1")
+        with _in_memory(case, out) as graph:
+            yield graph
+
+
+@contextmanager
+def _pooled(case, out):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(run_module, "DEFAULT_SHARD_ROWS", case.shard_rows)
+        with _in_memory(case, out, workers=2) as graph:
+            yield graph
+
+
+def _sharded_run(case, out, backend, **options):
+    return ShardedExecutor(
+        case.schema, case.scale, case.seed, shard_rows=case.shard_rows,
+        workers=2, backend=backend, spool_dir=f"{out}.spool", **options,
+    ).run(sink=_streaming_sink(case, out))
+
+
+@contextmanager
+def _sharded(case, out, backend):
+    result = _sharded_run(case, out, backend)
+    try:
+        yield _finish(case, result, out)
+    finally:
+        result.cleanup()
+
+
+@contextmanager
+def _resumed(case, out):
+    """Crash at ``case.fault`` (if the run gets that far), then resume
+    from the spool the crash left."""
+    try:
+        _sharded_run(
+            case, out, case.resume_backend, faults=case.fault
+        ).spool.close_views()
+    except (InjectedFault, ShardedError):
+        pass
+    with _sharded(case, out, case.resume_backend) as graph:
+        yield graph
+
+
+@contextmanager
+def _served(case, out):
+    served = VirtualGraph(
+        case.schema, case.scale, case.seed, chunk_rows=case.shard_rows,
+        plants=case.plants,
+    )
+    try:
+        export_graph(served.graph, _sink(case, out))
+        yield served.graph
+    finally:
+        served.close()
+
+
+#: Every path but the serial reference, by export directory name.
+LEGS = {
+    "no-ckernel": _numpy_kernels,
+    "workers-2": _pooled,
+    "sharded-thread": lambda case, out: _sharded(case, out, "thread"),
+    "sharded-process": lambda case, out: _sharded(case, out, "process"),
+    "served": _served,
+    "resumed": _resumed,
+}
+
+
+def _outcome(leg, case, out, expected):
+    """A leg's export digests — every table it produced held to the
+    protocol laws against ``expected`` first, when the serial run made
+    one — or the structured error it raised."""
+    try:
+        with leg(case, out) as graph:
+            if expected is not None:
+                _hold_to_laws(graph, expected)
+    except (SchemaError, PlantingError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return oracle.tree_digests(out)
+
+
+def _hold_to_laws(graph, expected):
+    assert graph.node_counts == expected.node_counts
+    for mine, theirs in (
+        (graph.node_properties, expected.node_properties),
+        (graph.edge_properties, expected.edge_properties),
+    ):
+        assert list(mine) == list(theirs)
+        for key, table in mine.items():
+            assert_property_laws(table, np.asarray(theirs[key].values))
+    assert list(graph.edge_tables) == list(expected.edge_tables)
+    for key, table in graph.edge_tables.items():
+        assert_edge_laws(table, expected.edge_tables[key])
+
+
+def _reference(case, out):
+    """The serial run's export digests — written after the fact, in
+    whole-table chunks — and its tables, or its structured error."""
+    try:
+        graph = GraphGenerator(
+            case.schema, case.scale, case.seed
+        ).generate()
+        if case.plants:
+            graph, _ = plant_world(graph, case.plants, case.seed)
+        export_graph(graph, _sink(case, out, chunk_size=10**9))
+    except (SchemaError, PlantingError) as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return oracle.tree_digests(out), graph.materialize()
+
+
+def _assert_source_reads_back(case, out, expected):
+    """CSV / JSONL / edge-list exports read back to the serial tables."""
+    if case.fmt == "graphml":
+        return
+    source = make_source(case.fmt, out)
+    tables = {**expected.node_properties, **expected.edge_properties}
+    for key in source.property_table_names():
+        values = np.array(tables[key].values)  # a copy: edited below
+        for i, value in enumerate(values):
+            if isinstance(value, tuple):
+                # Multi-value sets leave as text (CSV) or lists (JSONL).
+                values[i] = str(value) if case.fmt == "csv" else list(value)
+        _assert_values_round_tripped(
+            np.asarray(source.read_property_table(key).values), values,
+        )
+    for key in source.edge_table_names():
+        back = source.read_edge_table(key)
+        assert np.array_equal(back.tails, expected.edge_tables[key].tails)
+        assert np.array_equal(back.heads, expected.edge_tables[key].heads)
+
+
+def _zoo(name, scale, **run):
+    compiled = compile_scenario(load_zoo(name), scale=scale)
+    return Draw(compiled.schema, compiled.scale, compiled.seed,
+                plants=compiled.plants, **run)
+
+
+def _one_edge(structure, params, head="A", a_props=(), **edge):
+    """``A`` (with ``a_props``) joined to ``head`` by edge type ``e``."""
+    return Schema(
+        node_types=[NodeType("A", properties=list(a_props))]
+        + ([NodeType("B")] if head == "B" else []),
+        edge_types=[EdgeType(
+            "e", "A", head, structure=GeneratorSpec(structure, params),
+            **edge,
+        )],
+    )
+
+
+_UNIFORM = PropertyDef("x", "long", GeneratorSpec(
+    "uniform_int", {"low": 0, "high": 100}
+))
+
+#: The fixed inputs of the per-path byte matrices the oracle replaced —
+#: zoo recipes with chunkable and sequential structures, strict
+#: cardinality, both correlated matchings and plants; the running
+#: example; an edge-count anchor; the crash matrix's schema — each with
+#: a fault site to resume from.
+SOCIAL_RECIPE = _zoo("social_network", {"Person": 220},
+                     fmt="graphml", compress=True, shard_rows=97)
+RMAT_RECIPE = _zoo("web_graph_rmat", {"Page": 512}, fmt="jsonl",
+                   shard_rows=97, fault="structure:0:crash",
+                   resume_backend="process")
+RECOMMENDER_RECIPE = _zoo("recommender_bipartite",
+                          {"User": 400, "Item": 200}, compress=True,
+                          shard_rows=101, fault="match:1:crash",
+                          resume_backend="process")
+PLANTED_RECIPE = _zoo("fraud_ring_social", {"Person": 300},
+                      fault="spill:0:crash")
+RUNNING_EXAMPLE = Draw(
+    social_network_schema(num_countries=8), {"Person": 400}, 23,
+    fmt="edgelist", chunk_size=7, fault="property:1:crash",
+)
+EDGE_ANCHOR = Draw(
+    _one_edge("erdos_renyi_m", {"edges_per_node": 4}, a_props=[_UNIFORM]),
+    {"e": 1000}, 6, fault="export:2:crash",
+)
+CRASH_MATRIX = Draw(
+    _one_edge("erdos_renyi_m", {"edges_per_node": 3}, a_props=[_UNIFORM]),
+    {"A": 200}, fault="ledger:1:crash", resume_backend="process",
+)
+
+
+#: Counterexamples the oracle shrank to, fixed where they were found: a
+#: correlated matching of an empty graph (the served path skipped it,
+#: the others raised), and scales their generator cannot make, which
+#: raised a bare ``ValueError`` from inside it, not a ``SchemaError``.
+EMPTY_CORRELATED = Draw(_one_edge(
+    "attributed_sbm",
+    {"joint": homophily_joint(np.full(2, 0.5), 0.7), "avg_degree": 3},
+    a_props=[PropertyDef("a0", "long", GeneratorSpec(
+        "categorical", {"values": [0]}
+    ))],
+    correlation=CorrelationSpec(
+        "a0", homophily_joint(np.ones(1), 0.0), values=(0,)
+    ),
+), {"A": 0})
+NO_HEADS = Draw(_one_edge("bipartite_configuration", {
+    "tail_distribution": Zipf(1.2, 4), "head_distribution": Zipf(1.2, 4),
+    "tail_offset": 1, "head_offset": 1, "head_nodes": 0,
+}, head="B", directed=True), {"A": 1, "B": 0})
+NO_EDGES_TO_ANCHOR = Draw(_one_edge(
+    "one_to_many", {"degree_distribution": Zipf(0.5, 1)}, head="B",
+    cardinality=Cardinality.ONE_TO_MANY, directed=True,
+), {"e": 16})
+TOO_FEW_FOR_DEGREES = Draw(
+    _one_edge("bter", {"avg_degree": 3, "max_degree": 8}), {"A": 2}
+)
+NOT_A_POWER = Draw(_one_edge(
+    "kronecker", {"initiator": [[0.9, 0.5], [0.5, 0.2]]}
+), {"A": 40})
+
+
+class TestDifferentialOracle:
+    """For any drawn schema every execution path in ``LEGS`` writes the
+    serial run's bytes — or raises the serial run's structured error —
+    and every table it produces obeys the table-protocol laws.
+
+    A counterexample hypothesis shrinks to is pinned by writing its
+    draw out as one more ``@example`` below (or as a golden fixture,
+    when the fix changes bytes on purpose)."""
+
+    def test_palettes_cover_the_registries(self):
+        """The strategy draws every registered generator: a new one
+        joins the oracle by joining a palette."""
+        assert set(_PROPERTY_PALETTE) == set(
+            available_property_generators()
+        )
+        assert set(_STRUCTURE_PALETTE) == set(available_generators())
 
     @settings(
-        max_examples=15,
+        max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(
-        schema=_random_small_schema(),
-        seed=st.integers(min_value=0, max_value=2**31),
-        count=st.sampled_from([0, 1, 17, 40]),
-        shard_rows=st.sampled_from([7, 64, 10**9]),
-        fmt=st.sampled_from(["csv", "jsonl"]),
-    )
-    def test_source_tables_equal_serial_engine(
-        self, schema, seed, count, shard_rows, fmt,
-        tmp_path_factory,
-    ):
-        from repro.core import GraphGenerator, ShardedExecutor
-        from repro.io import export_graph, make_sink, make_source
-
-        root = tmp_path_factory.mktemp("sharded_eq")
-        scale = {"A": count}
-        serial = GraphGenerator(schema, scale, seed=seed).generate()
-        export_graph(serial, make_sink(fmt, root / "ref"))
-        ShardedExecutor(
-            schema, scale, seed=seed,
-            shard_rows=shard_rows, spool_dir=root / "spool",
-        ).run(sink=make_sink(
-            fmt, root / "out", chunk_size=min(shard_rows, 1000),
-        )).cleanup()
-        ref_files = sorted(p.name for p in (root / "ref").iterdir())
-        out_files = sorted(p.name for p in (root / "out").iterdir())
-        assert out_files == ref_files
-        for name in ref_files:
-            assert (root / "out" / name).read_bytes() == (
-                root / "ref" / name
-            ).read_bytes(), name
-        # Read back through GraphSource whatever the manifest names
-        # as standalone tables (csv: one file per property; jsonl
-        # groups properties into records, so only edges appear).
-        source = make_source(fmt, root / "out")
-        serial_props = dict(serial.node_properties)
-        serial_props.update(serial.edge_properties)
-        for key in source.property_table_names():
-            _assert_values_round_tripped(
-                np.asarray(source.read_property_table(key).values),
-                np.asarray(serial_props[key].values),
-            )
-        for key in source.edge_table_names():
-            back = source.read_edge_table(key)
-            table = serial.edge_tables[key]
-            assert np.array_equal(back.tails, table.tails), key
-            assert np.array_equal(back.heads, table.heads), key
+    @given(case=_random_small_schema())
+    @example(case=SOCIAL_RECIPE)
+    @example(case=RMAT_RECIPE)
+    @example(case=RECOMMENDER_RECIPE)
+    @example(case=PLANTED_RECIPE)
+    @example(case=RUNNING_EXAMPLE)
+    @example(case=EDGE_ANCHOR)
+    @example(case=CRASH_MATRIX)
+    @example(case=EMPTY_CORRELATED)
+    @example(case=NO_HEADS)
+    @example(case=NO_EDGES_TO_ANCHOR)
+    @example(case=TOO_FEW_FOR_DEGREES)
+    @example(case=NOT_A_POWER)
+    def test_every_leg_matches_the_serial_run(self, case,
+                                              tmp_path_factory):
+        root = tmp_path_factory.mktemp("oracle")
+        reference, expected = _reference(case, root / "serial")
+        if expected is not None:
+            _assert_source_reads_back(case, root / "serial", expected)
+        for name, leg in LEGS.items():
+            outcome = _outcome(leg, case, root / name, expected)
+            if expected is None:
+                assert outcome == reference, name
+            else:
+                assert not isinstance(outcome, str), (name, outcome)
+                assert oracle.tree_mismatches(reference, outcome) == [], (
+                    name
+                )
 
 
 class TestMixingMatrixProperty:

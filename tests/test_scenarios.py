@@ -472,8 +472,12 @@ class TestGrading:
         assert "[FAIL] a (broken)" in text
         assert "grade F" in text
 
-    def test_golden_report_json(self):
-        """The graded-report JSON for the tiny fixture is pinned."""
+    @pytest.mark.parametrize("kernels", ["compiled", "numpy"])
+    def test_golden_report_json(self, kernels, monkeypatch):
+        """The graded-report JSON for the tiny fixture is pinned, and
+        does not depend on which kernels generated the graph."""
+        if kernels == "numpy":
+            monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         _, report, _ = run_scenario(compile_scenario(TINY_RECIPE))
         golden_path = os.path.join(GOLDEN_DIR, "scenario_report.json")
         with open(golden_path, encoding="utf-8") as handle:

@@ -801,11 +801,8 @@ def _run_golden_export(tmp_path, **env):
 
 
 class TestKernelUnavailable:
-    """Golden bytes without the kernel: opted out, and no compiler."""
-
-    def test_golden_with_kernels_disabled(self, tmp_path):
-        assert _run_golden_export(
-            tmp_path, REPRO_NO_CKERNEL="1") == "python"
+    """Golden bytes when no compiler works (``tests/test_golden.py``
+    runs them with the kernels switched off)."""
 
     def test_golden_with_a_failing_compiler(self, tmp_path):
         cache = tmp_path / "cold-cache"

@@ -6,7 +6,10 @@ pre-matching structures and matched edges included — answers ``name``
 :mod:`repro.tables.ranged`.  One parametrised suite runs against all
 of them and checks each derived member against the materialised
 column(s); a new storage backend passes by adding one entry to
-``PROPERTY_CASES`` / ``EDGE_CASES``.
+``PROPERTY_CASES`` / ``EDGE_CASES``.  The checks are plain functions
+(``assert_property_laws`` / ``assert_edge_laws``), so the
+differential oracle in ``test_property_based.py`` holds every table of
+every random schema it generates to the same laws.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from repro.tables import EdgeTable, PropertyTable
 ROWS = 23
 SHARD_ROWS = 7  # divides neither ROWS nor CHUNK_SIZE
 CHUNK_SIZE = 5
-RANGES = [(0, 0), (0, ROWS), (3, 4), (6, 8), (5, 21), (ROWS, ROWS)]
-BAD_RANGES = [(-1, 2), (3, 2), (0, ROWS + 1)]
 
 VALUES = np.arange(100, 100 + ROWS, dtype=np.int64)
 TAILS = (np.arange(ROWS, dtype=np.int64) * 3) % 11
@@ -200,140 +201,216 @@ def edge_case(request, tmp_path):
     return built if isinstance(built, tuple) else (built, EDGES)
 
 
-def _assert_bounds_checked(table):
-    for start, stop in BAD_RANGES:
+def probe_ranges(length):
+    """The ``read_range`` probes of a ``length``-row table: both empty
+    ends, the whole table, and short runs that straddle chunk and shard
+    edges (clamped, so every table length gets them)."""
+    return [(0, 0), (0, length)] + [
+        (min(lo, length), min(hi, length))
+        for lo, hi in ((3, 4), (6, 8), (5, 21))
+    ] + [(length, length)]
+
+
+def iter_windows(length):
+    """``iter_chunks`` windows: the whole table, and an inner one."""
+    return [(0, None), (min(4, length), min(19, length))]
+
+
+def assert_bounds_checked(table):
+    length = len(table)
+    for start, stop in [(-1, 2), (3, 2), (0, length + 1)]:
         with pytest.raises(
             IndexError,
             match=rf"range \[{start}, {stop}\) out of bounds "
-                  rf"\[0, {ROWS}\)",
+                  rf"\[0, {length}\)",
         ):
             table.read_range(start, stop)
     with pytest.raises(ValueError, match="chunk_size must be >= 1"):
         list(table.iter_chunks(0))
     with pytest.raises(IndexError, match="start .* out of range"):
-        list(table.iter_chunks(CHUNK_SIZE, start=ROWS + 1))
+        list(table.iter_chunks(CHUNK_SIZE, start=length + 1))
+
+
+def _same(got, expected):
+    """``got`` (an array of ``expected``'s dtype, or a list) holds the
+    values of ``expected``, NaN matching NaN."""
+    if isinstance(got, np.ndarray) and got.dtype != expected.dtype:
+        return False
+    if expected.dtype.kind == "f":
+        return np.array_equal(
+            np.asarray(got, dtype=expected.dtype), expected, equal_nan=True
+        )
+    return list(got) == list(expected)
+
+
+# -- the laws, one function per member; the oracle in
+# test_property_based.py runs them on every table it produces --------------
+
+
+def property_read_range_law(table, expected):
+    assert len(table) == len(expected)
+    for lo, hi in probe_ranges(len(expected)):
+        assert _same(table.read_range(lo, hi), expected[lo:hi])
+
+
+def property_iter_chunks_law(table, expected, start, stop):
+    last = len(expected) if stop is None else stop
+    chunks = list(table.iter_chunks(CHUNK_SIZE, start, stop))
+    assert [lo for lo, _ in chunks] == list(range(start, last, CHUNK_SIZE))
+    assert _same(
+        [value for _, values in chunks for value in values],
+        expected[start:last],
+    )
+
+
+def property_values_law(table, expected):
+    values = table.values
+    assert len(values) == len(expected)
+    assert values.dtype == expected.dtype
+    assert _same(np.asarray(values), expected)
+    for lo, hi in probe_ranges(len(expected)):
+        assert _same(values[lo:hi], expected[lo:hi])
+    if len(expected):
+        assert _same([values[-1]], expected[-1:])
+    assert _same(list(values), expected)
+    assert _same(table.to_property_table().values, expected)
+
+
+def pickle_law(table, expected):
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone.name == table.name
+    rows = clone.read_range(0, len(table))
+    if isinstance(expected, EdgeTable):
+        assert np.array_equal(rows[0], expected.tails)
+        assert np.array_equal(rows[1], expected.heads)
+    else:
+        assert _same(rows, expected)
+
+
+def assert_property_laws(table, expected):
+    """Every member of a property table against its resident column."""
+    property_read_range_law(table, expected)
+    assert_bounds_checked(table)
+    for start, stop in iter_windows(len(expected)):
+        property_iter_chunks_law(table, expected, start, stop)
+    property_values_law(table, expected)
+    pickle_law(table, expected)
+
+
+def edge_read_range_law(table, expected):
+    assert len(table) == table.num_edges == len(expected)
+    for lo, hi in probe_ranges(len(expected)):
+        tails, heads = table.read_range(lo, hi)
+        assert tails.dtype == heads.dtype == np.int64
+        assert np.array_equal(tails, expected.tails[lo:hi])
+        assert np.array_equal(heads, expected.heads[lo:hi])
+
+
+def edge_iter_chunks_law(table, expected, start, stop):
+    last = len(expected) if stop is None else stop
+    chunks = list(table.iter_chunks(CHUNK_SIZE, start, stop))
+    assert [lo for lo, _, _ in chunks] == list(
+        range(start, last, CHUNK_SIZE)
+    )
+    for column, got in ((expected.tails, 1), (expected.heads, 2)):
+        assert np.array_equal(
+            np.concatenate([c[got] for c in chunks] or [column[:0]]),
+            column[start:last],
+        )
+
+
+def edge_metadata_law(table, expected):
+    assert np.array_equal(table.tails, expected.tails)
+    assert np.array_equal(table.heads, expected.heads)
+    assert (table.num_tail_nodes, table.num_head_nodes, table.directed) \
+        == (expected.num_tail_nodes, expected.num_head_nodes,
+            expected.directed)
+    assert table.is_bipartite == expected.is_bipartite
+    assert table.to_edge_table() == expected
+
+
+def edge_scans_law(table, expected):
+    """``neighbors_of`` / ``edge_exists`` against the resident
+    columns, scanned in chunks that divide nothing."""
+    tails, heads = expected.tails, expected.heads
+    space = max(expected.num_tail_nodes, expected.num_head_nodes)
+    for bad in (-5, space, 10**12):
+        with pytest.raises(
+            IndexError,
+            match=rf"node id {bad} out of range \[0, {space}\)",
+        ):
+            table.neighbors_of(bad, "both", CHUNK_SIZE)
+    with pytest.raises(ValueError, match="out/in/both"):
+        table.neighbors_of(0, "sideways")
+    if not len(expected):
+        assert not table.edge_exists(0, 0, CHUNK_SIZE)
+        return
+    node, head = int(tails[len(tails) // 2]), int(heads[len(heads) // 2])
+    assert np.array_equal(
+        table.neighbors_of(node, "out", CHUNK_SIZE), heads[tails == node]
+    )
+    assert np.array_equal(
+        table.neighbors_of(head, "in", CHUNK_SIZE), tails[heads == head]
+    )
+    both = table.neighbors_of(node, "both", CHUNK_SIZE)
+    assert sorted(both) == sorted(np.concatenate([
+        heads[tails == node],
+        tails[(heads == node) & (tails != heads)],
+    ]))
+    src, dst = int(tails[-1]), int(heads[-1])
+    assert table.edge_exists(src, dst, CHUNK_SIZE)
+    assert table.edge_exists(dst, src, CHUNK_SIZE) == (
+        not table.directed
+        or bool(((tails == dst) & (heads == src)).any())
+    )
+    assert not table.edge_exists(-5, dst, CHUNK_SIZE)
+
+
+def assert_edge_laws(table, expected):
+    """Every member of an edge table against its resident table."""
+    edge_read_range_law(table, expected)
+    assert_bounds_checked(table)
+    for start, stop in iter_windows(len(expected)):
+        edge_iter_chunks_law(table, expected, start, stop)
+    edge_metadata_law(table, expected)
+    edge_scans_law(table, expected)
+    pickle_law(table, expected)
 
 
 class TestPropertyTables:
     def test_read_range(self, property_case):
-        table, expected = property_case
-        assert len(table) == ROWS
-        for lo, hi in RANGES:
-            assert np.array_equal(
-                table.read_range(lo, hi), expected[lo:hi]
-            )
+        property_read_range_law(*property_case)
 
     def test_bounds(self, property_case):
-        _assert_bounds_checked(property_case[0])
+        assert_bounds_checked(property_case[0])
 
-    @pytest.mark.parametrize("start, stop", [(0, None), (4, 19)])
+    @pytest.mark.parametrize("start, stop", iter_windows(ROWS))
     def test_iter_chunks(self, property_case, start, stop):
-        table, expected = property_case
-        chunks = list(table.iter_chunks(CHUNK_SIZE, start, stop))
-        last = ROWS if stop is None else stop
-        assert [lo for lo, _ in chunks] == list(
-            range(start, last, CHUNK_SIZE)
-        )
-        assert np.array_equal(
-            np.concatenate([values for _, values in chunks]),
-            expected[start:last],
-        )
+        property_iter_chunks_law(*property_case, start, stop)
 
     def test_values_column(self, property_case):
-        table, expected = property_case
-        values = table.values
-        assert len(values) == ROWS
-        assert values.dtype == expected.dtype
-        assert np.array_equal(np.asarray(values), expected)
-        for lo, hi in RANGES:
-            assert np.array_equal(values[lo:hi], expected[lo:hi])
-        assert values[-1] == expected[-1]
-        assert list(values) == list(expected)
-        assert table.to_property_table() == PropertyTable(
-            table.name, expected
-        )
+        property_values_law(*property_case)
 
     def test_pickle_round_trip(self, property_case):
-        table, expected = property_case
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone.name == table.name
-        assert np.array_equal(clone.read_range(0, ROWS), expected)
+        pickle_law(*property_case)
 
 
 class TestEdgeTables:
     def test_read_range(self, edge_case):
-        table, expected = edge_case
-        assert len(table) == table.num_edges == ROWS
-        for lo, hi in RANGES:
-            tails, heads = table.read_range(lo, hi)
-            assert np.array_equal(tails, expected.tails[lo:hi])
-            assert np.array_equal(heads, expected.heads[lo:hi])
+        edge_read_range_law(*edge_case)
 
     def test_bounds(self, edge_case):
-        _assert_bounds_checked(edge_case[0])
+        assert_bounds_checked(edge_case[0])
 
-    @pytest.mark.parametrize("start, stop", [(0, None), (4, 19)])
+    @pytest.mark.parametrize("start, stop", iter_windows(ROWS))
     def test_iter_chunks(self, edge_case, start, stop):
-        table, expected = edge_case
-        chunks = list(table.iter_chunks(CHUNK_SIZE, start, stop))
-        last = ROWS if stop is None else stop
-        assert [lo for lo, _, _ in chunks] == list(
-            range(start, last, CHUNK_SIZE)
-        )
-        assert np.array_equal(
-            np.concatenate([t for _, t, _ in chunks]),
-            expected.tails[start:last],
-        )
-        assert np.array_equal(
-            np.concatenate([h for _, _, h in chunks]),
-            expected.heads[start:last],
-        )
+        edge_iter_chunks_law(*edge_case, start, stop)
 
     def test_columns_and_metadata(self, edge_case):
-        table, expected = edge_case
-        assert np.array_equal(table.tails, expected.tails)
-        assert np.array_equal(table.heads, expected.heads)
-        assert not table.is_bipartite
-        assert table.num_nodes == 11
-        assert table.to_edge_table() == expected
+        edge_metadata_law(*edge_case)
 
     def test_scans(self, edge_case):
-        """``neighbors_of`` / ``edge_exists`` against the resident
-        columns, scanned in chunks that divide nothing."""
-        table, expected = edge_case
-        tails, heads = expected.tails, expected.heads
-        node = int(tails[ROWS // 2])
-        assert np.array_equal(
-            table.neighbors_of(node, "out", CHUNK_SIZE),
-            heads[tails == node],
-        )
-        assert np.array_equal(
-            table.neighbors_of(node, "in", CHUNK_SIZE),
-            tails[heads == node],
-        )
-        both = table.neighbors_of(node, "both", CHUNK_SIZE)
-        assert sorted(both) == sorted(np.concatenate([
-            heads[tails == node],
-            tails[(heads == node) & (tails != heads)],
-        ]))
-        for bad in (-5, 11, 10**12):
-            with pytest.raises(
-                IndexError, match=rf"node id {bad} out of range \[0, 11\)"
-            ):
-                table.neighbors_of(bad, "both", CHUNK_SIZE)
-        with pytest.raises(ValueError, match="out/in/both"):
-            table.neighbors_of(node, "sideways")
-        src, dst = int(tails[-1]), int(heads[-1])
-        assert table.edge_exists(src, dst, CHUNK_SIZE)
-        assert table.edge_exists(dst, src, CHUNK_SIZE) == (
-            not table.directed
-            or bool(((tails == dst) & (heads == src)).any())
-        )
-        assert not table.edge_exists(-5, dst, CHUNK_SIZE)
+        edge_scans_law(*edge_case)
 
     def test_pickle_round_trip(self, edge_case):
-        table, expected = edge_case
-        clone = pickle.loads(pickle.dumps(table))
-        tails, heads = clone.read_range(0, ROWS)
-        assert np.array_equal(tails, expected.tails)
-        assert np.array_equal(heads, expected.heads)
+        pickle_law(*edge_case)
