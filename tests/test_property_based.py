@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -962,7 +962,8 @@ def _random_small_schema(draw):
         schema.add_node_type(NodeType("B", properties=b_props))
     inputs = {f"tail.{k}": c for k, c in a_columns.items()}
     inputs.update({
-        f"head.{k}": c for k, c in (b_columns or a_columns).items()
+        f"head.{k}": c
+        for k, c in (a_columns if b_columns is None else b_columns).items()
     })
     schema.add_edge_type(EdgeType(
         "e", "A", "A" if shape == "mono" else "B",
@@ -1255,14 +1256,51 @@ NOT_A_POWER = Draw(_one_edge(
 ), {"A": 40})
 
 
+#: Every fixed draw the oracle runs on each pass, by test id: the inputs
+#: of the matrices it replaced, then the counterexamples it shrank to.
+PINNED = {
+    "social-recipe": SOCIAL_RECIPE,
+    "rmat-recipe": RMAT_RECIPE,
+    "recommender-recipe": RECOMMENDER_RECIPE,
+    "planted-recipe": PLANTED_RECIPE,
+    "running-example": RUNNING_EXAMPLE,
+    "edge-anchor": EDGE_ANCHOR,
+    "crash-matrix": CRASH_MATRIX,
+    "empty-correlated": EMPTY_CORRELATED,
+    "no-heads": NO_HEADS,
+    "no-edges-to-anchor": NO_EDGES_TO_ANCHOR,
+    "too-few-for-degrees": TOO_FEW_FOR_DEGREES,
+    "not-a-power": NOT_A_POWER,
+}
+
+
+def _assert_leg_agrees(leg, case, out, reference, expected):
+    outcome = _outcome(leg, case, out, expected)
+    if expected is None:
+        assert outcome == reference
+    else:
+        assert not isinstance(outcome, str), outcome
+        assert oracle.tree_mismatches(reference, outcome) == []
+
+
+@pytest.fixture(scope="module", params=list(PINNED))
+def pinned(request, tmp_path_factory):
+    """A pinned draw, its export root, and its serial reference — run
+    once for all of its legs."""
+    case = PINNED[request.param]
+    root = tmp_path_factory.mktemp(request.param)
+    return (case, root, *_reference(case, root / "serial"))
+
+
 class TestDifferentialOracle:
     """For any drawn schema every execution path in ``LEGS`` writes the
     serial run's bytes — or raises the serial run's structured error —
     and every table it produces obeys the table-protocol laws.
 
     A counterexample hypothesis shrinks to is pinned by writing its
-    draw out as one more ``@example`` below (or as a golden fixture,
-    when the fix changes bytes on purpose)."""
+    draw out as one more entry of ``PINNED`` (or as a golden fixture,
+    when the fix changes bytes on purpose); each pinned draw runs down
+    every leg as its own test."""
 
     def test_palettes_cover_the_registries(self):
         """The strategy draws every registered generator: a new one
@@ -1278,18 +1316,6 @@ class TestDifferentialOracle:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(case=_random_small_schema())
-    @example(case=SOCIAL_RECIPE)
-    @example(case=RMAT_RECIPE)
-    @example(case=RECOMMENDER_RECIPE)
-    @example(case=PLANTED_RECIPE)
-    @example(case=RUNNING_EXAMPLE)
-    @example(case=EDGE_ANCHOR)
-    @example(case=CRASH_MATRIX)
-    @example(case=EMPTY_CORRELATED)
-    @example(case=NO_HEADS)
-    @example(case=NO_EDGES_TO_ANCHOR)
-    @example(case=TOO_FEW_FOR_DEGREES)
-    @example(case=NOT_A_POWER)
     def test_every_leg_matches_the_serial_run(self, case,
                                               tmp_path_factory):
         root = tmp_path_factory.mktemp("oracle")
@@ -1297,14 +1323,21 @@ class TestDifferentialOracle:
         if expected is not None:
             _assert_source_reads_back(case, root / "serial", expected)
         for name, leg in LEGS.items():
-            outcome = _outcome(leg, case, root / name, expected)
-            if expected is None:
-                assert outcome == reference, name
-            else:
-                assert not isinstance(outcome, str), (name, outcome)
-                assert oracle.tree_mismatches(reference, outcome) == [], (
-                    name
-                )
+            try:
+                _assert_leg_agrees(leg, case, root / name, reference,
+                                   expected)
+            except AssertionError as exc:
+                raise AssertionError(name) from exc
+
+    def test_pinned_export_reads_back(self, pinned):
+        case, root, _, expected = pinned
+        if expected is not None:
+            _assert_source_reads_back(case, root / "serial", expected)
+
+    @pytest.mark.parametrize("leg", list(LEGS))
+    def test_pinned_leg_matches_the_serial_run(self, pinned, leg):
+        case, root, reference, expected = pinned
+        _assert_leg_agrees(LEGS[leg], case, root / leg, reference, expected)
 
 
 class TestMixingMatrixProperty:
