@@ -366,7 +366,8 @@ class JointDistributionCheck(Check):
 
     A KS above ``max_ks`` fails, one above the optional stricter
     ``warn_ks`` warns.  Edge types without a match result
-    (uncorrelated, random matching) pass trivially.
+    (uncorrelated, random matching; or correlated with no edge to
+    place) pass trivially.
 
     Examples
     --------
@@ -383,9 +384,11 @@ class JointDistributionCheck(Check):
     def run(self, graph):
         match = graph.match_results.get(self.edge_name)
         if match is None:
-            return CheckResult(
-                self.name, True, "edge is uncorrelated (random match)"
-            )
+            return CheckResult(self.name, True, (
+                "correlated edge has no edges to match"
+                if graph.schema.edge_type(self.edge_name).correlation
+                else "edge is uncorrelated (random match)"
+            ))
         requested = JointDistribution(match.target)
         observed = graph.observed_joint(self.edge_name)
         return self._banded(

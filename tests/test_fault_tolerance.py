@@ -4,11 +4,11 @@ The robustness contract (docs/robustness.md) is byte-identity under
 failure: a run killed at *any* stage boundary and resumed from its
 spool checkpoint must export exactly the bytes of an uninterrupted
 run.  The differential oracle (``tests/test_property_based.py``)
-resumes every schema it draws after a crash at a random fault site;
-these tests pin the deterministic fault-injection harness
-(``repro.core.faults``), both retry paths (in-run respawn and
-cross-run resume), interrupted sinks, and the catalog / fingerprint
-and spec-grammar layers under them.
+resumes every schema it draws after a crash or an ``OSError`` at a
+random fault site — an interrupted sink included; these tests pin the
+deterministic fault-injection harness (``repro.core.faults``), both
+retry paths (in-run respawn and cross-run resume), and the catalog /
+fingerprint and spec-grammar layers under them.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    CHECKPOINT_NAME,
     Cardinality,
     CorrelationSpec,
     EdgeType,
@@ -44,7 +45,7 @@ from repro.core import (
     run as run_module,
 )
 from repro.core.dsl.errors import DslError
-from repro.core.faults import FAULT_SITES
+from repro.core.faults import FAULT_SITES, FaultPlan
 from repro.core.matching import sbm_part_assign
 from repro.datasets import social_network_schema
 from repro.io import export_graph, make_sink, make_source
@@ -934,6 +935,7 @@ class Draw:
     compress: bool = False
     chunk_size: int = 1000
     shard_rows: int = 64
+    workers: int = 2
     fault: str = "ledger:1:crash"
     resume_backend: str = "thread"
 
@@ -1002,8 +1004,10 @@ def _random_small_schema(draw):
         compress=draw(st.booleans()),
         chunk_size=draw(st.sampled_from([7, 1000])),
         shard_rows=draw(st.sampled_from([5, 16, 1000])),
+        workers=draw(st.sampled_from([1, 2, 4])),
         fault=f"{draw(st.sampled_from(FAULT_SITES))}:"
-              f"{draw(st.integers(0, 3))}:crash",
+              f"{draw(st.integers(0, 3))}:"
+              f"{draw(st.sampled_from(['crash', 'ioerror']))}",
         resume_backend=draw(st.sampled_from(["thread", "process"])),
     )
 
@@ -1034,33 +1038,24 @@ def _finish(case, graph, out):
 
 
 @contextmanager
-def _in_memory(case, out, workers=1):
-    graph = GraphGenerator(
-        case.schema, case.scale, case.seed, workers=workers
-    ).generate(sink=_streaming_sink(case, out))
-    yield _finish(case, graph, out)
-
-
-@contextmanager
-def _numpy_kernels(case, out):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_NO_CKERNEL", "1")
-        with _in_memory(case, out) as graph:
-            yield graph
-
-
-@contextmanager
-def _pooled(case, out):
+def _in_memory(case, out, workers, **env):
+    """The in-memory engine, ``run.DEFAULT_SHARD_ROWS`` patched to the
+    drawn shard size so that a pool really splits tables."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(run_module, "DEFAULT_SHARD_ROWS", case.shard_rows)
-        with _in_memory(case, out, workers=2) as graph:
-            yield graph
+        for name, value in env.items():
+            patch.setenv(name, value)
+        graph = GraphGenerator(
+            case.schema, case.scale, case.seed, workers=workers
+        ).generate(sink=_streaming_sink(case, out))
+        yield _finish(case, graph, out)
 
 
 def _sharded_run(case, out, backend, **options):
     return ShardedExecutor(
         case.schema, case.scale, case.seed, shard_rows=case.shard_rows,
-        workers=2, backend=backend, spool_dir=f"{out}.spool", **options,
+        workers=case.workers, backend=backend, spool_dir=f"{out}.spool",
+        **options,
     ).run(sink=_streaming_sink(case, out))
 
 
@@ -1074,15 +1069,23 @@ def _sharded(case, out, backend):
 
 
 @contextmanager
-def _resumed(case, out):
+def _resumed(case, out, reference=None):
     """Crash at ``case.fault`` (if the run gets that far), then resume
-    from the spool the crash left."""
+    from the catalog the crash left.  Given the serial ``reference``,
+    the fault must fire, and leave an export short of it."""
+    plan = FaultPlan(case.fault)
     try:
         _sharded_run(
-            case, out, case.resume_backend, faults=case.fault
+            case, out, case.resume_backend, faults=plan
         ).spool.close_views()
-    except (InjectedFault, ShardedError):
-        pass
+    except (InjectedFault, OSError, ShardedError):
+        assert plan.fired_count(plan.specs[0]), "raised, but not the fault"
+        assert (Path(f"{out}.spool") / CHECKPOINT_NAME).exists()
+        assert oracle.tree_digests(out) != reference
+    else:
+        assert reference is None, f"{case.fault} never fired"
+    finally:
+        plan.cleanup()
     with _sharded(case, out, case.resume_backend) as graph:
         yield graph
 
@@ -1102,8 +1105,11 @@ def _served(case, out):
 
 #: Every path but the serial reference, by export directory name.
 LEGS = {
-    "no-ckernel": _numpy_kernels,
-    "workers-2": _pooled,
+    "no-ckernel": lambda case, out: _in_memory(
+        case, out, 1, REPRO_NO_CKERNEL="1"
+    ),
+    # One worker in memory would be the serial reference itself.
+    "pooled": lambda case, out: _in_memory(case, out, max(case.workers, 2)),
     "sharded-thread": lambda case, out: _sharded(case, out, "thread"),
     "sharded-process": lambda case, out: _sharded(case, out, "process"),
     "served": _served,
@@ -1111,17 +1117,19 @@ LEGS = {
 }
 
 
-def _outcome(leg, case, out, expected):
-    """A leg's export digests — every table it produced held to the
-    protocol laws against ``expected`` first, when the serial run made
-    one — or the structured error it raised."""
+def _assert_leg_agrees(leg, case, out, reference, expected):
+    """A leg writes the serial ``reference`` digests — every table it
+    produced held to the protocol laws against the serial ``expected``
+    tables first — or raises the serial run's structured error."""
     try:
         with leg(case, out) as graph:
             if expected is not None:
                 _hold_to_laws(graph, expected)
     except (SchemaError, PlantingError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return oracle.tree_digests(out)
+        assert f"{type(exc).__name__}: {exc}" == reference
+        return
+    assert expected is not None, f"the serial run raised {reference}"
+    assert oracle.tree_mismatches(reference, oracle.tree_digests(out)) == []
 
 
 def _hold_to_laws(graph, expected):
@@ -1196,91 +1204,69 @@ _UNIFORM = PropertyDef("x", "long", GeneratorSpec(
     "uniform_int", {"low": 0, "high": 100}
 ))
 
-#: The fixed inputs of the per-path byte matrices the oracle replaced —
-#: zoo recipes with chunkable and sequential structures, strict
-#: cardinality, both correlated matchings and plants; the running
-#: example; an edge-count anchor; the crash matrix's schema — each with
-#: a fault site to resume from.
-SOCIAL_RECIPE = _zoo("social_network", {"Person": 220},
-                     fmt="graphml", compress=True, shard_rows=97)
-RMAT_RECIPE = _zoo("web_graph_rmat", {"Page": 512}, fmt="jsonl",
-                   shard_rows=97, fault="structure:0:crash",
-                   resume_backend="process")
-RECOMMENDER_RECIPE = _zoo("recommender_bipartite",
-                          {"User": 400, "Item": 200}, compress=True,
-                          shard_rows=101, fault="match:1:crash",
-                          resume_backend="process")
-PLANTED_RECIPE = _zoo("fraud_ring_social", {"Person": 300},
-                      fault="spill:0:crash")
-RUNNING_EXAMPLE = Draw(
-    social_network_schema(num_countries=8), {"Person": 400}, 23,
-    fmt="edgelist", chunk_size=7, fault="property:1:crash",
-)
-EDGE_ANCHOR = Draw(
-    _one_edge("erdos_renyi_m", {"edges_per_node": 4}, a_props=[_UNIFORM]),
-    {"e": 1000}, 6, fault="export:2:crash",
-)
-CRASH_MATRIX = Draw(
-    _one_edge("erdos_renyi_m", {"edges_per_node": 3}, a_props=[_UNIFORM]),
-    {"A": 200}, fault="ledger:1:crash", resume_backend="process",
-)
-
-
-#: Counterexamples the oracle shrank to, fixed where they were found: a
+#: Every fixed draw the oracle runs on each pass, by test id.  First the
+#: inputs of the per-path byte matrices it replaced — zoo recipes with
+#: chunkable and sequential structures, strict cardinality, both
+#: correlated matchings and plants; the running example; an edge-count
+#: anchor; the crash matrix's schema — each with a fault that fires, at
+#: one, two or four workers.  Then the counterexamples it shrank to: a
 #: correlated matching of an empty graph (the served path skipped it,
 #: the others raised), and scales their generator cannot make, which
 #: raised a bare ``ValueError`` from inside it, not a ``SchemaError``.
-EMPTY_CORRELATED = Draw(_one_edge(
-    "attributed_sbm",
-    {"joint": homophily_joint(np.full(2, 0.5), 0.7), "avg_degree": 3},
-    a_props=[PropertyDef("a0", "long", GeneratorSpec(
-        "categorical", {"values": [0]}
-    ))],
-    correlation=CorrelationSpec(
-        "a0", homophily_joint(np.ones(1), 0.0), values=(0,)
-    ),
-), {"A": 0})
-NO_HEADS = Draw(_one_edge("bipartite_configuration", {
-    "tail_distribution": Zipf(1.2, 4), "head_distribution": Zipf(1.2, 4),
-    "tail_offset": 1, "head_offset": 1, "head_nodes": 0,
-}, head="B", directed=True), {"A": 1, "B": 0})
-NO_EDGES_TO_ANCHOR = Draw(_one_edge(
-    "one_to_many", {"degree_distribution": Zipf(0.5, 1)}, head="B",
-    cardinality=Cardinality.ONE_TO_MANY, directed=True,
-), {"e": 16})
-TOO_FEW_FOR_DEGREES = Draw(
-    _one_edge("bter", {"avg_degree": 3, "max_degree": 8}), {"A": 2}
-)
-NOT_A_POWER = Draw(_one_edge(
-    "kronecker", {"initiator": [[0.9, 0.5], [0.5, 0.2]]}
-), {"A": 40})
-
-
-#: Every fixed draw the oracle runs on each pass, by test id: the inputs
-#: of the matrices it replaced, then the counterexamples it shrank to.
 PINNED = {
-    "social-recipe": SOCIAL_RECIPE,
-    "rmat-recipe": RMAT_RECIPE,
-    "recommender-recipe": RECOMMENDER_RECIPE,
-    "planted-recipe": PLANTED_RECIPE,
-    "running-example": RUNNING_EXAMPLE,
-    "edge-anchor": EDGE_ANCHOR,
-    "crash-matrix": CRASH_MATRIX,
-    "empty-correlated": EMPTY_CORRELATED,
-    "no-heads": NO_HEADS,
-    "no-edges-to-anchor": NO_EDGES_TO_ANCHOR,
-    "too-few-for-degrees": TOO_FEW_FOR_DEGREES,
-    "not-a-power": NOT_A_POWER,
+    "social-recipe": _zoo(
+        "social_network", {"Person": 220}, fmt="graphml", compress=True,
+        shard_rows=97, workers=4, fault="count:0:crash",
+    ),
+    "rmat-recipe": _zoo(
+        "web_graph_rmat", {"Page": 512}, fmt="jsonl", shard_rows=97,
+        fault="structure:0:crash", resume_backend="process",
+    ),
+    "recommender-recipe": _zoo(
+        "recommender_bipartite", {"User": 400, "Item": 200},
+        compress=True, shard_rows=101, workers=4, fault="match:1:crash",
+        resume_backend="process",
+    ),
+    "planted-recipe": _zoo(
+        "fraud_ring_social", {"Person": 300}, fault="spill:0:crash"
+    ),
+    "running-example": Draw(
+        social_network_schema(num_countries=8), {"Person": 400}, 23,
+        fmt="edgelist", chunk_size=7, workers=1, fault="property:1:crash",
+    ),
+    "edge-anchor": Draw(_one_edge(
+        "erdos_renyi_m", {"edges_per_node": 4}, a_props=[_UNIFORM]
+    ), {"e": 1000}, 6, compress=True, fault="export:2:ioerror"),
+    "crash-matrix": Draw(_one_edge(
+        "erdos_renyi_m", {"edges_per_node": 3}, a_props=[_UNIFORM]
+    ), {"A": 200}, workers=1, fault="ledger:1:crash",
+        resume_backend="process"),
+    "empty-correlated": Draw(_one_edge(
+        "attributed_sbm",
+        {"joint": homophily_joint(np.full(2, 0.5), 0.7), "avg_degree": 3},
+        a_props=[PropertyDef("a0", "long", GeneratorSpec(
+            "categorical", {"values": [0]}
+        ))],
+        correlation=CorrelationSpec(
+            "a0", homophily_joint(np.ones(1), 0.0), values=(0,)
+        ),
+    ), {"A": 0}),
+    "no-heads": Draw(_one_edge("bipartite_configuration", {
+        "tail_distribution": Zipf(1.2, 4),
+        "head_distribution": Zipf(1.2, 4),
+        "tail_offset": 1, "head_offset": 1, "head_nodes": 0,
+    }, head="B", directed=True), {"A": 1, "B": 0}),
+    "no-edges-to-anchor": Draw(_one_edge(
+        "one_to_many", {"degree_distribution": Zipf(0.5, 1)}, head="B",
+        cardinality=Cardinality.ONE_TO_MANY, directed=True,
+    ), {"e": 16}),
+    "too-few-for-degrees": Draw(
+        _one_edge("bter", {"avg_degree": 3, "max_degree": 8}), {"A": 2}
+    ),
+    "not-a-power": Draw(_one_edge(
+        "kronecker", {"initiator": [[0.9, 0.5], [0.5, 0.2]]}
+    ), {"A": 40}),
 }
-
-
-def _assert_leg_agrees(leg, case, out, reference, expected):
-    outcome = _outcome(leg, case, out, expected)
-    if expected is None:
-        assert outcome == reference
-    else:
-        assert not isinstance(outcome, str), outcome
-        assert oracle.tree_mismatches(reference, outcome) == []
 
 
 @pytest.fixture(scope="module", params=list(PINNED))
@@ -1312,6 +1298,7 @@ class TestDifferentialOracle:
 
     @settings(
         max_examples=12,
+        derandomize=True,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -1336,8 +1323,12 @@ class TestDifferentialOracle:
 
     @pytest.mark.parametrize("leg", list(LEGS))
     def test_pinned_leg_matches_the_serial_run(self, pinned, leg):
+        """A pinned draw's fault fires: its resume is a real one."""
         case, root, reference, expected = pinned
-        _assert_leg_agrees(LEGS[leg], case, root / leg, reference, expected)
+        run = LEGS[leg] if leg != "resumed" else (
+            lambda case, out: _resumed(case, out, reference)
+        )
+        _assert_leg_agrees(run, case, root / leg, reference, expected)
 
 
 class TestMixingMatrixProperty:

@@ -176,6 +176,14 @@ class TestJointCheck:
     def test_uncorrelated_edge_trivially_passes(self, graph):
         assert JointDistributionCheck("creates").run(graph).passed
 
+    def test_correlated_edge_without_edges_says_so(self):
+        empty = GraphGenerator(
+            social_network_schema(num_countries=8), {"Person": 0}
+        ).generate()
+        result = JointDistributionCheck("knows").run(empty)
+        assert result.passed
+        assert result.detail == "correlated edge has no edges to match"
+
 
 class TestDegreeCheck:
     def test_band_pass(self, graph):
