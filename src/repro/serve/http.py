@@ -27,8 +27,9 @@ Routes (all ``GET``)::
 Pagination contract (see docs/serving.md): ``offset >= 0``, ``1 <=
 limit <= max_limit`` (default page ``DEFAULT_LIMIT``); an offset at or
 past the end returns an **empty 200 page**, never an error; malformed
-parameters are 400 and unknown names/ids are 404, both with JSON
-error bodies ``{"error": ..., "status": ...}``.
+parameters are 400 and unknown names/ids are 404; every error body,
+the stdlib's own 501/414/431 refusals included, is JSON
+``{"error": ..., "status": ...}``.
 
 Robustness contract (see docs/robustness.md): every connection gets a
 per-request socket timeout so a stalled client cannot pin a handler
@@ -116,6 +117,10 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # StreamRequestHandler.setup sets TCP_NODELAY: the body leaves
+    # right behind the headers instead of waiting on the client's
+    # 40 ms delayed ACK of them, on every kept-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -141,7 +146,8 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         for key, value in headers:
             self.send_header(key, value)
         self.end_headers()
-        self.wfile.write(payload)
+        if self.command != "HEAD":
+            self.wfile.write(payload)
 
     def _send_json(self, obj, status=200, headers=()):
         self._send(
@@ -149,8 +155,18 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
             headers=headers,
         )
 
-    def _send_error_json(self, status, message):
-        self._send_json({"error": message, "status": status}, status)
+    def _send_error_json(self, status, message, headers=()):
+        self._send_json({"error": message, "status": status}, status,
+                        headers)
+
+    def send_error(self, code, message=None, explain=None):
+        # The stdlib's own refusals (501 method, 414 request line, 431
+        # headers) keep the JSON error contract and still hang up.
+        self.log_error("code %d, message %s", code, message)
+        self._send_error_json(
+            int(code), message or self.responses[code][0],
+            headers=(("Connection", "close"),),
+        )
 
     # -- request entry -----------------------------------------------------
 

@@ -19,10 +19,14 @@ Three pillars (docs/serving.md):
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -360,6 +364,23 @@ def _get(base, path):
         )
 
 
+def _raw(base, request):
+    """Send raw request bytes and read until the server hangs up:
+    ``(status, headers, body)``."""
+    split = urlsplit(base)
+    with socket.create_connection(
+        (split.hostname, split.port), timeout=10
+    ) as conn:
+        conn.sendall(request)
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
 class TestHttpContract:
     def test_meta_route_reports_classification(self, http_server):
         base, graph, virtual = http_server
@@ -428,6 +449,47 @@ class TestHttpContract:
             status, body, ctype = _get(base, path)
             assert status == 404, path
             assert json.loads(body)["status"] == 404
+
+    @pytest.mark.parametrize("method", ["POST", "PUT"])
+    def test_unsupported_method_is_501_json(self, http_server, method):
+        base, graph, virtual = http_server
+        status, headers, body = _raw(
+            base, f"{method} /healthz HTTP/1.1\r\nHost: x\r\n"
+                  f"Content-Length: 0\r\n\r\n".encode(),
+        )
+        assert status == 501
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {
+            "error": f"Unsupported method ({method!r})", "status": 501,
+        }
+
+    def test_head_gets_no_body(self, http_server):
+        base, graph, virtual = http_server
+        status, headers, body = _raw(
+            base, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert status == 501 and headers["Connection"] == "close"
+        assert body == b""
+
+    @pytest.mark.parametrize("request_bytes, status, error", [
+        # One byte past the stdlib's 65 536-byte request-line limit.
+        (b"GET /" + b"a" * (65_537 - 5), 414, "Request-URI Too Long"),
+        # One header past the stdlib's limit of 100.
+        (b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 101, 431,
+         "Too many headers"),
+    ], ids=["414", "431"])
+    def test_oversized_request_is_refused_in_json(
+        self, http_server, request_bytes, status, error
+    ):
+        """Nothing follows the refused part, so the server has read
+        all that was sent when it hangs up."""
+        base, graph, virtual = http_server
+        got, headers, body = _raw(base, request_bytes)
+        assert got == status
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {"error": error, "status": status}
 
     def test_node_id_routes(self, http_server):
         base, graph, virtual = http_server
@@ -562,6 +624,44 @@ class TestHttpContract:
             assert got[0][0] == 200
 
 
+class TestKeepAlive:
+    """One persistent connection: no response waits on the client's
+    delayed ACK, and back-to-back responses keep their framing."""
+
+    def test_round_trips_on_one_connection_do_not_stall(self, http_server):
+        base, graph, virtual = http_server
+        probe = int(graph.edge_tables["knows"].tails[0])
+        paths = [
+            "/healthz",
+            "/properties/Person/country?offset=64&limit=64",
+            "/edges/knows?limit=65536",
+            f"/neighbors/knows/{probe}",
+            "/nodes/Nope",
+        ]
+        expected = {path: _get(base, path)[:2] for path in paths}
+        split = urlsplit(base)
+        conn = http.client.HTTPConnection(
+            split.hostname, split.port, timeout=10
+        )
+        got, local_ports = [], set()
+        try:
+            start = time.perf_counter()
+            for k in range(50):
+                path = paths[k % len(paths)]
+                conn.request("GET", path)
+                response = conn.getresponse()
+                got.append((path, response.status, response.read().decode()))
+                local_ports.add(conn.sock.getsockname()[1])
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        # A delayed-ACK stall costs 40 ms a response: 2 s for 50.
+        assert elapsed < 1.0, f"50 kept-alive requests took {elapsed:.2f} s"
+        assert len(local_ports) == 1  # never reconnected
+        for path, status, body in got:
+            assert (status, body) == expected[path], path
+
+
 class TestServeRobustness:
     """Health endpoints, warmup degradation, graceful drain, timeouts
     (the serving half of docs/robustness.md)."""
@@ -664,6 +764,28 @@ class TestServeRobustness:
         status, body, _ = responses[0]
         assert status == 200
         assert json.loads(body.splitlines()[0])["id"] == 0
+
+    def test_drain_waits_for_idle_keepalive_connection(self, http_server):
+        """An idle persistent connection pins its handler thread, and
+        server_close() waits for it, until the request timeout."""
+        _, _, virtual = http_server
+        server = create_server(virtual, port=0, request_timeout=1.0)
+        split = urlsplit(self._spin(server))
+        conn = http.client.HTTPConnection(
+            split.hostname, split.port, timeout=10
+        )
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            server.shutdown()
+            closer = threading.Thread(target=server.server_close)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive()  # held by the idle connection
+            closer.join(10)  # released once the 1 s timeout fires
+            assert not closer.is_alive()
+        finally:
+            conn.close()
 
     def test_cli_sigint_exits_clean_without_leaking_spool(
         self, tmp_path

@@ -4,11 +4,17 @@ a zoo recipe (``export_graph(VirtualGraph(...).graph, sink)``) and
 tree-diff it, whole files, against a real ``run_scenario`` export of
 the same compiled scenario; then boot a live server over it, page
 every node-property and edge CSV route, and diff the reassembled bytes
-against the same export.
+against the same export.  Every request of a run goes over one
+persistent HTTP/1.1 connection (reopened only after a ``Connection:
+close`` reply), so the diff also checks ``Content-Length`` framing of
+back-to-back kept-alive responses.
 
 This is the CI ``serve-smoke`` job: a server that drifts from the
 export format by a single byte — header, CRLF, value encoding, page
-stitching — exits 1 here.  Serving throughput is measured by the
+stitching — exits 1 here, and so does a median request time of
+20 ms or more: a response held back by the client's 40 ms delayed ACK
+(Nagle's algorithm on the server socket) costs a fixed 40 ms, far from
+the sub-millisecond norm.  Serving throughput is measured by the
 ``serve_fresh`` and ``serve_keepalive`` workloads of ``python3 -m
 bench``.  Also probes the non-CSV contracts: the
 meta route's access classification, neighbourhood queries against the
@@ -25,17 +31,62 @@ Stdlib + numpy only, like every other CI tool here.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
+import statistics
 import sys
 import tempfile
 import threading
-import urllib.request
+import time
 from pathlib import Path
+from urllib.parse import urlsplit
+
+#: a median request time at or above this fails the run (ms).
+STALL_MS = 20.0
 
 
-def _get(base, path):
-    with urllib.request.urlopen(base + path) as response:
-        return response.read()
+class _Client:
+    """One ``http.client`` connection for the whole run; the stdlib
+    reopens it only after a ``Connection: close`` response."""
+
+    def __init__(self, base):
+        split = urlsplit(base)
+        self.conn = http.client.HTTPConnection(
+            split.hostname, split.port, timeout=60
+        )
+        self.seconds = []
+        self.ports = set()
+
+    def request(self, path):
+        """-> ``(status, body)``, timing the round trip."""
+        start = time.perf_counter()
+        self.conn.request("GET", path)
+        response = self.conn.getresponse()
+        body = response.read()
+        self.seconds.append(time.perf_counter() - start)
+        if self.conn.sock is not None:
+            self.ports.add(self.conn.sock.getsockname()[1])
+        return response.status, body
+
+    def get(self, path):
+        status, body = self.request(path)
+        if status != 200:
+            raise SystemExit(f"GET {path} answered {status}: {body!r}")
+        return body
+
+    def wait_ready(self, timeout=120):
+        """Poll ``/readyz`` while it answers 503 (warming)."""
+        deadline = time.monotonic() + timeout
+        while True:
+            status, body = self.request("/readyz")
+            if status == 200:
+                return
+            if status != 503 or time.monotonic() > deadline:
+                raise SystemExit(f"server never became ready: {status}")
+            time.sleep(0.1)
+
+    def close(self):
+        self.conn.close()
 
 
 def _boot_cli(scenario, scale_args):
@@ -49,8 +100,6 @@ def _boot_cli(scenario, scale_args):
     import os
     import signal
     import subprocess
-    import time
-    import urllib.error
 
     tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-tmp-")
     env = dict(os.environ)
@@ -66,16 +115,6 @@ def _boot_cli(scenario, scale_args):
         proc.kill()
         raise SystemExit(f"serve did not announce an address: {line!r}")
     base = line.split("on ", 1)[1].strip().rstrip("/")
-    deadline = time.monotonic() + 120
-    while True:  # data routes 503 until warm; poll readiness
-        try:
-            _get(base, "/readyz")
-            break
-        except urllib.error.HTTPError as exc:
-            if exc.code != 503 or time.monotonic() > deadline:
-                proc.kill()
-                raise
-            time.sleep(0.1)
 
     def stop():
         proc.send_signal(signal.SIGTERM)
@@ -93,14 +132,15 @@ def _boot_cli(scenario, scale_args):
     return base, stop
 
 
-def _paged_csv(base, route, header, page):
+def _paged_csv(client, route, header, page):
     """Reassemble one CSV file from paginated responses — the client
     loop the pagination contract promises: walk ``offset += limit``
     until a short (or empty) page."""
     parts = [header]
     offset = 0
     while True:
-        body = _get(base, f"{route}?format=csv&offset={offset}&limit={page}")
+        body = client.get(
+            f"{route}?format=csv&offset={offset}&limit={page}")
         parts.append(body)
         rows = body.count(b"\r\n")
         offset += page
@@ -198,8 +238,10 @@ def main(argv=None):
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
 
+    client = _Client(base)
     try:
-        meta = json.loads(_get(base, "/"))
+        client.wait_ready()  # data routes 503 until warm
+        meta = json.loads(client.get("/"))
         edges = meta["classification"]["edges"]
         print(f"  server up on {base}; edge modes: "
               + ", ".join(f"{k}={v['mode']}" for k, v in edges.items()))
@@ -210,7 +252,7 @@ def main(argv=None):
                 stem = f"{type_name}.{prop.name}"
                 exported = written[stem].read_bytes()
                 served = _paged_csv(
-                    base, f"/properties/{type_name}/{prop.name}",
+                    client, f"/properties/{type_name}/{prop.name}",
                     b"id,value\r\n", args.page)
                 if not _check(f"property csv {stem}", served == exported,
                               f"{len(exported)} bytes"):
@@ -218,7 +260,7 @@ def main(argv=None):
 
         for edge_name in schema.edge_types:
             exported = written[edge_name].read_bytes()
-            served = _paged_csv(base, f"/edges/{edge_name}",
+            served = _paged_csv(client, f"/edges/{edge_name}",
                                 b"id,tailId,headId\r\n", args.page)
             if not _check(f"edge csv {edge_name}", served == exported,
                           f"{len(exported)} bytes"):
@@ -235,8 +277,7 @@ def main(argv=None):
                     [] if table.directed
                     else list(tails[(heads == probe) & (tails != heads)]))
             )
-            payload = json.loads(_get(
-                base,
+            payload = json.loads(client.get(
                 f"/neighbors/{edge_name}/{probe}"
                 f"?direction={'out' if table.directed else 'both'}"
                 f"&limit=65536"))
@@ -245,9 +286,9 @@ def main(argv=None):
                           f"{len(expected)} neighbours"):
                 failures += 1
 
-            exists = json.loads(_get(
-                base, f"/edges/{edge_name}/exists"
-                      f"?src={int(tails[0])}&dst={int(heads[0])}"))
+            exists = json.loads(client.get(
+                f"/edges/{edge_name}/exists"
+                f"?src={int(tails[0])}&dst={int(heads[0])}"))
             if not _check(f"exists {edge_name} first edge",
                           exists["exists"] is True):
                 failures += 1
@@ -263,8 +304,7 @@ def main(argv=None):
                     if record["status"] != "planted":
                         continue
                     u, v = record["world"]
-                    exists = json.loads(_get(
-                        base,
+                    exists = json.loads(client.get(
                         f"/edges/{edge_of[inst.plant]}/exists"
                         f"?src={u}&dst={v}"))
                     probes += 1
@@ -277,12 +317,22 @@ def main(argv=None):
 
         # Pagination contract: a past-the-end offset is an empty 200.
         some_type = next(iter(schema.node_types))
-        body = _get(base, f"/properties/{some_type}/"
+        body = client.get(f"/properties/{some_type}/"
                           f"{schema.node_types[some_type].properties[0].name}"
                           f"?format=csv&offset=10000000&limit=64")
         if not _check("past-the-end offset is empty 200", body == b""):
             failures += 1
+
+        # Kept-alive responses must not wait on delayed ACKs.
+        median_ms = 1e3 * statistics.median(client.seconds)
+        if not _check(f"median request < {STALL_MS:g} ms",
+                      median_ms < STALL_MS,
+                      f"{median_ms:.2f} ms over {len(client.seconds)} "
+                      f"requests on {len(client.ports)} connection(s)"):
+            failures += 1
     finally:
+        # Close first: the server's drain waits for idle connections.
+        client.close()
         if stop_cli is not None:
             if not stop_cli():
                 failures += 1
