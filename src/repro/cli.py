@@ -6,16 +6,17 @@ stream-export, and emit a graded validation report::
 
     datasynth scenario list
     datasynth scenario describe social_network
-    datasynth scenario run social_network --workers 2 --out out/
+    datasynth scenario run social_network --out out/
     datasynth scenario validate lfr_benchmark --scale Node=1000
 
 ``datasynth generate schema.dsl --scale Person=10000 --out data/``
 parses a DSL schema, generates the graph, and streams it to disk as it
 is generated (chunked, memory-bounded export; see docs/io.md).  Add
-``--workers N`` to fill large property tables across a worker pool,
-``--chunk-size N`` / ``--compress`` to tune the export — output bytes
-are identical for every combination.  A further subcommand runs the
-paper's evaluation protocol for quick inspection::
+``--chunk-size N`` / ``--compress`` to tune the export, or
+``--shard-rows N`` / ``--memory-budget SIZE`` to run out of core with
+``--workers N`` filling shards on a pool — output bytes are identical
+for every combination.  A further subcommand runs the paper's
+evaluation protocol for quick inspection::
 
     datasynth protocol --kind lfr --size 10000 --k 16
 """
@@ -47,6 +48,12 @@ def _int_at_least(minimum, maximum=None):
 
 
 _positive_int = _int_at_least(1)
+
+_WORKERS_HELP = (
+    "worker-pool size of an out-of-core run (--shard-rows, "
+    "--memory-budget or --resume); an in-memory run accepts it and "
+    "changes neither its bytes nor its schedule"
+)
 
 
 def _positive_seconds(text):
@@ -159,8 +166,7 @@ def build_parser():
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",
-        help="worker-pool size for shard-parallel generation "
-             "(1 = serial; output is bit-identical for any N)",
+        help=_WORKERS_HELP,
     )
     generate.add_argument(
         "--out", default="datasynth-out", help="output directory"
@@ -223,7 +229,6 @@ def build_parser():
     )
     validate.add_argument("--persons", type=_positive_int, default=2_000)
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--workers", type=_positive_int, default=1, metavar="N")
 
     analyze = sub.add_parser(
         "analyze",
@@ -241,7 +246,6 @@ def build_parser():
     )
     example.add_argument("--persons", type=_positive_int, default=10_000)
     example.add_argument("--seed", type=int, default=0)
-    example.add_argument("--workers", type=_positive_int, default=1, metavar="N")
     example.add_argument("--out", default=None)
 
     scenario = sub.add_parser(
@@ -286,8 +290,7 @@ def build_parser():
         )
         cmd.add_argument(
             "--workers", type=_positive_int, default=1, metavar="N",
-            help="worker-pool size (output is bit-identical for "
-                 "any N)",
+            help=_WORKERS_HELP,
         )
         cmd.add_argument(
             "--report-json", default=None, metavar="PATH",
@@ -474,8 +477,7 @@ def _running_example(args, num_countries):
     schema = social_network_schema(num_countries=num_countries)
     try:
         return schema, GraphGenerator(
-            schema, {"Person": args.persons},
-            seed=args.seed, workers=args.workers,
+            schema, {"Person": args.persons}, seed=args.seed,
         ).generate()
     except SchemaError as exc:
         raise SystemExit(f"schema error: {exc}") from None

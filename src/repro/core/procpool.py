@@ -1,8 +1,9 @@
-"""The one worker pool under every batch run.
+"""The one worker pool under the out-of-core run.
 
-Every per-shard unit of work — property kernels in memory and out of
-core, chunked structure emission + relabel, export formatting — goes
-through one :class:`ShardPool`.  The pool abstracts the two backends:
+Every per-shard unit of work — property kernels, chunked structure
+emission + relabel, export formatting — goes through one
+:class:`ShardPool`; the in-memory engine runs each task as one kernel
+call and has no pool.  The pool abstracts the two backends:
 
 ``thread``
     a :class:`~concurrent.futures.ThreadPoolExecutor`; cheap, shares

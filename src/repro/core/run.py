@@ -3,8 +3,8 @@
 Every batch run is ``plan -> walk -> store``
 (:func:`~repro.core.tasks.walk`); the options here choose the store —
 resident tables (:class:`~repro.core.engine.GraphGenerator`) or spooled
-ones (:class:`~repro.core.sharded.ShardedExecutor`) — and the pool
-under it.  None of them changes an output byte.
+ones (:class:`~repro.core.sharded.ShardedExecutor`, with the pool that
+fills them).  None of them changes an output byte.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .faults import ENV_FAULTS, parse_faults
 from .procpool import BACKENDS
 
 __all__ = [
+    "BYTES_PER_PERMUTED_NODE",
     "BYTES_PER_SHARD_ROW",
     "DEFAULT_SHARD_ROWS",
     "RunOptions",
@@ -27,9 +28,8 @@ __all__ = [
     "shard_rows_for_budget",
 ]
 
-#: Id-range shard size (rows): the unit a property table is filled in
-#: across a pool, in memory and (unless the run says otherwise) out of
-#: core; smaller tables are one kernel call.
+#: Id-range shard size (rows) of an out-of-core run that names neither
+#: ``shard_rows`` nor ``memory_budget`` (a ``resume`` alone).
 DEFAULT_SHARD_ROWS = 65_536
 
 #: Conservative working-set estimate per shard row (bytes), covering a
@@ -37,6 +37,10 @@ DEFAULT_SHARD_ROWS = 65_536
 #: formatting buffers).  ``--memory-budget`` divides by this to pick
 #: ``shard_rows``; see docs/scaling.md for the derivation.
 BYTES_PER_SHARD_ROW = 512
+
+#: A permutation matching's transient per permuted node (bytes), a
+#: global stage the budget cannot bound (docs/scaling.md).
+BYTES_PER_PERMUTED_NODE = 45
 
 #: Floor for derived shard sizes — below this, per-shard overhead
 #: dominates and the budget estimate is meaningless anyway.
@@ -113,6 +117,14 @@ _OUT_OF_CORE_ONLY = (
 )
 
 
+def _check_integer(name, value, minimum):
+    """Refuse a non-integer (``bool`` included) or too small field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """The eight values a batch run is configured by.
@@ -122,9 +134,10 @@ class RunOptions:
     out-of-core run; ``backend``, ``spool_dir``, ``retries`` and
     ``faults`` only mean something there (see
     :class:`~repro.core.sharded.ShardedExecutor`) and are refused
-    elsewhere rather than silently dropped.  ``workers`` applies to
-    both stores: threads over resident tables in memory, ``backend``
-    workers over the spool out of core.
+    elsewhere rather than silently dropped.  ``workers``, ``shard_rows``
+    and ``retries`` are integers (``bool`` is not one).  ``workers``
+    sizes the out-of-core pool; an in-memory run accepts it and
+    changes neither its bytes nor its schedule.
     """
 
     workers: int = 1
@@ -137,20 +150,18 @@ class RunOptions:
     faults: object = None
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check_integer("workers", self.workers, 1)
+        if self.shard_rows is not None:
+            _check_integer("shard_rows", self.shard_rows, 1)
+        _check_integer("retries", self.retries, 0)
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.shard_rows is not None and self.shard_rows < 1:
-            raise ValueError("shard_rows must be >= 1")
         if self.memory_budget is not None:
             parse_memory_budget(self.memory_budget)
         if isinstance(self.faults, str):
             parse_faults(self.faults)
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
         if self.resume and self.spool_dir is None:
             raise ValueError(
                 "resume requires an explicit spool_dir (an owned "
@@ -218,6 +229,4 @@ def execute(schema, scale, seed, options, sink=None):
         ).run(sink=sink)
     from .engine import GraphGenerator
 
-    return GraphGenerator(
-        schema, scale, seed, workers=options.workers
-    ).generate(sink=sink)
+    return GraphGenerator(schema, scale, seed).generate(sink=sink)

@@ -45,6 +45,7 @@ budget, by ``benchmarks/bench_scale.py``.
 from __future__ import annotations
 
 import tempfile
+import warnings
 from pathlib import Path
 
 from ..io.spool import TableSpool
@@ -53,12 +54,13 @@ from .checkpoint import run_fingerprint
 from .dependency import build_task_graph
 from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
-from .run import RunOptions
+from .run import BYTES_PER_PERMUTED_NODE, RunOptions, parse_memory_budget
 from .structures import StructureHandle, metadata
 from .tasks import (
     Store,
     apply_task,
     dep_slice,
+    is_correlated,
     property_shard_values,
     walk,
 )
@@ -93,19 +95,49 @@ def _edge_shard_part(spool, key, index, bound, rows):
     return spool.save_edge_part(index, key, *rows.read_range(*bound))
 
 
+def _warn_unbounded_matching(edge, structure, id_space, budget):
+    """Warn that ``edge``'s matching, a global stage, may exceed the
+    memory ``budget`` (bytes): always when correlated, else when its
+    permuted nodes at ``BYTES_PER_PERMUTED_NODE`` each exceed it."""
+    if is_correlated(edge):
+        estimate = (
+            f"a correlated (SBM-Part) matching holds its whole "
+            f"{len(structure)}-edge structure in memory "
+            f"(>= {16 * len(structure)} B of int64 endpoints)"
+        )
+    else:
+        nodes = id_space[0]
+        if not (edge.is_monopartite or edge.is_strict):
+            nodes += id_space[1]
+        if BYTES_PER_PERMUTED_NODE * nodes <= budget:
+            return
+        estimate = (
+            f"its permutation matching of {nodes} nodes needs about "
+            f"{BYTES_PER_PERMUTED_NODE * nodes} B"
+        )
+    warnings.warn(
+        f"memory budget of {budget} B does not bound edge "
+        f"{edge.name!r}: {estimate}",
+        RuntimeWarning, stacklevel=2,
+    )
+
+
 # -- the store ----------------------------------------------------------------
 
 
 class _SpooledStore(Store):
     """Every table as id-range shard files in a :class:`TableSpool`,
     filled through the pool; acked shards and recorded structures are
-    adopted on resume."""
+    adopted on resume; a matching the memory ``budget`` cannot bound
+    is warned about before it runs."""
 
-    def __init__(self, spool, pool, process):
+    def __init__(self, spool, pool, process, schema, budget):
         self.spool = spool
         self.pool = pool
         #: worker processes read the matching state from the spool
         self._process = process
+        self._schema = schema
+        self._budget = None if budget is None else parse_memory_budget(budget)
         self._stages = {"count": 0, "structure": 0}
 
     def fire(self, site):
@@ -170,6 +202,11 @@ class _SpooledStore(Store):
             # match-result diagnostic is not reconstructed — it
             # describes the matching *work*, which did not run.
             return spool.finish_edge(name, **sealed), None
+        if self._budget is not None and len(structure):
+            _warn_unbounded_matching(
+                self._schema.edge_type(name), structure, id_space,
+                self._budget,
+            )
         # The matching state — permutation maps (the O(nodes) term of
         # the memory bound) or a correlated matching's final table —
         # is spilled once for worker processes, which re-emit and
@@ -229,7 +266,9 @@ class ShardedExecutor:
     memory_budget:
         alternative to ``shard_rows``: bytes (int or ``"512MB"``-style
         string) divided by
-        :data:`~repro.core.run.BYTES_PER_SHARD_ROW`.
+        :data:`~repro.core.run.BYTES_PER_SHARD_ROW`.  A matching is a
+        global stage the budget cannot bound; the run emits a
+        :class:`RuntimeWarning` for each one that may exceed it.
     workers:
         per-shard concurrency; the pool keeps a bounded in-flight
         window of ``workers + 1`` shards, so peak memory scales with
@@ -278,9 +317,9 @@ class ShardedExecutor:
             shard_rows=shard_rows, memory_budget=memory_budget
         ).rows_per_shard
         self.options = RunOptions(
-            workers=int(workers), backend=backend,
-            shard_rows=self.shard_rows, spool_dir=spool_dir,
-            resume=bool(resume), retries=int(retries), faults=faults,
+            workers=workers, backend=backend, shard_rows=self.shard_rows,
+            memory_budget=memory_budget, spool_dir=spool_dir,
+            resume=bool(resume), retries=retries, faults=faults,
         )
         self.backoff = float(backoff)
 
@@ -311,7 +350,8 @@ class ShardedExecutor:
         )
         pool = ShardPool(options.backend, options.workers,
                          retries=options.retries, backoff=self.backoff)
-        store = _SpooledStore(spool, pool, options.backend == "process")
+        store = _SpooledStore(spool, pool, options.backend == "process",
+                              self.schema, options.memory_budget)
         plan = _faults.as_plan(options.faults)
         previous_plan = _faults.install_plan(plan)
         # Export formatting dominates wall time; worker processes

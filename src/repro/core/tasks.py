@@ -23,8 +23,8 @@ keeps the rows (:class:`Store`).  Three functional layers:
 
 Property kernels additionally accept an id *range*: generating rows
 ``[start, stop)`` with the full-table stream is bit-identical to the
-corresponding slice of single-shot generation, which is what lets a
-run fill a large property table shard by shard across workers.
+corresponding slice of single-shot generation, which lets an
+out-of-core run fill a large table shard by shard across workers.
 """
 
 from __future__ import annotations
@@ -408,8 +408,8 @@ def property_inputs(schema, task, result):
 def dep_slice(dep, start, stop):
     """The rows ``[start, stop)`` of one :func:`property_inputs`
     dependency descriptor — the one place a dependency becomes a
-    column, for a single whole-table call and for every shard of a
-    pooled fill, resident or spooled."""
+    column, for a single whole-table call, every shard of a spooled
+    fill and every page a served table reads."""
     kind = dep[0]
     if kind == "range":
         return dep[1].read_range(start, stop)

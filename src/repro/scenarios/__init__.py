@@ -21,8 +21,7 @@ End-to-end::
 
     compiled = compile_scenario(load_zoo("social_network"),
                                 scale={"Person": 2_000})
-    graph, report, written = run_scenario(compiled, workers=2,
-                                          out_dir="out/")
+    graph, report, written = run_scenario(compiled, out_dir="out/")
     print(report)            # graded: [pass]/[WARN]/[FAIL] + grade A–F
 """
 

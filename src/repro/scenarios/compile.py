@@ -10,7 +10,7 @@ bands — so a recipe and a hand-built script drive *the same* engine:
         .schema  : core Schema (nodes, edges, correlations)
         .scale   : scale anchors (recipe ∪ overrides)
         .graded_checks : the audit derived from schema + thresholds
-    run_scenario(compiled, workers=N, out_dir=...) ──► (graph, report)
+    run_scenario(compiled, out_dir=...) ──► (graph, report)
 
 ``$constructor`` values — the recipe-side escape hatch for live Python
 objects — are resolved here:
@@ -475,10 +475,10 @@ class CompiledScenario:
 
     def generator(self, workers=1):
         """A :class:`~repro.core.engine.GraphGenerator` for this
-        scenario."""
-        return GraphGenerator(
-            self.schema, self.scale, seed=self.seed, workers=workers
-        )
+        scenario.  ``workers`` is accepted and unused: the in-memory
+        engine has no pool, and the benchmark harness still passes
+        it."""
+        return GraphGenerator(self.schema, self.scale, seed=self.seed)
 
 
 def _graded_checks(spec, schema):
@@ -580,7 +580,8 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         a :class:`CompiledScenario` (or anything
         :func:`compile_scenario` accepts).
     workers:
-        pool size; output is bit-identical for any value.
+        pool size of an out-of-core run; an in-memory run accepts it
+        and changes neither its bytes nor its schedule.
     out_dir:
         export directory; ``None`` skips export.  The first format
         streams *during* generation, remaining formats export from the

@@ -4,7 +4,7 @@ Recipes live as ``*.yaml`` files next to this module (``zoo/``); each
 is a complete declarative workload — schema, scale, export defaults,
 validation thresholds — runnable end-to-end with::
 
-    repro scenario run social_network --workers 2 --out out/
+    repro scenario run social_network --out out/
 
 >>> names = zoo_names()
 >>> "social_network" in names and len(names) >= 8

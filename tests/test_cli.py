@@ -79,9 +79,10 @@ class TestGenerate:
         )
         assert (out / "knows.edges").exists()
 
-    def test_workers_flag_same_output(self, tmp_path, capsys):
-        """--workers N routes through the parallel executor and writes
-        the same files with the same contents."""
+    def test_sharded_workers_same_output(self, tmp_path, capsys):
+        """--shard-rows 64 --workers 2 runs out of core on a pool and
+        writes the same files with the same contents as the in-memory
+        run."""
         schema_path = tmp_path / "tiny.dsl"
         schema_path.write_text(DSL)
         serial_out = tmp_path / "serial"
@@ -91,7 +92,7 @@ class TestGenerate:
         ) == 0
         assert main(
             [
-                "generate", str(schema_path),
+                "generate", str(schema_path), "--shard-rows", "64",
                 "--workers", "2", "--out", str(parallel_out),
             ]
         ) == 0
@@ -233,6 +234,9 @@ class TestBoundaryErrors:
         (["scenario", "run", "social_network", "--scale", "Person=200",
           "--out", "{out}", "--shard-rows", "64", "--inject-faults",
           "nope:1:crash"], "unknown fault site 'nope'"),
+        (["example", "--workers", "2"], "unrecognized arguments: --workers"),
+        (["validate", "--workers", "2"],
+         "unrecognized arguments: --workers"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):

@@ -1,14 +1,16 @@
-"""Tests for ``workers=N`` over the in-memory engine.
+"""Tests for how a batch run is configured and how it fails.
 
-Byte identity of ``generate(workers=2)`` with the serial engine, for
-any schema, is a leg of the differential oracle
+Byte identity of every execution path with the serial engine, for any
+schema, is the differential oracle
 (``tests/test_property_based.py::TestDifferentialOracle``).  These
-tests pin what the oracle cannot see: that tables really are filled in
-shards, the two ways of asking for workers, and the errors a pooled
-run raises.
+tests pin what the oracle cannot see: the values :class:`RunOptions`
+refuses, and the exception a failing kernel surfaces as in memory and
+on the out-of-core pool.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -22,95 +24,11 @@ from repro.core import (
     Schema,
     SchemaError,
     ShardedError,
-    run,
+    ShardedExecutor,
 )
-from repro.datasets import social_network_schema
 from repro.properties.base import PropertyGenerator
 from repro.properties.registry import register_property_generator
-
-
-def assert_graphs_identical(expected, actual):
-    """Bit-identity including dict insertion order and value dtypes."""
-    assert expected.node_counts == actual.node_counts
-    assert list(expected.node_counts) == list(actual.node_counts)
-
-    assert list(expected.node_properties) == list(actual.node_properties)
-    for key, pt in expected.node_properties.items():
-        other = actual.node_properties[key]
-        assert pt == other, key
-        assert pt.values.dtype == other.values.dtype, key
-
-    assert list(expected.edge_tables) == list(actual.edge_tables)
-    for key, table in expected.edge_tables.items():
-        assert table == actual.edge_tables[key], key
-
-    assert list(expected.edge_properties) == list(actual.edge_properties)
-    for key, pt in expected.edge_properties.items():
-        other = actual.edge_properties[key]
-        assert pt == other, key
-        assert pt.values.dtype == other.values.dtype, key
-
-    assert list(expected.match_results) == list(actual.match_results)
-    for key, match in expected.match_results.items():
-        other = actual.match_results[key]
-        if match is None:
-            assert other is None, key
-            continue
-        for attr in ("mapping", "tail_mapping", "head_mapping"):
-            mine = getattr(match, attr, None)
-            if mine is not None:
-                assert np.array_equal(mine, getattr(other, attr)), key
-
-
-@pytest.fixture(autouse=True)
-def small_shards(monkeypatch):
-    """Several shards per table at test sizes."""
-    monkeypatch.setattr(run, "DEFAULT_SHARD_ROWS", 64)
-
-
-@pytest.fixture(scope="module")
-def social_serial():
-    """Serial reference output exercising every task kind: scale and
-    structure-inferred counts, plain and conditional properties, LFR
-    and one-to-many structures, correlated and strict-cardinality
-    matching, and edge properties with endpoint dependencies."""
-    schema = social_network_schema(num_countries=8)
-    return GraphGenerator(schema, {"Person": 400}, seed=23).generate()
-
-
-class TestBitIdentity:
-    def test_tables_really_are_filled_in_shards(self, monkeypatch):
-        from repro.core import engine
-
-        calls = []
-        kernel = engine.property_shard_values
-        monkeypatch.setattr(
-            engine, "property_shard_values",
-            lambda *args: calls.append(args[3:5]) or kernel(*args),
-        )
-        schema = Schema(node_types=[NodeType("T", properties=[
-            PropertyDef("x", "long", GeneratorSpec(
-                "uniform_int", {"low": 0, "high": 9}
-            )),
-        ])])
-        GraphGenerator(schema, {"T": 150}, workers=2).generate()
-        assert calls == [(0, 64), (64, 128), (128, 150)]
-        del calls[:]
-        GraphGenerator(schema, {"T": 64}, workers=2).generate()
-        assert calls == []  # one shard: the single apply_task call
-
-    def test_generator_workers_flag(self, social_serial):
-        schema = social_network_schema(num_countries=8)
-        graph = GraphGenerator(
-            schema, {"Person": 400}, seed=23, workers=2
-        ).generate()
-        assert_graphs_identical(social_serial, graph)
-
-    def test_generate_call_override(self, social_serial):
-        schema = social_network_schema(num_countries=8)
-        generator = GraphGenerator(schema, {"Person": 400}, seed=23)
-        graph = generator.generate(workers=2)
-        assert_graphs_identical(social_serial, graph)
+from repro.scenarios import load_zoo, run_scenario
 
 
 class _Exploding(PropertyGenerator):
@@ -120,9 +38,16 @@ class _Exploding(PropertyGenerator):
         return set()
 
     def run_many(self, ids, stream, *deps):
-        if len(ids) and ids[0] >= 64:
+        if len(ids) and ids[-1] >= 64:
             raise RuntimeError("kernel exploded")
         return np.zeros(len(ids), dtype=np.int64)
+
+
+def _exploding_schema():
+    register_property_generator(_Exploding)
+    return Schema(node_types=[NodeType("T", properties=[
+        PropertyDef("x", "long", GeneratorSpec(_Exploding.name, {})),
+    ])])
 
 
 class TestValidation:
@@ -131,14 +56,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend"):
             RunOptions(shard_rows=8, backend=backend)
 
-    def test_rejects_bad_workers(self):
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 0), ("workers", 2.5), ("workers", "2"),
+        ("workers", True), ("shard_rows", 0), ("shard_rows", 1.5),
+        ("shard_rows", "64"), ("shard_rows", True), ("retries", -1),
+        ("retries", 0.5), ("retries", "1"), ("retries", False),
+    ])
+    def test_rejects_a_bad_count(self, field, value):
+        with pytest.raises(ValueError, match=(
+            rf"^{field} must be .*, got {re.escape(repr(value))}$"
+        )):
+            RunOptions(**{"shard_rows": 8, field: value})
+
+    def test_accepts_numpy_integers(self):
+        options = RunOptions(workers=np.int64(2), shard_rows=np.int32(8),
+                             retries=np.uint8(1))
+        assert options.rows_per_shard == 8
+
+    def test_front_ends_check_the_callers_value(self):
         schema = Schema(node_types=[NodeType("T")])
-        with pytest.raises(ValueError, match="workers"):
-            GraphGenerator(schema, {"T": 1}, workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            GraphGenerator(schema, {"T": 1}).generate(workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            RunOptions(workers=0)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            ShardedExecutor(schema, {"T": 1}, shard_rows=8, workers=2.5)
+        with pytest.raises(ValueError, match="retries must be an integer"):
+            ShardedExecutor(schema, {"T": 1}, shard_rows=8, retries=0.5)
+        with pytest.raises(ValueError, match="shard_rows must be an integer"):
+            ShardedExecutor(schema, {"T": 1}, shard_rows=1.5)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_scenario(load_zoo("social_network"), workers="2")
 
     def test_rejects_malformed_fault_specs(self, monkeypatch):
         with pytest.raises(ValueError, match="bad fault spec 'bogus'"):
@@ -155,14 +99,19 @@ class TestValidation:
             ],
         )
         with pytest.raises(SchemaError, match="no property generator"):
-            GraphGenerator(schema, {"T": 5}, workers=2).generate()
+            GraphGenerator(schema, {"T": 5}).generate()
 
     def test_kernel_failure_carries_the_worker_traceback(self, registries):
-        register_property_generator(_Exploding)
-        schema = Schema(node_types=[NodeType("T", properties=[
-            PropertyDef("x", "long", GeneratorSpec(_Exploding.name, {})),
-        ])])
+        executor = ShardedExecutor(
+            _exploding_schema(), {"T": 200}, shard_rows=64, workers=2,
+            backend="thread",
+        )
         with pytest.raises(ShardedError, match="exploded") as info:
-            GraphGenerator(schema, {"T": 200}, workers=2).generate()
+            executor.run()
         assert info.value.shard == 1
         assert "run_many" in info.value.worker_traceback
+
+    def test_in_memory_kernel_failure_is_the_kernels_own(self, registries):
+        with pytest.raises(RuntimeError, match="exploded") as info:
+            GraphGenerator(_exploding_schema(), {"T": 200}).generate()
+        assert not isinstance(info.value, ShardedError)

@@ -1,9 +1,10 @@
 """One behaviour under four front ends.
 
-The in-memory engine (one worker or several), the out-of-core sharded
-executor and the serving layer plan through ``build_task_graph``, hold
-structures through ``repro.core.structures`` and derive matching maps
-through ``tasks.matching_maps``; the batch runs share one plan walk.
+The in-memory engine, the out-of-core sharded executor (inline, and
+on a two-process pool) and the serving layer plan through
+``build_task_graph``, hold structures through ``repro.core.structures``
+and derive matching maps through ``tasks.matching_maps``; the batch
+runs share one plan walk.
 These tests pin the shared pieces directly and check that every front
 end surfaces the same errors and the same bytes.
 """
@@ -53,16 +54,14 @@ def _serial(schema, scale, out=None):
     GraphGenerator(schema, scale, seed=1).generate(sink=_sink(out))
 
 
-def _pooled(schema, scale, out=None):
-    GraphGenerator(schema, scale, seed=1, workers=2).generate(
-        sink=_sink(out)
-    )
-
-
-def _sharded(schema, scale, out=None):
-    ShardedExecutor(schema, scale, seed=1, shard_rows=64).run(
+def _sharded(schema, scale, out=None, **pool):
+    ShardedExecutor(schema, scale, seed=1, shard_rows=64, **pool).run(
         sink=_sink(out)
     ).cleanup()
+
+
+def _sharded_process(schema, scale, out=None):
+    _sharded(schema, scale, out, workers=2, backend="process")
 
 
 def _served(schema, scale, out=None):
@@ -77,8 +76,8 @@ def _served(schema, scale, out=None):
 
 
 FRONT_ENDS = {
-    "serial": _serial, "pooled": _pooled, "sharded": _sharded,
-    "served": _served,
+    "serial": _serial, "sharded": _sharded,
+    "sharded-process": _sharded_process, "served": _served,
 }
 front_ends = pytest.mark.parametrize(
     "run", FRONT_ENDS.values(), ids=FRONT_ENDS.keys()

@@ -15,8 +15,9 @@ Pillars:
   fail compile with recipe paths;
 * **matcher** — the baseline matcher recovers every plant (recall 1.0,
   exact node maps) at zero noise, and reports truncation honestly;
-* **byte identity** — planted exports are byte-identical for workers
-  {1, 2, 4} x backend {thread, process} x serial/sharded;
+* **byte identity** — planted exports out of core, at workers
+  {1, 2, 4} x backend {thread, process}, are byte-identical to the
+  in-memory run's;
 * **golden triples** — the exported (template, world, ground_truth)
   bytes are pinned for 2 seeds x 2 template kinds
   (``tests/golden/planting/regenerate.py``);
@@ -533,13 +534,9 @@ class TestMatcher:
 
 
 IDENTITY_COMBOS = [
-    # (workers, sharded, backend) — covers workers {1,2,4} x
-    # thread/process x serial/sharded against the serial w=1 baseline.
-    (2, False, "thread"),
-    (4, False, "thread"),
-    (1, True, "thread"),
-    (2, True, "process"),
-    (4, True, "process"),
+    # (workers, backend) out of core, against the in-memory baseline.
+    (1, "thread"), (2, "thread"), (4, "thread"),
+    (2, "process"), (4, "process"),
 ]
 
 
@@ -558,29 +555,22 @@ class TestByteIdentity:
             load_zoo("c2_pattern_infra_telemetry"),
             scale={"Host": 250},
         )
-        graph, _, _ = run_scenario(
-            compiled, workers=1, out_dir=str(out), validate=False
-        )
-        if hasattr(graph, "cleanup"):
-            graph.cleanup()
+        run_scenario(compiled, out_dir=str(out), validate=False)
         return out
 
     @pytest.mark.parametrize(
-        "workers,sharded,backend", IDENTITY_COMBOS,
-        ids=[f"w{w}-{'sharded' if s else 'serial'}-{b}"
-             for w, s, b in IDENTITY_COMBOS],
+        "workers,backend", IDENTITY_COMBOS,
+        ids=[f"w{w}-sharded-{b}" for w, b in IDENTITY_COMBOS],
     )
     def test_planted_export_byte_identical(self, reference, tmp_path,
-                                           workers, sharded, backend):
+                                           workers, backend):
         compiled = compile_scenario(
             load_zoo("c2_pattern_infra_telemetry"),
             scale={"Host": 250},
         )
-        kwargs = {"shard_rows": 128, "backend": backend} if sharded \
-            else {}
         graph, _, _ = run_scenario(
             compiled, workers=workers, out_dir=str(tmp_path),
-            validate=False, **kwargs,
+            validate=False, shard_rows=128, backend=backend,
         )
         if hasattr(graph, "cleanup"):
             graph.cleanup()
@@ -590,8 +580,7 @@ class TestByteIdentity:
         for rel, ref_path in ref_files.items():
             assert filecmp.cmp(
                 ref_path, got_files[rel], shallow=False
-            ), f"{rel} differs (workers={workers}, sharded={sharded}, "\
-               f"backend={backend})"
+            ), f"{rel} differs (workers={workers}, backend={backend})"
 
 
 # ---------------------------------------------------------------------------

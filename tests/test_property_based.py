@@ -42,7 +42,6 @@ from repro.core import (
     SchemaError,
     ShardedError,
     ShardedExecutor,
-    run as run_module,
 )
 from repro.core.dsl.errors import DslError
 from repro.core.faults import FAULT_SITES, FaultPlan
@@ -1038,15 +1037,14 @@ def _finish(case, graph, out):
 
 
 @contextmanager
-def _in_memory(case, out, workers, **env):
-    """The in-memory engine, ``run.DEFAULT_SHARD_ROWS`` patched to the
-    drawn shard size so that a pool really splits tables."""
+def _in_memory(case, out, **env):
+    """The in-memory engine under the environment ``env``, streaming
+    its export during generation."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(run_module, "DEFAULT_SHARD_ROWS", case.shard_rows)
         for name, value in env.items():
             patch.setenv(name, value)
         graph = GraphGenerator(
-            case.schema, case.scale, case.seed, workers=workers
+            case.schema, case.scale, case.seed
         ).generate(sink=_streaming_sink(case, out))
         yield _finish(case, graph, out)
 
@@ -1106,10 +1104,8 @@ def _served(case, out):
 #: Every path but the serial reference, by export directory name.
 LEGS = {
     "no-ckernel": lambda case, out: _in_memory(
-        case, out, 1, REPRO_NO_CKERNEL="1"
+        case, out, REPRO_NO_CKERNEL="1"
     ),
-    # One worker in memory would be the serial reference itself.
-    "pooled": lambda case, out: _in_memory(case, out, max(case.workers, 2)),
     "sharded-thread": lambda case, out: _sharded(case, out, "thread"),
     "sharded-process": lambda case, out: _sharded(case, out, "process"),
     "served": _served,

@@ -3,8 +3,8 @@
 Covers the stdlib recipe parser, recipe validation error messages, the
 compiler lowering, the graded-report grading rules (JSON pinned against
 a golden), the zoo (every recipe compiles and runs at smoke scale with
-byte-identical exports for workers 1 vs 2), and the doc/spec sync
-contract for ``docs/scenarios.md``.
+byte-identical exports in memory and out of core), and the doc/spec
+sync contract for ``docs/scenarios.md``.
 """
 
 from __future__ import annotations
@@ -515,16 +515,22 @@ class TestZoo:
         assert compiled.graded_checks, "every recipe must carry checks"
 
     @pytest.mark.parametrize("name", sorted(SMOKE_SCALE))
-    def test_smoke_run_workers_byte_identical(self, name, tmp_path):
-        """workers=1 and workers=2 stream byte-identical exports."""
+    def test_smoke_run_in_memory_and_sharded_byte_identical(
+        self, name, tmp_path
+    ):
+        """The in-memory run and a 64-row, 2-worker out-of-core run
+        stream byte-identical exports."""
+        compiled = compile_scenario(load_zoo(name), scale=SMOKE_SCALE[name])
+        runs = {
+            "memory": {},
+            "sharded": {"shard_rows": 64, "workers": 2,
+                        "spool_dir": str(tmp_path / "spool")},
+        }
         outputs = {}
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}"
-            compiled = compile_scenario(
-                load_zoo(name), scale=SMOKE_SCALE[name]
-            )
+        for label, options in runs.items():
+            out = tmp_path / label
             graph, report, written = run_scenario(
-                compiled, workers=workers, out_dir=str(out)
+                compiled, out_dir=str(out), **options
             )
             assert written, "smoke run must export files"
             assert report is not None
@@ -532,20 +538,18 @@ class TestZoo:
             assert not any(
                 r.grade is Grade.FAIL for r in report.results
             ), f"{name}: {report}"
-            outputs[workers] = out
-        files1 = sorted(
-            p.relative_to(outputs[1])
-            for p in outputs[1].rglob("*") if p.is_file()
+            outputs[label] = out
+        memory, sharded = outputs["memory"], outputs["sharded"]
+        files = sorted(
+            p.relative_to(memory) for p in memory.rglob("*") if p.is_file()
         )
-        files2 = sorted(
-            p.relative_to(outputs[2])
-            for p in outputs[2].rglob("*") if p.is_file()
+        assert files == sorted(
+            p.relative_to(sharded) for p in sharded.rglob("*") if p.is_file()
         )
-        assert files1 == files2
-        for rel in files1:
+        for rel in files:
             assert filecmp.cmp(
-                outputs[1] / rel, outputs[2] / rel, shallow=False
-            ), f"{name}: {rel} differs between workers 1 and 2"
+                memory / rel, sharded / rel, shallow=False
+            ), f"{name}: {rel} differs between in-memory and sharded"
 
 
 class TestCli:

@@ -14,6 +14,7 @@ underneath it.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.core import CHECKPOINT_NAME
 from repro.io import TableSpool
 from repro.scenarios import compile_scenario
 from repro.scenarios.zoo import load_zoo
+from repro.stats import Zipf
 
 @pytest.fixture(scope="module")
 def rmat_recipe():
@@ -103,6 +105,69 @@ class TestShardedTables:
         for bad in ("", ".", "GB", "1.5.5GB", "-1MB", "1e3MB"):
             with pytest.raises(ValueError):
                 parse_memory_budget(bad)
+
+
+def _one_to_many_schema():
+    """The one-to-many schema of docs/scaling.md's 1B-edge recipe."""
+    schema = Schema(node_types=[NodeType("Person"), NodeType("Message")])
+    schema.add_edge_type(EdgeType(
+        "creates", tail_type="Person", head_type="Message",
+        cardinality=Cardinality.ONE_TO_MANY, directed=True,
+        structure=GeneratorSpec("one_to_many", {
+            "degree_distribution": Zipf(0.6, 10), "degree_offset": 1,
+        }),
+    ))
+    return schema
+
+
+def _budget_warnings(schema, scale, budget):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ShardedExecutor(
+            schema, scale, seed=7, memory_budget=budget
+        ).run().cleanup()
+    return [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)]
+
+
+class TestMemoryBudgetWarnings:
+    """A matching is one global stage the budget cannot bound; the run
+    says so, once per edge type, when it may exceed the budget."""
+
+    def test_permutation_matching_above_the_budget_warns(self):
+        # 45 B x 5 000 permuted tails = 225 000 B > 64 KiB.
+        assert _budget_warnings(
+            _one_to_many_schema(), {"Person": 5_000}, "64KB"
+        ) == [
+            "memory budget of 65536 B does not bound edge 'creates': its "
+            "permutation matching of 5000 nodes needs about 225000 B"
+        ]
+
+    def test_permutation_matching_within_the_budget_is_silent(self):
+        # The sharded_o2m benchmark's shape: 45 B x 300 000 < 32 MiB.
+        assert _budget_warnings(
+            _one_to_many_schema(), {"Person": 300_000}, "32MB"
+        ) == []
+
+    def test_correlated_matching_always_warns(self):
+        compiled = compile_scenario(load_zoo("social_network"),
+                                    scale={"Person": 300})
+        [message] = _budget_warnings(
+            compiled.schema, compiled.scale, "1GB"
+        )
+        assert message.startswith(
+            "memory budget of 1073741824 B does not bound edge 'knows': "
+            "a correlated (SBM-Part) matching holds its whole "
+        )
+
+    def test_shard_rows_alone_set_no_budget_to_warn_about(self):
+        compiled = compile_scenario(load_zoo("social_network"),
+                                    scale={"Person": 300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ShardedExecutor(
+                compiled.schema, compiled.scale, seed=7, shard_rows=1024,
+            ).run().cleanup()
 
 
 class TestSpoolCleanupOnFailure:
@@ -291,6 +356,7 @@ from repro.core import ShardedExecutor
 from repro.io import make_sink
 from repro.scenarios import compile_scenario
 from repro.scenarios.zoo import load_zoo
+from repro.stats import Zipf
 
 out = Path({out!r})
 compiled = compile_scenario(

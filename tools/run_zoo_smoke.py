@@ -66,7 +66,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="zoo-reports")
     parser.add_argument("--max-scale", type=int, default=500)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
     from repro.scenarios import (
@@ -82,9 +81,7 @@ def main(argv=None):
     for name, spec in zoo_specs():
         override = clamp_scale(spec.scale, args.max_scale)
         compiled = compile_scenario(spec, scale=override)
-        _, report, _ = run_scenario(
-            compiled, workers=args.workers, validate=True
-        )
+        _, report, _ = run_scenario(compiled, validate=True)
         json_path = os.path.join(args.out, f"{name}.json")
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
