@@ -86,9 +86,10 @@ def _add_sharding_args(cmd):
         "--backend", choices=("thread", "process"), default="thread",
         help="worker backend for out-of-core mode: 'thread' shares "
              "the GIL (low overhead, good for spool-IO-bound runs), "
-             "'process' runs shards and export formatting on a "
-             "fork-server pool for CPU-bound pipelines (output is "
-             "byte-identical either way; see docs/scaling.md)",
+             "'process' runs the shard kernels on a forked worker "
+             "pool for CPU-bound pipelines; export is formatted in "
+             "the parent (output is byte-identical either way; see "
+             "docs/scaling.md)",
     )
     cmd.add_argument(
         "--spool-dir", default=None, metavar="DIR",

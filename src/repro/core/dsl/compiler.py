@@ -57,31 +57,32 @@ def _compile_call(call, environment, registry, kind):
     return GeneratorSpec(call.name, params)
 
 
+def _compile_properties(prop_asts, environment, registry):
+    """The :class:`PropertyDef` list of one node or edge type."""
+    return [
+        PropertyDef(
+            prop.name, prop.dtype,
+            None if prop.generator is None else _compile_call(
+                prop.generator, environment, registry, "property"
+            ),
+            tuple(prop.depends_on),
+        )
+        for prop in prop_asts
+    ]
+
+
 def compile_schema(ast, environment=None):
     """Compile a parsed AST into ``(schema, scale_dict, graph_name)``."""
     environment = dict(environment or {})
     pg_registry = available_property_generators()
     sg_registry = available_generators()
 
-    node_types = []
-    for node_ast in ast.node_types:
-        properties = []
-        for prop_ast in node_ast.properties:
-            generator = None
-            if prop_ast.generator is not None:
-                generator = _compile_call(
-                    prop_ast.generator, environment, pg_registry,
-                    "property",
-                )
-            properties.append(
-                PropertyDef(
-                    prop_ast.name,
-                    prop_ast.dtype,
-                    generator,
-                    tuple(prop_ast.depends_on),
-                )
-            )
-        node_types.append(NodeTypeNodeFactory(node_ast.name, properties))
+    node_types = [
+        NodeType(node_ast.name, _compile_properties(
+            node_ast.properties, environment, pg_registry
+        ))
+        for node_ast in ast.node_types
+    ]
 
     edge_types = []
     for edge_ast in ast.edge_types:
@@ -105,22 +106,6 @@ def compile_schema(ast, environment=None):
                 head_property=corr_ast.head_property,
                 values=values,
             )
-        properties = []
-        for prop_ast in edge_ast.properties:
-            generator = None
-            if prop_ast.generator is not None:
-                generator = _compile_call(
-                    prop_ast.generator, environment, pg_registry,
-                    "property",
-                )
-            properties.append(
-                PropertyDef(
-                    prop_ast.name,
-                    prop_ast.dtype,
-                    generator,
-                    tuple(prop_ast.depends_on),
-                )
-            )
         edge_types.append(
             EdgeType(
                 edge_ast.name,
@@ -128,7 +113,9 @@ def compile_schema(ast, environment=None):
                 head_type=edge_ast.head_type,
                 cardinality=Cardinality.parse(edge_ast.cardinality),
                 structure=structure,
-                properties=properties,
+                properties=_compile_properties(
+                    edge_ast.properties, environment, pg_registry
+                ),
                 correlation=correlation,
                 directed=edge_ast.directed,
             )
@@ -142,11 +129,6 @@ def compile_schema(ast, environment=None):
                 f"scale entry {name!r} names no declared type"
             )
     return schema, scale, ast.name
-
-
-def NodeTypeNodeFactory(name, properties):
-    """Indirection kept for monkeypatching in tests."""
-    return NodeType(name, properties)
 
 
 def load_schema(text, environment=None):

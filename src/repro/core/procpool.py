@@ -1,9 +1,12 @@
 """The one worker pool under the out-of-core run.
 
 Every per-shard unit of work — property kernels, chunked structure
-emission + relabel, export formatting — goes through one
-:class:`ShardPool`; the in-memory engine runs each task as one kernel
-call and has no pool.  The pool abstracts the two backends:
+emission + relabel — goes through one :class:`ShardPool`; the
+in-memory engine runs each task as one kernel call and has no pool.
+The backend is chosen here and nowhere else: the run keeps its global
+state in the spool and formats its export in the parent whichever
+backend runs the shards, so the choice changes where kernels run,
+never what they read or write.  The pool abstracts the two backends:
 
 ``thread``
     a :class:`~concurrent.futures.ThreadPoolExecutor`; cheap, shares
@@ -94,8 +97,9 @@ class ShardPool:
     The pool is created lazily on first use and persists across tasks
     (one fork per run, not per shard).  ``workers == 1`` on the thread
     backend short-circuits to inline execution — the reference serial
-    path every other configuration must byte-match; failures there
-    propagate raw, exactly as a serial run would raise them.
+    path every other configuration must byte-match; it retries on the
+    same budget, and an exhausted budget propagates the kernel's own
+    exception, exactly as a serial run would raise it.
 
     ``retries`` bounds re-runs *per shard*; ``backoff`` is the base
     delay of the exponential backoff (``backoff * 2**(attempt-1)``,
@@ -140,7 +144,7 @@ class ShardPool:
         jobs = iter(jobs)
         if self.workers == 1 and self.backend == "thread":
             for args in jobs:
-                yield fn(*args)
+                yield self._inline(fn, args)
             return
         window = max(int(window if window else self.workers + 1), 1)
         # Pending items are [shard_index, args, future, attempts]; args
@@ -160,6 +164,25 @@ class ShardPool:
         finally:
             for item in pending:
                 item[2].cancel()
+
+    def _inline(self, fn, args):
+        """``fn(*args)`` in this thread, re-run on failure within the
+        same budget and backoff as a pooled shard; the kernel's own
+        exception propagates once the budget is spent."""
+        attempts = 0
+        while True:
+            try:
+                return fn(*args)
+            except Exception:
+                attempts += 1
+                if attempts > self.retries:
+                    raise
+                self._back_off(attempts)
+
+    def _back_off(self, attempts):
+        delay = min(self.backoff * (2 ** (attempts - 1)), self.BACKOFF_CAP)
+        if delay > 0:
+            time.sleep(delay)
 
     def _submit(self, fn, pending, item):
         """Submit ``item``'s job, absorbing a pool that broke under us.
@@ -199,9 +222,7 @@ class ShardPool:
         item[3] += 1
         if item[3] > self.retries:
             raise self._failure(item[0], item[3], exc, pool_broken) from exc
-        delay = min(self.backoff * (2 ** (item[3] - 1)), self.BACKOFF_CAP)
-        if delay > 0:
-            time.sleep(delay)
+        self._back_off(item[3])
         if pool_broken:
             # The executor is unusable once broken: discard it, respawn
             # lazily, and resubmit the whole in-flight window (their

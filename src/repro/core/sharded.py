@@ -17,22 +17,23 @@ shard by shard through the one ``read_range`` table protocol
 (:mod:`repro.tables.ranged`): range-pure property kernels, chunkable
 structures re-emitted from the seed
 (:class:`~repro.structure.base.EdgeChunkStream`), and the final edge
-rows of every matching.  The genuinely global stages — sequential
-structure generators, correlated (SBM-Part) matching — materialise
-transiently, spill their result to the spool and free it.  Sinks read
-the spooled tables through the unchanged ``begin``/``on_table``/
-``finish`` protocol in serial plan order, so every format (gzip
-included) produces identical bytes.
+rows of every matching.  The run's global state — the pre-matching
+structures' spilled state and the matching maps — is kept by the
+spool's spill (:class:`~repro.io.spool.SpoolSpill`): the genuinely
+global stages (sequential structure generators, correlated SBM-Part
+matching) materialise transiently, spill their result and free it.
+Sinks read the spooled tables through the unchanged ``begin``/
+``on_table``/``finish`` protocol in serial plan order, so every format
+(gzip included) produces identical bytes.
 
 Concurrency.  Every per-shard unit — property kernel, structure chunk
-emission + relabel, export-chunk formatting — goes through one
-:class:`~repro.core.procpool.ShardPool` with a bounded in-flight
-window (no lock-step waves).  ``backend="thread"`` shares memory but
-is GIL-capped; ``backend="process"`` forks a persistent worker pool
-that writes part files straight into the spool and acks metadata, the
-parent recording shards and streaming export chunks in serial plan
-order — so the output is byte-identical for any backend/worker/shard
-combination, again by construction.  A worker killed mid-shard raises
+emission + relabel — goes through one
+:class:`~repro.core.procpool.ShardPool` with a bounded in-flight window
+(no lock-step waves).  Whatever workers the pool runs read every input
+from the spool and write part files into it, and the parent acks
+shards in shard order and formats the export — so the output is
+byte-identical for any pool, worker count and shard size, again by
+construction.  A worker killed mid-shard raises
 :class:`~repro.core.procpool.ShardedError` and the owned spool is
 removed.
 
@@ -55,7 +56,7 @@ from .dependency import build_task_graph
 from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
 from .run import BYTES_PER_PERMUTED_NODE, RunOptions, parse_memory_budget
-from .structures import StructureHandle, metadata
+from .structures import adopted, metadata
 from .tasks import (
     Store,
     apply_task,
@@ -71,7 +72,7 @@ __all__ = [
     "ShardedResult",
 ]
 
-# -- per-shard jobs (module-level: picklable for the process backend) ---------
+# -- per-shard jobs (module-level: picklable for any pool) --------------------
 
 
 def _property_shard_part(spool, key, index, bound, spec, task_id, seed,
@@ -131,11 +132,9 @@ class _SpooledStore(Store):
     adopted on resume; a matching the memory ``budget`` cannot bound
     is warned about before it runs."""
 
-    def __init__(self, spool, pool, process, schema, budget):
+    def __init__(self, spool, pool, schema, budget):
         self.spool = spool
         self.pool = pool
-        #: worker processes read the matching state from the spool
-        self._process = process
         self._schema = schema
         self._budget = None if budget is None else parse_memory_budget(budget)
         self._stages = {"count": 0, "structure": 0}
@@ -178,7 +177,7 @@ class _SpooledStore(Store):
             spool.verified_prefix(name)
         meta = spool.structure_meta(name)
         if spool.sealed(name) is not None and meta is not None:
-            return StructureHandle(**meta)
+            return adopted(meta)
         self.fire("structure")
         handle = open_handle(
             spool.shard_rows, spool.spiller(f"structure.{name}")
@@ -209,11 +208,9 @@ class _SpooledStore(Store):
             )
         # The matching state — permutation maps (the O(nodes) term of
         # the memory bound) or a correlated matching's final table —
-        # is spilled once for worker processes, which re-emit and
-        # relabel their chunks from paths.
-        rows, match = build(
-            spool.spiller(f"match.{name}") if self._process else None
-        )
+        # is spilled once; workers re-emit and relabel their chunks
+        # from its pages.
+        rows, match = build(spool.spiller(f"match.{name}"))
         self._run_shards(
             name, _edge_shard_part,
             spool.shard_bounds(len(rows)) if len(rows) else [], (rows,),
@@ -275,11 +272,9 @@ class ShardedExecutor:
         ``workers × shard_rows``.  Output is identical for any worker
         count.
     backend:
-        ``"thread"`` (default) or ``"process"``.  Threads share the
-        parent's memory but the GIL caps kernel concurrency; the
-        process backend forks a persistent worker pool that writes
-        shard part files straight into the spool (and formats export
-        chunks), which is what actually scales past one core.
+        the :class:`~repro.core.procpool.ShardPool` backend,
+        ``"thread"`` (default) or ``"process"``; it changes where the
+        shard kernels run, never what the run keeps or writes.
     spool_dir:
         spool location (a temporary directory by default).  Resumable
         runs must name one explicitly: an owned temporary spool is
@@ -350,20 +345,12 @@ class ShardedExecutor:
         )
         pool = ShardPool(options.backend, options.workers,
                          retries=options.retries, backoff=self.backoff)
-        store = _SpooledStore(spool, pool, options.backend == "process",
-                              self.schema, options.memory_budget)
+        store = _SpooledStore(spool, pool, self.schema,
+                              options.memory_budget)
         plan = _faults.as_plan(options.faults)
         previous_plan = _faults.install_plan(plan)
-        # Export formatting dominates wall time; worker processes
-        # format the sinks' chunks too (results re-assembled in order,
-        # so bytes are unchanged).
-        pmap_attached = (
-            options.backend == "process" and hasattr(sink, "pmap")
-        )
         try:
             try:
-                if pmap_attached:
-                    sink.pmap = pool.ordered_map
                 walk(
                     order,
                     lambda task: apply_task(
@@ -382,8 +369,6 @@ class ShardedExecutor:
                 raise
         finally:
             pool.close()
-            if pmap_attached:
-                sink.pmap = None
             _faults.install_plan(previous_plan)
             if plan is not None and plan is not options.faults:
                 # as_plan() compiled this plan (string or env spec) and

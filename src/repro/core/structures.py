@@ -1,50 +1,64 @@
-"""Structure handles: pre-matching edges as edge rows.
+"""Structure handles: pre-matching edges as edge streams.
 
 Every store needs a generated structure's *metadata* (for derived
 counts and matching maps) and its edges by *id range*; only the
 resident store ever wants the whole edge table in RAM.  A structure is
-therefore held as an :class:`~repro.tables.ranged.EdgeRows` — the
-row-range table protocol every stored table answers — and this module
-is the one place that decides which one, :func:`open_structure`:
+therefore always an :class:`~repro.structure.base.EdgeChunkStream` —
+the row-range table protocol every stored table answers — and
+:func:`open_structure` is the one place that opens it, through the
+spill the store passes (:mod:`repro.io.spool`: in RAM for the
+resident store, in the spool out of core and when serving):
 
-* chunkable generators re-emit any range from the seed: the
-  generator's own :class:`~repro.structure.base.EdgeChunkStream` is
-  the handle, nothing is stored;
+* chunkable generators re-emit any range from the seed, with their
+  global state (sampled codes, degree offsets) kept by the spill;
 * sequential generators are the documented global stage: the table is
-  materialised once, spilled to the spool and memory-mapped
-  (:class:`SpilledStructure`);
+  materialised once and its two columns are kept by the spill
+  (:func:`spilled_table` — spooled and memory-mapped out of core);
 * a resumed run that adopts a finished edge table from the spool only
-  needs the recorded :func:`metadata` (the plain
-  :class:`StructureHandle`).
+  needs the recorded :func:`metadata` (:func:`adopted`).
 
 Final edge ids are the structure's ids pushed through the matching maps
 of :func:`~repro.core.tasks.matching_maps`; :class:`MatchedEdges` is
 that relabel as a table — materialised by the resident store, read one
 shard at a time by the spooled store's workers and one page at a time
-by the served edge pages.  Handles and spilled maps pickle as spool
+by the served edge pages.  Spooled streams and maps pickle as spool
 paths, so worker processes page them in place.
+
+>>> from repro.io.spool import IN_MEMORY
+>>> from repro.tables import EdgeTable
+>>> table = EdgeTable("e", np.array([0, 1, 2]), np.array([1, 2, 0]), 3, 3)
+>>> stream = spilled_table(IN_MEMORY, table)
+>>> stream.read_range(1, 3)
+(array([1, 2]), array([2, 0]))
+>>> adopted(metadata(stream)).read_range(0, 1)  # doctest: +ELLIPSIS
+Traceback (most recent call last):
+    ...
+RuntimeError: structure 'e' was adopted from the spool on resume: ...
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from ..structure.base import EdgeChunkStream
 from ..structure.registry import create_generator
 from ..tables.ranged import EdgeRows
 
 __all__ = [
     "MatchedEdges",
-    "SpilledStructure",
-    "StructureHandle",
+    "adopted",
     "metadata",
     "open_structure",
     "spill_maps",
+    "spilled_table",
 ]
 
 
 def metadata(structure):
     """The topology metadata of a structure, as the checkpoint ledger
-    records it (``StructureHandle(**metadata(handle))`` round-trips)."""
+    records it (``metadata(adopted(metadata(handle)))`` round-trips)."""
     return {
         "name": structure.name,
         "num_edges": len(structure),
@@ -54,41 +68,38 @@ def metadata(structure):
     }
 
 
-class StructureHandle(EdgeRows):
-    """Topology metadata of a pre-matching structure, without its
-    edges (no ``read_range``): enough for the metadata consumers
-    (``resolve_count``, ``matching_maps``).  The subclass adds edge
-    access."""
+class _ColumnEmitter:
+    """Picklable emitter paging two kept columns."""
 
-    #: Can any edge range be re-derived from the seed alone?
-    random_access = False
+    def __init__(self, tails, heads):
+        self.tails = tails
+        self.heads = heads
 
-    def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
-                 directed):
-        self.name = name
-        self._num_edges = int(num_edges)
-        self.num_tail_nodes = int(num_tail_nodes)
-        self.num_head_nodes = int(num_head_nodes)
-        self.directed = bool(directed)
-
-    def __len__(self):
-        return self._num_edges
+    def __call__(self, lo, hi):
+        return np.asarray(self.tails[lo:hi]), np.asarray(self.heads[lo:hi])
 
 
-class SpilledStructure(StructureHandle):
-    """Materialised-once edges, spilled to the spool and memory-mapped."""
+def spilled_table(spill, table):
+    """A materialised edge table as a stream paging its two columns,
+    kept by ``spill`` — how a global stage's output (a sequential
+    structure, a correlated matching's final table) is held."""
+    return EdgeChunkStream(**metadata(table), emit=_ColumnEmitter(
+        spill("tails", table.tails), spill("heads", table.heads)
+    ))
 
-    def __init__(self, spill, table):
-        super().__init__(**metadata(table))
-        self._tails = spill("tails", table.tails)
-        self._heads = spill("heads", table.heads)
 
-    def read_range(self, start, stop):
-        start, stop = self.check_range(start, stop)
-        return (
-            np.asarray(self._tails[start:stop]),
-            np.asarray(self._heads[start:stop]),
-        )
+def _not_kept(name, lo, hi):
+    raise RuntimeError(
+        f"structure {name!r} was adopted from the spool on resume: only "
+        "its metadata was kept, so it has no edges to read"
+    )
+
+
+def adopted(meta):
+    """The handle of a structure a resumed run adopted whole from the
+    spool: its recorded :func:`metadata` — enough for derived counts
+    and matching maps — and no edges."""
+    return EdgeChunkStream(**meta, emit=partial(_not_kept, meta["name"]))
 
 
 class MatchedEdges(EdgeRows):
@@ -123,27 +134,26 @@ class MatchedEdges(EdgeRows):
 
 
 def open_structure(spec, sg_seed, n, chunk_rows, spill):
-    """Run a structure generator into a handle.
+    """Run a structure generator into a stream.
 
     ``spec, sg_seed, n`` are :func:`~repro.core.tasks.structure_inputs`'
-    output; ``spill`` is a spool spiller namespaced for this structure
-    (per-stream global state and sequential tables land under it), or
-    ``None`` — the identity spill of the resident store, which keeps
-    both in memory.
+    output; ``spill`` keeps the structure's global state — per-stream
+    state and a sequential generator's table — in RAM or in the spool,
+    namespaced for this structure.
     """
     generator = create_generator(spec.name, seed=sg_seed, **spec.params)
     if generator.chunkable(n):
-        stream = generator.run_chunked(n, chunk_rows, spill=spill)
+        stream = generator.run_chunked(n, chunk_rows, spill)
         stream.random_access = generator.random_access(n)
         return stream
     # Sequential generators are a documented global stage: materialise
-    # once, then (unless kept in memory) spill to scratch and free.
-    table = generator.run(n)
-    return table if spill is None else SpilledStructure(spill, table)
+    # once, then keep the columns through the spill.
+    return spilled_table(spill, generator.run(n))
 
 
 def spill_maps(spill, tail_map, head_map):
-    """Park matching maps in the spool; returns the memory-mapped pair.
+    """Keep matching maps through ``spill``; returns the kept pair
+    (memory-mapped in the spool).
 
     A map shared by both sides (monopartite matching) is spilled once
     and stays shared; ``None`` (identity) stays ``None``.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..io.spool import IN_MEMORY
 from ..prng import RandomStream, derive_seed
 from ..properties.registry import create_property_generator
 from ..structure.base import _RUN_ROWS
@@ -45,9 +46,9 @@ from .matching import (
 from .schema import SchemaError
 from .structures import (
     MatchedEdges,
-    SpilledStructure,
     open_structure,
     spill_maps,
+    spilled_table,
 )
 
 __all__ = [
@@ -152,8 +153,8 @@ def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
     virtual one a page at a time.  ``structure`` only needs topology
     metadata
     (``num_tail_nodes`` / ``num_head_nodes`` / ``num_nodes``), so any
-    :class:`~repro.tables.ranged.EdgeRows` works — a chunk stream, a
-    metadata-only :class:`~repro.core.structures.StructureHandle` — as
+    :class:`~repro.tables.ranged.EdgeRows` works — a chunk stream, the
+    metadata-only :func:`~repro.core.structures.adopted` handle — as
     well as an :class:`~repro.tables.EdgeTable`.
 
     Returns ``(tail_map, head_map)`` — structure node id -> final node
@@ -448,8 +449,10 @@ class Store:
     * ``edges(name, structure, id_space, build)`` -> ``(table,
       diagnostics)`` of a matching: ``build(spill)`` returns the final
       rows as one :class:`~repro.tables.ranged.EdgeRows` plus the
-      diagnostics, keeping the matching state through ``spill``
-      (``None``: in memory).
+      diagnostics, keeping the matching state through ``spill``.
+
+    Each ``spill`` is one of :mod:`repro.io.spool`'s two: the
+    resident store passes the in-RAM one, the others a spool's.
 
     ``fire(site)`` marks a stage boundary for fault injection.
     """
@@ -463,7 +466,7 @@ class ResidentStore(Store):
     — the default store of :func:`apply_task`."""
 
     def structure(self, name, open_handle):
-        return open_handle(_RUN_ROWS, None).to_edge_table()
+        return open_handle(_RUN_ROWS, IN_MEMORY).to_edge_table()
 
     def properties(self, name, spec, count, deps, task_id, seed):
         return PropertyTable(name, property_shard_values(
@@ -472,7 +475,7 @@ class ResidentStore(Store):
         ))
 
     def edges(self, name, structure, id_space, build):
-        rows, match = build(None)
+        rows, match = build(IN_MEMORY)
         return rows.to_edge_table(), match
 
 
@@ -573,15 +576,13 @@ def apply_task(task, schema, scale, seed, result, structures, store=None):
                     edge, seed, task.task_id, structure.to_edge_table(),
                     *counts, *correlated_tables(edge, result),
                 )
-                if spill is not None:
-                    table = SpilledStructure(spill, table)
-                return table, match
+                return spilled_table(spill, table), match
             maps = matching_maps(
                 edge, seed, task.task_id, structure, *counts
             )
-            if spill is not None:
-                maps = spill_maps(spill, *maps)
-            return MatchedEdges(structure, *maps, id_space), None
+            return MatchedEdges(
+                structure, *spill_maps(spill, *maps), id_space
+            ), None
 
         result.edge_tables[name], result.match_results[name] = (
             store.edges(name, structure, id_space, build)

@@ -11,8 +11,8 @@ export path is therefore O(chunk), not O(table).
 JSONL / edge-list file: the format modules supply a per-chunk job that
 pages its rows through the table protocol
 (``table.read_range(lo, hi)``, :mod:`repro.tables.ranged`) and calls
-one of the ``format_*_chunk`` functions below, so any table class and
-any ordered parallel map (``pmap``) produce the same bytes.
+one of the ``format_*_chunk`` functions below, so any table class
+produces the same bytes.
 
 The implementation strategy is measured, not assumed (``python3 -m
 bench``, ``chunks.format_s``): numpy handles dtype dispatch,
@@ -42,7 +42,6 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -138,29 +137,21 @@ def open_text(path, mode="r", compress=None):
     return handle
 
 
-def write_chunks(path, compress, header, job, args, total, chunk_size,
-                 pmap=None):
+def write_chunks(path, compress, header, job, args, total, chunk_size):
     """The chunk-writer loop under every CSV / JSONL / edge-list file.
 
     Writes ``header``, then the text ``job(*args, lo, hi)`` returns for
     each ``chunk_size`` id range of ``[0, total)``, in id order.
-    ``job`` is module-level and reads its own rows through the table
-    protocol (``table.read_range(lo, hi)``), so it runs in any worker:
-    ``pmap`` — an ordered parallel map such as the sharded executor's
-    pool — offloads the formatting while this loop appends the results
-    in chunk order, and the bytes cannot differ from the in-process
-    ``pmap=None`` run.
+    ``job`` reads its own rows through the table protocol
+    (``table.read_range(lo, hi)``), so every table class — resident,
+    spooled, overlaid, virtual — is written by this one loop.
     """
     path = Path(path)
-    jobs = (
-        (*args, lo, hi)
-        for lo, hi in chunk_bounds(path.name, total, chunk_size)
-    )
-    texts = starmap(job, jobs) if pmap is None else pmap(job, jobs)
+    bounds = chunk_bounds(path.name, total, chunk_size)
     with open_text(path, "w", compress) as handle:
         handle.write(header)
-        for text in texts:
-            handle.write(text)
+        for lo, hi in bounds:
+            handle.write(job(*args, lo, hi))
     return path
 
 

@@ -46,37 +46,32 @@ _ET_HEADER = ["id", "tailId", "headId"]
 
 
 def _property_chunk_job(table, start, stop):
-    """Format one PT chunk (module-level: runs in any worker)."""
+    """Format one PT chunk."""
     return format_property_csv_chunk(
         start, table.read_range(start, stop)
     )
 
 
 def _edge_chunk_job(table, start, stop):
-    """Format one ET chunk (module-level: runs in any worker)."""
+    """Format one ET chunk."""
     return format_edge_csv_chunk(start, *table.read_range(start, stop))
 
 
 def write_property_table(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
-                         compress=None, pmap=None):
-    """Write a PT as ``id,value`` CSV (header included), chunk-streamed.
-
-    ``pmap`` (an ordered parallel map, e.g. the sharded executor's
-    worker pool) offloads per-chunk formatting — the dominant export
-    cost — see :func:`~repro.io.chunks.write_chunks`.
-    """
+                         compress=None):
+    """Write a PT as ``id,value`` CSV (header included), chunk-streamed."""
     return write_chunks(
         path, compress, "id,value\r\n", _property_chunk_job, (table,),
-        len(table), chunk_size, pmap,
+        len(table), chunk_size,
     )
 
 
 def write_edge_table(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
-                     compress=None, pmap=None):
+                     compress=None):
     """Write an ET as ``id,tailId,headId`` CSV, chunk-streamed."""
     return write_chunks(
         path, compress, "id,tailId,headId\r\n", _edge_chunk_job,
-        (table,), len(table), chunk_size, pmap,
+        (table,), len(table), chunk_size,
     )
 
 

@@ -29,21 +29,16 @@ __all__ = ["write_edgelist", "read_edgelist"]
 
 
 def _edgelist_chunk_job(table, lo, hi):
-    """Format one edge-list chunk (module-level: runs in any worker)."""
+    """Format one edge-list chunk."""
     return format_edgelist_chunk(*table.read_range(lo, hi))
 
 
 def write_edgelist(table, path, comment=None,
-                   chunk_size=DEFAULT_CHUNK_SIZE, compress=None,
-                   pmap=None):
-    """Write ``tail head`` lines; optional leading ``#`` comment.
-
-    ``pmap`` (an ordered parallel map) offloads per-chunk formatting
-    to workers — see :func:`~repro.io.chunks.write_chunks`.
-    """
+                   chunk_size=DEFAULT_CHUNK_SIZE, compress=None):
+    """Write ``tail head`` lines; optional leading ``#`` comment."""
     return write_chunks(
         path, compress, f"# {comment}\n" if comment else "",
-        _edgelist_chunk_job, (table,), len(table), chunk_size, pmap,
+        _edgelist_chunk_job, (table,), len(table), chunk_size,
     )
 
 

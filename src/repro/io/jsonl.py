@@ -44,12 +44,11 @@ __all__ = [
 
 
 def _records_job(keys, edges, tables, lo, hi):
-    """Format one record chunk (module-level: runs in any worker).
+    """Format one record chunk.
 
     A record is the id, the endpoints of ``edges`` (``None`` for node
     and property-table records) and one value per property table;
-    every table pages its own ``[lo, hi)`` rows through ``read_range``
-    — spooled tables pickle as spool paths and read worker-side.
+    every table pages its own ``[lo, hi)`` rows through ``read_range``.
     """
     columns = [table.read_range(lo, hi) for table in tables]
     if edges is not None:
@@ -61,13 +60,8 @@ def _records_job(keys, edges, tables, lo, hi):
 
 
 def write_nodes_jsonl(graph, type_name, path,
-                      chunk_size=DEFAULT_CHUNK_SIZE, compress=None,
-                      pmap=None):
-    """Write all instances of a node type as JSON lines.
-
-    ``pmap`` (an ordered parallel map) offloads per-chunk record
-    encoding to workers — see :func:`~repro.io.chunks.write_chunks`.
-    """
+                      chunk_size=DEFAULT_CHUNK_SIZE, compress=None):
+    """Write all instances of a node type as JSON lines."""
     prop_names = [
         p.name for p in graph.schema.node_type(type_name).properties
     ]
@@ -77,13 +71,12 @@ def write_nodes_jsonl(graph, type_name, path,
     return write_chunks(
         path, compress, "", _records_job,
         (["id"] + prop_names, None, tables),
-        graph.num_nodes(type_name), chunk_size, pmap,
+        graph.num_nodes(type_name), chunk_size,
     )
 
 
 def write_edges_jsonl(graph, edge_name, path,
-                      chunk_size=DEFAULT_CHUNK_SIZE, compress=None,
-                      pmap=None):
+                      chunk_size=DEFAULT_CHUNK_SIZE, compress=None):
     """Write all instances of an edge type as JSON lines."""
     edges = graph.edges(edge_name)
     prop_names = [
@@ -95,7 +88,7 @@ def write_edges_jsonl(graph, edge_name, path,
     return write_chunks(
         path, compress, "", _records_job,
         (["id", "tail", "head"] + prop_names, edges, tables),
-        len(edges), chunk_size, pmap,
+        len(edges), chunk_size,
     )
 
 
@@ -113,7 +106,7 @@ def export_graph_jsonl(graph, directory, chunk_size=DEFAULT_CHUNK_SIZE,
 
 def write_property_table_jsonl(table, path,
                                chunk_size=DEFAULT_CHUNK_SIZE,
-                               compress=None, pmap=None):
+                               compress=None):
     """Write a PT as ``{"id": i, "value": v}`` lines.
 
     Unlike CSV this representation distinguishes ``None`` from ``""``
@@ -122,17 +115,16 @@ def write_property_table_jsonl(table, path,
     """
     return write_chunks(
         path, compress, "", _records_job,
-        (["id", "value"], None, [table]), len(table), chunk_size, pmap,
+        (["id", "value"], None, [table]), len(table), chunk_size,
     )
 
 
 def write_edge_table_jsonl(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
-                           compress=None, pmap=None):
+                           compress=None):
     """Write an ET as ``{"id": i, "tail": t, "head": h}`` lines."""
     return write_chunks(
         path, compress, "", _records_job,
         (["id", "tail", "head"], table, []), len(table), chunk_size,
-        pmap,
     )
 
 

@@ -25,10 +25,17 @@ loses at most the in-flight shard.  ``--resume`` replays the file
 through the function that records live events, re-verifies each
 table's acked part files and continues after the verified prefix.
 
-The spool is also the IPC boundary of the process backend: spools,
-spooled tables and :class:`SpillView` handles pickle as *paths* (no
-data, no catalog), so worker processes can write part files straight
-into the shard directories and only the parent records the acks.
+The spool also keeps a run's global state — pre-matching structures
+and matching maps — as scratch files.  That is one of the two
+*spills*, the one interface through which a run decides where its
+global state lives: :class:`SpoolSpill` parks an array on disk and
+hands back a :class:`SpillView`; :class:`MemorySpill`
+(:data:`IN_MEMORY`) keeps it in RAM for the resident store.
+
+The spool is the IPC boundary of the worker pool: spools, spooled
+tables and :class:`SpillView` handles pickle as *paths* (no data, no
+catalog), so worker processes can write part files straight into the
+shard directories and only the parent records the acks.
 :class:`SortedRuns` adds the out-of-core primitive for the remaining
 global stages: sorted spill runs with a vectorised k-way merge
 (optionally dropping duplicates), bounded by the run size.
@@ -50,16 +57,16 @@ from ..tables.ranged import EdgeRows, PropertyRows
 __all__ = [
     "CHECKPOINT_NAME",
     "CheckpointError",
+    "IN_MEMORY",
+    "MemorySpill",
     "SortedRuns",
     "SpillView",
     "SpooledEdgeTable",
     "SpooledPropertyTable",
+    "SpoolSpill",
     "TableSpool",
     "dedup_first_occurrence",
     "merge_sorted_runs",
-    "spill_array",
-    "spill_create",
-    "spill_seal",
     "verify_digest",
 ]
 
@@ -196,8 +203,7 @@ class SpillView:
         return self.array[item]
 
     def __array__(self, dtype=None, copy=None):
-        values = np.asarray(self.array)
-        return values if dtype is None else values.astype(dtype)
+        return np.array(self.array, dtype=dtype, copy=copy, subok=False)
 
     def close(self):
         """Release the mmap handle (reopens lazily if touched again)."""
@@ -220,54 +226,93 @@ class SpillView:
         return f"SpillView({self.path!r}, {state})"
 
 
-def spill_array(view):
-    """The ndarray behind a spill result (memmap for :class:`SpillView`,
-    the array itself for in-memory spills)."""
-    if isinstance(view, SpillView):
-        return view.array
-    return np.asarray(view)
+class MemorySpill:
+    """The in-RAM spill: every array stays where it is.
 
+    The resident store's spill, and the default of
+    :meth:`~repro.structure.base.StructureGenerator.run_chunked`.  A
+    spill is where a run keeps its global state — sampled codes,
+    degree offsets, sequential structures, matching maps — and has
+    three methods: ``spill(name, array)`` parks a whole array and
+    hands back an array-like that answers slicing and ``np.asarray``;
+    ``spill.create(name, rows, dtype)`` hands out a writable array for
+    an incremental fill, which ``spill.seal(name, array)`` turns into
+    such a read view.  :class:`SpoolSpill` is the other one; both hand
+    back the same rows:
 
-def spill_create(spill, name, rows, dtype):
-    """A writable array of ``rows`` for incremental fills.
-
-    Disk-backed spillers hand out a writable memmap under ``name``;
-    the identity spill falls back to ``np.empty``.  Pair with
-    :func:`spill_seal` once filled.
+    >>> import tempfile
+    >>> spool = TableSpool(tempfile.mkdtemp(), shard_rows=4)
+    >>> for spill in (IN_MEMORY, spool.spiller("demo")):
+    ...     codes = spill("codes", np.arange(5) * 3)
+    ...     squares = spill.create("squares", 4, np.int64)
+    ...     squares[:] = np.arange(4) ** 2
+    ...     squares = spill.seal("squares", squares)
+    ...     print(codes[1:4], np.asarray(squares), type(codes).__name__)
+    [3 6 9] [0 1 4 9] ndarray
+    [3 6 9] [0 1 4 9] SpillView
+    >>> spool.cleanup()
     """
-    create = getattr(spill, "create", None)
-    if create is None:
-        return np.empty(int(rows), dtype=dtype)
-    return create(name, rows, dtype)
 
-
-def spill_seal(spill, name, array):
-    """Seal an array from :func:`spill_create` into a read view."""
-    seal = getattr(spill, "seal", None)
-    if seal is None:
+    def __call__(self, name, array):
         return array
-    return seal(name, array)
+
+    def create(self, name, rows, dtype):
+        return np.empty(int(rows), dtype=dtype)
+
+    def seal(self, name, array):
+        return array
 
 
-class _Spiller:
-    """Namespaced ``spill(name, array)`` with an incremental-fill path."""
+#: The in-RAM spill (stateless, so one serves every run).
+IN_MEMORY = MemorySpill()
+
+
+class SpoolSpill:
+    """The spool's spill: arrays parked as scratch ``.npy`` files
+    under ``prefix`` and handed back as :class:`SpillView` handles
+    (pages load on demand), which is how the global state stays out
+    of the RSS budget and reaches worker processes as paths.  Every
+    view is registered with the spool, so :meth:`TableSpool.cleanup`
+    can release its mmap before removing the directory.  Each
+    ``spill`` and ``create`` is a ``spill`` fault site.
+    """
 
     def __init__(self, spool, prefix):
         self._spool = spool
         self._prefix = str(prefix)
 
+    def _path(self, name):
+        return self._spool.scratch_path(f"{self._prefix}.{name}")
+
+    def _start(self, name):
+        spool = self._spool
+        _faults.fire("spill", spool._spills)  # numbered like ``ledger``
+        spool._spills += 1
+        return self._path(name)
+
     def __call__(self, name, array):
-        return self._spool.spill(f"{self._prefix}.{name}", array)
+        array = np.asarray(array)
+        path = self._start(name)
+        _save(path, array)
+        if array.dtype.kind == "O":
+            return array  # object arrays cannot be mapped; keep as is
+        return self._spool._register_view(path)
 
     def create(self, name, rows, dtype):
-        """Writable memmap for incremental fills (external merges)."""
-        return self._spool.create_spill(
-            f"{self._prefix}.{name}", rows, dtype
+        """A writable scratch memmap for incremental fills."""
+        path = self._start(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return np.lib.format.open_memmap(
+            path, mode="w+", dtype=np.dtype(dtype), shape=(int(rows),)
         )
 
     def seal(self, name, array):
-        """Flush + close a created memmap; reopen as a read view."""
-        return self._spool.seal_spill(f"{self._prefix}.{name}", array)
+        """Flush + close a created memmap; reopen it as a read view."""
+        array.flush()
+        handle = getattr(array, "_mmap", None)
+        if handle is not None:
+            handle.close()
+        return self._spool._register_view(self._path(name))
 
 
 class TableSpool:
@@ -586,56 +631,14 @@ class TableSpool:
     def scratch_path(self, name):
         return self.directory / "scratch" / f"{name}.npy"
 
-    def spill(self, name, array):
-        """Park a whole-table array on disk; hand back a bounded view.
-
-        Numeric arrays come back as a :class:`SpillView` (pages load
-        on demand), which is how genuinely-global stages — sampled
-        pair codes, degree offsets, matching maps — stay out of the
-        RSS budget.  Every view is registered so :meth:`cleanup` can
-        release its mmap handle before removing the directory.
-        """
-        self._fire_spill()
-        array = np.asarray(array)
-        path = self.scratch_path(name)
-        _save(path, array)
-        if array.dtype.kind == "O":
-            return array  # object arrays cannot be mapped; keep as is
-        return self._register_view(path)
-
     def _register_view(self, path):
         view = SpillView(path)
         self._views[view.path] = view
         return view
 
-    def _fire_spill(self):
-        _faults.fire("spill", self._spills)  # numbered like ``ledger``
-        self._spills += 1
-
-    def create_spill(self, name, rows, dtype):
-        """A writable scratch memmap for incremental fills."""
-        self._fire_spill()
-        path = self.scratch_path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return np.lib.format.open_memmap(
-            path, mode="w+", dtype=np.dtype(dtype), shape=(int(rows),)
-        )
-
-    def seal_spill(self, name, array):
-        """Flush + close a created memmap; reopen it as a read view."""
-        path = self.scratch_path(name)
-        if isinstance(array, np.memmap):
-            array.flush()
-            handle = getattr(array, "_mmap", None)
-            if handle is not None:
-                handle.close()
-        else:
-            _save(path, np.asarray(array))
-        return self._register_view(path)
-
     def spiller(self, prefix):
-        """A ``spill(name, array)`` callable namespaced by ``prefix``."""
-        return _Spiller(self, prefix)
+        """The :class:`SpoolSpill` that parks arrays under ``prefix``."""
+        return SpoolSpill(self, prefix)
 
     def drop_scratch(self, prefix):
         """Delete all scratch files under ``prefix`` (post-match)."""
@@ -820,17 +823,16 @@ class SortedRuns:
     The primitive behind every remaining global dedup stage: callers
     :meth:`push` record blocks in any order; each full buffer is
     sorted (lexicographically by ``(primary, secondary)``) and spilled
-    as one *run* through the ``spill`` callable — the executor's disk
-    spiller, or the identity for in-memory use.  :meth:`merge` then
-    streams the global sorted order in bounded blocks, so peak memory
-    is O(run_rows), never O(total).
+    as one *run* through ``spill`` — a spool's disk spill, or the
+    in-RAM one.  :meth:`merge` then streams the global sorted order in
+    bounded blocks, so peak memory is O(run_rows), never O(total).
 
     ``unique`` mode drops duplicate primaries, keeping the record with
     the smallest secondary — for ``(pair_code, edge_idx)`` records
     that is exactly ``np.unique(keys, return_index=True)``'s
     first-occurrence rule.  This is the one dedup of R-MAT
     ``simplify``, the bipartite stub pairing and the G(n, m) sampler,
-    in memory (identity spill, usually a single run) and out of core
+    in memory (in-RAM spill, usually a single run) and out of core
     alike.
     """
 
@@ -884,8 +886,8 @@ class SortedRuns:
     def merge(self, block_rows=None):
         """Yield ``(primary, secondary|None)`` blocks, globally sorted.
 
-        Re-iterable: runs live on disk (or in the identity spill), so
-        a counting pass and an emission pass can both merge.
+        Re-iterable: runs live on disk (or in RAM), so a counting
+        pass and an emission pass can both merge.
         """
         self.flush()
         return merge_sorted_runs(
@@ -911,12 +913,9 @@ class SortedRuns:
         self._buffered = 0
         for primary, secondary in runs:
             for view in (primary, secondary):
-                close = getattr(view, "close", None)
-                if close is not None:
-                    close()
-                path = getattr(view, "path", None)
-                if path is not None:
-                    Path(path).unlink(missing_ok=True)
+                if isinstance(view, SpillView):  # in-RAM runs just drop
+                    view.close()
+                    Path(view.path).unlink(missing_ok=True)
 
 
 def dedup_first_occurrence(spill, prefix, blocks, run_rows):
@@ -941,13 +940,13 @@ def dedup_first_occurrence(spill, prefix, blocks, run_rows):
         by_order.push(edge_ids, codes)
         total += codes.size
     by_code.cleanup()
-    final = spill_create(spill, f"{prefix}.codes", total, np.int64)
+    final = spill.create(f"{prefix}.codes", total, np.int64)
     pos = 0
     for _, codes in by_order.merge():
         final[pos:pos + codes.size] = codes
         pos += codes.size
     by_order.cleanup()
-    return total, spill_seal(spill, f"{prefix}.codes", final)
+    return total, spill.seal(f"{prefix}.codes", final)
 
 
 def merge_sorted_runs(runs, block_rows, unique=False):
@@ -968,7 +967,7 @@ def merge_sorted_runs(runs, block_rows, unique=False):
         if rows:
             state.append([
                 0, primary, secondary,
-                np.empty(0, spill_array(primary).dtype), None,
+                np.empty(0, primary.dtype), None,
             ])
     if len(state) == 1:
         _, primary, secondary = state[0][:3]

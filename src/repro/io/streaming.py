@@ -106,12 +106,6 @@ class GraphSink:
         self.written = []
         self.graph = None
         self._tables = {}
-        #: Optional ordered parallel map (``pmap(fn, jobs)`` yielding
-        #: results in submission order).  The sharded executor's
-        #: process backend attaches its worker pool here so per-chunk
-        #: text formatting — the dominant export cost — runs in the
-        #: workers while the sink appends results in plan order.
-        self.pmap = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -139,10 +133,8 @@ class GraphSink:
             )
         name = name or table.name
         path = self.data_path(name)
-        writer(
-            table, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
+        writer(table, path, chunk_size=self.chunk_size,
+               compress=self.compress)
         return self._record(name, path, entry)
 
     def write_property_table(self, table, name=None,
@@ -297,10 +289,8 @@ class JsonlSink(GraphSink):
             writer, rows = jsonl.write_nodes_jsonl, graph.num_nodes(name)
             declared = graph.schema.node_type(name)
         path = self.data_path(name)
-        writer(
-            graph, name, path, chunk_size=self.chunk_size,
-            compress=self.compress, pmap=self.pmap,
-        )
+        writer(graph, name, path, chunk_size=self.chunk_size,
+               compress=self.compress)
         return self._record(name, path, {
             "kind": "edge_records" if is_edge else "node_records",
             "rows": rows,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..io.spool import IN_MEMORY
 from ..prng import RandomStream
 from ..tables import EdgeTable
 from ..tables.ranged import EdgeRows
@@ -57,9 +58,7 @@ class PackedCodeEmitter:
         self.divisor = np.int64(divisor)
 
     def __call__(self, lo, hi):
-        from ..io.spool import spill_array
-
-        codes = np.asarray(spill_array(self.codes)[lo:hi])
+        codes = np.asarray(self.codes[lo:hi])
         return codes // self.divisor, codes % self.divisor
 
 
@@ -204,15 +203,15 @@ class StructureGenerator:
         """
         return self.emission == "chunkable"
 
-    def run_chunked(self, n, chunk_edges, spill=None):
+    def run_chunked(self, n, chunk_edges, spill=IN_MEMORY):
         """The generator's edge table as an :class:`EdgeChunkStream`
         paged ``chunk_edges`` at a time (:meth:`run` materialises it).
 
-        ``spill`` is an optional callable ``spill(name, array) ->
-        array-like`` used to park per-stream state that is genuinely
-        global (sampled pair codes, degree offsets) outside RAM; the
-        sharded executor passes a disk spiller that hands back a
-        memory-mapped view.  ``None`` keeps state in memory.
+        ``spill`` keeps the per-stream state that is genuinely global
+        (sampled pair codes, degree offsets).  It is one of the two
+        spills of :mod:`repro.io.spool`: the in-RAM one by default, or
+        a spool's, which hands back memory-mapped views (the
+        out-of-core and served runs).
 
         Raises ``TypeError`` for sequential generators/configurations.
         """
@@ -227,8 +226,6 @@ class StructureGenerator:
                 "for this configuration; run() is the only emission path"
             )
         stream = RandomStream(self.seed, f"sg.{self.name}")
-        if spill is None:
-            spill = lambda name, array: array  # noqa: E731
         return self._generate_chunked(n, stream, chunk_edges, spill)
 
     def _generate_chunked(self, n, stream, chunk_edges, spill):

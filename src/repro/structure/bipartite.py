@@ -16,7 +16,7 @@ from .base import (
     StructureGenerator,
     empty_emit,
 )
-from ..io.spool import dedup_first_occurrence, spill_array
+from ..io.spool import dedup_first_occurrence
 
 __all__ = ["BipartiteConfiguration"]
 
@@ -44,16 +44,16 @@ class _StubEmitter:
         stub_ids = np.arange(lo, hi, dtype=np.int64)
         tails = (
             np.searchsorted(
-                spill_array(self.tail_offsets), stub_ids, side="right"
+                np.asarray(self.tail_offsets), stub_ids, side="right"
             ) - 1
         ).astype(np.int64)
-        shuffled = np.asarray(spill_array(self.perm)[lo:hi])
+        shuffled = np.asarray(self.perm[lo:hi])
         if self.head_base == 0:
             heads = np.zeros(shuffled.size, dtype=np.int64)
         else:
             heads = (
                 np.searchsorted(
-                    spill_array(self.head_offsets),
+                    np.asarray(self.head_offsets),
                     shuffled % self.head_base, side="right",
                 ) - 1
             ).astype(np.int64)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .base import EdgeChunkStream, StructureGenerator
-from ..io.spool import spill_array
 from ..tables import EdgeTable
 
 __all__ = ["OneToManyGenerator", "OneToOneGenerator"]
@@ -35,7 +34,7 @@ class _OffsetEmitter:
         edge_ids = np.arange(lo, hi, dtype=np.int64)
         tails = (
             np.searchsorted(
-                spill_array(self.offsets), edge_ids, side="right"
+                np.asarray(self.offsets), edge_ids, side="right"
             ) - 1
         ).astype(np.int64)
         return tails, edge_ids

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import EdgeChunkStream, StructureGenerator
-from ..io.spool import SortedRuns, spill_array, spill_create, spill_seal
+from ..io.spool import SortedRuns
 
 __all__ = ["ErdosRenyi", "ErdosRenyiM"]
 
@@ -71,7 +71,7 @@ def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
             runs.push((sub.uniform(idx) * total_pairs).astype(np.int64))
         distinct = runs.total()
         round_id += 1
-    final = spill_create(spill, "codes", count, np.int64)
+    final = spill.create("codes", count, np.int64)
     pos = 0
     if distinct == count:
         for codes, _ in runs.merge():
@@ -91,7 +91,7 @@ def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
                 break
         ranked.cleanup()
     runs.cleanup()
-    return spill_seal(spill, "codes", final)
+    return spill.seal("codes", final)
 
 
 class _CodeEmitter:
@@ -101,15 +101,15 @@ class _CodeEmitter:
         self.codes = codes
 
     def __call__(self, lo, hi):
-        return _decode_pair_codes(np.asarray(spill_array(self.codes)[lo:hi]))
+        return _decode_pair_codes(np.asarray(self.codes[lo:hi]))
 
 
 def _pair_code_chunk_stream(name, n, m, stream, chunk_edges, spill):
     """Shared chunked-emission body of the two ER generators.
 
     The sampled code array is the only whole-table state; the sampler
-    builds it through spilled sorted runs (identity spill keeps them in
-    memory), after which each chunk decodes a bounded slice.
+    builds it through spilled sorted runs (in memory under the in-RAM
+    spill), after which each chunk decodes a bounded slice.
     """
     codes = _sample_pair_codes_spilled(
         n, m, stream.substream("pairs"), name, spill,

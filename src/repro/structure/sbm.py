@@ -16,7 +16,6 @@ import bisect
 import numpy as np
 
 from .base import EdgeChunkStream, StructureGenerator
-from ..io.spool import spill_array
 
 __all__ = ["StochasticBlockModel"]
 
@@ -45,7 +44,6 @@ class _BlockEmitter:
         for start, r0, c0, nc, intra, codes in self.blocks[pos:]:
             if start >= hi:
                 break
-            codes = spill_array(codes)
             stop = start + len(codes)
             if stop <= lo:
                 continue

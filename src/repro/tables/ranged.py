@@ -229,8 +229,10 @@ class RangeColumn:
         return self._table.read_range(index, index + 1)[0]
 
     def __array__(self, dtype=None, copy=None):
+        # ``read_range`` may hand back a table's own storage (a
+        # resident column, a spooled shard cache): copy when asked.
         values = self._table.read_range(0, len(self._table))
-        return values if dtype is None else values.astype(dtype)
+        return np.array(values, dtype=dtype, copy=copy)
 
     def __iter__(self):
         for _, chunk in self._table.iter_chunks(SCAN_ROWS):

@@ -19,10 +19,10 @@ import repro.structure.bipartite as bipartite_mod
 import repro.structure.erdos_renyi as er_mod
 import repro.structure.rmat as rmat_mod
 from repro.io.spool import (
+    IN_MEMORY,
     SortedRuns,
     TableSpool,
     dedup_first_occurrence,
-    spill_array,
 )
 from repro.stats import Zipf
 from repro.structure import BipartiteConfiguration, ErdosRenyiM, RMat
@@ -159,9 +159,7 @@ class TestDedupFirstOccurrence:
         _, first = np.unique(codes, return_index=True)
         first.sort()
         assert total == first.size
-        np.testing.assert_array_equal(
-            np.asarray(spill_array(final)), codes[first]
-        )
+        np.testing.assert_array_equal(np.asarray(final), codes[first])
 
     def test_single_run_passes(self, spill):
         """Both passes fit one run (the in-memory ``run(n)`` case): the
@@ -176,9 +174,24 @@ class TestDedupFirstOccurrence:
         _, first = np.unique(codes, return_index=True)
         first.sort()
         assert total == first.size
-        np.testing.assert_array_equal(
-            np.asarray(spill_array(final)), codes[first]
-        )
+        np.testing.assert_array_equal(np.asarray(final), codes[first])
+
+    def test_both_spills_dedup_alike(self, spill):
+        """The in-RAM spill keeps runs and result as arrays, the
+        spool's as memory-mapped views; the rows are the same."""
+        codes = np.random.default_rng(7).integers(0, 900, size=4_000)
+        edge_ids = np.arange(codes.size, dtype=np.int64)
+        results = [
+            dedup_first_occurrence(
+                kept, "both", [(codes, edge_ids)], _SMALL_RUNS
+            )
+            for kept in (IN_MEMORY, spill)
+        ]
+        (ram_total, ram), (spool_total, spooled) = results
+        assert isinstance(ram, np.ndarray)
+        assert not isinstance(spooled, np.ndarray)
+        assert ram_total == spool_total
+        np.testing.assert_array_equal(ram, np.asarray(spooled))
 
 
 class TestChunkedEqualsSerial:

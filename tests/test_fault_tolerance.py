@@ -135,6 +135,31 @@ class TestRetries:
              retries=1, faults="property:1:crash")
         _assert_same_tree(out, expected_csv)
 
+    def test_retries_recover_sigkilled_single_worker(self, expected_csv,
+                                                     tmp_path):
+        out = tmp_path / "out"
+        _run(out, tmp_path / "spool", backend="process", workers=1,
+             retries=2, faults="shard:1:kill")
+        _assert_same_tree(out, expected_csv)
+
+    def test_inline_retries_recover_worker_exception(self, expected_csv,
+                                                     tmp_path):
+        """``workers=1`` on the thread backend runs each shard inline,
+        on the same retry budget as a pooled shard."""
+        out = tmp_path / "out"
+        _run(out, tmp_path / "spool", backend="thread", workers=1,
+             retries=1, faults="property:1:crash")
+        _assert_same_tree(out, expected_csv)
+
+    def test_inline_exhausted_retries_raise_the_kernel_exception(
+        self, tmp_path
+    ):
+        # Two attempts, both crash: the inline path re-raises the
+        # kernel's own exception, as a serial run would.
+        with pytest.raises(InjectedFault):
+            _run(tmp_path / "out", tmp_path / "spool", backend="thread",
+                 workers=1, retries=1, faults="property:1:crash:x2")
+
     def test_exhausted_retries_surface_shard_and_traceback(
         self, tmp_path
     ):

@@ -30,20 +30,18 @@ from repro.core import (
 )
 from repro.core.structures import (
     MatchedEdges,
-    SpilledStructure,
-    StructureHandle,
+    adopted,
     metadata,
     open_structure,
 )
 from repro.core.tasks import is_correlated, matching_maps
 from repro.datasets import social_network_schema
 from repro.io import export_graph, make_sink
-from repro.io.spool import TableSpool
+from repro.io.spool import IN_MEMORY, TableSpool
 from repro.prng import derive_seed
 from repro.serve import VirtualGraph
 from repro.stats import Zipf
 from repro.structure import create_generator
-from repro.structure.base import EdgeChunkStream
 
 
 def _sink(out):
@@ -157,12 +155,21 @@ class TestScaleValidation:
         }
 
 
+def _metadata_only(num_edges, num_tail_nodes, num_head_nodes, directed):
+    """A structure as a resumed run adopts it: metadata, no edges."""
+    return adopted({
+        "name": "s", "num_edges": num_edges,
+        "num_tail_nodes": num_tail_nodes,
+        "num_head_nodes": num_head_nodes, "directed": directed,
+    })
+
+
 class TestMatchingSizeMismatch:
     """A structure with more nodes than instances to match them to."""
 
     def test_more_tails_than_instances(self):
         edge = strict_schema().edge_type("creates")
-        structure = StructureHandle("s", 50, 20, 50, True)
+        structure = _metadata_only(50, 20, 50, True)
         with pytest.raises(
             SchemaError,
             match="'creates': structure has more tails than 'Person' "
@@ -172,7 +179,7 @@ class TestMatchingSizeMismatch:
 
     def test_more_nodes_than_instances(self):
         edge = mono_schema().edge_type("knows")
-        structure = StructureHandle("s", 50, 20, 20, False)
+        structure = _metadata_only(50, 20, 20, False)
         with pytest.raises(
             SchemaError,
             match="'knows': structure has 20 nodes but 'Person' has 10 "
@@ -264,27 +271,27 @@ class TestFewerStructureNodesThanInstances:
         } == reference
 
 
-#: (schema, structure size, handle type) per permutation branch of
-#: ``matching_maps``; the last one is a sequential generator, held
-#: spilled instead of re-emitted.
+#: (schema, structure size, sequential?) per permutation branch of
+#: ``matching_maps``; the last one is a sequential generator, whose
+#: table is kept by the spill instead of re-emitted.
 BRANCHES = {
-    "strict": (strict_schema, 60, EdgeChunkStream),
-    "bipartite": (bipartite_schema, 90, EdgeChunkStream),
-    "monopartite": (mono_schema, 80, EdgeChunkStream),
+    "strict": (strict_schema, 60, False),
+    "bipartite": (bipartite_schema, 90, False),
+    "monopartite": (mono_schema, 80, False),
     "monopartite-sequential": (
-        lambda: mono_schema("barabasi_albert", m=3),
-        80, SpilledStructure,
+        lambda: mono_schema("barabasi_albert", m=3), 80, True,
     ),
 }
 
 
 class TestMatchingMapsContract:
-    """``matching_maps`` + ``MatchedEdges`` over a structure handle ==
-    the maps applied to the whole resident structure."""
+    """``matching_maps`` + ``MatchedEdges`` over a structure stream ==
+    the maps applied to the whole resident structure, with the
+    structure kept by either spill."""
 
     @pytest.mark.parametrize("branch", BRANCHES)
     def test_chunked_relabel_equals_match_edge(self, branch, tmp_path):
-        make_schema, n, handle_type = BRANCHES[branch]
+        make_schema, n, sequential = BRANCHES[branch]
         (edge,) = make_schema().edge_types.values()
         assert not is_correlated(edge)
         seed, task_id = 11, f"match:{edge.name}"
@@ -303,32 +310,35 @@ class TestMatchingMapsContract:
         )
 
         spool = TableSpool(tmp_path, 16)
+        spilled_tails = spool.scratch_path(f"structure.{edge.name}.tails")
         try:
-            handle = open_structure(
-                edge.structure, sg_seed, n, 16,
-                spool.spiller(f"structure.{edge.name}"),
-            )
-            assert type(handle) is handle_type
-            assert metadata(handle) == metadata(
-                StructureHandle(**metadata(handle))
-            )
-            assert handle.to_edge_table() == table
-            tail_map, head_map = matching_maps(
-                edge, seed, task_id, handle, tail_count, head_count
-            )
-            matched = MatchedEdges(handle, tail_map, head_map)
-            pages = [
-                matched.read_range(lo, min(lo + 7, len(table)))
-                for lo in range(0, len(table), 7)
-            ]
+            for spill in (
+                IN_MEMORY, spool.spiller(f"structure.{edge.name}")
+            ):
+                handle = open_structure(
+                    edge.structure, sg_seed, n, 16, spill
+                )
+                assert metadata(adopted(metadata(handle))) \
+                    == metadata(handle)
+                assert handle.to_edge_table() == table
+                tail_map, head_map = matching_maps(
+                    edge, seed, task_id, handle, tail_count, head_count
+                )
+                matched = MatchedEdges(handle, tail_map, head_map)
+                pages = [
+                    matched.read_range(lo, min(lo + 7, len(table)))
+                    for lo in range(0, len(table), 7)
+                ]
+                assert np.array_equal(
+                    np.concatenate([p[0] for p in pages]), expected[0]
+                )
+                assert np.array_equal(
+                    np.concatenate([p[1] for p in pages]), expected[1]
+                )
+            # Only a sequential table is spilled whole.
+            assert spilled_tails.exists() == sequential
         finally:
             spool.close_views()
-        assert np.array_equal(
-            np.concatenate([p[0] for p in pages]), expected[0]
-        )
-        assert np.array_equal(
-            np.concatenate([p[1] for p in pages]), expected[1]
-        )
         assert len(tail_map) == tail_count
         assert (head_map is None) == edge.is_strict
         assert (head_map is tail_map) == (branch.startswith("mono"))

@@ -338,6 +338,40 @@ class TestProcessBackend:
             )
 
 
+class TestMatchingStateIsSpilled:
+    """Out of core the matching maps live in the spool whichever pool
+    runs the shards: thread workers page them as spool views too."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thread_backend_spills_matching_maps(self, monkeypatch,
+                                                 tmp_path, workers):
+        from repro.io.spool import SpillView, SpoolSpill
+
+        spilled = {}
+        park = SpoolSpill.__call__
+
+        def spy(spill, name, array):
+            view = park(spill, name, array)
+            spilled[Path(view.path).stem] = view
+            return view
+
+        monkeypatch.setattr(SpoolSpill, "__call__", spy)
+        schema = Schema(node_types=[NodeType("Person")], edge_types=[
+            EdgeType("knows", "Person", "Person", structure=GeneratorSpec(
+                "erdos_renyi_m", {"edges_per_node": 3}
+            )),
+        ])
+        spool = tmp_path / "spool"
+        result = ShardedExecutor(
+            schema, {"Person": 200}, seed=1, shard_rows=64,
+            workers=workers, backend="thread", spool_dir=spool,
+        ).run()
+        assert isinstance(spilled.get("match.knows.tail_map"), SpillView)
+        # Dropped once the matched table is written.
+        assert not list((spool / "scratch").glob("match.knows.*"))
+        result.cleanup()
+
+
 def test_spool_lifecycle_clean_under_resource_warnings(tmp_path):
     """A full sharded run + materialise + cleanup closes every mmap
     and file handle: the pipeline survives ``-W error::ResourceWarning``
@@ -566,20 +600,20 @@ class TestTableSpool:
 
         spool = TableSpool(tmp_path, shard_rows=3)
         array = np.arange(10, dtype=np.int64)
-        view = spool.spill("codes", array)
+        view = spool.spiller("structure.e")("codes", array)
         assert isinstance(view, SpillView)
         assert isinstance(view.array, np.memmap)
         assert np.array_equal(np.asarray(view), array)
         assert np.array_equal(np.asarray(view[2:5]), array[2:5])
-        spool.drop_scratch("codes")
-        assert not spool.scratch_path("codes").exists()
+        spool.drop_scratch("structure.e")
+        assert not spool.scratch_path("structure.e.codes").exists()
 
     def test_spill_view_pickles_as_path(self, tmp_path):
         import pickle
 
         spool = TableSpool(tmp_path, shard_rows=3)
         array = np.arange(6, dtype=np.int64)
-        view = spool.spill("codes", array)
+        view = spool.spiller("structure.e")("codes", array)
         clone = pickle.loads(pickle.dumps(view))
         assert np.array_equal(np.asarray(clone), array)
         clone.close()

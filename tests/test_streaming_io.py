@@ -487,9 +487,8 @@ class TestStreamingProtocol:
 
 
 class TestWriterLoop:
-    """``chunks.write_chunks`` writes the same bytes whether the chunk
-    jobs run in process (``pmap=None``) or through an ordered parallel
-    map, for spooled and overlaid tables alike."""
+    """``chunks.write_chunks`` pages every lazy table class through
+    ``read_range``; the planted spooled world below holds them all."""
 
     @pytest.fixture(scope="class")
     def planted(self):
@@ -507,19 +506,6 @@ class TestWriterLoop:
         yield graph
         graph.cleanup()
 
-    @pytest.fixture(scope="class")
-    def pmaps(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.core.procpool import ShardPool
-
-        def thread_map(fn, jobs):
-            with ThreadPoolExecutor(2) as executor:
-                yield from executor.map(lambda args: fn(*args), jobs)
-
-        with ShardPool("process", 2) as pool:
-            yield {"thread": thread_map, "process": pool.ordered_map}
-
     def test_fixture_covers_every_lazy_table(self, planted):
         tables = (
             list(planted.node_properties.values())
@@ -532,26 +518,6 @@ class TestWriterLoop:
         }
         assert type(planted.base.edge_tables["knows"]).__name__ == \
             "SpooledEdgeTable"
-
-    @pytest.mark.parametrize("compress", [False, True])
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "edgelist"])
-    def test_pmap_does_not_change_bytes(self, planted, pmaps, fmt,
-                                        compress, tmp_path):
-        inline = export_graph(planted, make_sink(
-            fmt, tmp_path / "inline", chunk_size=37, compress=compress
-        ))
-        assert len(inline) > 1
-        for label, pmap in pmaps.items():
-            sink = make_sink(
-                fmt, tmp_path / label, chunk_size=37, compress=compress
-            )
-            sink.pmap = pmap
-            written = export_graph(planted, sink)
-            assert [p.name for p in written] == \
-                [p.name for p in inline]
-            for ours, theirs in zip(written, inline):
-                assert ours.read_bytes() == theirs.read_bytes(), \
-                    (label, ours.name)
 
 
 class TestSourceFallbacks:

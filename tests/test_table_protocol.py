@@ -27,9 +27,14 @@ from repro.core import (
     PropertyDef,
     Schema,
 )
-from repro.core.structures import MatchedEdges, SpilledStructure
+from repro.core.structures import (
+    MatchedEdges,
+    adopted,
+    metadata,
+    spilled_table,
+)
 from repro.core.tasks import property_inputs
-from repro.io.spool import TableSpool
+from repro.io.spool import IN_MEMORY, SpillView, TableSpool
 from repro.planting.overlay import (
     AppendedPropertyTable,
     OverlayEdgeTable,
@@ -48,8 +53,8 @@ TAILS = (np.arange(ROWS, dtype=np.int64) * 3) % 11
 HEADS = (np.arange(ROWS, dtype=np.int64) * 5) % 11
 
 
-def _spooled_property(tmp_path, values):
-    spool = TableSpool(tmp_path / "spool-pt", SHARD_ROWS)
+def _spooled_property(tmp_path, values, shard_rows=SHARD_ROWS):
+    spool = TableSpool(tmp_path / "spool-pt", shard_rows)
     for index, (lo, hi) in enumerate(spool.shard_bounds(len(values))):
         spool.write_property_shard("T.x", index, values[lo:hi])
     return spool.finish_property("T.x")
@@ -65,6 +70,9 @@ def _spooled_edges(tmp_path, tails, heads):
 def _property_base(storage, tmp_path, values):
     if storage == "ram":
         return PropertyTable("T.x", values)
+    if storage == "one-shard":
+        # read_range hands back a slice of the cached shard itself
+        return _spooled_property(tmp_path, values, shard_rows=ROWS)
     return _spooled_property(tmp_path, values)
 
 
@@ -124,6 +132,7 @@ PROPERTY_CASES = {
     "VirtualPropertyTable/tail-dep": (_virtual, "e.w"),
     "PropertyTable": (_resident, "ram"),
     "SpooledPropertyTable": (_resident, "spool"),
+    "SpooledPropertyTable/one-shard": (_resident, "one-shard"),
     "OverlayPropertyTable/ram": (_overridden, "ram"),
     "OverlayPropertyTable/spool": (_overridden, "spool"),
     "AppendedPropertyTable/ram": (_appended, "ram"),
@@ -151,9 +160,12 @@ def _chunk_stream(name, tmp_path):
     return generator.run_chunked(11, CHUNK_SIZE), generator.run(11)
 
 
-def _spilled_structure(_, tmp_path):
+def _spilled_structure(storage, tmp_path):
+    """A materialised structure kept by either spill, as a stream."""
+    if storage == "ram":
+        return spilled_table(IN_MEMORY, EDGES)
     spool = TableSpool(tmp_path / "spool-sg", SHARD_ROWS)
-    return SpilledStructure(spool.spiller("structure.e"), EDGES)
+    return spilled_table(spool.spiller("structure.e"), EDGES)
 
 
 def _matched_edges(maps, tmp_path):
@@ -181,7 +193,8 @@ EDGE_CASES = {
     "OverlayEdgeTable/ram": (_overlaid_edges, "ram"),
     "OverlayEdgeTable/spool": (_overlaid_edges, "spool"),
     "EdgeChunkStream": (_chunk_stream, "erdos_renyi_m"),
-    "SpilledStructure": (_spilled_structure, None),
+    "EdgeChunkStream/spilled-ram": (_spilled_structure, "ram"),
+    "EdgeChunkStream/spilled-spool": (_spilled_structure, "spool"),
     "MatchedEdges/identity": (_matched_edges, "identity"),
     "MatchedEdges/shared": (_matched_edges, "shared"),
     "MatchedEdges/two-map": (_matched_edges, "two-map"),
@@ -276,6 +289,16 @@ def property_values_law(table, expected):
     assert _same(table.to_property_table().values, expected)
 
 
+def property_values_copy_law(table, expected):
+    """``np.array(table.values)`` is the caller's own array: writing
+    it leaves the table's rows alone (a spooled table's shard cache,
+    a resident column)."""
+    copied = np.array(table.values)
+    if len(copied):
+        copied[...] = copied[-1]
+    assert _same(table.read_range(0, len(expected)), expected)
+
+
 def pickle_law(table, expected):
     clone = pickle.loads(pickle.dumps(table))
     assert clone.name == table.name
@@ -294,6 +317,7 @@ def assert_property_laws(table, expected):
     for start, stop in iter_windows(len(expected)):
         property_iter_chunks_law(table, expected, start, stop)
     property_values_law(table, expected)
+    property_values_copy_law(table, expected)
     pickle_law(table, expected)
 
 
@@ -391,6 +415,9 @@ class TestPropertyTables:
     def test_values_column(self, property_case):
         property_values_law(*property_case)
 
+    def test_copied_values_column_is_private(self, property_case):
+        property_values_copy_law(*property_case)
+
     def test_pickle_round_trip(self, property_case):
         pickle_law(*property_case)
 
@@ -414,3 +441,27 @@ class TestEdgeTables:
 
     def test_pickle_round_trip(self, edge_case):
         pickle_law(*edge_case)
+
+
+def test_copied_spill_view_is_private(tmp_path):
+    """``np.array(view)`` copies a spilled array (``np.asarray`` maps
+    it): writing the copy leaves the spill alone."""
+    spool = TableSpool(tmp_path / "spool-view", SHARD_ROWS)
+    view = spool.spiller("structure.e")("tails", TAILS)
+    assert isinstance(view, SpillView)
+    for copied in (np.array(view), np.array(view, copy=True)):
+        assert not np.shares_memory(copied, view.array)
+        copied[...] = -1
+    assert np.array_equal(np.asarray(view), TAILS)
+    assert np.shares_memory(np.asarray(view), view.array)
+    spool.cleanup()
+
+
+def test_adopted_structure_refuses_read_range():
+    """A resumed run keeps an adopted structure's metadata only."""
+    handle = adopted(metadata(EDGES))
+    assert metadata(handle) == metadata(EDGES)
+    with pytest.raises(
+        RuntimeError, match="structure 'e' was adopted from the spool"
+    ):
+        handle.read_range(0, 3)
