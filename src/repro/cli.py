@@ -108,17 +108,18 @@ def _add_sharding_args(cmd):
     )
     cmd.add_argument(
         "--retries", type=_int_at_least(0), default=0, metavar="N",
-        help="per-shard retry budget for out-of-core mode: a failed "
-             "or killed worker shard is re-run (respawning the pool "
-             "if it broke) with exponential backoff before the run "
-             "aborts",
+        help="per-shard retry budget: a failed or killed shard is "
+             "re-run (respawning the out-of-core pool if it broke) "
+             "with exponential backoff before the run aborts; in "
+             "memory each table is one shard, retried inline",
     )
     cmd.add_argument(
         "--inject-faults", default=None, metavar="SPECS",
-        help="deterministic fault injection for chaos testing, e.g. "
-             "'shard:3:crash' or 'export:2:ioerror,shard:5:slow=2.0' "
-             "(also honours the REPRO_FAULTS environment variable; "
-             "see docs/robustness.md for the grammar)",
+        help="deterministic fault injection for chaos testing, in "
+             "memory or out of core, e.g. 'shard:3:crash' or "
+             "'export:2:ioerror,shard:5:slow=2.0' (also honours the "
+             "REPRO_FAULTS environment variable; see "
+             "docs/robustness.md for the grammar)",
     )
 
 
@@ -441,7 +442,7 @@ def _cmd_generate(args):
     except CheckpointError as exc:
         raise SystemExit(f"checkpoint error: {exc}") from None
     summary = graph.summary()
-    if options.out_of_core and options.spool_dir is None:
+    if options.spool_dir is None:
         graph.cleanup()
     print(f"generated graph {graph_name!r}: {summary}")
     for path in sink.written:
@@ -653,7 +654,7 @@ def _cmd_scenario_run(args, export=True):
             from .graphstats import verify_plants
 
             plant_report = verify_plants(graph.materialize(), plan)
-    if hasattr(graph, "cleanup") and not (args.resume or args.spool_dir):
+    if args.run_options.spool_dir is None:
         # An explicitly named spool is the user's to keep (it is what
         # --resume reads); owned temporaries are removed.
         graph.cleanup()

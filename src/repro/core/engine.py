@@ -8,18 +8,15 @@ finally generates edge properties — exactly the pipeline of Figure 2.
 The engine is deterministic: every task draws from a stream derived
 from ``(root seed, task id)``, so regenerating any single table requires
 only the seed and the schema — the distributed-generation story of the
-paper.  What each task computes is decided by
-:func:`~repro.core.tasks.apply_task` and the plan is walked by
-:func:`~repro.core.tasks.walk`, as out of core; this module only runs
-that walk over the :class:`~repro.core.tasks.ResidentStore`, one
-kernel call per task (see DESIGN.md).
+paper.  :meth:`GraphGenerator.generate` runs the one batch driver,
+:func:`~repro.core.sharded.run_batch`, over a RAM spool (DESIGN.md).
 """
 
 from __future__ import annotations
 
 from .dependency import build_task_graph
-from .result import PropertyGraph
-from .tasks import apply_task, walk
+from .run import RunOptions
+from .sharded import run_batch
 
 __all__ = ["GraphGenerator"]
 
@@ -57,11 +54,10 @@ class GraphGenerator:
 
     def plan(self):
         """The ordered task list (exposed for inspection and tests)."""
-        graph = build_task_graph(self.schema, self.scale)
-        return graph.topological_order()
+        return build_task_graph(self.schema, self.scale).topological_order()
 
     def generate(self, sink=None):
-        """Run all tasks and return the :class:`PropertyGraph`.
+        """Run all tasks and return the graph (resident tables).
 
         ``sink`` streams the graph to disk *while it is generated*: a
         :class:`~repro.io.streaming.GraphSink` receives each completed
@@ -69,14 +65,5 @@ class GraphGenerator:
         producing bytes identical to exporting the finished graph.
         A failing kernel raises its own exception.
         """
-        result = PropertyGraph(self.schema, self.seed)
-        structures = {}  # edge -> ET with structure ids (pre-matching)
-        walk(
-            self.plan(),
-            lambda task: apply_task(
-                task, self.schema, self.scale, self.seed,
-                result, structures,
-            ),
-            result, sink,
-        )
-        return result
+        return run_batch(self.schema, self.scale, self.seed, RunOptions(),
+                         sink)

@@ -52,7 +52,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "active_plan",
     "fire",
     "install_plan",
     "parse_faults",
@@ -288,10 +287,6 @@ def install_plan(plan):
     previous = _ACTIVE
     _ACTIVE = plan
     return previous
-
-
-def active_plan():
-    return _ACTIVE
 
 
 def fire(site, index):

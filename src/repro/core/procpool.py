@@ -1,8 +1,9 @@
-"""The one worker pool under the out-of-core run.
+"""The one worker pool under every batch run.
 
 Every per-shard unit of work — property kernels, chunked structure
-emission + relabel — goes through one :class:`ShardPool`; the
-in-memory engine runs each task as one kernel call and has no pool.
+emission + relabel — goes through one :class:`ShardPool`; an
+in-memory run's one shard per table runs inline, on the same retry
+budget.
 The backend is chosen here and nowhere else: the run keeps its global
 state in the spool and formats its export in the parent whichever
 backend runs the shards, so the choice changes where kernels run,

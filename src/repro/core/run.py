@@ -1,10 +1,10 @@
 """How a batch run executes: :class:`RunOptions` and :func:`execute`.
 
-Every batch run is ``plan -> walk -> store``
-(:func:`~repro.core.tasks.walk`); the options here choose the store —
-resident tables (:class:`~repro.core.engine.GraphGenerator`) or spooled
-ones (:class:`~repro.core.sharded.ShardedExecutor`, with the pool that
-fills them).  None of them changes an output byte.
+Every batch run is ``plan -> walk -> batch store -> spool``, driven by
+:func:`~repro.core.sharded.run_batch`; the options here choose the
+spool — in RAM, or on disk with the pool that fills it — and how
+failures are retried and injected.  None of them changes an output
+byte.
 """
 
 from __future__ import annotations
@@ -112,8 +112,6 @@ def shard_rows_for_budget(budget_bytes):
 _OUT_OF_CORE_ONLY = (
     ("backend", "--backend"),
     ("spool_dir", "--spool-dir"),
-    ("retries", "--retries"),
-    ("faults", "--inject-faults"),
 )
 
 
@@ -131,13 +129,14 @@ class RunOptions:
 
     ``shard_rows``, ``memory_budget`` (bytes or ``"512MB"``-style,
     divided by :data:`BYTES_PER_SHARD_ROW`) or ``resume`` select the
-    out-of-core run; ``backend``, ``spool_dir``, ``retries`` and
-    ``faults`` only mean something there (see
-    :class:`~repro.core.sharded.ShardedExecutor`) and are refused
-    elsewhere rather than silently dropped.  ``workers``, ``shard_rows``
-    and ``retries`` are integers (``bool`` is not one).  ``workers``
-    sizes the out-of-core pool; an in-memory run accepts it and
-    changes neither its bytes nor its schedule.
+    out-of-core run; ``backend`` and ``spool_dir`` only mean something
+    there (see :class:`~repro.core.sharded.ShardedExecutor`) and are
+    refused elsewhere rather than silently dropped.  ``retries`` and
+    ``faults`` (``None`` reads ``REPRO_FAULTS``) apply to every run:
+    in memory a failed shard — one per table — is retried inline.
+    ``workers``, ``shard_rows`` and ``retries`` are integers (``bool``
+    is not one).  ``workers`` sizes the out-of-core pool; an in-memory
+    run accepts it and changes neither its bytes nor its schedule.
     """
 
     workers: int = 1
@@ -168,12 +167,12 @@ class RunOptions:
                 "temporary spool is removed on failure, so there is "
                 "nothing to resume from)"
             )
+        if self.faults is None:  # the run will read the variable
+            try:
+                parse_faults(os.environ.get(ENV_FAULTS))
+            except ValueError as exc:
+                raise ValueError(f"{ENV_FAULTS}: {exc}") from None
         if self.out_of_core:
-            if self.faults is None:  # the run will read the variable
-                try:
-                    parse_faults(os.environ.get(ENV_FAULTS))
-                except ValueError as exc:
-                    raise ValueError(f"{ENV_FAULTS}: {exc}") from None
             return
         for name, flag in _OUT_OF_CORE_ONLY:
             if getattr(self, name) != getattr(RunOptions, name):
@@ -215,18 +214,13 @@ class RunOptions:
 
 
 def execute(schema, scale, seed, options, sink=None):
-    """Run one batch generation as ``options`` say; returns the graph
-    (a :class:`~repro.core.sharded.ShardedResult` out of core).
+    """Run one batch generation as ``options`` say; returns the
+    :class:`~repro.core.sharded.ShardedResult` (resident tables in
+    memory, spooled ones out of core).
 
-    The one place a store is selected: the CLI and
-    :func:`~repro.scenarios.run_scenario` both come through here.
+    The CLI and :func:`~repro.scenarios.run_scenario` both come
+    through here, into the one batch driver.
     """
-    if options.out_of_core:
-        from .sharded import ShardedExecutor
+    from .sharded import run_batch
 
-        return ShardedExecutor(
-            schema, scale, seed, **vars(options)
-        ).run(sink=sink)
-    from .engine import GraphGenerator
-
-    return GraphGenerator(schema, scale, seed).generate(sink=sink)
+    return run_batch(schema, scale, seed, options, sink)

@@ -1,44 +1,33 @@
-"""Sharded executor: memory-bounded, out-of-core generation.
+"""The batch driver: every batch run, in memory or out of core.
 
-The in-memory engine materialises every table in RAM, so graph size is
-capped by memory even though export already streams.  This module walks
-the *same* plan (:func:`~repro.core.tasks.walk`) through the same task
-body (:func:`~repro.core.tasks.apply_task`) with every table spooled to
-disk in id-range shards (:class:`~repro.io.spool.TableSpool`): the
-full pipeline — structure chunk → match → properties → sink — touches
-at most a few ``shard_rows``-sized arrays at a time, which is what
-unlocks billion-edge generation on commodity boxes.
+:func:`run_batch` walks the plan (:func:`~repro.core.tasks.walk`)
+through the one task body (:func:`~repro.core.tasks.apply_task`) over
+the one batch store, and is the only code that chooses its spool: a
+:class:`~repro.io.spool.MemorySpool` in memory (one resident shard per
+table, run inline), a disk :class:`~repro.io.spool.TableSpool` out of
+core, where the pipeline touches at most a few ``shard_rows``-sized
+arrays at a time — what unlocks billion-edge generation on commodity
+boxes.  Both get the same retries and fault sites.
 
-Byte-identity.  Outputs are bit-identical to the in-memory path for
-any shard size and worker count, by construction rather than by luck:
-``apply_task`` decides what every task computes, and this module's
-store only decides how the rows are kept — every table is written
-shard by shard through the one ``read_range`` table protocol
-(:mod:`repro.tables.ranged`): range-pure property kernels, chunkable
-structures re-emitted from the seed
-(:class:`~repro.structure.base.EdgeChunkStream`), and the final edge
-rows of every matching.  The run's global state — the pre-matching
-structures' spilled state and the matching maps — is kept by the
-spool's spill (:class:`~repro.io.spool.SpoolSpill`): the genuinely
-global stages (sequential structure generators, correlated SBM-Part
-matching) materialise transiently, spill their result and free it.
-Sinks read the spooled tables through the unchanged ``begin``/
-``on_table``/``finish`` protocol in serial plan order, so every format
-(gzip included) produces identical bytes.
-
-Concurrency.  Every per-shard unit — property kernel, structure chunk
-emission + relabel — goes through one
-:class:`~repro.core.procpool.ShardPool` with a bounded in-flight window
-(no lock-step waves).  Whatever workers the pool runs read every input
-from the spool and write part files into it, and the parent acks
-shards in shard order and formats the export — so the output is
-byte-identical for any pool, worker count and shard size, again by
-construction.  A worker killed mid-shard raises
+Byte-identity.  Outputs are bit-identical for any spool, shard size,
+pool and worker count, by construction: ``apply_task`` decides what
+every task computes and the store only how the rows are kept, shard
+by shard through the one ``read_range`` table protocol
+(:mod:`repro.tables.ranged`) — range-pure property kernels, chunkable
+structures re-emitted from the seed, the final rows of every
+matching.  Global state (spilled structure state, matching maps) is
+kept by the spool's spill; the genuinely global stages (sequential
+structure generators, correlated SBM-Part matching) materialise
+transiently and spill their result.  Every per-shard unit goes through
+one :class:`~repro.core.procpool.ShardPool` with a bounded in-flight
+window; workers read their inputs from the spool and write part files
+into it, and the parent acks shards in shard order and feeds the
+sinks in plan order.  A worker killed mid-shard raises
 :class:`~repro.core.procpool.ShardedError` and the owned spool is
 removed.
 
-Peak traced allocation is bounded by ``C · shard_rows`` plus the
-documented O(nodes) matching-permutation term — pinned by
+Out of core, peak traced allocation is bounded by ``C · shard_rows``
+plus the documented O(nodes) matching-permutation term — pinned by
 ``tests/test_sharded_memory.py`` and, at ~10M edges under a 256 MB
 budget, by ``benchmarks/bench_scale.py``.
 """
@@ -49,7 +38,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from ..io.spool import TableSpool
+from ..io.spool import MemorySpool, TableSpool
 from . import faults as _faults
 from .checkpoint import run_fingerprint
 from .dependency import build_task_graph
@@ -126,13 +115,13 @@ def _warn_unbounded_matching(edge, structure, id_space, budget):
 # -- the store ----------------------------------------------------------------
 
 
-class _SpooledStore(Store):
-    """Every table as id-range shard files in a :class:`TableSpool`,
-    filled through the pool; acked shards and recorded structures are
-    adopted on resume; a matching the memory ``budget`` cannot bound
-    is warned about before it runs."""
+class _BatchStore(Store):
+    """Every table as id-range shards of a spool (on disk, or one per
+    table in RAM), filled through the pool; acked shards and recorded
+    structures are adopted on resume; a matching the memory ``budget``
+    cannot bound is warned about before it runs."""
 
-    def __init__(self, spool, pool, schema, budget):
+    def __init__(self, spool, pool, schema=None, budget=None):
         self.spool = spool
         self.pool = pool
         self._schema = schema
@@ -229,14 +218,15 @@ class _SpooledStore(Store):
 
 
 class ShardedResult(PropertyGraph):
-    """A :class:`PropertyGraph` whose tables live in a disk spool.
+    """A :class:`PropertyGraph` over the spool its batch run filled.
 
-    Tables are :class:`~repro.io.spool.SpooledPropertyTable` /
+    In memory its tables are resident; out of core they are
+    :class:`~repro.io.spool.SpooledPropertyTable` /
     :class:`~repro.io.spool.SpooledEdgeTable` — same streaming
-    interface, bounded memory.  The inherited :meth:`materialize`
-    loads everything into a plain :class:`PropertyGraph` for global
-    consumers (validation, joint diagnostics); :meth:`cleanup` removes
-    the spool directory once the result is no longer needed.
+    interface, bounded memory — and the inherited :meth:`materialize`
+    loads them for global consumers (validation, joint diagnostics).
+    :meth:`cleanup` removes a disk spool once the result is no longer
+    needed.
     """
 
     def __init__(self, schema, seed, spool):
@@ -244,7 +234,7 @@ class ShardedResult(PropertyGraph):
         self.spool = spool
 
     def cleanup(self):
-        """Delete the spool directory (invalidates the tables)."""
+        """Delete the spool directory (invalidates spooled tables)."""
         self.spool.cleanup()
 
 
@@ -258,45 +248,28 @@ class ShardedExecutor:
     ----------
     schema, scale, seed:
         as for the serial engine.
-    shard_rows:
-        rows per shard — the pipeline's memory unit.
-    memory_budget:
-        alternative to ``shard_rows``: bytes (int or ``"512MB"``-style
-        string) divided by
-        :data:`~repro.core.run.BYTES_PER_SHARD_ROW`.  A matching is a
-        global stage the budget cannot bound; the run emits a
-        :class:`RuntimeWarning` for each one that may exceed it.
-    workers:
-        per-shard concurrency; the pool keeps a bounded in-flight
-        window of ``workers + 1`` shards, so peak memory scales with
-        ``workers × shard_rows``.  Output is identical for any worker
-        count.
-    backend:
-        the :class:`~repro.core.procpool.ShardPool` backend,
-        ``"thread"`` (default) or ``"process"``; it changes where the
-        shard kernels run, never what the run keeps or writes.
-    spool_dir:
-        spool location (a temporary directory by default).  Resumable
-        runs must name one explicitly: an owned temporary spool is
-        removed when a stage fails, an explicit one is preserved for
-        inspection and ``resume``.
-    retries:
-        per-shard retry budget.  Shard jobs are pure functions of
-        their arguments, so a failed shard (worker exception or a
-        worker killed mid-shard) is re-run — respawning the process
-        pool when it broke — with exponential backoff; ``0`` keeps the
-        fail-fast behaviour.
-    resume:
-        continue a previous run from the ``checkpoint.jsonl`` catalog
-        in ``spool_dir``: package version and run fingerprint are
-        validated, acked shard parts are re-verified (size + CRC) and
-        skipped, and the sink re-emits every table from the spool so
-        the export is byte-identical to an uninterrupted run.
-    faults:
-        a :class:`~repro.core.faults.FaultPlan` (or spec string) to
-        consult at stage boundaries; ``None`` falls back to the
-        ``REPRO_FAULTS`` environment variable.  Test/chaos harness
-        hook — production runs leave it unset.
+    shard_rows, memory_budget:
+        rows per shard — the pipeline's memory unit — or a byte budget
+        (int or ``"512MB"``-style) divided by
+        :data:`~repro.core.run.BYTES_PER_SHARD_ROW`; a matching, a
+        global stage the budget cannot bound, emits a
+        :class:`RuntimeWarning` when it may exceed it.
+    workers, backend:
+        the :class:`~repro.core.procpool.ShardPool`: a window of
+        ``workers + 1`` shards in flight on ``"thread"`` (default) or
+        ``"process"`` workers, so peak memory scales with ``workers ×
+        shard_rows``; output is identical for any choice.
+    spool_dir, resume:
+        the spool (by default a temporary directory, removed when a
+        stage fails; a named one is kept), and whether to continue the
+        run its ``checkpoint.jsonl`` catalog records: acked parts are
+        re-verified (size + CRC) and skipped, and the export is
+        byte-identical to an uninterrupted run.
+    retries, backoff, faults:
+        the per-shard retry budget and the base delay of its
+        exponential backoff, and the
+        :class:`~repro.core.faults.FaultPlan` (or spec string; ``None``
+        reads ``REPRO_FAULTS``) consulted at stage boundaries.
     """
 
     def __init__(self, schema, scale, seed=0, shard_rows=None,
@@ -319,68 +292,74 @@ class ShardedExecutor:
         self.backoff = float(backoff)
 
     def run(self, sink=None):
-        """Execute all tasks; returns a :class:`ShardedResult`.
+        """Execute all tasks, streaming to ``sink`` as in memory (same
+        bytes); returns a :class:`ShardedResult`."""
+        return run_batch(self.schema, self.scale, self.seed, self.options,
+                         sink, self.backoff)
 
-        ``sink`` streams the graph to disk during generation exactly as
-        with the in-memory engine: same plan order, same chunk
-        geometry, byte-identical files.
-        """
-        options = self.options
-        order = build_task_graph(
-            self.schema, self.scale
-        ).topological_order()
-        spool_dir = options.spool_dir
-        owns_spool = spool_dir is None
-        if owns_spool:
-            spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-        spool = TableSpool(Path(spool_dir), self.shard_rows)
-        result = ShardedResult(self.schema, self.seed, spool)
-        structures = {}
+
+def _sink_format(sink):
+    """Sink identity for the run fingerprint: a half-written CSV spool
+    must not be resumed into a JSONL export."""
+    return "none" if sink is None else (
+        getattr(sink, "format_name", None) or type(sink).__name__)
+
+
+def run_batch(schema, scale, seed, options, sink=None, backoff=0.1):
+    """The one batch driver: walk the plan over the batch store;
+    returns the :class:`ShardedResult`.
+
+    The one place a spool is chosen: out of core a :class:`TableSpool`
+    (an owned temporary directory unless ``options.spool_dir`` names
+    one) with its catalog, filled through ``ShardPool(backend,
+    workers)``; in memory a :class:`MemorySpool`, run inline whatever
+    ``workers`` is.  Both get the same retries and fault sites.
+    """
+    schema = schema.validate()
+    order = build_task_graph(schema, scale).topological_order()
+    if options.out_of_core:
+        workers = options.workers
+        spool = TableSpool(
+            Path(options.spool_dir
+                 or tempfile.mkdtemp(prefix="repro-spool-")),
+            options.rows_per_shard,
+        )
         spool.open_catalog(
-            run_fingerprint(
-                self.schema, self.scale, self.seed, self.shard_rows,
-                self._sink_format(sink),
-            ),
+            run_fingerprint(schema, scale, seed, spool.shard_rows,
+                            _sink_format(sink)),
             resume=options.resume,
         )
-        pool = ShardPool(options.backend, options.workers,
-                         retries=options.retries, backoff=self.backoff)
-        store = _SpooledStore(spool, pool, self.schema,
-                              options.memory_budget)
-        plan = _faults.as_plan(options.faults)
-        previous_plan = _faults.install_plan(plan)
-        try:
-            try:
-                walk(
-                    order,
-                    lambda task: apply_task(
-                        task, self.schema, self.scale, self.seed,
-                        result, structures, store,
-                    ),
-                    result, sink,
-                )
-            except BaseException:
-                # A stage raised mid-run: the spool holds half-written
-                # shards nobody can consume.  Remove it — unless the
-                # caller chose the directory, in which case it is
-                # theirs to inspect, resume, and clean up.
-                if owns_spool:
-                    spool.cleanup()
-                raise
-        finally:
-            pool.close()
-            _faults.install_plan(previous_plan)
-            if plan is not None and plan is not options.faults:
-                # as_plan() compiled this plan (string or env spec) and
-                # with it a private fired-state tempdir; a caller-built
-                # FaultPlan stays the caller's to clean up.
-                plan.cleanup()
-        return result
-
-    @staticmethod
-    def _sink_format(sink):
-        """Sink identity for the run fingerprint: a half-written CSV
-        spool must not be resumed into a JSONL export."""
-        if sink is None:
-            return "none"
-        return getattr(sink, "format_name", None) or type(sink).__name__
+    else:  # one shard per table: a pool would add memory, not speed
+        spool, workers = MemorySpool(), 1
+    result = ShardedResult(schema, seed, spool)
+    structures = {}
+    pool = ShardPool(options.backend, workers, retries=options.retries,
+                     backoff=backoff)
+    store = _BatchStore(spool, pool, schema, options.memory_budget)
+    plan = _faults.as_plan(options.faults)
+    previous_plan = _faults.install_plan(plan)
+    try:
+        walk(
+            order,
+            lambda task: apply_task(
+                task, schema, scale, seed, result, structures, store,
+            ),
+            result, sink,
+        )
+    except BaseException:
+        # A stage raised mid-run: the spool holds half-written shards
+        # nobody can consume.  Remove it — unless the caller chose the
+        # directory, in which case it is theirs to inspect, resume, and
+        # clean up.
+        if options.spool_dir is None:
+            result.cleanup()
+        raise
+    finally:
+        pool.close()
+        _faults.install_plan(previous_plan)
+        if plan is not None and plan is not options.faults:
+            # as_plan() compiled this plan (string or env spec) and
+            # with it a private fired-state tempdir; a caller-built
+            # FaultPlan stays the caller's to clean up.
+            plan.cleanup()
+    return result

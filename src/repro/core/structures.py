@@ -1,13 +1,13 @@
 """Structure handles: pre-matching edges as edge streams.
 
 Every store needs a generated structure's *metadata* (for derived
-counts and matching maps) and its edges by *id range*; only the
-resident store ever wants the whole edge table in RAM.  A structure is
+counts and matching maps) and its edges by *id range*; no store wants
+the whole pre-matching edge table kept.  A structure is
 therefore always an :class:`~repro.structure.base.EdgeChunkStream` —
 the row-range table protocol every stored table answers — and
 :func:`open_structure` is the one place that opens it, through the
 spill the store passes (:mod:`repro.io.spool`: in RAM for the
-resident store, in the spool out of core and when serving):
+in-memory run, in the spool out of core and when serving):
 
 * chunkable generators re-emit any range from the seed, with their
   global state (sampled codes, degree offsets) kept by the spill;
@@ -19,9 +19,9 @@ resident store, in the spool out of core and when serving):
 
 Final edge ids are the structure's ids pushed through the matching maps
 of :func:`~repro.core.tasks.matching_maps`; :class:`MatchedEdges` is
-that relabel as a table — materialised by the resident store, read one
-shard at a time by the spooled store's workers and one page at a time
-by the served edge pages.  Spooled streams and maps pickle as spool
+that relabel as a table — read one shard at a time by the batch
+store (one shard per table in memory) and one page at a time by the
+served edge pages.  Spooled streams and maps pickle as spool
 paths, so worker processes page them in place.
 
 >>> from repro.io.spool import IN_MEMORY

@@ -1,10 +1,10 @@
 """The one task body: what every task computes, whichever store runs it.
 
-Three stores run a plan — resident arrays (:mod:`repro.core.engine`),
-a disk spool (:mod:`repro.core.sharded`) and virtual tables that hold
-no rows (:mod:`repro.serve.virtual`) — and they agree byte for byte
-because this module decides what each task computes; a store only
-keeps the rows (:class:`Store`).  Three functional layers:
+Two stores run a plan — the batch store over a spool in RAM or on disk
+(:mod:`repro.core.sharded`) and virtual tables that hold no rows
+(:mod:`repro.serve.virtual`) — and they agree byte for byte because
+this module decides what each task computes; a store only keeps the
+rows (:class:`Store`).  Three functional layers:
 
 * **kernels** — pure functions of explicit, picklable inputs
   (``property_shard_values``, ``matching_maps``, ``match_edge``;
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..io.spool import IN_MEMORY
+from ..io.spool import MemorySpool
 from ..prng import RandomStream, derive_seed
 from ..properties.registry import create_property_generator
-from ..structure.base import _RUN_ROWS
 from ..structure.registry import create_generator
 from ..tables import PropertyTable
 from .dependency import DependencyError
@@ -43,6 +42,7 @@ from .matching import (
     random_match,
     sbm_part_match,
 )
+from .procpool import ShardPool
 from .schema import SchemaError
 from .structures import (
     MatchedEdges,
@@ -52,7 +52,6 @@ from .structures import (
 )
 
 __all__ = [
-    "ResidentStore",
     "Store",
     "align_joint",
     "apply_task",
@@ -148,10 +147,9 @@ def matching_maps(edge, seed, task_id, structure, tail_count, head_count):
     """Node-id maps of an uncorrelated (permutation) matching.
 
     The single derivation every store relabels through, as
-    :class:`~repro.core.structures.MatchedEdges`: the resident store
-    materialises it, the spooled one reads it a shard at a time, the
-    virtual one a page at a time.  ``structure`` only needs topology
-    metadata
+    :class:`~repro.core.structures.MatchedEdges`: the batch store reads
+    it a shard at a time (one shard in RAM), the virtual one a page at
+    a time.  ``structure`` only needs topology metadata
     (``num_tail_nodes`` / ``num_head_nodes`` / ``num_nodes``), so any
     :class:`~repro.tables.ranged.EdgeRows` works — a chunk stream, the
     metadata-only :func:`~repro.core.structures.adopted` handle — as
@@ -451,32 +449,13 @@ class Store:
       rows as one :class:`~repro.tables.ranged.EdgeRows` plus the
       diagnostics, keeping the matching state through ``spill``.
 
-    Each ``spill`` is one of :mod:`repro.io.spool`'s two: the
-    resident store passes the in-RAM one, the others a spool's.
+    Each ``spill`` is one of :mod:`repro.io.spool`'s two, its spool's.
 
     ``fire(site)`` marks a stage boundary for fault injection.
     """
 
     def fire(self, site):
-        """A stage boundary; only the spooled store injects faults."""
-
-
-class ResidentStore(Store):
-    """Every table an in-memory array, each filled by one kernel call
-    — the default store of :func:`apply_task`."""
-
-    def structure(self, name, open_handle):
-        return open_handle(_RUN_ROWS, IN_MEMORY).to_edge_table()
-
-    def properties(self, name, spec, count, deps, task_id, seed):
-        return PropertyTable(name, property_shard_values(
-            spec, task_id, seed, 0, count,
-            [dep_slice(dep, 0, count) for dep in deps],
-        ))
-
-    def edges(self, name, structure, id_space, build):
-        rows, match = build(IN_MEMORY)
-        return rows.to_edge_table(), match
+        """A stage boundary; only the batch store injects faults."""
 
 
 #: task kind -> the sink event it maps to.  ``structure`` outputs are
@@ -528,13 +507,16 @@ def walk(order, apply, result, sink=None):
 
 def apply_task(task, schema, scale, seed, result, structures, store=None):
     """Run one task and keep its output in ``result`` — pre-matching
-    structures in ``structures`` — through ``store``, a
-    :class:`ResidentStore` when ``None``.
+    structures in ``structures`` — through ``store``; when ``None``,
+    the batch store over a fresh RAM spool, so tables land resident.
 
     This is the only dispatch on ``task.kind``: every store computes
     each kind this way and decides only how the rows are kept.
     """
-    store = store or ResidentStore()
+    if store is None:
+        from .sharded import _BatchStore  # sharded imports this module
+
+        store = _BatchStore(MemorySpool(), ShardPool())
     kind, name = task.kind, task.subject
     if kind == "count":
         store.fire("count")

@@ -1,7 +1,10 @@
-"""Disk spool backing the sharded executor (out-of-core tables).
+"""The spools a batch run keeps its tables in: on disk, or in RAM.
 
-The sharded executor never holds a whole table in memory: every
-property / edge table lands in a :class:`TableSpool` as per-shard
+:func:`~repro.core.sharded.run_batch` picks one.  In memory it is the
+:class:`MemorySpool`: one shard per table, handed back as resident
+tables, nothing written, nothing to resume.  Out of core the run never
+holds a whole table in memory: every property / edge table lands in a
+:class:`TableSpool` as per-shard
 ``.npy`` part files, one shard directory per id-range
 ``[i*shard_rows, (i+1)*shard_rows)``.  :class:`SpooledPropertyTable`
 and :class:`SpooledEdgeTable` implement the table protocol of
@@ -30,7 +33,7 @@ and matching maps — as scratch files.  That is one of the two
 *spills*, the one interface through which a run decides where its
 global state lives: :class:`SpoolSpill` parks an array on disk and
 hands back a :class:`SpillView`; :class:`MemorySpill`
-(:data:`IN_MEMORY`) keeps it in RAM for the resident store.
+(:data:`IN_MEMORY`) keeps it in RAM, for the RAM spool.
 
 The spool is the IPC boundary of the worker pool: spools, spooled
 tables and :class:`SpillView` handles pickle as *paths* (no data, no
@@ -52,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import faults as _faults
+from ..tables import EdgeTable, PropertyTable
 from ..tables.ranged import EdgeRows, PropertyRows
 
 __all__ = [
@@ -59,6 +63,7 @@ __all__ = [
     "CheckpointError",
     "IN_MEMORY",
     "MemorySpill",
+    "MemorySpool",
     "SortedRuns",
     "SpillView",
     "SpooledEdgeTable",
@@ -229,7 +234,7 @@ class SpillView:
 class MemorySpill:
     """The in-RAM spill: every array stays where it is.
 
-    The resident store's spill, and the default of
+    The RAM spool's spill, and the default of
     :meth:`~repro.structure.base.StructureGenerator.run_chunked`.  A
     spill is where a run keeps its global state — sampled codes,
     degree offsets, sequential structures, matching maps — and has
@@ -313,6 +318,57 @@ class SpoolSpill:
         if handle is not None:
             handle.close()
         return self._spool._register_view(self._path(name))
+
+
+class MemorySpool:
+    """The RAM spool: the in-memory run's, one shard per table.
+
+    The part of :class:`TableSpool`'s interface the batch store calls,
+    writing nothing: a landed part waits in a dict until ``finish_*``
+    returns it as a resident :class:`~repro.tables.PropertyTable` /
+    :class:`~repro.tables.EdgeTable`, the spill is :data:`IN_MEMORY`,
+    and the resume look-ups find nothing.  Structures are emitted in
+    ``shard_rows`` runs, as a generator's own ``run(n)`` emits them.
+    """
+
+    def __init__(self):
+        # Imported here: repro.structure.base imports this module.
+        from ..structure.base import _RUN_ROWS
+        self.shard_rows = _RUN_ROWS
+        self._parts = {}
+
+    def shard_bounds(self, count):
+        return [(0, int(count))]
+
+    def verified_prefix(self, key):
+        return 0
+
+    def _nothing(self, *args):
+        """Nothing is recorded, and no file is written or removed."""
+
+    sealed = structure_meta = record_structure = _nothing
+    drop_scratch = cleanup = _nothing
+
+    def save_property_part(self, index, key, values):
+        return values
+
+    def save_edge_part(self, index, key, tails, heads):
+        return tails, heads
+
+    def ack(self, key, index, part):
+        self._parts[key] = part
+
+    def finish_property(self, key):
+        return PropertyTable(key, self._parts.pop(key))
+
+    def finish_edge(self, key, num_tail_nodes, num_head_nodes, directed,
+                    name=None):
+        empty = np.empty(0, dtype=np.int64)
+        return EdgeTable(name or key, *self._parts.pop(key, (empty, empty)),
+                         num_tail_nodes, num_head_nodes, directed)
+
+    def spiller(self, prefix):
+        return IN_MEMORY
 
 
 class TableSpool:

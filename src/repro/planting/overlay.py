@@ -254,11 +254,11 @@ class PlantedGraph(PropertyGraph):
     ``plan``
         the :class:`~repro.planting.plant.PlantPlan`;
     ``base``
-        the unplanted graph (in-memory or sharded).
+        the unplanted graph (a batch result, or a served world).
 
     The inherited ``materialize()`` returns a plain in-memory
     ``PropertyGraph`` with every overlay resolved; ``cleanup()``
-    forwards to a sharded base.
+    forwards to a batch base's spool.
     """
 
     def __init__(self, base, plan):
@@ -301,8 +301,7 @@ class PlantedGraph(PropertyGraph):
                 )
 
     def cleanup(self):
-        if hasattr(self.base, "cleanup"):
-            self.base.cleanup()
+        self.base.cleanup()
 
 
 def planted_graph(base, plan):

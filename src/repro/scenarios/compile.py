@@ -475,9 +475,9 @@ class CompiledScenario:
 
     def generator(self, workers=1):
         """A :class:`~repro.core.engine.GraphGenerator` for this
-        scenario.  ``workers`` is accepted and unused: the in-memory
-        engine has no pool, and the benchmark harness still passes
-        it."""
+        scenario.  ``workers`` is accepted and unused: an in-memory
+        run's shards run inline, and the benchmark harness still
+        passes it."""
         return GraphGenerator(self.schema, self.scale, seed=self.seed)
 
 
@@ -596,14 +596,16 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         the out-of-core run: the whole pipeline runs per id-range shard
         with disk-spooled tables, so peak memory is bounded by the
         shard size instead of the graph size (byte-identical output;
-        see docs/scaling.md and docs/robustness.md).  The others only
-        apply there and raise ``ValueError`` elsewhere.  The graded
-        audit materialises the graph, so pass ``validate=False`` for
-        graphs that genuinely do not fit in memory.
+        see docs/scaling.md and docs/robustness.md).  ``backend`` and
+        ``spool_dir`` only apply there and raise ``ValueError``
+        elsewhere; ``retries`` and ``faults`` apply in memory too.
+        The graded audit materialises the graph, so pass
+        ``validate=False`` for graphs that genuinely do not fit in
+        memory.
 
     Returns ``(graph, report, written)`` — the generated
-    :class:`~repro.core.result.PropertyGraph` (a
-    :class:`~repro.core.sharded.ShardedResult` out of core), the
+    :class:`~repro.core.sharded.ShardedResult` (under the plant
+    overlay when the recipe declares plants), the
     :class:`~repro.scenarios.report.GradedReport` (or ``None``), and
     the list of written export paths.
     """

@@ -1,9 +1,9 @@
 """The virtual graph: random-access queries straight from a recipe.
 
-A :class:`VirtualGraph` is the third store under the one task body
-(DESIGN.md §3): where the in-memory engine keeps
-:func:`~repro.core.tasks.apply_task`'s output in resident tables and
-the sharded executor in spooled ones, serving drives the same plan
+A :class:`VirtualGraph` is the second store under the one task body
+(DESIGN.md §3): where a batch run keeps
+:func:`~repro.core.tasks.apply_task`'s output in its spool's tables —
+resident in memory, shard files out of core — serving drives the same plan
 through the same ``apply_task`` and keeps *virtual* tables
 (:mod:`repro.serve.tables`) in ``.graph`` — tables that hold no rows
 and answer ``read_range`` / ``gather`` by recomputing exactly the rows

@@ -324,15 +324,19 @@ class TestBoundaryErrors:
 
 
 class TestOutOfCoreOnlyFlags:
-    """--backend process / --spool-dir / --retries / --inject-faults are
-    only read in out-of-core mode; in-memory mode must refuse them
-    instead of silently dropping them."""
+    """--backend process / --spool-dir are only read in out-of-core
+    mode; in-memory mode must refuse them instead of silently dropping
+    them.  --retries / --inject-faults apply in memory too."""
 
     FLAGS = [
         ["--backend", "process"],
         ["--spool-dir", "spool"],
+    ]
+
+    #: accepted in memory: a retry budget, and a fault that only slows
+    IN_MEMORY_FLAGS = [
         ["--retries", "2"],
-        ["--inject-faults", "property:0:crash"],
+        ["--inject-faults", "property:0:slow=0.01"],
     ]
 
     @staticmethod
@@ -352,12 +356,12 @@ class TestOutOfCoreOnlyFlags:
             ],
         }
 
-    #: the same four options as ``run_scenario`` keyword arguments.
+    #: the flags as ``run_scenario`` keyword arguments.
     KWARGS = {
         "--backend": {"backend": "process"},
         "--spool-dir": {"spool_dir": "spool"},
         "--retries": {"retries": 2},
-        "--inject-faults": {"faults": "property:0:crash"},
+        "--inject-faults": {"faults": "property:0:slow=0.01"},
     }
 
     @pytest.mark.parametrize("flag", FLAGS, ids=lambda f: f[0])
@@ -388,6 +392,27 @@ class TestOutOfCoreOnlyFlags:
         for enabler in ("--shard-rows", "--memory-budget", "--resume"):
             assert enabler in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", IN_MEMORY_FLAGS, ids=lambda f: f[0])
+    @pytest.mark.parametrize(
+        "command",
+        ["generate", "scenario run", "scenario validate", "library"],
+    )
+    def test_accepted_in_memory_mode(self, command, flag, tmp_path):
+        if command == "library":
+            from repro.scenarios import compile_scenario, run_scenario
+            from repro.scenarios.zoo import load_zoo
+
+            run_scenario(
+                compile_scenario(load_zoo("social_network"),
+                                 scale={"Person": 300}),
+                out_dir=tmp_path / "out", validate=False,
+                **self.KWARGS[flag[0]],
+            )
+        else:
+            assert main(self._commands(tmp_path)[command] + flag) == 0
+        if command != "scenario validate":
+            assert (tmp_path / "out").is_dir()
 
     @pytest.mark.parametrize("command", ["generate", "scenario run"])
     def test_accepted_in_out_of_core_mode(self, command, tmp_path):

@@ -90,7 +90,8 @@ class TestValidation:
         monkeypatch.setenv("REPRO_FAULTS", "nope:1:crash")
         with pytest.raises(ValueError, match="REPRO_FAULTS: unknown"):
             RunOptions(shard_rows=8)
-        RunOptions()  # in memory the variable is never read
+        with pytest.raises(ValueError, match="REPRO_FAULTS: unknown"):
+            RunOptions()  # in memory too: every run reads the variable
 
     def test_schema_errors_propagate(self):
         schema = Schema(

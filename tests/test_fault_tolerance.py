@@ -25,9 +25,12 @@ from repro.core import (
     CHECKPOINT_NAME,
     CheckpointError,
     FaultPlan,
+    GraphGenerator,
     InjectedFault,
+    RunOptions,
     ShardedError,
     ShardedExecutor,
+    execute,
     parse_faults,
     run_fingerprint,
 )
@@ -174,6 +177,50 @@ class TestRetries:
         assert "InjectedFault" in (exc.worker_traceback or "")
         assert "worker traceback" in str(exc)
         assert "after 2 attempts" in str(exc)
+
+
+def _run_in_memory(out, **options):
+    """The same run in memory: no shard size, one shard per table."""
+    return execute(_tiny_schema(), SCALE, 0, RunOptions(**options),
+                   make_sink("csv", out, chunk_size=64))
+
+
+class TestInMemory:
+    """``retries`` and ``faults`` apply in memory too: each table is one
+    shard, run and retried inline, at the out-of-core fault sites that
+    have no spool behind them."""
+
+    def test_retried_crash_writes_the_serial_bytes(self, tmp_path):
+        _run_in_memory(tmp_path / "serial")
+        plan = FaultPlan("property:0:crash", state_dir=tmp_path / "faults")
+        _run_in_memory(tmp_path / "out", retries=1, faults=plan)
+        assert plan.fired_count(plan.specs[0]) >= 1
+        _assert_same_tree(tmp_path / "out", _tree_bytes(tmp_path / "serial"))
+
+    @pytest.mark.parametrize("site, action, error", [
+        ("count", "crash", InjectedFault),
+        ("structure", "crash", InjectedFault),
+        ("property", "crash", InjectedFault),
+        ("match", "crash", InjectedFault),
+        ("shard", "crash", InjectedFault),
+        ("export", "ioerror", OSError),
+    ])
+    def test_unretried_fault_raises_its_own_exception(self, site, action,
+                                                      error, tmp_path):
+        """Every site fires in memory, and with no retries the run
+        raises the fault itself, as the inline pool path does."""
+        with pytest.raises(error, match=f"'{site}:0:{action}'"):
+            _run_in_memory(tmp_path / "out", faults=f"{site}:0:{action}")
+
+    @pytest.mark.parametrize("front_end", ["execute", "GraphGenerator"])
+    def test_repro_faults_is_honoured(self, front_end, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "property:0:crash")
+        with pytest.raises(InjectedFault, match="'property:0:crash'"):
+            if front_end == "execute":
+                _run_in_memory(tmp_path / "out")
+            else:
+                GraphGenerator(_tiny_schema(), SCALE).generate()
 
 
 class TestLedger:

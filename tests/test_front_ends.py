@@ -376,3 +376,73 @@ class TestOneWalk:
             for path in src.rglob("*.py")
             if re.search(r"\btask\.kind\b", path.read_text())
         } == {"core/tasks.py"}
+
+    def test_two_stores_and_one_driver(self):
+        """Every batch run keeps its rows through one store over a
+        spool; the only other store is the virtual one.  The three
+        batch entry points each make one call into the one driver,
+        and only the driver opens a disk spool."""
+        src = Path(run_module.__file__).parents[1]
+        texts = {
+            path.relative_to(src).as_posix(): path.read_text()
+            for path in src.rglob("*.py")
+        }
+        stores = {
+            (name, match)
+            for name, text in texts.items()
+            for match in re.findall(r"class (\w+)\(Store\)", text)
+        }
+        assert stores == {
+            ("core/sharded.py", "_BatchStore"),
+            ("serve/virtual.py", "_VirtualStore"),
+        }
+        assert not any("ResidentStore" in text for text in texts.values())
+        calls = {
+            name: text.count("run_batch(")
+            for name, text in texts.items() if "run_batch(" in text
+        }
+        # engine.generate, run.execute, ShardedExecutor.run + the def
+        assert calls == {
+            "core/engine.py": 1, "core/run.py": 1, "core/sharded.py": 2,
+        }
+        assert {
+            name for name, text in texts.items()
+            if text.count("TableSpool(") and name.startswith("core/")
+        } == {"core/sharded.py"}
+
+
+class TestBenchContract:
+    """``bench/`` drives a plan through the six-argument
+    ``apply_task(task, schema, scale, seed, result, structures)``
+    (its traced in-memory run); the default store keeps resident
+    tables and every structure's ``num_edges`` resolves."""
+
+    def test_six_argument_apply_task(self):
+        from repro.core.result import PropertyGraph
+        from repro.core.tasks import apply_task
+        from repro.tables import EdgeTable, PropertyTable
+
+        schema = social_network_schema(num_countries=8)
+        scale = {"Person": 300}
+        generator = GraphGenerator(schema, scale, seed=5)
+        result = PropertyGraph(schema, 5)
+        structures = {}
+        for task in generator.plan():
+            apply_task(task, schema, scale, 5, result, structures)
+            if task.kind == "structure":
+                assert structures[task.subject].num_edges >= 0
+        assert structures.keys() == result.edge_tables.keys()
+        assert all(structure.num_edges == len(structure)
+                   for structure in structures.values())
+        reference = generator.generate()
+        for group in ("node_properties", "edge_properties"):
+            tables = getattr(result, group)
+            assert tables.keys() == getattr(reference, group).keys()
+            for key, table in tables.items():
+                assert type(table) is PropertyTable
+                np.testing.assert_array_equal(
+                    table.values, getattr(reference, group)[key].values
+                )
+        for name, table in result.edge_tables.items():
+            assert type(table) is EdgeTable
+            assert table == reference.edge_tables[name]

@@ -9,7 +9,10 @@ is run three ways on the process backend —
    must *fail*, leaving a resumable checkpoint in its spool, after
    which ``resume`` must complete and export byte-identical files,
 3. with the same SIGKILL but ``retries=2``: one run, no manual
-   intervention, byte-identical files.
+   intervention, byte-identical files —
+
+and once in memory (no shard size): ``property:0:crash`` with
+``retries=1`` must fire, be retried inline and export the same bytes.
 
 Exits 1 on any surviving difference or on a chaos run that fails to
 fail / recover.  The clean and crash+resume wall-clock times are
@@ -58,7 +61,15 @@ def main(argv=None):
                         help="shard occurrence the injected SIGKILL hits")
     args = parser.parse_args(argv)
 
-    from repro.core import CHECKPOINT_NAME, ShardedError, ShardedExecutor
+    from repro.core import (
+        CHECKPOINT_NAME,
+        FaultPlan,
+        InjectedFault,
+        RunOptions,
+        ShardedError,
+        ShardedExecutor,
+        execute,
+    )
     from repro.io import make_sink
     from repro.scenarios import compile_scenario
     from repro.scenarios.zoo import load_zoo
@@ -133,6 +144,22 @@ def main(argv=None):
             _tree_bytes(work / "retry") == expected,
             f"{retry_wall:.2f}s")
 
+        # 4. In-memory leg: one table crashes once, retries=1 recovers.
+        crash = FaultPlan("property:0:crash", state_dir=work / "faults")
+        try:
+            execute(
+                compiled.schema, compiled.scale, compiled.seed,
+                RunOptions(retries=1, faults=crash),
+                make_sink("csv", work / "memory"),
+            )
+            recovered = _tree_bytes(work / "memory") == expected
+        except InjectedFault:
+            recovered = False
+        failures += not _check(
+            "in memory, retries=1 recovers property:0:crash",
+            recovered
+            and crash.fired_count(crash.specs[0]) >= 1)  # it did fire
+
         overhead = (crash_wall + resume_wall) / max(clean_wall, 1e-9)
         print(f"  crash+resume overhead: {overhead:.2f}x of clean "
               f"({crash_wall:.2f}s + {resume_wall:.2f}s "
@@ -143,7 +170,8 @@ def main(argv=None):
     if failures:
         print(f"chaos-smoke: {failures} failure(s)", file=sys.stderr)
         return 1
-    print("chaos-smoke: crash, resume and retry all byte-identical")
+    print("chaos-smoke: crash, resume and retry (out of core and in "
+          "memory) all byte-identical")
     return 0
 
 

@@ -82,8 +82,7 @@ def check_recipe(name, scale):
                   f"{report['recall']:.3f} != 1.0")
             failures += 1
     finally:
-        if hasattr(graph, "cleanup"):
-            graph.cleanup()
+        graph.cleanup()
     return failures
 
 
