@@ -36,7 +36,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from repro.core import ShardedExecutor
+from repro.core import GraphGenerator, RunOptions
 from repro.core.schema import (
     Cardinality,
     EdgeType,
@@ -108,18 +108,18 @@ def _tree_digests(root):
 
 def _run_sharded(schema, scale, budget, tmp_path, tag,
                  workers=1, backend="thread"):
-    executor = ShardedExecutor(
-        schema, scale, seed=7,
+    generator = GraphGenerator(schema, scale, seed=7)
+    options = RunOptions(
         memory_budget=budget, spool_dir=tmp_path / f"spool-{tag}",
         workers=workers, backend=backend,
     )
     sink = make_sink(
         "csv", tmp_path / f"out-{tag}",
-        chunk_size=executor.shard_rows,
+        chunk_size=options.rows_per_shard,
     )
     tracemalloc.start()
     start = time.perf_counter()
-    result = executor.run(sink=sink)
+    result = generator.generate(sink, options)
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -131,7 +131,7 @@ def _run_sharded(schema, scale, budget, tmp_path, tag,
         "rows_per_sec": edges / elapsed,
         "tracemalloc_peak_mb": peak / 2**20,
         "peak_bytes": peak,
-        "shard_rows": executor.shard_rows,
+        "shard_rows": options.rows_per_shard,
     }
 
 

@@ -408,7 +408,7 @@ def _parse_scale(entries):
 
 
 def _cmd_generate(args):
-    from .core import CheckpointError, SchemaError, execute
+    from .core import CheckpointError, GraphGenerator, SchemaError
     from .core.dsl import DslError, load_schema
     from .io import make_sink
 
@@ -436,11 +436,15 @@ def _cmd_generate(args):
         compress=args.compress,
     )
     try:
-        graph = execute(schema, scale, args.seed, options, sink)
+        graph = GraphGenerator(schema, scale, args.seed).generate(
+            sink, options
+        )
     except SchemaError as exc:
         raise SystemExit(f"schema error: {exc}") from None
     except CheckpointError as exc:
         raise SystemExit(f"checkpoint error: {exc}") from None
+    except OSError as exc:
+        raise SystemExit(f"generate error: {exc}") from None
     summary = graph.summary()
     if options.spool_dir is None:
         graph.cleanup()

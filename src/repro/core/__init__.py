@@ -2,7 +2,7 @@
 
 from .checkpoint import CHECKPOINT_NAME, CheckpointError, run_fingerprint
 from .dependency import DependencyError, Task, TaskGraph, build_task_graph
-from .engine import GraphGenerator
+from .engine import GraphGenerator, ShardedExecutor
 from .faults import FaultPlan, InjectedFault, parse_faults
 from .matching import (
     BipartiteMatchResult,
@@ -16,12 +16,8 @@ from .matching import (
     sbm_part_match,
 )
 from .result import PropertyGraph
-from .run import RunOptions, execute, parse_memory_budget
-from .sharded import (
-    ShardedError,
-    ShardedExecutor,
-    ShardedResult,
-)
+from .run import RunOptions, parse_memory_budget
+from .sharded import ShardedError
 from .schema import (
     Cardinality,
     CorrelationSpec,
@@ -54,13 +50,11 @@ __all__ = [
     "SchemaError",
     "ShardedError",
     "ShardedExecutor",
-    "ShardedResult",
     "Task",
     "TaskGraph",
     "bipartite_sbm_part_match",
     "build_task_graph",
     "edge_count_target",
-    "execute",
     "greedy_label_match",
     "ldg_degree_match",
     "parse_faults",

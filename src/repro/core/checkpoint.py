@@ -4,7 +4,7 @@ Every sharded stage is a pure function of ``(schema, scale, seed,
 shard_rows)``, so a spool part that was fully written and acked is
 provably identical to what a re-run would produce.  The spool's
 catalog (:mod:`repro.io.spool`, ``checkpoint.jsonl``) makes that
-observation operational: :class:`ShardedExecutor` appends an ack
+observation operational: an out-of-core run appends an ack
 (rows + per-file size/CRC32) as each shard lands, and a ``--resume``
 run
 

@@ -102,14 +102,15 @@ class ShardPool:
     same budget, and an exhausted budget propagates the kernel's own
     exception, exactly as a serial run would raise it.
 
-    ``retries`` bounds re-runs *per shard*; ``backoff`` is the base
-    delay of the exponential backoff (``backoff * 2**(attempt-1)``,
-    capped at :data:`BACKOFF_CAP` seconds) slept before each re-run.
+    ``retries`` bounds re-runs *per shard*; each re-run sleeps an
+    exponential backoff first (``BACKOFF * 2**(attempt-1)`` seconds,
+    capped at :data:`BACKOFF_CAP`).
     """
 
+    BACKOFF = 0.1
     BACKOFF_CAP = 2.0
 
-    def __init__(self, backend="thread", workers=1, retries=0, backoff=0.1):
+    def __init__(self, backend="thread", workers=1, retries=0):
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
@@ -117,7 +118,6 @@ class ShardPool:
         self.backend = backend
         self.workers = max(int(workers), 1)
         self.retries = max(int(retries), 0)
-        self.backoff = max(float(backoff), 0.0)
         self._pool = None
 
     def _executor(self):
@@ -181,7 +181,7 @@ class ShardPool:
                 self._back_off(attempts)
 
     def _back_off(self, attempts):
-        delay = min(self.backoff * (2 ** (attempts - 1)), self.BACKOFF_CAP)
+        delay = min(self.BACKOFF * (2 ** (attempts - 1)), self.BACKOFF_CAP)
         if delay > 0:
             time.sleep(delay)
 

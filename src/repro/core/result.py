@@ -34,11 +34,19 @@ class PropertyGraph:
         dict edge type -> matcher result (or None for random matching).
     seed:
         the root seed the graph was generated from.
+    spool:
+        the spool a batch run filled (``None`` for a graph built by
+        hand): a RAM spool's tables are resident, a disk spool's are
+        :class:`~repro.io.spool.SpooledPropertyTable` /
+        :class:`~repro.io.spool.SpooledEdgeTable` — same streaming
+        interface, bounded memory — which :meth:`materialize` loads
+        for global consumers (validation, joint diagnostics).
     """
 
-    def __init__(self, schema, seed):
+    def __init__(self, schema, seed, spool=None):
         self.schema = schema
         self.seed = seed
+        self.spool = spool
         self.node_counts = {}
         self.node_properties = {}
         self.edge_tables = {}
@@ -154,6 +162,13 @@ class PropertyGraph:
         for key, table in self.edge_properties.items():
             graph.edge_properties[key] = table.to_property_table()
         return graph
+
+    def cleanup(self):
+        """Release the spool: a disk spool's directory is deleted
+        (invalidating its spooled tables); a RAM spool holds nothing
+        to release."""
+        if self.spool is not None:
+            self.spool.cleanup()
 
     def summary(self):
         """Counts per type — a quick shape check."""

@@ -1,7 +1,8 @@
-"""How a batch run executes: :class:`RunOptions` and :func:`execute`.
+"""How a batch run executes: :class:`RunOptions`.
 
 Every batch run is ``plan -> walk -> batch store -> spool``, driven by
-:func:`~repro.core.sharded.run_batch`; the options here choose the
+:func:`~repro.core.sharded.run_batch` from
+:meth:`~repro.core.engine.GraphGenerator.generate`; the options choose the
 spool — in RAM, or on disk with the pool that fills it — and how
 failures are retried and injected.  None of them changes an output
 byte.
@@ -23,7 +24,6 @@ __all__ = [
     "BYTES_PER_SHARD_ROW",
     "DEFAULT_SHARD_ROWS",
     "RunOptions",
-    "execute",
     "parse_memory_budget",
     "shard_rows_for_budget",
 ]
@@ -128,15 +128,19 @@ class RunOptions:
     """The eight values a batch run is configured by.
 
     ``shard_rows``, ``memory_budget`` (bytes or ``"512MB"``-style,
-    divided by :data:`BYTES_PER_SHARD_ROW`) or ``resume`` select the
-    out-of-core run; ``backend`` and ``spool_dir`` only mean something
-    there (see :class:`~repro.core.sharded.ShardedExecutor`) and are
-    refused elsewhere rather than silently dropped.  ``retries`` and
-    ``faults`` (``None`` reads ``REPRO_FAULTS``) apply to every run:
-    in memory a failed shard — one per table — is retried inline.
-    ``workers``, ``shard_rows`` and ``retries`` are integers (``bool``
-    is not one).  ``workers`` sizes the out-of-core pool; an in-memory
-    run accepts it and changes neither its bytes nor its schedule.
+    divided by :data:`BYTES_PER_SHARD_ROW`; a matching it cannot bound
+    warns) or ``resume`` select the out-of-core run; ``backend`` and ``spool_dir`` only mean something
+    there and are refused elsewhere rather than silently dropped.
+    Out of core, ``workers + 1`` shards are in flight on ``"thread"``
+    or ``"process"`` workers, so peak memory scales with ``workers ×
+    shard_rows``; the spool is a temporary directory (removed when a
+    stage fails) unless ``spool_dir`` names one, and ``resume``
+    continues the run its ``checkpoint.jsonl`` catalog records.
+    An in-memory run accepts ``workers`` and changes neither its bytes
+    nor its schedule.  ``retries`` and ``faults`` (``None`` reads
+    ``REPRO_FAULTS``) apply to every run: in memory a failed shard —
+    one per table — is retried inline.  ``workers``, ``shard_rows``
+    and ``retries`` are integers (``bool`` is not one).
     """
 
     workers: int = 1
@@ -212,15 +216,3 @@ class RunOptions:
             return min(chunk_size, self.rows_per_shard)
         return chunk_size
 
-
-def execute(schema, scale, seed, options, sink=None):
-    """Run one batch generation as ``options`` say; returns the
-    :class:`~repro.core.sharded.ShardedResult` (resident tables in
-    memory, spooled ones out of core).
-
-    The CLI and :func:`~repro.scenarios.run_scenario` both come
-    through here, into the one batch driver.
-    """
-    from .sharded import run_batch
-
-    return run_batch(schema, scale, seed, options, sink)

@@ -44,7 +44,7 @@ from .checkpoint import run_fingerprint
 from .dependency import build_task_graph
 from .procpool import ShardPool, ShardedError
 from .result import PropertyGraph
-from .run import BYTES_PER_PERMUTED_NODE, RunOptions, parse_memory_budget
+from .run import BYTES_PER_PERMUTED_NODE, parse_memory_budget
 from .structures import adopted, metadata
 from .tasks import (
     Store,
@@ -55,11 +55,7 @@ from .tasks import (
     walk,
 )
 
-__all__ = [
-    "ShardedError",
-    "ShardedExecutor",
-    "ShardedResult",
-]
+__all__ = ["ShardedError"]
 
 # -- per-shard jobs (module-level: picklable for any pool) --------------------
 
@@ -214,90 +210,6 @@ class _BatchStore(Store):
         ), match
 
 
-# -- result -------------------------------------------------------------------
-
-
-class ShardedResult(PropertyGraph):
-    """A :class:`PropertyGraph` over the spool its batch run filled.
-
-    In memory its tables are resident; out of core they are
-    :class:`~repro.io.spool.SpooledPropertyTable` /
-    :class:`~repro.io.spool.SpooledEdgeTable` — same streaming
-    interface, bounded memory — and the inherited :meth:`materialize`
-    loads them for global consumers (validation, joint diagnostics).
-    :meth:`cleanup` removes a disk spool once the result is no longer
-    needed.
-    """
-
-    def __init__(self, schema, seed, spool):
-        super().__init__(schema, seed)
-        self.spool = spool
-
-    def cleanup(self):
-        """Delete the spool directory (invalidates spooled tables)."""
-        self.spool.cleanup()
-
-
-# -- executor ------------------------------------------------------------------
-
-
-class ShardedExecutor:
-    """Run the generation DAG per id-range shard, memory-bounded.
-
-    Parameters
-    ----------
-    schema, scale, seed:
-        as for the serial engine.
-    shard_rows, memory_budget:
-        rows per shard — the pipeline's memory unit — or a byte budget
-        (int or ``"512MB"``-style) divided by
-        :data:`~repro.core.run.BYTES_PER_SHARD_ROW`; a matching, a
-        global stage the budget cannot bound, emits a
-        :class:`RuntimeWarning` when it may exceed it.
-    workers, backend:
-        the :class:`~repro.core.procpool.ShardPool`: a window of
-        ``workers + 1`` shards in flight on ``"thread"`` (default) or
-        ``"process"`` workers, so peak memory scales with ``workers ×
-        shard_rows``; output is identical for any choice.
-    spool_dir, resume:
-        the spool (by default a temporary directory, removed when a
-        stage fails; a named one is kept), and whether to continue the
-        run its ``checkpoint.jsonl`` catalog records: acked parts are
-        re-verified (size + CRC) and skipped, and the export is
-        byte-identical to an uninterrupted run.
-    retries, backoff, faults:
-        the per-shard retry budget and the base delay of its
-        exponential backoff, and the
-        :class:`~repro.core.faults.FaultPlan` (or spec string; ``None``
-        reads ``REPRO_FAULTS``) consulted at stage boundaries.
-    """
-
-    def __init__(self, schema, scale, seed=0, shard_rows=None,
-                 memory_budget=None, workers=1, backend="thread",
-                 spool_dir=None, retries=0, backoff=0.1, resume=False,
-                 faults=None):
-        self.schema = schema.validate()
-        self.scale = dict(scale)
-        self.seed = int(seed)
-        # Naming this class *is* choosing the out-of-core run, so the
-        # options carry the resolved shard size whatever was passed.
-        self.shard_rows = RunOptions(
-            shard_rows=shard_rows, memory_budget=memory_budget
-        ).rows_per_shard
-        self.options = RunOptions(
-            workers=workers, backend=backend, shard_rows=self.shard_rows,
-            memory_budget=memory_budget, spool_dir=spool_dir,
-            resume=bool(resume), retries=retries, faults=faults,
-        )
-        self.backoff = float(backoff)
-
-    def run(self, sink=None):
-        """Execute all tasks, streaming to ``sink`` as in memory (same
-        bytes); returns a :class:`ShardedResult`."""
-        return run_batch(self.schema, self.scale, self.seed, self.options,
-                         sink, self.backoff)
-
-
 def _sink_format(sink):
     """Sink identity for the run fingerprint: a half-written CSV spool
     must not be resumed into a JSONL export."""
@@ -305,9 +217,10 @@ def _sink_format(sink):
         getattr(sink, "format_name", None) or type(sink).__name__)
 
 
-def run_batch(schema, scale, seed, options, sink=None, backoff=0.1):
+def run_batch(schema, scale, seed, options, sink=None):
     """The one batch driver: walk the plan over the batch store;
-    returns the :class:`ShardedResult`.
+    returns the :class:`PropertyGraph` over the spool it filled.
+    :meth:`~repro.core.engine.GraphGenerator.generate` is its caller.
 
     The one place a spool is chosen: out of core a :class:`TableSpool`
     (an owned temporary directory unless ``options.spool_dir`` names
@@ -331,10 +244,9 @@ def run_batch(schema, scale, seed, options, sink=None, backoff=0.1):
         )
     else:  # one shard per table: a pool would add memory, not speed
         spool, workers = MemorySpool(), 1
-    result = ShardedResult(schema, seed, spool)
+    result = PropertyGraph(schema, seed, spool)
     structures = {}
-    pool = ShardPool(options.backend, workers, retries=options.retries,
-                     backoff=backoff)
+    pool = ShardPool(options.backend, workers, retries=options.retries)
     store = _BatchStore(spool, pool, schema, options.memory_budget)
     plan = _faults.as_plan(options.faults)
     previous_plan = _faults.install_plan(plan)

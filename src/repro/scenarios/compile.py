@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.engine import GraphGenerator
-from ..core.run import RunOptions, execute
+from ..core.run import RunOptions
 from ..core.schema import (
     Cardinality,
     CorrelationSpec,
@@ -569,9 +569,8 @@ def compile_scenario(spec, scale=None, seed=None):
     )
 
 
-def run_scenario(compiled, workers=1, out_dir=None, formats=None,
-                 chunk_size=None, compress=None, validate=True,
-                 **run_options):
+def run_scenario(compiled, out_dir=None, formats=None, chunk_size=None,
+                 compress=None, validate=True, **run_options):
     """Generate, export, and grade a compiled scenario.
 
     Parameters
@@ -579,9 +578,6 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
     compiled:
         a :class:`CompiledScenario` (or anything
         :func:`compile_scenario` accepts).
-    workers:
-        pool size of an out-of-core run; an in-memory run accepts it
-        and changes neither its bytes nor its schedule.
     out_dir:
         export directory; ``None`` skips export.  The first format
         streams *during* generation, remaining formats export from the
@@ -590,8 +586,12 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         override the recipe's ``export`` block.
     validate:
         run the graded audit (returns ``None`` report when False).
-    shard_rows, memory_budget, backend, spool_dir, resume, retries, faults:
-        the remaining :class:`~repro.core.run.RunOptions`.
+    **run_options:
+        the :class:`~repro.core.run.RunOptions` fields, by keyword:
+        ``workers``, ``backend``, ``shard_rows``, ``memory_budget``,
+        ``spool_dir``, ``resume``, ``retries`` and ``faults``.
+        ``workers`` sizes the out-of-core pool; an in-memory run
+        accepts it and changes neither its bytes nor its schedule.
         ``shard_rows``, ``memory_budget`` or ``resume=True`` switch to
         the out-of-core run: the whole pipeline runs per id-range shard
         with disk-spooled tables, so peak memory is bounded by the
@@ -604,7 +604,7 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         memory.
 
     Returns ``(graph, report, written)`` — the generated
-    :class:`~repro.core.sharded.ShardedResult` (under the plant
+    :class:`~repro.core.result.PropertyGraph` (under the plant
     overlay when the recipe declares plants), the
     :class:`~repro.scenarios.report.GradedReport` (or ``None``), and
     the list of written export paths.
@@ -613,7 +613,7 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
 
     from ..io import export_graph, make_sink
 
-    options = RunOptions(workers=workers, **run_options)
+    options = RunOptions(**run_options)
     if not isinstance(compiled, CompiledScenario):
         compiled = compile_scenario(compiled)
     spec = compiled.spec
@@ -640,9 +640,7 @@ def run_scenario(compiled, workers=1, out_dir=None, formats=None,
         # runs cannot stream the primary format mid-generation; they
         # export from the finished overlay graph below instead.
         sink = sink_for(formats[0])
-    graph = execute(
-        compiled.schema, compiled.scale, compiled.seed, options, sink
-    )
+    graph = compiled.generator().generate(sink, options)
     if plants:
         from ..planting import plant_world
 

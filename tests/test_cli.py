@@ -234,6 +234,12 @@ class TestBoundaryErrors:
         (["scenario", "run", "social_network", "--scale", "Person=200",
           "--out", "{out}", "--shard-rows", "64", "--inject-faults",
           "nope:1:crash"], "unknown fault site 'nope'"),
+        (["generate", "{dsl}", "--out", "{dsl}/o"],
+         "generate error: [Errno 20] Not a directory"),
+        (["generate", "{dsl}", "--out", "{out}", "--inject-faults",
+          "export:0:ioerror"],
+         "generate error: injected I/O fault 'export:0:ioerror' at "
+         "export:0"),
         (["example", "--workers", "2"], "unrecognized arguments: --workers"),
         (["validate", "--workers", "2"],
          "unrecognized arguments: --workers"),

@@ -24,7 +24,6 @@ from repro.core import (
     Schema,
     SchemaError,
     ShardedError,
-    ShardedExecutor,
 )
 from repro.properties.base import PropertyGenerator
 from repro.properties.registry import register_property_generator
@@ -51,7 +50,7 @@ def _exploding_schema():
 
 
 class TestValidation:
-    @pytest.mark.parametrize("backend", ["mpi", "serial"])
+    @pytest.mark.parametrize("backend", ["mpi", "serial", "greenlet"])
     def test_rejects_bad_backend(self, backend):
         with pytest.raises(ValueError, match="backend"):
             RunOptions(shard_rows=8, backend=backend)
@@ -73,16 +72,16 @@ class TestValidation:
                              retries=np.uint8(1))
         assert options.rows_per_shard == 8
 
-    def test_front_ends_check_the_callers_value(self):
-        schema = Schema(node_types=[NodeType("T")])
-        with pytest.raises(ValueError, match="workers must be an integer"):
-            ShardedExecutor(schema, {"T": 1}, shard_rows=8, workers=2.5)
-        with pytest.raises(ValueError, match="retries must be an integer"):
-            ShardedExecutor(schema, {"T": 1}, shard_rows=8, retries=0.5)
-        with pytest.raises(ValueError, match="shard_rows must be an integer"):
-            ShardedExecutor(schema, {"T": 1}, shard_rows=1.5)
-        with pytest.raises(ValueError, match="workers must be an integer"):
-            run_scenario(load_zoo("social_network"), workers="2")
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 2.5), ("workers", "2"), ("retries", 0.5),
+        ("shard_rows", 1.5),
+    ])
+    def test_front_ends_check_the_callers_value(self, field, value):
+        """``run_scenario`` hands its keywords to :class:`RunOptions`
+        as given, so they are refused as in ``test_rejects_a_bad_count``
+        rather than coerced."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            run_scenario(load_zoo("social_network"), **{field: value})
 
     def test_rejects_malformed_fault_specs(self, monkeypatch):
         with pytest.raises(ValueError, match="bad fault spec 'bogus'"):
@@ -103,12 +102,11 @@ class TestValidation:
             GraphGenerator(schema, {"T": 5}).generate()
 
     def test_kernel_failure_carries_the_worker_traceback(self, registries):
-        executor = ShardedExecutor(
-            _exploding_schema(), {"T": 200}, shard_rows=64, workers=2,
-            backend="thread",
-        )
+        generator = GraphGenerator(_exploding_schema(), {"T": 200})
         with pytest.raises(ShardedError, match="exploded") as info:
-            executor.run()
+            generator.generate(options=RunOptions(
+                shard_rows=64, workers=2, backend="thread"
+            ))
         assert info.value.shard == 1
         assert "run_many" in info.value.worker_traceback
 

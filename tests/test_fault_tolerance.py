@@ -29,12 +29,11 @@ from repro.core import (
     InjectedFault,
     RunOptions,
     ShardedError,
-    ShardedExecutor,
-    execute,
     parse_faults,
     run_fingerprint,
 )
 from repro.core.faults import plan_from_env
+from repro.core.procpool import ShardPool
 from repro.core.schema import (
     EdgeType,
     GeneratorSpec,
@@ -72,19 +71,20 @@ def _tree_bytes(root):
     }
 
 
-def _run(out, spool, *, fmt="csv", compress=None, backend="thread",
-         workers=1, resume=False, retries=0, faults=None, seed=0):
-    executor = ShardedExecutor(
-        _tiny_schema(), SCALE, seed=seed, shard_rows=SHARD_ROWS,
-        workers=workers, backend=backend, spool_dir=spool,
-        resume=resume, retries=retries, backoff=0.01, faults=faults,
-    )
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    """Retried shards sleep 10 ms, not 100 ms, before each re-run."""
+    monkeypatch.setattr(ShardPool, "BACKOFF", 0.01)
+
+
+def _run(out, spool, *, fmt="csv", compress=None, seed=0, **options):
     # Small export chunks so the ``export`` fault site sees several
     # write calls per file in every format (jsonl writes one chunk per
     # file at the default chunk size).
-    return executor.run(sink=make_sink(
-        fmt, out, chunk_size=64, compress=compress
-    ))
+    return GraphGenerator(_tiny_schema(), SCALE, seed=seed).generate(
+        make_sink(fmt, out, chunk_size=64, compress=compress),
+        RunOptions(shard_rows=SHARD_ROWS, spool_dir=spool, **options),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +108,7 @@ class TestResume:
 
     def test_resume_requires_explicit_spool(self):
         with pytest.raises(ValueError, match="resume requires"):
-            ShardedExecutor(
-                _tiny_schema(), SCALE, shard_rows=SHARD_ROWS, resume=True
-            )
+            RunOptions(shard_rows=SHARD_ROWS, resume=True)
 
     def test_resume_of_untouched_spool_is_a_clean_run(
         self, expected_csv, tmp_path
@@ -181,8 +179,9 @@ class TestRetries:
 
 def _run_in_memory(out, **options):
     """The same run in memory: no shard size, one shard per table."""
-    return execute(_tiny_schema(), SCALE, 0, RunOptions(**options),
-                   make_sink("csv", out, chunk_size=64))
+    return GraphGenerator(_tiny_schema(), SCALE, seed=0).generate(
+        make_sink("csv", out, chunk_size=64), RunOptions(**options)
+    )
 
 
 class TestInMemory:
@@ -212,12 +211,12 @@ class TestInMemory:
         with pytest.raises(error, match=f"'{site}:0:{action}'"):
             _run_in_memory(tmp_path / "out", faults=f"{site}:0:{action}")
 
-    @pytest.mark.parametrize("front_end", ["execute", "GraphGenerator"])
-    def test_repro_faults_is_honoured(self, front_end, tmp_path,
+    @pytest.mark.parametrize("options", ["RunOptions()", "None"])
+    def test_repro_faults_is_honoured(self, options, tmp_path,
                                       monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "property:0:crash")
         with pytest.raises(InjectedFault, match="'property:0:crash'"):
-            if front_end == "execute":
+            if options == "RunOptions()":
                 _run_in_memory(tmp_path / "out")
             else:
                 GraphGenerator(_tiny_schema(), SCALE).generate()

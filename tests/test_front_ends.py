@@ -23,6 +23,7 @@ from repro.core import (
     GeneratorSpec,
     GraphGenerator,
     NodeType,
+    RunOptions,
     Schema,
     SchemaError,
     ShardedExecutor,
@@ -53,8 +54,8 @@ def _serial(schema, scale, out=None):
 
 
 def _sharded(schema, scale, out=None, **pool):
-    ShardedExecutor(schema, scale, seed=1, shard_rows=64, **pool).run(
-        sink=_sink(out)
+    GraphGenerator(schema, scale, seed=1).generate(
+        _sink(out), RunOptions(shard_rows=64, **pool)
     ).cleanup()
 
 
@@ -379,9 +380,9 @@ class TestOneWalk:
 
     def test_two_stores_and_one_driver(self):
         """Every batch run keeps its rows through one store over a
-        spool; the only other store is the virtual one.  The three
-        batch entry points each make one call into the one driver,
-        and only the driver opens a disk spool."""
+        spool; the only other store is the virtual one.  The one batch
+        entry point, ``GraphGenerator.generate``, makes the one call
+        into the one driver, and only the driver opens a disk spool."""
         src = Path(run_module.__file__).parents[1]
         texts = {
             path.relative_to(src).as_posix(): path.read_text()
@@ -401,10 +402,19 @@ class TestOneWalk:
             name: text.count("run_batch(")
             for name, text in texts.items() if "run_batch(" in text
         }
-        # engine.generate, run.execute, ShardedExecutor.run + the def
-        assert calls == {
-            "core/engine.py": 1, "core/run.py": 1, "core/sharded.py": 2,
-        }
+        # GraphGenerator.generate + the def
+        assert calls == {"core/engine.py": 1, "core/sharded.py": 1}
+        assert "def run_batch(" in texts["core/sharded.py"]
+        assert not any(
+            re.search(r"\bdef execute\(|\bShardedResult\b", text)
+            for text in texts.values()
+        )
+        # The retry delay is ShardPool.BACKOFF, not a parameter.
+        assert not any(
+            "backoff=" in text
+            or re.search(r"def \w+\([^)]*\bbackoff\b", text, re.DOTALL)
+            for text in texts.values()
+        )
         assert {
             name for name, text in texts.items()
             if text.count("TableSpool(") and name.startswith("core/")
@@ -415,7 +425,46 @@ class TestBenchContract:
     """``bench/`` drives a plan through the six-argument
     ``apply_task(task, schema, scale, seed, result, structures)``
     (its traced in-memory run); the default store keeps resident
-    tables and every structure's ``num_edges`` resolves."""
+    tables and every structure's ``num_edges`` resolves.  It also
+    spells its out-of-core runs as ``ShardedExecutor(...).run(sink=)``
+    and plans through ``compiled.generator(workers=1)``."""
+
+    @pytest.mark.parametrize("keywords", [
+        {"shard_rows": 256, "backend": "process", "workers": 2},
+        {"memory_budget": "1MB"},
+    ], ids=["shard_rows", "memory_budget"])
+    @pytest.mark.filterwarnings("ignore:memory budget:RuntimeWarning")
+    def test_sharded_executor_keywords(self, keywords, tmp_path):
+        from repro.core.run import parse_memory_budget, shard_rows_for_budget
+        from repro.scenarios import compile_scenario, load_zoo
+
+        compiled = compile_scenario(load_zoo("social_network"),
+                                    scale={"Person": 300})
+        args = compiled.schema, compiled.scale, compiled.seed
+        assert compiled.generator(workers=1).plan() == (
+            GraphGenerator(*args).plan()
+        )
+        executor = ShardedExecutor(
+            *args, spool_dir=tmp_path / "spool", **keywords
+        )
+        assert executor.shard_rows == (
+            shard_rows_for_budget(parse_memory_budget("1MB"))
+            if "memory_budget" in keywords else keywords["shard_rows"]
+        )
+
+        def sink(name):
+            return make_sink("csv", tmp_path / name,
+                             chunk_size=executor.shard_rows)
+
+        executor.run(sink=sink("shim")).cleanup()
+        GraphGenerator(*args).generate(sink("door"), RunOptions(
+            spool_dir=tmp_path / "spool2", **keywords
+        )).cleanup()
+        shim, door = (
+            {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            for name in ("shim", "door")
+        )
+        assert shim and shim == door
 
     def test_six_argument_apply_task(self):
         from repro.core.result import PropertyGraph

@@ -38,10 +38,10 @@ from repro.core import (
     InjectedFault,
     NodeType,
     PropertyDef,
+    RunOptions,
     Schema,
     SchemaError,
     ShardedError,
-    ShardedExecutor,
 )
 from repro.core.dsl.errors import DslError
 from repro.core.faults import FAULT_SITES, FaultPlan
@@ -1050,11 +1050,12 @@ def _in_memory(case, out, **env):
 
 
 def _sharded_run(case, out, backend, **options):
-    return ShardedExecutor(
-        case.schema, case.scale, case.seed, shard_rows=case.shard_rows,
-        workers=case.workers, backend=backend, spool_dir=f"{out}.spool",
-        **options,
-    ).run(sink=_streaming_sink(case, out))
+    return GraphGenerator(case.schema, case.scale, case.seed).generate(
+        _streaming_sink(case, out), RunOptions(
+            shard_rows=case.shard_rows, workers=case.workers,
+            backend=backend, spool_dir=f"{out}.spool", **options,
+        ),
+    )
 
 
 @contextmanager

@@ -22,8 +22,8 @@ import pytest
 
 from repro.core import (
     GraphGenerator,
+    RunOptions,
     ShardedError,
-    ShardedExecutor,
     parse_memory_budget,
 )
 from repro.core.schema import (
@@ -123,9 +123,9 @@ def _one_to_many_schema():
 def _budget_warnings(schema, scale, budget):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ShardedExecutor(
-            schema, scale, seed=7, memory_budget=budget
-        ).run().cleanup()
+        GraphGenerator(schema, scale, seed=7).generate(
+            options=RunOptions(memory_budget=budget)
+        ).cleanup()
     return [str(w.message) for w in caught
             if issubclass(w.category, RuntimeWarning)]
 
@@ -165,15 +165,15 @@ class TestMemoryBudgetWarnings:
                                     scale={"Person": 300})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ShardedExecutor(
-                compiled.schema, compiled.scale, seed=7, shard_rows=1024,
-            ).run().cleanup()
+            GraphGenerator(compiled.schema, compiled.scale, seed=7).generate(
+                options=RunOptions(shard_rows=1024)
+            ).cleanup()
 
 
 class TestSpoolCleanupOnFailure:
     """Regression: a mid-run failure must not leak the temp spool.
 
-    ``ShardedExecutor.run`` creates its own spool directory when the
+    An out-of-core run creates its own spool directory when the
     caller does not pass ``spool_dir``; a stage raising mid-run used
     to abandon that directory (and its shard files) in ``$TMPDIR``.
     """
@@ -220,9 +220,9 @@ class TestSpoolCleanupOnFailure:
         schema = self._failing_schema()
         before = self._temp_spools()
         with pytest.raises(RuntimeError, match="injected"):
-            ShardedExecutor(
-                schema, {"Person": 64}, seed=3, shard_rows=16
-            ).run()
+            GraphGenerator(schema, {"Person": 64}, seed=3).generate(
+                options=RunOptions(shard_rows=16)
+            )
         leaked = self._temp_spools() - before
         assert not leaked, (
             f"failed run leaked spool directories: {sorted(leaked)}"
@@ -235,10 +235,9 @@ class TestSpoolCleanupOnFailure:
         schema = self._failing_schema()
         spool_dir = tmp_path / "spool"
         with pytest.raises(RuntimeError, match="injected"):
-            ShardedExecutor(
-                schema, {"Person": 64}, seed=3, shard_rows=16,
-                spool_dir=spool_dir,
-            ).run()
+            GraphGenerator(schema, {"Person": 64}, seed=3).generate(
+                options=RunOptions(shard_rows=16, spool_dir=spool_dir)
+            )
         assert spool_dir.exists()
 
     def test_successful_run_still_owns_and_keeps_spool(self):
@@ -252,9 +251,9 @@ class TestSpoolCleanupOnFailure:
                 ),
             ]),
         ])
-        result = ShardedExecutor(
-            schema, {"Person": 64}, seed=3, shard_rows=16
-        ).run()
+        result = GraphGenerator(schema, {"Person": 64}, seed=3).generate(
+            options=RunOptions(shard_rows=16)
+        )
         spool_dir = Path(result.spool.directory)
         assert spool_dir.exists()
         result.cleanup()
@@ -264,10 +263,11 @@ class TestSpoolCleanupOnFailure:
         self, rmat_recipe, tmp_path
     ):
         compiled, serial = rmat_recipe
-        result = ShardedExecutor(
-            compiled.schema, compiled.scale, seed=compiled.seed,
-            memory_budget="1MB", spool_dir=tmp_path / "spool",
-        ).run()
+        result = GraphGenerator(
+            compiled.schema, compiled.scale, seed=compiled.seed
+        ).generate(options=RunOptions(
+            memory_budget="1MB", spool_dir=tmp_path / "spool"
+        ))
         assert result.spool.shard_rows == shard_rows_for_budget(
             parse_memory_budget("1MB")
         )
@@ -321,21 +321,14 @@ class TestProcessBackend:
         tmp = Path(tempfile.gettempdir())
         before = set(tmp.glob("repro-spool-*"))
         with pytest.raises(ShardedError, match="died mid-shard"):
-            ShardedExecutor(
-                schema, {"Person": 64}, seed=3, shard_rows=16,
-                workers=2, backend="process",
-            ).run()
+            GraphGenerator(schema, {"Person": 64}, seed=3).generate(
+                options=RunOptions(shard_rows=16, workers=2,
+                                   backend="process")
+            )
         leaked = set(tmp.glob("repro-spool-*")) - before
         assert not leaked, (
             f"crashed run leaked spool directories: {sorted(leaked)}"
         )
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ShardedExecutor(
-                Schema(node_types=[NodeType("Person")]),
-                {"Person": 8}, backend="greenlet",
-            )
 
 
 class TestMatchingStateIsSpilled:
@@ -362,10 +355,10 @@ class TestMatchingStateIsSpilled:
             )),
         ])
         spool = tmp_path / "spool"
-        result = ShardedExecutor(
-            schema, {"Person": 200}, seed=1, shard_rows=64,
-            workers=workers, backend="thread", spool_dir=spool,
-        ).run()
+        result = GraphGenerator(schema, {"Person": 200}, seed=1).generate(
+            options=RunOptions(shard_rows=64, workers=workers,
+                               backend="thread", spool_dir=spool)
+        )
         assert isinstance(spilled.get("match.knows.tail_map"), SpillView)
         # Dropped once the matched table is written.
         assert not list((spool / "scratch").glob("match.knows.*"))
@@ -386,7 +379,7 @@ def test_spool_lifecycle_clean_under_resource_warnings(tmp_path):
     script = """
 import gc
 from pathlib import Path
-from repro.core import ShardedExecutor
+from repro.core import GraphGenerator, RunOptions
 from repro.io import make_sink
 from repro.scenarios import compile_scenario
 from repro.scenarios.zoo import load_zoo
@@ -396,11 +389,11 @@ out = Path({out!r})
 compiled = compile_scenario(
     load_zoo("social_network"), scale={{"Person": 60}}
 )
-result = ShardedExecutor(
-    compiled.schema, compiled.scale, seed=compiled.seed,
-    shard_rows=25, workers=2, backend="process",
-    spool_dir=out / "spool",
-).run(sink=make_sink("csv", out / "csv"))
+result = GraphGenerator(
+    compiled.schema, compiled.scale, seed=compiled.seed
+).generate(make_sink("csv", out / "csv"), RunOptions(
+    shard_rows=25, workers=2, backend="process", spool_dir=out / "spool",
+))
 graph = result.materialize()
 assert graph.edge_tables
 result.cleanup()
@@ -461,10 +454,9 @@ class TestEmptyShardContract:
 
     def test_empty_tables_recorded_in_catalog(self, tmp_path):
         schema = self._tiny_schema()
-        result = ShardedExecutor(
-            schema, {"Person": 0}, seed=3, shard_rows=8,
-            spool_dir=tmp_path / "spool",
-        ).run()
+        result = GraphGenerator(schema, {"Person": 0}, seed=3).generate(
+            options=RunOptions(shard_rows=8, spool_dir=tmp_path / "spool")
+        )
         events = _catalog_events(tmp_path / "spool")
         acks = {e["table"]: e for e in events if e["event"] == "ack"}
         assert acks["Person.age"]["rows"] == 0
@@ -484,10 +476,9 @@ class TestEmptyShardContract:
         and an ack line does not grow with the number of acks."""
         schema = self._tiny_schema()
         spool_dir = tmp_path / "spool"
-        result = ShardedExecutor(
-            schema, {"Person": 300}, seed=3, shard_rows=shard_rows,
-            spool_dir=spool_dir,
-        ).run()
+        result = GraphGenerator(schema, {"Person": 300}, seed=3).generate(
+            options=RunOptions(shard_rows=shard_rows, spool_dir=spool_dir)
+        )
         tables = [
             *result.node_properties.values(),
             *result.edge_tables.values(),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro.core import GraphGenerator, ShardedExecutor
+from repro.core import GraphGenerator, RunOptions
 from repro.core.schema import (
     Cardinality,
     EdgeType,
@@ -112,12 +112,10 @@ def measure_sharded_peak(schema, persons, shard_rows, tmp_path, tag):
     spool = tmp_path / f"spool-{tag}"
     tracemalloc.start()
     try:
-        result = ShardedExecutor(
-            schema, {"Person": persons}, seed=5,
-            shard_rows=shard_rows, spool_dir=spool,
-        ).run(sink=make_sink(
-            "csv", out, chunk_size=min(shard_rows, 65536)
-        ))
+        result = GraphGenerator(schema, {"Person": persons}, seed=5).generate(
+            make_sink("csv", out, chunk_size=min(shard_rows, 65536)),
+            RunOptions(shard_rows=shard_rows, spool_dir=spool),
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -67,8 +67,6 @@ def main(argv=None):
         InjectedFault,
         RunOptions,
         ShardedError,
-        ShardedExecutor,
-        execute,
     )
     from repro.io import make_sink
     from repro.scenarios import compile_scenario
@@ -87,14 +85,15 @@ def main(argv=None):
     kill_spec = f"shard:{args.kill_shard}:kill"
     failures = 0
 
+    generator = compiled.generator()
+
     def run(out, spool, **kwargs):
-        executor = ShardedExecutor(
-            compiled.schema, compiled.scale, seed=compiled.seed,
+        options = RunOptions(
             shard_rows=args.shard_rows, workers=args.workers,
             backend="process", spool_dir=spool, **kwargs,
         )
         start = time.perf_counter()
-        result = executor.run(sink=make_sink("csv", out))
+        result = generator.generate(make_sink("csv", out), options)
         return result, time.perf_counter() - start
 
     try:
@@ -147,10 +146,9 @@ def main(argv=None):
         # 4. In-memory leg: one table crashes once, retries=1 recovers.
         crash = FaultPlan("property:0:crash", state_dir=work / "faults")
         try:
-            execute(
-                compiled.schema, compiled.scale, compiled.seed,
-                RunOptions(retries=1, faults=crash),
+            generator.generate(
                 make_sink("csv", work / "memory"),
+                RunOptions(retries=1, faults=crash),
             )
             recovered = _tree_bytes(work / "memory") == expected
         except InjectedFault:
