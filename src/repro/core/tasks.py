@@ -36,6 +36,7 @@ from ..prng import RandomStream, derive_seed
 from ..properties.registry import create_property_generator
 from ..structure.registry import create_generator
 from ..tables import PropertyTable
+from ..tables.strings import as_strings
 from .dependency import DependencyError
 from .matching import (
     bipartite_sbm_part_match,
@@ -83,13 +84,14 @@ def property_shard_values(spec, task_id, seed, start, stop, dep_slices=()):
     function of ``(id, r(id), deps)``, the concatenation of shard
     outputs is bit-identical to single-shot generation — including the
     dtype when the range is empty, which the generator's
-    ``output_dtype`` governs via its empty ``run_many`` result.
+    ``output_dtype`` governs via its empty ``run_many`` result.  An
+    all-``str`` result is a :class:`~repro.tables.StringColumn`.
     """
     generator = create_property_generator(spec.name, **spec.params)
     stream = RandomStream(derive_seed(seed, task_id))
     ids = np.arange(start, stop, dtype=np.int64)
     deps = [np.asarray(col) for col in dep_slices]
-    return generator.run_many(ids, stream, *deps)
+    return as_strings(generator.run_many(ids, stream, *deps))
 
 
 def property_values_at(spec, task_id, seed, ids, dep_slices=()):
@@ -107,7 +109,7 @@ def property_values_at(spec, task_id, seed, ids, dep_slices=()):
     stream = RandomStream(derive_seed(seed, task_id))
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     deps = [np.asarray(col) for col in dep_slices]
-    return generator.properties_of(ids, stream, *deps)
+    return as_strings(generator.properties_of(ids, stream, *deps))
 
 
 def is_correlated(edge):

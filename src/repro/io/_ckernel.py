@@ -7,8 +7,11 @@ compiler is present this module compiles one re-entrant loop (via
 :mod:`repro.core.ccompile` — the same zero-install contract as the
 matching and attribute kernels) that writes ``[start+i] SEP col0[i]
 SEP col1[i] ... TERM`` rows straight into one preallocated byte
-buffer.  The loop holds no state and ``ctypes`` releases the GIL
-around it, so handler threads and pool workers share one library.
+buffer, string columns straight from a
+:class:`~repro.tables.StringColumn`'s blob with ``csv.writer``'s
+QUOTE_MINIMAL quoting.  The loop holds no state and ``ctypes``
+releases the GIL around it, so handler threads and pool workers share
+one library.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import ctypes
 import numpy as np
 
 from ..core.ccompile import ckernels_disabled, load_once  # noqa: F401
+from ..tables.strings import StringColumn
 
 __all__ = ["load_text_ckernel", "format_rows"]
 
@@ -45,26 +49,70 @@ static inline char *put_u64(char *p, uint64_t v)
     return p + (tmp + 20 - t);
 }
 
-/* kinds[c]: 0 = int64, 1 = uint64, 2 = bool (one byte), 3 = text:
-   cols[c] is a cursor into n '\n'-terminated fields.  start < 0 means
-   "no id column".  Returns the number of bytes written. */
+/* A string column: entry k < entries is bytes offsets[k]..offsets[k
+   + 1] of blob; row i is entry codes[i], or entry i when codes is
+   NULL. */
+typedef struct {
+    const int64_t *offsets;
+    const char *blob;
+    const int32_t *codes;
+    int64_t entries;
+} strings_t;
+
+/* One field, quoted as csv.writer's QUOTE_MINIMAL quotes it: when it
+   holds a byte marked in quote[] (sep, '"', '\r', '\n'), with every
+   '"' doubled. */
+static inline char *put_field(char *p, const char *f, int64_t len,
+                              const char *quote)
+{
+    int64_t j = 0;
+    for (; j < len && !quote[(unsigned char)f[j]]; ++j)
+        p[j] = f[j];
+    if (j == len) return p + len;
+    *p++ = '"';
+    for (j = 0; j < len; ++j) {
+        if (f[j] == '"') *p++ = '"';
+        *p++ = f[j];
+    }
+    *p++ = '"';
+    return p;
+}
+
+/* kinds[c]: 0 = int64, 1 = uint64, 2 = bool (one byte), 3 = string:
+   cols[c] is a strings_t.  start < 0 means "no id column".  Returns
+   the number of bytes written. */
 int64_t format_rows(
     int64_t n, int64_t start, int32_t ncols,
     const void **cols, const int32_t *kinds,
     char sep, const char *term, char *out)
 {
-    char *p = out;
+    char *p = out, quote[256] = {0}, plain[ncols > 0 ? ncols : 1];
     size_t term_len = strlen(term);
+    quote[(unsigned char)sep] = quote['"'] = quote['\r'] = quote['\n'] = 1;
+    /* A column whose entries hold no quote trigger at all (memchr
+       over its bytes) copies every field without scanning it. */
+    for (int32_t c = 0; c < ncols; ++c) {
+        const strings_t *s = cols[c];
+        const char *b = kinds[c] == 3 ? s->blob + s->offsets[0] : 0;
+        size_t len = b ? s->offsets[s->entries] - s->offsets[0] : 0;
+        plain[c] = b && !memchr(b, sep, len) && !memchr(b, '"', len)
+                   && !memchr(b, '\r', len) && !memchr(b, '\n', len);
+    }
     for (int64_t i = 0; i < n; ++i) {
         if (start >= 0) p = put_u64(p, (uint64_t)(start + i));
         for (int32_t c = 0; c < ncols; ++c) {
             if (c || start >= 0) *p++ = sep;
             if (kinds[c] == 3) {
-                const char *field = cols[c];
-                size_t len = strchr(field, '\n') - field;
-                memcpy(p, field, len);
-                p += len;
-                cols[c] = field + len + 1;
+                const strings_t *s = cols[c];
+                int64_t k = s->codes ? s->codes[i] : i;
+                const char *f = s->blob + s->offsets[k];
+                int64_t len = s->offsets[k + 1] - s->offsets[k];
+                if (plain[c]) {
+                    memcpy(p, f, len);
+                    p += len;
+                } else {
+                    p = put_field(p, f, len, quote);
+                }
             } else if (kinds[c] == 2) {
                 int truth = ((const uint8_t *)cols[c])[i] != 0;
                 memcpy(p, truth ? "True" : "False", 5 - truth);
@@ -107,16 +155,36 @@ def _declared(lib):
 load_text_ckernel = load_once(_SOURCE, "textkernel", _declared)
 
 
-def format_rows(start, columns, sep, term, forbidden=""):
+def _string_column(column, buffers):
+    """``(strings_t pointer, most bytes its fields can take)``."""
+    if column.codes is not None and column.entries > len(column):
+        column = column.compact()  # a gather: scan its rows' bytes only
+    offsets = np.ascontiguousarray(column.offsets, dtype=np.int64)
+    blob = np.ascontiguousarray(column.blob, dtype=np.uint8)
+    if column.codes is None:
+        codes, data = None, int(offsets[-1] - offsets[0])
+    else:
+        codes = np.ascontiguousarray(column.codes, dtype=np.int32)
+        data = int(np.diff(offsets)[codes].sum())
+    strings = (ctypes.c_void_p * 4)(  # a strings_t
+        offsets.ctypes.data, blob.ctypes.data,
+        None if codes is None else codes.ctypes.data, offsets.size - 1)
+    buffers += [offsets, blob, codes, strings]
+    # Quoting at most doubles a field and adds its two quotes.
+    return ctypes.addressof(strings), 2 * data + 2 * len(column)
+
+
+def format_rows(start, columns, sep, term):
     """Rows of ``[start+i] SEP col0[i] SEP ... TERM`` as ``str``.
 
     A column is a 1-d integer or bool ndarray (``str(int)`` /
-    ``str(bool)`` spellings) or a list of ``str`` fields copied as
-    they are; ``start=None`` omits the id column.  ``None`` — the
-    caller then assembles the chunk in Python — when no kernel loads,
-    a column is anything else, or a field contains a line feed, a NUL
-    or one of the ``forbidden`` characters (the caller's quoting
-    triggers).
+    ``str(bool)`` spellings) or a
+    :class:`~repro.tables.StringColumn`, its fields quoted as
+    ``csv.writer``'s QUOTE_MINIMAL quotes them with delimiter ``sep``
+    (a row's only field, empty, is not quoted); ``start=None`` omits
+    the id column.  ``None`` — the caller then assembles the chunk in
+    Python — when no kernel loads or a column is anything else; a
+    ``UnicodeDecodeError`` when a string is not UTF-8.
     """
     lib = load_text_ckernel()
     n = len(columns[0])
@@ -129,19 +197,10 @@ def format_rows(start, columns, sep, term, forbidden=""):
         size += n * len(str(start + n - 1))
     buffers, pointers, kinds = [], [], []  # buffers: keeps them alive
     for column in columns:
-        if isinstance(column, list):
-            blob = "\n".join(column) + "\n"
-            if blob.count("\n") != n or any(
-                    c in blob for c in forbidden + "\0"):
-                return None
-            try:
-                data = blob.encode("utf-8")
-            except UnicodeEncodeError:
-                return None
-            size += len(data)
-            buffers.append(data)
-            pointers.append(ctypes.cast(
-                ctypes.c_char_p(data), ctypes.c_void_p).value)
+        if isinstance(column, StringColumn) and len(column) == n:
+            pointer, most = _string_column(column, buffers)
+            size += most
+            pointers.append(pointer)
             kinds.append(3)
         elif (isinstance(column, np.ndarray) and column.ndim == 1
                 and len(column) == n and column.dtype.kind in _KIND):

@@ -17,10 +17,11 @@ produces the same bytes.
 The implementation strategy is measured, not assumed (``python3 -m
 bench``, ``chunks.format_s``): numpy handles dtype dispatch,
 datetime/bool conversion, non-finite masking and typed parsing; CSV
-and edge-list rows of integer and bool columns — and of stringified
-columns whose chunk needs no quoting — are assembled by the compiled
-loop of :mod:`repro.io._ckernel`.  Everything else (JSON/XML rows, a
-field needing quotes, no compiler, ``REPRO_NO_CKERNEL=1``) runs as
+and edge-list rows of integer and bool columns and of string columns
+(a :class:`~repro.tables.StringColumn`, quoted from its bytes; any
+other column is stringified into one) are assembled by the compiled
+loop of :mod:`repro.io._ckernel`.  Everything else (JSON/XML rows, no
+compiler, ``REPRO_NO_CKERNEL=1``) runs as
 C-level batch string operations (``map``/``join`` over
 ``ndarray.tolist()`` scalars): ~10x slower than the kernel on integer
 columns but ~2x faster than ``csv.writer`` — where ``np.char`` ufuncs,
@@ -48,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from ..tables.ranged import chunk_bounds
+from ..tables.strings import StringColumn
 from . import _ckernel
 
 __all__ = [
@@ -168,6 +170,8 @@ def stringify_column(values):
     ISO-format ``astype`` so sub-day units keep the ``T`` separator
     ``str(datetime64)`` uses.
     """
+    if isinstance(values, StringColumn):
+        return values.tolist()
     values = np.asarray(values)
     kind = values.dtype.kind
     if kind == "O":
@@ -276,21 +280,46 @@ def _join_rows(columns, sep, term):
     return term.join(map(sep.join, zip(*columns))) + term
 
 
-def format_property_csv_chunk(start, values):
-    """``id,value`` CSV lines (CRLF) for rows ``start..start+len-1``."""
+def _csv_column(values):
+    """A column the row kernel reads: integer / bool arrays as they
+    are, strings as a :class:`~repro.tables.StringColumn`."""
+    if isinstance(values, StringColumn):
+        return values
     values = np.asarray(values)
+    if values.dtype.kind in "iub":
+        return values
+    return StringColumn.from_strings(stringify_column(values))
+
+
+def format_property_csv_chunk(start, values, name=None):
+    """``id,value`` CSV lines (CRLF) for rows ``start..start+len-1``.
+
+    A value that is not UTF-8 (a lone surrogate) is a ``SchemaError``
+    naming the table ``name`` and the row; no byte of the chunk is
+    returned.
+    """
     if not len(values):
         return ""
-    text = _ckernel.format_rows(start, (values,), ",", "\r\n")
-    if text is None:
-        fields = stringify_column(values)
-        # QUOTE_MINIMAL's triggers: a chunk with none needs no quoting.
-        text = _ckernel.format_rows(
-            start, (fields,), ",", "\r\n", forbidden='",\r')
-    if text is None:
-        text = _join_rows(
-            (id_strings(start, start + len(fields)),
-             csv_quote_column(fields)), ",", "\r\n")
+    column = _csv_column(values)
+    try:
+        text = _ckernel.format_rows(start, (column,), ",", "\r\n")
+        if text is None:
+            fields = (column.tolist("strict")
+                      if isinstance(column, StringColumn)
+                      else stringify_column(column))
+            text = _join_rows(
+                (id_strings(start, start + len(fields)),
+                 csv_quote_column(fields)), ",", "\r\n")
+    except UnicodeDecodeError:
+        row = column.invalid_row()
+        if row is None:
+            raise
+        # Imported lazily, like faults in open_text.
+        from ..core.schema import SchemaError
+        raise SchemaError(
+            f"PT {name!r}: row {start + row} is not valid UTF-8 (a "
+            "lone surrogate cannot be written)"
+        ) from None
     return text
 
 

@@ -48,7 +48,7 @@ _ET_HEADER = ["id", "tailId", "headId"]
 def _property_chunk_job(table, start, stop):
     """Format one PT chunk."""
     return format_property_csv_chunk(
-        start, table.read_range(start, stop)
+        start, table.read_range(start, stop), table.name
     )
 
 

@@ -6,10 +6,14 @@ tables, nothing written, nothing to resume.  Out of core the run never
 holds a whole table in memory: every property / edge table lands in a
 :class:`TableSpool` as per-shard
 ``.npy`` part files, one shard directory per id-range
-``[i*shard_rows, (i+1)*shard_rows)``.  :class:`SpooledPropertyTable`
-and :class:`SpooledEdgeTable` implement the table protocol of
-:mod:`repro.tables.ranged` over those part files — ``read_range``
-loading at most one shard plus one range at a time — and inherit
+``[i*shard_rows, (i+1)*shard_rows)``.  A string column
+(:class:`~repro.tables.StringColumn`) lands as plain ``offsets`` +
+``blob`` files (and ``codes`` for a dictionary column), read back
+without unpickling; only a column of other Python objects is pickled.
+:class:`SpooledPropertyTable` and :class:`SpooledEdgeTable` implement
+the table protocol of :mod:`repro.tables.ranged` over those part
+files — ``read_range`` loading at most one shard plus one range at a
+time — and inherit
 ``iter_chunks`` (global chunk starts, independent of shard geometry)
 and the lazy ``values`` column from it, which is how the sharded
 pipeline reuses the in-memory sinks unchanged and inherits their
@@ -55,8 +59,9 @@ from pathlib import Path
 import numpy as np
 
 from ..core import faults as _faults
-from ..tables import EdgeTable, PropertyTable
+from ..tables import EdgeTable, PropertyTable, StringColumn
 from ..tables.ranged import EdgeRows, PropertyRows
+from ..tables.strings import concatenate_values
 
 __all__ = [
     "CHECKPOINT_NAME",
@@ -78,8 +83,13 @@ __all__ = [
 CHECKPOINT_NAME = "checkpoint.jsonl"
 
 #: Format of the catalog file; 1 was the whole-document
-#: ``checkpoint.json`` ledger, which this code refuses to resume.
-CATALOG_VERSION = 2
+#: ``checkpoint.json`` ledger and 2 pickled string parts, both of
+#: which this code refuses to resume.
+CATALOG_VERSION = 3
+
+#: The part files of a string shard, in order; ``codes`` only for a
+#: dictionary column.
+_STRING_PARTS = ("offsets", "blob", "codes")
 
 #: Required fields (and JSON types) of the header line, of each event
 #: line, and of the per-file digests inside an ``ack``.
@@ -137,6 +147,8 @@ def _dtype_token(dtype):
 
 
 def _save(path, array):
+    """Write one part; only a residual (non-``str``) object column is
+    pickled."""
     path.parent.mkdir(parents=True, exist_ok=True)
     np.save(path, array, allow_pickle=array.dtype.kind == "O")
 
@@ -170,6 +182,8 @@ def verify_digest(root, meta):
 
 
 def _load(path, dtype_kind):
+    """Read one part; only a residual object column (``dtype_kind``
+    ``"O"``) unpickles."""
     return np.load(path, allow_pickle=dtype_kind == "O")
 
 
@@ -296,11 +310,8 @@ class SpoolSpill:
         return self._path(name)
 
     def __call__(self, name, array):
-        array = np.asarray(array)
         path = self._start(name)
-        _save(path, array)
-        if array.dtype.kind == "O":
-            return array  # object arrays cannot be mapped; keep as is
+        _save(path, np.asarray(array))
         return self._spool._register_view(path)
 
     def create(self, name, rows, dtype):
@@ -609,14 +620,25 @@ class TableSpool:
         spool files are the IPC channel, the queue carries only this
         dict.
         """
-        values = np.asarray(values)
-        path = self._part_path(index, key)
-        _save(path, values)
+        if isinstance(values, StringColumn):
+            column = values.packed()
+            arrays = [column.offsets, column.blob]
+            if column.codes is not None:
+                arrays.append(column.codes)
+            paths = [self._part_path(index, key, part)
+                     for part in _STRING_PARTS[:len(arrays)]]
+            dtype = "string"
+        else:
+            arrays = [np.asarray(values)]
+            paths = [self._part_path(index, key)]
+            dtype = _dtype_token(arrays[0].dtype)
+        for path, array in zip(paths, arrays):
+            _save(path, array)
         return {
             "kind": "property",
-            "rows": int(values.size),
-            "dtype": _dtype_token(values.dtype),
-            "files": [_digest(self.directory, path)],
+            "rows": len(values),
+            "dtype": dtype,
+            "files": [_digest(self.directory, path) for path in paths],
         }
 
     def write_property_shard(self, key, index, values):
@@ -655,7 +677,10 @@ class TableSpool:
             (s["dtype"] for s in shards if s["rows"]), shards[0]["dtype"]
         )
         self._seal(key, {})
-        return SpooledPropertyTable(key, self, key, shards, np.dtype(dtype))
+        return SpooledPropertyTable(
+            key, self, key, shards,
+            np.dtype(object if dtype == "string" else dtype),
+        )
 
     def finish_edge(self, key, num_tail_nodes, num_head_nodes, directed,
                     name=None):
@@ -783,6 +808,11 @@ class SpooledPropertyTable(_SpooledBase, PropertyRows):
         super().__init__(spool, key, shards)
         self.name = str(name)
         self.dtype = np.dtype(dtype)
+        #: per shard: its string part files, 0 for one plain ``.npy``
+        self._strings = [
+            len(s["files"]) if s["dtype"] == "string" else 0
+            for s in shards
+        ]
 
     def __repr__(self):
         return (
@@ -791,12 +821,18 @@ class SpooledPropertyTable(_SpooledBase, PropertyRows):
         )
 
     def _read_shard(self, index):
-        return _load(
-            self._spool._part_path(index, self._key), self.dtype.kind
-        )
+        parts = self._strings[index]
+        if not parts:
+            return _load(
+                self._spool._part_path(index, self._key), self.dtype.kind
+            )
+        return StringColumn(*(
+            _load(self._spool._part_path(index, self._key, part), "u")
+            for part in _STRING_PARTS[:parts]
+        ))
 
     def read_range(self, start, stop):
-        """Rows ``[start, stop)`` as one array (bounded by the range)."""
+        """Rows ``[start, stop)`` as one column (bounded by the range)."""
         start, stop = self.check_range(start, stop)
         parts = [
             self._load_shard(index)[lo:hi]
@@ -804,9 +840,7 @@ class SpooledPropertyTable(_SpooledBase, PropertyRows):
         ]
         if not parts:
             return np.empty(0, dtype=self.dtype)
-        if len(parts) == 1:
-            return np.asarray(parts[0])
-        return np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else concatenate_values(parts)
 
     def gather(self, instance_ids):
         """Vectorised lookup, streamed shard by shard."""
@@ -815,16 +849,23 @@ class SpooledPropertyTable(_SpooledBase, PropertyRows):
             raise IndexError(
                 f"PT {self.name!r}: ids out of range [0, {len(self)})"
             )
-        out = np.empty(ids.size, dtype=self.dtype)
         if ids.size == 0:
-            return out
+            return np.empty(0, dtype=self.dtype)
         rows = self._spool.shard_rows
         shard_idx = ids // rows
-        for index in np.unique(shard_idx):
-            mask = shard_idx == index
-            values = self._load_shard(int(index))
-            out[mask] = values[ids[mask] - int(index) * rows]
-        return out
+        order = np.argsort(shard_idx, kind="stable")
+        runs = np.split(
+            order, np.flatnonzero(np.diff(shard_idx[order])) + 1
+        )
+        pieces = []
+        for run in runs:
+            index = int(shard_idx[run[0]])
+            pieces.append(
+                self._load_shard(index)[ids[run] - index * rows]
+            )
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        return concatenate_values(pieces)[back]
 
 
 class SpooledEdgeTable(_SpooledBase, EdgeRows):

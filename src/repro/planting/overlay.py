@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import PropertyGraph
+from ..tables import value_codes
 from ..tables.ranged import SCAN_ROWS, EdgeRows, PropertyRows
 from .plant import plan_plants
 
@@ -151,10 +152,9 @@ class OverlayPropertyTable(PropertyRows):
         return out
 
     def codes(self):
-        """Category codes (audit path); mirrors ``PropertyTable``."""
-        values = self.read_range(0, len(self))
-        categories, codes = np.unique(values, return_inverse=True)
-        return codes.astype(np.int64), categories
+        """Category codes (audit path): ``PropertyTable.codes``'s."""
+        codes, categories, _ = value_codes(self.read_range(0, len(self)))
+        return codes, categories
 
 
 class AppendedPropertyTable(PropertyRows):

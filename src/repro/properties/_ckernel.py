@@ -18,13 +18,15 @@ Bit-exactness contract:
   >> 11) * 2**-53`` is exact in both languages, so draws are bitwise
   identical to ``RandomStream.uniform``;
 * ``ragged_text`` writes a block's sentences (UTF-8 words, encoded
-  with ``surrogatepass``, joined by ``' '`` and ended by ``'\\n'``) in
-  one pass.  Each word's search bisects only the guide bucket
-  ``guide[b]..guide[b + 1]``, ``b = floor(u * G)``, where ``guide =
-  searchsorted(cdf, arange(G + 1) / G, side="right")`` and ``G`` is a
-  power of two: ``u`` is a multiple of 2**-53, so ``u * G`` and
-  ``b / G`` are exact, ``b / G <= u < (b + 1) / G`` brackets the
-  answer, and codes equal ``numpy.searchsorted(cdf, u, side="right")``;
+  with ``surrogatepass``, joined by ``' '``) back to back, with each
+  sentence's end offset, in one pass: the blob and offsets of a
+  ragged :class:`~repro.tables.StringColumn`.  Each word's search
+  bisects only the guide bucket ``guide[b]..guide[b + 1]``, ``b =
+  floor(u * G)``, where ``guide = searchsorted(cdf, arange(G + 1) /
+  G, side="right")`` and ``G`` is a power of two: ``u`` is a multiple
+  of 2**-53, so ``u * G`` and ``b / G`` are exact, ``b / G <= u < (b
+  + 1) / G`` brackets the answer, and codes equal
+  ``numpy.searchsorted(cdf, u, side="right")``;
 * ``multivalue_picks`` replays the legacy sequential inverse-transform
   draws; remaining-weight totals use the same pairwise summation
   numpy's ``w.sum()`` performs (8-way unrolled blocks of 128, halving
@@ -91,8 +93,9 @@ static double pairwise_sum(const double *a, int64_t n)
 
 /* Ragged sentences over one shared cdf: instance i draws lengths[i]
    (>= 1) words from its substream (seeds[i]), word k being bytes
-   voff[k]..voff[k + 1] of vocab.  Returns how many whole sentences fit
-   in cap bytes of buf, and their byte count in *used. */
+   voff[k]..voff[k + 1] of vocab; sentence i ends at byte ends[i] of
+   buf.  Returns how many whole sentences fit in cap bytes of buf, and
+   their byte count in *used. */
 int64_t ragged_text(
     int64_t n, int64_t v, int64_t g,
     const uint64_t *seeds,
@@ -102,6 +105,7 @@ int64_t ragged_text(
     const char *vocab,
     const int64_t *voff,      /* v + 1 */
     char *buf, int64_t cap,
+    int64_t *ends,            /* n */
     int64_t *used)
 {
     int64_t pos = 0;
@@ -123,7 +127,7 @@ int64_t ragged_text(
             pos += size;
             buf[pos++] = ' ';
         }
-        buf[pos - 1] = '\n';
+        ends[i] = --pos;  /* without the last ' ' */
     }
     *used = pos;
     return n;
@@ -177,7 +181,7 @@ class _PropertyCKernel:
         lib.ragged_text.argtypes = [
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             _U64P, _I64P, _F64P, _I64P, ctypes.c_char_p, _I64P,
-            _U8P, ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
+            _U8P, ctypes.c_int64, _I64P, ctypes.POINTER(ctypes.c_int64),
         ]
         lib.multivalue_picks.restype = None
         lib.multivalue_picks.argtypes = [
@@ -186,20 +190,23 @@ class _PropertyCKernel:
         ]
 
     def ragged_text(self, seeds, lengths, cdf, guide, blob, offsets, buf):
-        """Sentences (a list of str) for per-instance cdf word draws;
-        ``buf`` (uint8) must hold the longest possible sentence."""
+        """``(ends, text)`` for per-instance cdf word draws: sentence
+        ``i`` is bytes ``ends[i - 1]..ends[i]`` (from 0) of the uint8
+        ``text``; ``buf`` must hold the longest possible sentence."""
         seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-        sentences, done, used = [], 0, ctypes.c_int64()
+        ends = np.empty(seeds.size, dtype=np.int64)
+        parts, done, used = [], 0, ctypes.c_int64()
         while done < seeds.size:
-            done += self._lib.ragged_text(
+            count = self._lib.ragged_text(
                 seeds.size - done, cdf.size, guide.size - 1,
                 seeds[done:], lengths[done:], cdf, guide, blob, offsets,
-                buf, buf.size, ctypes.byref(used),
+                buf, buf.size, ends[done:], ctypes.byref(used),
             )
-            text = buf[:used.value - 1].data  # without the last '\n'
-            sentences += str(text, "utf-8", "surrogatepass").split("\n")
-        return sentences
+            ends[done:done + count] += sum(map(len, parts))
+            parts.append(buf[:used.value].copy())
+            done += count
+        return ends, np.concatenate(parts or [buf[:0]])
 
     def multivalue_picks(self, seeds, sizes, weights):
         """Flat pick codes + offsets for weighted no-replacement sets."""

@@ -10,29 +10,46 @@ The batched rewrite keeps the legacy draws bit-for-bit (same cdf, same
 ``searchsorted``/clamp semantics — pinned by
 ``tests/golden/properties/``) but replaces the per-row value loops:
 
-* the plain categorical draw is one ``searchsorted`` plus one
-  ``np.take`` into a cached value array;
+* the plain categorical draw is one ``searchsorted`` into a cached
+  cdf;
 * the conditional path factorises the dependency key columns into
   group codes (one dict probe per row — the only remaining Python
   work), then runs one vectorised inverse transform *per distinct
   key* instead of one scalar draw per row, a group-by over the
   conditional table.
+
+When every value is a ``str`` the drawn codes are the output: a
+dictionary :class:`~repro.tables.StringColumn` over the encoded value
+list (for ``conditional``, over the lists of the keys drawn, back to
+back), so no row is ever a Python ``str``.  Other values keep an
+object array.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
+from ..tables import StringColumn
 from .base import PropertyGenerator
 
 __all__ = ["CategoricalGenerator", "ConditionalGenerator", "WeightedDictGenerator"]
 
 
-def _value_array(values):
+def _object_array(values):
     """``values`` as an object ndarray (no nested-sequence coercion)."""
     arr = np.empty(len(values), dtype=object)
     arr[:] = list(values)
     return arr
+
+
+def _value_array(values):
+    """The column rows draw from: a :class:`~repro.tables.StringColumn`
+    vocabulary when every value is a ``str``, else an object array."""
+    if all(isinstance(v, str) for v in values):
+        return StringColumn.from_strings(values, keep=True)
+    return _object_array(values)
 
 
 class _Factorizer(dict):
@@ -58,16 +75,23 @@ class _Factorizer(dict):
         return code
 
 
-def _decode_into(values_arr, cdf, u, out):
-    """Inverse-transform ``u`` through ``cdf`` and gather values.
+def _draw_codes(cdf, u):
+    """Inverse-transform ``u`` through ``cdf``: value indices.
 
     Matches the legacy scalar loop exactly: ``searchsorted(...,
     side="right")`` then the defensive ``min(code, len - 1)`` clamp.
     """
     codes = np.searchsorted(cdf, u, side="right")
-    np.minimum(codes, values_arr.size - 1, out=codes)
-    np.take(values_arr, codes, out=out)
-    return out
+    return np.minimum(codes, cdf.size - 1, out=codes)
+
+
+def _decode(values_arr, cdf, u, dtype):
+    """The values ``u`` draws: codes over a string vocabulary, else an
+    array of ``dtype``."""
+    codes = _draw_codes(cdf, u)
+    if isinstance(values_arr, StringColumn):
+        return values_arr.with_codes(codes)
+    return np.take(values_arr, codes).astype(dtype, copy=False)
 
 
 class CategoricalGenerator(PropertyGenerator):
@@ -130,8 +154,9 @@ class CategoricalGenerator(PropertyGenerator):
             raise ValueError("CategoricalGenerator needs 'values'")
         ids = np.asarray(ids, dtype=np.int64)
         cdf, values_arr = self._tables()
-        out = np.empty(ids.size, dtype=self.output_dtype())
-        return _decode_into(values_arr, cdf, stream.uniform(ids), out)
+        return _decode(
+            values_arr, cdf, stream.uniform(ids), self.output_dtype()
+        )
 
     def output_dtype(self):
         values = self._params.get("values")
@@ -198,14 +223,14 @@ class ConditionalGenerator(PropertyGenerator):
         return default
 
     def _group(self, key):
-        """``(value_array, cdf)`` for one (normalised) dependency key."""
+        """``(values, cdf)`` for one (normalised) dependency key."""
         values, weights = self._lookup(key)
         if weights is None:
             w = np.full(len(values), 1.0 / len(values))
         else:
             w = np.asarray(weights, dtype=np.float64)
             w = w / w.sum()
-        return _value_array(values), np.cumsum(w)
+        return values, np.cumsum(w)
 
     def run_many(self, ids, stream, *dependency_arrays):
         if "table" not in self._params:
@@ -216,7 +241,6 @@ class ConditionalGenerator(PropertyGenerator):
             )
         ids = np.asarray(ids, dtype=np.int64)
         u = stream.uniform(ids)
-        out = np.empty(ids.size, dtype=self.output_dtype())
         columns = [np.asarray(dep) for dep in dependency_arrays]
         # Factorise rows by dependency key, then all rows of a key
         # share one vectorised draw.  The whole pass runs in C:
@@ -235,21 +259,35 @@ class ConditionalGenerator(PropertyGenerator):
         groups = [
             self._group(key) for key in factorizer.keys_in_order
         ]
-        if len(groups) == 1:
-            values_arr, cdf = groups[0]
-            return _decode_into(values_arr, cdf, u, out)
-        order = np.argsort(key_codes, kind="stable")
-        bounds = np.searchsorted(
-            key_codes[order], np.arange(len(groups) + 1)
+        # Over ``str`` values the rows are codes into the drawn keys'
+        # value lists, back to back; otherwise the values themselves.
+        flat = [value for values, _ in groups for value in values]
+        vocabulary = None
+        if all(isinstance(value, str) for value in flat):
+            vocabulary = StringColumn.from_strings(flat, keep=True)
+            starts = accumulate((len(v) for v, _ in groups), initial=0)
+            tables = [np.arange(a, a + len(values), dtype=np.int32)
+                      for a, (values, _) in zip(starts, groups)]
+        else:
+            tables = [_object_array(values) for values, _ in groups]
+        out = np.empty(
+            ids.size, dtype=self.output_dtype() if vocabulary is None
+            else np.int32
         )
-        for gi, (values_arr, cdf) in enumerate(groups):
-            rows = order[bounds[gi]:bounds[gi + 1]]
-            if rows.size == 0:
-                continue
-            codes = np.searchsorted(cdf, u[rows], side="right")
-            np.minimum(codes, values_arr.size - 1, out=codes)
-            out[rows] = values_arr[codes]
-        return out
+        if len(groups) == 1:
+            np.take(tables[0], _draw_codes(groups[0][1], u), out=out)
+        elif groups:
+            order = np.argsort(key_codes, kind="stable")
+            bounds = np.searchsorted(
+                key_codes[order], np.arange(len(groups) + 1)
+            )
+            for gi, (_, cdf) in enumerate(groups):
+                rows = order[bounds[gi]:bounds[gi + 1]]
+                if rows.size:
+                    out[rows] = tables[gi][_draw_codes(cdf, u[rows])]
+        if vocabulary is None:
+            return out
+        return vocabulary.with_codes(out)
 
 
 class WeightedDictGenerator(PropertyGenerator):
@@ -302,5 +340,6 @@ class WeightedDictGenerator(PropertyGenerator):
             raise ValueError("WeightedDictGenerator needs 'values'")
         ids = np.asarray(ids, dtype=np.int64)
         cdf, values_arr = self._tables()
-        out = np.empty(ids.size, dtype=self.output_dtype())
-        return _decode_into(values_arr, cdf, stream.uniform(ids), out)
+        return _decode(
+            values_arr, cdf, stream.uniform(ids), self.output_dtype()
+        )

@@ -10,16 +10,18 @@ passes (:meth:`~repro.prng.RandomStream.uniform_ragged`), then
 assembles sentences with one flat codes→words fancy-index and C-level
 ``join`` over list slices.  With a system C compiler one compiled pass
 (:mod:`repro.properties._ckernel`) draws, finds and writes a block's
-sentences as UTF-8 bytes, which one ``decode`` + ``split`` turns into
-strings; numpy remains the fallback.  Blocks keep the transients,
-several times the sentences they build, from stacking shard-sized
-across pool threads.
+sentences as UTF-8 bytes and their end offsets, which are the blob and
+offsets of the ragged :class:`~repro.tables.StringColumn` the
+generator returns, never decoded; numpy remains the fallback.  Blocks
+keep the transients, several times the sentences they build, from
+stacking shard-sized across pool threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..tables import StringColumn
 from .base import PropertyGenerator
 
 __all__ = ["TextGenerator", "TemplateGenerator"]
@@ -117,7 +119,6 @@ class TextGenerator(PropertyGenerator):
         hi = int(self._params.get("max_words", 12))
         cdf, words, packed = self._tables()
         ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty(ids.size, dtype=self.output_dtype())
         len_stream = stream.substream("len")
         word_stream = stream.substream("words")
         from ._ckernel import load_property_ckernel
@@ -126,23 +127,32 @@ class TextGenerator(PropertyGenerator):
         if kernel is not None:
             longest = hi * (int(np.diff(packed[2]).max()) + 1)
             buf = np.empty(max(_TEXT_BYTES, longest), dtype=np.uint8)
+        offsets = np.zeros(ids.size + 1, dtype=np.int64)
+        blobs, sentences = [], []
         join = " ".join
         for start in range(0, ids.size, _BLOCK_ROWS):
             block = ids[start:start + _BLOCK_ROWS]
             lengths = len_stream.randint(block, lo, hi + 1)
             if kernel is not None:
                 seeds = word_stream.indexed_substream_seeds(block)
-                out[start:start + block.size] = kernel.ragged_text(
+                ends, text = kernel.ragged_text(
                     seeds, lengths, cdf, *packed, buf
                 )
+                offsets[start + 1:start + 1 + block.size] = (
+                    ends + offsets[start])
+                blobs.append(text)
                 continue
-            draws, offsets = word_stream.uniform_ragged(block, lengths)
+            draws, bounds = word_stream.uniform_ragged(block, lengths)
             flat_words = words[self._word_codes(draws, cdf)].tolist()
-            bounds = offsets.tolist()
-            out[start:start + block.size] = [
+            bounds = bounds.tolist()
+            sentences += [
                 join(flat_words[a:b]) for a, b in zip(bounds, bounds[1:])
             ]
-        return out
+        if kernel is None:
+            return StringColumn.from_strings(sentences)
+        return StringColumn(
+            offsets, np.concatenate(blobs or [np.empty(0, np.uint8)])
+        )
 
 
 class TemplateGenerator(PropertyGenerator):

@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .ranged import PropertyRows
+from .strings import StringColumn
 
-__all__ = ["PropertyTable"]
+__all__ = ["PropertyTable", "value_codes"]
 
 _SUPPORTED_KINDS = {"i", "u", "f", "b", "U", "O", "M"}
 
@@ -26,14 +27,16 @@ class PropertyTable(PropertyRows):
     name:
         qualified name, conventionally ``"Type.property"``.
     values:
-        1-D array-like of property values; row ``i`` is the value of the
-        instance with id ``i``.
+        1-D array-like of property values (or a
+        :class:`~repro.tables.strings.StringColumn`); row ``i`` is the
+        value of the instance with id ``i``.
     """
 
     __slots__ = ("name", "values")
 
     def __init__(self, name, values):
-        values = np.asarray(values)
+        if not isinstance(values, StringColumn):
+            values = np.asarray(values)
         if values.ndim != 1:
             raise ValueError(
                 f"PT {name!r}: values must be 1-D, got shape {values.shape}"
@@ -116,7 +119,8 @@ class PropertyTable(PropertyRows):
         (values, counts):
             as produced by ``np.unique(..., return_counts=True)``.
         """
-        return np.unique(self.values, return_counts=True)
+        _, categories, counts = value_codes(self.values)
+        return categories, counts
 
     def codes(self):
         """Encode values as dense category codes.
@@ -127,13 +131,12 @@ class PropertyTable(PropertyRows):
             ``codes[i]`` is the index of ``values[i]`` within the sorted
             unique ``categories``.  This is the form SBM-Part consumes.
         """
-        categories, codes = np.unique(self.values, return_inverse=True)
-        return codes.astype(np.int64), categories
+        codes, categories, _ = value_codes(self.values)
+        return codes, categories
 
     def group_counts(self):
         """Counts per category code — the group sizes ``Q`` of Section 4.2."""
-        _, counts = self.categories()
-        return counts.astype(np.int64)
+        return value_codes(self.values)[2]
 
     def remap(self, mapping, name=None):
         """Return a new PT whose row ``i`` holds ``values[mapping[i]]``.
@@ -147,3 +150,30 @@ class PropertyTable(PropertyRows):
     def head(self, n=5):
         """First ``n`` rows as a list of tuples, for display."""
         return [(i, self.values[i]) for i in range(min(n, len(self)))]
+
+
+def value_codes(values):
+    """``(codes, categories, counts)`` of a value column: the sorted
+    unique values, each row's index among them (int64) and the rows
+    per value (int64), as ``np.unique`` returns them.
+
+    A dictionary :class:`~repro.tables.strings.StringColumn` ranks
+    its vocabulary once and counts the codes with ``bincount``; any
+    other column is sorted whole.
+    """
+    if isinstance(values, StringColumn) and values.codes is not None:
+        categories, rank = np.unique(
+            values.vocabulary(), return_inverse=True
+        )
+        codes = rank.reshape(-1)[values.codes]
+        counts = np.bincount(codes, minlength=categories.size)
+        present = counts > 0
+        if not present.all():  # entries no row holds are no category
+            codes = (np.cumsum(present) - 1)[codes]
+            categories, counts = categories[present], counts[present]
+        return codes.astype(np.int64), categories, counts.astype(np.int64)
+    categories, codes, counts = np.unique(
+        np.asarray(values), return_inverse=True, return_counts=True
+    )
+    return (codes.reshape(-1).astype(np.int64), categories,
+            counts.astype(np.int64))

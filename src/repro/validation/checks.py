@@ -32,7 +32,6 @@ True
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,6 +39,7 @@ import numpy as np
 
 from ..core.schema import Cardinality
 from ..stats import JointDistribution, compare_joints
+from ..tables import value_codes
 
 __all__ = [
     "Check",
@@ -341,7 +341,8 @@ class MarginalDistributionCheck(Check):
         table = graph.node_property(self.type_name, self.prop_name)
         if not len(table):
             return CheckResult(self.name, True, "no rows", metric=0.0)
-        counts = Counter(table.values.tolist())
+        _, categories, tallies = value_codes(table.read_range(0, len(table)))
+        counts = dict(zip(categories.tolist(), tallies.tolist()))
         observed = np.zeros(len(self.values))
         position = {v: i for i, v in enumerate(self.values)}
         for value, slot in position.items():

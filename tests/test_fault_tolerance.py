@@ -34,6 +34,7 @@ from repro.core import (
 )
 from repro.core.faults import plan_from_env
 from repro.core.procpool import ShardPool
+from repro.io.spool import CATALOG_VERSION
 from repro.core.schema import (
     EdgeType,
     GeneratorSpec,
@@ -295,6 +296,18 @@ def _versions(header):
             f"(catalog format {header['catalog']})")
 
 
+class _Tripwire:
+    """Records being unpickled."""
+
+    unpickled = False
+
+    def __init__(self):
+        self.armed = True  # a state, so unpickling calls __setstate__
+
+    def __setstate__(self, state):
+        type(self).unpickled = True
+
+
 def _crashed_spool(tmp_path):
     """A spool left behind by a crash, with its catalog's lines."""
     out, spool = tmp_path / "out", tmp_path / "spool"
@@ -367,7 +380,7 @@ class TestCatalogFile:
             _run(out, spool, resume=True)
 
     @pytest.mark.parametrize("field, other", [
-        ("repro", "0.0.9"), ("catalog", 3), ("numpy", "1.0.0"),
+        ("repro", "0.0.9"), ("catalog", 2), ("numpy", "1.0.0"),
     ])
     def test_other_version_is_refused_naming_both(self, tmp_path, field,
                                                   other):
@@ -383,6 +396,31 @@ class TestCatalogFile:
         assert mine in message
         assert _versions(header) in message
 
+    def test_v2_spool_with_pickled_parts_is_refused_unread(self,
+                                                           tmp_path):
+        """Catalog format 2 pickled string parts; resuming over one is
+        refused at its header, and no part is unpickled."""
+        out, spool, catalog, lines = _crashed_spool(tmp_path)
+        header = json.loads(lines[0])
+        header["catalog"] = 2
+        part = spool / "shards" / "00000" / "T.legacy.npy"
+        np.save(part, np.array([_Tripwire()], dtype=object),
+                allow_pickle=True)
+        ack = {"event": "ack", "table": "T.legacy", "kind": "property",
+               "shard": 0, "rows": 1, "dtype": "object", "files": [{
+                   "path": "shards/00000/T.legacy.npy",
+                   "bytes": part.stat().st_size, "crc": 0}]}
+        catalog.write_text("\n".join(
+            [json.dumps(header), *lines[1:], json.dumps(ack)]) + "\n")
+        with pytest.raises(CheckpointError) as excinfo:
+            _run(out, spool, resume=True)
+        message = str(excinfo.value)
+        assert "(catalog format 2)" in message
+        assert f"(catalog format {CATALOG_VERSION})" in message
+        assert not _Tripwire.unpickled
+        np.load(part, allow_pickle=True)  # the tripwire itself works
+        assert _Tripwire.unpickled
+
     def test_v1_ledger_is_refused_not_restarted(self, tmp_path):
         out, spool = tmp_path / "out", tmp_path / "spool"
         spool.mkdir()
@@ -395,7 +433,7 @@ class TestCatalogFile:
         assert "catalog format 1" in message
         assert _versions({
             "repro": repro.__version__, "numpy": np.__version__,
-            "catalog": 2,
+            "catalog": CATALOG_VERSION,
         }) in message
         assert not (spool / CHECKPOINT_NAME).exists()
 

@@ -714,14 +714,18 @@ def _formula(value):
     return int(value) * 3 + 1
 
 
-def _categorical(draw, deps):
+def _string_categorical(draw, deps):
     k = draw(st.integers(1, 3))
+    values = [f"c{j}" for j in range(k)]
+    weights = list(range(1, k + 1))
+    return "string", {"values": values, "weights": weights}, (
+        "cat", values)
+
+
+def _categorical(draw, deps):
     if draw(st.booleans()):
-        values = [f"c{j}" for j in range(k)]
-        weights = list(range(1, k + 1))
-        return "string", {"values": values, "weights": weights}, (
-            "cat", values)
-    values = [10 * j for j in range(k)]
+        return _string_categorical(draw, deps)
+    values = [10 * j for j in range(draw(st.integers(1, 3)))]
     return "long", {"values": values}, ("cat", values)
 
 
@@ -799,18 +803,34 @@ _PROPERTY_PALETTE = {
 }
 
 
-def _properties(draw, prefix, inputs, most):
-    """Up to ``most`` properties drawn from the palette, each free to
-    depend on ``inputs`` (``{reference: column}`` — an edge type's
-    ``tail.x`` / ``head.x`` endpoint columns) and on the ones drawn
-    before it.  Returns the declarations and ``{name: column}``."""
+#: The root columns every drawn ``A`` starts with: one ragged string
+#: column (``text``) and one dictionary string column (a ``str``
+#: ``categorical``), so every leg generates, spools, resumes and
+#: exports both shapes of :class:`~repro.tables.StringColumn`.
+_STRING_COLUMNS = (
+    ("text", _PROPERTY_PALETTE["text"][2]),
+    ("categorical", _string_categorical),
+)
+
+
+def _properties(draw, prefix, inputs, most, required=()):
+    """The ``required`` ``(pg, build)`` roots, then up to ``most``
+    properties drawn from the palette, each free to depend on
+    ``inputs`` (``{reference: column}`` — an edge type's ``tail.x`` /
+    ``head.x`` endpoint columns) and on the ones drawn before it.
+    Returns the declarations and ``{name: column}``."""
     columns, props, own = dict(inputs), [], {}
-    for j in range(draw(st.integers(0, most))):
-        pg = draw(st.sampled_from([
-            name for name, (kinds, _, _) in sorted(_PROPERTY_PALETTE.items())
-            if not kinds or any(c[0] in kinds for c in columns.values())
-        ]))
-        kinds, most_deps, build = _PROPERTY_PALETTE[pg]
+    picks = [*required, *[None] * draw(st.integers(0, most))]
+    for j, pick in enumerate(picks):
+        if pick is not None:
+            (pg, build), kinds = pick, ()
+        else:
+            pg = draw(st.sampled_from([
+                name
+                for name, (kinds, _, _) in sorted(_PROPERTY_PALETTE.items())
+                if not kinds or any(c[0] in kinds for c in columns.values())
+            ]))
+            kinds, most_deps, build = _PROPERTY_PALETTE[pg]
         deps = draw(st.lists(st.sampled_from(sorted(
             ref for ref, c in columns.items() if c[0] in kinds
         )), min_size=1, max_size=most_deps, unique=True)) if kinds else []
@@ -955,7 +975,7 @@ def _random_small_schema(draw):
     scale anchors down to 0 and 1 — and a random way to run it."""
     structure = draw(st.sampled_from(sorted(_STRUCTURE_PALETTE)))
     shape = _STRUCTURE_PALETTE[structure][0]
-    a_props, a_columns = _properties(draw, "a", {}, 3)
+    a_props, a_columns = _properties(draw, "a", {}, 3, _STRING_COLUMNS)
     schema = Schema(node_types=[NodeType("A", properties=a_props)])
     b_columns = None
     if shape != "mono":

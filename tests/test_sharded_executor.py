@@ -461,7 +461,8 @@ class TestEmptyShardContract:
         acks = {e["table"]: e for e in events if e["event"] == "ack"}
         assert acks["Person.age"]["rows"] == 0
         assert acks["Person.age"]["dtype"] == "<i8"
-        assert acks["Person.handle"]["dtype"] == "object"
+        assert acks["Person.handle"]["dtype"] == "string"
+        assert result.node_properties["Person.handle"].dtype == object
         assert acks["knows"]["rows"] == 0
         assert acks["knows"]["kind"] == "edge"
         seals = {e["table"]: e for e in events if e["event"] == "seal"}

@@ -623,7 +623,7 @@ class TestTextKernel:
         finally:
             view.close()
 
-    def test_string_fields_take_the_kernel_only_when_unquoted(self):
+    def test_string_fields_are_quoted_by_the_kernel(self):
         from repro.io import _ckernel
         from repro.io.chunks import format_property_csv_chunk
 
@@ -643,11 +643,14 @@ class TestTextKernel:
                 assert format_property_csv_chunk(9, values) == \
                     legacy(9, strings)
         if _ckernel.load_text_ckernel() is not None:
-            assert _ckernel.format_rows(
-                0, (["a", "b"],), ",", "\r\n", '",\r') == "0,a\r\n1,b\r\n"
+            from repro.tables import StringColumn
+
             for bad in ("a,b", 'a"', "a\r", "a\nb", "a\0"):
+                column = StringColumn.from_strings(["x", bad])
                 assert _ckernel.format_rows(
-                    0, (["x", bad],), ",", "\r\n", '",\r') is None
+                    0, (column,), ",", "\r\n") == legacy(0, ["x", bad])
+            assert _ckernel.format_rows(
+                0, (["a", "b"],), ",", "\r\n") is None  # not a column
 
     def test_float_datetime_and_sequence_values(self):
         from repro.io.chunks import format_property_csv_chunk
@@ -869,3 +872,106 @@ class TestKernelCache:
         assert ccompile.compile_cached(
             "int f(void) { return 1; }", "t") is None
         assert not list(cache.iterdir())
+
+
+#: Entries ``csv.writer`` must quote, double or pass through: quote,
+#: delimiter, CR, LF, NUL, empty, multi-byte, and a duplicate entry.
+ADVERSARIAL = ['"', ",", "\r", "\n", "a\0b", "", "naïve 日本",
+               'say "hi", then\r\nleave', "plain", "plain"]
+
+
+@pytest.fixture(params=["kernel", "no-ckernel"])
+def text_path(request, monkeypatch):
+    """Both CSV paths: the compiled row kernel and the Python one."""
+    from repro.io import _ckernel
+
+    if request.param == "no-ckernel":
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    elif _ckernel.load_text_ckernel() is None:
+        pytest.skip("no compiled text kernel on this host")
+    return request.param
+
+
+def _csv_writer_rows(start, values):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for i, v in enumerate(values):
+        writer.writerow([start + i, v])
+    return buf.getvalue()
+
+
+class TestStringColumnCsv:
+    """String columns are formatted from their bytes, on either path,
+    exactly as ``csv.writer`` writes their ``str`` rows."""
+
+    def test_bytes_equal_csv_writer(self, text_path):
+        from repro.io.chunks import format_property_csv_chunk
+        from repro.tables import StringColumn
+
+        vocabulary = StringColumn.from_strings(ADVERSARIAL)
+        rows = np.array([9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 0, 6])
+        ragged = StringColumn.from_strings(ADVERSARIAL)
+        for column in (
+            ragged, ragged[3:8],                      # ragged, a view
+            vocabulary.take(rows), vocabulary.take(rows)[4:],  # dictionary
+            ragged.take(rows[::-1]),                  # a ragged gather
+            np.array(ADVERSARIAL, dtype=object),      # stringified
+        ):
+            values = list(column)
+            assert format_property_csv_chunk(11, column) == \
+                _csv_writer_rows(11, values)
+
+    def test_export_bytes_equal_csv_writer(self, text_path, tmp_path):
+        from repro.io.csv_io import write_property_table
+        from repro.tables import StringColumn
+
+        rows = np.arange(40) * 3 % len(ADVERSARIAL)
+        column = StringColumn.from_strings(ADVERSARIAL).take(rows)
+        path = write_property_table(
+            PropertyTable("T.x", column), tmp_path / "x.csv", chunk_size=7
+        )
+        expected = "id,value\r\n" + _csv_writer_rows(
+            0, [ADVERSARIAL[k] for k in rows])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("values, row", [
+        (["ok", "b\ud800", "ok"], 1),   # ragged
+        ("dictionary", 2),
+        ("object", 1),
+    ])
+    def test_lone_surrogate_is_a_schema_error(self, text_path, tmp_path,
+                                              values, row):
+        from repro.core.schema import SchemaError
+        from repro.io.csv_io import write_property_table
+        from repro.tables import StringColumn
+
+        if values == "dictionary":
+            values = StringColumn.from_strings(["b\ud800", "ok"]).take(
+                [1, 1, 0])
+        elif values == "object":
+            values = np.array(["ok", "b\udfff"], dtype=object)
+        else:
+            values = StringColumn.from_strings(values)
+        with pytest.raises(
+            SchemaError,
+            match=rf"PT 'T\.x': row {row} is not valid UTF-8",
+        ):
+            write_property_table(
+                PropertyTable("T.x", values), tmp_path / "x.csv")
+
+    def test_lone_surrogate_in_a_text_vocabulary(self, text_path,
+                                                 tmp_path):
+        """The text kernel's ``surrogatepass`` vocabularies reach the
+        CSV sink as the generated table's error, not a bare
+        ``UnicodeEncodeError`` from the file handle."""
+        from repro.core import NodeType, PropertyDef, Schema
+        from repro.core.schema import GeneratorSpec, SchemaError
+
+        schema = Schema(node_types=[NodeType("T", properties=[
+            PropertyDef("x", "string", GeneratorSpec("text", {
+                "vocabulary": ["b\ud800"], "min_words": 1,
+                "max_words": 2})),
+        ])])
+        with pytest.raises(SchemaError, match=r"PT 'T\.x': row 0 "):
+            GraphGenerator(schema, {"T": 5}, seed=1).generate(
+                make_sink("csv", tmp_path / "out"))

@@ -42,7 +42,7 @@ from repro.planting.overlay import (
 )
 from repro.serve.tables import PageMemo, VirtualPropertyTable
 from repro.structure import create_generator
-from repro.tables import EdgeTable, PropertyTable
+from repro.tables import EdgeTable, PropertyTable, StringColumn
 
 ROWS = 23
 SHARD_ROWS = 7  # divides neither ROWS nor CHUNK_SIZE
@@ -51,6 +51,27 @@ CHUNK_SIZE = 5
 VALUES = np.arange(100, 100 + ROWS, dtype=np.int64)
 TAILS = (np.arange(ROWS, dtype=np.int64) * 3) % 11
 HEADS = (np.arange(ROWS, dtype=np.int64) * 5) % 11
+
+
+#: Strings the CSV writer must quote or escape, NUL, empty, multi-byte
+#: and a repeated entry (a vocabulary with duplicates).
+WORDS = ["plain", "b,c", 'q"t', "x\ny", "cr\r", "nul\0", "", "naïve",
+         "日本", "plain"]
+#: Row ``i`` holds ``WORDS[ROW_WORDS[i]]``.
+ROW_WORDS = np.arange(ROWS) * 7 % len(WORDS)
+STRINGS = np.array([WORDS[k] for k in ROW_WORDS], dtype=object)
+
+
+def _string_column(shape):
+    """``STRINGS`` as a ragged or a dictionary column."""
+    if shape == "ragged":
+        return StringColumn.from_strings(STRINGS.tolist())
+    return StringColumn.from_strings(WORDS).take(ROW_WORDS)
+
+
+def _strings(case, tmp_path):
+    shape, storage = case
+    return _property_base(storage, tmp_path, _string_column(shape)), STRINGS
 
 
 def _spooled_property(tmp_path, values, shard_rows=SHARD_ROWS):
@@ -137,6 +158,11 @@ PROPERTY_CASES = {
     "OverlayPropertyTable/spool": (_overridden, "spool"),
     "AppendedPropertyTable/ram": (_appended, "ram"),
     "AppendedPropertyTable/spool": (_appended, "spool"),
+    **{
+        f"StringColumn/{shape}/{storage}": (_strings, (shape, storage))
+        for shape in ("ragged", "dictionary")
+        for storage in ("ram", "spool", "one-shard")
+    },
 }
 
 
@@ -295,7 +321,7 @@ def property_values_copy_law(table, expected):
     a resident column)."""
     copied = np.array(table.values)
     if len(copied):
-        copied[...] = copied[-1]
+        copied.fill(copied[-1])  # a tuple row too (multi-value sets)
     assert _same(table.read_range(0, len(expected)), expected)
 
 
@@ -465,3 +491,84 @@ def test_adopted_structure_refuses_read_range():
         RuntimeError, match="structure 'e' was adopted from the spool"
     ):
         handle.read_range(0, 3)
+
+
+@pytest.fixture(params=[
+    name for name in sorted(PROPERTY_CASES) if name.startswith("String")
+])
+def string_case(request, tmp_path):
+    build, storage = PROPERTY_CASES[request.param]
+    return build(storage, tmp_path)
+
+
+class TestStringColumns:
+    """What a string column adds to the laws: it stays bytes through
+    slicing, gathering and joining shards, and reads as ``str``."""
+
+    def test_gather(self, string_case):
+        table, expected = string_case
+        order = np.array([22, 0, 7, 6, 13, 13, 1], dtype=np.int64)
+        gathered = table.gather(order)
+        assert isinstance(gathered, StringColumn)
+        assert gathered.tolist() == expected[order].tolist()
+        assert len(table.gather(order[:0])) == 0
+
+    def test_rows_stay_a_string_column(self, string_case):
+        table, expected = string_case
+        rows = table.read_range(3, 21)  # across shard edges
+        assert isinstance(rows, StringColumn)
+        assert rows.tolist() == expected[3:21].tolist()
+        shape = np.asarray(table.read_range(0, ROWS))
+        assert shape.dtype == object and shape.tolist() == list(expected)
+
+    def test_dictionary_shards_join_as_a_dictionary(self, tmp_path):
+        """A shard keeps its dictionary while it has at least as many
+        rows as the vocabulary has entries (else it is stored ragged)."""
+        for shard_rows, kept in ((12, True), (SHARD_ROWS, False)):
+            table = _spooled_property(
+                tmp_path / str(shard_rows), _string_column("dictionary"),
+                shard_rows,
+            )
+            rows = table.read_range(0, ROWS)
+            assert (rows.codes is not None) == kept
+            assert rows.tolist() == STRINGS.tolist()
+
+    def test_concatenate(self):
+        words = StringColumn.from_strings(WORDS)
+        other = StringColumn.from_strings(["z", "plain"])
+        ragged = _string_column("ragged")
+        for parts in (
+            [words.take([0, 9]), words.take([3])],   # one vocabulary
+            [words.take([0, 9]), other.take([1, 0])],  # two
+            [ragged[2:5], words.take([2]), ragged[:0]],  # mixed
+        ):
+            joined = StringColumn.concatenate(parts)
+            assert joined.tolist() == [v for p in parts for v in p]
+            shared = all(p.codes is not None for p in parts) and len(
+                {id(p.offsets) for p in parts}) == 1
+            assert (joined.codes is not None) == shared
+
+    def test_pickle_keeps_only_the_rows_bytes(self):
+        ragged = _string_column("ragged")
+        part = ragged[20:23]
+        clone = pickle.loads(pickle.dumps(part))
+        assert clone.tolist() == STRINGS[20:].tolist()
+        assert clone.blob.size == sum(
+            len(v.encode()) for v in STRINGS[20:])
+        picked = ragged.take([4, 4])  # codes over the whole blob
+        assert pickle.loads(pickle.dumps(picked)).blob.size == 2 * len(
+            STRINGS[4].encode())
+
+    def test_codes_rank_the_vocabulary(self):
+        dictionary = _string_column("dictionary")
+        assert dictionary.entries == len(WORDS)  # "plain" twice
+        for column in (dictionary, dictionary[5:9], STRINGS):
+            table = PropertyTable("T.x", column)
+            codes, categories = table.codes()
+            values = np.asarray(column)
+            want, want_codes, want_counts = np.unique(
+                values, return_inverse=True, return_counts=True)
+            assert categories.tolist() == want.tolist()
+            assert codes.dtype == np.int64
+            assert codes.tolist() == want_codes.tolist()
+            assert table.group_counts().tolist() == want_counts.tolist()
