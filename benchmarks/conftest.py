@@ -1,18 +1,11 @@
-"""Shared helpers for the paper benchmark suite.
+"""Shared helper for ``bench_scale.py``, the out-of-core scale smoke.
 
-Every benchmark prints the table/figure rows it reproduces (run one
-file with ``pytest benchmarks/bench_figure3_sizes.py -s`` to see them)
-and records the headline numbers in ``benchmark.extra_info`` so they
-survive into the pytest-benchmark JSON output.  Throughput is measured
-by ``python3 -m bench``, not here.
-
-Scale: benchmarks honour the ``REPRO_SCALE`` env profile ("small"
-default, "medium", "paper") — see ``repro.experiments.scale``.
+The paper's experiments are not here: ``repro report`` runs and grades
+them into ``docs/reproduction.md``.  Throughput is measured by
+``python3 -m bench``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 
 def print_table(title, rows):
@@ -34,22 +27,3 @@ def print_table(title, rows):
         print(
             "  ".join(str(row[key]).ljust(widths[key]) for key in keys)
         )
-
-
-def print_cdf_series(label, comparison, points=12):
-    """Print the expected/observed CDF series the paper plots."""
-    idx, expected, observed = comparison.series(points)
-    print(f"--- {label}: expected vs observed CDF ---")
-    print("rank  expected  observed")
-    for i, e, o in zip(idx, expected, observed):
-        print(f"{int(i):4d}  {e:8.4f}  {o:8.4f}")
-
-
-@pytest.fixture
-def table_printer():
-    return print_table
-
-
-@pytest.fixture
-def cdf_printer():
-    return print_cdf_series

@@ -216,14 +216,11 @@ def build_parser():
 
     report = sub.add_parser(
         "report",
-        help="run the experiment sweep and write a markdown report",
+        help="run every paper experiment, write the graded markdown "
+             "record, exit 1 if a finding fails",
     )
     report.add_argument("--out", default="report.md")
     report.add_argument("--seed", type=int, default=0)
-    report.add_argument(
-        "--quick", action="store_true",
-        help="skip Figure 4 and the ablation (faster)",
-    )
 
     validate = sub.add_parser(
         "validate",
@@ -467,6 +464,7 @@ def _cmd_protocol(args):
     print(f"{result.label} matcher={args.matcher}")
     for key, value in result.row().items():
         print(f"  {key}: {value}")
+    print(f"  match_seconds: {result.seconds_matching:.2f}")
     idx, expected, observed = result.comparison.series(args.points)
     print("  pair-rank expected-cdf observed-cdf")
     for i, e, o in zip(idx, expected, observed):
@@ -523,15 +521,13 @@ def _cmd_analyze(args):
 def _cmd_report(args):
     from .experiments import generate_report
 
-    text = generate_report(
-        seed=args.seed,
-        include_figure4=not args.quick,
-        include_ablation=not args.quick,
-    )
+    text, findings = generate_report(seed=args.seed)
     with open(args.out, "w") as handle:
         handle.write(text)
     print(f"wrote {args.out}")
-    return 0
+    for failure in findings.failures:
+        print(failure)
+    return 0 if findings.passed else 1
 
 
 def _cmd_validate(args):

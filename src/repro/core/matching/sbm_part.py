@@ -119,12 +119,11 @@ def sbm_part_assign(
         placement rule for nodes with no placed neighbours:
         "proportional" (default — remaining-capacity-proportional
         random draw) or "greedy" (most remaining capacity, a literal
-        LDG-style reading); ablated in
-        ``benchmarks/bench_ablation_implementation.py``.
+        LDG-style reading); ablation A5 of ``docs/reproduction.md``.
     negative_gain:
         balancing of negative Frobenius gains: "divide" (default —
         keeps the balancing direction uniform) or "multiply" (literal
-        application of the LDG factor); same ablation bench.
+        application of the LDG factor); same ablation.
     prep:
         optional precomputed
         :class:`~repro.core.matching.kernel.MatchPrep` for this

@@ -3,25 +3,9 @@
 from .figure34 import MATCHERS, ProtocolResult, make_graph, run_protocol
 from .report import generate_report, render_markdown_table
 from .scale import fixed_k, k_values, lfr_sizes, profile_name, rmat_scales
-from .timing import (
-    TimingResult,
-    extrapolate_to_paper,
-    time_sbm_part,
-)
 
 __all__ = [
-    "MATCHERS",
-    "ProtocolResult",
-    "TimingResult",
-    "extrapolate_to_paper",
-    "generate_report",
-    "render_markdown_table",
-    "fixed_k",
-    "k_values",
-    "lfr_sizes",
-    "make_graph",
-    "profile_name",
-    "rmat_scales",
-    "run_protocol",
-    "time_sbm_part",
+    "MATCHERS", "ProtocolResult", "generate_report", "render_markdown_table",
+    "fixed_k", "k_values", "lfr_sizes", "make_graph", "profile_name",
+    "rmat_scales", "run_protocol",
 ]

@@ -16,7 +16,9 @@ Verbatim from the paper:
 
 :func:`run_protocol` executes the whole pipeline for one configuration
 and returns a :class:`ProtocolResult` with the comparison series and
-timings — the benchmarks print these as the Figure 3/4 rows.
+the matching's wall-clock.  It is the one protocol: every Figure 3/4
+cell and the ablations of :mod:`repro.experiments.report` are a call to
+it, on a graph of its own making or a prebuilt one.
 """
 
 from __future__ import annotations
@@ -26,26 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.matching import (
-    greedy_label_match,
-    ldg_degree_match,
-    random_match,
-    sbm_part_match,
-)
+from ..core.matching import (greedy_label_match, ldg_degree_match,
+                             random_match, sbm_part_match)
 from ..partitioning import arrival_order, ldg_partition
 from ..prng import RandomStream, derive_seed
-from ..stats import (
-    CdfComparison,
-    TruncatedGeometric,
-    compare_joints,
-    empirical_joint,
-)
+from ..stats import (CdfComparison, TruncatedGeometric, compare_joints,
+                     empirical_joint)
 from ..structure import LFR, RMat
 from ..tables import PropertyTable
 
 __all__ = ["ProtocolResult", "make_graph", "run_protocol", "MATCHERS"]
 
-#: Matcher registry for the ablation benchmarks (A1).
+#: Matcher registry for the matcher ablation (A1).
 MATCHERS = ("sbm_part", "random", "ldg", "greedy")
 
 
@@ -74,17 +68,12 @@ class ProtocolResult:
     k: int
 
     def row(self):
-        """Summary dict for printed tables."""
+        """Summary dict for printed tables (no wall-clock)."""
         metrics = self.comparison.summary()
         return {
-            "label": self.label,
-            "n": self.num_nodes,
-            "m": self.num_edges,
-            "k": self.k,
-            "ks": round(metrics["ks"], 4),
-            "l1": round(metrics["l1"], 4),
-            "js": round(metrics["js"], 5),
-            "match_seconds": round(self.seconds_matching, 2),
+            "label": self.label, "n": self.num_nodes, "m": self.num_edges,
+            "k": self.k, "ks": round(metrics["ks"], 4),
+            "l1": round(metrics["l1"], 4), "js": round(metrics["js"], 5),
         }
 
 
@@ -95,51 +84,35 @@ def make_graph(kind, size, seed):
     n = 2^scale).  Parameters follow the paper exactly.
     """
     if kind == "lfr":
-        generator = LFR(
-            seed=seed,
-            avg_degree=20,
-            max_degree=50,
-            min_community=10,
-            max_community=50,
-            mu=0.1,
-        )
-        return generator.run(size)
+        return LFR(seed=seed, avg_degree=20, max_degree=50,
+                   min_community=10, max_community=50, mu=0.1).run(size)
     if kind == "rmat":
-        generator = RMat(seed=seed)
-        return generator.run_scale(size)
+        return RMat(seed=seed).run_scale(size)
     raise ValueError(f"unknown graph kind {kind!r}; use 'lfr' or 'rmat'")
 
 
-def _match(matcher, ptable, joint, graph, order, seed):
-    if matcher == "sbm_part":
-        return sbm_part_match(ptable, joint, graph, order=order).mapping
+def _match(matcher, ptable, joint, graph, order, seed, options):
     if matcher == "random":
-        return random_match(ptable, graph, seed=seed)
-    if matcher == "ldg":
-        return ldg_degree_match(ptable, joint, graph, order=order).mapping
-    if matcher == "greedy":
-        return greedy_label_match(ptable, joint, graph, order=order).mapping
-    raise ValueError(
-        f"unknown matcher {matcher!r}; choose from {MATCHERS}"
-    )
+        return random_match(ptable, graph, seed=seed, **options)
+    place = {"sbm_part": sbm_part_match, "ldg": ldg_degree_match,
+             "greedy": greedy_label_match}.get(matcher)
+    if place is None:
+        raise ValueError(
+            f"unknown matcher {matcher!r}; choose from {MATCHERS}"
+        )
+    return place(ptable, joint, graph, order=order, **options).mapping
 
 
-def run_protocol(
-    kind,
-    size,
-    k,
-    seed=0,
-    matcher="sbm_part",
-    order_kind="random",
-    geometric_p=0.4,
-    label=None,
-):
+def run_protocol(kind, size, k, seed=0, matcher="sbm_part",
+                 order_kind="random", geometric_p=0.4, label=None,
+                 graph=None, **options):
     """Run the full Figure-3/4 protocol for one configuration.
 
     Parameters
     ----------
     kind, size:
-        graph family and size (see :func:`make_graph`).
+        graph family and size (see :func:`make_graph`); with ``graph``
+        given they only name the result.
     k:
         number of distinct property values.
     seed:
@@ -152,17 +125,21 @@ def run_protocol(
         "random" (ablation A2 varies this).
     geometric_p:
         the truncated-geometric parameter (paper: 0.4).
+    graph:
+        a prebuilt :class:`~repro.tables.EdgeTable` to run on instead
+        of ``make_graph(kind, size, derive_seed(seed, "graph"))``.
+    options:
+        passed to the matcher, e.g. SBM-Part's ``capacity_weighting``,
+        ``cold_start`` and ``negative_gain`` (ablations A3 and A5).
     """
-    graph = make_graph(kind, size, derive_seed(seed, "graph"))
+    if graph is None:
+        graph = make_graph(kind, size, derive_seed(seed, "graph"))
     n = graph.num_nodes
 
     # Step 2: ground-truth partitioning with LDG.
     sizes = TruncatedGeometric(geometric_p, k).sizes(n)
-    labels = ldg_partition(
-        graph,
-        sizes,
-        tie_stream=RandomStream(derive_seed(seed, "ldg-ties")),
-    )
+    labels = ldg_partition(graph, sizes, tie_stream=RandomStream(
+        derive_seed(seed, "ldg-ties")))
 
     # Step 3: measure the target joint.
     expected = empirical_joint(graph.tails, graph.heads, labels, k=k)
@@ -175,15 +152,12 @@ def run_protocol(
     )
 
     # Step 5: match with the requested algorithm, random arrivals.
-    order = arrival_order(
-        graph,
-        order_kind,
-        stream=RandomStream(derive_seed(seed, "arrival")),
-    )
+    order = arrival_order(graph, order_kind, stream=RandomStream(
+        derive_seed(seed, "arrival")))
     start = time.perf_counter()
     mapping = _match(
         matcher, ptable, expected, graph, order,
-        derive_seed(seed, "matcher"),
+        derive_seed(seed, "matcher"), options,
     )
     elapsed = time.perf_counter() - start
 
@@ -196,11 +170,6 @@ def run_protocol(
     if label is None:
         size_text = f"{size}" if kind == "rmat" else f"{size // 1000}k"
         label = f"{kind.upper()}({size_text},{k})"
-    return ProtocolResult(
-        label=label,
-        comparison=comparison,
-        seconds_matching=elapsed,
-        num_nodes=n,
-        num_edges=graph.num_edges,
-        k=k,
-    )
+    return ProtocolResult(label=label, comparison=comparison,
+                          seconds_matching=elapsed, num_nodes=n,
+                          num_edges=graph.num_edges, k=k)

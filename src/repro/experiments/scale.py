@@ -1,11 +1,10 @@
 """Experiment scale profiles.
 
 The paper evaluates LFR graphs of 10k/100k/1M nodes and R-MAT graphs of
-scale 18/20/22 on a Xeon testbed.  Pure-Python defaults are scaled down
-so the benchmark suite completes in minutes; set ``REPRO_SCALE=paper``
-to run the original sizes (or ``medium`` for an intermediate profile).
-Per-experiment tables in EXPERIMENTS.md state which profile produced
-the recorded numbers.
+scale 18/20/22 on a Xeon testbed.  The default profile is scaled down
+so the whole record (``repro report``) runs in seconds; set
+``REPRO_SCALE=paper`` to run the original sizes (or ``medium`` for an
+intermediate profile).  ``docs/reproduction.md`` states its profile.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 __all__ = ["profile_name", "lfr_sizes", "rmat_scales", "fixed_k", "k_values"]
 
 _PROFILES = {
-    # name: (lfr sizes, rmat scales, largest-size index)
+    # name: (lfr sizes, rmat scales)
     "small": ([2_000, 5_000, 10_000], [12, 13, 14]),
     "medium": ([10_000, 30_000, 100_000], [14, 16, 18]),
     "paper": ([10_000, 100_000, 1_000_000], [18, 20, 22]),
@@ -30,10 +29,8 @@ def profile_name():
     """Active profile: ``REPRO_SCALE`` env var, default "small"."""
     name = os.environ.get("REPRO_SCALE", "small").lower()
     if name not in _PROFILES:
-        raise ValueError(
-            f"REPRO_SCALE={name!r} unknown; choose from "
-            f"{sorted(_PROFILES)}"
-        )
+        raise ValueError(f"REPRO_SCALE={name!r} unknown; choose from "
+                         f"{sorted(_PROFILES)}")
     return name
 
 

@@ -138,7 +138,7 @@ class CdfComparison:
         return idx, self.expected_cdf[idx], self.observed_cdf[idx]
 
     def summary(self):
-        """Scalar metrics as a plain dict (for EXPERIMENTS.md tables)."""
+        """Scalar metrics as a plain dict (docs/reproduction.md tables)."""
         return {"ks": self.ks, "l1": self.l1, "tv": self.tv, "js": self.js}
 
 

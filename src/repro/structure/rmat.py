@@ -66,8 +66,8 @@ class RMat(StructureGenerator):
 
     Notes
     -----
-    ``run(n)`` requires ``n`` to be a power of two
-    (:meth:`node_count_problem`); use :meth:`run_scale` for the
+    ``run(n)`` requires ``n`` to be a power of two no larger than
+    ``2**31`` (:meth:`node_count_problem`); use :meth:`run_scale` for the
     conventional parameterisation.  Raw emission is a pure function of
     the edge-id range; ``simplify`` adds a global dedup through sorted
     runs, so both configurations chunk.
@@ -112,6 +112,8 @@ class RMat(StructureGenerator):
     # -- generation ------------------------------------------------------------
 
     def node_count_problem(self, n):
+        if n > 1 << 31:  # simplify's int64 pair code lo * n + hi
+            return f"needs at most 2**31 nodes (scale 31), got {n}"
         if n == 0 or (n >= 2 and n & (n - 1) == 0):
             return None
         return f"needs a node count that is a power of two, got {n}"
@@ -119,7 +121,7 @@ class RMat(StructureGenerator):
     def _resolve_scale(self, n):
         problem = self.node_count_problem(n)
         if problem:
-            raise ValueError(f"{self.name} {problem}; use run_scale(scale)")
+            raise ValueError(f"{self.name} {problem}")
         return n.bit_length() - 1
 
     def _level_plan(self, scale, stream):

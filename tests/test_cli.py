@@ -243,6 +243,9 @@ class TestBoundaryErrors:
         (["example", "--workers", "2"], "unrecognized arguments: --workers"),
         (["validate", "--workers", "2"],
          "unrecognized arguments: --workers"),
+        (["protocol", "--kind", "rmat", "--size", "64"],
+         "protocol error: rmat needs at most 2**31 nodes (scale 31), got "
+         "18446744073709551616"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):

@@ -200,8 +200,8 @@ class TestSbmPartMatch:
         a joint substantially closer to the request than random
         matching.  (Full recovery is blocked by label-symmetry: a
         single-pass greedy cannot decide *which* coarse group hosts
-        which planted block — the paper's own §5 open question; see
-        EXPERIMENTS.md, experiment E-SBM.)"""
+        which planted block — the paper's own §5 open question, which
+        the structure zoo, A6 of docs/reproduction.md, measures.)"""
         marginal = np.array([0.5, 0.3, 0.2])
         joint = homophily_joint(marginal, 0.8)
         n = 1500

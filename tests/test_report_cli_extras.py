@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
 from repro.cli import main
-from repro.experiments import generate_report, render_markdown_table
+from repro.experiments import generate_report, render_markdown_table, report
+from repro.validation import CheckResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRenderMarkdownTable:
@@ -22,46 +25,53 @@ class TestRenderMarkdownTable:
         assert "no rows" in render_markdown_table([])
 
 
-class TestGenerateReport:
-    @pytest.fixture(scope="class")
-    def report_text(self, tmp_path_factory):
-        # Quick variant only (figure 3 + timing) to keep tests fast.
-        return generate_report(
-            seed=0, include_figure4=False, include_ablation=False
-        )
+class TestReproductionRecord:
+    def test_docs_record_is_current(self, monkeypatch):
+        """docs/reproduction.md is ``generate_report(0)`` byte for byte,
+        here on the numpy paths (CI diffs the compiled leg)."""
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        text, findings = generate_report(0)
+        assert findings.passed, [str(r) for r in findings.failures]
+        assert text == (ROOT / "docs" / "reproduction.md").read_text()
 
-    def test_contains_sections(self, report_text):
-        assert "# Reproduction report" in report_text
-        assert "## Figure 3" in report_text
-        assert "## Timing (P1)" in report_text
-        assert "## Figure 4" not in report_text
+    def test_every_finding_is_a_gated_row(self, monkeypatch):
+        monkeypatch.setattr(report, "EXPERIMENTS", (report._table1,))
+        text, findings = generate_report(0)
+        assert len(findings.results) == 7
+        for result in findings.results:
+            assert f"| {result.name} | gated | pass |" in text
+        assert "7/7 findings pass." in text
 
-    def test_contains_profile(self, report_text):
-        assert "Scale profile" in report_text
 
-    def test_contains_all_configs(self, report_text):
-        from repro.experiments import lfr_sizes, rmat_scales
+def _failing_experiment(seed):
+    """X1 — a planted experiment
 
-        for size in lfr_sizes():
-            assert f"| {size} |" in report_text
-        assert "RMAT(" in report_text
-        assert f"rmat-{rmat_scales()[0]}" in report_text
-
-    def test_paper_comparison_row(self, report_text):
-        assert "paper reported" in report_text
-        assert "1100" in report_text
+    Its one finding fails."""
+    return [{"value": 1}], [CheckResult("X1 planted finding", False, "1")]
 
 
 class TestCliReport:
-    def test_writes_file(self, tmp_path, capsys):
+    def test_exit_0_when_every_finding_passes(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(report, "EXPERIMENTS", (report._table1,))
         out = tmp_path / "r.md"
-        code = main(
-            ["report", "--out", str(out), "--quick"]
+        assert main(["report", "--out", str(out)]) == 0
+        assert "# Reproduction record" in out.read_text()
+        assert capsys.readouterr().out == f"wrote {out}\n"
+
+    def test_a_failing_finding_exits_1_and_is_named(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(report, "EXPERIMENTS",
+                            (report._table1, _failing_experiment))
+        out = tmp_path / "r.md"
+        assert main(["report", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "[FAIL] X1 planted finding (1)" in printed
+        assert "T1" not in printed
+        assert "| X1 planted finding | gated | fail | 1 |" in (
+            out.read_text()
         )
-        assert code == 0
-        assert out.exists()
-        assert "# Reproduction report" in out.read_text()
-        assert "wrote" in capsys.readouterr().out
 
 
 class TestCliValidate:

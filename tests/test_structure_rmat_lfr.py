@@ -15,6 +15,17 @@ class TestRMat:
         with pytest.raises(ValueError, match="power of two"):
             RMat(seed=0).run(1000)
 
+    def test_node_count_limit_is_named(self):
+        """Above 2**31 nodes the simplify pass's int64 pair code
+        ``lo * n + hi`` would wrap: refused up front, limit named."""
+        rmat = RMat(seed=0)
+        assert rmat.node_count_problem(1 << 31) is None
+        assert rmat.node_count_problem(1 << 32) == (
+            f"needs at most 2**31 nodes (scale 31), got {1 << 32}"
+        )
+        with pytest.raises(ValueError, match=r"at most 2\*\*31 nodes"):
+            rmat.run_scale(64)
+
     def test_run_scale_node_count(self):
         table = RMat(seed=0).run_scale(10)
         assert table.num_tail_nodes == 1024
