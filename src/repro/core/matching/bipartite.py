@@ -12,8 +12,8 @@ one column (head side) of the current-count matrix.
 
 The interleaved loop runs on the shared streaming-placement kernel
 (:mod:`repro.core.matching.kernel`), which maintains
-``current - target`` incrementally per touched row/column and reads
-placed-neighbour counts from per-side streaming counts matrices; the
+``current - target`` incrementally per touched row/column and counts
+a node's placed neighbours with one ``bincount`` over its CSR row; the
 original loop is frozen in ``tests/legacy_matching.py`` and
 pinned byte-for-byte by ``tests/golden/matching/``.
 """

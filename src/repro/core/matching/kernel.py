@@ -19,35 +19,27 @@ only incremental work per placement:
 * per-node candidate scores need one matvec ``diff @ counts`` over the
   placed-neighbour support instead of three k×k temporaries —
   O(k·deg) per node instead of O(k^2).
-* neighbour counts come from a **streaming counts matrix** ``C`` of
-  shape (n, k): when a node is placed into group ``g``, the rows of its
-  *later-arriving* neighbours are bumped at column ``g``.  Each node
-  then reads its counts as a contiguous row view — no per-node
-  ``np.add.at``, no boolean filtering.  Counts are integer-valued
-  floats, so any accumulation order is exact and the values are
-  bitwise equal to the legacy ``np.add.at`` fold.  (For n·k beyond
-  :data:`COUNTS_MATRIX_MAX_BYTES` the kernel falls back to a per-node
-  ``np.bincount`` — still allocation-light, no quadratic state.)
-* every buffer is preallocated; the per-step numpy calls all write
-  into scratch via ``out=``.
-* the **cold-start prefix** — the maximal leading run of the order in
-  which every node's neighbours all arrive later — is placed in one
-  batched pass: the tie-stream draws are vectorised upfront, the
-  placement loop touches only O(k) state, and the counts-matrix
-  propagation for the whole prefix is a single ``bincount`` fold
-  (legal because cold nodes never read counts).
+* a node's placed-neighbour counts are **one ``np.bincount`` over its
+  CSR row** of an ``assigned`` array that holds group + 1 (0 while a
+  node is not yet placed, so bucket 0 collects the unplaced neighbours
+  and is dropped) — the same walk the C loop makes.  A node whose
+  neighbours are all unplaced is *cold* and takes :func:`cold_choice`.
+  Counts are integer-valued, so they are bitwise equal to the legacy
+  ``np.add.at`` fold.
+* the scoring buffers are preallocated; the per-step numpy calls write
+  into them via ``out=``.
 
 Stream preparation
 ------------------
-:func:`prepare_match_stream` is linear in m.  The CSR adjacency comes
-from :meth:`~repro.tables.EdgeTable.adjacency_csr`, which orders the
-2m endpoints with :func:`~repro.tables.bucket_order` (a stable 16-bit
-LSD radix order: one pass for n <= 65 536) instead of an O(m log m)
-comparison sort; arrival positions are one scatter and the cold prefix
-one ``np.minimum.reduceat``.  Only the numpy path's later-neighbour
-tables (:func:`later_tables`) still sort, with ``np.unique``.  Around
-the placement, the PT-row mapping and the achieved mixing matrix are
-linear too (bucket orders and one ``np.bincount``).
+:func:`prepare_match_stream` checks that the arrival order is a
+permutation and builds the CSR adjacency with
+:meth:`~repro.tables.EdgeTable.adjacency_csr`, which orders the 2m
+endpoints with :func:`~repro.tables.bucket_order` (a stable 16-bit LSD
+radix order: one pass for n <= 65 536) instead of an O(m log m)
+comparison sort.  The bipartite stream builds its two one-sided CSRs
+with :func:`~repro.tables.csr_arrays`.  Around the placement, the
+PT-row mapping and the achieved mixing matrix are linear too (bucket
+orders and one ``np.bincount``).
 
 Tie handling
 ------------
@@ -95,18 +87,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...tables import csr_arrays
 from ._ckernel import load_ckernel
 
 __all__ = [
-    "COUNTS_MATRIX_MAX_BYTES",
     "REL_TIE_TOL",
     "MatchPrep",
     "available_impls",
     "bipartite_stream",
-    "cold_prefix_length",
+    "cold_choice",
     "ldg_stream",
-    "later_tables",
-    "place_cold_stream",
     "prepare_match_stream",
     "sbm_part_stream",
     "tie_threshold",
@@ -115,10 +105,6 @@ __all__ = [
 #: Relative tie tolerance: candidates within ``REL_TIE_TOL * max(1,
 #: |best|)`` of the best score tie.  See the module docstring.
 REL_TIE_TOL = 1e-12
-
-#: Ceiling on the streaming counts-matrix footprint (float64 entries);
-#: beyond this the kernel computes per-node counts with ``bincount``.
-COUNTS_MATRIX_MAX_BYTES = 256 * 1024 * 1024
 
 _NEG_INF = float("-inf")
 
@@ -159,47 +145,43 @@ class MatchPrep:
     indptr, neighbors:
         undirected CSR adjacency of the structure.
     order:
-        arrival order (node ids).
-    positions:
-        inverse of ``order``: ``positions[order[i]] = i``.
-    cold_prefix:
-        length of the maximal leading run of ``order`` in which every
-        node's neighbours all arrive strictly later (such nodes are
-        cold by construction).
-    lat_indptr, lat_cols, lat_mult:
-        deduplicated later-neighbour table: for node ``v`` the slice
-        ``[lat_indptr[v], lat_indptr[v+1])`` lists the distinct
-        neighbours of ``v`` arriving after it (``lat_cols``) with edge
-        multiplicities (``lat_mult``).  ``None`` until
-        :meth:`ensure_counts_tables` builds them (only the numpy path
-        reads them).
+        arrival order (node ids), a permutation of ``0..n-1``.
     """
 
     indptr: np.ndarray
     neighbors: np.ndarray
     order: np.ndarray
-    positions: np.ndarray
-    cold_prefix: int
-    lat_indptr: np.ndarray | None = None
-    lat_cols: np.ndarray | None = None
-    lat_mult: np.ndarray | None = None
 
     @property
     def num_nodes(self):
         return self.order.size
 
-    def ensure_counts_tables(self):
-        """Build the later-neighbour table if it is missing."""
-        if self.lat_indptr is None:
-            n = self.num_nodes
-            src = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self.indptr)
-            )
-            self.lat_indptr, self.lat_cols, self.lat_mult = later_tables(
-                src, self.neighbors,
-                self.positions, self.positions, n,
-            )
-        return self
+
+def _arrival_order(order, n):
+    """``order`` as int64 (natural order when ``None``), refused unless
+    it is a permutation of ``0..n-1``."""
+    if order is None:
+        return np.arange(n, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
+    ok = order.shape == (n,) and (
+        n == 0 or (int(order.min()) >= 0 and int(order.max()) < n)
+    )
+    if ok:
+        seen = np.zeros(n, dtype=bool)
+        seen[order] = True
+        ok = bool(seen.all())
+    if not ok:
+        raise ValueError("order must be a permutation of 0..n-1")
+    return order
+
+
+def _finite_target(target):
+    """``target`` as a contiguous float64 array, refused if any entry
+    is NaN or infinite."""
+    target = np.ascontiguousarray(target, dtype=np.float64)
+    if not np.isfinite(target).all():
+        raise ValueError("target must be finite (it has NaN or inf entries)")
+    return target
 
 
 def prepare_match_stream(table, order=None):
@@ -208,24 +190,9 @@ def prepare_match_stream(table, order=None):
     This is the "prepare" half of the matching stage: a pure function
     of ``(table, order)`` that returns picklable arrays.
     """
-    n = table.num_nodes
-    if order is None:
-        order = np.arange(n, dtype=np.int64)
-    else:
-        order = np.asarray(order, dtype=np.int64)
-        if order.size != n:
-            raise ValueError("order must enumerate all n nodes")
+    order = _arrival_order(order, table.num_nodes)
     indptr, neighbors = table.adjacency_csr()
-    positions = np.empty(n, dtype=np.int64)
-    positions[order] = np.arange(n, dtype=np.int64)
-    prefix = cold_prefix_length(indptr, neighbors, order, positions)
-    return MatchPrep(
-        indptr=indptr,
-        neighbors=neighbors,
-        order=order,
-        positions=positions,
-        cold_prefix=prefix,
-    )
+    return MatchPrep(indptr=indptr, neighbors=neighbors, order=order)
 
 
 def _stream_prep(table, order, prep):
@@ -242,101 +209,30 @@ def _stream_prep(table, order, prep):
     return prep
 
 
-def cold_prefix_length(indptr, neighbors, order, positions):
-    """Length of the leading all-cold run of ``order``.
-
-    A node is *cold* when none of its neighbours has been placed.  The
-    maximal prefix in which every node's earliest-arriving neighbour
-    still lies ahead of it is cold by construction and can be placed in
-    one batched pass.  (Self-loops make a node look warm here; the main
-    loop's own counts check handles them — the prefix is merely the
-    batched fast path, never a semantic boundary.)
-    """
-    n = order.size
-    if n == 0:
-        return 0
-    lengths = np.diff(indptr)
-    min_nbr_pos = np.full(n, n, dtype=np.int64)
-    nonempty = lengths > 0
-    if nonempty.any():
-        starts = indptr[:-1][nonempty]
-        mins = np.minimum.reduceat(positions[neighbors], starts)
-        min_nbr_pos[nonempty] = mins
-    cold_at = min_nbr_pos[order] > np.arange(n, dtype=np.int64)
-    warm = np.flatnonzero(~cold_at)
-    return int(n if warm.size == 0 else warm[0])
-
-
-def later_tables(src, dst, pos_src, pos_dst, num_src):
-    """Deduplicated (src -> later dst) adjacency with multiplicities.
-
-    Keeps the pairs where ``dst`` arrives strictly after ``src`` (by the
-    two position arrays), merges parallel edges into one entry with an
-    integer multiplicity, and groups by ``src``.
-
-    Returns ``(indptr, cols, mult)`` with ``indptr`` of length
-    ``num_src + 1``.
-    """
-    keep = pos_dst[dst] > pos_src[src]
-    s = src[keep]
-    d = dst[keep]
-    if d.size:
-        span = int(d.max()) + 1
-        key = s * span + d
-        unique_key, mult = np.unique(key, return_counts=True)
-        s = unique_key // span
-        d = unique_key % span
-    else:
-        mult = np.zeros(0, dtype=np.int64)
-    indptr = np.zeros(num_src + 1, dtype=np.int64)
-    np.cumsum(np.bincount(s, minlength=num_src), out=indptr[1:])
-    return indptr, d.astype(np.int64), mult.astype(np.float64)
-
-
 # -- cold-start placement -----------------------------------------------------
 
 
-def place_cold_stream(caps, loads, uniforms, cold_start):
-    """Place a run of cold nodes; mutates ``loads``; returns choices.
+def cold_choice(caps, loads, u, proportional):
+    """Group for one cold node (no placed neighbours); the numpy twin
+    of the C loop's ``cold_choice``.
 
-    Replays exactly the per-step draws of the legacy cold branch:
-    ``remaining = max(caps - loads, 0)``, a capacity-proportional CDF
-    draw from the pre-drawn ``uniforms`` (mode "proportional") or the
-    most-remaining-capacity group (mode "greedy"), with the
-    capacities-exhausted ``RuntimeError`` raised at the same step the
-    step-by-step code would raise it.  The draws themselves are the
-    batched, vectorised part — ``uniforms`` is one
-    ``tie_stream.uniform(arange)`` call — and each placement then only
-    touches O(k) state.
+    Replays the legacy cold branch: ``remaining = max(caps - loads,
+    0)``, then a capacity-proportional CDF draw at the uniform ``u``
+    (``proportional``) or the most-remaining-capacity group.  Raises
+    ``RuntimeError`` when no group has capacity left.
     """
-    if cold_start not in ("proportional", "greedy"):
-        raise ValueError(f"unknown cold_start {cold_start!r}")
-    k = caps.size
-    count = len(uniforms)
-    choices = np.empty(count, dtype=np.int64)
-    rem = np.empty(k, dtype=np.float64)
-    cdf = np.empty(k, dtype=np.float64)
-    proportional = cold_start == "proportional"
-    for i in range(count):
-        np.subtract(caps, loads, out=rem)
-        np.maximum(rem, 0.0, out=rem)
-        total = float(rem.sum())
-        if total <= 0:
-            raise RuntimeError("group capacities exhausted mid-stream")
-        if proportional:
-            np.divide(rem, total, out=rem)
-            np.cumsum(rem, out=cdf)
-            choice = int(np.searchsorted(cdf, uniforms[i], side="right"))
-            if choice >= k:
-                # cdf[-1] rounded one ulp below 1.0 and the uniform
-                # fell beyond it: last group with remaining capacity
-                # (the C kernel clamps identically).
-                choice = int(np.flatnonzero(rem > 0)[-1])
-        else:
-            choice = int(np.argmax(rem))
-        choices[i] = choice
-        loads[choice] += 1
-    return choices
+    rem = np.maximum(caps - loads, 0.0)
+    total = rem.sum()
+    if total <= 0:
+        raise RuntimeError("group capacities exhausted mid-stream")
+    if not proportional:
+        return int(np.argmax(rem))
+    choice = int(np.searchsorted(np.cumsum(rem / total), u, side="right"))
+    if choice >= rem.size:
+        # cdf[-1] rounded one ulp below 1.0 and u fell beyond it: last
+        # group with remaining capacity (the C kernel clamps the same).
+        choice = int(np.flatnonzero(rem > 0)[-1])
+    return choice
 
 
 def _draw_uniforms(tie_stream, n):
@@ -344,112 +240,6 @@ def _draw_uniforms(tie_stream, n):
     if n == 0:
         return np.zeros(0, dtype=np.float64)
     return tie_stream.uniform(np.arange(n, dtype=np.int64))
-
-
-# -- counts providers ---------------------------------------------------------
-
-
-class _CountsMatrix:
-    """Streaming (n, k) placed-neighbour counts with row-view reads.
-
-    ``warm[v]`` flips to True the moment any neighbour of ``v`` is
-    placed, so the stream loop's cold test is one scalar read instead
-    of an ``any()`` reduction per node.
-    """
-
-    def __init__(self, prep, k):
-        prep.ensure_counts_tables()
-        n = prep.num_nodes
-        self.k = k
-        self.C = np.zeros((n, k), dtype=np.float64)
-        self.flat = self.C.ravel()
-        self.lat_indptr = prep.lat_indptr.tolist()
-        self.lat_cols = prep.lat_cols
-        self.lat_base = prep.lat_cols * k
-        self.lat_mult = prep.lat_mult
-        self.warm = np.zeros(n, dtype=bool)
-
-    def counts(self, v):
-        return self.C[v]
-
-    def place(self, v, choice):
-        lo = self.lat_indptr[v]
-        hi = self.lat_indptr[v + 1]
-        if hi > lo:
-            idx = self.lat_base[lo:hi] + choice
-            vals = self.flat.take(idx)
-            np.add(vals, self.lat_mult[lo:hi], out=vals)
-            self.flat.put(idx, vals)
-            self.warm[self.lat_cols[lo:hi]] = True
-
-    def place_batch(self, nodes, choices):
-        """Fold a whole batch of placements in one bincount pass.
-
-        Only legal when none of the *other* nodes placed in the batch
-        read counts in between — i.e. for the cold prefix.
-        """
-        starts = np.asarray(
-            [self.lat_indptr[v] for v in nodes], dtype=np.int64
-        )
-        stops = np.asarray(
-            [self.lat_indptr[v + 1] for v in nodes], dtype=np.int64
-        )
-        lengths = stops - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return
-        offsets = np.zeros(len(nodes), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat_pos = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets, lengths
-        )
-        idx = self.lat_base.take(flat_pos) + np.repeat(
-            np.asarray(choices, dtype=np.int64), lengths
-        )
-        fold = np.bincount(
-            idx, weights=self.lat_mult.take(flat_pos),
-            minlength=self.flat.size,
-        )
-        np.add(self.flat, fold, out=self.flat)
-        self.warm[self.lat_cols.take(flat_pos)] = True
-
-
-class _CountsBincount:
-    """Per-node ``bincount`` counts for very large n·k."""
-
-    def __init__(self, prep, k):
-        self.k = k
-        self.indptr = prep.indptr.tolist()
-        self.neighbors = prep.neighbors
-        # assignment + 1, so bucket 0 collects unplaced neighbours.
-        self.asg1 = np.zeros(prep.num_nodes, dtype=np.int64)
-        self._row = np.zeros(k, dtype=np.float64)
-
-    def counts(self, v):
-        nbrs = self.neighbors[self.indptr[v]:self.indptr[v + 1]]
-        if nbrs.size == 0:
-            row = self._row
-            row[:] = 0.0
-            return row
-        folded = np.bincount(
-            self.asg1.take(nbrs), minlength=self.k + 1
-        )
-        return folded[1:].astype(np.float64)
-
-    def place(self, v, choice):
-        self.asg1[v] = choice + 1
-
-    def place_batch(self, nodes, choices):
-        self.asg1[np.asarray(nodes, dtype=np.int64)] = (
-            np.asarray(choices, dtype=np.int64) + 1
-        )
-
-
-def _make_counts(prep, k):
-    n = prep.num_nodes
-    if n * k * 8 <= COUNTS_MATRIX_MAX_BYTES:
-        return _CountsMatrix(prep, k)
-    return _CountsBincount(prep, k)
 
 
 # -- SBM-Part (monopartite) ---------------------------------------------------
@@ -484,7 +274,7 @@ def sbm_part_stream(
             f"group sizes sum to {int(group_sizes.sum())} < n = {n}"
         )
     k = group_sizes.size
-    target = np.ascontiguousarray(target, dtype=np.float64)
+    target = _finite_target(target)
     if target.shape != (k, k):
         raise ValueError(
             f"target must be ({k}, {k}), got {target.shape}"
@@ -518,21 +308,17 @@ def _sbm_stream_numpy(
 ):
     n = prep.num_nodes
     k = group_sizes.size
-    assignment = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return assignment
-    order = prep.order
+    # Group + 1 per node, 0 until placed (see the module docstring).
+    assigned = np.zeros(n, dtype=np.int64)
     caps = group_sizes.astype(np.float64)
     loads = np.zeros(k, dtype=np.int64)
     current = np.zeros((k, k), dtype=np.float64)
     diff = current - target
-    counts = _make_counts(prep, k)
 
     # Incrementally-maintained score state.
     neg_divide = negative_gain == "divide"
     proportional = cold_start == "proportional"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.where(caps > 0, 1.0 - loads / caps, 0.0)
+    weight = np.where(caps > 0, 1.0, 0.0)
     wclip = np.maximum(weight, 1e-9)
     twod = 2.0 * diff.ravel()[:: k + 1].copy()
     dcol_views = [diff[:, j] for j in range(k)]
@@ -541,84 +327,32 @@ def _sbm_stream_numpy(
 
     full_list = [int(j) for j in np.flatnonzero(group_sizes == 0)]
     full_idx = np.asarray(full_list, dtype=np.int64)
+    nfull = len(full_list)
 
-    # Scratch buffers (every per-step numpy op writes into these).
+    # Scratch buffers (every per-step scoring op writes into these).
     rd = np.empty(k, dtype=np.float64)
     tb = np.empty(k, dtype=np.float64)
     s_pos = np.empty(k, dtype=np.float64)
     score = np.empty(k, dtype=np.float64)
     bb = np.empty(k, dtype=bool)
-    rem = np.empty(k, dtype=np.float64)
-    cdf = np.empty(k, dtype=np.float64)
 
-    order_l = order.tolist()
+    indptr_l = prep.indptr.tolist()
+    neighbors = prep.neighbors
     uni_l = uniforms.tolist()
     gs_l = group_sizes.tolist()
     caps_l = caps.tolist()
-
-    # Batched cold prefix.
-    start = 0
-    prefix = prep.cold_prefix
-    if prefix:
-        choices = place_cold_stream(
-            caps, loads, uni_l[:prefix], cold_start
-        )
-        prefix_nodes = order_l[:prefix]
-        assignment[order[:prefix]] = choices
-        counts.place_batch(prefix_nodes, choices)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(caps > 0, 1.0 - loads / caps, 0.0)
-        np.maximum(weight, 1e-9, out=wclip)
-        full_list = [
-            int(j) for j in np.flatnonzero(loads >= group_sizes)
-        ]
-        full_idx = np.asarray(full_list, dtype=np.int64)
-        start = prefix
-
-    nfull = len(full_list)
     tie_tol = REL_TIE_TOL
 
-    # Hot-loop locals: matrix-mode counts propagation is inlined below
-    # (one Python call per node adds measurable overhead at n=100k).
-    matrix_mode = isinstance(counts, _CountsMatrix)
-    if matrix_mode:
-        C = counts.C
-        Cflat = counts.flat
-        lat_indptr_l = counts.lat_indptr
-        lat_base = counts.lat_base
-        lat_cols = counts.lat_cols
-        lat_mult = counts.lat_mult
-        warm = counts.warm
-
-    for step in range(start, n):
-        v = order_l[step]
-        if matrix_mode:
-            cold = not warm[v]
-            c = C[v]
+    for step, v in enumerate(prep.order.tolist()):
+        lo = indptr_l[v]
+        hi = indptr_l[v + 1]
+        folded = np.bincount(
+            assigned.take(neighbors[lo:hi]), minlength=k + 1
+        )
+        if folded[0] == hi - lo:
+            choice = cold_choice(caps, loads, uni_l[step], proportional)
         else:
-            c = counts.counts(v)
-            cold = not c.any()
-        if cold:
-            # Cold: capacity-proportional (or greedy) placement.
-            np.subtract(caps, loads, out=rem)
-            np.maximum(rem, 0.0, out=rem)
-            total = float(rem.sum())
-            if total <= 0:
-                raise RuntimeError(
-                    "group capacities exhausted mid-stream"
-                )
-            if proportional:
-                np.divide(rem, total, out=rem)
-                np.cumsum(rem, out=cdf)
-                choice = int(
-                    np.searchsorted(cdf, uni_l[step], side="right")
-                )
-                if choice >= k:
-                    # See place_cold_stream: one-ulp cdf shortfall.
-                    choice = int(np.flatnonzero(rem > 0)[-1])
-            else:
-                choice = int(np.argmax(rem))
-        else:
+            c = folded[1:].astype(np.float64)
             # gain_t = c_t(2*diff_tt + c_t) - 4*(diff @ c)_t - 2*S2
             # (the negated legacy Frobenius delta, reassociated; the
             # relative tie band absorbs the ulp-level difference).
@@ -672,7 +406,7 @@ def _sbm_stream_numpy(
             np.subtract(ccol, tcol_views[choice], out=dcol_views[choice])
             twod[choice] = 2.0 * diff[choice, choice]
 
-        assignment[v] = choice
+        assigned[v] = choice + 1
         loads[choice] += 1
         load_c = int(loads[choice])
         weight[choice] = w_c = 1.0 - load_c / caps_l[choice]
@@ -681,18 +415,7 @@ def _sbm_stream_numpy(
             full_list.append(choice)
             full_idx = np.asarray(full_list, dtype=np.int64)
             nfull += 1
-        if matrix_mode:
-            lo = lat_indptr_l[v]
-            hi = lat_indptr_l[v + 1]
-            if hi > lo:
-                idx = lat_base[lo:hi] + choice
-                vals = Cflat.take(idx)
-                np.add(vals, lat_mult[lo:hi], out=vals)
-                Cflat.put(idx, vals)
-                warm[lat_cols[lo:hi]] = True
-        else:
-            counts.place(v, choice)
-    return assignment
+    return assigned - 1
 
 
 # -- LDG ----------------------------------------------------------------------
@@ -725,43 +448,34 @@ def ldg_stream(
 def _ldg_stream_numpy(prep, capacities, uniforms):
     n = prep.num_nodes
     k = capacities.size
-    assignment = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return assignment
+    assigned = np.zeros(n, dtype=np.int64)  # group + 1, 0 until placed
     caps = capacities.astype(np.float64)
     loads = np.zeros(k, dtype=np.int64)
-    counts = _make_counts(prep, k)
     has_ties = uniforms is not None
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.where(caps > 0, 1.0 - loads / caps, _NEG_INF)
+    weight = np.where(caps > 0, 1.0, _NEG_INF)
     full_list = [int(j) for j in np.flatnonzero(capacities == 0)]
     full_idx = np.asarray(full_list, dtype=np.int64)
     nfull = len(full_list)
 
     score = np.empty(k, dtype=np.float64)
     bb = np.empty(k, dtype=bool)
-    order_l = prep.order.tolist()
+    indptr_l = prep.indptr.tolist()
+    neighbors = prep.neighbors
     uni_l = uniforms.tolist() if has_ties else None
     caps_l = caps.tolist()
     cap_int = capacities.tolist()
 
     # 0 * (-inf) = nan for zero-capacity groups; they are masked to
     # -inf right after, exactly as the legacy loop masked them.
-    matrix_mode = isinstance(counts, _CountsMatrix)
-    if matrix_mode:
-        C = counts.C
-        Cflat = counts.flat
-        lat_indptr_l = counts.lat_indptr
-        lat_base = counts.lat_base
-        lat_mult = counts.lat_mult
-
     err_state = np.seterr(invalid="ignore")
     try:
-        for step in range(n):
-            v = order_l[step]
-            c = C[v] if matrix_mode else counts.counts(v)
-            np.multiply(c, weight, out=score)
+        for step, v in enumerate(prep.order.tolist()):
+            folded = np.bincount(
+                assigned.take(neighbors[indptr_l[v]:indptr_l[v + 1]]),
+                minlength=k + 1,
+            )
+            np.multiply(folded[1:], weight, out=score)
             if nfull:
                 score[full_idx] = _NEG_INF
             am = int(score.argmax())
@@ -782,7 +496,7 @@ def _ldg_stream_numpy(prep, capacities, uniforms):
                     choice = int(
                         candidates[np.argmin(loads[candidates])]
                     )
-            assignment[v] = choice
+            assigned[v] = choice + 1
             loads[choice] += 1
             load_c = int(loads[choice])
             weight[choice] = 1.0 - load_c / caps_l[choice]
@@ -790,19 +504,9 @@ def _ldg_stream_numpy(prep, capacities, uniforms):
                 full_list.append(choice)
                 full_idx = np.asarray(full_list, dtype=np.int64)
                 nfull += 1
-            if matrix_mode:
-                lo = lat_indptr_l[v]
-                hi = lat_indptr_l[v + 1]
-                if hi > lo:
-                    idx = lat_base[lo:hi] + choice
-                    vals = Cflat.take(idx)
-                    np.add(vals, lat_mult[lo:hi], out=vals)
-                    Cflat.put(idx, vals)
-            else:
-                counts.place(v, choice)
     finally:
         np.seterr(**err_state)
-    return assignment
+    return assigned - 1
 
 
 # -- bipartite SBM-Part -------------------------------------------------------
@@ -818,58 +522,30 @@ def bipartite_stream(
     stream interleaved; a tail placement touches one row of
     ``diff = current - target`` and a head placement one column, so the
     per-node cost is one (k_tail × k_head) matvec over the node's
-    placed-neighbour counts.
+    placed-neighbour counts, read from the other side's ``assigned``
+    array through the node's one-sided CSR row.
     """
     nt, nh = table.num_tail_nodes, table.num_head_nodes
     tail_sizes = np.asarray(tail_sizes, dtype=np.int64)
     head_sizes = np.asarray(head_sizes, dtype=np.int64)
     kt, kh = tail_sizes.size, head_sizes.size
-    target = np.ascontiguousarray(target, dtype=np.float64)
+    target = _finite_target(target)
+    order = _arrival_order(order, nt + nh)
 
-    if order is None:
-        order = np.arange(nt + nh, dtype=np.int64)
-    else:
-        order = np.asarray(order, dtype=np.int64)
-        if order.size != nt + nh:
-            raise ValueError("order must enumerate all tail+head nodes")
+    # Tail -> heads and head -> tails adjacency; group + 1 per node on
+    # each side, 0 until placed.
+    t_indptr, t_nbrs = csr_arrays(table.tails, table.heads, nt)
+    h_indptr, h_nbrs = csr_arrays(table.heads, table.tails, nh)
+    tail_assigned = np.zeros(nt, dtype=np.int64)
+    head_assigned = np.zeros(nh, dtype=np.int64)
 
-    n_all = nt + nh
-    positions = np.empty(n_all, dtype=np.int64)
-    positions[order] = np.arange(n_all, dtype=np.int64)
-
-    # Later-neighbour tables, one per direction.  A tail placement
-    # bumps the counts rows of its later heads (columns indexed by
-    # tail groups) and vice versa.
-    tails = table.tails
-    heads = table.heads
-    th_indptr, th_cols, th_mult = later_tables(
-        tails, heads, positions[:nt], positions[nt:], nt
-    )
-    ht_indptr, ht_cols, ht_mult = later_tables(
-        heads, tails, positions[nt:], positions[:nt], nh
-    )
-    th_base = th_cols * kt   # head-row base into C_head.flat
-    ht_base = ht_cols * kh   # tail-row base into C_tail.flat
-
-    C_tail = np.zeros((nt, kh), dtype=np.float64)
-    C_head = np.zeros((nh, kt), dtype=np.float64)
-    Ct_flat = C_tail.ravel()
-    Ch_flat = C_head.ravel()
-
-    tail_assign = np.full(nt, -1, dtype=np.int64)
-    head_assign = np.full(nh, -1, dtype=np.int64)
     tail_loads = np.zeros(kt, dtype=np.int64)
     head_loads = np.zeros(kh, dtype=np.int64)
     current = np.zeros((kt, kh), dtype=np.float64)
     diff = current - target
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_tail = np.where(
-            tail_sizes > 0, 1.0 - tail_loads / tail_sizes, 0.0
-        )
-        w_head = np.where(
-            head_sizes > 0, 1.0 - head_loads / head_sizes, 0.0
-        )
+    w_tail = np.where(tail_sizes > 0, 1.0, 0.0)
+    w_head = np.where(head_sizes > 0, 1.0, 0.0)
     full_tail = [int(j) for j in np.flatnonzero(tail_sizes == 0)]
     full_head = [int(j) for j in np.flatnonzero(head_sizes == 0)]
     fti = np.asarray(full_tail, dtype=np.int64)
@@ -883,15 +559,17 @@ def bipartite_stream(
     dcol_views = [diff[:, j] for j in range(kh)]
     tcol_views = [np.ascontiguousarray(target[:, j]) for j in range(kh)]
 
-    th_indptr_l = th_indptr.tolist()
-    ht_indptr_l = ht_indptr.tolist()
-    order_l = order.tolist()
+    t_indptr_l = t_indptr.tolist()
+    h_indptr_l = h_indptr.tolist()
     weighting = bool(capacity_weighting)
 
-    for combined in order_l:
+    for combined in order.tolist():
         if combined < nt:
             v = combined
-            c = C_tail[v]
+            c = np.bincount(
+                head_assigned.take(t_nbrs[t_indptr_l[v]:t_indptr_l[v + 1]]),
+                minlength=kh + 1,
+            )[1:].astype(np.float64)
             # delta = 2*(diff @ c) + S2 per candidate tail group.
             np.dot(diff, c, out=score_t)
             s2 = float(np.dot(c, c))
@@ -914,7 +592,7 @@ def bipartite_stream(
                 ties = np.flatnonzero(bb_t)
                 remaining = (tail_sizes - tail_loads)[ties]
                 choice = int(ties[np.argmax(remaining)])
-            tail_assign[v] = choice
+            tail_assigned[v] = choice + 1
             tail_loads[choice] += 1
             if weighting:
                 w_tail[choice] = (
@@ -926,16 +604,12 @@ def bipartite_stream(
             crow = current[choice]
             np.add(crow, c, out=crow)
             np.subtract(crow, target[choice], out=diff[choice])
-            lo = th_indptr_l[v]
-            hi = th_indptr_l[v + 1]
-            if hi > lo:
-                idx = th_base[lo:hi] + choice
-                vals = Ch_flat.take(idx)
-                np.add(vals, th_mult[lo:hi], out=vals)
-                Ch_flat.put(idx, vals)
         else:
             v = combined - nt
-            c = C_head[v]
+            c = np.bincount(
+                tail_assigned.take(h_nbrs[h_indptr_l[v]:h_indptr_l[v + 1]]),
+                minlength=kt + 1,
+            )[1:].astype(np.float64)
             np.dot(c, diff, out=score_h)
             s2 = float(np.dot(c, c))
             np.multiply(score_h, 2.0, out=score_h)
@@ -957,7 +631,7 @@ def bipartite_stream(
                 ties = np.flatnonzero(bb_h)
                 remaining = (head_sizes - head_loads)[ties]
                 choice = int(ties[np.argmax(remaining)])
-            head_assign[v] = choice
+            head_assigned[v] = choice + 1
             head_loads[choice] += 1
             if weighting:
                 w_head[choice] = (
@@ -971,12 +645,5 @@ def bipartite_stream(
             np.subtract(
                 ccol, tcol_views[choice], out=dcol_views[choice]
             )
-            lo = ht_indptr_l[v]
-            hi = ht_indptr_l[v + 1]
-            if hi > lo:
-                idx = ht_base[lo:hi] + choice
-                vals = Ct_flat.take(idx)
-                np.add(vals, ht_mult[lo:hi], out=vals)
-                Ct_flat.put(idx, vals)
 
-    return tail_assign, head_assign
+    return tail_assigned - 1, head_assigned - 1

@@ -41,6 +41,8 @@ def bipartite_edge_count_target(matrix, num_edges):
     p = np.asarray(matrix, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("bipartite joint must be a 2-D matrix")
+    if not np.isfinite(p).all():
+        raise ValueError("joint entries must be finite (NaN or inf found)")
     if (p < 0).any():
         raise ValueError("joint entries must be nonnegative")
     total = p.sum()

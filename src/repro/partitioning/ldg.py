@@ -13,9 +13,9 @@ it twice: to create the ground-truth labelling of the input graphs
 and — in our ablations — as a matching baseline.
 
 The per-node loop runs on the shared streaming-placement kernel
-(:mod:`repro.core.matching.kernel`): neighbour counts come from the
-streaming counts matrix, buffers are preallocated, and a compiled C
-loop takes over when a system compiler is available.  The original
+(:mod:`repro.core.matching.kernel`): a node's placed-neighbour counts
+are one ``bincount`` over its CSR row, buffers are preallocated, and a
+compiled C loop takes over when a system compiler is available.  The original
 loop is frozen in ``tests/legacy_matching.py`` and the kernel
 is pinned byte-for-byte against it by ``tests/golden/matching/``.
 """

@@ -20,16 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core.matching import (
     available_impls,
+    bipartite_edge_count_target,
     bipartite_sbm_part_match,
     edge_count_target,
     prepare_match_stream,
     sbm_part_assign,
     tie_threshold,
 )
-from repro.core.matching.kernel import (
-    cold_prefix_length,
-    place_cold_stream,
-)
+from repro.core.matching.kernel import bipartite_stream, cold_choice
 from repro.partitioning import ldg_partition
 from repro.prng import RandomStream
 from repro.stats import homophily_joint
@@ -218,9 +216,6 @@ class TestKernelMatchesLegacy:
         )
         tail_sizes = np.array([100, 80, 70], dtype=np.int64)
         head_sizes = np.array([250, 150], dtype=np.int64)
-        from repro.core.matching import bipartite_edge_count_target
-        from repro.core.matching.kernel import bipartite_stream
-
         target = bipartite_edge_count_target(
             np.array([[0.4, 0.1], [0.1, 0.2], [0.1, 0.1]]), m
         )
@@ -236,23 +231,6 @@ class TestKernelMatchesLegacy:
             )
             assert np.array_equal(expected[0], got[0])
             assert np.array_equal(expected[1], got[1])
-
-    def test_counts_fallback_identical(self, monkeypatch):
-        """The bincount counts provider (huge n·k) matches the matrix
-        provider bit-for-bit."""
-        import repro.core.matching.kernel as kernel_mod
-
-        use_impl(monkeypatch, "numpy")
-        table, sizes, target, order = _instance(36)
-        a = sbm_part_assign(table, sizes, target, order=order)
-        ldg_a = ldg_partition(table, sizes, order=order)
-        monkeypatch.setattr(
-            kernel_mod, "COUNTS_MATRIX_MAX_BYTES", 0
-        )
-        b = sbm_part_assign(table, sizes, target, order=order)
-        ldg_b = ldg_partition(table, sizes, order=order)
-        assert np.array_equal(a, b)
-        assert np.array_equal(ldg_a, ldg_b)
 
 
 # -- tie tolerance ------------------------------------------------------------
@@ -324,6 +302,28 @@ def _reference_cold_steps(caps, loads, uniforms, mode):
     return np.asarray(choices, dtype=np.int64), loads
 
 
+def _cold_steps(caps, uniforms, mode):
+    """Place one cold node per uniform through :func:`cold_choice`."""
+    caps = np.asarray(caps, dtype=np.float64)
+    loads = np.zeros(caps.size, dtype=np.int64)
+    choices = []
+    for u in uniforms:
+        choice = cold_choice(caps, loads, u, mode == "proportional")
+        choices.append(choice)
+        loads[choice] += 1
+    return np.asarray(choices, dtype=np.int64), loads
+
+
+class _FixedUniforms:
+    """A tie stream whose per-step uniforms are given up front."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def uniform(self, steps):
+        return self.values[steps]
+
+
 class TestColdStart:
     @settings(
         max_examples=60, deadline=None,
@@ -334,9 +334,9 @@ class TestColdStart:
         seed=st.integers(0, 2**32 - 1),
         mode=st.sampled_from(["proportional", "greedy"]),
     )
-    def test_batched_matches_step_by_step(self, caps, seed, mode):
-        """The batched prefix placement replays the per-step draws of
-        ``tie_stream`` exactly, for both cold-start modes."""
+    def test_cold_choice_matches_legacy_steps(self, caps, seed, mode):
+        """Step by step, ``cold_choice`` replays the legacy cold
+        branch's draws exactly, for both cold-start modes."""
         caps = np.asarray(caps, dtype=np.int64)
         count = int(caps.sum())
         if count == 0:
@@ -348,22 +348,17 @@ class TestColdStart:
         expected, expected_loads = _reference_cold_steps(
             caps, np.zeros(caps.size, dtype=np.int64), uniforms, mode
         )
-        loads = np.zeros(caps.size, dtype=np.int64)
-        got = place_cold_stream(
-            caps.astype(np.float64), loads, uniforms, mode
-        )
+        got, loads = _cold_steps(caps, uniforms, mode)
         assert np.array_equal(expected, got)
         assert np.array_equal(expected_loads, loads)
 
     @pytest.mark.parametrize("mode", ["proportional", "greedy"])
     def test_exhausted_capacities_raise(self, mode):
         caps = np.array([2.0, 1.0])
-        loads = np.zeros(2, dtype=np.int64)
-        uniforms = [0.1, 0.5, 0.9, 0.2]  # one draw too many
         with pytest.raises(RuntimeError, match="exhausted"):
-            place_cold_stream(caps, loads, uniforms, mode)
-        # The first three placements landed before the failure.
-        assert int(loads.sum()) == 3
+            cold_choice(
+                caps, np.array([2, 1]), 0.2, mode == "proportional"
+            )
 
     def test_exhausted_matches_reference_step(self):
         caps = np.array([1, 0, 2], dtype=np.int64)
@@ -373,25 +368,40 @@ class TestColdStart:
                 caps, np.zeros(3, dtype=np.int64), uniforms,
                 "proportional",
             )
-        loads = np.zeros(3, dtype=np.int64)
         with pytest.raises(RuntimeError, match="mid-stream"):
-            place_cold_stream(
-                caps.astype(np.float64), loads, uniforms,
-                "proportional",
-            )
+            _cold_steps(caps, uniforms, "proportional")
+        # The first three steps place, as in the reference.
+        _, loads = _cold_steps(caps, uniforms[:3], "proportional")
+        assert loads.tolist() == [1, 0, 2]
 
-    def test_unknown_mode_rejected(self):
+    def test_one_ulp_cdf_clamp(self, impl):
+        """Shares 1/7, 4/7, 1/7, 1/7 sum two ulps below 1.0; a uniform
+        between that and 1.0 lands in the last group with capacity,
+        not past the end (group 4 has none)."""
+        caps = np.array([1, 4, 1, 1, 0], dtype=np.int64)
+        cdf = np.cumsum(caps / caps.sum())
+        u = float(np.nextafter(cdf[-1], 1.0))
+        assert cdf[-1] < u < 1.0
+        loads = np.zeros(caps.size, dtype=np.int64)
+        assert cold_choice(caps.astype(np.float64), loads, u, True) == 3
+        table = EdgeTable("one", [], [], num_tail_nodes=1)
+        got = sbm_part_assign(
+            table, caps, np.zeros((5, 5)),
+            tie_stream=_FixedUniforms([u]),
+        )
+        assert got.tolist() == [3]
+
+    def test_unknown_mode_rejected(self, impl):
+        table = EdgeTable("one", [], [], num_tail_nodes=1)
         with pytest.raises(ValueError, match="cold_start"):
-            place_cold_stream(
-                np.array([1.0]), np.zeros(1, dtype=np.int64),
-                [0.5], "sideways",
+            sbm_part_assign(
+                table, [1], np.zeros((1, 1)), cold_start="sideways",
             )
 
     @pytest.mark.parametrize("mode", ["proportional", "greedy"])
     def test_edgeless_graph_is_all_cold(self, impl, mode):
-        """On an edgeless graph every step takes the cold path, so the
-        whole stream is one batched prefix — and must equal the legacy
-        loop's step-by-step placement."""
+        """On an edgeless graph every step takes the cold path, and
+        must equal the legacy loop's step-by-step placement."""
         n, k = 400, 5
         table = EdgeTable("empty", [], [], num_tail_nodes=n)
         sizes = np.full(k, n // k, dtype=np.int64)
@@ -405,33 +415,74 @@ class TestColdStart:
         )
         assert np.array_equal(expected, got)
 
-    def test_cold_prefix_detection(self):
-        # Path 0-1-2-3 arriving in natural order: only node 0 is
-        # guaranteed cold (node 1's neighbour 0 arrives first).
-        table = EdgeTable("p", [0, 1, 2], [1, 2, 3], num_tail_nodes=4)
-        prep = prepare_match_stream(table)
-        assert prep.cold_prefix == 1
-        # Reversed order: 3 arrives first, then 2 (neighbour 3 already
-        # placed) — prefix is again 1.
-        prep = prepare_match_stream(
-            table, order=np.array([3, 2, 1, 0])
-        )
-        assert prep.cold_prefix == 1
-        # Isolated nodes first: all cold until the path begins.
-        table = EdgeTable("q", [4], [5], num_tail_nodes=7)
-        prep = prepare_match_stream(
-            table, order=np.array([0, 1, 2, 3, 4, 5, 6])
-        )
-        assert prep.cold_prefix == 5
 
-    def test_cold_prefix_self_loop_is_conservative(self):
-        indptr = np.array([0, 2, 2])
-        neighbors = np.array([0, 0])  # self-loop on node 0
-        order = np.arange(2)
-        positions = np.arange(2)
-        assert cold_prefix_length(
-            indptr, neighbors, order, positions
-        ) == 0
+# -- input checks -------------------------------------------------------------
+
+
+def _path4():
+    """Path 0-1-2-3."""
+    return EdgeTable("p", [0, 1, 2], [1, 2, 3], num_tail_nodes=4)
+
+
+def _bipartite_path():
+    """Tails 0-1, heads 0-1: t0-h0, t1-h0, t1-h1."""
+    return EdgeTable(
+        "b", [0, 1, 1], [0, 0, 1],
+        num_tail_nodes=2, num_head_nodes=2, directed=True,
+    )
+
+
+BAD_ORDERS = [[0, 0, 1, 2], [0, 1, 2, 7], [-1, 0, 1, 2], [0, 1, 2]]
+
+
+class TestInputChecks:
+    """A bad arrival order or a non-finite target is refused with a
+    ``ValueError`` that names it, on every implementation, before any
+    node is placed."""
+
+    @pytest.mark.parametrize("order", BAD_ORDERS)
+    def test_sbm_order_must_be_permutation(self, impl, order):
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            sbm_part_assign(_path4(), [2, 2], np.ones((2, 2)), order=order)
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            prepare_match_stream(_path4(), order)
+
+    @pytest.mark.parametrize("order", BAD_ORDERS)
+    def test_ldg_order_must_be_permutation(self, impl, order):
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            ldg_partition(_path4(), [2, 2], order=order)
+
+    @pytest.mark.parametrize("order", BAD_ORDERS)
+    def test_bipartite_order_must_be_permutation(self, impl, order):
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            bipartite_stream(
+                _bipartite_path(), [1, 1], [1, 1], np.ones((2, 2)),
+                order=order,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sbm_target_must_be_finite(self, impl, bad):
+        target = np.ones((2, 2))
+        target[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sbm_part_assign(_path4(), [2, 2], target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bipartite_target_must_be_finite(self, impl, bad):
+        target = np.ones((2, 2))
+        target[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bipartite_stream(
+                _bipartite_path(), [1, 1], [1, 1], target,
+            )
+        with pytest.raises(ValueError, match="finite"):
+            bipartite_edge_count_target(target, 3)
+        with pytest.raises(ValueError, match="finite"):
+            bipartite_sbm_part_match(
+                PropertyTable("t", np.array([0, 1])),
+                PropertyTable("h", np.array([0, 1])),
+                target, _bipartite_path(),
+            )
 
 
 # -- kernel plumbing ----------------------------------------------------------
