@@ -24,6 +24,8 @@ import numbers
 from dataclasses import dataclass, field
 
 from .schema import SchemaError
+from ..properties.registry import create_property_generator
+from ..structure.registry import create_generator
 
 __all__ = ["DependencyError", "Task", "TaskGraph", "build_task_graph"]
 
@@ -184,9 +186,10 @@ def build_task_graph(schema, scale):
     -------
     TaskGraph
 
-    Every front end plans through this function, so the scale spec is
-    validated here: a key naming no node or edge type, or an anchor
-    that is not a non-negative integer, is a
+    Every front end plans through this function, so the scale spec and
+    the generator bindings are validated here: a key naming no node or
+    edge type, an anchor that is not a non-negative integer, or a
+    generator its parameters cannot configure is a
     :class:`~repro.core.schema.SchemaError`, whichever engine runs.
     """
     unknown = [
@@ -208,6 +211,7 @@ def build_task_graph(schema, scale):
                 f"got {value!r}"
             )
 
+    _check_generators(schema)
     graph = TaskGraph()
 
     # Which node types get their count from the scale spec, and which
@@ -312,3 +316,21 @@ def build_task_graph(schema, scale):
 
     graph.validate_references()
     return graph
+
+
+def _check_generators(schema):
+    """Build every generator binding once, before any task runs, so a
+    parameter its generator rejects is a :class:`SchemaError` naming
+    the property or edge type."""
+    edges = list(schema.edge_types.values())
+    bindings = [(edge.name, create_generator, edge.structure)
+                for edge in edges]
+    for owner in [*schema.node_types.values(), *edges]:
+        bindings += [(f"{owner.name}.{prop.name}", create_property_generator,
+                      prop.generator) for prop in owner.properties]
+    for where, create, spec in bindings:
+        try:
+            if spec is not None:
+                create(spec.name, **spec.params)
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"{where}: {spec.name}: {exc}") from None

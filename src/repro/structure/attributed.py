@@ -22,6 +22,7 @@ import numpy as np
 
 from .base import StructureGenerator
 from .sbm import StochasticBlockModel
+from ..stats import Categorical
 
 __all__ = ["AttributedSbmGenerator", "AttributedResult"]
 
@@ -80,14 +81,7 @@ class AttributedSbmGenerator(StructureGenerator):
                     f"expected {n}"
                 )
             return sizes
-        marginal = joint.marginal()
-        quota = marginal * n
-        sizes = np.floor(quota).astype(np.int64)
-        remainder = n - int(sizes.sum())
-        if remainder:
-            order = np.argsort(-(quota - sizes), kind="stable")
-            sizes[order[:remainder]] += 1
-        return sizes
+        return Categorical(joint.marginal()).sizes(n)
 
     def run_with_labels(self, n):
         """Generate and return the :class:`AttributedResult`."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..io.spool import IN_MEMORY
+from ..io.spool import IN_MEMORY, dedup_first_occurrence
 from ..prng import RandomStream
 from ..tables import EdgeTable
 from ..tables.ranged import EdgeRows
@@ -28,6 +28,7 @@ __all__ = [
     "EdgeChunkStream",
     "PackedCodeEmitter",
     "StructureGenerator",
+    "deduplicated_stream",
     "empty_emit",
     "ensure_even_sum",
 ]
@@ -36,6 +37,16 @@ __all__ = [
 #: chunkable configuration's stream — also the run size of its
 #: sort-merge dedups, so up to this many records dedup as one run.
 _RUN_ROWS = 1 << 20
+
+#: Floor for spill-run sizes of the out-of-core samplers and dedups:
+#: small ``chunk_edges`` settings must not explode into thousands of
+#: runs.
+_MIN_RUN_ROWS = 65_536
+
+
+def _run_rows(chunk_edges):
+    """Spill-run size of a stream paged ``chunk_edges`` at a time."""
+    return max(int(chunk_edges), _MIN_RUN_ROWS)
 
 
 def empty_emit(lo, hi):
@@ -307,6 +318,54 @@ class StructureGenerator:
     def __repr__(self):
         kv = ", ".join(f"{k}={v!r}" for k, v in sorted(self._params.items()))
         return f"{type(self).__name__}(seed={self.seed}, {kv})"
+
+
+def deduplicated_stream(raw, chunk_edges, spill=IN_MEMORY,
+                        drop_self_loops=True):
+    """:meth:`EdgeTable.deduplicated`'s rule applied to a raw stream.
+
+    ``raw`` is any edge table (usually an :class:`EdgeChunkStream`
+    over a multigraph emitter).  Each block of run size is read,
+    canonicalised to ``(min, max)`` when undirected, stripped of self
+    loops when ``drop_self_loops`` and the table is monopartite, and
+    packed to ``tail * num_head_nodes + head`` codes;
+    :func:`~repro.io.spool.dedup_first_occurrence` keeps the first
+    occurrence of each code through sorted runs, so the raw edges are
+    never held whole.  Returns the simple graph as an
+    :class:`EdgeChunkStream` paging the spilled codes.
+
+    >>> raw = EdgeTable("g", [0, 1, 2, 2, 1, 0, 2], [1, 0, 2, 0, 2, 2, 1],
+    ...                 num_tail_nodes=3)
+    >>> simple = deduplicated_stream(raw, 2).to_edge_table()
+    >>> simple.tails.tolist(), simple.heads.tolist()
+    ([0, 0, 1], [1, 2, 2])
+    >>> reference = raw.deduplicated()
+    >>> (simple.tails.tolist(), simple.heads.tolist()) == (
+    ...     reference.tails.tolist(), reference.heads.tolist())
+    True
+    """
+    num_head = np.int64(raw.num_head_nodes)
+    drop_loops = drop_self_loops and not raw.is_bipartite
+    run_rows = _run_rows(chunk_edges)
+
+    def blocks():
+        for lo, tails, heads in raw.iter_chunks(run_rows):
+            if not raw.directed:
+                tails, heads = (np.minimum(tails, heads),
+                                np.maximum(tails, heads))
+            edge_ids = np.arange(lo, lo + tails.size, dtype=np.int64)
+            if drop_loops:
+                keep = tails != heads
+                tails, heads, edge_ids = (
+                    tails[keep], heads[keep], edge_ids[keep])
+            yield tails * num_head + heads, edge_ids
+
+    total, codes = dedup_first_occurrence(spill, raw.name, blocks(),
+                                          run_rows)
+    return EdgeChunkStream(
+        raw.name, total, raw.num_tail_nodes, raw.num_head_nodes,
+        raw.directed, PackedCodeEmitter(codes, num_head),
+    )
 
 
 def ensure_even_sum(degrees, stream):

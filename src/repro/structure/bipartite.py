@@ -12,16 +12,12 @@ import numpy as np
 
 from .base import (
     EdgeChunkStream,
-    PackedCodeEmitter,
     StructureGenerator,
+    deduplicated_stream,
     empty_emit,
 )
-from ..io.spool import dedup_first_occurrence
 
 __all__ = ["BipartiteConfiguration"]
-
-#: Floor for spill-run sizes in the out-of-core stub dedup.
-_MIN_RUN_ROWS = 65_536
 
 
 class _StubEmitter:
@@ -131,7 +127,7 @@ class BipartiteConfiguration(StructureGenerator):
         sums and the stub shuffle (the O(total) permutation is this
         generator's documented transient — drawn once, spilled, paged
         thereafter), and duplicate ``(tail, head)`` pairs are erased by
-        :func:`~repro.io.spool.dedup_first_occurrence`, keeping each
+        :func:`~repro.structure.base.deduplicated_stream`, keeping each
         pair's first stub.
         """
         tail_deg, total, head_nodes, head_deg = self._degree_layout(
@@ -153,25 +149,12 @@ class BipartiteConfiguration(StructureGenerator):
         perm = spill(
             "perm", stream.substream("shuffle").permutation(total)
         )
-        emit = _StubEmitter(tail_offsets, head_offsets, perm, head_base)
-        run_rows = max(int(chunk_edges), _MIN_RUN_ROWS)
-
-        def blocks():
-            for lo in range(0, total, run_rows):
-                hi = min(lo + run_rows, total)
-                tails, heads = emit(lo, hi)
-                yield (
-                    tails * np.int64(head_nodes) + heads,
-                    np.arange(lo, hi, dtype=np.int64),
-                )
-
-        m, codes = dedup_first_occurrence(
-            spill, "bipartite", blocks(), run_rows
+        raw = EdgeChunkStream(
+            self.name, total, n, head_nodes, True,
+            _StubEmitter(tail_offsets, head_offsets, perm, head_base),
         )
-        return EdgeChunkStream(
-            self.name, m, n, head_nodes, True,
-            PackedCodeEmitter(codes, head_nodes),
-        )
+        return deduplicated_stream(raw, chunk_edges, spill,
+                                   drop_self_loops=False)
 
     def expected_edges_for_nodes(self, n):
         tail_dist = self._params.get("tail_distribution")

@@ -17,7 +17,8 @@ Phase 2 (excess degree)
     model on the *excess* degrees ``e_i = d_i - rho (block_size - 1)``.
 
 Degree-one nodes skip phase 1 (they cannot close triangles), as in the
-reference implementation.
+reference implementation.  Both phases are :func:`two_level_blocks`,
+which Darwini calls too, with finer blocks.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .base import StructureGenerator, edge_table_from_pairs
 from .degree_sequences import degree_sequence_problem, sample_degrees
 from ..tables import EdgeTable
 
-__all__ = ["BTER", "chung_lu_pairs"]
+__all__ = ["BTER", "chung_lu_pairs", "two_level_blocks"]
 
 
-def chung_lu_pairs(weights, stream, rounds_cap=8):
+def chung_lu_pairs(weights, stream):
     """Chung–Lu edges: endpoints drawn proportionally to ``weights``.
 
     The number of edges is ``sum(weights) / 2``; both endpoints of each
@@ -53,15 +54,58 @@ def chung_lu_pairs(weights, stream, rounds_cap=8):
     heads = np.searchsorted(
         cdf, stream.substream("heads").uniform(idx), side="right"
     ).astype(np.int64)
-    pairs = np.stack([tails, heads], axis=1)
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    keys = lo * np.int64(w.size) + hi
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return np.stack([lo[first], hi[first]], axis=1)
+    simple = EdgeTable("chung_lu", tails, heads, num_tail_nodes=w.size,
+                       num_head_nodes=w.size).deduplicated()
+    return np.stack([simple.tails, simple.heads], axis=1)
+
+
+def two_level_blocks(name, degrees, order, target, stream, keys=None):
+    """BTER's two phases over ``degrees`` — the block builder of BTER
+    and Darwini.
+
+    Phase 1 walks the nodes of degree >= 2 in ``order`` and cuts them
+    into blocks of ``d + 1`` nodes, ``d`` the degree of the block's
+    first (lead) node; with ``keys``, a block also ends where the key
+    changes.  Each block of two or more nodes is an Erdős–Rényi graph
+    with ``rho = cbrt(target[lead])``, which spends ``rho (size - 1)``
+    of every member's degree.  Phase 2 wires the leftover degree with
+    :func:`chung_lu_pairs`.  Returns the union, deduplicated, as an
+    :class:`~repro.tables.EdgeTable` named ``name``.
+    """
+    eligible = order[degrees[order] >= 2]
+    excess = degrees.astype(np.float64)
+    chunks = []
+    pos = 0
+    block_id = 0
+    while pos < eligible.size:
+        lead = eligible[pos]
+        end = min(pos + int(degrees[lead]) + 1, eligible.size)
+        if keys is not None:
+            changed = keys[eligible[pos:end]] != keys[lead]
+            if changed.any():
+                end = pos + int(changed.argmax())
+        members = eligible[pos:end]
+        pos = end
+        size = members.size
+        if size < 2:
+            continue
+        rho = float(np.cbrt(target[lead]))
+        if rho > 0.0:
+            block_stream = stream.substream(f"block{block_id}")
+            iu, ju = np.triu_indices(size, k=1)
+            u = block_stream.uniform(np.arange(iu.size, dtype=np.int64))
+            take = u < rho
+            if take.any():
+                chunks.append(
+                    np.stack([members[iu[take]], members[ju[take]]], axis=1)
+                )
+            excess[members] -= rho * (size - 1)
+        block_id += 1
+
+    np.maximum(excess, 0.0, out=excess)
+    chunks.append(chung_lu_pairs(excess, stream.substream("phase2")))
+    pairs = np.concatenate(chunks, axis=0)
+    return edge_table_from_pairs(name, pairs, degrees.size).deduplicated()
 
 
 def _resolve_ccd(ccd, max_degree):
@@ -128,47 +172,10 @@ class BTER(StructureGenerator):
         ccd = _resolve_ccd(
             self._params.get("ccd", self.default_ccd), max_degree
         )
-
-        order = np.argsort(degrees, kind="stable")
-        # Phase 1 covers nodes with degree >= 2.
-        eligible = order[degrees[order] >= 2]
-        excess = degrees.astype(np.float64).copy()
-
-        chunks = []
-        pos = 0
-        block_id = 0
-        while pos < eligible.size:
-            lead_degree = int(degrees[eligible[pos]])
-            size = min(lead_degree + 1, eligible.size - pos)
-            members = eligible[pos:pos + size]
-            pos += size
-            if size < 2:
-                continue
-            rho = float(np.cbrt(ccd[lead_degree]))
-            if rho > 0.0:
-                block_stream = stream.substream(f"block{block_id}")
-                iu, ju = np.triu_indices(size, k=1)
-                u = block_stream.uniform(np.arange(iu.size, dtype=np.int64))
-                take = u < rho
-                if take.any():
-                    chunks.append(
-                        np.stack(
-                            [members[iu[take]], members[ju[take]]], axis=1
-                        )
-                    )
-                excess[members] -= rho * (size - 1)
-            block_id += 1
-
-        np.maximum(excess, 0.0, out=excess)
-        phase2 = chung_lu_pairs(excess, stream.substream("phase2"))
-        if phase2.size:
-            chunks.append(phase2)
-        if chunks:
-            pairs = np.concatenate(chunks, axis=0)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        table = edge_table_from_pairs(self.name, pairs, n)
-        return table.deduplicated()
+        return two_level_blocks(
+            self.name, degrees, np.argsort(degrees, kind="stable"),
+            ccd[degrees], stream,
+        )
 
     def expected_edges_for_nodes(self, n):
         if "degrees" in self._params:

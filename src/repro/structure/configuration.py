@@ -48,14 +48,9 @@ def pair_stubs(degrees, stream, simplify=True):
     stubs = stubs[perm]
     pairs = stubs.reshape(-1, 2)
     if simplify:
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        keys = lo * np.int64(degrees.size) + hi
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        pairs = np.stack([lo[first], hi[first]], axis=1)
+        simple = edge_table_from_pairs("stubs", pairs,
+                                       degrees.size).deduplicated()
+        pairs = np.stack([simple.tails, simple.heads], axis=1)
     return pairs
 
 

@@ -16,18 +16,20 @@ paper's Table 1).  The published algorithm:
 
 Our implementation follows that structure with one simplification,
 recorded in DESIGN.md: buckets are keyed by the quantised pair
-(degree, cc target), and the in-bucket ER block reuses the BTER affinity
-construction with ``rho`` solved from the *bucket's own* cc target rather
-than from a global per-degree average.  This is precisely the "finer
-granularity" of Darwini, realised with the same machinery.
+(degree, cc target), and the blocks are BTER's
+(:func:`~repro.structure.bter.two_level_blocks`, called with the bucket
+keys so no block spans two buckets) with ``rho`` solved from the lead
+node's own cc target rather than from a global per-degree average.
+This is precisely the "finer granularity" of Darwini, realised with
+the same machinery.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import StructureGenerator, edge_table_from_pairs
-from .bter import chung_lu_pairs
+from .base import StructureGenerator
+from .bter import two_level_blocks
 from .degree_sequences import degree_sequence_problem, sample_degrees
 from ..tables import EdgeTable
 
@@ -91,56 +93,10 @@ class Darwini(StructureGenerator):
             [sampler(int(d), float(ui)) for d, ui in zip(degrees, u)]
         )
         cc_bin = np.minimum((cc_targets * bins).astype(np.int64), bins - 1)
-        keys = degrees * np.int64(bins) + cc_bin
-
-        order = np.lexsort((cc_bin, degrees))
-        eligible = order[degrees[order] >= 2]
-        excess = degrees.astype(np.float64).copy()
-
-        chunks = []
-        pos = 0
-        block_id = 0
-        while pos < eligible.size:
-            lead = eligible[pos]
-            lead_degree = int(degrees[lead])
-            lead_key = keys[lead]
-            # Block spans same-bucket nodes only, up to degree + 1 members.
-            limit = min(pos + lead_degree + 1, eligible.size)
-            end = pos
-            while end < limit and keys[eligible[end]] == lead_key:
-                end += 1
-            members = eligible[pos:end]
-            pos = end
-            size = members.size
-            if size < 2:
-                continue
-            # Solve rho from the bucket's own cc target.
-            rho = float(np.cbrt(cc_targets[lead]))
-            if rho > 0.0:
-                block_stream = stream.substream(f"block{block_id}")
-                iu, ju = np.triu_indices(size, k=1)
-                draw = block_stream.uniform(
-                    np.arange(iu.size, dtype=np.int64)
-                )
-                take = draw < rho
-                if take.any():
-                    chunks.append(
-                        np.stack(
-                            [members[iu[take]], members[ju[take]]], axis=1
-                        )
-                    )
-                excess[members] -= rho * (size - 1)
-            block_id += 1
-
-        np.maximum(excess, 0.0, out=excess)
-        phase2 = chung_lu_pairs(excess, stream.substream("phase2"))
-        if phase2.size:
-            chunks.append(phase2)
-        if chunks:
-            pairs = np.concatenate(chunks, axis=0)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        return edge_table_from_pairs(self.name, pairs, n).deduplicated()
+        return two_level_blocks(
+            self.name, degrees, np.lexsort((cc_bin, degrees)), cc_targets,
+            stream, keys=degrees * np.int64(bins) + cc_bin,
+        )
 
     def expected_edges_for_nodes(self, n):
         if "degrees" in self._params:

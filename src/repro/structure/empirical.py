@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StructureGenerator, edge_table_from_pairs
+from .base import StructureGenerator, edge_table_from_pairs, ensure_even_sum
 from .configuration import pair_stubs_with_repair
 from ..stats import empirical_degree_distribution
 
@@ -60,12 +60,9 @@ class EmpiricalDegreeGenerator(StructureGenerator):
                 self.name, np.empty((0, 2), dtype=np.int64), n
             )
         distribution = empirical_degree_distribution(observed)
-        degrees = distribution.sample(
+        degrees = ensure_even_sum(distribution.sample(
             stream.substream("degrees"), np.arange(n, dtype=np.int64)
-        )
-        if int(degrees.sum()) % 2 == 1:
-            bump = int(stream.randint(np.int64(n), 0, n))
-            degrees[bump] += 1
+        ), stream)
         pairs = pair_stubs_with_repair(
             degrees, stream.substream("pairing")
         )

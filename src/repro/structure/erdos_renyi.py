@@ -4,20 +4,32 @@ Not referenced in the paper's Table 1 but the canonical "no structure"
 baseline: uniform random edges, Poisson-ish degrees, no communities, no
 clustering.  Used in tests and ablations as the structure with *nothing*
 to exploit for SBM-Part.
+
+:func:`sample_distinct_codes` (uniform distinct codes through spilled
+sorted runs), :func:`gaussian_edge_count` and :func:`_decode_pair_codes`
+are the G(n, m) building blocks; the SBM draws each of its blocks
+through the same three.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EdgeChunkStream, StructureGenerator
+from .base import EdgeChunkStream, StructureGenerator, _run_rows
 from ..io.spool import SortedRuns
 
 __all__ = ["ErdosRenyi", "ErdosRenyiM"]
 
-#: Floor for spill-run sizes in the out-of-core sampler — small
-#: ``chunk_edges`` settings must not explode into thousands of runs.
-_MIN_RUN_ROWS = 65_536
+
+def gaussian_edge_count(total, p, stream, index):
+    """``Binomial(total, p)`` edges by its Gaussian approximation.
+
+    Deterministic: one normal draw at ``index`` of ``stream``, rounded
+    and clipped to ``[0, total]``.
+    """
+    std = np.sqrt(max(total * p * (1.0 - p), 0.0))
+    z = float(stream.normal(np.int64(index), 0.0, 1.0))
+    return max(0, min(int(round(total * p + std * z)), total))
 
 
 def _decode_pair_codes(chosen):
@@ -30,36 +42,26 @@ def _decode_pair_codes(chosen):
     k = chosen.astype(np.float64)
     u = np.floor((1.0 + np.sqrt(1.0 + 8.0 * k)) / 2.0).astype(np.int64)
     # Guard against floating point at the triangle boundaries.
-    tri = u * (u - 1) // 2
-    too_big = tri > chosen
-    u[too_big] -= 1
-    tri = u * (u - 1) // 2
-    too_small = chosen >= tri + u
-    u[too_small] += 1
-    tri = u * (u - 1) // 2
-    v = chosen - tri
-    return v, u
+    u[u * (u - 1) // 2 > chosen] -= 1
+    u[chosen >= u * (u - 1) // 2 + u] += 1
+    return chosen - u * (u - 1) // 2, u
 
 
-def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
-    """Sample ``count`` distinct linear pair codes from ``n`` nodes.
+def sample_distinct_codes(total, count, stream, spill, run_rows,
+                          prefix):
+    """Sample ``count`` distinct uniform codes from ``range(total)``.
 
     Oversamples in rounds until ``count`` distinct codes are drawn —
-    with ``count`` well below the pair total, one or two rounds — and
-    never holds more than one ``run_rows`` block of draws: the codes
+    with ``count`` well below ``total``, one or two rounds — and never
+    holds more than one ``run_rows`` block of draws: the codes
     accumulate in duplicate-dropping sorted runs.  When the last round
     overshoots, a deterministic subset is kept, ranked by a per-code
     uniform key (ties broken by code) through a second set of runs.
     The resulting order is the edge-id order of the generated table.
-    Returns a sealed spill view over the final code sequence.
+    Spill names start with ``prefix``, one per call.  Returns a sealed
+    spill view over the final code sequence.
     """
-    total_pairs = n * (n - 1) // 2
-    if count > total_pairs:
-        raise ValueError(
-            f"{name}: requested {count} edges but only {total_pairs} "
-            "distinct pairs exist"
-        )
-    runs = SortedRuns(spill, "er.codes", run_rows, unique=True)
+    runs = SortedRuns(spill, f"{prefix}.codes", run_rows, unique=True)
     distinct = 0
     round_id = 0
     while distinct < count:
@@ -68,10 +70,10 @@ def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
         sub = stream.substream(f"round{round_id}")
         for lo in range(0, draw, run_rows):
             idx = np.arange(lo, min(lo + run_rows, draw), dtype=np.int64)
-            runs.push((sub.uniform(idx) * total_pairs).astype(np.int64))
+            runs.push((sub.uniform(idx) * total).astype(np.int64))
         distinct = runs.total()
         round_id += 1
-    final = spill.create("codes", count, np.int64)
+    final = spill.create(f"{prefix}.final", count, np.int64)
     pos = 0
     if distinct == count:
         for codes, _ in runs.merge():
@@ -80,7 +82,7 @@ def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
     elif count:
         # Thin to a deterministic subset: ranked by a per-code key.
         key_stream = stream.substream("thin")
-        ranked = SortedRuns(spill, "er.ranked", run_rows)
+        ranked = SortedRuns(spill, f"{prefix}.ranked", run_rows)
         for codes, _ in runs.merge():
             ranked.push(key_stream.uniform(codes), codes)
         for _, codes in ranked.merge():
@@ -91,7 +93,7 @@ def _sample_pair_codes_spilled(n, count, stream, name, spill, run_rows):
                 break
         ranked.cleanup()
     runs.cleanup()
-    return spill.seal("codes", final)
+    return spill.seal(f"{prefix}.final", final)
 
 
 class _CodeEmitter:
@@ -111,13 +113,11 @@ def _pair_code_chunk_stream(name, n, m, stream, chunk_edges, spill):
     builds it through spilled sorted runs (in memory under the in-RAM
     spill), after which each chunk decodes a bounded slice.
     """
-    codes = _sample_pair_codes_spilled(
-        n, m, stream.substream("pairs"), name, spill,
-        max(int(chunk_edges), _MIN_RUN_ROWS),
+    codes = sample_distinct_codes(
+        n * (n - 1) // 2, m, stream.substream("pairs"), spill,
+        _run_rows(chunk_edges), "pairs",
     )
-    return EdgeChunkStream(
-        name, m, n, n, False, _CodeEmitter(codes)
-    )
+    return EdgeChunkStream(name, m, n, n, False, _CodeEmitter(codes))
 
 
 class ErdosRenyi(StructureGenerator):
@@ -140,20 +140,11 @@ class ErdosRenyi(StructureGenerator):
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
-    def _draw_edge_count(self, n, stream):
+    def _generate_chunked(self, n, stream, chunk_edges, spill):
         p = self._params.get("p")
         if p is None:
             raise ValueError("ErdosRenyi needs parameter 'p'")
-        total_pairs = n * (n - 1) // 2
-        mean = total_pairs * p
-        std = np.sqrt(max(total_pairs * p * (1.0 - p), 0.0))
-        # Gaussian approximation of the binomial count, deterministic.
-        z = float(stream.normal(np.int64(1), 0.0, 1.0))
-        m = int(round(mean + std * z))
-        return max(0, min(m, total_pairs))
-
-    def _generate_chunked(self, n, stream, chunk_edges, spill):
-        m = self._draw_edge_count(n, stream)
+        m = gaussian_edge_count(n * (n - 1) // 2, p, stream, 1)
         return _pair_code_chunk_stream(
             self.name, n, m, stream, chunk_edges, spill
         )

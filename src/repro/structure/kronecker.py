@@ -55,7 +55,8 @@ class KroneckerGenerator(StructureGenerator):
             raise ValueError("edge_factor must be positive")
 
     def node_count_problem(self, n):
-        side = len(self._params.get("initiator") or ())
+        initiator = self._params.get("initiator")
+        side = 0 if initiator is None else len(initiator)
         size = 1
         while 1 < side and size < n:
             size *= side

@@ -17,11 +17,10 @@ import numpy as np
 
 from .base import (
     EdgeChunkStream,
-    PackedCodeEmitter,
     StructureGenerator,
+    deduplicated_stream,
     empty_emit,
 )
-from ..io.spool import dedup_first_occurrence
 
 __all__ = ["RMat"]
 
@@ -29,10 +28,6 @@ _DEFAULT_A = 0.57
 _DEFAULT_B = 0.19
 _DEFAULT_C = 0.19
 _DEFAULT_EDGE_FACTOR = 16
-
-#: Floor for spill-run sizes in the chunked dedup: tiny ``chunk_edges``
-#: settings must not explode into thousands of run files.
-_MIN_RUN_ROWS = 65_536
 
 
 class _RawEmitter:
@@ -70,7 +65,8 @@ class RMat(StructureGenerator):
     ``2**31`` (:meth:`node_count_problem`); use :meth:`run_scale` for the
     conventional parameterisation.  Raw emission is a pure function of
     the edge-id range; ``simplify`` adds a global dedup through sorted
-    runs, so both configurations chunk.
+    runs (:func:`~repro.structure.base.deduplicated_stream`), so both
+    configurations chunk.
     """
 
     name = "rmat"
@@ -173,44 +169,12 @@ class RMat(StructureGenerator):
         edge_factor = self._params.get("edge_factor", _DEFAULT_EDGE_FACTOR)
         m = int(n * edge_factor)
         plan = self._level_plan(scale, stream)
-        emit = _RawEmitter(plan, scale)
+        raw = EdgeChunkStream(
+            self.name, m, n, n, False, _RawEmitter(plan, scale)
+        )
         if self._params.get("simplify", True):
-            return self._simplify_chunked(
-                n, m, emit, chunk_edges, spill
-            )
-        return EdgeChunkStream(
-            self.name, m, n, n, False, emit
-        )
-
-    def _simplify_chunked(self, n, m, emit, chunk_edges, spill):
-        """The simple graph, with ``EdgeTable.deduplicated()``'s rule.
-
-        Each edge-id block is descended, canonicalised to ``(min,
-        max)`` with self loops dropped, and packed to ``lo * n + hi``
-        codes; :func:`~repro.io.spool.dedup_first_occurrence` keeps the
-        first occurrence of each code through sorted runs, so the raw
-        ``m``-edge multigraph is never held whole.
-        """
-        run_rows = max(int(chunk_edges), _MIN_RUN_ROWS)
-
-        def blocks():
-            for lo in range(0, m, run_rows):
-                tails, heads = emit(lo, min(lo + run_rows, m))
-                pair_lo = np.minimum(tails, heads)
-                pair_hi = np.maximum(tails, heads)
-                keep = pair_lo != pair_hi
-                edge_ids = np.arange(lo, lo + tails.size, dtype=np.int64)
-                yield (
-                    pair_lo[keep] * np.int64(n) + pair_hi[keep],
-                    edge_ids[keep],
-                )
-
-        total, codes = dedup_first_occurrence(
-            spill, "rmat", blocks(), run_rows
-        )
-        return EdgeChunkStream(
-            self.name, total, n, n, False, PackedCodeEmitter(codes, n)
-        )
+            return deduplicated_stream(raw, chunk_edges, spill)
+        return raw
 
     def expected_edges_for_nodes(self, n):
         edge_factor = self._params.get("edge_factor", _DEFAULT_EDGE_FACTOR)

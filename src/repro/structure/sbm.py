@@ -7,6 +7,12 @@ graphs with *known* group structure and *known* joint distribution —
 ideal ground truth for validating the matching algorithm (if SBM-Part is
 handed a graph actually drawn from the target SBM, it should recover a
 near-perfect joint).
+
+Each block is a G(n, m) draw through the functions of
+:mod:`repro.structure.erdos_renyi`: ``gaussian_edge_count`` sets its
+edge count, ``sample_distinct_codes`` samples its codes through spilled
+sorted runs, and a diagonal block decodes them with
+``_decode_pair_codes``, an off-diagonal one by ``divmod``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ import bisect
 
 import numpy as np
 
-from .base import EdgeChunkStream, StructureGenerator
+from .base import EdgeChunkStream, StructureGenerator, _run_rows
+from .erdos_renyi import (
+    _decode_pair_codes,
+    gaussian_edge_count,
+    sample_distinct_codes,
+)
+from ..stats import Categorical
 
 __all__ = ["StochasticBlockModel"]
 
@@ -32,12 +44,6 @@ class _BlockEmitter:
         self.blocks = blocks
         self.starts = [b[0] for b in blocks]
 
-    def __getstate__(self):
-        return self.blocks
-
-    def __setstate__(self, blocks):
-        self.__init__(blocks)
-
     def __call__(self, lo, hi):
         tails_parts, heads_parts = [], []
         pos = max(0, bisect.bisect_right(self.starts, lo) - 1)
@@ -48,11 +54,11 @@ class _BlockEmitter:
             if stop <= lo:
                 continue
             piece = np.asarray(codes[max(lo - start, 0):hi - start])
-            t, h = StochasticBlockModel._decode_block_codes(
-                piece, r0, c0, nc, intra
-            )
-            tails_parts.append(t)
-            heads_parts.append(h)
+            # A diagonal block has c0 == r0.
+            t, h = (_decode_pair_codes(piece) if intra
+                    else np.divmod(piece, nc))
+            tails_parts.append(r0 + t)
+            heads_parts.append(c0 + h)
         if not tails_parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy()
@@ -72,9 +78,9 @@ class StochasticBlockModel(StructureGenerator):
         ``(k, k)`` symmetric matrix of per-pair edge probabilities
         ``delta_ij``.
 
-    The per-block edge count is drawn from a Gaussian approximation of
-    the binomial and the edges sampled uniformly without replacement
-    within the block, mirroring :mod:`repro.structure.erdos_renyi`.
+    Every block is a G(n, m) graph: a Gaussian-approximated binomial
+    edge count, then that many distinct pairs drawn uniformly within
+    the block by the G(n, m) sampler.
     """
 
     name = "sbm"
@@ -94,6 +100,13 @@ class StochasticBlockModel(StructureGenerator):
                 raise ValueError("probabilities must lie in [0, 1]")
             if not np.allclose(p, p.T):
                 raise ValueError("probabilities must be symmetric")
+        fractions = self._params.get("fractions")
+        if fractions is not None:
+            f = np.asarray(fractions, dtype=np.float64)
+            if f.ndim != 1 or (f < 0).any() or not f.sum() > 0:
+                raise ValueError(
+                    "fractions must be nonnegative with positive total mass"
+                )
 
     def node_count_problem(self, n):
         sizes = self._params.get("sizes")
@@ -110,15 +123,7 @@ class StochasticBlockModel(StructureGenerator):
         fractions = self._params.get("fractions")
         if fractions is None:
             raise ValueError("SBM needs 'sizes' or 'fractions'")
-        f = np.asarray(fractions, dtype=np.float64)
-        f = f / f.sum()
-        quota = f * n
-        sizes = np.floor(quota).astype(np.int64)
-        remainder = n - int(sizes.sum())
-        if remainder:
-            order = np.argsort(-(quota - sizes), kind="stable")
-            sizes[order[:remainder]] += 1
-        return sizes
+        return Categorical(fractions).sizes(n)
 
     def group_labels(self, n):
         """Ground-truth group label per node id (ids laid out group by
@@ -126,63 +131,7 @@ class StochasticBlockModel(StructureGenerator):
         sizes = self._group_sizes(n)
         return np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
 
-    def _sample_block_codes(self, rows, cols, prob, stream, intra):
-        """Sample the linear edge codes of one block (no decoding).
-
-        The code array is the block's only whole-size state, which is
-        what emission spills; decoding a slice of it is elementwise and
-        therefore chunk-pure.
-        """
-        r0, r1 = rows
-        c0, c1 = cols
-        nr, nc = r1 - r0, c1 - c0
-        if intra:
-            total = nr * (nr - 1) // 2
-        else:
-            total = nr * nc
-        if total == 0 or prob <= 0.0:
-            return np.empty(0, dtype=np.int64)
-        mean = total * prob
-        std = np.sqrt(total * prob * (1.0 - prob))
-        z = float(stream.normal(np.int64(0), 0.0, 1.0))
-        m = int(round(mean + std * z))
-        m = max(0, min(m, total))
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
-        # Sample m distinct linear indices within the block.
-        chosen = np.empty(0, dtype=np.int64)
-        round_id = 0
-        while chosen.size < m:
-            need = m - chosen.size
-            draw = int(need * 1.3) + 16
-            sub = stream.substream(f"round{round_id}")
-            codes = (sub.uniform(np.arange(draw, dtype=np.int64))
-                     * total).astype(np.int64)
-            chosen = np.unique(np.concatenate([chosen, codes]))
-            round_id += 1
-        if chosen.size > m:
-            keys = stream.substream("thin").uniform(chosen)
-            chosen = chosen[np.argsort(keys, kind="stable")[:m]]
-        return chosen
-
-    @staticmethod
-    def _decode_block_codes(chosen, r0, c0, nc, intra):
-        """Decode block codes into ``(tails, heads)`` (elementwise)."""
-        if intra:
-            k = chosen.astype(np.float64)
-            u = np.floor((1.0 + np.sqrt(1.0 + 8.0 * k)) / 2.0).astype(np.int64)
-            tri = u * (u - 1) // 2
-            u[tri > chosen] -= 1
-            tri = u * (u - 1) // 2
-            u[chosen >= tri + u] += 1
-            tri = u * (u - 1) // 2
-            v = chosen - tri
-            return r0 + v, r0 + u
-        u = chosen // nc
-        v = chosen % nc
-        return r0 + u, c0 + v
-
-    def _block_layout(self, n):
+    def _generate_chunked(self, n, stream, chunk_edges, spill):
         probs = self._params.get("probabilities")
         if probs is None:
             raise ValueError("SBM needs 'probabilities'")
@@ -194,36 +143,26 @@ class StochasticBlockModel(StructureGenerator):
                 f"{probs.shape[0]}x{probs.shape[1]}"
             )
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        return probs, sizes, offsets
-
-    def _generate_chunked(self, n, stream, chunk_edges, spill):
-        probs, sizes, offsets = self._block_layout(n)
-        k = sizes.size
+        run_rows = _run_rows(chunk_edges)
         # (edge-id start, r0, c0, nc, intra, codes) per non-empty block,
         # blocks concatenated in (i, j), i <= j order.
         blocks = []
         total_m = 0
-        for i in range(k):
-            for j in range(i, k):
+        for i in range(sizes.size):
+            for j in range(i, sizes.size):
+                nr, nc = int(sizes[i]), int(sizes[j])
+                total = nr * (nr - 1) // 2 if i == j else nr * nc
                 block_stream = stream.substream(f"block{i}.{j}")
-                chosen = self._sample_block_codes(
-                    (offsets[i], offsets[i + 1]),
-                    (offsets[j], offsets[j + 1]),
-                    probs[i, j],
-                    block_stream,
-                    intra=(i == j),
+                m = gaussian_edge_count(total, probs[i, j], block_stream, 0)
+                if m == 0:
+                    continue
+                codes = sample_distinct_codes(
+                    total, m, block_stream, spill, run_rows,
+                    f"block{i}.{j}",
                 )
-                if chosen.size:
-                    codes = spill(f"block{i}.{j}", chosen)
-                    blocks.append((
-                        total_m,
-                        int(offsets[i]),
-                        int(offsets[j]),
-                        int(offsets[j + 1] - offsets[j]),
-                        i == j,
-                        codes,
-                    ))
-                    total_m += chosen.size
+                blocks.append((total_m, int(offsets[i]), int(offsets[j]),
+                               nc, i == j, codes))
+                total_m += m
         return EdgeChunkStream(
             self.name, total_m, n, n, False, _BlockEmitter(blocks)
         )

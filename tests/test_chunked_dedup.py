@@ -15,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.structure.bipartite as bipartite_mod
-import repro.structure.erdos_renyi as er_mod
-import repro.structure.rmat as rmat_mod
+import repro.structure.base as base_mod
 from repro.io.spool import (
     IN_MEMORY,
     SortedRuns,
@@ -25,7 +23,12 @@ from repro.io.spool import (
     dedup_first_occurrence,
 )
 from repro.stats import Zipf
-from repro.structure import BipartiteConfiguration, ErdosRenyiM, RMat
+from repro.structure import (
+    BipartiteConfiguration,
+    ErdosRenyiM,
+    RMat,
+    StochasticBlockModel,
+)
 
 #: Tiny run size (SortedRuns clamps to 1024) so a few thousand rows
 #: split into several spilled runs and the k-way merge actually merges.
@@ -219,7 +222,7 @@ class TestChunkedEqualsSerial:
         np.testing.assert_array_equal(heads, serial.heads)
 
     def test_rmat_simplify(self, spill, monkeypatch):
-        monkeypatch.setattr(rmat_mod, "_MIN_RUN_ROWS", 1)
+        monkeypatch.setattr(base_mod, "_MIN_RUN_ROWS", 1)
         gen = RMat(seed=11, simplify=True, edge_factor=8)
         self._assert_equivalent(gen, 512, spill)
 
@@ -228,7 +231,7 @@ class TestChunkedEqualsSerial:
         assert RMat(seed=0, simplify=False).random_access(64) is True
 
     def test_bipartite_configuration(self, spill, monkeypatch):
-        monkeypatch.setattr(bipartite_mod, "_MIN_RUN_ROWS", 1)
+        monkeypatch.setattr(base_mod, "_MIN_RUN_ROWS", 1)
         gen = BipartiteConfiguration(
             seed=13,
             tail_distribution=Zipf(0.7, 12),
@@ -240,7 +243,7 @@ class TestChunkedEqualsSerial:
     def test_bipartite_truncated_head_side(self, spill, monkeypatch):
         # head_nodes pinned high: head stubs outnumber tail stubs, so
         # the chunked path must reproduce the serial truncation branch.
-        monkeypatch.setattr(bipartite_mod, "_MIN_RUN_ROWS", 1)
+        monkeypatch.setattr(base_mod, "_MIN_RUN_ROWS", 1)
         gen = BipartiteConfiguration(
             seed=17,
             tail_distribution=Zipf(0.7, 6),
@@ -251,6 +254,18 @@ class TestChunkedEqualsSerial:
         self._assert_equivalent(gen, 300, spill)
 
     def test_erdos_renyi_m(self, spill, monkeypatch):
-        monkeypatch.setattr(er_mod, "_MIN_RUN_ROWS", 1)
+        monkeypatch.setattr(base_mod, "_MIN_RUN_ROWS", 1)
         gen = ErdosRenyiM(seed=19, edges_per_node=6)
         self._assert_equivalent(gen, 800, spill)
+
+    def test_sbm(self, spill, monkeypatch):
+        # Every block samples its codes through spilled sorted runs;
+        # the big diagonal blocks split into several runs.
+        monkeypatch.setattr(base_mod, "_MIN_RUN_ROWS", 1)
+        gen = StochasticBlockModel(
+            seed=23, sizes=[300, 200, 100],
+            probabilities=[[0.08, 0.01, 0.0],
+                           [0.01, 0.1, 0.02],
+                           [0.0, 0.02, 0.3]],
+        )
+        self._assert_equivalent(gen, 600, spill)

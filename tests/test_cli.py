@@ -20,6 +20,26 @@ graph tiny {
 """
 
 
+BAD_SBM_RECIPE = """
+scenario: bad_sbm
+nodes:
+  Person:
+    properties:
+      age: {dtype: long, generator: uniform_int,
+            params: {low: 18, high: 80}}
+edges:
+  knows:
+    tail: Person
+    head: Person
+    structure:
+      generator: sbm
+      params:
+        sizes: [10, 10]
+        probabilities: [[1.5, 0.1], [0.1, 0.5]]
+scale: {Person: 20}
+"""
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -246,21 +266,46 @@ class TestBoundaryErrors:
         (["protocol", "--kind", "rmat", "--size", "64"],
          "protocol error: rmat needs at most 2**31 nodes (scale 31), got "
          "18446744073709551616"),
+        # A parameter the generator rejects is caught when the task
+        # graph is built, before any task runs, at every front end.
+        (["scenario", "validate", "{recipe}"],
+         "scenario error: knows: sbm: probabilities must lie in [0, 1]"),
+        (["serve", "{recipe}", "--port", "0"],
+         "scenario error: knows: sbm: probabilities must lie in [0, 1]"),
+        (["generate", "{bad_sbm}", "--out", "{out}"],
+         "schema error: knows: sbm: probabilities must lie in [0, 1]"),
+        (["generate", "{zero_fractions}", "--out", "{out}"],
+         "schema error: knows: sbm: fractions must be nonnegative with "
+         "positive total mass"),
+        (["generate", "{unknown_param}", "--out", "{out}"],
+         "schema error: knows: erdos_renyi_m: ErdosRenyiM got unexpected "
+         "parameter 'bogus'"),
+        (["generate", "{bad_uniform}", "--out", "{out}"],
+         "schema error: Person.age: uniform_int: need low < high"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):
         paths = {}
-        for key, structure in [
-            ("dsl", "erdos_renyi_m(edges_per_node=3)"),
-            ("lfr", "lfr(avg_degree=18)"),
-            ("rmat", "rmat(edge_factor=4)"),
-            ("sbm", "sbm(sizes=[10, 10], "
-                    "probabilities=[[0.5, 0.1], [0.1, 0.5]])"),
+        structure = "erdos_renyi_m(edges_per_node=3)"
+        bad_sbm = ("sbm(sizes=[10, 10], "
+                   "probabilities=[[1.5, 0.1], [0.1, 0.5]])")
+        for key, old, new in [
+            ("dsl", structure, structure),
+            ("lfr", structure, "lfr(avg_degree=18)"),
+            ("rmat", structure, "rmat(edge_factor=4)"),
+            ("sbm", structure, "sbm(sizes=[10, 10], "
+                               "probabilities=[[0.5, 0.1], [0.1, 0.5]])"),
+            ("bad_sbm", structure, bad_sbm),
+            ("zero_fractions", structure, "sbm(fractions=[0, 0], "
+             "probabilities=[[0.5, 0.1], [0.1, 0.5]])"),
+            ("unknown_param", structure,
+             "erdos_renyi_m(edges_per_node=3, bogus=1)"),
+            ("bad_uniform", "low=18, high=80", "low=80, high=18"),
         ]:
             paths[key] = tmp_path / f"{key}.dsl"
-            paths[key].write_text(DSL.replace(
-                "erdos_renyi_m(edges_per_node=3)", structure
-            ))
+            paths[key].write_text(DSL.replace(old, new))
+        paths["recipe"] = tmp_path / "bad_sbm.yaml"
+        paths["recipe"].write_text(BAD_SBM_RECIPE)
         argv = [
             arg.format(missing=tmp_path / "no.dsl", out=tmp_path / "o",
                        **paths)

@@ -56,6 +56,33 @@ class TestKronecker:
         degrees = generator.run(1024).degrees()
         assert degrees.max() > 8 * degrees.mean()
 
+    def test_numpy_initiator_through_graph_generator(self):
+        """An ndarray initiator (a library spec or a DSL ``@initiator``)
+        sizes and generates like the equal nested list."""
+        from repro.core import (
+            EdgeType,
+            GeneratorSpec,
+            GraphGenerator,
+            NodeType,
+            Schema,
+        )
+
+        def knows(initiator):
+            schema = Schema(
+                node_types=[NodeType("Person")],
+                edge_types=[EdgeType("knows", "Person", "Person",
+                                     structure=GeneratorSpec(
+                                         "kronecker",
+                                         {"initiator": initiator,
+                                          "edge_factor": 4}))],
+            )
+            graph = GraphGenerator(schema, {"Person": 64}, seed=2)
+            return graph.generate().edges("knows")
+
+        table = knows(np.array(self.INITIATOR))
+        assert table.num_edges > 0
+        assert table == knows(self.INITIATOR)
+
     def test_validates_initiator(self):
         with pytest.raises(ValueError, match="square"):
             KroneckerGenerator(seed=0, initiator=[[0.5, 0.5]])
