@@ -51,8 +51,8 @@ _positive_int = _int_at_least(1)
 
 _WORKERS_HELP = (
     "worker-pool size of an out-of-core run (--shard-rows, "
-    "--memory-budget or --resume); an in-memory run accepts it and "
-    "changes neither its bytes nor its schedule"
+    "--memory-budget or --resume); in memory, the threads that run "
+    "independent tasks at once; the same bytes for any N"
 )
 
 

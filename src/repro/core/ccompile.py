@@ -26,6 +26,10 @@ Environment knobs (shared by every embedded kernel):
 The cache holds code this process will ``dlopen``: it is created
 ``0o700`` and refused (no kernel; callers fall back) when another user
 owns it or group/others may write to it.
+
+Threads: a kernel keeps no mutable static state, writes only to its
+caller's buffers and runs without the interpreter lock (``ctypes.CDLL``),
+so concurrent calls, as an overlapped run makes, return sequential results.
 """
 
 from __future__ import annotations

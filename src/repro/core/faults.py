@@ -19,8 +19,9 @@ Spec grammar (comma- or whitespace-separated entries)::
 
 Sites map to pipeline stages: ``count`` / ``property`` / ``structure``
 / ``match`` / ``export`` fire at the matching stage (index = per-stage
-occurrence counter: shard index for worker stages, write counter for
-export), ``ledger`` fires in the parent before each append to the
+occurrence: the task's place in the plan, or out of core for worker
+stages the shard index; the write counter for export), ``ledger``
+fires in the parent before each append to the
 spool's catalog (index = append counter of this run — the window
 between a part file landing and its ack), ``spill`` before each
 scratch file a spool starts (index = spill counter of that spool: a

@@ -3,7 +3,7 @@
 Every per-shard unit of work — property kernels, chunked structure
 emission + relabel — goes through one :class:`ShardPool`; an
 in-memory run's one shard per table runs inline, on the same retry
-budget.
+budget, and its tasks overlap on a second pool's threads (``submit``).
 The backend is chosen here and nowhere else: the run keeps its global
 state in the spool and formats its export in the parent whichever
 backend runs the shards, so the choice changes where kernels run,
@@ -165,6 +165,10 @@ class ShardPool:
         finally:
             for item in pending:
                 item[2].cancel()
+
+    def submit(self, fn, *args):
+        """``fn(*args)`` on a worker, as a future: no window, no retry."""
+        return self._executor().submit(fn, *args)
 
     def _inline(self, fn, args):
         """``fn(*args)`` in this thread, re-run on failure within the

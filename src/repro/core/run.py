@@ -136,11 +136,12 @@ class RunOptions:
     shard_rows``; the spool is a temporary directory (removed when a
     stage fails) unless ``spool_dir`` names one, and ``resume``
     continues the run its ``checkpoint.jsonl`` catalog records.
-    An in-memory run accepts ``workers`` and changes neither its bytes
-    nor its schedule.  ``retries`` and ``faults`` (``None`` reads
-    ``REPRO_FAULTS``) apply to every run: in memory a failed shard —
-    one per table — is retried inline.  ``workers``, ``shard_rows``
-    and ``retries`` are integers (``bool`` is not one).
+    In memory ``workers`` threads run independent tasks, exporting in
+    plan order: the bytes and errors are the serial run's.  ``retries``
+    and ``faults`` (``None`` reads ``REPRO_FAULTS``) apply to every run:
+    in memory a failed shard — one per table — is retried inline.
+    ``workers``, ``shard_rows`` and ``retries`` are integers (``bool``
+    is not one).
     """
 
     workers: int = 1

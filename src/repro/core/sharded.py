@@ -52,6 +52,7 @@ from .tasks import (
     dep_slice,
     is_correlated,
     property_shard_values,
+    site_numbers,
     walk,
 )
 
@@ -60,11 +61,12 @@ __all__ = ["ShardedError"]
 # -- per-shard jobs (module-level: picklable for any pool) --------------------
 
 
-def _property_shard_part(spool, key, index, bound, spec, task_id, seed,
-                         deps):
-    """One property shard: kernel to spool part file (any worker)."""
-    _faults.fire("property", index)
-    _faults.fire("shard", index)
+def _property_shard_part(spool, key, index, bound, sites, spec, task_id,
+                         seed, deps):
+    """One property shard: kernel to spool part file (any worker);
+    ``sites`` pairs each fault site with the occurrence shard 0 is."""
+    for site, first in sites:
+        _faults.fire(site, first + index)
     start, stop = bound
     values = property_shard_values(
         spec, task_id, seed, start, stop,
@@ -73,11 +75,11 @@ def _property_shard_part(spool, key, index, bound, spec, task_id, seed,
     return spool.save_property_part(index, key, values)
 
 
-def _edge_shard_part(spool, key, index, bound, rows):
+def _edge_shard_part(spool, key, index, bound, sites, rows):
     """One final edge shard — chunk emission + relabel, or a page of
     a correlated matching's table — to the spool (any worker)."""
-    _faults.fire("match", index)
-    _faults.fire("shard", index)
+    for site, first in sites:
+        _faults.fire(site, first + index)
     return spool.save_edge_part(index, key, *rows.read_range(*bound))
 
 
@@ -117,19 +119,23 @@ class _BatchStore(Store):
     structures are adopted on resume; a matching the memory ``budget``
     cannot bound is warned about before it runs."""
 
-    def __init__(self, spool, pool, schema=None, budget=None):
+    def __init__(self, spool, pool, schema=None, budget=None, sites=None):
         self.spool = spool
         self.pool = pool
         self._schema = schema
         self._budget = None if budget is None else parse_memory_budget(budget)
-        self._stages = {"count": 0, "structure": 0}
+        self._sites = sites or {}
 
-    def fire(self, site):
+    def _first(self, task_id, stage):
+        """The occurrence of the task's shard 0 at site ``stage`` and at
+        ``"shard"``: its plan number where the run has one, else 0."""
+        return tuple((site, self._sites.get((site, task_id), 0))
+                     for site in (stage, "shard"))
+
+    def fire(self, site, task_id):
         # Counts are never checkpointed: recomputing them on resume is
         # cheap and cross-checks the purity argument.
-        index = self._stages[site]
-        self._stages[site] = index + 1
-        _faults.fire(site, index)
+        _faults.fire(site, self._sites.get((site, task_id), 0))
 
     def _run_shards(self, key, job, bounds, args):
         """Fill one table's shards ``bounds`` in the spool.
@@ -163,7 +169,7 @@ class _BatchStore(Store):
         meta = spool.structure_meta(name)
         if spool.sealed(name) is not None and meta is not None:
             return adopted(meta)
-        self.fire("structure")
+        self.fire("structure", f"structure:{name}")
         handle = open_handle(
             spool.shard_rows, spool.spiller(f"structure.{name}")
         )
@@ -173,7 +179,7 @@ class _BatchStore(Store):
     def properties(self, name, spec, count, deps, task_id, seed):
         self._run_shards(
             name, _property_shard_part, self.spool.shard_bounds(count),
-            (spec, task_id, seed, deps),
+            (self._first(task_id, "property"), spec, task_id, seed, deps),
         )
         return self.spool.finish_property(name)
 
@@ -198,7 +204,8 @@ class _BatchStore(Store):
         rows, match = build(spool.spiller(f"match.{name}"))
         self._run_shards(
             name, _edge_shard_part,
-            spool.shard_bounds(len(rows)) if len(rows) else [], (rows,),
+            spool.shard_bounds(len(rows)) if len(rows) else [],
+            (self._first(f"match:{name}", "match"), rows),
         )
         spool.drop_scratch(f"structure.{name}")
         spool.drop_scratch(f"match.{name}")
@@ -225,8 +232,8 @@ def run_batch(schema, scale, seed, options, sink=None):
     The one place a spool is chosen: out of core a :class:`TableSpool`
     (an owned temporary directory unless ``options.spool_dir`` names
     one) with its catalog, filled through ``ShardPool(backend,
-    workers)``; in memory a :class:`MemorySpool`, run inline whatever
-    ``workers`` is.  Both get the same retries and fault sites.
+    workers)``; in memory a :class:`MemorySpool`, its tasks overlapped
+    on ``workers`` threads.  Both get the same retries and fault sites.
     """
     schema = schema.validate()
     order = build_task_graph(schema, scale).topological_order()
@@ -242,12 +249,15 @@ def run_batch(schema, scale, seed, options, sink=None):
                             _sink_format(sink)),
             resume=options.resume,
         )
-    else:  # one shard per table: a pool would add memory, not speed
+        sites, window = site_numbers(order, ("count", "structure")), 1
+    else:  # one shard per table, inline; the threads overlap tasks
         spool, workers = MemorySpool(), 1
+        sites, window = site_numbers(order), options.workers
     result = PropertyGraph(schema, seed, spool)
     structures = {}
     pool = ShardPool(options.backend, workers, retries=options.retries)
-    store = _BatchStore(spool, pool, schema, options.memory_budget)
+    threads = ShardPool(workers=window)
+    store = _BatchStore(spool, pool, schema, options.memory_budget, sites)
     plan = _faults.as_plan(options.faults)
     previous_plan = _faults.install_plan(plan)
     try:
@@ -256,7 +266,7 @@ def run_batch(schema, scale, seed, options, sink=None):
             lambda task: apply_task(
                 task, schema, scale, seed, result, structures, store,
             ),
-            result, sink,
+            result, sink, threads,
         )
     except BaseException:
         # A stage raised mid-run: the spool holds half-written shards
@@ -268,6 +278,7 @@ def run_batch(schema, scale, seed, options, sink=None):
         raise
     finally:
         pool.close()
+        threads.close()
         _faults.install_plan(previous_plan)
         if plan is not None and plan is not options.faults:
             # as_plan() compiled this plan (string or env spec) and

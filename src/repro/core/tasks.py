@@ -19,7 +19,7 @@ rows (:class:`Store`).  Three functional layers:
 * **integration** — :func:`apply_task`, the only dispatch on a task's
   kind, which runs one task and hands its output to the store, and
   :func:`walk`, the one loop every batch run drives its plan through
-  (see DESIGN.md).
+  (see DESIGN.md), one task at a time or overlapped on threads.
 
 Property kernels additionally accept an id *range*: generating rows
 ``[start, stop)`` with the full-table stream is bit-identical to the
@@ -28,6 +28,10 @@ out-of-core run fill a large table shard by shard across workers.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import threading
 
 import numpy as np
 
@@ -68,6 +72,7 @@ __all__ = [
     "property_shard_values",
     "property_values_at",
     "resolve_count",
+    "site_numbers",
     "structure_inputs",
     "walk",
 ]
@@ -453,10 +458,10 @@ class Store:
 
     Each ``spill`` is one of :mod:`repro.io.spool`'s two, its spool's.
 
-    ``fire(site)`` marks a stage boundary for fault injection.
+    ``fire(site, task_id)`` marks a stage boundary for fault injection.
     """
 
-    def fire(self, site):
+    def fire(self, site, task_id):
         """A stage boundary; only the batch store injects faults."""
 
 
@@ -489,22 +494,104 @@ def export_task_output(task, sink):
         sink.on_table(event, task.subject)
 
 
-def walk(order, apply, result, sink=None):
+def walk(order, apply, result, sink=None, threads=None):
     """Drive one batch run: every task of ``order``, in plan order.
 
     ``apply(task)`` runs the task and stores its output in ``result``
     — :func:`apply_task` over the run's store — and the sink, when
     there is one, hears about each task as soon as it is stored.
     Storage is the only thing that varies between runs; this loop is
-    the only one there is.
+    the only one there is, overlapping tasks on ``threads``' workers.
     """
     if sink is not None:
         sink.begin(result)
-    for task in order:
-        apply(task)
-        export_task_output(task, sink)
+    with contextlib.closing(_stored(order, apply, result, threads)) as stored:
+        for task in stored:
+            export_task_output(task, sink)
     if sink is not None:
         sink.finish()
+
+
+#: glibc's ``malloc_trim``, or a no-op without it.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)
+
+
+def _stored(order, apply, result, threads):
+    """Each task of ``order`` in plan order, once stored: run here, or
+    on more than one of ``threads``' workers, each starting the first
+    task whose ``depends_on`` are done.  A failure stops the tasks after
+    it in plan order from starting, and is raised after those before."""
+    if threads is None or threads.workers == 1:
+        for task in order:
+            apply(task)
+            yield task
+        return
+    position = {task.task_id: i for i, task in enumerate(order)}
+    state = [None] * len(order)  # None, "running", "done" or the error
+    stop = [len(order)]  # no task from this plan position on starts
+    changed = threading.Condition()
+
+    def ready():
+        return next((i for i in range(stop[0]) if state[i] is None and all(
+            state[position[dep]] == "done" for dep in order[i].depends_on
+        )), None)
+
+    def worker():
+        while True:
+            with changed:
+                while (i := ready()) is None and "running" in state:
+                    changed.wait()
+                if i is None:
+                    return
+                state[i] = "running"
+            try:
+                apply(order[i])
+                outcome = "done"
+            except BaseException as exc:  # raised on the calling thread
+                outcome = exc
+            # Each thread's arena keeps what it freed, unless trimmed.
+            _malloc_trim(ctypes.c_size_t(0))
+            with changed:
+                state[i] = outcome
+                if outcome != "done":
+                    stop[0] = min(stop[0], i)
+                changed.notify_all()
+
+    workers = [threads.submit(worker) for _ in range(threads.workers)]
+    try:
+        for head, task in enumerate(order):
+            with changed:
+                changed.wait_for(lambda: state[head] not in (None, "running"))
+            if state[head] != "done":
+                raise state[head]
+            yield task
+    finally:
+        with changed:
+            stop[0] = 0
+            changed.notify_all()
+        for future in workers:
+            future.result()
+    # A match task's subject, its edge, is ranked after its structure's.
+    rank = {task.subject: i for i, task in enumerate(order)}
+    for tables in (result.node_counts, result.node_properties,
+                   result.edge_tables, result.match_results,
+                   result.edge_properties):
+        ordered = sorted(tables.items(), key=lambda item: rank[item[0]])
+        tables.clear()
+        tables.update(ordered)
+
+
+#: fault site -> the task kinds the plan numbers it by.
+_SITE_TASKS = {"count": ("count",), "structure": ("structure",),
+               "property": ("property", "edge_property"), "match": ("match",),
+               "shard": ("property", "edge_property", "match")}
+
+
+def site_numbers(order, sites=tuple(_SITE_TASKS)):
+    """``(site, task id) -> n``: the task is the plan's ``n``-th at the
+    site, whatever order threads reach it in."""
+    return {(site, task.task_id): n for site in sites for n, task in enumerate(
+        task for task in order if task.kind in _SITE_TASKS[site])}
 
 
 def apply_task(task, schema, scale, seed, result, structures, store=None):
@@ -521,7 +608,7 @@ def apply_task(task, schema, scale, seed, result, structures, store=None):
         store = _BatchStore(MemorySpool(), ShardPool())
     kind, name = task.kind, task.subject
     if kind == "count":
-        store.fire("count")
+        store.fire("count", task.task_id)
         result.node_counts[name] = resolve_count(
             schema, scale, task, structures
         )

@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 import zlib
 from pathlib import Path
 
@@ -181,10 +182,16 @@ def verify_digest(root, meta):
         return False
 
 
+#: ``np.load`` parses a header with ``ast.literal_eval``, which CPython
+#: 3.11 cannot run on two threads at once (a ``SystemError``).
+_LOADING = threading.Lock()
+
+
 def _load(path, dtype_kind):
     """Read one part; only a residual object column (``dtype_kind``
     ``"O"``) unpickles."""
-    return np.load(path, allow_pickle=dtype_kind == "O")
+    with _LOADING:
+        return np.load(path, allow_pickle=dtype_kind == "O")
 
 
 class SpillView:
@@ -208,7 +215,8 @@ class SpillView:
     def array(self):
         """The memory-mapped ndarray (opened lazily)."""
         if self._mmap is None:
-            self._mmap = np.load(self.path, mmap_mode="r")
+            with _LOADING:
+                self._mmap = np.load(self.path, mmap_mode="r")
         return self._mmap
 
     @property

@@ -590,8 +590,8 @@ def run_scenario(compiled, out_dir=None, formats=None, chunk_size=None,
         the :class:`~repro.core.run.RunOptions` fields, by keyword:
         ``workers``, ``backend``, ``shard_rows``, ``memory_budget``,
         ``spool_dir``, ``resume``, ``retries`` and ``faults``.
-        ``workers`` sizes the out-of-core pool; an in-memory run
-        accepts it and changes neither its bytes nor its schedule.
+        ``workers`` sizes the out-of-core pool, or in memory the
+        threads running independent tasks: the same bytes either way.
         ``shard_rows``, ``memory_budget`` or ``resume=True`` switch to
         the out-of-core run: the whole pipeline runs per id-range shard
         with disk-spooled tables, so peak memory is bounded by the

@@ -265,6 +265,8 @@ class LFR(StructureGenerator):
             pairs = np.concatenate(pair_chunks, axis=0)
         else:
             pairs = np.empty((0, 2), dtype=np.int64)
+        # Into the dedup, the memory peak, goes only the table's copy.
+        del pair_chunks, ext_pairs
         table = EdgeTable(
             self.name,
             pairs[:, 0],
@@ -272,6 +274,7 @@ class LFR(StructureGenerator):
             num_tail_nodes=n,
             num_head_nodes=n,
         )
+        del pairs
         return table.deduplicated()
 
     @staticmethod

@@ -1057,15 +1057,15 @@ def _finish(case, graph, out):
 
 
 @contextmanager
-def _in_memory(case, out, **env):
-    """The in-memory engine under the environment ``env``, streaming
-    its export during generation."""
+def _in_memory(case, out, options=None, **env):
+    """The in-memory engine run with ``options`` under the environment
+    ``env``, streaming its export during generation."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in env.items():
             patch.setenv(name, value)
         graph = GraphGenerator(
             case.schema, case.scale, case.seed
-        ).generate(sink=_streaming_sink(case, out))
+        ).generate(_streaming_sink(case, out), options)
         yield _finish(case, graph, out)
 
 
@@ -1126,6 +1126,9 @@ def _served(case, out):
 LEGS = {
     "no-ckernel": lambda case, out: _in_memory(
         case, out, REPRO_NO_CKERNEL="1"
+    ),
+    "windowed": lambda case, out: _in_memory(
+        case, out, RunOptions(workers=case.workers)
     ),
     "sharded-thread": lambda case, out: _sharded(case, out, "thread"),
     "sharded-process": lambda case, out: _sharded(case, out, "process"),
@@ -1225,8 +1228,9 @@ _UNIFORM = PropertyDef("x", "long", GeneratorSpec(
 #: inputs of the per-path byte matrices it replaced — zoo recipes with
 #: chunkable and sequential structures, strict cardinality, both
 #: correlated matchings and plants; the running example; an edge-count
-#: anchor; the crash matrix's schema — each with a fault that fires, at
-#: one, two or four workers.  Then the counterexamples it shrank to: a
+#: anchor; the crash matrix's schema; two independent structures, one
+#: correlated, to keep two threads busy — each with a fault that fires,
+#: at one, two or four workers.  Then the counterexamples it shrank to: a
 #: correlated matching of an empty graph (the served path skipped it,
 #: the others raised), and scales their generator cannot make, which
 #: raised a bare ``ValueError`` from inside it, not a ``SchemaError``.
@@ -1258,6 +1262,23 @@ PINNED = {
         "erdos_renyi_m", {"edges_per_node": 3}, a_props=[_UNIFORM]
     ), {"A": 200}, workers=1, fault="ledger:1:crash",
         resume_backend="process"),
+    "overlapped": Draw(Schema(
+        node_types=[NodeType("A", properties=[_UNIFORM, PropertyDef(
+            "c", "long", GeneratorSpec("categorical", {"values": [0, 1, 2]})
+        )])],
+        edge_types=[
+            EdgeType("e", "A", "A", structure=GeneratorSpec("lfr", {
+                "avg_degree": 8, "max_degree": 24, "mu": 0.2,
+            }), correlation=CorrelationSpec(
+                "c", homophily_joint(np.full(3, 1 / 3), 0.8),
+                values=(0, 1, 2),
+            )),
+            EdgeType("f", "A", "A", structure=GeneratorSpec(
+                "erdos_renyi_m", {"edges_per_node": 4}
+            ), properties=[_UNIFORM]),
+        ],
+    ), {"A": 3000}, 11, shard_rows=997, workers=2,
+        fault="structure:1:crash"),
     "empty-correlated": Draw(_one_edge(
         "attributed_sbm",
         {"joint": homophily_joint(np.full(2, 0.5), 0.7), "avg_degree": 3},
