@@ -716,7 +716,7 @@ def _cmd_scenario(args):
 
 
 def _cmd_serve(args):
-    from .core import SchemaError
+    from .core import SchemaError, tasks
     from .scenarios import ScenarioError, compile_scenario
     from .serve import (
         VirtualGraph,
@@ -758,6 +758,7 @@ def _cmd_serve(args):
                 for name, meta in classification["edges"].items():
                     print(f"  edge {name}: mode={meta['mode']} "
                           f"({meta['count']} edges)", flush=True)
+                tasks.malloc_trim()  # what the warm-up freed on this thread
                 server.ready.set()
             except BaseException as exc:  # noqa: BLE001 - reported below
                 warm_error.append(exc)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import threading
 
 import numpy as np
@@ -512,8 +513,11 @@ def walk(order, apply, result, sink=None, threads=None):
         sink.finish()
 
 
-#: glibc's ``malloc_trim``, or a no-op without it.
-_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)
+#: ``malloc_trim()``: glibc's ``malloc_trim(0)``, or a no-op without
+#: it.  Each thread's arena keeps what it freed, unless trimmed.
+malloc_trim = functools.partial(
+    getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0),
+    ctypes.c_size_t(0))
 
 
 def _stored(order, apply, result, threads):
@@ -549,8 +553,7 @@ def _stored(order, apply, result, threads):
                 outcome = "done"
             except BaseException as exc:  # raised on the calling thread
                 outcome = exc
-            # Each thread's arena keeps what it freed, unless trimmed.
-            _malloc_trim(ctypes.c_size_t(0))
+            malloc_trim()
             with changed:
                 state[i] = outcome
                 if outcome != "done":

@@ -29,24 +29,42 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-static const char PAIRS[] = "@PAIRS@";
+#if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the digit stores assume a little-endian host"
+#endif
 
-/* Decimal digits of v at p; returns one past the last byte. */
+/* The 8 decimal digits of x < 10**8 as ASCII, the first in the low
+   byte: both halves of x / 10**4 split into pairs, then into digits,
+   in parallel lanes of one word (SWAR; multiply-shifts stand in for
+   the divisions by 100 and 10, exact for these ranges). */
+static inline uint64_t eight_digits(uint64_t x)
+{
+    uint64_t quads = x / 10000 | (x % 10000) << 32;
+    uint64_t pairs = (quads * 10486 >> 20) & 0x0000007F0000007FULL;
+    pairs |= (quads - 100 * pairs) << 16;
+    uint64_t tens = (pairs * 103 >> 10) & 0x000F000F000F000FULL;
+    return tens | (pairs - 10 * tens) << 8 | 0x3030303030303030ULL;
+}
+
+/* Decimal digits of v at p; returns one past the last byte.  Each
+   8-digit group is one 8-byte store: the leading group's zeros are
+   shifted out, so it stores up to 7 bytes past its end. */
 static inline char *put_u64(char *p, uint64_t v)
 {
-    char tmp[20], *t = tmp + 20;
-    for (; v >= 100; v /= 100) {
-        t -= 2;
-        memcpy(t, PAIRS + 2 * (v % 100), 2);
+    uint64_t low[2], groups = 0;
+    for (; v >= 100000000; v /= 100000000)
+        low[groups++] = v % 100000000;
+    uint64_t w = eight_digits(v);
+    int zeros = __builtin_ctzll((w - 0x3030303030303030ULL) | 1ULL << 56) / 8;
+    w >>= 8 * zeros;
+    memcpy(p, &w, 8);
+    p += 8 - zeros;
+    while (groups) {
+        w = eight_digits(low[--groups]);
+        memcpy(p, &w, 8);
+        p += 8;
     }
-    if (v >= 10) {
-        t -= 2;
-        memcpy(t, PAIRS + 2 * v, 2);
-    } else {
-        *--t = (char)('0' + v);
-    }
-    memcpy(p, t, tmp + 20 - t);
-    return p + (tmp + 20 - t);
+    return p;
 }
 
 /* A string column: entry k < entries is bytes offsets[k]..offsets[k
@@ -79,14 +97,18 @@ static inline char *put_field(char *p, const char *f, int64_t len,
 }
 
 /* kinds[c]: 0 = int64, 1 = uint64, 2 = bool (one byte), 3 = string:
-   cols[c] is a strings_t.  start < 0 means "no id column".  Returns
-   the number of bytes written. */
+   cols[c] is a strings_t.  start < 0 means "no id column"; the id
+   column is decimal text counted up in place, one 24-byte store a
+   row.  Returns the number of bytes written; out holds 24 bytes more
+   than that can be (the longest store past the last byte). */
 int64_t format_rows(
     int64_t n, int64_t start, int32_t ncols,
     const void **cols, const int32_t *kinds,
     char sep, const char *term, char *out)
 {
     char *p = out, quote[256] = {0}, plain[ncols > 0 ? ncols : 1];
+    char id[32] = {0};
+    int id_len = start >= 0 ? (int)(put_u64(id, start) - id) : 0;
     size_t term_len = strlen(term);
     quote[(unsigned char)sep] = quote['"'] = quote['\r'] = quote['\n'] = 1;
     /* A column whose entries hold no quote trigger at all (memchr
@@ -99,7 +121,14 @@ int64_t format_rows(
                    && !memchr(b, '\r', len) && !memchr(b, '\n', len);
     }
     for (int64_t i = 0; i < n; ++i) {
-        if (start >= 0) p = put_u64(p, (uint64_t)(start + i));
+        if (start >= 0) {
+            memcpy(p, id, 24);
+            p += id_len;
+            int j = id_len - 1;
+            for (; j >= 0 && id[j] == '9'; --j) id[j] = '0';
+            if (j >= 0) ++id[j];
+            else id[0] = '1', id[id_len++] = '0';
+        }
         for (int32_t c = 0; c < ncols; ++c) {
             if (c || start >= 0) *p++ = sep;
             if (kinds[c] == 3) {
@@ -130,7 +159,7 @@ int64_t format_rows(
     }
     return p - out;
 }
-""".replace("@PAIRS@", "".join(f"{i:02d}" for i in range(100)))
+"""
 
 #: dtype kind -> (kernel kind code, dtype the kernel reads).
 _KIND = {"i": (0, np.int64), "u": (1, np.uint64), "b": (2, np.bool_)}
@@ -174,28 +203,20 @@ def _string_column(column, buffers):
     return ctypes.addressof(strings), 2 * data + 2 * len(column)
 
 
-def format_rows(start, columns, sep, term):
-    """Rows of ``[start+i] SEP col0[i] SEP ... TERM`` as ``str``.
-
-    A column is a 1-d integer or bool ndarray (``str(int)`` /
-    ``str(bool)`` spellings) or a
-    :class:`~repro.tables.StringColumn`, its fields quoted as
-    ``csv.writer``'s QUOTE_MINIMAL quotes them with delimiter ``sep``
-    (a row's only field, empty, is not quoted); ``start=None`` omits
-    the id column.  ``None`` — the caller then assembles the chunk in
-    Python — when no kernel loads or a column is anything else; a
-    ``UnicodeDecodeError`` when a string is not UTF-8.
-    """
-    lib = load_text_ckernel()
+def _arguments(start, columns, term):
+    """``(size, pointers, kinds, buffers)`` for the kernel's rows, or
+    ``None`` when it cannot format a column or an id: ``size`` is the
+    output buffer the rows can never overrun, and ``buffers`` keeps
+    what ``pointers`` point into alive."""
     n = len(columns[0])
-    if lib is None or (
-            start is not None and not 0 <= start <= 2 ** 63 - 1 - n):
+    if start is not None and not 0 <= start <= 2 ** 63 - 1 - n:
         return None
-    # Upper bound on the output: dtype widths, so no value overflows.
-    size = n * (len(columns) + len(term))
+    # Dtype widths bound every value; 24 bytes cover the widest store
+    # the loop makes past its last byte.
+    size = n * (len(columns) + len(term)) + 24
     if start is not None:
         size += n * len(str(start + n - 1))
-    buffers, pointers, kinds = [], [], []  # buffers: keeps them alive
+    buffers, pointers, kinds = [], [], []
     for column in columns:
         if isinstance(column, StringColumn) and len(column) == n:
             pointer, most = _string_column(column, buffers)
@@ -213,9 +234,29 @@ def format_rows(start, columns, sep, term):
             kinds.append(kind)
         else:
             return None
+    return size, pointers, kinds, buffers
+
+
+def format_rows(start, columns, sep, term):
+    """Rows of ``[start+i] SEP col0[i] SEP ... TERM`` as ``str``.
+
+    A column is a 1-d integer or bool ndarray (``str(int)`` /
+    ``str(bool)`` spellings) or a
+    :class:`~repro.tables.StringColumn`, its fields quoted as
+    ``csv.writer``'s QUOTE_MINIMAL quotes them with delimiter ``sep``
+    (a row's only field, empty, is not quoted); ``start=None`` omits
+    the id column.  ``None`` — the caller then assembles the chunk in
+    Python — when no kernel loads or a column is anything else; a
+    ``UnicodeDecodeError`` when a string is not UTF-8.
+    """
+    lib = load_text_ckernel()
+    arguments = None if lib is None else _arguments(start, columns, term)
+    if arguments is None:
+        return None
+    size, pointers, kinds, _buffers = arguments
     out = np.empty(size, dtype=np.uint8)
     written = lib.format_rows(
-        n, -1 if start is None else start, len(kinds),
+        len(columns[0]), -1 if start is None else start, len(kinds),
         (ctypes.c_void_p * len(kinds))(*pointers),
         (ctypes.c_int32 * len(kinds))(*kinds),
         sep.encode(), term.encode(), out.ctypes.data,

@@ -23,7 +23,7 @@ other column is stringified into one) are assembled by the compiled
 loop of :mod:`repro.io._ckernel`.  Everything else (JSON/XML rows, no
 compiler, ``REPRO_NO_CKERNEL=1``) runs as
 C-level batch string operations (``map``/``join`` over
-``ndarray.tolist()`` scalars): ~10x slower than the kernel on integer
+``ndarray.tolist()`` scalars): 20-30x slower than the kernel on integer
 columns but ~2x faster than ``csv.writer`` — where ``np.char`` ufuncs,
 allocating a fixed-width array per operation, are ~3x *slower* than it.
 

@@ -31,6 +31,7 @@ __all__ = [
     "deduplicated_stream",
     "empty_emit",
     "ensure_even_sum",
+    "slot_owners",
 ]
 
 #: Edges per chunk when :meth:`StructureGenerator.run` materialises a
@@ -52,6 +53,27 @@ def _run_rows(chunk_edges):
 def empty_emit(lo, hi):
     """Emitter for zero-edge streams (module-level: picklable)."""
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def slot_owners(offsets, lo, hi):
+    """The slot of CSR ``offsets`` that owns each id in ``[lo, hi)``.
+
+    Equals ``searchsorted(offsets, arange(lo, hi), "right") - 1`` for
+    ``0 <= lo <= hi <= offsets[-1]``, but binary-searches only the two
+    ends and repeats each slot by its share of the range: O(hi - lo)
+    per chunk, and only the chunk's slice of a spilled ``offsets`` is
+    read.
+
+    >>> slot_owners(np.array([0, 2, 2, 5]), 1, 4).tolist()
+    [0, 2, 2]
+    """
+    offsets = np.asarray(offsets)  # a SpillView's map, once
+    first = int(offsets.searchsorted(lo, side="right")) - 1
+    last = int(offsets.searchsorted(hi, side="left"))
+    # Ufuncs, not np.clip / np.diff: a served page is 64 ids.
+    bounds = np.minimum(np.maximum(offsets[first:last + 1], lo), hi)
+    return np.arange(first, last, dtype=np.int64).repeat(
+        bounds[1:] - bounds[:-1])
 
 
 class PackedCodeEmitter:

@@ -15,6 +15,7 @@ from .base import (
     StructureGenerator,
     deduplicated_stream,
     empty_emit,
+    slot_owners,
 )
 
 __all__ = ["BipartiteConfiguration"]
@@ -23,11 +24,12 @@ __all__ = ["BipartiteConfiguration"]
 class _StubEmitter:
     """Picklable raw stub pairing over spilled offsets + shuffle.
 
-    Stub ``j`` pairs tail ``searchsorted(tail_offsets, j) - 1`` with
-    the head stub at shuffled position ``perm[j]``; head stubs are
-    tiled modulo their base count to reconcile the two sides, so the
-    head lookup is ``searchsorted(head_offsets, perm[j] % base) - 1``
-    — elementwise in ``j``, hence chunk-pure.
+    Stub ``j`` pairs its tail, the slot of ``tail_offsets`` owning it
+    (:func:`~repro.structure.base.slot_owners`), with the head stub at
+    shuffled position ``perm[j]``; head stubs are tiled modulo their
+    base count to reconcile the two sides, so the head lookup is
+    ``searchsorted(head_offsets, perm[j] % base) - 1`` — elementwise
+    in ``j``, hence chunk-pure.
     """
 
     def __init__(self, tail_offsets, head_offsets, perm, head_base):
@@ -37,12 +39,7 @@ class _StubEmitter:
         self.head_base = int(head_base)
 
     def __call__(self, lo, hi):
-        stub_ids = np.arange(lo, hi, dtype=np.int64)
-        tails = (
-            np.searchsorted(
-                np.asarray(self.tail_offsets), stub_ids, side="right"
-            ) - 1
-        ).astype(np.int64)
+        tails = slot_owners(self.tail_offsets, lo, hi)
         shuffled = np.asarray(self.perm[lo:hi])
         if self.head_base == 0:
             heads = np.zeros(shuffled.size, dtype=np.int64)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EdgeChunkStream, StructureGenerator
+from .base import EdgeChunkStream, StructureGenerator, slot_owners
 from ..tables import EdgeTable
 
 __all__ = ["OneToManyGenerator", "OneToOneGenerator"]
@@ -31,13 +31,8 @@ class _OffsetEmitter:
         self.offsets = offsets
 
     def __call__(self, lo, hi):
-        edge_ids = np.arange(lo, hi, dtype=np.int64)
-        tails = (
-            np.searchsorted(
-                np.asarray(self.offsets), edge_ids, side="right"
-            ) - 1
-        ).astype(np.int64)
-        return tails, edge_ids
+        return (slot_owners(self.offsets, lo, hi),
+                np.arange(lo, hi, dtype=np.int64))
 
 
 class OneToManyGenerator(StructureGenerator):

@@ -9,6 +9,7 @@ These exercise the load-bearing contracts:
 * edge tables — transformation invariants (dedup idempotent, relabel
   preserves counts);
 * stub pairing — realised degrees never exceed prescriptions;
+* slot owners — the chunked CSR lookup equals a per-id binary search;
 * SBM-Part — capacities are hard constraints for arbitrary targets;
 * DSL tokenizer — never crashes with a non-DslError on arbitrary input;
 * the differential oracle — any schema drawn from the generator
@@ -320,6 +321,43 @@ class TestPairStubsProperties:
             assert (realised <= degrees.size - 1).all()
             # Simplification only removes edges.
             assert realised.sum() <= degrees.sum()
+
+
+class TestSlotOwnerProperties:
+    @common_settings
+    @given(
+        degrees=st.lists(st.integers(min_value=0, max_value=4),
+                         max_size=40),
+        data=st.data(),
+    )
+    def test_equals_per_id_searchsorted(
+        self, degrees, data, tmp_path_factory
+    ):
+        """Zero degrees (``degree_offset=0``) included, any range of
+        ids, offsets in RAM or spilled."""
+        from repro.io.spool import SpillView
+        from repro.structure.base import slot_owners
+
+        offsets = np.concatenate(
+            [[0], np.cumsum(degrees, dtype=np.int64)]
+        )
+        m = int(offsets[-1])
+        lo = data.draw(st.integers(0, m), label="lo")
+        hi = data.draw(st.integers(lo, m), label="hi")
+        path = tmp_path_factory.mktemp("offsets") / "offsets.npy"
+        np.save(path, offsets)
+        spilled = SpillView(path)
+        try:
+            for ids in ((lo, hi), (0, m), (lo, lo)):
+                expected = np.searchsorted(
+                    offsets, np.arange(*ids), side="right"
+                ) - 1
+                for view in (offsets, spilled):
+                    owners = slot_owners(view, *ids)
+                    assert owners.dtype == np.int64
+                    np.testing.assert_array_equal(owners, expected)
+        finally:
+            spilled.close()
 
 
 class TestSbmPartProperties:

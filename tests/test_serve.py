@@ -836,6 +836,40 @@ class TestServeRobustness:
         ]
         assert leaked == []
 
+    def test_cli_warm_thread_trims_the_heap_once_warm(
+        self, monkeypatch, capsys
+    ):
+        """The warm-up thread's glibc arena would keep what the warm-up
+        freed: ``repro serve`` trims it once warm is done, on that
+        thread, before the data routes open."""
+        import threading
+
+        import repro.serve
+        from repro import cli
+        from repro.core import tasks
+
+        servers, calls = [], []
+        create_server = repro.serve.create_server
+
+        def capture(*args, **kwargs):
+            servers.append(create_server(*args, **kwargs))
+            return servers[-1]
+
+        def trim():
+            server = servers[0]
+            calls.append((threading.current_thread().name,
+                          server.ready.is_set(),
+                          "mode=" in capsys.readouterr().out))
+            threading.Thread(target=server.shutdown).start()
+
+        monkeypatch.setattr(repro.serve, "create_server", capture)
+        monkeypatch.setattr(repro.serve, "install_signal_handlers",
+                            lambda server: None)
+        monkeypatch.setattr(tasks, "malloc_trim", trim)
+        assert cli.main(["serve", "social_network", "--scale",
+                         "Person=60", "--port", "0"]) == 0
+        assert calls == [("repro-serve-warm", False, True)]
+
 
 class TestUnwarmedConcurrency:
     def test_first_touch_from_many_threads(self):

@@ -726,6 +726,56 @@ class TestTextKernel:
             sys.setswitchinterval(interval)
         assert all(result == expected for result in results)
 
+    def test_rows_never_write_past_their_bound(self):
+        """A buffer of exactly the size ``_arguments`` computes, then a
+        canary tail: the loop's over-stores (the 8-byte digit groups,
+        the 24-byte id copy) stay inside the size, at every digit
+        count, every dtype extreme and every power-of-ten id."""
+        import ctypes
+
+        from repro.io import _ckernel
+
+        lib = _ckernel.load_text_ckernel()
+        if lib is None:
+            pytest.skip("no compiled text kernel on this host")
+        canary = 64
+
+        def formatted(start, columns, sep=",", term="\r\n"):
+            size, pointers, kinds, _buffers = _ckernel._arguments(
+                start, columns, term)
+            out = np.full(size + canary, 0xA5, dtype=np.uint8)
+            written = lib.format_rows(
+                len(columns[0]), -1 if start is None else start,
+                len(kinds), (ctypes.c_void_p * len(kinds))(*pointers),
+                (ctypes.c_int32 * len(kinds))(*kinds),
+                sep.encode(), term.encode(), out.ctypes.data,
+            )
+            assert written <= size
+            assert (out[size:] == 0xA5).all(), (start, columns)
+            assert out[:written].tobytes().decode() == reference_rows(
+                start, columns, sep, term)
+
+        widths = [10 ** (d - 1) for d in range(1, 21)]
+        widths += [10 ** d - 1 for d in range(1, 21)]
+        columns = [
+            np.array([v for v in widths if v < 2**63] + [-(2**63)]
+                     + [-v for v in widths if v < 2**63], dtype=np.int64),
+            np.array([v for v in widths if v < 2**64] + [2**64 - 1],
+                     dtype=np.uint64),
+            np.array([True, False, False, True]),
+        ]
+        # Ids crossing every power of ten, and the last ids there are.
+        starts = [None, 2**63 - 1 - 3] + [10**d - 2 for d in range(1, 19)]
+        for column in columns:
+            formatted(0, [column])
+            formatted(None, [column, column[::-1]], " ", "\n")
+            for i in range(len(column)):  # each value written last
+                for start in starts + [2**63 - 2]:
+                    formatted(start, [column[i:i + 1]] * 2)
+        for start in starts:
+            for column in (np.zeros(3, np.int64), columns[2][:3]):
+                formatted(start, [column], ",", "")
+
 
 _GOLDEN_EXPORT = """
 import sys
