@@ -14,7 +14,8 @@ Spec grammar (comma- or whitespace-separated entries)::
     shard:3:crash          raise InjectedFault in pool shard 3
     shard:5:slow=2.0       sleep 2 s in pool shard 5
     shard:1:kill           SIGKILL the worker running pool shard 1
-    export:2:ioerror       raise OSError on the 3rd export file write
+    export:2:ioerror       raise OSError(ENOSPC), disk full, on the 3rd
+                           export file write
     property:0:crash:x2    crash property shard 0 on its first 2 runs
 
 Sites map to pipeline stages: ``count`` / ``property`` / ``structure``
@@ -40,6 +41,7 @@ global before the worker pool forks, so forked workers inherit it.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import shutil
@@ -234,6 +236,7 @@ class FaultPlan:
                 os.kill(os.getpid(), signal.SIGKILL)
             if spec.action == "ioerror":
                 raise OSError(
+                    errno.ENOSPC,
                     f"injected I/O fault {spec.text()!r} at {site}:{index}"
                 )
             if spec.action == "slow":

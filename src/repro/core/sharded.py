@@ -142,7 +142,7 @@ class _BatchStore(Store):
 
         Shards flow through the pool's bounded in-flight window:
         workers run ``job(spool, key, index, bound, *args)`` — a pure
-        kernel that saves its part files — and the parent acks the
+        kernel that saves its part file — and the parent acks the
         returned metadata into the spool's catalog in shard order, so
         scheduling cannot change the output.  On resume the catalog's
         verified prefix is already there and only the rest is run.

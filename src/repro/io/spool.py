@@ -4,12 +4,15 @@
 :class:`MemorySpool`: one shard per table, handed back as resident
 tables, nothing written, nothing to resume.  Out of core the run never
 holds a whole table in memory: every property / edge table lands in a
-:class:`TableSpool` as per-shard
-``.npy`` part files, one shard directory per id-range
-``[i*shard_rows, (i+1)*shard_rows)``.  A string column
-(:class:`~repro.tables.StringColumn`) lands as plain ``offsets`` +
-``blob`` files (and ``codes`` for a dictionary column), read back
-without unpickling; only a column of other Python objects is pickled.
+:class:`TableSpool` as one *part* file per shard, the id-range
+``[i*shard_rows, (i+1)*shard_rows)``, under ``parts/``.  A part holds
+its columns' raw bytes back to back — ``tails`` + ``heads``, a plain
+column, or a string column
+(:class:`~repro.tables.StringColumn`) as ``offsets`` + ``blob`` (+
+``codes`` for a dictionary column) — with no header: the catalog
+records each column's dtype and byte count, so a part reads back with
+one ``open`` and one ``np.fromfile`` per column, never unpickling;
+only a column of other Python objects is pickled.
 :class:`SpooledPropertyTable` and :class:`SpooledEdgeTable` implement
 the table protocol of :mod:`repro.tables.ranged` over those part
 files — ``read_range`` loading at most one shard plus one range at a
@@ -20,7 +23,8 @@ pipeline reuses the in-memory sinks unchanged and inherits their
 byte-identity guarantee.
 
 The spool keeps exactly one *catalog* of what it holds: per table the
-acked shards (rows, dtype, per-file size + CRC32) and the seal with
+acked shards (rows, dtype, column layout, the part's size + CRC32)
+and the seal with
 its finishing metadata, plus the topology metadata of each generated
 structure.  It lives once in memory and — after
 :meth:`TableSpool.open_catalog` — is persisted as the append-only
@@ -30,7 +34,7 @@ one line per ``ack`` / ``seal`` / ``structure`` / ``truncate``
 event, one ``write`` each, so an ack costs O(1) bytes and a crash
 loses at most the in-flight shard.  ``--resume`` replays the file
 through the function that records live events, re-verifies each
-table's acked part files and continues after the verified prefix.
+table's acked parts and continues after the verified prefix.
 
 The spool also keeps a run's global state — pre-matching structures
 and matching maps — as scratch files.  That is one of the two
@@ -41,8 +45,8 @@ hands back a :class:`SpillView`; :class:`MemorySpill`
 
 The spool is the IPC boundary of the worker pool: spools, spooled
 tables and :class:`SpillView` handles pickle as *paths* (no data, no
-catalog), so worker processes can write part files straight into the
-shard directories and only the parent records the acks.
+catalog), so worker processes can write part files straight into
+``parts/`` and only the parent records the acks.
 :class:`SortedRuns` adds the out-of-core primitive for the remaining
 global stages: sorted spill runs with a vectorised k-way merge
 (optionally dropping duplicates), bounded by the run size.
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import shutil
 import threading
 import zlib
@@ -84,23 +89,19 @@ __all__ = [
 CHECKPOINT_NAME = "checkpoint.jsonl"
 
 #: Format of the catalog file; 1 was the whole-document
-#: ``checkpoint.json`` ledger and 2 pickled string parts, both of
-#: which this code refuses to resume.
-CATALOG_VERSION = 3
-
-#: The part files of a string shard, in order; ``codes`` only for a
-#: dictionary column.
-_STRING_PARTS = ("offsets", "blob", "codes")
+#: ``checkpoint.json`` ledger, 2 pickled string parts and 3 stored a
+#: part's columns as ``.npy`` files, none of which this code resumes.
+CATALOG_VERSION = 4
 
 #: Required fields (and JSON types) of the header line, of each event
-#: line, and of the per-file digests inside an ``ack``.
+#: line, and of the part digest inside an ``ack``.
 _HEADER_FIELDS = {
     "catalog": int, "repro": str, "fingerprint": str, "shard_rows": int,
     "numpy": str,
 }
 _EVENT_FIELDS = {
     "ack": {"table": str, "kind": str, "shard": int, "rows": int,
-            "files": list},
+            "files": list, "columns": list},
     "seal": {"table": str, "meta": dict},
     "structure": {"name": str, "meta": dict},
     "truncate": {"table": str, "shards": int},
@@ -140,6 +141,14 @@ def _check_event(event):
             _check_fields(event, {"dtype": str})
         for digest in event["files"]:
             _check_fields(digest, _FILE_FIELDS)
+        for column in event["columns"]:
+            if not (isinstance(column, list) and len(column) == 2
+                    and isinstance(column[0], str)
+                    and isinstance(column[1], int)):
+                raise ValueError(f"column {column!r} must be [str, int]")
+        if (sum(nbytes for _, nbytes in event["columns"])
+                != sum(digest["bytes"] for digest in event["files"])):
+            raise ValueError("'columns' bytes must sum to the part's")
 
 
 def _dtype_token(dtype):
@@ -147,51 +156,73 @@ def _dtype_token(dtype):
     return "object" if dtype.kind == "O" else dtype.str
 
 
-def _save(path, array):
-    """Write one part; only a residual (non-``str``) object column is
-    pickled."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.save(path, array, allow_pickle=array.dtype.kind == "O")
-
-
-def _digest(root, path):
-    """Size + CRC32 of one part file, keyed by its spool-relative path
-    — the integrity record the catalog re-verifies on resume."""
-    crc = 0
-    size = 0
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(1 << 20)
-            if not block:
-                break
-            size += len(block)
-            crc = zlib.crc32(block, crc)
-    return {
-        "path": path.relative_to(root).as_posix(),
-        "bytes": size,
-        "crc": crc,
+def _write_part(root, path, arrays):
+    """Write one part: its columns' bytes back to back, the size and
+    CRC32 chained over the buffers as they are written (the file is
+    never read back).  Returns the column layout — ``[dtype token,
+    nbytes]`` each, ``"pickle"`` for the one residual (non-``str``)
+    object column — and the part's digest, keyed by its spool-relative
+    path: what the catalog re-verifies on resume."""
+    columns, size, crc = [], 0, 0
+    try:
+        handle = open(path, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "wb")
+    with handle:
+        for array in arrays:
+            if array.dtype.kind == "O":
+                token, data = "pickle", pickle.dumps(array, protocol=5)
+            else:
+                token = array.dtype.str
+                data = np.ascontiguousarray(array).view(np.uint8)
+            handle.write(data)
+            crc = zlib.crc32(data, crc)
+            size += len(data)
+            columns.append([token, len(data)])
+    return columns, {
+        "path": path.relative_to(root).as_posix(), "bytes": size, "crc": crc,
     }
+
+
+def _read_part(path, columns):
+    """Read one part's columns back from its catalog layout: one
+    ``np.fromfile`` per column; only the residual object column
+    unpickles."""
+    arrays = []
+    with open(path, "rb") as handle:
+        for token, nbytes in columns:
+            if token == "pickle":
+                arrays.append(pickle.loads(handle.read(nbytes)))
+                continue
+            dtype = np.dtype(token)
+            array = np.fromfile(handle, dtype, nbytes // dtype.itemsize)
+            if array.nbytes != nbytes:
+                raise OSError(f"part {path} is shorter than its catalog "
+                              "entry")
+            arrays.append(array)
+    return arrays
 
 
 def verify_digest(root, meta):
     """True when the part file named by a digest dict still matches
     its recorded size and CRC (missing/short/corrupt -> False)."""
+    crc = 0
+    size = 0
     try:
-        return _digest(root, root / meta["path"]) == meta
+        with open(root / meta["path"], "rb") as handle:
+            while block := handle.read(1 << 20):
+                size += len(block)
+                crc = zlib.crc32(block, crc)
     except OSError:
         return False
+    return size == meta["bytes"] and crc == meta["crc"]
 
 
-#: ``np.load`` parses a header with ``ast.literal_eval``, which CPython
-#: 3.11 cannot run on two threads at once (a ``SystemError``).
+#: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, which
+#: CPython 3.11 cannot run on two threads at once (a ``SystemError``);
+#: only scratch memory maps still have such headers.
 _LOADING = threading.Lock()
-
-
-def _load(path, dtype_kind):
-    """Read one part; only a residual object column (``dtype_kind``
-    ``"O"``) unpickles."""
-    with _LOADING:
-        return np.load(path, allow_pickle=dtype_kind == "O")
 
 
 class SpillView:
@@ -319,7 +350,8 @@ class SpoolSpill:
 
     def __call__(self, name, array):
         path = self._start(name)
-        _save(path, np.asarray(array))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.save(path, np.asarray(array))
         return self._spool._register_view(path)
 
     def create(self, name, rows, dtype):
@@ -391,12 +423,13 @@ class MemorySpool:
 
 
 class TableSpool:
-    """Per-shard ``.npy`` storage for the sharded executor.
+    """Per-shard part files for the sharded executor.
 
     Parameters
     ----------
     directory:
-        spool root; shard ``i`` lives in ``shards/{i:05d}/``.
+        spool root; shard ``i`` of table ``key`` is the part file
+        ``parts/{key}.{i:05d}``.
     shard_rows:
         rows per shard — the memory bound of the whole pipeline.
     """
@@ -446,9 +479,8 @@ class TableSpool:
             for lo in range(0, count, self.shard_rows)
         ]
 
-    def _part_path(self, index, key, column=None):
-        stem = key if column is None else f"{key}.{column}"
-        return self.directory / "shards" / f"{index:05d}" / f"{stem}.npy"
+    def _part_path(self, index, key):
+        return self.directory / "parts" / f"{key}.{index:05d}"
 
     # -- the catalog -------------------------------------------------------
 
@@ -633,46 +665,33 @@ class TableSpool:
             arrays = [column.offsets, column.blob]
             if column.codes is not None:
                 arrays.append(column.codes)
-            paths = [self._part_path(index, key, part)
-                     for part in _STRING_PARTS[:len(arrays)]]
             dtype = "string"
         else:
             arrays = [np.asarray(values)]
-            paths = [self._part_path(index, key)]
             dtype = _dtype_token(arrays[0].dtype)
-        for path, array in zip(paths, arrays):
-            _save(path, array)
-        return {
-            "kind": "property",
-            "rows": len(values),
-            "dtype": dtype,
-            "files": [_digest(self.directory, path) for path in paths],
-        }
+        columns, digest = _write_part(
+            self.directory, self._part_path(index, key), arrays
+        )
+        return {"kind": "property", "rows": len(values), "dtype": dtype,
+                "columns": columns, "files": [digest]}
 
     def write_property_shard(self, key, index, values):
         """Persist and ack one id-range shard of a property column."""
         self.ack(key, index, self.save_property_part(index, key, values))
 
     def save_edge_part(self, index, key, tails, heads):
-        """Persist one edge shard's part files (any process)."""
-        tails = np.ascontiguousarray(tails, dtype=np.int64)
-        heads = np.ascontiguousarray(heads, dtype=np.int64)
+        """Persist one edge shard's part file (any process)."""
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
         if tails.size != heads.size:
             raise ValueError(
                 f"table {key!r}: shard {index} tails/heads differ"
             )
-        tails_path = self._part_path(index, key, "tails")
-        heads_path = self._part_path(index, key, "heads")
-        _save(tails_path, tails)
-        _save(heads_path, heads)
-        return {
-            "kind": "edge",
-            "rows": int(tails.size),
-            "files": [
-                _digest(self.directory, tails_path),
-                _digest(self.directory, heads_path),
-            ],
-        }
+        columns, digest = _write_part(
+            self.directory, self._part_path(index, key), [tails, heads]
+        )
+        return {"kind": "edge", "rows": int(tails.size),
+                "columns": columns, "files": [digest]}
 
     def write_edge_shard(self, key, index, tails, heads):
         """Persist and ack one id-range shard of an edge table."""
@@ -768,9 +787,11 @@ class _SpooledBase:
     def __init__(self, spool, key, shards):
         self._spool = spool
         self._key = key
-        # Rows per shard only: tables pickle to workers with every job,
-        # the catalog's digests stay in the parent.
+        # Rows and column layout per shard only: tables pickle to
+        # workers with every job, the catalog's digests stay in the
+        # parent.
         self._shards = [s["rows"] for s in shards]
+        self._columns = [s["columns"] for s in shards]
         self._rows = sum(self._shards)
         # Single-slot cache stored as one tuple so concurrent readers
         # (worker waves) can never observe a torn index/payload pair.
@@ -790,7 +811,9 @@ class _SpooledBase:
         cached = self._cache
         if cached is not None and cached[0] == index:
             return cached[1]
-        arrays = self._read_shard(index)
+        arrays = self._assemble(_read_part(
+            self._spool._part_path(index, self._key), self._columns[index]
+        ))
         self._cache = (index, arrays)
         return arrays
 
@@ -816,11 +839,6 @@ class SpooledPropertyTable(_SpooledBase, PropertyRows):
         super().__init__(spool, key, shards)
         self.name = str(name)
         self.dtype = np.dtype(dtype)
-        #: per shard: its string part files, 0 for one plain ``.npy``
-        self._strings = [
-            len(s["files"]) if s["dtype"] == "string" else 0
-            for s in shards
-        ]
 
     def __repr__(self):
         return (
@@ -828,16 +846,11 @@ class SpooledPropertyTable(_SpooledBase, PropertyRows):
             f"dtype={self.dtype}, shards={len(self._shards)})"
         )
 
-    def _read_shard(self, index):
-        parts = self._strings[index]
-        if not parts:
-            return _load(
-                self._spool._part_path(index, self._key), self.dtype.kind
-            )
-        return StringColumn(*(
-            _load(self._spool._part_path(index, self._key, part), "u")
-            for part in _STRING_PARTS[:parts]
-        ))
+    @staticmethod
+    def _assemble(columns):
+        """One plain column, or a string column's offsets + blob (+
+        codes)."""
+        return columns[0] if len(columns) == 1 else StringColumn(*columns)
 
     def read_range(self, start, stop):
         """Rows ``[start, stop)`` as one column (bounded by the range)."""
@@ -894,14 +907,10 @@ class SpooledEdgeTable(_SpooledBase, EdgeRows):
             f"shards={len(self._shards)})"
         )
 
-    def _read_shard(self, index):
-        tails = _load(
-            self._spool._part_path(index, self._key, "tails"), "i"
-        )
-        heads = _load(
-            self._spool._part_path(index, self._key, "heads"), "i"
-        )
-        return tails, heads
+    @staticmethod
+    def _assemble(columns):
+        """``(tails, heads)``."""
+        return tuple(columns)
 
     def read_range(self, start, stop):
         """``(tails, heads)`` of edge ids ``[start, stop)``."""

@@ -7,7 +7,7 @@ property table.  Entry ``k`` is the bytes ``blob[offsets[k]:offsets[k
 ragged (row ``i`` holds entry ``i``).  Three consumers read the
 arrays themselves: the CSV row kernel formats the bytes, the
 dictionary answers category codes without sorting the rows, and the
-spool stores plain ``.npy`` files.  ``np.asarray(column)`` is the
+spool stores their raw bytes.  ``np.asarray(column)`` is the
 object array of ``str`` every other consumer reads.
 
 >>> names = StringColumn.from_strings(["naïve", "", "b,c"])  # ragged

@@ -258,8 +258,8 @@ class TestBoundaryErrors:
          "generate error: [Errno 20] Not a directory"),
         (["generate", "{dsl}", "--out", "{out}", "--inject-faults",
           "export:0:ioerror"],
-         "generate error: injected I/O fault 'export:0:ioerror' at "
-         "export:0"),
+         "generate error: [Errno 28] injected I/O fault 'export:0:ioerror' "
+         "at export:0"),
         (["example", "--workers", "2"], "unrecognized arguments: --workers"),
         (["validate", "--workers", "2"],
          "unrecognized arguments: --workers"),

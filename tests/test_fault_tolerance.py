@@ -13,6 +13,7 @@ fingerprint and spec-grammar layers under them.
 
 from __future__ import annotations
 
+import errno
 import json
 import pickle
 from pathlib import Path
@@ -48,14 +49,15 @@ SCALE = {"T": 200}
 SHARD_ROWS = 64  # 200 rows -> 4 property shards, several edge shards
 
 
-def _tiny_schema():
-    schema = Schema(node_types=[
-        NodeType("T", properties=[
-            PropertyDef("x", "long", GeneratorSpec(
-                "uniform_int", {"low": 0, "high": 100}
-            )),
-        ]),
-    ])
+def _tiny_schema(strings=False):
+    properties = [PropertyDef("x", "long", GeneratorSpec(
+        "uniform_int", {"low": 0, "high": 100}
+    ))]
+    if strings:  # a dictionary string column: offsets + blob + codes
+        properties.append(PropertyDef("s", "string", GeneratorSpec(
+            "categorical", {"values": ["ab", "cd", "ef"]}
+        )))
+    schema = Schema(node_types=[NodeType("T", properties=properties)])
     schema.add_edge_type(EdgeType(
         "e", tail_type="T", head_type="T",
         structure=GeneratorSpec("erdos_renyi_m", {"edges_per_node": 3}),
@@ -78,11 +80,13 @@ def _short_backoff(monkeypatch):
     monkeypatch.setattr(ShardPool, "BACKOFF", 0.01)
 
 
-def _run(out, spool, *, fmt="csv", compress=None, seed=0, **options):
+def _run(out, spool, *, fmt="csv", compress=None, seed=0, strings=False,
+         **options):
     # Small export chunks so the ``export`` fault site sees several
     # write calls per file in every format (jsonl writes one chunk per
     # file at the default chunk size).
-    return GraphGenerator(_tiny_schema(), SCALE, seed=seed).generate(
+    schema = _tiny_schema(strings)
+    return GraphGenerator(schema, SCALE, seed=seed).generate(
         make_sink(fmt, out, chunk_size=64, compress=compress),
         RunOptions(shard_rows=SHARD_ROWS, spool_dir=spool, **options),
     )
@@ -177,6 +181,23 @@ class TestRetries:
         assert "worker traceback" in str(exc)
         assert "after 2 attempts" in str(exc)
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_disk_full_shard_fails_once_then_resumes(self, expected_csv,
+                                                     tmp_path, backend):
+        """A full disk (``ioerror`` raises ``ENOSPC``) under a pooled
+        shard fails the run with one ``ShardedError``; the caller-owned
+        spool keeps the acked prefix, and ``--resume`` completes it to
+        the uninterrupted bytes."""
+        out, spool = tmp_path / "out", tmp_path / "spool"
+        with pytest.raises(ShardedError) as excinfo:
+            _run(out, spool, backend=backend, workers=2,
+                 faults="shard:1:ioerror")
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, OSError) and cause.errno == errno.ENOSPC
+        assert (spool / CHECKPOINT_NAME).exists()
+        _run(out, spool, backend=backend, workers=2, resume=True)
+        _assert_same_tree(out, expected_csv)
+
 
 def _run_in_memory(out, **options):
     """The same run in memory: no shard size, one shard per table."""
@@ -247,12 +268,33 @@ class TestLedger:
         out, spool = tmp_path / "out", tmp_path / "spool"
         with pytest.raises(InjectedFault):
             _run(out, spool, faults="match:1:crash")
-        parts = sorted(spool.glob("shards/*/T.x.npy"))
+        parts = sorted(spool.glob("parts/T.x.*"))
         assert parts, "expected spooled property parts"
         with open(parts[-1], "r+b") as handle:
             handle.truncate(max(handle.seek(0, 2) // 2, 1))
         _run(out, spool, resume=True)
         _assert_same_tree(out, expected_csv)
+
+    def test_flipped_string_byte_is_regenerated_on_resume(self,
+                                                         tmp_path):
+        """A part's one CRC covers every column in it: a byte flipped
+        inside the blob — the middle column of a dictionary string part
+        — is caught on resume, and the shard re-run."""
+        _run(tmp_path / "clean", tmp_path / "clean-spool", strings=True)
+        out, spool = tmp_path / "out", tmp_path / "spool"
+        with pytest.raises(InjectedFault):
+            _run(out, spool, strings=True, faults="match:1:crash")
+        lines = (spool / CHECKPOINT_NAME).read_text().splitlines()[1:]
+        ack = [event for event in map(json.loads, lines)
+               if event.get("table") == "T.s" and event["event"] == "ack"][-1]
+        (_, offsets), (_, blob), _ = ack["columns"]
+        assert ack["dtype"] == "string" and blob > 0
+        part = spool / ack["files"][0]["path"]
+        data = bytearray(part.read_bytes())
+        data[offsets + blob // 2] ^= 0x01
+        part.write_bytes(data)
+        _run(out, spool, strings=True, resume=True)
+        _assert_same_tree(out, _tree_bytes(tmp_path / "clean"))
 
     def test_fingerprint_sensitivity(self):
         schema = _tiny_schema()
@@ -354,8 +396,23 @@ class TestCatalogFile:
         ('{"event": "ack", "table": "T.x", "kind": "property", '
          '"shard": "0", "rows": 1, "files": []}', "'shard' must be int"),
         ('{"event": "ack", "table": "T.x", "kind": "property", '
-         '"shard": 9, "rows": 1, "dtype": "<i8", "files": ["x"]}',
-         "not a JSON object"),
+         '"shard": 9, "rows": 1, "dtype": "<i8", "files": ["x"], '
+         '"columns": []}', "not a JSON object"),
+        ('{"event": "ack", "table": "T.x", "kind": "edge", "shard": 9, '
+         '"rows": 1, "files": []}', "'columns' must be list"),
+        ('{"event": "ack", "table": "T.x", "kind": "edge", "shard": 9, '
+         '"rows": 1, "files": [], "columns": [["<i8"]]}',
+         "must be [str, int]"),
+        ('{"event": "ack", "table": "T.x", "kind": "edge", "shard": 9, '
+         '"rows": 1, "files": [], "columns": [[8, "<i8"]]}',
+         "must be [str, int]"),
+        ('{"event": "ack", "table": "T.x", "kind": "edge", "shard": 9, '
+         '"rows": 1, "files": [], "columns": ["<i8"]}',
+         "must be [str, int]"),
+        ('{"event": "ack", "table": "T.x", "kind": "edge", "shard": 9, '
+         '"rows": 1, "files": [{"path": "parts/T.x.00009", "bytes": 16, '
+         '"crc": 0}], "columns": [["<i8", 8], ["<i8", 4]]}',
+         "must sum to the part's"),
         ('{"event": "seal", "table": "T.x", "meta": "done"}',
          "'meta' must be dict"),
         ('{"event": "seal", "table": "nope", "meta": {}}', "nope"),
@@ -396,14 +453,17 @@ class TestCatalogFile:
         assert mine in message
         assert _versions(header) in message
 
-    def test_v2_spool_with_pickled_parts_is_refused_unread(self,
-                                                           tmp_path):
-        """Catalog format 2 pickled string parts; resuming over one is
-        refused at its header, and no part is unpickled."""
+    @staticmethod
+    def _assert_npy_spool_refused_unread(tmp_path, monkeypatch, version):
+        """A spool of catalog ``version`` with an object part pickled
+        in its ``.npy`` file under ``shards/``: resuming is refused at
+        the header, and the part is never unpickled."""
+        monkeypatch.setattr(_Tripwire, "unpickled", False)
         out, spool, catalog, lines = _crashed_spool(tmp_path)
         header = json.loads(lines[0])
-        header["catalog"] = 2
+        header["catalog"] = version
         part = spool / "shards" / "00000" / "T.legacy.npy"
+        part.parent.mkdir(parents=True)
         np.save(part, np.array([_Tripwire()], dtype=object),
                 allow_pickle=True)
         ack = {"event": "ack", "table": "T.legacy", "kind": "property",
@@ -415,11 +475,22 @@ class TestCatalogFile:
         with pytest.raises(CheckpointError) as excinfo:
             _run(out, spool, resume=True)
         message = str(excinfo.value)
-        assert "(catalog format 2)" in message
+        assert f"(catalog format {version})" in message
         assert f"(catalog format {CATALOG_VERSION})" in message
         assert not _Tripwire.unpickled
         np.load(part, allow_pickle=True)  # the tripwire itself works
         assert _Tripwire.unpickled
+
+    def test_v2_spool_with_pickled_parts_is_refused_unread(
+        self, tmp_path, monkeypatch
+    ):
+        """Catalog format 2 pickled string parts."""
+        self._assert_npy_spool_refused_unread(tmp_path, monkeypatch, 2)
+
+    def test_v3_npy_spool_is_refused_unread(self, tmp_path, monkeypatch):
+        """Catalog format 3 kept each column of a part as a ``.npy``
+        file, its residual object column pickled."""
+        self._assert_npy_spool_refused_unread(tmp_path, monkeypatch, 3)
 
     def test_v1_ledger_is_refused_not_restarted(self, tmp_path):
         out, spool = tmp_path / "out", tmp_path / "spool"
