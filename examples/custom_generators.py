@@ -1,16 +1,16 @@
-"""Extending the framework: custom SGs and PGs, used from the DSL.
+"""Extending the framework: custom SGs and PGs, used from a recipe.
 
 The paper's design is explicitly pluggable — "SGs can be provided by
 users to customize the generation of the graph structure" and PGs "are
-pluggable objects that can be referenced from the DSL".  This example
-registers:
+pluggable objects that can be referenced from the DSL" (here: from a
+scenario recipe, by registered name).  This example registers:
 
 * a custom structure generator producing a 2D grid (mobility-planning
   style road network — another domain from the requirements section);
 * a custom property generator emitting geo coordinates snapped to the
   grid;
 
-and then drives both from DSL text.
+and then drives both from recipe text.
 
 A structure generator implements exactly one emission path:
 
@@ -32,12 +32,11 @@ Run:  python examples/custom_generators.py
 
 import numpy as np
 
-from repro.core import GraphGenerator
-from repro.core.dsl import load_schema
 from repro.properties import (
     PropertyGenerator,
     register_property_generator,
 )
+from repro.scenarios import compile_scenario, run_scenario
 from repro.structure import (
     Capability,
     GeneratorInfo,
@@ -104,18 +103,26 @@ class GridCoordinateGenerator(PropertyGenerator):
         return out
 
 
-DSL = """
-graph mobility {
-  node Junction {
-    coordinate: string = grid_coordinate(side=50, jitter=0.2)
-    capacity:   long   = zipf_int(exponent=1.5, k=8)
-  }
-  edge road: Junction -- Junction [*..*] {
-    structure = grid2d(wrap=false)
-    speed_limit: long = uniform_int(low=30, high=121)
-  }
-  scale { Junction = 2500 }
-}
+RECIPE = """
+scenario: mobility
+description: a grid road network with snapped geo coordinates
+seed: 21
+nodes:
+  Junction:
+    properties:
+      coordinate: {generator: grid_coordinate,
+                   params: {side: 50, jitter: 0.2}}
+      capacity: {dtype: long, generator: zipf_int,
+                 params: {exponent: 1.5, k: 8}}
+edges:
+  road:
+    tail: Junction
+    head: Junction
+    structure: {generator: grid2d, params: {wrap: false}}
+    properties:
+      speed_limit: {dtype: long, generator: uniform_int,
+                    params: {low: 30, high: 121}}
+scale: {Junction: 2500}
 """
 
 
@@ -130,9 +137,8 @@ def main():
     )
     register_property_generator(GridCoordinateGenerator)
 
-    schema, scale, name = load_schema(DSL)
-    graph = GraphGenerator(schema, scale, seed=21).generate()
-    print(f"generated graph {name!r}:", graph.summary())
+    graph, _, _ = run_scenario(compile_scenario(RECIPE), validate=False)
+    print("generated scenario 'mobility':", graph.summary())
 
     roads = graph.edges("road")
     degrees = roads.degrees()
@@ -150,34 +156,6 @@ def main():
 
     print(f"approximate diameter: {approximate_diameter(roads)} "
           "(grid: ~2 * side)")
-
-    # Registered generators are equally reachable from declarative
-    # scenario recipes (docs/scenarios.md) — same registries.
-    from repro.scenarios import compile_scenario, run_scenario
-
-    recipe = """
-scenario: mobility_recipe
-description: the same mobility network, as a recipe
-seed: 21
-nodes:
-  Junction:
-    properties:
-      coordinate: {generator: grid_coordinate,
-                   params: {side: 50, jitter: 0.2}}
-edges:
-  road:
-    tail: Junction
-    head: Junction
-    structure: {generator: grid2d, params: {wrap: false}}
-scale: {Junction: 2500}
-"""
-    graph2, report, _ = run_scenario(compile_scenario(recipe),
-                                     validate=True)
-    print("\nsame workload from a recipe:", graph2.summary())
-    roads2 = graph2.edges("road")
-    assert (roads2.tails == roads.tails).all() \
-        and (roads2.heads == roads.heads).all()
-    print("recipe output identical to the imperative run: ok")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ benchmarking* (Prat-Pérez et al., 2017) — the DataSynth framework.
 
 The package implements, in pure Python (numpy-vectorised):
 
-* the DataSynth generation pipeline — schema DSL, dependency analysis,
+* the DataSynth generation pipeline — text scenario recipes
+  (:mod:`repro.scenarios`), dependency analysis,
   in-place property generation over skip-seed PRNG streams, pluggable
   structure generators, and the SBM-Part property-to-node matching
   algorithm (:mod:`repro.core`);
@@ -37,7 +38,6 @@ from .core import (
     SchemaError,
     sbm_part_match,
 )
-from .core.dsl import load_schema
 from .datasets import social_network_schema
 from .prng import RandomStream
 from .stats import JointDistribution, compare_joints, empirical_joint
@@ -63,7 +63,6 @@ __all__ = [
     "__version__",
     "compare_joints",
     "empirical_joint",
-    "load_schema",
     "sbm_part_match",
     "social_network_schema",
 ]

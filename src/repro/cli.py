@@ -9,10 +9,14 @@ stream-export, and emit a graded validation report::
     datasynth scenario run social_network --out out/
     datasynth scenario validate lfr_benchmark --scale Node=1000
 
-``datasynth generate schema.dsl --scale Person=10000 --out data/``
-parses a DSL schema, generates the graph, and streams it to disk as it
-is generated (chunked, memory-bounded export; see docs/io.md).  Add
-``--chunk-size N`` / ``--compress`` to tune the export, or
+``datasynth generate`` is the same command as ``scenario run``: it
+takes a zoo name or a recipe path, generates the graph, streams it to
+disk as it is generated (chunked, memory-bounded export; see
+docs/io.md) and grades it::
+
+    datasynth generate social_network --scale Person=10000 --out data/
+
+Add ``--chunk-size N`` / ``--compress`` to tune the export, or
 ``--shard-rows N`` / ``--memory-budget SIZE`` to run out of core with
 ``--workers N`` filling shards on a pool — output bytes are identical
 for every combination.  A further subcommand runs the paper's
@@ -123,6 +127,58 @@ def _add_sharding_args(cmd):
     )
 
 
+def _add_run_args(cmd, with_export):
+    cmd.add_argument(
+        "name", help="zoo scenario name or recipe file path"
+    )
+    cmd.add_argument(
+        "--scale", action="append", default=[],
+        metavar="TYPE=COUNT",
+        help="override the recipe's scale anchors (repeatable)",
+    )
+    cmd.add_argument(
+        "--seed", type=int, default=None,
+        help="override the recipe's seed",
+    )
+    cmd.add_argument(
+        "--workers", type=_positive_int, default=1, metavar="N",
+        help=_WORKERS_HELP,
+    )
+    cmd.add_argument(
+        "--report-json", default=None, metavar="PATH",
+        help="write the graded report as JSON to PATH",
+    )
+    cmd.add_argument(
+        "--plant-report", action="store_true",
+        help="run the baseline subgraph matcher over every "
+             "planted template and print per-plant recall "
+             "(exits 1 unless recall is 1.0; see "
+             "docs/planting.md)",
+    )
+    _add_sharding_args(cmd)
+    if with_export:
+        cmd.add_argument(
+            "--out", default=None,
+            help="export directory (streams during generation; "
+                 "a validation_report.json lands next to the "
+                 "tables)",
+        )
+        cmd.add_argument(
+            "--format", default=None,
+            choices=("csv", "jsonl", "edgelist", "graphml"),
+            help="override the recipe's export formats",
+        )
+        cmd.add_argument(
+            "--chunk-size", type=_positive_int, default=None,
+            metavar="N",
+        )
+        cmd.add_argument("--compress", action="store_true")
+        cmd.add_argument(
+            "--no-validate", action="store_true",
+            help="skip the graded validation audit",
+        )
+
+
 def _run_options(parser, args):
     """The command line's :class:`~repro.core.run.RunOptions`; an
     inconsistent combination is an argparse error (exit 2) before
@@ -155,39 +211,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser(
-        "generate", help="generate a property graph from a DSL schema"
+        "generate",
+        help="run a recipe: generate + export + graded validation "
+             "report (the same command as `scenario run`)",
     )
-    generate.add_argument("schema", help="path to the .dsl schema file")
-    generate.add_argument(
-        "--scale",
-        action="append",
-        default=[],
-        metavar="TYPE=COUNT",
-        help="scale anchors (repeatable); override the DSL scale block",
-    )
-    generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument(
-        "--workers", type=_positive_int, default=1, metavar="N",
-        help=_WORKERS_HELP,
-    )
-    generate.add_argument(
-        "--out", default="datasynth-out", help="output directory"
-    )
-    generate.add_argument(
-        "--format",
-        choices=("csv", "jsonl", "edgelist", "graphml"),
-        default="csv",
-    )
-    generate.add_argument(
-        "--chunk-size", type=_positive_int, default=None, metavar="N",
-        help="rows per export chunk (streamed, memory-bounded export; "
-             "default 65536 — output bytes are identical for any N)",
-    )
-    generate.add_argument(
-        "--compress", action="store_true",
-        help="gzip the exported files (deterministic .gz bytes)",
-    )
-    _add_sharding_args(generate)
+    _add_run_args(generate, with_export=True)
+    generate.set_defaults(scenario_command="run")
 
     protocol = sub.add_parser(
         "protocol",
@@ -274,57 +303,6 @@ def build_parser():
         "name", help="zoo scenario name or recipe file path"
     )
 
-    def _add_run_args(cmd, with_export):
-        cmd.add_argument(
-            "name", help="zoo scenario name or recipe file path"
-        )
-        cmd.add_argument(
-            "--scale", action="append", default=[],
-            metavar="TYPE=COUNT",
-            help="override the recipe's scale anchors (repeatable)",
-        )
-        cmd.add_argument(
-            "--seed", type=int, default=None,
-            help="override the recipe's seed",
-        )
-        cmd.add_argument(
-            "--workers", type=_positive_int, default=1, metavar="N",
-            help=_WORKERS_HELP,
-        )
-        cmd.add_argument(
-            "--report-json", default=None, metavar="PATH",
-            help="write the graded report as JSON to PATH",
-        )
-        cmd.add_argument(
-            "--plant-report", action="store_true",
-            help="run the baseline subgraph matcher over every "
-                 "planted template and print per-plant recall "
-                 "(exits 1 unless recall is 1.0; see "
-                 "docs/planting.md)",
-        )
-        _add_sharding_args(cmd)
-        if with_export:
-            cmd.add_argument(
-                "--out", default=None,
-                help="export directory (streams during generation; "
-                     "a validation_report.json lands next to the "
-                     "tables)",
-            )
-            cmd.add_argument(
-                "--format", default=None,
-                choices=("csv", "jsonl", "edgelist", "graphml"),
-                help="override the recipe's export formats",
-            )
-            cmd.add_argument(
-                "--chunk-size", type=_positive_int, default=None,
-                metavar="N",
-            )
-            cmd.add_argument("--compress", action="store_true")
-            cmd.add_argument(
-                "--no-validate", action="store_true",
-                help="skip the graded validation audit",
-            )
-
     run = scen_sub.add_parser(
         "run",
         help="generate + export + graded validation report",
@@ -402,53 +380,6 @@ def _parse_scale(entries):
             )
         scale[key.strip()] = int(count)
     return scale
-
-
-def _cmd_generate(args):
-    from .core import CheckpointError, GraphGenerator, SchemaError
-    from .core.dsl import DslError, load_schema
-    from .io import make_sink
-
-    try:
-        with open(args.schema) as handle:
-            source = handle.read()
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot read schema {args.schema!r}: {exc.strerror}"
-        ) from None
-    try:
-        schema, dsl_scale, graph_name = load_schema(source)
-    except DslError as exc:
-        raise SystemExit(f"schema error: {exc}") from None
-    scale = dict(dsl_scale)
-    scale.update(_parse_scale(args.scale))
-    if not scale:
-        raise SystemExit(
-            "no scale given: add a DSL scale block or --scale TYPE=COUNT"
-        )
-    options = args.run_options
-    sink = make_sink(
-        args.format, args.out,
-        chunk_size=options.export_chunk_size(args.chunk_size),
-        compress=args.compress,
-    )
-    try:
-        graph = GraphGenerator(schema, scale, args.seed).generate(
-            sink, options
-        )
-    except SchemaError as exc:
-        raise SystemExit(f"schema error: {exc}") from None
-    except CheckpointError as exc:
-        raise SystemExit(f"checkpoint error: {exc}") from None
-    except OSError as exc:
-        raise SystemExit(f"generate error: {exc}") from None
-    summary = graph.summary()
-    if options.spool_dir is None:
-        graph.cleanup()
-    print(f"generated graph {graph_name!r}: {summary}")
-    for path in sink.written:
-        print(f"  wrote {path}")
-    return 0
 
 
 def _cmd_protocol(args):
@@ -791,7 +722,7 @@ def main(argv=None):
     if hasattr(args, "shard_rows"):  # generate, scenario run|validate
         args.run_options = _run_options(parser, args)
     handlers = {
-        "generate": _cmd_generate,
+        "generate": _cmd_scenario,
         "protocol": _cmd_protocol,
         "example": _cmd_example,
         "report": _cmd_report,

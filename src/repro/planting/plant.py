@@ -167,13 +167,15 @@ class PlantPlan:
         }
 
 
-def compile_plants(plants_config, schema, seed):
+def compile_plants(plants_config, schema, seed, scale=None):
     """Validate and lower ``plants:`` recipe entries.
 
     Checks everything the key registry cannot: the target edge type is
     monopartite (template nodes live in one id space), forced
     attributes name real properties of that node type, noise rates are
-    probabilities, and the template itself is well-formed.  Raises
+    probabilities, the ``count`` disjoint copies fit in the target
+    type's node count when ``scale`` anchors it (checked before a
+    template is grown), and the template itself is well-formed.  Raises
     :class:`~repro.planting.templates.PlantingError` with the recipe
     path on the first problem.
     """
@@ -222,6 +224,15 @@ def compile_plants(plants_config, schema, seed):
                 f"{where}.count: expected >= 1, got {count}"
             )
         template_body = body.get("template") or {}
+        size = template_body.get("size")
+        nodes = (scale or {}).get(edge.tail_type)
+        if isinstance(size, int) and nodes is not None \
+                and size * count > nodes:
+            raise PlantingError(
+                f"{where}: {count} disjoint copies of a {size}-node "
+                f"template need {size * count} {edge.tail_type} "
+                f"nodes; the scale has {nodes}"
+            )
         template_stream = RandomStream(
             derive_seed(seed, "plant", name)
         ).substream("template")
@@ -229,7 +240,7 @@ def compile_plants(plants_config, schema, seed):
             template = make_template(
                 name,
                 template_body.get("kind"),
-                size=template_body.get("size"),
+                size=size,
                 edges=template_body.get("edges"),
                 stream=template_stream,
                 directed=edge.directed,

@@ -30,7 +30,7 @@ class PropertyGenerator:
     so tables get a precise dtype.
     """
 
-    #: Name under which the generator is registered for the DSL.
+    #: Name under which the generator is registered (what recipes bind).
     name = "abstract"
 
     #: First-class access classification (the property-side twin of the

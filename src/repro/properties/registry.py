@@ -1,4 +1,4 @@
-"""Property generator registry (DSL name resolution)."""
+"""Property generator registry (recipe name resolution)."""
 
 from __future__ import annotations
 

@@ -68,16 +68,20 @@ __all__ = [
 # $constructor resolution
 # ---------------------------------------------------------------------------
 
-def _require_args(kind, args, required, optional=()):
+def _require_args(kind, args, where, required, optional=None):
+    """The arguments of ``{$kind: args}`` at recipe path ``where``,
+    checked then converted: ``required`` and ``optional`` map each
+    argument name to its converter (``float``, ``int``, ...).  A
+    missing, unknown or unconvertible argument is a
+    :class:`ScenarioError` naming its path."""
+    where = f"{where}.${kind}"
     if not isinstance(args, dict):
         raise ScenarioError(
-            f"${kind} expects a mapping of arguments, got {args!r}"
+            f"{where}: expects a mapping of arguments, got {args!r}"
         )
+    takes = {**required, **(optional or {})}
     missing = [key for key in required if key not in args]
-    unknown = [
-        key for key in args
-        if key not in required and key not in optional
-    ]
+    unknown = [key for key in args if key not in takes]
     if missing or unknown:
         problems = []
         if missing:
@@ -85,13 +89,58 @@ def _require_args(kind, args, required, optional=()):
         if unknown:
             problems.append(f"unknown {unknown}")
         raise ScenarioError(
-            f"${kind}: {'; '.join(problems)} "
-            f"(takes {sorted(set(required) | set(optional))})"
+            f"{where}: {'; '.join(problems)} (takes {sorted(takes)})"
         )
-    return args
+    converted = {}
+    for key, value in args.items():
+        try:
+            converted[key] = takes[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(
+                f"{where}.{key}: {exc} (got {value!r})"
+            ) from None
+    return converted
 
 
-def _make_distribution(kind, args):
+def _marginal(weights):
+    """``weights`` normalised to a probability vector; ``ValueError``
+    unless they are a non-empty 1-D list of finite nonnegative numbers
+    with a positive sum."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 1 or not weights.size \
+            or not np.isfinite(weights).all() or (weights < 0).any() \
+            or weights.sum() <= 0:
+        raise ValueError(
+            "expected a non-empty list of finite nonnegative weights "
+            "with a positive sum"
+        )
+    return weights / weights.sum()
+
+
+def _categorical_domain(params, where):
+    """``(values, marginal)`` of a categorical generator's ``params``
+    (uniform without ``weights``), checked before anything uses them."""
+    values = params.get("values")
+    weights = params.get("weights")
+    try:
+        if not isinstance(values, (list, tuple, np.ndarray)) \
+                or not len(values):
+            raise ValueError(
+                f"values must be a non-empty list, got {values!r}"
+            )
+        marginal = _marginal(
+            [1.0] * len(values) if weights is None else weights
+        )
+        if marginal.size != len(values):
+            raise ValueError(
+                f"{marginal.size} weights for {len(values)} values"
+            )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    return list(values), marginal
+
+
+def _make_distribution(kind, args, where):
     from ..stats import (
         Constant,
         Geometric,
@@ -103,35 +152,37 @@ def _make_distribution(kind, args):
     )
 
     if kind == "zipf":
-        args = _require_args(kind, args, ("exponent", "max"))
-        return Zipf(float(args["exponent"]), int(args["max"]))
+        args = _require_args(kind, args, where,
+                             {"exponent": float, "max": int})
+        return Zipf(args["exponent"], args["max"])
     if kind == "uniform_degree":
-        args = _require_args(kind, args, ("max",))
-        return Uniform(int(args["max"]))
+        args = _require_args(kind, args, where, {"max": int})
+        return Uniform(args["max"])
     if kind == "geometric":
-        args = _require_args(kind, args, ("p", "max"),
-                             optional=("truncated",))
+        args = _require_args(kind, args, where, {"p": float, "max": int},
+                             optional={"truncated": bool})
         cls = (
             TruncatedGeometric if args.get("truncated", True)
             else Geometric
         )
-        return cls(float(args["p"]), int(args["max"]))
+        return cls(args["p"], args["max"])
     if kind == "poisson":
-        args = _require_args(kind, args, ("lam", "max"))
-        return Poisson(float(args["lam"]), int(args["max"]))
+        args = _require_args(kind, args, where,
+                             {"lam": float, "max": int})
+        return Poisson(args["lam"], args["max"])
     if kind == "powerlaw":
-        args = _require_args(kind, args, ("gamma", "xmin", "xmax"))
-        return PowerLaw(
-            float(args["gamma"]), int(args["xmin"]), int(args["xmax"])
-        )
+        args = _require_args(kind, args, where, {
+            "gamma": float, "xmin": int, "xmax": int,
+        })
+        return PowerLaw(args["gamma"], args["xmin"], args["xmax"])
     if kind == "constant_degree":
-        args = _require_args(kind, args, ("value",), optional=("max",))
-        value = int(args["value"])
-        return Constant(value, int(args.get("max", value)))
+        args = _require_args(kind, args, where, {"value": int},
+                             optional={"max": int})
+        return Constant(args["value"], args.get("max", args["value"]))
     return None
 
 
-def _make_dataset(args):
+def _make_dataset(args, where):
     from ..datasets import (
         INTERESTS,
         TOPICS,
@@ -141,8 +192,8 @@ def _make_dataset(args):
         country_weights,
     )
 
-    args = _require_args("dataset", args, ("name",),
-                         optional=("limit",))
+    args = _require_args("dataset", args, where, {"name": str},
+                         optional={"limit": int})
     name = args["name"]
     tables = {
         "countries": country_names,
@@ -154,15 +205,17 @@ def _make_dataset(args):
     }
     if name not in tables:
         raise ScenarioError(
-            f"$dataset: unknown dataset {name!r}; "
+            f"{where}.$dataset: unknown dataset {name!r}; "
             f"available: {sorted(tables)}"
         )
     value = tables[name]()
     limit = args.get("limit")
     if limit is not None:
         if name == "name_table":
-            raise ScenarioError("$dataset: name_table takes no limit")
-        value = value[: int(limit)]
+            raise ScenarioError(
+                f"{where}.$dataset: name_table takes no limit"
+            )
+        value = value[:limit]
     return value
 
 
@@ -186,20 +239,11 @@ class _JointContext:
                 "a 'categorical' generator with values/weights to "
                 "derive a joint marginal"
             )
+        path = f"nodes.{type_name}.properties.{prop_name}.params"
         params = _resolve_value(
-            prop.get("params", {}), self.spec, self.edge_name
+            prop.get("params", {}), self.spec, path, self.edge_name
         )
-        values = params.get("values")
-        if values is None:
-            raise ScenarioError(
-                f"{where}: categorical {type_name}.{prop_name} "
-                "declares no values"
-            )
-        weights = params.get("weights")
-        if weights is None:
-            weights = [1.0] * len(values)
-        weights = np.asarray(weights, dtype=np.float64)
-        return list(values), weights / weights.sum()
+        return _categorical_domain(params, path)
 
     def tail_marginal(self, where):
         edge = self.spec.edges[self.edge_name]
@@ -219,14 +263,14 @@ class _JointContext:
         return self._categorical(edge["head"], prop, where)
 
 
-def _make_joint(kind, args, spec, edge_name, bipartite):
+def _make_joint(kind, args, spec, edge_name, bipartite, where):
     from ..stats import JointDistribution, homophily_joint
 
-    where = f"edges.{edge_name}.${kind}"
     context = _JointContext(spec, edge_name)
     if kind == "homophily":
-        args = _require_args(kind, args, ("affinity",),
-                             optional=("weights",))
+        args = _require_args(kind, args, where, {"affinity": float},
+                             optional={"weights": _marginal})
+        where = f"{where}.${kind}"
         if bipartite:
             # A homophilous joint is square, so both endpoint domains
             # must agree — catch the mismatch here with a recipe path
@@ -240,14 +284,17 @@ def _make_joint(kind, args, spec, edge_name, bipartite):
                     "values); use $matrix for asymmetric domains"
                 )
         if "weights" in args:
-            weights = np.asarray(args["weights"], dtype=np.float64)
-            marginal = weights / weights.sum()
+            marginal = args["weights"]
         else:
             _, marginal = context.tail_marginal(where)
-        joint = homophily_joint(marginal, float(args["affinity"]))
+        joint = homophily_joint(marginal, args["affinity"])
         return joint.matrix if bipartite else joint
     if kind == "affinity":
-        args = _require_args(kind, args, ("affinity",))
+        a = _require_args(kind, args, where,
+                          {"affinity": float})["affinity"]
+        if not 0.0 <= a <= 1.0:
+            raise ValueError("affinity must lie in [0, 1]")
+        where = f"{where}.${kind}"
         tail_values, tail_m = context.tail_marginal(where)
         head_values, head_m = context.head_marginal(where)
         if list(tail_values) != list(head_values):
@@ -255,7 +302,6 @@ def _make_joint(kind, args, spec, edge_name, bipartite):
                 f"{where}: tail and head categories differ; use "
                 "$matrix for asymmetric domains"
             )
-        a = float(args["affinity"])
         matrix = (
             a * np.diag(tail_m)
             + (1.0 - a) * np.outer(tail_m, head_m)
@@ -265,11 +311,12 @@ def _make_joint(kind, args, spec, edge_name, bipartite):
             return matrix
         return JointDistribution((matrix + matrix.T) / 2.0)
     if kind == "matrix":
-        matrix = np.asarray(args, dtype=np.float64)
+        try:
+            matrix = np.asarray(args, dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError(exc) from None
         if matrix.ndim != 2:
-            raise ScenarioError(
-                f"{where}: $matrix needs a 2-D list of rows"
-            )
+            raise ValueError("needs a 2-D list of rows")
         if bipartite:
             return matrix / matrix.sum()
         return JointDistribution(matrix)
@@ -283,64 +330,77 @@ _DISTRIBUTION_KINDS = (
 _JOINT_KINDS = ("homophily", "affinity", "matrix")
 
 
-def _make_scale_ref(args, scale):
+def _make_scale_ref(args, scale, where):
     """``{$scale: Type}`` — the final scale anchor of a node type."""
     if isinstance(args, dict):
-        args = _require_args("scale", args, ("type",))["type"]
+        args = _require_args("scale", args, where, {"type": str})["type"]
+    where = f"{where}.$scale"
     if not isinstance(args, str):
         raise ScenarioError(
-            f"$scale expects a node-type name, got {args!r}"
+            f"{where}: expects a node-type name, got {args!r}"
         )
     if scale is None:
         raise ScenarioError(
-            "$scale is only valid where the final scale is known "
+            f"{where}: only valid where the final scale is known "
             "(structure / property params)"
         )
     if args not in scale:
         raise ScenarioError(
-            f"$scale: no scale anchor for {args!r} "
+            f"{where}: no scale anchor for {args!r} "
             f"(anchors: {sorted(scale)})"
         )
     return int(scale[args])
 
 
-def _resolve_value(value, spec, edge_name=None, bipartite=False,
+def _construct(kind, args, spec, where, edge_name, bipartite, scale):
+    """The live object ``{$kind: args}`` at recipe path ``where``."""
+    if kind in _DISTRIBUTION_KINDS:
+        return _make_distribution(kind, args, where)
+    if kind == "dataset":
+        return _make_dataset(args, where)
+    if kind == "scale":
+        return _make_scale_ref(args, scale, where)
+    if kind in _JOINT_KINDS:
+        if edge_name is None:
+            raise ScenarioError(
+                f"{where}: ${kind} is only valid inside an edge spec"
+            )
+        if kind == "matrix":
+            args = _resolve_value(args, spec, f"{where}.$matrix",
+                                  edge_name, bipartite, scale)
+        return _make_joint(kind, args, spec, edge_name, bipartite, where)
+    raise ScenarioError(
+        f"{where}: unknown constructor ${kind}; available: "
+        f"{sorted(('dataset', 'scale') + _DISTRIBUTION_KINDS + _JOINT_KINDS)}"
+    )
+
+
+def _resolve_value(value, spec, where, edge_name=None, bipartite=False,
                    scale=None):
-    """Recursively resolve ``$constructor`` mappings inside ``value``."""
+    """Recursively resolve ``$constructor`` mappings inside ``value``,
+    found at recipe path ``where``.  Anything else — a live Python
+    object in a recipe dict included — passes through unchanged."""
     if isinstance(value, list):
         return [
-            _resolve_value(v, spec, edge_name, bipartite, scale)
-            for v in value
+            _resolve_value(v, spec, f"{where}[{i}]", edge_name,
+                           bipartite, scale)
+            for i, v in enumerate(value)
         ]
     if not isinstance(value, dict):
         return value
     if len(value) == 1:
         (key, args), = value.items()
         if isinstance(key, str) and key.startswith("$"):
-            kind = key[1:]
-            if kind in _DISTRIBUTION_KINDS:
-                return _make_distribution(kind, args)
-            if kind == "dataset":
-                return _make_dataset(args)
-            if kind == "scale":
-                return _make_scale_ref(args, scale)
-            if kind in _JOINT_KINDS:
-                if edge_name is None:
-                    raise ScenarioError(
-                        f"${kind} is only valid inside an edge spec"
-                    )
-                return _make_joint(
-                    kind, _resolve_value(args, spec, edge_name,
-                                         bipartite, scale)
-                    if kind == "matrix" else args,
-                    spec, edge_name, bipartite,
-                )
-            raise ScenarioError(
-                f"unknown constructor ${kind}; available: "
-                f"{sorted(('dataset', 'scale') + _DISTRIBUTION_KINDS + _JOINT_KINDS)}"
-            )
+            try:
+                return _construct(key[1:], args, spec, where, edge_name,
+                                  bipartite, scale)
+            except ScenarioError:
+                raise
+            except ValueError as exc:  # the built object refuses a value
+                raise ScenarioError(f"{where}.{key}: {exc}") from None
     return {
-        k: _resolve_value(v, spec, edge_name, bipartite, scale)
+        k: _resolve_value(v, spec, f"{where}.{k}", edge_name, bipartite,
+                          scale)
         for k, v in value.items()
     }
 
@@ -388,9 +448,12 @@ def _compile_properties(owner_path, properties, spec, edge_name=None,
                         scale=None):
     compiled = []
     for name, body in properties.items():
+        where = f"{owner_path}.properties.{name}.params"
         params = _resolve_value(
-            body.get("params", {}), spec, edge_name, scale=scale
+            body.get("params", {}), spec, where, edge_name, scale=scale
         )
+        if body["generator"] == "categorical":
+            _categorical_domain(params, where)
         compiled.append(
             PropertyDef(
                 name,
@@ -406,13 +469,15 @@ def _compile_edge(name, edge, spec, scale=None):
     bipartite = edge["tail"] != edge["head"]
     structure = edge["structure"]
     structure_params = _resolve_value(
-        structure.get("params", {}), spec, name, bipartite, scale
+        structure.get("params", {}), spec, f"edges.{name}.structure.params",
+        name, bipartite, scale,
     )
     correlation = None
     corr = edge.get("correlation")
     if corr:
         joint = _resolve_value(
-            corr["joint"], spec, name, bipartite
+            corr["joint"], spec, f"edges.{name}.correlation.joint", name,
+            bipartite,
         )
         if isinstance(joint, dict):
             raise ScenarioError(
@@ -554,7 +619,9 @@ def compile_scenario(spec, scale=None, seed=None):
         from ..planting import PlantingError, compile_plants
 
         try:
-            plants = compile_plants(spec.plants, schema, final_seed)
+            plants = compile_plants(
+                spec.plants, schema, final_seed, final_scale
+            )
         except PlantingError as exc:
             raise ScenarioError(f"invalid recipe: {exc}") from None
     return CompiledScenario(

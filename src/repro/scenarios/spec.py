@@ -24,7 +24,8 @@ Values needing live Python objects (degree distributions, joint
 matrices, embedded datasets) are written as single-key ``$constructor``
 mappings — ``{$zipf: {exponent: 1.3, max: 30}}`` — resolved later by
 :mod:`repro.scenarios.compile`; the parser treats them as plain
-mappings.
+mappings.  A recipe dict built in Python may hold the live object
+itself in their place.
 
 Examples
 --------
@@ -383,6 +384,29 @@ class Field:
         return tuple(self.path.split("."))
 
 
+def _property_fields(owner, depends_on):
+    """The keys of one property definition under ``owner`` (node and
+    edge properties take the same four)."""
+    prop = f"{owner}.properties.<prop>"
+    return (
+        Field(prop, "map", required=True,
+              description="One property definition."),
+        Field(f"{prop}.dtype", "str", default="string",
+              choices=("string", "long", "double", "date", "bool"),
+              description="Logical value type."),
+        Field(f"{prop}.generator", "str", required=True,
+              description="Property-generator name from "
+                          "`repro.properties.registry` (e.g. "
+                          "categorical, uniform_int, date_range, "
+                          "template)."),
+        Field(f"{prop}.params", "map", default={},
+              description="Generator parameters; values may use "
+                          "$constructors ($zipf, $dataset, ...)."),
+        Field(f"{prop}.depends_on", "list[str]", default=[],
+              description=depends_on),
+    )
+
+
 RECIPE_FIELDS = (
     Field("scenario", "str", required=True,
           description="Scenario name (identifier; names output files "
@@ -400,24 +424,11 @@ RECIPE_FIELDS = (
           description="One node type."),
     Field("nodes.<type>.properties", "map", default={},
           description="Properties of the node type, by name."),
-    Field("nodes.<type>.properties.<prop>", "map", required=True,
-          description="One property definition."),
-    Field("nodes.<type>.properties.<prop>.dtype", "str",
-          default="string",
-          choices=("string", "long", "double", "date", "bool"),
-          description="Logical value type."),
-    Field("nodes.<type>.properties.<prop>.generator", "str",
-          required=True,
-          description="Property-generator name from "
-                      "`repro.properties.registry` (e.g. categorical, "
-                      "uniform_int, date_range, template)."),
-    Field("nodes.<type>.properties.<prop>.params", "map", default={},
-          description="Generator parameters; values may use "
-                      "$constructors ($zipf, $dataset, ...)."),
-    Field("nodes.<type>.properties.<prop>.depends_on", "list[str]",
-          default=[],
-          description="Sibling properties fed to the generator "
-                      "(conditional distributions)."),
+    *_property_fields(
+        "nodes.<type>",
+        "Sibling properties fed to the generator (conditional "
+        "distributions).",
+    ),
     Field("edges", "map", default={},
           description="Edge types: maps each edge name to its spec."),
     Field("edges.<edge>", "map", required=True,
@@ -458,9 +469,12 @@ RECIPE_FIELDS = (
           description="Explicit category order; defaults to the "
                       "categorical generator's `values`."),
     Field("edges.<edge>.properties", "map", default={},
-          description="Edge properties (same shape as node "
-                      "properties; `depends_on` may use tail.<prop> / "
-                      "head.<prop>)."),
+          description="Edge properties, by name."),
+    *_property_fields(
+        "edges.<edge>",
+        "Sibling edge properties, or endpoint properties as "
+        "tail.<prop> / head.<prop>, fed to the generator.",
+    ),
     Field("plants", "map", default={},
           description="Ground-truth pattern plants: maps each plant "
                       "name to its spec (see docs/planting.md)."),
@@ -610,8 +624,9 @@ def _validate_node(value, segs, errors):
     path = ".".join(segs) or "<root>"
     field = _lookup(segs) if segs else None
     if field is not None:
-        if value is None and not field.required:
-            return
+        if value is None and field.default is None \
+                and not field.required:
+            return  # an optional key whose default is null
         check = _TYPE_CHECKS.get(field.type)
         if check is not None and not check(value):
             errors.append(

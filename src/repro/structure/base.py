@@ -169,7 +169,7 @@ class StructureGenerator:
     mirror the paper's interface literally.
     """
 
-    #: Name under which the generator is registered for the DSL.
+    #: Name under which the generator is registered (what recipes bind).
     name = "abstract"
 
     #: First-class emission classification (see docs/scaling.md):

@@ -1,6 +1,6 @@
 """Structure generator registry and capability matrix.
 
-The DSL refers to SGs by name; this registry resolves those names.  Each
+Recipes refer to SGs by name; this registry resolves those names.  Each
 entry also carries the capability flags of the paper's Table 1 (which
 schema / structure / distribution aspects the generator can be
 explicitly configured for), from which the Table 1 benchmark regenerates

@@ -7,17 +7,23 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import CHECKPOINT_NAME
 
-DSL = """
-graph tiny {
-  node Person {
-    age: long = uniform_int(low=18, high=80)
-  }
-  edge knows: Person -- Person [*..*] {
-    structure = erdos_renyi_m(edges_per_node=3)
-  }
-  scale { Person = 50 }
-}
+RECIPE = """
+scenario: tiny
+nodes:
+  Person:
+    properties:
+      age: {dtype: long, generator: uniform_int,
+            params: {low: 18, high: 80}}
+edges:
+  knows:
+    tail: Person
+    head: Person
+    structure: {generator: erdos_renyi_m, params: {edges_per_node: 3}}
+scale: {Person: 50}
 """
+
+#: the structure binding the boundary cases swap out of RECIPE.
+STRUCTURE = "generator: erdos_renyi_m, params: {edges_per_node: 3}"
 
 
 BAD_SBM_RECIPE = """
@@ -47,16 +53,16 @@ class TestParser:
 
     def test_generate_args(self):
         args = build_parser().parse_args(
-            ["generate", "s.dsl", "--seed", "7", "--format", "jsonl"]
+            ["generate", "s.yaml", "--seed", "7", "--format", "jsonl"]
         )
-        assert args.schema == "s.dsl"
+        assert args.name == "s.yaml"
         assert args.seed == 7
 
 
 class TestGenerate:
     def test_csv_output(self, tmp_path, capsys):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         out = tmp_path / "out"
         code = main(
             ["generate", str(schema_path), "--out", str(out)]
@@ -64,11 +70,11 @@ class TestGenerate:
         assert code == 0
         assert (out / "knows.csv").exists()
         assert (out / "Person.age.csv").exists()
-        assert "generated graph 'tiny'" in capsys.readouterr().out
+        assert "scenario 'tiny'" in capsys.readouterr().out
 
     def test_scale_override(self, tmp_path, capsys):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         main(
             [
                 "generate", str(schema_path),
@@ -80,16 +86,16 @@ class TestGenerate:
         assert "'Person': 20" in out
 
     def test_bad_scale_entry(self, tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         with pytest.raises(SystemExit, match="TYPE=COUNT"):
             main(
                 ["generate", str(schema_path), "--scale", "Person"]
             )
 
     def test_edgelist_format(self, tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         out = tmp_path / "o"
         main(
             [
@@ -103,8 +109,8 @@ class TestGenerate:
         """--shard-rows 64 --workers 2 runs out of core on a pool and
         writes the same files with the same contents as the in-memory
         run."""
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         serial_out = tmp_path / "serial"
         parallel_out = tmp_path / "parallel"
         assert main(
@@ -123,8 +129,8 @@ class TestGenerate:
             )
 
     def test_jsonl_format(self, tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         out = tmp_path / "o"
         main(
             [
@@ -135,8 +141,8 @@ class TestGenerate:
         assert (out / "Person.jsonl").exists()
 
     def test_graphml_format(self, tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         out = tmp_path / "o"
         main(
             [
@@ -147,8 +153,8 @@ class TestGenerate:
         assert (out / "knows.graphml").exists()
 
     def test_chunk_size_does_not_change_bytes(self, tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         default_out = tmp_path / "default"
         chunked_out = tmp_path / "chunked"
         main(["generate", str(schema_path), "--out", str(default_out)])
@@ -165,8 +171,8 @@ class TestGenerate:
     def test_compress_flag(self, tmp_path):
         import gzip
 
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         plain_out = tmp_path / "plain"
         gz_out = tmp_path / "gz"
         main(["generate", str(schema_path), "--out", str(plain_out)])
@@ -181,8 +187,8 @@ class TestGenerate:
             (plain_out / "knows.csv").read_bytes()
 
     def test_bad_chunk_size_rejected(self, tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["generate", str(schema_path), "--chunk-size", "0"]
@@ -197,17 +203,17 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize("argv, expected", [
         (["serve", "social_network", "--chunk-rows", "0"],
          "argument --chunk-rows: must be >= 1"),
-        (["generate", "{dsl}", "--out", "{out}", "--shard-rows", "64",
+        (["generate", "{tiny}", "--out", "{out}", "--shard-rows", "64",
           "--retries", "-1"],
          "argument --retries: must be >= 0"),
-        (["generate", "{dsl}", "--out", "{out}", "--scale",
+        (["generate", "{tiny}", "--out", "{out}", "--scale",
           "Person=abc"], "TYPE=COUNT"),
-        (["generate", "{dsl}", "--out", "{out}", "--scale",
+        (["generate", "{tiny}", "--out", "{out}", "--scale",
           "Person=-5"], "TYPE=COUNT"),
         (["generate", "{missing}", "--out", "{out}"],
-         "cannot read schema"),
+         "scenario error: [Errno 2] No such file or directory"),
         (["generate", "{lfr}", "--out", "{out}", "--scale", "Person=12"],
-         "schema error: knows: lfr needs more than avg_degree=18 "
+         "scenario error: knows: lfr needs more than avg_degree=18 "
          "nodes, got 12"),
         (["scenario", "run", "social_network", "--scale", "Person=12",
           "--out", "{out}"],
@@ -218,10 +224,11 @@ class TestBoundaryErrors:
          "scenario error: knows: lfr needs more than avg_degree=18 "
          "nodes, got 12"),
         (["generate", "{rmat}", "--out", "{out}"],
-         "schema error: knows: rmat needs a node count that is a power "
-         "of two, got 50"),
+         "scenario error: knows: rmat needs a node count that is a "
+         "power of two, got 50"),
         (["generate", "{sbm}", "--out", "{out}"],
-         "schema error: knows: sbm group sizes sum to 20, expected n=50"),
+         "scenario error: knows: sbm group sizes sum to 20, expected "
+         "n=50"),
         (["scenario", "run", "web_graph_rmat", "--scale", "Page=1000",
           "--out", "{out}"],
          "scenario error: links: rmat needs a node count that is a power "
@@ -254,12 +261,12 @@ class TestBoundaryErrors:
         (["scenario", "run", "social_network", "--scale", "Person=200",
           "--out", "{out}", "--shard-rows", "64", "--inject-faults",
           "nope:1:crash"], "unknown fault site 'nope'"),
-        (["generate", "{dsl}", "--out", "{dsl}/o"],
-         "generate error: [Errno 20] Not a directory"),
-        (["generate", "{dsl}", "--out", "{out}", "--inject-faults",
+        (["generate", "{tiny}", "--out", "{tiny}/o"],
+         "scenario error: [Errno 20] Not a directory"),
+        (["generate", "{tiny}", "--out", "{out}", "--inject-faults",
           "export:0:ioerror"],
-         "generate error: [Errno 28] injected I/O fault 'export:0:ioerror' "
-         "at export:0"),
+         "scenario error: [Errno 28] injected I/O fault "
+         "'export:0:ioerror' at export:0"),
         (["example", "--workers", "2"], "unrecognized arguments: --workers"),
         (["validate", "--workers", "2"],
          "unrecognized arguments: --workers"),
@@ -273,41 +280,41 @@ class TestBoundaryErrors:
         (["serve", "{recipe}", "--port", "0"],
          "scenario error: knows: sbm: probabilities must lie in [0, 1]"),
         (["generate", "{bad_sbm}", "--out", "{out}"],
-         "schema error: knows: sbm: probabilities must lie in [0, 1]"),
+         "scenario error: knows: sbm: probabilities must lie in [0, 1]"),
         (["generate", "{zero_fractions}", "--out", "{out}"],
-         "schema error: knows: sbm: fractions must be nonnegative with "
+         "scenario error: knows: sbm: fractions must be nonnegative with "
          "positive total mass"),
         (["generate", "{unknown_param}", "--out", "{out}"],
-         "schema error: knows: erdos_renyi_m: ErdosRenyiM got unexpected "
+         "scenario error: knows: erdos_renyi_m: ErdosRenyiM got "
+         "unexpected "
          "parameter 'bogus'"),
         (["generate", "{bad_uniform}", "--out", "{out}"],
-         "schema error: Person.age: uniform_int: need low < high"),
+         "scenario error: Person.age: uniform_int: need low < high"),
     ])
     def test_rejected_with_message(self, argv, expected, tmp_path,
                                    capsys):
         paths = {}
-        structure = "erdos_renyi_m(edges_per_node=3)"
-        bad_sbm = ("sbm(sizes=[10, 10], "
-                   "probabilities=[[1.5, 0.1], [0.1, 0.5]])")
+        bad_sbm = ("generator: sbm, params: {sizes: [10, 10], "
+                   "probabilities: [[1.5, 0.1], [0.1, 0.5]]}")
         for key, old, new in [
-            ("dsl", structure, structure),
-            ("lfr", structure, "lfr(avg_degree=18)"),
-            ("rmat", structure, "rmat(edge_factor=4)"),
-            ("sbm", structure, "sbm(sizes=[10, 10], "
-                               "probabilities=[[0.5, 0.1], [0.1, 0.5]])"),
-            ("bad_sbm", structure, bad_sbm),
-            ("zero_fractions", structure, "sbm(fractions=[0, 0], "
-             "probabilities=[[0.5, 0.1], [0.1, 0.5]])"),
-            ("unknown_param", structure,
-             "erdos_renyi_m(edges_per_node=3, bogus=1)"),
-            ("bad_uniform", "low=18, high=80", "low=80, high=18"),
+            ("tiny", STRUCTURE, STRUCTURE),
+            ("lfr", STRUCTURE, "generator: lfr, params: {avg_degree: 18}"),
+            ("rmat", STRUCTURE, "generator: rmat, params: {edge_factor: 4}"),
+            ("sbm", STRUCTURE, "generator: sbm, params: {sizes: [10, 10], "
+                               "probabilities: [[0.5, 0.1], [0.1, 0.5]]}"),
+            ("bad_sbm", STRUCTURE, bad_sbm),
+            ("zero_fractions", STRUCTURE, "generator: sbm, params: "
+             "{fractions: [0, 0], probabilities: [[0.5, 0.1], [0.1, 0.5]]}"),
+            ("unknown_param", STRUCTURE, "generator: erdos_renyi_m, "
+             "params: {edges_per_node: 3, bogus: 1}"),
+            ("bad_uniform", "low: 18, high: 80", "low: 80, high: 18"),
         ]:
-            paths[key] = tmp_path / f"{key}.dsl"
-            paths[key].write_text(DSL.replace(old, new))
+            paths[key] = tmp_path / f"{key}.yaml"
+            paths[key].write_text(RECIPE.replace(old, new))
         paths["recipe"] = tmp_path / "bad_sbm.yaml"
         paths["recipe"].write_text(BAD_SBM_RECIPE)
         argv = [
-            arg.format(missing=tmp_path / "no.dsl", out=tmp_path / "o",
+            arg.format(missing=tmp_path / "no.yaml", out=tmp_path / "o",
                        **paths)
             for arg in argv
         ]
@@ -336,15 +343,16 @@ class TestBoundaryErrors:
 
     @pytest.mark.parametrize("argv, expected", [
         (["generate", "{bad}", "--out", "{out}"],
-         "schema error: line 1, column 10: expected node, edge or scale"),
-        (["generate", "{dsl}", "--out", "{out}", "--resume", "{spool}"],
+         "scenario error: {bad}: line 2: unclosed bracket at end of "
+         "document"),
+        (["generate", "{tiny}", "--out", "{out}", "--resume", "{spool}"],
          "checkpoint error: malformed catalog"),
         (["scenario", "run", "social_network", "--scale", "Person=300",
           "--out", "{out}", "--resume", "{spool}"],
          "checkpoint error: malformed catalog"),
     ])
     def test_one_line_not_a_traceback(self, argv, expected, tmp_path):
-        """A DSL syntax error or a malformed --resume catalog exits 1
+        """A recipe syntax error or a malformed --resume catalog exits 1
         with one stderr line, as the interpreter prints it."""
         import os
         import subprocess
@@ -353,18 +361,17 @@ class TestBoundaryErrors:
 
         import repro
 
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
-        (tmp_path / "bad.dsl").write_text("graph x {")
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
+        (tmp_path / "bad.yaml").write_text("scenario: x\nnodes: {")
         (tmp_path / "spool").mkdir()
         (tmp_path / "spool" / CHECKPOINT_NAME).write_text(
             '{"garbage": 1}\n'
         )
-        argv = [
-            arg.format(dsl=schema_path, bad=tmp_path / "bad.dsl",
-                       spool=tmp_path / "spool", out=tmp_path / "o")
-            for arg in argv
-        ]
+        paths = dict(tiny=schema_path, bad=tmp_path / "bad.yaml",
+                     spool=tmp_path / "spool", out=tmp_path / "o")
+        argv = [arg.format(**paths) for arg in argv]
+        expected = expected.format(**paths)
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", *argv],
@@ -395,8 +402,8 @@ class TestOutOfCoreOnlyFlags:
 
     @staticmethod
     def _commands(tmp_path):
-        schema_path = tmp_path / "tiny.dsl"
-        schema_path.write_text(DSL)
+        schema_path = tmp_path / "tiny.yaml"
+        schema_path.write_text(RECIPE)
         out = ["--out", str(tmp_path / "out")]
         return {
             "generate": ["generate", str(schema_path)] + out,

@@ -11,7 +11,9 @@ These exercise the load-bearing contracts:
 * stub pairing — realised degrees never exceed prescriptions;
 * slot owners — the chunked CSR lookup equals a per-id binary search;
 * SBM-Part — capacities are hard constraints for arbitrary targets;
-* DSL tokenizer — never crashes with a non-DslError on arbitrary input;
+* the recipe boundary — arbitrary text, and every zoo recipe with one
+  node replaced by a bad value, fail only with the recipe-facing errors
+  (``TestRecipeBoundary``);
 * the differential oracle — any schema drawn from the generator
   registries writes the same bytes down every execution path
   (``TestDifferentialOracle``).
@@ -44,7 +46,6 @@ from repro.core import (
     SchemaError,
     ShardedError,
 )
-from repro.core.dsl.errors import DslError
 from repro.core.faults import FAULT_SITES, FaultPlan
 from repro.core.matching import sbm_part_assign
 from repro.datasets import social_network_schema
@@ -52,7 +53,13 @@ from repro.io import export_graph, make_sink, make_source
 from repro.planting import PlantingError, compile_plants, plant_world
 from repro.prng import RandomStream, splitmix64
 from repro.properties import available_property_generators
-from repro.scenarios import compile_scenario, load_zoo
+from repro.scenarios import (
+    ScenarioError,
+    compile_scenario,
+    load_zoo,
+    parse_recipe_text,
+    zoo_names,
+)
 from repro.serve import VirtualGraph
 from repro.stats import (
     Categorical,
@@ -389,29 +396,99 @@ class TestSbmPartProperties:
         )
 
 
-class TestDslRobustness:
-    @common_settings
-    @given(text=st.text(max_size=200))
-    def test_tokenizer_total(self, text):
-        """Arbitrary input either tokenizes or raises DslError —
-        never an unexpected exception type."""
-        from repro.core.dsl import tokenize
+class TestRecipeBoundary:
+    """A recipe is the one text boundary: whatever it holds, the library
+    answers with a ``ScenarioError`` / ``SchemaError`` /
+    ``DependencyError`` and the CLI with one ``scenario error:`` line."""
 
-        try:
-            tokens = tokenize(text)
-        except DslError:
-            return
-        assert tokens[-1].kind == "EOF"
+    #: what each recipe node is replaced by, in turn.
+    MUTANTS = (0, -1, 2.5, float("nan"), float("inf"), "x", None, True,
+               [], [1], {}, {"a": 1}, 10**12)
 
     @common_settings
-    @given(text=st.text(max_size=200))
-    def test_parser_total(self, text):
-        from repro.core.dsl import parse
-
+    @given(text=st.one_of(
+        st.text(max_size=200),
+        st.text(alphabet=" \n\t:-[]{},#'\"$ab1.", max_size=200),
+    ))
+    def test_parse_recipe_text_total(self, text):
+        """Arbitrary text parses or raises ScenarioError."""
         try:
-            parse(text)
-        except DslError:
+            parse_recipe_text(text)
+        except ScenarioError:
             pass
+
+    @classmethod
+    def _paths(cls, node, path=()):
+        """Every key path below the root, containers included."""
+        if path:
+            yield path
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) \
+                else enumerate(node)
+            for key, sub in items:
+                yield from cls._paths(sub, path + (key,))
+
+    def test_every_mutated_zoo_recipe_fails_cleanly(self):
+        """Each node of each zoo recipe, replaced in turn by each of
+        :attr:`MUTANTS`, compiles and plans or fails with one of the
+        three recipe-facing errors."""
+        import copy
+
+        from repro.core import DependencyError
+
+        escaped = {}
+        for name in zoo_names():
+            raw = load_zoo(name).raw
+            for path in self._paths(raw):
+                for value in self.MUTANTS:
+                    recipe = copy.deepcopy(raw)
+                    node = recipe
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value
+                    try:
+                        compiled = compile_scenario(recipe)
+                        GraphGenerator(
+                            compiled.schema, compiled.scale,
+                            compiled.seed,
+                        ).plan()
+                    except (ScenarioError, SchemaError,
+                            DependencyError):
+                        pass
+                    except Exception as exc:  # noqa: BLE001 - reported
+                        where = ".".join(map(str, path))
+                        escaped.setdefault(
+                            type(exc).__name__,
+                            f"{name}: {where} = {value!r}: {exc}",
+                        )
+        assert not escaped, escaped
+
+    def test_cli_bad_recipe_is_one_line(self, tmp_path):
+        """``nodes.Person.properties: null`` exits non-zero with one
+        ``scenario error:`` line naming the key, not a traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        recipe = tmp_path / "bad.yaml"
+        recipe.write_text(
+            "scenario: bad\nnodes:\n  Person:\n    properties:\n"
+            "scale: {Person: 10}\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "generate", str(recipe),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("scenario error: ")
+        assert "nodes.Person.properties: expected map" in proc.stderr
 
 
 class TestCsvRoundTripProperty:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core import Cardinality
 from repro.scenarios import (
     Grade,
     GradedReport,
@@ -112,6 +114,12 @@ class TestParser:
     def test_inline_mapping_duplicate_key(self):
         with pytest.raises(ScenarioError, match="duplicate key"):
             parse_recipe_text("m: {a: 1, a: 2}")
+
+    def test_block_mapping_duplicate_key_names_its_line(self):
+        text = "nodes:\n  T: {}\n  T: {}\n"
+        with pytest.raises(ScenarioError,
+                           match="line 3: duplicate key 'T'"):
+            parse_recipe_text(text)
 
     def test_json_passthrough(self):
         assert parse_recipe_text('{"a": [1, 2]}') == {"a": [1, 2]}
@@ -374,6 +382,327 @@ scale: {Person: 200}
         )
 
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1..1", Cardinality.ONE_TO_ONE),
+        ("1..*", Cardinality.ONE_TO_MANY),
+        ("*..*", Cardinality.MANY_TO_MANY),
+    ])
+    def test_cardinalities(self, text, expected):
+        recipe = parse_recipe_text(TINY_RECIPE)
+        recipe["edges"]["knows"]["cardinality"] = text
+        edge = compile_scenario(recipe).schema.edge_type("knows")
+        assert edge.cardinality is expected
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_directed_edge(self, directed):
+        recipe = parse_recipe_text(TINY_RECIPE)
+        recipe["edges"]["knows"]["directed"] = directed
+        edge = compile_scenario(recipe).schema.edge_type("knows")
+        assert edge.directed is directed
+
+    def test_dependencies_lowered(self):
+        """``depends_on`` names a sibling property on a node type and
+        ``tail.`` / ``head.`` properties on an edge type."""
+        recipe = parse_recipe_text(TINY_RECIPE)
+        country = recipe["nodes"]["Person"]["properties"]["country"]
+        country["depends_on"] = ["age"]
+        recipe["edges"]["knows"]["properties"] = {"gap": {
+            "dtype": "long", "generator": "after_dependency",
+            "params": {"min_gap": 1},
+            "depends_on": ["tail.age", "head.age"],
+        }}
+        schema = compile_scenario(recipe).schema
+        assert schema.node_type("Person").property_named(
+            "country").depends_on == ("age",)
+        assert schema.edge_type("knows").property_named(
+            "gap").depends_on == ("tail.age", "head.age")
+
+    def test_list_params_reach_the_generator(self):
+        spec = compile_scenario(TINY_RECIPE).schema.node_type(
+            "Person").property_named("country").generator
+        assert spec.params["values"] == ["aa", "bb", "cc"]
+        assert spec.params["weights"] == [0.5, 0.3, 0.2]
+
+    def test_live_objects_in_params_pass_through(self):
+        """A recipe dict built in Python may hold live objects in
+        ``params``; the lowered generator receives those very objects."""
+        from repro.stats import Zipf
+
+        recipe = _bipartite_recipe()
+        degrees = recipe["edges"]["likes"]["structure"]["params"][
+            "tail_distribution"]
+        assert isinstance(degrees, Zipf)
+        structure = compile_scenario(recipe).schema.edge_type(
+            "likes").structure
+        assert structure.params["tail_distribution"] is degrees
+        assert structure.params["head_distribution"] is degrees
+
+    def test_recipe_generates_the_graph(self):
+        from repro.core import GraphGenerator
+
+        compiled = compile_scenario(MINIMAL_RECIPE)
+        graph = GraphGenerator(
+            compiled.schema, compiled.scale, seed=compiled.seed
+        ).generate()
+        assert graph.num_nodes("Person") == 100
+        ages = graph.node_property("Person", "age").values
+        assert ages.min() >= 18
+        assert ages.max() < 99
+
+
+class TestRecipeHoles:
+    """A bad value where a recipe is validated or lowered is one
+    ``ScenarioError`` naming its dotted recipe path — never an
+    ``AttributeError``, ``TypeError``, ``OverflowError`` or
+    ``MemoryError`` from deep inside the compiler."""
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("fraud_ring_social", "nodes.Person.properties", None,
+         "nodes.Person.properties: expected map, got NoneType"),
+        ("fraud_ring_social", "nodes.Person.properties.country.params",
+         None, "nodes.Person.properties.country.params: expected map"),
+        ("fraud_ring_social",
+         "edges.knows.properties.creationDate.depends_on", [0],
+         "edges.knows.properties.creationDate.depends_on: expected "
+         "list[str]"),
+        ("fraud_ring_social",
+         "edges.knows.properties.creationDate.generator", [],
+         "edges.knows.properties.creationDate.generator: expected str"),
+        ("infra_telemetry",
+         "edges.emits.structure.params.degree_distribution.$zipf.max",
+         float("inf"),
+         "edges.emits.structure.params.degree_distribution.$zipf.max: "
+         "cannot convert float infinity to integer"),
+        ("infra_telemetry",
+         "edges.emits.structure.params.degree_distribution.$zipf"
+         ".exponent", 0,
+         "edges.emits.structure.params.degree_distribution.$zipf: "
+         "exponent s must be positive"),
+        ("fraud_ring_social",
+         "nodes.Person.properties.country.params.values.$dataset.name",
+         [], "nodes.Person.properties.country.params.values.$dataset: "
+             "unknown dataset"),
+        ("fraud_ring_social",
+         "edges.knows.correlation.joint.$homophily.affinity", "x",
+         "edges.knows.correlation.joint.$homophily.affinity: could not "
+         "convert string to float"),
+        ("recommender_bipartite",
+         "nodes.User.properties.genre.params.weights", 0,
+         "nodes.User.properties.genre.params: expected a non-empty list "
+         "of finite nonnegative weights"),
+        ("fraud_ring_social",
+         "nodes.Person.properties.country.params.values.$dataset.limit",
+         0, "nodes.Person.properties.country.params: values must be a "
+            "non-empty list"),
+        ("c2_pattern_infra_telemetry", "plants.c2_star.template.size",
+         10**12, "plants.c2_star: 2 disjoint copies of a "
+                 "1000000000000-node template need 2000000000000 Host "
+                 "nodes; the scale has 1500"),
+        ("c2_pattern_infra_telemetry", "plants.c2_star.count", None,
+         "plants.c2_star.count: expected int, got NoneType"),
+    ])
+    def test_one_error_with_the_path(self, name, path, value, message):
+        recipe = load_zoo(name).raw
+        *parents, last = path.split(".")
+        node = recipe
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ScenarioError) as excinfo:
+            compile_scenario(recipe)
+        assert message in str(excinfo.value)
+
+
+def _tree_digests(directory):
+    """``{file name: sha256}`` of an export directory."""
+    import hashlib
+
+    return {
+        entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
+        for entry in sorted(Path(directory).iterdir())
+    }
+
+
+TINY_SOCIAL_RECIPE = """
+scenario: tiny_social
+seed: 7
+nodes:
+  Person:
+    properties:
+      country:
+        generator: categorical
+        params: {values: [India, China, Poland],
+                 weights: [0.4, 0.45, 0.15]}
+      creationDate: {dtype: date, generator: date_range,
+                     params: {start: 1262304000, end: 1483228800}}
+  Message:
+    properties:
+      topic: {generator: categorical,
+              params: {values: [sports, news, music]}}
+edges:
+  knows:
+    tail: Person
+    head: Person
+    structure: {generator: erdos_renyi_m, params: {edges_per_node: 10}}
+    correlation:
+      property: country
+      joint: {$homophily: {affinity: 0.5}}
+      values: [India, China, Poland]
+    properties:
+      creationDate:
+        dtype: date
+        generator: after_dependency
+        params: {min_gap: 1}
+        depends_on: [tail.creationDate, head.creationDate]
+  creates:
+    tail: Person
+    head: Message
+    directed: true
+    cardinality: "1..*"
+    structure:
+      generator: one_to_many
+      params:
+        degree_distribution: {$zipf: {exponent: 1.2, max: 40}}
+    properties:
+      creationDate:
+        dtype: date
+        generator: after_dependency
+        params: {min_gap: 1}
+        depends_on: [tail.creationDate]
+scale: {Person: 2000}
+"""
+
+MINIMAL_RECIPE = """
+scenario: tiny
+seed: 4
+nodes:
+  Person:
+    properties:
+      age: {dtype: long, generator: uniform_int,
+            params: {low: 18, high: 99}}
+edges:
+  knows:
+    tail: Person
+    head: Person
+    structure: {generator: erdos_renyi_m, params: {edges_per_node: 4}}
+scale: {Person: 100}
+"""
+
+
+def _bipartite_recipe():
+    """A recipe dict holding live objects: a ``Zipf`` degree
+    distribution in ``params`` and an ndarray behind ``$matrix``."""
+    import numpy as np
+
+    from repro.stats import Zipf
+
+    genre = {"generator": "categorical",
+             "params": {"values": ["a", "b"], "weights": [0.5, 0.5]}}
+    degrees = Zipf(1.2, 6)
+    return {
+        "scenario": "rec",
+        "seed": 6,
+        "nodes": {"User": {"properties": {"genre": genre}},
+                  "Item": {"properties": {"genre": genre}}},
+        "edges": {"likes": {
+            "tail": "User", "head": "Item", "directed": True,
+            "structure": {
+                "generator": "bipartite_configuration",
+                "params": {
+                    "tail_distribution": degrees,
+                    "head_distribution": degrees,
+                    "tail_offset": 1, "head_offset": 1,
+                    "head_nodes": 80,
+                },
+            },
+            "correlation": {
+                "property": "genre", "head_property": "genre",
+                "joint": {"$matrix": np.array([[0.45, 0.05],
+                                               [0.05, 0.45]])},
+            },
+        }},
+        "scale": {"User": 120, "Item": 80},
+    }
+
+
+class TestCensus:
+    """Recipe twins of the three examples of the curly-brace schema
+    language that recipes replaced export its exact bytes.  The digests
+    were recorded from that language's exports before it was deleted;
+    they are never regenerated from the recipes."""
+
+    DIGESTS = {
+        "tiny_social": {
+            "Message.topic.csv": "f615a998c9c88a7bee9d1b739c6c7dec"
+                                 "265148371526acfbca9cc91e499638e5",
+            "Person.country.csv": "2dd34374d4516da3143a036498676fe7"
+                                  "807a07fb583919aa7a837ec2d6b65448",
+            "Person.creationDate.csv": "e2c7b2d0a0a42750066b48097de007af"
+                                       "48791cb432a20a03448759323abdf06c",
+            "creates.creationDate.csv": "194a3f3dc9342a30c9b01cde68d192c5"
+                                        "a15aca3339309a3210632311cb52e248",
+            "creates.csv": "6565ef7ca69048d52b63f1a59c93a131"
+                           "66ee668798c8a73b476fe75472862bed",
+            "knows.creationDate.csv": "96c2fa8d66b0b6619d20c16b736d291f"
+                                      "1fe04f9175712803e57d94fa20f50b3d",
+            "knows.csv": "516bd23191f0e610f96da643146a2af6"
+                         "769dd7f585736dc26d28274167081a6e",
+            "manifest.json": "a522092677ddc87591f9722cee4e7533"
+                             "9cb9fc12a37ef9d70b039e216762d023",
+        },
+        "minimal": {
+            "Person.age.csv": "2f4df2bf99aa47b05e3b0b0fab16894e"
+                              "9ddd89e72446e69b880035f90cd9f46a",
+            "knows.csv": "aa4180a01663c7efe3f8f3557b56de62"
+                         "6898aac81806cfb90881230bdc034829",
+            "manifest.json": "aa8210b58a6740a664da87f66630091d"
+                             "73ff7f4133deee0710b3043285bf349b",
+        },
+        "bipartite": {
+            "Item.genre.csv": "4daf849d1be4da6ed6b276006400482"
+                              "657bbb49d330bb4b44ce4b372a5de00d9",
+            "User.genre.csv": "007c7c92bb5dd1194d09abb84b96e7dd"
+                              "f918cb3d95eb312601cd029b9983e7a6",
+            "likes.csv": "4e924081978c203eb224cc59d906a628"
+                         "44df710c43f696b1ba4f3498f863b936",
+            "manifest.json": "b722393cf6946e727aa0789b359fda63"
+                             "098455eaf241bfc8bcf927edd7033d0d",
+        },
+    }
+
+    @pytest.mark.parametrize("kernels", ["on", "off"])
+    @pytest.mark.parametrize("case", ["tiny_social", "minimal",
+                                      "bipartite"])
+    def test_recipe_twin_exports_the_recorded_bytes(
+        self, case, kernels, tmp_path, monkeypatch
+    ):
+        if kernels == "off":
+            monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        recipe = {"tiny_social": TINY_SOCIAL_RECIPE,
+                  "minimal": MINIMAL_RECIPE}.get(case) or _bipartite_recipe()
+        run_scenario(compile_scenario(recipe), out_dir=tmp_path,
+                     validate=False)
+        assert _tree_digests(tmp_path) == self.DIGESTS[case]
+
+    def test_generate_is_scenario_run(self, tmp_path, capsys):
+        """``generate`` and ``scenario run`` are one command: the same
+        tree, graded report included, and the same summary line."""
+        lines = []
+        for command, out in ((["generate"], "a"),
+                             (["scenario", "run"], "b")):
+            assert main(command + [
+                "social_network", "--scale", "Person=500",
+                "--out", str(tmp_path / out),
+            ]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("scenario 'social_network': ")
+        comparison = filecmp.dircmp(tmp_path / "a", tmp_path / "b")
+        assert comparison.left_list == comparison.right_list
+        assert "validation_report.json" in comparison.left_list
+        assert not comparison.diff_files and not comparison.funny_files
+
+
 class TestGrading:
     def _report(self, grades):
         report = GradedReport("g")
@@ -591,6 +920,40 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "r.json").exists()
+
+    def _failing_recipe(self, tmp_path):
+        recipe_path = tmp_path / "failing.yaml"
+        recipe_path.write_text(TINY_RECIPE.replace(
+            "max_mean: 10, warn_max_mean: 5", "max_mean: 1"
+        ))
+        return str(recipe_path)
+
+    def test_generate_failing_grade_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["generate", self._failing_recipe(tmp_path),
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads(
+            (out / "validation_report.json").read_text()
+        )
+        assert "fail" in {c["grade"] for c in payload["checks"]}
+
+    def test_generate_no_validate_skips_the_audit(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["generate", self._failing_recipe(tmp_path),
+                     "--out", str(out), "--no-validate"])
+        assert code == 0
+        assert (out / "knows.csv").exists()
+        assert not (out / "validation_report.json").exists()
+
+    def test_generate_without_out_writes_no_files(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "social_network",
+                     "--scale", "Person=300"]) == 0
+        assert "grade" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_validate_subcommand(self, capsys):
         code = main([

@@ -57,8 +57,8 @@ class TestKronecker:
         assert degrees.max() > 8 * degrees.mean()
 
     def test_numpy_initiator_through_graph_generator(self):
-        """An ndarray initiator (a library spec or a DSL ``@initiator``)
-        sizes and generates like the equal nested list."""
+        """An ndarray initiator (a library spec, or a live value in a
+        recipe dict) sizes and generates like the equal nested list."""
         from repro.core import (
             EdgeType,
             GeneratorSpec,
