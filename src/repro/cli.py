@@ -419,7 +419,7 @@ def _running_example(args, num_countries):
 
 
 def _cmd_example(args):
-    from .io import export_graph_csv
+    from .io import export_graph, make_sink
 
     _, graph = _running_example(args, num_countries=16)
     print(f"running example: {graph.summary()}")
@@ -428,7 +428,7 @@ def _cmd_example(args):
         print(f"  knows matching Frobenius error: "
               f"{match.frobenius_error:.1f}")
     if args.out:
-        for path in export_graph_csv(graph, args.out):
+        for path in export_graph(graph, make_sink("csv", args.out)):
             print(f"  wrote {path}")
     return 0
 

@@ -277,6 +277,7 @@ def run_batch(schema, scale, seed, options, sink=None):
             result.cleanup()
         raise
     finally:
+        spool.close_catalog()
         pool.close()
         threads.close()
         _faults.install_plan(previous_plan)

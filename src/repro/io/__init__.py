@@ -9,7 +9,6 @@ them into whole-graph, manifest-carrying directory exports — see
 
 from .chunks import DEFAULT_CHUNK_SIZE, open_text
 from .csv_io import (
-    export_graph_csv,
     read_edge_table,
     read_property_table,
     write_edge_table,
@@ -18,13 +17,10 @@ from .csv_io import (
 from .edgelist import read_edgelist, write_edgelist
 from .graphml import write_graphml
 from .jsonl import (
-    export_graph_jsonl,
     read_edge_table_jsonl,
     read_property_table_jsonl,
-    write_edge_table_jsonl,
     write_edges_jsonl,
     write_nodes_jsonl,
-    write_property_table_jsonl,
 )
 from .networkx_adapter import (
     from_networkx,
@@ -64,8 +60,6 @@ __all__ = [
     "SpooledPropertyTable",
     "TableSpool",
     "export_graph",
-    "export_graph_csv",
-    "export_graph_jsonl",
     "from_networkx",
     "make_sink",
     "make_source",
@@ -78,11 +72,9 @@ __all__ = [
     "read_property_table_jsonl",
     "to_networkx",
     "write_edge_table",
-    "write_edge_table_jsonl",
     "write_edgelist",
     "write_edges_jsonl",
     "write_graphml",
     "write_nodes_jsonl",
     "write_property_table",
-    "write_property_table_jsonl",
 ]

@@ -38,7 +38,6 @@ __all__ = [
     "read_property_table",
     "write_edge_table",
     "read_edge_table",
-    "export_graph_csv",
 ]
 
 _PT_HEADER = ["id", "value"]
@@ -191,18 +190,3 @@ def read_edge_table(path, name=None, directed=False,
         num_head_nodes=num_head_nodes,
         directed=directed,
     )
-
-
-def export_graph_csv(graph, directory, chunk_size=DEFAULT_CHUNK_SIZE,
-                     compress=False):
-    """Export a whole :class:`~repro.core.result.PropertyGraph` to a
-    directory of CSVs: one file per PT and ET, named by qualified name,
-    plus a ``manifest.json`` recording dtypes and shapes so
-    :class:`~repro.io.streaming.CsvSource` can round-trip losslessly.
-
-    Returns the list of written paths.
-    """
-    from .streaming import CsvSink, export_graph
-
-    sink = CsvSink(directory, chunk_size=chunk_size, compress=compress)
-    return export_graph(graph, sink)

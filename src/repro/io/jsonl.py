@@ -7,17 +7,15 @@ Records are emitted in fixed-size id-range chunks through the
 vectorised encoders of :mod:`repro.io.chunks` — numeric, bool, float
 and datetime columns never touch per-row ``json.dumps`` — while
 remaining byte-identical to the historical one-``dumps``-per-record
-output (pinned by ``tests/golden/``).  JSONL is also the
-null-preserving table format: ``write_property_table_jsonl`` /
-``read_property_table_jsonl`` round-trip ``None`` and NaN exactly,
-which CSV cannot.
+output (pinned by ``tests/golden/``).  The readers page one column
+(or the endpoints) back out of a type's record file; unlike CSV they
+keep ``None`` and NaN apart from ``""``, and value types without a
+sidecar dtype.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -35,10 +33,7 @@ from .chunks import (
 __all__ = [
     "write_nodes_jsonl",
     "write_edges_jsonl",
-    "export_graph_jsonl",
-    "write_property_table_jsonl",
     "read_property_table_jsonl",
-    "write_edge_table_jsonl",
     "read_edge_table_jsonl",
 ]
 
@@ -47,8 +42,8 @@ def _records_job(keys, edges, tables, lo, hi):
     """Format one record chunk.
 
     A record is the id, the endpoints of ``edges`` (``None`` for node
-    and property-table records) and one value per property table;
-    every table pages its own ``[lo, hi)`` rows through ``read_range``.
+    records) and one value per property table; every table pages its
+    own ``[lo, hi)`` rows through ``read_range``.
     """
     columns = [table.read_range(lo, hi) for table in tables]
     if edges is not None:
@@ -92,57 +87,38 @@ def write_edges_jsonl(graph, edge_name, path,
     )
 
 
-def export_graph_jsonl(graph, directory, chunk_size=DEFAULT_CHUNK_SIZE,
-                       compress=False):
-    """Export every type to ``<directory>/<TypeName>.jsonl``."""
-    from .streaming import JsonlSink, export_graph
+def _read_columns(path, keys):
+    """Columns ``keys`` of a record file, in id order (dense ids).
 
-    sink = JsonlSink(directory, chunk_size=chunk_size, compress=compress)
-    return export_graph(graph, sink)
-
-
-# -- table-oriented JSONL (null-preserving round trips) ----------------------
-
-
-def write_property_table_jsonl(table, path,
-                               chunk_size=DEFAULT_CHUNK_SIZE,
-                               compress=None):
-    """Write a PT as ``{"id": i, "value": v}`` lines.
-
-    Unlike CSV this representation distinguishes ``None`` from ``""``
-    and preserves value types (bool, float — NaN included — and
-    strings) without a sidecar dtype.
-    """
-    return write_chunks(
-        path, compress, "", _records_job,
-        (["id", "value"], None, [table]), len(table), chunk_size,
-    )
-
-
-def write_edge_table_jsonl(table, path, chunk_size=DEFAULT_CHUNK_SIZE,
-                           compress=None):
-    """Write an ET as ``{"id": i, "tail": t, "head": h}`` lines."""
-    return write_chunks(
-        path, compress, "", _records_job,
-        (["id", "tail", "head"], table, []), len(table), chunk_size,
-    )
-
-
-def _iter_record_chunks(path, chunk_size):
+    Lines are parsed one at a time, so the readers' ``chunk_size``
+    (their signature is shared with the CSV readers) is not needed."""
+    columns = [[] for _ in keys]
     with open_text(path, "r") as handle:
-        while True:
-            block = list(islice(handle, chunk_size))
-            if not block:
-                return
-            yield [json.loads(line) for line in block]
+        for row, line in enumerate(handle):
+            record = json.loads(line)
+            if record.get("id") != row:
+                raise ValueError(
+                    f"{path}: non-dense ids (expected {row}, "
+                    f"got {record.get('id')})"
+                )
+            for column, key in zip(columns, keys):
+                column.append(record[key])
+    return columns
 
 
 def _coerce_values(values, dtype):
-    """Build the value array for a JSONL-read column."""
+    """Build the value array for a JSONL-read column.
+
+    Object columns are filled element by element, so equal-length
+    lists (multi-value sets) stay one object per row:
+
+    >>> _coerce_values([[1, 2], [3, 4]], object).shape
+    (2,)
+    """
     if dtype is not None:
         dtype = np.dtype(dtype)
         if dtype.kind == "O":
-            return np.array(values, dtype=object)
+            return np.fromiter(values, dtype=object, count=len(values))
         if dtype.kind == "M":
             return np.asarray(values, dtype=str).astype(dtype)
         return np.asarray(values).astype(dtype)
@@ -159,46 +135,22 @@ def _coerce_values(values, dtype):
         return np.array(values, dtype=np.float64)
     if types == {str}:
         return np.array(values, dtype=str)
-    return np.array(values, dtype=object)
+    return _coerce_values(values, object)
 
 
-def read_property_table_jsonl(path, name=None, dtype=None,
+def read_property_table_jsonl(path, name, dtype=None,
                               chunk_size=DEFAULT_CHUNK_SIZE):
-    """Read a PT written by :func:`write_property_table_jsonl`."""
-    path = Path(path)
-    values = []
-    row = 0
-    for records in _iter_record_chunks(path, chunk_size):
-        for record in records:
-            if record.get("id") != row:
-                raise ValueError(
-                    f"{path}: non-dense ids (expected {row}, "
-                    f"got {record.get('id')})"
-                )
-            values.append(record["value"])
-            row += 1
-    return PropertyTable(
-        name or table_stem(path), _coerce_values(values, dtype)
-    )
+    """Read property table ``Type.prop`` — column ``prop`` — from the
+    record file of its type."""
+    [values] = _read_columns(path, [name.partition(".")[2]])
+    return PropertyTable(name, _coerce_values(values, dtype))
 
 
 def read_edge_table_jsonl(path, name=None, directed=False,
                           num_tail_nodes=None, num_head_nodes=None,
                           chunk_size=DEFAULT_CHUNK_SIZE):
-    """Read an ET written by :func:`write_edge_table_jsonl`."""
-    path = Path(path)
-    tails, heads = [], []
-    row = 0
-    for records in _iter_record_chunks(path, chunk_size):
-        for record in records:
-            if record.get("id") != row:
-                raise ValueError(
-                    f"{path}: non-dense edge ids (expected {row}, "
-                    f"got {record.get('id')})"
-                )
-            tails.append(record["tail"])
-            heads.append(record["head"])
-            row += 1
+    """Read the edge table of an edge type's record file."""
+    tails, heads = _read_columns(path, ["tail", "head"])
     return EdgeTable(
         name or table_stem(path),
         np.array(tails, dtype=np.int64),

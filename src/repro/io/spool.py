@@ -398,7 +398,7 @@ class MemorySpool:
         """Nothing is recorded, and no file is written or removed."""
 
     sealed = structure_meta = record_structure = _nothing
-    drop_scratch = cleanup = _nothing
+    drop_scratch = cleanup = close_catalog = _nothing
 
     def save_property_part(self, index, key, values):
         return values
@@ -444,8 +444,10 @@ class TableSpool:
         #: structure name -> topology metadata
         self._tables = {}
         self._structures = {}
-        #: catalog file, once open_catalog() chose to persist it
+        #: catalog file, once open_catalog() chose to persist it, and
+        #: the one append handle its events go through
         self._catalog = None
+        self._ledger = None
         self._appends = 0
         self._spills = 0
         #: scratch path -> SpillView handed out (closed before cleanup)
@@ -502,11 +504,25 @@ class TableSpool:
             "fingerprint": fingerprint, "shard_rows": self.shard_rows,
             "numpy": np.__version__,
         }
-        if resume and self._replay(header):
-            return
+        resumed = resume and self._replay(header)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._catalog.write_text(json.dumps(header) + "\n",
-                                 encoding="utf-8")
+        self._ledger = open(self._catalog, "a", encoding="utf-8")
+        if not resumed:
+            self._ledger.truncate(0)
+            self._write(header)
+
+    def close_catalog(self):
+        """Close the catalog's append handle (events after this are
+        kept in memory only)."""
+        if self._ledger is not None:
+            self._ledger.close()
+            self._ledger = None
+
+    def _write(self, record):
+        """Append one line; flushed, so a crash loses at most the line
+        in flight."""
+        self._ledger.write(json.dumps(record) + "\n")
+        self._ledger.flush()
 
     def _replay(self, expected):
         """Load the catalog file; False when there is none to load.
@@ -601,13 +617,12 @@ class TableSpool:
 
     def _log(self, event):
         """Record one event: in memory, and as one appended line."""
-        if self._catalog is None:  # bare or worker-side: memory only
+        if self._ledger is None:  # bare or worker-side: memory only
             return self._apply(event)
         _faults.fire("ledger", self._appends)
         self._appends += 1
         self._apply(event)
-        with open(self._catalog, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event) + "\n")
+        self._write(event)
 
     def ack(self, key, index, meta):
         """Record one landed shard from the metadata dict its
@@ -776,6 +791,7 @@ class TableSpool:
             view.close()
 
     def cleanup(self):
+        self.close_catalog()
         self.close_views()
         self._views = {}
         shutil.rmtree(self.directory, ignore_errors=True)

@@ -13,7 +13,7 @@ Sinks also implement the *streaming protocol* the engines drive
 (:meth:`GraphSink.begin` / :meth:`GraphSink.on_table` /
 :meth:`GraphSink.finish`): the serial engine and the shard-parallel
 executor announce each completed task in serial plan order, and the
-sink writes the corresponding file as soon as its inputs are complete
+sink writes each file as soon as the last table it joins is announced
 — export overlaps generation instead of waiting for the whole graph.
 Output bytes are identical to calling :func:`export_graph` on the
 finished graph, and to the pre-streaming per-row exporters (the
@@ -68,6 +68,11 @@ def _token_dtype(token):
 # -- sinks --------------------------------------------------------------------
 
 
+def _property_keys(owner, declared):
+    """``Owner.prop`` table keys of a node or edge type, in order."""
+    return [f"{owner}.{prop.name}" for prop in declared.properties]
+
+
 class GraphSink:
     """Base class: a chunked, format-specific graph writer.
 
@@ -80,15 +85,18 @@ class GraphSink:
     compress:
         gzip every data file (deterministic headers; adds ``.gz``).
 
-    A table-oriented format is its ``property_writer`` /
+    A format is the files it writes: :meth:`files` names each file and
+    the tables it joins, :meth:`write_file` writes one.  A
+    table-oriented format needs only its ``property_writer`` /
     ``edge_writer`` (the module-level chunk writers; ``None`` = the
-    format does not carry that relation) plus a ``suffix``;
-    record-oriented formats that must join several tables per file
-    override :meth:`on_table` / :meth:`finish`.
+    format does not carry that relation) and a ``suffix``.
 
     The engine-facing streaming protocol is ``begin(graph)`` once,
     ``on_table(kind, key)`` per completed task *in serial plan order*,
     ``finish()`` once; ``written`` accumulates the produced paths.
+    One rule serves every format: a file is written when the last
+    table it joins is announced, and ``finish`` writes any other file
+    whose tables all exist (a partial graph skips the rest).
     """
 
     format_name = None
@@ -106,12 +114,15 @@ class GraphSink:
         self.written = []
         self.graph = None
         self._tables = {}
+        #: stem -> keys not yet announced; key -> stems that join it
+        self._pending = {}
+        self._joined_by = {}
 
     # -- plumbing ---------------------------------------------------------
 
     def data_path(self, stem):
-        """Output path for one table/type file (``.gz`` aware);
-        ensures the directory exists."""
+        """Output path for one file (``.gz`` aware); ensures the
+        directory exists."""
         self.directory.mkdir(parents=True, exist_ok=True)
         name = f"{stem}{self.suffix}"
         if self.compress:
@@ -119,10 +130,50 @@ class GraphSink:
         return self.directory / name
 
     def _record(self, name, path, entry):
+        """One manifest entry: table ``name`` lives in ``path``."""
         entry["file"] = path.name
         self._tables[name] = entry
-        self.written.append(path)
-        return path
+
+    # -- the files of a format ---------------------------------------------
+
+    def files(self, schema):
+        """``(stem, keys)`` per file written for ``schema``: ``keys``
+        are the tables the file joins — a node type's name for its
+        count, an edge type's name for its edge table, ``Type.prop``
+        for a property table.
+
+        >>> from repro.core.schema import (
+        ...     EdgeType, GeneratorSpec, NodeType, PropertyDef, Schema)
+        >>> age = PropertyDef("age", "long", GeneratorSpec(
+        ...     "uniform_int", {"low": 18, "high": 80}))
+        >>> schema = Schema([NodeType("Person", properties=[age])],
+        ...                 [EdgeType("knows", "Person", "Person")])
+        >>> CsvSink("out").files(schema)
+        [('Person.age', ('Person.age',)), ('knows', ('knows',))]
+        >>> JsonlSink("out").files(schema)
+        [('Person', ('Person', 'Person.age')), ('knows', ('knows',))]
+        """
+        keys = []
+        for name, declared in schema.node_types.items():
+            if self.property_writer is not None:
+                keys += _property_keys(name, declared)
+        for name, declared in schema.edge_types.items():
+            if self.edge_writer is not None:
+                keys.append(name)
+            if self.property_writer is not None:
+                keys += _property_keys(name, declared)
+        return [(key, (key,)) for key in keys]
+
+    def write_file(self, stem):
+        """Write one file of :meth:`files` from the attached graph."""
+        graph = self.graph
+        if stem in graph.edge_tables:
+            return self.write_edge_table(graph.edge_tables[stem], stem)
+        if stem in graph.node_properties:
+            return self.write_property_table(
+                graph.node_properties[stem], stem, "node_property")
+        return self.write_property_table(
+            graph.edge_properties[stem], stem, "edge_property")
 
     # -- table-oriented writes ---------------------------------------------
 
@@ -135,7 +186,9 @@ class GraphSink:
         path = self.data_path(name)
         writer(table, path, chunk_size=self.chunk_size,
                compress=self.compress)
-        return self._record(name, path, entry)
+        self._record(name, path, entry)
+        self.written.append(path)
+        return path
 
     def write_property_table(self, table, name=None,
                              role="property"):
@@ -155,38 +208,40 @@ class GraphSink:
     def begin(self, graph):
         """Attach the (possibly still-filling) result graph."""
         self.graph = graph
+        self._pending, self._joined_by = {}, {}
+        for stem, keys in self.files(graph.schema):
+            self._pending[stem] = set(keys)
+            for key in keys:
+                self._joined_by.setdefault(key, []).append(stem)
 
     def on_table(self, kind, key):
         """One task finished: ``kind`` in ``count`` / ``node_property``
-        / ``edge_table`` / ``edge_property``; ``key`` its subject.
-
-        Default behaviour writes each table the format has a writer
-        for as it lands, which is correct for table-oriented formats.
-        """
-        if kind == "edge_table":
-            if self.edge_writer is not None:
-                self.write_edge_table(
-                    self.graph.edge_tables[key], name=key
-                )
-        elif kind in ("node_property", "edge_property"):
-            if self.property_writer is not None:
-                tables = (
-                    self.graph.node_properties
-                    if kind == "node_property"
-                    else self.graph.edge_properties
-                )
-                self.write_property_table(
-                    tables[key], name=key, role=kind
-                )
+        / ``edge_table`` / ``edge_property``, ``key`` its subject;
+        writes each file whose last table this is."""
+        for stem in self._joined_by.pop(key, ()):
+            pending = self._pending[stem]
+            pending.discard(key)
+            if not pending:
+                del self._pending[stem]
+                self.write_file(stem)
 
     def finish(self):
-        """Write the manifest; returns all written paths.
+        """Write the files not yet written whose tables all exist, then
+        the manifest; returns all written paths.
 
         An ``extra_manifest`` attribute set on the sink (a dict) is
         merged into the manifest document — the planting stage records
         its ground-truth node maps this way, so a ``(template, world,
         ground_truth)`` triple travels in one export directory.
         """
+        if self._pending:
+            graph = self.graph
+            present = {*graph.node_counts, *graph.node_properties,
+                       *graph.edge_tables, *graph.edge_properties}
+            for stem, pending in list(self._pending.items()):
+                if pending <= present:
+                    del self._pending[stem]
+                    self.write_file(stem)
         self.directory.mkdir(parents=True, exist_ok=True)
         manifest = {
             "format": self.format_name,
@@ -242,141 +297,71 @@ class EdgelistSink(GraphSink):
 
 
 class JsonlSink(GraphSink):
-    """One record-oriented ``.jsonl`` per node/edge type.
+    """One record-oriented ``.jsonl`` per node/edge type: a type's ids
+    (and endpoints) joined with all its property columns.
 
-    Record files join a type's id column with all its property columns,
-    so a type can only be written once every contributing table exists.
-    Under the streaming protocol the sink tracks, per type, which
-    tables are still outstanding and flushes each type the moment its
-    last table lands — the earliest plan-order point at which the file
-    is writable at all.  Table-oriented writes use the null-preserving
-    table layout.
+    The manifest holds the same per-table entries as CSV's, each
+    naming its type's file, so :class:`JsonlSource` finds every table.
     """
 
     format_name = "jsonl"
     suffix = ".jsonl"
-    property_writer = staticmethod(jsonl.write_property_table_jsonl)
-    edge_writer = staticmethod(jsonl.write_edge_table_jsonl)
 
-    def __init__(self, directory, chunk_size=DEFAULT_CHUNK_SIZE,
-                 compress=False):
-        super().__init__(directory, chunk_size, compress)
-        self._node_pending = None
-        self._edge_pending = None
+    def files(self, schema):
+        return [
+            (name, (name, *_property_keys(name, declared)))
+            for name, declared in (*schema.node_types.items(),
+                                   *schema.edge_types.items())
+        ]
 
-    # -- record-oriented streaming ----------------------------------------
-
-    def begin(self, graph):
-        super().begin(graph)
-        schema = graph.schema
-        self._node_pending = {
-            name: {f"{name}.{p.name}" for p in node_type.properties}
-            for name, node_type in schema.node_types.items()
-        }
-        self._edge_pending = {
-            name: {name}
-            | {f"{name}.{p.name}" for p in edge_type.properties}
-            for name, edge_type in schema.edge_types.items()
-        }
-
-    def _flush_type(self, name, is_edge):
-        """Write one node or edge type's record file."""
+    def write_file(self, stem):
         graph = self.graph
-        if is_edge:
-            writer, rows = jsonl.write_edges_jsonl, graph.num_edges(name)
-            declared = graph.schema.edge_type(name)
+        path = self.data_path(stem)
+        if stem in graph.edge_tables:
+            writer, role, tables, declared = (
+                jsonl.write_edges_jsonl, "edge_property",
+                graph.edge_properties, graph.schema.edge_type(stem))
+            self._record(stem, path,
+                         self._edge_entry(graph.edge_tables[stem]))
         else:
-            writer, rows = jsonl.write_nodes_jsonl, graph.num_nodes(name)
-            declared = graph.schema.node_type(name)
-        path = self.data_path(name)
-        writer(graph, name, path, chunk_size=self.chunk_size,
+            writer, role, tables, declared = (
+                jsonl.write_nodes_jsonl, "node_property",
+                graph.node_properties, graph.schema.node_type(stem))
+        writer(graph, stem, path, chunk_size=self.chunk_size,
                compress=self.compress)
-        return self._record(name, path, {
-            "kind": "edge_records" if is_edge else "node_records",
-            "rows": rows,
-            "properties": [p.name for p in declared.properties],
-        })
-
-    def on_table(self, kind, key):
-        if kind == "count":
-            if key in self._node_pending and \
-                    not self._node_pending[key]:
-                del self._node_pending[key]
-                self._flush_type(key, False)
-            return
-        if kind == "node_property":
-            type_name = key.split(".", 1)[0]
-            pending = self._node_pending.get(type_name)
-            if pending is None:
-                return
-            pending.discard(key)
-            if not pending and type_name in self.graph.node_counts:
-                del self._node_pending[type_name]
-                self._flush_type(type_name, False)
-            return
-        if kind in ("edge_table", "edge_property"):
-            edge_name = key.split(".", 1)[0]
-            pending = self._edge_pending.get(edge_name)
-            if pending is None:
-                return
-            pending.discard(key)
-            if not pending:
-                del self._edge_pending[edge_name]
-                self._flush_type(edge_name, True)
-
-    def finish(self):
-        # Flush anything not announced through the protocol; a type is
-        # only writable when its count/edge table AND every property
-        # table actually exist, so partial graphs skip incomplete
-        # types instead of crashing.
-        if self._node_pending is not None:
-            for type_name in list(self._node_pending):
-                if type_name in self.graph.node_counts and all(
-                    key in self.graph.node_properties
-                    for key in self._node_pending[type_name]
-                ):
-                    del self._node_pending[type_name]
-                    self._flush_type(type_name, False)
-            for edge_name in list(self._edge_pending):
-                pending = self._edge_pending[edge_name]
-                if edge_name in self.graph.edge_tables and all(
-                    key in self.graph.edge_properties
-                    for key in pending if key != edge_name
-                ):
-                    del self._edge_pending[edge_name]
-                    self._flush_type(edge_name, True)
-        return super().finish()
+        for key in _property_keys(stem, declared):
+            self._record(key, path,
+                         self._property_entry(tables[key], role))
+        self.written.append(path)
+        return path
 
 
 class GraphmlSink(GraphSink):
-    """One ``.graphml`` document per monopartite edge type.
-
-    GraphML interleaves nodes and edges in one document, so files are
-    written at :meth:`finish` when all contributing tables exist.
-    """
+    """One ``.graphml`` document per monopartite edge type: its nodes
+    with their properties, then its edges with theirs."""
 
     format_name = "graphml"
     suffix = ".graphml"
 
-    def finish(self):
-        if self.graph is None:
-            return super().finish()
-        schema = self.graph.schema
-        for name, edge in schema.edge_types.items():
-            if edge.tail_type != edge.head_type:
-                continue
-            if name not in self.graph.edge_tables:
-                continue
-            path = self.data_path(name)
-            write_graphml(
-                self.graph, name, path,
-                chunk_size=self.chunk_size, compress=self.compress,
-            )
-            self._record(name, path, {
-                "kind": "graphml",
-                "rows": self.graph.num_edges(name),
-            })
-        return super().finish()
+    def files(self, schema):
+        return [
+            (name, (edge.tail_type,
+                    *_property_keys(edge.tail_type,
+                                    schema.node_type(edge.tail_type)),
+                    name, *_property_keys(name, edge)))
+            for name, edge in schema.edge_types.items()
+            if edge.tail_type == edge.head_type
+        ]
+
+    def write_file(self, stem):
+        path = self.data_path(stem)
+        write_graphml(self.graph, stem, path,
+                      chunk_size=self.chunk_size, compress=self.compress)
+        self._record(stem, path, {
+            "kind": "graphml", "rows": self.graph.num_edges(stem),
+        })
+        self.written.append(path)
+        return path
 
 
 # -- sources ------------------------------------------------------------------

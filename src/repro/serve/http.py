@@ -43,6 +43,7 @@ then run the cleanup callback (closing the graph unlinks its spool).
 from __future__ import annotations
 
 import json
+import re
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -80,14 +81,23 @@ class _HTTPError(Exception):
         self.message = str(message)
 
 
+#: the only integer spelling accepted: ASCII decimal digits, optional
+#: minus sign (``int()`` would also take ``1_000``, `` 12``, ``+3``
+#: and non-ASCII digits)
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(raw, what):
+    if _DECIMAL.fullmatch(raw) is None:
+        raise _HTTPError(400, f"{what} must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _int_param(params, key, default, minimum=0, maximum=None):
     raw = params.get(key, [None])[-1]
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _HTTPError(400, f"{key!r} must be an integer, got {raw!r}")
+    value = _decimal(raw, repr(key))
     if value < minimum or (maximum is not None and value > maximum):
         hi = maximum if maximum is not None else "inf"
         raise _HTTPError(
@@ -271,10 +281,7 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         self._send(200, body, "application/x-ndjson")
 
     def _node_record(self, type_name, raw_id):
-        try:
-            node_id = int(raw_id)
-        except ValueError:
-            raise _HTTPError(400, f"node id must be an integer, got {raw_id!r}")
+        node_id = _decimal(raw_id, "node id")
         keys, encoded = self._node_columns(
             self.server.graph, type_name, [node_id]
         )
@@ -340,10 +347,7 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
 
     def _neighbors(self, name, raw_id, params):
         graph = self.server.graph
-        try:
-            node_id = int(raw_id)
-        except ValueError:
-            raise _HTTPError(400, f"node id must be an integer, got {raw_id!r}")
+        node_id = _decimal(raw_id, "node id")
         direction = _str_param(
             params, "direction", "both", {"out", "in", "both"}
         )

@@ -29,6 +29,39 @@ def registries():
         registry.update(snapshot)
 
 
+@pytest.fixture(scope="session")
+def one_table_graph():
+    """Builder of a hand-made graph around one table, the way a sink
+    exports it: ``build(values)`` is node type ``T`` with property
+    table ``T.x``; ``build(edges=table)`` is edge type ``table.name``
+    from ``T`` to ``U``, sized to the table's id spaces."""
+    from repro.core.result import PropertyGraph
+    from repro.core.schema import (
+        EdgeType, GeneratorSpec, NodeType, PropertyDef, Schema,
+    )
+
+    def build(values=None, edges=None):
+        x = PropertyDef("x", "long", GeneratorSpec("uniform_int", {}))
+        node_types = [
+            NodeType("T", properties=[] if values is None else [x]),
+            NodeType("U"),
+        ]
+        edge_types = [] if edges is None else [
+            EdgeType(edges.name, "T", "U", directed=edges.directed)
+        ]
+        graph = PropertyGraph(Schema(node_types, edge_types), seed=0)
+        if values is None:
+            graph.node_counts = {"T": edges.num_tail_nodes,
+                                 "U": edges.num_head_nodes}
+            graph.edge_tables[edges.name] = edges
+        else:
+            graph.node_counts = {"T": len(values), "U": 0}
+            graph.node_properties["T.x"] = PropertyTable("T.x", values)
+        return graph
+
+    return build
+
+
 @pytest.fixture
 def stream():
     """A fresh deterministic stream."""

@@ -39,16 +39,16 @@ def build_graph():
 
 def regenerate():
     from repro.io import (
-        export_graph_csv,
-        export_graph_jsonl,
+        export_graph,
+        make_sink,
         write_edgelist,
         write_graphml,
     )
 
     graph = build_graph()
     written = []
-    written += export_graph_csv(graph, GOLDEN_DIR / "csv")
-    written += export_graph_jsonl(graph, GOLDEN_DIR / "jsonl")
+    for fmt in ("csv", "jsonl"):
+        written += export_graph(graph, make_sink(fmt, GOLDEN_DIR / fmt))
     edgelist_dir = GOLDEN_DIR / "edgelist"
     edgelist_dir.mkdir(parents=True, exist_ok=True)
     for name, table in graph.edge_tables.items():

@@ -315,6 +315,7 @@ class TestLedger:
             spool.write_property_shard("k", 2, values)
         with pytest.raises(ValueError, match="out of order"):
             spool.write_property_shard("k", 0, values)
+        spool.close_catalog()
         catalog = tmp_path / CHECKPOINT_NAME
         lines = catalog.read_text().splitlines(keepends=True)
         assert len(lines) == 2  # header + the one accepted ack
@@ -331,6 +332,7 @@ class TestLedger:
         clone.write_property_shard("other", 0, np.arange(4))
         assert clone.verified_prefix("k") == 0
         assert (tmp_path / CHECKPOINT_NAME).read_bytes() == before
+        spool.close_catalog()
 
 
 def _versions(header):
@@ -380,6 +382,31 @@ class TestCatalogFile:
         assert resumed.splitlines()[:len(lines)] == lines
         for line in resumed.splitlines():
             json.loads(line)
+
+    def test_one_append_handle_per_run(self, expected_csv, tmp_path,
+                                       monkeypatch):
+        """However many events a run records, the catalog is opened
+        once per fresh run and once per resumed run, and closed when
+        the run returns."""
+        from repro.io import spool as spool_module
+
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            if Path(file).name == CHECKPOINT_NAME:
+                opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(spool_module, "open", counting_open,
+                            raising=False)
+        out, spool = tmp_path / "out", tmp_path / "spool"
+        _run(out, spool)
+        assert len(opened) == 1 and opened[0].closed
+        assert len((spool / CHECKPOINT_NAME).read_text().splitlines()) > 3
+        _run(tmp_path / "again", spool, resume=True)
+        assert len(opened) == 2 and opened[1].closed
+        _assert_same_tree(tmp_path / "again", expected_csv)
 
     def test_torn_header_is_a_clean_run(self, expected_csv, tmp_path):
         out, spool = tmp_path / "out", tmp_path / "spool"

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.io import export_graph, make_sink
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -44,18 +46,14 @@ def golden_files(subdir):
 @pytest.mark.parametrize("chunk_size", [7, 10**9])
 class TestGoldenBytes:
     def test_csv(self, graph, tmp_path, chunk_size):
-        from repro.io import export_graph_csv
-
-        export_graph_csv(graph, tmp_path, chunk_size=chunk_size)
+        export_graph(graph, make_sink("csv", tmp_path, chunk_size))
         for fixture in golden_files("csv"):
             produced = tmp_path / fixture.name
             assert produced.read_bytes() == fixture.read_bytes(), \
                 fixture.name
 
     def test_jsonl(self, graph, tmp_path, chunk_size):
-        from repro.io import export_graph_jsonl
-
-        export_graph_jsonl(graph, tmp_path, chunk_size=chunk_size)
+        export_graph(graph, make_sink("jsonl", tmp_path, chunk_size))
         for fixture in golden_files("jsonl"):
             produced = tmp_path / fixture.name
             assert produced.read_bytes() == fixture.read_bytes(), \

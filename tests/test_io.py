@@ -11,9 +11,9 @@ import pytest
 from repro.core import GraphGenerator
 from repro.datasets import social_network_schema
 from repro.io import (
-    export_graph_csv,
-    export_graph_jsonl,
+    export_graph,
     from_networkx,
+    make_sink,
     property_graph_to_networkx,
     read_edge_table,
     read_edgelist,
@@ -79,7 +79,7 @@ class TestCsvRoundTrip:
         assert back == et
 
     def test_export_graph(self, graph, tmp_path):
-        written = export_graph_csv(graph, tmp_path / "out")
+        written = export_graph(graph, make_sink("csv", tmp_path / "out"))
         names = {p.name for p in written}
         assert "Person.country.csv" in names
         assert "knows.csv" in names
@@ -88,7 +88,7 @@ class TestCsvRoundTrip:
 
 class TestJsonl:
     def test_node_records(self, graph, tmp_path):
-        written = export_graph_jsonl(graph, tmp_path / "out")
+        written = export_graph(graph, make_sink("jsonl", tmp_path / "out"))
         person_file = next(
             p for p in written if p.name == "Person.jsonl"
         )
@@ -98,7 +98,7 @@ class TestJsonl:
         assert set(record) >= {"id", "country", "sex", "name"}
 
     def test_edge_records(self, graph, tmp_path):
-        written = export_graph_jsonl(graph, tmp_path / "out")
+        written = export_graph(graph, make_sink("jsonl", tmp_path / "out"))
         knows_file = next(p for p in written if p.name == "knows.jsonl")
         record = json.loads(knows_file.read_text().split("\n")[0])
         assert set(record) >= {"id", "tail", "head", "creationDate"}

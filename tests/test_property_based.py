@@ -632,22 +632,17 @@ class TestStreamingRoundTripProperties:
         chunk_size=_CHUNK_SIZES,
     )
     def test_jsonl_property_table(self, values, chunk_size,
-                                  tmp_path_factory):
-        from repro.io import (
-            read_property_table_jsonl,
-            write_property_table_jsonl,
-        )
-        from repro.tables import PropertyTable
+                                  tmp_path_factory, one_table_graph):
+        """``None`` included: a node type's record file, read back
+        column by column."""
+        from repro.io import JsonlSink, JsonlSource, export_graph
 
         directory = tmp_path_factory.mktemp("jsonl_rt")
-        table = PropertyTable("t", values)
-        path = write_property_table_jsonl(
-            table, directory / "t.jsonl", chunk_size=chunk_size
-        )
-        back = read_property_table_jsonl(
-            path, name="t", dtype=values.dtype,
-            chunk_size=chunk_size,
-        )
+        export_graph(one_table_graph(values),
+                     JsonlSink(directory, chunk_size=chunk_size))
+        back = JsonlSource(
+            directory, chunk_size=chunk_size
+        ).read_property_table("T.x")
         _assert_values_round_tripped(back.values, values)
 
     @common_settings
@@ -658,19 +653,17 @@ class TestStreamingRoundTripProperties:
         chunk_size=_CHUNK_SIZES,
     )
     def test_sink_source_manifest_round_trip(
-        self, values, fmt, compress, chunk_size, tmp_path_factory
+        self, values, fmt, compress, chunk_size, tmp_path_factory,
+        one_table_graph,
     ):
         """The manifest carries the dtype, so sources need no hints —
         gzipped or not."""
-        from repro.io import make_sink, make_source
-        from repro.tables import PropertyTable
+        from repro.io import export_graph, make_sink, make_source
 
         directory = tmp_path_factory.mktemp("sink_rt")
-        sink = make_sink(
+        export_graph(one_table_graph(values), make_sink(
             fmt, directory, chunk_size=chunk_size, compress=compress
-        )
-        sink.write_property_table(PropertyTable("T.x", values))
-        sink.finish()
+        ))
         back = make_source(fmt, directory).read_property_table("T.x")
         _assert_values_round_tripped(back.values, values)
 
@@ -684,9 +677,10 @@ class TestStreamingRoundTripProperties:
         chunk_size=_CHUNK_SIZES,
     )
     def test_edge_table_round_trip(
-        self, m, n, seed, directed, fmt, chunk_size, tmp_path_factory
+        self, m, n, seed, directed, fmt, chunk_size, tmp_path_factory,
+        one_table_graph,
     ):
-        from repro.io import make_sink, make_source
+        from repro.io import export_graph, make_sink, make_source
 
         rng = np.random.default_rng(seed)
         table = EdgeTable(
@@ -697,9 +691,8 @@ class TestStreamingRoundTripProperties:
             directed=directed,
         )
         directory = tmp_path_factory.mktemp("edge_rt")
-        sink = make_sink(fmt, directory, chunk_size=chunk_size)
-        sink.write_edge_table(table)
-        sink.finish()
+        export_graph(one_table_graph(edges=table),
+                     make_sink(fmt, directory, chunk_size=chunk_size))
         back = make_source(fmt, directory).read_edge_table("e")
         assert back == table
 
@@ -1405,6 +1398,9 @@ def _assert_source_reads_back(case, out, expected):
         return
     source = make_source(case.fmt, out)
     tables = {**expected.node_properties, **expected.edge_properties}
+    assert sorted(source.edge_table_names()) == sorted(expected.edge_tables)
+    assert sorted(source.property_table_names()) == (
+        [] if case.fmt == "edgelist" else sorted(tables))
     for key in source.property_table_names():
         values = np.array(tables[key].values)  # a copy: edited below
         for i, value in enumerate(values):

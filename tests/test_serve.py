@@ -26,10 +26,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlencode, urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.schema import (
     GeneratorSpec,
@@ -381,6 +383,21 @@ def _raw(base, request):
     return int(lines[0].split()[1]), headers, body
 
 
+#: Every route that reads a query parameter or an id segment: its
+#: path (``{id}`` marks the id segment) and the parameters it reads.
+_FUZZ_ROUTES = [
+    ("/nodes/Person", ("offset", "limit")),
+    ("/nodes/Person/{id}", ()),
+    ("/properties/Person/country", ("offset", "limit", "format")),
+    ("/edges/knows", ("offset", "limit", "format")),
+    ("/edges/creates", ("offset", "limit", "format")),
+    ("/edges/knows/exists", ("src", "dst")),
+    ("/edges/creates/exists", ("src", "dst")),
+    ("/neighbors/knows/{id}", ("direction", "offset", "limit")),
+    ("/neighbors/creates/{id}", ("direction", "offset", "limit")),
+]
+
+
 class TestHttpContract:
     def test_meta_route_reports_classification(self, http_server):
         base, graph, virtual = http_server
@@ -490,6 +507,63 @@ class TestHttpContract:
         assert headers["Connection"] == "close"
         assert headers["Content-Type"] == "application/json"
         assert json.loads(body) == {"error": error, "status": status}
+
+    @pytest.mark.parametrize("query", [
+        "offset=%D9%A1%D9%A2", "offset=1_000", "offset=%2012",
+        "offset=%2B3", "limit=%EF%BC%95", "src=1_0&dst=1",
+    ])
+    def test_integers_are_ascii_decimal_only(self, http_server, query):
+        """``int()`` spellings other than ``-?[0-9]+`` (here "١٢",
+        ``1_000``, `` 12``, ``+3``, a fullwidth 5) are one 400 naming
+        the parameter."""
+        base, graph, virtual = http_server
+        name = query.split("=")[0]
+        route = "/edges/knows/exists" if name == "src" else "/nodes/Person"
+        status, body, _ = _get(base, f"{route}?{query}")
+        assert status == 400
+        assert json.loads(body)["error"].startswith(
+            f"{name!r} must be an integer")
+        for raw in ("%D9%A1", "1_0", "+3", "%207"):
+            for path in (f"/nodes/Person/{raw}", f"/neighbors/knows/{raw}"):
+                status, body, _ = _get(base, path)
+                assert status == 400, path
+                assert json.loads(body)["error"].startswith(
+                    "node id must be an integer")
+
+    @settings(max_examples=150, deadline=None)
+    @given(route=st.sampled_from(_FUZZ_ROUTES), data=st.data())
+    def test_arbitrary_text_in_every_parameter(self, http_server, route,
+                                               data):
+        """Any text in any query parameter or id segment of any route
+        gets a JSON answer — 200, 400, 404 or 501 — on a connection
+        that stays open."""
+        base, graph, virtual = http_server
+        template, names = route
+        text = st.one_of(st.text(max_size=12),
+                         st.integers(-2**70, 2**70).map(str),
+                         st.sampled_from(["csv", "jsonl", "in", "out"]))
+        path = template.format(id=quote(data.draw(text), safe=""))
+        params = {name: data.draw(st.none() | text) for name in names}
+        query = urlencode({k: v for k, v in params.items() if v is not None},
+                          quote_via=quote)
+        split = urlsplit(base)
+        conn = http.client.HTTPConnection(split.hostname, split.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", f"{path}?{query}")
+            response = conn.getresponse()
+            body = response.read().decode()
+            assert response.status in (200, 400, 404, 501), body
+            assert response.getheader("Connection") != "close"
+            assert "Traceback" not in body
+            if response.status != 200:
+                assert response.getheader("Content-Type") == \
+                    "application/json"
+                assert json.loads(body)["status"] == response.status
+            elif response.getheader("Content-Type") == "application/json":
+                json.loads(body)
+        finally:
+            conn.close()
 
     def test_node_id_routes(self, http_server):
         base, graph, virtual = http_server

@@ -206,20 +206,18 @@ class TestByteIdentityAgainstStdlib:
         assert read_text(path) == legacy_csv_edge_bytes(table)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 10_000])
-    def test_property_jsonl_and_edgelist(self, tmp_path, chunk_size):
+    def test_property_jsonl_and_edgelist(self, tmp_path, chunk_size,
+                                         one_table_graph):
         """The per-row ``json.dumps`` / f-string writers these
         replaced, byte for byte."""
-        from repro.io import write_edgelist, write_property_table_jsonl
+        from repro.io import write_edgelist
 
-        table = PropertyTable(
-            "t", np.arange(-5, 18, dtype=np.int64) * 10**11
-        )
-        path = write_property_table_jsonl(
-            table, tmp_path / "t.jsonl", chunk_size=chunk_size
-        )
-        assert read_text(path) == "".join(
-            json.dumps({"id": row_id, "value": int(value)}) + "\n"
-            for row_id, value in table.rows()
+        values = np.arange(-5, 18, dtype=np.int64) * 10**11
+        export_graph(one_table_graph(values),
+                     JsonlSink(tmp_path, chunk_size=chunk_size))
+        assert read_text(tmp_path / "T.jsonl") == "".join(
+            json.dumps({"id": row_id, "x": int(value)}) + "\n"
+            for row_id, value in enumerate(values)
         )
         edges = EdgeTable(
             "e", [0, 3, 1, 2], [1, 2, 0, 3], num_tail_nodes=4
@@ -338,59 +336,83 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize("values", CASES,
                              ids=lambda v: f"{v.dtype}-{len(v)}")
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_property_dtype_preserved(self, tmp_path, fmt, values):
-        table = PropertyTable("T.x", values)
-        sink = make_sink(fmt, tmp_path / fmt, chunk_size=2)
-        sink.write_property_table(table)
-        sink.finish()
-        back = make_source(fmt, tmp_path / fmt).read_property_table(
-            "T.x"
-        )
+    def test_property_dtype_preserved(self, tmp_path, fmt, values,
+                                      one_table_graph):
+        export_graph(one_table_graph(values),
+                     make_sink(fmt, tmp_path / fmt, chunk_size=2))
+        source = make_source(fmt, tmp_path / fmt)
+        assert source.property_table_names() == ["T.x"]
+        back = source.read_property_table("T.x")
         assert back.values.dtype == values.dtype
         if values.dtype.kind == "f":
             assert np.array_equal(back.values, values, equal_nan=True)
         else:
             assert list(back.values) == list(values)
 
-    def test_jsonl_preserves_none(self, tmp_path):
-        table = PropertyTable(
-            "T.x", np.array(["a", None, ""], dtype=object)
-        )
-        sink = JsonlSink(tmp_path / "o")
-        sink.write_property_table(table)
-        sink.finish()
+    def test_jsonl_preserves_none(self, tmp_path, one_table_graph):
+        values = np.array(["a", None, ""], dtype=object)
+        export_graph(one_table_graph(values), JsonlSink(tmp_path / "o"))
         back = JsonlSource(tmp_path / "o").read_property_table("T.x")
         assert list(back.values) == ["a", None, ""]
 
+    def test_jsonl_keeps_multi_value_lists(self, tmp_path,
+                                           one_table_graph):
+        """Equal-length sets read back one list per row, not a 2-D
+        array; ragged ones too."""
+        for rows in ([(1, 2), (3, 4)], [(1, 2), (3,), ()]):
+            values = np.empty(len(rows), dtype=object)
+            values[:] = rows
+            out = tmp_path / str(len(rows))
+            export_graph(one_table_graph(values), JsonlSink(out))
+            back = JsonlSource(out).read_property_table("T.x").values
+            assert back.shape == (len(rows),)
+            assert list(back) == [list(row) for row in rows]
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2], [3, 4]], [[1, 2], [3], []], [[1, 2], None],
+    ], ids=["equal", "ragged", "none"])
+    @pytest.mark.parametrize("dtype", [object, None],
+                             ids=["manifest", "inferred"])
+    def test_jsonl_object_column_is_one_object_per_row(self, rows,
+                                                       dtype):
+        from repro.io.jsonl import _coerce_values
+
+        back = _coerce_values(rows, dtype)
+        assert back.dtype == object and back.shape == (len(rows),)
+        assert list(back) == rows
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "edgelist"])
-    def test_edge_table_exact(self, tmp_path, fmt):
+    def test_edge_table_exact(self, tmp_path, fmt, one_table_graph):
         table = EdgeTable(
             "likes", [0, 2, 1], [3, 1, 0],
             num_tail_nodes=5, num_head_nodes=7, directed=True,
         )
-        sink = make_sink(fmt, tmp_path / fmt, chunk_size=2)
-        sink.write_edge_table(table)
-        sink.finish()
-        back = make_source(fmt, tmp_path / fmt).read_edge_table(
-            "likes"
-        )
-        assert back == table
+        export_graph(one_table_graph(edges=table),
+                     make_sink(fmt, tmp_path / fmt, chunk_size=2))
+        source = make_source(fmt, tmp_path / fmt)
+        assert source.edge_table_names() == ["likes"]
+        assert source.read_edge_table("likes") == table
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "edgelist"])
-    def test_empty_edge_table(self, tmp_path, fmt):
+    def test_empty_edge_table(self, tmp_path, fmt, one_table_graph):
         table = EdgeTable("e", [], [])
-        sink = make_sink(fmt, tmp_path / fmt)
-        sink.write_edge_table(table)
-        sink.finish()
+        export_graph(one_table_graph(edges=table),
+                     make_sink(fmt, tmp_path / fmt))
         back = make_source(fmt, tmp_path / fmt).read_edge_table("e")
         assert back == table
 
-    def test_whole_graph_tables(self, graph, tmp_path):
-        export_graph(graph, CsvSink(tmp_path / "out", chunk_size=17))
-        source = CsvSource(tmp_path / "out")
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_whole_graph_tables(self, graph, tmp_path, fmt):
+        export_graph(graph, make_sink(fmt, tmp_path / "out",
+                                      chunk_size=17))
+        source = make_source(fmt, tmp_path / "out")
         properties = source.property_tables()
         edges = source.edge_tables()
-        for key, pt in graph.node_properties.items():
+        assert set(properties) == {*graph.node_properties,
+                                   *graph.edge_properties}
+        assert set(edges) == set(graph.edge_tables)
+        for key, pt in {**graph.node_properties,
+                        **graph.edge_properties}.items():
             assert properties[key].values.dtype == pt.values.dtype
             assert list(properties[key].values) == list(pt.values)
         for key, et in graph.edge_tables.items():
@@ -400,6 +422,48 @@ class TestManifestRoundTrip:
             assert back.num_tail_nodes == et.num_tail_nodes
             assert back.num_head_nodes == et.num_head_nodes
             assert back.directed == et.directed
+
+
+    @pytest.mark.parametrize("recipe", [
+        None, ("message_cascades", {"Message": 500}),
+        ("infra_telemetry", {"Host": 400}),
+    ], ids=["running_example", "message_cascades", "infra_telemetry"])
+    def test_jsonl_export_reads_back_every_table(self, graph, tmp_path,
+                                                 recipe):
+        """Dtypes, values (multi-value sets as lists), id spaces and
+        direction of every table come back through ``JsonlSource``."""
+        if recipe is not None:
+            from repro.scenarios import compile_scenario
+            from repro.scenarios.zoo import load_zoo
+
+            compiled = compile_scenario(load_zoo(recipe[0]),
+                                        scale=recipe[1])
+            graph = compiled.generator().generate()
+        export_graph(graph, JsonlSink(tmp_path, chunk_size=17))
+        source = JsonlSource(tmp_path)
+        tables = {**graph.node_properties, **graph.edge_properties}
+        assert sorted(source.property_table_names()) == sorted(tables)
+        for key, table in tables.items():
+            values = np.asarray(table.values)
+            back = source.read_property_table(key).values
+            assert back.dtype == values.dtype, key
+            if values.dtype.kind == "f":
+                assert np.array_equal(back, values, equal_nan=True), key
+            else:
+                assert list(back) == [
+                    list(v) if isinstance(v, tuple) else v
+                    for v in values
+                ], key
+        assert sorted(source.edge_table_names()) == \
+            sorted(graph.edge_tables)
+        for key, table in graph.edge_tables.items():
+            back = source.read_edge_table(key)
+            assert np.array_equal(back.tails, table.tails), key
+            assert np.array_equal(back.heads, table.heads), key
+            assert (back.num_tail_nodes, back.num_head_nodes,
+                    back.directed) == (table.num_tail_nodes,
+                                       table.num_head_nodes,
+                                       table.directed), key
 
 
 class TestStreamingProtocol:
@@ -425,41 +489,46 @@ class TestStreamingProtocol:
             assert streamed.read_bytes() == path.read_bytes(), \
                 path.name
 
-    def test_jsonl_sink_flushes_incrementally(self, tmp_path):
-        """Record files appear as soon as their last table lands, not
-        at finish()."""
-        schema = social_network_schema(num_countries=6)
-        sink = JsonlSink(tmp_path / "o")
-        flushed = []
-        original = sink._flush_type
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "graphml"])
+    def test_files_are_written_when_their_last_table_lands(
+            self, graph, tmp_path, fmt):
+        """Each file is written on the announcement of the last table
+        it joins, not at finish()."""
+        sink = make_sink(fmt, tmp_path / "o")
+        sink.begin(graph)
+        for stem, keys in sink.files(graph.schema):
+            for key in keys[:-1]:
+                sink.on_table("table", key)
+            before = len(sink.written)
+            sink.on_table("table", keys[-1])
+            assert [p.name for p in sink.written[before:]] == \
+                [sink.data_path(stem).name], stem
+        before = len(sink.written)
+        assert [p.name for p in sink.finish()[before:]] == \
+            ["manifest.json"]
 
-        def spy(type_name, is_edge):
-            flushed.append(type_name)
-            return original(type_name, is_edge)
-
-        sink._flush_type = spy
-        GraphGenerator(schema, {"Person": 40}, seed=1).generate(
-            sink=sink
-        )
-        assert "Person" in flushed
-
-    def test_jsonl_finish_skips_incomplete_types(self, tmp_path):
-        """finish() on a partial graph must skip types whose property
-        tables are missing, not crash."""
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "graphml"])
+    def test_finish_skips_incomplete_files(self, tmp_path, fmt):
+        """finish() on a partial graph writes every file whose tables
+        all exist and skips the rest instead of crashing."""
         schema = social_network_schema(num_countries=6)
         graph = GraphGenerator(
             schema, {"Person": 30}, seed=2
         ).generate()
         del graph.node_properties["Person.country"]
         del graph.edge_properties["knows.creationDate"]
-        sink = JsonlSink(tmp_path / "o")
+        sink = make_sink(fmt, tmp_path / "o")
         sink.begin(graph)
-        written = sink.finish()
-        names = {p.name for p in written}
-        assert "Person.jsonl" not in names
-        assert "knows.jsonl" not in names
-        assert "Message.jsonl" in names
-        assert "creates.jsonl" in names
+        names = {p.name for p in sink.finish()}
+        written, skipped = {
+            "csv": ({"Person.name.csv", "knows.csv", "creates.csv"},
+                    {"Person.country.csv", "knows.creationDate.csv"}),
+            "jsonl": ({"Message.jsonl", "creates.jsonl"},
+                      {"Person.jsonl", "knows.jsonl"}),
+            "graphml": (set(), {"knows.graphml"}),
+        }[fmt]
+        assert names >= written
+        assert not names & skipped
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown sink format"):
@@ -484,6 +553,20 @@ class TestStreamingProtocol:
         names = {p.name for p in written}
         assert "knows.graphml" in names
         assert "creates.graphml" not in names
+
+    def test_jsonl_manifest_points_tables_at_type_files(self, graph,
+                                                        tmp_path):
+        export_graph(graph, JsonlSink(tmp_path))
+        tables = JsonlSource(tmp_path).manifest["tables"]
+        assert tables["Person.country"]["file"] == "Person.jsonl"
+        assert tables["knows.creationDate"]["file"] == "knows.jsonl"
+        assert tables["knows"] == {
+            "kind": "edge", "file": "knows.jsonl",
+            "rows": graph.num_edges("knows"),
+            "num_tail_nodes": graph.num_nodes("Person"),
+            "num_head_nodes": graph.num_nodes("Person"),
+            "directed": graph.edge_tables["knows"].directed,
+        }
 
 
 class TestWriterLoop:
@@ -783,10 +866,10 @@ from pathlib import Path
 golden, out = Path(sys.argv[1]), Path(sys.argv[2])
 sys.path.insert(0, str(golden))
 from regenerate import build_graph
-from repro.io import export_graph_csv, write_edgelist
+from repro.io import export_graph, make_sink, write_edgelist
 from repro.io._ckernel import load_text_ckernel
 graph = build_graph()
-export_graph_csv(graph, out, chunk_size=7)
+export_graph(graph, make_sink("csv", out, chunk_size=7))
 for name, table in graph.edge_tables.items():
     write_edgelist(table, out / f"{name}.edges", chunk_size=7)
 print("kernel" if load_text_ckernel() is not None else "python")
