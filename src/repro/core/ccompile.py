@@ -11,6 +11,12 @@ contract — compile with the system ``cc`` on first use into a per-user
 cache, and fall back to numpy / Python silently on any failure — so the
 machinery lives here once.
 
+The C prototype is the one declaration of an entry point: :func:`bind`
+reads every exported (non-``static``) function of the embedded text
+and types it from :data:`_CTYPES`, so a pointer to numbers accepts only
+a C-contiguous ndarray of its dtype and a wrong array is a
+``ctypes.ArgumentError`` in Python, never a stray read in C.
+
 Environment knobs (shared by every embedded kernel):
 
 ``REPRO_NO_CKERNEL=1``
@@ -40,12 +46,70 @@ import functools
 import getpass
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["compile_cached", "ckernels_disabled", "load_once"]
+import numpy as np
+
+__all__ = ["bind", "compile_cached", "ckernels_disabled", "load_once"]
+
+
+_array = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
+
+#: C type, its tokens joined by single spaces -> ctypes type.  A
+#: ``const T`` that is not listed reads as ``T``; only ``const char *``
+#: (a NUL-terminated ``bytes``) differs from its unqualified pointer
+#: (a writable uint8 buffer).
+_CTYPES = {
+    "void": None,
+    "char": ctypes.c_char,
+    "int32_t": ctypes.c_int32,
+    "int64_t": ctypes.c_int64,
+    "uint64_t": ctypes.c_uint64,
+    "const char *": ctypes.c_char_p,
+    "char *": _array(np.uint8),
+    "int32_t *": _array(np.int32),
+    "int64_t *": _array(np.int64),
+    "uint64_t *": _array(np.uint64),
+    "double *": _array(np.float64),
+    "void * *": ctypes.POINTER(ctypes.c_void_p),
+}
+_COMMENT = re.compile(r"/\*.*?\*/|//[^\n]*", re.S)
+#: A definition at the start of a line that is not ``static``.
+_EXPORTED = re.compile(
+    r"^(?!static\b)(\w+)\s+(\w+)\s*\(([^)]*)\)\s*\{", re.M
+)
+
+
+def _ctype(tokens, function):
+    spelling = " ".join(tokens)
+    for key in (spelling, spelling.removeprefix("const ")):
+        if key in _CTYPES:
+            return _CTYPES[key]
+    raise TypeError(f"{function}: no ctypes type for C type {spelling!r}")
+
+
+def bind(lib, source):
+    """Type every exported function of ``lib`` from its prototype in
+    the C ``source`` it was compiled from; returns ``lib``.
+
+    Raises ``TypeError`` naming the function when a parameter or
+    return type is not in :data:`_CTYPES` (:func:`load_once` then
+    falls back).
+    """
+    text = _COMMENT.sub(" ", source)
+    for returns, name, params in _EXPORTED.findall(text):
+        restype = _ctype([returns], name)
+        argtypes = [
+            _ctype(re.findall(r"\w+|\*", param)[:-1], name)
+            for param in params.split(",")
+        ]
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, argtypes
+    return lib
 
 
 def ckernels_disabled():
@@ -97,21 +161,22 @@ def compile_cached(source, prefix):
     return ctypes.CDLL(str(so_path))
 
 
-def load_once(source, prefix, wrap):
+def load_once(source, prefix, wrap=lambda lib: lib):
     """The process-wide loader of one embedded kernel.
 
     Returns a zero-argument function answering ``None`` — the fallback
     path takes over silently — while ``REPRO_NO_CKERNEL`` is set, and
     otherwise ``wrap(lib)`` for ``source`` compiled by
-    :func:`compile_cached`.  The compile attempt is memoised, failure
-    included (no compiler, no private cache directory, anything
-    raising: ``None`` for good); ``.cache_clear()`` forgets it.
+    :func:`compile_cached` and typed by :func:`bind`.  The compile
+    attempt is memoised, failure included (no compiler, no private
+    cache directory, anything raising: ``None`` for good);
+    ``.cache_clear()`` forgets it.
     """
     @functools.cache
     def compiled():
         try:
             lib = compile_cached(source, prefix)
-            return None if lib is None else wrap(lib)
+            return None if lib is None else wrap(bind(lib, source))
         except Exception:
             return None
 

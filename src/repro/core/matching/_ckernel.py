@@ -30,8 +30,6 @@ with the attribute kernels via :mod:`repro.core.ccompile`.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from ..ccompile import load_once
@@ -308,89 +306,44 @@ int64_t ldg_stream(
 }
 """
 
-_I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-
-
 class _CKernel:
-    """ctypes facade over the compiled stream functions."""
+    """The compiled stream functions, their outputs allocated here.
+
+    Inputs arrive as the contiguous arrays of the prototypes, checked
+    by :mod:`repro.core.matching.kernel` (``prep`` included).
+    """
 
     def __init__(self, lib):
         self._lib = lib
-        lib.sbm_part_stream.restype = ctypes.c_int64
-        lib.sbm_part_stream.argtypes = [
-            ctypes.c_int64, ctypes.c_int64,
-            _I64P, _I64P, _I64P, _I64P,
-            _F64P, _F64P,
-            ctypes.c_int32, ctypes.c_int32, ctypes.c_int32,
-            _I64P, _F64P, _I64P,
-            ctypes.POINTER(ctypes.c_int64),
-        ]
-        lib.ldg_stream.restype = ctypes.c_int64
-        lib.ldg_stream.argtypes = [
-            ctypes.c_int64, ctypes.c_int64,
-            _I64P, _I64P, _I64P, _I64P,
-            ctypes.c_void_p, ctypes.c_int32,
-            _I64P, _F64P, _I64P,
-            ctypes.POINTER(ctypes.c_int64),
-        ]
 
     def sbm_part_stream(
         self, prep, group_sizes, target, uniforms,
         capacity_weighting, cold_start, negative_gain,
     ):
-        n = prep.num_nodes
-        k = group_sizes.size
+        n, k = prep.num_nodes, group_sizes.size
         assignment = np.full(n, -1, dtype=np.int64)
-        if n == 0:
-            return assignment
-        work = np.zeros(k * k + 6 * k, dtype=np.float64)
-        iwork = np.zeros(2 * k, dtype=np.int64)
-        err_step = ctypes.c_int64(0)
-        rc = self._lib.sbm_part_stream(
-            n, k,
-            np.ascontiguousarray(prep.indptr, dtype=np.int64),
-            np.ascontiguousarray(prep.neighbors, dtype=np.int64),
-            np.ascontiguousarray(prep.order, dtype=np.int64),
-            np.ascontiguousarray(group_sizes, dtype=np.int64),
-            np.ascontiguousarray(target, dtype=np.float64),
-            np.ascontiguousarray(uniforms, dtype=np.float64),
+        if n and self._lib.sbm_part_stream(
+            n, k, prep.indptr, prep.neighbors, prep.order,
+            group_sizes, target, uniforms,
             int(bool(capacity_weighting)),
             int(cold_start == "proportional"),
             int(negative_gain == "divide"),
-            assignment, work, iwork,
-            ctypes.byref(err_step),
-        )
-        if rc:
+            assignment, np.zeros(k * k + 6 * k),
+            np.zeros(2 * k, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        ):
             raise RuntimeError("group capacities exhausted mid-stream")
         return assignment
 
     def ldg_stream(self, prep, capacities, uniforms):
-        n = prep.num_nodes
-        k = capacities.size
+        n, k = prep.num_nodes, capacities.size
         assignment = np.full(n, -1, dtype=np.int64)
-        if n == 0:
-            return assignment
-        work = np.zeros(2 * k, dtype=np.float64)
-        iwork = np.zeros(k, dtype=np.int64)
-        err_step = ctypes.c_int64(0)
         has_ties = uniforms is not None
-        if has_ties:
-            uni = np.ascontiguousarray(uniforms, dtype=np.float64)
-            uni_ptr = uni.ctypes.data_as(ctypes.c_void_p)
-        else:
-            uni_ptr = None
-        rc = self._lib.ldg_stream(
-            n, k,
-            np.ascontiguousarray(prep.indptr, dtype=np.int64),
-            np.ascontiguousarray(prep.neighbors, dtype=np.int64),
-            np.ascontiguousarray(prep.order, dtype=np.int64),
-            np.ascontiguousarray(capacities, dtype=np.int64),
-            uni_ptr, int(has_ties),
-            assignment, work, iwork,
-            ctypes.byref(err_step),
-        )
-        if rc:
+        if n and self._lib.ldg_stream(
+            n, k, prep.indptr, prep.neighbors, prep.order, capacities,
+            uniforms if has_ties else np.empty(0), int(has_ties),
+            assignment, np.zeros(2 * k), np.zeros(k, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        ):
             raise RuntimeError("no partition with remaining capacity")
         return assignment
 

@@ -162,7 +162,7 @@ def _arrival_order(order, n):
     it is a permutation of ``0..n-1``."""
     if order is None:
         return np.arange(n, dtype=np.int64)
-    order = np.asarray(order, dtype=np.int64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
     ok = order.shape == (n,) and (
         n == 0 or (int(order.min()) >= 0 and int(order.max()) < n)
     )
@@ -175,10 +175,25 @@ def _arrival_order(order, n):
     return order
 
 
-def _finite_target(target):
-    """``target`` as a contiguous float64 array, refused if any entry
-    is NaN or infinite."""
+def _capacities(sizes, n, what):
+    """``sizes`` as contiguous int64, refused unless a non-empty 1-D
+    nonnegative array summing to at least ``n``."""
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0:
+        raise ValueError(f"{what} must be a non-empty 1-D array")
+    if (sizes < 0).any():
+        raise ValueError(f"{what} must be nonnegative")
+    if int(sizes.sum()) < n:
+        raise ValueError(f"{what} sum to {int(sizes.sum())} < n = {n}")
+    return sizes
+
+
+def _finite_target(target, shape):
+    """``target`` as a contiguous float64 array, refused unless it has
+    ``shape`` and no NaN or infinite entry."""
     target = np.ascontiguousarray(target, dtype=np.float64)
+    if target.shape != shape:
+        raise ValueError(f"target must be {shape}, got {target.shape}")
     if not np.isfinite(target).all():
         raise ValueError("target must be finite (it has NaN or inf entries)")
     return target
@@ -196,17 +211,38 @@ def prepare_match_stream(table, order=None):
 
 
 def _stream_prep(table, order, prep):
-    """``prep``, checked against ``order`` — or built for it."""
+    """``prep`` built for ``order`` — or the caller's, refused unless
+    it is a stream over the table's ``n`` nodes (as the C loop reads
+    it) for ``order``, when one is given."""
     if prep is None:
         return prepare_match_stream(table, order)
+    n = table.num_nodes
+    checked = MatchPrep(
+        indptr=np.ascontiguousarray(prep.indptr, dtype=np.int64),
+        neighbors=np.ascontiguousarray(prep.neighbors, dtype=np.int64),
+        order=_arrival_order(prep.order, n),
+    )
+    indptr, neighbors = checked.indptr, checked.neighbors
+    if (
+        indptr.shape != (n + 1,) or neighbors.ndim != 1
+        or indptr[0] != 0 or indptr[-1] != neighbors.size
+        or (indptr[1:] < indptr[:-1]).any()
+    ):
+        raise ValueError(
+            "prep.indptr must be a CSR row pointer: shape (n + 1,), "
+            "from 0, nondecreasing, ending at len(prep.neighbors)"
+        )
+    # Negative ids wrap to values >= n: one max checks both bounds.
+    if neighbors.size and neighbors.view(np.uint64).max() >= n:
+        raise ValueError("prep.neighbors must be node ids in [0, n)")
     if order is not None and not np.array_equal(
-        np.asarray(order, dtype=np.int64), prep.order
+        np.asarray(order, dtype=np.int64), checked.order
     ):
         raise ValueError(
             "prep was built for a different arrival order; pass "
             "either a matching order or no order at all"
         )
-    return prep
+    return checked
 
 
 # -- cold-start placement -----------------------------------------------------
@@ -263,22 +299,10 @@ def sbm_part_stream(
     documentation.  ``prep`` may carry a precomputed
     :class:`MatchPrep` for this ``(table, order)`` pair.
     """
-    group_sizes = np.asarray(group_sizes, dtype=np.int64)
-    if group_sizes.ndim != 1 or group_sizes.size == 0:
-        raise ValueError("group_sizes must be a non-empty 1-D array")
-    if (group_sizes < 0).any():
-        raise ValueError("group sizes must be nonnegative")
     n = table.num_nodes
-    if int(group_sizes.sum()) < n:
-        raise ValueError(
-            f"group sizes sum to {int(group_sizes.sum())} < n = {n}"
-        )
+    group_sizes = _capacities(group_sizes, n, "group sizes")
     k = group_sizes.size
-    target = _finite_target(target)
-    if target.shape != (k, k):
-        raise ValueError(
-            f"target must be ({k}, {k}), got {target.shape}"
-        )
+    target = _finite_target(target, (k, k))
     if cold_start not in ("proportional", "greedy"):
         raise ValueError(f"unknown cold_start {cold_start!r}")
     if negative_gain not in ("divide", "multiply"):
@@ -425,16 +449,8 @@ def ldg_stream(
     table, capacities, order=None, tie_stream=None, prep=None,
 ):
     """Streaming LDG partitioning (kernel entry point)."""
-    capacities = np.asarray(capacities, dtype=np.int64)
-    if capacities.ndim != 1 or capacities.size == 0:
-        raise ValueError("capacities must be a non-empty 1-D array")
-    if (capacities < 0).any():
-        raise ValueError("capacities must be nonnegative")
     n = table.num_nodes
-    if int(capacities.sum()) < n:
-        raise ValueError(
-            f"capacities sum to {int(capacities.sum())} < n = {n}"
-        )
+    capacities = _capacities(capacities, n, "capacities")
     prep = _stream_prep(table, order, prep)
     uniforms = (
         None if tie_stream is None else _draw_uniforms(tie_stream, n)
@@ -526,10 +542,10 @@ def bipartite_stream(
     array through the node's one-sided CSR row.
     """
     nt, nh = table.num_tail_nodes, table.num_head_nodes
-    tail_sizes = np.asarray(tail_sizes, dtype=np.int64)
-    head_sizes = np.asarray(head_sizes, dtype=np.int64)
+    tail_sizes = _capacities(tail_sizes, nt, "tail group sizes")
+    head_sizes = _capacities(head_sizes, nh, "head group sizes")
     kt, kh = tail_sizes.size, head_sizes.size
-    target = _finite_target(target)
+    target = _finite_target(target, (kt, kh))
     order = _arrival_order(order, nt + nh)
 
     # Tail -> heads and head -> tails adjacency; group + 1 per node on

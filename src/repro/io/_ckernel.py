@@ -167,21 +167,10 @@ _KIND = {"i": (0, np.int64), "u": (1, np.uint64), "b": (2, np.bool_)}
 _INT_WIDTH = {1: 5, 2: 6, 4: 11, 8: 20}
 
 
-def _declared(lib):
-    lib.format_rows.restype = ctypes.c_int64
-    lib.format_rows.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
-        ctypes.POINTER(ctypes.c_void_p),
-        ctypes.POINTER(ctypes.c_int32),
-        ctypes.c_char, ctypes.c_char_p, ctypes.c_void_p,
-    ]
-    return lib
-
-
 #: ``load_text_ckernel()``: the compiled library, or ``None`` when
 #: unavailable (one attempt per process; the Python formatters take
 #: over silently).
-load_text_ckernel = load_once(_SOURCE, "textkernel", _declared)
+load_text_ckernel = load_once(_SOURCE, "textkernel")
 
 
 def _string_column(column, buffers):
@@ -206,8 +195,9 @@ def _string_column(column, buffers):
 def _arguments(start, columns, term):
     """``(size, pointers, kinds, buffers)`` for the kernel's rows, or
     ``None`` when it cannot format a column or an id: ``size`` is the
-    output buffer the rows can never overrun, and ``buffers`` keeps
-    what ``pointers`` point into alive."""
+    output buffer the rows can never overrun, ``pointers`` and
+    ``kinds`` are the kernel's ``cols`` and ``kinds`` arrays, and
+    ``buffers`` keeps what ``pointers`` point into alive."""
     n = len(columns[0])
     if start is not None and not 0 <= start <= 2 ** 63 - 1 - n:
         return None
@@ -234,7 +224,8 @@ def _arguments(start, columns, term):
             kinds.append(kind)
         else:
             return None
-    return size, pointers, kinds, buffers
+    pointers = (ctypes.c_void_p * len(pointers))(*pointers)
+    return size, pointers, np.array(kinds, dtype=np.int32), buffers
 
 
 def format_rows(start, columns, sep, term):
@@ -256,9 +247,7 @@ def format_rows(start, columns, sep, term):
     size, pointers, kinds, _buffers = arguments
     out = np.empty(size, dtype=np.uint8)
     written = lib.format_rows(
-        len(columns[0]), -1 if start is None else start, len(kinds),
-        (ctypes.c_void_p * len(kinds))(*pointers),
-        (ctypes.c_int32 * len(kinds))(*kinds),
-        sep.encode(), term.encode(), out.ctypes.data,
+        len(columns[0]), -1 if start is None else start, kinds.size,
+        pointers, kinds, sep.encode(), term.encode(), out,
     )
     return str(memoryview(out)[:written], "utf-8")

@@ -370,9 +370,12 @@ class GraphmlSink(GraphSink):
 class GraphSource:
     """Base class: reads a sink directory back into tables.
 
-    The manifest (when present) supplies the dtype and shape of every
-    table, making reads lossless; without it, readers fall back to the
-    per-format inference heuristics.
+    The manifest (when present) lists the tables and supplies the
+    dtype and shape of every one, making reads lossless.  Without it,
+    listing tables raises ``FileNotFoundError`` naming the missing
+    ``manifest.json``, and reading a table named by the caller falls
+    back to its ``<name><suffix>`` file and the per-format inference
+    heuristics.
     """
 
     format_name = None
@@ -389,12 +392,20 @@ class GraphSource:
             with open(manifest_path, encoding="utf-8") as handle:
                 self.manifest = json.load(handle)
 
-    def _entries(self, kind):
+    def _tables(self):
+        """The manifest's entry per table name; only the manifest
+        lists them."""
         if self.manifest is None:
-            return {}
+            raise FileNotFoundError(
+                f"{self.directory / MANIFEST_NAME}: no manifest, so no "
+                "list of the tables in this directory"
+            )
+        return self.manifest["tables"]
+
+    def _entries(self, kind):
         return {
             name: entry
-            for name, entry in self.manifest["tables"].items()
+            for name, entry in self._tables().items()
             if entry["kind"] == kind
         }
 
@@ -486,10 +497,17 @@ class CsvSource(GraphSource):
 
 
 class JsonlSource(GraphSource):
+    """A JSONL file holds every table of one type, so no table is
+    found without the manifest: refused at construction."""
+
     format_name = "jsonl"
     suffix = ".jsonl"
     property_reader = staticmethod(jsonl.read_property_table_jsonl)
     edge_reader = staticmethod(jsonl.read_edge_table_jsonl)
+
+    def __init__(self, directory, chunk_size=DEFAULT_CHUNK_SIZE):
+        super().__init__(directory, chunk_size)
+        self._tables()
 
 
 class EdgelistSource(GraphSource):

@@ -175,7 +175,8 @@ def compile_plants(plants_config, schema, seed, scale=None):
     attributes name real properties of that node type, noise rates are
     probabilities, the ``count`` disjoint copies fit in the target
     type's node count when ``scale`` anchors it (checked before a
-    template is grown), and the template itself is well-formed.  Raises
+    template is grown), and the template itself is well-formed (a
+    grown one bounded by its edge count whatever the scale).  Raises
     :class:`~repro.planting.templates.PlantingError` with the recipe
     path on the first problem.
     """

@@ -41,6 +41,10 @@ __all__ = [
 
 #: Every recognised ``template.kind`` value, in documentation order.
 TEMPLATE_KINDS = ("ring", "star", "clique", "path", "tree", "edges")
+#: Most edges a grown template may have.  A template is built whole
+#: before its copies are placed, and its type's node count may be
+#: known only at run time, so this bound holds where the scale cannot.
+MAX_TEMPLATE_EDGES = 10**6
 
 
 class PlantingError(ValueError):
@@ -86,6 +90,14 @@ class Template:
 
 
 def _grown_edges(kind, size, stream):
+    edges = {"clique": size * (size - 1) // 2, "ring": size}.get(
+        kind, size - 1
+    )
+    if edges > MAX_TEMPLATE_EDGES:
+        raise PlantingError(
+            f"a {size}-node {kind} template has {edges} edges; at most "
+            f"{MAX_TEMPLATE_EDGES} are grown"
+        )
     if kind == "ring":
         if size < 3:
             raise PlantingError("ring template needs size >= 3")

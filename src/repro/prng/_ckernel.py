@@ -21,7 +21,6 @@ is integer-only.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 
 import numpy as np
@@ -91,18 +90,11 @@ void stream_permutation(uint64_t seed, int64_t n, int64_t *out)
 }
 """
 
-_I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-
-
 class _PrngCKernel:
-    """ctypes facade over the compiled permutation."""
+    """The compiled permutation, its output allocated here."""
 
     def __init__(self, lib):
         self._lib = lib
-        lib.stream_permutation.restype = None
-        lib.stream_permutation.argtypes = [
-            ctypes.c_uint64, ctypes.c_int64, _I64P,
-        ]
 
     def permutation(self, seed, n):
         out = np.empty(max(int(n), 0), dtype=np.int64)

@@ -39,8 +39,6 @@ every compiled kernel reads on every call, selects the numpy path.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from ..core.ccompile import load_once
@@ -166,53 +164,31 @@ void multivalue_picks(
 }
 """
 
-_U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
-_I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
-
-
 class _PropertyCKernel:
-    """ctypes facade over the compiled attribute loops."""
+    """The compiled attribute loops, their outputs allocated here."""
 
     def __init__(self, lib):
         self._lib = lib
-        lib.ragged_text.restype = ctypes.c_int64
-        lib.ragged_text.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _U64P, _I64P, _F64P, _I64P, ctypes.c_char_p, _I64P,
-            _U8P, ctypes.c_int64, _I64P, ctypes.POINTER(ctypes.c_int64),
-        ]
-        lib.multivalue_picks.restype = None
-        lib.multivalue_picks.argtypes = [
-            ctypes.c_int64, ctypes.c_int64,
-            _U64P, _I64P, _F64P, _F64P, _I64P,
-        ]
 
     def ragged_text(self, seeds, lengths, cdf, guide, blob, offsets, buf):
         """``(ends, text)`` for per-instance cdf word draws: sentence
         ``i`` is bytes ``ends[i - 1]..ends[i]`` (from 0) of the uint8
         ``text``; ``buf`` must hold the longest possible sentence."""
-        seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-        lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         ends = np.empty(seeds.size, dtype=np.int64)
-        parts, done, used = [], 0, ctypes.c_int64()
+        parts, done, used = [], 0, np.zeros(1, dtype=np.int64)
         while done < seeds.size:
             count = self._lib.ragged_text(
                 seeds.size - done, cdf.size, guide.size - 1,
                 seeds[done:], lengths[done:], cdf, guide, blob, offsets,
-                buf, buf.size, ends[done:], ctypes.byref(used),
+                buf, buf.size, ends[done:], used,
             )
             ends[done:done + count] += sum(map(len, parts))
-            parts.append(buf[:used.value].copy())
+            parts.append(buf[:used[0]].copy())
             done += count
         return ends, np.concatenate(parts or [buf[:0]])
 
     def multivalue_picks(self, seeds, sizes, weights):
         """Flat pick codes + offsets for weighted no-replacement sets."""
-        seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-        sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
         offsets = np.zeros(seeds.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         codes = np.empty(int(offsets[-1]), dtype=np.int64)

@@ -23,7 +23,6 @@ from .distributions import (
 )
 from .fitting import (
     empirical_degree_distribution,
-    fit_power_law,
     fit_power_law_exponent,
     rescale_degree_sequence,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "empirical_joint",
     "empirical_multivalue_joint",
     "encode_value_sets",
-    "fit_power_law",
     "fit_power_law_exponent",
     "frobenius_distance",
     "homophily_joint",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import Empirical, PowerLaw
+from .distributions import Empirical
 
 __all__ = [
     "fit_power_law_exponent",
@@ -81,11 +81,3 @@ def rescale_degree_sequence(degrees, new_n, stream):
         sample[bump] += 1
     return sample
 
-
-def fit_power_law(values, xmin=1, xmax=None):
-    """Fit a :class:`PowerLaw` distribution object to observed values."""
-    x = np.asarray(values, dtype=np.int64)
-    if xmax is None:
-        xmax = int(x.max())
-    gamma = fit_power_law_exponent(x, xmin=xmin)
-    return PowerLaw(gamma, xmin, xmax)

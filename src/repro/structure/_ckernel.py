@@ -32,8 +32,6 @@ through to that body and its errors.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from ..core.ccompile import load_once
@@ -248,9 +246,6 @@ int64_t lfr_assign(
 }
 """
 
-_I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-
-
 def _i64(array):
     return np.ascontiguousarray(array, dtype=np.int64)
 
@@ -265,25 +260,10 @@ def _rows(out, m):
 
 
 class _StructureCKernel:
-    """ctypes facade over the compiled stub-pairing loops."""
+    """The compiled stub-pairing loops, their outputs allocated here."""
 
     def __init__(self, lib):
         self._lib = lib
-        lib.pair_stubs_with_repair.restype = ctypes.c_int64
-        lib.pair_stubs_with_repair.argtypes = [
-            _I64P, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64,
-            _I64P,
-        ]
-        lib.lfr_intra.restype = ctypes.c_int64
-        lib.lfr_intra.argtypes = [
-            ctypes.c_int64, _I64P, _I64P, _I64P, ctypes.c_uint64,
-            ctypes.c_int64, _I64P,
-        ]
-        lib.lfr_assign.restype = ctypes.c_int64
-        lib.lfr_assign.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P, _I64P,
-            ctypes.c_uint64, _I64P,
-        ]
 
     def pair_stubs_with_repair(self, degrees, seed, rounds):
         """``(m, 2)`` pairs, or ``None`` (negative degrees, no memory)."""

@@ -405,6 +405,38 @@ class TestRecipeBoundary:
     MUTANTS = (0, -1, 2.5, float("nan"), float("inf"), "x", None, True,
                [], [1], {}, {"a": 1}, 10**12)
 
+    #: A plant on a type with no scale anchor: ``Message`` is sized by
+    #: ``creates`` only when the graph is generated.
+    UNANCHORED_PLANT = {
+        "scenario": "unanchored_plant",
+        "nodes": {
+            name: {"properties": {"age": {
+                "dtype": "long", "generator": "uniform_int",
+                "params": {"low": 18, "high": 80},
+            }}}
+            for name in ("Person", "Message")
+        },
+        "edges": {
+            "creates": {
+                "tail": "Person", "head": "Message",
+                "cardinality": "1..*", "directed": True,
+                "structure": {"generator": "one_to_many", "params": {
+                    "degree_distribution": {"$zipf": {"exponent": 1.2,
+                                                      "max": 40}},
+                    "degree_offset": 0,
+                }},
+            },
+            "replyOf": {
+                "tail": "Message", "head": "Message",
+                "structure": {"generator": "erdos_renyi_m",
+                              "params": {"edges_per_node": 2}},
+            },
+        },
+        "plants": {"clique": {"edge": "replyOf",
+                              "template": {"kind": "clique", "size": 4}}},
+        "scale": {"Person": 100},
+    }
+
     @common_settings
     @given(text=st.one_of(
         st.text(max_size=200),
@@ -437,8 +469,9 @@ class TestRecipeBoundary:
         from repro.core import DependencyError
 
         escaped = {}
-        for name in zoo_names():
-            raw = load_zoo(name).raw
+        recipes = [(name, load_zoo(name).raw) for name in zoo_names()]
+        for name, raw in recipes + [("unanchored_plant",
+                                     self.UNANCHORED_PLANT)]:
             for path in self._paths(raw):
                 for value in self.MUTANTS:
                     recipe = copy.deepcopy(raw)
@@ -462,6 +495,19 @@ class TestRecipeBoundary:
                             f"{name}: {where} = {value!r}: {exc}",
                         )
         assert not escaped, escaped
+
+    def test_unanchored_plant_is_bounded_before_it_is_grown(self):
+        """A template is refused by its own size where no scale anchor
+        bounds its copies (it was a ``MemoryError``)."""
+        import copy
+
+        recipe = copy.deepcopy(self.UNANCHORED_PLANT)
+        recipe["plants"]["clique"]["template"]["size"] = 10**12
+        with pytest.raises(ScenarioError, match="at most") as caught:
+            compile_scenario(recipe)
+        assert str(caught.value).startswith(
+            "invalid recipe: plants.clique.template: ")
+        assert "\n" not in str(caught.value)
 
     def test_cli_bad_recipe_is_one_line(self, tmp_path):
         """``nodes.Person.properties: null`` exits non-zero with one

@@ -9,7 +9,6 @@ from repro.prng import RandomStream
 from repro.stats import (
     PowerLaw,
     empirical_degree_distribution,
-    fit_power_law,
     fit_power_law_exponent,
     rescale_degree_sequence,
 )
@@ -73,14 +72,3 @@ class TestRescaleDegreeSequence:
         with pytest.raises(ValueError):
             rescale_degree_sequence([1, 2], 0, stream)
 
-
-class TestFitPowerLaw:
-    def test_returns_distribution(self):
-        stream = RandomStream(2, "fit2")
-        sample = PowerLaw(2.0, 1, 100).sample_values(
-            stream, np.arange(50_000)
-        )
-        fitted = fit_power_law(sample, xmin=1)
-        assert isinstance(fitted, PowerLaw)
-        assert fitted.xmax == int(sample.max())
-        assert 1.5 < fitted.gamma < 2.5

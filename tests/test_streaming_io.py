@@ -629,6 +629,25 @@ class TestSourceFallbacks:
         with pytest.raises(FileNotFoundError):
             source.read_edge_table("ghost")
 
+    def test_listing_without_manifest_names_it(self, graph, tmp_path):
+        """Only the manifest lists tables: without it a listing is an
+        error naming it, not an empty graph."""
+        export_graph(graph, CsvSink(tmp_path))
+        (tmp_path / "manifest.json").unlink()
+        source = CsvSource(tmp_path)
+        for listing in (source.property_table_names,
+                        source.edge_table_names, source.property_tables):
+            with pytest.raises(FileNotFoundError, match="manifest.json"):
+                listing()
+        assert len(source.read_property_table("Person.country")) == \
+            graph.node_counts["Person"]
+
+    def test_jsonl_source_refuses_without_manifest(self, graph, tmp_path):
+        export_graph(graph, JsonlSink(tmp_path))
+        (tmp_path / "manifest.json").unlink()
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            JsonlSource(tmp_path)
+
 
 # -- the compiled text kernel (io/_ckernel.py) --------------------------------
 
@@ -814,8 +833,6 @@ class TestTextKernel:
         canary tail: the loop's over-stores (the 8-byte digit groups,
         the 24-byte id copy) stay inside the size, at every digit
         count, every dtype extreme and every power-of-ten id."""
-        import ctypes
-
         from repro.io import _ckernel
 
         lib = _ckernel.load_text_ckernel()
@@ -829,9 +846,8 @@ class TestTextKernel:
             out = np.full(size + canary, 0xA5, dtype=np.uint8)
             written = lib.format_rows(
                 len(columns[0]), -1 if start is None else start,
-                len(kinds), (ctypes.c_void_p * len(kinds))(*pointers),
-                (ctypes.c_int32 * len(kinds))(*kinds),
-                sep.encode(), term.encode(), out.ctypes.data,
+                kinds.size, pointers, kinds,
+                sep.encode(), term.encode(), out,
             )
             assert written <= size
             assert (out[size:] == 0xA5).all(), (start, columns)
