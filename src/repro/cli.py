@@ -462,10 +462,12 @@ def _cmd_report(args):
 
 
 def _cmd_validate(args):
-    from .validation import standard_checks, validate
+    from .validation import run_graded, standard_checks
 
     schema, graph = _running_example(args, num_countries=12)
-    report = validate(graph, standard_checks(schema))
+    report = run_graded(graph, standard_checks(schema),
+                        scenario="running_example",
+                        scale={"Person": args.persons})
     print(report)
     return 0 if report.passed else 1
 

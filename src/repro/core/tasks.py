@@ -466,16 +466,6 @@ class Store:
         """A stage boundary; only the batch store injects faults."""
 
 
-#: task kind -> the sink event it maps to.  ``structure`` outputs are
-#: pre-matching intermediates and are never exported.
-_EXPORT_EVENTS = {
-    "count": "count",
-    "property": "node_property",
-    "match": "edge_table",
-    "edge_property": "edge_property",
-}
-
-
 def export_task_output(task, sink):
     """Announce one completed task to a streaming export sink.
 
@@ -488,11 +478,10 @@ def export_task_output(task, sink):
     streams it in id-range chunks, so export overlaps generation
     without re-materialising any table.
     """
-    if sink is None:
-        return
-    event = _EXPORT_EVENTS.get(task.kind)
-    if event is not None:
-        sink.on_table(event, task.subject)
+    # ``structure`` outputs are pre-matching intermediates, never
+    # exported.
+    if sink is not None and task.kind != "structure":
+        sink.on_table(task.subject)
 
 
 def walk(order, apply, result, sink=None, threads=None):

@@ -6,7 +6,7 @@ from .names import (
     REGION_OF_COUNTRY,
     conditional_name_table,
 )
-from .schemas import country_joint, social_network_schema
+from .schemas import social_network_schema
 from .words import INTERESTS, TOPICS, VOCABULARY
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "TOPICS",
     "VOCABULARY",
     "conditional_name_table",
-    "country_joint",
     "country_names",
     "country_weights",
     "social_network_schema",

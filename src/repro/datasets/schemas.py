@@ -1,6 +1,7 @@
 """Ready-made schemas, including the paper's running example (Figure 1).
 
-:func:`social_network_schema` reproduces the complete running example:
+:func:`social_network_schema` is the running example.  It is written
+down once, as the zoo recipe ``social_network``:
 
 * ``Person`` with name, country, interest, sex, creationDate —
   country follows a real-life-like skew, name follows
@@ -16,45 +17,9 @@
 
 from __future__ import annotations
 
-import numpy as np
+import copy
 
-from ..core.schema import (
-    Cardinality,
-    CorrelationSpec,
-    EdgeType,
-    GeneratorSpec,
-    NodeType,
-    PropertyDef,
-    Schema,
-)
-from ..stats import JointDistribution, Zipf, homophily_joint
-from .countries import country_names, country_weights
-from .names import conditional_name_table
-from .words import INTERESTS, TOPICS, VOCABULARY
-
-__all__ = ["social_network_schema", "country_joint"]
-
-_EPOCH_2010 = 1_262_304_000  # 2010-01-01
-_EPOCH_2017 = 1_483_228_800  # 2017-01-01
-
-
-def country_joint(affinity=0.8, countries=None, weights=None):
-    """The running example's ``P'_country(X, Y)`` homophily joint.
-
-    ``affinity`` interpolates between independent country pairs (0) and
-    everyone-knows-compatriots (1); 0.8 gives the pronounced diagonal
-    the paper describes ("Persons from the same country are more likely
-    to know each other").
-
-    Returns the joint *and* the country order its categories refer to.
-    """
-    names = list(countries) if countries is not None else country_names()
-    w = np.asarray(
-        weights if weights is not None else country_weights(),
-        dtype=np.float64,
-    )
-    marginal = w / w.sum()
-    return homophily_joint(marginal, affinity), names
+__all__ = ["social_network_schema"]
 
 
 def social_network_schema(
@@ -64,7 +29,8 @@ def social_network_schema(
     structure="lfr",
     num_countries=None,
 ):
-    """Build the Figure 1 schema.
+    """The Figure 1 schema: the zoo recipe ``social_network`` with
+    these five values patched in, compiled.
 
     Parameters
     ----------
@@ -77,165 +43,36 @@ def social_network_schema(
     num_countries:
         truncate the country dictionary (keeps the most populous ones);
         useful at small scale factors so every country actually occurs.
+
+    The recipe is this builder at 16 countries and average degree 18:
+
+    >>> from repro.core.checkpoint import run_fingerprint
+    >>> from repro.scenarios import compile_scenario, load_zoo
+    >>> recipe = compile_scenario(load_zoo("social_network")).schema
+    >>> builder = social_network_schema(num_countries=16,
+    ...                                 avg_know_degree=18)
+    >>> def fingerprint(schema):
+    ...     return run_fingerprint(schema, {}, 0, 0, "csv")
+    >>> fingerprint(recipe) == fingerprint(builder)
+    True
     """
-    names = country_names()
-    weights = country_weights()
-    if num_countries is not None:
-        names = names[:num_countries]
-        weights = weights[:num_countries]
+    # Lazy: the package imports ``datasets`` before ``scenarios``.
+    from ..scenarios import compile_scenario, load_zoo
 
-    person = NodeType(
-        "Person",
-        properties=[
-            PropertyDef(
-                "country",
-                "string",
-                GeneratorSpec(
-                    "categorical",
-                    {"values": names, "weights": weights},
-                ),
-            ),
-            PropertyDef(
-                "sex",
-                "string",
-                GeneratorSpec(
-                    "categorical",
-                    {"values": ["female", "male"], "weights": [0.5, 0.5]},
-                ),
-            ),
-            PropertyDef(
-                "name",
-                "string",
-                GeneratorSpec(
-                    "conditional",
-                    {
-                        "table": conditional_name_table(),
-                        "default": (["Alex", "Sam", "Charlie"], None),
-                    },
-                ),
-                depends_on=("country", "sex"),
-            ),
-            PropertyDef(
-                "interest",
-                "string",
-                GeneratorSpec(
-                    "weighted_dict",
-                    {"values": INTERESTS, "exponent": 1.0},
-                ),
-            ),
-            PropertyDef(
-                "creationDate",
-                "date",
-                GeneratorSpec(
-                    "date_range",
-                    {
-                        "start": _EPOCH_2010,
-                        "end": _EPOCH_2017,
-                        "granularity": "day",
-                    },
-                ),
-            ),
-        ],
-    )
-
-    message = NodeType(
-        "Message",
-        properties=[
-            PropertyDef(
-                "topic",
-                "string",
-                GeneratorSpec(
-                    "weighted_dict",
-                    {"values": TOPICS, "exponent": 1.0},
-                ),
-            ),
-            PropertyDef(
-                "text",
-                "string",
-                GeneratorSpec(
-                    "text",
-                    {
-                        "vocabulary": VOCABULARY,
-                        "min_words": 3,
-                        "max_words": 12,
-                    },
-                ),
-            ),
-        ],
-    )
-
-    joint, joint_values = country_joint(
-        affinity, countries=names, weights=weights
-    )
-    structure_params = {
-        "lfr": {
-            "avg_degree": avg_know_degree,
-            "max_degree": max_know_degree,
-            "min_community": 10,
-            "max_community": 50,
-            "mu": 0.1,
-        },
-        "bter": {
-            "avg_degree": avg_know_degree,
-            "max_degree": max_know_degree,
-        },
-        "darwini": {
-            "avg_degree": avg_know_degree,
-            "max_degree": max_know_degree,
-        },
-    }.get(structure, {})
-
-    knows = EdgeType(
-        "knows",
-        tail_type="Person",
-        head_type="Person",
-        cardinality=Cardinality.MANY_TO_MANY,
-        structure=GeneratorSpec(structure, structure_params),
-        correlation=CorrelationSpec(
-            tail_property="country",
-            joint=joint,
-            values=tuple(joint_values),
-        ),
-        properties=[
-            PropertyDef(
-                "creationDate",
-                "date",
-                GeneratorSpec(
-                    "after_dependency",
-                    {"min_gap": 1, "max_gap": 180 * 86_400},
-                ),
-                depends_on=("tail.creationDate", "head.creationDate"),
-            ),
-        ],
-    )
-
-    creates = EdgeType(
-        "creates",
-        tail_type="Person",
-        head_type="Message",
-        cardinality=Cardinality.ONE_TO_MANY,
-        structure=GeneratorSpec(
-            "one_to_many",
-            {
-                # D_creates: power-law-ish message counts per person.
-                "degree_distribution": Zipf(1.2, 40),
-                "degree_offset": 0,
-            },
-        ),
-        directed=True,
-        properties=[
-            PropertyDef(
-                "creationDate",
-                "date",
-                GeneratorSpec(
-                    "after_dependency",
-                    {"min_gap": 1, "max_gap": 180 * 86_400},
-                ),
-                depends_on=("tail.creationDate",),
-            ),
-        ],
-    )
-
-    return Schema(
-        node_types=[person, message], edge_types=[knows, creates]
-    )
+    recipe = copy.deepcopy(load_zoo("social_network").raw)
+    country = recipe["nodes"]["Person"]["properties"]["country"]["params"]
+    for table in country.values():
+        if num_countries is None:
+            del table["$dataset"]["limit"]
+        else:
+            table["$dataset"]["limit"] = num_countries
+    knows = recipe["edges"]["knows"]
+    knows["correlation"]["joint"]["$homophily"]["affinity"] = affinity
+    degrees = {"avg_degree": avg_know_degree, "max_degree": max_know_degree}
+    knows["structure"] = {"generator": structure, "params": {
+        "lfr": {**degrees, "min_community": 10, "max_community": 50,
+                "mu": 0.1},
+        "bter": degrees,
+        "darwini": degrees,
+    }.get(structure, {})}
+    return compile_scenario(recipe).schema

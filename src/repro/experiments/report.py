@@ -27,7 +27,7 @@ from ..stats import (JointDistribution, TruncatedGeometric, compare_joints,
 from ..structure import (LFR, AttributedSbmGenerator, capability_matrix,
                          create_generator)
 from ..tables import PropertyTable
-from ..validation.checks import CheckResult, ValidationReport
+from ..validation.checks import CheckResult, GradedReport
 from .figure34 import MATCHERS, make_graph, run_protocol
 from .scale import fixed_k, k_values, lfr_sizes, profile_name, rmat_scales
 
@@ -343,9 +343,9 @@ k = 64 row is open work (ROADMAP.md, "Paper scale on this box").
 
 def generate_report(seed=0):
     """Run every experiment once; return ``(markdown, findings)``, the
-    latter a :class:`~repro.validation.checks.ValidationReport` of every
+    latter a :class:`~repro.validation.checks.GradedReport` of every
     graded finding in the order the markdown lists them."""
-    findings = ValidationReport()
+    findings = GradedReport("reproduction record", seed=seed)
     parts = [
         f"# Reproduction record\n\nWritten by `repro report --seed {seed}` "
         f"at scale profile `{profile_name()}` (LFR sizes {lfr_sizes()}, "

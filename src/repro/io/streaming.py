@@ -92,7 +92,7 @@ class GraphSink:
     format does not carry that relation) and a ``suffix``.
 
     The engine-facing streaming protocol is ``begin(graph)`` once,
-    ``on_table(kind, key)`` per completed task *in serial plan order*,
+    ``on_table(key)`` per completed task *in serial plan order*,
     ``finish()`` once; ``written`` accumulates the produced paths.
     One rule serves every format: a file is written when the last
     table it joins is announced, and ``finish`` writes any other file
@@ -214,10 +214,9 @@ class GraphSink:
             for key in keys:
                 self._joined_by.setdefault(key, []).append(stem)
 
-    def on_table(self, kind, key):
-        """One task finished: ``kind`` in ``count`` / ``node_property``
-        / ``edge_table`` / ``edge_property``, ``key`` its subject;
-        writes each file whose last table this is."""
+    def on_table(self, key):
+        """The table ``key`` (a task's subject) is complete; writes
+        each file whose last table this is."""
         for stem in self._joined_by.pop(key, ()):
             pending = self._pending[stem]
             pending.discard(key)
@@ -528,14 +527,10 @@ def export_graph(graph, sink):
     written paths.
     """
     sink.begin(graph)
-    for type_name in graph.node_counts:
-        sink.on_table("count", type_name)
-    for key in graph.node_properties:
-        sink.on_table("node_property", key)
-    for name in graph.edge_tables:
-        sink.on_table("edge_table", name)
-    for key in graph.edge_properties:
-        sink.on_table("edge_property", key)
+    for tables in (graph.node_counts, graph.node_properties,
+                   graph.edge_tables, graph.edge_properties):
+        for key in tables:
+            sink.on_table(key)
     return sink.finish()
 
 

@@ -124,15 +124,10 @@ def _grown_edges(kind, size, stream):
         if stream is None:
             raise PlantingError("tree template needs a RandomStream")
         # Random recursive tree: node i attaches to a uniform earlier
-        # node; each draw indexed by i so the shape is O(1)-seekable.
-        parents = [
-            int(stream.randint(np.asarray([i]), 0, i)[0])
-            for i in range(1, size)
-        ]
-        return (
-            np.asarray(parents, dtype=np.int64),
-            np.arange(1, size, dtype=np.int64),
-        )
+        # node, ``randint(i, 0, i)``; each draw indexed by i so the
+        # shape is O(1)-seekable.
+        heads = np.arange(1, size, dtype=np.int64)
+        return (stream.uniform(heads) * heads).astype(np.int64), heads
     raise PlantingError(
         f"unknown template kind {kind!r}; one of {TEMPLATE_KINDS}"
     )
@@ -219,18 +214,19 @@ def make_template(name, kind, size=None, edges=None, stream=None,
         raise PlantingError(
             f"plant {name!r}: template contains a self-loop"
         )
-    codes = tails * size + heads
-    if np.unique(codes).size != codes.size:
-        raise PlantingError(
-            f"plant {name!r}: template contains duplicate edges"
-        )
-    if not directed:
-        both = np.concatenate([codes, heads * size + tails])
-        if np.unique(both).size != both.size:
+    if kind == "edges":  # a grown kind never repeats an edge
+        codes = tails * size + heads
+        if np.unique(codes).size != codes.size:
             raise PlantingError(
-                f"plant {name!r}: reversed duplicate edges collapse "
-                "on an undirected edge type"
+                f"plant {name!r}: template contains duplicate edges"
             )
+        if not directed:
+            both = np.concatenate([codes, heads * size + tails])
+            if np.unique(both).size != both.size:
+                raise PlantingError(
+                    f"plant {name!r}: reversed duplicate edges "
+                    "collapse on an undirected edge type"
+                )
     tails.setflags(write=False)
     heads.setflags(write=False)
     return Template(

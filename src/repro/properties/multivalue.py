@@ -9,25 +9,15 @@ a pure function of the instance id).
 
 Weighted sampling *without replacement* is the hard case for
 batching: every pick zeroes a weight that the next pick's cdf reads,
-so draws chain within an instance.  Two vectorised strategies are
-provided:
-
-* ``method="exact"`` (default) replays the legacy sequential
-  inverse-transform draws — pick ``d`` of instance ``i`` consumes
-  ``uniform(seed_i, d)`` against ``cumsum(remaining)/sum(remaining)``
-  — but processes *all instances per round* instead of all rounds per
-  instance: round ``d`` is one ``(rows, k)`` cumsum/compare pass over
-  a chunked scratch matrix (or one compiled C loop via
-  :mod:`repro.properties._ckernel`).  Values are bit-identical to the
-  frozen legacy generator; ``tests/golden/properties/`` pins this.
-* ``method="es"`` draws Efraimidis–Spirakis keys —
-  ``u_j ** (1 / w_j)`` per (instance, value), one flat ragged pass —
-  and takes the top ``size_i`` per instance.  Identical *distribution*
-  (Efraimidis & Spirakis 2006), one vectorised pass regardless of set
-  size, but a different draw-consumption pattern, so outputs are not
-  value-compatible with ``"exact"``; use it for fresh datasets where
-  replaying existing seeds does not matter and ``k`` is small enough
-  that ``n * k`` draws beat ``n * size`` rounds.
+so draws chain within an instance.  The generator replays the legacy
+sequential inverse-transform draws — pick ``d`` of instance ``i``
+consumes ``uniform(seed_i, d)`` against
+``cumsum(remaining)/sum(remaining)`` — but processes *all instances per
+round* instead of all rounds per instance: round ``d`` is one
+``(rows, k)`` cumsum/compare pass over a chunked scratch matrix (or one
+compiled C loop via :mod:`repro.properties._ckernel`).  Values are
+bit-identical to the frozen legacy generator;
+``tests/golden/properties/`` pins this.
 
 The companion analysis function
 :func:`repro.stats.multivalue.empirical_multivalue_joint` measures the
@@ -112,51 +102,6 @@ def _exact_picks_numpy(seeds, sizes, weights):
     return codes, offsets
 
 
-def _es_picks(seeds, sizes, weights):
-    """Efraimidis–Spirakis keys: one flat pass, top-``size`` per row.
-
-    Instance ``i`` draws ``k`` uniforms (``uniform(seed_i, j)`` for
-    value ``j``) and keeps the ``size_i`` values with the largest
-    ``u ** (1 / w)`` keys — weighted sampling without replacement in a
-    single vectorised pass.
-    """
-    n = seeds.size
-    k = weights.size
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    codes = np.empty(int(offsets[-1]), dtype=np.int64)
-    if n == 0 or codes.size == 0:
-        return codes, offsets
-    position = np.arange(k, dtype=np.uint64)
-    inv_w = 1.0 / weights
-    chunk = max(1, _SCRATCH_FLOATS // max(k, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        seeds_c = seeds[lo:hi, None]
-        with np.errstate(over="ignore"):
-            bits = mix64(
-                seeds_c + (position[None, :] + np.uint64(1)) * GOLDEN_GAMMA
-            )
-        u = (bits >> np.uint64(11)).astype(np.float64)
-        u *= _DOUBLE_NORM
-        keys = u ** inv_w[None, :]
-        # Top-size_i per row: argpartition narrows to the chunk-wide
-        # top-smax candidates (its prefix is NOT ordered), then a
-        # small argsort over just those columns ranks them so a row's
-        # first size_i entries are exactly its size_i largest keys.
-        smax = int(np.max(sizes[lo:hi]))
-        candidates = np.argpartition(-keys, smax - 1, axis=1)[:, :smax]
-        ranked = np.argsort(
-            -np.take_along_axis(keys, candidates, axis=1), axis=1
-        )
-        top = np.take_along_axis(candidates, ranked, axis=1)
-        for row in range(hi - lo):
-            size = int(sizes[lo + row])
-            start = int(offsets[lo + row])
-            codes[start:start + size] = top[row, :size]
-    return codes, offsets
-
-
 class MultiValueGenerator(PropertyGenerator):
     """Generate a tuple of distinct values per instance.
 
@@ -168,10 +113,6 @@ class MultiValueGenerator(PropertyGenerator):
         set size bounds (uniform between them; default 1..3).
     exponent:
         Zipf popularity exponent over ``values`` (default 1.0).
-    method:
-        ``"exact"`` (default) replays the legacy sequential draws
-        bit-for-bit; ``"es"`` uses Efraimidis–Spirakis keys — same
-        distribution, different draw consumption (see module docs).
 
     Values within one instance are distinct; the output dtype is
     object (each cell a tuple, sorted by universe rank for
@@ -182,7 +123,7 @@ class MultiValueGenerator(PropertyGenerator):
     access = "random"
 
     def parameter_names(self):
-        return {"values", "min_size", "max_size", "exponent", "method"}
+        return {"values", "min_size", "max_size", "exponent"}
 
     def _validate_params(self):
         values = self._params.get("values")
@@ -197,9 +138,6 @@ class MultiValueGenerator(PropertyGenerator):
         exponent = self._params.get("exponent", 1.0)
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        method = self._params.get("method", "exact")
-        if method not in ("exact", "es"):
-            raise ValueError("method must be 'exact' or 'es'")
 
     def _weights(self):
         values = self._params["values"]
@@ -224,20 +162,13 @@ class MultiValueGenerator(PropertyGenerator):
         if ids.size == 0:
             return out
         seeds = pick_stream.indexed_substream_seeds(ids)
-        if self._params.get("method", "exact") == "es":
-            codes, offsets = _es_picks(seeds, sizes, weights)
-        else:
-            from ._ckernel import load_property_ckernel
+        from ._ckernel import load_property_ckernel
 
-            kernel = load_property_ckernel()
-            if kernel is not None:
-                codes, offsets = kernel.multivalue_picks(
-                    seeds, sizes, weights
-                )
-            else:
-                codes, offsets = _exact_picks_numpy(
-                    seeds, sizes, weights
-                )
+        kernel = load_property_ckernel()
+        if kernel is not None:
+            codes, offsets = kernel.multivalue_picks(seeds, sizes, weights)
+        else:
+            codes, offsets = _exact_picks_numpy(seeds, sizes, weights)
         values = list(values)
         flat = codes.tolist()
         bounds = offsets.tolist()

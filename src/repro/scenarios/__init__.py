@@ -3,16 +3,15 @@ reports.
 
 A *scenario* is a YAML/JSON recipe naming everything a workload needs —
 node/edge types with bound generators, scale anchors, export settings,
-validation thresholds.  The layer has four parts:
+validation thresholds.  The layer has three parts:
 
 * :mod:`repro.scenarios.spec` — the stdlib-only recipe parser and the
   key registry (single source of truth for validation, the CLI's
   ``describe``, and the docs reference table);
 * :mod:`repro.scenarios.compile` — lowers a recipe onto the core
   :class:`~repro.core.schema.Schema` / engine objects and derives the
-  graded audit;
-* :mod:`repro.scenarios.report` — the checks' pass/warn/fail grades
-  aggregated into one overall grade, text + JSON rendering;
+  graded audit, which :func:`~repro.validation.run_graded` runs into a
+  :class:`~repro.validation.GradedReport` (re-exported here);
 * :mod:`repro.scenarios.zoo` — the built-in recipe catalog.
 
 End-to-end::
@@ -25,8 +24,8 @@ End-to-end::
     print(report)            # graded: [pass]/[WARN]/[FAIL] + grade A–F
 """
 
+from ..validation import Grade, GradedReport, run_graded
 from .compile import CompiledScenario, compile_scenario, run_scenario
-from .report import Grade, GradedReport, run_graded
 from .spec import (
     RECIPE_FIELDS,
     Field,

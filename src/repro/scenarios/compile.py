@@ -52,9 +52,9 @@ from ..core.schema import (
 from ..validation import (
     DegreeDistributionCheck,
     UniquenessCheck,
+    run_graded,
     standard_checks,
 )
-from .report import run_graded
 from .spec import ScenarioError, ScenarioSpec
 
 __all__ = [
@@ -673,7 +673,7 @@ def run_scenario(compiled, out_dir=None, formats=None, chunk_size=None,
     Returns ``(graph, report, written)`` — the generated
     :class:`~repro.core.result.PropertyGraph` (under the plant
     overlay when the recipe declares plants), the
-    :class:`~repro.scenarios.report.GradedReport` (or ``None``), and
+    :class:`~repro.validation.GradedReport` (or ``None``), and
     the list of written export paths.
     """
     import os

@@ -7,11 +7,11 @@ from .checks import (
     DateOrderingCheck,
     DegreeDistributionCheck,
     Grade,
+    GradedReport,
     JointDistributionCheck,
     MarginalDistributionCheck,
     UniquenessCheck,
-    ValidationReport,
-    validate,
+    run_graded,
 )
 from .standard import standard_checks
 
@@ -22,10 +22,10 @@ __all__ = [
     "DateOrderingCheck",
     "DegreeDistributionCheck",
     "Grade",
+    "GradedReport",
     "JointDistributionCheck",
     "MarginalDistributionCheck",
     "UniquenessCheck",
-    "ValidationReport",
+    "run_graded",
     "standard_checks",
-    "validate",
 ]

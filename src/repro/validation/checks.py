@@ -8,30 +8,31 @@ band**: each :class:`Check` measures a
 :class:`~repro.core.result.PropertyGraph` once and grades that one
 metric against the thresholds it carries (a lenient *fail* bound, an
 optional stricter *warn* bound), returning a :class:`CheckResult` with
-a :class:`Grade`.  :func:`validate` runs a list of checks and
-aggregates a report; the scenario layer aggregates the same results
-into a letter grade (:mod:`repro.scenarios.report`).
+a :class:`Grade`.  :func:`run_graded` runs a list of checks once each
+and the :class:`GradedReport` aggregates their grades into one letter
+grade.
 
 The built-in checks cover every contract the running example states,
-so ``validate(graph, standard_checks(schema))`` is a one-call
+so ``run_graded(graph, standard_checks(schema))`` is a one-call
 post-generation audit.
 
 Examples
 --------
 >>> from repro.core import GraphGenerator
 >>> from repro.datasets import social_network_schema
->>> from repro.validation import standard_checks, validate
+>>> from repro.validation import run_graded, standard_checks
 >>> schema = social_network_schema(num_countries=8)
 >>> graph = GraphGenerator(schema, {"Person": 400}, seed=2).generate()
->>> report = validate(graph, standard_checks(schema))
+>>> report = run_graded(graph, standard_checks(schema))
 >>> report.passed
 True
 >>> print(str(report).splitlines()[-1])
-6/6 checks passed
+grade A: 6 pass, 0 warn, 0 fail
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,14 +46,14 @@ __all__ = [
     "Check",
     "CheckResult",
     "Grade",
-    "ValidationReport",
+    "GradedReport",
     "CardinalityCheck",
     "DateOrderingCheck",
     "MarginalDistributionCheck",
     "JointDistributionCheck",
     "DegreeDistributionCheck",
     "UniquenessCheck",
-    "validate",
+    "run_graded",
 ]
 
 
@@ -88,7 +89,7 @@ class CheckResult:
 
     >>> print(CheckResult("cardinality[creates]", True,
     ...                   "0 violations"))
-    [ok] cardinality[creates] (0 violations)
+    [pass] cardinality[creates] (0 violations)
     >>> warned = CheckResult("joint[knows]", Grade.WARN,
     ...                      "KS 0.4000 (threshold 0.35)", metric=0.4)
     >>> print(warned, warned.passed)
@@ -109,16 +110,13 @@ class CheckResult:
         """True unless the grade is ``FAIL`` — a warning still passes."""
         return self.grade is not Grade.FAIL
 
-    def line(self, ok="ok"):
-        """One report line; ``ok`` is the label of a ``PASS``."""
+    def __str__(self):
         label = (
-            ok if self.grade is Grade.PASS
+            self.grade.value if self.grade is Grade.PASS
             else self.grade.value.upper()
         )
         suffix = f" ({self.detail})" if self.detail else ""
         return f"[{label}] {self.name}{suffix}"
-
-    __str__ = line
 
     def to_dict(self):
         """JSON-ready dict (metric rounded for stable goldens).
@@ -138,39 +136,101 @@ class CheckResult:
 
 
 @dataclass
-class ValidationReport:
-    """Aggregated results of a validation run.
+class GradedReport:
+    """The graded results of one audit, and one letter grade for them.
 
-    >>> report = ValidationReport([
-    ...     CheckResult("a", True), CheckResult("b", False, "bad"),
-    ... ])
-    >>> report.passed
-    False
-    >>> [r.name for r in report.failures]
-    ['b']
+    Following the evidence grading of GRASP (Khalifa et al., 2019),
+    the counts map onto an overall grade:
+
+    * ``A`` — every check passed;
+    * ``B`` — no failures, at most a quarter of the checks warned;
+    * ``C`` — no failures, but more than a quarter warned;
+    * ``F`` — at least one failure.
+
+    ``passed`` is True for any grade except ``F`` — warnings degrade
+    the grade but do not fail the run.  Renders as text or JSON (the
+    artifact CI uploads).
+
+    >>> report = GradedReport("demo", seed=0, scale={"N": 10})
+    >>> report.add(CheckResult("a", Grade.PASS, "ok"))
+    >>> report.add(CheckResult("b", Grade.WARN, "close", metric=0.4))
+    >>> report.add(CheckResult("c", True))
+    >>> report.overall_grade, report.passed, report.failures
+    ('B', True, [])
     >>> print(report)
-    [ok] a
-    [FAIL] b (bad)
-    1/2 checks passed
+    scenario 'demo' (seed 0, scale N=10)
+      [pass] a (ok)
+      [WARN] b (close)
+      [pass] c
+    grade B: 2 pass, 1 warn, 0 fail
     """
 
-    results: list = field(default_factory=list)
+    scenario: str
+    seed: int = 0
+    scale: dict = field(default_factory=dict)
+    results: list[CheckResult] = field(default_factory=list)
+
+    def add(self, result):
+        self.results.append(result)
+
+    def count(self, grade):
+        """Number of results with ``grade``."""
+        return sum(1 for r in self.results if r.grade is grade)
 
     @property
-    def passed(self):
-        return all(result.passed for result in self.results)
+    def counts(self):
+        """Results per grade name, best grade first."""
+        return {grade.value: self.count(grade) for grade in Grade}
 
     @property
     def failures(self):
+        """The results graded ``FAIL``, in order."""
         return [r for r in self.results if not r.passed]
 
+    @property
+    def overall_grade(self):
+        if self.count(Grade.FAIL):
+            return "F"
+        warns = self.count(Grade.WARN)
+        if not warns:
+            return "A"
+        if warns <= max(1, len(self.results) // 4):
+            return "B"
+        return "C"
+
+    @property
+    def passed(self):
+        return self.overall_grade != "F"
+
     def __str__(self):
-        lines = [str(result) for result in self.results]
-        lines.append(
-            f"{len(self.results) - len(self.failures)}/"
-            f"{len(self.results)} checks passed"
+        scale = ", ".join(
+            f"{k}={v}" for k, v in sorted(self.scale.items())
         )
+        lines = [
+            f"scenario {self.scenario!r} (seed {self.seed}"
+            + (f", scale {scale}" if scale else "") + ")"
+        ]
+        lines += [f"  {r}" for r in self.results]
+        lines.append(f"grade {self.overall_grade}: " + ", ".join(
+            f"{count} {name}" for name, count in self.counts.items()
+        ))
         return "\n".join(lines)
+
+    def to_dict(self):
+        """JSON-ready dict — the schema of the uploaded CI artifact."""
+        return {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "scale": {k: int(v) for k, v in self.scale.items()},
+            "grade": self.overall_grade,
+            "passed": self.passed,
+            "counts": self.counts,
+            "checks": [r.to_dict() for r in self.results],
+        }
+
+    def to_json(self, indent=2):
+        """Serialise :meth:`to_dict` (stable key order)."""
+        return json.dumps(self.to_dict(), indent=indent) + "\n"
 
 
 class Check:
@@ -228,7 +288,7 @@ class CardinalityCheck(Check):
     >>> graph = GraphGenerator(schema, {"Person": 200},
     ...                        seed=2).generate()
     >>> print(CardinalityCheck("creates").run(graph))
-    [ok] cardinality[creates] (0 head nodes violate exactly-one-edge)
+    [pass] cardinality[creates] (0 head nodes violate exactly-one-edge)
     """
 
     def __init__(self, edge_name):
@@ -490,15 +550,17 @@ class UniquenessCheck(Check):
         )
 
 
-def validate(graph, checks):
-    """Run ``checks`` against ``graph`` and return the report.
+def run_graded(graph, checks, scenario="", seed=None, scale=None):
+    """Run each check once against ``graph``; returns the
+    :class:`GradedReport` (``seed`` defaults to the graph's).
 
     Checks run in order; a check that raises aborts the run (checks
     are audits of *generated* data — an exception means the graph is
     structurally broken, not merely off-spec).
-
-    >>> report = validate(None, [])
-    >>> report.passed, len(report.results)
-    (True, 0)
     """
-    return ValidationReport([check.run(graph) for check in checks])
+    return GradedReport(
+        scenario=scenario,
+        seed=graph.seed if seed is None else seed,
+        scale=dict(scale or {}),
+        results=[check.run(graph) for check in checks],
+    )

@@ -3,8 +3,13 @@ sequence calibration helpers."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+
+from repro.core import checkpoint
 
 from repro.datasets import (
     COUNTRIES,
@@ -14,11 +19,12 @@ from repro.datasets import (
     TOPICS,
     VOCABULARY,
     conditional_name_table,
-    country_joint,
     country_names,
     country_weights,
     social_network_schema,
 )
+from repro.scenarios import compile_scenario, load_zoo
+from repro.stats import homophily_joint
 from repro.structure import powerlaw_degree_sequence, solve_powerlaw_xmin
 from repro.structure.degree_sequences import expected_mean
 
@@ -66,23 +72,72 @@ class TestDictionaries:
         assert len(set(VOCABULARY)) == len(VOCABULARY)
 
 
+def _country_joint(affinity, limit=None):
+    weights = np.asarray(country_weights()[:limit], dtype=np.float64)
+    return homophily_joint(weights / weights.sum(), affinity)
+
+
 class TestCountryJoint:
-    def test_category_order_returned(self):
-        joint, names = country_joint(0.5)
-        assert joint.k == len(names)
+    """The running example's ``P'_country(X, Y)``: a homophily joint
+    over the country weights."""
+
+    def test_one_category_per_country(self):
+        assert _country_joint(0.5).k == len(country_names())
 
     def test_truncation(self):
-        joint, names = country_joint(
-            0.5, countries=country_names()[:5],
-            weights=country_weights()[:5],
-        )
-        assert joint.k == 5
-        assert names == country_names()[:5]
+        assert _country_joint(0.5, limit=5).k == 5
 
     def test_affinity_controls_diagonal(self):
-        low, _ = country_joint(0.1)
-        high, _ = country_joint(0.9)
+        low = _country_joint(0.1)
+        high = _country_joint(0.9)
         assert np.trace(high.matrix) > np.trace(low.matrix)
+
+    def test_is_the_schema_joint(self):
+        schema = social_network_schema(num_countries=8, affinity=0.3)
+        correlation = schema.edge_type("knows").correlation
+        assert list(correlation.values) == country_names()[:8]
+        np.testing.assert_array_equal(
+            correlation.joint.matrix, _country_joint(0.3, limit=8).matrix
+        )
+
+
+#: sha256 of the canonical schema, first 16 hex digits, per set of
+#: ``social_network_schema`` arguments — recorded from the hand-built
+#: schema the recipe replaced, so output bytes and the resume
+#: fingerprint of every configuration stay the same.
+SCHEMA_DIGESTS = [
+    ({}, "c5ca4496efc3e0ff"),
+    ({"num_countries": 6}, "d83fce91d5741388"),
+    ({"num_countries": 8}, "80617dd117038dc4"),
+    ({"num_countries": 10}, "7b355c0fb2394ee8"),
+    ({"num_countries": 12}, "1a8c80ce617f06a8"),
+    ({"num_countries": 16}, "86fabcdc8ea4033c"),
+    ({"num_countries": 8, "affinity": 0.1}, "810ed90094eceabe"),
+    ({"num_countries": 8, "affinity": 0.9}, "215ed22bac73a9bb"),
+    ({"num_countries": 8, "structure": "bter", "avg_know_degree": 12},
+     "8fa69d025df0948d"),
+    ({"num_countries": 8, "avg_know_degree": 8, "max_know_degree": 20},
+     "839fac9002c6e5dc"),
+]
+
+
+def _digest(schema):
+    text = json.dumps(checkpoint._canonical(schema), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestOneDefinition:
+    """The running example is the zoo recipe with overrides."""
+
+    @pytest.mark.parametrize("kwargs,digest", SCHEMA_DIGESTS)
+    def test_schema_digest(self, kwargs, digest):
+        assert _digest(social_network_schema(**kwargs)) == digest
+
+    def test_zoo_recipe_is_the_builder(self):
+        zoo = compile_scenario(load_zoo("social_network")).schema
+        builder = social_network_schema(num_countries=16,
+                                        avg_know_degree=18)
+        assert _digest(zoo) == _digest(builder) == "59c0da91503ac39e"
 
 
 class TestSchemaFactoryOptions:

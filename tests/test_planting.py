@@ -159,6 +159,18 @@ class TestTemplates:
         for a, b in t.edge_list():
             assert a < b
 
+    def test_large_tree_equals_per_node_draws(self):
+        """The one-pass grower draws what a per-node ``randint`` loop
+        draws: node ``i``'s parent is ``randint(i, 0, i)``."""
+        size = 100_000
+        t = make_template("t", "tree", size=size,
+                          stream=RandomStream(7, "tree-large"))
+        stream = RandomStream(7, "tree-large")
+        parents = [int(stream.randint(np.asarray([i]), 0, i)[0])
+                   for i in range(1, size)]
+        assert t.tails.tolist() == parents
+        assert t.heads.tolist() == list(range(1, size))
+
     def test_explicit_edges(self):
         t = make_template(
             "e", "edges", edges=[[0, 1], [1, 2], [0, 2]]

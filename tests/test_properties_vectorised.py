@@ -410,75 +410,12 @@ class TestVectorisedEqualsLegacy:
         assert list(a) == list(b)
 
 
-class TestMultiValueES:
-    """The Efraimidis–Spirakis path: same constraints + distribution,
-    different (documented) draw consumption."""
-
-    def test_sets_distinct_and_sized(self):
-        generator = MultiValueGenerator(
-            values=list("abcdefgh"), min_size=2, max_size=4,
-            method="es",
-        )
-        out = generator.run_many(
-            np.arange(500, dtype=np.int64), RandomStream(5, "es")
-        )
-        for value_set in out:
-            assert 2 <= len(value_set) <= 4
-            assert len(set(value_set)) == len(value_set)
-
-    def test_popularity_skew_preserved(self):
-        generator = MultiValueGenerator(
-            values=list("abcdefghij"), min_size=1, max_size=2,
-            exponent=1.5, method="es",
-        )
-        out = generator.run_many(
-            np.arange(3000, dtype=np.int64), RandomStream(9, "es")
-        )
-        first = sum(1 for s in out if "a" in s)
-        last = sum(1 for s in out if "j" in s)
-        assert first > 3 * last
-
-    def test_in_place_random_access(self):
-        generator = MultiValueGenerator(
-            values=list("abcdef"), min_size=1, max_size=3, method="es",
-        )
-        stream = RandomStream(2, "es")
-        full = generator.run_many(
-            np.arange(100, dtype=np.int64), stream
-        )
-        single = generator.run_many(
-            np.array([42], dtype=np.int64), stream
-        )
-        assert single[0] == full[42]
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            MultiValueGenerator(values=list("abcd"), method="bogus")
-
-    def test_sets_are_exact_top_keys_at_large_k(self):
-        """Regression: each instance must receive exactly its size_i
-        largest ES keys.  An unordered argpartition prefix silently
-        violates this once k is large enough that numpy's introselect
-        stops incidentally sorting the prefix."""
-        from repro.properties.multivalue import _es_picks
-
-        k = 2000
-        weights = np.arange(1, k + 1, dtype=np.float64)[::-1].copy()
-        stream = RandomStream(17, "es.topk")
-        ids = np.arange(64, dtype=np.int64)
-        sizes = stream.substream("size").randint(ids, 1, 1800)
-        seeds = stream.substream("picks").indexed_substream_seeds(ids)
-        codes, offsets = _es_picks(seeds, sizes, weights)
-        inv_w = 1.0 / weights
-        for j in range(ids.size):
-            size = int(sizes[j])
-            got = set(codes[offsets[j]:offsets[j + 1]].tolist())
-            u = RandomStream(int(seeds[j])).uniform(
-                np.arange(k, dtype=np.int64)
-            )
-            keys = u ** inv_w
-            expected = set(np.argsort(-keys)[:size].tolist())
-            assert got == expected, j
+class TestMultiValueParameters:
+    def test_method_is_not_a_parameter(self):
+        """One sampler: a recipe that still sets ``method`` gets the
+        generator's unexpected-parameter error."""
+        with pytest.raises(TypeError, match="unexpected parameter"):
+            MultiValueGenerator(values=list("abcd"), method="es")
 
 
 class TestTextCdfBoundary:

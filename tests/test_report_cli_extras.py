@@ -79,5 +79,5 @@ class TestCliValidate:
         code = main(["validate", "--persons", "800"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "checks passed" in out
+        assert "grade A: 6 pass, 0 warn, 0 fail" in out
         assert "FAIL" not in out

@@ -498,9 +498,9 @@ class TestStreamingProtocol:
         sink.begin(graph)
         for stem, keys in sink.files(graph.schema):
             for key in keys[:-1]:
-                sink.on_table("table", key)
+                sink.on_table(key)
             before = len(sink.written)
-            sink.on_table("table", keys[-1])
+            sink.on_table(keys[-1])
             assert [p.name for p in sink.written[before:]] == \
                 [sink.data_path(stem).name], stem
         before = len(sink.written)

@@ -13,12 +13,12 @@ from repro.validation import (
     DateOrderingCheck,
     DegreeDistributionCheck,
     Grade,
+    GradedReport,
     JointDistributionCheck,
     MarginalDistributionCheck,
     UniquenessCheck,
-    ValidationReport,
+    run_graded,
     standard_checks,
-    validate,
 )
 
 
@@ -45,14 +45,14 @@ class TestStandardChecks:
         assert "marginal[Person.sex]" in names
 
     def test_running_example_passes(self, graph, schema):
-        report = validate(graph, standard_checks(schema))
+        report = run_graded(graph, standard_checks(schema))
         assert report.passed, str(report)
 
     def test_report_string(self, graph, schema):
-        report = validate(graph, standard_checks(schema))
+        report = run_graded(graph, standard_checks(schema))
         text = str(report)
-        assert "checks passed" in text
-        assert "[ok]" in text
+        assert "grade A: 6 pass, 0 warn, 0 fail" in text
+        assert "[pass]" in text
 
 
 class TestCardinalityCheck:
@@ -293,8 +293,8 @@ class TestUniquenessCheck:
 
 class TestReportAggregation:
     def test_failures_listed(self):
-        report = ValidationReport(
-            results=[
+        report = GradedReport(
+            "s", results=[
                 CheckResult("a", True),
                 CheckResult("b", False, "boom"),
             ]
