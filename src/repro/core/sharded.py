@@ -49,7 +49,7 @@ from .structures import adopted, metadata
 from .tasks import (
     Store,
     apply_task,
-    dep_slice,
+    dep_slices,
     is_correlated,
     property_shard_values,
     site_numbers,
@@ -70,7 +70,7 @@ def _property_shard_part(spool, key, index, bound, sites, spec, task_id,
     start, stop = bound
     values = property_shard_values(
         spec, task_id, seed, start, stop,
-        [dep_slice(dep, start, stop) for dep in deps],
+        dep_slices(deps, start, stop),
     )
     return spool.save_property_part(index, key, values)
 

@@ -62,13 +62,14 @@ __all__ = [
     "align_joint",
     "apply_task",
     "correlated_tables",
-    "dep_slice",
+    "dep_slices",
     "export_task_output",
     "is_correlated",
     "match_edge",
     "matched_id_space",
     "matching_maps",
     "property_inputs",
+    "property_kernel",
     "property_refs",
     "property_shard_values",
     "property_values_at",
@@ -93,29 +94,34 @@ def property_shard_values(spec, task_id, seed, start, stop, dep_slices=()):
     ``output_dtype`` governs via its empty ``run_many`` result.  An
     all-``str`` result is a :class:`~repro.tables.StringColumn`.
     """
-    generator = create_property_generator(spec.name, **spec.params)
-    stream = RandomStream(derive_seed(seed, task_id))
+    generator, stream = property_kernel(spec, task_id, seed)
     ids = np.arange(start, stop, dtype=np.int64)
     deps = [np.asarray(col) for col in dep_slices]
     return as_strings(generator.run_many(ids, stream, *deps))
 
 
-def property_values_at(spec, task_id, seed, ids, dep_slices=()):
+def property_kernel(spec, task_id, seed):
+    """``(generator, stream)`` of one property task: what
+    :func:`property_values_at` draws with, built once by a table that
+    answers many pages."""
+    return (create_property_generator(spec.name, **spec.params),
+            RandomStream(derive_seed(seed, task_id)))
+
+
+def property_values_at(kernel, ids, dep_slices=()):
     """Values of an *arbitrary* id subset of one property table.
 
     The random-access twin of :func:`property_shard_values`: instead of
     a contiguous range, ``ids`` picks any rows, and ``dep_slices`` are
-    the dependency columns aligned with ``ids``.  Built on the PG
-    protocol's ``properties_of``, so for random-access generators the
-    result is byte-identical to gathering ``ids`` from a full run —
-    the kernel the virtual-graph serving layer answers point and page
-    queries with (see docs/serving.md).
+    the dependency columns aligned with ``ids``; ``kernel`` is the
+    task's :func:`property_kernel`.  Built on the PG protocol's
+    ``properties_of``, so for random-access generators the result is
+    byte-identical to gathering ``ids`` from a full run — the kernel
+    the virtual-graph serving layer answers point and page queries
+    with (see docs/serving.md).
     """
-    generator = create_property_generator(spec.name, **spec.params)
-    stream = RandomStream(derive_seed(seed, task_id))
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    deps = [np.asarray(col) for col in dep_slices]
-    return as_strings(generator.properties_of(ids, stream, *deps))
+    generator, stream = kernel
+    return as_strings(generator.properties_of(ids, stream, *dep_slices))
 
 
 def is_correlated(edge):
@@ -393,7 +399,7 @@ def property_inputs(schema, task, result):
 
     ``deps`` are storage-agnostic descriptors over the tables of
     ``result`` (resident, spooled, overlaid — anything answering the
-    table protocol), resolved per id range by :func:`dep_slice`:
+    table protocol), resolved per id range by :func:`dep_slices`:
     ``("range", table)`` is a column of the same owner, ``("tail" |
     "head", pt, edges)`` an endpoint property gathered through the
     final edge table so it lines up with edge ids.  Tables pickle as
@@ -412,16 +418,28 @@ def property_inputs(schema, task, result):
     ]
 
 
-def dep_slice(dep, start, stop):
-    """The rows ``[start, stop)`` of one :func:`property_inputs`
-    dependency descriptor — the one place a dependency becomes a
+def dep_slices(deps, start, stop):
+    """The rows ``[start, stop)`` of :func:`property_inputs`'
+    dependency descriptors — the one place a dependency becomes a
     column, for a single whole-table call, every shard of a spooled
-    fill and every page a served table reads."""
-    kind = dep[0]
-    if kind == "range":
-        return dep[1].read_range(start, stop)
-    tails, heads = dep[2].read_range(start, stop)
-    return dep[1].gather(tails if kind == "tail" else heads)
+    fill and every page a served table reads.  The endpoint
+    dependencies on one source table are one ``gather``, over the
+    page's tails and heads together, so a spooled source reads each of
+    its shards once per page."""
+    slices, gathers, rows = [None] * len(deps), {}, stop - start
+    for position, dep in enumerate(deps):
+        if dep[0] == "range":
+            slices[position] = dep[1].read_range(start, stop)
+        else:
+            gathers.setdefault(id(dep[1]), (dep[1], dep[2], []))[2].append(
+                (position, dep[0] == "head"))
+    for table, edges, wanted in gathers.values():
+        ends = edges.read_range(start, stop)
+        values = table.gather(
+            np.concatenate([ends[head] for _, head in wanted]))
+        for k, (position, _) in enumerate(wanted):
+            slices[position] = values[k * rows:(k + 1) * rows]
+    return slices
 
 
 def correlated_tables(edge, result):

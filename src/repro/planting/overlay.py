@@ -11,7 +11,8 @@ is wrapped:
   with the deterministic values of the appended edge ids.
 
 All three implement the table protocol of :mod:`repro.tables.ranged`
-— ``read_range`` over their base's ``read_range`` — and inherit
+— ``read_range`` over their base's ``read_range``, and the edge
+overlay its ``edge_matches`` over its base's index — and inherit
 ``iter_chunks`` / ``values`` / ``tails`` / ``heads`` from it, so they
 stack over resident and spooled bases alike.  They pickle (the overlay
 arrays are tiny; spooled bases already pickle as paths), so
@@ -82,6 +83,16 @@ class OverlayEdgeTable(EdgeRows):
         if len(parts_t) == 1:
             return parts_t[0], parts_h[0]
         return np.concatenate(parts_t), np.concatenate(parts_h)
+
+    def edge_matches(self, node_id, side):
+        """The base's index matches, then the (small) appended block's."""
+        found = self._base.edge_matches(node_id, side)
+        if found is None:
+            return None
+        ends = (self._extra_tails, self._extra_heads)
+        hits = np.flatnonzero(ends[side] == node_id)
+        return (np.concatenate([found[0], hits + self._base_len]),
+                np.concatenate([found[1], ends[1 - side][hits]]))
 
     def degrees(self):
         """Undirected degree vector (monopartite only)."""
@@ -224,7 +235,7 @@ def _appended_edge_property_values(schema, edge_name, prop,
     from the *overlay* node columns, so forced plant attributes feed
     dependent edge properties.
     """
-    from ..core.tasks import property_values_at
+    from ..core.tasks import property_kernel, property_values_at
 
     edge = schema.edge_type(edge_name)
     deps = []
@@ -239,10 +250,9 @@ def _appended_edge_property_values(schema, edge_name, prop,
     ids = np.arange(
         base_m, base_m + extra_tails.size, dtype=np.int64
     )
-    return property_values_at(
+    return property_values_at(property_kernel(
         prop.generator, f"property:{edge_name}.{prop.name}", seed,
-        ids, dep_slices=deps,
-    )
+    ), ids, dep_slices=deps)
 
 
 class PlantedGraph(PropertyGraph):

@@ -46,12 +46,18 @@ def mix64(z):
     every output bit with probability ~1/2.  ``z`` may be a Python int or
     a numpy array of ``uint64``.
     """
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _SHIFT_30)) * _MIX_MUL_1
-        z = (z ^ (z >> _SHIFT_27)) * _MIX_MUL_2
-        z = z ^ (z >> _SHIFT_31)
-    return z
+    return _mixed(np.array(z, dtype=np.uint64))
+
+
+def _mixed(z):
+    """:func:`mix64` of a uint64 array the caller owns, in place (array
+    arithmetic wraps modulo 2**64 unchecked); a 0-d one as a scalar."""
+    z ^= z >> _SHIFT_30
+    z *= _MIX_MUL_1
+    z ^= z >> _SHIFT_27
+    z *= _MIX_MUL_2
+    z ^= z >> _SHIFT_31
+    return z if z.ndim else z[()]
 
 
 def splitmix64(seed, index):
@@ -72,11 +78,11 @@ def splitmix64(seed, index):
     -------
     numpy.uint64 scalar or array of the same shape as ``index``.
     """
-    idx = np.asarray(index, dtype=np.uint64)
-    s = np.uint64(int(seed) & _U64_MASK)
-    with np.errstate(over="ignore"):
-        state = s + (idx + np.uint64(1)) * GOLDEN_GAMMA
-    return mix64(state)
+    state = np.array(index, dtype=np.uint64)
+    state += np.uint64(1)
+    state *= GOLDEN_GAMMA
+    state += np.uint64(int(seed) & _U64_MASK)
+    return _mixed(state)
 
 
 def hash_string(text, seed=0):

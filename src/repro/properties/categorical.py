@@ -14,15 +14,14 @@ The batched rewrite keeps the legacy draws bit-for-bit (same cdf, same
   cdf;
 * the conditional path factorises the dependency key columns into
   group codes (one dict probe per row — the only remaining Python
-  work), then runs one vectorised inverse transform *per distinct
-  key* instead of one scalar draw per row, a group-by over the
-  conditional table.
+  work), then draws every row in one vectorised binary search of its
+  own key's cdf, over tables built once per generator.
 
 When every value is a ``str`` the drawn codes are the output: a
 dictionary :class:`~repro.tables.StringColumn` over the encoded value
-list (for ``conditional``, over the lists of the keys drawn, back to
-back), so no row is ever a Python ``str``.  Other values keep an
-object array.
+list (for ``conditional``, over every declared key's list and the
+default's, back to back), so no row is ever a Python ``str``.  Other
+values keep an object array.
 """
 
 from __future__ import annotations
@@ -52,27 +51,33 @@ def _value_array(values):
     return _object_array(values)
 
 
-class _Factorizer(dict):
-    """Interns keys to dense codes in one C-level pass.
+def _cdf(count, weights):
+    """Cumulative normalised ``weights`` of ``count`` values (uniform
+    when ``None``)."""
+    if weights is None:
+        return np.cumsum(np.full(count, 1.0 / count))
+    w = np.asarray(weights, dtype=np.float64)
+    return np.cumsum(w / w.sum())
 
-    ``map(factorizer.__getitem__, keys)`` stays in C for every already
-    -seen key; ``__missing__`` fires once per distinct key, recording
-    first-seen order.  This is the cheapest way to factorise an object
-    key column — ``np.unique`` needs sortable objects and measures ~4x
-    slower on string columns.
+
+class _Memo(dict):
+    """``key -> resolve(key)`` over a key column in one C-level pass.
+
+    ``map(memo.__getitem__, keys)`` stays in C for every already-seen
+    key; ``__missing__`` resolves each distinct key once.  This is the
+    cheapest way to map an object key column — ``np.unique`` needs
+    sortable objects and measures ~4x slower on string columns.
     """
 
-    __slots__ = ("keys_in_order",)
+    __slots__ = ("_resolve",)
 
-    def __init__(self):
+    def __init__(self, resolve):
         super().__init__()
-        self.keys_in_order = []
+        self._resolve = resolve
 
     def __missing__(self, key):
-        code = len(self.keys_in_order)
-        self.keys_in_order.append(key)
-        self[key] = code
-        return code
+        value = self[key] = self._resolve(key)
+        return value
 
 
 def _draw_codes(cdf, u):
@@ -124,34 +129,22 @@ class CategoricalGenerator(PropertyGenerator):
                 raise ValueError("weights must be nonnegative with mass")
         self._cache = None
 
-    def _cdf(self):
-        values = self._params["values"]
-        weights = self._params.get("weights")
-        if weights is None:
-            w = np.full(len(values), 1.0 / len(values))
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            w = w / w.sum()
-        return np.cumsum(w)
+    def _weights(self):
+        return self._params.get("weights")
 
     def _tables(self):
-        """Cached ``(cdf, value_array)`` for the current parameters."""
-        values = self._params["values"]
-        key = (id(values), len(values), id(self._params.get("weights")))
-        cache = getattr(self, "_cache", None)
-        if cache is not None and cache[0] == key:
-            return cache[1], cache[2]
-        cdf = self._cdf()
-        if self.output_dtype() == np.int64:
-            arr = np.asarray(list(values), dtype=np.int64)
-        else:
-            arr = _value_array(values)
-        self._cache = (key, cdf, arr)
-        return cdf, arr
+        """``(cdf, value_array)``, built once per parameter set."""
+        if getattr(self, "_cache", None) is None:
+            values = self._params["values"]
+            self._cache = _cdf(len(values), self._weights()), (
+                np.asarray(list(values), dtype=np.int64)
+                if self.output_dtype() == np.int64 else _value_array(values)
+            )
+        return self._cache
 
     def run_many(self, ids, stream, *dependency_arrays):
-        if "values" not in self._params:
-            raise ValueError("CategoricalGenerator needs 'values'")
+        if self._params.get("values") is None:
+            raise ValueError(f"{type(self).__name__} needs 'values'")
         ids = np.asarray(ids, dtype=np.int64)
         cdf, values_arr = self._tables()
         return _decode(
@@ -194,12 +187,16 @@ class ConditionalGenerator(PropertyGenerator):
         if table is not None:
             if not isinstance(table, dict) or not table:
                 raise ValueError("table must be a non-empty dict")
-            for key, pair in table.items():
+            pairs = list(table.items())
+            if self._params.get("default") is not None:
+                pairs.append(("default", self._params["default"]))
+            for key, pair in pairs:
                 values, weights = pair
                 if len(values) == 0:
                     raise ValueError(f"key {key!r}: empty value list")
                 if weights is not None and len(weights) != len(values):
                     raise ValueError(f"key {key!r}: weights misaligned")
+        self._compiled = None
 
     def num_dependencies(self):
         return None  # determined by the schema declaration
@@ -222,15 +219,30 @@ class ConditionalGenerator(PropertyGenerator):
             )
         return default
 
-    def _group(self, key):
-        """``(values, cdf)`` for one (normalised) dependency key."""
-        values, weights = self._lookup(key)
-        if weights is None:
-            w = np.full(len(values), 1.0 / len(values))
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            w = w / w.sum()
-        return values, np.cumsum(w)
+    def _tables(self):
+        """Every declared key's draw, built once per parameter set:
+        ``(group_of, starts, cdf, vocabulary)``.
+
+        Group ``g`` — a key of ``table`` in declaration order, then
+        ``default`` — owns entries ``starts[g]:starts[g + 1]`` of the
+        flat ``cdf`` (its own cumulative weights, one ``+inf`` sentinel
+        after the last group) and of the vocabulary: a
+        :class:`~repro.tables.StringColumn` when every value is a
+        ``str``, else an object array.  Threads that race here build
+        equal tables, and either one is kept.
+        """
+        if self._compiled is None:
+            table = self._params["table"]
+            groups = [*table.values(), self._params.get("default")]
+            groups = [pair for pair in groups if pair is not None]
+            cdfs = [_cdf(len(values), weights) for values, weights in groups]
+            self._compiled = (
+                {key: g for g, key in enumerate(table)},
+                np.array([0, *accumulate(map(len, cdfs))]),
+                np.concatenate(cdfs + [[np.inf]]),
+                _value_array([v for values, _ in groups for v in values]),
+            )
+        return self._compiled
 
     def run_many(self, ids, stream, *dependency_arrays):
         if "table" not in self._params:
@@ -240,57 +252,41 @@ class ConditionalGenerator(PropertyGenerator):
                 "ConditionalGenerator requires at least one dependency"
             )
         ids = np.asarray(ids, dtype=np.int64)
-        u = stream.uniform(ids)
+        group_of, starts, cdf, vocabulary = self._tables()
         columns = [np.asarray(dep) for dep in dependency_arrays]
-        # Factorise rows by dependency key, then all rows of a key
-        # share one vectorised draw.  The whole pass runs in C:
-        # map(dict.__getitem__) over a (tuple-reusing) zip, with
-        # __missing__ interning each distinct key once.
         if len(columns) == 1:
             keys = iter(columns[0].tolist())
         else:
             keys = zip(*(col.tolist() for col in columns))
-        factorizer = _Factorizer()
-        key_codes = np.fromiter(
-            map(factorizer.__getitem__, keys),
-            dtype=np.int64,
-            count=ids.size,
-        )
-        groups = [
-            self._group(key) for key in factorizer.keys_in_order
-        ]
-        # Over ``str`` values the rows are codes into the drawn keys'
-        # value lists, back to back; otherwise the values themselves.
-        flat = [value for values, _ in groups for value in values]
-        vocabulary = None
-        if all(isinstance(value, str) for value in flat):
-            vocabulary = StringColumn.from_strings(flat, keep=True)
-            starts = accumulate((len(v) for v, _ in groups), initial=0)
-            tables = [np.arange(a, a + len(values), dtype=np.int32)
-                      for a, (values, _) in zip(starts, groups)]
-        else:
-            tables = [_object_array(values) for values, _ in groups]
-        out = np.empty(
-            ids.size, dtype=self.output_dtype() if vocabulary is None
-            else np.int32
-        )
-        if len(groups) == 1:
-            np.take(tables[0], _draw_codes(groups[0][1], u), out=out)
-        elif groups:
-            order = np.argsort(key_codes, kind="stable")
-            bounds = np.searchsorted(
-                key_codes[order], np.arange(len(groups) + 1)
-            )
-            for gi, (_, cdf) in enumerate(groups):
-                rows = order[bounds[gi]:bounds[gi + 1]]
-                if rows.size:
-                    out[rows] = tables[gi][_draw_codes(cdf, u[rows])]
-        if vocabulary is None:
-            return out
-        return vocabulary.with_codes(out)
+
+        def group(key):
+            found = group_of.get(self._normalise_key(key))
+            if found is None:
+                self._lookup(key)  # a KeyError unless there is a default
+                found = len(group_of)
+            return found
+
+        groups = np.fromiter(map(_Memo(group).__getitem__, keys),
+                             dtype=np.int64, count=ids.size)
+        # One inverse transform for every row at once: a binary search
+        # of each row's own group of ``cdf`` for its first entry above
+        # ``u`` — ``searchsorted(side="right")`` — then the legacy
+        # ``min(code, len - 1)`` clamp (see ``_draw_codes``).
+        u = stream.uniform(ids)
+        lo, hi = starts[groups], starts[groups + 1]
+        last = hi - 1
+        for _ in range(int(np.diff(starts).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            right = (cdf[mid] <= u) & (lo < hi)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        codes = np.minimum(lo, last, out=lo)
+        if isinstance(vocabulary, StringColumn):
+            return vocabulary.with_codes(codes)
+        return np.take(vocabulary, codes).astype(self.output_dtype())
 
 
-class WeightedDictGenerator(PropertyGenerator):
+class WeightedDictGenerator(CategoricalGenerator):
     """Zipf-weighted draws from a (possibly large) dictionary.
 
     A common benchmark idiom: topics/interests follow a rank-skewed
@@ -306,7 +302,6 @@ class WeightedDictGenerator(PropertyGenerator):
     """
 
     name = "weighted_dict"
-    access = "random"
 
     def parameter_names(self):
         return {"values", "exponent"}
@@ -320,26 +315,10 @@ class WeightedDictGenerator(PropertyGenerator):
             raise ValueError("exponent must be positive")
         self._cache = None
 
-    def _tables(self):
-        values = self._params["values"]
+    def _weights(self):
         exponent = float(self._params.get("exponent", 1.0))
-        key = (id(values), len(values), exponent)
-        cache = getattr(self, "_cache", None)
-        if cache is not None and cache[0] == key:
-            return cache[1], cache[2]
-        ranks = np.arange(1, len(values) + 1, dtype=np.float64)
-        weights = ranks ** (-exponent)
-        cdf = np.cumsum(weights / weights.sum())
-        arr = _value_array(values)
-        self._cache = (key, cdf, arr)
-        return cdf, arr
+        count = len(self._params["values"])
+        return np.arange(1, count + 1, dtype=np.float64) ** (-exponent)
 
-    def run_many(self, ids, stream, *dependency_arrays):
-        values = self._params.get("values")
-        if values is None:
-            raise ValueError("WeightedDictGenerator needs 'values'")
-        ids = np.asarray(ids, dtype=np.int64)
-        cdf, values_arr = self._tables()
-        return _decode(
-            values_arr, cdf, stream.uniform(ids), self.output_dtype()
-        )
+    def output_dtype(self):
+        return np.dtype(object)

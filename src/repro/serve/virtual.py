@@ -22,16 +22,18 @@ of ``(seed, indices)``:
   O(page + chunk);
 * **edge properties** — the same PG kernel, with ``tail.x``/``head.x``
   dependencies *recomputed* at the page's endpoint ids
-  (:func:`~repro.core.tasks.dep_slice`);
+  (:func:`~repro.core.tasks.dep_slices`);
 * **neighbourhoods / edge-existence** — the bounded page scan of
   :class:`~repro.tables.ranged.EdgeRows` (O(m) compute, O(chunk)
-  memory).
+  memory), or for a spooled table below, its spilled
+  :class:`~repro.serve.tables.NeighbourIndex` (O(log m + degree)).
 
 The two global stages the sharded executor has fall back to a
 documented **spooled** mode, decided by the same code: a sequential
 structure generator's table is materialised once, and a correlated
 (SBM-Part) matching's final table computed once at first touch; both
-are spilled and paged from disk.  :meth:`VirtualGraph.classification`
+are spilled and paged from disk, with a neighbourhood index beside
+them.  :meth:`VirtualGraph.classification`
 says which mode each edge type is in and why — the protocol flag
 surfaced to clients.
 
@@ -65,9 +67,10 @@ class _VirtualStore(Store):
     """Tables that hold no rows: structure handles are opened now and
     every table is lazy."""
 
-    def __init__(self, spool, memo):
+    def __init__(self, spool, memo, access_mode):
         self._spool = spool
         self._memo = memo
+        self._access_mode = access_mode
 
     def structure(self, name, open_handle):
         return open_handle(
@@ -81,10 +84,13 @@ class _VirtualStore(Store):
 
     def edges(self, name, structure, id_space, build):
         # The matching state is built at first touch, and always
-        # spilled, so query-time allocation stays O(page + chunk).
+        # spilled, so query-time allocation stays O(page + chunk); so
+        # is a spooled table's neighbourhood index.
         spill = self._spool.spiller(f"match.{name}")
+        spooled = self._access_mode(name)[0] == "spooled"
         return DeferredEdges(
-            structure, id_space, lambda: build(spill)[0], self._memo
+            structure, id_space, lambda: build(spill)[0], self._memo,
+            (spill, self._spool.shard_rows) if spooled else None,
         ), None
 
 
@@ -128,7 +134,7 @@ class VirtualGraph:
         self._structures = {}
         self._base = PropertyGraph(self.schema, self.seed)
         self.node_counts = self._base.node_counts
-        store = _VirtualStore(self._spool, self._memo)
+        store = _VirtualStore(self._spool, self._memo, self._access_mode)
         try:
             walk(
                 build_task_graph(
@@ -272,15 +278,16 @@ class VirtualGraph:
     def neighbors_of(self, name, node_id, direction="both"):
         """Neighbours of one (final) node id over edge type ``name``:
         :meth:`~repro.tables.ranged.EdgeRows.neighbors_of` on the final
-        edge pages, so injected plant edges are seen and a node id
-        outside the endpoint type's range is an ``IndexError``."""
+        edges (a spooled type's index, else the page scan), so injected
+        plant edges are seen and a node id outside the endpoint type's
+        range is an ``IndexError``."""
         return self.graph.edges(name).neighbors_of(
             node_id, direction, self.chunk_rows
         )
 
     def edge_exists(self, name, src, dst):
         """Does the final edge ``src -> dst`` exist (either orientation
-        for undirected edge types)?  Scans the appended plant block
+        for undirected edge types)?  Sees the appended plant block
         too, so injected template edges are visible."""
         return self.graph.edges(name).edge_exists(src, dst, self.chunk_rows)
 

@@ -8,8 +8,9 @@ stop)`` (value rows for a PT, ``(tails, heads)`` for an ET; bounds
 checked with :meth:`check_range`) and inherits the rest from
 :class:`PropertyRows` / :class:`EdgeRows`:
 chunk iteration, the lazy ``values`` / ``tails`` / ``heads`` columns,
-materialisation, the neighbour / existence scans.  The chunk writers,
-the property-dependency slicer and the serving pages consume nothing
+materialisation, the neighbour / existence scans (or an index's
+lookups: :meth:`EdgeRows.edge_matches`).  The chunk writers, the
+property-dependency slicer and the serving pages consume nothing
 else, so storage is the only thing a new backend has to decide.
 """
 
@@ -139,18 +140,33 @@ class EdgeRows(_Rows):
         """The whole head column (whole-table consumers only)."""
         return self.read_range(0, len(self))[1]
 
+    def edge_matches(self, node_id, side):
+        """``(edge_ids, other endpoints)`` of the edges whose tail
+        (``side`` 0) or head (1) is ``node_id``, in edge-id order, from
+        the table's index; ``None`` without one (the scans stand)."""
+        return None
+
     def neighbors_of(self, node_id, direction="both",
                      chunk_rows=SCAN_ROWS):
-        """Neighbours of one node, in edge-id order: a bounded scan of
-        the pages (O(m) compute, O(``chunk_rows``) memory).
+        """Neighbours of one node, in edge-id order: from the table's
+        index (:meth:`edge_matches`, O(log m + degree)), else a bounded
+        scan of the pages (O(m) compute, O(``chunk_rows``) memory).
 
         ``"out"`` collects the heads of edges whose tail is the node,
         ``"in"`` the tails of edges whose head is it, ``"both"`` the
-        out-matches then the in-matches of each page, a self-loop
-        counting once.  A node outside the id space it is looked up in
-        (tails for ``"out"``, heads for ``"in"``, either for
-        ``"both"``) is an ``IndexError``, raised before scanning; an
-        isolated node inside it has an empty neighbourhood.
+        out-matches then the in-matches of each ``chunk_rows`` page, a
+        self-loop counting once — an order the index keeps.  A node
+        outside the id space it is looked up in (tails for ``"out"``,
+        heads for ``"in"``, either for ``"both"``) is an
+        ``IndexError``, raised before any lookup; an isolated node
+        inside it has an empty neighbourhood.
+
+        >>> from repro.tables import EdgeTable
+        >>> table = EdgeTable("t", [0, 2, 1, 0], [1, 0, 1, 0], directed=True)
+        >>> table.neighbors_of(0, "both", chunk_rows=2).tolist()
+        [1, 2, 0]
+        >>> table.neighbors_of(0, "both", chunk_rows=4).tolist()
+        [1, 0, 2]
         """
         if direction not in ("out", "in", "both"):
             raise ValueError(
@@ -165,6 +181,17 @@ class EdgeRows(_Rows):
                 f"ET {self.name!r}: node id {node_id} out of range "
                 f"[0, {space}) for direction {direction!r}"
             )
+        found = [self.edge_matches(node_id, side) for side in
+                 {"out": (0,), "in": (1,), "both": (0, 1)}[direction]]
+        if None not in found:
+            if len(found) == 1:
+                return found[0][1]
+            (out_ids, out_others), (in_ids, in_others) = found
+            keep = in_others != node_id  # a self-loop counts once
+            # Page by page (a stable sort), out- then in-matches.
+            pages = np.concatenate([out_ids, in_ids[keep]]) // chunk_rows
+            return np.concatenate([out_others, in_others[keep]])[
+                np.argsort(pages, kind="stable")]
         found = [np.empty(0, dtype=np.int64)]
         for _, tails, heads in self.iter_chunks(chunk_rows):
             if direction != "in":
@@ -178,9 +205,14 @@ class EdgeRows(_Rows):
 
     def edge_exists(self, src, dst, chunk_rows=SCAN_ROWS):
         """Is there an edge ``src -> dst`` (either orientation when
-        undirected)?  The same bounded scan, stopping at the first
+        undirected)?  The index's out-matches of ``src`` (and of
+        ``dst``), else the same bounded scan, stopping at the first
         hit."""
         src, dst = int(src), int(dst)
+        out = self.edge_matches(src, 0)
+        if out is not None:
+            return dst in out[1] or (
+                not self.directed and src in self.edge_matches(dst, 0)[1])
         for _, tails, heads in self.iter_chunks(chunk_rows):
             hit = (tails == src) & (heads == dst)
             if not self.directed:

@@ -410,6 +410,82 @@ class TestVectorisedEqualsLegacy:
         assert list(a) == list(b)
 
 
+
+def _conditional_reference(generator, ids, stream, *deps):
+    """The conditional draw row by row: the row's ``(values,
+    weights)`` from ``_lookup``, an inverse transform through its cdf
+    with ``searchsorted(side="right")``, then the ``len - 1`` clamp."""
+    out = []
+    for key, u in zip(zip(*(list(dep) for dep in deps)),
+                      stream.uniform(ids)):
+        values, weights = generator._lookup(key)
+        w = (np.full(len(values), 1.0 / len(values)) if weights is None
+             else np.asarray(weights, dtype=np.float64))
+        cdf = np.cumsum(w / w.sum())
+        code = int(np.searchsorted(cdf, u, side="right"))
+        out.append(values[min(code, len(values) - 1)])
+    return out
+
+
+class TestConditionalDraw:
+    """``conditional`` draws every row of a page in one pass over
+    tables built once per instance; the values are the per-row
+    inverse transform's."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(0, 120),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        with_default=st.booleans(),
+        pairs=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_row_reference(self, seed, n, sizes,
+                                          with_default, pairs):
+        rng = np.random.default_rng(seed)
+        keys = [(f"c{i}", "f") if pairs else f"c{i}"
+                for i in range(len(sizes))]
+        table = {key: ([f"{i}v{j}" for j in range(size)],
+                       None if i % 3 == 0 else rng.uniform(0.1, 5, size))
+                 for i, (key, size) in enumerate(zip(keys, sizes))}
+        params = dict(table=table)
+        if with_default:
+            params["default"] = (["fallback", "other"], [1, 3])
+            keys = keys + [("unseen", "f") if pairs else "unseen"]
+        rows = [keys[int(i)] for i in rng.integers(0, len(keys), n)]
+        deps = [np.array([row[d] for row in rows] if pairs else rows,
+                         dtype=object) for d in range(1 + pairs)]
+        ids = rng.permutation(1000)[:n].astype(np.int64)
+        stream = RandomStream(seed, "hyp.cond")
+        generator = create_property_generator("conditional", **params)
+        got = generator.run_many(ids, stream, *deps)
+        assert list(got) == _conditional_reference(
+            generator, ids, stream, *deps)
+
+    def test_unseen_key_without_default_keeps_its_error(self):
+        generator = create_property_generator(
+            "conditional", table={"a": (["x"], None)})
+        with pytest.raises(
+                KeyError,
+                match="no conditional entry for 'unseen' and no default"):
+            generator.run_many(
+                np.arange(3), RandomStream(1, "t"),
+                np.array(["a", "unseen", "a"], dtype=object))
+
+    def test_calls_over_other_keys_equal_fresh_instances(self):
+        params = dict(
+            table={key: ([f"{key}{j}" for j in range(4)], [4, 3, 2, 1])
+                   for key in "abcd"},
+            default=(["z"], None))
+        shared = create_property_generator("conditional", **params)
+        stream = RandomStream(5, "t")
+        for keys in ("ab", "cdq", "dbaq"):
+            dep = np.array(list(keys) * 7, dtype=object)
+            ids = np.arange(dep.size, dtype=np.int64) * 3
+            fresh = create_property_generator("conditional", **params)
+            assert list(shared.run_many(ids, stream, dep)) == list(
+                fresh.run_many(ids, stream, dep))
+
 class TestMultiValueParameters:
     def test_method_is_not_a_parameter(self):
         """One sampler: a recipe that still sets ``method`` gets the

@@ -14,7 +14,9 @@ underneath it.
 from __future__ import annotations
 
 import json
+import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +366,47 @@ class TestMatchingStateIsSpilled:
         assert not list((spool / "scratch").glob("match.knows.*"))
         result.cleanup()
 
+
+
+def test_edge_property_shards_read_each_endpoint_shard_once(
+        monkeypatch, tmp_path):
+    """An edge-property shard gathers its tail and head dependencies on
+    one source table in one ``gather``: each source shard is read at
+    most once per shard job (``knows.creationDate`` depends on both
+    endpoints' ``Person.creationDate``)."""
+    from repro.core import sharded
+    from repro.io import spool as spool_module
+
+    job, reads = threading.local(), Counter()
+    read_part, shard_part = (spool_module._read_part,
+                             sharded._property_shard_part)
+
+    def counted(path, columns):
+        if getattr(job, "key", None) is not None:
+            reads[job.key, Path(path).name] += 1
+        return read_part(path, columns)
+
+    def labelled(spool, key, index, *args):
+        job.key = key, index
+        try:
+            return shard_part(spool, key, index, *args)
+        finally:
+            job.key = None
+
+    monkeypatch.setattr(spool_module, "_read_part", counted)
+    monkeypatch.setattr(sharded, "_property_shard_part", labelled)
+    compiled = compile_scenario(load_zoo("social_network"),
+                                scale={"Person": 20_000})
+    GraphGenerator(
+        compiled.schema, compiled.scale, seed=compiled.seed
+    ).generate(options=RunOptions(
+        shard_rows=16_384, workers=2, backend="thread",
+        spool_dir=tmp_path / "spool",
+    )).cleanup()
+    gathered = [part for (key, part) in reads
+                if key[0] == "knows.creationDate"]
+    assert "Person.creationDate.00001" in gathered
+    assert max(reads.values()) == 1, reads.most_common(3)
 
 def test_spool_lifecycle_clean_under_resource_warnings(tmp_path):
     """A full sharded run + materialise + cleanup closes every mmap
