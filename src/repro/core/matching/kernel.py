@@ -33,13 +33,15 @@ Stream preparation
 ------------------
 :func:`prepare_match_stream` checks that the arrival order is a
 permutation and builds the CSR adjacency with
-:meth:`~repro.tables.EdgeTable.adjacency_csr`, which orders the 2m
-endpoints with :func:`~repro.tables.bucket_order` (a stable 16-bit LSD
-radix order: one pass for n <= 65 536) instead of an O(m log m)
-comparison sort.  The bipartite stream builds its two one-sided CSRs
-with :func:`~repro.tables.csr_arrays`.  Around the placement, the
-PT-row mapping and the achieved mixing matrix are linear too (bucket
-orders and one ``np.bincount``).
+:meth:`~repro.tables.EdgeTable.adjacency_csr`: one compiled counting
+scatter over the m edges (tail sides, then head sides, each in
+edge-id order), with no concatenated or sorted endpoint array.  Its
+numpy twin orders the 2m endpoints with a stable
+:func:`~repro.tables.bucket_order` and gathers, to the same bytes.
+The bipartite stream builds its two one-sided CSRs with
+:func:`~repro.tables.csr_arrays`, the same scatter.  Around the
+placement, the PT-row mapping and the achieved mixing matrix are
+linear too (bucket orders and one ``np.bincount``).
 
 Tie handling
 ------------

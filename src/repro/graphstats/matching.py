@@ -132,15 +132,6 @@ def _prune(candidates, t_tails, t_heads, tails, heads, n, directed):
     return rounds
 
 
-def _adjacency_csr(tails, heads, n, directed):
-    """Neighbour lists in CSR form (symmetrised when undirected)."""
-    if directed:
-        return csr_arrays(tails, heads, n)
-    return csr_arrays(
-        np.concatenate([tails, heads]), np.concatenate([heads, tails]), n
-    )
-
-
 def _match_order(t_tails, t_heads, size, counts):
     """Template-node visit order: smallest candidate set first, then
     greedily extend along template edges."""
@@ -201,9 +192,9 @@ def match_template(query, tails, heads, num_nodes, max_matches=None):
     counts = [int(mask.sum()) for mask in candidates]
 
     # 4. backtracking enumeration
-    starts, neigh = _adjacency_csr(tails, heads, n, directed)
+    starts, neigh = csr_arrays(tails, heads, n, symmetric=not directed)
     if directed:
-        r_starts, r_neigh = _adjacency_csr(heads, tails, n, True)
+        r_starts, r_neigh = csr_arrays(heads, tails, n)
     else:
         r_starts, r_neigh = starts, neigh
     order = _match_order(t_tails, t_heads, size, counts)

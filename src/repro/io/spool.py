@@ -363,8 +363,9 @@ class SpoolSpill:
         )
 
     def seal(self, name, array):
-        """Flush + close a created memmap; reopen it as a read view."""
-        array.flush()
+        """Close a created memmap; reopen it as a read view.  No
+        ``msync``: scratch is regenerated on resume, never recorded,
+        and worker processes map the same page cache."""
         handle = getattr(array, "_mmap", None)
         if handle is not None:
             handle.close()
@@ -1020,10 +1021,13 @@ class SortedRuns:
         pass and an emission pass can both merge.
         """
         self.flush()
+        # Half a run over all buffers: a step emits at most about what
+        # they hold, so the merge's transient stays below one run's.
         return merge_sorted_runs(
             self._runs,
-            block_rows or max(self.run_rows // max(len(self._runs), 1),
-                              1024),
+            block_rows or max(
+                self.run_rows // (2 * max(len(self._runs), 1)), 1024
+            ),
             unique=self.unique,
         )
 
@@ -1082,11 +1086,11 @@ def dedup_first_occurrence(spill, prefix, blocks, run_rows):
 def merge_sorted_runs(runs, block_rows, unique=False):
     """Vectorised k-way merge of individually sorted runs.
 
-    Loads one bounded block per run and repeatedly emits everything
-    strictly below the *cut* — the smallest last-loaded primary among
-    runs with unloaded data — so each emitted block is final: no later
-    record can sort before it, and (in ``unique`` mode) no duplicate
-    primary spans two emitted blocks.  Runs are as
+    Keeps up to one block of each run loaded and repeatedly emits
+    everything strictly below the *cut* — the smallest last-loaded
+    primary among runs with unloaded data — so each emitted block is
+    final: no later record can sort before it, and (in ``unique``
+    mode) no duplicate primary spans two emitted blocks.  Runs are as
     :meth:`SortedRuns.flush` spills them — in ``unique`` mode already
     free of duplicates — so a single run is paged as it is.
     """
@@ -1123,9 +1127,11 @@ def merge_sorted_runs(runs, block_rows, unique=False):
         entry[0] = hi
 
     while state:
+        # Top every buffer up to a block, so each step emits about a
+        # block per run rather than one block in all.
         for entry in state:
-            if entry[3].size == 0 and entry[0] < len(entry[1]):
-                load(entry, block_rows)
+            if entry[3].size < block_rows and entry[0] < len(entry[1]):
+                load(entry, block_rows - entry[3].size)
         state = [e for e in state if e[3].size]
         if not state:
             return

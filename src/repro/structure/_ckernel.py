@@ -1,4 +1,5 @@
-"""Optional compiled stub pairing for the configuration-model family.
+"""Optional compiled stub pairing for the configuration-model family,
+and the counting scatter behind every CSR.
 
 ``pair_stubs_with_repair`` and LFR's two loops on top of it are
 sequential by construction — a round re-pairs the deficit the previous
@@ -25,9 +26,15 @@ the oracle ``tests/test_structure_kernel.py`` compares against):
   nothing either);
 * the Fenwick total is carried as a running sum.
 
-Every entry point answers ``None`` instead of a result when the input
-is one the Python body rejects or an allocation fails, so callers fall
-through to that body and its errors.
+The stub-pairing entry points answer ``None`` instead of a result when
+the input is one the Python body rejects or an allocation fails, so
+callers fall through to that body and its errors.
+
+``csr_fill`` builds :func:`repro.tables.csr_arrays`: one pass counting
+degrees, one prefix sum, one scatter in input order — a stable
+counting sort, so equal to its twin's ``bincount`` + ``bucket_order``
++ gather.  With its ``both`` flag it scatters the reversed pairs as a
+second half, so an undirected CSR needs no concatenated endpoints.
 """
 
 from __future__ import annotations
@@ -145,6 +152,39 @@ int64_t pair_stubs_with_repair(
     int64_t m = repair(degrees, n, seed, rounds, &w, NULL, out);
     work_free(&w);
     return m;
+}
+
+/* CSR of the pairs src[i] -> dst[i] (i < m) over nodes [0, n) and,
+   with `both` set, of the reversed pairs dst[i] -> src[i] after them:
+   each node's neighbours in that input order.  indptr takes n + 1
+   slots, neighbors m (2m with `both`).  One pass counts degrees into
+   indptr and returns -1 at the first id outside [0, n), before any
+   neighbour is written; then one prefix sum turns the counts into
+   row starts, the scatter advances each to its row's end, and a shift
+   makes the ends the row pointer.  Returns 0. */
+int64_t csr_fill(const int64_t *src, const int64_t *dst, int64_t m,
+                 int64_t n, int64_t both, int64_t *indptr,
+                 int64_t *neighbors)
+{
+    const int64_t *ends[2] = {src, dst}, *others[2] = {dst, src};
+    int64_t halves = both ? 2 : 1;
+    memset(indptr, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (int64_t h = 0; h < halves; ++h)
+        for (int64_t i = 0; i < m; ++i) {
+            if ((uint64_t)ends[h][i] >= (uint64_t)n) return -1;
+            indptr[ends[h][i]] += 1;
+        }
+    for (int64_t v = 0, start = 0; v <= n; ++v) {
+        int64_t count = indptr[v];
+        indptr[v] = start;
+        start += count;
+    }
+    for (int64_t h = 0; h < halves; ++h)
+        for (int64_t i = 0; i < m; ++i)
+            neighbors[indptr[ends[h][i]]++] = others[h][i];
+    memmove(indptr + 1, indptr, (size_t)n * sizeof(int64_t));
+    indptr[0] = 0;
+    return 0;
 }
 
 /* LFR's intra-community pass: community c holds the nodes
@@ -305,6 +345,19 @@ class _StructureCKernel:
             seed, assignment,
         )
         return None if status else assignment
+
+    def csr_fill(self, src, dst, num_nodes, symmetric):
+        """:func:`~repro.tables.csr_arrays` of int64 ``src`` / ``dst``
+        of one length, every counted id already checked in ``[0,
+        num_nodes)``."""
+        indptr = np.empty(num_nodes + 1, dtype=np.int64)
+        neighbors = np.empty(src.size * (1 + symmetric), dtype=np.int64)
+        if self._lib.csr_fill(src, dst, src.size, num_nodes,
+                              int(symmetric), indptr, neighbors):
+            raise ValueError(
+                f"node ids must lie in [0, num_nodes) = [0, {num_nodes})"
+            )
+        return indptr, neighbors
 
 
 #: One compile attempt per process; ``None`` on any failure.

@@ -38,13 +38,42 @@ def bucket_order(keys, num_buckets):
     return order
 
 
-def csr_arrays(src, dst, num_nodes):
-    """CSR ``(indptr, neighbors)`` of the pairs ``src[i] -> dst[i]``.
+def csr_arrays(src, dst, num_nodes, symmetric=False):
+    """CSR ``(indptr, neighbors)`` of the pairs ``src[i] -> dst[i]``,
+    and with ``symmetric`` also of the reversed pairs after them.
 
     ``neighbors[indptr[v]:indptr[v + 1]]`` lists the ``dst`` of every
-    pair leaving ``v``, in input order; every ``src`` lies in
-    ``[0, num_nodes)``.
+    pair leaving ``v`` in input order (then, with ``symmetric``, the
+    ``src`` of every pair entering it); both arrays are int64.  Every
+    ``src`` (and with ``symmetric`` every ``dst``) must lie in ``[0,
+    num_nodes)``: anything else is a ``ValueError``.
+
+    Built in O(m + n) by the compiled counting scatter of
+    :mod:`repro.structure._ckernel`; its numpy twin, run under
+    ``REPRO_NO_CKERNEL`` or without a compiler, is ``bincount`` + a
+    stable :func:`bucket_order` + a gather.
+
+    >>> [a.tolist() for a in csr_arrays([1, 0, 1], [2, 1, 0], 3)]
+    [[0, 1, 3, 3], [1, 2, 0]]
     """
+    # repro.structure imports this module: bind the loader at call time.
+    from ..structure import _ckernel
+
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ValueError("src and dst must be 1-d and of one length")
+    for ids in (src, dst) if symmetric else (src,):
+        # Negative ids wrap to values >= num_nodes: one max checks both.
+        if ids.size and ids.view(np.uint64).max() >= num_nodes:
+            raise ValueError(
+                f"node ids must lie in [0, num_nodes) = [0, {num_nodes})"
+            )
+    kernel = _ckernel.load_structure_ckernel()
+    if kernel is not None:
+        return kernel.csr_fill(src, dst, num_nodes, symmetric)
+    if symmetric:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
     return indptr, dst[bucket_order(src, num_nodes)]
@@ -190,12 +219,10 @@ class EdgeTable(EdgeRows):
         Both endpoints index each edge, so every edge appears twice (once
         per direction).  A node's neighbours are listed as its tail-side
         edges in edge-id order, then its head-side edges in edge-id
-        order.  Built in O(m) by :func:`csr_arrays`.
+        order.  Built in O(m + n) by :func:`csr_arrays`.
         """
         return csr_arrays(
-            np.concatenate([self.tails, self.heads]),
-            np.concatenate([self.heads, self.tails]),
-            self.num_nodes,
+            self.tails, self.heads, self.num_nodes, symmetric=True
         )
 
     # -- transformations -------------------------------------------------------

@@ -118,6 +118,34 @@ class TestSortedRuns:
             assert all(s is None for _, s in blocks)
         runs.cleanup()
 
+    @pytest.mark.parametrize("unique", [False, True])
+    @pytest.mark.parametrize("num_runs", [2, 8, 32, 62])
+    def test_block_count_is_linear_in_the_runs(self, num_runs, unique):
+        """Every buffer is topped up to a block before each cut, so a
+        step emits about a block per run: ``R`` random runs at
+        ``run_rows // R`` rows a block merge in at most ``2R + 2``
+        blocks (a buffer refilled only when empty made that ~``R²``),
+        and the blocks still concatenate to the full sort."""
+        rng = np.random.default_rng(num_runs)
+        rows = 4_096 * num_runs
+        primary = rng.integers(0, rows // 2, size=rows)
+        secondary = rng.permutation(rows)
+        runs = SortedRuns(IN_MEMORY, "r", 4_096, unique=unique)
+        for lo in range(0, rows, 4_096):
+            runs.push(primary[lo:lo + 4_096], secondary[lo:lo + 4_096])
+        assert len(runs) == num_runs
+        blocks = list(runs.merge(block_rows=4_096 // num_runs))
+        assert len(blocks) <= 2 * num_runs + 2
+        got_p = np.concatenate([p for p, _ in blocks])
+        got_s = np.concatenate([s for _, s in blocks])
+        order = np.lexsort((secondary, primary))
+        if unique:
+            # Sorted by (primary, secondary): the first record of each
+            # primary holds its smallest secondary.
+            order = order[np.unique(primary[order], return_index=True)[1]]
+        np.testing.assert_array_equal(got_p, primary[order])
+        np.testing.assert_array_equal(got_s, secondary[order])
+
     def test_cleanup_unlinks_spilled_runs(self, tmp_path):
         spool = TableSpool(tmp_path / "spool", 1024)
         spill = spool.spiller("scratch")

@@ -28,9 +28,12 @@ from repro.prng._ckernel import load_prng_ckernel
 from repro.stats import PowerLaw, Zipf
 from repro.structure import LFR, create_generator, pair_stubs_with_repair
 from repro.structure._ckernel import load_structure_ckernel
+from repro.tables import csr_arrays
+from test_tables_edge import _argsort_csr
 
 configuration = importlib.import_module("repro.structure.configuration")
 lfr = importlib.import_module("repro.structure.lfr")
+structure_ckernel = importlib.import_module("repro.structure._ckernel")
 
 needs_kernel = pytest.mark.skipif(
     load_prng_ckernel() is None or load_structure_ckernel() is None,
@@ -51,7 +54,9 @@ def python_bodies():
     with mock.patch.object(streams, "load_prng_ckernel", lambda: None), \
             mock.patch.object(
                 configuration, "load_structure_ckernel", lambda: None), \
-            mock.patch.object(lfr, "load_structure_ckernel", lambda: None):
+            mock.patch.object(lfr, "load_structure_ckernel", lambda: None), \
+            mock.patch.object(
+                structure_ckernel, "load_structure_ckernel", lambda: None):
         yield
 
 
@@ -80,7 +85,8 @@ def test_python_bodies_bypass_every_kernel_entry_point():
         for kernel, names in [
             (load_prng_ckernel(), ["permutation"]),
             (load_structure_ckernel(),
-             ["pair_stubs_with_repair", "lfr_intra", "lfr_assign"]),
+             ["pair_stubs_with_repair", "lfr_intra", "lfr_assign",
+              "csr_fill"]),
         ]
         for name in names
     ]
@@ -89,10 +95,12 @@ def test_python_bodies_bypass_every_kernel_entry_point():
             stack.enter_context(tripwire)
         with python_bodies():
             LFR(seed=1).run_with_labels(60)
+            csr_arrays([0], [0], 1)
         for call in (
             lambda: RandomStream(1).permutation(4),
             lambda: pair_stubs_with_repair(np.array([1, 1]), RandomStream(1)),
             lambda: LFR(seed=1).run_with_labels(60),
+            lambda: csr_arrays([0], [0], 1),
         ):
             with pytest.raises(AssertionError):
                 call()
@@ -163,6 +171,51 @@ class TestPairStubsWithRepair:
         ))
         assert_same_array(compiled, python)
         assert compiled.shape == (0, 2)
+
+
+@st.composite
+def edge_lists(draw):
+    """``(src, dst, n)``: ``m = 0`` included, ids from a few values (so
+    self-loops and multi-edges are common) in node ranges on both
+    sides of the twin's 16-bit radix digit, isolated nodes mostly."""
+    n = draw(st.sampled_from([1, 2, 9, 65_536, 65_537, 2**20 + 3]))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    m = draw(st.integers(0, 300))
+    src, dst = (
+        np.asarray(draw(st.lists(st.sampled_from(pool), min_size=m,
+                                 max_size=m)), dtype=np.int64)
+        for _ in range(2)
+    )
+    return src, dst, n
+
+
+@needs_kernel
+class TestCsrFill:
+    @common_settings
+    @given(case=edge_lists(), symmetric=st.booleans())
+    def test_equals_twin_and_argsort(self, case, symmetric):
+        src, dst, n = case
+        compiled, twin = both(
+            lambda: csr_arrays(src, dst, n, symmetric=symmetric)
+        )
+        reference = _argsort_csr(src, dst, n, symmetric)
+        for got, python, expected in zip(compiled, twin, reference):
+            assert_same_array(got, python)
+            assert_same_array(got, expected)
+
+    @pytest.mark.parametrize("bad", [3, -1, 2**63 - 1])
+    def test_kernel_refuses_an_id_before_writing_a_neighbour(self, bad):
+        """The C guard under :func:`csr_arrays`' own check: an error
+        code, the neighbour buffer untouched."""
+        lib = load_structure_ckernel()._lib
+        src = np.array([0, 1, 2], dtype=np.int64)
+        dst = np.array([1, bad, 0], dtype=np.int64)
+        indptr = np.empty(4, dtype=np.int64)
+        neighbors = np.full(6, -7, dtype=np.int64)
+        assert lib.csr_fill(src, dst, 3, 3, 1, indptr, neighbors) == -1
+        assert (neighbors == -7).all()
+        with pytest.raises(ValueError, match=r"\[0, num_nodes\)"):
+            load_structure_ckernel().csr_fill(dst, src, 3, False)
 
 
 def scalar_community_sizes(generator, n, stream):

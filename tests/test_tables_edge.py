@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.tables import EdgeTable, bucket_order
+from repro.structure import _ckernel as structure_ckernel
+from repro.tables import EdgeTable, bucket_order, csr_arrays
 
 
 class TestConstruction:
@@ -69,14 +72,24 @@ class TestDegrees:
         assert np.array_equal(table.in_degrees(), [0, 1, 2])
 
 
-def _argsort_csr(table):
+def _argsort_csr(tails, heads, num_nodes, symmetric=True):
     """The CSR as built before the bucket order: one int64 stable
-    argsort over both endpoint columns."""
-    src = np.concatenate([table.tails, table.heads])
-    dst = np.concatenate([table.heads, table.tails])
+    argsort over the tail column (both endpoint columns when
+    ``symmetric``)."""
+    src, dst = tails, heads
+    if symmetric:
+        src = np.concatenate([tails, heads])
+        dst = np.concatenate([heads, tails])
     order = np.argsort(src, kind="stable")
-    indptr = np.searchsorted(src[order], np.arange(table.num_nodes + 1))
+    indptr = np.searchsorted(src[order], np.arange(num_nodes + 1))
     return indptr, dst[order]
+
+
+@pytest.fixture
+def numpy_twin(monkeypatch):
+    """:func:`csr_arrays` on its numpy twin, as without a compiler."""
+    monkeypatch.setattr(structure_ckernel, "load_structure_ckernel",
+                        lambda: None)
 
 
 @st.composite
@@ -158,10 +171,53 @@ class TestAdjacency:
             num_tail_nodes=n,
         )
         indptr, neighbors = table.adjacency_csr()
-        ref_indptr, ref_neighbors = _argsort_csr(table)
+        ref_indptr, ref_neighbors = _argsort_csr(
+            table.tails, table.heads, n
+        )
         assert np.array_equal(indptr, ref_indptr)
         assert np.array_equal(neighbors, ref_neighbors)
         assert indptr.dtype == neighbors.dtype == np.int64
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("n", [5, 65_537])
+    def test_twin_equals_argsort_reference(self, numpy_twin, n,
+                                           symmetric):
+        rng = np.random.default_rng(n)
+        src, dst = rng.integers(0, n, (2, 50_000))
+        got = csr_arrays(src, dst, n, symmetric=symmetric)
+        expected = _argsort_csr(src, dst, n, symmetric)
+        for array, reference in zip(got, expected):
+            assert array.dtype == np.int64
+            assert np.array_equal(array, reference)
+
+    @pytest.mark.parametrize("path", ["compiled", "twin"])
+    @pytest.mark.parametrize("src, dst, symmetric", [
+        ([0, 3], [1, 1], False),          # an id >= num_nodes
+        ([0, -1], [1, 1], False),         # a negative id
+        ([0, 1], [2, 3], True),           # a head side out of range
+        ([0, 1], [-2, 1], True),
+    ])
+    def test_refuses_ids_outside_the_node_range(self, request, monkeypatch,
+                                                path, src, dst, symmetric):
+        """One ``ValueError`` on both paths, raised before the scatter
+        reads an id."""
+        if path == "twin":
+            request.getfixturevalue("numpy_twin")
+        kernel = structure_ckernel.load_structure_ckernel()
+        if kernel is not None:
+            monkeypatch.setattr(type(kernel), "csr_fill",
+                                mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match=r"\[0, num_nodes\) = \[0, 3\)"):
+            csr_arrays(src, dst, 3, symmetric=symmetric)
+
+    def test_one_sided_heads_may_lie_in_another_id_space(self):
+        indptr, neighbors = csr_arrays([1, 0, 1], [7, 9, 8], 2)
+        assert indptr.tolist() == [0, 1, 3]
+        assert neighbors.tolist() == [9, 7, 8]
+
+    def test_refuses_columns_of_two_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            csr_arrays([0, 1], [1], 2)
 
     def test_csr_empty(self):
         indptr, neighbors = EdgeTable(
