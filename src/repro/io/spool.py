@@ -981,18 +981,23 @@ class SortedRuns:
         return len(self._runs)
 
     def push(self, primary, secondary=None):
-        """Record a block of (primary[, secondary]) values."""
+        """Record a block of (primary[, secondary]) values, cut at run
+        boundaries so that no run holds more than ``run_rows``."""
         primary = np.asarray(primary)
-        if primary.size == 0:
-            return
-        self._buf_primary.append(primary)
         if secondary is not None:
-            self._buf_secondary.append(np.asarray(secondary))
+            secondary = np.asarray(secondary)
         elif self._buf_secondary:
             raise ValueError("mixed single/pair pushes")
-        self._buffered += primary.size
-        if self._buffered >= self.run_rows:
-            self.flush()
+        while primary.size:
+            take = self.run_rows - self._buffered
+            self._buf_primary.append(primary[:take])
+            if secondary is not None:
+                self._buf_secondary.append(secondary[:take])
+                secondary = secondary[take:]
+            self._buffered += min(take, primary.size)
+            primary = primary[take:]
+            if self._buffered >= self.run_rows:
+                self.flush()
 
     def flush(self):
         """Sort and spill the buffered block as one run."""
@@ -1177,24 +1182,40 @@ def _run_slice(run, lo, hi):
 def _sort_block(primary, secondary, unique):
     """Sort one block by ``(primary, secondary)``; ``unique`` then keeps
     the first record of each primary — the smallest secondary, i.e.
-    ``np.unique(primary, return_index=True)``'s rule — by comparing
-    each sorted primary with its neighbour rather than sorting again."""
+    ``np.unique(primary, return_index=True)``'s rule.
+
+    One unstable ``argsort`` orders the primaries.  Distinct primaries
+    need nothing more.  Tied integer primaries in ``unique`` mode keep
+    each group's first primary and ``np.minimum.reduceat`` of its
+    secondaries — one pass, exact whatever order the secondaries were
+    pushed in.  Only a non-``unique`` block with ties, or tied float
+    primaries (``-0.0 == 0.0`` keep distinct bytes), pays for the
+    stable two-key ``lexsort``."""
     if secondary is None:
         primary = np.sort(primary)
-    else:
-        # Distinct primaries fix the order alone; only ties need the
-        # stable two-key sort.
-        order = np.argsort(primary)
-        ranked = primary[order]
-        if (ranked[1:] == ranked[:-1]).any():
-            order = np.lexsort((secondary, primary))
-            ranked = primary[order]
-        primary, secondary = ranked, secondary[order]
-    if unique and primary.size > 1:
-        keep = np.empty(primary.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(primary[1:], primary[:-1], out=keep[1:])
-        primary = primary[keep]
-        if secondary is not None:
-            secondary = secondary[keep]
+        if unique:
+            primary = primary[_first_in_group(primary)]
+        return primary, None
+    order = np.argsort(primary)
+    ranked, paired = primary[order], secondary[order]
+    del order  # one index array fewer at the peak below
+    first = _first_in_group(ranked)
+    if first.all():
+        return ranked, paired
+    if unique and ranked.dtype.kind in "iu":
+        return (ranked[first],
+                np.minimum.reduceat(paired, np.flatnonzero(first)))
+    order = np.lexsort((secondary, primary))
+    primary, secondary = primary[order], secondary[order]
+    if unique:
+        first = _first_in_group(primary)
+        primary, secondary = primary[first], secondary[first]
     return primary, secondary
+
+
+def _first_in_group(ranked):
+    """Mask of the first entry of each group of equal sorted values."""
+    first = np.empty(ranked.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return first

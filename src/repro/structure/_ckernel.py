@@ -1,5 +1,5 @@
 """Optional compiled stub pairing for the configuration-model family,
-and the counting scatter behind every CSR.
+R-MAT's quadrant descent, and the counting scatter behind every CSR.
 
 ``pair_stubs_with_repair`` and LFR's two loops on top of it are
 sequential by construction — a round re-pairs the deficit the previous
@@ -35,6 +35,14 @@ degrees, one prefix sum, one scatter in input order — a stable
 counting sort, so equal to its twin's ``bincount`` + ``bucket_order``
 + gather.  With its ``both`` flag it scatters the reversed pairs as a
 second half, so an undirected CSR needs no concatenated endpoints.
+
+``rmat_descend`` is :meth:`repro.structure.rmat.RMat._descend` one
+edge at a time: per level, ``uniform_at`` of the level stream's seed
+(the C twin of ``RandomStream.uniform``) against the thresholds ``la``,
+``la + lb`` and ``la + lb + lc``.  Python sums the thresholds exactly
+as the numpy expression does, so each quadrant test is one double
+comparison of the same two values in both languages; the level bits
+are disjoint, so C's ``|`` equals numpy's ``+=``.
 """
 
 from __future__ import annotations
@@ -187,6 +195,32 @@ int64_t csr_fill(const int64_t *src, const int64_t *dst, int64_t m,
     return 0;
 }
 
+/* RMat._descend over edge ids lo .. lo + count - 1.  Level l draws
+   uniform_at(seeds[l], id) and reads t = thresholds[3l .. 3l + 2]
+   = (la, la + lb, la + lb + lc): a draw of at least t[1] sets the
+   level's bit in the tail, one in [t[0], t[1]) or at least t[2] sets
+   it in the head. */
+void rmat_descend(int64_t lo, int64_t count, int64_t scale,
+                  const uint64_t *seeds, const double *thresholds,
+                  int64_t *tails, int64_t *heads)
+{
+    for (int64_t i = 0; i < count; ++i) {
+        uint64_t id = (uint64_t)lo + (uint64_t)i;
+        int64_t tail = 0, head = 0;
+        for (int64_t level = 0; level < scale; ++level) {
+            const double *t = thresholds + 3 * level;
+            double u = uniform_at(seeds[level], id);
+            int64_t shift = scale - 1 - level;
+            /* & and | rather than && and ||: no branch on a draw. */
+            tail |= (int64_t)(u >= t[1]) << shift;
+            head |= (int64_t)(((u >= t[0]) & (u < t[1])) | (u >= t[2]))
+                    << shift;
+        }
+        tails[i] = tail;
+        heads[i] = head;
+    }
+}
+
 /* LFR's intra-community pass: community c holds the nodes
    comm_order[boundaries[c]..boundaries[c + 1]) and wires their
    internal degrees from the substream "intra<c>", one stub dropped
@@ -300,7 +334,7 @@ def _rows(out, m):
 
 
 class _StructureCKernel:
-    """The compiled stub-pairing loops, their outputs allocated here."""
+    """The compiled loops, their outputs allocated here."""
 
     def __init__(self, lib):
         self._lib = lib
@@ -345,6 +379,20 @@ class _StructureCKernel:
             seed, assignment,
         )
         return None if status else assignment
+
+    def rmat_descend(self, plan, lo, hi):
+        """``RMat._descend`` of edge ids ``[lo, hi)`` under
+        :meth:`~repro.structure.rmat.RMat._level_plan`'s ``plan``."""
+        seeds = np.array([level[0].seed for level in plan], np.uint64)
+        thresholds = np.array(
+            [(la, la + lb, la + lb + lc) for _, la, lb, lc, _ in plan],
+            np.float64,
+        )
+        tails = np.empty(hi - lo, dtype=np.int64)
+        heads = np.empty(hi - lo, dtype=np.int64)
+        self._lib.rmat_descend(lo, tails.size, len(plan), seeds,
+                               thresholds, tails, heads)
+        return tails, heads
 
     def csr_fill(self, src, dst, num_nodes, symmetric):
         """:func:`~repro.tables.csr_arrays` of int64 ``src`` / ``dst``

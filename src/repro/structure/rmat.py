@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._ckernel import load_structure_ckernel
 from .base import (
     EdgeChunkStream,
     StructureGenerator,
@@ -38,6 +39,9 @@ class _RawEmitter:
         self.scale = scale
 
     def __call__(self, lo, hi):
+        kernel = load_structure_ckernel()
+        if kernel is not None:
+            return kernel.rmat_descend(self.plan, lo, hi)
         return RMat._descend(
             self.plan, self.scale, np.arange(lo, hi, dtype=np.int64)
         )
@@ -147,7 +151,13 @@ class RMat(StructureGenerator):
 
     @staticmethod
     def _descend(plan, scale, edge_idx):
-        """Quadrant descent for the given edge ids (elementwise pure)."""
+        """Quadrant descent for the given edge ids (elementwise pure).
+
+        The numpy twin of the structure kernel's ``rmat_descend``,
+        which :class:`_RawEmitter` calls when it loads: one vectorised
+        pass per level here, one edge through every level there, the
+        same bits (``tests/test_structure_kernel.py`` holds them equal).
+        """
         tails = np.zeros(edge_idx.size, dtype=np.int64)
         heads = np.zeros(edge_idx.size, dtype=np.int64)
         for level, (level_stream, la, lb, lc, ld) in enumerate(plan):

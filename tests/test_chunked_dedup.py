@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.structure.base as base_mod
 from repro.io.spool import (
@@ -146,6 +148,32 @@ class TestSortedRuns:
         np.testing.assert_array_equal(got_p, primary[order])
         np.testing.assert_array_equal(got_s, secondary[order])
 
+    @pytest.mark.parametrize("unique", [False, True])
+    @pytest.mark.parametrize("block", [377, 1_024, 1_600, 5_000])
+    def test_no_run_exceeds_run_rows(self, spill, block, unique):
+        """A pushed block is cut at the run boundary: every spilled run
+        holds at most ``run_rows`` records (before, a run could hold
+        ``run_rows`` plus a whole block), and every run but the last
+        holds exactly ``run_rows`` when nothing is dropped."""
+        rng = np.random.default_rng(block)
+        primary = rng.integers(0, 10**9, size=7_000)
+        secondary = np.arange(primary.size, dtype=np.int64)
+        runs = SortedRuns(spill, "cut", _SMALL_RUNS, unique=unique)
+        for lo in range(0, primary.size, block):
+            runs.push(primary[lo:lo + block], secondary[lo:lo + block])
+        runs.flush()
+        sizes = [len(run_primary) for run_primary, _ in runs._runs]
+        assert len(sizes) == -(-primary.size // _SMALL_RUNS)
+        assert max(sizes) <= _SMALL_RUNS
+        if not unique:
+            assert sizes[:-1] == [_SMALL_RUNS] * (len(sizes) - 1)
+            assert sum(sizes) == primary.size
+        merged = [np.concatenate(column) for column in zip(*runs.merge())]
+        order = np.lexsort((secondary, primary))
+        np.testing.assert_array_equal(merged[0], primary[order])
+        np.testing.assert_array_equal(merged[1], secondary[order])
+        runs.cleanup()
+
     def test_cleanup_unlinks_spilled_runs(self, tmp_path):
         spool = TableSpool(tmp_path / "spool", 1024)
         spill = spool.spiller("scratch")
@@ -223,6 +251,72 @@ class TestDedupFirstOccurrence:
         assert not isinstance(spooled, np.ndarray)
         assert ram_total == spool_total
         np.testing.assert_array_equal(ram, np.asarray(spooled))
+
+
+@st.composite
+def tied_records(draw):
+    """``(codes, secondaries, run_rows)``: codes from a small universe,
+    so most share their code with others, and distinct secondaries
+    pushed in descending or shuffled order, fitting one run or many."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 6_000))
+    codes = rng.integers(0, draw(st.integers(1, 3_000)), size=size)
+    ids = np.arange(size, dtype=np.int64) * draw(st.integers(1, 5))
+    secondaries = draw(st.sampled_from([
+        ids[::-1].copy(), rng.permutation(ids),
+    ]))
+    return codes, secondaries, draw(st.sampled_from([1_024, 8_192]))
+
+
+def keep_first_by_lexsort(codes, secondaries):
+    """The two-key reference: sort by ``(code, secondary)``, keep the
+    first record of each code."""
+    order = np.lexsort((secondaries, codes))
+    ranked = codes[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return ranked[first], secondaries[order][first]
+
+
+class TestUniqueTies:
+    """Unique mode over tied codes keeps each code's smallest secondary
+    whatever order the secondaries arrive in, in one run or many."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=tied_records(), block=st.integers(1, 2_500))
+    def test_sorted_runs_keep_the_smallest_secondary(self, case, block):
+        codes, secondaries, run_rows = case
+        runs = SortedRuns(IN_MEMORY, "ties", run_rows, unique=True)
+        for lo in range(0, codes.size, block):
+            runs.push(codes[lo:lo + block], secondaries[lo:lo + block])
+        got = [np.concatenate(column) for column in zip(*runs.merge())]
+        expected = keep_first_by_lexsort(codes, secondaries)
+        by_secondary = np.argsort(secondaries)
+        unique_codes, first = np.unique(codes[by_secondary],
+                                        return_index=True)
+        for column, reference in zip(got, expected):
+            assert column.dtype == reference.dtype
+            np.testing.assert_array_equal(column, reference)
+        np.testing.assert_array_equal(got[0], unique_codes)
+        np.testing.assert_array_equal(got[1],
+                                      secondaries[by_secondary][first])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=tied_records())
+    def test_dedup_first_occurrence(self, case):
+        codes, edge_ids, run_rows = case
+        blocks = ((codes[lo:lo + 999], edge_ids[lo:lo + 999])
+                  for lo in range(0, codes.size, 999))
+        total, final = dedup_first_occurrence(IN_MEMORY, "ties", blocks,
+                                              run_rows)
+        kept_codes, kept_ids = keep_first_by_lexsort(codes, edge_ids)
+        by_id = np.argsort(edge_ids)
+        _, first = np.unique(codes[by_id], return_index=True)
+        first.sort()
+        assert total == first.size
+        np.testing.assert_array_equal(final, codes[by_id][first])
+        np.testing.assert_array_equal(
+            final, kept_codes[np.argsort(kept_ids)])
 
 
 class TestChunkedEqualsSerial:

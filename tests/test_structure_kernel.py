@@ -1,9 +1,9 @@
 """The compiled stub-pairing kernel against the Python bodies it
 replaces.
 
-``RandomStream.permutation``, ``pair_stubs_with_repair`` and LFR's
-assignment / intra-community loops each keep their Python body as the
-fallback; here every one runs twice — kernel, then :func:`python_bodies`
+``RandomStream.permutation``, ``pair_stubs_with_repair``, LFR's
+assignment / intra-community loops and R-MAT's quadrant descent each
+keep their Python body as the fallback; here every one runs twice — kernel, then :func:`python_bodies`
 — and the outputs must be equal bit for bit.  Skipped only on hosts
 where no kernel loads; the two subprocess cases at the end run
 everywhere.
@@ -26,13 +26,19 @@ from hypothesis import strategies as st
 from repro.prng import RandomStream, streams
 from repro.prng._ckernel import load_prng_ckernel
 from repro.stats import PowerLaw, Zipf
-from repro.structure import LFR, create_generator, pair_stubs_with_repair
+from repro.structure import (
+    LFR,
+    RMat,
+    create_generator,
+    pair_stubs_with_repair,
+)
 from repro.structure._ckernel import load_structure_ckernel
 from repro.tables import csr_arrays
 from test_tables_edge import _argsort_csr
 
 configuration = importlib.import_module("repro.structure.configuration")
 lfr = importlib.import_module("repro.structure.lfr")
+rmat = importlib.import_module("repro.structure.rmat")
 structure_ckernel = importlib.import_module("repro.structure._ckernel")
 
 needs_kernel = pytest.mark.skipif(
@@ -55,6 +61,7 @@ def python_bodies():
             mock.patch.object(
                 configuration, "load_structure_ckernel", lambda: None), \
             mock.patch.object(lfr, "load_structure_ckernel", lambda: None), \
+            mock.patch.object(rmat, "load_structure_ckernel", lambda: None), \
             mock.patch.object(
                 structure_ckernel, "load_structure_ckernel", lambda: None):
         yield
@@ -86,7 +93,7 @@ def test_python_bodies_bypass_every_kernel_entry_point():
             (load_prng_ckernel(), ["permutation"]),
             (load_structure_ckernel(),
              ["pair_stubs_with_repair", "lfr_intra", "lfr_assign",
-              "csr_fill"]),
+              "csr_fill", "rmat_descend"]),
         ]
         for name in names
     ]
@@ -96,11 +103,13 @@ def test_python_bodies_bypass_every_kernel_entry_point():
         with python_bodies():
             LFR(seed=1).run_with_labels(60)
             csr_arrays([0], [0], 1)
+            RMat(seed=1).run(8)
         for call in (
             lambda: RandomStream(1).permutation(4),
             lambda: pair_stubs_with_repair(np.array([1, 1]), RandomStream(1)),
             lambda: LFR(seed=1).run_with_labels(60),
             lambda: csr_arrays([0], [0], 1),
+            lambda: RMat(seed=1).run(8),
         ):
             with pytest.raises(AssertionError):
                 call()
@@ -216,6 +225,47 @@ class TestCsrFill:
         assert (neighbors == -7).all()
         with pytest.raises(ValueError, match=r"\[0, num_nodes\)"):
             load_structure_ckernel().csr_fill(dst, src, 3, False)
+
+
+@st.composite
+def rmat_plans(draw):
+    """``(plan, scale)`` of :meth:`RMat._level_plan` over any quadrant
+    probabilities (``a + b + c <= 1``, edges of the simplex included),
+    with or without per-level noise."""
+    a = draw(st.floats(0, 1))
+    b = draw(st.floats(0, 1 - a))
+    c = draw(st.floats(0, 1 - a - b))
+    noise = draw(st.just(0.0) | st.floats(0, 1, exclude_min=True,
+                                          exclude_max=True))
+    scale = draw(st.integers(1, 31))
+    generator = RMat(seed=0, a=a, b=b, c=c, noise=noise)
+    stream = RandomStream(draw(st.sampled_from(SEEDS)
+                               | st.integers(0, 2**64 - 1)))
+    return generator._level_plan(scale, stream), scale
+
+
+@needs_kernel
+class TestRmatDescend:
+    @common_settings
+    @given(case=rmat_plans(), lo=st.integers(0, 2**40),
+           count=st.integers(0, 300))
+    def test_equals_numpy_descent(self, case, lo, count):
+        plan, scale = case
+        compiled = load_structure_ckernel().rmat_descend(
+            plan, lo, lo + count)
+        python = RMat._descend(
+            plan, scale, np.arange(lo, lo + count, dtype=np.int64))
+        for got, expected in zip(compiled, python):
+            assert_same_array(got, expected)
+            assert ((got >= 0) & (got < 1 << scale)).all()
+
+    @pytest.mark.parametrize("simplify", [False, True])
+    def test_run_on_both_paths(self, simplify):
+        compiled, python = both(
+            lambda: RMat(seed=5, noise=0.1, simplify=simplify).run(1 << 12)
+        )
+        assert_same_array(compiled.tails, python.tails)
+        assert_same_array(compiled.heads, python.heads)
 
 
 def scalar_community_sizes(generator, n, stream):
