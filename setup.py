@@ -7,6 +7,8 @@ setup(
     # Ship the scenario zoo recipes with the package.
     package_data={"repro.scenarios": ["zoo/*.yaml"]},
     include_package_data=True,
+    # Only the networkx adapters (repro.io.to_networkx and friends).
+    extras_require={"networkx": ["networkx"]},
     # Both spellings used across the docs; `python -m repro.cli`
     # always works without installation.
     entry_points={

@@ -11,24 +11,23 @@ Spec grammar (comma- or whitespace-separated entries)::
 
     SITE:INDEX:ACTION[=VALUE][:xTIMES]
 
-    shard:3:crash          raise InjectedFault in pool shard 3
-    shard:5:slow=2.0       sleep 2 s in pool shard 5
-    shard:1:kill           SIGKILL the worker running pool shard 1
+    shard:3:crash          raise InjectedFault at shard occurrence 3
+    shard:5:slow=2.0       sleep 2 s at shard occurrence 5
+    shard:1:kill           SIGKILL the worker at shard occurrence 1
     export:2:ioerror       raise OSError(ENOSPC), disk full, on the 3rd
                            export file write
-    property:0:crash:x2    crash property shard 0 on its first 2 runs
+    property:0:crash:x2    crash property occurrence 0 on its first 2 runs
 
 Sites map to pipeline stages: ``count`` / ``property`` / ``structure``
-/ ``match`` / ``export`` fire at the matching stage (index = per-stage
-occurrence: the task's place in the plan, or out of core for worker
-stages the shard index; the write counter for export), ``ledger``
-fires in the parent before each append to the
-spool's catalog (index = append counter of this run — the window
-between a part file landing and its ack), ``spill`` before each
-scratch file a spool starts (index = spill counter of that spool: a
-sorted run of an external merge, a spilled structure or matching
-map), and the generic ``shard``
-site fires for *any* pool-executed shard job by its submission index.
+/ ``match`` fire at the matching stage, ``shard`` at any pool-executed
+shard job, ``ledger`` in the parent before each append to the spool's
+catalog (the window between a part file landing and its ack),
+``spill`` before each scratch file a spool starts (a sorted run, a
+spilled structure or matching map) and ``export`` at each write.  The
+index is fixed by the plan, never by arrival: ``export`` counts
+writes; elsewhere the ``j``-th occurrence of the plan's ``n``-th of
+``T`` tasks at the site — its shard, catalog event or scratch file —
+is ``n + j * T`` (:func:`repro.core.tasks.site_numbers`).
 
 Every fault fires a bounded number of times (default once) and the
 fired-state lives in small append-only files under a state directory,
@@ -56,6 +55,7 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "fire",
+    "fire_occurrence",
     "install_plan",
     "parse_faults",
     "plan_from_env",
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: Stage boundaries that consult the plan.  ``shard`` is the generic
-#: site: it matches any pool-executed shard job by submission index.
+#: site: it matches any pool-executed shard job, numbered by the plan.
 FAULT_SITES = (
     "count", "property", "structure", "match", "export", "ledger", "spill",
     "shard",
@@ -298,6 +298,13 @@ def fire(site, index):
     plan = _ACTIVE
     if plan is not None:
         plan.fire(site, index)
+
+
+def fire_occurrence(site, number, j=0):
+    """:func:`fire` the ``j``-th occurrence of a task the plan numbers
+    ``(n, tasks)`` at ``site``: index ``n + j * tasks``."""
+    n, tasks = number
+    fire(site, n + j * tasks)
 
 
 class _ExportHandle:

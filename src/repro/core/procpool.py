@@ -24,26 +24,29 @@ never what they read or write.  The pool abstracts the two backends:
     dicts.
 
 Scheduling is a *bounded in-flight window*, not lock-step waves:
-:meth:`ShardPool.ordered_map` keeps at most ``window`` jobs submitted
-ahead of the consumer and yields results in submission order, so a
-skewed shard no longer idles the other workers while peak memory stays
-at the documented ``workers x shard_rows``.
+:meth:`ShardPool.ordered_map` yields results in submission order with
+at most ``workers + 1`` jobs in flight — shared by the threads mapping
+at once, as out of core the plan's independent tasks do — so a skewed
+shard no longer idles the other workers while peak memory stays at the
+documented ``(workers + 1) x shard_rows``.
 
 Shard jobs are pure functions of their argument tuples, so a failed
 shard is safe to re-run: with ``retries=N`` the pool respawns after a
 :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
-killed mid-shard) and re-submits the window, or re-submits just the
-failed shard after an ordinary worker exception, backing off
-exponentially between attempts.  Exhausted retries surface as
-:class:`ShardedError` carrying the failing shard id and — when the
-exception crossed the process boundary intact — the formatted
-worker-side traceback; the executor translates that into spool
-cleanup, so a crash never leaks a spool directory.
+killed mid-shard) once, however many callers saw it break, and each
+caller re-submits its window; after an ordinary worker exception it
+re-submits just the failed shard, backing off exponentially between
+attempts.  Exhausted retries surface as :class:`ShardedError`
+carrying the failing shard id and — when the exception crossed the
+process boundary intact — the formatted worker-side traceback; the
+executor translates that into spool cleanup, so a crash never leaks a
+spool directory.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 import traceback
 from collections import deque
@@ -119,8 +122,11 @@ class ShardPool:
         self.workers = max(int(workers), 1)
         self.retries = max(int(retries), 0)
         self._pool = None
+        self._lock = threading.Lock()  # callers on threads share _pool
+        # The in-flight bound every caller of ordered_map shares.
+        self._slots = threading.BoundedSemaphore(self.workers + 1)
 
-    def _executor(self):
+    def _executor(self):  # with ``_lock`` held
         if self._pool is None:
             if self.backend == "process":
                 try:
@@ -134,41 +140,43 @@ class ShardPool:
                 self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def ordered_map(self, fn, jobs, window=None):
+    def ordered_map(self, fn, jobs):
         """Yield ``fn(*args)`` per arg-tuple, in submission order.
 
-        At most ``window`` (default ``workers + 1``) jobs are in
-        flight; submission advances as the consumer drains results, so
-        shard-cost skew cannot idle workers the way lock-step waves
-        did, and the parent never holds more than a window of results.
+        At most ``workers + 1`` jobs are in flight across every thread
+        mapping at once; submission advances as the consumers drain
+        results, so shard-cost skew cannot idle workers the way
+        lock-step waves did.  A caller with jobs in flight drains its
+        own oldest rather than wait for a slot: callers never wait on
+        each other.
         """
         jobs = iter(jobs)
         if self.workers == 1 and self.backend == "thread":
             for args in jobs:
                 yield self._inline(fn, args)
             return
-        window = max(int(window if window else self.workers + 1), 1)
-        # Pending items are [shard_index, args, future, attempts]; args
-        # are retained while in flight so a failed shard can be re-run.
+        # Pending items hold a slot until yielded: [index, args, future,
+        # attempts, executor], args kept so a failed shard can re-run.
         pending = deque()
-        index = 0
         try:
-            for args in jobs:
-                item = [index, args, None, 0]
-                self._submit(fn, pending, item)
-                pending.append(item)
-                index += 1
-                if len(pending) >= window:
+            for index, args in enumerate(jobs):
+                while not self._slots.acquire(blocking=not pending):
                     yield self._next_result(fn, pending)
+                item = [index, args, None, 0, None]
+                pending.append(item)
+                self._submit(fn, pending, item)
             while pending:
                 yield self._next_result(fn, pending)
         finally:
             for item in pending:
-                item[2].cancel()
+                if item[2] is not None:
+                    item[2].cancel()
+                self._slots.release()
 
     def submit(self, fn, *args):
         """``fn(*args)`` on a worker, as a future: no window, no retry."""
-        return self._executor().submit(fn, *args)
+        with self._lock:
+            return self._executor().submit(fn, *args)
 
     def _inline(self, fn, args):
         """``fn(*args)`` in this thread, re-run on failure within the
@@ -194,53 +202,64 @@ class ShardPool:
 
         A worker SIGKILL can surface on the *submit* side — the pool
         breaks while the window is still filling — so submission runs
-        through the same retry accounting as result collection: the
-        head in-flight shard (the probable victim) is charged an
-        attempt, the pool respawned, the window resubmitted, and then
-        this item submitted onto the fresh pool.
+        through the same retry accounting as result collection, the
+        head in-flight shard (the probable victim) charged.
         """
         while True:
-            try:
-                item[2] = self._executor().submit(fn, *item[1])
-                return
-            except BrokenProcessPool as exc:
-                victim = pending[0] if pending else item
-                self._retry(fn, pending, victim, exc, pool_broken=True)
+            with self._lock:
+                executor = self._executor()
+                try:
+                    item[2], item[4] = executor.submit(fn, *item[1]), executor
+                    return
+                except BrokenProcessPool as exc:
+                    error = exc
+            self._retry(fn, pending, pending[0], error, executor)
 
     def _next_result(self, fn, pending):
-        """Resolve the head-of-queue shard, retrying up to the budget."""
+        """Resolve the head-of-queue shard, retrying up to the budget;
+        its slot is free once it is returned."""
         while True:
             item = pending[0]
             try:
                 result = item[2].result()
             except BrokenProcessPool as exc:
-                self._retry(fn, pending, item, exc, pool_broken=True)
+                self._retry(fn, pending, item, exc, item[4])
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
-                self._retry(fn, pending, item, exc, pool_broken=False)
+                self._retry(fn, pending, item, exc)
             else:
                 pending.popleft()
+                self._slots.release()
                 return result
 
-    def _retry(self, fn, pending, item, exc, pool_broken):
-        item[3] += 1
-        if item[3] > self.retries:
-            raise self._failure(item[0], item[3], exc, pool_broken) from exc
-        self._back_off(item[3])
-        if pool_broken:
-            # The executor is unusable once broken: discard it, respawn
-            # lazily, and resubmit the whole in-flight window (their
-            # futures all died with the pool).  Only the head item's
-            # attempt counter advances — the trailing shards were
-            # collateral, not the (probable) culprit.
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            for entry in pending:
-                entry[2] = self._executor().submit(fn, *entry[1])
-        else:
-            item[2] = self._executor().submit(fn, *item[1])
+    def _retry(self, fn, pending, item, exc, broken=None):
+        """Re-run ``item`` after ``exc`` — or, when ``broken`` is the
+        executor that broke under it, every item this caller had on it.
+        The first caller to see an executor broken discards it (it
+        respawns lazily) and is charged an attempt, its head being the
+        probable victim; the others' items were collateral."""
+        victim = broken is None
+        if broken is not None:
+            with self._lock:
+                victim = self._pool is broken
+                if victim:
+                    self._pool = None
+            if victim:
+                broken.shutdown(wait=False)
+        if victim:
+            item[3] += 1
+            if item[3] > self.retries:
+                raise self._failure(
+                    item[0], item[3], exc, broken is not None
+                ) from exc
+            self._back_off(item[3])
+        rerun = [item] if broken is None else [
+            entry for entry in pending if entry[4] is broken]
+        with self._lock:
+            executor = self._executor()
+            for entry in rerun:
+                entry[2], entry[4] = executor.submit(fn, *entry[1]), executor
 
     def _failure(self, shard, attempts, exc, pool_broken):
         tried = f"after {attempts} attempt{'s' if attempts != 1 else ''}"
@@ -261,7 +280,8 @@ class ShardPool:
         return ShardedError(message, shard=shard, worker_traceback=remote)
 
     def close(self):
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 

@@ -129,19 +129,19 @@ class RunOptions:
 
     ``shard_rows``, ``memory_budget`` (bytes or ``"512MB"``-style,
     divided by :data:`BYTES_PER_SHARD_ROW`; a matching it cannot bound
-    warns) or ``resume`` select the out-of-core run; ``backend`` and ``spool_dir`` only mean something
-    there and are refused elsewhere rather than silently dropped.
-    Out of core, ``workers + 1`` shards are in flight on ``"thread"``
-    or ``"process"`` workers, so peak memory scales with ``workers ×
-    shard_rows``; the spool is a temporary directory (removed when a
-    stage fails) unless ``spool_dir`` names one, and ``resume``
-    continues the run its ``checkpoint.jsonl`` catalog records.
-    In memory ``workers`` threads run independent tasks, exporting in
-    plan order: the bytes and errors are the serial run's.  ``retries``
-    and ``faults`` (``None`` reads ``REPRO_FAULTS``) apply to every run:
-    in memory a failed shard — one per table — is retried inline.
-    ``workers``, ``shard_rows`` and ``retries`` are integers (``bool``
-    is not one).
+    warns) or ``resume`` select the out-of-core run; ``backend`` and
+    ``spool_dir`` only mean something there and are refused elsewhere
+    rather than silently dropped.  ``workers`` threads run independent
+    tasks, exporting in plan order: the bytes and errors are the serial
+    run's.  Out of core their shards share one bound of ``workers + 1``
+    in flight on ``"thread"`` or ``"process"`` workers, so peak memory
+    scales with ``workers × shard_rows``; the spool is a temporary
+    directory (removed when a stage fails) unless ``spool_dir`` names
+    one, and ``resume`` continues the run its ``checkpoint.jsonl``
+    catalog records.  ``retries`` and ``faults`` (``None`` reads
+    ``REPRO_FAULTS``) apply to every run: in memory a failed shard —
+    one per table — is retried inline.  ``workers``, ``shard_rows`` and
+    ``retries`` are integers (``bool`` is not one).
     """
 
     workers: int = 1

@@ -7,7 +7,8 @@ the one batch store, and is the only code that chooses its spool: a
 table, run inline), a disk :class:`~repro.io.spool.TableSpool` out of
 core, where the pipeline touches at most a few ``shard_rows``-sized
 arrays at a time — what unlocks billion-edge generation on commodity
-boxes.  Both get the same retries and fault sites.
+boxes.  Both walk the plan on ``workers`` threads, independent tasks at
+once, and get the same retries and fault sites.
 
 Byte-identity.  Outputs are bit-identical for any spool, shard size,
 pool and worker count, by construction: ``apply_task`` decides what
@@ -19,12 +20,14 @@ matching.  Global state (spilled structure state, matching maps) is
 kept by the spool's spill; the genuinely global stages (sequential
 structure generators, correlated SBM-Part matching) materialise
 transiently and spill their result.  Every per-shard unit goes through
-one :class:`~repro.core.procpool.ShardPool` with a bounded in-flight
-window; workers read their inputs from the spool and write part files
-into it, and the parent acks shards in shard order and feeds the
-sinks in plan order.  A worker killed mid-shard raises
-:class:`~repro.core.procpool.ShardedError` and the owned spool is
-removed.
+one :class:`~repro.core.procpool.ShardPool`, whose in-flight bound of
+``workers + 1`` shards the overlapped tasks share; workers read their
+inputs from the spool and write part files into it, and the parent
+acks each table's shards in shard order and feeds the sinks in plan
+order.  Fault sites are numbered by plan position and shard index
+(:func:`~repro.core.tasks.site_numbers`), never by arrival.  A worker
+killed mid-shard raises :class:`~repro.core.procpool.ShardedError`
+and the owned spool is removed.
 
 Out of core, peak traced allocation is bounded by ``C · shard_rows``
 plus the documented O(nodes) matching-permutation term — pinned by
@@ -51,6 +54,7 @@ from .tasks import (
     apply_task,
     dep_slices,
     is_correlated,
+    ledger_numbers,
     property_shard_values,
     site_numbers,
     walk,
@@ -64,9 +68,9 @@ __all__ = ["ShardedError"]
 def _property_shard_part(spool, key, index, bound, sites, spec, task_id,
                          seed, deps):
     """One property shard: kernel to spool part file (any worker);
-    ``sites`` pairs each fault site with the occurrence shard 0 is."""
-    for site, first in sites:
-        _faults.fire(site, first + index)
+    ``sites`` pairs each fault site with the task's number there."""
+    for site, number in sites:
+        _faults.fire_occurrence(site, number, index)
     start, stop = bound
     values = property_shard_values(
         spec, task_id, seed, start, stop,
@@ -78,8 +82,8 @@ def _property_shard_part(spool, key, index, bound, sites, spec, task_id,
 def _edge_shard_part(spool, key, index, bound, sites, rows):
     """One final edge shard — chunk emission + relabel, or a page of
     a correlated matching's table — to the spool (any worker)."""
-    for site, first in sites:
-        _faults.fire(site, first + index)
+    for site, number in sites:
+        _faults.fire_occurrence(site, number, index)
     return spool.save_edge_part(index, key, *rows.read_range(*bound))
 
 
@@ -126,16 +130,19 @@ class _BatchStore(Store):
         self._budget = None if budget is None else parse_memory_budget(budget)
         self._sites = sites or {}
 
-    def _first(self, task_id, stage):
-        """The occurrence of the task's shard 0 at site ``stage`` and at
-        ``"shard"``: its plan number where the run has one, else 0."""
-        return tuple((site, self._sites.get((site, task_id), 0))
+    def _number(self, site, task_id):
+        """The task's ``(n, tasks)`` at ``site``: see site_numbers."""
+        return self._sites.get((site, task_id), (0, 1))
+
+    def _shard_sites(self, task_id, stage):
+        """``(site, number)`` a shard job fires: ``stage``, ``shard``."""
+        return tuple((site, self._number(site, task_id))
                      for site in (stage, "shard"))
 
     def fire(self, site, task_id):
         # Counts are never checkpointed: recomputing them on resume is
         # cheap and cross-checks the purity argument.
-        _faults.fire(site, self._sites.get((site, task_id), 0))
+        _faults.fire_occurrence(site, self._number(site, task_id))
 
     def _run_shards(self, key, job, bounds, args):
         """Fill one table's shards ``bounds`` in the spool.
@@ -169,17 +176,18 @@ class _BatchStore(Store):
         meta = spool.structure_meta(name)
         if spool.sealed(name) is not None and meta is not None:
             return adopted(meta)
-        self.fire("structure", f"structure:{name}")
-        handle = open_handle(
-            spool.shard_rows, spool.spiller(f"structure.{name}")
-        )
+        task_id = f"structure:{name}"
+        self.fire("structure", task_id)
+        handle = open_handle(spool.shard_rows, spool.spiller(
+            f"structure.{name}", self._number("spill", task_id)))
         spool.record_structure(name, metadata(handle))
         return handle
 
     def properties(self, name, spec, count, deps, task_id, seed):
         self._run_shards(
             name, _property_shard_part, self.spool.shard_bounds(count),
-            (self._first(task_id, "property"), spec, task_id, seed, deps),
+            (self._shard_sites(task_id, "property"), spec, task_id, seed,
+             deps),
         )
         return self.spool.finish_property(name)
 
@@ -201,11 +209,13 @@ class _BatchStore(Store):
         # the memory bound) or a correlated matching's final table —
         # is spilled once; workers re-emit and relabel their chunks
         # from its pages.
-        rows, match = build(spool.spiller(f"match.{name}"))
+        task_id = f"match:{name}"
+        rows, match = build(spool.spiller(
+            f"match.{name}", self._number("spill", task_id)))
         self._run_shards(
             name, _edge_shard_part,
             spool.shard_bounds(len(rows)) if len(rows) else [],
-            (self._first(f"match:{name}", "match"), rows),
+            (self._shard_sites(task_id, "match"), rows),
         )
         spool.drop_scratch(f"structure.{name}")
         spool.drop_scratch(f"match.{name}")
@@ -232,11 +242,13 @@ def run_batch(schema, scale, seed, options, sink=None):
     The one place a spool is chosen: out of core a :class:`TableSpool`
     (an owned temporary directory unless ``options.spool_dir`` names
     one) with its catalog, filled through ``ShardPool(backend,
-    workers)``; in memory a :class:`MemorySpool`, its tasks overlapped
-    on ``workers`` threads.  Both get the same retries and fault sites.
+    workers)``; in memory a :class:`MemorySpool`.  Either way the plan's
+    tasks overlap on ``workers`` threads, and both get the same retries
+    and fault sites, numbered by plan position.
     """
     schema = schema.validate()
     order = build_task_graph(schema, scale).topological_order()
+    sites = site_numbers(order)
     if options.out_of_core:
         workers = options.workers
         spool = TableSpool(
@@ -248,15 +260,14 @@ def run_batch(schema, scale, seed, options, sink=None):
             run_fingerprint(schema, scale, seed, spool.shard_rows,
                             _sink_format(sink)),
             resume=options.resume,
+            numbers=ledger_numbers(order, sites),
         )
-        sites, window = site_numbers(order, ("count", "structure")), 1
-    else:  # one shard per table, inline; the threads overlap tasks
+    else:  # one shard per table, inline
         spool, workers = MemorySpool(), 1
-        sites, window = site_numbers(order), options.workers
     result = PropertyGraph(schema, seed, spool)
     structures = {}
     pool = ShardPool(options.backend, workers, retries=options.retries)
-    threads = ShardPool(workers=window)
+    threads = ShardPool(workers=options.workers)
     store = _BatchStore(spool, pool, schema, options.memory_budget, sites)
     plan = _faults.as_plan(options.faults)
     previous_plan = _faults.install_plan(plan)
@@ -270,9 +281,10 @@ def run_batch(schema, scale, seed, options, sink=None):
         )
     except BaseException:
         # A stage raised mid-run: the spool holds half-written shards
-        # nobody can consume.  Remove it — unless the caller chose the
-        # directory, in which case it is theirs to inspect, resume, and
-        # clean up.
+        # nobody can consume.  Remove it, once no job still writes
+        # into it — unless the caller chose the directory, in which
+        # case it is theirs to inspect, resume, and clean up.
+        pool.close()
         if options.spool_dir is None:
             result.cleanup()
         raise

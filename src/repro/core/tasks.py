@@ -65,6 +65,7 @@ __all__ = [
     "dep_slices",
     "export_task_output",
     "is_correlated",
+    "ledger_numbers",
     "match_edge",
     "matched_id_space",
     "matching_maps",
@@ -594,14 +595,30 @@ def _stored(order, apply, result, threads):
 #: fault site -> the task kinds the plan numbers it by.
 _SITE_TASKS = {"count": ("count",), "structure": ("structure",),
                "property": ("property", "edge_property"), "match": ("match",),
-               "shard": ("property", "edge_property", "match")}
+               "shard": ("property", "edge_property", "match"),
+               "ledger": ("property", "edge_property", "structure", "match"),
+               "spill": ("structure", "match")}
 
 
-def site_numbers(order, sites=tuple(_SITE_TASKS)):
-    """``(site, task id) -> n``: the task is the plan's ``n``-th at the
-    site, whatever order threads reach it in."""
-    return {(site, task.task_id): n for site in sites for n, task in enumerate(
-        task for task in order if task.kind in _SITE_TASKS[site])}
+def site_numbers(order):
+    """``(site, task id) -> (n, tasks)``: the task is the plan's
+    ``n``-th of ``tasks`` at the site, whatever order threads reach it
+    in; its occurrence ``j`` there — a shard, a catalog event, a spill
+    — is number ``n + j * tasks``."""
+    numbers = {}
+    for site, kinds in _SITE_TASKS.items():
+        tasks = [task for task in order if task.kind in kinds]
+        numbers.update(((site, task.task_id), (n, len(tasks)))
+                       for n, task in enumerate(tasks))
+    return numbers
+
+
+def ledger_numbers(order, sites):
+    """Catalog event writer -> its task's ``ledger`` number in ``sites``:
+    ``("structure", name)`` writes a structure's record, a table's key
+    its acks and seal."""
+    return {("structure", t.subject) if t.kind == "structure" else t.subject:
+            sites["ledger", t.task_id] for t in order if t.kind != "count"}
 
 
 def apply_task(task, schema, scale, seed, result, structures, store=None):

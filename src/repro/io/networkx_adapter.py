@@ -2,12 +2,13 @@
 
 All internal computation stays on numpy edge arrays; these adapters
 exist so users can hand generated graphs to the networkx ecosystem (or
-bring networkx graphs in as empirical structure sources).
+bring networkx graphs in as empirical structure sources).  networkx is
+an optional dependency (``pip install repro[networkx]``), imported by
+the adapter that needs it, so ``import repro`` never loads it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..tables import EdgeTable
@@ -17,6 +18,10 @@ __all__ = ["to_networkx", "from_networkx", "property_graph_to_networkx"]
 
 def to_networkx(table):
     """Convert an :class:`EdgeTable` to a networkx (Di)Graph."""
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise ImportError("to_networkx needs networkx") from exc
     graph = nx.DiGraph() if table.directed else nx.Graph()
     if table.is_bipartite:
         graph.add_nodes_from(

@@ -60,6 +60,7 @@ import pickle
 import shutil
 import threading
 import zlib
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -221,8 +222,10 @@ def verify_digest(root, meta):
 
 #: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, which
 #: CPython 3.11 cannot run on two threads at once (a ``SystemError``);
-#: only scratch memory maps still have such headers.
+#: only scratch memory maps still have such headers.  A worker forked
+#: while another thread held it starts with it free.
 _LOADING = threading.Lock()
+os.register_at_fork(after_in_child=_LOADING._at_fork_reinit)
 
 
 class SpillView:
@@ -332,20 +335,22 @@ class SpoolSpill:
     of the RSS budget and reaches worker processes as paths.  Every
     view is registered with the spool, so :meth:`TableSpool.cleanup`
     can release its mmap before removing the directory.  Each
-    ``spill`` and ``create`` is a ``spill`` fault site.
+    ``spill`` and ``create`` is a ``spill`` fault site: the ``j``-th is
+    occurrence ``j`` of the task numbered ``number`` there.
     """
 
-    def __init__(self, spool, prefix):
+    def __init__(self, spool, prefix, number=(0, 1)):
         self._spool = spool
         self._prefix = str(prefix)
+        self._number = number
+        self._started = 0
 
     def _path(self, name):
         return self._spool.scratch_path(f"{self._prefix}.{name}")
 
     def _start(self, name):
-        spool = self._spool
-        _faults.fire("spill", spool._spills)  # numbered like ``ledger``
-        spool._spills += 1
+        _faults.fire_occurrence("spill", self._number, self._started)
+        self._started += 1
         return self._path(name)
 
     def __call__(self, name, array):
@@ -419,7 +424,7 @@ class MemorySpool:
         return EdgeTable(name or key, *self._parts.pop(key, (empty, empty)),
                          num_tail_nodes, num_head_nodes, directed)
 
-    def spiller(self, prefix):
+    def spiller(self, prefix, number=None):
         return IN_MEMORY
 
 
@@ -449,8 +454,9 @@ class TableSpool:
         #: the one append handle its events go through
         self._catalog = None
         self._ledger = None
-        self._appends = 0
-        self._spills = 0
+        #: event writer -> its ``(n, tasks)`` at the ``ledger`` site
+        self._numbers = {}
+        self._recording = threading.Lock()  # tasks record from threads
         #: scratch path -> SpillView handed out (closed before cleanup)
         self._views = {}
 
@@ -487,7 +493,7 @@ class TableSpool:
 
     # -- the catalog -------------------------------------------------------
 
-    def open_catalog(self, fingerprint, resume=False):
+    def open_catalog(self, fingerprint, resume=False, numbers=None):
         """Persist the catalog to ``checkpoint.jsonl`` from here on.
 
         A fresh run starts the file over with its header line.  With
@@ -495,8 +501,11 @@ class TableSpool:
         replayed into memory first (:class:`CheckpointError` on a
         malformed line, another package / catalog version or another
         run fingerprint); no catalog at all degrades to a fresh run —
-        the earlier run crashed before its first ack.
+        the earlier run crashed before its first ack.  ``numbers``
+        numbers its events' writers at the ``ledger`` fault site
+        (:meth:`_occurrence`).
         """
+        self._numbers = dict(numbers or {})
         # Imported here: repro/__init__ sets it after importing this module.
         from .. import __version__
         self._catalog = self.directory / CHECKPOINT_NAME
@@ -618,12 +627,26 @@ class TableSpool:
 
     def _log(self, event):
         """Record one event: in memory, and as one appended line."""
-        if self._ledger is None:  # bare or worker-side: memory only
-            return self._apply(event)
-        _faults.fire("ledger", self._appends)
-        self._appends += 1
-        self._apply(event)
-        self._write(event)
+        if self._ledger is not None:  # else bare or worker-side
+            _faults.fire_occurrence("ledger", *self._occurrence(event))
+        with self._recording:
+            self._apply(event)
+            if self._ledger is not None:
+                self._write(event)
+
+    def _occurrence(self, event):
+        """``(number, j)``: ``event`` is the ``j``-th ``ledger``
+        occurrence of its writer, numbered in ``numbers`` — ``j`` the
+        shard an ack or truncate names, the acks a seal follows, or 0
+        for a structure, whichever thread appends first."""
+        kind = event["event"]
+        if kind == "structure":
+            writer, j = ("structure", event["name"]), 0
+        else:
+            writer = event["table"]
+            j = (len(self._tables[writer]["shards"]) if kind == "seal"
+                 else event["shard" if kind == "ack" else "shards"])
+        return self._numbers.get(writer, (0, 1)), j
 
     def ack(self, key, index, meta):
         """Record one landed shard from the metadata dict its
@@ -760,9 +783,10 @@ class TableSpool:
         self._views[view.path] = view
         return view
 
-    def spiller(self, prefix):
-        """The :class:`SpoolSpill` that parks arrays under ``prefix``."""
-        return SpoolSpill(self, prefix)
+    def spiller(self, prefix, number=(0, 1)):
+        """The :class:`SpoolSpill` that parks arrays under ``prefix``,
+        numbered ``number`` at the ``spill`` fault site."""
+        return SpoolSpill(self, prefix, number)
 
     def drop_scratch(self, prefix):
         """Delete all scratch files under ``prefix`` (post-match)."""
@@ -1019,22 +1043,28 @@ class SortedRuns:
             else self._spill(f"{tag}.secondary", secondary),
         ))
 
-    def merge(self, block_rows=None):
+    def merge(self, block_rows=None, release=False):
         """Yield ``(primary, secondary|None)`` blocks, globally sorted.
 
         Re-iterable: runs live on disk (or in RAM), so a counting
-        pass and an emission pass can both merge.
+        pass and an emission pass can both merge — unless
+        ``release``: then each run in RAM is freed piece by piece as
+        the merge reads past it, so whatever consumes the blocks grows
+        while the runs shrink.
         """
         self.flush()
         # Half a run over all buffers: a step emits at most about what
         # they hold, so the merge's transient stays below one run's.
-        return merge_sorted_runs(
-            self._runs,
-            block_rows or max(
-                self.run_rows // (2 * max(len(self._runs), 1)), 1024
-            ),
-            unique=self.unique,
+        block_rows = block_rows or max(
+            self.run_rows // (2 * max(len(self._runs), 1)), 1024
         )
+        if release:  # one run at a time: one run's copy in transit
+            for index, run in enumerate(self._runs):
+                self._runs[index] = tuple(
+                    view if view is None or isinstance(view, SpillView)
+                    else _DrainingRun(view, block_rows) for view in run
+                )
+        return merge_sorted_runs(self._runs, block_rows, unique=self.unique)
 
     def total(self):
         """Total merged rows (post-dedup when ``unique``)."""
@@ -1057,6 +1087,34 @@ class SortedRuns:
                     Path(view.path).unlink(missing_ok=True)
 
 
+class _DrainingRun:
+    """A sorted run in RAM that one merge reads front to back, kept as
+    copied pieces, each freed once the merge has read past it."""
+
+    def __init__(self, run, rows):
+        self.dtype, self._rows, self._start = run.dtype, len(run), 0
+        self._pieces = deque(
+            np.array(run[lo:lo + rows]) for lo in range(0, len(run), rows)
+        )
+
+    def __len__(self):
+        return self._rows
+
+    def __getitem__(self, rows):
+        """Rows ``[start, stop)`` (not empty), none before the last
+        read's stop."""
+        lo, hi = rows.start, min(rows.stop, self._rows)
+        out = []
+        while self._pieces and self._start < hi:
+            piece = self._pieces[0]
+            out.append(piece[max(lo - self._start, 0):hi - self._start])
+            if self._start + piece.size > hi:
+                break
+            self._start += piece.size
+            self._pieces.popleft()
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+
 def dedup_first_occurrence(spill, prefix, blocks, run_rows):
     """First-occurrence dedup of packed edge codes, out of core.
 
@@ -1068,20 +1126,21 @@ def dedup_first_occurrence(spill, prefix, blocks, run_rows):
     ``EdgeTable.deduplicated()`` and the bipartite pair dedup.  Two
     spilled sort-merge passes (by code, then by edge id) bound memory
     at O(run_rows); returns ``(total, codes_view)`` with the final code
-    sequence sealed behind the spill.
+    sequence sealed behind the spill.  Each merge frees its runs in RAM
+    as it drains them, so the two passes' runs never all coexist.
     """
     by_code = SortedRuns(spill, f"{prefix}.bycode", run_rows, unique=True)
     for codes, edge_ids in blocks:
         by_code.push(codes, edge_ids)
     by_order = SortedRuns(spill, f"{prefix}.byorder", run_rows)
     total = 0
-    for codes, edge_ids in by_code.merge():
+    for codes, edge_ids in by_code.merge(release=True):
         by_order.push(edge_ids, codes)
         total += codes.size
     by_code.cleanup()
     final = spill.create(f"{prefix}.codes", total, np.int64)
     pos = 0
-    for _, codes in by_order.merge():
+    for _, codes in by_order.merge(release=True):
         final[pos:pos + codes.size] = codes
         pos += codes.size
     by_order.cleanup()

@@ -12,6 +12,8 @@ degenerate multi-run splits included.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,29 @@ class TestDedupFirstOccurrence:
         first.sort()
         assert total == first.size
         np.testing.assert_array_equal(np.asarray(final), codes[first])
+
+    def test_in_ram_runs_are_freed_as_they_drain(self):
+        """Each merge frees its runs as it reads past them, so the
+        by-code runs shrink while the by-order runs grow: over 16
+        in-RAM runs the traced peak stays below two copies of the
+        records, which both passes' runs at once would take."""
+        n = 1 << 18
+        codes = np.random.default_rng(0).integers(0, 1 << 40, size=n)
+        edge_ids = np.arange(n, dtype=np.int64)
+        blocks = ((codes[lo:lo + 4096], edge_ids[lo:lo + 4096])
+                  for lo in range(0, n, 4096))
+        tracemalloc.start()
+        try:
+            total, final = dedup_first_occurrence(
+                IN_MEMORY, "peak", blocks, n // 16
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, first = np.unique(codes, return_index=True)
+        first.sort()
+        np.testing.assert_array_equal(final, codes[first])
+        assert peak < 2 * (codes.nbytes + edge_ids.nbytes)
 
     def test_both_spills_dedup_alike(self, spill):
         """The in-RAM spill keeps runs and result as arrays, the

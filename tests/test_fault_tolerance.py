@@ -131,7 +131,7 @@ class TestRetries:
         no manual intervention and unchanged output bytes."""
         out = tmp_path / "out"
         _run(out, tmp_path / "spool", backend="process", workers=2,
-             retries=2, faults="shard:1:kill")
+             retries=2, faults="shard:2:kill")
         _assert_same_tree(out, expected_csv)
 
     def test_retries_recover_worker_exception(self, expected_csv,
@@ -145,7 +145,7 @@ class TestRetries:
                                                      tmp_path):
         out = tmp_path / "out"
         _run(out, tmp_path / "spool", backend="process", workers=1,
-             retries=2, faults="shard:1:kill")
+             retries=2, faults="shard:2:kill")
         _assert_same_tree(out, expected_csv)
 
     def test_inline_retries_recover_worker_exception(self, expected_csv,
@@ -191,7 +191,7 @@ class TestRetries:
         out, spool = tmp_path / "out", tmp_path / "spool"
         with pytest.raises(ShardedError) as excinfo:
             _run(out, spool, backend=backend, workers=2,
-                 faults="shard:1:ioerror")
+                 faults="shard:2:ioerror")
         cause = excinfo.value.__cause__
         assert isinstance(cause, OSError) and cause.errno == errno.ENOSPC
         assert (spool / CHECKPOINT_NAME).exists()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -23,7 +22,6 @@ from repro.graphstats import (
     structural_summary,
     triangle_count,
 )
-from repro.io import from_networkx
 from repro.tables import EdgeTable
 
 
@@ -57,6 +55,7 @@ class TestClustering:
         assert average_clustering(path_table) == 0.0
 
     def test_matches_networkx(self, small_lfr):
+        nx = pytest.importorskip("networkx")
         table = small_lfr.table.subsample(np.arange(2000))
         ours = average_clustering(table)
         theirs = nx.average_clustering(
@@ -139,6 +138,7 @@ class TestAssortativity:
         assert degree_assortativity(table) < 0
 
     def test_matches_networkx(self, small_lfr):
+        nx = pytest.importorskip("networkx")
         table = small_lfr.table
         ours = degree_assortativity(table)
         theirs = nx.degree_assortativity_coefficient(
@@ -164,6 +164,7 @@ class TestAssortativity:
         assert attribute_assortativity(table, labels) < 0
 
     def test_attribute_matches_networkx(self, small_lfr):
+        nx = pytest.importorskip("networkx")
         table = small_lfr.table
         labels = small_lfr.communities % 5
         graph = nx.Graph(

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.core import GraphGenerator
 from repro.datasets import social_network_schema
 from repro.io import (
@@ -127,6 +131,10 @@ class TestEdgelist:
 
 
 class TestNetworkx:
+    @pytest.fixture(autouse=True)
+    def _networkx(self):
+        pytest.importorskip("networkx")
+
     def test_to_networkx_monopartite(self, triangle_table):
         graph = to_networkx(triangle_table)
         assert graph.number_of_nodes() == 3
@@ -159,6 +167,34 @@ class TestNetworkx:
         assert "country" in nxg.nodes[node]
         edge = next(iter(nxg.edges))
         assert "creationDate" in nxg.edges[edge]
+
+
+def test_repro_imports_without_networkx():
+    """networkx is optional: the package, its CLI and its scenarios
+    import without loading it — and with it unimportable — and the
+    adapter that needs it says so."""
+    def run(script):
+        src = str(Path(repro.__file__).parents[1])
+        return subprocess.run(
+            [sys.executable, "-c", script], check=True, text=True,
+            capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.strip()
+
+    assert run(
+        "import sys, repro, repro.cli, repro.scenarios; "
+        "print('networkx' in sys.modules)"
+    ) == "False"
+    assert "networkx" in run("""
+import sys
+sys.modules["networkx"] = None  # unimportable, as if not installed
+import repro, repro.cli, repro.scenarios
+from repro.io import to_networkx
+from repro.tables import EdgeTable
+try:
+    to_networkx(EdgeTable("e", [0], [1], num_tail_nodes=2))
+except ImportError as exc:
+    print(exc)
+""")
 
 
 class TestGraphml:

@@ -1,14 +1,17 @@
-"""The overlapped in-memory run: ``RunOptions(workers=N)`` runs
-independent plan tasks on ``N`` threads (:func:`repro.core.tasks.walk`)
-and must be indistinguishable from the serial loop but for its wall
-time:
+"""The overlapped run: ``RunOptions(workers=N)`` runs independent plan
+tasks on ``N`` threads (:func:`repro.core.tasks.walk`), in memory and
+out of core, and must be indistinguishable from the serial loop but
+for its wall time:
 
 * its export and its result tables are the serial run's, in plan
-  order, and independent tasks do run at once;
+  order, and independent tasks do run at once — out of core, their
+  shards share the pool's one bound of ``workers + 1`` in flight;
 * a fault fires on the task it names at ``workers=1``: sites are
-  numbered by plan order, not by which thread reaches them first;
+  numbered by plan position (and shard index), not by which thread
+  reaches them first;
 * a failing run raises the serial run's exception after writing the
-  serial run's files, whichever site fails;
+  serial run's files, whichever site fails; out of core, a crash at
+  any site resumes to the uninterrupted bytes;
 * every compiled kernel gives the sequential result when threads call
   it at once, as the window does (the contract in
   :mod:`repro.core.ccompile`).
@@ -20,10 +23,12 @@ threads interleave.
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +43,7 @@ from repro.core import (
     RunOptions,
     Schema,
 )
-from repro.core import sharded
+from repro.core import ShardedError, sharded
 from repro.core.faults import InjectedFault
 from repro.core.matching import edge_count_target, sbm_part_assign
 from repro.io import make_sink
@@ -236,6 +241,180 @@ class TestFaults:
             trees.append(_tree(out))
         assert trees[1] == trees[0]
         assert list(trees[0]) == ["T.p0.csv"]
+
+
+# -- out of core: the same window over the spool ------------------------------
+
+
+def _sharded(out, workers, backend="thread", shard_rows=64):
+    return GraphGenerator(
+        _SOCIAL.schema, _SOCIAL.scale, _SOCIAL.seed
+    ).generate(make_sink("csv", out, chunk_size=97), RunOptions(
+        workers=workers, backend=backend, shard_rows=shard_rows,
+        spool_dir=f"{out}.spool",
+    ))
+
+
+@pytest.fixture
+def shards_in_flight(monkeypatch):
+    """Snapshots, one per submission, of the shard jobs an executor
+    holds that their caller has not yet collected, by table."""
+    lock, now, snapshots = threading.Lock(), Counter(), []
+    jobs = (sharded._property_shard_part, sharded._edge_shard_part)
+
+    def counting(submit):
+        def wrapper(self, fn, *args, **kwargs):
+            future = submit(self, fn, *args, **kwargs)
+            if fn in jobs:
+                future.table = args[1]
+                with lock:
+                    now[args[1]] += 1
+                    snapshots.append(+now)
+            return future
+        return wrapper
+
+    for executor in (ThreadPoolExecutor, ProcessPoolExecutor):
+        monkeypatch.setattr(executor, "submit", counting(executor.submit))
+    result = Future.result
+
+    def collected(self, timeout=None):
+        value = result(self, timeout)
+        if getattr(self, "table", None) is not None:
+            with lock:
+                now[self.table] -= 1
+            self.table = None
+        return value
+
+    monkeypatch.setattr(Future, "result", collected)
+    return snapshots
+
+
+class TestOutOfCore:
+    @pytest.mark.usefixtures("short_switch")
+    @pytest.mark.parametrize("backend, workers", [
+        ("thread", 2), ("thread", 4), ("process", 2),
+    ])
+    def test_serial_bytes_and_tables_in_plan_order(self, backend, workers,
+                                                   tmp_path):
+        serial = _social(tmp_path / "serial", 1)
+        graph = _sharded(tmp_path / "window", workers, backend)
+        try:
+            assert _tree(tmp_path / "window") == _tree(tmp_path / "serial")
+            for name in _TABLES:
+                assert list(getattr(graph, name)) == list(
+                    getattr(serial, name))
+        finally:
+            graph.cleanup()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_independent_tasks_shards_run_at_once(self, backend, registries,
+                                                  shards_in_flight,
+                                                  tmp_path):
+        """Two one-shard property tables wait for each other in the
+        pool's workers: only their tasks' shards in flight together get
+        past the barrier."""
+
+        class Rendezvous(PropertyGenerator):
+            name = "overlap_test_shard_rendezvous"
+            barrier = multiprocessing.get_context("fork").Barrier(
+                2, timeout=30)
+
+            def parameter_names(self):
+                return set()
+
+            def run_many(self, ids, stream, *deps):
+                Rendezvous.barrier.wait()
+                return np.zeros(len(ids), dtype=np.int64)
+
+        register_property_generator(Rendezvous)
+        spec = GeneratorSpec(Rendezvous.name, {})
+        GraphGenerator(Schema(node_types=[NodeType("T", [
+            PropertyDef("a", "long", spec), PropertyDef("b", "long", spec),
+        ])]), {"T": 10}).generate(options=RunOptions(
+            workers=2, backend=backend, shard_rows=64,
+            spool_dir=tmp_path / "spool",
+        )).cleanup()
+        assert {"T.a", "T.b"} in [set(tables) for tables in shards_in_flight]
+
+    @pytest.mark.usefixtures("short_switch")
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_shards_in_flight_share_one_bound(self, backend,
+                                              shards_in_flight, tmp_path):
+        """However many tasks map at once, at most ``workers + 1`` shard
+        jobs are in flight in all."""
+        _sharded(tmp_path / "out", 2, backend, shard_rows=23).cleanup()
+        assert len(shards_in_flight) > 100
+        assert max(sum(tables.values()) for tables in shards_in_flight) <= 3
+
+
+#: One crash per fault site of the out-of-core run over
+#: ``_two_structures()``, whose plan is ``count:A, count:B,
+#: property:A.x, property:B.x, structure:e1, match:e1, structure:e2,
+#: match:e2``; a shard-level occurrence is ``n + j * tasks``.
+_OUT_OF_CORE_CRASHES = {
+    "count:1:crash": "count:B",
+    "structure:1:crash": "structure:e2",
+    "property:2:crash": "property:A.x",  # n 0 of 2, shard 1
+    "match:3:crash": "match:e2",  # n 1 of 2, shard 1
+    "shard:6:crash": "match:e1",  # n 2 of 4, shard 1
+    "ledger:11:crash": "match:e2",  # n 5 of 6, the ack of shard 1
+    "spill:6:crash": "structure:e2",  # n 2 of 4, its second spill
+    "export:7:ioerror": None,  # raised while exporting, by no task
+}
+
+
+class TestOutOfCoreFaults:
+    @staticmethod
+    def _run(out, faults=None, **options):
+        return GraphGenerator(
+            _two_structures(), {"A": 300, "B": 300}, 3
+        ).generate(make_sink("csv", out, chunk_size=97), RunOptions(
+            shard_rows=64, spool_dir=f"{out}.spool", faults=faults,
+            **options,
+        ))
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("clean") / "out"
+        self._run(out).cleanup()
+        return _tree(out)
+
+    @pytest.mark.parametrize("fault", list(_OUT_OF_CORE_CRASHES))
+    def test_a_crash_fails_its_task_and_resumes(self, fault, uninterrupted,
+                                                tmp_path, monkeypatch):
+        """Each crash fails the task it names — at one worker, on two
+        threads or two processes, and with the plan's first count
+        slowed so the tasks after it in plan order run first — and a
+        resume writes the uninterrupted bytes."""
+        apply_task, outcomes = sharded.apply_task, set()
+
+        def apply(task, *args):
+            try:
+                return apply_task(task, *args)
+            except Exception:
+                failed.append(task.task_id)
+                raise
+
+        monkeypatch.setattr(sharded, "apply_task", apply)
+        for leg, (faults, workers, backend) in enumerate([
+            (fault, 1, "thread"),
+            (fault, 2, "thread"),
+            (fault, 2, "process"),
+            (f"count:0:slow=0.2,{fault}", 2, "thread"),
+            (f"count:0:slow=0.2,{fault}", 2, "process"),
+        ]):
+            failed, out = [], tmp_path / f"leg{leg}"
+            with pytest.raises((InjectedFault, ShardedError, OSError)) as info:
+                self._run(out, faults, workers=workers, backend=backend)
+            error = info.value.__cause__ or info.value
+            outcomes.add((tuple(failed), type(error), str(error)))
+            self._run(out, workers=workers, backend=backend,
+                      resume=True).cleanup()
+            assert _tree(out) == uninterrupted, leg
+        named = _OUT_OF_CORE_CRASHES[fault]
+        assert outcomes == {(
+            (named,) if named else (), *next(iter(outcomes))[1:]
+        )}
 
 
 # -- the compiled kernels, called from several threads at once ---------------

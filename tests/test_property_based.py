@@ -1212,7 +1212,7 @@ class Draw:
     chunk_size: int = 1000
     shard_rows: int = 64
     workers: int = 2
-    fault: str = "ledger:1:crash"
+    fault: str = "ledger:3:crash"
     resume_backend: str = "thread"
 
     def _repr_pretty_(self, printer, cycle):
@@ -1513,14 +1513,14 @@ PINNED = {
     ),
     "running-example": Draw(
         social_network_schema(num_countries=8), {"Person": 400}, 23,
-        fmt="edgelist", chunk_size=7, workers=1, fault="property:1:crash",
+        fmt="edgelist", chunk_size=7, workers=1, fault="property:9:crash",
     ),
     "edge-anchor": Draw(_one_edge(
         "erdos_renyi_m", {"edges_per_node": 4}, a_props=[_UNIFORM]
     ), {"e": 1000}, 6, compress=True, fault="export:2:ioerror"),
     "crash-matrix": Draw(_one_edge(
         "erdos_renyi_m", {"edges_per_node": 3}, a_props=[_UNIFORM]
-    ), {"A": 200}, workers=1, fault="ledger:1:crash",
+    ), {"A": 200}, workers=1, fault="ledger:3:crash",
         resume_backend="process"),
     "overlapped": Draw(Schema(
         node_types=[NodeType("A", properties=[_UNIFORM, PropertyDef(
