@@ -649,13 +649,9 @@ def _cmd_scenario(args):
 
 
 def _cmd_serve(args):
-    from .core import SchemaError, tasks
+    from .core import SchemaError
     from .scenarios import ScenarioError, compile_scenario
-    from .serve import (
-        VirtualGraph,
-        create_server,
-        install_signal_handlers,
-    )
+    from .serve import VirtualGraph, serve
 
     try:
         spec = _load_scenario_spec(args.name)
@@ -668,53 +664,13 @@ def _cmd_serve(args):
         )
     except (ScenarioError, SchemaError, OSError) as exc:
         raise SystemExit(f"scenario error: {exc}") from None
-    import threading
-
     try:
-        # Bind before warming so the chosen port is printed (and
-        # /healthz answers) immediately; data routes serve 503 with
-        # Retry-After until the edge states are built.
-        server = create_server(
-            graph, args.host, args.port, verbose=args.verbose,
-            ready=False, request_timeout=args.request_timeout,
+        serve(
+            graph, compiled.name, args.host, args.port,
+            verbose=args.verbose, request_timeout=args.request_timeout,
         )
-        host, port = server.server_address[:2]
-        print(f"serving {compiled.name!r} on http://{host}:{port}/",
-              flush=True)
-        install_signal_handlers(server)
-        warm_error = []
-
-        def _warm():
-            try:
-                graph.warm()
-                classification = graph.classification()
-                for name, meta in classification["edges"].items():
-                    print(f"  edge {name}: mode={meta['mode']} "
-                          f"({meta['count']} edges)", flush=True)
-                tasks.malloc_trim()  # what the warm-up freed on this thread
-                server.ready.set()
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                warm_error.append(exc)
-                threading.Thread(
-                    target=server.shutdown, daemon=True
-                ).start()
-
-        threading.Thread(
-            target=_warm, name="repro-serve-warm", daemon=True
-        ).start()
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            # Graceful drain: stop accepting, finish in-flight
-            # requests (block_on_close), then release the graph —
-            # which unlinks the owned spool, Ctrl-C included.
-            server.server_close()
-        if warm_error:
-            raise SystemExit(f"serve warmup failed: {warm_error[0]}")
-    finally:
-        graph.close()
+    except RuntimeError as exc:
+        raise SystemExit(str(exc)) from None
     return 0
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...partitioning import ldg_partition, mixing_matrix
-from .sbm_part import SbmPartResult, _mapping_from_assignment
-from .targets import edge_count_target
+from .kernel import ldg_partition
+from .sbm_part import _match_result
 
 __all__ = ["ldg_degree_match", "greedy_label_match"]
 
@@ -27,22 +26,11 @@ def ldg_degree_match(ptable, joint, table, order=None, tie_stream=None):
     *marginal* of the observed joint is respected; only the pairwise
     structure is left to locality.
     """
-    codes, _ = ptable.codes()
-    group_sizes = np.bincount(codes)
-    if joint.k != group_sizes.size:
-        raise ValueError(
-            f"joint has {joint.k} categories but PT has "
-            f"{group_sizes.size} distinct values"
-        )
-    assignment = ldg_partition(
-        table, group_sizes, order=order, tie_stream=tie_stream
-    )
-    mapping = _mapping_from_assignment(assignment, codes)
-    return SbmPartResult(
-        assignment=assignment,
-        mapping=mapping,
-        target=edge_count_target(joint, table.num_edges),
-        achieved=mixing_matrix(table, assignment, k=group_sizes.size),
+    return _match_result(
+        ptable, joint, table,
+        lambda group_sizes, _target: ldg_partition(
+            table, group_sizes, order=order, tie_stream=tie_stream
+        ),
     )
 
 
@@ -54,20 +42,13 @@ def greedy_label_match(ptable, joint, table, order=None):
     LFR assignment order) this can look deceptively good, which is
     exactly why the ablation includes it.
     """
-    codes, _ = ptable.codes()
-    group_sizes = np.bincount(codes)
     n = table.num_nodes
-    if order is None:
-        order = np.arange(n, dtype=np.int64)
-    labels_sequence = np.repeat(
-        np.arange(group_sizes.size, dtype=np.int64), group_sizes
-    )[:n]
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[np.asarray(order, dtype=np.int64)] = labels_sequence
-    mapping = _mapping_from_assignment(assignment, codes)
-    return SbmPartResult(
-        assignment=assignment,
-        mapping=mapping,
-        target=edge_count_target(joint, table.num_edges),
-        achieved=mixing_matrix(table, assignment, k=group_sizes.size),
-    )
+
+    def fill(group_sizes, _target):
+        assignment = np.empty(n, dtype=np.int64)
+        assignment[
+            np.arange(n) if order is None else np.asarray(order, np.int64)
+        ] = np.repeat(np.arange(group_sizes.size), group_sizes)[:n]
+        return assignment
+
+    return _match_result(ptable, joint, table, fill)

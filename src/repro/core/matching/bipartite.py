@@ -70,8 +70,23 @@ def bipartite_sbm_part_match(
         bipartite :class:`~repro.tables.EdgeTable`.
     order:
         arrival order over the combined id space: ids ``0..nt-1`` are
-        tail nodes, ``nt..nt+nh-1`` are head nodes.  Interleaved natural
-        order when omitted.
+        tail nodes, ``nt..nt+nh-1`` are head nodes.  Natural order (all
+        tails, then all heads) when omitted.
+    capacity_weighting:
+        apply the LDG-style ``(1 - s_t / q_t)`` balancing factor.
+
+    Two components of likes, each of two people and two messages,
+    asked for topic-aligned likes only:
+
+    >>> from repro.tables import EdgeTable, PropertyTable
+    >>> likes = EdgeTable("likes", [0, 0, 1, 2, 3, 3], [0, 1, 1, 2, 3, 2],
+    ...                   num_tail_nodes=4, num_head_nodes=4, directed=True)
+    >>> result = bipartite_sbm_part_match(
+    ...     PropertyTable("topic", [0, 0, 1, 1]),
+    ...     PropertyTable("tag", [0, 0, 1, 1]),
+    ...     [[1, 0], [0, 1]], likes, order=[0, 4, 5, 1, 2, 6, 7, 3])
+    >>> result.achieved.tolist()
+    [[3.0, 0.0], [0.0, 3.0]]
     """
     nt, nh = table.num_tail_nodes, table.num_head_nodes
     tail_codes, _ = tail_ptable.codes()

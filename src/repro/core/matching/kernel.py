@@ -98,9 +98,9 @@ __all__ = [
     "available_impls",
     "bipartite_stream",
     "cold_choice",
-    "ldg_stream",
+    "ldg_partition",
     "prepare_match_stream",
-    "sbm_part_stream",
+    "sbm_part_assign",
     "tie_threshold",
 ]
 
@@ -283,7 +283,7 @@ def _draw_uniforms(tie_stream, n):
 # -- SBM-Part (monopartite) ---------------------------------------------------
 
 
-def sbm_part_stream(
+def sbm_part_assign(
     table,
     group_sizes,
     target,
@@ -294,12 +294,53 @@ def sbm_part_stream(
     negative_gain="divide",
     prep=None,
 ):
-    """Streaming SBM-Part assignment (kernel entry point).
+    """Streaming SBM-Part assignment: the group label of every node.
 
-    Same contract as the legacy ``sbm_part_assign`` loop; see
-    :func:`repro.core.matching.sbm_part_assign` for parameter
-    documentation.  ``prep`` may carry a precomputed
-    :class:`MatchPrep` for this ``(table, order)`` pair.
+    Parameters
+    ----------
+    table:
+        monopartite :class:`~repro.tables.EdgeTable`.
+    group_sizes:
+        ``(k,)`` capacities ``q_t`` (must sum to >= n).
+    target:
+        ``(k, k)`` edge-count target in mixing-matrix convention.
+    order:
+        arrival order of node ids; natural order when omitted.  The
+        paper's evaluation streams nodes randomly.
+    capacity_weighting:
+        apply the LDG-style ``(1 - s_t / q_t)`` balancing factor
+        (ablation A3 turns this off).
+    tie_stream:
+        optional :class:`~repro.prng.RandomStream` of the per-step
+        uniforms (a fixed stream when omitted): the cold-start draw,
+        and the pick among tied groups that have equally most
+        remaining capacity.
+    cold_start:
+        placement rule for nodes with no placed neighbours:
+        "proportional" (default — remaining-capacity-proportional
+        random draw) or "greedy" (most remaining capacity, a literal
+        LDG-style reading); ablation A5 of ``docs/reproduction.md``.
+    negative_gain:
+        balancing of negative Frobenius gains: "divide" (default —
+        keeps the balancing direction uniform) or "multiply" (literal
+        application of the LDG factor); same ablation.
+    prep:
+        optional precomputed :class:`MatchPrep` for this
+        ``(table, order)`` pair, built once by
+        :func:`prepare_match_stream` when several matchings share one
+        stream.
+
+    Returns
+    -------
+    (n,) int64 group label per node.
+
+    Two triangles joined by one edge, asked for all-intra-group
+    edges, split along the bridge:
+
+    >>> from repro.tables import EdgeTable
+    >>> table = EdgeTable("e", [0, 0, 1, 2, 3, 3, 4], [1, 2, 2, 3, 4, 5, 5])
+    >>> sbm_part_assign(table, [3, 3], np.diag([3.5, 3.5])).tolist()
+    [1, 1, 1, 0, 0, 0]
     """
     n = table.num_nodes
     group_sizes = _capacities(group_sizes, n, "group sizes")
@@ -447,10 +488,40 @@ def _sbm_stream_numpy(
 # -- LDG ----------------------------------------------------------------------
 
 
-def ldg_stream(
-    table, capacities, order=None, tie_stream=None, prep=None,
-):
-    """Streaming LDG partitioning (kernel entry point)."""
+def ldg_partition(table, capacities, order=None, tie_stream=None, prep=None):
+    """Partition the nodes of ``table`` into groups of given capacities
+    with LDG (Stanton & Kliot, KDD 2012).
+
+    Each arriving node goes to the group holding most of its placed
+    neighbours, weighted by the group's remaining capacity
+    ``(1 - s_t / q_t)``.  The paper labels its input graphs with it
+    ("we partitioned each of the graphs g into k groups ... using
+    LDG"); the ablations use it as a matching baseline.
+
+    Parameters
+    ----------
+    table:
+        :class:`~repro.tables.EdgeTable` (monopartite).
+    capacities:
+        ``(k,)`` integer capacity per partition; must sum to >= n.
+    order:
+        node arrival order (default: natural order ``0..n-1``).
+    tie_stream:
+        :class:`~repro.prng.RandomStream` used to break score ties;
+        ties go to the least-loaded tied partition when omitted.
+    prep:
+        optional precomputed :class:`MatchPrep` for this
+        ``(table, order)`` pair.
+
+    Returns
+    -------
+    (n,) int64 partition label per node.
+
+    >>> from repro.tables import EdgeTable
+    >>> table = EdgeTable("e", [0, 0, 1, 2, 3, 3, 4], [1, 2, 2, 3, 4, 5, 5])
+    >>> ldg_partition(table, [3, 3]).tolist()
+    [0, 0, 0, 1, 1, 1]
+    """
     n = table.num_nodes
     capacities = _capacities(capacities, n, "capacities")
     prep = _stream_prep(table, order, prep)
@@ -530,6 +601,32 @@ def _ldg_stream_numpy(prep, capacities, uniforms):
 # -- bipartite SBM-Part -------------------------------------------------------
 
 
+class _Side:
+    """One side's placement state in :func:`bipartite_stream`.
+
+    ``current``, ``diff`` and ``target`` hold this side's groups as
+    rows: the tail side sees the matrices themselves, the head side
+    their transposed views, so one placement step serves both sides.
+    """
+
+    def __init__(self, name, sizes, n, ends, other_ends, current, diff,
+                 target):
+        self.name = name
+        self.sizes = sizes
+        # This side's node -> the other side's nodes; group + 1 per
+        # node, 0 until placed.
+        indptr, self.nbrs = csr_arrays(ends, other_ends, n)
+        self.indptr = indptr.tolist()
+        self.assigned = np.zeros(n, dtype=np.int64)
+        self.loads = np.zeros(sizes.size, dtype=np.int64)
+        self.weight = np.where(sizes > 0, 1.0, 0.0)
+        self.full = [int(j) for j in np.flatnonzero(sizes == 0)]
+        self.full_idx = np.asarray(self.full, dtype=np.int64)
+        self.score = np.empty(sizes.size, dtype=np.float64)
+        self.tied = np.empty(sizes.size, dtype=bool)
+        self.current, self.diff, self.target = current, diff, target
+
+
 def bipartite_stream(
     table, tail_sizes, head_sizes, target, order=None,
     capacity_weighting=True,
@@ -546,122 +643,61 @@ def bipartite_stream(
     nt, nh = table.num_tail_nodes, table.num_head_nodes
     tail_sizes = _capacities(tail_sizes, nt, "tail group sizes")
     head_sizes = _capacities(head_sizes, nh, "head group sizes")
-    kt, kh = tail_sizes.size, head_sizes.size
-    target = _finite_target(target, (kt, kh))
+    target = _finite_target(target, (tail_sizes.size, head_sizes.size))
     order = _arrival_order(order, nt + nh)
 
-    # Tail -> heads and head -> tails adjacency; group + 1 per node on
-    # each side, 0 until placed.
-    t_indptr, t_nbrs = csr_arrays(table.tails, table.heads, nt)
-    h_indptr, h_nbrs = csr_arrays(table.heads, table.tails, nh)
-    tail_assigned = np.zeros(nt, dtype=np.int64)
-    head_assigned = np.zeros(nh, dtype=np.int64)
-
-    tail_loads = np.zeros(kt, dtype=np.int64)
-    head_loads = np.zeros(kh, dtype=np.int64)
-    current = np.zeros((kt, kh), dtype=np.float64)
+    current = np.zeros(target.shape, dtype=np.float64)
     diff = current - target
-
-    w_tail = np.where(tail_sizes > 0, 1.0, 0.0)
-    w_head = np.where(head_sizes > 0, 1.0, 0.0)
-    full_tail = [int(j) for j in np.flatnonzero(tail_sizes == 0)]
-    full_head = [int(j) for j in np.flatnonzero(head_sizes == 0)]
-    fti = np.asarray(full_tail, dtype=np.int64)
-    fhi = np.asarray(full_head, dtype=np.int64)
-
-    score_t = np.empty(kt, dtype=np.float64)
-    score_h = np.empty(kh, dtype=np.float64)
-    bb_t = np.empty(kt, dtype=bool)
-    bb_h = np.empty(kh, dtype=bool)
-    ccol_views = [current[:, j] for j in range(kh)]
-    dcol_views = [diff[:, j] for j in range(kh)]
-    tcol_views = [np.ascontiguousarray(target[:, j]) for j in range(kh)]
-
-    t_indptr_l = t_indptr.tolist()
-    h_indptr_l = h_indptr.tolist()
+    tail = _Side("tail", tail_sizes, nt, table.tails, table.heads,
+                 current, diff, target)
+    head = _Side("head", head_sizes, nh, table.heads, table.tails,
+                 current.T, diff.T, target.T)
     weighting = bool(capacity_weighting)
 
     for combined in order.tolist():
         if combined < nt:
-            v = combined
-            c = np.bincount(
-                head_assigned.take(t_nbrs[t_indptr_l[v]:t_indptr_l[v + 1]]),
-                minlength=kh + 1,
-            )[1:].astype(np.float64)
-            # delta = 2*(diff @ c) + S2 per candidate tail group.
-            np.dot(diff, c, out=score_t)
-            s2 = float(np.dot(c, c))
-            np.multiply(score_t, 2.0, out=score_t)
-            np.add(score_t, s2, out=score_t)
-            np.negative(score_t, out=score_t)
-            if weighting:
-                np.multiply(score_t, w_tail, out=score_t)
-            if fti.size:
-                score_t[fti] = _NEG_INF
-            am = int(np.argmax(score_t))
-            best = float(score_t[am])
-            if best == _NEG_INF:
-                raise RuntimeError("tail group capacities exhausted")
-            thresh = best - REL_TIE_TOL * max(1.0, abs(best))
-            np.greater_equal(score_t, thresh, out=bb_t)
-            if int(np.count_nonzero(bb_t)) == 1:
-                choice = am
-            else:
-                ties = np.flatnonzero(bb_t)
-                remaining = (tail_sizes - tail_loads)[ties]
-                choice = int(ties[np.argmax(remaining)])
-            tail_assigned[v] = choice + 1
-            tail_loads[choice] += 1
-            if weighting:
-                w_tail[choice] = (
-                    1.0 - tail_loads[choice] / tail_sizes[choice]
-                )
-            if tail_loads[choice] >= tail_sizes[choice]:
-                full_tail.append(choice)
-                fti = np.asarray(full_tail, dtype=np.int64)
-            crow = current[choice]
-            np.add(crow, c, out=crow)
-            np.subtract(crow, target[choice], out=diff[choice])
+            side, other, v = tail, head, combined
         else:
-            v = combined - nt
-            c = np.bincount(
-                tail_assigned.take(h_nbrs[h_indptr_l[v]:h_indptr_l[v + 1]]),
-                minlength=kt + 1,
-            )[1:].astype(np.float64)
-            np.dot(c, diff, out=score_h)
-            s2 = float(np.dot(c, c))
-            np.multiply(score_h, 2.0, out=score_h)
-            np.add(score_h, s2, out=score_h)
-            np.negative(score_h, out=score_h)
-            if weighting:
-                np.multiply(score_h, w_head, out=score_h)
-            if fhi.size:
-                score_h[fhi] = _NEG_INF
-            am = int(np.argmax(score_h))
-            best = float(score_h[am])
-            if best == _NEG_INF:
-                raise RuntimeError("head group capacities exhausted")
-            thresh = best - REL_TIE_TOL * max(1.0, abs(best))
-            np.greater_equal(score_h, thresh, out=bb_h)
-            if int(np.count_nonzero(bb_h)) == 1:
-                choice = am
-            else:
-                ties = np.flatnonzero(bb_h)
-                remaining = (head_sizes - head_loads)[ties]
-                choice = int(ties[np.argmax(remaining)])
-            head_assigned[v] = choice + 1
-            head_loads[choice] += 1
-            if weighting:
-                w_head[choice] = (
-                    1.0 - head_loads[choice] / head_sizes[choice]
-                )
-            if head_loads[choice] >= head_sizes[choice]:
-                full_head.append(choice)
-                fhi = np.asarray(full_head, dtype=np.int64)
-            ccol = ccol_views[choice]
-            np.add(ccol, c, out=ccol)
-            np.subtract(
-                ccol, tcol_views[choice], out=dcol_views[choice]
+            side, other, v = head, tail, combined - nt
+        c = np.bincount(
+            other.assigned.take(
+                side.nbrs[side.indptr[v]:side.indptr[v + 1]]
+            ),
+            minlength=other.sizes.size + 1,
+        )[1:].astype(np.float64)
+        # delta = 2*(diff @ c) + S2 per candidate group of this side.
+        score = side.score
+        np.dot(side.diff, c, out=score)
+        s2 = float(np.dot(c, c))
+        np.multiply(score, 2.0, out=score)
+        np.add(score, s2, out=score)
+        np.negative(score, out=score)
+        if weighting:
+            np.multiply(score, side.weight, out=score)
+        if side.full_idx.size:
+            score[side.full_idx] = _NEG_INF
+        am = int(np.argmax(score))
+        best = float(score[am])
+        if best == _NEG_INF:
+            raise RuntimeError(f"{side.name} group capacities exhausted")
+        np.greater_equal(score, tie_threshold(best), out=side.tied)
+        if int(np.count_nonzero(side.tied)) == 1:
+            choice = am
+        else:
+            ties = np.flatnonzero(side.tied)
+            remaining = (side.sizes - side.loads)[ties]
+            choice = int(ties[np.argmax(remaining)])
+        side.assigned[v] = choice + 1
+        side.loads[choice] += 1
+        if weighting:
+            side.weight[choice] = (
+                1.0 - side.loads[choice] / side.sizes[choice]
             )
+        if side.loads[choice] >= side.sizes[choice]:
+            side.full.append(choice)
+            side.full_idx = np.asarray(side.full, dtype=np.int64)
+        row = side.current[choice]
+        np.add(row, c, out=row)
+        np.subtract(row, side.target[choice], out=side.diff[choice])
 
-    return tail_assigned - 1, head_assigned - 1
+    return tail.assigned - 1, head.assigned - 1

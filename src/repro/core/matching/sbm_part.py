@@ -35,8 +35,9 @@ exercised by the ablation benchmarks):
   *favour* nearly-full groups, so negative gains are divided by the
   factor instead, keeping the balancing direction uniform.
 
-The per-node loop itself lives in the shared streaming-placement
-kernel (:mod:`repro.core.matching.kernel`), which maintains
+The per-node loop, :func:`~repro.core.matching.kernel.sbm_part_assign`,
+lives in the shared streaming-placement kernel
+(:mod:`repro.core.matching.kernel`), which maintains
 ``current - target`` incrementally and scores candidates in O(k·deg)
 per node instead of the original O(k^2); the original loop is kept
 verbatim in ``tests/legacy_matching.py`` and the kernel's
@@ -50,11 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...partitioning.metrics import mixing_matrix
 from ...tables import bucket_order
-from .kernel import sbm_part_stream
+from .kernel import sbm_part_assign
 from .targets import edge_count_target
 
-__all__ = ["SbmPartResult", "sbm_part_assign", "sbm_part_match"]
+__all__ = ["SbmPartResult", "sbm_part_match"]
 
 
 @dataclass
@@ -67,7 +69,7 @@ class SbmPartResult:
         ``(n,)`` group label per structure node.
     mapping:
         ``(n,)`` PT row id per structure node (the paper's function
-        ``f``); only set by :func:`sbm_part_match`.
+        ``f``).
     target:
         the ``W`` matrix the run aimed for.
     achieved:
@@ -75,7 +77,7 @@ class SbmPartResult:
     """
 
     assignment: np.ndarray
-    mapping: np.ndarray | None
+    mapping: np.ndarray
     target: np.ndarray
     achieved: np.ndarray
 
@@ -83,69 +85,6 @@ class SbmPartResult:
     def frobenius_error(self):
         """``||achieved - target||_F`` at the end of the stream."""
         return float(np.linalg.norm(self.achieved - self.target, ord="fro"))
-
-
-def sbm_part_assign(
-    table,
-    group_sizes,
-    target,
-    order=None,
-    capacity_weighting=True,
-    tie_stream=None,
-    cold_start="proportional",
-    negative_gain="divide",
-    prep=None,
-):
-    """Core streaming assignment loop.
-
-    Parameters
-    ----------
-    table:
-        monopartite :class:`~repro.tables.EdgeTable`.
-    group_sizes:
-        ``(k,)`` capacities ``q_t`` (must sum to >= n).
-    target:
-        ``(k, k)`` edge-count target in mixing-matrix convention.
-    order:
-        arrival order of node ids; natural order when omitted.  The
-        paper's evaluation streams nodes randomly.
-    capacity_weighting:
-        apply the LDG-style ``(1 - s_t / q_t)`` balancing factor
-        (ablation A3 turns this off).
-    tie_stream:
-        optional :class:`~repro.prng.RandomStream` for tie-breaking;
-        ties otherwise go to the group with most remaining capacity.
-    cold_start:
-        placement rule for nodes with no placed neighbours:
-        "proportional" (default — remaining-capacity-proportional
-        random draw) or "greedy" (most remaining capacity, a literal
-        LDG-style reading); ablation A5 of ``docs/reproduction.md``.
-    negative_gain:
-        balancing of negative Frobenius gains: "divide" (default —
-        keeps the balancing direction uniform) or "multiply" (literal
-        application of the LDG factor); same ablation.
-    prep:
-        optional precomputed
-        :class:`~repro.core.matching.kernel.MatchPrep` for this
-        ``(table, order)`` pair, built once by
-        :func:`~repro.core.matching.kernel.prepare_match_stream` when
-        several matchings share one stream.
-
-    Returns
-    -------
-    (n,) int64 group label per node.
-    """
-    return sbm_part_stream(
-        table,
-        group_sizes,
-        target,
-        order=order,
-        capacity_weighting=capacity_weighting,
-        tie_stream=tie_stream,
-        cold_start=cold_start,
-        negative_gain=negative_gain,
-        prep=prep,
-    )
 
 
 def _mapping_from_assignment(assignment, codes):
@@ -183,6 +122,38 @@ def _mapping_from_assignment(assignment, codes):
     return mapping
 
 
+def _match_result(ptable, joint, table, place):
+    """Run one monopartite matcher and assemble its :class:`SbmPartResult`.
+
+    Group sizes come from the PT's value counts and the target from the
+    joint and the structure's edge count; ``place(group_sizes, target)``
+    returns the group label of every structure node, which
+    :func:`_mapping_from_assignment` turns into PT rows.  Raises
+    ``ValueError`` when the joint's categories are not the PT's values
+    or the PT has fewer rows than the structure has nodes.
+    """
+    codes, _categories = ptable.codes()
+    group_sizes = np.bincount(codes)
+    if joint.k != group_sizes.size:
+        raise ValueError(
+            f"joint has {joint.k} categories but PT {ptable.name!r} has "
+            f"{group_sizes.size} distinct values"
+        )
+    if len(ptable) < table.num_nodes:
+        raise ValueError(
+            f"PT {ptable.name!r} has {len(ptable)} rows but the structure "
+            f"has {table.num_nodes} nodes"
+        )
+    target = edge_count_target(joint, table.num_edges)
+    assignment = place(group_sizes, target)
+    return SbmPartResult(
+        assignment=assignment,
+        mapping=_mapping_from_assignment(assignment, codes),
+        target=target,
+        achieved=mixing_matrix(table, assignment, k=group_sizes.size),
+    )
+
+
 def sbm_part_match(
     ptable,
     joint,
@@ -199,43 +170,24 @@ def sbm_part_match(
     This is the *match graph* task of Figure 2: group sizes come from
     the PT's value counts, the target from the joint and the structure's
     edge count, and the result maps every structure node to a concrete
-    PT row whose value realises the assigned group.
+    PT row whose value realises the assigned group.  The remaining
+    parameters are :func:`~repro.core.matching.kernel.sbm_part_assign`'s.
 
     Returns
     -------
     :class:`SbmPartResult`
     """
-    from ...partitioning import mixing_matrix
-
-    codes, _categories = ptable.codes()
-    group_sizes = np.bincount(codes)
-    if joint.k != group_sizes.size:
-        raise ValueError(
-            f"joint has {joint.k} categories but PT {ptable.name!r} has "
-            f"{group_sizes.size} distinct values"
-        )
-    if len(ptable) < table.num_nodes:
-        raise ValueError(
-            f"PT {ptable.name!r} has {len(ptable)} rows but the structure "
-            f"has {table.num_nodes} nodes"
-        )
-    target = edge_count_target(joint, table.num_edges)
-    assignment = sbm_part_assign(
-        table,
-        group_sizes,
-        target,
-        order=order,
-        capacity_weighting=capacity_weighting,
-        tie_stream=tie_stream,
-        cold_start=cold_start,
-        negative_gain=negative_gain,
-        prep=prep,
-    )
-    mapping = _mapping_from_assignment(assignment, codes)
-    achieved = mixing_matrix(table, assignment, k=group_sizes.size)
-    return SbmPartResult(
-        assignment=assignment,
-        mapping=mapping,
-        target=target,
-        achieved=achieved,
+    return _match_result(
+        ptable, joint, table,
+        lambda group_sizes, target: sbm_part_assign(
+            table,
+            group_sizes,
+            target,
+            order=order,
+            capacity_weighting=capacity_weighting,
+            tie_stream=tie_stream,
+            cold_start=cold_start,
+            negative_gain=negative_gain,
+            prep=prep,
+        ),
     )

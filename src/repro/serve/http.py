@@ -51,6 +51,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
+from ..core import tasks
 from ..io.chunks import (
     format_edge_csv_chunk,
     format_json_records_chunk,
@@ -424,23 +425,55 @@ def install_signal_handlers(server, signals=(signal.SIGTERM, signal.SIGINT)):
         signal.signal(signum, _drain)
 
 
-def serve(graph, host="127.0.0.1", port=8080, *, install_signals=False,
-          **kwargs):
-    """Warm the graph's edge states and serve until drained.
+def serve(graph, name, host="127.0.0.1", port=8080, **kwargs):
+    """Serve ``graph`` as ``repro serve`` does, until drained; then close it.
 
-    ``install_signals=True`` adds the SIGTERM/SIGINT drain and closes
-    the graph (unlinking its spool) on the way out — the behaviour
-    ``repro serve`` ships; library callers keep graph ownership by
-    default.
+    Binds first and prints ``serving '<name>' on http://host:port/``
+    (the line clients parse for the port) with data routes answering
+    503 until ready; a background thread warms the edge states, prints
+    one ``edge`` line per edge type, trims the heap and opens the
+    gate.  SIGTERM/SIGINT drain (so call it from the main thread), and
+    the graph is closed on the way out, which unlinks its owned spool.
+    A failed warm-up stops the server and raises ``RuntimeError``.
+    ``kwargs`` go to :func:`create_server`.
     """
-    graph.warm()
-    server = create_server(graph, host, port, **kwargs)
-    if install_signals:
-        install_signal_handlers(server)
     try:
-        server.serve_forever()
+        server = create_server(graph, host, port, ready=False, **kwargs)
+        host, port = server.server_address[:2]
+        print(f"serving {name!r} on http://{host}:{port}/", flush=True)
+        install_signal_handlers(server)
+        warm_error = []
+
+        def _warm():
+            try:
+                graph.warm()
+                classification = graph.classification()
+                for edge, meta in classification["edges"].items():
+                    print(f"  edge {edge}: mode={meta['mode']} "
+                          f"({meta['count']} edges)", flush=True)
+                tasks.malloc_trim()  # what the warm-up freed on this thread
+                server.ready.set()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                warm_error.append(exc)
+                threading.Thread(
+                    target=server.shutdown, daemon=True
+                ).start()
+
+        threading.Thread(
+            target=_warm, name="repro-serve-warm", daemon=True
+        ).start()
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            # Graceful drain: stop accepting, finish in-flight
+            # requests (block_on_close), then release the graph —
+            # which unlinks the owned spool, Ctrl-C included.
+            server.server_close()
+        if warm_error:
+            raise RuntimeError(
+                f"serve warmup failed: {warm_error[0]}"
+            ) from warm_error[0]
     finally:
-        server.server_close()
-        if install_signals:
-            graph.close()
-    return server
+        graph.close()

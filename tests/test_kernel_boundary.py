@@ -33,7 +33,6 @@ from repro.core.matching._ckernel import load_ckernel
 from repro.core.matching.kernel import (
     MatchPrep,
     bipartite_stream,
-    ldg_stream,
     prepare_match_stream,
 )
 from repro.io._ckernel import load_text_ckernel
@@ -150,7 +149,7 @@ class TestPrepChecks:
         script = textwrap.dedent("""
             import numpy as np
             from repro.core.matching.kernel import (
-                MatchPrep, ldg_stream, prepare_match_stream)
+                MatchPrep, ldg_partition, prepare_match_stream)
             from repro.tables import EdgeTable
 
             t = EdgeTable("e", [0, 1, 2], [1, 2, 3],
@@ -158,7 +157,7 @@ class TestPrepChecks:
             p = prepare_match_stream(t)
             bad = MatchPrep(p.indptr, p.neighbors * 1000, np.arange(4))
             try:
-                ldg_stream(t, [2, 2], prep=bad)
+                ldg_partition(t, [2, 2], prep=bad)
             except ValueError as error:
                 print("ValueError:", error)
         """)
@@ -176,7 +175,7 @@ class TestPrepChecks:
         table, prep = _path_graph()
         bad = MatchPrep(prep.indptr, prep.neighbors, np.array([0, 0, 1, 2]))
         with pytest.raises(ValueError, match="permutation"):
-            ldg_stream(table, [2, 2], prep=bad)
+            ldg_partition(table, [2, 2], prep=bad)
 
     @pytest.mark.parametrize("field, value, match", [
         ("indptr", lambda p: p.indptr[:-1], "indptr"),
@@ -203,8 +202,8 @@ class TestPrepChecks:
         )
         order = [3, 1, 0, 2]
         assert np.array_equal(
-            ldg_stream(table, [2, 2], order=order, prep=loose),
-            ldg_stream(table, [2, 2], order=order),
+            ldg_partition(table, [2, 2], order=order, prep=loose),
+            ldg_partition(table, [2, 2], order=order),
         )
 
 

@@ -11,6 +11,7 @@ from repro.core.matching import (
     greedy_label_match,
     ldg_degree_match,
     random_match,
+    sbm_part_match,
 )
 from repro.stats import empirical_joint, homophily_joint
 from repro.tables import EdgeTable, PropertyTable
@@ -91,6 +92,33 @@ class TestGreedyLabelMatch:
             pt, joint, path_table, order=np.array([3, 2, 1, 0])
         )
         assert np.array_equal(result.assignment, [1, 1, 0, 0])
+
+
+MONOPARTITE_MATCHERS = [sbm_part_match, ldg_degree_match, greedy_label_match]
+
+
+@pytest.mark.parametrize(
+    "matcher", MONOPARTITE_MATCHERS, ids=lambda f: f.__name__
+)
+class TestMatcherInputChecks:
+    """Every monopartite matcher refuses what SBM-Part refuses, with
+    the message that names the PT."""
+
+    def test_joint_categories_must_be_pt_values(self, matcher, path_table):
+        pt = PropertyTable("v", np.array([0, 1, 2, 2]))
+        joint = homophily_joint(np.full(4, 0.25), 0.5)
+        with pytest.raises(
+            ValueError, match="joint has 4 categories but PT 'v' has 3"
+        ):
+            matcher(pt, joint, path_table)
+
+    def test_pt_must_cover_the_structure(self, matcher, path_table):
+        pt = PropertyTable("v", np.array([0, 1, 1]))
+        joint = homophily_joint(np.array([0.5, 0.5]), 0.5)
+        with pytest.raises(
+            ValueError, match="PT 'v' has 3 rows but the structure has 4"
+        ):
+            matcher(pt, joint, path_table)
 
 
 class TestBipartiteTarget:

@@ -205,32 +205,77 @@ class TestKernelMatchesLegacy:
             )
             assert np.array_equal(expected, got)
 
-    def test_bipartite_identical(self):
+    @pytest.mark.parametrize(
+        "nt, nh, m, tail_sizes, head_sizes",
+        [
+            (250, 400, 2000, [100, 80, 70], [250, 150]),
+            (250, 400, 2000, [100, 0, 150], [250, 150]),
+            (250, 400, 2000, [100, 80, 70], [0, 250, 150]),
+            (250, 400, 2000, [250], [250, 150]),
+            (250, 400, 2000, [100, 80, 70], [400]),
+            (500, 120, 1500, [200, 200, 100], [60, 70]),
+            (90, 600, 1500, [30, 60], [300, 200, 150]),
+            (50, 70, 0, [20, 30], [35, 35]),
+        ],
+        ids=["three-by-two", "empty-tail-group", "empty-head-group",
+             "one-tail-group", "one-head-group", "more-tails",
+             "more-heads", "no-edges"],
+    )
+    @pytest.mark.parametrize("weighting", [True, False],
+                             ids=["weighted", "unweighted"])
+    def test_bipartite_identical(
+        self, nt, nh, m, tail_sizes, head_sizes, weighting,
+    ):
         rng = np.random.default_rng(44)
-        nt, nh, m = 250, 400, 2000
         tails = rng.integers(0, nt, size=m)
         heads = rng.integers(0, nh, size=m)
         table = EdgeTable(
             "b", tails, heads,
             num_tail_nodes=nt, num_head_nodes=nh, directed=True,
         )
-        tail_sizes = np.array([100, 80, 70], dtype=np.int64)
-        head_sizes = np.array([250, 150], dtype=np.int64)
-        target = bipartite_edge_count_target(
-            np.array([[0.4, 0.1], [0.1, 0.2], [0.1, 0.1]]), m
-        )
+        tail_sizes = np.array(tail_sizes, dtype=np.int64)
+        head_sizes = np.array(head_sizes, dtype=np.int64)
+        if (tail_sizes.size, head_sizes.size) == (3, 2):
+            joint = np.array([[0.4, 0.1], [0.1, 0.2], [0.1, 0.1]])
+        else:
+            joint = rng.random((tail_sizes.size, head_sizes.size))
+        target = bipartite_edge_count_target(joint, m)
         order = RandomStream(2, "bip").permutation(nt + nh)
-        for weighting in (True, False):
-            expected = legacy_bipartite_assignments(
-                table, tail_sizes, head_sizes, target,
-                order=order, capacity_weighting=weighting,
-            )
-            got = bipartite_stream(
-                table, tail_sizes, head_sizes, target,
-                order=order, capacity_weighting=weighting,
-            )
-            assert np.array_equal(expected[0], got[0])
-            assert np.array_equal(expected[1], got[1])
+        expected = legacy_bipartite_assignments(
+            table, tail_sizes, head_sizes, target,
+            order=order, capacity_weighting=weighting,
+        )
+        got = bipartite_stream(
+            table, tail_sizes, head_sizes, target,
+            order=order, capacity_weighting=weighting,
+        )
+        assert np.array_equal(expected[0], got[0])
+        assert np.array_equal(expected[1], got[1])
+
+    @pytest.mark.parametrize("side, tail_sizes, head_sizes", [
+        ("tail", [1, 1], [1, 1]),
+        ("head", [2, 2], [1, 0]),
+    ])
+    def test_bipartite_exhausted_capacity_names_its_side(
+        self, monkeypatch, side, tail_sizes, head_sizes,
+    ):
+        """Sizes too small for a side, let past the entry check, run
+        out mid-stream with the legacy loop's error for that side."""
+        import repro.core.matching.kernel as kernel
+
+        monkeypatch.setattr(
+            kernel, "_capacities",
+            lambda sizes, n, what: np.asarray(sizes, dtype=np.int64),
+        )
+        table = EdgeTable(
+            "b", [0, 1, 2, 3], [0, 1, 1, 0],
+            num_tail_nodes=4, num_head_nodes=2, directed=True,
+        )
+        for stream in (legacy_bipartite_assignments, bipartite_stream):
+            with pytest.raises(
+                RuntimeError, match=f"^{side} group capacities exhausted"
+            ):
+                stream(table, tail_sizes, head_sizes, np.ones((2, 2)))
 
 
 # -- tie tolerance ------------------------------------------------------------

@@ -222,3 +222,28 @@ class TestArrivalOrder:
     def test_unknown_kind(self, path_table):
         with pytest.raises(ValueError, match="unknown arrival order"):
             arrival_order(path_table, "sideways")
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.partitioning", "repro.core.matching", "repro"]
+)
+def test_imports_first_in_a_fresh_interpreter(module):
+    """``repro.partitioning`` re-exports the kernel's ``ldg_partition``
+    while the matchers import partitioning metrics: either package, or
+    ``repro`` itself, must import first without a cycle error."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import {module}; from repro.partitioning import ldg_partition; "
+         "from repro.core.matching import sbm_part_match"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

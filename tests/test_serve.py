@@ -918,12 +918,12 @@ class TestServeRobustness:
         thread, before the data routes open."""
         import threading
 
-        import repro.serve
+        import repro.serve.http
         from repro import cli
         from repro.core import tasks
 
         servers, calls = [], []
-        create_server = repro.serve.create_server
+        create_server = repro.serve.http.create_server
 
         def capture(*args, **kwargs):
             servers.append(create_server(*args, **kwargs))
@@ -936,8 +936,8 @@ class TestServeRobustness:
                           "mode=" in capsys.readouterr().out))
             threading.Thread(target=server.shutdown).start()
 
-        monkeypatch.setattr(repro.serve, "create_server", capture)
-        monkeypatch.setattr(repro.serve, "install_signal_handlers",
+        monkeypatch.setattr(repro.serve.http, "create_server", capture)
+        monkeypatch.setattr(repro.serve.http, "install_signal_handlers",
                             lambda server: None)
         monkeypatch.setattr(tasks, "malloc_trim", trim)
         assert cli.main(["serve", "social_network", "--scale",
